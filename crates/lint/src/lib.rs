@@ -13,7 +13,10 @@
 //!   epoll/eventfd surface specifically never leaks outside them — every
 //!   other module goes through the reactor's `Poller`/`WakeFd` wrappers;
 //! - no `.unwrap()` / `.expect(` inside `impl Drop` bodies (a panic in a
-//!   drop during unwinding aborts the process).
+//!   drop during unwinding aborts the process);
+//! - threads are spawned only by the listed owners (reactor loop and
+//!   pool, subscriber consumers, tap, bag writer, model scheduler) — a
+//!   per-link thread cannot quietly return to the transport.
 //!
 //! The pass is line-oriented, built on [`rossf_checker::scan`]'s
 //! comment/string-aware splitter — not a parser. That keeps it dependency

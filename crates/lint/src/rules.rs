@@ -1,4 +1,4 @@
-//! The four workspace lint rules, implemented over the split-line stream
+//! The five workspace lint rules, implemented over the split-line stream
 //! from [`rossf_checker::scan`].
 //!
 //! Scope: the lints scan `crates/*/src/**/*.rs` — production sources
@@ -32,6 +32,12 @@ pub enum Rule {
     /// `.unwrap()` / `.expect(` inside an `impl Drop` — a panic in drop
     /// during unwinding aborts the whole process.
     PanickyDrop,
+    /// A thread spawn (`thread::Builder`, `thread::spawn`,
+    /// `thread::scope`) in a production source outside
+    /// `SPAWN_ALLOWLIST`. Links are driven by the reactor; the few
+    /// places that own a thread are listed, so a per-link thread cannot
+    /// quietly return.
+    SpawnOutsideAllowlist,
 }
 
 impl fmt::Display for Rule {
@@ -41,6 +47,7 @@ impl fmt::Display for Rule {
             Rule::SeqCstNeedsOrder => "seqcst-needs-order",
             Rule::SyscallOutsideSys => "syscall-outside-sys",
             Rule::PanickyDrop => "panicky-drop",
+            Rule::SpawnOutsideAllowlist => "spawn-outside-allowlist",
         };
         f.write_str(s)
     }
@@ -80,6 +87,24 @@ const SYS_MODULES: [&str; 3] = [
 /// Whether `path` labels one of the audited sys modules.
 fn is_sys_module(path: &str) -> bool {
     SYS_MODULES.iter().any(|m| path.ends_with(m)) || path == "sys.rs"
+}
+
+/// The production sources allowed to spawn threads, and what each spawns.
+const SPAWN_ALLOWLIST: [&str; 7] = [
+    "crates/reactor/src/lib.rs",       // the event loop
+    "crates/reactor/src/pool.rs",      // the fixed job pool
+    "crates/ros/src/subscriber.rs",    // shm / fast-path consumers
+    "crates/ros/src/tap.rs",           // capture-tap drains
+    "crates/bag/src/writer.rs",        // the bag writer
+    "crates/model/src/sched.rs",       // the model checker's scheduler
+    "crates/bench/src/experiments.rs", // the Fig. 14 raw-TCP harness
+];
+
+/// Whether a code line spawns a thread.
+fn spawns_thread(code: &str) -> bool {
+    ["thread::Builder", "thread::spawn", "thread::scope"]
+        .iter()
+        .any(|s| code.contains(s))
 }
 
 /// Whether a code line names the epoll/eventfd syscall surface: any
@@ -282,6 +307,18 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                         .to_string(),
                 });
             }
+        }
+
+        // Rule: thread spawns only where listed.
+        if spawns_thread(code) && !SPAWN_ALLOWLIST.iter().any(|f| path.ends_with(f)) {
+            findings.push(Finding {
+                rule: Rule::SpawnOutsideAllowlist,
+                path: path.to_string(),
+                line: lineno,
+                message: "thread spawn outside the allowlist (rules.rs SPAWN_ALLOWLIST): \
+                          drive the link from the reactor or the job pool"
+                    .to_string(),
+            });
         }
 
         // Rule: unsafe needs SAFETY.

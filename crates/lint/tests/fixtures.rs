@@ -274,6 +274,53 @@ impl Drop for G {
 }
 
 #[test]
+fn spawn_rule_seeded_violations() {
+    let src = r#"
+fn relay(rx: Receiver<Frame>) {
+    let _ = std::thread::Builder::new()
+        .name("rossf-shm-pub".to_string())
+        .spawn(move || drain(rx));
+    std::thread::spawn(|| {});
+    std::thread::scope(|s| {
+        s.spawn(|| {});
+    });
+}
+"#;
+    let findings = lint_source("crates/ros/src/publisher.rs", src);
+    assert_eq!(
+        lines_of(&findings, Rule::SpawnOutsideAllowlist),
+        vec![3, 6, 7],
+        "every spawn form reported, nothing else: {findings:?}"
+    );
+    assert_eq!(findings.len(), 3);
+}
+
+#[test]
+fn spawn_rule_clean_fixture() {
+    let src = r#"
+// A comment naming thread::spawn, and a string: "thread::Builder".
+fn consume() {
+    let _ = std::thread::Builder::new().spawn(|| {});
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() {
+        std::thread::spawn(|| {}).join().unwrap();
+    }
+}
+"#;
+    // The allowlisted owner may spawn; anyone may in test modules and may
+    // mention spawning in comments and strings.
+    let owner = lint_source("crates/ros/src/subscriber.rs", src);
+    assert!(owner.is_empty(), "allowlisted file flagged: {owner:?}");
+    let other = lint_source("crates/ros/src/publisher.rs", src);
+    assert_eq!(lines_of(&other, Rule::SpawnOutsideAllowlist), vec![4]);
+    assert_eq!(other.len(), 1);
+}
+
+#[test]
 fn cfg_test_modules_are_exempt() {
     let src = r#"
 fn prod() {}

@@ -47,6 +47,8 @@ pub struct FaultInjector {
     /// Severed latch: set by a `Sever` rule or [`FaultInjector::sever_now`],
     /// cleared only by [`FaultInjector::heal`].
     severed: AtomicBool,
+    /// Attach-denial latch: see [`FaultInjector::deny_attach`].
+    attach_denied: AtomicBool,
     frames_dropped: AtomicU64,
     frames_delayed: AtomicU64,
     frames_passed: AtomicU64,
@@ -98,6 +100,23 @@ impl FaultInjector {
     pub fn is_severed(&self) -> bool {
         // Relaxed: see `sever_now` — the flag is self-contained.
         self.severed.load(Ordering::Relaxed)
+    }
+
+    /// Latch the link into refusing out-of-band attachments: a transport
+    /// tier that hands the data path over outside the connection (a
+    /// shared-memory ring granted in the handshake) must treat the
+    /// hand-over as denied and fall back to the connection itself. Models
+    /// a kernel policy refusing the cross-process fd hand-off; there is no
+    /// un-latch, as there is none for the policy.
+    pub fn deny_attach(&self) {
+        // Relaxed: a self-contained flag, like `severed`.
+        self.attach_denied.store(true, Ordering::Relaxed);
+    }
+
+    /// `true` once [`FaultInjector::deny_attach`] latched.
+    pub fn attach_denied(&self) -> bool {
+        // Relaxed: see `deny_attach`.
+        self.attach_denied.load(Ordering::Relaxed)
     }
 
     /// Consume the next frame index and return the action for it.

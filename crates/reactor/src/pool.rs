@@ -5,7 +5,9 @@
 //! The pool is deliberately tiny (a handful of threads, independent of
 //! link count) — it bounds the process's thread count while the reactor
 //! carries all steady-state I/O. Jobs are short-lived by contract;
-//! long-lived loops (the shm reader threads) own their threads instead.
+//! long-lived loops (a subscriber's shm and fast-path consumers, which
+//! block on a ring or a channel rather than an fd) own their threads
+//! instead.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 

@@ -115,12 +115,6 @@ pub struct TransportConfig {
     /// benchmarks and tests turn it on to exercise the full shm data path
     /// — ring, segments, and read-only mapping — inside a single process.
     pub shm_same_process: bool,
-    /// Fault injection: make every granted shm link fail to attach on the
-    /// subscriber side, as when the kernel's ptrace-scope policy denies
-    /// the `/proc/<pid>/fd` hand-off. Exercises the handshake-level TCP
-    /// fallback (the supervisor withholds the shm offer after an attach
-    /// failure) deterministically. Off by default.
-    pub shm_attach_fault: bool,
 }
 
 impl Default for TransportConfig {
@@ -134,7 +128,6 @@ impl Default for TransportConfig {
             enable_fastpath: true,
             enable_shm: true,
             shm_same_process: false,
-            shm_attach_fault: false,
         }
     }
 }
@@ -155,7 +148,6 @@ mod tests {
             !c.shm_same_process,
             "same-process traffic prefers the fast path by default"
         );
-        assert!(!c.shm_attach_fault, "fault injection off by default");
     }
 
     #[test]

@@ -24,7 +24,8 @@
 use crate::error::RosError;
 use crate::wire::{ConnectionHeader, OutFrame};
 use crossbeam::channel::{Receiver, RecvTimeoutError};
-use rossf_netsim::{FaultAction, FaultInjector};
+use rossf_netsim::{FaultAction, FaultInjector, MachineId};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -32,6 +33,16 @@ use std::time::Duration;
 /// Header value marking both the subscriber's request and the publisher's
 /// reply as fast-path capable.
 pub(crate) const FASTPATH_FIELD: &str = "fastpath";
+
+/// What a link's fault injector, if one is attached, says to do with the
+/// next frame about to cross it. Every tier asks exactly once per frame —
+/// drop/delay/sever apply to a pointer or descriptor hand-off exactly as
+/// to a socket write.
+pub(crate) fn next_fault(injector: &Option<Arc<FaultInjector>>) -> FaultAction {
+    injector
+        .as_ref()
+        .map_or(FaultAction::Pass, |f| f.next_frame_action())
+}
 
 /// A publisher that can accept same-process subscribers without a socket.
 ///
@@ -66,28 +77,60 @@ pub(crate) struct LocalSinkHandle {
     /// Cleared on drop so the publisher's `subscriber_count` and pruning
     /// see the detach without a writer thread.
     pub(crate) alive: Arc<AtomicBool>,
-    /// The loopback link's fault injector, consulted once per frame —
-    /// drop/delay/sever apply to pointer handoff exactly as to sockets.
+    /// The loopback link's fault injector ([`next_fault`]).
     pub(crate) injector: Option<Arc<FaultInjector>>,
 }
 
 impl LocalSinkHandle {
-    /// Wait up to `timeout` for the next queued frame.
+    /// Attach to a same-process publisher's local port and validate the
+    /// reply exactly like a TCP reply — the whole fast-path handshake,
+    /// shared by subscribers and capture taps.
+    ///
+    /// The strong `port` reference ends here: holding it through the drain
+    /// loop would keep the publisher core (and its master registration)
+    /// alive after the last `Publisher` handle drops. The sink's queue
+    /// disconnects when the publisher tears down.
     ///
     /// # Errors
     ///
-    /// [`RecvTimeoutError::Timeout`] if no frame arrived (poll the shutdown
-    /// flag and retry); [`RecvTimeoutError::Disconnected`] once the
-    /// publisher dropped the sending half (connection over).
-    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<OutFrame, RecvTimeoutError> {
-        self.rx.recv_timeout(timeout)
+    /// Those of [`LocalAttach::attach_local`], plus [`RosError::Rejected`]
+    /// for a reply that refuses the subscription.
+    pub(crate) fn attach(
+        port: Arc<dyn LocalAttach>,
+        topic: &str,
+        type_name: &str,
+        machine: MachineId,
+    ) -> Result<LocalSinkHandle, RosError> {
+        let request =
+            ConnectionHeader::request(topic, type_name, machine).with(FASTPATH_FIELD, "1");
+        let sink = port.attach_local(&request)?;
+        sink.reply.check_reply()?;
+        Ok(sink)
     }
 
-    /// The fault action for the next frame crossing the loopback link.
-    pub(crate) fn frame_action(&self) -> FaultAction {
-        self.injector
-            .as_ref()
-            .map_or(FaultAction::Pass, |f| f.next_frame_action())
+    /// Drain the queue into `on_frame` until the publisher goes away,
+    /// `shutdown` is raised, or `on_frame` breaks — one attachment's
+    /// lifetime. Blocks; runs on the attachment's own thread.
+    pub(crate) fn drain(
+        &self,
+        shutdown: &AtomicBool,
+        mut on_frame: impl FnMut(OutFrame) -> ControlFlow<()>,
+    ) {
+        // Acquire: a tap's `Drop` pairs a Release store with this load; a
+        // subscriber's standalone exit flag needs no more than it.
+        while !shutdown.load(Ordering::Acquire) {
+            // Short timeout so shutdown is observed promptly; there is no
+            // socket to shut down from `Drop` on this path.
+            match self.rx.recv_timeout(Duration::from_millis(20)) {
+                Ok(frame) => {
+                    if on_frame(frame).is_break() {
+                        return;
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return, // publisher gone
+            }
+        }
     }
 }
 

@@ -4,38 +4,52 @@
 //! subscriber that connects gets its own bounded *transmission queue* (the
 //! queue of paper Fig. 8: `publish` deposits a cheap clone of the encoded
 //! frame — for serialization-free messages, a clone of the buffer pointer —
-//! and returns). TCP queues drain on the process-wide
-//! [reactor](rossf_reactor): the listener and every writer are nonblocking
-//! state machines on one shared event loop, so the thread count stays O(1)
-//! no matter how many subscribers connect. Cross-machine connections are
-//! paced by the master's [`LinkTable`](rossf_netsim::LinkTable) through
-//! reactor timers, and any [`FaultInjector`](rossf_netsim::FaultInjector)
-//! attached to the link is applied frame-by-frame in the writer state
-//! machine: delayed frames wait out a timer, dropped frames are skipped,
-//! and a severed link shuts the socket down and refuses new connections
-//! until healed.
+//! and returns). Every link passes one admission (`PubCore::admit`) and
+//! differs only in what its queue is:
+//!
+//! * **TCP** — a bounded channel drained on the process-wide
+//!   [reactor](rossf_reactor): the listener and every writer are
+//!   nonblocking state machines on one shared event loop. Cross-machine
+//!   connections are paced by the master's
+//!   [`LinkTable`](rossf_netsim::LinkTable) through reactor timers.
+//! * **fast path** — a bounded channel whose receiving end the
+//!   same-process subscriber drains itself.
+//! * **shared memory** — the link's descriptor ring *is* the queue:
+//!   `publish` copies a heap-built message once into a pooled segment (a
+//!   loaned message is already there) and commits one descriptor per shm
+//!   link inline, under a per-link mutex. The handshake socket stays on
+//!   the reactor purely as the "subscriber gone" signal.
+//!
+//! No tier costs the publisher a thread. Any
+//! [`FaultInjector`](rossf_netsim::FaultInjector) attached to the link is
+//! applied frame by frame wherever the frame leaves the queue: delayed
+//! frames wait out a reactor timer without reordering, dropped frames are
+//! skipped and counted, and a severed link shuts the socket down and
+//! refuses new connections until healed.
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{LocalAttach, LocalSinkHandle, FASTPATH_FIELD};
+use crate::fastpath::{next_fault, LocalAttach, LocalSinkHandle, FASTPATH_FIELD};
 use crate::loan::LoanedMessage;
 use crate::master::Master;
 use crate::metrics::TransportMetrics;
 use crate::options::{PublisherOptions, PublisherStats};
-use crate::shm::{SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD};
+use crate::shm::{
+    peer_gone, SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD,
+};
 use crate::traits::Encode;
 use crate::wire::{
-    frame_len_prefix, grow_socket_buffers, ConnectionHeader, OutFrame, ShmSlot, PROJECT_FIELD,
+    frame_len_prefix, grow_socket_buffers, ConnectionHeader, OutFrame, PROJECT_FIELD,
 };
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use rossf_netsim::{FaultAction, FaultInjector, MachineId, Shaper};
 use rossf_reactor::{runtime, Ctl, Event, Handler, Reactor, Token};
 use rossf_sfm::{SfmAlloc, SfmBox, SfmMessage};
-use rossf_shm::{FrameMeta, SegmentPool, SharedFrame, ShmLink};
+use rossf_shm::{FrameMeta, PushOutcome, SegmentPool, SharedFrame, ShmLink};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::VecDeque;
-use std::io::{BufReader, IoSlice, Read, Write};
+use std::io::{BufReader, IoSlice, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -53,19 +67,134 @@ const WRITE_BATCH: usize = 32;
 /// topic cannot starve other links.
 const BATCHES_PER_DISPATCH: usize = 4;
 
+/// One subscriber link as `fan_out` sees it.
 struct Conn {
-    queue: Sender<OutFrame>,
     alive: Arc<AtomicBool>,
-    /// Whether this connection drains into a shared-memory link — those
-    /// clones get the publish's [`ShmSlot`] attached so all shm links of
-    /// one publish share a single pooled segment.
-    is_shm: bool,
-    /// Reactor registration of the TCP writer state machine draining this
-    /// queue; `None` for shm and fast-path connections (their drains are
-    /// channel-timeout loops, not fd-driven). `fan_out` notifies the token
-    /// after depositing frames, and `Drop` notifies it after closing the
-    /// queue so the writer observes the disconnect.
+    /// Reactor registration of the link's socket handler — the TCP writer
+    /// draining `sink`, or a shm link's control socket; `None` on the fast
+    /// path (the subscriber drains its queue itself). `fan_out` notifies a
+    /// writer after depositing frames, and `Drop` notifies every token
+    /// after closing the queues and rings so each handler observes the
+    /// disconnect.
     token: Option<Token>,
+    sink: Sink,
+}
+
+/// Where a link's frames wait for the subscriber.
+enum Sink {
+    /// A bounded channel (TCP and fast path).
+    Queue(Sender<OutFrame>),
+    /// A shm link's descriptor ring.
+    Ring(Arc<Ring>),
+}
+
+/// What became of one frame offered to one link.
+enum Deposit {
+    /// Queued, committed, parked behind a delay — or consumed by an
+    /// injected drop fault, which is accounted where it fires.
+    Taken,
+    /// Backpressure: the queue or ring was full, or no pool segment was
+    /// free. The frame is dropped for this subscriber only.
+    Full,
+    /// The link is gone; prune it.
+    Dead,
+}
+
+/// Publisher half of one shared-memory link. The ring is single-producer,
+/// so everything that touches it — `publish` on any clone of the
+/// publisher, the delay timer, teardown — goes through `tx`.
+struct Ring {
+    tx: Mutex<RingTx>,
+    alive: Arc<AtomicBool>,
+    metrics: Arc<TransportMetrics>,
+    /// The subscriber's process id: a peer that *crashed* leaves holds on
+    /// popped frames that only the publisher can reclaim.
+    sub_pid: u32,
+}
+
+struct RingTx {
+    /// `None` once the link is torn down.
+    link: Option<ShmLink>,
+    injector: Option<Arc<FaultInjector>>,
+    /// Frames held back by an injected [`FaultAction::Delay`], oldest
+    /// first, each with the delay it still owes once it reaches the head
+    /// (zero for frames merely queued behind a delayed one). Non-empty
+    /// means a reactor timer is pending for the head — the shm analogue
+    /// of the TCP writer's [`Stall::FaultDelay`]. Bounded by `queue_size`.
+    parked: VecDeque<(SharedFrame, FrameMeta, Duration)>,
+}
+
+/// How long after a link's teardown the publisher keeps checking whether
+/// the subscriber *process* died: waits of `10 ms << attempt`, about
+/// 0.6 s in all. The EOF that triggers teardown usually arrives while the
+/// peer is mid-exit.
+const RECLAIM_ATTEMPTS: u32 = 6;
+
+/// Reclaim the holds a dead subscriber process left on popped frames so no
+/// pool slot stays pinned by a crashed reader. A peer that is still alive
+/// keeps them — stashed message buffers may legally outlive the
+/// subscription, and the reader releases them itself. Runs on the job pool
+/// (the liveness check reads `/proc`); the waits are reactor timers.
+fn reclaim_when_gone(link: ShmLink, sub_pid: u32, attempt: u32) {
+    if !rossf_shm::sys::process_alive(sub_pid) {
+        link.reclaim_reader_holds();
+    } else if attempt < RECLAIM_ATTEMPTS {
+        runtime()
+            .reactor
+            .timer(Duration::from_millis(10 << attempt), move |_| {
+                runtime()
+                    .pool
+                    .spawn(move || reclaim_when_gone(link, sub_pid, attempt + 1));
+            });
+    }
+}
+
+impl Ring {
+    /// Tear the link down, from whichever side notices first (`publish`
+    /// on a sever, the control socket's handler on EOF, the publisher's
+    /// `Drop`): close the ring so the consumer wakes at once, recycle the
+    /// descriptors it never consumed, settle reader-abandoned references,
+    /// and mark the connection dead. Idempotent — whoever takes the link
+    /// out does the work and counts the disconnect.
+    fn teardown(&self) {
+        let link = {
+            let mut tx = self.tx.lock();
+            tx.parked.clear();
+            tx.link.take()
+        };
+        let Some(link) = link else { return };
+        link.close();
+        link.drain();
+        link.reconcile_abandoned();
+        // Release: pairs with the pruners' Acquire loads.
+        self.alive.store(false, Ordering::Release);
+        self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+        if self.sub_pid != std::process::id() {
+            let sub_pid = self.sub_pid;
+            runtime()
+                .pool
+                .spawn(move || reclaim_when_gone(link, sub_pid, 0));
+        }
+    }
+}
+
+/// Reactor handler for a shm link's handshake socket, kept open as the
+/// liveness channel: the link ends when the subscriber's end is gone. A
+/// notify arrives when the ring was torn down from the publisher's side
+/// (sever, publisher drop); closing the socket then tells the subscriber.
+struct RingCtl {
+    stream: TcpStream,
+    ring: Arc<Ring>,
+}
+
+impl Handler for RingCtl {
+    fn on_event(&mut self, _event: Event, ctl: &mut Ctl) {
+        let torn_down = self.ring.tx.lock().link.is_none();
+        if torn_down || peer_gone(&self.stream) {
+            self.ring.teardown();
+            ctl.close();
+        }
+    }
 }
 
 /// Reactor handler for the publisher's listening socket: accepts ready
@@ -333,11 +462,7 @@ impl TcpWriter {
                 match self.rx.try_recv() {
                     Ok(frame) => {
                         admitted = true;
-                        match self
-                            .injector
-                            .as_ref()
-                            .map_or(FaultAction::Pass, |f| f.next_frame_action())
-                        {
+                        match next_fault(&self.injector) {
                             FaultAction::Pass => {
                                 self.admit(frame, ctl);
                                 if self.stall.is_some() {
@@ -501,10 +626,8 @@ struct PubCore {
     /// `PublisherOptions::trace(true)`; `None` keeps the publish path free
     /// of clock reads and histogram writes.
     trace: Option<Arc<TopicTrace>>,
-    /// [`Tier`] index the publish-side `alloc`/`encode` spans are attributed
-    /// to: set to fast path when a same-process subscriber attaches, back to
-    /// TCP when a socket subscriber handshakes. A heuristic — a publisher
-    /// serving both at once attributes to the most recent arrival.
+    /// [`Tier::index`] the publish-side `alloc`/`encode` spans are
+    /// attributed to: the tier of the most recently spliced link.
     tier_hint: AtomicU8,
     /// Segment pool shared by every shm link this publisher grants, so the
     /// memfd count stays bounded by [`rossf_shm::DIR_CAP`] no matter how
@@ -518,8 +641,8 @@ struct PubCore {
     /// `None` means projection requests are silently declined (the link
     /// carries full frames).
     schema: Option<&'static rossf_sfm::MessageSchema>,
-    /// The process-wide event loop this publisher's listener and TCP
-    /// writers are registered on.
+    /// The process-wide event loop this publisher's listener, TCP writers
+    /// and shm control sockets are registered on.
     reactor: Reactor,
     /// Reactor registration of the accept handler; set once right after
     /// `advertise` registers it, deregistered (closing the listener) when
@@ -528,22 +651,86 @@ struct PubCore {
 }
 
 impl PubCore {
-    /// The tier the publish-side spans are currently attributed to.
-    fn tier(&self) -> Tier {
-        match self.tier_hint.load(Ordering::Relaxed) {
-            1 => Tier::Fastpath,
-            2 => Tier::Shm,
-            _ => Tier::Tcp,
+    /// Encode `msg` once (for serialization-free messages this only
+    /// clones the buffer pointer) — the shared head of `publish` and
+    /// `publish_loaned`. Tracing rides on the frame's tag: a single clock
+    /// read brackets `encode`, and `alloc` falls out of the allocation
+    /// timestamp the buffer already carries. Untraced publishers skip
+    /// every clock read on this path.
+    fn encode(&self, msg: &impl Encode) -> OutFrame {
+        let t_pub = self.trace.as_ref().map(|_| now_nanos());
+        let mut frame = msg.encode();
+        if let (Some(table), Some(t0)) = (self.trace.as_deref(), t_pub) {
+            let t1 = now_nanos();
+            let id = tracer().next_trace_id();
+            let tier = Tier::ALL[self.tier_hint.load(Ordering::Relaxed) as usize];
+            let tag = frame.trace_mut();
+            tag.id = id;
+            if tag.born_ns != 0 && tag.born_ns <= t0 {
+                tracer().span(table, Stage::Alloc, tier, id, tag.born_ns, t0);
+            }
+            tracer().span(table, Stage::Encode, tier, id, t0, t1);
         }
+        frame
     }
 
-    /// Splice a new connection into the list, pruning dead entries while
-    /// the lock is held anyway (the accept/attach-side half of the pruning
-    /// that `subscriber_count` no longer does).
-    fn add_conn(&self, conn: Arc<Conn>) {
-        let mut conns = self.conns.lock();
-        conns.retain(|c| c.alive.load(Ordering::Acquire));
-        conns.push(conn);
+    /// The checks every subscriber link passes, whichever door it came
+    /// through (the TCP handshake or a same-process attach), and the base
+    /// reply header. `sub_machine` picks the link whose fault injector
+    /// governs the connection; the injector is returned for per-frame use.
+    ///
+    /// # Errors
+    ///
+    /// [`RosError::Rejected`] for a permanent refusal (type mismatch) — the
+    /// text of the TCP `error=` reply; [`RosError::Io`] for a transient one
+    /// (publisher shutting down, link severed) that the subscriber retries
+    /// under its backoff schedule until the link heals.
+    fn admit(
+        &self,
+        header: &ConnectionHeader,
+        sub_machine: MachineId,
+    ) -> Result<(ConnectionHeader, Option<Arc<FaultInjector>>), RosError> {
+        let refuse = |why: &str| {
+            RosError::Io(std::io::Error::new(
+                std::io::ErrorKind::ConnectionRefused,
+                why,
+            ))
+        };
+        // Relaxed: standalone exit flag (see the accept loop).
+        if self.shutdown.load(Ordering::Relaxed) {
+            return Err(refuse("publisher shutting down"));
+        }
+        let sub_type = header.get("type").unwrap_or_default();
+        if sub_type != self.type_name {
+            return Err(RosError::Rejected(format!(
+                "topic carries {} not {}",
+                self.type_name, sub_type
+            )));
+        }
+        let injector = self.master.links().fault(self.machine, sub_machine);
+        if injector.as_ref().is_some_and(|f| f.is_severed()) {
+            return Err(refuse("link severed"));
+        }
+        let reply = ConnectionHeader::new()
+            .with("type", self.type_name)
+            .with("topic", &self.topic)
+            .with("endian", ConnectionHeader::native_endian());
+        Ok((reply, injector))
+    }
+
+    /// Splice an admitted link into the fan-out list — pruning dead
+    /// entries while the lock is held anyway (the accept/attach-side half
+    /// of the pruning that `subscriber_count` no longer does) — count its
+    /// handshake, and attribute publish-side spans to its tier (a
+    /// heuristic: the most recent arrival wins).
+    fn splice(&self, tier: Tier, alive: Arc<AtomicBool>, token: Option<Token>, sink: Sink) {
+        {
+            let mut conns = self.conns.lock();
+            conns.retain(|c| c.alive.load(Ordering::Acquire));
+            conns.push(Arc::new(Conn { alive, token, sink }));
+        }
+        self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
+        self.tier_hint.store(tier.index() as u8, Ordering::Relaxed);
     }
 
     fn handle_subscriber(self: Arc<Self>, mut stream: TcpStream) -> Result<(), RosError> {
@@ -556,32 +743,25 @@ impl PubCore {
             ConnectionHeader::read_from(&mut reader)?
         };
         stream.set_read_timeout(None)?;
-        let sub_type = header.get("type").unwrap_or_default().to_string();
-        if sub_type != self.type_name {
-            let reply = ConnectionHeader::new().with(
-                "error",
-                format!("topic carries {} not {}", self.type_name, sub_type),
-            );
-            reply.write_to(&mut stream)?;
-            return Err(RosError::TypeMismatch {
-                topic: self.topic.clone(),
-                registered: self.type_name.to_string(),
-                attempted: sub_type,
-            });
-        }
         let sub_machine: MachineId = header
             .get("machine")
             .and_then(|m| m.parse::<u32>().ok())
             .unwrap_or_default()
             .into();
-
-        // A severed link refuses new connections: close without a reply so
-        // the subscriber sees a transport failure and keeps retrying under
-        // its backoff schedule until the link heals.
-        let injector = self.master.links().fault(self.machine, sub_machine);
-        if injector.as_ref().is_some_and(|f| f.is_severed()) {
-            return Err(RosError::Rejected("link severed".to_string()));
-        }
+        let (mut reply, injector) = match self.admit(&header, sub_machine) {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                // A permanent refusal is spelled out in an `error=` reply;
+                // a transient one closes without a reply, so the
+                // subscriber sees a transport failure and keeps retrying.
+                if let RosError::Rejected(why) = &e {
+                    ConnectionHeader::new()
+                        .with("error", why.as_str())
+                        .write_to(&mut stream)?;
+                }
+                return Err(e);
+            }
+        };
 
         // Shared-memory eligibility: both sides opted in, same simulated
         // machine, a *different* process (same-process traffic prefers the
@@ -620,10 +800,6 @@ impl PubCore {
             _ => None,
         };
 
-        let mut reply = ConnectionHeader::new()
-            .with("type", self.type_name)
-            .with("topic", &self.topic)
-            .with("endian", ConnectionHeader::native_endian());
         if let Some(link) = &shm_link {
             reply = reply
                 .with(SHM_FIELD, "1")
@@ -635,67 +811,63 @@ impl PubCore {
             reply = reply.with(PROJECT_FIELD, p.spec());
         }
         reply.write_to(&mut stream)?;
-        self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
 
+        // Hand the socket to the shared event loop. Either handler owns
+        // the stream and must not hold a strong core reference, or dropping
+        // the last Publisher could never close the queue it serves.
+        let alive = Arc::new(AtomicBool::new(true));
+        let fd = stream.as_raw_fd();
         if let Some(link) = shm_link {
+            stream.set_nonblocking(true)?;
             self.metrics.shm_handshakes.fetch_add(1, Ordering::Relaxed);
-            // The ring producer blocks on the transmission queue for the
-            // life of the link — a dedicated thread, never a pool worker
-            // (this function runs on the pool, and four shm links would
-            // otherwise starve it). The grant condition above guarantees
-            // `sub_pid` is present.
-            let core = Arc::clone(&self);
-            let pid = sub_pid.unwrap_or_default();
-            let spawned = std::thread::Builder::new()
-                .name("rossf-shm-pub".to_string())
-                .spawn(move || {
-                    let _ = core.run_shm_link(stream, link, injector, pid);
-                });
-            if let Err(e) = spawned {
-                return Err(RosError::Io(e));
-            }
+            let ring = Arc::new(Ring {
+                tx: Mutex::new(RingTx {
+                    link: Some(link),
+                    injector,
+                    parked: VecDeque::new(),
+                }),
+                alive: Arc::clone(&alive),
+                metrics: Arc::clone(&self.metrics),
+                // The grant condition above guarantees `sub_pid`.
+                sub_pid: sub_pid.unwrap_or_default(),
+            });
+            let ctl = RingCtl {
+                stream,
+                ring: Arc::clone(&ring),
+            };
+            let token = self.reactor.register(fd, true, false, Box::new(ctl));
+            self.splice(Tier::Shm, alive, Some(token), Sink::Ring(ring));
             return Ok(());
         }
 
-        // Link shaping: pace the data path if the subscriber lives on a
-        // different simulated machine.
-        let profile = self.master.links().profile(self.machine, sub_machine);
-
-        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
-        let alive = Arc::new(AtomicBool::new(true));
-        // A socket subscriber arrived: attribute publish-side spans to TCP.
-        self.tier_hint.store(0, Ordering::Relaxed);
-        // Per-connection trace state. The connection key mirrors the
+        // The writer is a nonblocking state machine driven by
+        // notify/timer/writable events. Its connection key mirrors the
         // reader's `conn_key(peer, local)` — same address pair, same order.
-        let trace = self.trace.clone();
         let conn_key = match (stream.local_addr(), stream.peer_addr()) {
             (Ok(local), Ok(peer)) => rossf_trace::conn_key(&local.to_string(), &peer.to_string()),
             _ => 0,
         };
-        // Hand the socket to the shared event loop: the writer is a
-        // nonblocking state machine driven by notify/timer/writable events,
-        // not a dedicated thread. The handler owns the stream; it must not
-        // hold a strong core reference, or dropping the last Publisher
-        // could never close the queue it drains.
         grow_socket_buffers(&stream);
         stream.set_nonblocking(true)?;
-        let fd = stream.as_raw_fd();
         if projection.is_some() {
             self.metrics
                 .projection_handshakes
                 .fetch_add(1, Ordering::Relaxed);
         }
+        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
         let writer = TcpWriter {
             stream,
             rx,
             alive: Arc::clone(&alive),
             injector,
             metrics: Arc::clone(&self.metrics),
-            trace,
+            trace: self.trace.clone(),
             conn_key,
             projection,
             wire_seq: 0,
-            shaper: Shaper::new(profile),
+            // Link shaping: pace the data path if the subscriber lives on
+            // a different simulated machine.
+            shaper: Shaper::new(self.master.links().profile(self.machine, sub_machine)),
             writeq: VecDeque::new(),
             head_written: 0,
             stall: None,
@@ -703,241 +875,23 @@ impl PubCore {
             disconnected: false,
         };
         let token = self.reactor.register(fd, false, false, Box::new(writer));
-        self.add_conn(Arc::new(Conn {
-            queue: tx,
-            alive,
-            is_shm: false,
-            token: Some(token),
-        }));
+        self.splice(Tier::Tcp, alive, Some(token), Sink::Queue(tx));
         Ok(())
     }
 
-    /// Producer half of one shared-memory link — the shm analogue of the
-    /// TCP writer loop above. Frames drain from the transmission queue
-    /// into the descriptor ring: one copy into a pooled segment
-    /// (`wire_write`), then a lock-free descriptor publish. The handshake
-    /// socket stays open as the liveness channel: the subscriber never
-    /// writes on it again, so any read outcome other than `WouldBlock`
-    /// means the subscriber is gone and the link tears down — closing the
-    /// ring, draining unconsumed descriptors, settling reader-abandoned
-    /// references, and, if the subscriber *process* died, reclaiming the
-    /// references it still held on popped frames so no pool slot stays
-    /// pinned by a crashed reader.
-    fn run_shm_link(
-        self: Arc<Self>,
-        mut stream: TcpStream,
-        mut link: ShmLink,
-        injector: Option<Arc<FaultInjector>>,
-        sub_pid: u32,
-    ) -> Result<(), RosError> {
-        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
-        let alive = Arc::new(AtomicBool::new(true));
-        self.add_conn(Arc::new(Conn {
-            queue: tx,
-            alive: Arc::clone(&alive),
-            is_shm: true,
-            token: None,
-        }));
-        let metrics = Arc::clone(&self.metrics);
-        // An shm subscriber arrived: attribute publish-side spans to it.
-        self.tier_hint.store(2, Ordering::Relaxed);
-        let trace = self.trace.clone();
-        stream.set_nonblocking(true)?;
-        // Release our strong reference: the producer loop must not keep
-        // the core alive, or dropping the last Publisher could never close
-        // the queue this loop waits on.
-        drop(self);
-
-        let mut probe = [0u8; 1];
-        // Descriptor publication is batched: frames that accumulated in
-        // the transmission queue ride one ring publication and one reader
-        // wake (`commit_shared_n`/`push_n`) instead of one each.
-        const SHM_BATCH: usize = 32;
-        'link: loop {
-            // Short timeout so subscriber departure (EOF on the liveness
-            // socket) is noticed even when nothing is being published.
-            let first = match rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => Some(frame),
-                Err(RecvTimeoutError::Timeout) => None,
-                Err(RecvTimeoutError::Disconnected) => break 'link, // publisher dropped
-            };
-            match stream.read(&mut probe) {
-                // EOF — or protocol-violating bytes; either way the
-                // subscriber's end of the link is dead.
-                Ok(_) => break 'link,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                Err(_) => break 'link,
-            }
-            let Some(first) = first else {
-                // Idle tick: settle any references the reader declared
-                // abandoned (inherited but unmappable on its side) so the
-                // pool slots un-pin without waiting for teardown.
-                link.reconcile_abandoned();
-                continue;
-            };
-            let mut frames = vec![first];
-            while frames.len() < SHM_BATCH {
-                match rx.try_recv() {
-                    Ok(frame) => frames.push(frame),
-                    // Empty now; a disconnect is caught by the next recv.
-                    Err(_) => break,
-                }
-            }
-            // Frames admitted before a sever still get published below;
-            // the sever cuts the link after them, like a socket would.
-            let mut sever = false;
-            let mut batch: Vec<(SharedFrame, FrameMeta)> = Vec::with_capacity(frames.len());
-            for frame in &frames {
-                // Injected faults apply to the ring handoff exactly as
-                // they do to socket writes: a dropped frame never reaches
-                // the ring, a severed link cuts the socket so both sides
-                // tear down.
-                match injector
-                    .as_ref()
-                    .map_or(FaultAction::Pass, |f| f.next_frame_action())
-                {
-                    FaultAction::Pass => {}
-                    FaultAction::Delay(d) => std::thread::sleep(d),
-                    FaultAction::Drop => {
-                        metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    FaultAction::Sever => {
-                        metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                        sever = true;
-                        break;
-                    }
-                }
-                let tag = frame.trace();
-                let t_copy_start = match (trace.as_deref(), tag.id) {
-                    (Some(table), id) if id != 0 => {
-                        let t = now_nanos();
-                        tracer().span(table, Stage::Enqueue, Tier::Shm, id, tag.enqueued_ns, t);
-                        Some(t)
-                    }
-                    _ => None,
-                };
-                // Resolve the frame's shared-memory residency: the first
-                // link thread of this publish performs the *single* copy
-                // into a pooled segment; every later thread (and a loaned
-                // frame, which arrives pre-resolved because it was built
-                // in the segment) reuses that frame with a descriptor-only
-                // commit. `wire_write` spans telescope around the copy
-                // exactly as before, but only on the thread that actually
-                // copied — descriptor-only commits have no copy stage to
-                // attribute.
-                let mut copied_here = false;
-                let shared: Option<SharedFrame> = match frame.shm_slot() {
-                    Some(slot) => slot
-                        .get_or_init(|| {
-                            copied_here = true;
-                            link.pool().prepare_shared(frame.as_slice())
-                        })
-                        .clone(),
-                    // No slot attached (a frame enqueued before this link
-                    // joined the connection list mid-publish): fall back to
-                    // a private single-link copy.
-                    None => {
-                        copied_here = true;
-                        link.pool().prepare_shared(frame.as_slice())
-                    }
-                };
-                match shared {
-                    // Pool exhausted: some slots may only look pinned
-                    // because the reader abandoned their references —
-                    // settle those before the next frame retries.
-                    None => {
-                        metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                        link.reconcile_abandoned();
-                    }
-                    Some(sf) => {
-                        let t_pushed = if t_copy_start.is_some() {
-                            now_nanos()
-                        } else {
-                            0
-                        };
-                        if copied_here {
-                            if let (Some(table), Some(t0)) = (trace.as_deref(), t_copy_start) {
-                                tracer().span(
-                                    table,
-                                    Stage::WireWrite,
-                                    Tier::Shm,
-                                    tag.id,
-                                    t0,
-                                    t_pushed,
-                                );
-                            }
-                        }
-                        batch.push((
-                            sf,
-                            FrameMeta {
-                                trace_id: tag.id,
-                                born_ns: tag.born_ns,
-                                enqueued_ns: tag.enqueued_ns,
-                                pushed_ns: t_pushed,
-                            },
-                        ));
-                    }
-                }
-            }
-            let pushed = link.commit_shared_n(&batch);
-            for (sf, _) in &batch[..pushed] {
-                metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .bytes_sent
-                    .fetch_add(sf.len() as u64, Ordering::Relaxed);
-                metrics.shm_frames.fetch_add(1, Ordering::Relaxed);
-            }
-            if pushed < batch.len() {
-                // Ring full mid-batch: the suffix was rolled back.
-                metrics
-                    .frames_dropped
-                    .fetch_add((batch.len() - pushed) as u64, Ordering::Relaxed);
-            }
-            if sever {
-                let _ = stream.shutdown(Shutdown::Both);
-                break 'link;
-            }
-        }
-        link.close();
-        link.drain(); // unconsumed descriptors → their segments recycle
-        link.reconcile_abandoned();
-        // Relaxed: see the TCP writer above — pruning is lock-ordered.
-        alive.store(false, Ordering::Relaxed);
-        metrics.disconnects.fetch_add(1, Ordering::Relaxed);
-        // A subscriber that *crashed* still holding popped frames would pin
-        // their segments forever: the EOF above usually arrives while the
-        // peer is mid-exit, so wait briefly for it to leave the process
-        // table and then reclaim its outstanding holds. A peer that is
-        // still alive keeps them — stashed message buffers may legally
-        // outlive the subscription, and the reader releases them itself.
-        if sub_pid != std::process::id() {
-            for _ in 0..50 {
-                if !rossf_shm::sys::process_alive(sub_pid) {
-                    link.reclaim_reader_holds();
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-        drop(link);
-        Ok(())
-    }
-
-    /// Fan one encoded frame out to every subscriber connection — the
-    /// shared tail of `publish` and `publish_loaned`. Never blocks; a full
-    /// transmission queue drops the frame for that subscriber only.
+    /// Fan one encoded frame out to every subscriber link — the shared
+    /// tail of `publish` and `publish_loaned`. Never blocks; a full queue
+    /// or ring drops the frame for that subscriber only.
     ///
-    /// `loaned` carries the pre-resolved shared-memory residency of a
-    /// loaned publish (the message was built inside a pool segment).
-    /// Otherwise, when at least one live shm connection will receive the
-    /// frame, an *empty* slot is created here so that however many shm
-    /// links drain it, only the first performs the copy into a pooled
-    /// segment and the rest commit descriptors against the same one (the
-    /// copy-per-link fix). Clones bound for TCP or fast-path connections
-    /// never carry the slot — holding it from a slow socket queue would
-    /// pin the segment's write hold for no benefit.
-    fn fan_out(&self, frame: OutFrame, loaned: Option<ShmSlot>) {
+    /// This is also the one place that decides who performs the single
+    /// shared-memory copy of a publish. `shared` starts as the loan's own
+    /// segment (the message was built there, nothing to copy) or empty;
+    /// the first live shm link to admit the frame fills it with one
+    /// `prepare_shared` copy on this thread — the thread that already paid
+    /// `encode` — and every later link commits a descriptor against the
+    /// same segment. `Some(None)` is an exhausted pool, a verdict the
+    /// remaining links of the publish share.
+    fn fan_out(self: &Arc<Self>, frame: OutFrame, loaned: Option<SharedFrame>) {
         if frame.len() > self.config.max_frame_len {
             self.metrics
                 .frames_dropped_oversized
@@ -945,45 +899,45 @@ impl PubCore {
             return;
         }
         self.published.fetch_add(1, Ordering::Relaxed);
-        let metrics = &self.metrics;
-        // Snapshot the connection list so the fan-out (try_send plus its
-        // metrics bookkeeping) runs without the lock: a concurrent accept,
-        // attach, or `publish` from another clone is never serialized
-        // behind this one.
+        // Snapshot the connection list so the fan-out runs without the
+        // lock: a concurrent accept, attach, or `publish` from another
+        // clone is never serialized behind this one.
         let snapshot: Vec<Arc<Conn>> = self.conns.lock().clone();
-        let slot = loaned.or_else(|| {
-            snapshot
-                .iter()
-                .any(|c| c.is_shm && c.alive.load(Ordering::Acquire))
-                .then(|| Arc::new(OnceLock::new()))
-        });
+        let traced = frame.trace().id != 0;
+        // Publish entry: where every shm link's `enqueue` span starts.
+        let entered = if traced { now_nanos() } else { 0 };
+        let mut shared = loaned.map(Some);
         let mut saw_dead = false;
         for conn in &snapshot {
-            // Each connection's clone carries its own enqueue timestamp
-            // (`TraceTag` is `Copy`, so clones do not alias).
-            let mut per_conn = frame.clone();
-            if per_conn.trace().id != 0 {
-                per_conn.trace_mut().enqueued_ns = now_nanos();
-            }
-            if conn.is_shm {
-                if let Some(slot) = &slot {
-                    per_conn.set_shm_slot(Arc::clone(slot));
-                }
-            }
-            match conn.queue.try_send(per_conn) {
-                Ok(()) => {
-                    metrics.observe_queue_depth(conn.queue.len() as u64);
-                    // Wake the reactor-side writer; coalesced, so a burst
-                    // of publishes costs one dispatch.
-                    if let Some(token) = conn.token {
-                        self.reactor.notify(token);
+            let deposit = match &conn.sink {
+                Sink::Queue(queue) => {
+                    // Each connection's clone carries its own enqueue
+                    // timestamp (`TraceTag` is `Copy`, so clones do not
+                    // alias).
+                    let mut per_conn = frame.clone();
+                    if traced {
+                        per_conn.trace_mut().enqueued_ns = now_nanos();
+                    }
+                    match queue.try_send(per_conn) {
+                        Ok(()) => {
+                            self.metrics.observe_queue_depth(queue.len() as u64);
+                            // Wake the reactor-side writer; coalesced, so
+                            // a burst of publishes costs one dispatch.
+                            if let Some(token) = conn.token {
+                                self.reactor.notify(token);
+                            }
+                            Deposit::Taken
+                        }
+                        Err(TrySendError::Full(_)) => Deposit::Full,
+                        Err(TrySendError::Disconnected(_)) => Deposit::Dead,
                     }
                 }
-                Err(TrySendError::Full(_)) => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(TrySendError::Disconnected(_)) => {
+                Sink::Ring(ring) => self.offer_ring(conn, ring, &frame, entered, &mut shared),
+            };
+            match deposit {
+                Deposit::Taken => {}
+                Deposit::Full => self.count_drop(),
+                Deposit::Dead => {
                     conn.alive.store(false, Ordering::Release);
                     saw_dead = true;
                 }
@@ -995,26 +949,154 @@ impl PubCore {
                 .retain(|c| c.alive.load(Ordering::Acquire));
         }
     }
+
+    fn count_drop(&self) {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Offer one frame to one shm link: consult the link's fault injector
+    /// (faults precede admission, as on the socket), resolve the publish's
+    /// shared segment if this is the first link to need it, then commit
+    /// the descriptor — or park it, in order, while an injected delay
+    /// stalls the link. `enqueue` spans publish entry to here and
+    /// `wire_write` the copy, so the stages telescope as on every tier.
+    fn offer_ring(
+        self: &Arc<Self>,
+        conn: &Conn,
+        ring: &Arc<Ring>,
+        frame: &OutFrame,
+        entered: u64,
+        shared: &mut Option<Option<SharedFrame>>,
+    ) -> Deposit {
+        let mut guard = ring.tx.lock();
+        let tx = &mut *guard;
+        let Some(link) = tx.link.as_mut() else {
+            return Deposit::Dead;
+        };
+        let delay = match next_fault(&tx.injector) {
+            FaultAction::Pass => Duration::ZERO,
+            FaultAction::Delay(d) => d,
+            FaultAction::Drop => {
+                self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
+                return Deposit::Taken;
+            }
+            FaultAction::Sever => {
+                // The frame is lost and the link cut, like a yanked cable:
+                // the ring closes here, and the notify has the control
+                // socket's handler shut the socket down.
+                self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
+                drop(guard);
+                ring.teardown();
+                if let Some(token) = conn.token {
+                    self.reactor.notify(token);
+                }
+                return Deposit::Dead;
+            }
+        };
+        let tag = frame.trace();
+        let table = self.trace.as_deref().filter(|_| tag.id != 0);
+        let mut pushed_ns = 0;
+        if let Some(table) = table {
+            pushed_ns = now_nanos();
+            tracer().span(table, Stage::Enqueue, Tier::Shm, tag.id, entered, pushed_ns);
+        }
+        let resolved = shared.get_or_insert_with(|| {
+            let copy = link.pool().prepare_shared(frame.as_slice());
+            // Only the link that copied has a copy stage to attribute; a
+            // descriptor-only commit (every loaned publish) has none.
+            if let (Some(table), Some(_)) = (table, &copy) {
+                let t = now_nanos();
+                tracer().span(table, Stage::WireWrite, Tier::Shm, tag.id, pushed_ns, t);
+                pushed_ns = t;
+            }
+            copy
+        });
+        let Some(sf) = resolved.clone() else {
+            // Pool exhausted: some slots may only look pinned because the
+            // reader abandoned their references — settle those before the
+            // next frame retries.
+            link.reconcile_abandoned();
+            return Deposit::Full;
+        };
+        let meta = FrameMeta {
+            trace_id: tag.id,
+            born_ns: tag.born_ns,
+            enqueued_ns: entered,
+            pushed_ns,
+        };
+        if tx.parked.is_empty() && delay.is_zero() {
+            return self.commit_ring(link, &sf, meta);
+        }
+        if tx.parked.len() >= self.queue_size.max(1) {
+            return Deposit::Full;
+        }
+        if tx.parked.is_empty() {
+            self.arm_ring_timer(ring, delay);
+        }
+        tx.parked.push_back((sf, meta, delay));
+        self.metrics.observe_queue_depth(tx.parked.len() as u64);
+        Deposit::Taken
+    }
+
+    /// Publish one descriptor; the ring's verdict is the deposit's.
+    fn commit_ring(&self, link: &mut ShmLink, sf: &SharedFrame, meta: FrameMeta) -> Deposit {
+        match link.commit_shared(sf, meta) {
+            PushOutcome::Pushed => {
+                let metrics = &self.metrics;
+                metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .bytes_sent
+                    .fetch_add(sf.len() as u64, Ordering::Relaxed);
+                metrics.shm_frames.fetch_add(1, Ordering::Relaxed);
+                Deposit::Taken
+            }
+            PushOutcome::RingFull | PushOutcome::NoSegment => Deposit::Full,
+        }
+    }
+
+    /// Arm the reactor timer that ends the head parked frame's delay. It
+    /// holds the core weakly: a publisher dropped mid-delay tears its
+    /// rings down without waiting for the timer.
+    fn arm_ring_timer(self: &Arc<Self>, ring: &Arc<Ring>, delay: Duration) {
+        let (core, ring) = (Arc::downgrade(self), Arc::clone(ring));
+        self.reactor.timer(delay, move |_| {
+            if let Some(core) = core.upgrade() {
+                core.resume_ring(&ring);
+            }
+        });
+    }
+
+    /// The head parked frame's delay elapsed: commit it and everything
+    /// queued behind it, in order, up to the next frame that owes a delay
+    /// of its own. Runs on the reactor thread — descriptor commits only,
+    /// the copies were paid by `publish`.
+    fn resume_ring(self: &Arc<Self>, ring: &Arc<Ring>) {
+        let mut guard = ring.tx.lock();
+        let tx = &mut *guard;
+        let Some(link) = tx.link.as_mut() else {
+            return; // torn down mid-delay; the parked frames went with it
+        };
+        if let Some(head) = tx.parked.front_mut() {
+            head.2 = Duration::ZERO;
+        }
+        while tx.parked.front().is_some_and(|p| p.2.is_zero()) {
+            let (sf, meta, _) = tx.parked.pop_front().expect("front was just inspected");
+            if let Deposit::Full = self.commit_ring(link, &sf, meta) {
+                self.count_drop();
+            }
+        }
+        if let Some(next) = tx.parked.front() {
+            self.arm_ring_timer(ring, next.2);
+        }
+    }
 }
 
 impl LocalAttach for PubCore {
     fn attach_local(&self, header: &ConnectionHeader) -> Result<LocalSinkHandle, RosError> {
-        // Relaxed: standalone exit flag (see the accept loop).
-        if self.shutdown.load(Ordering::Relaxed) {
-            return Err(RosError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                "publisher shutting down",
-            )));
-        }
-        let sub_type = header.get("type").unwrap_or_default();
-        if sub_type != self.type_name {
-            // Same wording as the TCP `error=` reply so callers see one
-            // diagnostic regardless of path.
-            return Err(RosError::Rejected(format!(
-                "topic carries {} not {}",
-                self.type_name, sub_type
-            )));
-        }
+        // A local attach is same-machine by construction, so the loopback
+        // link's fault injector governs it.
+        let (reply, injector) = self.admit(header, self.machine)?;
         if header.get(FASTPATH_FIELD) != Some("1") {
             // Peer predates the capability: permanent refusal, the
             // subscriber falls back to TCP for this endpoint.
@@ -1022,38 +1104,14 @@ impl LocalAttach for PubCore {
                 "fastpath capability missing from header".to_string(),
             ));
         }
-        // The loopback link's fault injector governs this attachment; a
-        // severed link refuses it transiently (retry under backoff until
-        // healed), exactly like the TCP accept path.
-        let injector = self.master.links().fault(self.machine, self.machine);
-        if injector.as_ref().is_some_and(|f| f.is_severed()) {
-            return Err(RosError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                "link severed",
-            )));
-        }
-        let reply = ConnectionHeader::new()
-            .with("type", self.type_name)
-            .with("topic", &self.topic)
-            .with("endian", ConnectionHeader::native_endian())
-            .with(FASTPATH_FIELD, "1");
         let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
         let alive = Arc::new(AtomicBool::new(true));
-        self.add_conn(Arc::new(Conn {
-            queue: tx,
-            alive: Arc::clone(&alive),
-            is_shm: false,
-            token: None,
-        }));
-        self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .fastpath_handshakes
             .fetch_add(1, Ordering::Relaxed);
-        // A same-process subscriber attached: attribute publish-side spans
-        // to the fast path.
-        self.tier_hint.store(1, Ordering::Relaxed);
+        self.splice(Tier::Fastpath, Arc::clone(&alive), None, Sink::Queue(tx));
         Ok(LocalSinkHandle {
-            reply,
+            reply: reply.with(FASTPATH_FIELD, "1"),
             rx,
             alive,
             injector,
@@ -1071,11 +1129,18 @@ impl Drop for PubCore {
         // orders construction before Drop.
         self.master
             .unregister_publisher(&self.topic, self.registration.load(Ordering::Relaxed));
-        // Close every transmission queue *before* notifying the writers:
-        // the senders must be gone first so each woken writer observes the
-        // disconnect, drains its tail, and deregisters itself.
+        // Close every queue and ring *before* notifying the handlers: the
+        // senders must be gone first so each woken writer observes the
+        // disconnect, drains its tail, and deregisters itself; a closed
+        // ring wakes its consumer at once, and its control handler then
+        // shuts the socket.
         let conns: Vec<Arc<Conn>> = std::mem::take(&mut *self.conns.lock());
         let tokens: Vec<Token> = conns.iter().filter_map(|c| c.token).collect();
+        for conn in &conns {
+            if let Sink::Ring(ring) = &conn.sink {
+                ring.teardown();
+            }
+        }
         drop(conns);
         for token in tokens {
             self.reactor.notify(token);
@@ -1144,7 +1209,7 @@ impl<M: Encode> Publisher<M> {
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             trace,
-            tier_hint: AtomicU8::new(0),
+            tier_hint: AtomicU8::new(Tier::Tcp.index() as u8),
             shm_pool: Mutex::new(None),
             shm_loans: options.shm_loans,
             schema: M::schema(),
@@ -1190,24 +1255,7 @@ impl<M: Encode> Publisher<M> {
     /// `max_frame_len` is refused outright — every subscriber would reject
     /// it anyway.
     pub fn publish(&self, msg: &M) {
-        // Tracing rides on the frame's tag: a single clock read brackets
-        // `encode`, and `alloc` falls out of the allocation timestamp the
-        // buffer already carries. Untraced publishers skip every clock
-        // read on this path.
-        let t_pub = self.core.trace.as_ref().map(|_| now_nanos());
-        let mut frame = msg.encode();
-        if let (Some(table), Some(t0)) = (self.core.trace.as_deref(), t_pub) {
-            let t1 = now_nanos();
-            let id = tracer().next_trace_id();
-            let tier = self.core.tier();
-            let tag = frame.trace_mut();
-            tag.id = id;
-            if tag.born_ns != 0 && tag.born_ns <= t0 {
-                tracer().span(table, Stage::Alloc, tier, id, tag.born_ns, t0);
-            }
-            tracer().span(table, Stage::Encode, tier, id, t0, t1);
-        }
-        self.core.fan_out(frame, None);
+        self.core.fan_out(self.core.encode(msg), None);
     }
 
     /// The topic this publisher serves.
@@ -1319,40 +1367,25 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
 
     /// Publish a loaned message. For a segment-backed loan the payload is
     /// already in shared memory, so shm subscribers get **zero payload
-    /// copies end to end**: the frame's residency slot arrives
-    /// pre-resolved and every shm link commits only a 64-byte descriptor.
+    /// copies end to end**: the fan-out starts from the loan's own segment
+    /// and every shm link commits only a 64-byte descriptor.
     /// TCP and fast-path subscribers are served from the same bytes
     /// through the ordinary serialization-free frame (the publisher's
     /// read-write mapping backs those reads), so mixed-tier fan-out needs
     /// no second encoding.
     ///
-    /// Tracing mirrors [`publish`](Publisher::publish): `alloc` spans the
-    /// loan's lifetime and `encode` the handle construction — with the
+    /// Tracing is that of [`publish`](Publisher::publish): `alloc` spans
+    /// the loan's lifetime and `encode` the handle construction — with the
     /// `wire_write` copy stage absent by construction on shm links.
     pub fn publish_loaned(&self, loaned: LoanedMessage<T>) {
         let (msg, shm) = loaned.into_parts();
-        let t_pub = self.core.trace.as_ref().map(|_| now_nanos());
-        let mut frame = msg.encode();
-        if let (Some(table), Some(t0)) = (self.core.trace.as_deref(), t_pub) {
-            let t1 = now_nanos();
-            let id = tracer().next_trace_id();
-            let tier = self.core.tier();
-            let tag = frame.trace_mut();
-            tag.id = id;
-            if tag.born_ns != 0 && tag.born_ns <= t0 {
-                tracer().span(table, Stage::Alloc, tier, id, tag.born_ns, t0);
-            }
-            tracer().span(table, Stage::Encode, tier, id, t0, t1);
-        }
-        let prefilled = shm.map(|sf| {
+        let frame = self.core.encode(&msg);
+        if let Some(sf) = &shm {
             // Stamp how many bytes of the segment the message actually
             // used — descriptors publish this length, not the capacity.
             sf.set_len(frame.len());
-            let slot: ShmSlot = Arc::new(OnceLock::new());
-            let _ = slot.set(Some(sf));
-            slot
-        });
-        self.core.fan_out(frame, prefilled);
+        }
+        self.core.fan_out(frame, shm);
     }
 }
 
@@ -1391,15 +1424,11 @@ mod tests {
     }
 
     fn request(ty: &str, fastpath: Option<&str>) -> ConnectionHeader {
-        let mut h = ConnectionHeader::new()
-            .with("topic", "attach/neg")
-            .with("type", ty)
-            .with("machine", "0")
-            .with("endian", ConnectionHeader::native_endian());
-        if let Some(v) = fastpath {
-            h = h.with(FASTPATH_FIELD, v);
+        let h = ConnectionHeader::request("attach/neg", ty, MachineId(0));
+        match fastpath {
+            Some(v) => h.with(FASTPATH_FIELD, v),
+            None => h,
         }
-        h
     }
 
     /// The connection-header capability negotiation: a peer that predates

@@ -6,6 +6,22 @@
 //! grants the tier — carrying everything the subscriber needs to attach to
 //! the ring — or omits it, in which case the connection proceeds as plain
 //! TCP with byte-identical frames.
+//!
+//! On a granted link the handshake socket stays open as the liveness
+//! channel; [`peer_gone`] is the probe both ends run on it.
+
+use std::io::Read;
+use std::net::TcpStream;
+
+/// Probe a shm link's (nonblocking) control socket. Neither side writes on
+/// it after the handshake, so any read outcome other than `WouldBlock` —
+/// EOF, stray bytes, an error — means the peer's end of the link is gone.
+pub(crate) fn peer_gone(mut stream: &TcpStream) -> bool {
+    !matches!(
+        stream.read(&mut [0u8; 1]),
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock
+    )
+}
 
 /// Request *and* reply field: `shm=1` in the request offers the
 /// capability; `shm=1` in the reply grants it.

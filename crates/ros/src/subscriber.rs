@@ -20,14 +20,15 @@
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{LocalAttach, LocalSinkHandle, FASTPATH_FIELD};
+use crate::fastpath::{next_fault, LocalAttach, LocalSinkHandle, FASTPATH_FIELD};
 use crate::master::{Master, PublisherEndpoint};
 use crate::metrics::TransportMetrics;
 use crate::options::{SubscriberOptions, SubscriberStats};
-use crate::shm::{SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD};
+use crate::shm::{
+    peer_gone, SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD,
+};
 use crate::traits::{Decode, RecvSlot};
 use crate::wire::{grow_socket_buffers, ConnectionHeader, PROJECT_FIELD};
-use crossbeam::channel::RecvTimeoutError;
 use rossf_netsim::{FaultAction, MachineId};
 use rossf_reactor::{runtime, Ctl, Event, Handler};
 use rossf_shm::{ShmReader, TakeError};
@@ -35,6 +36,7 @@ use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::{HashMap, VecDeque};
 use std::io::Read;
 use std::net::{Shutdown, TcpStream};
+use std::ops::ControlFlow;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -153,24 +155,17 @@ struct SubCore<D: Decode> {
     projection: Option<Arc<rossf_sfm::Projection>>,
 }
 
-/// Where a freshly handshaken TCP connection goes next: the reactor (plain
-/// frames), a dedicated shm consumer thread (grant received), or nowhere
-/// (shutdown raced the connect).
-enum TcpEstablished {
-    Reader {
-        stream: TcpStream,
-        key: u64,
-        conn_key: u64,
-        /// The publisher granted our projection: frames on this link are
-        /// sliced sub-frames, verified against the projected schema.
-        projected: bool,
-    },
-    Shm {
-        stream: TcpStream,
-        key: u64,
-        reply: ConnectionHeader,
-    },
-    ShutdownRace,
+/// A freshly handshaken connection, on its way to its consumer: the
+/// reactor (plain frames) or a dedicated shm consumer thread (`shm_grant`
+/// holds the publisher's reply).
+struct Established {
+    stream: TcpStream,
+    /// This connection's entry in `SubCore::streams`.
+    key: u64,
+    shm_grant: Option<ConnectionHeader>,
+    /// The publisher granted our projection: frames on this link are
+    /// sliced sub-frames, verified against the projected schema.
+    projected: bool,
 }
 
 /// Owns one publisher endpoint for the life of its registration — the
@@ -220,24 +215,13 @@ impl<D: Decode> Supervision<D> {
             return;
         }
         if let Some(port) = core.local_port(&self.ep) {
-            match core.attach_local_sink(port, self.was_connected) {
+            match LocalSinkHandle::attach(port, &core.topic, D::topic_type(), core.machine) {
                 Ok(sink) => {
-                    // The sink drain blocks on a channel for the life of
-                    // the attachment: dedicated thread, not the pool.
-                    let spawned = std::thread::Builder::new()
-                        .name("rossf-fast-sub".to_string())
-                        .spawn(move || {
-                            let result = self.core.run_local_sink(sink);
-                            self.resume(result, true, false);
-                        });
-                    if let Err(e) = spawned {
-                        // Could not spawn: surface as a retryable failure.
-                        // (`self` moved into the failed closure and is
-                        // gone; the endpoint is re-supervised only if a
-                        // fresh registration arrives.)
-                        let _ = e;
-                    }
-                    return;
+                    core.count_handshake(self.was_connected);
+                    return self.consume_on_thread("rossf-fast-sub", move |core| {
+                        core.run_local_sink(&sink);
+                        (Ok(()), false)
+                    });
                 }
                 // The publisher refused the *capability*, not the
                 // subscription (peer predates the fast path): fall back to
@@ -259,58 +243,72 @@ impl<D: Decode> Supervision<D> {
     /// Holds a connect slot for exactly the blocking part.
     fn connect_step(self: Box<Self>) {
         let core = Arc::clone(&self.core);
-        let offer_shm = !self.shm_blocked;
-        let established = core.connect_tcp(&self.ep, self.was_connected, offer_shm);
+        let established = core.connect_tcp(&self.ep, self.was_connected, !self.shm_blocked);
         release_connect_slot();
-        match established {
-            Ok(TcpEstablished::Reader {
-                stream,
-                key,
-                conn_key,
-                projected,
-            }) => {
-                // Steady state joins the shared event loop; the box rides
-                // inside the handler until the connection concludes.
-                let fd = stream.as_raw_fd();
-                let reader: TcpReader<D> = TcpReader {
-                    stream,
-                    sup: Some(self),
-                    stream_key: key,
-                    conn_key,
-                    projected,
-                    wire_seq: 0,
-                    state: ReadState::Prefix {
-                        prefix: [0; 4],
-                        filled: 0,
-                    },
-                    rbuf: vec![0u8; READ_BUF].into_boxed_slice(),
-                    rpos: 0,
-                    rlen: 0,
-                };
-                core.reactor_handle()
-                    .register(fd, true, false, Box::new(reader));
-            }
-            Ok(TcpEstablished::Shm { stream, key, reply }) => {
-                // Ring consumption blocks on descriptor waits for the life
-                // of the link: dedicated thread, not the pool.
-                let spawned = std::thread::Builder::new()
-                    .name("rossf-shm-sub".to_string())
-                    .spawn(move || {
-                        let mut shm_attach_failed = false;
-                        let result =
-                            self.core
-                                .run_shm_connection(stream, &reply, &mut shm_attach_failed);
-                        self.core.streams.lock().remove(&key);
-                        self.resume(result, true, shm_attach_failed);
-                    });
-                if let Err(e) = spawned {
-                    let _ = e;
-                }
-            }
-            Ok(TcpEstablished::ShutdownRace) => {}
+        let est = match established {
+            Ok(Some(est)) => est,
+            Ok(None) => return, // shutdown raced the connect
             // `connect_tcp` can only fail before the handshake completes.
-            Err(e) => self.resume(Err(e), false, false),
+            Err(e) => return self.resume(Err(e), false, false),
+        };
+        let (stream, key) = (est.stream, est.key);
+        if let Some(reply) = est.shm_grant {
+            return self.consume_on_thread("rossf-shm-sub", move |core| {
+                let mut shm_attach_failed = false;
+                let result = core.run_shm_connection(stream, &reply, &mut shm_attach_failed);
+                core.streams.lock().remove(&key);
+                (result, shm_attach_failed)
+            });
         }
+        // Steady state joins the shared event loop; the box rides inside
+        // the handler until the connection concludes. The connection key
+        // mirrors the writer's `conn_key(local, peer)`: our peer is its
+        // local address, so the pair (and hence the key) agrees. A
+        // reconnect gets a fresh ephemeral port and therefore a fresh key
+        // — sequence numbers restart cleanly.
+        let conn_key = match (stream.peer_addr(), stream.local_addr()) {
+            (Ok(peer), Ok(local)) => rossf_trace::conn_key(&peer.to_string(), &local.to_string()),
+            _ => 0,
+        };
+        let fd = stream.as_raw_fd();
+        let reader: TcpReader<D> = TcpReader {
+            stream,
+            sup: Some(self),
+            stream_key: key,
+            conn_key,
+            projected: est.projected,
+            wire_seq: 0,
+            state: ReadState::Prefix {
+                prefix: [0; 4],
+                filled: 0,
+            },
+            rbuf: vec![0u8; READ_BUF].into_boxed_slice(),
+            rpos: 0,
+            rlen: 0,
+        };
+        runtime()
+            .reactor
+            .register(fd, true, false, Box::new(reader));
+    }
+
+    /// Run a zero-copy link's consumer for the life of the link, then
+    /// resume. Ring and queue drains block on futexes and channels, not
+    /// fds, so they get a dedicated thread — never a pool worker. `run`
+    /// reports the link's result and whether a shm grant failed to attach.
+    fn consume_on_thread(
+        self: Box<Self>,
+        name: &str,
+        run: impl FnOnce(&SubCore<D>) -> (Result<(), RosError>, bool) + Send + 'static,
+    ) {
+        // Could not spawn: `self` moved into the failed closure and is
+        // gone; the endpoint is re-supervised only if a fresh registration
+        // arrives.
+        let _ = std::thread::Builder::new()
+            .name(name.to_string())
+            .spawn(move || {
+                let (result, shm_attach_failed) = run(&self.core);
+                self.resume(result, true, shm_attach_failed);
+            });
     }
 
     /// A connection (or attempt) ended: decide between standing down and
@@ -385,22 +383,12 @@ impl<D: Decode> Supervision<D> {
         // pool. Teardown during the wait is caught by step's shutdown
         // check (the timer itself holds no core reference that matters).
         runtime().reactor.timer(delay, move |_| {
-            runtime().pool.spawn(move || sup_step(self));
+            runtime().pool.spawn(move || self.step());
         });
     }
 }
 
-/// Free-fn trampoline so the timer closure stays object-safe and simple.
-fn sup_step<D: Decode>(sup: Box<Supervision<D>>) {
-    sup.step();
-}
-
 impl<D: Decode> SubCore<D> {
-    /// The process-wide reactor TCP readers register on.
-    fn reactor_handle(&self) -> rossf_reactor::Reactor {
-        runtime().reactor
-    }
-
     /// The publisher's local attach port, if the zero-copy fast path
     /// applies to this endpoint: both sides opted in, same simulated
     /// machine, and the publisher lives in this process (its port is
@@ -413,44 +401,70 @@ impl<D: Decode> SubCore<D> {
         }
     }
 
-    /// Fast-path handshake: attach to a same-process publisher's local
-    /// port and validate the reply. An `Ok` here means the handshake
-    /// completed (connection/handshake counters are updated); the caller
-    /// owns running [`SubCore::run_local_sink`] on the returned sink.
-    fn attach_local_sink(
-        &self,
-        port: Arc<dyn LocalAttach>,
-        is_reconnect: bool,
-    ) -> Result<LocalSinkHandle, RosError> {
-        let request = ConnectionHeader::new()
-            .with("topic", &self.topic)
-            .with("type", D::topic_type())
-            .with("machine", self.machine.0.to_string())
-            .with("endian", ConnectionHeader::native_endian())
-            .with(FASTPATH_FIELD, "1");
-        let sink = port.attach_local(&request)?;
-        // Release the strong reference immediately: holding it through the
-        // receive loop would keep the publisher core (and its master
-        // registration) alive after the last `Publisher` handle drops. The
-        // sink's queue disconnects when the publisher tears down.
-        drop(port);
-        if let Some(err) = sink.reply.get("error") {
-            return Err(RosError::Rejected(err.to_string()));
-        }
-        if let Some(endian) = sink.reply.get("endian") {
-            if endian != ConnectionHeader::native_endian() {
-                return Err(RosError::Rejected(format!(
-                    "endianness mismatch: publisher is {endian}"
-                )));
-            }
-        }
+    /// A handshake completed, on whichever tier.
+    fn count_handshake(&self, is_reconnect: bool) {
         self.connected.fetch_add(1, Ordering::Relaxed);
         self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
         if is_reconnect {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
             self.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(sink)
+    }
+
+    /// The one receive tail, shared by every tier: verify (optional),
+    /// adopt, account, invoke the callback — the end of the paper's
+    /// Fig. 9 reader loop — with one telescoping span per step. What
+    /// differs per tier is only how a frame is verified and adopted (the
+    /// two closures) and how its trace id was recovered: `span_start` is
+    /// that id (0 = untraced) plus the timestamp the `verify` span starts
+    /// from.
+    fn deliver<F>(
+        &self,
+        tier: Tier,
+        len: usize,
+        span_start: (u64, u64),
+        mut frame: F,
+        verify: impl FnOnce(&mut F) -> bool,
+        adopt: impl FnOnce(F) -> Result<D, RosError>,
+    ) {
+        let (id, mut t_prev) = span_start;
+        let table = self.trace.as_deref().filter(|_| id != 0);
+        let mut span = |stage: Stage| {
+            if let Some(table) = table {
+                let t = now_nanos();
+                tracer().span(table, stage, tier, id, t_prev, t);
+                t_prev = t;
+            }
+        };
+        if self.config.validate_on_receive {
+            if !verify(&mut frame) {
+                // Structurally corrupt: drop the frame without adopting
+                // it. Framing (length prefix, descriptor) is intact, so
+                // the link stays in sync and lives on.
+                self.metrics.verify_rejects.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            span(Stage::Verify);
+        }
+        match adopt(frame) {
+            Ok(msg) => {
+                span(Stage::Adopt);
+                self.received.fetch_add(1, Ordering::Relaxed);
+                self.received_bytes.fetch_add(len as u64, Ordering::Relaxed);
+                self.metrics.frames_received.fetch_add(1, Ordering::Relaxed);
+                self.metrics
+                    .bytes_received
+                    .fetch_add(len as u64, Ordering::Relaxed);
+                (self.callback)(msg);
+                span(Stage::Callback);
+            }
+            Err(_) => self.count_decode_error(),
+        }
+    }
+
+    fn count_decode_error(&self) {
+        self.decode_errors.fetch_add(1, Ordering::Relaxed);
+        self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One fast-path attachment lifetime: the pointer-handoff analogue of
@@ -461,53 +475,34 @@ impl<D: Decode> SubCore<D> {
     /// the publisher's allocation. Fault injection, `validate_on_receive`,
     /// and all metrics accounting mirror the socket path. Blocks for the
     /// attachment's lifetime — runs on its own thread.
-    fn run_local_sink(&self, sink: LocalSinkHandle) -> Result<(), RosError> {
-        let trace = self.trace.as_deref();
-        loop {
-            // Relaxed: standalone exit flag, polled — a stale read
-            // only costs one extra loop iteration.
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            // Short timeout so shutdown is observed promptly; there is no
-            // socket to shut down from `Drop` on this path.
-            let frame = match sink.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => frame,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break, // publisher gone
-            };
+    fn run_local_sink(&self, sink: &LocalSinkHandle) {
+        sink.drain(&self.shutdown, |frame| {
             // The loopback link's fault injector applies to pointer handoff
             // exactly as it does to socket writes.
-            match sink.frame_action() {
+            match next_fault(&sink.injector) {
                 FaultAction::Pass => {}
                 FaultAction::Delay(d) => std::thread::sleep(d),
                 FaultAction::Drop => {
                     self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                    continue;
+                    return ControlFlow::Continue(());
                 }
                 FaultAction::Sever => {
                     // The frame is lost and the attachment is cut; re-attach
                     // is refused until the link heals, so report retryable.
                     self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
+                    return ControlFlow::Break(());
                 }
             }
             // Pointer handoff needs no sidecar: the trace id rides on the
             // frame's own tag, and the queue dwell (plus any injected
             // delay) is the `enqueue` span.
             let tag = frame.trace();
-            let (id, mut t_prev) = match (trace, tag.id) {
-                (Some(table), id) if id != 0 && tag.enqueued_ns != 0 => {
+            let span_start = match self.trace.as_deref() {
+                Some(table) if tag.id != 0 && tag.enqueued_ns != 0 => {
                     let t = now_nanos();
-                    tracer().span(
-                        table,
-                        Stage::Enqueue,
-                        Tier::Fastpath,
-                        id,
-                        tag.enqueued_ns,
-                        t,
-                    );
-                    (id, t)
+                    let since = tag.enqueued_ns;
+                    tracer().span(table, Stage::Enqueue, Tier::Fastpath, tag.id, since, t);
+                    (tag.id, t)
                 }
                 _ => (0, 0),
             };
@@ -519,57 +514,30 @@ impl<D: Decode> SubCore<D> {
                 .bytes_sent
                 .fetch_add(len as u64, Ordering::Relaxed);
             self.metrics.fastpath_frames.fetch_add(1, Ordering::Relaxed);
-            if self.config.validate_on_receive {
-                if D::verify_frame(frame.as_slice()).is_err() {
-                    self.metrics.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if let (Some(table), true) = (trace, id != 0) {
-                    let t = now_nanos();
-                    tracer().span(table, Stage::Verify, Tier::Fastpath, id, t_prev, t);
-                    t_prev = t;
-                }
-            }
-            let decoded = D::from_local_frame(&frame);
-            if let (Some(table), true, true) = (trace, id != 0, decoded.is_ok()) {
-                let t = now_nanos();
-                tracer().span(table, Stage::Adopt, Tier::Fastpath, id, t_prev, t);
-                t_prev = t;
-            }
-            match decoded {
-                Ok(msg) => {
-                    self.received.fetch_add(1, Ordering::Relaxed);
-                    self.received_bytes.fetch_add(len as u64, Ordering::Relaxed);
-                    self.metrics.frames_received.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .bytes_received
-                        .fetch_add(len as u64, Ordering::Relaxed);
-                    (self.callback)(msg);
-                    if let (Some(table), true) = (trace, id != 0) {
-                        let t = now_nanos();
-                        tracer().span(table, Stage::Callback, Tier::Fastpath, id, t_prev, t);
-                    }
-                }
-                Err(_) => {
-                    self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        Ok(())
+            self.deliver(
+                Tier::Fastpath,
+                len,
+                span_start,
+                frame,
+                |frame| D::verify_frame(frame.as_slice()).is_ok(),
+                |frame| D::from_local_frame(&frame),
+            );
+            ControlFlow::Continue(())
+        });
     }
 
     /// Connect and handshake with one TCP publisher endpoint — the short,
     /// blocking prefix of a connection's life (runs on the job pool). On
     /// success the socket is registered in `streams` (so `Drop` can
     /// unblock it) under the returned key; the long-lived consumer the
-    /// caller starts owns removing that entry.
+    /// caller starts owns removing that entry. `None` means shutdown raced
+    /// the connect.
     fn connect_tcp(
         &self,
         ep: &PublisherEndpoint,
         is_reconnect: bool,
         offer_shm: bool,
-    ) -> Result<TcpEstablished, RosError> {
+    ) -> Result<Option<Established>, RosError> {
         let stream = TcpStream::connect(ep.addr)?;
         stream.set_nodelay(true)?;
         let key = self.next_stream_key.fetch_add(1, Ordering::Relaxed);
@@ -578,7 +546,7 @@ impl<D: Decode> SubCore<D> {
             // Relaxed: re-checked under the streams lock, which orders
             // this insert against Drop's drain of the map.
             if self.shutdown.load(Ordering::Relaxed) {
-                return Ok(TcpEstablished::ShutdownRace);
+                return Ok(None);
             }
             streams.insert(key, stream.try_clone()?);
         }
@@ -586,33 +554,21 @@ impl<D: Decode> SubCore<D> {
         // sees full-size kernel buffers (also covers the shm control
         // stream, where it is merely harmless).
         grow_socket_buffers(&stream);
-        match self.handshake_tcp(&stream, is_reconnect, offer_shm) {
-            Ok((Some(reply), _)) => Ok(TcpEstablished::Shm { stream, key, reply }),
-            Ok((None, projected)) => match stream.set_nonblocking(true) {
-                Ok(()) => {
-                    // The connection key mirrors the writer's
-                    // `conn_key(local, peer)`: our peer is its local
-                    // address, so the pair (and hence the key) agrees. A
-                    // reconnect gets a fresh ephemeral port and therefore
-                    // a fresh key — sequence numbers restart cleanly.
-                    let conn_key = match (stream.peer_addr(), stream.local_addr()) {
-                        (Ok(peer), Ok(local)) => {
-                            rossf_trace::conn_key(&peer.to_string(), &local.to_string())
-                        }
-                        _ => 0,
-                    };
-                    Ok(TcpEstablished::Reader {
-                        stream,
-                        key,
-                        conn_key,
-                        projected,
-                    })
+        let handshake = self
+            .handshake_tcp(&stream, is_reconnect, offer_shm)
+            .and_then(|(shm_grant, projected)| {
+                if shm_grant.is_none() {
+                    stream.set_nonblocking(true)?;
                 }
-                Err(e) => {
-                    self.streams.lock().remove(&key);
-                    Err(RosError::Io(e))
-                }
-            },
+                Ok((shm_grant, projected))
+            });
+        match handshake {
+            Ok((shm_grant, projected)) => Ok(Some(Established {
+                stream,
+                key,
+                shm_grant,
+                projected,
+            })),
             Err(e) => {
                 self.streams.lock().remove(&key);
                 Err(e)
@@ -637,11 +593,7 @@ impl<D: Decode> SubCore<D> {
         // A peer that accepts the connection but never answers the
         // handshake must not pin a pool worker forever.
         stream.set_read_timeout(Some(self.config.handshake_timeout))?;
-        let mut request = ConnectionHeader::new()
-            .with("topic", &self.topic)
-            .with("type", D::topic_type())
-            .with("machine", self.machine.0.to_string())
-            .with("endian", ConnectionHeader::native_endian());
+        let mut request = ConnectionHeader::request(&self.topic, D::topic_type(), self.machine);
         // Offer the shared-memory tier: the publisher grants it only when
         // both sides share a machine and (normally) live in different
         // processes, so the offer also carries our pid. The offer is
@@ -661,55 +613,49 @@ impl<D: Decode> SubCore<D> {
         let mut io = stream;
         request.write_to(&mut io)?;
         let reply = ConnectionHeader::read_from(&mut io)?;
-        if let Some(err) = reply.get("error") {
-            return Err(RosError::Rejected(err.to_string()));
-        }
-        if let Some(endian) = reply.get("endian") {
-            if endian != ConnectionHeader::native_endian() {
-                // §4.4.1: a serialization-free frame arrives in the
-                // publisher's endianness; conversion is out of scope, so a
-                // cross-endian link is refused outright.
-                return Err(RosError::Rejected(format!(
-                    "endianness mismatch: publisher is {endian}"
-                )));
-            }
-        }
+        reply.check_reply()?;
         // Steady state is nonblocking (reactor) or probe-driven (shm);
         // either way the handshake timeout must not linger.
         stream.set_read_timeout(None)?;
-        self.connected.fetch_add(1, Ordering::Relaxed);
-        self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
-        if is_reconnect {
-            self.reconnects.fetch_add(1, Ordering::Relaxed);
-            self.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
+        self.count_handshake(is_reconnect);
         // Projection is granted only by an exact spec echo — anything else
         // (no echo, a different spec) means full frames on this link.
         let projected = self
             .projection
             .as_ref()
             .is_some_and(|p| reply.get(PROJECT_FIELD) == Some(p.spec()));
-        // An shm grant means the publisher is now in its ring-producer
-        // loop: frames arrive as descriptors, not socket bytes, and the
-        // socket stays open purely as the liveness channel.
+        // An shm grant means frames arrive as ring descriptors, not socket
+        // bytes; the socket stays open purely as the liveness channel.
         Ok((
             (reply.get(SHM_FIELD) == Some("1")).then_some(reply),
             projected,
         ))
     }
 
-    /// Attach a granted shm link, honouring the injected attach fault
-    /// (`TransportConfig::shm_attach_fault`), which stands in for the
-    /// real-world `/proc/<pid>/fd` denials that cannot be provoked
-    /// deterministically in a test.
-    fn attach_shm(&self, pub_pid: u32, ctrl_fd: i32, epoch: u64) -> Result<ShmReader, RosError> {
-        if self.config.shm_attach_fault {
+    /// Attach the shm link a reply grants; returns the reader and the
+    /// publisher's pid. An attach denial latched on the loopback link's
+    /// fault injector stands in for the real-world `/proc/<pid>/fd`
+    /// denials that cannot be provoked deterministically in a test.
+    fn attach_shm(&self, reply: &ConnectionHeader) -> Result<(ShmReader, u32), RosError> {
+        let field = |name: &str| -> Result<u64, RosError> {
+            reply
+                .get(name)
+                .and_then(|v| v.parse::<u64>().ok())
+                .ok_or_else(|| {
+                    RosError::Rejected(format!("malformed shm grant: bad `{name}` field"))
+                })
+        };
+        let pub_pid = field(SHM_PUB_PID_FIELD)? as u32;
+        let (ctrl_fd, epoch) = (field(SHM_FD_FIELD)? as i32, field(SHM_EPOCH_FIELD)?);
+        let injector = self.master.links().fault(self.machine, self.machine);
+        if injector.is_some_and(|f| f.attach_denied()) {
             return Err(RosError::Io(std::io::Error::new(
                 std::io::ErrorKind::PermissionDenied,
                 "injected shm attach fault",
             )));
         }
-        ShmReader::connect(pub_pid, ctrl_fd, epoch).map_err(RosError::Io)
+        let shm = ShmReader::connect(pub_pid, ctrl_fd, epoch).map_err(RosError::Io)?;
+        Ok((shm, pub_pid))
     }
 
     /// One shared-memory link lifetime: adopt the publisher's control
@@ -725,14 +671,6 @@ impl<D: Decode> SubCore<D> {
         reply: &ConnectionHeader,
         shm_attach_failed: &mut bool,
     ) -> Result<(), RosError> {
-        let field = |name: &str| -> Result<u64, RosError> {
-            reply
-                .get(name)
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| {
-                    RosError::Rejected(format!("malformed shm grant: bad `{name}` field"))
-                })
-        };
         // Any failure between the grant and a working reader — malformed
         // grant fields, a `/proc` fd hand-off denied by the kernel's
         // ptrace-scope policy, an epoch mismatch from a recycled publisher
@@ -740,22 +678,8 @@ impl<D: Decode> SubCore<D> {
         // redoes the handshake with the shm offer withheld and the
         // publisher serves plain TCP, instead of re-granting a link this
         // process can never attach.
-        let parsed = (|| {
-            Ok((
-                field(SHM_PUB_PID_FIELD)? as u32,
-                field(SHM_FD_FIELD)? as i32,
-                field(SHM_EPOCH_FIELD)?,
-            ))
-        })();
-        let (pub_pid, ctrl_fd, epoch) = match parsed {
-            Ok(v) => v,
-            Err(e) => {
-                *shm_attach_failed = true;
-                return Err(e);
-            }
-        };
-        let shm = match self.attach_shm(pub_pid, ctrl_fd, epoch) {
-            Ok(shm) => shm,
+        let (shm, pub_pid) = match self.attach_shm(reply) {
+            Ok(attached) => attached,
             Err(e) => {
                 *shm_attach_failed = true;
                 return Err(e);
@@ -763,10 +687,7 @@ impl<D: Decode> SubCore<D> {
         };
         stream.set_nonblocking(true)?;
 
-        let trace = self.trace.as_deref();
         let own_pid = std::process::id();
-        let mut probe_stream = &stream;
-        let mut probe = [0u8; 1];
         loop {
             // Relaxed: standalone exit flag, polled — a stale read
             // only costs one extra loop iteration.
@@ -779,29 +700,24 @@ impl<D: Decode> SubCore<D> {
                     if shm.is_closed() && shm.pending() == 0 {
                         break; // graceful teardown, ring drained
                     }
-                    // Liveness probe: a publisher that died without
-                    // closing the ring leaves EOF (or an error) here.
-                    match probe_stream.read(&mut probe) {
-                        Ok(_) => break, // EOF, or protocol-violating bytes
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                        Err(_) => break,
+                    // A publisher that died without closing the ring.
+                    if peer_gone(&stream) {
+                        break;
                     }
                     continue;
                 }
                 Err(TakeError::Stale) => {
                     // Abandoned frame from a recycled publisher
                     // incarnation — counted like a decode failure.
-                    self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    self.count_decode_error();
                     continue;
                 }
                 // The ring can no longer be trusted to be in sync: tear
                 // the link down (retryable under backoff).
                 Err(TakeError::Corrupt(e)) => return Err(RosError::Io(e)),
             };
-            let len = frame.len();
             let desc = *frame.descriptor();
-            let (id, mut t_prev) = match trace {
+            let span_start = match self.trace.as_deref() {
                 Some(table) if desc.trace_id != 0 => {
                     let t = now_nanos();
                     // The descriptor's timestamps are on the *publisher's*
@@ -810,57 +726,23 @@ impl<D: Decode> SubCore<D> {
                     // mode); a cross-process link skips the span rather
                     // than mixing clocks.
                     if pub_pid == own_pid && desc.pushed_ns != 0 {
-                        tracer().span(
-                            table,
-                            Stage::WireRead,
-                            Tier::Shm,
-                            desc.trace_id,
-                            desc.pushed_ns,
-                            t,
-                        );
+                        let (id, since) = (desc.trace_id, desc.pushed_ns);
+                        tracer().span(table, Stage::WireRead, Tier::Shm, id, since, t);
                     }
                     (desc.trace_id, t)
                 }
                 _ => (0, 0),
             };
-            if self.config.validate_on_receive {
-                if D::verify_frame(frame.as_slice()).is_err() {
-                    // Dropping the unadopted frame releases its segment
-                    // reference; the ring stays in sync.
-                    self.metrics.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                if let (Some(table), true) = (trace, id != 0) {
-                    let t = now_nanos();
-                    tracer().span(table, Stage::Verify, Tier::Shm, id, t_prev, t);
-                    t_prev = t;
-                }
-            }
-            let decoded = D::from_mapped_frame(frame);
-            if let (Some(table), true, true) = (trace, id != 0, decoded.is_ok()) {
-                let t = now_nanos();
-                tracer().span(table, Stage::Adopt, Tier::Shm, id, t_prev, t);
-                t_prev = t;
-            }
-            match decoded {
-                Ok(msg) => {
-                    self.received.fetch_add(1, Ordering::Relaxed);
-                    self.received_bytes.fetch_add(len as u64, Ordering::Relaxed);
-                    self.metrics.frames_received.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .bytes_received
-                        .fetch_add(len as u64, Ordering::Relaxed);
-                    (self.callback)(msg);
-                    if let (Some(table), true) = (trace, id != 0) {
-                        let t = now_nanos();
-                        tracer().span(table, Stage::Callback, Tier::Shm, id, t_prev, t);
-                    }
-                }
-                Err(_) => {
-                    self.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            // A frame rejected by the verifier is dropped unadopted, which
+            // releases its segment reference; the ring stays in sync.
+            self.deliver(
+                Tier::Shm,
+                frame.len(),
+                span_start,
+                frame,
+                |frame| D::verify_frame(frame.as_slice()).is_ok(),
+                D::from_mapped_frame,
+            );
         }
         Ok(())
     }
@@ -1070,8 +952,7 @@ impl<D: Decode> TcpReader<D> {
                             // sync. The frame still occupied a wire slot;
                             // consume its sidecar note so it does not
                             // accumulate.
-                            core.decode_errors.fetch_add(1, Ordering::Relaxed);
-                            core.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+                            core.count_decode_error();
                             if core.trace.is_some() {
                                 let _ = tracer().sidecar().take(self.conn_key, self.wire_seq);
                             }
@@ -1106,12 +987,11 @@ impl<D: Decode> TcpReader<D> {
                 filled: 0,
             },
         );
-        let ReadState::Body { mut slot, len, .. } = state else {
+        let ReadState::Body { slot, len, .. } = state else {
             unreachable!("deliver outside Body");
         };
         let seq = self.wire_seq;
         self.wire_seq += 1;
-        let trace = core.trace.as_deref();
         // Recover the frame's trace id from the writer's sidecar note; the
         // `wire_read` span starts at the writer's send timestamp. The last
         // frame byte wakes this loop at the same moment the writer moves
@@ -1121,79 +1001,39 @@ impl<D: Decode> TcpReader<D> {
         // stamp would double-count `wire_write`. (A same-process writer
         // shares this reactor thread, so its note is always settled by the
         // time this dispatch runs — the wait only triggers cross-process.)
-        let (id, mut t_prev) = match trace {
-            Some(table) => {
-                match tracer()
-                    .sidecar()
-                    .take_settled(self.conn_key, seq, SIDECAR_SETTLE_WAIT)
-                {
-                    Some(note) if note.trace_id != 0 => {
-                        let t = now_nanos();
-                        if note.settled {
-                            tracer().span(
-                                table,
-                                Stage::WireRead,
-                                Tier::Tcp,
-                                note.trace_id,
-                                note.sent_ns,
-                                t,
-                            );
-                        }
-                        (note.trace_id, t)
-                    }
-                    _ => (0, 0),
-                }
-            }
-            None => (0, 0),
-        };
-        if core.config.validate_on_receive {
-            // A projected link carries sub-frames: unselected fields are
-            // deliberately zeroed, which the full verifier would accept but
-            // the projected verifier additionally *requires* — so corrupt
-            // leftovers in unselected pairs are caught, not adopted.
-            let frame_ok = match (self.projected, core.projection.as_deref()) {
-                (true, Some(projection)) => {
-                    projection.verify_projected(slot.as_mut_slice()).is_ok()
-                }
-                _ => D::verify_frame(slot.as_mut_slice()).is_ok(),
-            };
-            if !frame_ok {
-                // Structurally corrupt: drop the frame without adopting
-                // it. Framing is length-prefixed, so the stream stays in
-                // sync and the connection lives on.
-                core.metrics.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                return Ok(Progress::Frame);
-            }
-            if let (Some(table), true) = (trace, id != 0) {
+        let note = core.trace.as_deref().and_then(|table| {
+            let note = tracer()
+                .sidecar()
+                .take_settled(self.conn_key, seq, SIDECAR_SETTLE_WAIT)?;
+            Some((table, note))
+        });
+        let span_start = match note {
+            Some((table, note)) if note.trace_id != 0 => {
                 let t = now_nanos();
-                tracer().span(table, Stage::Verify, Tier::Tcp, id, t_prev, t);
-                t_prev = t;
-            }
-        }
-        match D::finish_slot(slot) {
-            Ok(msg) => {
-                if let (Some(table), true) = (trace, id != 0) {
-                    let t = now_nanos();
-                    tracer().span(table, Stage::Adopt, Tier::Tcp, id, t_prev, t);
-                    t_prev = t;
+                if note.settled {
+                    let (id, since) = (note.trace_id, note.sent_ns);
+                    tracer().span(table, Stage::WireRead, Tier::Tcp, id, since, t);
                 }
-                core.received.fetch_add(1, Ordering::Relaxed);
-                core.received_bytes.fetch_add(len as u64, Ordering::Relaxed);
-                core.metrics.frames_received.fetch_add(1, Ordering::Relaxed);
-                core.metrics
-                    .bytes_received
-                    .fetch_add(len as u64, Ordering::Relaxed);
-                (core.callback)(msg);
-                if let (Some(table), true) = (trace, id != 0) {
-                    let t = now_nanos();
-                    tracer().span(table, Stage::Callback, Tier::Tcp, id, t_prev, t);
-                }
+                (note.trace_id, t)
             }
-            Err(_) => {
-                core.decode_errors.fetch_add(1, Ordering::Relaxed);
-                core.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+            _ => (0, 0),
+        };
+        // A projected link carries sub-frames: unselected fields are
+        // deliberately zeroed, which the full verifier would accept but
+        // the projected verifier additionally *requires* — so corrupt
+        // leftovers in unselected pairs are caught, not adopted.
+        let projection = core.projection.as_deref().filter(|_| self.projected);
+        core.deliver(
+            Tier::Tcp,
+            len,
+            span_start,
+            slot,
+            |slot| match projection {
+                Some(projection) => projection.verify_projected(slot.as_mut_slice()).is_ok(),
+                None => D::verify_frame(slot.as_mut_slice()).is_ok(),
+            },
+            D::finish_slot,
+        );
         Ok(Progress::Frame)
     }
 

@@ -16,12 +16,12 @@
 //! one extra bounded queue per publisher, no extra encode.
 
 use crate::error::RosError;
-use crate::fastpath::{LocalSinkHandle, FASTPATH_FIELD};
+use crate::fastpath::LocalSinkHandle;
 use crate::master::{Master, PublisherEndpoint};
 use crate::node::NodeHandle;
-use crate::wire::{ConnectionHeader, OutFrame};
-use crossbeam::channel::RecvTimeoutError;
+use crate::wire::OutFrame;
 use rossf_netsim::MachineId;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -208,47 +208,30 @@ fn drain_endpoint(shared: Arc<TapShared>, ep: PublisherEndpoint) {
             shared.skipped.fetch_add(1, Ordering::Release);
             return;
         };
-        // The same request header a fast-path subscriber sends, so the
+        // The same handshake a fast-path subscriber performs, so the
         // publisher-side validation and accounting are identical.
-        let request = ConnectionHeader::new()
-            .with("topic", &shared.topic)
-            .with("type", &shared.type_name)
-            .with("machine", shared.machine.0.to_string())
-            .with("endian", ConnectionHeader::native_endian())
-            .with(FASTPATH_FIELD, "1");
-        let sink = match port.attach_local(&request) {
-            Ok(sink) => sink,
+        match LocalSinkHandle::attach(port, &shared.topic, &shared.type_name, shared.machine) {
+            Ok(sink) => {
+                shared.attached.fetch_add(1, Ordering::Release);
+                // One attachment's lifetime: every frame to the callback.
+                sink.drain(&shared.shutdown, |frame| {
+                    shared.frames_seen.fetch_add(1, Ordering::Release);
+                    (shared.cb)(&frame);
+                    ControlFlow::Continue(())
+                });
+            }
             Err(RosError::Rejected(_)) => {
                 // Permanent refusal (capability/type): give up on this
                 // publisher but keep the tap alive for others.
                 shared.skipped.fetch_add(1, Ordering::Release);
                 return;
             }
-            Err(_) => {
-                // Transient (severed link, teardown in progress): retry
-                // while the publisher stays registered.
-                if shared
-                    .master
-                    .lookup_publisher(&shared.topic, ep.id)
-                    .is_none()
-                {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
-        };
-        // Drop the strong port reference immediately: holding it through
-        // the drain loop would keep a dropped publisher core alive.
-        drop(port);
-        if sink.reply.get("error").is_some() {
-            shared.skipped.fetch_add(1, Ordering::Release);
-            return;
+            // Transient (severed link, teardown in progress).
+            Err(_) => {}
         }
-        shared.attached.fetch_add(1, Ordering::Release);
-        run_sink(&shared, sink);
-        // Disconnected: re-attach if the publisher is still registered
-        // (e.g. a healed severed link), otherwise stand down.
+        // Disconnected or transiently refused: re-attach while the
+        // publisher stays registered (e.g. once a severed link heals),
+        // otherwise stand down.
         if shared
             .master
             .lookup_publisher(&shared.topic, ep.id)
@@ -257,24 +240,6 @@ fn drain_endpoint(shared: Arc<TapShared>, ep: PublisherEndpoint) {
             return;
         }
         std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// One attachment's lifetime: receive frames, hand them to the callback.
-fn run_sink(shared: &Arc<TapShared>, sink: LocalSinkHandle) {
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        // Short timeout so shutdown is observed promptly.
-        match sink.recv_timeout(Duration::from_millis(20)) {
-            Ok(frame) => {
-                shared.frames_seen.fetch_add(1, Ordering::Release);
-                (shared.cb)(&frame);
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
     }
 }
 

@@ -12,25 +12,11 @@
 //! the whole serialization-free message verbatim ([`OutFrame::Sfm`]).
 
 use crate::error::RosError;
+use rossf_netsim::MachineId;
 use rossf_sfm::PublishedBuffer;
-use rossf_shm::SharedFrame;
 use std::collections::BTreeMap;
 use std::io::{IoSlice, Read, Write};
-use std::sync::{Arc, OnceLock};
-
-/// Shared-memory residency of one publish call, resolved at most once.
-///
-/// `publish` attaches one slot (an `Arc` of the same cell) to every
-/// shm-connection clone of a frame; the first link thread to drain its
-/// copy resolves the slot by copying the payload into a pooled segment
-/// **once**, and every other link reuses that [`SharedFrame`] with a
-/// descriptor-only commit. A loaned publish pre-resolves the slot — the
-/// message was built inside the segment, so no thread copies at all.
-///
-/// The resolved value is `None` when the pool was exhausted at resolution
-/// time; that verdict is shared too (the frame is dropped on every link,
-/// counted as `NoSegment` backpressure).
-pub type ShmSlot = Arc<OnceLock<Option<SharedFrame>>>;
+use std::sync::Arc;
 
 /// The payload of an encoded message: serialized bytes or the whole
 /// serialization-free message verbatim.
@@ -74,10 +60,6 @@ pub struct TraceTag {
 pub struct OutFrame {
     payload: FramePayload,
     trace: TraceTag,
-    /// Shared-memory residency, present only on clones bound for shm
-    /// connections (attached by `publish`). Cloning shares the cell: all
-    /// shm links of one publish resolve to the same pooled segment.
-    shm: Option<ShmSlot>,
 }
 
 impl OutFrame {
@@ -86,7 +68,6 @@ impl OutFrame {
         OutFrame {
             payload: FramePayload::Owned(bytes),
             trace: TraceTag::default(),
-            shm: None,
         }
     }
 
@@ -100,21 +81,7 @@ impl OutFrame {
                 born_ns,
                 ..TraceTag::default()
             },
-            shm: None,
         }
-    }
-
-    /// This clone's shared-memory residency slot, if one was attached.
-    #[inline]
-    pub fn shm_slot(&self) -> Option<&ShmSlot> {
-        self.shm.as_ref()
-    }
-
-    /// Attach a shared-memory residency slot to this clone (done by
-    /// `publish` for clones bound to shm connections).
-    #[inline]
-    pub fn set_shm_slot(&mut self, slot: ShmSlot) {
-        self.shm = Some(slot);
     }
 
     /// The payload bytes.
@@ -294,6 +261,38 @@ impl ConnectionHeader {
     /// Get a field.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.fields.get(key).map(String::as_str)
+    }
+
+    /// The request every subscriber-side attachment opens with — TCP
+    /// handshake, fast-path attach and capture tap alike; each adds its
+    /// own capability fields on top.
+    pub(crate) fn request(topic: &str, type_name: &str, machine: MachineId) -> Self {
+        ConnectionHeader::new()
+            .with("topic", topic)
+            .with("type", type_name)
+            .with("machine", machine.0.to_string())
+            .with("endian", ConnectionHeader::native_endian())
+    }
+
+    /// Judge a publisher's reply the way every attachment does.
+    ///
+    /// # Errors
+    ///
+    /// [`RosError::Rejected`] when the publisher answered with an `error=`
+    /// field, or runs on the other endianness (§4.4.1: a
+    /// serialization-free frame arrives in the publisher's byte order and
+    /// conversion is out of scope, so a cross-endian link is refused
+    /// outright).
+    pub(crate) fn check_reply(&self) -> Result<(), RosError> {
+        if let Some(err) = self.get("error") {
+            return Err(RosError::Rejected(err.to_string()));
+        }
+        match self.get("endian") {
+            Some(endian) if endian != ConnectionHeader::native_endian() => Err(RosError::Rejected(
+                format!("endianness mismatch: publisher is {endian}"),
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Host endianness marker for the `endian` field.

@@ -1,9 +1,12 @@
-//! Fd/thread-leak regression: TCP links live on the shared reactor, so
-//! churning connections — subscription create/drop cycles and
-//! sever/heal cycles through the netsim fault injector — must return the
-//! process to its baseline `/proc/self/fd` and thread counts. A drift
-//! here means a handler wasn't deregistered, a supervision chain kept a
-//! socket alive, or a connection-scoped thread outlived its link.
+//! Fd/thread-leak regression, on every tier: churning connections —
+//! subscription create/drop cycles and sever/heal cycles through the
+//! netsim fault injector — must return the process to its baseline
+//! `/proc/self/fd` and thread counts. A drift here means a handler wasn't
+//! deregistered, a supervision chain kept a socket alive, or a
+//! connection-scoped thread outlived its link. The same run pins each
+//! tier's *steady* thread budget: TCP links live on the shared reactor
+//! and cost none, a fast-path or shm link costs its subscriber one
+//! consumer thread, and no tier costs the publisher any.
 
 #![allow(deprecated)] // positional advertise/subscribe stay covered until removal
 
@@ -97,16 +100,73 @@ fn publish_until(
     }
 }
 
+/// Threads of this process whose name (`/proc/self/task/*/comm`) is `name`.
+fn tasks_named(name: &str) -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.trim_end() == name)
+        .count()
+}
+
+/// One transport tier's placement and its steady per-link thread cost.
+struct TierCase {
+    name: &'static str,
+    sub_machine: MachineId,
+    config: TransportConfig,
+    /// The subscriber-side consumer thread every live link of this tier
+    /// keeps, if any.
+    consumer: Option<&'static str>,
+}
+
+fn tier_cases() -> Vec<TierCase> {
+    let mut cases = vec![
+        TierCase {
+            name: "tcp",
+            sub_machine: MachineId::B,
+            config: fast_reconnect(),
+            consumer: None,
+        },
+        TierCase {
+            name: "fastpath",
+            sub_machine: MachineId::A,
+            config: fast_reconnect(),
+            consumer: Some("rossf-fast-sub"),
+        },
+    ];
+    if rossf_shm::supported() {
+        cases.push(TierCase {
+            name: "shm",
+            sub_machine: MachineId::A,
+            config: TransportConfig {
+                enable_fastpath: false,
+                shm_same_process: true,
+                ..fast_reconnect()
+            },
+            consumer: Some("rossf-shm-sub"),
+        });
+    }
+    cases
+}
+
 /// N connect/sever/reconnect cycles plus subscription churn, then the
-/// process must be back at its post-warmup fd and thread baseline.
+/// process must be back at its post-warmup fd and thread baseline — on
+/// each tier in turn, each within its thread budget.
 #[test]
 fn churn_cycles_return_to_fd_and_thread_baseline() {
+    for case in tier_cases() {
+        churn_one_tier(&case);
+    }
+}
+
+fn churn_one_tier(case: &TierCase) {
     const CYCLES: usize = 10;
+    let tier = case.name;
 
     let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::B);
-    let nh_pub = NodeHandle::new(&master, "pub");
-    let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, fast_reconnect());
+    let fault = master.links().inject(MachineId::A, case.sub_machine);
+    let nh_pub = NodeHandle::with_config(&master, "pub", MachineId::A, case.config.clone());
+    let nh_sub = NodeHandle::with_config(&master, "sub", case.sub_machine, case.config.clone());
 
     let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("leak/churn", 64);
     let seen = Arc::new(AtomicU64::new(0));
@@ -139,13 +199,20 @@ fn churn_cycles_return_to_fd_and_thread_baseline() {
     // Let the publisher notice the dropped link and close its side.
     std::thread::sleep(Duration::from_millis(100));
 
+    // The warm-up link's consumer thread, if it had one, winds down on
+    // its own schedule; the baseline is the steady link alone.
+    let per_link = usize::from(case.consumer.is_some());
+    wait_until("one link's worth of consumers", || {
+        case.consumer.is_none_or(|c| tasks_named(c) == 1)
+    });
+
     let fd_base = fd_count();
     let thread_base = thread_count();
 
     let reconnects_before = sub.reconnects();
     for _cycle in 0..CYCLES {
-        // Subscription churn: connect a fresh TCP link, see traffic on
-        // it, drop it.
+        // Subscription churn: connect a fresh link, see traffic on it,
+        // drop it.
         let extra_seen = Arc::new(AtomicU64::new(0));
         let extra_cb = Arc::clone(&extra_seen);
         let extra = nh_sub.subscribe("leak/churn", 64, move |_m: SfmShared<Payload>| {
@@ -154,6 +221,18 @@ fn churn_cycles_return_to_fd_and_thread_baseline() {
         publish_until(&publisher, &mut seq, "churned sub delivery", || {
             extra_seen.load(Ordering::SeqCst) >= 1
         });
+        // The thread budget, read with two links up and traffic on both:
+        // one consumer per zero-copy link, nothing per TCP link, and no
+        // publisher-side relay on any tier.
+        if let Some(consumer) = case.consumer {
+            assert_eq!(tasks_named(consumer), 2, "{tier}: one consumer per link");
+        }
+        assert_eq!(tasks_named("rossf-shm-pub"), 0, "{tier}: no relay thread");
+        assert_eq!(
+            thread_count(),
+            thread_base + per_link,
+            "{tier}: a second link costs exactly its consumer"
+        );
         drop(extra);
 
         // Link churn: sever the steady link mid-stream, heal, and wait
@@ -177,12 +256,14 @@ fn churn_cycles_return_to_fd_and_thread_baseline() {
         });
     }
     assert!(sub.reconnects() >= reconnects_before + CYCLES as u64);
-    assert_eq!(sub.decode_errors(), 0);
+    assert_eq!(sub.decode_errors(), 0, "{tier}");
 
     // Teardown of the last cycle is asynchronous (the publisher's writer
     // notices the dead peer on its next flush); poll back to baseline.
-    wait_until("fd count back to baseline", || fd_count() <= fd_base);
-    wait_until("thread count back to baseline", || {
+    wait_until(&format!("{tier}: fd count back to baseline"), || {
+        fd_count() <= fd_base
+    });
+    wait_until(&format!("{tier}: thread count back to baseline"), || {
         thread_count() <= thread_base
     });
 

@@ -213,32 +213,90 @@ fn drop_fault_skips_frames_without_killing_connection() {
     assert_eq!(sub.metrics().snapshot().frames_faulted, 2);
 }
 
-/// Delay faults hold a frame back without reordering or losing anything.
+/// The transport tier a parameterized scenario runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Link {
+    /// Machine A to machine B over the reactor.
+    Tcp,
+    /// Same machine, same process: the pointer hand-off.
+    Fastpath,
+    /// Same machine, the ring, with publisher and subscriber in one
+    /// process.
+    Shm,
+}
+
+impl Link {
+    /// The subscriber's machine (the publisher is always on A) and the
+    /// config both nodes run.
+    fn placement(self) -> (MachineId, TransportConfig) {
+        let config = fast_reconnect();
+        match self {
+            Link::Tcp => (MachineId::B, config),
+            Link::Fastpath => (MachineId::A, config),
+            Link::Shm => (
+                MachineId::A,
+                TransportConfig {
+                    enable_fastpath: false,
+                    shm_same_process: true,
+                    ..config
+                },
+            ),
+        }
+    }
+}
+
+/// Delay faults hold a frame back without reordering or losing anything —
+/// and without holding `publish` back — on every tier.
 #[test]
 fn delay_fault_postpones_delivery_without_loss() {
-    let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::B);
-    fault.delay_frame(0, Duration::from_millis(120));
-    let nh_pub = NodeHandle::new(&master, "pub");
-    let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, fast_reconnect());
+    for link in [Link::Tcp, Link::Fastpath, Link::Shm] {
+        if link == Link::Shm && !rossf_shm::supported() {
+            continue;
+        }
+        const DELAY: Duration = Duration::from_millis(120);
+        const FRAMES: u32 = 5;
+        let (sub_machine, config) = link.placement();
+        let master = Master::new();
+        let fault = master.links().inject(MachineId::A, sub_machine);
+        fault.delay_frame(0, DELAY);
+        let nh_pub = NodeHandle::with_config(&master, "pub", MachineId::A, config.clone());
+        let nh_sub = NodeHandle::with_config(&master, "sub", sub_machine, config);
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/delay", 64);
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let _sub = nh_sub.subscribe("reconnect/delay", 64, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
-    nh_pub.wait_for_subscribers(&publisher, 1);
+        let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/delay", 64);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen_cb = Arc::clone(&seen);
+        let _sub = nh_sub.subscribe("reconnect/delay", 64, move |m: SfmShared<Payload>| {
+            seen_cb.lock().unwrap().push(m.seq);
+        });
+        nh_pub.wait_for_subscribers(&publisher, 1);
 
-    let start = Instant::now();
-    publisher.publish(&msg(0));
-    publisher.publish(&msg(1));
-    wait_until("both frames", || seen.load(Ordering::SeqCst) == 2);
-    assert!(
-        start.elapsed() >= Duration::from_millis(120),
-        "delivery can only complete after the injected delay"
-    );
-    assert_eq!(fault.frames_delayed(), 1);
+        let start = Instant::now();
+        for seq in 0..FRAMES {
+            publisher.publish(&msg(seq));
+        }
+        let published_in = start.elapsed();
+        wait_until("every frame", || {
+            seen.lock().unwrap().len() == FRAMES as usize
+        });
+        assert!(
+            start.elapsed() >= DELAY,
+            "{link:?}: delivery can only complete after the injected delay"
+        );
+        assert!(
+            published_in < DELAY,
+            "{link:?}: a stalled link must not block publish ({published_in:?})"
+        );
+        assert_eq!(
+            *seen.lock().unwrap(),
+            (0..FRAMES).collect::<Vec<_>>(),
+            "{link:?}: frames behind the delayed one wait for it, in order"
+        );
+        assert_eq!(fault.frames_delayed(), 1);
+        assert_eq!(publisher.dropped(), 0, "{link:?}");
+        let snap = publisher.metrics().snapshot();
+        assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
+        assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
+    }
 }
 
 /// An exhausted backoff policy stands down instead of retrying forever.

@@ -436,6 +436,69 @@ fn queue_backpressure_drops_and_counts_when_full() {
     });
 }
 
+/// The ring is single-producer and `publish` commits into it inline, so
+/// clones of one publisher on several threads meet at the per-link mutex:
+/// nothing may be lost, duplicated, or reordered within a producer.
+#[test]
+fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
+    if !rossf_shm::supported() {
+        return;
+    }
+    const PRODUCERS: u32 = 4;
+    const PER_PRODUCER: u32 = 500;
+    // In flight per producer: all four together stay well inside the
+    // pool's `DIR_CAP` segments, so no frame can be refused a segment.
+    const WINDOW: u32 = 8;
+    let master = Master::new();
+    let nh = NodeHandle::with_config(&master, "mpsc", MachineId::A, shm_config(true));
+    // A ring ample for everything that can be in flight.
+    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/mpsc", 256);
+    let next: Arc<Vec<AtomicU64>> = Arc::new((0..PRODUCERS).map(|_| AtomicU64::new(0)).collect());
+    let out_of_order = Arc::new(AtomicU64::new(0));
+    let (next_cb, ooo_cb) = (Arc::clone(&next), Arc::clone(&out_of_order));
+    let sub = nh.subscribe("shm/mpsc", 256, move |m: SfmShared<Payload>| {
+        let (producer, i) = ((m.seq >> 16) as usize, u64::from(m.seq & 0xffff));
+        // ORDER: test bookkeeping; one consumer thread runs this callback.
+        if next_cb[producer].fetch_add(1, Ordering::SeqCst) != i {
+            ooo_cb.fetch_add(1, Ordering::SeqCst);
+        }
+    });
+    nh.wait_for_subscribers(&publisher, 1);
+
+    let start = Arc::new(std::sync::Barrier::new(PRODUCERS as usize));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let (publisher, next, start) =
+                (publisher.clone(), Arc::clone(&next), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PER_PRODUCER {
+                    while u64::from(i)
+                        >= next[p as usize].load(Ordering::SeqCst) + u64::from(WINDOW)
+                    {
+                        std::thread::yield_now();
+                    }
+                    publisher.publish(&msg(p << 16 | i));
+                }
+            })
+        })
+        .collect();
+    for producer in producers {
+        producer.join().expect("producer thread");
+    }
+    wait_until("every frame delivered", || {
+        sub.received() == u64::from(PRODUCERS * PER_PRODUCER)
+    });
+    assert_eq!(out_of_order.load(Ordering::SeqCst), 0, "per-producer order");
+    for n in next.iter() {
+        assert_eq!(n.load(Ordering::SeqCst), u64::from(PER_PRODUCER));
+    }
+    let snap = master.metrics().topic("shm/mpsc").snapshot();
+    assert_eq!(snap.frames_dropped, 0);
+    assert_eq!(publisher.dropped(), 0);
+    assert_eq!(snap.shm_frames, u64::from(PRODUCERS * PER_PRODUCER));
+}
+
 /// `validate_on_receive` runs the structural verifier on mapped frames
 /// too — and clean frames still arrive zero-copy with nothing rejected.
 #[test]
@@ -559,22 +622,25 @@ fn unattachable_grant_falls_back_to_tcp() {
         return;
     }
     let master = Master::new();
+    master
+        .links()
+        .inject(MachineId::A, MachineId::A)
+        .deny_attach();
     let nh_pub = NodeHandle::with_config(&master, "att_pub", MachineId::A, shm_config(true));
-    let nh_sub = NodeHandle::with_config(
-        &master,
-        "att_sub",
-        MachineId::A,
-        TransportConfig {
-            shm_attach_fault: true,
-            ..shm_config(true)
-        },
-    );
+    let nh_sub = NodeHandle::with_config(&master, "att_sub", MachineId::A, shm_config(true));
     let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("shm/attach_fault", 8);
     let (tx, rx) = mpsc::channel();
     let sub = nh_sub.subscribe("shm/attach_fault", 8, move |m: SfmShared<Payload>| {
         let _ = tx.send((m.seq, rossf_shm::is_shm_mapped(m.base())));
     });
 
+    // Publish once the fallback link is the only link: `publish` commits
+    // into a granted ring at once, so a frame published while the doomed
+    // grant is still spliced would be counted as a ring frame before the
+    // subscriber's refusal reaches the publisher.
+    wait_until("the renegotiated link replaces the grant", || {
+        sub.connection_count() >= 2 && publisher.subscriber_count() == 1
+    });
     // Delivery must still happen — over TCP, after the supervisor
     // renegotiates without the offer.
     let deadline = Instant::now() + Duration::from_secs(20);

@@ -211,52 +211,6 @@ impl ShmLink {
         }
     }
 
-    /// Batched [`ShmLink::commit_shared`]: publish descriptors for a run
-    /// of shared frames with **one** ring publication and one reader wake
-    /// ([`ControlSegment::push_n`]) instead of one per frame. Descriptors
-    /// go in in order; when the ring fills mid-batch a *prefix* is
-    /// published and the suffix's descriptor references are rolled back.
-    /// Returns how many frames were pushed — the caller counts the rest
-    /// as drops. The per-frame reference protocol is identical to
-    /// [`ShmLink::commit_shared`].
-    pub fn commit_shared_n(&mut self, batch: &[(SharedFrame, FrameMeta)]) -> usize {
-        let mut descs = Vec::with_capacity(batch.len());
-        for (frame, meta) in batch {
-            debug_assert!(
-                frame.pool_matches(&self.pool),
-                "shared frame committed against a foreign pool"
-            );
-            if !frame.pool_matches(&self.pool) {
-                // Stop here so the pushed set stays a prefix; the
-                // unattempted tail took no references to roll back.
-                break;
-            }
-            let seg = frame.segment();
-            let idx = frame.idx();
-            if !self.dir_published[idx as usize] {
-                self.ctrl.publish_dir(idx, seg.fd(), seg.payload_cap());
-                self.dir_published[idx as usize] = true;
-            }
-            seg.add_ref(); // the descriptor's reference
-            descs.push(Descriptor {
-                seg: idx,
-                // Stable: each SharedFrame's write hold keeps refs >= 1,
-                // so the pool cannot re-stamp these segments yet.
-                gen: seg.generation(),
-                len: frame.len(),
-                trace_id: meta.trace_id,
-                born_ns: meta.born_ns,
-                enqueued_ns: meta.enqueued_ns,
-                pushed_ns: meta.pushed_ns,
-            });
-        }
-        let pushed = self.ctrl.push_n(&descs);
-        for (frame, _) in &batch[pushed..descs.len()] {
-            frame.segment().release_ref(); // rolled-back descriptor reference
-        }
-        pushed
-    }
-
     /// Copy `payload` into a pooled segment and publish its descriptor —
     /// [`ShmLink::prepare`] and [`ShmLink::commit`] in one step.
     pub fn push(&mut self, payload: &[u8], meta: FrameMeta) -> PushOutcome {
@@ -503,38 +457,6 @@ mod tests {
         drop(c);
         assert_eq!(seg.refs().load(Ordering::Relaxed), 0);
         link.drain();
-    }
-
-    #[test]
-    fn commit_shared_n_pushes_a_prefix_and_rolls_back_the_rest() {
-        if !sys::supported() {
-            return;
-        }
-        let pool = Arc::new(SegmentPool::new());
-        let mut link = ShmLink::create(Arc::clone(&pool), 2, 1).unwrap();
-        let batch: Vec<_> = [&b"a"[..], b"b", b"c"]
-            .iter()
-            .map(|p| (pool.prepare_shared(p).unwrap(), FrameMeta::default()))
-            .collect();
-        // Ring holds 2: the prefix lands, the third rolls its ref back.
-        assert_eq!(link.commit_shared_n(&batch), 2);
-        assert_eq!(
-            batch[2].0.segment().refs().load(Ordering::Relaxed),
-            1,
-            "descriptor ref rolled back, write hold intact"
-        );
-        let a = link.ctrl().try_pop().unwrap();
-        let b = link.ctrl().try_pop().unwrap();
-        assert_eq!((a.len, b.len), (1, 1));
-        assert_eq!(a.seg, batch[0].0.idx());
-        assert_eq!(b.seg, batch[1].0.idx());
-        assert!(link.ctrl().try_pop().is_none());
-        pool.get(a.seg).unwrap().release_ref();
-        pool.get(b.seg).unwrap().release_ref();
-        drop(batch);
-        for idx in 0..3 {
-            assert_eq!(pool.get(idx).unwrap().refs().load(Ordering::Relaxed), 0);
-        }
     }
 
     #[test]

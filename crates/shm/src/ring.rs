@@ -11,10 +11,11 @@
 //! The ring is a Vyukov-style bounded queue: each slot carries a sequence
 //! word. A slot is writable by the producer when `seq == ticket`, readable
 //! by a consumer when `seq == ticket + 1`, and recycled by storing
-//! `ticket + ring_cap`. The single producer is the publisher's link
-//! thread; consumers are the subscriber process *and* the publisher's own
-//! teardown drain, which is why the consumer side takes the multi-consumer
-//! (`head` CAS) form.
+//! `ticket + ring_cap`. There is a single producer at a time — the
+//! transport commits from whichever thread called `publish`, serialised
+//! by a per-link mutex on its side; consumers are the subscriber process
+//! *and* the publisher's own teardown drain, which is why the consumer
+//! side takes the multi-consumer (`head` CAS) form.
 //!
 //! Wakeups go through a futex word in the header (`FUTEX_WAIT`/`WAKE`, the
 //! cross-process variants): the producer bumps the word and wakes after

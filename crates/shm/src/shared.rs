@@ -46,8 +46,9 @@ impl Drop for SharedInner {
 /// Cloning is cheap (an `Arc` bump); the segment's write hold is released
 /// when the last clone drops. While any clone is alive `refs >= 1`, so the
 /// pool cannot recycle the segment and its generation stamp is stable —
-/// which is what makes deferred, per-link-thread
-/// [`commit_shared`](crate::ShmLink::commit_shared) calls safe.
+/// which is what makes a deferred
+/// [`commit_shared`](crate::ShmLink::commit_shared) (a later link of the
+/// fan-out, a frame parked behind an injected delay) safe.
 #[derive(Clone)]
 pub struct SharedFrame {
     inner: Arc<SharedInner>,

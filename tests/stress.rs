@@ -1,6 +1,8 @@
 //! Concurrency stress: the global message manager and the transport under
 //! multi-threaded churn. Lives in its own test binary so the live-record
-//! accounting isn't disturbed by unrelated tests.
+//! accounting isn't disturbed by unrelated tests — and, within it, the
+//! one test that asserts on that process-global accounting runs alone
+//! (see [`MM_QUIET`]).
 
 #![allow(deprecated)] // positional advertise/subscribe stay covered until removal
 
@@ -12,11 +14,27 @@ use rossf_msg::sensor_msgs::SfmImage;
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmValidate, SfmVec};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
+
+/// `mm()` is one manager per process and the harness runs this binary's
+/// tests on parallel threads: a sibling's in-flight message is
+/// indistinguishable from a leak of the churn test's own. The churn test
+/// asserts on `mm().live()` under the write half; every test that
+/// allocates messages holds the read half, so the siblings still overlap
+/// each other. (Run alone, the churn test never failed — the failures
+/// were isolation, not a late release.)
+static MM_QUIET: RwLock<()> = RwLock::new(());
+
+/// Held by a test for as long as it may have messages alive.
+fn allocating() -> RwLockReadGuard<'static, ()> {
+    // A sibling that panicked poisons the lock without invalidating `()`.
+    MM_QUIET.read().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn concurrent_lifecycle_churn_leaves_no_records_behind() {
+    let _alone = MM_QUIET.write().unwrap_or_else(|e| e.into_inner());
     let live_before = mm().live();
     let threads = 8;
     let per_thread = 200;
@@ -66,6 +84,7 @@ fn concurrent_lifecycle_churn_leaves_no_records_behind() {
 
 #[test]
 fn publish_subscribe_storm() {
+    let _allocating = allocating();
     // Several publishers and subscribers on one topic, messages flying
     // concurrently; every published frame must reach every subscriber.
     let master = Master::new();
@@ -132,6 +151,7 @@ fn publish_subscribe_storm() {
 
 #[test]
 fn dropped_accounting_is_exact_under_full_queue() {
+    let _allocating = allocating();
     // Stall the writer thread with an injected delay so the transmission
     // queue fills deterministically, then count drops against the excess.
     let master = Master::new();
@@ -204,6 +224,7 @@ unsafe impl SfmMessage for Probe {
 
 #[test]
 fn malformed_frame_storm_counts_errors_without_desync() {
+    let _allocating = allocating();
     // A hostile publisher interleaves many corrupt frames with valid ones;
     // every corrupt frame must increment decode_errors, every valid frame
     // must be delivered, and the connection must survive the whole storm.
@@ -288,6 +309,7 @@ fn malformed_frame_storm_counts_errors_without_desync() {
 
 #[test]
 fn rapid_subscribe_unsubscribe_cycles() {
+    let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "cycler");
     let publisher = nh.advertise::<SfmBox<SfmImage>>("cycle/topic", 8);
