@@ -227,8 +227,8 @@ fn render_struct(desc: &StructDesc, out: &mut Vec<u8>) {
     render_str(&desc.name, out);
     out.extend_from_slice(&(desc.size as u64).to_le_bytes());
     out.extend_from_slice(&(desc.align as u64).to_le_bytes());
-    out.extend_from_slice(&(desc.fields.len() as u64).to_le_bytes());
-    for f in &desc.fields {
+    out.extend_from_slice(&(desc.fields().len() as u64).to_le_bytes());
+    for f in desc.fields() {
         render_field(f, out);
     }
 }

@@ -63,7 +63,7 @@ fn type_desc_label(ty: &TypeDesc) -> String {
 fn dump_struct(s: &StructDesc, indent: usize) {
     let pad = "  ".repeat(indent);
     println!("{pad}{} (size={}, align={})", s.name, s.size, s.align);
-    for f in &s.fields {
+    for f in s.fields() {
         println!(
             "{pad}  +{:<4} {:<16} {}",
             f.offset,

@@ -20,7 +20,7 @@ use crate::alloc::SfmAlloc;
 use crate::error::SfmError;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Life-cycle state of a serialization-free message (paper Figs. 8–9).
@@ -223,10 +223,14 @@ impl Sanitizer {
 /// paper's `sfm::gmm`); independent instances can be created for tests.
 pub struct MessageManager {
     records: Mutex<Vec<Record>>,
-    strategy: Mutex<LookupStrategy>,
+    /// [`LookupStrategy::Linear`] selected (default: binary search).
+    linear_lookup: AtomicBool,
     /// Opt-in lifecycle sanitizer (`None` = disabled, the default). Locked
     /// only after `records` has been released — never nested.
     sanitizer: Mutex<Option<Sanitizer>>,
+    /// Mirrors `sanitizer.is_some()`, written under its lock, so the
+    /// default (off) path of every operation takes `records` only.
+    sanitizing: AtomicBool,
     /// Live shared-memory segment mappings, base address → mapped bytes.
     /// Maintained unconditionally (cheap), reported through the sanitizer.
     segments: Mutex<std::collections::BTreeMap<usize, usize>>,
@@ -248,8 +252,9 @@ impl MessageManager {
     pub fn new() -> Self {
         MessageManager {
             records: Mutex::new(Vec::new()),
-            strategy: Mutex::new(LookupStrategy::Binary),
+            linear_lookup: AtomicBool::new(false),
             sanitizer: Mutex::new(None),
+            sanitizing: AtomicBool::new(false),
             segments: Mutex::new(std::collections::BTreeMap::new()),
             registered: AtomicU64::new(0),
             released: AtomicU64::new(0),
@@ -261,7 +266,9 @@ impl MessageManager {
 
     /// Select the interior-address lookup strategy (ablation hook).
     pub fn set_lookup_strategy(&self, s: LookupStrategy) {
-        *self.strategy.lock() = s;
+        // Relaxed: a standalone setting; it publishes no other data.
+        self.linear_lookup
+            .store(s == LookupStrategy::Linear, Ordering::Relaxed);
     }
 
     /// Enable or disable the lifecycle sanitizer. Returns whether it was
@@ -276,7 +283,21 @@ impl MessageManager {
         let mut san = self.sanitizer.lock();
         let was = san.is_some();
         *san = enabled.then(Sanitizer::new);
+        // Relaxed: the flag only routes callers to the lock above, which
+        // orders the state itself; an operation racing the switch may miss
+        // (or find `None` behind) the flag once, as it could before.
+        self.sanitizing.store(enabled, Ordering::Relaxed);
         was
+    }
+
+    /// Run `f` on the sanitizer's state when it is enabled.
+    fn sanitize(&self, f: impl FnOnce(&mut Sanitizer)) {
+        // Relaxed: see `set_sanitizer`.
+        if self.sanitizing.load(Ordering::Relaxed) {
+            if let Some(san) = self.sanitizer.lock().as_mut() {
+                f(san);
+            }
+        }
     }
 
     /// Snapshot of the sanitizer's counters (`None` while disabled).
@@ -296,10 +317,10 @@ impl MessageManager {
     /// Log `op` and purge the released-history for a fresh registration at
     /// `[start, end)` (pool/heap address reuse is legitimate).
     fn sanitize_insert(&self, op: LifecycleOp, start: usize, end: usize, ty: &'static str) {
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.purge_reused(start, end);
             san.log(op, start, Some(ty));
-        }
+        });
     }
 
     /// Register a freshly allocated message whose skeleton occupies the
@@ -395,9 +416,9 @@ impl MessageManager {
                 .ok()
                 .map(|idx| records[idx].type_name)
         };
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.log(LifecycleOp::AdoptShared, start, ty);
-        }
+        });
     }
 
     /// Note that a shared-memory segment of `bytes` bytes was mapped at
@@ -407,25 +428,25 @@ impl MessageManager {
     /// [`MessageManager::check_leaks`] runs is an orphaned segment.
     pub fn note_segment_map(&self, base: usize, bytes: usize) {
         self.segments.lock().insert(base, bytes);
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.log(LifecycleOp::SegmentMap, base, None);
-        }
+        });
     }
 
     /// Note that the shared-memory segment mapping at `base` was torn down.
     pub fn note_segment_unmap(&self, base: usize) {
         self.segments.lock().remove(&base);
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.log(LifecycleOp::SegmentUnmap, base, None);
-        }
+        });
     }
 
     /// Note that the segment mapped at `base` was recycled for a new frame
     /// (cross-process refcount returned to zero; generation bumped).
     pub fn note_segment_recycle(&self, base: usize) {
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.log(LifecycleOp::SegmentRecycle, base, None);
-        }
+        });
     }
 
     /// Number of shared-memory segment mappings currently live in this
@@ -476,7 +497,12 @@ impl MessageManager {
     /// * [`SfmError::CapacityExceeded`] if growth would pass `max_size`.
     pub fn expand(&self, field_addr: usize, len: usize, align: usize) -> Result<usize, SfmError> {
         self.expands.fetch_add(1, Ordering::Relaxed);
-        let strategy = *self.strategy.lock();
+        // Relaxed: see `set_lookup_strategy`.
+        let strategy = if self.linear_lookup.load(Ordering::Relaxed) {
+            LookupStrategy::Linear
+        } else {
+            LookupStrategy::Binary
+        };
         let outcome: Result<(usize, &'static str), SfmError> = (|| {
             let mut records = self.records.lock();
             let idx = Self::locate(&records, field_addr, strategy)
@@ -510,21 +536,19 @@ impl MessageManager {
         // Sanitizer pass runs with the records lock already dropped so the
         // alert channel may panic freely.
         let mut anomaly = false;
-        if let Some(san) = self.sanitizer.lock().as_mut() {
-            match &outcome {
-                Ok((_, ty)) => san.log(LifecycleOp::Expand, field_addr, Some(ty)),
-                Err(_) if san.in_released(field_addr) => {
-                    san.report.expand_after_release += 1;
-                    san.log(
-                        LifecycleOp::Anomaly(AlertKind::LifecycleExpandAfterRelease),
-                        field_addr,
-                        None,
-                    );
-                    anomaly = true;
-                }
-                Err(_) => san.log(LifecycleOp::Expand, field_addr, None),
+        self.sanitize(|san| match &outcome {
+            Ok((_, ty)) => san.log(LifecycleOp::Expand, field_addr, Some(ty)),
+            Err(_) if san.in_released(field_addr) => {
+                san.report.expand_after_release += 1;
+                san.log(
+                    LifecycleOp::Anomaly(AlertKind::LifecycleExpandAfterRelease),
+                    field_addr,
+                    None,
+                );
+                anomaly = true;
             }
-        }
+            Err(_) => san.log(LifecycleOp::Expand, field_addr, None),
+        });
         if anomaly {
             raise(AlertKind::LifecycleExpandAfterRelease, "<released message>");
         }
@@ -565,9 +589,9 @@ impl MessageManager {
                 }
             }
         }
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.log(LifecycleOp::MarkPublished, start, ty);
-        }
+        });
     }
 
     /// Remove the record for the message starting at `start`, dropping the
@@ -590,7 +614,7 @@ impl MessageManager {
             }
         }
         let mut alert = None;
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             match removed {
                 Some((capacity, ty, refs)) => {
                     san.log(LifecycleOp::Release, start, Some(ty));
@@ -620,7 +644,7 @@ impl MessageManager {
                 }
                 None => san.log(LifecycleOp::Release, start, None),
             }
-        }
+        });
         if let Some((kind, ty)) = alert {
             raise(kind, ty);
         }
@@ -654,7 +678,7 @@ impl MessageManager {
         };
         let live_segments = self.segment_mappings();
         let mut alert = None;
-        if let Some(san) = self.sanitizer.lock().as_mut() {
+        self.sanitize(|san| {
             san.report.leaked_allocated = leaked.len() as u64;
             san.report.leaked_segments = live_segments.len() as u64;
             if let Some(first) = leaked.first() {
@@ -668,7 +692,7 @@ impl MessageManager {
                 san.log(LifecycleOp::Anomaly(AlertKind::LifecycleLeak), base, None);
                 alert = Some("<shm segment>");
             }
-        }
+        });
         if let Some(ty) = alert {
             raise(AlertKind::LifecycleLeak, ty);
         }

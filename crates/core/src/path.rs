@@ -257,7 +257,7 @@ impl MessageSchema {
         };
         let field = self
             .root
-            .fields
+            .fields()
             .iter()
             .find(|f| f.name == *name)
             .ok_or_else(|| PathError::UnknownField {
@@ -271,7 +271,7 @@ impl MessageSchema {
             match (seg, ty) {
                 (PathSegment::Field(name), TypeDesc::Struct(desc)) => {
                     let f = desc
-                        .fields
+                        .fields()
                         .iter()
                         .find(|f| f.name == *name)
                         .ok_or_else(|| PathError::UnknownField {
@@ -315,7 +315,7 @@ impl MessageSchema {
         fn walk(prefix: &str, ty: &TypeDesc, out: &mut Vec<FieldPath>) {
             match ty {
                 TypeDesc::Struct(desc) => {
-                    for f in &desc.fields {
+                    for f in desc.fields() {
                         let p = child_path(prefix, &f.name);
                         out.push(FieldPath::parse(&p).expect("generated path parses"));
                         walk(&p, &f.ty, out);

@@ -115,7 +115,7 @@ fn collect_pairs(
     desc: &StructDesc,
     out: &mut Vec<(String, usize, TypeDesc)>,
 ) {
-    for f in &desc.fields {
+    for f in desc.fields() {
         collect_pairs_ty(&child_path(path, &f.name), at + f.offset, &f.ty, out);
     }
 }
@@ -486,11 +486,11 @@ mod tests {
     }
     impl SfmReflect for Inner {
         fn type_desc() -> TypeDesc {
-            TypeDesc::Struct(StructDesc {
-                name: "test/Inner".into(),
-                size: core::mem::size_of::<Inner>(),
-                align: core::mem::align_of::<Inner>(),
-                fields: vec![
+            TypeDesc::Struct(StructDesc::new(
+                "test/Inner",
+                core::mem::size_of::<Inner>(),
+                core::mem::align_of::<Inner>(),
+                vec![
                     FieldDesc {
                         name: "x".into(),
                         offset: 0,
@@ -502,7 +502,7 @@ mod tests {
                         ty: SfmString::type_desc(),
                     },
                 ],
-            })
+            ))
         }
     }
 
@@ -534,11 +534,11 @@ mod tests {
     }
     impl SfmReflect for Outer {
         fn type_desc() -> TypeDesc {
-            TypeDesc::Struct(StructDesc {
-                name: "test/ProjOuter".into(),
-                size: core::mem::size_of::<Outer>(),
-                align: core::mem::align_of::<Outer>(),
-                fields: vec![
+            TypeDesc::Struct(StructDesc::new(
+                "test/ProjOuter",
+                core::mem::size_of::<Outer>(),
+                core::mem::align_of::<Outer>(),
+                vec![
                     FieldDesc {
                         name: "tag".into(),
                         offset: 0,
@@ -565,7 +565,7 @@ mod tests {
                         ty: SfmVec::<u8>::type_desc(),
                     },
                 ],
-            })
+            ))
         }
     }
 

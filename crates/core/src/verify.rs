@@ -30,6 +30,16 @@
 //! offline (`sfm_verify` binary) as well as on the receive path
 //! (`TransportConfig::validate_on_receive`).
 //!
+//! **Cost.** The verifier runs where de-serialization used to, once per
+//! received frame, so a frame that passes pays for one walk and nothing
+//! else: the schema is walked by reference, claimed regions live in a small
+//! inline list, disjointness is proved as regions arrive in ascending order
+//! (the sort is only for frames whose fields were assigned out of
+//! declaration order), and no path text is built. Diagnostics are *lazy*:
+//! only when that quiet walk finds a violation is the same walk run again
+//! with a recorder that renders paths, which is where every [`VerifyError`]
+//! comes from.
+//!
 //! Schemas come from two independent sources that are cross-checked in
 //! tests: the `ros_message_impls!` generator derives them from the real
 //! Rust layout (`offset_of!`), and `rossf-idl` computes them from the
@@ -89,12 +99,14 @@ impl TypeDesc {
     }
 
     /// `true` if a value of this type can reference content outside its own
-    /// inline bytes (directly or transitively).
+    /// inline bytes (directly or transitively). Decided once per struct
+    /// when its [`StructDesc`] is built, so the verifier's per-field test
+    /// does not recurse.
     pub fn has_indirection(&self) -> bool {
         match self {
             TypeDesc::Prim { .. } => false,
             TypeDesc::Str | TypeDesc::Vec(_) => true,
-            TypeDesc::Struct(s) => s.fields.iter().any(|f| f.ty.has_indirection()),
+            TypeDesc::Struct(s) => s.indirect,
             TypeDesc::Array { elem, .. } => elem.has_indirection(),
         }
     }
@@ -120,8 +132,30 @@ pub struct StructDesc {
     pub size: usize,
     /// `align_of` the skeleton.
     pub align: usize,
+    /// Fields in declaration order. Private: `indirect` is derived from
+    /// them, and the verifier skips structs it says carry no pairs.
+    fields: Vec<FieldDesc>,
+    /// Whether any field (transitively) holds a `{len, offset}` pair.
+    indirect: bool,
+}
+
+impl StructDesc {
+    /// Describe a skeleton struct; `fields` in declaration order.
+    pub fn new(name: impl Into<String>, size: usize, align: usize, fields: Vec<FieldDesc>) -> Self {
+        let indirect = fields.iter().any(|f| f.ty.has_indirection());
+        StructDesc {
+            name: name.into(),
+            size,
+            align,
+            fields,
+            indirect,
+        }
+    }
+
     /// Fields in declaration order.
-    pub fields: Vec<FieldDesc>,
+    pub fn fields(&self) -> &[FieldDesc] {
+        &self.fields
+    }
 }
 
 /// The full verification schema of one message type: its root skeleton plus
@@ -359,31 +393,145 @@ pub struct VerifyReport {
     pub gap_bytes: usize,
 }
 
-/// One proved content region (internal bookkeeping).
+/// One proved content region; `id` is its claim order (the root skeleton
+/// is 0), which is what the path recorder names it by.
+#[derive(Clone, Copy, Default)]
 struct Region {
     start: usize,
     end: usize,
-    path_id: usize,
+    id: usize,
 }
 
-struct Walker<'f> {
+/// Regions kept on the stack; a message with more spills to the heap.
+const INLINE_REGIONS: usize = 32;
+
+/// The claimed regions of one frame, in claim order until sorted.
+struct Regions {
+    inline: [Region; INLINE_REGIONS],
+    spill: Vec<Region>,
+    len: usize,
+}
+
+impl Regions {
+    fn new() -> Self {
+        Regions {
+            inline: [Region::default(); INLINE_REGIONS],
+            spill: Vec::new(),
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, start: usize, end: usize) {
+        let region = Region {
+            start,
+            end,
+            id: self.len,
+        };
+        if self.len < INLINE_REGIONS {
+            self.inline[self.len] = region;
+        } else {
+            if self.len == INLINE_REGIONS {
+                self.spill.reserve(4 * INLINE_REGIONS);
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(region);
+        }
+        self.len += 1;
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Region] {
+        if self.len <= INLINE_REGIONS {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.spill
+        }
+    }
+}
+
+/// How the walk names fields and regions. The success path never needs a
+/// name, so [`verify_frame`] first walks with [`Quiet`] — paths are `()`,
+/// nothing allocates — and only a frame that pass rejects is walked again
+/// with [`Rendered`], which produces the diagnostic text. Both passes run
+/// the same [`Walker`], so they cannot disagree on what is a violation.
+trait PathRecorder {
+    /// The name of the field being walked; the default names the root.
+    type Path: Default;
+    fn child(&self, parent: &Self::Path, name: &str) -> Self::Path;
+    fn index(&self, parent: &Self::Path, index: usize) -> Self::Path;
+    /// `path` owns the region just claimed (claim order = region id).
+    fn claimed(&mut self, path: &Self::Path);
+    /// Diagnostic text of a field path.
+    fn text(&self, path: &Self::Path) -> String;
+    /// Diagnostic text of the owner of region `id`.
+    fn region(&self, id: usize) -> String;
+}
+
+/// Records nothing; every text is the (unallocated) empty string.
+struct Quiet;
+
+impl PathRecorder for Quiet {
+    type Path = ();
+    fn child(&self, _: &(), _: &str) {}
+    fn index(&self, _: &(), _: usize) {}
+    fn claimed(&mut self, _: &()) {}
+    fn text(&self, _: &()) -> String {
+        String::new()
+    }
+    fn region(&self, _: usize) -> String {
+        String::new()
+    }
+}
+
+/// Renders paths through the shared [`crate::path`] helpers, so a printed
+/// diagnostic always parses back as a `FieldPath`.
+struct Rendered {
+    /// Owner path per region id; the root skeleton is region 0.
+    regions: Vec<String>,
+}
+
+impl PathRecorder for Rendered {
+    type Path = String;
+    fn child(&self, parent: &String, name: &str) -> String {
+        crate::path::child_path(parent, name)
+    }
+    fn index(&self, parent: &String, index: usize) -> String {
+        crate::path::index_path(parent, index)
+    }
+    fn claimed(&mut self, path: &String) {
+        self.regions.push(path.clone());
+    }
+    fn text(&self, path: &String) -> String {
+        path.clone()
+    }
+    fn region(&self, id: usize) -> String {
+        self.regions[id].clone()
+    }
+}
+
+struct Walker<'f, P: PathRecorder> {
     frame: &'f [u8],
-    /// Regions proved so far, with an id into `paths`.
-    regions: Vec<Region>,
-    paths: Vec<String>,
+    paths: P,
+    regions: Regions,
+    /// Highest region end claimed so far (the skeleton's to begin with).
+    high_end: usize,
+    /// Every region so far started at or after `high_end` — what
+    /// append-only growth produces when fields are assigned in declaration
+    /// order. While it holds, the regions are disjoint by construction.
+    ascending: bool,
+    covered: usize,
     fields_walked: usize,
 }
 
-impl<'f> Walker<'f> {
+impl<P: PathRecorder> Walker<'_, P> {
     fn read_u32(&self, at: usize) -> u32 {
         // Bounds are guaranteed by the caller (skeleton ranges are checked
         // before descending).
         u32::from_ne_bytes(self.frame[at..at + 4].try_into().expect("4 bytes"))
     }
 
-    fn fail(&self, path: &str, kind: VerifyErrorKind) -> VerifyError {
+    fn fail(&self, path: &P::Path, kind: VerifyErrorKind) -> VerifyError {
         VerifyError {
-            path: path.to_string(),
+            path: self.paths.text(path),
             kind,
         }
     }
@@ -393,7 +541,7 @@ impl<'f> Walker<'f> {
     /// Returns the frame-relative region start.
     fn claim_region(
         &mut self,
-        path: &str,
+        path: &P::Path,
         pair_at: usize,
         off: u32,
         bytes: usize,
@@ -428,17 +576,16 @@ impl<'f> Walker<'f> {
         if align > 1 && !start.is_multiple_of(align) {
             return Err(self.fail(path, VerifyErrorKind::Misaligned { start, align }));
         }
-        self.paths.push(path.to_string());
-        self.regions.push(Region {
-            start,
-            end,
-            path_id: self.paths.len() - 1,
-        });
+        self.paths.claimed(path);
+        self.regions.push(start, end);
+        self.ascending &= start >= self.high_end;
+        self.high_end = self.high_end.max(end);
+        self.covered += bytes;
         Ok(start)
     }
 
     /// Walk one field whose inline bytes start at frame offset `at`.
-    fn walk_field(&mut self, path: &str, at: usize, ty: &TypeDesc) -> Result<(), VerifyError> {
+    fn walk_field(&mut self, path: &P::Path, at: usize, ty: &TypeDesc) -> Result<(), VerifyError> {
         self.fields_walked += 1;
         match ty {
             TypeDesc::Prim { .. } => Ok(()),
@@ -480,36 +627,111 @@ impl<'f> Walker<'f> {
                 // indirection; a byte/float payload is a leaf.
                 if elem.has_indirection() {
                     for i in 0..len as usize {
-                        let elem_path = crate::path::index_path(path, i);
+                        let elem_path = self.paths.index(path, i);
                         self.walk_field(&elem_path, start + i * elem_size, elem)?;
                     }
                 }
                 Ok(())
             }
-            TypeDesc::Struct(desc) => {
-                for field in &desc.fields {
-                    if !field.ty.has_indirection() {
-                        self.fields_walked += 1;
-                        continue;
-                    }
-                    // Built through the shared path helpers so a printed
-                    // diagnostic always parses back as a `FieldPath`.
-                    let field_path = crate::path::child_path(path, &field.name);
-                    self.walk_field(&field_path, at + field.offset, &field.ty)?;
-                }
-                Ok(())
-            }
+            TypeDesc::Struct(desc) => self.walk_struct(path, at, desc),
             TypeDesc::Array { elem, len } => {
                 if elem.has_indirection() {
+                    let elem_size = elem.size();
                     for i in 0..*len {
-                        let elem_path = crate::path::index_path(path, i);
-                        self.walk_field(&elem_path, at + i * elem.size(), elem)?;
+                        let elem_path = self.paths.index(path, i);
+                        self.walk_field(&elem_path, at + i * elem_size, elem)?;
                     }
                 }
                 Ok(())
             }
         }
     }
+
+    /// Walk the fields of a skeleton laid out inline at frame offset `at`.
+    fn walk_struct(
+        &mut self,
+        path: &P::Path,
+        at: usize,
+        desc: &StructDesc,
+    ) -> Result<(), VerifyError> {
+        for field in desc.fields() {
+            if !field.ty.has_indirection() {
+                self.fields_walked += 1;
+                continue;
+            }
+            let field_path = self.paths.child(path, &field.name);
+            self.walk_field(&field_path, at + field.offset, &field.ty)?;
+        }
+        Ok(())
+    }
+
+    /// The first overlapping pair of regions in `(start, end, claim order)`
+    /// order, if any. Regions that arrived ascending are already proved
+    /// disjoint; only out-of-order frames pay for the sort.
+    fn first_overlap(&mut self) -> Option<(Region, Region)> {
+        if self.ascending {
+            return None;
+        }
+        let regions = self.regions.as_mut_slice();
+        regions.sort_unstable_by_key(|r| (r.start, r.end, r.id));
+        regions
+            .windows(2)
+            .find(|pair| pair[1].start < pair[0].end)
+            .map(|pair| (pair[0], pair[1]))
+    }
+}
+
+const WHOLE_MESSAGE: &str = "<whole-message>";
+
+/// One full verification pass over a frame already known to hold the root
+/// skeleton and to respect `max_size`.
+fn walk_frame<P: PathRecorder>(
+    schema: &MessageSchema,
+    frame: &[u8],
+    paths: P,
+) -> Result<VerifyReport, VerifyError> {
+    let mut w = Walker {
+        frame,
+        paths,
+        regions: Regions::new(),
+        high_end: schema.root.size,
+        ascending: true,
+        covered: schema.root.size,
+        // The root itself counts as a walked field.
+        fields_walked: 1,
+    };
+    // The root skeleton occupies [0, size) and counts as the first claimed
+    // region so no content region may overlap it.
+    w.regions.push(0, schema.root.size);
+    w.walk_struct(&P::Path::default(), 0, &schema.root)?;
+
+    // Regions were individually proved in-bounds during the walk.
+    if let Some((a, b)) = w.first_overlap() {
+        return Err(VerifyError {
+            path: w.paths.region(b.id),
+            kind: VerifyErrorKind::Overlap {
+                other: w.paths.region(a.id),
+            },
+        });
+    }
+    // A conforming publisher's whole message ends exactly at the last
+    // appended region (append-only growth), so the frame length must be
+    // reconstructed precisely.
+    if w.high_end != frame.len() {
+        return Err(VerifyError {
+            path: WHOLE_MESSAGE.to_string(),
+            kind: VerifyErrorKind::SizeMismatch {
+                used: w.high_end,
+                frame_len: frame.len(),
+            },
+        });
+    }
+    Ok(VerifyReport {
+        fields_walked: w.fields_walked,
+        regions: w.regions.len - 1,
+        covered_bytes: w.covered,
+        gap_bytes: frame.len() - w.covered,
+    })
 }
 
 /// Verify the structure of one raw frame against `schema`.
@@ -520,15 +742,19 @@ impl<'f> Walker<'f> {
 /// produced. On failure the returned [`VerifyError`] names the failing
 /// field path.
 ///
+/// A frame that passes costs one walk and no heap allocation (the region
+/// list spills to the heap past 32 regions). Diagnostic
+/// paths are rendered lazily: only a frame the quiet walk rejects is walked
+/// a second time to name the field.
+///
 /// # Errors
 ///
 /// Any [`VerifyErrorKind`]; the first violation encountered in declaration
 /// order is reported.
 pub fn verify_frame(schema: &MessageSchema, frame: &[u8]) -> Result<VerifyReport, VerifyError> {
-    let whole = "<whole-message>";
     if frame.len() < schema.root.size {
         return Err(VerifyError {
-            path: whole.to_string(),
+            path: WHOLE_MESSAGE.to_string(),
             kind: VerifyErrorKind::FrameTooSmall {
                 need: schema.root.size,
                 have: frame.len(),
@@ -537,71 +763,23 @@ pub fn verify_frame(schema: &MessageSchema, frame: &[u8]) -> Result<VerifyReport
     }
     if frame.len() > schema.max_size {
         return Err(VerifyError {
-            path: whole.to_string(),
+            path: WHOLE_MESSAGE.to_string(),
             kind: VerifyErrorKind::FrameTooLarge {
                 max_size: schema.max_size,
                 have: frame.len(),
             },
         });
     }
-    let mut w = Walker {
-        frame,
-        regions: Vec::new(),
-        paths: Vec::new(),
-        fields_walked: 0,
-    };
-    // The root skeleton occupies [0, size) and counts as a claimed region
-    // so no content region may overlap it.
-    w.paths.push("<skeleton>".to_string());
-    w.regions.push(Region {
-        start: 0,
-        end: schema.root.size,
-        path_id: 0,
-    });
-    w.walk_field("", 0, &TypeDesc::Struct(schema.root.clone()))?;
-
-    // Disjointness: sort by start and check consecutive pairs. Regions were
-    // individually proved in-bounds during the walk.
-    let mut order: Vec<usize> = (0..w.regions.len()).collect();
-    order.sort_by_key(|&i| (w.regions[i].start, w.regions[i].end));
-    let mut covered = 0usize;
-    let mut max_end = 0usize;
-    for pair in order.windows(2) {
-        let (a, b) = (&w.regions[pair[0]], &w.regions[pair[1]]);
-        if b.start < a.end {
-            return Err(VerifyError {
-                path: w.paths[b.path_id].clone(),
-                kind: VerifyErrorKind::Overlap {
-                    other: w.paths[a.path_id].clone(),
-                },
-            });
-        }
-    }
-    for r in &w.regions {
-        covered += r.end - r.start;
-        max_end = max_end.max(r.end);
-    }
-    // A conforming publisher's whole message ends exactly at the last
-    // appended region (append-only growth), so the frame length must be
-    // reconstructed precisely.
-    if max_end != frame.len() {
-        return Err(VerifyError {
-            path: whole.to_string(),
-            kind: VerifyErrorKind::SizeMismatch {
-                used: max_end,
-                frame_len: frame.len(),
-            },
-        });
-    }
-    Ok(VerifyReport {
-        fields_walked: w.fields_walked,
-        regions: w.regions.len() - 1,
-        covered_bytes: covered,
-        gap_bytes: frame.len() - covered,
+    walk_frame(schema, frame, Quiet).or_else(|_| {
+        let named = Rendered {
+            regions: vec!["<skeleton>".to_string()],
+        };
+        walk_frame(schema, frame, named)
     })
 }
 
-/// Convenience: verify a frame for a reflectable message type.
+/// Convenience: verify a frame for a reflectable message type, against the
+/// type's cached schema when it exports one.
 ///
 /// # Errors
 ///
@@ -609,7 +787,10 @@ pub fn verify_frame(schema: &MessageSchema, frame: &[u8]) -> Result<VerifyReport
 pub fn verify_frame_for<T: SfmMessage + SfmReflect>(
     frame: &[u8],
 ) -> Result<VerifyReport, VerifyError> {
-    verify_frame(&MessageSchema::of::<T>(), frame)
+    match T::schema() {
+        Some(schema) => verify_frame(schema, frame),
+        None => verify_frame(&MessageSchema::of::<T>(), frame),
+    }
 }
 
 #[cfg(test)]
@@ -631,11 +812,11 @@ mod tests {
     }
     impl SfmReflect for Inner {
         fn type_desc() -> TypeDesc {
-            TypeDesc::Struct(StructDesc {
-                name: "test/Inner".into(),
-                size: core::mem::size_of::<Inner>(),
-                align: core::mem::align_of::<Inner>(),
-                fields: vec![
+            TypeDesc::Struct(StructDesc::new(
+                "test/Inner",
+                core::mem::size_of::<Inner>(),
+                core::mem::align_of::<Inner>(),
+                vec![
                     FieldDesc {
                         name: "x".into(),
                         offset: 0,
@@ -647,7 +828,7 @@ mod tests {
                         ty: SfmString::type_desc(),
                     },
                 ],
-            })
+            ))
         }
     }
 
@@ -676,11 +857,11 @@ mod tests {
     }
     impl SfmReflect for Outer {
         fn type_desc() -> TypeDesc {
-            TypeDesc::Struct(StructDesc {
-                name: "test/Outer".into(),
-                size: core::mem::size_of::<Outer>(),
-                align: core::mem::align_of::<Outer>(),
-                fields: vec![
+            TypeDesc::Struct(StructDesc::new(
+                "test/Outer",
+                core::mem::size_of::<Outer>(),
+                core::mem::align_of::<Outer>(),
+                vec![
                     FieldDesc {
                         name: "tag".into(),
                         offset: 0,
@@ -697,7 +878,7 @@ mod tests {
                         ty: SfmVec::<Inner>::type_desc(),
                     },
                 ],
-            })
+            ))
         }
     }
 

@@ -156,12 +156,12 @@ impl<'c> SchemaBuilder<'c> {
             });
             offset += size;
         }
-        Ok(TypeDesc::Struct(StructDesc {
-            name: spec.full_name(),
-            size: align_up(offset, struct_align),
-            align: struct_align,
+        Ok(TypeDesc::Struct(StructDesc::new(
+            spec.full_name(),
+            align_up(offset, struct_align),
+            struct_align,
             fields,
-        }))
+        )))
     }
 
     /// Full verifier schema for `spec` with the given `max_size` (the bound
@@ -210,9 +210,9 @@ mod tests {
         let schema = schema_from_spec(&catalog, &spec, 1024).unwrap();
         assert_eq!(schema.root.size, 24); // 4 + pad4 + 8 + 1 + pad7
         assert_eq!(schema.root.align, 8);
-        assert_eq!(schema.root.fields[0].offset, 0);
-        assert_eq!(schema.root.fields[1].offset, 8);
-        assert_eq!(schema.root.fields[2].offset, 16);
+        assert_eq!(schema.root.fields()[0].offset, 0);
+        assert_eq!(schema.root.fields()[1].offset, 8);
+        assert_eq!(schema.root.fields()[2].offset, 16);
         assert_eq!(schema.max_size, 1024);
     }
 
@@ -226,7 +226,7 @@ mod tests {
         .unwrap();
         let catalog = Catalog::new();
         let schema = schema_from_spec(&catalog, &spec, 4096).unwrap();
-        let f = &schema.root.fields;
+        let f = schema.root.fields();
         assert_eq!(f[0].ty, TypeDesc::Str);
         assert_eq!(
             f[1].ty,
@@ -247,7 +247,7 @@ mod tests {
             .unwrap();
         let spec = parse_msg("t", "Path", "Point[] points\nstring frame\n").unwrap();
         let schema = schema_from_spec(&catalog, &spec, 1 << 16).unwrap();
-        let TypeDesc::Vec(elem) = &schema.root.fields[0].ty else {
+        let TypeDesc::Vec(elem) = &schema.root.fields()[0].ty else {
             panic!("points must be a vec");
         };
         assert_eq!(elem.size(), 16);
@@ -262,11 +262,11 @@ mod tests {
         // Header: seq u32 @0, stamp time @4, frame_id string @12 → 20 bytes.
         b.provide(
             "Header",
-            TypeDesc::Struct(StructDesc {
-                name: "std_msgs/Header".into(),
-                size: 20,
-                align: 4,
-                fields: vec![
+            TypeDesc::Struct(StructDesc::new(
+                "std_msgs/Header",
+                20,
+                4,
+                vec![
                     FieldDesc {
                         name: "seq".into(),
                         offset: 0,
@@ -283,11 +283,11 @@ mod tests {
                         ty: TypeDesc::Str,
                     },
                 ],
-            }),
+            )),
         );
         let schema = b.schema(&spec, 4096).unwrap();
-        assert_eq!(schema.root.fields[0].offset, 0);
-        assert_eq!(schema.root.fields[1].offset, 20);
+        assert_eq!(schema.root.fields()[0].offset, 0);
+        assert_eq!(schema.root.fields()[1].offset, 20);
         assert_eq!(schema.root.size, 24);
     }
 

@@ -254,11 +254,11 @@ macro_rules! ros_message_impls {
                 ) -> ::rossf_sfm::TypeDesc {
                     T::type_desc()
                 }
-                ::rossf_sfm::TypeDesc::Struct(::rossf_sfm::StructDesc {
-                    name: $type_name.to_string(),
-                    size: ::core::mem::size_of::<$sfm>(),
-                    align: ::core::mem::align_of::<$sfm>(),
-                    fields: vec![
+                ::rossf_sfm::TypeDesc::Struct(::rossf_sfm::StructDesc::new(
+                    $type_name,
+                    ::core::mem::size_of::<$sfm>(),
+                    ::core::mem::align_of::<$sfm>(),
+                    vec![
                         $(
                             ::rossf_sfm::FieldDesc {
                                 name: stringify!($field).to_string(),
@@ -267,7 +267,7 @@ macro_rules! ros_message_impls {
                             },
                         )*
                     ],
-                })
+                ))
             }
         }
 

@@ -99,7 +99,7 @@ fn point_cloud2_schemas_agree_including_nested_vecmsg() {
     // The fields vector must carry the full PointField element skeleton.
     let fields = from_macro
         .root
-        .fields
+        .fields()
         .iter()
         .find(|f| f.name == "fields")
         .unwrap();

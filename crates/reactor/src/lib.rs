@@ -13,8 +13,14 @@
 //! * **a fixed job pool** ([`JobPool`]) absorbs the blocking edges —
 //!   connects, connection-header handshakes, supervision steps — so the
 //!   reactor thread itself never blocks on anything but the poll;
-//! * **cross-thread wakeups** go through a single eventfd: enqueuing work
-//!   for a link from any thread is [`Reactor::notify`] + one counter bump;
+//! * **cross-thread wakeups** go through a single eventfd, watched
+//!   edge-triggered: enqueuing work for a link from any thread is
+//!   [`Reactor::notify`] — a push onto the pending list, plus one counter
+//!   bump *only when the loop is (about to be) blocked*. The loop announces
+//!   a block through a [`WakeGate`], re-checks both queues, and only then
+//!   waits; producers that queue while it is busy pay no syscall, and
+//!   nothing ever reads the counter (the kernel's edge clears the
+//!   wake-up). The handshake is model-checked in `tests/model.rs`;
 //! * **timers** (pacing, fault delays, reconnect backoff) ride the poll
 //!   timeout with sub-millisecond precision, so netsim's 50 µs propagation
 //!   delays stay accurate without sleeping the loop;
@@ -34,12 +40,15 @@
 #![deny(missing_docs)]
 
 mod pool;
+mod sync;
 pub mod sys;
+mod wake;
 
 pub use pool::JobPool;
+pub use wake::WakeGate;
 
 use parking_lot::Mutex;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -174,8 +183,13 @@ enum Cmd {
 
 struct Shared {
     cmds: Mutex<Vec<Cmd>>,
-    notifies: Mutex<HashSet<u64>>,
+    /// Tokens with a pending [`Event::Notify`], in arrival order. May hold
+    /// duplicates; the loop de-duplicates the batch it takes.
+    notifies: Mutex<Vec<u64>>,
     waker: Option<sys::WakeFd>,
+    /// Whether a producer has to bump `waker` (unused without one: the
+    /// tick fallback looks at the queues every tick).
+    gate: WakeGate,
     next_token: AtomicU64,
     live: AtomicUsize,
 }
@@ -208,7 +222,7 @@ impl Reactor {
     pub fn new(name: &str) -> Reactor {
         let setup = match (sys::Poller::new(), sys::WakeFd::new()) {
             (Ok(poller), Ok(waker)) => {
-                if poller.add(waker.raw_fd(), WAKE_TOKEN, true, false).is_ok() {
+                if poller.add_wake(&waker, WAKE_TOKEN).is_ok() {
                     Some((poller, waker))
                 } else {
                     None
@@ -222,8 +236,9 @@ impl Reactor {
         };
         let shared = Arc::new(Shared {
             cmds: Mutex::new(Vec::new()),
-            notifies: Mutex::new(HashSet::new()),
+            notifies: Mutex::new(Vec::new()),
             waker,
+            gate: WakeGate::new(),
             next_token: AtomicU64::new(WAKE_TOKEN + 1),
             live: AtomicUsize::new(0),
         });
@@ -277,15 +292,14 @@ impl Reactor {
     /// Deliver [`Event::Notify`] to `token` on the loop thread. Cheap and
     /// coalescing: notifies for the same token merge until dispatched.
     pub fn notify(&self, token: Token) {
-        let wake = {
-            let mut set = self.shared.notifies.lock();
-            let was_empty = set.is_empty();
-            set.insert(token.0);
-            was_empty
-        };
-        if wake {
-            self.wake();
+        {
+            let mut pending = self.shared.notifies.lock();
+            // A burst for one link merges here; the loop merges the rest.
+            if pending.last() != Some(&token.0) {
+                pending.push(token.0);
+            }
         }
+        self.wake();
     }
 
     /// Run `cb` on the loop thread after `after`. `cb` must be brief — it
@@ -316,9 +330,12 @@ impl Reactor {
         self.wake();
     }
 
+    /// Called after queuing work: wake the loop if it is blocked.
     fn wake(&self) {
         if let Some(w) = &self.shared.waker {
-            w.wake();
+            if self.shared.gate.claim_wake() {
+                w.wake();
+            }
         }
         // Fallback mode: the tick loop observes the queues within one
         // tick; no wakeup channel needed.
@@ -346,9 +363,9 @@ impl LoopState {
         token: u64,
         event: Event,
     ) {
-        // Take the slot out so the handler can re-enter the reactor
-        // handle (notify, timers) without aliasing the map.
-        let Some(mut slot) = self.handlers.remove(&token) else {
+        // The handler runs in its slot: it can reach the loop only through
+        // the reactor handle, whose operations are queued, never the map.
+        let Some(slot) = self.handlers.get_mut(&token) else {
             return;
         };
         let mut ctl = Ctl {
@@ -359,31 +376,40 @@ impl LoopState {
             timers: Vec::new(),
         };
         slot.handler.on_event(event, &mut ctl);
-        let now = Instant::now();
-        for after in ctl.timers.drain(..) {
-            self.timer_seq += 1;
-            self.timers.push(TimerSlot {
-                deadline: now + after,
-                seq: self.timer_seq,
-                target: TimerTarget::Token(Token(token)),
-            });
+        let Ctl {
+            close,
+            interest,
+            timers,
+            ..
+        } = ctl;
+        if !timers.is_empty() {
+            let now = Instant::now();
+            for after in timers {
+                self.timer_seq += 1;
+                self.timers.push(TimerSlot {
+                    deadline: now + after,
+                    seq: self.timer_seq,
+                    target: TimerTarget::Token(Token(token)),
+                });
+            }
         }
-        if ctl.close {
+        if close {
             if let Some(p) = poller {
                 let _ = p.remove(slot.fd);
             }
+            // Dropping the slot closes the socket.
+            self.handlers.remove(&token);
             // Relaxed: diagnostic counter.
             reactor.shared.live.fetch_sub(1, Ordering::Relaxed);
-            return; // dropping the slot closes the socket
+            return;
         }
-        if let Some((r, w)) = ctl.interest {
+        if let Some((r, w)) = interest {
             if let Some(p) = poller {
                 let _ = p.modify(slot.fd, token, r, w);
             }
             slot.readable = r;
             slot.writable = w;
         }
-        self.handlers.insert(token, slot);
     }
 }
 
@@ -394,11 +420,15 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
         timers: BinaryHeap::new(),
         timer_seq: 0,
     };
+    // Loop-side buffers, swapped against the shared queues so neither side
+    // allocates in steady state.
     let mut events: Vec<sys::PollEvent> = Vec::new();
+    let mut cmds: Vec<Cmd> = Vec::new();
+    let mut pending: Vec<u64> = Vec::new();
     loop {
         // 1. Apply externally queued commands, in order.
-        let cmds = std::mem::take(&mut *shared.cmds.lock());
-        for cmd in cmds {
+        std::mem::swap(&mut *shared.cmds.lock(), &mut cmds);
+        for cmd in cmds.drain(..) {
             match cmd {
                 Cmd::Register {
                     token,
@@ -471,21 +501,25 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
             }
         }
 
-        // 2. Coalesced cross-thread notifies.
-        let pending = std::mem::take(&mut *shared.notifies.lock());
-        for token in pending {
+        // 2. Cross-thread notifies, one dispatch per token.
+        std::mem::swap(&mut *shared.notifies.lock(), &mut pending);
+        pending.sort_unstable();
+        pending.dedup();
+        for token in pending.drain(..) {
             state.dispatch(&reactor, poller.as_ref(), token, Event::Notify);
         }
 
         // 3. Due timers.
-        let now = Instant::now();
-        while state.timers.peek().is_some_and(|t| t.deadline <= now) {
-            let slot = state.timers.pop().expect("peeked");
-            match slot.target {
-                TimerTarget::Token(tok) => {
-                    state.dispatch(&reactor, poller.as_ref(), tok.0, Event::Timer)
+        if !state.timers.is_empty() {
+            let now = Instant::now();
+            while state.timers.peek().is_some_and(|t| t.deadline <= now) {
+                let slot = state.timers.pop().expect("peeked");
+                match slot.target {
+                    TimerTarget::Token(tok) => {
+                        state.dispatch(&reactor, poller.as_ref(), tok.0, Event::Timer)
+                    }
+                    TimerTarget::Callback(cb) => cb(&reactor),
                 }
-                TimerTarget::Callback(cb) => cb(&reactor),
             }
         }
 
@@ -496,14 +530,23 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
             .map(|t| t.deadline.saturating_duration_since(Instant::now()));
         match &poller {
             Some(p) => {
+                // Work queued by a handler above (or by a producer that saw
+                // the loop awake and skipped the wake-up) must not wait out
+                // the block: announce it, look again, and only poll if so.
+                let idle = shared.gate.may_block(|| {
+                    !shared.cmds.lock().is_empty() || !shared.notifies.lock().is_empty()
+                });
+                let timeout = if idle { timeout } else { Some(Duration::ZERO) };
                 if p.wait(&mut events, timeout).is_err() {
                     events.clear();
                 }
-                for ev in std::mem::take(&mut events) {
+                if idle {
+                    shared.gate.woke();
+                }
+                for &ev in &events {
+                    // The wake-up's whole job was to end the wait; its
+                    // edge cleared by being reported.
                     if ev.token == WAKE_TOKEN {
-                        if let Some(w) = &shared.waker {
-                            w.drain();
-                        }
                         continue;
                     }
                     if ev.readable {

@@ -6,8 +6,10 @@
 //! sizing data-socket buffers — are issued directly with inline assembly
 //! on x86-64 Linux, in the same style as `crates/shm/src/sys.rs`. Everything that *can* go through `std` does:
 //! both descriptors are immediately wrapped in [`std::fs::File`] so close
-//! comes from the standard library, and the eventfd counter is written and
-//! drained with ordinary `Read`/`Write` calls.
+//! comes from the standard library, and the eventfd counter is bumped with
+//! an ordinary `Write` call. Nothing ever reads it: the counter is watched
+//! edge-triggered ([`Poller::add_wake`]), so the kernel reports each bump
+//! once and there is no level to clear.
 //!
 //! Sub-millisecond waits matter here: netsim pacing charges 50 µs
 //! propagation delays through reactor timers, so [`Poller::wait`] prefers
@@ -67,7 +69,34 @@ impl Poller {
     ///
     /// The raw `errno` from the kernel (`EEXIST` if already added).
     pub fn add(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        imp::ctl(&self.file, imp::OP_ADD, fd, token, readable, writable)
+        imp::ctl(
+            &self.file,
+            imp::OP_ADD,
+            fd,
+            token,
+            readable,
+            writable,
+            false,
+        )
+    }
+
+    /// Start watching `wake` under `token`, edge-triggered: every
+    /// [`WakeFd::wake`] since the last report makes one readable event,
+    /// and the event clears by being reported — no `read` of the counter.
+    ///
+    /// # Errors
+    ///
+    /// The raw `errno` from the kernel.
+    pub fn add_wake(&self, wake: &WakeFd, token: u64) -> io::Result<()> {
+        imp::ctl(
+            &self.file,
+            imp::OP_ADD,
+            wake.raw_fd(),
+            token,
+            true,
+            false,
+            true,
+        )
     }
 
     /// Change the interest set of an already-watched `fd`.
@@ -76,7 +105,15 @@ impl Poller {
     ///
     /// The raw `errno` from the kernel (`ENOENT` if never added).
     pub fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        imp::ctl(&self.file, imp::OP_MOD, fd, token, readable, writable)
+        imp::ctl(
+            &self.file,
+            imp::OP_MOD,
+            fd,
+            token,
+            readable,
+            writable,
+            false,
+        )
     }
 
     /// Stop watching `fd`. Must be called while `fd` is still open.
@@ -85,7 +122,7 @@ impl Poller {
     ///
     /// The raw `errno` from the kernel.
     pub fn remove(&self, fd: RawFd) -> io::Result<()> {
-        imp::ctl(&self.file, imp::OP_DEL, fd, 0, false, false)
+        imp::ctl(&self.file, imp::OP_DEL, fd, 0, false, false, false)
     }
 
     /// Block until at least one watched descriptor is ready or `timeout`
@@ -139,26 +176,17 @@ impl WakeFd {
         })
     }
 
-    /// The descriptor to register with a [`Poller`].
-    pub fn raw_fd(&self) -> RawFd {
+    fn raw_fd(&self) -> RawFd {
         use std::os::fd::AsRawFd;
         self.file.as_raw_fd()
     }
 
     /// Bump the counter, waking the poller. Infallible from the caller's
-    /// view: a saturated counter already guarantees a pending wakeup.
+    /// view: the only failure is a counter within one of `u64::MAX`, which
+    /// takes more bumps than a process can issue.
     pub fn wake(&self) {
         use std::io::Write;
         let _ = (&self.file).write(&1u64.to_ne_bytes());
-    }
-
-    /// Reset the counter so the next [`WakeFd::wake`] is level-visible
-    /// again. Called by the reactor thread after each wakeup.
-    pub fn drain(&self) {
-        use std::io::Read;
-        let mut buf = [0u8; 8];
-        // Nonblocking: one read empties the whole counter.
-        let _ = (&self.file).read(&mut buf);
     }
 }
 
@@ -196,6 +224,7 @@ mod imp {
     const EV_ERR: u32 = 0x8;
     const EV_HUP: u32 = 0x10;
     const EV_RDHUP: u32 = 0x2000;
+    const EV_EDGE: u32 = 1 << 31; // EPOLLET
 
     /// The kernel's epoll_event layout — packed on x86-64.
     #[repr(C, packed)]
@@ -267,10 +296,14 @@ mod imp {
         token: u64,
         readable: bool,
         writable: bool,
+        edge: bool,
     ) -> io::Result<()> {
         // Peer half-close (RDHUP) is requested alongside read interest so
         // a write-only link still learns its peer died without polling.
         let mut events = EV_RDHUP;
+        if edge {
+            events |= EV_EDGE;
+        }
         if readable {
             events |= EV_IN;
         }
@@ -433,6 +466,7 @@ mod imp {
         _token: u64,
         _readable: bool,
         _writable: bool,
+        _edge: bool,
     ) -> io::Result<()> {
         Err(unsupported())
     }
@@ -547,24 +581,32 @@ mod tests {
         // contract under test.
     }
 
+    /// The edge-triggered contract the loop relies on: a wake-up is
+    /// reported once and goes quiet without anyone reading the counter,
+    /// and a later wake-up — the counter still nonzero — is reported again.
     #[test]
-    fn wake_fd_unblocks_wait_and_drains() {
+    fn wake_fd_edges_are_each_reported_once_without_a_read() {
         if !supported() {
             return;
         }
         let p = Poller::new().unwrap();
         let wake = WakeFd::new().unwrap();
-        p.add(wake.raw_fd(), 0, true, false).unwrap();
-
-        wake.wake();
-        wake.wake(); // counter saturates into one readable event
+        p.add_wake(&wake, 0).unwrap();
         let mut events = Vec::new();
-        p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
-        assert!(events.iter().any(|e| e.token == 0 && e.readable));
-
-        wake.drain();
-        p.wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert!(events.is_empty(), "drained wake must go quiet: {events:?}");
+        for round in 0..2 {
+            wake.wake();
+            wake.wake(); // bumps before the report merge into one event
+            p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+            assert!(
+                events.iter().any(|e| e.token == 0 && e.readable),
+                "round {round}: wake-up not reported: {events:?}"
+            );
+            p.wait(&mut events, Some(Duration::from_millis(10)))
+                .unwrap();
+            assert!(
+                events.is_empty(),
+                "round {round}: a reported edge must go quiet: {events:?}"
+            );
+        }
     }
 }

@@ -265,16 +265,48 @@ struct Pending {
 /// each, so one small constant serves every segment).
 static PAD_ZEROS: [u8; 8] = [0; 8];
 
+/// Slices offered to one vectored write: two per unprojected frame (prefix,
+/// payload) for a full batch. A flush with more to say — projected frames
+/// carry two more per content segment — offers what fits; the byte count
+/// the write returns is all `flush_writeq` accounts by, so the rest simply
+/// goes out with the next call.
+const WRITE_SLICES: usize = 2 * WRITE_BATCH;
+
+/// A fixed, stack-held list of wire slices.
+struct WireSlices<'a> {
+    slices: [IoSlice<'a>; WRITE_SLICES],
+    len: usize,
+}
+
+impl<'a> WireSlices<'a> {
+    fn new() -> Self {
+        WireSlices {
+            slices: [IoSlice::new(&[]); WRITE_SLICES],
+            len: 0,
+        }
+    }
+
+    fn is_full(&self) -> bool {
+        self.len == WRITE_SLICES
+    }
+
+    fn as_slice(&self) -> &[IoSlice<'a>] {
+        &self.slices[..self.len]
+    }
+}
+
 /// Append `p`'s wire slices — length prefix, then payload: the whole frame,
 /// or for a projected link the patched skeleton followed by each selected
 /// content segment behind its alignment pad — skipping the first `skip`
-/// bytes (already on the wire from a previous partial write).
-fn push_wire_slices<'a>(slices: &mut Vec<IoSlice<'a>>, p: &'a Pending, mut skip: usize) {
+/// bytes (already on the wire from a previous partial write) and stopping
+/// when `out` is full.
+fn push_wire_slices<'a>(out: &mut WireSlices<'a>, p: &'a Pending, mut skip: usize) {
     let mut emit = |bytes: &'a [u8]| {
         if skip >= bytes.len() {
             skip -= bytes.len();
-        } else {
-            slices.push(IoSlice::new(&bytes[skip..]));
+        } else if !out.is_full() {
+            out.slices[out.len] = IoSlice::new(&bytes[skip..]);
+            out.len += 1;
             skip = 0;
         }
     };
@@ -522,12 +554,15 @@ impl TcpWriter {
     fn flush_writeq(&mut self) -> Flush {
         while !self.writeq.is_empty() {
             let wrote = {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.writeq.len() * 2);
+                let mut slices = WireSlices::new();
                 for (i, p) in self.writeq.iter().enumerate() {
+                    if slices.is_full() {
+                        break;
+                    }
                     let skip = if i == 0 { self.head_written } else { 0 };
                     push_wire_slices(&mut slices, p, skip);
                 }
-                self.stream.write_vectored(&slices)
+                self.stream.write_vectored(slices.as_slice())
             };
             match wrote {
                 Ok(0) => return Flush::Dead,

@@ -285,6 +285,7 @@ impl<D: Decode> Supervision<D> {
             rbuf: vec![0u8; READ_BUF].into_boxed_slice(),
             rpos: 0,
             rlen: 0,
+            drained: false,
         };
         runtime()
             .reactor
@@ -801,6 +802,11 @@ struct TcpReader<D: Decode> {
     rbuf: Box<[u8]>,
     rpos: usize,
     rlen: usize,
+    /// The last `read` returned fewer bytes than it was offered, so the
+    /// socket is empty until the next readiness event says otherwise
+    /// (sockets are watched level-triggered: bytes — or EOF — that arrive
+    /// after the short read raise a new event). Cleared by every dispatch.
+    drained: bool,
 }
 
 impl<D: Decode> Handler for TcpReader<D> {
@@ -814,6 +820,7 @@ impl<D: Decode> Handler for TcpReader<D> {
             ctl.close();
             return;
         };
+        self.drained = false;
         let mut delivered = 0usize;
         loop {
             // Relaxed: standalone exit flag, polled — a stale read only
@@ -869,10 +876,14 @@ impl<D: Decode> TcpReader<D> {
                 _ => {}
             }
             if self.rpos == self.rlen {
+                if self.drained {
+                    return Ok(Progress::NeedSocket);
+                }
                 // Large body remainders bypass the coalescing buffer: read
                 // straight into the slot, no intermediate copy.
                 if let ReadState::Body { slot, len, filled } = &mut self.state {
                     if *len - *filled >= self.rbuf.len() {
+                        let want = *len - *filled;
                         match self.stream.read(&mut slot.as_mut_slice()[*filled..*len]) {
                             Ok(0) => {
                                 // EOF inside a frame: truncation.
@@ -882,6 +893,7 @@ impl<D: Decode> TcpReader<D> {
                             }
                             Ok(n) => {
                                 *filled += n;
+                                self.drained = n < want;
                                 continue;
                             }
                             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -906,6 +918,7 @@ impl<D: Decode> TcpReader<D> {
                     Ok(n) => {
                         self.rpos = 0;
                         self.rlen = n;
+                        self.drained = n < self.rbuf.len();
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         return Ok(Progress::NeedSocket)

@@ -252,3 +252,59 @@ fn publisher_death_mid_stream_ends_cleanly() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(seen.load(Ordering::SeqCst), 1);
 }
+
+/// The reader treats a `read` that came back short as "socket drained" and
+/// waits for the next readiness event instead of probing for `EAGAIN`. So:
+/// a frame cut at *every* byte boundary (inside the length prefix, between
+/// prefix and body, inside the body) must still be delivered exactly once
+/// when its second half raises that event, and a peer that closes right
+/// after such a short write must still be seen closing — EOF is its own
+/// event, not something the skipped probe would have had to find.
+#[test]
+fn dribbled_frames_and_a_close_after_a_short_write() {
+    let master = Master::new();
+    let nh = NodeHandle::new(&master, "victim5");
+    let raw = RawPublisher::register(&master, "fault/dribble", Payload::type_name());
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let sub = nh.subscribe("fault/dribble", 8, move |m: SfmShared<Payload>| {
+        tx.send(m.seq).unwrap();
+    });
+    let mut stream = raw.accept(Payload::type_name());
+    stream.set_nodelay(true).unwrap();
+
+    let unit_len = 4 + valid_frame(0).len();
+    let mut sent = Vec::new();
+    for cut in 1..unit_len {
+        let seq = cut as u32;
+        let mut unit = Vec::with_capacity(unit_len);
+        write_frame(&mut unit, &valid_frame(seq)).unwrap();
+        stream.write_all(&unit[..cut]).unwrap();
+        // Long enough for the reader to consume the first part and go back
+        // to waiting; if the parts merge anyway the frame is still owed.
+        std::thread::sleep(Duration::from_micros(300));
+        stream.write_all(&unit[cut..]).unwrap();
+        sent.push(seq);
+    }
+    // One last whole frame — a short read for the reader's buffer — and
+    // the peer is gone before the reader can have looked again.
+    write_frame(&mut stream, &valid_frame(0)).unwrap();
+    sent.push(0);
+    drop(stream);
+
+    let got: Vec<u32> = sent
+        .iter()
+        .map(|_| {
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("frame lost")
+        })
+        .collect();
+    assert_eq!(got, sent, "every frame exactly once, in order");
+    // EOF observed: the link concluded and its supervision came back for
+    // a new connection (the listener is still registered).
+    let _again = raw.accept(Payload::type_name());
+    wait_until("reconnect after EOF", || sub.reconnects() == 1);
+    assert!(rx.try_recv().is_err(), "a frame was delivered twice");
+    assert_eq!(sub.received(), sent.len() as u64);
+    assert_eq!(sub.decode_errors(), 0);
+}

@@ -15,6 +15,9 @@ cargo run -q --release -p rossf-bench --bin sfm_verify -- --self-test
 echo "==> frame-corruption harness"
 cargo test -q -p rossf-msg --test verify_corruption
 
+echo "==> verifier allocation count (0 allocations per valid frame, diagnostics unchanged)"
+cargo test -q -p rossf-msg --test verify_alloc
+
 echo "==> same-machine fast-path suite"
 cargo test -q -p rossf-ros --test fastpath
 
@@ -74,6 +77,10 @@ cargo run -q --release -p rossf-model --bin rossf-model -- --self-test
 echo "==> model-checked shm interleaving suite (ring, two-phase publish, refcounts, epochs)"
 RUSTFLAGS="--cfg rossf_model" CARGO_TARGET_DIR=target/model \
     cargo test -q -p rossf-shm --test model
+
+echo "==> model-checked reactor wake handshake (two producers + the loop; the dropped re-check is caught)"
+RUSTFLAGS="--cfg rossf_model" CARGO_TARGET_DIR=target/model \
+    cargo test -q -p rossf-reactor --test model
 
 echo "==> cargo doc -p rossf-trace -p rossf-model -p rossf-lint (warning-clean)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q -p rossf-trace -p rossf-model -p rossf-lint --no-deps
