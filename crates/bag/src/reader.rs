@@ -346,7 +346,7 @@ impl BagReader {
 
     /// All frames of the bag merged into file order, as
     /// `(connection id, entry)` pairs. File order equals capture order for
-    /// a single recorder, which is what the compat `Bag` API exposes.
+    /// a single recorder.
     pub fn frames_in_order(&self) -> Vec<(u32, IndexEntry)> {
         let mut all: Vec<(u32, IndexEntry)> = self
             .index

@@ -1,18 +1,16 @@
 //! File-mapping surface of the bag crate.
 //!
-//! Per the workspace lint policy (`rossf-lint`), every mmap/munmap call and
-//! every `unsafe` block in `rossf-bag` lives in this module. The rest of the
-//! crate sees only [`BagMap`]: an immutable, 8-byte-aligned view of a bag
-//! file's bytes that stays valid for the lifetime of the value.
+//! Every mmap/munmap call and every `unsafe` block in `rossf-bag` lives in
+//! this module. The rest of the crate sees only [`BagMap`]: an immutable,
+//! 8-byte-aligned view of a bag file's bytes that stays valid for the
+//! lifetime of the value.
 //!
-//! On Linux the view is a read-only shared mapping (via
-//! `rossf_shm::sys::mmap_shared`), so replay adopts frames straight out of
-//! the page cache with no payload copy. Where mapping is unavailable (other
-//! platforms, exotic filesystems) the view falls back to an aligned heap
-//! buffer filled by a single bulk read — same API, one copy at open time.
+//! A file's view is a read-only shared mapping (`rossf_sys::mmap_shared`),
+//! so replay adopts frames straight out of the page cache with no payload
+//! copy; a file that cannot be mapped fails to open. Bytes already in
+//! memory ([`BagMap::from_bytes`]) get an aligned heap copy.
 
 use std::fs::File;
-use std::io::Read;
 use std::path::Path;
 
 use rossf_sfm::{SfmAlloc, SFM_ALLOC_ALIGN};
@@ -20,8 +18,8 @@ use std::sync::Arc;
 
 /// An immutable view of a whole bag file, aligned to [`SFM_ALLOC_ALIGN`].
 ///
-/// The base pointer is page-aligned when memory-mapped and 8-byte aligned in
-/// the heap fallback; either satisfies the alignment contract of
+/// The base pointer is page-aligned when memory-mapped and 8-byte aligned
+/// when heap-backed; either satisfies the alignment contract of
 /// [`SfmAlloc::from_extern`], and the format guarantees every payload offset
 /// is a multiple of 8 — so `base + payload_offset` is always adoptable.
 pub struct BagMap {
@@ -35,7 +33,8 @@ enum Backing {
     /// unmapped on drop. The `File` can be dropped once mapped, but keeping
     /// it makes the ownership story obvious.
     Mapped { map_len: usize, _file: File },
-    /// Heap fallback: the buffer owns the bytes; `ptr` points into it.
+    /// In-memory bytes (and the empty file, which cannot be mapped): the
+    /// buffer owns the bytes; `ptr` points into it.
     Heap {
         /// Never read back, but must stay alive while `ptr` is in use.
         _buf: Vec<u64>,
@@ -50,9 +49,13 @@ unsafe impl Send for BagMap {}
 unsafe impl Sync for BagMap {}
 
 impl BagMap {
-    /// Map (or, failing that, read) the file at `path`.
+    /// Map the file at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Opening or sizing the file, or the `mmap` itself.
     pub fn open(path: &Path) -> std::io::Result<BagMap> {
-        let mut file = File::open(path)?;
+        let file = File::open(path)?;
         let len = file.metadata()?.len();
         if len > usize::MAX as u64 {
             return Err(std::io::Error::new(
@@ -61,30 +64,20 @@ impl BagMap {
             ));
         }
         let len = len as usize;
-        if rossf_shm::sys::supported() && len > 0 {
-            let map_len = rossf_shm::sys::page_round(len);
-            if let Ok(ptr) = rossf_shm::sys::mmap_shared(&file, map_len, false) {
-                return Ok(BagMap {
-                    ptr,
-                    len,
-                    backing: Backing::Mapped {
-                        map_len,
-                        _file: file,
-                    },
-                });
-            }
+        if len == 0 {
+            // A zero-length mapping is an `EINVAL`; the reader reports the
+            // empty file as truncated from the empty view.
+            return Ok(BagMap::from_bytes(&[]));
         }
-        // Fallback: bulk-read into an 8-byte-aligned heap buffer.
-        let mut buf = vec![0u64; len.div_ceil(8)];
-        // SAFETY: `buf` owns `buf.len() * 8 >= len` initialized bytes; the
-        // u64 allocation guarantees 8-byte alignment for the byte view.
-        let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) };
-        file.read_exact(bytes)?;
-        let ptr = buf.as_mut_ptr() as *mut u8;
+        let map_len = rossf_sys::page_round(len);
+        let ptr = rossf_sys::mmap_shared(&file, map_len, false)?;
         Ok(BagMap {
             ptr,
             len,
-            backing: Backing::Heap { _buf: buf },
+            backing: Backing::Mapped {
+                map_len,
+                _file: file,
+            },
         })
     }
 
@@ -128,7 +121,7 @@ impl BagMap {
         (self.ptr as usize, self.ptr as usize + self.len)
     }
 
-    /// True when the view is a real file mapping (not the heap fallback).
+    /// True when the view is a file mapping (not in-memory bytes).
     pub fn is_mapped(&self) -> bool {
         matches!(self.backing, Backing::Mapped { .. })
     }
@@ -163,7 +156,7 @@ impl Drop for BagMap {
         if let Backing::Mapped { map_len, .. } = &self.backing {
             // SAFETY: `ptr` is the address returned by mmap_shared for
             // `map_len` bytes and is unmapped exactly once, here.
-            unsafe { rossf_shm::sys::munmap(self.ptr, *map_len) };
+            unsafe { rossf_sys::munmap(self.ptr, *map_len) };
         }
     }
 }
@@ -186,6 +179,7 @@ mod tests {
         let path = std::env::temp_dir().join(format!("rossf_bagmap_{}.bin", std::process::id()));
         std::fs::write(&path, [7u8; 4096 + 13]).unwrap();
         let map = BagMap::open(&path).unwrap();
+        assert!(map.is_mapped());
         assert_eq!(map.len(), 4096 + 13);
         assert!(map.as_slice().iter().all(|&b| b == 7));
         drop(map);

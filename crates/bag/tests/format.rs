@@ -62,6 +62,17 @@ fn roundtrip_with_footer_index() {
 }
 
 #[test]
+fn empty_bag_roundtrips() {
+    let (summary, bytes) = BagWriter::new(Vec::new()).unwrap().finish().unwrap();
+    assert_eq!((summary.frames, summary.connections), (0, 0));
+    assert!(bytes.starts_with(rossf_bag::format::MAGIC));
+    let r = BagReader::from_bytes_strict(&bytes).unwrap();
+    assert_eq!(r.frame_count(), 0);
+    assert!(r.connections().is_empty());
+    assert!(r.frames_in_order().is_empty());
+}
+
+#[test]
 fn footerless_bag_recovers_complete_prefix() {
     let (bytes, body_len) = sample_bag();
     // Simulate a crash before finish(): the footer never hit the disk.

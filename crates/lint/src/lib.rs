@@ -8,10 +8,9 @@
 //!   doc section) explaining why the invariants hold;
 //! - every `Ordering::SeqCst` carries a `// ORDER:` note justifying the
 //!   strongest ordering (weaker orderings are assumed deliberate);
-//! - raw syscalls / inline asm stay confined to the audited sys modules
-//!   (`crates/shm/src/sys.rs`, `crates/reactor/src/sys.rs`), and the
-//!   epoll/eventfd surface specifically never leaks outside them — every
-//!   other module goes through the reactor's `Poller`/`WakeFd` wrappers;
+//! - raw syscalls / inline asm stay confined to the audited syscall crate
+//!   (`crates/sys/src/`) — every other module goes through `rossf_sys`'s
+//!   safe wrappers;
 //! - no `.unwrap()` / `.expect(` inside `impl Drop` bodies (a panic in a
 //!   drop during unwinding aborts the process);
 //! - threads are spawned only by the listed owners (reactor loop and

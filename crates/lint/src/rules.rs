@@ -21,13 +21,10 @@ pub enum Rule {
     /// An `Ordering::SeqCst` use without a `// ORDER:` justification in
     /// the same places the SAFETY rule accepts.
     SeqCstNeedsOrder,
-    /// A raw syscall surface (`asm!`, `std::arch::asm`) — or an
-    /// epoll/eventfd identifier — outside the audited syscall modules
-    /// (`crates/shm/src/sys.rs`, `crates/reactor/src/sys.rs`,
-    /// `crates/bag/src/sys.rs`). Inside `crates/bag/` the rule also
-    /// confines the file-mapping surface (`mmap`/`munmap`/`memfd`) to
-    /// the bag's own `sys.rs` — the rest of the crate sees only
-    /// `BagMap`.
+    /// A raw syscall surface (`asm!`, `std::arch::asm`) outside the
+    /// audited syscall crate (`crates/sys/src/`). The workspace has no
+    /// libc binding, so inline assembly is the only way its code can issue
+    /// a syscall `std` does not wrap: confining it confines them all.
     SyscallOutsideSys,
     /// `.unwrap()` / `.expect(` inside an `impl Drop` — a panic in drop
     /// during unwinding aborts the whole process.
@@ -76,17 +73,13 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The modules allowed to touch raw syscalls directly. Everything else
+/// The sources allowed to touch raw syscalls directly. Everything else
 /// goes through their safe wrappers.
-const SYS_MODULES: [&str; 3] = [
-    "crates/shm/src/sys.rs",
-    "crates/reactor/src/sys.rs",
-    "crates/bag/src/sys.rs",
-];
+const SYS_MODULES: [&str; 1] = ["crates/sys/src/"];
 
-/// Whether `path` labels one of the audited sys modules.
+/// Whether `path` labels a source of the audited sys crate.
 fn is_sys_module(path: &str) -> bool {
-    SYS_MODULES.iter().any(|m| path.ends_with(m)) || path == "sys.rs"
+    SYS_MODULES.iter().any(|m| path.contains(m))
 }
 
 /// The production sources allowed to spawn threads, and what each spawns.
@@ -105,27 +98,6 @@ fn spawns_thread(code: &str) -> bool {
     ["thread::Builder", "thread::spawn", "thread::scope"]
         .iter()
         .any(|s| code.contains(s))
-}
-
-/// Whether a code line names the epoll/eventfd syscall surface: any
-/// identifier containing `epoll` or `eventfd` (case-insensitive), which
-/// covers the syscalls themselves (`epoll_ctl`, `eventfd2`), their
-/// `SYS_*` numbers, and flag constants (`EPOLLIN`, `EFD_NONBLOCK` is the
-/// one spelling this misses — it rides along with the `eventfd` call
-/// that needs it).
-fn mentions_event_poll_surface(code: &str) -> bool {
-    let lower = code.to_ascii_lowercase();
-    lower.contains("epoll") || lower.contains("eventfd")
-}
-
-/// Whether a code line names the file-mapping surface (`mmap`, `munmap`,
-/// `memfd`, or a `libc` shim) that `rossf-bag` must route through its
-/// `sys.rs`. Other crates call their own audited `sys::` wrappers for
-/// these (`rossf_shm::sys::mmap_shared` from `seg.rs` is fine), so this
-/// check applies only under `crates/bag/`.
-fn mentions_mapping_surface(code: &str) -> bool {
-    let lower = code.to_ascii_lowercase();
-    lower.contains("mmap") || lower.contains("munmap") || lower.contains("memfd")
 }
 
 /// Whether `code` contains `word` delimited by non-identifier characters.
@@ -185,7 +157,7 @@ fn has_order(comment: &str) -> bool {
 /// Lint one file's source text under the label `path`. Pure function —
 /// the fixture tests drive it directly.
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    let is_sys_rs = is_sys_module(path);
+    let in_sys_crate = is_sys_module(path);
     let mut scanner = LineScanner::new();
     let mut findings = Vec::new();
 
@@ -278,35 +250,15 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
         }
 
         // Rule: syscall confinement.
-        if !is_sys_rs {
-            if code.contains("asm!(") || code.contains("arch::asm") {
-                findings.push(Finding {
-                    rule: Rule::SyscallOutsideSys,
-                    path: path.to_string(),
-                    line: lineno,
-                    message: "raw syscalls/inline asm are confined to the sys modules \
-                              (crates/shm/src/sys.rs, crates/reactor/src/sys.rs)"
-                        .to_string(),
-                });
-            } else if mentions_event_poll_surface(code) {
-                findings.push(Finding {
-                    rule: Rule::SyscallOutsideSys,
-                    path: path.to_string(),
-                    line: lineno,
-                    message: "epoll/eventfd syscalls are confined to crates/reactor/src/sys.rs \
-                              (and crates/shm/src/sys.rs); use the reactor's Poller/WakeFd"
-                        .to_string(),
-                });
-            } else if path.contains("crates/bag/") && mentions_mapping_surface(code) {
-                findings.push(Finding {
-                    rule: Rule::SyscallOutsideSys,
-                    path: path.to_string(),
-                    line: lineno,
-                    message: "file mapping (mmap/munmap/memfd) in rossf-bag is confined to \
-                              crates/bag/src/sys.rs; use BagMap"
-                        .to_string(),
-                });
-            }
+        if !in_sys_crate && (code.contains("asm!(") || code.contains("arch::asm")) {
+            findings.push(Finding {
+                rule: Rule::SyscallOutsideSys,
+                path: path.to_string(),
+                line: lineno,
+                message: "raw syscalls/inline asm are confined to crates/sys/src/; \
+                          use a rossf_sys wrapper"
+                    .to_string(),
+            });
         }
 
         // Rule: thread spawns only where listed.

@@ -138,7 +138,7 @@ fn f(a: &AtomicU32, b: &AtomicU32) {
 }
 
 #[test]
-fn syscall_rule_confined_to_sys_rs() {
+fn syscall_rule_confined_to_the_sys_crate() {
     let src = r#"
 fn raw() -> i64 {
     let r: i64;
@@ -148,12 +148,30 @@ fn raw() -> i64 {
     r
 }
 "#;
-    // Outside the sys modules: asm flagged (and the bare unsafe too).
-    let findings = lint_source("crates/shm/src/ring.rs", src);
-    assert_eq!(lines_of(&findings, Rule::SyscallOutsideSys), vec![5]);
-    // Same content inside either sys module: only the bare-unsafe finding
-    // remains.
-    for sys_path in ["crates/shm/src/sys.rs", "crates/reactor/src/sys.rs"] {
+    // Outside crates/sys/src/ the asm is reported at its exact file:line
+    // (and the bare unsafe too) — including in the modules that held the
+    // syscalls before they moved.
+    for path in [
+        "crates/shm/src/ring.rs",
+        "crates/shm/src/sys.rs",
+        "crates/reactor/src/sys.rs",
+        "crates/bag/src/sys.rs",
+    ] {
+        let findings = lint_source(path, src);
+        assert_eq!(lines_of(&findings, Rule::SyscallOutsideSys), vec![5]);
+        let asm = findings
+            .iter()
+            .find(|f| f.rule == Rule::SyscallOutsideSys)
+            .unwrap();
+        assert!(
+            asm.to_string()
+                .starts_with(&format!("{path}:5: [syscall-outside-sys] ")),
+            "{asm}"
+        );
+    }
+    // Same content anywhere inside the sys crate: only the bare-unsafe
+    // finding remains.
+    for sys_path in ["crates/sys/src/lib.rs", "crates/sys/src/poll.rs"] {
         let findings = lint_source(sys_path, src);
         assert!(
             lines_of(&findings, Rule::SyscallOutsideSys).is_empty(),
@@ -161,78 +179,6 @@ fn raw() -> i64 {
         );
         assert_eq!(lines_of(&findings, Rule::UnsafeNeedsSafety), vec![4]);
     }
-}
-
-#[test]
-fn epoll_surface_confined_to_sys_modules() {
-    let src = r#"
-fn roll_my_own() -> i32 {
-    let ep = unsafe { epoll_create1(0) }; // SAFETY: fixture.
-    let ev = libc_shim::eventfd(0, EFD_CLOEXEC);
-    let mask = EPOLLIN | EPOLLOUT;
-    let _ = (ev, mask);
-    ep
-}
-"#;
-    // Outside the sys modules every epoll/eventfd-surface line is flagged.
-    let findings = lint_source("crates/ros/src/publisher.rs", src);
-    assert_eq!(
-        lines_of(&findings, Rule::SyscallOutsideSys),
-        vec![3, 4, 5],
-        "epoll_create1, eventfd, and EPOLL* flag constants: {findings:?}"
-    );
-    // Inside either sys module the same content is exempt.
-    for sys_path in ["crates/reactor/src/sys.rs", "crates/shm/src/sys.rs"] {
-        let findings = lint_source(sys_path, src);
-        assert!(
-            lines_of(&findings, Rule::SyscallOutsideSys).is_empty(),
-            "{sys_path} must be exempt: {findings:?}"
-        );
-    }
-}
-
-#[test]
-fn bag_mapping_surface_confined_to_bag_sys_rs() {
-    let src = r#"
-fn roll_my_own_map(file: &std::fs::File, len: usize) -> *mut u8 {
-    let p = rossf_shm::sys::mmap_shared(file, len, false).unwrap();
-    let fd = rossf_shm::sys::memfd_create("sneaky").unwrap();
-    let _ = fd;
-    p
-}
-"#;
-    // Anywhere in crates/bag/ outside its sys.rs, mmap/memfd lines are
-    // flagged — even when routed through another crate's audited wrapper.
-    let findings = lint_source("crates/bag/src/reader.rs", src);
-    assert_eq!(
-        lines_of(&findings, Rule::SyscallOutsideSys),
-        vec![3, 4],
-        "both mapping-surface lines: {findings:?}"
-    );
-    // The bag's own sys module is exempt.
-    let findings = lint_source("crates/bag/src/sys.rs", src);
-    assert!(
-        lines_of(&findings, Rule::SyscallOutsideSys).is_empty(),
-        "crates/bag/src/sys.rs must be exempt: {findings:?}"
-    );
-    // Other crates calling their own audited wrappers are not in scope.
-    let findings = lint_source("crates/shm/src/seg.rs", src);
-    assert!(
-        lines_of(&findings, Rule::SyscallOutsideSys).is_empty(),
-        "mapping confinement is bag-scoped: {findings:?}"
-    );
-}
-
-#[test]
-fn epoll_in_comments_and_strings_is_ignored() {
-    let src = r#"
-// The reactor multiplexes via epoll; wakeups ride an eventfd.
-fn doc_only() {
-    let msg = "drained the epoll backlog";
-    let _ = msg;
-}
-"#;
-    assert!(lint_source("crates/ros/src/subscriber.rs", src).is_empty());
 }
 
 #[test]

@@ -286,21 +286,3 @@ fn full_frame_links_are_untouched_by_the_capability() {
     assert_eq!(snap.projection_handshakes, 0);
     assert_eq!(snap.projection_frames, 0);
 }
-
-/// The deprecated positional entry points still compile and deliver —
-/// the 0.6.0 consolidation must not break source compatibility.
-#[test]
-#[allow(deprecated)]
-fn deprecated_positional_api_still_works() {
-    let master = Master::new();
-    let nh = NodeHandle::with_config(&master, "legacy", MachineId::A, tcp_config());
-    let publisher: Publisher<SfmBox<SfmImage>> = nh.advertise("legacy/image", 8);
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let _sub = nh.subscribe("legacy/image", 8, move |_m: SfmShared<SfmImage>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
-    nh.wait_for_subscribers(&publisher, 1);
-    publisher.publish(&image(8, 8));
-    wait_until("legacy delivery", || seen.load(Ordering::SeqCst) == 1);
-}

@@ -11,12 +11,12 @@
 //! All randomness is a seeded xorshift64* generator (the same scheme the
 //! SLAM dataset synthesizer uses), so failures reproduce exactly.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
 use rossf_msg::sensor_msgs::{SfmImage, SfmPointCloud2, SfmPointField};
 use rossf_msg::std_msgs::SfmHeader;
 use rossf_ros::wire::{write_frame, ConnectionHeader, PROJECT_FIELD};
-use rossf_ros::{MachineId, Master, NodeHandle, SubscriberOptions, TransportConfig};
+use rossf_ros::{
+    MachineId, Master, NodeHandle, PublisherOptions, SubscriberOptions, TransportConfig,
+};
 use rossf_sfm::{verify_frame_for, Projection, SfmBox, SfmShared};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -349,11 +349,16 @@ fn valid_frames_identical_with_and_without_validation() {
             NodeHandle::new(&master, "sub_node")
         };
         let topic = format!("verify/identical_{validate}");
-        let publisher = nh.advertise::<SfmBox<SfmImage>>(&topic, 8);
+        let publisher =
+            nh.advertise_with::<SfmBox<SfmImage>>(&topic, PublisherOptions::new().queue_size(8));
         let (tx, rx) = mpsc::channel();
-        let _sub = nh.subscribe(&topic, 8, move |m: SfmShared<SfmImage>| {
-            let _ = tx.send(m.as_bytes().to_vec());
-        });
+        let _sub = nh.subscribe_with(
+            &topic,
+            SubscriberOptions::new(),
+            move |m: SfmShared<SfmImage>| {
+                let _ = tx.send(m.as_bytes().to_vec());
+            },
+        );
         nh.wait_for_subscribers(&publisher, 1);
         publisher.publish(&img);
         let bytes = rx.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -559,10 +564,14 @@ fn corrupt_frames_are_counted_and_skipped_without_killing_the_connection() {
 
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe(topic, 8, move |m: SfmShared<SfmImage>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-        assert_eq!(m.data.as_slice().len(), 48);
-    });
+    let sub = nh.subscribe_with(
+        topic,
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmImage>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(m.data.as_slice().len(), 48);
+        },
+    );
     let mut stream = raw.accept(SfmImage::type_name());
 
     // good, corrupt (data offset escapes), corrupt (forged encoding

@@ -7,7 +7,7 @@
 //! reactor shape:
 //!
 //! * **one reactor thread** per process runs a readiness loop
-//!   ([`sys::Poller`], raw `epoll` on Linux) over *all* registered
+//!   ([`rossf_sys::Poller`], raw `epoll`) over *all* registered
 //!   nonblocking sockets and dispatches [`Event`]s to per-link
 //!   [`Handler`] state machines;
 //! * **a fixed job pool** ([`JobPool`]) absorbs the blocking edges —
@@ -31,23 +31,18 @@
 //! Handlers own their socket; the reactor only borrows the raw fd while
 //! the registration lives. All dispatch happens on the reactor thread, so
 //! handler state needs no locking.
-//!
-//! On targets without the readiness syscalls the loop degrades to a
-//! bounded 1 ms tick that treats every registered descriptor as ready —
-//! semantically a superset (handlers are written against nonblocking
-//! sockets and tolerate spurious readiness), just slower.
 
 #![deny(missing_docs)]
 
 mod pool;
 mod sync;
-pub mod sys;
 mod wake;
 
 pub use pool::JobPool;
 pub use wake::WakeGate;
 
 use parking_lot::Mutex;
+use rossf_sys::{PollEvent, Poller, WakeFd};
 use std::collections::{BinaryHeap, HashMap};
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -186,9 +181,8 @@ struct Shared {
     /// Tokens with a pending [`Event::Notify`], in arrival order. May hold
     /// duplicates; the loop de-duplicates the batch it takes.
     notifies: Mutex<Vec<u64>>,
-    waker: Option<sys::WakeFd>,
-    /// Whether a producer has to bump `waker` (unused without one: the
-    /// tick fallback looks at the queues every tick).
+    waker: WakeFd,
+    /// Whether a producer has to bump `waker`.
     gate: WakeGate,
     next_token: AtomicU64,
     live: AtomicUsize,
@@ -197,9 +191,6 @@ struct Shared {
 /// Token the internal wakeup fd is registered under; user tokens start
 /// at 1.
 const WAKE_TOKEN: u64 = 0;
-
-/// Fallback tick period when the readiness syscalls are unavailable.
-const FALLBACK_TICK: Duration = Duration::from_millis(1);
 
 /// Cloneable handle to one reactor thread.
 #[derive(Clone)]
@@ -211,29 +202,24 @@ impl std::fmt::Debug for Reactor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Reactor")
             .field("live_links", &self.live_links())
-            .field("evented", &self.shared.waker.is_some())
             .finish()
     }
 }
 
 impl Reactor {
-    /// Start a reactor thread named `name`. Falls back to the tick loop
-    /// (never fails) when the readiness syscalls are unavailable.
+    /// Start a reactor thread named `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the process cannot get an epoll instance, an eventfd or
+    /// a thread — descriptor or memory exhaustion; there is no degraded
+    /// mode to run the links in.
     pub fn new(name: &str) -> Reactor {
-        let setup = match (sys::Poller::new(), sys::WakeFd::new()) {
-            (Ok(poller), Ok(waker)) => {
-                if poller.add_wake(&waker, WAKE_TOKEN).is_ok() {
-                    Some((poller, waker))
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        };
-        let (poller, waker) = match setup {
-            Some((p, w)) => (Some(p), Some(w)),
-            None => (None, None),
-        };
+        let poller = Poller::new().expect("create the reactor's epoll instance");
+        let waker = WakeFd::new().expect("create the reactor's wake eventfd");
+        poller
+            .add_wake(&waker, WAKE_TOKEN)
+            .expect("watch the reactor's wake eventfd");
         let shared = Arc::new(Shared {
             cmds: Mutex::new(Vec::new()),
             notifies: Mutex::new(Vec::new()),
@@ -251,12 +237,6 @@ impl Reactor {
             .spawn(move || run_loop(on_loop, poller))
             .expect("spawn reactor thread");
         reactor
-    }
-
-    /// `true` when the loop runs on real readiness syscalls (vs the
-    /// degraded tick fallback).
-    pub fn evented(&self) -> bool {
-        self.shared.waker.is_some()
     }
 
     /// Register `handler` for `fd` with the given initial interest and
@@ -332,20 +312,14 @@ impl Reactor {
 
     /// Called after queuing work: wake the loop if it is blocked.
     fn wake(&self) {
-        if let Some(w) = &self.shared.waker {
-            if self.shared.gate.claim_wake() {
-                w.wake();
-            }
+        if self.shared.gate.claim_wake() {
+            self.shared.waker.wake();
         }
-        // Fallback mode: the tick loop observes the queues within one
-        // tick; no wakeup channel needed.
     }
 }
 
 struct Slot {
     fd: RawFd,
-    readable: bool,
-    writable: bool,
     handler: Box<dyn Handler>,
 }
 
@@ -356,13 +330,7 @@ struct LoopState {
 }
 
 impl LoopState {
-    fn dispatch(
-        &mut self,
-        reactor: &Reactor,
-        poller: Option<&sys::Poller>,
-        token: u64,
-        event: Event,
-    ) {
+    fn dispatch(&mut self, reactor: &Reactor, poller: &Poller, token: u64, event: Event) {
         // The handler runs in its slot: it can reach the loop only through
         // the reactor handle, whose operations are queued, never the map.
         let Some(slot) = self.handlers.get_mut(&token) else {
@@ -394,9 +362,7 @@ impl LoopState {
             }
         }
         if close {
-            if let Some(p) = poller {
-                let _ = p.remove(slot.fd);
-            }
+            let _ = poller.remove(slot.fd);
             // Dropping the slot closes the socket.
             self.handlers.remove(&token);
             // Relaxed: diagnostic counter.
@@ -404,16 +370,12 @@ impl LoopState {
             return;
         }
         if let Some((r, w)) = interest {
-            if let Some(p) = poller {
-                let _ = p.modify(slot.fd, token, r, w);
-            }
-            slot.readable = r;
-            slot.writable = w;
+            let _ = poller.modify(slot.fd, token, r, w);
         }
     }
 }
 
-fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
+fn run_loop(reactor: Reactor, poller: Poller) {
     let shared = Arc::clone(&reactor.shared);
     let mut state = LoopState {
         handlers: HashMap::new(),
@@ -422,7 +384,7 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
     };
     // Loop-side buffers, swapped against the shared queues so neither side
     // allocates in steady state.
-    let mut events: Vec<sys::PollEvent> = Vec::new();
+    let mut events: Vec<PollEvent> = Vec::new();
     let mut cmds: Vec<Cmd> = Vec::new();
     let mut pending: Vec<u64> = Vec::new();
     loop {
@@ -437,16 +399,8 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
                     writable,
                     handler,
                 } => {
-                    let mut slot = Slot {
-                        fd,
-                        readable,
-                        writable,
-                        handler,
-                    };
-                    let added = poller
-                        .as_ref()
-                        .map_or(Ok(()), |p| p.add(fd, token.0, readable, writable));
-                    match added {
+                    let mut slot = Slot { fd, handler };
+                    match poller.add(fd, token.0, readable, writable) {
                         Ok(()) => {
                             state.handlers.insert(token.0, slot);
                             // Relaxed: diagnostic counter.
@@ -456,7 +410,7 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
                             // does not know yet and would be dropped: prime
                             // every fresh handler with one Notify so work
                             // queued in that window is never missed.
-                            state.dispatch(&reactor, poller.as_ref(), token.0, Event::Notify);
+                            state.dispatch(&reactor, &poller, token.0, Event::Notify);
                         }
                         Err(_) => {
                             // Unwatchable fd: tell the handler its link is
@@ -474,9 +428,7 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
                 }
                 Cmd::Deregister(token) => {
                     if let Some(slot) = state.handlers.remove(&token.0) {
-                        if let Some(p) = &poller {
-                            let _ = p.remove(slot.fd);
-                        }
+                        let _ = poller.remove(slot.fd);
                         // Relaxed: diagnostic counter.
                         shared.live.fetch_sub(1, Ordering::Relaxed);
                     }
@@ -491,9 +443,7 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
                 }
                 Cmd::Shutdown => {
                     for (_, slot) in state.handlers.drain() {
-                        if let Some(p) = &poller {
-                            let _ = p.remove(slot.fd);
-                        }
+                        let _ = poller.remove(slot.fd);
                     }
                     shared.live.store(0, Ordering::Relaxed);
                     return;
@@ -506,7 +456,7 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
         pending.sort_unstable();
         pending.dedup();
         for token in pending.drain(..) {
-            state.dispatch(&reactor, poller.as_ref(), token, Event::Notify);
+            state.dispatch(&reactor, &poller, token, Event::Notify);
         }
 
         // 3. Due timers.
@@ -516,7 +466,7 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
                 let slot = state.timers.pop().expect("peeked");
                 match slot.target {
                     TimerTarget::Token(tok) => {
-                        state.dispatch(&reactor, poller.as_ref(), tok.0, Event::Timer)
+                        state.dispatch(&reactor, &poller, tok.0, Event::Timer)
                     }
                     TimerTarget::Callback(cb) => cb(&reactor),
                 }
@@ -528,56 +478,33 @@ fn run_loop(reactor: Reactor, poller: Option<sys::Poller>) {
             .timers
             .peek()
             .map(|t| t.deadline.saturating_duration_since(Instant::now()));
-        match &poller {
-            Some(p) => {
-                // Work queued by a handler above (or by a producer that saw
-                // the loop awake and skipped the wake-up) must not wait out
-                // the block: announce it, look again, and only poll if so.
-                let idle = shared.gate.may_block(|| {
-                    !shared.cmds.lock().is_empty() || !shared.notifies.lock().is_empty()
-                });
-                let timeout = if idle { timeout } else { Some(Duration::ZERO) };
-                if p.wait(&mut events, timeout).is_err() {
-                    events.clear();
-                }
-                if idle {
-                    shared.gate.woke();
-                }
-                for &ev in &events {
-                    // The wake-up's whole job was to end the wait; its
-                    // edge cleared by being reported.
-                    if ev.token == WAKE_TOKEN {
-                        continue;
-                    }
-                    if ev.readable {
-                        state.dispatch(&reactor, Some(p), ev.token, Event::Readable);
-                    }
-                    if ev.writable {
-                        state.dispatch(&reactor, Some(p), ev.token, Event::Writable);
-                    }
-                    if ev.closed {
-                        state.dispatch(&reactor, Some(p), ev.token, Event::Closed);
-                    }
-                }
+        // Work queued by a handler above (or by a producer that saw the loop
+        // awake and skipped the wake-up) must not wait out the block:
+        // announce it, look again, and only poll if so.
+        let idle = shared
+            .gate
+            .may_block(|| !shared.cmds.lock().is_empty() || !shared.notifies.lock().is_empty());
+        let timeout = if idle { timeout } else { Some(Duration::ZERO) };
+        if poller.wait(&mut events, timeout).is_err() {
+            events.clear();
+        }
+        if idle {
+            shared.gate.woke();
+        }
+        for &ev in &events {
+            // The wake-up's whole job was to end the wait; its edge cleared
+            // by being reported.
+            if ev.token == WAKE_TOKEN {
+                continue;
             }
-            None => {
-                // Degraded tick: every registered fd is treated as ready
-                // per its interest; nonblocking handlers tolerate the
-                // spurious dispatches.
-                std::thread::sleep(timeout.unwrap_or(FALLBACK_TICK).min(FALLBACK_TICK));
-                let ready: Vec<(u64, bool, bool)> = state
-                    .handlers
-                    .iter()
-                    .map(|(t, s)| (*t, s.readable, s.writable))
-                    .collect();
-                for (token, readable, writable) in ready {
-                    if readable {
-                        state.dispatch(&reactor, None, token, Event::Readable);
-                    }
-                    if writable {
-                        state.dispatch(&reactor, None, token, Event::Writable);
-                    }
-                }
+            if ev.readable {
+                state.dispatch(&reactor, &poller, ev.token, Event::Readable);
+            }
+            if ev.writable {
+                state.dispatch(&reactor, &poller, ev.token, Event::Writable);
+            }
+            if ev.closed {
+                state.dispatch(&reactor, &poller, ev.token, Event::Closed);
             }
         }
     }

@@ -1,24 +1,17 @@
 //! Bag record/replay — the `rosbag` facility of the ROS ecosystem, built
 //! on the [`rossf_bag`] subsystem.
 //!
-//! Two generations of API live here:
+//! [`Recorder`] taps every same-machine publisher of the selected topics
+//! through [`RawFrameTap`] and streams the publisher's own `Arc`'d frames
+//! to a [`rossf_bag::StreamRecorder`] writer thread — zero encode and zero
+//! payload copy on the capture path. [`Replayer`] maps a finished bag and
+//! re-publishes its frames on the recorded cadence; for SFM messages the
+//! frames are *adopted in place* out of the mapping
+//! ([`Replayer::route_adopted`]), so playback is also copy-free. For a bag
+//! as plain records (no live topics), use [`rossf_bag::BagWriter`] and
+//! [`rossf_bag::BagReader`] directly.
 //!
-//! * **Streaming (current).** [`Recorder`] taps every same-machine
-//!   publisher of the selected topics through [`RawFrameTap`] and streams
-//!   the publisher's own `Arc`'d frames to a [`rossf_bag::StreamRecorder`]
-//!   writer thread — zero encode and zero payload copy on the capture
-//!   path. [`Replayer`] maps a finished bag and re-publishes its frames on
-//!   the recorded cadence; for SFM messages the frames are *adopted in
-//!   place* out of the mapping ([`Replayer::route_adopted`]), so playback
-//!   is also copy-free.
-//! * **In-memory (deprecated).** [`Bag`]/[`BagRecorder`] keep the 0.6-era
-//!   copy-everything API for callers that want a `Vec` of records; since
-//!   0.7.0 they store the indexed v2 on-disk format (see
-//!   [`rossf_bag::format`]) instead of the old `ROSSFBAG1` stream. Old
-//!   files no longer load; empty payloads and per-topic non-monotonic
-//!   stamps are no longer representable.
-//!
-//! Both layers account their traffic against the per-topic
+//! Both sides account their traffic against the per-topic
 //! [`TransportMetrics`](crate::metrics::TransportMetrics) counters
 //! (`bag_frames_recorded`, `bag_frames_dropped`, `bag_bytes_written`,
 //! `bag_frames_replayed`).
@@ -26,19 +19,16 @@
 use crate::error::RosError;
 use crate::node::NodeHandle;
 use crate::publisher::Publisher;
-use crate::subscriber::Subscriber;
 use crate::tap::RawFrameTap;
 use crate::time::now_nanos;
 use crate::traits::{Decode, Encode, RecvSlot};
 use crate::wire::OutFrame;
-use parking_lot::Mutex;
 use rossf_bag::{
     build_schedule, schema_hash, BagError, BagReader, BagSummary, FrameBytes, IndexEntry,
     RecorderStats, StreamRecorder, TopicSpec,
 };
 use rossf_sfm::{SfmMessage, SfmShared};
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -495,332 +485,13 @@ fn sleep_until(target: Instant) {
     }
 }
 
-// === Deprecated in-memory API (0.6-era), now stored as v2 format ===
-
-/// One recorded message.
-#[deprecated(
-    since = "0.7.0",
-    note = "use the streaming `Recorder`/`Replayer` or `rossf_bag` directly"
-)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BagRecord {
-    /// Capture time (monotonic experiment clock).
-    pub stamp_nanos: u64,
-    /// Topic the message was seen on.
-    pub topic: String,
-    /// ROS type name of the message.
-    pub type_name: String,
-    /// The wire payload, verbatim.
-    pub payload: Vec<u8>,
-}
-
-/// An in-memory bag; serializable to/from the indexed v2 on-disk format.
-#[deprecated(
-    since = "0.7.0",
-    note = "use the streaming `Recorder`/`Replayer` or `rossf_bag` directly"
-)]
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[allow(deprecated)]
-pub struct Bag {
-    records: Vec<BagRecord>,
-}
-
-#[allow(deprecated)]
-impl Bag {
-    /// Empty bag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The records, in capture order.
-    pub fn records(&self) -> &[BagRecord] {
-        &self.records
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// `true` when nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Append one record.
-    pub fn push(&mut self, record: BagRecord) {
-        self.records.push(record);
-    }
-
-    /// Serialize to any writer in the v2 format.
-    ///
-    /// The v2 format carries one message type per topic and no empty
-    /// payloads; records violating either are rejected. Per-topic stamps
-    /// are stored non-decreasing (out-of-order stamps are clamped).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the writer; [`RosError::BadHeader`] for records the
-    /// format cannot represent.
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), RosError> {
-        let mut writer = rossf_bag::BagWriter::new(&mut *w).map_err(bag_err)?;
-        let mut conns: Vec<(String, String, u32)> = Vec::new();
-        for r in &self.records {
-            let id = match conns.iter().find(|(t, _, _)| t == &r.topic) {
-                Some((_, ty, id)) => {
-                    if *ty != r.type_name {
-                        return Err(RosError::BadHeader(format!(
-                            "bag topic `{}` recorded with two types (`{ty}`, `{}`)",
-                            r.topic, r.type_name
-                        )));
-                    }
-                    *id
-                }
-                None => {
-                    let id = writer
-                        .add_connection(&r.topic, &r.type_name, 0)
-                        .map_err(bag_err)?;
-                    conns.push((r.topic.clone(), r.type_name.clone(), id));
-                    id
-                }
-            };
-            writer
-                .append(id, r.stamp_nanos, &r.payload)
-                .map_err(bag_err)?;
-        }
-        writer.finish().map_err(bag_err)?;
-        w.flush()?;
-        Ok(())
-    }
-
-    /// Deserialize from any reader (strict mode: the footer index must be
-    /// present and consistent).
-    ///
-    /// # Errors
-    ///
-    /// [`RosError::BadHeader`] on format violations; I/O errors from the
-    /// reader.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Self, RosError> {
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        let reader = BagReader::from_bytes_strict(&bytes).map_err(bag_err)?;
-        let mut records = Vec::new();
-        for (conn_id, entry) in reader.frames_in_order() {
-            let conn = reader
-                .connections()
-                .iter()
-                .find(|c| c.id == conn_id)
-                .expect("index references declared connections");
-            records.push(BagRecord {
-                stamp_nanos: entry.stamp_nanos,
-                topic: conn.topic.clone(),
-                type_name: conn.type_name.clone(),
-                payload: reader.frame_bytes(&entry).map_err(bag_err)?.to_vec(),
-            });
-        }
-        Ok(Bag { records })
-    }
-
-    /// Write to a file.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), RosError> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.write_to(&mut w)
-    }
-
-    /// Read from a file.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors and format errors as [`Bag::read_from`].
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, RosError> {
-        let mut r = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::read_from(&mut r)
-    }
-
-    /// Re-publish every record for `topic` through `publisher`, decoding
-    /// each stored payload into `D` first (so the bag can replay into
-    /// either message family). Returns the number of messages replayed.
-    ///
-    /// # Errors
-    ///
-    /// Decoding errors if the bag's payloads do not match `D`.
-    pub fn replay<D: Decode + Encode>(
-        &self,
-        topic: &str,
-        publisher: &crate::publisher::Publisher<D>,
-    ) -> Result<usize, RosError> {
-        let mut count = 0;
-        for r in self.records.iter().filter(|r| r.topic == topic) {
-            if r.type_name != D::topic_type() {
-                return Err(RosError::TypeMismatch {
-                    topic: topic.to_string(),
-                    registered: r.type_name.clone(),
-                    attempted: D::topic_type().to_string(),
-                });
-            }
-            let mut slot = D::new_slot(r.payload.len())?;
-            slot.as_mut_slice().copy_from_slice(&r.payload);
-            let msg = D::finish_slot(slot)?;
-            publisher.publish(&msg);
-            count += 1;
-        }
-        Ok(count)
-    }
-}
-
-/// A live recorder: subscribes to a topic and appends every message to a
-/// shared [`Bag`]. Dropping it stops recording.
-#[deprecated(
-    since = "0.7.0",
-    note = "use the streaming `Recorder` (taps frames with zero copy instead of subscribing)"
-)]
-#[allow(deprecated)]
-pub struct BagRecorder<D: Decode> {
-    _sub: Subscriber<D>,
-    bag: Arc<Mutex<Bag>>,
-    topic: String,
-}
-
-#[allow(deprecated)]
-impl<D: Decode + Encode + 'static> BagRecorder<D> {
-    /// Start recording `topic` through `nh`.
-    ///
-    /// # Errors
-    ///
-    /// [`RosError::TypeMismatch`] if the topic carries a different type.
-    pub fn start(nh: &NodeHandle, topic: &str) -> Result<Self, RosError> {
-        let bag = Arc::new(Mutex::new(Bag::new()));
-        let bag_cb = Arc::clone(&bag);
-        let topic_cb = topic.to_string();
-        let sub =
-            nh.try_subscribe_with(topic, crate::SubscriberOptions::new(), move |msg: D| {
-                let frame = msg.encode();
-                bag_cb.lock().push(BagRecord {
-                    stamp_nanos: now_nanos(),
-                    topic: topic_cb.clone(),
-                    type_name: D::topic_type().to_string(),
-                    payload: frame.as_slice().to_vec(),
-                });
-            })?;
-        Ok(BagRecorder {
-            _sub: sub,
-            bag,
-            topic: topic.to_string(),
-        })
-    }
-
-    /// Messages recorded so far.
-    pub fn count(&self) -> usize {
-        self.bag.lock().len()
-    }
-
-    /// The topic being recorded.
-    pub fn topic(&self) -> &str {
-        &self.topic
-    }
-
-    /// Stop recording and take the bag.
-    pub fn finish(self) -> Bag {
-        // Dropping the subscriber first guarantees no further appends.
-        drop(self._sub);
-        Arc::try_unwrap(self.bag)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone())
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::master::Master;
-    use crate::options::PublisherOptions;
+    use crate::options::{PublisherOptions, SubscriberOptions};
+    use parking_lot::Mutex;
     use rossf_sfm::{SfmBox, SfmError, SfmPod, SfmValidate, SfmVec};
-
-    fn record(i: u64) -> BagRecord {
-        BagRecord {
-            stamp_nanos: i * 1000,
-            topic: format!("topic_{}", i % 2),
-            type_name: "test/T".to_string(),
-            payload: vec![i as u8; (i as usize % 7) + 1],
-        }
-    }
-
-    #[test]
-    fn roundtrip_through_bytes() {
-        let mut bag = Bag::new();
-        for i in 0..10 {
-            bag.push(record(i));
-        }
-        let mut bytes = Vec::new();
-        bag.write_to(&mut bytes).unwrap();
-        let back = Bag::read_from(&mut &bytes[..]).unwrap();
-        assert_eq!(back, bag);
-        assert_eq!(back.len(), 10);
-        assert!(!back.is_empty());
-    }
-
-    #[test]
-    fn empty_bag_roundtrips() {
-        let bag = Bag::new();
-        let mut bytes = Vec::new();
-        bag.write_to(&mut bytes).unwrap();
-        assert!(bytes.starts_with(rossf_bag::format::MAGIC));
-        assert!(Bag::read_from(&mut &bytes[..]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let bytes = b"NOTABAG!! and assorted trailing junk".to_vec();
-        assert!(matches!(
-            Bag::read_from(&mut &bytes[..]),
-            Err(RosError::BadHeader(_))
-        ));
-    }
-
-    #[test]
-    fn truncated_bag_rejected_by_strict_load() {
-        let mut bag = Bag::new();
-        bag.push(record(1));
-        let mut bytes = Vec::new();
-        bag.write_to(&mut bytes).unwrap();
-        bytes.truncate(bytes.len() - 2);
-        assert!(Bag::read_from(&mut &bytes[..]).is_err());
-    }
-
-    #[test]
-    fn file_save_and_load() {
-        let mut bag = Bag::new();
-        bag.push(record(3));
-        let path = std::env::temp_dir().join(format!("rossf_bag_test_{}.bag", std::process::id()));
-        bag.save(&path).unwrap();
-        let back = Bag::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(back, bag);
-    }
-
-    #[test]
-    fn conflicting_types_on_one_topic_rejected() {
-        let mut bag = Bag::new();
-        let mut a = record(0);
-        a.topic = "t".into();
-        let mut b = record(1);
-        b.topic = "t".into();
-        b.type_name = "other/T".into();
-        bag.push(a);
-        bag.push(b);
-        let mut bytes = Vec::new();
-        assert!(matches!(
-            bag.write_to(&mut bytes),
-            Err(RosError::BadHeader(_))
-        ));
-    }
-
-    // === streaming Recorder / Replayer ===
 
     #[repr(C)]
     struct BagMsg {
@@ -897,12 +568,16 @@ mod tests {
         );
         let seen = Arc::new(Mutex::new(Vec::<(u64, bool)>::new()));
         let seen_cb = Arc::clone(&seen);
-        let _sub = nh.subscribe("bag/cam_rp", 16, move |msg: SfmShared<BagMsg>| {
-            let base = msg.base();
-            let in_map = base >= range.0 && base < range.1;
-            let frame = msg.encode();
-            seen_cb.lock().push((fnv(frame.as_slice()), in_map));
-        });
+        let _sub = nh.subscribe_with(
+            "bag/cam_rp",
+            SubscriberOptions::new(),
+            move |msg: SfmShared<BagMsg>| {
+                let base = msg.base();
+                let in_map = base >= range.0 && base < range.1;
+                let frame = msg.encode();
+                seen_cb.lock().push((fnv(frame.as_slice()), in_map));
+            },
+        );
         std::thread::sleep(Duration::from_millis(50)); // let the sub attach
         replayer
             .route_adopted::<BagMsg>("bag/cam", &nh, replay_pub)

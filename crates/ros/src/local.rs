@@ -58,25 +58,7 @@ impl LocalBus {
         }
     }
 
-    /// Positional shorthand for [`LocalBus::subscribe_with`].
-    ///
-    /// # Errors
-    ///
-    /// [`RosError::TypeMismatch`] when the topic carries another type.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `subscribe_with(topic, SubscriberOptions::new(), callback)`"
-    )]
-    pub fn subscribe<D, F>(&self, topic: &str, callback: F) -> Result<LocalSubscription, RosError>
-    where
-        D: Decode,
-        F: Fn(D) + Send + Sync + 'static,
-    {
-        self.subscribe_with(topic, SubscriberOptions::new(), callback)
-    }
-
-    /// Register `callback` for messages on `topic` — the primary local
-    /// subscribe entry point since 0.6.0, taking the same
+    /// Register `callback` for messages on `topic`, taking the same
     /// [`SubscriberOptions`] the socket transport takes (only the tracing
     /// switch is meaningful here — there is no queue or transport config on
     /// the synchronous bus, and projection never applies in-process: the
@@ -243,7 +225,6 @@ impl std::fmt::Debug for LocalSubscription {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // positional `subscribe` stays covered until removal
 mod tests {
     use super::*;
     use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
@@ -275,9 +256,13 @@ mod tests {
         let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let seen_cb = Arc::clone(&seen);
         let _sub = bus
-            .subscribe("blobs", move |m: SfmShared<Blob>| {
-                seen_cb.lock().push((m.base(), m.data.len()));
-            })
+            .subscribe_with(
+                "blobs",
+                SubscriberOptions::new(),
+                move |m: SfmShared<Blob>| {
+                    seen_cb.lock().push((m.base(), m.data.len()));
+                },
+            )
             .unwrap();
 
         let mut msg = SfmBox::<Blob>::new();
@@ -297,12 +282,12 @@ mod tests {
         let c1 = Arc::clone(&count);
         let c2 = Arc::clone(&count);
         let s1 = bus
-            .subscribe("t", move |_m: SfmShared<Blob>| {
+            .subscribe_with("t", SubscriberOptions::new(), move |_m: SfmShared<Blob>| {
                 c1.fetch_add(1, Ordering::SeqCst);
             })
             .unwrap();
         let _s2 = bus
-            .subscribe("t", move |_m: SfmShared<Blob>| {
+            .subscribe_with("t", SubscriberOptions::new(), move |_m: SfmShared<Blob>| {
                 c2.fetch_add(1, Ordering::SeqCst);
             })
             .unwrap();
@@ -348,13 +333,17 @@ mod tests {
         }
 
         let bus = LocalBus::new();
-        let _sub = bus.subscribe("t2", |_m: SfmShared<Blob>| {}).unwrap();
+        let _sub = bus
+            .subscribe_with("t2", SubscriberOptions::new(), |_m: SfmShared<Blob>| {})
+            .unwrap();
         let other = SfmBox::<Other>::new();
         assert!(matches!(
             bus.publish("t2", &other),
             Err(RosError::TypeMismatch { .. })
         ));
-        assert!(bus.subscribe("t2", |_m: SfmShared<Other>| {}).is_err());
+        assert!(bus
+            .subscribe_with("t2", SubscriberOptions::new(), |_m: SfmShared<Other>| {})
+            .is_err());
         assert!(format!("{bus:?}").contains("LocalBus"));
     }
 }

@@ -79,43 +79,8 @@ impl NodeHandle {
         &self.config
     }
 
-    /// Positional shorthand for [`NodeHandle::advertise_with`], kept for
-    /// source compatibility with the paper's Fig. 3 program pattern.
-    /// `queue_size` bounds each subscriber connection's transmission queue;
-    /// `0` means "use the node's [`TransportConfig::queue_size`]".
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topic already carries a different message type or the
-    /// listener socket cannot be created; use [`NodeHandle::try_advertise`]
-    /// to handle those cases.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `advertise_with(topic, PublisherOptions::new().queue_size(n))`"
-    )]
-    pub fn advertise<M: Encode>(&self, topic: &str, queue_size: usize) -> Publisher<M> {
-        self.advertise_with(topic, PublisherOptions::new().queue_size(queue_size))
-    }
-
-    /// Fallible variant of [`NodeHandle::advertise`].
-    ///
-    /// # Errors
-    ///
-    /// [`RosError::TypeMismatch`] or [`RosError::Io`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `try_advertise_with(topic, PublisherOptions::new().queue_size(n))`"
-    )]
-    pub fn try_advertise<M: Encode>(
-        &self,
-        topic: &str,
-        queue_size: usize,
-    ) -> Result<Publisher<M>, RosError> {
-        self.try_advertise_with(topic, PublisherOptions::new().queue_size(queue_size))
-    }
-
-    /// Declare a topic and obtain a publisher for it — the primary
-    /// advertise entry point since 0.6.0. [`PublisherOptions`] carries the
+    /// Declare a topic and obtain a publisher for it (the paper's Fig. 3
+    /// `advertise`). [`PublisherOptions`] carries the
     /// queue size plus the per-publisher transport override, the tracing
     /// switch and the loan policy.
     ///
@@ -152,54 +117,8 @@ impl NodeHandle {
         )
     }
 
-    /// Positional shorthand for [`NodeHandle::subscribe_with`], kept for
-    /// source compatibility with the paper's Fig. 3 program pattern.
-    ///
-    /// `_queue_size` is accepted for API fidelity with ROS; backpressure is
-    /// provided by the TCP socket itself in this implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics on type mismatch; use [`NodeHandle::try_subscribe`] to handle
-    /// it.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `subscribe_with(topic, SubscriberOptions::new(), callback)`"
-    )]
-    pub fn subscribe<D: Decode, F>(
-        &self,
-        topic: &str,
-        _queue_size: usize,
-        callback: F,
-    ) -> Subscriber<D>
-    where
-        F: Fn(D) + Send + Sync + 'static,
-    {
-        self.subscribe_with(topic, SubscriberOptions::new(), callback)
-    }
-
-    /// Fallible variant of [`NodeHandle::subscribe`].
-    ///
-    /// # Errors
-    ///
-    /// [`RosError::TypeMismatch`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `try_subscribe_with(topic, SubscriberOptions::new(), callback)`"
-    )]
-    pub fn try_subscribe<D: Decode, F>(
-        &self,
-        topic: &str,
-        callback: F,
-    ) -> Result<Subscriber<D>, RosError>
-    where
-        F: Fn(D) + Send + Sync + 'static,
-    {
-        self.try_subscribe_with(topic, SubscriberOptions::new(), callback)
-    }
-
-    /// Register `callback` for messages on `topic` — the primary subscribe
-    /// entry point since 0.6.0. The callback runs on the connection reader
+    /// Register `callback` for messages on `topic` (the paper's Fig. 3
+    /// `subscribe`). The callback runs on the connection reader
     /// thread, receiving the decoded message — an `Arc<M>` for plain
     /// messages or an [`SfmShared`](rossf_sfm::SfmShared) for
     /// serialization-free ones. [`SubscriberOptions`] carries the

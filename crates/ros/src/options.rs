@@ -6,9 +6,8 @@
 //! [`NodeHandle::advertise_with`](crate::NodeHandle::advertise_with) and
 //! [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with) (and by
 //! [`LocalBus::subscribe_with`](crate::LocalBus::subscribe_with) for the
-//! in-process bus). Since 0.6.0 the `_with` forms are the primary API; the
-//! positional `advertise`/`subscribe` signatures remain as thin deprecated
-//! wrappers.
+//! in-process bus). The `_with` forms are the only advertise/subscribe
+//! entry points.
 //!
 //! [`PublisherStats`] / [`SubscriberStats`] are the matching read side: one
 //! coherent snapshot of an endpoint's counters plus its per-topic transport

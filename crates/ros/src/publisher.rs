@@ -136,7 +136,7 @@ const RECLAIM_ATTEMPTS: u32 = 6;
 /// subscription, and the reader releases them itself. Runs on the job pool
 /// (the liveness check reads `/proc`); the waits are reactor timers.
 fn reclaim_when_gone(link: ShmLink, sub_pid: u32, attempt: u32) {
-    if !rossf_shm::sys::process_alive(sub_pid) {
+    if !rossf_sys::process_alive(sub_pid) {
         link.reclaim_reader_holds();
     } else if attempt < RECLAIM_ATTEMPTS {
         runtime()
@@ -799,17 +799,16 @@ impl PubCore {
         };
 
         // Shared-memory eligibility: both sides opted in, same simulated
-        // machine, a *different* process (same-process traffic prefers the
-        // fast path unless `shm_same_process` overrides), and a supported
-        // platform. Link creation failure withholds the grant silently —
-        // the connection proceeds over TCP with byte-identical frames.
+        // machine, and a *different* process (same-process traffic prefers
+        // the fast path unless `shm_same_process` overrides). Link creation
+        // failure withholds the grant silently — the connection proceeds
+        // over TCP with byte-identical frames.
         let sub_pid = header
             .get(SHM_PID_FIELD)
             .and_then(|p| p.parse::<u32>().ok());
         let shm_link = if self.config.enable_shm
             && header.get(SHM_FIELD) == Some("1")
             && sub_machine == self.machine
-            && rossf_shm::supported()
             && sub_pid.is_some_and(|p| p != std::process::id() || self.config.shm_same_process)
         {
             let pool = {
@@ -1188,7 +1187,7 @@ impl Drop for PubCore {
 }
 
 /// A handle for publishing messages of type `M` on one topic (the object
-/// returned by `nh.advertise(...)` in the paper's Fig. 3).
+/// returned by `nh.advertise_with(...)`, the paper's Fig. 3 `advertise`).
 ///
 /// Cloning shares the same underlying listener and connections; the
 /// listener shuts down when the last clone drops.
@@ -1353,7 +1352,7 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
     /// wire buffer is the *shared* buffer, so publishing copies nothing).
     ///
     /// The loan is segment-backed when the shm tier is live for this
-    /// publisher (enabled, platform-supported, at least one shm subscriber
+    /// publisher (enabled, at least one shm subscriber
     /// has handshaken, and [`PublisherOptions::shm_loans`] was not turned
     /// off). Otherwise the loan transparently falls back to an ordinary
     /// heap allocation and behaves exactly like `SfmBox::new()` — caller

@@ -600,7 +600,7 @@ impl<D: Decode> SubCore<D> {
         // processes, so the offer also carries our pid. The offer is
         // withheld after a grant failed to attach (`offer_shm == false`)
         // so the publisher serves this connection over plain TCP.
-        if offer_shm && self.config.enable_shm && rossf_shm::supported() {
+        if offer_shm && self.config.enable_shm {
             request = request
                 .with(SHM_FIELD, "1")
                 .with(SHM_PID_FIELD, std::process::id().to_string());

@@ -136,11 +136,10 @@ const SOCK_BUF_BYTES: usize = 4 << 20;
 
 /// Best-effort growth of `stream`'s kernel buffers to [`SOCK_BUF_BYTES`].
 ///
-/// Failure is ignored: an untuned socket is slower, never incorrect
-/// (and the stub sys module on non-Linux targets always reports success).
+/// Failure is ignored: an untuned socket is slower, never incorrect.
 pub(crate) fn grow_socket_buffers(stream: &std::net::TcpStream) {
     use std::os::fd::AsRawFd;
-    let _ = rossf_reactor::sys::set_socket_buffers(stream.as_raw_fd(), SOCK_BUF_BYTES);
+    let _ = rossf_sys::set_socket_buffers(stream.as_raw_fd(), SOCK_BUF_BYTES);
 }
 
 /// Validate that a payload length fits the 4-byte frame prefix.

@@ -2,10 +2,11 @@
 //! middleware — corrupt frames are counted and skipped, malformed
 //! handshakes are rejected, and healthy traffic continues.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
 use rossf_ros::wire::{write_frame, ConnectionHeader};
-use rossf_ros::{BackoffPolicy, Master, NodeHandle, Publisher, TransportConfig};
+use rossf_ros::{
+    BackoffPolicy, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
+    TransportConfig,
+};
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -94,10 +95,14 @@ fn corrupt_sfm_frame_is_counted_and_skipped() {
 
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("fault/corrupt", 8, move |m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-        assert_eq!(m.data.len(), 32);
-    });
+    let sub = nh.subscribe_with(
+        "fault/corrupt",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(m.data.len(), 32);
+        },
+    );
     let mut stream = raw.accept(Payload::type_name());
 
     // Good frame, corrupt frame (offset points far outside), good frame.
@@ -122,9 +127,13 @@ fn oversized_frame_is_skipped_without_desync() {
 
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("fault/oversized", 8, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh.subscribe_with(
+        "fault/oversized",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     let mut stream = raw.accept(Payload::type_name());
 
     // A frame larger than Payload::max_size() cannot be adopted; the
@@ -143,7 +152,8 @@ fn oversized_frame_is_skipped_without_desync() {
 fn garbage_handshake_does_not_break_publisher() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fault/handshake", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fault/handshake", PublisherOptions::new().queue_size(8));
 
     // A bogus client connects and sends garbage instead of a header.
     let mut bogus = TcpStream::connect(publisher.addr()).unwrap();
@@ -166,9 +176,13 @@ fn garbage_handshake_does_not_break_publisher() {
 
     // A real subscriber still works afterwards.
     let (tx, rx) = std::sync::mpsc::channel();
-    let _sub = nh.subscribe("fault/handshake", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.seq).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "fault/handshake",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.seq).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
     let mut msg = SfmBox::<Payload>::new();
     msg.seq = 42;
@@ -197,9 +211,13 @@ fn absurd_length_prefix_is_rejected_without_allocation() {
 
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("fault/hugelen", 8, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh.subscribe_with(
+        "fault/hugelen",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     let mut stream = raw.accept(Payload::type_name());
 
     write_frame(&mut stream, &valid_frame(0)).unwrap();
@@ -234,9 +252,13 @@ fn publisher_death_mid_stream_ends_cleanly() {
 
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let _sub = nh.subscribe("fault/truncated", 8, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let _sub = nh.subscribe_with(
+        "fault/truncated",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     let mut stream = raw.accept(Payload::type_name());
 
     write_frame(&mut stream, &valid_frame(0)).unwrap();
@@ -267,9 +289,13 @@ fn dribbled_frames_and_a_close_after_a_short_write() {
     let raw = RawPublisher::register(&master, "fault/dribble", Payload::type_name());
 
     let (tx, rx) = std::sync::mpsc::channel();
-    let sub = nh.subscribe("fault/dribble", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.seq).unwrap();
-    });
+    let sub = nh.subscribe_with(
+        "fault/dribble",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.seq).unwrap();
+        },
+    );
     let mut stream = raw.accept(Payload::type_name());
     stream.set_nodelay(true).unwrap();
 

@@ -2,9 +2,10 @@
 //! and backpressure parity with the TCP path, transparent fallback, and a
 //! clean message life cycle under fan-out.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
-use rossf_ros::{BackoffPolicy, MachineId, Master, NodeHandle, Publisher, TransportConfig};
+use rossf_ros::{
+    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
+    TransportConfig,
+};
 use rossf_sfm::{mm, SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -69,11 +70,16 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 fn delivery_is_pointer_identical_to_the_published_buffer() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "zc");
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/zero_copy", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fastpath/zero_copy", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("fastpath/zero_copy", 8, move |m: SfmShared<Payload>| {
-        tx.send((m.base(), m.seq, m.data.len())).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "fastpath/zero_copy",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send((m.base(), m.seq, m.data.len())).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let adoptions_before = mm().stats().shared_adoptions;
@@ -108,17 +114,20 @@ fn fanout_with_early_unsubscribes_keeps_lifecycle_clean() {
 
     let master = Master::new();
     let nh = NodeHandle::new(&master, "fanout");
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/fanout", 16);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fastpath/fanout", PublisherOptions::new().queue_size(16));
     let counters: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let mut subs = Vec::new();
     for c in &counters {
         let c = Arc::clone(c);
-        subs.push(
-            nh.subscribe("fastpath/fanout", 16, move |m: SfmShared<Payload>| {
+        subs.push(nh.subscribe_with(
+            "fastpath/fanout",
+            SubscriberOptions::new(),
+            move |m: SfmShared<Payload>| {
                 assert_eq!(m.data.len(), 64);
                 c.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
+            },
+        ));
     }
     nh.wait_for_subscribers(&publisher, 3);
 
@@ -163,12 +172,17 @@ fn drop_scenario(enable_fastpath: bool) -> (u64, u64, u64) {
     fault.drop_frame(2);
     let config = fast_reconnect(enable_fastpath);
     let nh = NodeHandle::with_config(&master, "dropper", MachineId::A, config);
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/dropfault", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fastpath/dropfault", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(Mutex::new(Vec::new()));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("fastpath/dropfault", 64, move |m: SfmShared<Payload>| {
-        seen_cb.lock().unwrap().push(m.seq);
-    });
+    let sub = nh.subscribe_with(
+        "fastpath/dropfault",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            seen_cb.lock().unwrap().push(m.seq);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     for seq in 0..5 {
@@ -208,13 +222,18 @@ fn sever_and_heal_reconnects_on_the_pointer_path() {
     let master = Master::new();
     let fault = master.links().inject(MachineId::A, MachineId::A);
     let nh = NodeHandle::with_config(&master, "sever", MachineId::A, fast_reconnect(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/sever", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fastpath/sever", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("fastpath/sever", 64, move |m: SfmShared<Payload>| {
-        assert_eq!(m.data.len(), 64);
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh.subscribe_with(
+        "fastpath/sever",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            assert_eq!(m.data.len(), 64);
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let mut seq = 0u32;
@@ -254,11 +273,16 @@ fn roundtrip_bytes(pub_fastpath: bool, sub_fastpath: bool) -> (Vec<u8>, u64) {
         NodeHandle::with_config(&master, "pub", MachineId::A, fast_reconnect(pub_fastpath));
     let nh_sub =
         NodeHandle::with_config(&master, "sub", MachineId::A, fast_reconnect(sub_fastpath));
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("fastpath/fallback", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("fastpath/fallback", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh_sub.subscribe("fastpath/fallback", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.as_bytes().to_vec()).unwrap();
-    });
+    let _sub = nh_sub.subscribe_with(
+        "fastpath/fallback",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.as_bytes().to_vec()).unwrap();
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     let mut m = msg(41);
@@ -294,14 +318,21 @@ fn queue_backpressure_drops_and_counts_when_full() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "bp");
     // Tiny transmission queue so the test saturates it instantly.
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/backpressure", 2);
+    let publisher: Publisher<SfmBox<Payload>> = nh.advertise_with(
+        "fastpath/backpressure",
+        PublisherOptions::new().queue_size(2),
+    );
     let gate = Arc::new(Mutex::new(()));
     let seen = Arc::new(AtomicU64::new(0));
     let (gate_cb, seen_cb) = (Arc::clone(&gate), Arc::clone(&seen));
-    let _sub = nh.subscribe("fastpath/backpressure", 2, move |_m: SfmShared<Payload>| {
-        drop(gate_cb.lock().unwrap());
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let _sub = nh.subscribe_with(
+        "fastpath/backpressure",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            drop(gate_cb.lock().unwrap());
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let blocked = gate.lock().unwrap();
@@ -332,11 +363,16 @@ fn validate_on_receive_still_zero_copy() {
         ..TransportConfig::default()
     };
     let nh = NodeHandle::with_config(&master, "validate", MachineId::A, config);
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/validate", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fastpath/validate", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let sub = nh.subscribe("fastpath/validate", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.base()).unwrap();
-    });
+    let sub = nh.subscribe_with(
+        "fastpath/validate",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.base()).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let m = msg(3);
@@ -365,8 +401,13 @@ fn validate_on_receive_still_zero_copy() {
 fn subscriber_count_observes_departure_without_publishing() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "getter");
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("fastpath/getter", 8);
-    let sub = nh.subscribe("fastpath/getter", 8, |_m: SfmShared<Payload>| {});
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("fastpath/getter", PublisherOptions::new().queue_size(8));
+    let sub = nh.subscribe_with(
+        "fastpath/getter",
+        SubscriberOptions::new(),
+        |_m: SfmShared<Payload>| {},
+    );
     nh.wait_for_subscribers(&publisher, 1);
     assert_eq!(publisher.subscriber_count(), 1);
     drop(sub);

@@ -8,9 +8,10 @@
 //! and cost none, a fast-path or shm link costs its subscriber one
 //! consumer thread, and no tier costs the publisher any.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
-use rossf_ros::{BackoffPolicy, MachineId, Master, NodeHandle, Publisher, TransportConfig};
+use rossf_ros::{
+    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
+    TransportConfig,
+};
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -120,7 +121,7 @@ struct TierCase {
 }
 
 fn tier_cases() -> Vec<TierCase> {
-    let mut cases = vec![
+    vec![
         TierCase {
             name: "tcp",
             sub_machine: MachineId::B,
@@ -133,9 +134,7 @@ fn tier_cases() -> Vec<TierCase> {
             config: fast_reconnect(),
             consumer: Some("rossf-fast-sub"),
         },
-    ];
-    if rossf_shm::supported() {
-        cases.push(TierCase {
+        TierCase {
             name: "shm",
             sub_machine: MachineId::A,
             config: TransportConfig {
@@ -144,9 +143,8 @@ fn tier_cases() -> Vec<TierCase> {
                 ..fast_reconnect()
             },
             consumer: Some("rossf-shm-sub"),
-        });
-    }
-    cases
+        },
+    ]
 }
 
 /// N connect/sever/reconnect cycles plus subscription churn, then the
@@ -168,13 +166,18 @@ fn churn_one_tier(case: &TierCase) {
     let nh_pub = NodeHandle::with_config(&master, "pub", MachineId::A, case.config.clone());
     let nh_sub = NodeHandle::with_config(&master, "sub", case.sub_machine, case.config.clone());
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("leak/churn", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("leak/churn", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe("leak/churn", 64, move |m: SfmShared<Payload>| {
-        assert_eq!(m.data.len(), 32);
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh_sub.subscribe_with(
+        "leak/churn",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            assert_eq!(m.data.len(), 32);
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     let mut seq = 0u32;
@@ -187,9 +190,13 @@ fn churn_one_tier(case: &TierCase) {
     {
         let extra_seen = Arc::new(AtomicU64::new(0));
         let extra_cb = Arc::clone(&extra_seen);
-        let _extra = nh_sub.subscribe("leak/churn", 64, move |_m: SfmShared<Payload>| {
-            extra_cb.fetch_add(1, Ordering::SeqCst);
-        });
+        let _extra = nh_sub.subscribe_with(
+            "leak/churn",
+            SubscriberOptions::new(),
+            move |_m: SfmShared<Payload>| {
+                extra_cb.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         nh_pub.wait_for_subscribers(&publisher, 2);
         publish_until(&publisher, &mut seq, "warmup extra delivery", || {
             extra_seen.load(Ordering::SeqCst) >= 1
@@ -215,9 +222,13 @@ fn churn_one_tier(case: &TierCase) {
         // drop it.
         let extra_seen = Arc::new(AtomicU64::new(0));
         let extra_cb = Arc::clone(&extra_seen);
-        let extra = nh_sub.subscribe("leak/churn", 64, move |_m: SfmShared<Payload>| {
-            extra_cb.fetch_add(1, Ordering::SeqCst);
-        });
+        let extra = nh_sub.subscribe_with(
+            "leak/churn",
+            SubscriberOptions::new(),
+            move |_m: SfmShared<Payload>| {
+                extra_cb.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         publish_until(&publisher, &mut seq, "churned sub delivery", || {
             extra_seen.load(Ordering::SeqCst) >= 1
         });

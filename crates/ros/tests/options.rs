@@ -1,10 +1,6 @@
-//! The consolidated options/stats API: `advertise_with`/`subscribe_with`
-//! defaults are behaviorally identical to the legacy positional calls,
-//! per-endpoint transport overrides round-trip into real negotiation
-//! decisions, and `stats()` snapshots agree with the individual accessors
-//! on every transport tier.
-
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
+//! The consolidated options/stats API: per-endpoint transport overrides
+//! round-trip into real negotiation decisions, and `stats()` snapshots
+//! agree with the individual accessors on every transport tier.
 
 use rossf_ros::{
     LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
@@ -52,78 +48,6 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// Drives `n` frames through a fresh master under `config` using either the
-/// legacy positional API or the options API with equivalent settings, and
-/// returns `(published, received, fastpath_frames, shm_frames)`.
-fn run_pair(config: TransportConfig, use_options: bool, n: u64) -> (u64, u64, u64, u64) {
-    let master = Master::new();
-    let nh = NodeHandle::with_config(&master, "pair", MachineId::A, config);
-    let publisher: Publisher<SfmBox<Payload>> = if use_options {
-        nh.advertise_with("options/pair", PublisherOptions::new().queue_size(64))
-    } else {
-        nh.advertise("options/pair", 64)
-    };
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let cb = move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    };
-    let _sub = if use_options {
-        nh.subscribe_with("options/pair", SubscriberOptions::new().queue_size(64), cb)
-    } else {
-        nh.subscribe("options/pair", 64, cb)
-    };
-    nh.wait_for_subscribers(&publisher, 1);
-    for seq in 0..n {
-        publisher.publish(&msg(seq as u32));
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    wait_until("all frames delivered", || seen.load(Ordering::SeqCst) == n);
-    let snap = master.metrics().topic("options/pair").snapshot();
-    (
-        publisher.published(),
-        seen.load(Ordering::SeqCst),
-        snap.fastpath_frames,
-        snap.shm_frames,
-    )
-}
-
-/// Defaulted options behave exactly like the legacy positional API on
-/// every negotiated tier: same delivery, same tier choice, same counters.
-#[test]
-fn default_options_match_legacy_api_on_every_tier() {
-    let tiers: Vec<(&str, TransportConfig)> = vec![
-        ("fastpath", TransportConfig::default()),
-        (
-            "tcp",
-            TransportConfig {
-                enable_fastpath: false,
-                enable_shm: false,
-                ..TransportConfig::default()
-            },
-        ),
-        (
-            "shm",
-            TransportConfig {
-                enable_fastpath: false,
-                shm_same_process: true,
-                ..TransportConfig::default()
-            },
-        ),
-    ];
-    for (name, config) in tiers {
-        if name == "shm" && !rossf_shm::supported() {
-            continue;
-        }
-        let legacy = run_pair(config.clone(), false, 5);
-        let options = run_pair(config, true, 5);
-        assert_eq!(
-            legacy, options,
-            "{name}: options API must be behaviorally identical to the legacy API"
-        );
-    }
-}
-
 /// A per-endpoint transport override is honored over the node default: a
 /// publisher that opts out of both zero-copy tiers forces its links onto
 /// TCP even though the node config would negotiate them.
@@ -146,9 +70,13 @@ fn per_endpoint_transport_override_forces_the_tier() {
     );
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let _sub = nh.subscribe("options/override", 8, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let _sub = nh.subscribe_with(
+        "options/override",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
     for seq in 0..3 {
         publisher.publish(&msg(seq));
@@ -234,19 +162,17 @@ fn stats_are_consistent_on_all_four_tiers() {
     assert_eq!(fast.shm_frames, 0);
 
     // Shm: every frame crosses a segment ring.
-    if rossf_shm::supported() {
-        let shm = stats_scenario(
-            TransportConfig {
-                enable_fastpath: false,
-                shm_same_process: true,
-                ..TransportConfig::default()
-            },
-            5,
-        );
-        assert_eq!(shm.shm_frames, 5);
-        assert_eq!(shm.fastpath_frames, 0);
-        assert!(shm.shm_handshakes >= 1);
-    }
+    let shm = stats_scenario(
+        TransportConfig {
+            enable_fastpath: false,
+            shm_same_process: true,
+            ..TransportConfig::default()
+        },
+        5,
+    );
+    assert_eq!(shm.shm_frames, 5);
+    assert_eq!(shm.fastpath_frames, 0);
+    assert!(shm.shm_handshakes >= 1);
 
     // Local bus: synchronous dispatch, counted per publish call.
     let bus = LocalBus::new();

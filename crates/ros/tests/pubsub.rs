@@ -2,11 +2,10 @@
 //! families (plain/serialized and SFM/serialization-free), including
 //! cross-machine link shaping.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
 use rossf_ros::ser::{ByteReader, DecodeError, RosField, RosMessage};
 use rossf_ros::{
-    Encode, LinkProfile, MachineId, Master, NodeHandle, OutFrame, RosError, TopicType,
+    Encode, LinkProfile, MachineId, Master, NodeHandle, OutFrame, PublisherOptions, RosError,
+    SubscriberOptions, TopicType,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmString, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,11 +98,16 @@ fn recv_n<T>(rx: &mpsc::Receiver<T>, n: usize) -> Vec<T> {
 fn plain_messages_roundtrip_over_tcp() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
-    let publisher = nh.advertise::<Ping>("plain_roundtrip", 64);
+    let publisher =
+        nh.advertise_with::<Ping>("plain_roundtrip", PublisherOptions::new().queue_size(64));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("plain_roundtrip", 16, move |msg: Arc<Ping>| {
-        tx.send(msg).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "plain_roundtrip",
+        SubscriberOptions::new(),
+        move |msg: Arc<Ping>| {
+            tx.send(msg).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     for seq in 0..20u32 {
@@ -130,11 +134,16 @@ fn plain_messages_roundtrip_over_tcp() {
 fn sfm_messages_roundtrip_over_tcp() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
-    let publisher = nh.advertise::<SfmBox<SfmPing>>("sfm_roundtrip", 64);
+    let publisher = nh
+        .advertise_with::<SfmBox<SfmPing>>("sfm_roundtrip", PublisherOptions::new().queue_size(64));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("sfm_roundtrip", 16, move |msg: SfmShared<SfmPing>| {
-        tx.send(msg).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "sfm_roundtrip",
+        SubscriberOptions::new(),
+        move |msg: SfmShared<SfmPing>| {
+            tx.send(msg).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     for seq in 0..10u32 {
@@ -159,15 +168,20 @@ fn sfm_messages_roundtrip_over_tcp() {
 fn multiple_subscribers_each_get_every_message() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
-    let publisher = nh.advertise::<SfmBox<SfmPing>>("fanout", 16);
+    let publisher =
+        nh.advertise_with::<SfmBox<SfmPing>>("fanout", PublisherOptions::new().queue_size(16));
     let counters: Vec<Arc<AtomicU64>> = (0..3).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let _subs: Vec<_> = counters
         .iter()
         .map(|c| {
             let c = Arc::clone(c);
-            nh.subscribe("fanout", 16, move |_msg: SfmShared<SfmPing>| {
-                c.fetch_add(1, Ordering::SeqCst);
-            })
+            nh.subscribe_with(
+                "fanout",
+                SubscriberOptions::new(),
+                move |_msg: SfmShared<SfmPing>| {
+                    c.fetch_add(1, Ordering::SeqCst);
+                },
+            )
         })
         .collect();
     nh.wait_for_subscribers(&publisher, 3);
@@ -189,11 +203,15 @@ fn late_publisher_is_discovered_by_existing_subscriber() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "node");
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("late_pub", 4, move |msg: Arc<Ping>| {
-        tx.send(msg.seq).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "late_pub",
+        SubscriberOptions::new(),
+        move |msg: Arc<Ping>| {
+            tx.send(msg.seq).unwrap();
+        },
+    );
     // Publisher appears after the subscription.
-    let publisher = nh.advertise::<Ping>("late_pub", 4);
+    let publisher = nh.advertise_with::<Ping>("late_pub", PublisherOptions::new().queue_size(4));
     nh.wait_for_subscribers(&publisher, 1);
     publisher.publish(&Ping {
         seq: 99,
@@ -206,8 +224,12 @@ fn late_publisher_is_discovered_by_existing_subscriber() {
 fn type_mismatch_rejected_by_master() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "node");
-    let _pub = nh.advertise::<Ping>("typed", 4);
-    let result = nh.try_subscribe("typed", |_msg: SfmShared<SfmPing>| {});
+    let _pub = nh.advertise_with::<Ping>("typed", PublisherOptions::new().queue_size(4));
+    let result = nh.try_subscribe_with(
+        "typed",
+        SubscriberOptions::new(),
+        |_msg: SfmShared<SfmPing>| {},
+    );
     assert!(matches!(result, Err(RosError::TypeMismatch { .. })));
 }
 
@@ -226,11 +248,16 @@ fn shaped_cross_machine_link_slows_delivery() {
     let nh_a = NodeHandle::new(&master, "pub");
     let nh_b = NodeHandle::with_machine(&master, "sub", MachineId::B);
 
-    let publisher = nh_a.advertise::<SfmBox<SfmPing>>("shaped", 4);
+    let publisher =
+        nh_a.advertise_with::<SfmBox<SfmPing>>("shaped", PublisherOptions::new().queue_size(4));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh_b.subscribe("shaped", 4, move |msg: SfmShared<SfmPing>| {
-        tx.send(msg.seq).unwrap();
-    });
+    let _sub = nh_b.subscribe_with(
+        "shaped",
+        SubscriberOptions::new(),
+        move |msg: SfmShared<SfmPing>| {
+            tx.send(msg.seq).unwrap();
+        },
+    );
     nh_a.wait_for_subscribers(&publisher, 1);
 
     let mut msg = SfmBox::<SfmPing>::new();
@@ -254,11 +281,16 @@ fn unshaped_same_machine_is_fast() {
         .connect(MachineId::A, MachineId::B, LinkProfile::fast_ethernet());
     // Both nodes on machine A: the A<->B profile must NOT apply.
     let nh = NodeHandle::new(&master, "node");
-    let publisher = nh.advertise::<SfmBox<SfmPing>>("local_fast", 4);
+    let publisher =
+        nh.advertise_with::<SfmBox<SfmPing>>("local_fast", PublisherOptions::new().queue_size(4));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("local_fast", 4, move |msg: SfmShared<SfmPing>| {
-        tx.send(msg.seq).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "local_fast",
+        SubscriberOptions::new(),
+        move |msg: SfmShared<SfmPing>| {
+            tx.send(msg.seq).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let mut msg = SfmBox::<SfmPing>::new();
@@ -277,11 +309,15 @@ fn unshaped_same_machine_is_fast() {
 fn subscriber_drop_stops_delivery_and_publisher_notices() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "node");
-    let publisher = nh.advertise::<Ping>("drop_sub", 4);
+    let publisher = nh.advertise_with::<Ping>("drop_sub", PublisherOptions::new().queue_size(4));
     let (tx, rx) = mpsc::channel();
-    let sub = nh.subscribe("drop_sub", 4, move |msg: Arc<Ping>| {
-        let _ = tx.send(msg.seq);
-    });
+    let sub = nh.subscribe_with(
+        "drop_sub",
+        SubscriberOptions::new(),
+        move |msg: Arc<Ping>| {
+            let _ = tx.send(msg.seq);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
     publisher.publish(&Ping::default());
     recv_n(&rx, 1);
@@ -306,8 +342,8 @@ fn subscriber_drop_stops_delivery_and_publisher_notices() {
 fn publisher_drop_ends_subscriber_connection() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "node");
-    let publisher = nh.advertise::<Ping>("drop_pub", 4);
-    let sub = nh.subscribe("drop_pub", 4, |_msg: Arc<Ping>| {});
+    let publisher = nh.advertise_with::<Ping>("drop_pub", PublisherOptions::new().queue_size(4));
+    let sub = nh.subscribe_with("drop_pub", SubscriberOptions::new(), |_msg: Arc<Ping>| {});
     nh.wait_for_subscribers(&publisher, 1);
     assert_eq!(master.publisher_count("drop_pub"), 1);
     drop(publisher);
@@ -322,10 +358,10 @@ fn ping_pong_relay_preserves_stamp() {
     let nh = NodeHandle::new(&master, "a");
     let nh_b = NodeHandle::with_machine(&master, "b", MachineId::B);
 
-    let pub1 = nh.advertise::<Ping>("pp1", 4);
-    let pub2 = nh_b.advertise::<Ping>("pp2", 4);
+    let pub1 = nh.advertise_with::<Ping>("pp1", PublisherOptions::new().queue_size(4));
+    let pub2 = nh_b.advertise_with::<Ping>("pp2", PublisherOptions::new().queue_size(4));
     let pub2_clone = pub2.clone();
-    let _trans = nh_b.subscribe("pp1", 4, move |msg: Arc<Ping>| {
+    let _trans = nh_b.subscribe_with("pp1", SubscriberOptions::new(), move |msg: Arc<Ping>| {
         pub2_clone.publish(&Ping {
             seq: msg.seq,
             stamp_nanos: msg.stamp_nanos,
@@ -333,7 +369,7 @@ fn ping_pong_relay_preserves_stamp() {
         });
     });
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("pp2", 4, move |msg: Arc<Ping>| {
+    let _sub = nh.subscribe_with("pp2", SubscriberOptions::new(), move |msg: Arc<Ping>| {
         tx.send((msg.seq, msg.stamp_nanos)).unwrap();
     });
     nh.wait_for_subscribers(&pub1, 1);

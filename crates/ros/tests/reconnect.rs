@@ -2,9 +2,10 @@
 //! publisher restarts, driven by the deterministic fault injector in
 //! `rossf-netsim`.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
-use rossf_ros::{BackoffPolicy, MachineId, Master, NodeHandle, Publisher, TransportConfig};
+use rossf_ros::{
+    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
+    TransportConfig,
+};
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -91,13 +92,18 @@ fn severed_link_reconnects_after_heal_and_resumes_delivery() {
     let nh_pub = NodeHandle::new(&master, "pub");
     let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, fast_reconnect());
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/sever", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("reconnect/sever", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe("reconnect/sever", 64, move |m: SfmShared<Payload>| {
-        assert_eq!(m.data.len(), 32);
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh_sub.subscribe_with(
+        "reconnect/sever",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            assert_eq!(m.data.len(), 32);
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     // Healthy traffic first.
@@ -150,13 +156,18 @@ fn publisher_restart_resumes_delivery_via_watcher() {
     let nh_pub = NodeHandle::new(&master, "pub");
     let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::A, fast_reconnect());
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/restart", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("reconnect/restart", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe("reconnect/restart", 64, move |m: SfmShared<Payload>| {
-        assert_eq!(m.data.len(), 32);
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh_sub.subscribe_with(
+        "reconnect/restart",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            assert_eq!(m.data.len(), 32);
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     let mut seq = 0u32;
@@ -169,7 +180,8 @@ fn publisher_restart_resumes_delivery_via_watcher() {
     wait_until("unregistration", || {
         master.publisher_count("reconnect/restart") == 0
     });
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/restart", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("reconnect/restart", PublisherOptions::new().queue_size(64));
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     let resumed_from = seen.load(Ordering::SeqCst);
@@ -192,12 +204,17 @@ fn drop_fault_skips_frames_without_killing_connection() {
     let nh_pub = NodeHandle::new(&master, "pub");
     let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, fast_reconnect());
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/drop", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("reconnect/drop", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(Mutex::new(Vec::new()));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe("reconnect/drop", 64, move |m: SfmShared<Payload>| {
-        seen_cb.lock().unwrap().push(m.seq);
-    });
+    let sub = nh_sub.subscribe_with(
+        "reconnect/drop",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            seen_cb.lock().unwrap().push(m.seq);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     for seq in 0..6 {
@@ -250,9 +267,6 @@ impl Link {
 #[test]
 fn delay_fault_postpones_delivery_without_loss() {
     for link in [Link::Tcp, Link::Fastpath, Link::Shm] {
-        if link == Link::Shm && !rossf_shm::supported() {
-            continue;
-        }
         const DELAY: Duration = Duration::from_millis(120);
         const FRAMES: u32 = 5;
         let (sub_machine, config) = link.placement();
@@ -262,12 +276,17 @@ fn delay_fault_postpones_delivery_without_loss() {
         let nh_pub = NodeHandle::with_config(&master, "pub", MachineId::A, config.clone());
         let nh_sub = NodeHandle::with_config(&master, "sub", sub_machine, config);
 
-        let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/delay", 64);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh_pub.advertise_with("reconnect/delay", PublisherOptions::new().queue_size(64));
         let seen = Arc::new(Mutex::new(Vec::new()));
         let seen_cb = Arc::clone(&seen);
-        let _sub = nh_sub.subscribe("reconnect/delay", 64, move |m: SfmShared<Payload>| {
-            seen_cb.lock().unwrap().push(m.seq);
-        });
+        let _sub = nh_sub.subscribe_with(
+            "reconnect/delay",
+            SubscriberOptions::new(),
+            move |m: SfmShared<Payload>| {
+                seen_cb.lock().unwrap().push(m.seq);
+            },
+        );
         nh_pub.wait_for_subscribers(&publisher, 1);
 
         let start = Instant::now();
@@ -309,12 +328,17 @@ fn backoff_gives_up_after_max_attempts() {
     let nh_pub = NodeHandle::new(&master, "pub");
     let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, config);
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("reconnect/giveup", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("reconnect/giveup", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe("reconnect/giveup", 64, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh_sub.subscribe_with(
+        "reconnect/giveup",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
     let mut seq = 0u32;
     publish_until(&publisher, &mut seq, "first frame", || {

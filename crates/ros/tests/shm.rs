@@ -2,13 +2,11 @@
 //! segments, byte-identity with TCP, fault and backpressure parity,
 //! segment lifecycle hygiene, trace coverage — and a forked real-process
 //! subscriber proving the tier across an actual process boundary.
-//!
-//! Every test bails out early when [`rossf_shm::supported`] is false, so
-//! the suite degrades to a no-op on targets without the memfd transport.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
-use rossf_ros::{BackoffPolicy, MachineId, Master, NodeHandle, Publisher, TransportConfig};
+use rossf_ros::{
+    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
+    TransportConfig,
+};
 use rossf_sfm::{mm, SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -94,16 +92,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// shm counters record the handshake and every frame.
 #[test]
 fn delivery_is_zero_copy_out_of_a_mapped_segment() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "zc", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/zero_copy", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/zero_copy", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/zero_copy", 8, move |m: SfmShared<Payload>| {
-        tx.send((m.base(), m.seq, m.data.len())).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "shm/zero_copy",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send((m.base(), m.seq, m.data.len())).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let m = msg(7);
@@ -137,11 +137,16 @@ fn delivery_is_zero_copy_out_of_a_mapped_segment() {
 fn roundtrip_bytes(enable_shm: bool) -> (Vec<u8>, u64) {
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "rt", MachineId::A, shm_config(enable_shm));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/fallback", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/fallback", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/fallback", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.as_bytes().to_vec()).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "shm/fallback",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.as_bytes().to_vec()).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let mut m = sized_msg(41, 64);
@@ -164,9 +169,6 @@ fn roundtrip_bytes(enable_shm: bool) -> (Vec<u8>, u64) {
 /// that cross the ring are byte-identical to the socket encoding.
 #[test]
 fn forced_tcp_fallback_is_byte_identical() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let (shm_bytes, shm_frames) = roundtrip_bytes(true);
     let (tcp_bytes, tcp_frames) = roundtrip_bytes(false);
     assert!(shm_frames > 0, "enabled run must use the shm tier");
@@ -180,9 +182,6 @@ fn forced_tcp_fallback_is_byte_identical() {
 /// sanitizer must see no refcount anomalies or leaked segments.
 #[test]
 fn early_unsubscribe_and_publisher_drop_leak_no_segments() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let prev_policy = rossf_sfm::set_alert_policy(rossf_sfm::AlertPolicy::Count);
     mm().set_sanitizer(true);
     wait_until("no segments left over from earlier tests", || {
@@ -193,17 +192,20 @@ fn early_unsubscribe_and_publisher_drop_leak_no_segments() {
     {
         let master = Master::new();
         let nh = NodeHandle::with_config(&master, "leak_a", MachineId::A, shm_config(true));
-        let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/leak_a", 16);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh.advertise_with("shm/leak_a", PublisherOptions::new().queue_size(16));
         let counters: Vec<Arc<AtomicU64>> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
         let mut subs = Vec::new();
         for c in &counters {
             let c = Arc::clone(c);
-            subs.push(
-                nh.subscribe("shm/leak_a", 16, move |m: SfmShared<Payload>| {
+            subs.push(nh.subscribe_with(
+                "shm/leak_a",
+                SubscriberOptions::new(),
+                move |m: SfmShared<Payload>| {
                     assert_eq!(m.data.len(), 64);
                     c.fetch_add(1, Ordering::SeqCst);
-                }),
-            );
+                },
+            ));
         }
         nh.wait_for_subscribers(&publisher, 2);
         for seq in 0..4 {
@@ -232,12 +234,17 @@ fn early_unsubscribe_and_publisher_drop_leak_no_segments() {
     {
         let master = Master::new();
         let nh = NodeHandle::with_config(&master, "leak_b", MachineId::A, shm_config(true));
-        let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/leak_b", 16);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh.advertise_with("shm/leak_b", PublisherOptions::new().queue_size(16));
         let seen = Arc::new(AtomicU64::new(0));
         let seen_cb = Arc::clone(&seen);
-        let _sub = nh.subscribe("shm/leak_b", 16, move |_m: SfmShared<Payload>| {
-            seen_cb.fetch_add(1, Ordering::SeqCst);
-        });
+        let _sub = nh.subscribe_with(
+            "shm/leak_b",
+            SubscriberOptions::new(),
+            move |_m: SfmShared<Payload>| {
+                seen_cb.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         nh.wait_for_subscribers(&publisher, 1);
         for seq in 0..4 {
             publisher.publish(&msg(seq));
@@ -256,13 +263,18 @@ fn early_unsubscribe_and_publisher_drop_leak_no_segments() {
     {
         let master = Master::new();
         let nh = NodeHandle::with_config(&master, "leak_c", MachineId::A, shm_config(true));
-        let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/leak_c", 16);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh.advertise_with("shm/leak_c", PublisherOptions::new().queue_size(16));
         let seen = Arc::new(AtomicU64::new(0));
         let seen_cb = Arc::clone(&seen);
-        let _sub = nh.subscribe("shm/leak_c", 16, move |m: SfmShared<Payload>| {
-            assert_eq!(m.data.len(), 32);
-            seen_cb.fetch_add(1, Ordering::SeqCst);
-        });
+        let _sub = nh.subscribe_with(
+            "shm/leak_c",
+            SubscriberOptions::new(),
+            move |m: SfmShared<Payload>| {
+                assert_eq!(m.data.len(), 32);
+                seen_cb.fetch_add(1, Ordering::SeqCst);
+            },
+        );
         nh.wait_for_subscribers(&publisher, 1);
         let mut loaned = loan_retrying(&publisher);
         assert!(loaned.is_shm_backed());
@@ -300,12 +312,17 @@ fn drop_scenario(enable_shm: bool) -> (u64, u64, u64) {
     let fault = master.links().inject(MachineId::A, MachineId::A);
     fault.drop_frame(2);
     let nh = NodeHandle::with_config(&master, "dropper", MachineId::A, shm_config(enable_shm));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/dropfault", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/dropfault", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(Mutex::new(Vec::new()));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("shm/dropfault", 64, move |m: SfmShared<Payload>| {
-        seen_cb.lock().unwrap().push(m.seq);
-    });
+    let sub = nh.subscribe_with(
+        "shm/dropfault",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            seen_cb.lock().unwrap().push(m.seq);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     for seq in 0..5 {
@@ -330,9 +347,6 @@ fn drop_scenario(enable_shm: bool) -> (u64, u64, u64) {
 /// or through a socket.
 #[test]
 fn drop_fault_accounting_matches_tcp_path() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let shm = drop_scenario(true);
     let tcp = drop_scenario(false);
     assert_eq!(shm, tcp, "(delivered, faulted, dropped) must match");
@@ -344,19 +358,21 @@ fn drop_fault_accounting_matches_tcp_path() {
 /// backoff and resumes ring delivery afterwards.
 #[test]
 fn sever_and_heal_reconnects_on_the_shm_path() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let fault = master.links().inject(MachineId::A, MachineId::A);
     let nh = NodeHandle::with_config(&master, "sever", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/sever", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/sever", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("shm/sever", 64, move |m: SfmShared<Payload>| {
-        assert_eq!(m.data.len(), 64);
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh.subscribe_with(
+        "shm/sever",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            assert_eq!(m.data.len(), 64);
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let mut seq = 0u32;
@@ -395,20 +411,22 @@ fn sever_and_heal_reconnects_on_the_shm_path() {
 /// on the socket path, and delivery resumes once unblocked.
 #[test]
 fn queue_backpressure_drops_and_counts_when_full() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "bp", MachineId::A, shm_config(true));
     // Tiny ring so the test saturates it instantly.
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/backpressure", 2);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/backpressure", PublisherOptions::new().queue_size(2));
     let gate = Arc::new(Mutex::new(()));
     let seen = Arc::new(AtomicU64::new(0));
     let (gate_cb, seen_cb) = (Arc::clone(&gate), Arc::clone(&seen));
-    let _sub = nh.subscribe("shm/backpressure", 2, move |_m: SfmShared<Payload>| {
-        drop(gate_cb.lock().unwrap());
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let _sub = nh.subscribe_with(
+        "shm/backpressure",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            drop(gate_cb.lock().unwrap());
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let blocked = gate.lock().unwrap();
@@ -441,9 +459,6 @@ fn queue_backpressure_drops_and_counts_when_full() {
 /// nothing may be lost, duplicated, or reordered within a producer.
 #[test]
 fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
-    if !rossf_shm::supported() {
-        return;
-    }
     const PRODUCERS: u32 = 4;
     const PER_PRODUCER: u32 = 500;
     // In flight per producer: all four together stay well inside the
@@ -452,17 +467,22 @@ fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "mpsc", MachineId::A, shm_config(true));
     // A ring ample for everything that can be in flight.
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/mpsc", 256);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/mpsc", PublisherOptions::new().queue_size(256));
     let next: Arc<Vec<AtomicU64>> = Arc::new((0..PRODUCERS).map(|_| AtomicU64::new(0)).collect());
     let out_of_order = Arc::new(AtomicU64::new(0));
     let (next_cb, ooo_cb) = (Arc::clone(&next), Arc::clone(&out_of_order));
-    let sub = nh.subscribe("shm/mpsc", 256, move |m: SfmShared<Payload>| {
-        let (producer, i) = ((m.seq >> 16) as usize, u64::from(m.seq & 0xffff));
-        // ORDER: test bookkeeping; one consumer thread runs this callback.
-        if next_cb[producer].fetch_add(1, Ordering::SeqCst) != i {
-            ooo_cb.fetch_add(1, Ordering::SeqCst);
-        }
-    });
+    let sub = nh.subscribe_with(
+        "shm/mpsc",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            let (producer, i) = ((m.seq >> 16) as usize, u64::from(m.seq & 0xffff));
+            // ORDER: test bookkeeping; one consumer thread runs this callback.
+            if next_cb[producer].fetch_add(1, Ordering::SeqCst) != i {
+                ooo_cb.fetch_add(1, Ordering::SeqCst);
+            }
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let start = Arc::new(std::sync::Barrier::new(PRODUCERS as usize));
@@ -503,20 +523,22 @@ fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
 /// too — and clean frames still arrive zero-copy with nothing rejected.
 #[test]
 fn validate_on_receive_still_zero_copy() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let config = TransportConfig {
         validate_on_receive: true,
         ..shm_config(true)
     };
     let nh = NodeHandle::with_config(&master, "validate", MachineId::A, config);
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/validate", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/validate", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let sub = nh.subscribe("shm/validate", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.base()).unwrap();
-    });
+    let sub = nh.subscribe_with(
+        "shm/validate",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.base()).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     publisher.publish(&msg(3));
@@ -537,9 +559,6 @@ fn validate_on_receive_still_zero_copy() {
 /// ring dwell is the wire_read span, each side causally ordered.
 #[test]
 fn shm_timeline_is_monotone_per_side() {
-    if !rossf_shm::supported() {
-        return;
-    }
     use rossf_ros::{PublisherOptions, SubscriberOptions};
     use rossf_trace::{check_monotone, tracer, Stage, Tier, TraceEvent};
 
@@ -618,9 +637,6 @@ fn shm_timeline_is_monotone_per_side() {
 /// serves plain TCP instead.
 #[test]
 fn unattachable_grant_falls_back_to_tcp() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     master
         .links()
@@ -628,11 +644,16 @@ fn unattachable_grant_falls_back_to_tcp() {
         .deny_attach();
     let nh_pub = NodeHandle::with_config(&master, "att_pub", MachineId::A, shm_config(true));
     let nh_sub = NodeHandle::with_config(&master, "att_sub", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("shm/attach_fault", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("shm/attach_fault", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let sub = nh_sub.subscribe("shm/attach_fault", 8, move |m: SfmShared<Payload>| {
-        let _ = tx.send((m.seq, rossf_shm::is_shm_mapped(m.base())));
-    });
+    let sub = nh_sub.subscribe_with(
+        "shm/attach_fault",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            let _ = tx.send((m.seq, rossf_shm::is_shm_mapped(m.base())));
+        },
+    );
 
     // Publish once the fallback link is the only link: `publish` commits
     // into a granted ring at once, so a frame published while the doomed
@@ -692,13 +713,17 @@ fn shm_child_stash_entry() {
     let stash: Arc<Mutex<Vec<SfmShared<Payload>>>> = Arc::new(Mutex::new(Vec::new()));
     let (tx, rx) = mpsc::channel();
     let stash_cb = Arc::clone(&stash);
-    let _sub = nh.subscribe("shm/crash", 64, move |m: SfmShared<Payload>| {
-        if rossf_shm::is_shm_mapped(m.base()) {
-            let mut held = stash_cb.lock().unwrap();
-            held.push(m);
-            let _ = tx.send(held.len());
-        }
-    });
+    let _sub = nh.subscribe_with(
+        "shm/crash",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            if rossf_shm::is_shm_mapped(m.base()) {
+                let mut held = stash_cb.lock().unwrap();
+                held.push(m);
+                let _ = tx.send(held.len());
+            }
+        },
+    );
     loop {
         let held = rx
             .recv_timeout(Duration::from_secs(30))
@@ -720,12 +745,10 @@ fn shm_child_stash_entry() {
 /// slot was un-pinned, since the dead child held all of them.
 #[test]
 fn crashed_subscriber_frames_are_reclaimed() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "crash_pub", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/crash", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/crash", PublisherOptions::new().queue_size(64));
 
     let mut child = std::process::Command::new(std::env::current_exe().unwrap())
         .args(["shm_child_stash_entry", "--exact", "--test-threads", "1"])
@@ -757,9 +780,13 @@ fn crashed_subscriber_frames_are_reclaimed() {
     assert!(status.success(), "stashing child failed");
 
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/crash", 64, move |m: SfmShared<Payload>| {
-        let _ = tx.send(rossf_shm::is_shm_mapped(m.base()));
-    });
+    let _sub = nh.subscribe_with(
+        "shm/crash",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            let _ = tx.send(rossf_shm::is_shm_mapped(m.base()));
+        },
+    );
     let deadline = Instant::now() + Duration::from_secs(20);
     let mapped = loop {
         publisher.publish(&msg(seq));
@@ -807,10 +834,14 @@ fn shm_child_process_entry() {
     };
     let nh = NodeHandle::with_config(&master, "fork_child", MachineId::A, config);
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/fork", 64, move |m: SfmShared<Payload>| {
-        let mapped = rossf_shm::is_shm_mapped(m.base());
-        let _ = tx.send((fnv1a(m.as_bytes()), mapped));
-    });
+    let _sub = nh.subscribe_with(
+        "shm/fork",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            let mapped = rossf_shm::is_shm_mapped(m.base());
+            let _ = tx.send((fnv1a(m.as_bytes()), mapped));
+        },
+    );
 
     let mut lines = String::new();
     for _ in 0..count {
@@ -829,9 +860,6 @@ fn shm_child_process_entry() {
 /// multiple segment classes.
 #[test]
 fn forked_subscriber_receives_byte_identical_shm_frames() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let sizes: [usize; 10] = [1, 64, 17, 1000, 4096, 5, 66_000, 150_000, 300_000, 128];
     let master = Master::new();
     let nh_pub = NodeHandle::with_config(
@@ -853,12 +881,17 @@ fn forked_subscriber_receives_byte_identical_shm_frames() {
             ..TransportConfig::default()
         },
     );
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("shm/fork", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("shm/fork", PublisherOptions::new().queue_size(64));
     let tcp_hashes = Arc::new(Mutex::new(Vec::new()));
     let tcp_cb = Arc::clone(&tcp_hashes);
-    let _tcp_sub = nh_tcp.subscribe("shm/fork", 64, move |m: SfmShared<Payload>| {
-        tcp_cb.lock().unwrap().push(fnv1a(m.as_bytes()));
-    });
+    let _tcp_sub = nh_tcp.subscribe_with(
+        "shm/fork",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tcp_cb.lock().unwrap().push(fnv1a(m.as_bytes()));
+        },
+    );
 
     let out_path = std::env::temp_dir().join(format!("rossf-shm-fork-{}.txt", std::process::id()));
     let _ = std::fs::remove_file(&out_path);
@@ -960,23 +993,25 @@ fn loan_retrying<T: SfmMessage>(publisher: &Publisher<SfmBox<T>>) -> rossf_ros::
 /// but no subscriber granted yet, and loans explicitly switched off.
 #[test]
 fn loan_falls_back_to_heap_when_shm_is_idle() {
-    if !rossf_shm::supported() {
-        return;
-    }
     // Scenario 1: shm disabled — delivery over TCP.
     {
         let master = Master::new();
         let nh = NodeHandle::with_config(&master, "loan_fb", MachineId::A, shm_config(false));
-        let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/loan_fb", 8);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh.advertise_with("shm/loan_fb", PublisherOptions::new().queue_size(8));
         let (tx, rx) = mpsc::channel();
-        let _sub = nh.subscribe("shm/loan_fb", 8, move |m: SfmShared<Payload>| {
-            tx.send((
-                m.seq,
-                m.data.as_slice().to_vec(),
-                rossf_shm::is_shm_mapped(m.base()),
-            ))
-            .unwrap();
-        });
+        let _sub = nh.subscribe_with(
+            "shm/loan_fb",
+            SubscriberOptions::new(),
+            move |m: SfmShared<Payload>| {
+                tx.send((
+                    m.seq,
+                    m.data.as_slice().to_vec(),
+                    rossf_shm::is_shm_mapped(m.base()),
+                ))
+                .unwrap();
+            },
+        );
         nh.wait_for_subscribers(&publisher, 1);
 
         let mut loaned = publisher.loan().expect("heap fallback is never refused");
@@ -1001,7 +1036,8 @@ fn loan_falls_back_to_heap_when_shm_is_idle() {
     {
         let master = Master::new();
         let nh = NodeHandle::with_config(&master, "loan_fb2", MachineId::A, shm_config(true));
-        let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/loan_fb2", 8);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh.advertise_with("shm/loan_fb2", PublisherOptions::new().queue_size(8));
         let loaned = publisher.loan().expect("no pool yet, heap fallback");
         assert!(!loaned.is_shm_backed());
         drop(loaned);
@@ -1016,9 +1052,13 @@ fn loan_falls_back_to_heap_when_shm_is_idle() {
             PublisherOptions::new().queue_size(8).shm_loans(false),
         );
         let (tx, rx) = mpsc::channel();
-        let _sub = nh.subscribe("shm/loan_fb3", 8, move |m: SfmShared<Payload>| {
-            tx.send(m.seq).unwrap();
-        });
+        let _sub = nh.subscribe_with(
+            "shm/loan_fb3",
+            SubscriberOptions::new(),
+            move |m: SfmShared<Payload>| {
+                tx.send(m.seq).unwrap();
+            },
+        );
         nh.wait_for_subscribers(&publisher, 1);
         let mut loaned = publisher.loan().expect("opt-out falls back to heap");
         assert!(
@@ -1038,22 +1078,24 @@ fn loan_falls_back_to_heap_when_shm_is_idle() {
 /// out of a mapped segment.
 #[test]
 fn loaned_message_is_built_inside_the_segment() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "loan_zc", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/loan_zc", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/loan_zc", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/loan_zc", 8, move |m: SfmShared<Payload>| {
-        tx.send((
-            m.seq,
-            fnv1a(m.data.as_slice()),
-            m.data.len(),
-            rossf_shm::is_shm_mapped(m.base()),
-        ))
-        .unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "shm/loan_zc",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send((
+                m.seq,
+                fnv1a(m.data.as_slice()),
+                m.data.len(),
+                rossf_shm::is_shm_mapped(m.base()),
+            ))
+            .unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let mut loaned = loan_retrying(&publisher);
@@ -1090,16 +1132,18 @@ fn loaned_message_is_built_inside_the_segment() {
 /// drop-unpublished lifecycle leaks nothing.
 #[test]
 fn loan_backpressure_and_unpublished_drop_return_write_holds() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "loan_bp", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/loan_bp", 8);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/loan_bp", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/loan_bp", 8, move |m: SfmShared<Payload>| {
-        tx.send(m.seq).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "shm/loan_bp",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            tx.send(m.seq).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     let held: Vec<_> = (0..rossf_shm::DIR_CAP)
@@ -1139,17 +1183,20 @@ fn shm_child_segment_count_entry() {
     const N: usize = 3;
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "segcount", MachineId::A, shm_config(true));
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise("shm/segcount", 16);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/segcount", PublisherOptions::new().queue_size(16));
     let (tx, rx) = mpsc::channel();
     let mut subs = Vec::new();
     for _ in 0..N {
         let tx = tx.clone();
-        subs.push(
-            nh.subscribe("shm/segcount", 16, move |m: SfmShared<Payload>| {
+        subs.push(nh.subscribe_with(
+            "shm/segcount",
+            SubscriberOptions::new(),
+            move |m: SfmShared<Payload>| {
                 assert!(rossf_shm::is_shm_mapped(m.base()));
                 tx.send(m.seq).unwrap();
-            }),
-        );
+            },
+        ));
     }
     nh.wait_for_subscribers(&publisher, N);
     // Reader-side control mappings land asynchronously after the
@@ -1227,9 +1274,6 @@ fn shm_child_segment_count_entry() {
 /// child process whose segment accounting no other test can disturb.
 #[test]
 fn one_publish_occupies_one_segment_across_n_links() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let status = std::process::Command::new(std::env::current_exe().unwrap())
         .args([
             "shm_child_segment_count_entry",
@@ -1269,10 +1313,14 @@ fn shm_child_loan_entry() {
     };
     let nh = NodeHandle::with_config(&master, "loan_child", MachineId::A, config);
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("shm/loan_fork", 64, move |m: SfmShared<BigPayload>| {
-        let mapped = rossf_shm::is_shm_mapped(m.base());
-        let _ = tx.send((fnv1a(m.as_bytes()), mapped));
-    });
+    let _sub = nh.subscribe_with(
+        "shm/loan_fork",
+        SubscriberOptions::new(),
+        move |m: SfmShared<BigPayload>| {
+            let mapped = rossf_shm::is_shm_mapped(m.base());
+            let _ = tx.send((fnv1a(m.as_bytes()), mapped));
+        },
+    );
 
     let mut lines = String::new();
     for _ in 0..count {
@@ -1291,9 +1339,6 @@ fn shm_child_loan_entry() {
 /// loaned publishes (the mixed-tier fallback encoding).
 #[test]
 fn forked_subscriber_receives_byte_identical_loaned_frames() {
-    if !rossf_shm::supported() {
-        return;
-    }
     let sizes: [usize; 5] = [64, 4096, 150_000, 1_000_000, 128];
     let master = Master::new();
     let nh_pub = NodeHandle::with_config(
@@ -1315,12 +1360,17 @@ fn forked_subscriber_receives_byte_identical_loaned_frames() {
             ..TransportConfig::default()
         },
     );
-    let publisher: Publisher<SfmBox<BigPayload>> = nh_pub.advertise("shm/loan_fork", 64);
+    let publisher: Publisher<SfmBox<BigPayload>> =
+        nh_pub.advertise_with("shm/loan_fork", PublisherOptions::new().queue_size(64));
     let tcp_hashes = Arc::new(Mutex::new(Vec::new()));
     let tcp_cb = Arc::clone(&tcp_hashes);
-    let _tcp_sub = nh_tcp.subscribe("shm/loan_fork", 64, move |m: SfmShared<BigPayload>| {
-        tcp_cb.lock().unwrap().push(fnv1a(m.as_bytes()));
-    });
+    let _tcp_sub = nh_tcp.subscribe_with(
+        "shm/loan_fork",
+        SubscriberOptions::new(),
+        move |m: SfmShared<BigPayload>| {
+            tcp_cb.lock().unwrap().push(fnv1a(m.as_bytes()));
+        },
+    );
 
     let out_path =
         std::env::temp_dir().join(format!("rossf-shm-loan-fork-{}.txt", std::process::id()));

@@ -7,8 +7,6 @@
 //! [`TRACER_LOCK`] and resets the collector before driving traffic; event
 //! assertions filter by topic to stay insensitive to leftover endpoints.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
 use rossf_ros::{
     LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
     TransportConfig,
@@ -322,12 +320,17 @@ fn untraced_endpoints_write_no_histograms() {
     let nh_sub = NodeHandle::new(&master, "sub");
     let baseline = tracer().hist_writes();
 
-    let publisher: Publisher<SfmBox<Payload>> = nh_pub.advertise("trace/off", 64);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("trace/off", PublisherOptions::new().queue_size(64));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let _sub = nh_sub.subscribe("trace/off", 64, move |_m: SfmShared<Payload>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let _sub = nh_sub.subscribe_with(
+        "trace/off",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
     for seq in 0..20 {
         publisher.publish(&msg(seq));
@@ -346,7 +349,11 @@ fn untraced_endpoints_write_no_histograms() {
     // The local bus honors the same contract.
     let bus = LocalBus::new();
     let _sub = bus
-        .subscribe("trace/off_local", |_m: SfmShared<Payload>| {})
+        .subscribe_with(
+            "trace/off_local",
+            SubscriberOptions::new(),
+            |_m: SfmShared<Payload>| {},
+        )
         .unwrap();
     bus.publish("trace/off_local", &msg(0)).unwrap();
     assert_eq!(tracer().hist_writes(), baseline);

@@ -28,11 +28,11 @@
 //!
 //! Fd hand-off needs no fd-passing protocol: both processes run as the
 //! same user, so the subscriber opens the publisher's memfd through
-//! `/proc/<pid>/fd/<fd>` ([`sys::open_peer_fd`]). Wakeups use the
+//! `/proc/<pid>/fd/<fd>` ([`rossf_sys::open_peer_fd`]). Wakeups use the
 //! cross-process futex on a word in the control segment — no polling.
 //!
-//! On targets other than x86-64 Linux [`supported`] reports `false` and
-//! the transport negotiation simply never offers the capability.
+//! The tier is a Linux mechanism; `rossf-sys` refuses any target other
+//! than x86-64 Linux at compile time, so a build that exists has it.
 
 #![deny(missing_docs)]
 
@@ -42,7 +42,6 @@ mod ring;
 mod seg;
 mod shared;
 pub mod sync;
-pub mod sys;
 
 pub use link::{FrameMeta, PreparedFrame, PushOutcome, ShmLink};
 pub use reader::{is_shm_mapped, MappedFrame, SegmentMap, ShmReader, TakeError};
@@ -50,10 +49,11 @@ pub use ring::{ControlSegment, Descriptor, CTL_MAGIC, MAX_RING_CAP};
 pub use seg::{Segment, SegmentPool, DIR_CAP, MIN_SEGMENT_PAYLOAD, SEG_HEADER, SEG_MAGIC};
 pub use shared::SharedFrame;
 
-/// Whether the shared-memory tier works on this build target (x86-64
-/// Linux). `false` → negotiation falls back to TCP.
+/// Always `true`: `rossf-sys` refuses to compile for any target without
+/// the tier's syscalls. Kept because callers outside the workspace (the
+/// message-path benchmark) still ask.
 pub fn supported() -> bool {
-    sys::supported()
+    true
 }
 
 /// Mint a fresh epoch stamp for a publisher incarnation — unique across
@@ -96,8 +96,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// This process's start time in clock ticks since boot (field 22 of
-/// `/proc/self/stat`); 0 when unreadable (non-Linux targets, where the
-/// tier is unsupported anyway).
+/// `/proc/self/stat`); 0 when unreadable.
 fn proc_start_ticks() -> u64 {
     let Ok(stat) = std::fs::read_to_string("/proc/self/stat") else {
         return 0;
@@ -110,6 +109,29 @@ fn proc_start_ticks() -> u64 {
         .nth(19)
         .and_then(|f| f.parse().ok())
         .unwrap_or(0)
+}
+
+/// `mm()` is one manager per process and the harness runs this crate's
+/// unit tests on parallel threads: a sibling mapping or unmapping a segment
+/// moves `mm().live_segments()` under a test that compares two readings of
+/// it. Tests that map segments share this lock; the one that counts takes
+/// it exclusively. (Seen 1 run in 7 before the lock; isolation, not a leak.)
+#[cfg(test)]
+pub(crate) mod census {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static QUIET: RwLock<()> = RwLock::new(());
+
+    /// Held by a test for as long as it may have segments mapped.
+    pub fn mapping() -> RwLockReadGuard<'static, ()> {
+        // A sibling that panicked poisons the lock without invalidating `()`.
+        QUIET.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Held by a test that asserts on the process-wide segment count.
+    pub fn counting() -> RwLockWriteGuard<'static, ()> {
+        QUIET.write().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 #[cfg(test)]
@@ -128,17 +150,10 @@ mod tests {
 
     #[test]
     fn epoch_seed_reflects_process_start_time() {
-        #[cfg(target_os = "linux")]
         assert_ne!(
             super::proc_start_ticks(),
             0,
             "start time read from /proc/self/stat"
         );
-    }
-
-    #[test]
-    fn supported_matches_target() {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        assert!(supported());
     }
 }

@@ -293,14 +293,11 @@ impl Drop for ShmLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sys;
     use std::sync::atomic::Ordering;
 
     #[test]
     fn push_leaves_one_descriptor_reference() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         assert_eq!(
@@ -316,9 +313,7 @@ mod tests {
 
     #[test]
     fn ring_full_drops_frame_and_references() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 2, 1).unwrap();
         assert_eq!(link.push(b"a", FrameMeta::default()), PushOutcome::Pushed);
@@ -331,9 +326,7 @@ mod tests {
 
     #[test]
     fn dropped_prepared_frame_returns_segment() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         let prepared = link.prepare(b"never published").unwrap();
@@ -345,9 +338,7 @@ mod tests {
 
     #[test]
     fn dead_reader_holds_are_reclaimed() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         assert_eq!(link.push(b"a", FrameMeta::default()), PushOutcome::Pushed);
@@ -369,9 +360,7 @@ mod tests {
 
     #[test]
     fn reclaim_after_clean_release_is_a_no_op() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         assert_eq!(link.push(b"a", FrameMeta::default()), PushOutcome::Pushed);
@@ -391,9 +380,7 @@ mod tests {
 
     #[test]
     fn shared_frame_fans_one_segment_out_to_n_links() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut links: Vec<_> = (0..3)
             .map(|i| ShmLink::create(Arc::clone(&pool), 4, i + 1).unwrap())
@@ -428,9 +415,7 @@ mod tests {
 
     #[test]
     fn commit_shared_ring_full_keeps_the_write_hold() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 2, 1).unwrap();
         let a = pool.prepare_shared(b"a").unwrap();
@@ -461,9 +446,7 @@ mod tests {
 
     #[test]
     fn loaned_frame_round_trips_through_the_ring() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         let frame = pool.loan(32).unwrap();
@@ -485,9 +468,7 @@ mod tests {
 
     #[test]
     fn drop_drains_outstanding_descriptors() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         link.push(b"x", FrameMeta::default());

@@ -4,7 +4,6 @@
 use crate::ring::{ControlSegment, Descriptor};
 use crate::seg::{SEG_HEADER, SEG_MAGIC};
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use crate::sys;
 use rossf_sfm::SfmAlloc;
 use std::collections::HashMap;
 use std::fs::File;
@@ -48,21 +47,21 @@ impl SegmentMap {
     /// `InvalidData` if the mapped header's magic or capacity disagree
     /// with the directory entry; otherwise any open/mapping error.
     pub fn open(pub_pid: u32, fd: i32, expected_cap: usize) -> io::Result<SegmentMap> {
-        let file = sys::open_peer_fd(pub_pid, fd)?;
+        let file = rossf_sys::open_peer_fd(pub_pid, fd)?;
         let file_len = file.metadata()?.len() as usize;
-        let total = sys::page_round(SEG_HEADER + expected_cap);
+        let total = rossf_sys::page_round(SEG_HEADER + expected_cap);
         if total > file_len {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "data segment shorter than its directory entry claims",
             ));
         }
-        let ro = sys::mmap_shared(&file, total, false)?;
-        let hdr = match sys::mmap_shared(&file, SEG_HEADER, true) {
+        let ro = rossf_sys::mmap_shared(&file, total, false)?;
+        let hdr = match rossf_sys::mmap_shared(&file, SEG_HEADER, true) {
             Ok(p) => p,
             Err(e) => {
                 // SAFETY: ro is the mapping created just above.
-                unsafe { sys::munmap(ro, total) };
+                unsafe { rossf_sys::munmap(ro, total) };
                 return Err(e);
             }
         };
@@ -131,8 +130,8 @@ impl Drop for SegmentMap {
         // SAFETY: both mappings were created in open and die exactly once
         // here.
         unsafe {
-            sys::munmap(self.ro, self.total);
-            sys::munmap(self.hdr, SEG_HEADER);
+            rossf_sys::munmap(self.ro, self.total);
+            rossf_sys::munmap(self.hdr, SEG_HEADER);
         }
     }
 }
@@ -179,7 +178,7 @@ impl ShmReader {
     ///
     /// Open/mapping errors, or `InvalidData` on epoch mismatch.
     pub fn connect(pub_pid: u32, ctrl_fd: i32, expected_epoch: u64) -> io::Result<ShmReader> {
-        let file = sys::open_peer_fd(pub_pid, ctrl_fd)?;
+        let file = rossf_sys::open_peer_fd(pub_pid, ctrl_fd)?;
         let ctrl = ControlSegment::open(file)?;
         if ctrl.epoch() != expected_epoch {
             return Err(io::Error::new(
@@ -397,9 +396,7 @@ mod tests {
 
     #[test]
     fn end_to_end_frame_roundtrip_zero_copy() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let (mut link, reader, pool) = loopback(8);
         let payload: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
         let meta = FrameMeta {
@@ -430,9 +427,7 @@ mod tests {
 
     #[test]
     fn dropping_unconverted_frame_releases_reference() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let (mut link, reader, pool) = loopback(8);
         link.push(b"abc", FrameMeta::default());
         let frame = reader.take(Duration::from_secs(1)).unwrap().unwrap();
@@ -442,9 +437,7 @@ mod tests {
 
     #[test]
     fn stale_generation_is_abandoned() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let (mut link, reader, pool) = loopback(8);
         link.push(b"old", FrameMeta::default());
         // Simulate a crashed publisher whose recovery re-acquired the
@@ -464,9 +457,7 @@ mod tests {
 
     #[test]
     fn unmappable_segment_is_abandoned_and_reconciled() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let (mut link, reader, pool) = loopback(8);
         assert_eq!(
             link.push(b"frame", FrameMeta::default()),
@@ -493,9 +484,7 @@ mod tests {
 
     #[test]
     fn connect_rejects_epoch_mismatch() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let link = ShmLink::create(pool, 4, 7).unwrap();
         let err = match ShmReader::connect(std::process::id(), link.ctrl_fd(), 8) {
@@ -507,9 +496,7 @@ mod tests {
 
     #[test]
     fn closed_link_reported_to_reader() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let (link, reader, _pool) = loopback(4);
         assert!(!reader.is_closed());
         link.close();
@@ -519,9 +506,7 @@ mod tests {
 
     #[test]
     fn segment_mappings_unwind_cleanly() {
-        if !sys::supported() {
-            return;
-        }
+        let _alone = crate::census::counting();
         let before = rossf_sfm::mm().live_segments();
         {
             let (mut link, reader, _pool) = loopback(4);

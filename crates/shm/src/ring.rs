@@ -25,7 +25,6 @@
 
 use crate::seg::DIR_CAP;
 use crate::sync::{self, AtomicU32, AtomicU64, Ordering};
-use crate::sys;
 use std::fs::File;
 use std::io;
 use std::os::fd::AsRawFd;
@@ -106,7 +105,7 @@ unsafe impl Send for ControlSegment {}
 unsafe impl Sync for ControlSegment {}
 
 fn layout_total(ring_cap: u64, dir_cap: u64) -> usize {
-    sys::page_round(HDR + dir_cap as usize * DIR_ENTRY + ring_cap as usize * SLOT)
+    rossf_sys::page_round(HDR + dir_cap as usize * DIR_ENTRY + ring_cap as usize * SLOT)
 }
 
 impl ControlSegment {
@@ -120,9 +119,9 @@ impl ControlSegment {
         let ring_cap = (ring_cap.max(2).next_power_of_two() as u64).min(MAX_RING_CAP);
         let dir_cap = DIR_CAP as u64;
         let total = layout_total(ring_cap, dir_cap);
-        let file = sys::memfd_create("rossf-ctl")?;
+        let file = rossf_sys::memfd_create("rossf-ctl")?;
         file.set_len(total as u64)?;
-        let ptr = sys::mmap_shared(&file, total, true)?;
+        let ptr = rossf_sys::mmap_shared(&file, total, true)?;
         let ctl = ControlSegment {
             file,
             ptr,
@@ -150,7 +149,7 @@ impl ControlSegment {
     }
 
     /// Map a peer's control segment from an already-opened file (see
-    /// [`sys::open_peer_fd`]).
+    /// [`rossf_sys::open_peer_fd`]).
     ///
     /// # Errors
     ///
@@ -162,7 +161,7 @@ impl ControlSegment {
             return Err(bad("control segment shorter than its header"));
         }
         // Peek at the header through a minimal mapping to learn the layout.
-        let peek = sys::mmap_shared(&file, HDR, false)?;
+        let peek = rossf_sys::mmap_shared(&file, HDR, false)?;
         // SAFETY: `peek` maps exactly HDR bytes (file length checked
         // above); the three header words are u64-aligned and in bounds.
         let (magic, ring_cap, dir_cap) = unsafe {
@@ -174,7 +173,7 @@ impl ControlSegment {
         };
         // SAFETY: unmapping the exact mapping created two lines up; no
         // references into it survive.
-        unsafe { sys::munmap(peek, HDR) };
+        unsafe { rossf_sys::munmap(peek, HDR) };
         if magic != CTL_MAGIC {
             return Err(bad("control segment magic mismatch"));
         }
@@ -185,7 +184,7 @@ impl ControlSegment {
         if total > file_len {
             return Err(bad("control segment file shorter than its layout"));
         }
-        let ptr = sys::mmap_shared(&file, total, true)?;
+        let ptr = rossf_sys::mmap_shared(&file, total, true)?;
         let ctl = ControlSegment {
             file,
             ptr,
@@ -491,7 +490,7 @@ impl Drop for ControlSegment {
     fn drop(&mut self) {
         rossf_sfm::mm().note_segment_unmap(self.ptr as usize);
         // SAFETY: single live mapping created in create/open.
-        unsafe { sys::munmap(self.ptr, self.total) };
+        unsafe { rossf_sys::munmap(self.ptr, self.total) };
     }
 }
 
@@ -505,9 +504,7 @@ mod tests {
 
     #[test]
     fn push_pop_roundtrip_and_backpressure() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let c = ControlSegment::create(4, 7).unwrap();
         assert_eq!(c.epoch(), 7);
         assert_eq!(c.ring_cap(), 4);
@@ -538,9 +535,7 @@ mod tests {
 
     #[test]
     fn batched_push_pop_fill_order_and_partial_batches() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let c = ControlSegment::create(4, 1).unwrap();
         let d = |i: u64| Descriptor {
             seg: i as u32,
@@ -575,11 +570,9 @@ mod tests {
 
     #[test]
     fn open_via_procfs_sees_same_ring() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let a = ControlSegment::create(8, 42).unwrap();
-        let file = sys::open_peer_fd(std::process::id(), a.fd()).unwrap();
+        let file = rossf_sys::open_peer_fd(std::process::id(), a.fd()).unwrap();
         let b = ControlSegment::open(file).unwrap();
         assert_eq!(b.epoch(), 42);
         a.publish_dir(3, 17, 4096);
@@ -599,22 +592,18 @@ mod tests {
 
     #[test]
     fn open_rejects_garbage() {
-        if !sys::supported() {
-            return;
-        }
-        let f = sys::memfd_create("rossf-bad-ctl").unwrap();
+        let _mapped = crate::census::mapping();
+        let f = rossf_sys::memfd_create("rossf-bad-ctl").unwrap();
         f.set_len(4096).unwrap();
         assert!(ControlSegment::open(f).is_err(), "magic mismatch");
-        let short = sys::memfd_create("rossf-short-ctl").unwrap();
+        let short = rossf_sys::memfd_create("rossf-short-ctl").unwrap();
         short.set_len(8).unwrap();
         assert!(ControlSegment::open(short).is_err(), "shorter than header");
     }
 
     #[test]
     fn hold_accounting_roundtrips_and_bounds_checks() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let c = ControlSegment::create(4, 1).unwrap();
         // Inherit two references on slot 2; release one, abandon one.
         assert!(c.add_hold(2));
@@ -639,9 +628,7 @@ mod tests {
 
     #[test]
     fn wait_returns_promptly_when_data_or_closed() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let c = ControlSegment::create(2, 1).unwrap();
         let t0 = std::time::Instant::now();
         c.wait(Duration::from_millis(20)); // empty → sleeps the timeout

@@ -22,7 +22,6 @@
 //! appending new indices.
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use crate::sys;
 use rossf_sfm::mm;
 use std::fs::File;
 use std::io;
@@ -67,10 +66,10 @@ impl Segment {
     ///
     /// Any error from memfd creation, sizing, or mapping.
     pub fn create(payload_cap: usize) -> io::Result<Segment> {
-        let total = sys::page_round(SEG_HEADER + payload_cap);
-        let file = sys::memfd_create("rossf-seg")?;
+        let total = rossf_sys::page_round(SEG_HEADER + payload_cap);
+        let file = rossf_sys::memfd_create("rossf-seg")?;
         file.set_len(total as u64)?;
-        let ptr = sys::mmap_shared(&file, total, true)?;
+        let ptr = rossf_sys::mmap_shared(&file, total, true)?;
         let seg = Segment {
             file,
             ptr,
@@ -223,7 +222,7 @@ impl Drop for Segment {
         // SAFETY: ptr/total denote the single live mapping created in
         // `create`; the memfd's memory stays valid for readers that still
         // map it.
-        unsafe { sys::munmap(self.ptr, self.total) };
+        unsafe { rossf_sys::munmap(self.ptr, self.total) };
     }
 }
 
@@ -292,9 +291,7 @@ mod tests {
 
     #[test]
     fn acquire_recycles_only_at_zero_refs() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = SegmentPool::new();
         let (i0, s0) = pool.acquire(100).unwrap();
         assert_eq!(i0, 0);
@@ -314,9 +311,7 @@ mod tests {
 
     #[test]
     fn pool_respects_capacity_needs() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = SegmentPool::new();
         let (_, small) = pool.acquire(10).unwrap();
         small.release_ref();
@@ -331,9 +326,7 @@ mod tests {
 
     #[test]
     fn payload_roundtrip_with_len_stamp() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let seg = Segment::create(1024).unwrap();
         assert!(seg.try_acquire());
         seg.write_payload(&[1, 2, 3, 4, 5]);
@@ -345,9 +338,7 @@ mod tests {
 
     #[test]
     fn reclaim_refs_clamps_at_zero() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let seg = Segment::create(64).unwrap();
         assert!(seg.try_acquire());
         seg.add_ref();
@@ -361,9 +352,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_returns_none() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = SegmentPool::new();
         let mut held = Vec::new();
         for _ in 0..DIR_CAP {

@@ -167,13 +167,10 @@ impl SegmentPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sys;
 
     #[test]
     fn prepare_shared_copies_once_and_releases_hold_on_drop() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let frame = pool.prepare_shared(b"shared bytes").unwrap();
         assert_eq!(frame.len(), 12);
@@ -193,9 +190,7 @@ mod tests {
 
     #[test]
     fn loan_builds_in_place_without_copying() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let frame = pool.loan(64).unwrap();
         assert!(frame.is_empty(), "nothing written yet");
@@ -212,9 +207,7 @@ mod tests {
 
     #[test]
     fn loan_backpressure_when_all_slots_held() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let pool = Arc::new(SegmentPool::new());
         let held: Vec<_> = (0..crate::seg::DIR_CAP)
             .map(|_| pool.loan(8).unwrap())
@@ -226,9 +219,7 @@ mod tests {
 
     #[test]
     fn pool_identity_is_tracked() {
-        if !sys::supported() {
-            return;
-        }
+        let _mapped = crate::census::mapping();
         let a = Arc::new(SegmentPool::new());
         let b = Arc::new(SegmentPool::new());
         let frame = a.prepare_shared(b"x").unwrap();

@@ -1,16 +1,15 @@
 //! Synchronization facade for the shm tier.
 //!
 //! Every atomic, futex call, and pool lock in this crate goes through this
-//! module instead of naming `std::sync::atomic` / `parking_lot` / [`sys`]
-//! directly. A normal build re-exports the real primitives with zero
-//! overhead. Building with `RUSTFLAGS="--cfg rossf_model"` swaps in the
-//! shadow types from `rossf-model`, which are `#[repr(transparent)]` over
-//! the std atomics — so the pointer casts that conjure atomics inside
-//! mmap'd segments keep working — but yield to a deterministic scheduler
-//! around every operation, letting `crates/shm/tests/model.rs` enumerate
-//! interleavings of the ring/refcount/hold protocols.
-//!
-//! [`sys`]: crate::sys
+//! module instead of naming `std::sync::atomic` / `parking_lot` /
+//! [`rossf_sys`] directly. A normal build re-exports the real primitives
+//! with zero overhead. Building with `RUSTFLAGS="--cfg rossf_model"` swaps
+//! in the shadow types from `rossf-model`, which are
+//! `#[repr(transparent)]` over the std atomics — so the pointer casts that
+//! conjure atomics inside mmap'd segments keep working — but yield to a
+//! deterministic scheduler around every operation, letting
+//! `crates/shm/tests/model.rs` enumerate interleavings of the
+//! ring/refcount/hold protocols.
 
 #[cfg(not(rossf_model))]
 pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize};
@@ -34,7 +33,7 @@ use std::time::Duration;
 /// deadlock instead of being papered over by the timer.
 pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
     #[cfg(not(rossf_model))]
-    crate::sys::futex_wait(word, expected, timeout);
+    rossf_sys::futex_wait(word, expected, timeout);
     #[cfg(rossf_model)]
     rossf_model::sync::futex_wait(word, expected, timeout.as_millis() as i32);
 }
@@ -42,7 +41,7 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
 /// Wake every waiter parked on `word`.
 pub fn futex_wake(word: &AtomicU32) {
     #[cfg(not(rossf_model))]
-    crate::sys::futex_wake(word);
+    rossf_sys::futex_wake(word);
     #[cfg(rossf_model)]
     rossf_model::sync::futex_wake(word);
 }

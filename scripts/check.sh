@@ -68,7 +68,7 @@ cargo run -q --release -p rossf-bench --bin bag_gate -- --smoke
 echo "==> bench summary + trajectory regression gate (p50/p99 <= +10% vs previous; soak threads/fds flat)"
 cargo run -q --release -p rossf-bench --bin bench_summary -- --gate
 
-echo "==> rossf-lint (unsafe/SeqCst annotations, syscall confinement, Drop hygiene, thread-spawn allowlist)"
+echo "==> rossf-lint (unsafe/SeqCst annotations, asm confined to crates/sys, Drop hygiene, thread-spawn allowlist)"
 cargo run -q --release -p rossf-lint --bin rossf-lint -- .
 
 echo "==> rossf-model --self-test (explorer catches the seeded racy ring, deterministically)"

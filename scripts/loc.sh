@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Prints the numbers the CHANGES.md shrink table is built from, so the table
+# is reproduced rather than hand-counted. Run at the parent and at the change.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+code_lines() { # non-blank, non-comment lines of every .rs file under $1
+    find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -vc '^\s*//' || true
+}
+occurrences() { # fixed-string occurrences (not lines) in the Rust sources under the given dirs
+    local pat=$1; shift
+    { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
+}
+
+echo "code lines (non-blank, non-comment) per crates/*/src:"
+total=0
+for src in crates/*/src; do
+    n=$(code_lines "$src")
+    printf '  %-22s %6d\n' "$src" "$n"
+    total=$((total + n))
+done
+printf '  %-22s %6d\n' total "$total"
+
+for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_os'; do
+    printf '%-24s %3d\n' "$pat" "$(occurrences "$pat" crates tests examples src)"
+done
+printf '%-24s %s\n' 'asm!( outside sys+lint' \
+    "$(grep -rlF --include='*.rs' 'asm!(' crates tests examples src | grep -vc '^crates/\(sys\|lint\)/' || true)"
+printf '%-24s %3d\n' 'SYS_MODULES entries' \
+    "$(perl -0ne 'print $1 if /const SYS_MODULES[^=]*=\s*\[(.*?)\];/s' crates/lint/src/rules.rs | grep -o '"[^"]*"' | wc -l)"

@@ -1,8 +1,6 @@
 //! Cross-crate integration tests: the whole system assembled the way a
 //! downstream robotics project would use it.
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
 use rossf::prelude::*;
 use rossf::sfm::{mm, MessageState};
 use rossf_msg::geometry_msgs::{PoseStamped, SfmPoseStamped};
@@ -25,17 +23,29 @@ fn mixed_type_robot_graph_plain_and_sfm() {
     let master = Master::new();
     let nh = NodeHandle::new(&master, "robot");
 
-    let scan_pub = nh.advertise::<LaserScan>("mixed/scan", 8);
-    let cloud_pub = nh.advertise::<SfmBox<SfmPointCloud2>>("mixed/cloud", 8);
+    let scan_pub =
+        nh.advertise_with::<LaserScan>("mixed/scan", PublisherOptions::new().queue_size(8));
+    let cloud_pub = nh.advertise_with::<SfmBox<SfmPointCloud2>>(
+        "mixed/cloud",
+        PublisherOptions::new().queue_size(8),
+    );
 
     let (scan_tx, scan_rx) = mpsc::channel();
-    let _s1 = nh.subscribe("mixed/scan", 8, move |m: Arc<LaserScan>| {
-        scan_tx.send(m.ranges.len()).unwrap();
-    });
+    let _s1 = nh.subscribe_with(
+        "mixed/scan",
+        SubscriberOptions::new(),
+        move |m: Arc<LaserScan>| {
+            scan_tx.send(m.ranges.len()).unwrap();
+        },
+    );
     let (cloud_tx, cloud_rx) = mpsc::channel();
-    let _s2 = nh.subscribe("mixed/cloud", 8, move |m: SfmShared<SfmPointCloud2>| {
-        cloud_tx.send((m.width, m.data.len())).unwrap();
-    });
+    let _s2 = nh.subscribe_with(
+        "mixed/cloud",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmPointCloud2>| {
+            cloud_tx.send((m.width, m.data.len())).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&scan_pub, 1);
     nh.wait_for_subscribers(&cloud_pub, 1);
 
@@ -63,17 +73,27 @@ fn sfm_relay_republishes_without_copy() {
     // topic — the zero-copy relay the SFM life cycle enables.
     let master = Master::new();
     let nh = NodeHandle::new(&master, "relay");
-    let p1 = nh.advertise::<SfmBox<SfmImage>>("relay/in", 8);
-    let p2 = nh.advertise::<SfmShared<SfmImage>>("relay/out", 8);
+    let p1 =
+        nh.advertise_with::<SfmBox<SfmImage>>("relay/in", PublisherOptions::new().queue_size(8));
+    let p2 = nh
+        .advertise_with::<SfmShared<SfmImage>>("relay/out", PublisherOptions::new().queue_size(8));
 
     let p2_cb = p2.clone();
-    let _mid = nh.subscribe("relay/in", 8, move |m: SfmShared<SfmImage>| {
-        p2_cb.publish(&m); // republish the received object verbatim
-    });
+    let _mid = nh.subscribe_with(
+        "relay/in",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmImage>| {
+            p2_cb.publish(&m); // republish the received object verbatim
+        },
+    );
     let (tx, rx) = mpsc::channel();
-    let _out = nh.subscribe("relay/out", 8, move |m: SfmShared<SfmImage>| {
-        tx.send((m.width, m.data.len())).unwrap();
-    });
+    let _out = nh.subscribe_with(
+        "relay/out",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmImage>| {
+            tx.send((m.width, m.data.len())).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&p1, 1);
     nh.wait_for_subscribers(&p2, 1);
 
@@ -97,11 +117,18 @@ fn lifecycle_states_follow_fig8_and_fig9() {
         ..rossf_ros::TransportConfig::default()
     };
     let nh = NodeHandle::with_config(&master, "lifecycle", rossf_ros::MachineId::A, config);
-    let publisher = nh.advertise::<SfmBox<SfmImage>>("lifecycle/topic", 8);
+    let publisher = nh.advertise_with::<SfmBox<SfmImage>>(
+        "lifecycle/topic",
+        PublisherOptions::new().queue_size(8),
+    );
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe("lifecycle/topic", 8, move |m: SfmShared<SfmImage>| {
-        tx.send(m).unwrap();
-    });
+    let _sub = nh.subscribe_with(
+        "lifecycle/topic",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmImage>| {
+            tx.send(m).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&publisher, 1);
 
     // Publisher side (Fig. 8).
@@ -146,12 +173,19 @@ fn inter_machine_graph_mixed_families_with_shaping() {
     let nh_a = NodeHandle::new(&master, "base");
     let nh_b = NodeHandle::with_machine(&master, "arm", rossf_ros::MachineId::B);
 
-    let pose_pub = nh_a.advertise::<SfmBox<SfmPoseStamped>>("cross/pose", 8);
+    let pose_pub = nh_a.advertise_with::<SfmBox<SfmPoseStamped>>(
+        "cross/pose",
+        PublisherOptions::new().queue_size(8),
+    );
     let (tx, rx) = mpsc::channel();
-    let _sub = nh_b.subscribe("cross/pose", 8, move |m: SfmShared<SfmPoseStamped>| {
-        tx.send((m.pose.position.x, m.header.frame_id.as_str().to_string()))
-            .unwrap();
-    });
+    let _sub = nh_b.subscribe_with(
+        "cross/pose",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmPoseStamped>| {
+            tx.send((m.pose.position.x, m.header.frame_id.as_str().to_string()))
+                .unwrap();
+        },
+    );
     nh_a.wait_for_subscribers(&pose_pub, 1);
 
     let mut pose = SfmBox::<SfmPoseStamped>::new();
@@ -182,16 +216,28 @@ fn plain_and_sfm_agree_on_content_after_network_trip() {
         ..PoseStamped::default()
     };
 
-    let p_plain = nh.advertise::<PoseStamped>("agree/plain", 8);
+    let p_plain =
+        nh.advertise_with::<PoseStamped>("agree/plain", PublisherOptions::new().queue_size(8));
     let (tx1, rx1) = mpsc::channel();
-    let _s1 = nh.subscribe("agree/plain", 8, move |m: Arc<PoseStamped>| {
-        tx1.send((*m).clone()).unwrap();
-    });
-    let p_sfm = nh.advertise::<SfmBox<SfmPoseStamped>>("agree/sfm", 8);
+    let _s1 = nh.subscribe_with(
+        "agree/plain",
+        SubscriberOptions::new(),
+        move |m: Arc<PoseStamped>| {
+            tx1.send((*m).clone()).unwrap();
+        },
+    );
+    let p_sfm = nh.advertise_with::<SfmBox<SfmPoseStamped>>(
+        "agree/sfm",
+        PublisherOptions::new().queue_size(8),
+    );
     let (tx2, rx2) = mpsc::channel();
-    let _s2 = nh.subscribe("agree/sfm", 8, move |m: SfmShared<SfmPoseStamped>| {
-        tx2.send(m.to_plain()).unwrap();
-    });
+    let _s2 = nh.subscribe_with(
+        "agree/sfm",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmPoseStamped>| {
+            tx2.send(m.to_plain()).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&p_plain, 1);
     nh.wait_for_subscribers(&p_sfm, 1);
 
@@ -240,11 +286,16 @@ fn idl_generated_types_flow_through_the_middleware() {
 
     let master = Master::new();
     let nh = NodeHandle::new(&master, "gen");
-    let p = nh.advertise::<SfmBox<SfmOdometry>>("gen/odom", 8);
+    let p =
+        nh.advertise_with::<SfmBox<SfmOdometry>>("gen/odom", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _s = nh.subscribe("gen/odom", 8, move |m: SfmShared<SfmOdometry>| {
-        tx.send(m.to_plain()).unwrap();
-    });
+    let _s = nh.subscribe_with(
+        "gen/odom",
+        SubscriberOptions::new(),
+        move |m: SfmShared<SfmOdometry>| {
+            tx.send(m.to_plain()).unwrap();
+        },
+    );
     nh.wait_for_subscribers(&p, 1);
 
     let mut odom = Odometry {

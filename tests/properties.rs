@@ -383,20 +383,20 @@ fn fixed_seed_smoke() {
 
 // === Extension properties (bag, endianness, optional/map) ===
 
-// Exercises the deprecated `Bag` compat wrapper on purpose: it must keep
-// round-tripping through the v2 format until it is removed.
-#[allow(deprecated)]
 mod extension_properties {
     use super::{Rng, CASES, LOWER};
+    use rossf::bag::{BagReader, BagWriter};
     use rossf::msg::sensor_msgs::SfmImage;
-    use rossf::ros::{Bag, BagRecord};
     use rossf::sfm::{SfmBox, SfmEndianSwap, SwapDirection};
 
-    /// Arbitrary records within what the v2 format can represent (see
-    /// CHANGELOG 0.7.0): each topic carries exactly one type, payloads are
-    /// non-empty, and stamps never regress within a topic (the writer clamps
-    /// regressions, which would break exact round-trip equality).
-    fn arb_records(rng: &mut Rng) -> Vec<BagRecord> {
+    /// One frame as the test sees it: (topic index, stamp, payload).
+    type Frame = (usize, u64, Vec<u8>);
+
+    /// Arbitrary topics and frames within what the bag format can
+    /// represent: payloads are non-empty and stamps never regress within a
+    /// topic (the writer clamps regressions, which would break exact
+    /// round-trip equality).
+    fn arb_bag(rng: &mut Rng) -> (Vec<(String, String)>, Vec<Frame>) {
         let topics: Vec<(String, String)> = (0..rng.usize(1, 5))
             .map(|i| {
                 let mut topic = format!("t{i}_");
@@ -410,37 +410,49 @@ mod extension_properties {
             })
             .collect();
         let mut last_stamp = vec![0u64; topics.len()];
-        (0..rng.usize(0, 16))
+        let frames = (0..rng.usize(0, 16))
             .map(|_| {
                 let which = rng.usize(0, topics.len());
-                let (topic, type_name) = topics[which].clone();
                 let stamp = last_stamp[which].saturating_add(rng.next_u64() >> 32);
                 last_stamp[which] = stamp;
                 let mut payload = rng.bytes(255);
                 payload.push(rng.next_u64() as u8); // the format refuses empty payloads
-                BagRecord {
-                    stamp_nanos: stamp,
-                    topic,
-                    type_name,
-                    payload,
-                }
+                (which, stamp, payload)
             })
-            .collect()
+            .collect();
+        (topics, frames)
     }
 
     #[test]
     fn bag_roundtrips_arbitrary_records() {
         let mut rng = Rng::new(0x1401);
         for case in 0..48 {
-            let records = arb_records(&mut rng);
-            let mut bag = Bag::new();
-            for r in &records {
-                bag.push(r.clone());
+            let (topics, frames) = arb_bag(&mut rng);
+            let mut writer = BagWriter::new(Vec::new()).unwrap();
+            for (topic, type_name) in &topics {
+                writer.add_connection(topic, type_name, 0).unwrap();
             }
-            let mut bytes = Vec::new();
-            bag.write_to(&mut bytes).unwrap();
-            let back = Bag::read_from(&mut &bytes[..]).unwrap();
-            assert_eq!(back.records(), &records[..], "case {case}");
+            for (which, stamp, payload) in &frames {
+                writer.append(*which as u32, *stamp, payload).unwrap();
+            }
+            let (_, bytes) = writer.finish().unwrap();
+
+            let reader = BagReader::from_bytes_strict(&bytes).unwrap();
+            let declared: Vec<(String, String)> = reader
+                .connections()
+                .iter()
+                .map(|c| (c.topic.clone(), c.type_name.clone()))
+                .collect();
+            assert_eq!(declared, topics, "case {case}");
+            let back: Vec<Frame> = reader
+                .frames_in_order()
+                .iter()
+                .map(|(conn, e)| {
+                    let payload = reader.frame_bytes(e).unwrap().to_vec();
+                    (*conn as usize, e.stamp_nanos, payload)
+                })
+                .collect();
+            assert_eq!(back, frames, "case {case}");
         }
     }
 
@@ -449,7 +461,9 @@ mod extension_properties {
         let mut rng = Rng::new(0x1402);
         for _ in 0..CASES {
             let bytes = rng.bytes(128);
-            let _ = Bag::read_from(&mut &bytes[..]); // may Err, must not panic
+            // May Err, must not panic — in either open mode.
+            let _ = BagReader::from_bytes_strict(&bytes);
+            let _ = BagReader::from_bytes(&bytes);
         }
     }
 

@@ -4,8 +4,6 @@
 //! one test that asserts on that process-global accounting runs alone
 //! (see [`MM_QUIET`]).
 
-#![allow(deprecated)] // positional advertise/subscribe stay covered until removal
-
 use rossf::netsim::MachineId;
 use rossf::prelude::*;
 use rossf::ros::wire::{write_frame, ConnectionHeader};
@@ -94,17 +92,26 @@ fn publish_subscribe_storm() {
     let per_pub = 40u64;
 
     let publishers: Vec<_> = (0..n_pubs)
-        .map(|_| nh.advertise::<SfmBox<SfmImage>>("storm/topic", 256))
+        .map(|_| {
+            nh.advertise_with::<SfmBox<SfmImage>>(
+                "storm/topic",
+                PublisherOptions::new().queue_size(256),
+            )
+        })
         .collect();
     let counters: Vec<Arc<AtomicU64>> = (0..n_subs).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let _subs: Vec<_> = counters
         .iter()
         .map(|c| {
             let c = Arc::clone(c);
-            nh.subscribe("storm/topic", 256, move |m: SfmShared<SfmImage>| {
-                assert_eq!(m.encoding.as_str(), "mono8");
-                c.fetch_add(1, Ordering::SeqCst);
-            })
+            nh.subscribe_with(
+                "storm/topic",
+                SubscriberOptions::new(),
+                move |m: SfmShared<SfmImage>| {
+                    assert_eq!(m.encoding.as_str(), "mono8");
+                    c.fetch_add(1, Ordering::SeqCst);
+                },
+            )
         })
         .collect();
     for p in &publishers {
@@ -162,12 +169,19 @@ fn dropped_accounting_is_exact_under_full_queue() {
 
     let queue = 4usize;
     let extra = 3u64;
-    let publisher = nh_pub.advertise::<SfmBox<SfmImage>>("drop/exact", queue);
+    let publisher = nh_pub.advertise_with::<SfmBox<SfmImage>>(
+        "drop/exact",
+        PublisherOptions::new().queue_size(queue),
+    );
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let _sub = nh_sub.subscribe("drop/exact", 8, move |_m: SfmShared<SfmImage>| {
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let _sub = nh_sub.subscribe_with(
+        "drop/exact",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<SfmImage>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
     nh_pub.wait_for_subscribers(&publisher, 1);
 
     let mut img = SfmBox::<SfmImage>::new();
@@ -242,10 +256,14 @@ fn malformed_frame_storm_counts_errors_without_desync() {
 
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe("stress/malformed", 8, move |m: SfmShared<Probe>| {
-        assert_eq!(m.data.len(), 32);
-        seen_cb.fetch_add(1, Ordering::SeqCst);
-    });
+    let sub = nh.subscribe_with(
+        "stress/malformed",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Probe>| {
+            assert_eq!(m.data.len(), 32);
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
 
     let (mut stream, _) = listener.accept().unwrap();
     {
@@ -312,13 +330,18 @@ fn rapid_subscribe_unsubscribe_cycles() {
     let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "cycler");
-    let publisher = nh.advertise::<SfmBox<SfmImage>>("cycle/topic", 8);
+    let publisher =
+        nh.advertise_with::<SfmBox<SfmImage>>("cycle/topic", PublisherOptions::new().queue_size(8));
 
     for round in 0..10 {
         let (tx, rx) = std::sync::mpsc::channel();
-        let sub = nh.subscribe("cycle/topic", 8, move |m: SfmShared<SfmImage>| {
-            let _ = tx.send(m.header.seq);
-        });
+        let sub = nh.subscribe_with(
+            "cycle/topic",
+            SubscriberOptions::new(),
+            move |m: SfmShared<SfmImage>| {
+                let _ = tx.send(m.header.seq);
+            },
+        );
         nh.wait_for_subscribers(&publisher, 1);
         let mut img = SfmBox::<SfmImage>::new();
         img.header.seq = round;
