@@ -17,14 +17,21 @@
 //! serialization time and wire time, and a paced 10 Gb/s stream reproduces
 //! exactly that (see DESIGN.md, substitutions table).
 //!
-//! ```
-//! use rossf_netsim::{LinkProfile, ShapedWriter};
-//! use std::io::Write;
+//! The crate keeps the model, not the waiting: [`Shaper::reserve`] books
+//! the link and says how long the frame's last byte is owed, and the
+//! transport that owns the socket (the reactor's TCP writer) holds the
+//! frame's tail back on a timer until then — nothing here sleeps.
 //!
-//! let profile = LinkProfile::ten_gbe();
-//! let mut wire = ShapedWriter::new(Vec::new(), profile);
-//! wire.write_all(&[0u8; 1500]).unwrap();
-//! assert_eq!(wire.get_ref().len(), 1500);
+//! ```
+//! use rossf_netsim::{LinkProfile, Shaper};
+//!
+//! let profile = LinkProfile::fast_ethernet();
+//! let frame = 10_000_000; // 0.8 s on a 100 Mb/s link
+//! let mut link = Shaper::new(profile);
+//! let first = link.reserve(frame);
+//! assert!(first >= profile.transmit_time(frame));
+//! // A back-to-back frame queues behind the first.
+//! assert!(link.reserve(frame) > first);
 //! ```
 
 #![deny(missing_docs)]
@@ -37,4 +44,4 @@ mod shaper;
 pub use fault::{FaultAction, FaultInjector};
 pub use link::{LinkProfile, LinkTable};
 pub use machine::MachineId;
-pub use shaper::{ShapedWriter, Shaper};
+pub use shaper::Shaper;

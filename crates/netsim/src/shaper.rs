@@ -1,14 +1,11 @@
 //! Pacing of a byte stream to a [`LinkProfile`].
 
 use crate::link::LinkProfile;
-use std::io::{self, IoSlice, Write};
 use std::time::{Duration, Instant};
 
 /// Stateful pacing engine: tracks when the simulated link next becomes
-/// idle and computes how long a write must stall.
-///
-/// Separated from [`ShapedWriter`] so transports that manage their own
-/// buffers can drive pacing directly.
+/// idle and computes how long a frame must be held back. It never sleeps —
+/// the transport that owns the socket turns the wait into a timer.
 #[derive(Debug)]
 pub struct Shaper {
     profile: LinkProfile,
@@ -29,8 +26,8 @@ impl Shaper {
         self.profile
     }
 
-    /// Account for transmitting `bytes` now; returns how long the caller
-    /// must sleep before the bytes may be considered "on the wire".
+    /// Account for transmitting `bytes` now; returns how long from now the
+    /// link needs to have carried the last of them.
     ///
     /// Uses the busy-until model: consecutive writes queue behind each
     /// other, so a burst of frames drains at exactly the link bandwidth.
@@ -42,102 +39,6 @@ impl Shaper {
         let start = self.busy_until.max(now);
         self.busy_until = start + self.profile.transmit_time(bytes);
         self.busy_until.saturating_duration_since(now)
-    }
-
-    /// Block until `bytes` would have finished transmitting.
-    pub fn pace(&mut self, bytes: usize) {
-        let wait = self.reserve(bytes);
-        if !wait.is_zero() {
-            std::thread::sleep(wait);
-        }
-    }
-
-    /// Pay the one-way propagation latency once (call per frame).
-    pub fn propagate(&self) {
-        if !self.profile.latency.is_zero() {
-            std::thread::sleep(self.profile.latency);
-        }
-    }
-}
-
-/// A [`Write`] adaptor that paces all bytes through a [`Shaper`].
-///
-/// Latency is charged once per `write` call (transports call `write` once
-/// per frame); bandwidth is charged per byte. Writes are chunked so that a
-/// large frame's pacing interleaves with the underlying socket's own
-/// buffering instead of sleeping the whole transmit time up front.
-#[derive(Debug)]
-pub struct ShapedWriter<W: Write> {
-    inner: W,
-    shaper: Shaper,
-    chunk: usize,
-}
-
-/// Default pacing chunk: 64 KiB, roughly a TCP send-buffer quantum.
-const DEFAULT_CHUNK: usize = 64 * 1024;
-
-impl<W: Write> ShapedWriter<W> {
-    /// Wrap `inner` with pacing per `profile`.
-    pub fn new(inner: W, profile: LinkProfile) -> Self {
-        ShapedWriter {
-            inner,
-            shaper: Shaper::new(profile),
-            chunk: DEFAULT_CHUNK,
-        }
-    }
-
-    /// Reference to the wrapped writer.
-    pub fn get_ref(&self) -> &W {
-        &self.inner
-    }
-
-    /// Mutable reference to the wrapped writer.
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.inner
-    }
-
-    /// Unwrap, discarding pacing state.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-
-    /// Charge the per-frame propagation latency. Transports call this once
-    /// per message frame before writing its bytes.
-    pub fn start_frame(&mut self) {
-        self.shaper.propagate();
-    }
-}
-
-impl<W: Write> Write for ShapedWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        // Unshaped links pass whole buffers through (no artificial
-        // chunking, no extra syscalls).
-        if self.shaper.profile().bandwidth_bps == 0 {
-            return self.inner.write(buf);
-        }
-        // Pace then forward one chunk; callers using write_all will loop.
-        let n = buf.len().min(self.chunk);
-        self.shaper.pace(n);
-        self.inner.write(&buf[..n])
-    }
-
-    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        // Unshaped links forward the whole gather list so a coalesced
-        // prefix+payload frame stays one syscall on the real socket.
-        if self.shaper.profile().bandwidth_bps == 0 {
-            return self.inner.write_vectored(bufs);
-        }
-        // Shaped links pace chunk-by-chunk; vectoring would not change the
-        // simulated transmit time, so fall back to the chunked scalar path
-        // on the first non-empty segment.
-        match bufs.iter().find(|b| !b.is_empty()) {
-            Some(buf) => self.write(buf),
-            None => Ok(0),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -168,71 +69,5 @@ mod tests {
         // Second reservation queues behind the first.
         assert!(w2 > w1, "w1={w1:?} w2={w2:?}");
         assert!(w2.as_micros() >= 1900, "w2={w2:?}");
-    }
-
-    #[test]
-    fn paced_write_takes_expected_time() {
-        // 80 Mb/s → 10 bytes/µs; 100 KB ≈ 10 ms.
-        let mut w = ShapedWriter::new(Vec::new(), mbps(80_000_000));
-        let start = Instant::now();
-        w.write_all(&vec![7u8; 100_000]).unwrap();
-        let elapsed = start.elapsed();
-        assert_eq!(w.get_ref().len(), 100_000);
-        assert!(
-            elapsed >= Duration::from_millis(9),
-            "elapsed only {elapsed:?}"
-        );
-        assert!(w.get_ref().iter().all(|&b| b == 7));
-    }
-
-    #[test]
-    fn latency_charged_per_frame() {
-        let profile = LinkProfile {
-            bandwidth_bps: 0,
-            latency: Duration::from_millis(5),
-        };
-        let mut w = ShapedWriter::new(Vec::new(), profile);
-        let start = Instant::now();
-        w.start_frame();
-        w.write_all(b"hello").unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(5));
-    }
-
-    #[test]
-    fn unshaped_vectored_write_passes_all_segments() {
-        let mut w = ShapedWriter::new(Vec::new(), LinkProfile::UNLIMITED);
-        let n = w
-            .write_vectored(&[IoSlice::new(b"abc"), IoSlice::new(b"defg")])
-            .unwrap();
-        assert_eq!(n, 7);
-        assert_eq!(w.get_ref(), b"abcdefg");
-    }
-
-    #[test]
-    fn shaped_vectored_write_still_paces() {
-        // 80 Mb/s → 10 bytes/µs; 100 KB ≈ 10 ms, split across two segments.
-        let mut w = ShapedWriter::new(Vec::new(), mbps(80_000_000));
-        let (a, b) = (vec![7u8; 40_000], vec![8u8; 60_000]);
-        let start = Instant::now();
-        let mut written = 0;
-        while written < a.len() + b.len() {
-            let bufs = if written < a.len() {
-                [IoSlice::new(&a[written..]), IoSlice::new(&b)]
-            } else {
-                [IoSlice::new(&b[written - a.len()..]), IoSlice::new(&[])]
-            };
-            written += w.write_vectored(&bufs).unwrap();
-        }
-        assert!(start.elapsed() >= Duration::from_millis(9));
-        assert_eq!(w.get_ref().len(), 100_000);
-    }
-
-    #[test]
-    fn into_inner_and_get_mut() {
-        let mut w = ShapedWriter::new(Vec::new(), LinkProfile::UNLIMITED);
-        w.write_all(b"abc").unwrap();
-        w.get_mut().push(b'!');
-        w.flush().unwrap();
-        assert_eq!(w.into_inner(), b"abc!".to_vec());
     }
 }

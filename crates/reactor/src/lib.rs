@@ -22,8 +22,9 @@
 //!   nothing ever reads the counter (the kernel's edge clears the
 //!   wake-up). The handshake is model-checked in `tests/model.rs`;
 //! * **timers** (pacing, fault delays, reconnect backoff) ride the poll
-//!   timeout with sub-millisecond precision, so netsim's 50 µs propagation
-//!   delays stay accurate without sleeping the loop;
+//!   timeout with sub-millisecond precision — the loop thread drops its
+//!   timer slack from the kernel's default 50 µs to 1 ns — so netsim's
+//!   50 µs propagation delays stay accurate without sleeping the loop;
 //! * **peer death is an event**: hangup/error readiness is delivered as
 //!   [`Event::Closed`], so supervision is *triggered* instead of
 //!   discovering failures via blocking-read errors.
@@ -376,6 +377,10 @@ impl LoopState {
 }
 
 fn run_loop(reactor: Reactor, poller: Poller) {
+    // Pacing, fault-delay and backoff timers are sub-millisecond; the
+    // thread's default 50 µs timer slack would land on every one of them.
+    // Best-effort: a refusal costs precision, not correctness.
+    let _ = rossf_sys::set_timer_slack_ns(1);
     let shared = Arc::clone(&reactor.shared);
     let mut state = LoopState {
         handlers: HashMap::new(),
@@ -697,6 +702,20 @@ mod tests {
         });
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("early"));
         assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok("late"));
+        reactor.shutdown();
+    }
+
+    /// Timer precision without a clock: the loop thread — and only it —
+    /// runs with the kernel's tightest timer slack.
+    #[test]
+    fn loop_thread_runs_with_minimal_timer_slack() {
+        let reactor = Reactor::new("test-reactor-slack");
+        let (tx, rx) = mpsc::channel();
+        reactor.timer(Duration::ZERO, move |_| {
+            let _ = tx.send(rossf_sys::timer_slack_ns());
+        });
+        let on_loop = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(on_loop.unwrap(), 1);
         reactor.shutdown();
     }
 

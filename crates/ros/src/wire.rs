@@ -15,7 +15,7 @@ use crate::error::RosError;
 use rossf_netsim::MachineId;
 use rossf_sfm::PublishedBuffer;
 use std::collections::BTreeMap;
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// The payload of an encoded message: serialized bytes or the whole
@@ -167,41 +167,6 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), RosError> 
     w.write_all(&frame_len_prefix(payload.len())?.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()?;
-    Ok(())
-}
-
-/// Write one length-prefixed frame with the 4-byte prefix and the payload
-/// head coalesced into a single `write_vectored` call (one syscall on a
-/// plain socket instead of two). Unlike [`write_frame`] this does **not**
-/// flush — publishers drain-batch several frames and flush once per wakeup.
-///
-/// Short writes are handled: the loop re-slices both segments around the
-/// bytes already accepted and keeps going until the whole frame is out.
-///
-/// # Errors
-///
-/// [`RosError::FrameTooLarge`] for payloads the 4-byte prefix cannot
-/// represent; [`RosError::Io`] with `WriteZero` if the writer stops
-/// accepting bytes mid-frame; otherwise propagates I/O errors.
-pub fn write_frame_vectored<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), RosError> {
-    let prefix = frame_len_prefix(payload.len())?.to_le_bytes();
-    let total = prefix.len() + payload.len();
-    let mut written = 0usize;
-    while written < total {
-        let n = if written < prefix.len() {
-            let bufs = [IoSlice::new(&prefix[written..]), IoSlice::new(payload)];
-            w.write_vectored(&bufs)?
-        } else {
-            w.write(&payload[written - prefix.len()..])?
-        };
-        if n == 0 {
-            return Err(RosError::Io(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "writer accepted no bytes mid-frame",
-            )));
-        }
-        written += n;
-    }
     Ok(())
 }
 
@@ -387,81 +352,6 @@ mod tests {
             Err(RosError::FrameTooLarge { len, max })
                 if len == too_big && max == u32::MAX as usize
         ));
-    }
-
-    /// Accepts at most `cap` bytes per call, across all segments — forces
-    /// the short-write loop to re-slice both the prefix and the payload.
-    struct Trickle {
-        out: Vec<u8>,
-        cap: usize,
-    }
-
-    impl Write for Trickle {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            let n = buf.len().min(self.cap);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
-            let mut budget = self.cap;
-            let mut n = 0;
-            for buf in bufs {
-                if budget == 0 {
-                    break;
-                }
-                let take = buf.len().min(budget);
-                self.out.extend_from_slice(&buf[..take]);
-                budget -= take;
-                n += take;
-            }
-            Ok(n)
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn vectored_frame_matches_plain_frame() {
-        let payload = b"serialization-free";
-        let mut plain = Vec::new();
-        write_frame(&mut plain, payload).unwrap();
-        let mut vectored = Vec::new();
-        write_frame_vectored(&mut vectored, payload).unwrap();
-        assert_eq!(vectored, plain, "byte-identical wire format");
-    }
-
-    #[test]
-    fn vectored_frame_survives_short_writes() {
-        for cap in [1, 2, 3, 5, 7] {
-            let payload: Vec<u8> = (0u8..=50).collect();
-            let mut expected = Vec::new();
-            write_frame(&mut expected, &payload).unwrap();
-            let mut w = Trickle {
-                out: Vec::new(),
-                cap,
-            };
-            write_frame_vectored(&mut w, &payload).unwrap();
-            assert_eq!(w.out, expected, "cap={cap}");
-        }
-    }
-
-    #[test]
-    fn vectored_frame_errors_on_write_zero() {
-        let mut w = Trickle {
-            out: Vec::new(),
-            cap: 0,
-        };
-        let err = write_frame_vectored(&mut w, b"x").unwrap_err();
-        assert!(matches!(err, RosError::Io(e)
-            if e.kind() == std::io::ErrorKind::WriteZero));
-    }
-
-    #[test]
-    fn vectored_empty_payload_is_just_prefix() {
-        let mut wire = Vec::new();
-        write_frame_vectored(&mut wire, b"").unwrap();
-        assert_eq!(wire, 0u32.to_le_bytes());
     }
 
     #[test]

@@ -448,6 +448,11 @@ fn queue_backpressure_drops_and_counts_when_full() {
         "saturation must be visible as drops"
     );
     assert!(snap.shm_handshakes >= 1);
+    assert!(
+        (1..=2).contains(&snap.queue_depth_hwm),
+        "the ring is the queue: its depth (at most its 2 slots) is the high-water mark, got {}",
+        snap.queue_depth_hwm
+    );
     wait_until("delivery resumes after unblock", || {
         publisher.publish(&msg(1));
         seen.load(Ordering::SeqCst) >= 3

@@ -99,6 +99,12 @@ impl ShmLink {
         self.ctrl.epoch()
     }
 
+    /// Descriptors committed and not yet popped by the reader — the depth
+    /// of the link's transmission queue, approximate under concurrency.
+    pub fn pending(&self) -> u64 {
+        self.ctrl.pending()
+    }
+
     /// The segment pool backing this link. Frames prepared from this pool
     /// (including [`SharedFrame`]s from
     /// [`SegmentPool::prepare_shared`](crate::SegmentPool) /

@@ -9,7 +9,8 @@
 //!   [`futex_wake`] — shared-memory segments and their cross-process
 //!   wait word (the shm tier, and the bag's read-only file mapping);
 //! * [`Poller`] (`epoll`), [`WakeFd`] (`eventfd`), [`set_socket_buffers`]
-//!   (`setsockopt`) — the reactor's readiness loop;
+//!   (`setsockopt`), [`set_timer_slack_ns`] (`prctl`) — the reactor's
+//!   readiness loop;
 //! * [`open_peer_fd`], [`process_alive`], [`page_round`] — the procfs and
 //!   page-size facts the callers of the above share.
 //!
@@ -38,7 +39,7 @@ pub use mem::{
     futex_wait, futex_wake, memfd_create, mmap_shared, munmap, open_peer_fd, page_round,
     process_alive,
 };
-pub use poll::{set_socket_buffers, PollEvent, Poller, WakeFd};
+pub use poll::{set_socket_buffers, set_timer_slack_ns, timer_slack_ns, PollEvent, Poller, WakeFd};
 
 use std::io;
 use std::time::Duration;

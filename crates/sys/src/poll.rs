@@ -23,10 +23,13 @@ const SYS_EPOLL_CTL: i64 = 233;
 const SYS_EPOLL_CREATE1: i64 = 291;
 const SYS_EVENTFD2: i64 = 290;
 const SYS_SETSOCKOPT: i64 = 54;
+const SYS_PRCTL: i64 = 157;
 
 const SOL_SOCKET: i64 = 1;
 const SO_SNDBUF: i64 = 7;
 const SO_RCVBUF: i64 = 8;
+const PR_SET_TIMERSLACK: i64 = 29;
+const PR_GET_TIMERSLACK: i64 = 30;
 
 const CLOEXEC: i64 = 0x8_0000; // EPOLL_CLOEXEC == EFD_CLOEXEC
 const EFD_NONBLOCK: i64 = 0x800;
@@ -284,6 +287,33 @@ pub fn set_socket_buffers(fd: RawFd, bytes: usize) -> io::Result<()> {
     Ok(())
 }
 
+/// Set the calling thread's timer slack — how far past its deadline the
+/// kernel may let a timed wait ([`Poller::wait`], a futex timeout) run so
+/// it can batch wake-ups. Threads start at 50 µs, which every
+/// sub-millisecond timer would pay on top of its deadline; the kernel
+/// reads 0 as "back to the default", so 1 is the tightest setting.
+///
+/// # Errors
+///
+/// The raw `errno` from the kernel.
+pub fn set_timer_slack_ns(ns: u64) -> io::Result<()> {
+    // SAFETY: PR_SET_TIMERSLACK takes a plain integer and dereferences
+    // nothing.
+    check(unsafe { syscall6(SYS_PRCTL, PR_SET_TIMERSLACK, ns as i64, 0, 0, 0, 0) })?;
+    Ok(())
+}
+
+/// The calling thread's timer slack in nanoseconds (see
+/// [`set_timer_slack_ns`]).
+///
+/// # Errors
+///
+/// The raw `errno` from the kernel.
+pub fn timer_slack_ns() -> io::Result<u64> {
+    // SAFETY: PR_GET_TIMERSLACK takes no argument and returns the value.
+    Ok(check(unsafe { syscall6(SYS_PRCTL, PR_GET_TIMERSLACK, 0, 0, 0, 0, 0) })? as u64)
+}
+
 /// A cross-thread wakeup descriptor (kernel counter): any thread bumps the
 /// counter to force a blocked [`Poller::wait`] to return.
 #[derive(Debug)]
@@ -393,6 +423,17 @@ mod tests {
         // No getsockopt wrapper to read it back; success of the syscall
         // (and the kernel's documented clamp-don't-fail behavior) is the
         // contract under test.
+    }
+
+    #[test]
+    fn timer_slack_is_per_thread_and_reads_back() {
+        std::thread::spawn(|| {
+            set_timer_slack_ns(1).unwrap();
+            assert_eq!(timer_slack_ns().unwrap(), 1);
+        })
+        .join()
+        .unwrap();
+        assert_ne!(timer_slack_ns().unwrap(), 1, "the caller keeps its own");
     }
 
     /// The edge-triggered contract the loop relies on: a wake-up is
