@@ -1,13 +1,18 @@
 //! Minimal command-line handling shared by the harness binaries.
 
+use std::path::PathBuf;
+
 /// Workload parameters for a harness run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunArgs {
     /// Messages per configuration (paper: 2000).
     pub iters: usize,
     /// Publish rate in Hz; `0.0` publishes as fast as the pipeline drains
     /// (paper: 10 Hz).
     pub hz: f64,
+    /// Directory the run's `BENCH_*.json` / `TRACE_*.json` documents go to
+    /// (`--out DIR`); `None` writes nothing.
+    pub out: Option<PathBuf>,
 }
 
 impl Default for RunArgs {
@@ -17,12 +22,14 @@ impl Default for RunArgs {
         RunArgs {
             iters: 300,
             hz: 0.0,
+            out: None,
         }
     }
 }
 
 impl RunArgs {
-    /// Parse `--iters N`, `--hz F`, `--quick` from an argument iterator.
+    /// Parse `--iters N`, `--hz F`, `--quick`, `--paper`, `--out DIR` from an
+    /// argument iterator.
     ///
     /// # Panics
     ///
@@ -40,6 +47,9 @@ impl RunArgs {
                     let v = args.next().expect("--hz needs a value");
                     out.hz = v.parse().expect("--hz must be a number");
                 }
+                "--out" => {
+                    out.out = Some(args.next().expect("--out needs a directory").into());
+                }
                 "--quick" => {
                     out.iters = 30;
                 }
@@ -49,7 +59,7 @@ impl RunArgs {
                     out.hz = 10.0;
                 }
                 other => panic!(
-                    "unknown argument `{other}`; expected --iters N, --hz F, --quick, --paper"
+                    "unknown argument `{other}`; expected --iters N, --hz F, --quick, --paper, --out DIR"
                 ),
             }
         }
@@ -86,14 +96,16 @@ mod tests {
         let a = parse(&[]);
         assert_eq!(a.iters, 300);
         assert!(a.gap() > std::time::Duration::ZERO);
+        assert_eq!(a.out, None);
     }
 
     #[test]
     fn explicit_values() {
-        let a = parse(&["--iters", "50", "--hz", "20"]);
+        let a = parse(&["--iters", "50", "--hz", "20", "--out", "/tmp/figs"]);
         assert_eq!(a.iters, 50);
         assert_eq!(a.hz, 20.0);
         assert_eq!(a.gap(), std::time::Duration::from_millis(50));
+        assert_eq!(a.out.as_deref(), Some(std::path::Path::new("/tmp/figs")));
     }
 
     #[test]

@@ -18,11 +18,11 @@
 //!    inter-frame gap.
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin bag_gate [--smoke] [--iters N]
+//! cargo run -p rossf-bench --release --bin bag_gate [--smoke] [--iters N] [--out DIR]
 //! ```
 //!
-//! Writes `results/BENCH_bag.json` with the latency rows plus the bag
-//! counters. Exit status 0 only when every gate passes.
+//! With `--out DIR`, writes `DIR/BENCH_bag.json` with the latency rows plus
+//! the bag counters. Exit status 0 only when every gate passes.
 
 use rossf_bag::{fnv1a64, BagReader};
 use rossf_bench::report::{write_report, ScenarioReport};
@@ -310,6 +310,7 @@ fn replay_run(cfg: &GateConfig, topics: &SlamTopics, path: &Path) -> ReplayRun {
 
 fn main() {
     let mut cfg = GateConfig::full();
+    let mut out: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -318,8 +319,9 @@ fn main() {
                 let v = args.next().expect("--iters needs a value");
                 cfg.frames = v.parse().expect("--iters must be an integer");
             }
+            "--out" => out = Some(args.next().expect("--out needs a directory").into()),
             other => {
-                eprintln!("unknown argument `{other}`; expected --smoke or --iters N");
+                eprintln!("unknown argument `{other}`; expected --smoke, --iters N or --out DIR");
                 std::process::exit(1);
             }
         }
@@ -439,10 +441,7 @@ fn main() {
         )
         .with_bag_counts(0, 0, 0, replay.frames_replayed),
     ];
-    match write_report("bag", &rows) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_bag.json: {e}"),
-    }
+    write_report(out.as_deref(), "bag", &rows).expect("write BENCH_bag.json");
     std::fs::remove_file(&bag_path).ok();
 
     if failures.is_empty() {

@@ -2,7 +2,7 @@
 //! paper's three image sizes (~200 KB, ~1 MB, ~6 MB).
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin fig13_intra [--iters N] [--hz F] [--paper]
+//! cargo run -p rossf-bench --release --bin fig13_intra [--iters N] [--hz F] [--paper] [--out DIR]
 //! ```
 
 use rossf_baselines::WorkImage;
@@ -26,8 +26,8 @@ fn main() {
     let mut rows: Vec<ScenarioReport> = Vec::new();
     for (label, w, h) in WorkImage::PAPER_SIZES {
         let payload = u64::from(w) * u64::from(h) * 3;
-        let ros = intra_plain(args, w, h);
-        let rossf = intra_sfm(args, w, h);
+        let ros = intra_plain(&args, w, h);
+        let rossf = intra_sfm(&args, w, h);
         println!(
             "{:<8} {:<50} {:<50} {:>9.1}%",
             label,
@@ -58,32 +58,11 @@ fn main() {
     // Intra-machine: the zero-copy fast path and the same frames forced
     // over unshaped loopback TCP.
     for tier in [TraceTier::Fastpath, TraceTier::Tcp] {
-        let (stats, snapshot) = oneway_traced(args, w, h, tier, LinkProfile::UNLIMITED);
-        print!(
-            "{}",
-            rossf_trace::render_waterfall(std::slice::from_ref(&snapshot))
-        );
-        let wf = TraceWaterfall {
-            label: tier.label().to_string(),
-            snapshot,
-            e2e_mean_us: stats.mean_ms * 1_000.0,
-        };
-        println!(
-            "{:<9} e2e mean {:>10.1} µs, stage sum {:>10.1} µs, error {:>5.1}%\n",
-            tier.label(),
-            wf.e2e_mean_us,
-            wf.stage_sum_us(),
-            wf.sum_error() * 100.0
-        );
+        let (stats, snapshot) = oneway_traced(&args, w, h, tier, LinkProfile::UNLIMITED);
+        let wf = TraceWaterfall::print(tier.label(), &stats, snapshot, "");
         tiers.push(wf);
     }
-    match write_trace_report("fig13", &tiers) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write TRACE_fig13.json: {e}"),
-    }
+    write_trace_report(args.out.as_deref(), "fig13", &tiers).expect("write TRACE_fig13.json");
 
-    match write_report("fig13", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_fig13.json: {e}"),
-    }
+    write_report(args.out.as_deref(), "fig13", &rows).expect("write BENCH_fig13.json");
 }

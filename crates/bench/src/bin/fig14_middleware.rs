@@ -6,7 +6,7 @@
 //! serialization, and access costs.
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin fig14_middleware [--iters N] [--hz F]
+//! cargo run -p rossf-bench --release --bin fig14_middleware [--iters N] [--hz F] [--out DIR]
 //! ```
 
 use rossf_baselines::flatdata::FlatDataCodec;
@@ -30,15 +30,15 @@ fn main() {
     );
 
     let results: Vec<(&str, bool, Stats)> = vec![
-        ("ROS", false, codec_latency::<RosCodec>(args, w, h)),
-        ("ROS-SF", true, codec_latency::<SfmCodec>(args, w, h)),
-        ("ProtoBuf", false, codec_latency::<ProtoCodec>(args, w, h)),
-        ("FlatBuf", true, codec_latency::<FlatLiteCodec>(args, w, h)),
-        ("RTI", false, codec_latency::<XcdrCodec>(args, w, h)),
+        ("ROS", false, codec_latency::<RosCodec>(&args, w, h)),
+        ("ROS-SF", true, codec_latency::<SfmCodec>(&args, w, h)),
+        ("ProtoBuf", false, codec_latency::<ProtoCodec>(&args, w, h)),
+        ("FlatBuf", true, codec_latency::<FlatLiteCodec>(&args, w, h)),
+        ("RTI", false, codec_latency::<XcdrCodec>(&args, w, h)),
         (
             "RTI-FlatData",
             true,
-            codec_latency::<FlatDataCodec>(args, w, h),
+            codec_latency::<FlatDataCodec>(&args, w, h),
         ),
     ];
 
@@ -81,8 +81,5 @@ fn main() {
         .iter()
         .map(|(name, _, stats)| ScenarioReport::from_stats(&format!("{name} 6MB"), payload, stats))
         .collect();
-    match write_report("fig14", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_fig14.json: {e}"),
-    }
+    write_report(args.out.as_deref(), "fig14", &rows).expect("write BENCH_fig14.json");
 }

@@ -10,19 +10,20 @@
 //! publication (`Publisher::loan`) against the copy-publish shm path and
 //! the fast path.
 //!
-//! Writes `results/BENCH_fig16.json` with every measured series.
+//! With `--out DIR`, writes `DIR/BENCH_fig16.json` with every measured
+//! series and `DIR/TRACE_fig16.json` with the waterfalls.
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin fig16_inter [--iters N] [--hz F]
+//! cargo run -p rossf-bench --release --bin fig16_inter [--iters N] [--hz F] [--out DIR]
 //! ```
 
 use rossf_baselines::WorkImage;
 use rossf_bench::experiments::{
     oneway_loaned, oneway_loaned_traced, oneway_traced, oneway_untraced, pingpong_plain,
-    pingpong_same_machine, pingpong_sfm, pingpong_sfm_with, pingpong_shm, TraceTier,
+    pingpong_same_machine, pingpong_sfm, pingpong_shm, TraceTier,
 };
 use rossf_bench::report::{write_report, write_trace_report, ScenarioReport, TraceWaterfall};
-use rossf_bench::RunArgs;
+use rossf_bench::{RunArgs, Stats};
 use rossf_ros::LinkProfile;
 
 fn main() {
@@ -47,9 +48,9 @@ fn main() {
     );
     for (label, w, h) in WorkImage::PAPER_SIZES {
         let payload = u64::from(w) * u64::from(h) * 3;
-        let ros = pingpong_plain(args, w, h, link);
-        let rossf = pingpong_sfm(args, w, h, link);
-        let verified = pingpong_sfm_with(args, w, h, link, true);
+        let ros = pingpong_plain(&args, w, h, link);
+        let rossf = pingpong_sfm(&args, w, h, link, false);
+        let verified = pingpong_sfm(&args, w, h, link, true);
         println!(
             "{:<8} {:<50} {:<50} {:<50} {:>9.1}% {:>9.1}%",
             label,
@@ -78,55 +79,42 @@ fn main() {
     }
 
     println!("\n--- same-machine transport tiers: fastpath / shm / forced TCP ---");
-    let shm_on = TraceTier::Shm.available();
     println!(
         "{:<8} {:>14} {:>14} {:>14} {:>10} {:>10}",
         "size", "TCP p50 (ms)", "fastpath p50", "shm p50", "fp speedup", "shm speedup"
     );
+    let speedup = |tcp: &Stats, other: &Stats| {
+        if other.p50_ms > 0.0 {
+            tcp.p50_ms / other.p50_ms
+        } else {
+            f64::INFINITY
+        }
+    };
     let mut speedup_1mb = 0.0;
     let mut shm_speedup_1mb = 0.0;
     for (label, w, h) in WorkImage::PAPER_SIZES {
         let payload = u64::from(w) * u64::from(h) * 3;
-        let tcp = pingpong_same_machine(args, w, h, false);
-        let fast = pingpong_same_machine(args, w, h, true);
-        let shm = shm_on.then(|| pingpong_shm(args, w, h));
-        let speedup = if fast.p50_ms > 0.0 {
-            tcp.p50_ms / fast.p50_ms
-        } else {
-            f64::INFINITY
-        };
-        let shm_speedup = match &shm {
-            Some(s) if s.p50_ms > 0.0 => tcp.p50_ms / s.p50_ms,
-            _ => 0.0,
-        };
+        let tcp = pingpong_same_machine(&args, w, h, false);
+        let fast = pingpong_same_machine(&args, w, h, true);
+        let shm = pingpong_shm(&args, w, h);
         if label == "1MB" {
-            speedup_1mb = speedup;
-            shm_speedup_1mb = shm_speedup;
+            speedup_1mb = speedup(&tcp, &fast);
+            shm_speedup_1mb = speedup(&tcp, &shm);
         }
         println!(
             "{:<8} {:>14.3} {:>14.3} {:>14.3} {:>9.1}x {:>9.1}x",
             label,
             tcp.p50_ms,
             fast.p50_ms,
-            shm.as_ref().map_or(f64::NAN, |s| s.p50_ms),
-            speedup,
-            shm_speedup
+            shm.p50_ms,
+            speedup(&tcp, &fast),
+            speedup(&tcp, &shm)
         );
-        rows.push(ScenarioReport::from_stats(
-            &format!("same-machine tcp {label}"),
-            payload,
-            &tcp,
-        ));
-        rows.push(ScenarioReport::from_stats(
-            &format!("same-machine fastpath {label}"),
-            payload,
-            &fast,
-        ));
-        if let Some(shm) = &shm {
+        for (tier, stats) in [("tcp", &tcp), ("fastpath", &fast), ("shm", &shm)] {
             rows.push(ScenarioReport::from_stats(
-                &format!("same-machine shm {label}"),
+                &format!("same-machine {tier} {label}"),
                 payload,
-                shm,
+                stats,
             ));
         }
     }
@@ -134,14 +122,10 @@ fn main() {
         "same-machine p50 speedup at 1MB: {speedup_1mb:.1}x (target: >=3x for the \
          zero-copy fast path)"
     );
-    if shm_on {
-        println!(
-            "same-machine shm p50 speedup at 1MB: {shm_speedup_1mb:.1}x (target: >=3x \
-             vs forced TCP)"
-        );
-    } else {
-        println!("shm tier unavailable on this target; series skipped");
-    }
+    println!(
+        "same-machine shm p50 speedup at 1MB: {shm_speedup_1mb:.1}x (target: >=3x \
+         vs forced TCP)"
+    );
 
     println!("\n--- same-machine one-way publish: fastpath vs shm copy vs shm loaned ---");
     println!(
@@ -150,47 +134,33 @@ fn main() {
     );
     for (label, w, h) in WorkImage::PAPER_SIZES {
         let payload = u64::from(w) * u64::from(h) * 3;
-        let fast = oneway_untraced(args, w, h, TraceTier::Fastpath, link);
-        let shm = shm_on.then(|| oneway_untraced(args, w, h, TraceTier::Shm, link));
-        let loaned = shm_on.then(|| oneway_loaned(args, w, h, TraceTier::Shm, link));
-        let ratio = match &loaned {
-            Some(l) if fast.p50_ms > 0.0 => l.p50_ms / fast.p50_ms,
-            _ => f64::NAN,
-        };
+        let fast = oneway_untraced(&args, w, h, TraceTier::Fastpath, link);
+        let shm = oneway_untraced(&args, w, h, TraceTier::Shm, link);
+        let loaned = oneway_loaned(&args, w, h, TraceTier::Shm, link);
         println!(
             "{:<8} {:>14.3} {:>14.3} {:>14.3} {:>9.2}x",
             label,
             fast.p50_ms,
-            shm.as_ref().map_or(f64::NAN, |s| s.p50_ms),
-            loaned.as_ref().map_or(f64::NAN, |s| s.p50_ms),
-            ratio
+            shm.p50_ms,
+            loaned.p50_ms,
+            if fast.p50_ms > 0.0 {
+                loaned.p50_ms / fast.p50_ms
+            } else {
+                f64::NAN
+            }
         );
-        rows.push(ScenarioReport::from_stats(
-            &format!("oneway fastpath {label}"),
-            payload,
-            &fast,
-        ));
-        if let Some(shm) = &shm {
+        for (tier, stats) in [("fastpath", &fast), ("shm", &shm), ("shm+loan", &loaned)] {
             rows.push(ScenarioReport::from_stats(
-                &format!("oneway shm {label}"),
+                &format!("oneway {tier} {label}"),
                 payload,
-                shm,
-            ));
-        }
-        if let Some(loaned) = &loaned {
-            rows.push(ScenarioReport::from_stats(
-                &format!("oneway shm+loan {label}"),
-                payload,
-                loaned,
+                stats,
             ));
         }
     }
-    if shm_on {
-        println!(
-            "loaned publication builds the message inside the pool segment: the shm \
-             publish-side memcpy is gone (gate: loan/fp <= 1.2x, see loan_gate)"
-        );
-    }
+    println!(
+        "loaned publication builds the message inside the pool segment: the shm \
+         publish-side memcpy is gone (gate: loan/fp <= 1.2x, see loan_gate)"
+    );
 
     println!("\n--- stage-latency attribution: traced one-way 1MB frame, all tiers ---");
     let (w, h) = (664, 504); // ~1 MB RGB frame
@@ -201,56 +171,24 @@ fn main() {
         TraceTier::Shm,
         TraceTier::Local,
     ] {
-        if !tier.available() {
-            continue;
-        }
-        let (stats, snapshot) = oneway_traced(args, w, h, tier, link);
-        print!(
-            "{}",
-            rossf_trace::render_waterfall(std::slice::from_ref(&snapshot))
-        );
-        let wf = TraceWaterfall {
-            label: tier.label().to_string(),
-            snapshot,
-            e2e_mean_us: stats.mean_ms * 1_000.0,
-        };
-        println!(
-            "{:<9} e2e mean {:>10.1} µs, stage sum {:>10.1} µs, error {:>5.1}% \
-             (target: <10%)\n",
+        let (stats, snapshot) = oneway_traced(&args, w, h, tier, link);
+        tiers.push(TraceWaterfall::print(
             tier.label(),
-            wf.e2e_mean_us,
-            wf.stage_sum_us(),
-            wf.sum_error() * 100.0
-        );
-        tiers.push(wf);
-    }
-    if TraceTier::Shm.available() {
-        // The loaned shm waterfall: same tier, message built inside the
-        // segment — the wire_write (publish-side copy) row is absent.
-        let (stats, snapshot) = oneway_loaned_traced(args, w, h, TraceTier::Shm, link);
-        print!(
-            "{}",
-            rossf_trace::render_waterfall(std::slice::from_ref(&snapshot))
-        );
-        let wf = TraceWaterfall {
-            label: "shm+loan".to_string(),
+            &stats,
             snapshot,
-            e2e_mean_us: stats.mean_ms * 1_000.0,
-        };
-        println!(
-            "{:<9} e2e mean {:>10.1} µs, stage sum {:>10.1} µs, error {:>5.1}% \
-             (no wire_write: built in-segment)\n",
-            "shm+loan",
-            wf.e2e_mean_us,
-            wf.stage_sum_us(),
-            wf.sum_error() * 100.0
-        );
-        tiers.push(wf);
+            " (target: <10%)",
+        ));
     }
-    match write_trace_report("fig16", &tiers) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write TRACE_fig16.json: {e}"),
-    }
+    // The loaned shm waterfall: same tier, message built inside the
+    // segment — the wire_write (publish-side copy) row is absent.
+    let (stats, snapshot) = oneway_loaned_traced(&args, w, h, TraceTier::Shm, link);
+    tiers.push(TraceWaterfall::print(
+        "shm+loan",
+        &stats,
+        snapshot,
+        " (no wire_write: built in-segment)",
+    ));
+    write_trace_report(args.out.as_deref(), "fig16", &tiers).expect("write TRACE_fig16.json");
 
     println!();
     println!(
@@ -258,8 +196,5 @@ fn main() {
          latency (paper §5.2); paper reference: up to ~69.9% reduction at 6MB. \
          `verify Δ` is the extra round-trip cost of validate_on_receive."
     );
-    match write_report("fig16", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_fig16.json: {e}"),
-    }
+    write_report(args.out.as_deref(), "fig16", &rows).expect("write BENCH_fig16.json");
 }

@@ -3,7 +3,7 @@
 //! three outputs (pose, point cloud, debug image), ROS vs ROS-SF.
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin fig18_slam [--iters N] [--hz F]
+//! cargo run -p rossf-bench --release --bin fig18_slam [--iters N] [--hz F] [--out DIR]
 //! ```
 
 use rossf_bench::experiments::{oneway_traced, slam_case_study, Family, SlamLatencies, TraceTier};
@@ -25,8 +25,8 @@ fn main() {
         args.iters, compute
     );
 
-    let ros = slam_case_study(args, Family::Plain, (640, 480), compute);
-    let rossf = slam_case_study(args, Family::Sfm, (640, 480), compute);
+    let ros = slam_case_study(&args, Family::Plain, (640, 480), compute);
+    let rossf = slam_case_study(&args, Family::Sfm, (640, 480), compute);
 
     print_family("ROS", &ros);
     print_family("ROS-SF", &rossf);
@@ -64,35 +64,15 @@ fn main() {
             &lat.debug,
         ));
     }
-    match write_report("fig18", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_fig18.json: {e}"),
-    }
+    write_report(args.out.as_deref(), "fig18", &rows).expect("write BENCH_fig18.json");
 
     // Stage-latency attribution for the SLAM input hop: one traced one-way
     // run at the 640x480 frame size on the intra-machine fast path.
     println!("\n--- stage-latency attribution: traced 640x480 input hop (fast path) ---");
     let (stats, snapshot) =
-        oneway_traced(args, 640, 480, TraceTier::Fastpath, LinkProfile::UNLIMITED);
-    print!(
-        "{}",
-        rossf_trace::render_waterfall(std::slice::from_ref(&snapshot))
-    );
-    let wf = TraceWaterfall {
-        label: TraceTier::Fastpath.label().to_string(),
-        snapshot,
-        e2e_mean_us: stats.mean_ms * 1_000.0,
-    };
-    println!(
-        "fastpath  e2e mean {:>10.1} µs, stage sum {:>10.1} µs, error {:>5.1}%",
-        wf.e2e_mean_us,
-        wf.stage_sum_us(),
-        wf.sum_error() * 100.0
-    );
-    match write_trace_report("fig18", &[wf]) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write TRACE_fig18.json: {e}"),
-    }
+        oneway_traced(&args, 640, 480, TraceTier::Fastpath, LinkProfile::UNLIMITED);
+    let wf = TraceWaterfall::print(TraceTier::Fastpath.label(), &stats, snapshot, "");
+    write_trace_report(args.out.as_deref(), "fig18", &[wf]).expect("write TRACE_fig18.json");
 }
 
 fn print_family(name: &str, lat: &SlamLatencies) {

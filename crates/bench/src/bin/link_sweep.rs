@@ -7,59 +7,38 @@
 //! Runs the Fig. 15 ping-pong topology at a 1 MB image size across link
 //! speeds from 100 Mb/s to unlimited (loopback) and reports the ROS-SF
 //! latency reduction at each: it should be small on slow links and grow
-//! as the wire gets faster. Writes `results/BENCH_link_sweep.json`.
+//! as the wire gets faster. With `--out DIR`, writes
+//! `DIR/BENCH_link_sweep.json`.
 //!
 //! `--fastpath-smoke` instead runs a short same-machine comparison —
 //! zero-copy fast path vs the same frames forced over TCP loopback — and
 //! exits non-zero unless the fast path is measurably faster (TCP p50 at
-//! least 1.5x the fast-path p50). `scripts/check.sh` uses this as the
-//! regression gate for the same-machine tier.
+//! least 1.5x the fast-path p50, both measured in this process).
+//! `scripts/check.sh` uses this as the regression gate for the
+//! same-machine tier; it prints and exits, writing nothing.
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin link_sweep [--iters N] [--fastpath-smoke]
+//! cargo run -p rossf-bench --release --bin link_sweep [--iters N] [--out DIR] [--fastpath-smoke]
 //! ```
 
 use rossf_bench::experiments::{pingpong_plain, pingpong_same_machine, pingpong_sfm};
 use rossf_bench::report::{write_report, ScenarioReport};
-use rossf_bench::{RunArgs, Stats};
+use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
 use std::time::Duration;
 
 /// The ~1 MB image configuration the sweep (and the smoke gate) uses.
 const SIZE: (u32, u32) = (800, 600);
 
-/// Rounds per tier in the smoke. The reported stats are the best round by
-/// p50 — single-round tail percentiles on a shared machine are dominated
-/// by scheduler hiccups, and the regression gate needs a reproducible
-/// number, not a load sample.
-const SMOKE_ROUNDS: u32 = 3;
-
-/// Run `measure` `SMOKE_ROUNDS` times and keep the round with the lowest
-/// p50, with the p99 floored element-wise across rounds. A real slowdown
-/// raises the floor of every round; a scheduler hiccup only inflates one.
-fn best_round(mut measure: impl FnMut() -> Stats) -> Stats {
-    let mut best = measure();
-    for _ in 1..SMOKE_ROUNDS {
-        let s = measure();
-        let floor_p99 = best.p99_ms.min(s.p99_ms);
-        if s.p50_ms < best.p50_ms {
-            best = s;
-        }
-        best.p99_ms = floor_p99;
-    }
-    best
-}
-
-fn fastpath_smoke(args: RunArgs) -> ! {
+fn fastpath_smoke(args: &RunArgs) -> ! {
     let (w, h) = SIZE;
-    let payload = u64::from(w) * u64::from(h) * 3;
     println!("=== fast-path smoke: same-machine zero-copy vs forced TCP ===");
     println!(
-        "workload: 1MB images, ping-pong, {} messages per tier, best of {} rounds\n",
-        args.iters, SMOKE_ROUNDS
+        "workload: 1MB images, ping-pong, {} messages per tier\n",
+        args.iters
     );
-    let tcp = best_round(|| pingpong_same_machine(args, w, h, false));
-    let fast = best_round(|| pingpong_same_machine(args, w, h, true));
+    let tcp = pingpong_same_machine(args, w, h, false);
+    let fast = pingpong_same_machine(args, w, h, true);
     let speedup = if fast.p50_ms > 0.0 {
         tcp.p50_ms / fast.p50_ms
     } else {
@@ -68,14 +47,6 @@ fn fastpath_smoke(args: RunArgs) -> ! {
     println!("forced TCP p50: {:.3} ms", tcp.p50_ms);
     println!("fast path  p50: {:.3} ms", fast.p50_ms);
     println!("speedup: {speedup:.2}x (gate: >=1.5x)");
-    let rows = [
-        ScenarioReport::from_stats("smoke same-machine tcp 1MB", payload, &tcp),
-        ScenarioReport::from_stats("smoke same-machine fastpath 1MB", payload, &fast),
-    ];
-    match write_report("fastpath_smoke", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_fastpath_smoke.json: {e}"),
-    }
     if tcp.p50_ms >= 1.5 * fast.p50_ms {
         std::process::exit(0);
     }
@@ -93,7 +64,7 @@ fn main() {
         args.iters = 60; // slow links make each iteration expensive
     }
     if smoke {
-        fastpath_smoke(args);
+        fastpath_smoke(&args);
     }
     let (w, h) = SIZE;
     let payload = u64::from(w) * u64::from(h) * 3;
@@ -121,8 +92,8 @@ fn main() {
     );
     let mut rows: Vec<ScenarioReport> = Vec::new();
     for (label, link) in links {
-        let ros = pingpong_plain(args, w, h, link);
-        let rossf = pingpong_sfm(args, w, h, link);
+        let ros = pingpong_plain(&args, w, h, link);
+        let rossf = pingpong_sfm(&args, w, h, link, false);
         println!(
             "{:<10} {:>14.3} {:>14.3} {:>10.1}%",
             label,
@@ -146,8 +117,5 @@ fn main() {
          reduction is small; the faster the link, the larger ROS-SF's share \
          of the saved time"
     );
-    match write_report("link_sweep", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_link_sweep.json: {e}"),
-    }
+    write_report(args.out.as_deref(), "link_sweep", &rows).expect("write BENCH_link_sweep.json");
 }

@@ -27,10 +27,6 @@ const SLACK_MS: f64 = 0.05;
 
 fn main() -> ExitCode {
     let args = RunArgs::from_env();
-    if !TraceTier::Shm.available() {
-        println!("shm tier unavailable on this target; loan gate skipped");
-        return ExitCode::SUCCESS;
-    }
     // Only the TCP tier reads the link profile; passed for signature only.
     let link = LinkProfile::ten_gbe();
     println!("=== loan_gate: shm+loan one-way p50 <= {RATIO}x fastpath p50 + {SLACK_MS} ms ===");
@@ -41,9 +37,9 @@ fn main() -> ExitCode {
     );
     let mut ok = true;
     for (label, w, h) in WorkImage::PAPER_SIZES {
-        let fast = oneway_untraced(args, w, h, TraceTier::Fastpath, link);
-        let copy = oneway_untraced(args, w, h, TraceTier::Shm, link);
-        let loaned = oneway_loaned(args, w, h, TraceTier::Shm, link);
+        let fast = oneway_untraced(&args, w, h, TraceTier::Fastpath, link);
+        let copy = oneway_untraced(&args, w, h, TraceTier::Shm, link);
+        let loaned = oneway_loaned(&args, w, h, TraceTier::Shm, link);
         let bound = fast.p50_ms * RATIO + SLACK_MS;
         let pass = loaned.p50_ms <= bound;
         ok &= pass;

@@ -11,12 +11,11 @@
 //! projected sub-frame also proves itself against the projected schema;
 //! a single verifier rejection fails the gate.
 //!
-//! Writes `results/BENCH_projection.json` with both rows (the byte
-//! columns carry the measured wire totals), which `bench_summary --gate`
-//! folds into the trajectory.
+//! With `--out DIR`, writes `DIR/BENCH_projection.json` with both rows
+//! (the byte columns carry the measured wire totals).
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin projection_gate [-- --iters N]
+//! cargo run -p rossf-bench --release --bin projection_gate [-- --iters N] [--out DIR]
 //! ```
 
 use rossf_bench::report::{write_report, ScenarioReport};
@@ -46,11 +45,9 @@ const SIZES: &[(&str, usize)] = &[("200KB", 200 << 10), ("1MB", 1 << 20), ("6MB"
 /// except the 1 MB `data` blob and the field descriptors.
 const SUBSET: &[&str] = &["header.stamp", "height", "width", "point_step"];
 
-/// Rounds per (size, mode) cell. The reported stats are the best round
-/// by p50 with the p99 floored element-wise across rounds — single-round
-/// tail percentiles on a shared machine are dominated by scheduler noise
-/// (the same stabilization the fastpath smoke uses). A real slowdown
-/// raises the floor of every round; a hiccup only inflates one.
+/// Rounds per (size, mode) cell; the reported stats are the best round by
+/// p50. A real slowdown raises every round; a scheduler hiccup on a shared
+/// machine only inflates one.
 const ROUNDS: u32 = 3;
 
 /// What one delivery mode measured.
@@ -89,7 +86,7 @@ fn cloud(seq: u32, t0: u64, point_bytes: usize) -> SfmBox<SfmPointCloud2> {
 /// One-way latency run over the shaped inter-machine link: publisher on
 /// machine A, subscriber on machine B, one message in flight. `project`
 /// selects projected or full-frame delivery.
-fn run_mode(args: RunArgs, project: bool, point_bytes: usize) -> ModeOutcome {
+fn run_mode(args: &RunArgs, project: bool, point_bytes: usize) -> ModeOutcome {
     let master = Master::new();
     master
         .links()
@@ -141,18 +138,15 @@ fn run_mode(args: RunArgs, project: bool, point_bytes: usize) -> ModeOutcome {
 }
 
 /// Run `measure` [`ROUNDS`] times and keep the round with the lowest
-/// p50, flooring the p99 across rounds. The wire-byte and delivery
-/// counters are deterministic per round, so the kept round's values
-/// stand for all of them.
+/// p50. The wire-byte and delivery counters are deterministic per round,
+/// so the kept round's values stand for all of them.
 fn best_outcome(mut measure: impl FnMut() -> ModeOutcome) -> ModeOutcome {
     let mut best = measure();
     for _ in 1..ROUNDS {
         let s = measure();
-        let floor_p99 = best.stats.p99_ms.min(s.stats.p99_ms);
         if s.stats.p50_ms < best.stats.p50_ms {
             best = s;
         }
-        best.stats.p99_ms = floor_p99;
     }
     best
 }
@@ -177,8 +171,8 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     let want = args.iters as u64;
     for &(label, point_bytes) in SIZES {
-        let full = best_outcome(|| run_mode(args, false, point_bytes));
-        let projected = best_outcome(|| run_mode(args, true, point_bytes));
+        let full = best_outcome(|| run_mode(&args, false, point_bytes));
+        let projected = best_outcome(|| run_mode(&args, true, point_bytes));
         let mut cell_ok = true;
         let mut fail = |what: &str| {
             eprintln!("FAIL at {label}: {what}");
@@ -227,10 +221,7 @@ fn main() -> ExitCode {
         ));
     }
 
-    match write_report("projection", &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_projection.json: {e}"),
-    }
+    write_report(args.out.as_deref(), "projection", &rows).expect("write BENCH_projection.json");
 
     if ok {
         println!("\nprojection gate passed at every paper size");

@@ -61,7 +61,7 @@ fn main() -> ExitCode {
     match mode {
         Mode::SelfTest => self_test(),
         Mode::OverheadGate => overhead_gate(run_args),
-        Mode::Waterfall => waterfall(run_args),
+        Mode::Waterfall => waterfall(&run_args),
     }
 }
 
@@ -78,7 +78,7 @@ fn self_test() -> ExitCode {
     }
 }
 
-fn waterfall(args: RunArgs) -> ExitCode {
+fn waterfall(args: &RunArgs) -> ExitCode {
     let (w, h) = (664, 504); // ~1 MB RGB frame
     println!(
         "=== sfm_trace: stage-latency waterfall, 1MB one-way, {} msgs ===\n",
@@ -92,28 +92,9 @@ fn waterfall(args: RunArgs) -> ExitCode {
         TraceTier::Shm,
         TraceTier::Local,
     ] {
-        if !tier.available() {
-            continue;
-        }
         let (stats, snapshot) = oneway_traced(args, w, h, tier, link);
-        print!(
-            "{}",
-            rossf_trace::render_waterfall(std::slice::from_ref(&snapshot))
-        );
-        let wf = TraceWaterfall {
-            label: tier.label().to_string(),
-            snapshot,
-            e2e_mean_us: stats.mean_ms * 1_000.0,
-        };
+        let wf = TraceWaterfall::print(tier.label(), &stats, snapshot, " (target: <10%)");
         let err = wf.sum_error();
-        println!(
-            "{:<9} e2e mean {:>10.1} µs, stage sum {:>10.1} µs, error {:>5.1}% \
-             (target: <10%)\n",
-            tier.label(),
-            wf.e2e_mean_us,
-            wf.stage_sum_us(),
-            err * 100.0
-        );
         // The tcp tier includes scheduler dwell in its enqueue stage, so
         // telescoping still holds; warn rather than fail on the noisier
         // tiers when the absolute gap is tiny.
@@ -146,19 +127,15 @@ fn overhead_gate(mut args: RunArgs) -> ExitCode {
     );
     let mut ok = true;
     for tier in [TraceTier::Fastpath, TraceTier::Shm] {
-        if !tier.available() {
-            println!("{:<9} unavailable on this target; skipped", tier.label());
-            continue;
-        }
         let best = |traced: bool| -> f64 {
             (0..GATE_RUNS)
                 .map(|_| {
                     if traced {
-                        oneway_traced(args, w, h, tier, LinkProfile::UNLIMITED)
+                        oneway_traced(&args, w, h, tier, LinkProfile::UNLIMITED)
                             .0
                             .p50_ms
                     } else {
-                        oneway_untraced(args, w, h, tier, LinkProfile::UNLIMITED).p50_ms
+                        oneway_untraced(&args, w, h, tier, LinkProfile::UNLIMITED).p50_ms
                     }
                 })
                 .fold(f64::INFINITY, f64::min)

@@ -12,28 +12,31 @@
 //! the process must hold its thread count *independent of link count* —
 //! one reactor thread plus the fixed job pool, never a thread per
 //! connection — and its fd count must track links, not churn history.
-//! Each scale's row in `results/BENCH_soak.json` carries `threads`,
-//! `fds`, and `rss_kb`, `bench_summary --gate` holds them flat across
-//! commits, and this binary itself exits non-zero when the largest scale
-//! needs more threads than the smallest (the claim, checked every run).
-//! Latency percentiles are deliberately zero: a churn soak's tail is
-//! storm noise, and the zeros keep the trajectory latency gate off these
-//! rows.
+//! Both are gated here, every run, between the smallest and the largest
+//! scale of the same process: threads may differ by at most
+//! [`THREAD_SLACK`], fds *per link* by at most 10 %
+//! ([`fds_track_links`]). Each row also records what the mesh did under
+//! the storm — one-way latency percentiles on the steady subscribers,
+//! delivered messages per second and per process-CPU-second, `rss_kb` —
+//! none of it gated: a churn soak's tail is storm noise.
 //!
 //! ```text
-//! cargo run -p rossf-bench --release --bin soak [--smoke]
+//! cargo run -p rossf-bench --release --bin soak [--smoke] [--out DIR]
 //! ```
 //!
-//! `--smoke` runs the same protocol at a small scale (a few seconds,
-//! `results/BENCH_soak_smoke.json`) — the `scripts/check.sh` gate.
+//! `--smoke` runs the same protocol at a small scale (a few seconds) —
+//! the `scripts/check.sh` gate. With `--out DIR` the rows are written to
+//! `DIR/BENCH_soak.json` (`BENCH_soak_smoke.json` for the smoke).
 
-use rossf_bench::report::{write_report, ScenarioReport};
+use rossf_bench::report::{fds_track_links, write_report, ScenarioReport};
+use rossf_ros::time::now_nanos;
 use rossf_ros::{
     BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
     TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rossf_trace::StageHist;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,10 +50,13 @@ const THREAD_SLACK: u64 = 2;
 #[derive(Debug)]
 struct SoakMsg {
     seq: u64,
+    /// Creation time on the experiment clock, nanoseconds (Fig. 12).
+    stamp: u64,
     data: SfmVec<u8>,
 }
-// SAFETY: `SoakMsg` is `#[repr(C)]` and both fields (`u64`, `SfmVec<u8>`)
-// are themselves plain-old-data with no padding-sensitive invariants.
+// SAFETY: `SoakMsg` is `#[repr(C)]` and all fields (`u64`, `u64`,
+// `SfmVec<u8>`) are themselves plain-old-data with no padding-sensitive
+// invariants.
 unsafe impl SfmPod for SoakMsg {}
 impl SfmValidate for SoakMsg {
     fn validate_in(&self, base: usize, len: usize) -> Result<(), SfmError> {
@@ -88,6 +94,7 @@ impl Scale {
 struct Outcome {
     report: ScenarioReport,
     threads: u64,
+    fds: u64,
     delivered: u64,
     reconnects: u64,
 }
@@ -103,6 +110,21 @@ fn proc_status_field(key: &str) -> u64 {
         .find_map(|l| l.strip_prefix(key))
         .and_then(|v| v.trim().trim_end_matches(" kB").parse().ok())
         .unwrap_or(0)
+}
+
+/// CPU seconds (user + system) this process has consumed, from
+/// `/proc/self/stat` fields 14 and 15 in `USER_HZ` = 100 ticks.
+fn process_cpu_secs() -> f64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap();
+    // The command name (field 2) may contain spaces; count from its `)`.
+    let after_comm = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let ticks: u64 = after_comm
+        .split_whitespace()
+        .skip(11)
+        .take(2)
+        .filter_map(|v| v.parse::<u64>().ok())
+        .sum();
+    ticks as f64 / 100.0
 }
 
 fn fast_reconnect() -> TransportConfig {
@@ -140,15 +162,16 @@ fn run_scale(scale: &Scale) -> Outcome {
     let nh_pub = NodeHandle::new(&master, "soak-pub");
     let nh_sub = NodeHandle::with_config(&master, "soak-sub", MachineId::B, fast_reconnect());
 
-    let delivered = Arc::new(AtomicU64::new(0));
+    // One-way latency of every delivery; its count is the delivered total.
+    let latency = Arc::new(StageHist::new());
     let subscribe = |topic: &str| {
-        let delivered = Arc::clone(&delivered);
+        let latency = Arc::clone(&latency);
         nh_sub.subscribe_with(
             topic,
             SubscriberOptions::new(),
             move |m: SfmShared<SoakMsg>| {
                 debug_assert_eq!(m.data.len(), PAYLOAD);
-                delivered.fetch_add(1, Ordering::Relaxed);
+                latency.record(now_nanos().saturating_sub(m.stamp));
             },
         )
     };
@@ -175,6 +198,7 @@ fn run_scale(scale: &Scale) -> Outcome {
     // Soak: publish round-robin; churn one subscription every few rounds;
     // sever the whole machine link mid-run and let it heal.
     let start = Instant::now();
+    let cpu_start = process_cpu_secs();
     let sever_at = scale.duration.mul_f64(0.4);
     let heal_at = scale.duration.mul_f64(0.5);
     let mut severed = false;
@@ -185,6 +209,7 @@ fn run_scale(scale: &Scale) -> Outcome {
     while start.elapsed() < scale.duration {
         for publisher in &publishers {
             msg.seq = round;
+            msg.stamp = now_nanos();
             publisher.publish(&msg);
         }
         round += 1;
@@ -206,7 +231,9 @@ fn run_scale(scale: &Scale) -> Outcome {
     }
     drop(churner);
     let elapsed = start.elapsed();
-    let got = delivered.load(Ordering::Relaxed);
+    let cpu_secs = process_cpu_secs() - cpu_start;
+    let latency = latency.snapshot();
+    let got = latency.count;
 
     // Quiesce: every steady link reconnected after the storm, then read
     // the resource numbers the report exists for.
@@ -223,37 +250,34 @@ fn run_scale(scale: &Scale) -> Outcome {
     let report = ScenarioReport {
         scenario: scale.label.to_string(),
         payload_bytes: PAYLOAD as u64,
-        p50_ms: 0.0,
-        p99_ms: 0.0,
+        p50_ms: latency.quantile_ns(0.5) / 1e6,
+        p99_ms: latency.quantile_ns(0.99) / 1e6,
         msgs_per_s,
         bytes_per_s: msgs_per_s * PAYLOAD as f64,
-        threads: None,
-        fds: None,
-        rss_kb: None,
-        bytes_sent: None,
-        bytes_received: None,
-        bag_frames_recorded: None,
-        bag_frames_dropped: None,
-        bag_bytes_written: None,
-        bag_frames_replayed: None,
+        msgs_per_cpu_s: (cpu_secs > 0.0).then(|| got as f64 / cpu_secs),
+        ..ScenarioReport::default()
     }
     .with_process_counts(threads, fds, rss_kb)
     .with_wire_bytes(bytes_sent, bytes_received);
     Outcome {
         report,
         threads,
+        fds,
         delivered: got,
         reconnects,
     }
 }
 
 fn main() {
-    let smoke = std::env::args().skip(1).any(|a| a == "--smoke");
-    for arg in std::env::args().skip(1) {
-        assert!(
-            arg == "--smoke",
-            "unknown argument `{arg}`; expected --smoke"
-        );
+    let mut smoke = false;
+    let mut out: Option<PathBuf> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--out" => out = Some(args.next().expect("--out needs a directory").into()),
+            other => panic!("unknown argument `{other}`; expected --smoke or --out DIR"),
+        }
     }
     let (fig, scales): (&str, Vec<Scale>) = if smoke {
         (
@@ -295,21 +319,32 @@ fn main() {
 
     println!("=== churn soak: reactor resource footprint vs link count ===");
     println!(
-        "{:<22} {:>7} {:>12} {:>10} {:>8} {:>7} {:>9}",
-        "scale", "links", "delivered", "msgs/s", "threads", "fds", "rss (MB)"
+        "{:<22} {:>7} {:>12} {:>10} {:>11} {:>9} {:>9} {:>8} {:>7} {:>9}",
+        "scale",
+        "links",
+        "delivered",
+        "msgs/s",
+        "msgs/cpu-s",
+        "p50 (ms)",
+        "p99 (ms)",
+        "threads",
+        "fds",
+        "rss (MB)"
     );
-    let mut rows = Vec::new();
     let mut outcomes = Vec::new();
     for scale in &scales {
         let outcome = run_scale(scale);
         println!(
-            "{:<22} {:>7} {:>12} {:>10.0} {:>8} {:>7} {:>9.1}",
+            "{:<22} {:>7} {:>12} {:>10.0} {:>11.0} {:>9.3} {:>9.3} {:>8} {:>7} {:>9.1}",
             scale.label,
             scale.links(),
             outcome.delivered,
             outcome.report.msgs_per_s,
+            outcome.report.msgs_per_cpu_s.unwrap_or(0.0),
+            outcome.report.p50_ms,
+            outcome.report.p99_ms,
             outcome.threads,
-            outcome.report.fds.unwrap_or(0),
+            outcome.fds,
             outcome.report.rss_kb.unwrap_or(0) as f64 / 1024.0,
         );
         assert!(
@@ -322,30 +357,42 @@ fn main() {
             "the sever storm must force reconnects at {}",
             scale.label
         );
-        rows.push(outcome.report.clone());
         outcomes.push(outcome);
     }
 
-    match write_report(fig, &rows) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_{fig}.json: {e}"),
-    }
+    let rows: Vec<_> = outcomes.iter().map(|o| o.report.clone()).collect();
+    write_report(out.as_deref(), fig, &rows).expect("write BENCH_soak.json");
 
-    // The claim itself: growing the mesh 4x must not grow the thread
-    // count. (fds legitimately track links; threads may not.)
-    let smallest = outcomes.first().map(|o| o.threads).unwrap_or(0);
-    let largest = outcomes.last().map(|o| o.threads).unwrap_or(0);
-    if largest > smallest + THREAD_SLACK {
+    // The claims themselves, smallest scale against largest in this one
+    // process: growing the mesh must not grow the thread count, and fds
+    // must track links rather than churn history.
+    let (first, last) = (&outcomes[0], &outcomes[outcomes.len() - 1]);
+    let (first_links, last_links) = (scales[0].links(), scales[scales.len() - 1].links());
+    if last.threads > first.threads + THREAD_SLACK {
         eprintln!(
-            "FAIL: thread count grew with link count ({smallest} -> {largest}); \
-             the reactor is supposed to hold it flat"
+            "FAIL: thread count grew with link count ({} -> {}); \
+             the reactor is supposed to hold it flat",
+            first.threads, last.threads
+        );
+        std::process::exit(1);
+    }
+    if !fds_track_links(
+        (first.fds, first_links as u64),
+        (last.fds, last_links as u64),
+    ) {
+        eprintln!(
+            "FAIL: fds per link moved by more than 10% ({} fds at {first_links} links, \
+             {} at {last_links}); descriptors are supposed to track links",
+            first.fds, last.fds
         );
         std::process::exit(1);
     }
     println!(
-        "thread count independent of link count: {smallest} thread(s) at {} links, \
-         {largest} at {} links",
-        scales.first().map(|s| s.links()).unwrap_or(0),
-        scales.last().map(|s| s.links()).unwrap_or(0),
+        "thread count independent of link count: {} thread(s) at {first_links} links, \
+         {} at {last_links} links; fds per link {:.2} -> {:.2}",
+        first.threads,
+        last.threads,
+        first.fds as f64 / first_links as f64,
+        last.fds as f64 / last_links as f64,
     );
 }

@@ -9,16 +9,17 @@
 use crate::args::RunArgs;
 use crate::stats::Stats;
 use rossf_baselines::{Codec, WorkImage};
-use rossf_msg::sensor_msgs::{Image, SfmImage};
+use rossf_msg::geometry_msgs::{PoseStamped, SfmPoseStamped};
+use rossf_msg::sensor_msgs::{Image, PointCloud2, SfmImage, SfmPointCloud2};
 use rossf_msg::std_msgs::Header;
 use rossf_ros::time::{now_nanos, RosTime};
 use rossf_ros::wire::{read_frame_len, write_frame};
 use rossf_ros::{
-    LinkProfile, LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions,
-    SubscriberOptions, TransportConfig,
+    Decode, LinkProfile, LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions,
+    Subscriber, SubscriberOptions, TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmShared};
-use rossf_slam::dataset::Sequence;
+use rossf_slam::dataset::{Frame, Sequence};
 use rossf_slam::pipeline::{
     frame_to_plain, frame_to_sfm, spawn_plain, spawn_sfm, SlamConfig, SlamTopics,
 };
@@ -72,9 +73,98 @@ fn drain_one(rx: &mpsc::Receiver<u64>, what: &str) -> u64 {
         .unwrap_or_else(|e| panic!("{what}: message lost: {e}"))
 }
 
+/// The final subscriber of a runner (Fig. 12): reports each message's
+/// creation-to-arrival latency on `tx`, the creation time read out of the
+/// message by `stamp`.
+fn latency_sub<D: Decode>(
+    nh: &NodeHandle,
+    topic: &str,
+    tx: mpsc::Sender<u64>,
+    stamp: impl Fn(&D) -> RosTime + Send + Sync + 'static,
+) -> Subscriber<D> {
+    nh.subscribe_with(topic, SubscriberOptions::new(), move |m: D| {
+        let _ = tx.send(now_nanos().saturating_sub(stamp(&m).as_nanos()));
+    })
+}
+
+/// The measured loop every runner shares (Fig. 12 protocol): `publish(seq,
+/// t0)` sends one message carrying its creation time `t0`, the final
+/// subscriber's latency sample is drained from `rx`, and the publisher
+/// pauses for the pacing gap before the next.
+fn measure(
+    args: &RunArgs,
+    rx: &mpsc::Receiver<u64>,
+    what: &str,
+    mut publish: impl FnMut(u32, u64),
+) -> Stats {
+    let mut lat = Vec::with_capacity(args.iters);
+    for seq in 0..args.iters {
+        publish(seq as u32, now_nanos());
+        lat.push(drain_one(rx, what));
+        std::thread::sleep(args.gap());
+    }
+    Stats::from_nanos(lat)
+}
+
+/// [`measure`] over a graph on `master`: the run's transport metrics go to
+/// stderr and its wire-byte totals onto the returned [`Stats`].
+fn measure_on(
+    master: &Master,
+    args: &RunArgs,
+    rx: &mpsc::Receiver<u64>,
+    label: &str,
+    publish: impl FnMut(u32, u64),
+) -> Stats {
+    let stats = measure(args, rx, label, publish);
+    dump_transport_metrics(label, master);
+    let (sent, received) = wire_bytes(master);
+    stats.with_wire_bytes(sent, received)
+}
+
+/// Fig. 3 construction pattern over an ordinary message — the creation
+/// time goes inside.
+fn plain_image(src: &WorkImage, frame_id: &str, seq: u32, t0: u64) -> Image {
+    Image {
+        header: Header {
+            seq,
+            stamp: RosTime::from_nanos(t0),
+            frame_id: frame_id.to_string(),
+        },
+        height: src.height,
+        width: src.width,
+        encoding: src.encoding.clone(),
+        is_bigendian: 0,
+        step: src.width * 3,
+        data: src.data.clone(),
+    }
+}
+
+/// The identical statements over a serialization-free message (the
+/// transparency claim in action), filling `img` in place — shared by the
+/// heap-allocated and loaned (write-in-place) publish paths so every arm
+/// runs statement-identical construction code.
+fn fill_sfm_image(img: &mut SfmImage, src: &WorkImage, frame_id: &str, seq: u32, t0: u64) {
+    img.header.seq = seq;
+    img.header.stamp = RosTime::from_nanos(t0);
+    img.header.frame_id.assign(frame_id);
+    img.height = src.height;
+    img.width = src.width;
+    img.encoding.assign(&src.encoding);
+    img.is_bigendian = 0;
+    img.step = src.width * 3;
+    img.data.assign(&src.data);
+}
+
+/// Build one synthetic `SfmImage` with the creation time inside.
+fn sfm_image(src: &WorkImage, frame_id: &str, seq: u32, t0: u64) -> SfmBox<SfmImage> {
+    let mut img = SfmBox::<SfmImage>::new();
+    fill_sfm_image(&mut img, src, frame_id, seq, t0);
+    img
+}
+
 /// Fig. 13, "ROS" series: ordinary messages over TCP loopback. Latency
 /// covers construction + serialization + transmission + de-serialization.
-pub fn intra_plain(args: RunArgs, width: u32, height: u32) -> Stats {
+pub fn intra_plain(args: &RunArgs, width: u32, height: u32) -> Stats {
     fresh_cell();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
@@ -82,41 +172,18 @@ pub fn intra_plain(args: RunArgs, width: u32, height: u32) -> Stats {
     let publisher: Publisher<Image> =
         nh.advertise_with(&topic, PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe_with(&topic, SubscriberOptions::new(), move |m: Arc<Image>| {
-        let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-    });
+    let _sub = latency_sub(&nh, &topic, tx, |m: &Arc<Image>| m.header.stamp);
     nh.wait_for_subscribers(&publisher, 1);
 
-    let pixels = WorkImage::synthetic(width, height).data;
-    let mut lat = Vec::with_capacity(args.iters);
-    for seq in 0..args.iters {
-        let t0 = now_nanos();
-        // Fig. 3 construction pattern — the creation time goes inside.
-        let img = Image {
-            header: Header {
-                seq: seq as u32,
-                stamp: RosTime::from_nanos(t0),
-                frame_id: "camera".to_string(),
-            },
-            height,
-            width,
-            encoding: "rgb8".to_string(),
-            is_bigendian: 0,
-            step: width * 3,
-            data: pixels.clone(),
-        };
-        publisher.publish(&img);
-        lat.push(drain_one(&rx, "fig13 plain"));
-        std::thread::sleep(args.gap());
-    }
-    dump_transport_metrics("fig13 plain", &master);
-    let (sent, received) = wire_bytes(&master);
-    Stats::from_nanos(lat).with_wire_bytes(sent, received)
+    let src = WorkImage::synthetic(width, height);
+    measure_on(&master, args, &rx, "fig13 plain", |seq, t0| {
+        publisher.publish(&plain_image(&src, "camera", seq, t0));
+    })
 }
 
 /// Fig. 13, "ROS-SF" series: the same code shape over serialization-free
 /// messages. Latency covers construction + transmission only.
-pub fn intra_sfm(args: RunArgs, width: u32, height: u32) -> Stats {
+pub fn intra_sfm(args: &RunArgs, width: u32, height: u32) -> Stats {
     fresh_cell();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
@@ -124,43 +191,19 @@ pub fn intra_sfm(args: RunArgs, width: u32, height: u32) -> Stats {
     let publisher: Publisher<SfmBox<SfmImage>> =
         nh.advertise_with(&topic, PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe_with(
-        &topic,
-        SubscriberOptions::new(),
-        move |m: SfmShared<SfmImage>| {
-            let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-        },
-    );
+    let _sub = latency_sub(&nh, &topic, tx, |m: &SfmShared<SfmImage>| m.header.stamp);
     nh.wait_for_subscribers(&publisher, 1);
 
-    let pixels = WorkImage::synthetic(width, height).data;
-    let mut lat = Vec::with_capacity(args.iters);
-    for seq in 0..args.iters {
-        let t0 = now_nanos();
-        // Identical statements — the transparency claim in action.
-        let mut img = SfmBox::<SfmImage>::new();
-        img.header.seq = seq as u32;
-        img.header.stamp = RosTime::from_nanos(t0);
-        img.header.frame_id.assign("camera");
-        img.height = height;
-        img.width = width;
-        img.encoding.assign("rgb8");
-        img.is_bigendian = 0;
-        img.step = width * 3;
-        img.data.assign(&pixels);
-        publisher.publish(&img);
-        lat.push(drain_one(&rx, "fig13 sfm"));
-        std::thread::sleep(args.gap());
-    }
-    dump_transport_metrics("fig13 sfm", &master);
-    let (sent, received) = wire_bytes(&master);
-    Stats::from_nanos(lat).with_wire_bytes(sent, received)
+    let src = WorkImage::synthetic(width, height);
+    measure_on(&master, args, &rx, "fig13 sfm", |seq, t0| {
+        publisher.publish(&sfm_image(&src, "camera", seq, t0));
+    })
 }
 
 /// Fig. 14: one codec over a bare TCP loopback pipe (identical transport
 /// for all six middleware; only construction/serialization/access
 /// differ).
-pub fn codec_latency<C: Codec>(args: RunArgs, width: u32, height: u32) -> Stats {
+pub fn codec_latency<C: Codec>(args: &RunArgs, width: u32, height: u32) -> Stats {
     fresh_cell();
     let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
@@ -187,23 +230,20 @@ pub fn codec_latency<C: Codec>(args: RunArgs, width: u32, height: u32) -> Stats 
     let mut stream = TcpStream::connect(addr).expect("connect loopback");
     stream.set_nodelay(true).ok();
     let mut src = WorkImage::synthetic(width, height);
-    let mut lat = Vec::with_capacity(args.iters);
-    for _ in 0..args.iters {
-        src.stamp_nanos = now_nanos();
+    let stats = measure(args, &rx, C::NAME, |_, t0| {
+        src.stamp_nanos = t0;
         let wire = C::make_wire(&src);
         write_frame(&mut stream, &wire).expect("write frame");
-        lat.push(drain_one(&rx, C::NAME));
-        std::thread::sleep(args.gap());
-    }
+    });
     drop(stream);
     let _ = reader.join();
-    Stats::from_nanos(lat)
+    stats
 }
 
 /// Fig. 16, "ROS" series: the ping-pong topology of Fig. 15 (`pub` and
 /// `sub` on machine A, `trans` on machine B) over a shaped link. The
 /// reported latency is the full round trip, as in the paper.
-pub fn pingpong_plain(args: RunArgs, width: u32, height: u32, link: LinkProfile) -> Stats {
+pub fn pingpong_plain(args: &RunArgs, width: u32, height: u32, link: LinkProfile) -> Stats {
     fresh_cell();
     let master = Master::new();
     master.links().connect(MachineId::A, MachineId::B, link);
@@ -234,49 +274,22 @@ pub fn pingpong_plain(args: RunArgs, width: u32, height: u32, link: LinkProfile)
         pub2_cb.publish(&reply);
     });
     let (tx, rx) = mpsc::channel();
-    let _sub = nh_a.subscribe_with(&t2, SubscriberOptions::new(), move |m: Arc<Image>| {
-        let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-    });
+    let _sub = latency_sub(&nh_a, &t2, tx, |m: &Arc<Image>| m.header.stamp);
     nh_a.wait_for_subscribers(&pub1, 1);
     nh_b.wait_for_subscribers(&pub2, 1);
 
-    let pixels = WorkImage::synthetic(width, height).data;
-    let mut lat = Vec::with_capacity(args.iters);
-    for seq in 0..args.iters {
-        let t0 = now_nanos();
-        let img = Image {
-            header: Header {
-                seq: seq as u32,
-                stamp: RosTime::from_nanos(t0),
-                frame_id: "ping".to_string(),
-            },
-            height,
-            width,
-            encoding: "rgb8".to_string(),
-            is_bigendian: 0,
-            step: width * 3,
-            data: pixels.clone(),
-        };
-        pub1.publish(&img);
-        lat.push(drain_one(&rx, "fig16 plain"));
-        std::thread::sleep(args.gap());
-    }
-    dump_transport_metrics("fig16 plain", &master);
-    let (sent, received) = wire_bytes(&master);
-    Stats::from_nanos(lat).with_wire_bytes(sent, received)
+    let src = WorkImage::synthetic(width, height);
+    measure_on(&master, args, &rx, "fig16 plain", |seq, t0| {
+        pub1.publish(&plain_image(&src, "ping", seq, t0));
+    })
 }
 
-/// Fig. 16, "ROS-SF" series.
-pub fn pingpong_sfm(args: RunArgs, width: u32, height: u32, link: LinkProfile) -> Stats {
-    pingpong_sfm_with(args, width, height, link, false)
-}
-
-/// Fig. 16 SFM series with the structural verifier toggled: `validate`
-/// turns on `TransportConfig::validate_on_receive` on both nodes, so every
-/// received frame is proved sound against the schema before adoption. The
-/// delta against the unvalidated run is the verifier's overhead.
-pub fn pingpong_sfm_with(
-    args: RunArgs,
+/// Fig. 16, "ROS-SF" series. `validate` turns on
+/// `TransportConfig::validate_on_receive` on both nodes, so every received
+/// frame is proved sound against the schema before adoption; the delta
+/// against the unvalidated run is the verifier's overhead.
+pub fn pingpong_sfm(
+    args: &RunArgs,
     width: u32,
     height: u32,
     link: LinkProfile,
@@ -316,36 +329,14 @@ pub fn pingpong_sfm_with(
         },
     );
     let (tx, rx) = mpsc::channel();
-    let _sub = nh_a.subscribe_with(
-        &t2,
-        SubscriberOptions::new(),
-        move |m: SfmShared<SfmImage>| {
-            let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-        },
-    );
+    let _sub = latency_sub(&nh_a, &t2, tx, |m: &SfmShared<SfmImage>| m.header.stamp);
     nh_a.wait_for_subscribers(&pub1, 1);
     nh_b.wait_for_subscribers(&pub2, 1);
 
-    let pixels = WorkImage::synthetic(width, height).data;
-    let mut lat = Vec::with_capacity(args.iters);
-    for seq in 0..args.iters {
-        let t0 = now_nanos();
-        let mut img = SfmBox::<SfmImage>::new();
-        img.header.seq = seq as u32;
-        img.header.stamp = RosTime::from_nanos(t0);
-        img.header.frame_id.assign("ping");
-        img.height = height;
-        img.width = width;
-        img.encoding.assign("rgb8");
-        img.step = width * 3;
-        img.data.assign(&pixels);
-        pub1.publish(&img);
-        lat.push(drain_one(&rx, "fig16 sfm"));
-        std::thread::sleep(args.gap());
-    }
-    dump_transport_metrics("fig16 sfm", &master);
-    let (sent, received) = wire_bytes(&master);
-    Stats::from_nanos(lat).with_wire_bytes(sent, received)
+    let src = WorkImage::synthetic(width, height);
+    measure_on(&master, args, &rx, "fig16 sfm", |seq, t0| {
+        pub1.publish(&sfm_image(&src, "ping", seq, t0));
+    })
 }
 
 /// Same-machine ping-pong isolating the transport tier: the Fig. 15
@@ -355,7 +346,7 @@ pub fn pingpong_sfm_with(
 /// not reconstruction. With `fastpath` on, delivery is the pointer-handoff
 /// same-machine tier; with it off, the identical frames travel the TCP
 /// loopback wire — the pair quantifies the zero-copy fast path's gain.
-pub fn pingpong_same_machine(args: RunArgs, width: u32, height: u32, fastpath: bool) -> Stats {
+pub fn pingpong_same_machine(args: &RunArgs, width: u32, height: u32, fastpath: bool) -> Stats {
     let config = TransportConfig {
         enable_fastpath: fastpath,
         ..TransportConfig::default()
@@ -375,7 +366,7 @@ pub fn pingpong_same_machine(args: RunArgs, width: u32, height: u32, fastpath: b
 /// zero-copy adoption out of it. Contrasted with the TCP and fastpath
 /// series, this prices the shm tier between "two socket traversals" and
 /// "pure pointer handoff".
-pub fn pingpong_shm(args: RunArgs, width: u32, height: u32) -> Stats {
+pub fn pingpong_shm(args: &RunArgs, width: u32, height: u32) -> Stats {
     let config = TransportConfig {
         enable_fastpath: false,
         shm_same_process: true,
@@ -385,7 +376,7 @@ pub fn pingpong_shm(args: RunArgs, width: u32, height: u32) -> Stats {
 }
 
 fn pingpong_same_machine_with(
-    args: RunArgs,
+    args: &RunArgs,
     width: u32,
     height: u32,
     config: TransportConfig,
@@ -410,57 +401,14 @@ fn pingpong_same_machine_with(
         },
     );
     let (tx, rx) = mpsc::channel();
-    let _sub = nh.subscribe_with(
-        &t2,
-        SubscriberOptions::new(),
-        move |m: SfmShared<SfmImage>| {
-            let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-        },
-    );
+    let _sub = latency_sub(&nh, &t2, tx, |m: &SfmShared<SfmImage>| m.header.stamp);
     nh.wait_for_subscribers(&pub1, 1);
     nh.wait_for_subscribers(&pub2, 1);
 
-    let pixels = WorkImage::synthetic(width, height).data;
-    let mut lat = Vec::with_capacity(args.iters);
-    for seq in 0..args.iters {
-        let t0 = now_nanos();
-        let mut img = SfmBox::<SfmImage>::new();
-        img.header.seq = seq as u32;
-        img.header.stamp = RosTime::from_nanos(t0);
-        img.header.frame_id.assign("ping");
-        img.height = height;
-        img.width = width;
-        img.encoding.assign("rgb8");
-        img.step = width * 3;
-        img.data.assign(&pixels);
-        pub1.publish(&img);
-        lat.push(drain_one(&rx, "fig16 same-machine"));
-        std::thread::sleep(args.gap());
-    }
-    dump_transport_metrics(label, &master);
-    let (sent, received) = wire_bytes(&master);
-    Stats::from_nanos(lat).with_wire_bytes(sent, received)
-}
-
-/// Fill an `SfmImage` in place with the creation time inside — shared by
-/// the heap-allocated and loaned (write-in-place) publish paths so both
-/// arms run statement-identical construction code.
-fn fill_sfm_image(img: &mut SfmImage, seq: u32, width: u32, height: u32, pixels: &[u8], t0: u64) {
-    img.header.seq = seq;
-    img.header.stamp = RosTime::from_nanos(t0);
-    img.header.frame_id.assign("camera");
-    img.height = height;
-    img.width = width;
-    img.encoding.assign("rgb8");
-    img.step = width * 3;
-    img.data.assign(pixels);
-}
-
-/// Build one synthetic `SfmImage` with the creation time inside.
-fn make_sfm_image(seq: u32, width: u32, height: u32, pixels: &[u8], t0: u64) -> SfmBox<SfmImage> {
-    let mut img = SfmBox::<SfmImage>::new();
-    fill_sfm_image(&mut img, seq, width, height, pixels, t0);
-    img
+    let src = WorkImage::synthetic(width, height);
+    measure_on(&master, args, &rx, label, |seq, t0| {
+        pub1.publish(&sfm_image(&src, "ping", seq, t0));
+    })
 }
 
 /// The transport tier a traced one-way run exercises.
@@ -488,12 +436,6 @@ impl TraceTier {
             TraceTier::Local => "local",
         }
     }
-
-    /// Whether this tier can run on the current build target (the shm
-    /// tier needs the memfd transport; everything else always works).
-    pub fn available(self) -> bool {
-        self != TraceTier::Shm || rossf_shm::supported()
-    }
 }
 
 /// A traced one-way pipeline (single publisher, single subscriber, one
@@ -509,7 +451,7 @@ impl TraceTier {
 ///
 /// Panics when messages are lost or the trace table is missing.
 pub fn oneway_traced(
-    args: RunArgs,
+    args: &RunArgs,
     width: u32,
     height: u32,
     tier: TraceTier,
@@ -524,7 +466,7 @@ pub fn oneway_traced(
 /// --overhead-gate`). No clock reads or histogram writes happen on this
 /// path.
 pub fn oneway_untraced(
-    args: RunArgs,
+    args: &RunArgs,
     width: u32,
     height: u32,
     tier: TraceTier,
@@ -546,7 +488,7 @@ pub fn oneway_untraced(
 /// Panics on [`TraceTier::Local`] (the in-process bus has no publisher to
 /// loan from) or when a loan is starved for more than ten seconds.
 pub fn oneway_loaned(
-    args: RunArgs,
+    args: &RunArgs,
     width: u32,
     height: u32,
     tier: TraceTier,
@@ -563,7 +505,7 @@ pub fn oneway_loaned(
 ///
 /// As [`oneway_loaned`], plus when the trace table is missing.
 pub fn oneway_loaned_traced(
-    args: RunArgs,
+    args: &RunArgs,
     width: u32,
     height: u32,
     tier: TraceTier,
@@ -574,7 +516,7 @@ pub fn oneway_loaned_traced(
 }
 
 fn oneway_run(
-    args: RunArgs,
+    args: &RunArgs,
     width: u32,
     height: u32,
     tier: TraceTier,
@@ -583,136 +525,85 @@ fn oneway_run(
     loaned: bool,
 ) -> (Stats, Option<rossf_trace::TopicSnapshot>) {
     fresh_cell();
-    let pixels = WorkImage::synthetic(width, height).data;
+    let src = WorkImage::synthetic(width, height);
     let (tx, rx) = mpsc::channel();
-
-    let run = |publish: &mut dyn FnMut(u32, u64)| {
-        let mut lat = Vec::with_capacity(args.iters);
-        for seq in 0..args.iters {
-            let t0 = now_nanos();
-            publish(seq as u32, t0);
-            lat.push(drain_one(&rx, "oneway traced"));
-            std::thread::sleep(args.gap());
-        }
-        Stats::from_nanos(lat)
+    let on_message = move |m: SfmShared<SfmImage>| {
+        let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
+    };
+    let snapshot_of = |topic: &str| {
+        traced.then(|| {
+            rossf_trace::tracer()
+                .topic_snapshot(topic)
+                .expect("trace table for topic")
+        })
     };
 
-    match tier {
-        TraceTier::Local => {
-            assert!(
-                !loaned,
-                "the in-process LocalBus has no publisher to loan from"
-            );
-            let bus = LocalBus::new();
-            let topic = unique_topic("trace_local");
-            let _sub = bus
-                .subscribe_with(
-                    &topic,
-                    SubscriberOptions::new().trace(traced),
-                    move |m: SfmShared<SfmImage>| {
-                        let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
-                )
-                .expect("local subscribe");
-            let stats = run(&mut |seq, t0| {
-                let img = make_sfm_image(seq, width, height, &pixels, t0);
-                bus.publish(&topic, &img).expect("local publish");
-            });
-            let snapshot = traced.then(|| {
-                rossf_trace::tracer()
-                    .topic_snapshot(&topic)
-                    .expect("trace table for local topic")
-            });
-            (stats, snapshot)
-        }
-        TraceTier::Fastpath | TraceTier::Tcp | TraceTier::Shm => {
-            let master = Master::new();
-            let (config, pub_machine, sub_machine) = match tier {
-                TraceTier::Tcp => {
-                    master.links().connect(MachineId::A, MachineId::B, link);
-                    (
-                        TransportConfig {
-                            validate_on_receive: true,
-                            enable_fastpath: false,
-                            ..TransportConfig::default()
-                        },
-                        MachineId::A,
-                        MachineId::B,
-                    )
-                }
-                TraceTier::Shm => (
-                    TransportConfig {
-                        validate_on_receive: true,
-                        enable_fastpath: false,
-                        shm_same_process: true,
-                        ..TransportConfig::default()
-                    },
-                    MachineId::A,
-                    MachineId::A,
-                ),
-                _ => (
-                    TransportConfig {
-                        validate_on_receive: true,
-                        ..TransportConfig::default()
-                    },
-                    MachineId::A,
-                    MachineId::A,
-                ),
-            };
-            let nh_pub = NodeHandle::with_config(&master, "trace_pub", pub_machine, config.clone());
-            let nh_sub = NodeHandle::with_config(&master, "trace_sub", sub_machine, config);
-            let topic = unique_topic(match tier {
-                TraceTier::Tcp => "trace_tcp",
-                TraceTier::Shm => "trace_shm",
-                _ => "trace_fastpath",
-            });
-            let publisher: Publisher<SfmBox<SfmImage>> =
-                nh_pub.advertise_with(&topic, PublisherOptions::new().queue_size(8).trace(traced));
-            let _sub = nh_sub.subscribe_with(
-                &topic,
-                SubscriberOptions::new().trace(traced),
-                move |m: SfmShared<SfmImage>| {
-                    let _ = tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                },
-            );
-            nh_pub.wait_for_subscribers(&publisher, 1);
-            let stats = if loaned {
-                run(&mut |seq, t0| {
-                    // Transient `None` means every loanable slot is still
-                    // held (segments recycle as the subscriber drops its
-                    // adoption); with one message in flight this resolves
-                    // within microseconds.
-                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-                    let mut msg = loop {
-                        match publisher.loan() {
-                            Some(m) => break m,
-                            None => {
-                                assert!(
-                                    std::time::Instant::now() < deadline,
-                                    "loan starved for 10s"
-                                );
-                                std::thread::yield_now();
-                            }
-                        }
-                    };
-                    fill_sfm_image(&mut msg, seq, width, height, &pixels, t0);
-                    publisher.publish_loaned(msg);
-                })
-            } else {
-                run(&mut |seq, t0| {
-                    publisher.publish(&make_sfm_image(seq, width, height, &pixels, t0));
-                })
-            };
-            dump_transport_metrics("oneway traced", &master);
-            let (sent, received) = wire_bytes(&master);
-            let snapshot = traced.then(|| {
-                rossf_trace::tracer()
-                    .topic_snapshot(&topic)
-                    .expect("trace table for topic")
-            });
-            (stats.with_wire_bytes(sent, received), snapshot)
-        }
+    if tier == TraceTier::Local {
+        assert!(
+            !loaned,
+            "the in-process LocalBus has no publisher to loan from"
+        );
+        let bus = LocalBus::new();
+        let topic = unique_topic("trace_local");
+        let _sub = bus
+            .subscribe_with(&topic, SubscriberOptions::new().trace(traced), on_message)
+            .expect("local subscribe");
+        let stats = measure(args, &rx, "oneway local", |seq, t0| {
+            bus.publish(&topic, &sfm_image(&src, "camera", seq, t0))
+                .expect("local publish");
+        });
+        return (stats, snapshot_of(&topic));
     }
+
+    let master = Master::new();
+    let mut config = TransportConfig {
+        validate_on_receive: true,
+        ..TransportConfig::default()
+    };
+    let mut sub_machine = MachineId::A;
+    let prefix = match tier {
+        TraceTier::Tcp => {
+            master.links().connect(MachineId::A, MachineId::B, link);
+            config.enable_fastpath = false;
+            sub_machine = MachineId::B;
+            "trace_tcp"
+        }
+        TraceTier::Shm => {
+            config.enable_fastpath = false;
+            config.shm_same_process = true;
+            "trace_shm"
+        }
+        _ => "trace_fastpath",
+    };
+    let nh_pub = NodeHandle::with_config(&master, "trace_pub", MachineId::A, config.clone());
+    let nh_sub = NodeHandle::with_config(&master, "trace_sub", sub_machine, config);
+    let topic = unique_topic(prefix);
+    let publisher: Publisher<SfmBox<SfmImage>> =
+        nh_pub.advertise_with(&topic, PublisherOptions::new().queue_size(8).trace(traced));
+    let _sub = nh_sub.subscribe_with(&topic, SubscriberOptions::new().trace(traced), on_message);
+    nh_pub.wait_for_subscribers(&publisher, 1);
+    let stats = measure_on(&master, args, &rx, "oneway", |seq, t0| {
+        if !loaned {
+            publisher.publish(&sfm_image(&src, "camera", seq, t0));
+            return;
+        }
+        // Transient `None` means every loanable slot is still held
+        // (segments recycle as the subscriber drops its adoption); with
+        // one message in flight this resolves within microseconds.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut msg = loop {
+            match publisher.loan() {
+                Some(m) => break m,
+                None => {
+                    assert!(std::time::Instant::now() < deadline, "loan starved for 10s");
+                    std::thread::yield_now();
+                }
+            }
+        };
+        fill_sfm_image(&mut msg, &src, "camera", seq, t0);
+        publisher.publish_loaned(msg);
+    });
+    (stats, snapshot_of(&topic))
 }
 
 /// Latency sets measured by the three output subscribers of Fig. 17.
@@ -739,7 +630,7 @@ pub enum Family {
 /// a downscaled sequence; the harness binary uses TUM's 640×480 and the
 /// calibrated 30–40 ms compute.
 pub fn slam_case_study(
-    args: RunArgs,
+    args: &RunArgs,
     family: Family,
     frame_size: (u32, u32),
     compute: Duration,
@@ -763,102 +654,58 @@ pub fn slam_case_study(
     let (cloud_tx, cloud_rx) = mpsc::channel();
     let (debug_tx, debug_rx) = mpsc::channel();
 
-    // Keep family-specific handles alive for the duration of the run.
-    type PlainSubs = (
-        rossf_ros::Subscriber<Arc<rossf_msg::geometry_msgs::PoseStamped>>,
-        rossf_ros::Subscriber<Arc<rossf_msg::sensor_msgs::PointCloud2>>,
-        rossf_ros::Subscriber<Arc<Image>>,
-    );
-    type SfmSubs = (
-        rossf_ros::Subscriber<SfmShared<rossf_msg::geometry_msgs::SfmPoseStamped>>,
-        rossf_ros::Subscriber<SfmShared<rossf_msg::sensor_msgs::SfmPointCloud2>>,
-        rossf_ros::Subscriber<SfmShared<SfmImage>>,
-    );
-    enum Running {
-        Plain {
-            publisher: Publisher<Image>,
-            _node: rossf_slam::pipeline::OrbSlamNode<Arc<Image>>,
-            _subs: PlainSubs,
-        },
-        Sfm {
-            publisher: Publisher<SfmBox<SfmImage>>,
-            _node: rossf_slam::pipeline::OrbSlamNode<SfmShared<SfmImage>>,
-            _subs: SfmSubs,
-        },
-    }
-
-    let running = match family {
+    // Per family: advertise the input, spawn the SLAM node, attach the three
+    // output subscribers. The returned closure publishes one frame and owns
+    // every handle that keeps the graph alive.
+    type PublishFrame = Box<dyn Fn(&Frame, u64)>;
+    let publish: PublishFrame = match family {
         Family::Plain => {
             let publisher: Publisher<Image> =
                 nh.advertise_with(&topics.image, PublisherOptions::new().queue_size(8));
-            let node = spawn_plain(&nh, &topics, width, height, config);
-            let subs = (
-                nh.subscribe_with(
-                    &topics.pose,
-                    SubscriberOptions::new(),
-                    move |m: Arc<rossf_msg::geometry_msgs::PoseStamped>| {
-                        let _ = pose_tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
-                ),
-                nh.subscribe_with(
-                    &topics.cloud,
-                    SubscriberOptions::new(),
-                    move |m: Arc<rossf_msg::sensor_msgs::PointCloud2>| {
-                        let _ =
-                            cloud_tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
-                ),
-                nh.subscribe_with(
-                    &topics.debug,
-                    SubscriberOptions::new(),
-                    move |m: Arc<Image>| {
-                        let _ =
-                            debug_tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
-                ),
+            let graph = (
+                spawn_plain(&nh, &topics, width, height, config),
+                latency_sub(&nh, &topics.pose, pose_tx, |m: &Arc<PoseStamped>| {
+                    m.header.stamp
+                }),
+                latency_sub(&nh, &topics.cloud, cloud_tx, |m: &Arc<PointCloud2>| {
+                    m.header.stamp
+                }),
+                latency_sub(&nh, &topics.debug, debug_tx, |m: &Arc<Image>| {
+                    m.header.stamp
+                }),
             );
             nh.wait_for_subscribers(&publisher, 1);
-            Running::Plain {
-                publisher,
-                _node: node,
-                _subs: subs,
-            }
+            Box::new(move |frame, t0| {
+                let _alive = &graph;
+                publisher.publish(&frame_to_plain(frame, RosTime::from_nanos(t0)));
+            })
         }
         Family::Sfm => {
             let publisher: Publisher<SfmBox<SfmImage>> =
                 nh.advertise_with(&topics.image, PublisherOptions::new().queue_size(8));
-            let node = spawn_sfm(&nh, &topics, width, height, config);
-            let subs = (
-                nh.subscribe_with(
+            let graph = (
+                spawn_sfm(&nh, &topics, width, height, config),
+                latency_sub(
+                    &nh,
                     &topics.pose,
-                    SubscriberOptions::new(),
-                    move |m: SfmShared<rossf_msg::geometry_msgs::SfmPoseStamped>| {
-                        let _ = pose_tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
+                    pose_tx,
+                    |m: &SfmShared<SfmPoseStamped>| m.header.stamp,
                 ),
-                nh.subscribe_with(
+                latency_sub(
+                    &nh,
                     &topics.cloud,
-                    SubscriberOptions::new(),
-                    move |m: SfmShared<rossf_msg::sensor_msgs::SfmPointCloud2>| {
-                        let _ =
-                            cloud_tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
+                    cloud_tx,
+                    |m: &SfmShared<SfmPointCloud2>| m.header.stamp,
                 ),
-                nh.subscribe_with(
-                    &topics.debug,
-                    SubscriberOptions::new(),
-                    move |m: SfmShared<SfmImage>| {
-                        let _ =
-                            debug_tx.send(now_nanos().saturating_sub(m.header.stamp.as_nanos()));
-                    },
-                ),
+                latency_sub(&nh, &topics.debug, debug_tx, |m: &SfmShared<SfmImage>| {
+                    m.header.stamp
+                }),
             );
             nh.wait_for_subscribers(&publisher, 1);
-            Running::Sfm {
-                publisher,
-                _node: node,
-                _subs: subs,
-            }
+            Box::new(move |frame, t0| {
+                let _alive = &graph;
+                publisher.publish(&frame_to_sfm(frame, RosTime::from_nanos(t0)));
+            })
         }
     };
     // Give the three output subscribers time to finish their handshakes
@@ -869,16 +716,7 @@ pub fn slam_case_study(
     let mut cloud_lat = Vec::with_capacity(args.iters);
     let mut debug_lat = Vec::with_capacity(args.iters);
     for i in 0..args.iters {
-        let frame = seq.frame(i);
-        let t0 = now_nanos();
-        match &running {
-            Running::Plain { publisher, .. } => {
-                publisher.publish(&frame_to_plain(&frame, RosTime::from_nanos(t0)));
-            }
-            Running::Sfm { publisher, .. } => {
-                publisher.publish(&frame_to_sfm(&frame, RosTime::from_nanos(t0)));
-            }
-        }
+        publish(&seq.frame(i), now_nanos());
         pose_lat.push(drain_one(&pose_rx, "fig18 pose"));
         cloud_lat.push(drain_one(&cloud_rx, "fig18 cloud"));
         debug_lat.push(drain_one(&debug_rx, "fig18 debug"));
@@ -901,13 +739,16 @@ mod tests {
     use rossf_baselines::sfm_image::SfmCodec;
 
     fn tiny() -> RunArgs {
-        RunArgs { iters: 5, hz: 0.0 }
+        RunArgs {
+            iters: 5,
+            ..RunArgs::default()
+        }
     }
 
     #[test]
     fn fig13_runners_produce_sane_latencies() {
-        let plain = intra_plain(tiny(), 32, 32);
-        let sfm = intra_sfm(tiny(), 32, 32);
+        let plain = intra_plain(&tiny(), 32, 32);
+        let sfm = intra_sfm(&tiny(), 32, 32);
         assert_eq!(plain.n, 5);
         assert_eq!(sfm.n, 5);
         assert!(plain.mean_ms > 0.0 && plain.mean_ms < 1000.0);
@@ -916,10 +757,10 @@ mod tests {
 
     #[test]
     fn fig14_codec_runner_works_for_each_family() {
-        assert_eq!(codec_latency::<RosCodec>(tiny(), 16, 16).n, 5);
-        assert_eq!(codec_latency::<SfmCodec>(tiny(), 16, 16).n, 5);
-        assert_eq!(codec_latency::<ProtoCodec>(tiny(), 16, 16).n, 5);
-        assert_eq!(codec_latency::<FlatLiteCodec>(tiny(), 16, 16).n, 5);
+        assert_eq!(codec_latency::<RosCodec>(&tiny(), 16, 16).n, 5);
+        assert_eq!(codec_latency::<SfmCodec>(&tiny(), 16, 16).n, 5);
+        assert_eq!(codec_latency::<ProtoCodec>(&tiny(), 16, 16).n, 5);
+        assert_eq!(codec_latency::<FlatLiteCodec>(&tiny(), 16, 16).n, 5);
     }
 
     #[test]
@@ -928,8 +769,8 @@ mod tests {
             bandwidth_bps: 1_000_000_000,
             latency: Duration::from_micros(100),
         };
-        let plain = pingpong_plain(tiny(), 32, 32, link);
-        let sfm = pingpong_sfm(tiny(), 32, 32, link);
+        let plain = pingpong_plain(&tiny(), 32, 32, link);
+        let sfm = pingpong_sfm(&tiny(), 32, 32, link, false);
         assert_eq!(plain.n, 5);
         assert_eq!(sfm.n, 5);
         // Both pay the propagation latency twice.
@@ -945,24 +786,22 @@ mod tests {
         };
         // With the verifier on, every valid frame still gets through: the
         // run completes with the same number of round trips.
-        let validated = pingpong_sfm_with(tiny(), 32, 32, link, true);
+        let validated = pingpong_sfm(&tiny(), 32, 32, link, true);
         assert_eq!(validated.n, 5);
         assert!(validated.min_ms >= 0.2);
     }
 
     #[test]
     fn fig16_same_machine_runs_on_every_tier() {
-        let fast = pingpong_same_machine(tiny(), 32, 32, true);
-        let tcp = pingpong_same_machine(tiny(), 32, 32, false);
+        let fast = pingpong_same_machine(&tiny(), 32, 32, true);
+        let tcp = pingpong_same_machine(&tiny(), 32, 32, false);
         assert_eq!(fast.n, 5);
         assert_eq!(tcp.n, 5);
         assert!(fast.mean_ms > 0.0 && fast.mean_ms < 1000.0);
         assert!(tcp.mean_ms > 0.0 && tcp.mean_ms < 1000.0);
-        if TraceTier::Shm.available() {
-            let shm = pingpong_shm(tiny(), 32, 32);
-            assert_eq!(shm.n, 5);
-            assert!(shm.mean_ms > 0.0 && shm.mean_ms < 1000.0);
-        }
+        let shm = pingpong_shm(&tiny(), 32, 32);
+        assert_eq!(shm.n, 5);
+        assert!(shm.mean_ms > 0.0 && shm.mean_ms < 1000.0);
     }
 
     #[test]
@@ -1001,10 +840,7 @@ mod tests {
             (TraceTier::Tcp, all_stages.clone()),
             (TraceTier::Shm, all_stages),
         ] {
-            if !tier.available() {
-                continue;
-            }
-            let (stats, snap) = oneway_traced(tiny(), 32, 32, tier, link);
+            let (stats, snap) = oneway_traced(&tiny(), 32, 32, tier, link);
             assert_eq!(stats.n, 5, "{tier:?}");
             for stage in want_stages {
                 let cell = snap
@@ -1029,15 +865,12 @@ mod tests {
 
     #[test]
     fn oneway_loaned_shm_trace_omits_the_copy_stage() {
-        if !TraceTier::Shm.available() {
-            return;
-        }
         let link = LinkProfile {
             bandwidth_bps: 1_000_000_000,
             latency: Duration::from_micros(100),
         };
         use rossf_trace::Stage;
-        let (stats, snap) = oneway_loaned_traced(tiny(), 32, 32, TraceTier::Shm, link);
+        let (stats, snap) = oneway_loaned_traced(&tiny(), 32, 32, TraceTier::Shm, link);
         assert_eq!(stats.n, 5);
         // The message is built inside the segment, so the publish-side
         // payload copy (wire_write) must not appear in the waterfall.
@@ -1077,16 +910,19 @@ mod tests {
         };
         // Fastpath delivery grants no shm loans; the heap fallback must
         // keep the run indistinguishable from an ordinary publish.
-        let fast = oneway_loaned(tiny(), 32, 32, TraceTier::Fastpath, link);
+        let fast = oneway_loaned(&tiny(), 32, 32, TraceTier::Fastpath, link);
         assert_eq!(fast.n, 5);
         assert!(fast.mean_ms > 0.0 && fast.mean_ms < 1000.0);
     }
 
     #[test]
     fn fig18_slam_runner_both_families() {
-        let args = RunArgs { iters: 3, hz: 0.0 };
-        let plain = slam_case_study(args, Family::Plain, (96, 72), Duration::ZERO);
-        let sfm = slam_case_study(args, Family::Sfm, (96, 72), Duration::ZERO);
+        let args = RunArgs {
+            iters: 3,
+            ..RunArgs::default()
+        };
+        let plain = slam_case_study(&args, Family::Plain, (96, 72), Duration::ZERO);
+        let sfm = slam_case_study(&args, Family::Sfm, (96, 72), Duration::ZERO);
         for s in [
             &plain.pose,
             &plain.cloud,

@@ -1,21 +1,25 @@
 //! Machine-readable benchmark output.
 //!
-//! Every harness binary writes a `results/BENCH_<fig>.json` next to its
-//! human-readable table so runs can be diffed and plotted without
-//! scraping stdout. The JSON is hand-rolled (the workspace carries no
-//! serde) and intentionally flat: one object per measured scenario with
-//! the latency percentiles and derived throughput.
+//! A harness binary run with `--out DIR` writes `DIR/BENCH_<fig>.json`
+//! next to its human-readable table so runs can be diffed and plotted
+//! without scraping stdout; without `--out` nothing is written
+//! (`scripts/figures.sh` is the one caller that passes it, and what it
+//! collects is `results/`). The JSON is hand-rolled (the workspace carries
+//! no serde) and intentionally flat: one object per measured scenario
+//! with the latency percentiles and derived throughput.
 
 use crate::stats::Stats;
 use rossf_trace::{Stage, TopicSnapshot};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 /// Provenance of one benchmark run, embedded in every report document so a
 /// results file can be matched to the code and build that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
-    /// `git rev-parse HEAD` of the working tree, or `"unknown"` outside a
+    /// `git rev-parse HEAD` of the working tree with `+dirty` appended when
+    /// the tree has uncommitted changes, or `"unknown"` outside a
     /// repository.
     pub git_sha: String,
     /// UTC wall-clock time of the run, `YYYY-MM-DDTHH:MM:SSZ`.
@@ -27,15 +31,18 @@ pub struct RunMeta {
 impl RunMeta {
     /// Capture the current process's provenance.
     pub fn capture() -> RunMeta {
-        let git_sha = std::process::Command::new("git")
-            .args(["rev-parse", "HEAD"])
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .unwrap_or_else(|| "unknown".to_string());
+        let git = |args: &[&str]| {
+            Command::new("git")
+                .args(args)
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+        };
+        let git_sha = provenance(
+            git(&["rev-parse", "HEAD"]).as_deref(),
+            git(&["status", "--porcelain"]).as_deref().unwrap_or(""),
+        );
         let secs = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
@@ -49,6 +56,17 @@ impl RunMeta {
                 "release"
             },
         }
+    }
+}
+
+/// The provenance string for a tree at `head` whose `git status
+/// --porcelain` output is `porcelain`: numbers measured on uncommitted
+/// code must not pass for the commit underneath it.
+fn provenance(head: Option<&str>, porcelain: &str) -> String {
+    match head.map(str::trim).filter(|h| !h.is_empty()) {
+        None => "unknown".to_string(),
+        Some(head) if porcelain.trim().is_empty() => head.to_string(),
+        Some(head) => format!("{head}+dirty"),
     }
 }
 
@@ -75,7 +93,7 @@ fn utc_timestamp(unix_secs: u64) -> String {
 }
 
 /// One measured scenario: a (series, payload) cell of a figure.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioReport {
     /// Human-readable scenario label, e.g. `"sfm ten_gbe 800x600"`.
     pub scenario: String,
@@ -91,9 +109,13 @@ pub struct ScenarioReport {
     pub msgs_per_s: f64,
     /// Payload throughput implied by `msgs_per_s`.
     pub bytes_per_s: f64,
+    /// Messages delivered per second of process CPU time (user + system),
+    /// when the scenario measures it (the soak report). Recorded, not
+    /// gated.
+    pub msgs_per_cpu_s: Option<f64>,
     /// Live threads of the harness process at steady state, when the
     /// scenario measures resource footprint (the soak report). The
-    /// reactor keeps this independent of link count, and the trajectory
+    /// reactor keeps this independent of link count, and the soak's own
     /// gate holds it there.
     pub threads: Option<u64>,
     /// Open descriptors (`/proc/self/fd`) at steady state, when measured.
@@ -134,15 +156,9 @@ impl ScenarioReport {
             p99_ms: stats.p99_ms,
             msgs_per_s,
             bytes_per_s: msgs_per_s * payload_bytes as f64,
-            threads: None,
-            fds: None,
-            rss_kb: None,
             bytes_sent: stats.wire_bytes.map(|(sent, _)| sent),
             bytes_received: stats.wire_bytes.map(|(_, received)| received),
-            bag_frames_recorded: None,
-            bag_frames_dropped: None,
-            bag_bytes_written: None,
-            bag_frames_replayed: None,
+            ..ScenarioReport::default()
         }
     }
 
@@ -220,6 +236,9 @@ pub fn render_json(fig: &str, meta: &RunMeta, rows: &[ScenarioReport]) -> String
     out.push_str("  \"scenarios\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let mut counts = String::new();
+        if let Some(v) = r.msgs_per_cpu_s {
+            counts.push_str(&format!(", \"msgs_per_cpu_s\": {}", num(v)));
+        }
         for (key, v) in [
             ("threads", r.threads),
             ("fds", r.fds),
@@ -251,26 +270,43 @@ pub fn render_json(fig: &str, meta: &RunMeta, rows: &[ScenarioReport]) -> String
     out
 }
 
-/// Where `results/` lives: the working directory if it already has one
-/// (the repo root when run via `cargo run`), otherwise relative to the
-/// bench crate's manifest so binaries invoked from anywhere agree.
-fn results_dir() -> PathBuf {
-    let cwd = PathBuf::from("results");
-    if cwd.is_dir() {
-        return cwd;
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+/// Write the document `render` produces to `<out>/<name>` when the run was
+/// given `--out DIR`, creating the directory if needed; without it nothing
+/// is rendered or written. Returns the path written, if any.
+fn write_doc(
+    out: Option<&Path>,
+    name: &str,
+    render: impl FnOnce(&RunMeta) -> String,
+) -> io::Result<Option<PathBuf>> {
+    let Some(dir) = out else {
+        return Ok(None);
+    };
+    std::fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    std::fs::File::create(&path)?.write_all(render(&RunMeta::capture()).as_bytes())?;
+    // stderr: stdout is the figure's table, which `figures.sh` keeps.
+    eprintln!("wrote {}", path.display());
+    Ok(Some(path))
 }
 
-/// Write `results/BENCH_<fig>.json`, creating the directory if needed.
-/// Returns the path written, so binaries can tell the user where it went.
-pub fn write_report(fig: &str, rows: &[ScenarioReport]) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("BENCH_{fig}.json"));
-    let mut file = std::fs::File::create(&path)?;
-    file.write_all(render_json(fig, &RunMeta::capture(), rows).as_bytes())?;
-    Ok(path)
+/// Write `<out>/BENCH_<fig>.json` (see [`RunArgs::out`](crate::RunArgs)).
+pub fn write_report(
+    out: Option<&Path>,
+    fig: &str,
+    rows: &[ScenarioReport],
+) -> io::Result<Option<PathBuf>> {
+    write_doc(out, &format!("BENCH_{fig}.json"), |meta| {
+        render_json(fig, meta, rows)
+    })
+}
+
+/// The soak's descriptor gate: fds track links, not churn history, so fds
+/// *per link* at the largest scale must sit within 10 % of the smallest
+/// scale's. Each argument is `(fds, links)`.
+pub fn fds_track_links(smallest: (u64, u64), largest: (u64, u64)) -> bool {
+    let per_link = |(fds, links): (u64, u64)| fds as f64 / links as f64;
+    let (small, large) = (per_link(smallest), per_link(largest));
+    (large - small).abs() <= 0.10 * small
 }
 
 /// One measured tier of a figure's trace section: a stage-latency waterfall
@@ -286,6 +322,33 @@ pub struct TraceWaterfall {
 }
 
 impl TraceWaterfall {
+    /// Print a traced run's stage waterfall and its telescoping summary
+    /// line (closed by `note`), and keep both as one tier of a trace
+    /// report.
+    pub fn print(
+        label: &str,
+        stats: &Stats,
+        snapshot: TopicSnapshot,
+        note: &str,
+    ) -> TraceWaterfall {
+        print!(
+            "{}",
+            rossf_trace::render_waterfall(std::slice::from_ref(&snapshot))
+        );
+        let wf = TraceWaterfall {
+            label: label.to_string(),
+            snapshot,
+            e2e_mean_us: stats.mean_ms * 1_000.0,
+        };
+        println!(
+            "{label:<9} e2e mean {:>10.1} µs, stage sum {:>10.1} µs, error {:>5.1}%{note}\n",
+            wf.e2e_mean_us,
+            wf.stage_sum_us(),
+            wf.sum_error() * 100.0
+        );
+        wf
+    }
+
     /// Sum of per-stage mean durations (callback included, faults
     /// excluded), microseconds. Stages telescope, so this should land near
     /// `e2e_mean_us`.
@@ -348,357 +411,15 @@ pub fn render_trace_json(fig: &str, meta: &RunMeta, tiers: &[TraceWaterfall]) ->
     out
 }
 
-/// Write `results/TRACE_<fig>.json`, creating the directory if needed.
-pub fn write_trace_report(fig: &str, tiers: &[TraceWaterfall]) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join(format!("TRACE_{fig}.json"));
-    let mut file = std::fs::File::create(&path)?;
-    file.write_all(render_trace_json(fig, &RunMeta::capture(), tiers).as_bytes())?;
-    Ok(path)
-}
-
-/// One `BENCH_*.json` document folded into the trajectory summary: its
-/// provenance plus the scenario rows carried verbatim.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrajectoryRun {
-    /// Figure id, e.g. `"fig16"`.
-    pub fig: String,
-    /// Git SHA the report was produced from.
-    pub git_sha: String,
-    /// UTC wall-clock time of the producing run.
-    pub timestamp_utc: String,
-    /// Cargo profile of the producing run.
-    pub profile: String,
-    /// The scenario row objects, verbatim from the source document.
-    pub scenario_rows: String,
-    /// Number of scenario rows in `scenario_rows`.
-    pub scenario_count: usize,
-}
-
-/// Extract the string value of `"key": "..."` from a report document
-/// (handles the escapes [`render_json`] emits).
-fn extract_str_field(doc: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\": \"");
-    let start = doc.find(&needle)? + needle.len();
-    let mut out = String::new();
-    let mut chars = doc[start..].chars();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                c => out.push(c),
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parse one `BENCH_*.json` document produced by [`render_json`] back into
-/// a [`TrajectoryRun`]. Returns `None` when the document doesn't have the
-/// expected shape (hand-edited or from an incompatible version).
-pub fn parse_report_doc(doc: &str) -> Option<TrajectoryRun> {
-    let fig = extract_str_field(doc, "fig")?;
-    let git_sha = extract_str_field(doc, "git_sha")?;
-    let timestamp_utc = extract_str_field(doc, "timestamp_utc")?;
-    let profile = extract_str_field(doc, "profile")?;
-    let open = doc.find("\"scenarios\": [")? + "\"scenarios\": [".len();
-    let close = doc[open..].find("\n  ]")? + open;
-    let scenario_rows = doc[open..close].trim_matches('\n').to_string();
-    let scenario_count = scenario_rows.matches("\"scenario\":").count();
-    Some(TrajectoryRun {
-        fig,
-        git_sha,
-        timestamp_utc,
-        profile,
-        scenario_rows,
-        scenario_count,
+/// Write `<out>/TRACE_<fig>.json` (see [`write_report`]).
+pub fn write_trace_report(
+    out: Option<&Path>,
+    fig: &str,
+    tiers: &[TraceWaterfall],
+) -> io::Result<Option<PathBuf>> {
+    write_doc(out, &format!("TRACE_{fig}.json"), |meta| {
+        render_trace_json(fig, meta, tiers)
     })
-}
-
-/// Extract the numeric value of `"key": <number>` from a JSON fragment.
-fn extract_num_field(doc: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\": ");
-    let start = doc.find(&needle)? + needle.len();
-    let end = doc[start..]
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .map_or(doc.len(), |i| start + i);
-    doc[start..end].parse().ok()
-}
-
-/// The latency percentiles of one scenario row, parsed back out of a
-/// report/trajectory document for regression comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRow {
-    /// Scenario label, e.g. `"same-machine shm 1MB"`.
-    pub scenario: String,
-    /// Median latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// Steady-state thread count, when the row carries one (soak rows).
-    pub threads: Option<f64>,
-    /// Steady-state open-descriptor count, when the row carries one.
-    pub fds: Option<f64>,
-}
-
-/// Parse the scenario row objects carried verbatim in a
-/// [`TrajectoryRun::scenario_rows`] string (or a `BENCH_*.json` scenarios
-/// array body). Rows missing a field are skipped.
-pub fn parse_scenario_rows(rows: &str) -> Vec<ScenarioRow> {
-    rows.split("{\"scenario\": \"")
-        .skip(1)
-        .filter_map(|chunk| {
-            let obj = format!("{{\"scenario\": \"{chunk}");
-            Some(ScenarioRow {
-                scenario: extract_str_field(&obj, "scenario")?,
-                p50_ms: extract_num_field(&obj, "p50_ms")?,
-                p99_ms: extract_num_field(&obj, "p99_ms")?,
-                threads: extract_num_field(&obj, "threads"),
-                fds: extract_num_field(&obj, "fds"),
-            })
-        })
-        .collect()
-}
-
-/// Parse a `TRAJECTORY.json` document (produced by [`render_trajectory`])
-/// back into its runs. Returns an empty vector for documents without a
-/// recognizable `runs` array.
-pub fn parse_trajectory_doc(doc: &str) -> Vec<TrajectoryRun> {
-    let Some(open) = doc.find("\"runs\": [") else {
-        return Vec::new();
-    };
-    doc[open..]
-        .split("\n    {\"fig\": \"")
-        .skip(1)
-        .filter_map(|chunk| {
-            let obj = format!("{{\"fig\": \"{chunk}");
-            let s_open = obj.find("\"scenarios\": [")? + "\"scenarios\": [".len();
-            let s_close = obj[s_open..].find("\n    ]")? + s_open;
-            let scenario_rows = obj[s_open..s_close].trim_matches('\n').to_string();
-            let scenario_count = scenario_rows.matches("\"scenario\":").count();
-            Some(TrajectoryRun {
-                fig: extract_str_field(&obj, "fig")?,
-                git_sha: extract_str_field(&obj, "git_sha")?,
-                timestamp_utc: extract_str_field(&obj, "timestamp_utc")?,
-                profile: extract_str_field(&obj, "profile")?,
-                scenario_rows,
-                scenario_count,
-            })
-        })
-        .collect()
-}
-
-/// One gated comparison that got slower: a scenario whose current
-/// percentile exceeds the previous trajectory entry beyond the allowed
-/// threshold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Regression {
-    /// Figure the scenario belongs to.
-    pub fig: String,
-    /// Scenario label.
-    pub scenario: String,
-    /// Which metric regressed (`"p50_ms"`, `"p99_ms"`, `"threads"`, or
-    /// `"fds"`).
-    pub metric: &'static str,
-    /// The previous trajectory value (milliseconds for latency metrics,
-    /// a plain count for `threads`/`fds`).
-    pub previous_ms: f64,
-    /// The freshly measured value, in the same unit as `previous_ms`.
-    pub current_ms: f64,
-}
-
-impl std::fmt::Display for Regression {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.metric.ends_with("_ms") {
-            write!(
-                f,
-                "{} `{}` {}: {:.3} ms -> {:.3} ms (+{:.1}%)",
-                self.fig,
-                self.scenario,
-                self.metric,
-                self.previous_ms,
-                self.current_ms,
-                (self.current_ms / self.previous_ms - 1.0) * 100.0,
-            )
-        } else {
-            write!(
-                f,
-                "{} `{}` {}: {:.0} -> {:.0}",
-                self.fig, self.scenario, self.metric, self.previous_ms, self.current_ms,
-            )
-        }
-    }
-}
-
-/// Extra threads tolerated at the same scenario before the O(1)-threads
-/// gate fails. The reactor architecture pins the count (one event loop,
-/// a fixed pool, named per-connection-resource threads), so the band is
-/// deliberately tight.
-pub const THREAD_GATE_SLACK: f64 = 2.0;
-/// Fractional fd growth tolerated at the same scenario.
-pub const FD_GATE_THRESHOLD: f64 = 0.10;
-/// Absolute fd growth additionally tolerated (listener/bookkeeping fds).
-pub const FD_GATE_SLACK: f64 = 8.0;
-
-/// Figures whose harnesses enforce their own in-run gates and whose rows
-/// are therefore excluded from the cross-run percentile comparison.
-/// `bag_gate` gates record overhead *relative to a baseline measured in
-/// the same process* plus byte-diff and pacing checks, and its smoke rows
-/// are 12-sample percentiles — comparing those p99s across runs on a
-/// loaded box gates scheduler noise, not the middleware.
-pub const SELF_GATED_FIGS: [&str; 1] = ["bag"];
-
-/// The trajectory regression gate: compare every (fig, scenario) present
-/// in both `previous` and `current` and flag p50/p99 values that grew by
-/// more than `threshold` (fractional — `0.10` allows +10%) *and* by more
-/// than the metric's absolute slack (so microsecond-scale scenarios don't
-/// trip on scheduler noise). `p99_slack_ms` is wider than `slack_ms`: the
-/// tail percentile of a short run swings ±30% with machine load, so it
-/// gates as a coarse backstop (a lock convoy or lost wakeup inflates it
-/// 10–100×) while p50 stays tightly banded. Scenarios or figures missing
-/// on either side are skipped — only like-for-like comparisons gate.
-///
-/// Rows carrying process counts (the soak report) additionally gate
-/// `threads` and `fds`: thread count is the O(1)-threads claim and may
-/// not grow by more than [`THREAD_GATE_SLACK`] at the same link scale;
-/// fd count allows small fractional drift ([`FD_GATE_THRESHOLD`] plus
-/// [`FD_GATE_SLACK`]).
-///
-/// Figures listed in [`SELF_GATED_FIGS`] are skipped entirely: their
-/// harnesses gate themselves in-run against a same-process baseline.
-pub fn gate_regressions(
-    previous: &[TrajectoryRun],
-    current: &[TrajectoryRun],
-    threshold: f64,
-    slack_ms: f64,
-    p99_slack_ms: f64,
-) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for cur in current {
-        if SELF_GATED_FIGS.contains(&cur.fig.as_str()) {
-            continue;
-        }
-        let Some(prev) = previous.iter().find(|r| r.fig == cur.fig) else {
-            continue;
-        };
-        let prev_rows = parse_scenario_rows(&prev.scenario_rows);
-        for row in parse_scenario_rows(&cur.scenario_rows) {
-            let Some(base) = prev_rows.iter().find(|r| r.scenario == row.scenario) else {
-                continue;
-            };
-            for (metric, was, now, metric_slack) in [
-                ("p50_ms", base.p50_ms, row.p50_ms, slack_ms),
-                ("p99_ms", base.p99_ms, row.p99_ms, p99_slack_ms),
-            ] {
-                if was > 0.0 && now > was * (1.0 + threshold) + metric_slack {
-                    out.push(Regression {
-                        fig: cur.fig.clone(),
-                        scenario: row.scenario.clone(),
-                        metric,
-                        previous_ms: was,
-                        current_ms: now,
-                    });
-                }
-            }
-            for (metric, was, now, count_threshold, count_slack) in [
-                ("threads", base.threads, row.threads, 0.0, THREAD_GATE_SLACK),
-                ("fds", base.fds, row.fds, FD_GATE_THRESHOLD, FD_GATE_SLACK),
-            ] {
-                let (Some(was), Some(now)) = (was, now) else {
-                    continue;
-                };
-                if now > was * (1.0 + count_threshold) + count_slack {
-                    out.push(Regression {
-                        fig: cur.fig.clone(),
-                        scenario: row.scenario.clone(),
-                        metric,
-                        previous_ms: was,
-                        current_ms: now,
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Read the trajectory written by a previous `bench_summary` run, if any —
-/// the baseline side of [`gate_regressions`]. `None` when the file is
-/// absent or carries no parseable runs.
-pub fn load_previous_trajectory() -> Option<Vec<TrajectoryRun>> {
-    let doc = std::fs::read_to_string(results_dir().join("TRAJECTORY.json")).ok()?;
-    let runs = parse_trajectory_doc(&doc);
-    (!runs.is_empty()).then_some(runs)
-}
-
-/// Render the consolidated trajectory document: every benchmark report in
-/// `results/` merged into one file, so a repo checkout carries its whole
-/// measured performance trajectory in a single machine-readable place.
-pub fn render_trajectory(meta: &RunMeta, runs: &[TrajectoryRun]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"fig\": \"trajectory\",\n");
-    out.push_str(&meta_fragment(meta));
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"fig\": \"{}\", \"git_sha\": \"{}\", \"timestamp_utc\": \"{}\", \"profile\": \"{}\", \"scenario_count\": {}, \"scenarios\": [\n",
-            escape(&r.fig),
-            escape(&r.git_sha),
-            escape(&r.timestamp_utc),
-            escape(&r.profile),
-            r.scenario_count,
-        ));
-        if !r.scenario_rows.is_empty() {
-            out.push_str(&r.scenario_rows);
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "    ]}}{}\n",
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Load every `results/BENCH_*.json` as a [`TrajectoryRun`], sorted by
-/// file name. Unparseable documents are skipped with a note on stderr.
-pub fn load_trajectory_runs() -> io::Result<Vec<TrajectoryRun>> {
-    let dir = results_dir();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    paths.sort();
-    let mut runs = Vec::new();
-    for path in paths {
-        let doc = std::fs::read_to_string(&path)?;
-        match parse_report_doc(&doc) {
-            Some(run) => runs.push(run),
-            None => eprintln!("skipping malformed report {}", path.display()),
-        }
-    }
-    Ok(runs)
-}
-
-/// Write `results/TRAJECTORY.json` from the given runs. Returns the path
-/// written.
-pub fn write_trajectory(runs: &[TrajectoryRun]) -> io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("TRAJECTORY.json");
-    let mut file = std::fs::File::create(&path)?;
-    file.write_all(render_trajectory(&RunMeta::capture(), runs).as_bytes())?;
-    Ok(path)
 }
 
 #[cfg(test)]
@@ -766,195 +487,72 @@ mod tests {
     }
 
     #[test]
-    fn report_round_trips_through_trajectory() {
-        let rows = vec![
-            ScenarioReport::from_stats("sfm ten_gbe 1MB", 1_000_000, &stats()),
-            ScenarioReport::from_stats("same-machine shm 1MB", 1_000_000, &stats()),
-        ];
-        let doc = render_json("fig16", &meta(), &rows);
-        let run = parse_report_doc(&doc).expect("well-formed report parses");
-        assert_eq!(run.fig, "fig16");
-        assert_eq!(run.git_sha, "abc123");
-        assert_eq!(run.profile, "debug");
-        assert_eq!(run.scenario_count, 2);
-        assert!(run.scenario_rows.contains("same-machine shm 1MB"));
-
-        let merged = render_trajectory(&meta(), &[run.clone(), run]);
-        assert!(merged.contains("\"fig\": \"trajectory\""));
-        assert_eq!(merged.matches("\"fig\": \"fig16\"").count(), 2);
-        assert_eq!(merged.matches("\"scenario_count\": 2").count(), 2);
-        // The scenario rows survive verbatim (4 total across both runs).
-        assert_eq!(merged.matches("\"scenario\":").count(), 4);
-    }
-
-    #[test]
-    fn trajectory_parses_back_into_its_runs() {
-        let rows = vec![
-            ScenarioReport::from_stats("sfm ten_gbe 1MB", 1_000_000, &stats()),
-            ScenarioReport::from_stats("oneway shm+loan 1MB", 1_000_000, &stats()),
-        ];
-        let run_a = parse_report_doc(&render_json("fig16", &meta(), &rows)).unwrap();
-        let run_b = parse_report_doc(&render_json("fig13", &meta(), &rows[..1])).unwrap();
-        let doc = render_trajectory(&meta(), &[run_a.clone(), run_b.clone()]);
-        let parsed = parse_trajectory_doc(&doc);
-        assert_eq!(parsed, vec![run_a, run_b]);
-        assert!(parse_trajectory_doc("{}").is_empty());
-
-        let parsed_rows = parse_scenario_rows(&parsed[0].scenario_rows);
-        assert_eq!(parsed_rows.len(), 2);
-        assert_eq!(parsed_rows[1].scenario, "oneway shm+loan 1MB");
-        assert_eq!(parsed_rows[0].p50_ms, 2.0);
-        assert_eq!(parsed_rows[0].p99_ms, 3.0);
-    }
-
-    fn run_with(fig: &str, scenario: &str, p50: f64, p99: f64) -> TrajectoryRun {
-        let mut r = ScenarioReport::from_stats(scenario, 1000, &stats());
-        r.p50_ms = p50;
-        r.p99_ms = p99;
-        parse_report_doc(&render_json(fig, &meta(), &[r])).unwrap()
-    }
-
-    #[test]
-    fn gate_flags_only_real_regressions() {
-        let prev = vec![run_with("fig16", "same-machine shm 1MB", 1.0, 2.0)];
-
-        // Unchanged numbers pass.
-        assert!(gate_regressions(&prev, &prev, 0.10, 0.05, 1.0).is_empty());
-
-        // A +50% p50 regression is flagged with its metric and values.
-        let cur = vec![run_with("fig16", "same-machine shm 1MB", 1.5, 2.0)];
-        let bad = gate_regressions(&prev, &cur, 0.10, 0.05, 1.0);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].metric, "p50_ms");
-        assert_eq!((bad[0].previous_ms, bad[0].current_ms), (1.0, 1.5));
-        assert!(bad[0].to_string().contains("same-machine shm 1MB"));
-
-        // p99 gates independently of p50.
-        let cur = vec![run_with("fig16", "same-machine shm 1MB", 1.0, 4.0)];
-        assert_eq!(
-            gate_regressions(&prev, &cur, 0.10, 0.05, 1.0)[0].metric,
-            "p99_ms"
-        );
-
-        // Within threshold + slack passes; the absolute slack absorbs
-        // microsecond-scale noise even past the percentage threshold.
-        let cur = vec![run_with("fig16", "same-machine shm 1MB", 1.04, 2.0)];
-        assert!(gate_regressions(&prev, &cur, 0.10, 0.05, 1.0).is_empty());
-        let tiny_prev = vec![run_with("fig16", "oneway fastpath 200KB", 0.010, 0.020)];
-        let tiny_cur = vec![run_with("fig16", "oneway fastpath 200KB", 0.015, 0.030)];
-        assert!(gate_regressions(&tiny_prev, &tiny_cur, 0.10, 0.05, 1.0).is_empty());
-
-        // New scenarios and new figures have no baseline: skipped.
-        let cur = vec![
-            run_with("fig16", "oneway shm+loan 1MB", 9.0, 9.0),
-            run_with("fig99", "anything", 9.0, 9.0),
-        ];
-        assert!(gate_regressions(&prev, &cur, 0.10, 0.05, 1.0).is_empty());
-    }
-
-    #[test]
-    fn gate_skips_self_gated_figures() {
-        // bag_gate gates itself in-run (overhead vs a same-process
-        // baseline, byte-diff, pacing); its 12-sample smoke percentiles
-        // must not be compared across runs.
-        let prev = vec![run_with("bag", "sfm slam baseline", 1.0, 2.0)];
-        let cur = vec![run_with("bag", "sfm slam baseline", 5.0, 20.0)];
-        assert!(gate_regressions(&prev, &cur, 0.10, 0.05, 1.0).is_empty());
-        assert!(SELF_GATED_FIGS.contains(&"bag"));
-    }
-
-    #[test]
-    fn process_counts_round_trip_and_gate() {
-        let mk = |threads: u64, fds: u64| {
-            let r = ScenarioReport::from_stats("soak 500 links", 256, &stats())
-                .with_process_counts(threads, fds, 12_345);
-            parse_report_doc(&render_json("soak", &meta(), &[r])).unwrap()
-        };
-        let prev = vec![mk(6, 1100)];
-        let doc = render_json(
-            "soak",
-            &meta(),
-            &[ScenarioReport::from_stats("soak 500 links", 256, &stats())
-                .with_process_counts(6, 1100, 12_345)],
-        );
-        assert!(doc.contains("\"threads\": 6, \"fds\": 1100, \"rss_kb\": 12345"));
-        let rows = parse_scenario_rows(&prev[0].scenario_rows);
-        assert_eq!(rows[0].threads, Some(6.0));
-        assert_eq!(rows[0].fds, Some(1100.0));
-
-        // Same counts pass; within-slack drift passes.
-        assert!(gate_regressions(&prev, &prev, 0.10, 0.05, 1.0).is_empty());
-        assert!(gate_regressions(&prev, &[mk(8, 1150)], 0.10, 0.05, 1.0).is_empty());
-
-        // A thread-count jump past the slack is the O(1)-threads gate.
-        let bad = gate_regressions(&prev, &[mk(9, 1100)], 0.10, 0.05, 1.0);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].metric, "threads");
-        assert_eq!(bad[0].to_string(), "soak `soak 500 links` threads: 6 -> 9");
-
-        // An fd leak past threshold+slack is flagged too.
-        let bad = gate_regressions(&prev, &[mk(6, 1300)], 0.10, 0.05, 1.0);
-        assert_eq!(bad.len(), 1);
-        assert_eq!(bad[0].metric, "fds");
-
-        // Rows without counts never gate on them.
-        let plain = vec![parse_report_doc(&render_json(
-            "soak",
-            &meta(),
-            &[ScenarioReport::from_stats("soak 500 links", 256, &stats())],
-        ))
-        .unwrap()];
-        assert!(gate_regressions(&prev, &plain, 0.10, 0.05, 1.0).is_empty());
-    }
-
-    #[test]
-    fn wire_bytes_render_and_survive_row_parsing() {
-        let r = ScenarioReport::from_stats("projected header.stamp 1MB", 1_000_000, &stats())
-            .with_wire_bytes(5_000, 5_000);
-        let doc = render_json("projection", &meta(), &[r]);
-        assert!(doc.contains("\"bytes_sent\": 5000, \"bytes_received\": 5000"));
-        // Byte totals are recorded, not gated: the latency gate still
-        // parses rows that carry them.
-        let run = parse_report_doc(&doc).unwrap();
-        let rows = parse_scenario_rows(&run.scenario_rows);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].p50_ms, 2.0);
-        let baseline = [run.clone()];
-        assert!(
-            gate_regressions(std::slice::from_ref(&run), &baseline, 0.10, 0.05, 1.0).is_empty()
-        );
-    }
-
-    #[test]
-    fn bag_counts_render_and_survive_row_parsing() {
-        let r = ScenarioReport::from_stats("slam live+record", 230_400, &stats())
+    fn process_wire_and_bag_counts_render() {
+        let r = ScenarioReport::from_stats("soak 500 links", 256, &stats())
+            .with_process_counts(6, 1100, 12_345)
+            .with_wire_bytes(5_000, 5_000)
             .with_bag_counts(64, 0, 14_745_600, 64);
-        let doc = render_json("bag", &meta(), &[r]);
+        let r = ScenarioReport {
+            msgs_per_cpu_s: Some(1234.5),
+            ..r
+        };
+        let doc = render_json("soak", &meta(), &[r]);
+        assert!(doc.contains("\"msgs_per_cpu_s\": 1234.500000, \"threads\": 6"));
+        assert!(doc.contains("\"threads\": 6, \"fds\": 1100, \"rss_kb\": 12345"));
+        assert!(doc.contains("\"bytes_sent\": 5000, \"bytes_received\": 5000"));
         assert!(doc.contains(
             "\"bag_frames_recorded\": 64, \"bag_frames_dropped\": 0, \
              \"bag_bytes_written\": 14745600, \"bag_frames_replayed\": 64"
         ));
-        // Extra keys don't break row parsing or the regression gate.
-        let run = parse_report_doc(&doc).unwrap();
-        let rows = parse_scenario_rows(&run.scenario_rows);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].p50_ms, 2.0);
-        let baseline = [run.clone()];
-        assert!(
-            gate_regressions(std::slice::from_ref(&run), &baseline, 0.10, 0.05, 1.0).is_empty()
+        // Rows without counts carry none of the optional keys.
+        let plain = ScenarioReport::from_stats("plain", 256, &stats());
+        let doc = render_json("soak", &meta(), &[plain]);
+        assert!(!doc.contains("threads") && !doc.contains("msgs_per_cpu_s"));
+    }
+
+    #[test]
+    fn dirty_tree_is_marked_in_the_provenance() {
+        assert_eq!(provenance(Some("abc123\n"), ""), "abc123");
+        assert_eq!(provenance(Some("abc123\n"), "\n"), "abc123");
+        assert_eq!(
+            provenance(Some("abc123\n"), " M src/lib.rs\n"),
+            "abc123+dirty"
         );
+        assert_eq!(provenance(Some("abc123"), "?? new_file\n"), "abc123+dirty");
+        assert_eq!(provenance(None, " M src/lib.rs\n"), "unknown");
+        assert_eq!(provenance(Some(""), ""), "unknown");
     }
 
     #[test]
-    fn trajectory_of_nothing_is_valid() {
-        let merged = render_trajectory(&meta(), &[]);
-        assert!(merged.contains("\"runs\": [\n  ]"));
+    fn nothing_is_written_without_an_out_dir() {
+        let rows = [ScenarioReport::from_stats("sfm", 1000, &stats())];
+        assert_eq!(write_report(None, "no_out_probe", &rows).unwrap(), None);
+        assert_eq!(write_trace_report(None, "no_out_probe", &[]).unwrap(), None);
+        // Neither the working directory nor the repository's results/ (the
+        // two places the old directory guess looked) gained a file.
+        let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for dir in [Path::new("results"), repo_results.as_path()] {
+            assert!(!dir.join("BENCH_no_out_probe.json").exists());
+            assert!(!dir.join("TRACE_no_out_probe.json").exists());
+        }
+
+        let dir = std::env::temp_dir().join(format!("rossf_report_{}", std::process::id()));
+        let path = write_report(Some(&dir), "probe", &rows).unwrap().unwrap();
+        assert_eq!(path, dir.join("BENCH_probe.json"));
+        let doc = std::fs::read_to_string(&path).unwrap();
+        assert!(doc.contains("\"fig\": \"probe\""));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn malformed_report_is_rejected() {
-        assert!(parse_report_doc("{}").is_none());
-        assert!(parse_report_doc("not json at all").is_none());
+    fn soak_fds_must_track_links() {
+        // The committed full soak: 1556 fds at 500 links, 6206 at 2000.
+        assert!(fds_track_links((1556, 500), (6206, 2000)));
+        assert!(fds_track_links((310, 100), (1240, 400)));
+        // A leak that adds nearly one fd per link fails.
+        assert!(!fds_track_links((310, 100), (1600, 400)));
+        // So does losing descriptors the smallest scale needed.
+        assert!(!fds_track_links((400, 100), (1240, 400)));
     }
 
     #[test]

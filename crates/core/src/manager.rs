@@ -11,8 +11,7 @@
 //! * **expand** — keyed by *any address inside* the message ("an address in
 //!   the middle of the message"), because a field only knows its own
 //!   location. The paper implements this as "a binary search from a
-//!   `std::vector` of ordered records"; so do we, with a linear-scan
-//!   fallback selectable for the ablation benchmark.
+//!   `std::vector` of ordered records"; so do we.
 
 use crate::alert::{raise, AlertKind};
 use crate::align_up;
@@ -32,16 +31,6 @@ pub enum MessageState {
     /// buffer (subscriber side): the memory simultaneously *is* the message
     /// object and the serialized buffer.
     Published,
-}
-
-/// How `expand` locates the record containing an interior address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LookupStrategy {
-    /// Binary search over records ordered by start address (paper §4.3.3).
-    #[default]
-    Binary,
-    /// Linear scan — only useful as the ablation baseline.
-    Linear,
 }
 
 struct Record {
@@ -223,8 +212,6 @@ impl Sanitizer {
 /// paper's `sfm::gmm`); independent instances can be created for tests.
 pub struct MessageManager {
     records: Mutex<Vec<Record>>,
-    /// [`LookupStrategy::Linear`] selected (default: binary search).
-    linear_lookup: AtomicBool,
     /// Opt-in lifecycle sanitizer (`None` = disabled, the default). Locked
     /// only after `records` has been released — never nested.
     sanitizer: Mutex<Option<Sanitizer>>,
@@ -252,7 +239,6 @@ impl MessageManager {
     pub fn new() -> Self {
         MessageManager {
             records: Mutex::new(Vec::new()),
-            linear_lookup: AtomicBool::new(false),
             sanitizer: Mutex::new(None),
             sanitizing: AtomicBool::new(false),
             segments: Mutex::new(std::collections::BTreeMap::new()),
@@ -262,13 +248,6 @@ impl MessageManager {
             published: AtomicU64::new(0),
             shared_adoptions: AtomicU64::new(0),
         }
-    }
-
-    /// Select the interior-address lookup strategy (ablation hook).
-    pub fn set_lookup_strategy(&self, s: LookupStrategy) {
-        // Relaxed: a standalone setting; it publishes no other data.
-        self.linear_lookup
-            .store(s == LookupStrategy::Linear, Ordering::Relaxed);
     }
 
     /// Enable or disable the lifecycle sanitizer. Returns whether it was
@@ -497,15 +476,9 @@ impl MessageManager {
     /// * [`SfmError::CapacityExceeded`] if growth would pass `max_size`.
     pub fn expand(&self, field_addr: usize, len: usize, align: usize) -> Result<usize, SfmError> {
         self.expands.fetch_add(1, Ordering::Relaxed);
-        // Relaxed: see `set_lookup_strategy`.
-        let strategy = if self.linear_lookup.load(Ordering::Relaxed) {
-            LookupStrategy::Linear
-        } else {
-            LookupStrategy::Binary
-        };
         let outcome: Result<(usize, &'static str), SfmError> = (|| {
             let mut records = self.records.lock();
-            let idx = Self::locate(&records, field_addr, strategy)
+            let idx = Self::locate(&records, field_addr)
                 .ok_or(SfmError::UnmanagedAddress { addr: field_addr })?;
             let rec = &mut records[idx];
             let offset = align_up(rec.used, align);
@@ -555,21 +528,24 @@ impl MessageManager {
         outcome.map(|(addr, _)| addr)
     }
 
-    fn locate(records: &[Record], addr: usize, strategy: LookupStrategy) -> Option<usize> {
-        match strategy {
-            LookupStrategy::Binary => {
-                // Greatest start <= addr, then containment check.
-                let idx = records.partition_point(|r| r.start <= addr);
-                if idx == 0 {
-                    return None;
-                }
-                let rec = &records[idx - 1];
-                (addr < rec.start + rec.capacity).then_some(idx - 1)
-            }
-            LookupStrategy::Linear => records
-                .iter()
-                .position(|r| addr >= r.start && addr < r.start + r.capacity),
+    /// Index of the record containing `addr`: binary search over records
+    /// ordered by start address (paper §4.3.3).
+    fn locate(records: &[Record], addr: usize) -> Option<usize> {
+        // Greatest start <= addr, then containment check.
+        let idx = records.partition_point(|r| r.start <= addr);
+        if idx == 0 {
+            return None;
         }
+        let rec = &records[idx - 1];
+        (addr < rec.start + rec.capacity).then_some(idx - 1)
+    }
+
+    /// Reference implementation `locate` is tested against: a linear scan.
+    #[cfg(test)]
+    fn locate_linear(records: &[Record], addr: usize) -> Option<usize> {
+        records
+            .iter()
+            .position(|r| addr >= r.start && addr < r.start + r.capacity)
     }
 
     /// Mark the message starting at `start` as published.
@@ -706,7 +682,7 @@ impl MessageManager {
     /// [`SfmError::UnmanagedAddress`] if no record contains `addr`.
     pub fn used_size(&self, addr: usize) -> Result<usize, SfmError> {
         let records = self.records.lock();
-        Self::locate(&records, addr, LookupStrategy::Binary)
+        Self::locate(&records, addr)
             .map(|i| records[i].used)
             .ok_or(SfmError::UnmanagedAddress { addr })
     }
@@ -728,7 +704,7 @@ impl MessageManager {
     /// Snapshot of the record containing `addr`, if any.
     pub fn info(&self, addr: usize) -> Option<RecordInfo> {
         let records = self.records.lock();
-        Self::locate(&records, addr, LookupStrategy::Binary).map(|i| {
+        Self::locate(&records, addr).map(|i| {
             let r = &records[i];
             RecordInfo {
                 start: r.start,
@@ -833,6 +809,18 @@ mod tests {
         assert_eq!(m.used_size(base).unwrap(), 24);
     }
 
+    /// `locate`, checked against the linear-scan oracle on the way out.
+    fn locate_checked(m: &MessageManager, addr: usize) -> Option<usize> {
+        let records = m.records.lock();
+        let found = MessageManager::locate(&records, addr);
+        assert_eq!(
+            found,
+            MessageManager::locate_linear(&records, addr),
+            "binary search and linear oracle disagree at {addr:#x}"
+        );
+        found.map(|i| records[i].start)
+    }
+
     #[test]
     fn lookup_finds_correct_record_among_many() {
         let m = MessageManager::new();
@@ -840,12 +828,10 @@ mod tests {
         for a in &allocs {
             m.register(Arc::clone(a), 16, "t/A");
         }
-        for strategy in [LookupStrategy::Binary, LookupStrategy::Linear] {
-            m.set_lookup_strategy(strategy);
-            for a in &allocs {
-                let got = m.expand(a.base() + 120, 0, 1).unwrap();
-                assert!(got >= a.base() && got <= a.base() + 128);
-            }
+        for a in &allocs {
+            assert_eq!(locate_checked(&m, a.base() + 120), Some(a.base()));
+            let got = m.expand(a.base() + 120, 0, 1).unwrap();
+            assert!(got >= a.base() && got <= a.base() + 128);
         }
     }
 
@@ -855,9 +841,54 @@ mod tests {
         let a = alloc(64);
         m.register(Arc::clone(&a), 8, "t/A");
         let miss = a.base().wrapping_add(64); // one past the end
-        for strategy in [LookupStrategy::Binary, LookupStrategy::Linear] {
-            m.set_lookup_strategy(strategy);
-            assert!(m.expand(miss, 1, 1).is_err());
+        assert_eq!(locate_checked(&m, miss), None);
+        assert!(m.expand(miss, 1, 1).is_err());
+    }
+
+    /// Deterministic xorshift64* generator (the scheme
+    /// `crates/msg/tests/verify_corruption.rs` uses).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn binary_search_agrees_with_linear_oracle_on_seeded_sweep() {
+        let mut rng = Rng(0x5F3_2022);
+        let mut counts = vec![1, 2, 511, 512];
+        counts.extend((0..12).map(|_| 1 + rng.below(512)));
+        for count in counts {
+            let m = MessageManager::new();
+            let allocs: Vec<_> = (0..count).map(|_| alloc(8 + rng.below(89))).collect();
+            for a in &allocs {
+                m.register(Arc::clone(a), 8, "t/A");
+            }
+            for a in &allocs {
+                let (first, last) = (a.base(), a.base() + a.capacity() - 1);
+                for addr in first..=last {
+                    assert_eq!(locate_checked(&m, addr), Some(first), "{count} records");
+                }
+                // One past the end is either a miss or a neighbour, never `a`.
+                assert_ne!(locate_checked(&m, last + 1), Some(first));
+            }
+            let lowest = allocs.iter().map(|a| a.base()).min().unwrap();
+            assert_eq!(
+                locate_checked(&m, lowest - 1),
+                None,
+                "gap before the first record"
+            );
         }
     }
 

@@ -403,6 +403,92 @@ mod tests {
         assert!(ConnectionHeader::read_from(&mut &wire[..]).is_err());
     }
 
+    /// Deterministic xorshift64* generator (the scheme
+    /// `crates/msg/tests/verify_corruption.rs` uses).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_u64(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next_u64() % n as u64) as usize
+        }
+    }
+
+    /// The header arrives from an unauthenticated peer: whatever the bytes,
+    /// `read_from` answers `Ok`, `BadHeader` or `Io` — no panic — and an
+    /// outer length past the 64 KiB cap is refused on the prefix alone,
+    /// before a body byte is read or a buffer sized from it.
+    #[test]
+    fn corrupted_headers_never_panic_or_overallocate() {
+        let mut rng = Rng(0x0C0F_FEE5_2022);
+        for case in 0..4000 {
+            let mut header = ConnectionHeader::new();
+            for f in 0..1 + rng.below(6) {
+                let value: String = (0..rng.below(40))
+                    .map(|_| (b'a' + rng.below(26) as u8) as char)
+                    .collect();
+                header = header.with(&format!("k{f}"), value);
+            }
+            let mut wire = Vec::new();
+            header.write_to(&mut wire).unwrap();
+            // Inner field-length prefixes sit at 4, 4 + 4 + len0, ...
+            let mut field_at = vec![4];
+            while let Some(&at) = field_at.last() {
+                let flen = u32::from_le_bytes(wire[at..at + 4].try_into().unwrap()) as usize;
+                if at + 4 + flen >= wire.len() {
+                    break;
+                }
+                field_at.push(at + 4 + flen);
+            }
+            let at = field_at[rng.below(field_at.len())];
+            let hostile_len = [0, u32::MAX, (wire.len() - at) as u32 + rng.below(64) as u32];
+            match case % 6 {
+                0 => wire.truncate(rng.below(wire.len())),
+                1 => {
+                    for _ in 0..1 + rng.below(8) {
+                        let bit = rng.below(wire.len() * 8);
+                        wire[bit / 8] ^= 1 << (bit % 8);
+                    }
+                }
+                2 => wire[at..at + 4].copy_from_slice(&hostile_len[rng.below(3)].to_le_bytes()),
+                3 => {
+                    let outer = 64 * 1024 + 1 + rng.below(1 << 20) as u32;
+                    wire[..4].copy_from_slice(&outer.to_le_bytes());
+                    wire.resize(4 + outer as usize * rng.below(2), 0);
+                }
+                4 => wire[at + 4] = 0xFF, // not UTF-8
+                _ => {
+                    let eq = at + 4 + wire[at + 4..].iter().position(|&b| b == b'=').unwrap();
+                    wire[eq] = b'~'; // the field's only `=` (keys and values are a-z, 0-9)
+                }
+            }
+            let outer = wire
+                .get(..4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()) as usize);
+            let mut reader = std::io::Cursor::new(&wire);
+            match ConnectionHeader::read_from(&mut reader) {
+                Ok(_) | Err(RosError::Io(_)) => assert!(outer.is_none_or(|n| n <= 64 * 1024)),
+                Err(RosError::BadHeader(_)) => {}
+                Err(other) => panic!("case {case}: unexpected error {other:?}"),
+            }
+            if outer.is_some_and(|n| n > 64 * 1024) {
+                assert_eq!(
+                    reader.position(),
+                    4,
+                    "case {case}: read past the refused prefix"
+                );
+            }
+        }
+    }
+
     #[test]
     fn outframe_views() {
         let f = OutFrame::owned(Arc::new(vec![1, 2, 3]));

@@ -3,6 +3,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# results/ has one writer, scripts/figures.sh; the last step checks that no
+# gate below touched it.
+results_state() { { ls results; cat results/*; } | cksum; }
+results_before=$(results_state)
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -28,8 +33,6 @@ echo "==> options/stats suite (defaults, overrides, all four tiers)"
 cargo test -q -p rossf-ros --test options
 
 echo "==> fast-path smoke (same-machine zero-copy vs forced TCP)"
-# 150 iters: with 40, the smoke's p99 is effectively the sample max and
-# flaps past the trajectory gate's +10% band on an idle machine.
 cargo run -q --release -p rossf-bench --bin link_sweep -- --iters 150 --fastpath-smoke
 
 echo "==> sfm_trace --self-test"
@@ -53,7 +56,7 @@ cargo test -q -p rossf-msg --test projection
 echo "==> fd/thread-leak suite (connect/sever/reconnect churn returns to baseline)"
 cargo test -q -p rossf-ros --test leak
 
-echo "==> churn soak smoke (reactor thread count independent of link count)"
+echo "==> churn soak smoke (thread count independent of link count, fds per link flat)"
 cargo run -q --release -p rossf-bench --bin soak -- --smoke
 
 echo "==> bag format/recorder/replayer suite (rossf-bag)"
@@ -64,9 +67,6 @@ cargo run -q --release -p rossf --bin sfm_bag -- --self-test
 
 echo "==> bag gate smoke (record fig18 pipeline, byte-identical zero-copy replay, pacing)"
 cargo run -q --release -p rossf-bench --bin bag_gate -- --smoke
-
-echo "==> bench summary + trajectory regression gate (p50/p99 <= +10% vs previous; soak threads/fds flat)"
-cargo run -q --release -p rossf-bench --bin bench_summary -- --gate
 
 echo "==> rossf-lint (unsafe/SeqCst annotations, asm confined to crates/sys, Drop hygiene, thread-spawn allowlist)"
 cargo run -q --release -p rossf-lint --bin rossf-lint -- .
@@ -90,5 +90,19 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check
+
+echo "==> results/ provenance (one git_sha across every results/*.json)"
+shas=$(grep -ho '"git_sha": "[^"]*"' results/*.json | sort -u)
+if [ "$(wc -l <<<"$shas")" -ne 1 ]; then
+    printf 'FAIL: results/ mixes provenance:\n%s\n' "$shas"
+    exit 1
+fi
+
+echo "==> gates wrote nothing under results/"
+if [ "$(results_state)" != "$results_before" ]; then
+    echo "FAIL: a gate rewrote results/ (scripts/figures.sh is its only writer):"
+    git status --porcelain -- results/
+    exit 1
+fi
 
 echo "All checks passed."

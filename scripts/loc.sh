@@ -12,9 +12,10 @@ occurrences() { # fixed-string occurrences (not lines) in the Rust sources under
     { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
 }
 
-echo "code lines (non-blank, non-comment) per crates/*/src:"
+echo "code lines (non-blank, non-comment) per source directory:"
 total=0
-for src in crates/*/src; do
+for src in crates/*/src crates/bench/benches shims/*/src; do
+    [ -d "$src" ] || continue
     n=$(code_lines "$src")
     printf '  %-22s %6d\n' "$src" "$n"
     total=$((total + n))
