@@ -1,17 +1,19 @@
 //! `soak` — the churn soak behind the reactor's O(1)-threads claim.
 //!
-//! Spins up hundreds of topics fanning out to thousands of subscriber
-//! TCP links (publisher on machine A, subscribers on machine B, so every
-//! link crosses the netsim wire), then soaks the mesh under churn:
-//! subscribers continuously leave and rejoin, scheduled netsim drop
-//! faults eat frames, and mid-run the whole machine link is severed and
-//! healed — a full reconnect storm across every link. Throughput is
-//! whatever the mesh sustains through all of that.
+//! Spins up hundreds of topics, each fanning out to a mixed population of
+//! subscriber links — TCP (subscribers on machine B, so the link crosses
+//! the netsim wire), fast-path and same-process shared-memory (subscribers
+//! on the publisher's machine) — plus one capture tap, then soaks the mesh
+//! under churn: subscribers of every tier continuously leave and rejoin,
+//! scheduled netsim drop faults eat frames, and mid-run both the machine
+//! link and the loopback link are severed and healed — a full reconnect
+//! storm across every link of every tier. Throughput is whatever the mesh
+//! sustains through all of that.
 //!
 //! The point is the resource row, not the latency row: at steady state
 //! the process must hold its thread count *independent of link count* —
-//! one reactor thread plus the fixed job pool, never a thread per
-//! connection — and its fd count must track links, not churn history.
+//! one reactor thread plus the fixed job pool, never a thread per link on
+//! any tier — and its fd count must track links, not churn history.
 //! Both are gated here, every run, between the smallest and the largest
 //! scale of the same process: threads may differ by at most
 //! [`THREAD_SLACK`], fds *per link* by at most 10 %
@@ -31,12 +33,13 @@
 use rossf_bench::report::{fds_track_links, write_report, ScenarioReport};
 use rossf_ros::time::now_nanos;
 use rossf_ros::{
-    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
-    TransportConfig,
+    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, RawFrameTap,
+    SubscriberOptions, TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use rossf_trace::StageHist;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -75,18 +78,34 @@ unsafe impl SfmMessage for SoakMsg {
     }
 }
 
-/// One soak configuration: `topics` publishers, `subs_per_topic` steady
-/// subscribers each, churned for `duration`.
+/// Every this-many-th topic also carries the zero-copy subscribers. A shm
+/// publisher's segment pool may grow to `DIR_CAP` memfds, each opened again
+/// by every reader; keeping the shm population to a quarter of the topics
+/// keeps the largest scale's worst case under the process's fd limit.
+const ZERO_COPY_STRIDE: usize = 4;
+
+/// One soak configuration: `topics` publishers, each with
+/// `subs_per_topic` steady TCP subscribers and — on every
+/// [`ZERO_COPY_STRIDE`]th topic — `zero_copy_per_topic` steady subscribers
+/// on *each* zero-copy tier (fast path, same-process shm), churned for
+/// `duration`. Topic 0 also carries the capture tap.
 struct Scale {
     label: &'static str,
     topics: usize,
     subs_per_topic: usize,
+    zero_copy_per_topic: usize,
     duration: Duration,
 }
 
 impl Scale {
+    fn zero_copy_topics(&self) -> usize {
+        self.topics.div_ceil(ZERO_COPY_STRIDE)
+    }
+
     fn links(&self) -> usize {
         self.topics * self.subs_per_topic
+            + self.zero_copy_topics() * 2 * self.zero_copy_per_topic
+            + 1
     }
 }
 
@@ -95,12 +114,29 @@ struct Outcome {
     report: ScenarioReport,
     threads: u64,
     fds: u64,
+    pool_fds: u64,
     delivered: u64,
     reconnects: u64,
 }
 
-fn fd_count() -> u64 {
-    std::fs::read_dir("/proc/self/fd").unwrap().count() as u64
+/// Open descriptors of this process as `(link, pool)`: the shm tier's
+/// pooled data segments (one memfd per segment at the publisher, one more
+/// per reader that mapped it) apart from everything else. A publisher's
+/// pool grows to its links' peak of frames in flight and is capped at
+/// `DIR_CAP` segments, so its descriptors follow load, not link count;
+/// every other descriptor — sockets, listeners, control segments — belongs
+/// to a link.
+fn fd_counts() -> (u64, u64) {
+    let (mut link, mut pool) = (0, 0);
+    for fd in std::fs::read_dir("/proc/self/fd").unwrap().flatten() {
+        let target = std::fs::read_link(fd.path()).unwrap_or_default();
+        if target.to_string_lossy().contains("memfd:rossf-seg") {
+            pool += 1;
+        } else {
+            link += 1;
+        }
+    }
+    (link, pool)
 }
 
 fn proc_status_field(key: &str) -> u64 {
@@ -154,19 +190,42 @@ fn wait_until(what: &str, secs: u64, cond: impl Fn() -> bool) {
 
 fn run_scale(scale: &Scale) -> Outcome {
     let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::B);
+    // The wire (TCP links) and the loopback (fast-path and shm links).
+    let faults = [MachineId::B, MachineId::A].map(|to| master.links().inject(MachineId::A, to));
     // A sprinkle of scheduled drop faults across the early frame stream.
-    for i in 0..16u64 {
-        fault.drop_frame(i * 97 + 5);
+    for fault in &faults {
+        for i in 0..16u64 {
+            fault.drop_frame(i * 97 + 5);
+        }
     }
-    let nh_pub = NodeHandle::new(&master, "soak-pub");
-    let nh_sub = NodeHandle::with_config(&master, "soak-sub", MachineId::B, fast_reconnect());
+    // The publishers grant shm to this same process; which tier a
+    // subscriber lands on is then decided by where and how it subscribes.
+    let same_process_shm = TransportConfig {
+        shm_same_process: true,
+        ..fast_reconnect()
+    };
+    let nh_pub =
+        NodeHandle::with_config(&master, "soak-pub", MachineId::A, same_process_shm.clone());
+    let nh_subs = [
+        NodeHandle::with_config(&master, "soak-tcp", MachineId::B, fast_reconnect()),
+        NodeHandle::with_config(&master, "soak-fast", MachineId::A, fast_reconnect()),
+        NodeHandle::with_config(
+            &master,
+            "soak-shm",
+            MachineId::A,
+            TransportConfig {
+                enable_fastpath: false,
+                ..same_process_shm
+            },
+        ),
+    ];
+    const TCP: usize = 0;
 
     // One-way latency of every delivery; its count is the delivered total.
     let latency = Arc::new(StageHist::new());
-    let subscribe = |topic: &str| {
+    let subscribe = |tier: usize, topic: &str| {
         let latency = Arc::clone(&latency);
-        nh_sub.subscribe_with(
+        nh_subs[tier].subscribe_with(
             topic,
             SubscriberOptions::new(),
             move |m: SfmShared<SoakMsg>| {
@@ -182,10 +241,29 @@ fn run_scale(scale: &Scale) -> Outcome {
     for t in 0..scale.topics {
         let topic = topic_name(t);
         publishers.push(nh_pub.advertise_with(&topic, PublisherOptions::new().queue_size(64)));
-        for _ in 0..scale.subs_per_topic {
-            steady.push(subscribe(&topic));
+        for tier in 0..nh_subs.len() {
+            let subs = if tier == TCP {
+                scale.subs_per_topic
+            } else if t % ZERO_COPY_STRIDE == 0 {
+                scale.zero_copy_per_topic
+            } else {
+                0
+            };
+            for _ in 0..subs {
+                steady.push(subscribe(tier, &topic));
+            }
         }
     }
+    // The tap is one more attachment on its publisher, and hands frames on
+    // without decoding them.
+    let tapped = Arc::new(AtomicU64::new(0));
+    let tap = {
+        let tapped = Arc::clone(&tapped);
+        RawFrameTap::attach(&nh_pub, &topic_name(0), SoakMsg::type_name(), move |_| {
+            tapped.fetch_add(1, Ordering::Relaxed);
+        })
+        .expect("tap topic 0")
+    };
     let want = scale.links();
     let all_connected = |pubs: &[Publisher<SfmBox<SoakMsg>>]| {
         pubs.iter().map(|p| p.subscriber_count()).sum::<usize>() >= want
@@ -195,8 +273,9 @@ fn run_scale(scale: &Scale) -> Outcome {
     let mut msg = SfmBox::<SoakMsg>::new();
     msg.data.resize(PAYLOAD);
 
-    // Soak: publish round-robin; churn one subscription every few rounds;
-    // sever the whole machine link mid-run and let it heal.
+    // Soak: publish round-robin; churn one subscription every few rounds,
+    // rotating through the tiers; sever both links mid-run and let them
+    // heal.
     let start = Instant::now();
     let cpu_start = process_cpu_secs();
     let sever_at = scale.duration.mul_f64(0.4);
@@ -215,17 +294,20 @@ fn run_scale(scale: &Scale) -> Outcome {
         round += 1;
         if round.is_multiple_of(8) {
             // Join/leave churn: drop the previous extra subscription and
-            // open one on the next topic.
-            churner = Some(subscribe(&topic_name(churn_topic)));
+            // open one on the next topic, on the next tier.
+            churner = Some(subscribe(
+                churn_topic % nh_subs.len(),
+                &topic_name(churn_topic),
+            ));
             churn_topic = (churn_topic + 1) % scale.topics;
         }
         if !severed && start.elapsed() >= sever_at {
             severed = true;
-            fault.sever_now();
+            faults.iter().for_each(|f| f.sever_now());
         }
         if !healed && start.elapsed() >= heal_at {
             healed = true;
-            fault.heal();
+            faults.iter().for_each(|f| f.heal());
         }
         std::thread::sleep(Duration::from_millis(2));
     }
@@ -240,9 +322,14 @@ fn run_scale(scale: &Scale) -> Outcome {
     wait_until("post-storm reconnect", 60, || all_connected(&publishers));
     std::thread::sleep(Duration::from_millis(200));
     let threads = proc_status_field("Threads:");
-    let fds = fd_count();
+    let (fds, pool_fds) = fd_counts();
     let rss_kb = proc_status_field("VmRSS:");
     let reconnects = steady.iter().map(|s| s.reconnects()).sum::<u64>();
+    assert!(
+        tapped.load(Ordering::Relaxed) > 0 && tap.attached() >= 1,
+        "the tap captured nothing at {}",
+        scale.label
+    );
     let bytes_sent = publishers.iter().map(|p| p.stats().bytes_sent).sum::<u64>();
     let bytes_received = steady.iter().map(|s| s.stats().bytes_received).sum::<u64>();
 
@@ -257,12 +344,13 @@ fn run_scale(scale: &Scale) -> Outcome {
         msgs_per_cpu_s: (cpu_secs > 0.0).then(|| got as f64 / cpu_secs),
         ..ScenarioReport::default()
     }
-    .with_process_counts(threads, fds, rss_kb)
+    .with_process_counts(threads, fds + pool_fds, rss_kb)
     .with_wire_bytes(bytes_sent, bytes_received);
     Outcome {
         report,
         threads,
         fds,
+        pool_fds,
         delivered: got,
         reconnects,
     }
@@ -284,15 +372,17 @@ fn main() {
             "soak_smoke",
             vec![
                 Scale {
-                    label: "soak-smoke 40 links",
+                    label: "soak-smoke 45 links",
                     topics: 8,
                     subs_per_topic: 5,
+                    zero_copy_per_topic: 1,
                     duration: Duration::from_secs(2),
                 },
                 Scale {
-                    label: "soak-smoke 120 links",
+                    label: "soak-smoke 133 links",
                     topics: 24,
                     subs_per_topic: 5,
+                    zero_copy_per_topic: 1,
                     duration: Duration::from_secs(3),
                 },
             ],
@@ -302,24 +392,28 @@ fn main() {
             "soak",
             vec![
                 Scale {
-                    label: "soak 500 links",
+                    label: "soak 527 links",
                     topics: 50,
                     subs_per_topic: 10,
+                    zero_copy_per_topic: 1,
                     duration: Duration::from_secs(6),
                 },
                 Scale {
-                    label: "soak 2000 links",
+                    label: "soak 2101 links",
                     topics: 200,
                     subs_per_topic: 10,
+                    zero_copy_per_topic: 1,
                     duration: Duration::from_secs(8),
                 },
             ],
         )
     };
 
-    println!("=== churn soak: reactor resource footprint vs link count ===");
     println!(
-        "{:<22} {:>7} {:>12} {:>10} {:>11} {:>9} {:>9} {:>8} {:>7} {:>9}",
+        "=== churn soak (TCP + fast path + shm + a tap): resource footprint vs link count ==="
+    );
+    println!(
+        "{:<22} {:>7} {:>12} {:>10} {:>11} {:>9} {:>9} {:>8} {:>7} {:>8} {:>9}",
         "scale",
         "links",
         "delivered",
@@ -329,13 +423,14 @@ fn main() {
         "p99 (ms)",
         "threads",
         "fds",
+        "pool fds",
         "rss (MB)"
     );
     let mut outcomes = Vec::new();
     for scale in &scales {
         let outcome = run_scale(scale);
         println!(
-            "{:<22} {:>7} {:>12} {:>10.0} {:>11.0} {:>9.3} {:>9.3} {:>8} {:>7} {:>9.1}",
+            "{:<22} {:>7} {:>12} {:>10.0} {:>11.0} {:>9.3} {:>9.3} {:>8} {:>7} {:>8} {:>9.1}",
             scale.label,
             scale.links(),
             outcome.delivered,
@@ -345,6 +440,7 @@ fn main() {
             outcome.report.p99_ms,
             outcome.threads,
             outcome.fds,
+            outcome.pool_fds,
             outcome.report.rss_kb.unwrap_or(0) as f64 / 1024.0,
         );
         assert!(
@@ -357,6 +453,17 @@ fn main() {
             "the sever storm must force reconnects at {}",
             scale.label
         );
+        // A pool segment is open once at its publisher and once in each
+        // reader that mapped it: the steady shm links, and the one churned
+        // link whose mappings may not have unwound yet.
+        let readers = scale.zero_copy_topics() * scale.zero_copy_per_topic + 1;
+        let pool_cap = ((scale.zero_copy_topics() + 1 + readers) * rossf_shm::DIR_CAP) as u64;
+        assert!(
+            outcome.pool_fds <= pool_cap,
+            "{} pool descriptors at {}; its pools and their readers can own at most {pool_cap}",
+            outcome.pool_fds,
+            scale.label
+        );
         outcomes.push(outcome);
     }
 
@@ -364,8 +471,9 @@ fn main() {
     write_report(out.as_deref(), fig, &rows).expect("write BENCH_soak.json");
 
     // The claims themselves, smallest scale against largest in this one
-    // process: growing the mesh must not grow the thread count, and fds
-    // must track links rather than churn history.
+    // process: growing the mesh must not grow the thread count, and the
+    // links' fds must track links rather than churn history (the segment
+    // pools' are bounded per publisher, above).
     let (first, last) = (&outcomes[0], &outcomes[outcomes.len() - 1]);
     let (first_links, last_links) = (scales[0].links(), scales[scales.len() - 1].links());
     if last.threads > first.threads + THREAD_SLACK {

@@ -83,11 +83,10 @@ fn is_sys_module(path: &str) -> bool {
 }
 
 /// The production sources allowed to spawn threads, and what each spawns.
-const SPAWN_ALLOWLIST: [&str; 7] = [
+const SPAWN_ALLOWLIST: [&str; 6] = [
     "crates/reactor/src/lib.rs",       // the event loop
     "crates/reactor/src/pool.rs",      // the fixed job pool
-    "crates/ros/src/subscriber.rs",    // shm / fast-path consumers
-    "crates/ros/src/tap.rs",           // capture-tap drains
+    "crates/slam/src/pipeline.rs",     // the orb_slam node's worker (callbacks must be short)
     "crates/bag/src/writer.rs",        // the bag writer
     "crates/model/src/sched.rs",       // the model checker's scheduler
     "crates/bench/src/experiments.rs", // the Fig. 14 raw-TCP harness

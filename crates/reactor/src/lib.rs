@@ -1,15 +1,17 @@
-//! # rossf-reactor — one event loop for every TCP link in the process
+//! # rossf-reactor — one event loop for every link in the process
 //!
-//! The transport used to spend one or two dedicated threads per TCP
-//! connection (a blocking reader, a queue-draining writer). That caps the
-//! node graph at hundreds of endpoints; the ROADMAP north star is
-//! thousands. This crate replaces thread-per-socket with the classic
-//! reactor shape:
+//! The transport used to spend one or two dedicated threads per
+//! connection (a blocking reader, a queue-draining writer, a ring or
+//! queue consumer). That caps the node graph at hundreds of endpoints; the
+//! ROADMAP north star is thousands. This crate replaces thread-per-link
+//! with the classic reactor shape:
 //!
 //! * **one reactor thread** per process runs a readiness loop
 //!   ([`rossf_sys::Poller`], raw `epoll`) over *all* registered
 //!   nonblocking sockets and dispatches [`Event`]s to per-link
-//!   [`Handler`] state machines;
+//!   [`Handler`] state machines — including links that have no socket at
+//!   all ([`Reactor::attach`]: the in-process fast path, driven purely by
+//!   [`Reactor::notify`] and timers);
 //! * **a fixed job pool** ([`JobPool`]) absorbs the blocking edges —
 //!   connects, connection-header handshakes, supervision steps — so the
 //!   reactor thread itself never blocks on anything but the poll;
@@ -59,6 +61,13 @@ impl Token {
     /// The raw token value (stable diagnostic identity).
     pub fn raw(self) -> u64 {
         self.0
+    }
+
+    /// The token a [`Token::raw`] value named. Only meaningful inside the
+    /// process that issued it; a value no registration carries is a token
+    /// nobody listens on, and notifying it does nothing.
+    pub fn from_raw(raw: u64) -> Token {
+        Token(raw)
     }
 }
 
@@ -125,6 +134,13 @@ impl Ctl<'_> {
         self.close = true;
     }
 
+    /// Dispatch this handler again with [`Event::Notify`] after the other
+    /// ready links had their turn — how a handler that hit its per-dispatch
+    /// batch cap yields the shared loop without losing its place.
+    pub fn notify_self(&self) {
+        self.reactor.notify(self.token);
+    }
+
     /// Deliver [`Event::Timer`] to this handler after `after`.
     pub fn arm_timer(&mut self, after: Duration) {
         self.timers.push(after);
@@ -164,7 +180,8 @@ impl Ord for TimerSlot {
 enum Cmd {
     Register {
         token: Token,
-        fd: RawFd,
+        /// `None` for a handler driven by notifies and timers alone.
+        fd: Option<RawFd>,
         readable: bool,
         writable: bool,
         handler: Box<dyn Handler>,
@@ -251,16 +268,51 @@ impl Reactor {
         writable: bool,
         handler: Box<dyn Handler>,
     ) -> Token {
+        let token = self.reserve();
+        self.register_as(token, fd, readable, writable, handler);
+        token
+    }
+
+    /// Issue a token ahead of its registration, for a link whose peer must
+    /// learn the token before the handler can be built (the peer's queue
+    /// is part of the handler). Notifies sent before the registration
+    /// lands are covered by the `Notify` every fresh handler is primed
+    /// with; a reserved token that is never registered costs nothing.
+    pub fn reserve(&self) -> Token {
         // Relaxed: the counter's atomicity alone guarantees unique tokens.
-        let token = Token(self.shared.next_token.fetch_add(1, Ordering::Relaxed));
+        Token(self.shared.next_token.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// [`Reactor::register`] under a token from [`Reactor::reserve`].
+    pub fn register_as(
+        &self,
+        token: Token,
+        fd: RawFd,
+        readable: bool,
+        writable: bool,
+        handler: Box<dyn Handler>,
+    ) {
         self.push_cmd(Cmd::Register {
             token,
-            fd,
+            fd: Some(fd),
             readable,
             writable,
             handler,
         });
-        token
+    }
+
+    /// Register a handler that has no descriptor under a token from
+    /// [`Reactor::reserve`]: it is dispatched by [`Reactor::notify`] and
+    /// its own timers only, and leaves through [`Ctl::close`] or
+    /// [`Reactor::deregister`].
+    pub fn attach(&self, token: Token, handler: Box<dyn Handler>) {
+        self.push_cmd(Cmd::Register {
+            token,
+            fd: None,
+            readable: false,
+            writable: false,
+            handler,
+        });
     }
 
     /// Deregister `token` from any thread: the poller forgets the fd and
@@ -320,8 +372,19 @@ impl Reactor {
 }
 
 struct Slot {
-    fd: RawFd,
+    /// The watched descriptor; `None` for an [`Reactor::attach`]ed handler.
+    fd: Option<RawFd>,
     handler: Box<dyn Handler>,
+}
+
+impl Slot {
+    /// Stop watching the descriptor, if there is one (it is still open:
+    /// the handler that owns it is dropped after this).
+    fn unwatch(&self, poller: &Poller) {
+        if let Some(fd) = self.fd {
+            let _ = poller.remove(fd);
+        }
+    }
 }
 
 struct LoopState {
@@ -363,15 +426,15 @@ impl LoopState {
             }
         }
         if close {
-            let _ = poller.remove(slot.fd);
+            slot.unwatch(poller);
             // Dropping the slot closes the socket.
             self.handlers.remove(&token);
             // Relaxed: diagnostic counter.
             reactor.shared.live.fetch_sub(1, Ordering::Relaxed);
             return;
         }
-        if let Some((r, w)) = interest {
-            let _ = poller.modify(slot.fd, token, r, w);
+        if let (Some((r, w)), Some(fd)) = (interest, slot.fd) {
+            let _ = poller.modify(fd, token, r, w);
         }
     }
 }
@@ -405,7 +468,9 @@ fn run_loop(reactor: Reactor, poller: Poller) {
                     handler,
                 } => {
                     let mut slot = Slot { fd, handler };
-                    match poller.add(fd, token.0, readable, writable) {
+                    let watched =
+                        fd.map_or(Ok(()), |fd| poller.add(fd, token.0, readable, writable));
+                    match watched {
                         Ok(()) => {
                             state.handlers.insert(token.0, slot);
                             // Relaxed: diagnostic counter.
@@ -433,7 +498,7 @@ fn run_loop(reactor: Reactor, poller: Poller) {
                 }
                 Cmd::Deregister(token) => {
                     if let Some(slot) = state.handlers.remove(&token.0) {
-                        let _ = poller.remove(slot.fd);
+                        slot.unwatch(&poller);
                         // Relaxed: diagnostic counter.
                         shared.live.fetch_sub(1, Ordering::Relaxed);
                     }
@@ -448,7 +513,7 @@ fn run_loop(reactor: Reactor, poller: Poller) {
                 }
                 Cmd::Shutdown => {
                     for (_, slot) in state.handlers.drain() {
-                        let _ = poller.remove(slot.fd);
+                        slot.unwatch(&poller);
                     }
                     shared.live.store(0, Ordering::Relaxed);
                     return;
@@ -518,7 +583,7 @@ fn run_loop(reactor: Reactor, poller: Poller) {
 /// The process-wide reactor + pool pair.
 #[derive(Debug, Clone)]
 pub struct Runtime {
-    /// The shared event loop every TCP link registers with.
+    /// The shared event loop every link registers with.
     pub reactor: Reactor,
     /// The fixed pool absorbing blocking connects/handshakes.
     pub pool: JobPool,
@@ -793,6 +858,43 @@ mod tests {
         let mut buf = [0u8; 1];
         assert_eq!(client.read(&mut buf).unwrap(), 0);
         assert_eq!(reactor.live_links(), 0);
+        reactor.shutdown();
+    }
+
+    /// A handler with no descriptor: primed on attach, driven by notifies
+    /// sent to its reserved token and by its own timers, gone on close.
+    #[test]
+    fn attached_handler_runs_on_notifies_and_timers_alone() {
+        struct Fdless {
+            events: mpsc::Sender<Event>,
+        }
+        impl Handler for Fdless {
+            fn on_event(&mut self, event: Event, ctl: &mut Ctl<'_>) {
+                let _ = self.events.send(event);
+                match event {
+                    Event::Notify => ctl.arm_timer(Duration::from_millis(1)),
+                    Event::Timer => ctl.close(),
+                    _ => {}
+                }
+            }
+        }
+        let reactor = Reactor::new("test-reactor-attach");
+        let (tx, rx) = mpsc::channel();
+        let token = reactor.reserve();
+        // A notify before the registration lands is covered by the prime.
+        reactor.notify(token);
+        reactor.attach(token, Box::new(Fdless { events: tx }));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(Event::Notify));
+        let rest: Vec<Event> = rx.iter().collect(); // ends when the handler drops
+        assert_eq!(rest.last(), Some(&Event::Timer), "{rest:?}");
+        assert!(rest
+            .iter()
+            .all(|e| matches!(e, Event::Notify | Event::Timer)));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.live_links() != 0 {
+            assert!(Instant::now() < deadline, "registration never released");
+            std::thread::yield_now();
+        }
         reactor.shutdown();
     }
 

@@ -202,8 +202,8 @@ impl Recorder {
     ///
     /// I/O errors from the writer thread (the bag may be incomplete).
     pub fn finish(mut self) -> Result<BagSummary, RosError> {
-        // Taps first: joining their drain threads guarantees no capture
-        // races the queue drain below.
+        // Taps first: once a tap's drop returns its callback never runs
+        // again, so no capture races the queue drain below.
         self.taps.clear();
         let stream = self.stream.take().expect("finish consumes the recorder");
         stream.finish().map_err(bag_err)

@@ -6,7 +6,8 @@
 //! attaches to the publisher's transmission queue directly: `publish`
 //! deposits the encoded [`OutFrame`] — for serialization-free messages, a
 //! refcount-managed buffer pointer ([`rossf_sfm::PublishedBuffer`]) — and
-//! the subscriber adopts that very allocation via
+//! notifies the subscriber's reactor handler, which drains the queue on the
+//! loop thread and adopts that very allocation via
 //! [`Decode::from_local_frame`](crate::Decode::from_local_frame). No
 //! socket, no kernel copies, no re-materialization: publisher and
 //! subscriber observe the *same* bytes, `Published → Destructed` governed
@@ -23,12 +24,11 @@
 
 use crate::error::RosError;
 use crate::wire::{ConnectionHeader, OutFrame};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::Receiver;
 use rossf_netsim::{FaultAction, FaultInjector, MachineId};
-use std::ops::ControlFlow;
+use rossf_reactor::Token;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Header value marking both the subscriber's request and the publisher's
 /// reply as fast-path capable.
@@ -53,6 +53,8 @@ pub(crate) trait LocalAttach: Send + Sync {
     /// Validate `header` exactly like the TCP handshake would and, on
     /// success, splice a new bounded transmission queue into the
     /// publisher's connection list, returning the subscriber's end.
+    /// `wake` is the reactor registration that drains that end: the
+    /// publisher notifies it after every deposit and when it tears down.
     ///
     /// # Errors
     ///
@@ -62,7 +64,11 @@ pub(crate) trait LocalAttach: Send + Sync {
     /// * [`RosError::Io`] for transient refusals (severed link, publisher
     ///   shutting down) — mirrors a TCP connect/handshake failure, so the
     ///   subscriber retries under its backoff schedule.
-    fn attach_local(&self, header: &ConnectionHeader) -> Result<LocalSinkHandle, RosError>;
+    fn attach_local(
+        &self,
+        header: &ConnectionHeader,
+        wake: Token,
+    ) -> Result<LocalSinkHandle, RosError>;
 }
 
 /// The subscriber's end of a fast-path attachment: the reply header, the
@@ -75,7 +81,7 @@ pub(crate) struct LocalSinkHandle {
     /// Receiving end of the bounded per-connection transmission queue.
     pub(crate) rx: Receiver<OutFrame>,
     /// Cleared on drop so the publisher's `subscriber_count` and pruning
-    /// see the detach without a writer thread.
+    /// see the detach the moment the draining handler goes.
     pub(crate) alive: Arc<AtomicBool>,
     /// The loopback link's fault injector ([`next_fault`]).
     pub(crate) injector: Option<Arc<FaultInjector>>,
@@ -86,8 +92,8 @@ impl LocalSinkHandle {
     /// reply exactly like a TCP reply — the whole fast-path handshake,
     /// shared by subscribers and capture taps.
     ///
-    /// The strong `port` reference ends here: holding it through the drain
-    /// loop would keep the publisher core (and its master registration)
+    /// The strong `port` reference ends here: holding it for the link's
+    /// life would keep the publisher core (and its master registration)
     /// alive after the last `Publisher` handle drops. The sink's queue
     /// disconnects when the publisher tears down.
     ///
@@ -100,37 +106,13 @@ impl LocalSinkHandle {
         topic: &str,
         type_name: &str,
         machine: MachineId,
+        wake: Token,
     ) -> Result<LocalSinkHandle, RosError> {
         let request =
             ConnectionHeader::request(topic, type_name, machine).with(FASTPATH_FIELD, "1");
-        let sink = port.attach_local(&request)?;
+        let sink = port.attach_local(&request, wake)?;
         sink.reply.check_reply()?;
         Ok(sink)
-    }
-
-    /// Drain the queue into `on_frame` until the publisher goes away,
-    /// `shutdown` is raised, or `on_frame` breaks — one attachment's
-    /// lifetime. Blocks; runs on the attachment's own thread.
-    pub(crate) fn drain(
-        &self,
-        shutdown: &AtomicBool,
-        mut on_frame: impl FnMut(OutFrame) -> ControlFlow<()>,
-    ) {
-        // Acquire: a tap's `Drop` pairs a Release store with this load; a
-        // subscriber's standalone exit flag needs no more than it.
-        while !shutdown.load(Ordering::Acquire) {
-            // Short timeout so shutdown is observed promptly; there is no
-            // socket to shut down from `Drop` on this path.
-            match self.rx.recv_timeout(Duration::from_millis(20)) {
-                Ok(frame) => {
-                    if on_frame(frame).is_break() {
-                        return;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return, // publisher gone
-            }
-        }
     }
 }
 

@@ -551,6 +551,7 @@ mod tests {
         fn attach_local(
             &self,
             _header: &crate::wire::ConnectionHeader,
+            _wake: rossf_reactor::Token,
         ) -> Result<crate::fastpath::LocalSinkHandle, RosError> {
             Err(RosError::Rejected("dummy port".to_string()))
         }

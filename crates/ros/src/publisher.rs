@@ -15,14 +15,17 @@
 //!   socket while the modelled link carries it, and only its last
 //!   [`PACE_TAIL`] bytes wait on a reactor timer for the link to finish.
 //! * **fast path** — a bounded channel whose receiving end the
-//!   same-process subscriber drains itself.
+//!   same-process subscriber's reactor handler drains; `publish` notifies
+//!   its token after each deposit, exactly as it notifies a TCP writer.
 //! * **shared memory** — the link's descriptor ring *is* the queue:
 //!   `publish` copies a heap-built message once into a pooled segment (a
 //!   loaned message is already there) and commits one descriptor per shm
 //!   link inline, under a per-link mutex. The handshake socket stays on
-//!   the reactor purely as the "subscriber gone" signal.
+//!   the reactor as the control plane: the "subscriber gone" signal one
+//!   way, the [`Doorbell`] the other — rung only when the subscriber has
+//!   drained the ring and armed it, so a busy link pays for no wake-up.
 //!
-//! No tier costs the publisher a thread. Any
+//! No tier costs either side a thread. Any
 //! [`FaultInjector`](rossf_netsim::FaultInjector) attached to the link is
 //! applied frame by frame wherever the frame leaves the queue: delayed
 //! frames wait out a reactor timer without reordering, dropped frames are
@@ -38,6 +41,7 @@ use crate::metrics::TransportMetrics;
 use crate::options::{PublisherOptions, PublisherStats};
 use crate::shm::{
     peer_gone, SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD,
+    SHM_TOKEN_FIELD,
 };
 use crate::traits::Encode;
 use crate::wire::{
@@ -72,13 +76,12 @@ const BATCHES_PER_DISPATCH: usize = 4;
 /// One subscriber link as `fan_out` sees it.
 struct Conn {
     alive: Arc<AtomicBool>,
-    /// Reactor registration of the link's socket handler — the TCP writer
-    /// draining `sink`, or a shm link's control socket; `None` on the fast
-    /// path (the subscriber drains its queue itself). `fan_out` notifies a
-    /// writer after depositing frames, and `Drop` notifies every token
-    /// after closing the queues and rings so each handler observes the
-    /// disconnect.
-    token: Option<Token>,
+    /// Reactor registration of the handler this link's events go to — the
+    /// TCP writer or the fast-path subscriber draining `sink`, or a shm
+    /// link's control socket. `fan_out` notifies a queue's drainer after
+    /// depositing frames, and `Drop` notifies every token after closing
+    /// the queues and rings so each handler observes the disconnect.
+    token: Token,
     sink: Sink,
 }
 
@@ -107,11 +110,38 @@ enum Deposit {
 /// publisher, the delay timer, teardown — goes through `tx`.
 struct Ring {
     tx: Mutex<RingTx>,
+    doorbell: Doorbell,
     alive: Arc<AtomicBool>,
     metrics: Arc<TransportMetrics>,
     /// The subscriber's process id: a peer that *crashed* leaves holds on
     /// popped frames that only the publisher can reclaim.
     sub_pid: u32,
+}
+
+/// How a shm link's publisher tells a subscriber that drained the ring,
+/// armed it and returned to its event loop that there is a frame again —
+/// the only difference between a cross-process link and a same-process
+/// one. Rung after a commit only when [`ShmLink::disarm`] says the ring was
+/// armed, so a subscriber still busy draining costs nothing.
+enum Doorbell {
+    /// One byte on the link's control socket, which the subscriber's loop
+    /// watches. A full socket buffer already holds unread doorbells, so a
+    /// write that would block is simply dropped.
+    Socket(Arc<TcpStream>),
+    /// The subscriber's handler lives on this process's reactor: notify it
+    /// (a write to the loop's eventfd only if the loop sleeps).
+    Notify(Token),
+}
+
+impl Doorbell {
+    fn ring(&self, reactor: &Reactor) {
+        match self {
+            Doorbell::Socket(stream) => {
+                let _ = (&**stream).write(&[1]);
+            }
+            Doorbell::Notify(token) => reactor.notify(*token),
+        }
+    }
 }
 
 struct RingTx {
@@ -154,7 +184,9 @@ fn reclaim_when_gone(link: ShmLink, sub_pid: u32, attempt: u32) {
 impl Ring {
     /// Tear the link down, from whichever side notices first (`publish`
     /// on a sever, the control socket's handler on EOF, the publisher's
-    /// `Drop`): close the ring so the consumer wakes at once, recycle the
+    /// `Drop`): close the ring (the control socket's handler, notified by
+    /// the caller, then hangs up, which is the subscriber's wake-up),
+    /// recycle the
     /// descriptors it never consumed, settle reader-abandoned references,
     /// and mark the connection dead. Idempotent — whoever takes the link
     /// out does the work and counts the disconnect.
@@ -181,11 +213,13 @@ impl Ring {
 }
 
 /// Reactor handler for a shm link's handshake socket, kept open as the
-/// liveness channel: the link ends when the subscriber's end is gone. A
+/// control plane: the link ends when the subscriber's end is gone. A
 /// notify arrives when the ring was torn down from the publisher's side
-/// (sever, publisher drop); closing the socket then tells the subscriber.
+/// (sever, publisher drop); hanging up then tells the subscriber.
 struct RingCtl {
-    stream: TcpStream,
+    /// Shared with the ring's [`Doorbell::Socket`], so the descriptor can
+    /// outlive this handler by a pruning pass: the hang-up is explicit.
+    stream: Arc<TcpStream>,
     ring: Arc<Ring>,
 }
 
@@ -194,6 +228,7 @@ impl Handler for RingCtl {
         let torn_down = self.ring.tx.lock().link.is_none();
         if torn_down || peer_gone(&self.stream) {
             self.ring.teardown();
+            let _ = self.stream.shutdown(Shutdown::Both);
             ctl.close();
         }
     }
@@ -592,8 +627,7 @@ impl TcpWriter {
         // Batch cap hit with work remaining: hand the loop back to other
         // links and reschedule ourselves.
         if !self.writeq.is_empty() || !self.rx.is_empty() {
-            let token = ctl.token();
-            ctl.reactor().notify(token);
+            ctl.notify_self();
         }
     }
 
@@ -819,7 +853,7 @@ impl PubCore {
     /// of the pruning that `subscriber_count` no longer does) — count its
     /// handshake, and attribute publish-side spans to its tier (a
     /// heuristic: the most recent arrival wins).
-    fn splice(&self, tier: Tier, alive: Arc<AtomicBool>, token: Option<Token>, sink: Sink) {
+    fn splice(&self, tier: Tier, alive: Arc<AtomicBool>, token: Token, sink: Sink) {
         {
             let mut conns = self.conns.lock();
             conns.retain(|c| c.alive.load(Ordering::Acquire));
@@ -915,12 +949,24 @@ impl PubCore {
         if let Some(link) = shm_link {
             stream.set_nonblocking(true)?;
             self.metrics.shm_handshakes.fetch_add(1, Ordering::Relaxed);
+            let stream = Arc::new(stream);
+            // A subscriber in this very process named the reactor token of
+            // the handler draining the ring; any other hears the socket.
+            let doorbell = header
+                .get(SHM_TOKEN_FIELD)
+                .and_then(|t| t.parse().ok())
+                .filter(|_| sub_pid == Some(std::process::id()))
+                .map_or_else(
+                    || Doorbell::Socket(Arc::clone(&stream)),
+                    |raw| Doorbell::Notify(Token::from_raw(raw)),
+                );
             let ring = Arc::new(Ring {
                 tx: Mutex::new(RingTx {
                     link: Some(link),
                     injector,
                     parked: VecDeque::new(),
                 }),
+                doorbell,
                 alive: Arc::clone(&alive),
                 metrics: Arc::clone(&self.metrics),
                 // The grant condition above guarantees `sub_pid`.
@@ -931,7 +977,7 @@ impl PubCore {
                 ring: Arc::clone(&ring),
             };
             let token = self.reactor.register(fd, true, false, Box::new(ctl));
-            self.splice(Tier::Shm, alive, Some(token), Sink::Ring(ring));
+            self.splice(Tier::Shm, alive, token, Sink::Ring(ring));
             return Ok(());
         }
 
@@ -971,7 +1017,7 @@ impl PubCore {
             disconnected: false,
         };
         let token = self.reactor.register(fd, false, false, Box::new(writer));
-        self.splice(Tier::Tcp, alive, Some(token), Sink::Queue(tx));
+        self.splice(Tier::Tcp, alive, token, Sink::Queue(tx));
         Ok(())
     }
 
@@ -1017,11 +1063,10 @@ impl PubCore {
                     match queue.try_send(per_conn) {
                         Ok(()) => {
                             self.metrics.observe_queue_depth(queue.len() as u64);
-                            // Wake the reactor-side writer; coalesced, so
-                            // a burst of publishes costs one dispatch.
-                            if let Some(token) = conn.token {
-                                self.reactor.notify(token);
-                            }
+                            // Wake the queue's reactor-side drainer;
+                            // coalesced, so a burst of publishes costs one
+                            // dispatch, and free while the loop is awake.
+                            self.reactor.notify(conn.token);
                             Deposit::Taken
                         }
                         Err(TrySendError::Full(_)) => Deposit::Full,
@@ -1084,9 +1129,7 @@ impl PubCore {
                 self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
                 drop(guard);
                 ring.teardown();
-                if let Some(token) = conn.token {
-                    self.reactor.notify(token);
-                }
+                self.reactor.notify(conn.token);
                 return Deposit::Dead;
             }
         };
@@ -1122,7 +1165,7 @@ impl PubCore {
             pushed_ns,
         };
         if tx.parked.is_empty() && delay.is_zero() {
-            return self.commit_ring(link, &sf, meta);
+            return self.commit_ring(ring, link, &sf, meta);
         }
         if tx.parked.len() >= self.queue_size.max(1) {
             return Deposit::Full;
@@ -1135,10 +1178,20 @@ impl PubCore {
         Deposit::Taken
     }
 
-    /// Publish one descriptor; the ring's verdict is the deposit's.
-    fn commit_ring(&self, link: &mut ShmLink, sf: &SharedFrame, meta: FrameMeta) -> Deposit {
+    /// Publish one descriptor; the ring's verdict is the deposit's. A
+    /// subscriber that went idle on an armed ring gets its doorbell.
+    fn commit_ring(
+        &self,
+        ring: &Ring,
+        link: &mut ShmLink,
+        sf: &SharedFrame,
+        meta: FrameMeta,
+    ) -> Deposit {
         match link.commit_shared(sf, meta) {
             PushOutcome::Pushed => {
+                if link.disarm() {
+                    ring.doorbell.ring(&self.reactor);
+                }
                 let metrics = &self.metrics;
                 metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
                 metrics
@@ -1181,7 +1234,7 @@ impl PubCore {
         }
         while tx.parked.front().is_some_and(|p| p.2.is_zero()) {
             let (sf, meta, _) = tx.parked.pop_front().expect("front was just inspected");
-            if let Deposit::Full = self.commit_ring(link, &sf, meta) {
+            if let Deposit::Full = self.commit_ring(ring, link, &sf, meta) {
                 self.count_drop();
             }
         }
@@ -1192,7 +1245,11 @@ impl PubCore {
 }
 
 impl LocalAttach for PubCore {
-    fn attach_local(&self, header: &ConnectionHeader) -> Result<LocalSinkHandle, RosError> {
+    fn attach_local(
+        &self,
+        header: &ConnectionHeader,
+        wake: Token,
+    ) -> Result<LocalSinkHandle, RosError> {
         // A local attach is same-machine by construction, so the loopback
         // link's fault injector governs it.
         let (reply, injector) = self.admit(header, self.machine)?;
@@ -1208,7 +1265,7 @@ impl LocalAttach for PubCore {
         self.metrics
             .fastpath_handshakes
             .fetch_add(1, Ordering::Relaxed);
-        self.splice(Tier::Fastpath, Arc::clone(&alive), None, Sink::Queue(tx));
+        self.splice(Tier::Fastpath, Arc::clone(&alive), wake, Sink::Queue(tx));
         Ok(LocalSinkHandle {
             reply: reply.with(FASTPATH_FIELD, "1"),
             rx,
@@ -1229,12 +1286,12 @@ impl Drop for PubCore {
         self.master
             .unregister_publisher(&self.topic, self.registration.load(Ordering::Relaxed));
         // Close every queue and ring *before* notifying the handlers: the
-        // senders must be gone first so each woken writer observes the
-        // disconnect, drains its tail, and deregisters itself; a closed
-        // ring wakes its consumer at once, and its control handler then
-        // shuts the socket.
+        // senders must be gone first so each woken drainer — TCP writer or
+        // fast-path subscriber — observes the disconnect, drains its tail,
+        // and deregisters itself; a closed ring's control handler hangs
+        // up, which is what wakes its subscriber.
         let conns: Vec<Arc<Conn>> = std::mem::take(&mut *self.conns.lock());
-        let tokens: Vec<Token> = conns.iter().filter_map(|c| c.token).collect();
+        let tokens: Vec<Token> = conns.iter().map(|c| c.token).collect();
         for conn in &conns {
             if let Sink::Ring(ring) = &conn.sink {
                 ring.teardown();
@@ -1692,13 +1749,15 @@ mod tests {
         )
         .unwrap();
         let core = &*publisher.core;
+        // Nothing listens on the token: these attachments are never drained.
+        let wake = core.reactor.reserve();
 
-        match core.attach_local(&request(P::type_name(), None)) {
+        match core.attach_local(&request(P::type_name(), None), wake) {
             Err(RosError::Rejected(msg)) => assert!(msg.contains(FASTPATH_FIELD)),
             Err(e) => panic!("expected capability rejection, got {e:?}"),
             Ok(_) => panic!("attach without capability must fail"),
         }
-        match core.attach_local(&request("wrong/Type", Some("1"))) {
+        match core.attach_local(&request("wrong/Type", Some("1")), wake) {
             Err(RosError::Rejected(msg)) => {
                 assert_eq!(msg, "topic carries test/AttachP not wrong/Type");
             }
@@ -1708,7 +1767,7 @@ mod tests {
 
         let fault = master.links().inject(machine, machine);
         fault.sever_now();
-        match core.attach_local(&request(P::type_name(), Some("1"))) {
+        match core.attach_local(&request(P::type_name(), Some("1")), wake) {
             Err(RosError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused);
             }
@@ -1718,7 +1777,7 @@ mod tests {
         fault.heal();
 
         let sink = core
-            .attach_local(&request(P::type_name(), Some("1")))
+            .attach_local(&request(P::type_name(), Some("1")), wake)
             .map_err(|e| format!("healed attach must succeed: {e:?}"))
             .unwrap();
         assert_eq!(sink.reply.get(FASTPATH_FIELD), Some("1"));

@@ -4,43 +4,45 @@
 //! current and future publisher of the topic. Each publisher endpoint is
 //! owned by a [`Supervision`] state machine: connect attempts and
 //! handshakes run as short jobs on the process-wide job pool, the
-//! steady-state TCP reader runs as a nonblocking state machine on the
-//! shared [reactor](rossf_reactor) (the reader loop of the paper's Fig. 9
-//! — read the frame length, obtain a receive slot from the [`Decode`]
-//! impl, read the payload into it, finish, invoke the callback), and
+//! steady-state link runs as a nonblocking [`Link`] state machine on the
+//! shared [reactor](rossf_reactor) — the reader loop of the paper's Fig. 9
+//! (obtain the next frame, verify, adopt, invoke the callback), whose
+//! tier-specific half is a [`Source`]: bytes off a socket ([`TcpSource`]),
+//! pointers off the publisher's queue ([`FastSource`]), descriptors off a
+//! shared-memory ring ([`ShmSource`]) — and
 //! reconnect backoff is a reactor timer instead of a sleeping thread. When
 //! a connection dies while the publisher is still registered, the
 //! supervision re-resolves the endpoint via the master and reconnects
 //! under the node's [`BackoffPolicy`](crate::config::BackoffPolicy). A
 //! publisher that unregisters ends its supervision; a replacement
 //! publisher arrives through the master's watcher callback with a fresh
-//! registration and gets a fresh supervision. Only the shared-memory and
-//! fast-path tiers keep dedicated threads — their drains block on rings
-//! and channels, not fds.
+//! registration and gets a fresh supervision. No tier costs a thread per
+//! link, so **callbacks run on the loop thread and must be short**
+//! (DESIGN §9): a slow callback delays every other link in the process.
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{next_fault, LocalAttach, LocalSinkHandle, FASTPATH_FIELD};
+use crate::fastpath::{next_fault, LocalSinkHandle, FASTPATH_FIELD};
 use crate::master::{Master, PublisherEndpoint};
 use crate::metrics::TransportMetrics;
 use crate::options::{SubscriberOptions, SubscriberStats};
 use crate::shm::{
-    peer_gone, SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD,
+    SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD, SHM_TOKEN_FIELD,
 };
 use crate::traits::{Decode, RecvSlot};
-use crate::wire::{grow_socket_buffers, ConnectionHeader, PROJECT_FIELD};
+use crate::wire::{grow_socket_buffers, ConnectionHeader, OutFrame, PROJECT_FIELD};
+use crossbeam::channel::TryRecvError;
 use rossf_netsim::{FaultAction, MachineId};
-use rossf_reactor::{runtime, Ctl, Event, Handler};
+use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use rossf_shm::{ShmReader, TakeError};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::io::Read;
-use std::net::{Shutdown, TcpStream};
-use std::ops::ControlFlow;
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -56,10 +58,10 @@ const SIDECAR_SETTLE_WAIT: Duration = Duration::from_millis(2);
 /// through the buffer.
 const READ_BUF: usize = 64 * 1024;
 
-/// Frames one reader dispatch may deliver before yielding the shared loop
-/// (re-notifying itself for the rest), so one firehose connection cannot
-/// starve the other links.
-const FRAMES_PER_DISPATCH: usize = 64;
+/// Frames one link dispatch may deliver before yielding the shared loop
+/// (re-notifying itself for the rest), so one firehose link cannot starve
+/// the others.
+pub(crate) const FRAMES_PER_DISPATCH: usize = 64;
 
 /// At most this many blocking connect+handshake attempts may occupy job
 /// pool workers at once. The publisher's accept-side handshakes run on
@@ -132,11 +134,10 @@ struct SubCore<D: Decode> {
     metrics: Arc<TransportMetrics>,
     callback: Box<dyn Fn(D) + Send + Sync>,
     shutdown: AtomicBool,
-    /// Live connection streams, keyed by a per-core serial so each reader
-    /// removes exactly its own entry when the connection ends — dead
-    /// streams never accumulate.
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    next_stream_key: AtomicU64,
+    /// Reactor tokens of the live links and of attempts still connecting
+    /// ([`Supervision::token`]), for `Drop` to deregister. `resume` removes
+    /// an attempt's entry however it ends — dead entries never accumulate.
+    links: Mutex<HashSet<Token>>,
     received: AtomicU64,
     received_bytes: AtomicU64,
     decode_errors: AtomicU64,
@@ -155,23 +156,10 @@ struct SubCore<D: Decode> {
     projection: Option<Arc<rossf_sfm::Projection>>,
 }
 
-/// A freshly handshaken connection, on its way to its consumer: the
-/// reactor (plain frames) or a dedicated shm consumer thread (`shm_grant`
-/// holds the publisher's reply).
-struct Established {
-    stream: TcpStream,
-    /// This connection's entry in `SubCore::streams`.
-    key: u64,
-    shm_grant: Option<ConnectionHeader>,
-    /// The publisher granted our projection: frames on this link are
-    /// sliced sub-frames, verified against the projected schema.
-    projected: bool,
-}
-
 /// Owns one publisher endpoint for the life of its registration — the
 /// state-machine form of the old per-endpoint supervisor thread. The
-/// retry state travels through the connection it establishes (the reactor
-/// handler or consumer thread holds the box) and comes back via
+/// retry state travels through the connection it establishes (the link's
+/// reactor handler holds the box) and comes back via
 /// [`Supervision::resume`] when the connection ends; backoff waits are
 /// reactor timers, so an endpoint between attempts costs no thread.
 struct Supervision<D: Decode> {
@@ -187,6 +175,11 @@ struct Supervision<D: Decode> {
     /// capability to this endpoint: the next handshake omits the offer and
     /// the publisher serves plain TCP instead.
     shm_blocked: bool,
+    /// The reactor token reserved for the current attempt's link handler
+    /// (a fresh one per attempt), before the peer is contacted: a fast-path publisher notifies it
+    /// after each deposit, and a shm handshake names it as the doorbell of
+    /// a same-process grant.
+    token: Token,
 }
 
 impl<D: Decode> Supervision<D> {
@@ -199,6 +192,7 @@ impl<D: Decode> Supervision<D> {
             attempt: 0,
             was_connected: false,
             shm_blocked: false,
+            token: runtime().reactor.reserve(),
         });
         runtime().pool.spawn(move || sup.step());
     }
@@ -206,7 +200,7 @@ impl<D: Decode> Supervision<D> {
     /// One connection attempt. Runs on the job pool — bounded by the
     /// connect and handshake timeouts, never connection-lifetime. Exactly
     /// one continuation follows: `resume` directly on failure, or through
-    /// whatever long-lived consumer the attempt handed the box to.
+    /// the link handler the attempt handed the box to.
     fn step(self: Box<Self>) {
         let core = Arc::clone(&self.core);
         // Relaxed: standalone exit flag, polled — a stale read only costs
@@ -214,14 +208,26 @@ impl<D: Decode> Supervision<D> {
         if core.shutdown.load(Ordering::Relaxed) {
             return;
         }
-        if let Some(port) = core.local_port(&self.ep) {
-            match LocalSinkHandle::attach(port, &core.topic, D::topic_type(), core.machine) {
+        // A `Drop` that sweeps `links` before this insert misses the
+        // token; the handler registered under it then concludes at its
+        // first event, on the flag above.
+        let reactor = runtime().reactor;
+        core.links.lock().insert(self.token);
+        // The zero-copy fast path applies when both sides opted in, share a
+        // simulated machine, and the publisher lives in this process (its
+        // attach port is registered with our master).
+        let local = core.config.enable_fastpath && self.ep.machine == core.machine;
+        if let Some(port) = local.then(|| core.master.local_port(self.ep.id)).flatten() {
+            let (topic, token) = (&core.topic, self.token);
+            match LocalSinkHandle::attach(port, topic, D::topic_type(), core.machine, token) {
                 Ok(sink) => {
                     core.count_handshake(self.was_connected);
-                    return self.consume_on_thread("rossf-fast-sub", move |core| {
-                        core.run_local_sink(&sink);
-                        (Ok(()), false)
-                    });
+                    let source = FastSource {
+                        sink,
+                        delayed: None,
+                    };
+                    reactor.attach(token, Link::boxed(self, source));
+                    return;
                 }
                 // The publisher refused the *capability*, not the
                 // subscription (peer predates the fast path): fall back to
@@ -239,84 +245,68 @@ impl<D: Decode> Supervision<D> {
     }
 
     /// The gated blocking span of an attempt — TCP connect plus handshake
-    /// — then the hand-off of the established connection to its consumer.
+    /// — then the hand-off of the established connection to the reactor.
     /// Holds a connect slot for exactly the blocking part.
     fn connect_step(self: Box<Self>) {
         let core = Arc::clone(&self.core);
-        let established = core.connect_tcp(&self.ep, self.was_connected, !self.shm_blocked);
+        let offer_shm = (!self.shm_blocked).then_some(self.token);
+        let established = core.connect_tcp(&self.ep, self.was_connected, offer_shm);
         release_connect_slot();
-        let est = match established {
-            Ok(Some(est)) => est,
-            Ok(None) => return, // shutdown raced the connect
+        let (stream, shm_grant, projected) = match established {
+            Ok(established) => established,
             // `connect_tcp` can only fail before the handshake completes.
             Err(e) => return self.resume(Err(e), false, false),
         };
-        let (stream, key) = (est.stream, est.key);
-        if let Some(reply) = est.shm_grant {
-            return self.consume_on_thread("rossf-shm-sub", move |core| {
-                let mut shm_attach_failed = false;
-                let result = core.run_shm_connection(stream, &reply, &mut shm_attach_failed);
-                core.streams.lock().remove(&key);
-                (result, shm_attach_failed)
-            });
+        let (reactor, token) = (runtime().reactor, self.token);
+        let fd = stream.as_raw_fd();
+        if let Some(reply) = shm_grant {
+            // Any failure between the grant and a working reader —
+            // malformed grant fields, a `/proc` fd hand-off denied by the
+            // kernel's ptrace-scope policy, an epoch mismatch from a
+            // recycled publisher incarnation — is reported as an attach
+            // failure: the supervisor then redoes the handshake with the
+            // shm offer withheld and the publisher serves plain TCP,
+            // instead of re-granting a link this process can never attach.
+            match core.attach_shm(&reply) {
+                Ok(shm) => {
+                    let source = ShmSource {
+                        stream,
+                        shm,
+                        eof: false,
+                    };
+                    reactor.register_as(token, fd, true, false, Link::boxed(self, source));
+                }
+                Err(e) => self.resume(Err(e), true, true),
+            }
+            return;
         }
-        // Steady state joins the shared event loop; the box rides inside
-        // the handler until the connection concludes. The connection key
-        // mirrors the writer's `conn_key(local, peer)`: our peer is its
-        // local address, so the pair (and hence the key) agrees. A
-        // reconnect gets a fresh ephemeral port and therefore a fresh key
-        // — sequence numbers restart cleanly.
+        // The connection key mirrors the writer's `conn_key(local, peer)`:
+        // our peer is its local address, so the pair (and hence the key)
+        // agrees. A reconnect gets a fresh ephemeral port and therefore a
+        // fresh key — sequence numbers restart cleanly.
         let conn_key = match (stream.peer_addr(), stream.local_addr()) {
             (Ok(peer), Ok(local)) => rossf_trace::conn_key(&peer.to_string(), &local.to_string()),
             _ => 0,
         };
-        let fd = stream.as_raw_fd();
-        let reader: TcpReader<D> = TcpReader {
+        let source: TcpSource<D> = TcpSource {
             stream,
-            sup: Some(self),
-            stream_key: key,
             conn_key,
-            projected: est.projected,
+            projected,
             wire_seq: 0,
-            state: ReadState::Prefix {
-                prefix: [0; 4],
-                filled: 0,
-            },
+            state: ReadState::START,
             rbuf: vec![0u8; READ_BUF].into_boxed_slice(),
             rpos: 0,
             rlen: 0,
             drained: false,
         };
-        runtime()
-            .reactor
-            .register(fd, true, false, Box::new(reader));
-    }
-
-    /// Run a zero-copy link's consumer for the life of the link, then
-    /// resume. Ring and queue drains block on futexes and channels, not
-    /// fds, so they get a dedicated thread — never a pool worker. `run`
-    /// reports the link's result and whether a shm grant failed to attach.
-    fn consume_on_thread(
-        self: Box<Self>,
-        name: &str,
-        run: impl FnOnce(&SubCore<D>) -> (Result<(), RosError>, bool) + Send + 'static,
-    ) {
-        // Could not spawn: `self` moved into the failed closure and is
-        // gone; the endpoint is re-supervised only if a fresh registration
-        // arrives.
-        let _ = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                let (result, shm_attach_failed) = run(&self.core);
-                self.resume(result, true, shm_attach_failed);
-            });
+        reactor.register_as(token, fd, true, false, Link::boxed(self, source));
     }
 
     /// A connection (or attempt) ended: decide between standing down and
     /// scheduling the next attempt — the tail of the old supervisor loop.
-    /// Runs wherever the connection concluded (reactor thread, consumer
-    /// thread, pool); everything here is brief and nonblocking, and the
-    /// backoff wait is a reactor timer.
+    /// Runs wherever the connection concluded (reactor thread or pool);
+    /// everything here is brief and nonblocking, and the backoff wait is a
+    /// reactor timer.
     fn resume(
         mut self: Box<Self>,
         result: Result<(), RosError>,
@@ -324,6 +314,7 @@ impl<D: Decode> Supervision<D> {
         shm_attach_failed: bool,
     ) {
         let core = Arc::clone(&self.core);
+        core.links.lock().remove(&self.token);
         if shm_attach_failed {
             self.shm_blocked = true;
             core.metrics
@@ -376,6 +367,7 @@ impl<D: Decode> Supervision<D> {
             .backoff
             .delay(self.attempt, self.ep.id ^ core.registration);
         self.attempt = self.attempt.saturating_add(1);
+        self.token = runtime().reactor.reserve();
         core.reconnect_attempts.fetch_add(1, Ordering::Relaxed);
         core.metrics
             .reconnect_attempts
@@ -390,18 +382,6 @@ impl<D: Decode> Supervision<D> {
 }
 
 impl<D: Decode> SubCore<D> {
-    /// The publisher's local attach port, if the zero-copy fast path
-    /// applies to this endpoint: both sides opted in, same simulated
-    /// machine, and the publisher lives in this process (its port is
-    /// registered with our master).
-    fn local_port(&self, ep: &PublisherEndpoint) -> Option<Arc<dyn LocalAttach>> {
-        if self.config.enable_fastpath && ep.machine == self.machine {
-            self.master.local_port(ep.id)
-        } else {
-            None
-        }
-    }
-
     /// A handshake completed, on whichever tier.
     fn count_handshake(&self, is_reconnect: bool) {
         self.connected.fetch_add(1, Ordering::Relaxed);
@@ -463,118 +443,48 @@ impl<D: Decode> SubCore<D> {
         }
     }
 
+    /// The receive-side spans of one frame begin: when this subscription
+    /// traces and the frame carries trace id `id`, record the hop's `stage`
+    /// from `since` (if the sender's stamp is usable) to now, and return
+    /// the `span_start` [`SubCore::deliver`] continues from.
+    fn hop_span(&self, tier: Tier, stage: Stage, id: u64, since: Option<u64>) -> (u64, u64) {
+        match self.trace.as_deref() {
+            Some(table) if id != 0 => {
+                let t = now_nanos();
+                if let Some(since) = since {
+                    tracer().span(table, stage, tier, id, since, t);
+                }
+                (id, t)
+            }
+            _ => (0, 0),
+        }
+    }
+
     fn count_decode_error(&self) {
         self.decode_errors.fetch_add(1, Ordering::Relaxed);
         self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One fast-path attachment lifetime: the pointer-handoff analogue of
-    /// the TCP reader. Frames arrive as already-encoded
-    /// [`OutFrame`](crate::OutFrame)s straight from the publisher's
-    /// transmission queue and are adopted via [`Decode::from_local_frame`]
-    /// — for serialization-free messages, the subscriber object points at
-    /// the publisher's allocation. Fault injection, `validate_on_receive`,
-    /// and all metrics accounting mirror the socket path. Blocks for the
-    /// attachment's lifetime — runs on its own thread.
-    fn run_local_sink(&self, sink: &LocalSinkHandle) {
-        sink.drain(&self.shutdown, |frame| {
-            // The loopback link's fault injector applies to pointer handoff
-            // exactly as it does to socket writes.
-            match next_fault(&sink.injector) {
-                FaultAction::Pass => {}
-                FaultAction::Delay(d) => std::thread::sleep(d),
-                FaultAction::Drop => {
-                    self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                    return ControlFlow::Continue(());
-                }
-                FaultAction::Sever => {
-                    // The frame is lost and the attachment is cut; re-attach
-                    // is refused until the link heals, so report retryable.
-                    self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                    return ControlFlow::Break(());
-                }
-            }
-            // Pointer handoff needs no sidecar: the trace id rides on the
-            // frame's own tag, and the queue dwell (plus any injected
-            // delay) is the `enqueue` span.
-            let tag = frame.trace();
-            let span_start = match self.trace.as_deref() {
-                Some(table) if tag.id != 0 && tag.enqueued_ns != 0 => {
-                    let t = now_nanos();
-                    let since = tag.enqueued_ns;
-                    tracer().span(table, Stage::Enqueue, Tier::Fastpath, tag.id, since, t);
-                    (tag.id, t)
-                }
-                _ => (0, 0),
-            };
-            let len = frame.len();
-            // There is no writer thread on this path: account the "send" at
-            // the moment of delivery so both paths report the same totals.
-            self.metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-            self.metrics
-                .bytes_sent
-                .fetch_add(len as u64, Ordering::Relaxed);
-            self.metrics.fastpath_frames.fetch_add(1, Ordering::Relaxed);
-            self.deliver(
-                Tier::Fastpath,
-                len,
-                span_start,
-                frame,
-                |frame| D::verify_frame(frame.as_slice()).is_ok(),
-                |frame| D::from_local_frame(&frame),
-            );
-            ControlFlow::Continue(())
-        });
-    }
-
     /// Connect and handshake with one TCP publisher endpoint — the short,
-    /// blocking prefix of a connection's life (runs on the job pool). On
-    /// success the socket is registered in `streams` (so `Drop` can
-    /// unblock it) under the returned key; the long-lived consumer the
-    /// caller starts owns removing that entry. `None` means shutdown raced
-    /// the connect.
+    /// blocking prefix of a connection's life (runs on the job pool).
+    /// `offer_shm` is the attempt's token when the shm tier may be offered.
+    /// Returns the socket, nonblocking from here on, and what
+    /// [`SubCore::handshake_tcp`] negotiated.
     fn connect_tcp(
         &self,
         ep: &PublisherEndpoint,
         is_reconnect: bool,
-        offer_shm: bool,
-    ) -> Result<Option<Established>, RosError> {
+        offer_shm: Option<Token>,
+    ) -> Result<(TcpStream, Option<ConnectionHeader>, bool), RosError> {
         let stream = TcpStream::connect(ep.addr)?;
         stream.set_nodelay(true)?;
-        let key = self.next_stream_key.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut streams = self.streams.lock();
-            // Relaxed: re-checked under the streams lock, which orders
-            // this insert against Drop's drain of the map.
-            if self.shutdown.load(Ordering::Relaxed) {
-                return Ok(None);
-            }
-            streams.insert(key, stream.try_clone()?);
-        }
         // Grown before the handshake so the very first data frame already
         // sees full-size kernel buffers (also covers the shm control
         // stream, where it is merely harmless).
         grow_socket_buffers(&stream);
-        let handshake = self
-            .handshake_tcp(&stream, is_reconnect, offer_shm)
-            .and_then(|(shm_grant, projected)| {
-                if shm_grant.is_none() {
-                    stream.set_nonblocking(true)?;
-                }
-                Ok((shm_grant, projected))
-            });
-        match handshake {
-            Ok((shm_grant, projected)) => Ok(Some(Established {
-                stream,
-                key,
-                shm_grant,
-                projected,
-            })),
-            Err(e) => {
-                self.streams.lock().remove(&key);
-                Err(e)
-            }
-        }
+        let (shm_grant, projected) = self.handshake_tcp(&stream, is_reconnect, offer_shm)?;
+        stream.set_nonblocking(true)?;
+        Ok((stream, shm_grant, projected))
     }
 
     /// TCPROS-style connection handshake on a blocking socket. Returns the
@@ -589,7 +499,7 @@ impl<D: Decode> SubCore<D> {
         &self,
         stream: &TcpStream,
         is_reconnect: bool,
-        offer_shm: bool,
+        offer_shm: Option<Token>,
     ) -> Result<(Option<ConnectionHeader>, bool), RosError> {
         // A peer that accepts the connection but never answers the
         // handshake must not pin a pool worker forever.
@@ -597,13 +507,17 @@ impl<D: Decode> SubCore<D> {
         let mut request = ConnectionHeader::request(&self.topic, D::topic_type(), self.machine);
         // Offer the shared-memory tier: the publisher grants it only when
         // both sides share a machine and (normally) live in different
-        // processes, so the offer also carries our pid. The offer is
-        // withheld after a grant failed to attach (`offer_shm == false`)
-        // so the publisher serves this connection over plain TCP.
-        if offer_shm && self.config.enable_shm {
+        // processes, so the offer also carries our pid — and the reactor
+        // token of the handler that will drain the ring, which a publisher
+        // in this same process notifies directly as the link's doorbell.
+        // The offer is withheld after a grant failed to attach
+        // (`offer_shm == None`) so the publisher serves this connection
+        // over plain TCP.
+        if let Some(token) = offer_shm.filter(|_| self.config.enable_shm) {
             request = request
                 .with(SHM_FIELD, "1")
-                .with(SHM_PID_FIELD, std::process::id().to_string());
+                .with(SHM_PID_FIELD, std::process::id().to_string())
+                .with(SHM_TOKEN_FIELD, token.raw().to_string());
         }
         // Request the field projection by its canonical spec. The grant is
         // an exact echo; a publisher that predates projection (or cannot
@@ -615,8 +529,8 @@ impl<D: Decode> SubCore<D> {
         request.write_to(&mut io)?;
         let reply = ConnectionHeader::read_from(&mut io)?;
         reply.check_reply()?;
-        // Steady state is nonblocking (reactor) or probe-driven (shm);
-        // either way the handshake timeout must not linger.
+        // Steady state is nonblocking on every tier; the handshake timeout
+        // must not linger.
         stream.set_read_timeout(None)?;
         self.count_handshake(is_reconnect);
         // Projection is granted only by an exact spec echo — anything else
@@ -626,18 +540,19 @@ impl<D: Decode> SubCore<D> {
             .as_ref()
             .is_some_and(|p| reply.get(PROJECT_FIELD) == Some(p.spec()));
         // An shm grant means frames arrive as ring descriptors, not socket
-        // bytes; the socket stays open purely as the liveness channel.
+        // bytes; the socket stays open as the link's control plane — the
+        // doorbell, and the peer-is-gone signal.
         Ok((
             (reply.get(SHM_FIELD) == Some("1")).then_some(reply),
             projected,
         ))
     }
 
-    /// Attach the shm link a reply grants; returns the reader and the
-    /// publisher's pid. An attach denial latched on the loopback link's
+    /// Attach the shm link a reply grants. An attach denial latched on the
+    /// loopback link's
     /// fault injector stands in for the real-world `/proc/<pid>/fd`
     /// denials that cannot be provoked deterministically in a test.
-    fn attach_shm(&self, reply: &ConnectionHeader) -> Result<(ShmReader, u32), RosError> {
+    fn attach_shm(&self, reply: &ConnectionHeader) -> Result<ShmReader, RosError> {
         let field = |name: &str| -> Result<u64, RosError> {
             reply
                 .get(name)
@@ -655,108 +570,250 @@ impl<D: Decode> SubCore<D> {
                 "injected shm attach fault",
             )));
         }
-        let shm = ShmReader::connect(pub_pid, ctrl_fd, epoch).map_err(RosError::Io)?;
-        Ok((shm, pub_pid))
-    }
-
-    /// One shared-memory link lifetime: adopt the publisher's control
-    /// segment and consume descriptors until either side tears down.
-    /// Frames are mapped read-only straight out of the publisher's
-    /// segments — zero subscriber-side payload copies for SFM messages.
-    /// The handshake socket is kept open purely as a liveness channel:
-    /// EOF means the publisher process is gone even if it never managed
-    /// to mark the ring closed (crash recovery).
-    fn run_shm_connection(
-        &self,
-        stream: TcpStream,
-        reply: &ConnectionHeader,
-        shm_attach_failed: &mut bool,
-    ) -> Result<(), RosError> {
-        // Any failure between the grant and a working reader — malformed
-        // grant fields, a `/proc` fd hand-off denied by the kernel's
-        // ptrace-scope policy, an epoch mismatch from a recycled publisher
-        // incarnation — flags `shm_attach_failed`: the supervisor then
-        // redoes the handshake with the shm offer withheld and the
-        // publisher serves plain TCP, instead of re-granting a link this
-        // process can never attach.
-        let (shm, pub_pid) = match self.attach_shm(reply) {
-            Ok(attached) => attached,
-            Err(e) => {
-                *shm_attach_failed = true;
-                return Err(e);
-            }
-        };
-        stream.set_nonblocking(true)?;
-
-        let own_pid = std::process::id();
-        loop {
-            // Relaxed: standalone exit flag, polled — a stale read
-            // only costs one extra loop iteration.
-            if self.shutdown.load(Ordering::Relaxed) {
-                break;
-            }
-            let frame = match shm.take(Duration::from_millis(20)) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => {
-                    if shm.is_closed() && shm.pending() == 0 {
-                        break; // graceful teardown, ring drained
-                    }
-                    // A publisher that died without closing the ring.
-                    if peer_gone(&stream) {
-                        break;
-                    }
-                    continue;
-                }
-                Err(TakeError::Stale) => {
-                    // Abandoned frame from a recycled publisher
-                    // incarnation — counted like a decode failure.
-                    self.count_decode_error();
-                    continue;
-                }
-                // The ring can no longer be trusted to be in sync: tear
-                // the link down (retryable under backoff).
-                Err(TakeError::Corrupt(e)) => return Err(RosError::Io(e)),
-            };
-            let desc = *frame.descriptor();
-            let span_start = match self.trace.as_deref() {
-                Some(table) if desc.trace_id != 0 => {
-                    let t = now_nanos();
-                    // The descriptor's timestamps are on the *publisher's*
-                    // trace clock, meaningful here only when the publisher
-                    // is this same process (the `shm_same_process` bench
-                    // mode); a cross-process link skips the span rather
-                    // than mixing clocks.
-                    if pub_pid == own_pid && desc.pushed_ns != 0 {
-                        let (id, since) = (desc.trace_id, desc.pushed_ns);
-                        tracer().span(table, Stage::WireRead, Tier::Shm, id, since, t);
-                    }
-                    (desc.trace_id, t)
-                }
-                _ => (0, 0),
-            };
-            // A frame rejected by the verifier is dropped unadopted, which
-            // releases its segment reference; the ring stays in sync.
-            self.deliver(
-                Tier::Shm,
-                frame.len(),
-                span_start,
-                frame,
-                |frame| D::verify_frame(frame.as_slice()).is_ok(),
-                D::from_mapped_frame,
-            );
-        }
-        Ok(())
+        ShmReader::connect(pub_pid, ctrl_fd, epoch).map_err(RosError::Io)
     }
 }
 
-/// What one [`TcpReader::advance`] call produced.
+/// What one [`Source::advance`] call produced.
 enum Progress {
     /// A complete frame was delivered (or deliberately discarded).
     Frame,
-    /// The socket has no more bytes right now; wait for the next event.
-    NeedSocket,
-    /// Clean end-of-stream on a frame boundary.
+    /// Nothing more to take right now; the next event (readable socket,
+    /// notify, doorbell, timer) resumes the link.
+    Idle,
+    /// The link ended cleanly: EOF on a frame boundary, the publisher's
+    /// queue or ring closed and drained, an injected sever.
     Eof,
+}
+
+/// The tier-specific half of a [`Link`]: where the next frame comes from
+/// and how it is verified and adopted. Everything runs on the reactor
+/// thread and must not block.
+trait Source<D: Decode>: Send + 'static {
+    /// A dispatch begins: take note of what `event` says before frames
+    /// are pulled.
+    fn wake(&mut self, _event: Event) {}
+
+    /// Deliver at most one frame through [`SubCore::deliver`].
+    fn advance(&mut self, core: &SubCore<D>, ctl: &mut Ctl) -> Result<Progress, RosError>;
+}
+
+/// The steady-state half of a subscription to one publisher, on any tier:
+/// a reactor handler that pumps its [`Source`] — a bounded batch per
+/// dispatch, the delivery tail (verify, adopt, callback) inline — and
+/// hands the endpoint back to its supervision when the link concludes.
+struct Link<D: Decode, S: Source<D>> {
+    /// The endpoint's supervision, handed back when the link concludes.
+    /// `None` only transiently during conclusion.
+    sup: Option<Box<Supervision<D>>>,
+    source: S,
+}
+
+impl<D: Decode, S: Source<D>> Link<D, S> {
+    fn boxed(sup: Box<Supervision<D>>, source: S) -> Box<dyn Handler> {
+        Box::new(Link {
+            sup: Some(sup),
+            source,
+        })
+    }
+
+    /// The link is over (EOF, error, or shutdown): hand the box back to
+    /// its supervision — which decides on a reconnect, briefly and
+    /// nonblockingly, right here on the reactor thread — and close. The
+    /// close drops this handler and with it the socket, queue end or ring
+    /// mapping the source owns.
+    fn conclude(&mut self, result: Result<(), RosError>, ctl: &mut Ctl) {
+        if let Some(sup) = self.sup.take() {
+            sup.resume(result, true, false);
+        }
+        ctl.close();
+    }
+}
+
+impl<D: Decode, S: Source<D>> Handler for Link<D, S> {
+    fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
+        // Every wake — readable, notify, timer, even `Closed` — is a pump.
+        // After a hangup the kernel still holds the already-received tail
+        // and the ring its committed descriptors; pumping drains them to a
+        // definite end, so no delivered frame is lost to teardown ordering.
+        let Some(core) = self.sup.as_ref().map(|s| Arc::clone(&s.core)) else {
+            return ctl.close();
+        };
+        self.source.wake(event);
+        for _ in 0..FRAMES_PER_DISPATCH {
+            // Relaxed: standalone exit flag, polled — a stale read only
+            // costs one extra frame.
+            if core.shutdown.load(Ordering::Relaxed) {
+                return self.conclude(Ok(()), ctl);
+            }
+            match self.source.advance(&core, ctl) {
+                Ok(Progress::Frame) => {}
+                Ok(Progress::Idle) => return,
+                Ok(Progress::Eof) => return self.conclude(Ok(()), ctl),
+                Err(e) => return self.conclude(Err(e), ctl),
+            }
+        }
+        // Yield the shared loop so one firehose link cannot starve the
+        // rest; the notify re-runs this handler after the other ready
+        // links get their turn.
+        ctl.notify_self();
+    }
+}
+
+/// The fast path's source: the receiving end of a transmission queue the
+/// publisher deposits already-encoded [`OutFrame`]s into, notifying this
+/// link's token after each. Frames are adopted via
+/// [`Decode::from_local_frame`] — for serialization-free messages the
+/// subscriber object points at the publisher's allocation. Fault
+/// injection, `validate_on_receive` and all metrics accounting mirror the
+/// socket path.
+struct FastSource {
+    sink: LocalSinkHandle,
+    /// A frame waiting out an injected [`FaultAction::Delay`], and when the
+    /// delay ends; a reactor timer is pending for it. Nothing behind it is
+    /// taken until then, so order holds — and the loop is never slept.
+    delayed: Option<(Instant, OutFrame)>,
+}
+
+impl<D: Decode> Source<D> for FastSource {
+    fn advance(&mut self, core: &SubCore<D>, ctl: &mut Ctl) -> Result<Progress, RosError> {
+        let frame = match self.delayed.take() {
+            Some((due, frame)) if Instant::now() < due => {
+                self.delayed = Some((due, frame));
+                return Ok(Progress::Idle); // its timer resumes us
+            }
+            Some((_, frame)) => frame, // delay served
+            None => {
+                let frame = match self.sink.rx.try_recv() {
+                    Ok(frame) => frame,
+                    Err(TryRecvError::Empty) => return Ok(Progress::Idle),
+                    // Publisher gone.
+                    Err(TryRecvError::Disconnected) => return Ok(Progress::Eof),
+                };
+                // The loopback link's fault injector applies to pointer
+                // handoff exactly as it does to socket writes.
+                match next_fault(&self.sink.injector) {
+                    FaultAction::Pass => frame,
+                    FaultAction::Delay(d) => {
+                        self.delayed = Some((Instant::now() + d, frame));
+                        ctl.arm_timer(d);
+                        return Ok(Progress::Idle);
+                    }
+                    FaultAction::Drop => {
+                        core.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Progress::Frame);
+                    }
+                    FaultAction::Sever => {
+                        // The frame is lost and the attachment is cut;
+                        // re-attach is refused until the link heals, so
+                        // report retryable.
+                        core.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
+                        return Ok(Progress::Eof);
+                    }
+                }
+            }
+        };
+        // Pointer handoff needs no sidecar: the trace id rides on the
+        // frame's own tag, and the queue dwell (plus any injected delay)
+        // is the `enqueue` span.
+        let tag = frame.trace();
+        let since = (tag.enqueued_ns != 0).then_some(tag.enqueued_ns);
+        let span_start = core.hop_span(Tier::Fastpath, Stage::Enqueue, tag.id, since);
+        let len = frame.len();
+        // There is no writer on this path: account the "send" at the
+        // moment of delivery so both paths report the same totals.
+        core.metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
+        core.metrics
+            .bytes_sent
+            .fetch_add(len as u64, Ordering::Relaxed);
+        core.metrics.fastpath_frames.fetch_add(1, Ordering::Relaxed);
+        core.deliver(
+            Tier::Fastpath,
+            len,
+            span_start,
+            frame,
+            |frame| D::verify_frame(frame.as_slice()).is_ok(),
+            |frame| D::from_local_frame(&frame),
+        );
+        Ok(Progress::Frame)
+    }
+}
+
+/// The shared-memory tier's source: descriptors off the publisher's ring,
+/// frames mapped read-only straight out of the publisher's segments —
+/// zero subscriber-side payload copies for SFM messages. The handshake
+/// socket is the link's control plane and the fd this link is registered
+/// under: the publisher writes one byte on it when it pushes into a ring
+/// this side armed (a publisher in this same process notifies the token
+/// instead), and EOF on it means the publisher is gone even if it never
+/// managed to mark the ring closed (crash recovery).
+struct ShmSource {
+    stream: TcpStream,
+    shm: ShmReader,
+    /// The control socket reported EOF (or failed): no push will follow.
+    eof: bool,
+}
+
+impl<D: Decode> Source<D> for ShmSource {
+    fn wake(&mut self, event: Event) {
+        if !matches!(event, Event::Readable | Event::Closed) {
+            return;
+        }
+        // Doorbell bytes carry no information beyond the wake-up that
+        // brought us here; take them in bulk so the socket buffer never
+        // fills. The socket is level-triggered: whatever one read leaves
+        // behind (more bytes, the EOF after them) raises the next event.
+        use std::io::ErrorKind::{Interrupted, WouldBlock};
+        match (&self.stream).read(&mut [0u8; 256]) {
+            Ok(0) => self.eof = true,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
+            Err(_) => self.eof = true,
+        }
+    }
+
+    fn advance(&mut self, core: &SubCore<D>, _ctl: &mut Ctl) -> Result<Progress, RosError> {
+        // Read before the pop: whatever was committed before the ring
+        // closed (or the publisher died) is visible to a pop that follows
+        // seeing it, so an empty ring then is the end, not a race.
+        let ending = self.eof || self.shm.is_closed();
+        let frame = match self.shm.try_take() {
+            Ok(Some(frame)) => frame,
+            Ok(None) if ending => return Ok(Progress::Eof),
+            // Drained: arm the doorbell and look once more — the push that
+            // raced the arming rang nothing.
+            Ok(None) if self.shm.arm() => return Ok(Progress::Idle),
+            Ok(None) => return Ok(Progress::Frame),
+            Err(TakeError::Stale) => {
+                // Abandoned frame from a recycled publisher incarnation —
+                // counted like a decode failure.
+                core.count_decode_error();
+                return Ok(Progress::Frame);
+            }
+            // The ring can no longer be trusted to be in sync: tear the
+            // link down (retryable under backoff).
+            Err(TakeError::Corrupt(e)) => return Err(RosError::Io(e)),
+        };
+        let desc = *frame.descriptor();
+        // The descriptor's timestamps are on the *publisher's* trace clock,
+        // meaningful here only when the publisher is this same process (the
+        // `shm_same_process` bench mode); a cross-process link skips the
+        // span rather than mixing clocks.
+        let same_clock = self.shm.publisher_pid() == std::process::id() && desc.pushed_ns != 0;
+        let since = same_clock.then_some(desc.pushed_ns);
+        let span_start = core.hop_span(Tier::Shm, Stage::WireRead, desc.trace_id, since);
+        // A frame rejected by the verifier is dropped unadopted, which
+        // releases its segment reference; the ring stays in sync.
+        core.deliver(
+            Tier::Shm,
+            frame.len(),
+            span_start,
+            frame,
+            |frame| D::verify_frame(frame.as_slice()).is_ok(),
+            D::from_mapped_frame,
+        );
+        Ok(Progress::Frame)
+    }
 }
 
 /// Frame-reassembly state for one nonblocking TCP link — which part of the
@@ -775,17 +832,18 @@ enum ReadState<D: Decode> {
     Skip { remaining: usize },
 }
 
-/// The steady-state half of a TCP subscription: a reactor handler that
-/// reassembles length-prefixed frames from a nonblocking socket and runs
-/// the delivery tail (verify, finish, callback) inline — the reader loop of
-/// the paper's Fig. 9, minus the thread it used to occupy.
-struct TcpReader<D: Decode> {
+impl<D: Decode> ReadState<D> {
+    /// On a frame boundary: the next byte starts a length prefix.
+    const START: Self = ReadState::Prefix {
+        prefix: [0; 4],
+        filled: 0,
+    };
+}
+
+/// The TCP tier's source: reassembles length-prefixed frames from a
+/// nonblocking socket straight into their receive slots.
+struct TcpSource<D: Decode> {
     stream: TcpStream,
-    /// The endpoint's supervision, handed back when the connection
-    /// concludes. `None` only transiently during conclusion.
-    sup: Option<Box<Supervision<D>>>,
-    /// This connection's entry in `SubCore::streams`.
-    stream_key: u64,
     /// Sidecar rendezvous key shared with the writer (peer, local).
     conn_key: u64,
     /// The publisher granted `SubCore::projection` for this link: frames
@@ -809,105 +867,45 @@ struct TcpReader<D: Decode> {
     drained: bool,
 }
 
-impl<D: Decode> Handler for TcpReader<D> {
-    fn on_event(&mut self, _event: Event, ctl: &mut Ctl) {
-        // Every wake — readable, a self-yield notify, even `Closed` — is a
-        // pump. After a hangup the kernel still holds the already-received
-        // tail; level-triggered reads can no longer block, so pumping
-        // drains it to a definite EOF or error and no delivered frame is
-        // lost to teardown ordering.
-        let Some(core) = self.sup.as_ref().map(|s| Arc::clone(&s.core)) else {
-            ctl.close();
-            return;
-        };
+impl<D: Decode> Source<D> for TcpSource<D> {
+    fn wake(&mut self, _event: Event) {
         self.drained = false;
-        let mut delivered = 0usize;
-        loop {
-            // Relaxed: standalone exit flag, polled — a stale read only
-            // costs one extra frame.
-            if core.shutdown.load(Ordering::Relaxed) {
-                self.conclude(Ok(()), ctl);
-                return;
-            }
-            match self.advance(&core) {
-                Ok(Progress::Frame) => {
-                    delivered += 1;
-                    if delivered >= FRAMES_PER_DISPATCH {
-                        // Yield the shared loop so one firehose link cannot
-                        // starve the rest; the notify re-runs this handler
-                        // after the other ready links get their turn.
-                        let token = ctl.token();
-                        ctl.reactor().notify(token);
-                        return;
-                    }
-                }
-                Ok(Progress::NeedSocket) => return,
-                Ok(Progress::Eof) => {
-                    self.conclude(Ok(()), ctl);
-                    return;
-                }
-                Err(e) => {
-                    self.conclude(Err(e), ctl);
-                    return;
-                }
-            }
-        }
     }
-}
 
-impl<D: Decode> TcpReader<D> {
     /// Make progress until a frame completes or the socket runs dry.
-    fn advance(&mut self, core: &Arc<SubCore<D>>) -> Result<Progress, RosError> {
+    fn advance(&mut self, core: &SubCore<D>, _ctl: &mut Ctl) -> Result<Progress, RosError> {
         loop {
             // Resolve completed states before demanding bytes, so
             // zero-length bodies and finished skips never stall waiting
             // for input that is not owed.
             match &mut self.state {
                 ReadState::Body { len, filled, .. } if *filled == *len => {
-                    return self.deliver(core);
+                    self.deliver(core);
+                    return Ok(Progress::Frame);
                 }
                 ReadState::Skip { remaining } if *remaining == 0 => {
-                    self.state = ReadState::Prefix {
-                        prefix: [0; 4],
-                        filled: 0,
-                    };
+                    self.state = ReadState::START;
                     continue;
                 }
                 _ => {}
             }
             if self.rpos == self.rlen {
                 if self.drained {
-                    return Ok(Progress::NeedSocket);
+                    return Ok(Progress::Idle);
                 }
                 // Large body remainders bypass the coalescing buffer: read
                 // straight into the slot, no intermediate copy.
-                if let ReadState::Body { slot, len, filled } = &mut self.state {
-                    if *len - *filled >= self.rbuf.len() {
-                        let want = *len - *filled;
-                        match self.stream.read(&mut slot.as_mut_slice()[*filled..*len]) {
-                            Ok(0) => {
-                                // EOF inside a frame: truncation.
-                                return Err(RosError::Io(std::io::Error::from(
-                                    std::io::ErrorKind::UnexpectedEof,
-                                )));
-                            }
-                            Ok(n) => {
-                                *filled += n;
-                                self.drained = n < want;
-                                continue;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                return Ok(Progress::NeedSocket)
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                            Err(e) => return Err(RosError::Io(e)),
-                        }
+                let (dest, direct) = match &mut self.state {
+                    ReadState::Body { slot, len, filled } if *len - *filled >= self.rbuf.len() => {
+                        (&mut slot.as_mut_slice()[*filled..*len], true)
                     }
-                }
-                match self.stream.read(&mut self.rbuf) {
+                    _ => (&mut self.rbuf[..], false),
+                };
+                let want = dest.len();
+                let n = match (&self.stream).read(dest) {
+                    // Clean EOF only lands between frames; mid-frame it is
+                    // a truncation.
                     Ok(0) => {
-                        // Clean EOF only lands between frames; mid-frame it
-                        // is a truncation.
                         return match &self.state {
                             ReadState::Prefix { filled: 0, .. } => Ok(Progress::Eof),
                             _ => Err(RosError::Io(std::io::Error::from(
@@ -915,16 +913,20 @@ impl<D: Decode> TcpReader<D> {
                             ))),
                         };
                     }
-                    Ok(n) => {
-                        self.rpos = 0;
-                        self.rlen = n;
-                        self.drained = n < self.rbuf.len();
-                    }
+                    Ok(n) => n,
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        return Ok(Progress::NeedSocket)
+                        return Ok(Progress::Idle)
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(RosError::Io(e)),
+                };
+                self.drained = n < want;
+                match &mut self.state {
+                    ReadState::Body { filled, .. } if direct => {
+                        *filled += n;
+                        continue;
+                    }
+                    _ => (self.rpos, self.rlen) = (0, n),
                 }
             }
             let avail = &self.rbuf[self.rpos..self.rlen];
@@ -988,18 +990,14 @@ impl<D: Decode> TcpReader<D> {
             }
         }
     }
+}
 
+impl<D: Decode> TcpSource<D> {
     /// A complete body sits in its slot: run the delivery tail of the
     /// paper's Fig. 9 — recover the trace id, verify (optional), finish,
     /// invoke the callback — and reset for the next prefix.
-    fn deliver(&mut self, core: &Arc<SubCore<D>>) -> Result<Progress, RosError> {
-        let state = std::mem::replace(
-            &mut self.state,
-            ReadState::Prefix {
-                prefix: [0; 4],
-                filled: 0,
-            },
-        );
+    fn deliver(&mut self, core: &SubCore<D>) {
+        let state = std::mem::replace(&mut self.state, ReadState::START);
         let ReadState::Body { slot, len, .. } = state else {
             unreachable!("deliver outside Body");
         };
@@ -1014,23 +1012,15 @@ impl<D: Decode> TcpReader<D> {
         // stamp would double-count `wire_write`. (A same-process writer
         // shares this reactor thread, so its note is always settled by the
         // time this dispatch runs — the wait only triggers cross-process.)
-        let note = core.trace.as_deref().and_then(|table| {
-            let note = tracer()
+        let note = core.trace.as_ref().and_then(|_| {
+            tracer()
                 .sidecar()
-                .take_settled(self.conn_key, seq, SIDECAR_SETTLE_WAIT)?;
-            Some((table, note))
+                .take_settled(self.conn_key, seq, SIDECAR_SETTLE_WAIT)
         });
-        let span_start = match note {
-            Some((table, note)) if note.trace_id != 0 => {
-                let t = now_nanos();
-                if note.settled {
-                    let (id, since) = (note.trace_id, note.sent_ns);
-                    tracer().span(table, Stage::WireRead, Tier::Tcp, id, since, t);
-                }
-                (note.trace_id, t)
-            }
-            _ => (0, 0),
-        };
+        let span_start = note.map_or((0, 0), |note| {
+            let since = note.settled.then_some(note.sent_ns);
+            core.hop_span(Tier::Tcp, Stage::WireRead, note.trace_id, since)
+        });
         // A projected link carries sub-frames: unselected fields are
         // deliberately zeroed, which the full verifier would accept but
         // the projected verifier additionally *requires* — so corrupt
@@ -1047,19 +1037,6 @@ impl<D: Decode> TcpReader<D> {
             },
             D::finish_slot,
         );
-        Ok(Progress::Frame)
-    }
-
-    /// The connection is over (EOF, error, or shutdown): hand the box back
-    /// to its supervision — which decides on a reconnect, briefly and
-    /// nonblockingly, right here on the reactor thread — and close. The
-    /// close drops this handler and with it the socket.
-    fn conclude(&mut self, result: Result<(), RosError>, ctl: &mut Ctl) {
-        if let Some(sup) = self.sup.take() {
-            sup.core.streams.lock().remove(&self.stream_key);
-            sup.resume(result, true, false);
-        }
-        ctl.close();
     }
 }
 
@@ -1156,8 +1133,7 @@ impl<D: Decode> Subscriber<D> {
             metrics: master.metrics().topic(topic),
             callback: Box::new(callback),
             shutdown: AtomicBool::new(false),
-            streams: Mutex::new(HashMap::new()),
-            next_stream_key: AtomicU64::new(0),
+            links: Mutex::new(HashSet::new()),
             received: AtomicU64::new(0),
             received_bytes: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
@@ -1265,16 +1241,21 @@ impl<D: Decode> Subscriber<D> {
 
 impl<D: Decode> Drop for Subscriber<D> {
     fn drop(&mut self) {
-        // Relaxed: standalone exit flag — every reader either polls it in
-        // a loop or re-checks it under the streams lock, which provides
-        // the ordering for the map cleanup below.
+        // Relaxed: standalone exit flag — every link checks it per frame,
+        // and a connection about to go live re-checks it under the links
+        // lock, which provides the ordering for the sweep below.
         self.core.shutdown.store(true, Ordering::Relaxed);
         self.core
             .master
             .unregister_subscriber(&self.core.topic, self.core.registration);
-        // Unblock reader threads stuck in read().
-        for s in self.core.streams.lock().values() {
-            let _ = s.shutdown(Shutdown::Both);
+        // End every live link with an event: deregistering drops the
+        // handler and the socket, queue end or ring mapping it owns, which
+        // is what the publisher's side of the link sees. (A connection
+        // still handshaking on a pool worker has no handler yet; the one
+        // it registers concludes at its first event, on the flag above.)
+        let reactor = runtime().reactor;
+        for token in self.core.links.lock().drain() {
+            reactor.deregister(token);
         }
     }
 }

@@ -19,34 +19,47 @@ use crate::error::RosError;
 use crate::fastpath::LocalSinkHandle;
 use crate::master::{Master, PublisherEndpoint};
 use crate::node::NodeHandle;
+use crate::subscriber::FRAMES_PER_DISPATCH;
 use crate::wire::OutFrame;
+use crossbeam::channel::TryRecvError;
+use parking_lot::Mutex;
 use rossf_netsim::MachineId;
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
+/// How long a link waits before trying a publisher again after a transient
+/// refusal or a cut attachment (a severed loopback link refuses attaches
+/// until it heals).
+const REATTACH_AFTER: Duration = Duration::from_millis(5);
+
+type Callback = Box<dyn Fn(&OutFrame) + Send + Sync>;
+
 /// State shared between the tap handle, the master's watcher, and the
-/// per-publisher drain threads.
+/// per-publisher links on the reactor.
 struct TapShared {
     master: Master,
     topic: String,
     type_name: String,
     machine: MachineId,
-    cb: Box<dyn Fn(&OutFrame) + Send + Sync>,
-    shutdown: AtomicBool,
+    /// The capture callback, run under this lock; `Drop` empties it under
+    /// the same lock, so once `drop` returns the callback has run for the
+    /// last time and everything it captured is released. `None` is the
+    /// tap's shutdown flag.
+    cb: Mutex<Option<Callback>>,
     attached: AtomicU64,
     skipped: AtomicU64,
     frames_seen: AtomicU64,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    /// Reactor registrations of the live per-publisher links.
+    links: Mutex<Vec<Token>>,
 }
 
 /// A live capture tap on one topic (see the module docs).
 ///
-/// Dropping the tap detaches from every publisher and joins its drain
-/// threads; publishers prune the dead attachment like any departed
-/// fast-path subscriber.
+/// Dropping the tap detaches from every publisher — no callback runs once
+/// `drop` has returned — and publishers prune the dead attachment like any
+/// departed fast-path subscriber.
 pub struct RawFrameTap {
     shared: Arc<TapShared>,
     watch_id: u64,
@@ -67,7 +80,9 @@ impl std::fmt::Debug for RawFrameTap {
 impl RawFrameTap {
     /// Attach a tap to `topic`, invoking `cb` for every frame published by
     /// any same-machine publisher (current and future). `type_name` must
-    /// match the topic's registered message type.
+    /// match the topic's registered message type. `cb` runs on the
+    /// process's event loop, like a subscriber callback, and must be as
+    /// short: hand the frame on, do not work on it.
     ///
     /// # Errors
     ///
@@ -87,12 +102,11 @@ impl RawFrameTap {
             topic: topic.to_string(),
             type_name: type_name.to_string(),
             machine: nh.machine(),
-            cb: Box::new(cb),
-            shutdown: AtomicBool::new(false),
+            cb: Mutex::new(Some(Box::new(cb))),
             attached: AtomicU64::new(0),
             skipped: AtomicU64::new(0),
             frames_seen: AtomicU64::new(0),
-            threads: Mutex::new(Vec::new()),
+            links: Mutex::new(Vec::new()),
         });
         let watch_shared = Arc::clone(&shared);
         // Snapshot + watcher are atomic under the topic shard lock, so no
@@ -101,15 +115,15 @@ impl RawFrameTap {
             topic,
             type_name,
             Arc::new(move |ep| {
-                if watch_shared.shutdown.load(Ordering::Acquire) {
+                if watch_shared.cb.lock().is_none() {
                     return false; // prunes the watcher
                 }
-                spawn_drain(&watch_shared, ep);
+                start_link(&watch_shared, ep);
                 true
             }),
         )?;
         for ep in current {
-            spawn_drain(&shared, ep);
+            start_link(&shared, ep);
         }
         Ok(RawFrameTap { shared, watch_id })
     }
@@ -147,26 +161,27 @@ impl RawFrameTap {
 
 impl Drop for RawFrameTap {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Waits out a callback in flight on the loop thread; none starts
+        // after it.
+        *self.shared.cb.lock() = None;
         self.shared
             .master
             .unregister_subscriber(&self.shared.topic, self.watch_id);
-        // A poisoned lock only means a drain thread panicked; still join
-        // the rest rather than panicking (and aborting) in drop.
-        let threads = match self.shared.threads.lock() {
-            Ok(mut guard) => std::mem::take(&mut *guard),
-            Err(poisoned) => std::mem::take(&mut *poisoned.into_inner()),
-        };
-        for t in threads {
-            let _ = t.join();
+        // Each link's queue end goes with its handler, which is the event
+        // the publisher's `subscriber_count` falls on. A link the watcher
+        // registers after this sweep finds no callback at its first event.
+        let reactor = runtime().reactor;
+        for token in self.shared.links.lock().drain(..) {
+            reactor.deregister(token);
         }
     }
 }
 
-/// Spawn the drain thread for one publisher endpoint. Called from the
+/// Put one publisher endpoint's link on the reactor. Called from the
 /// master's watcher (the registering publisher's thread) and from the
-/// attach-time snapshot; must stay cheap.
-fn spawn_drain(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
+/// attach-time snapshot; the attach itself happens on the loop thread, at
+/// the link's first event.
+fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
     if ep.machine != shared.machine {
         // Remote publishers have no local port to tap. Recording them
         // would mean a TCP subscription (a copy), which the zero-copy
@@ -174,72 +189,107 @@ fn spawn_drain(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
         shared.skipped.fetch_add(1, Ordering::Release);
         return;
     }
-    let thread_shared = Arc::clone(shared);
-    let spawned = std::thread::Builder::new()
-        .name("rossf-bag-tap".to_string())
-        .spawn(move || drain_endpoint(thread_shared, ep));
-    match spawned {
-        Ok(handle) => shared.threads.lock().unwrap().push(handle),
-        Err(_) => {
+    let reactor = runtime().reactor;
+    let token = reactor.reserve();
+    shared.links.lock().push(token);
+    let link = TapLink {
+        shared: Arc::clone(shared),
+        ep,
+        sink: None,
+    };
+    reactor.attach(token, Box::new(link));
+}
+
+/// One publisher's attachment as a reactor handler: attach (and re-attach
+/// across transient failures while the publisher stays registered), then
+/// pump every frame the publisher deposits into the callback. The
+/// publisher notifies this handler's token after each deposit.
+struct TapLink {
+    shared: Arc<TapShared>,
+    ep: PublisherEndpoint,
+    /// The live attachment; `None` before the first attach and between a
+    /// cut attachment and its re-attach timer.
+    sink: Option<LocalSinkHandle>,
+}
+
+impl TapLink {
+    /// Stand down for good: this publisher has nothing (more) to capture.
+    fn leave(&mut self, ctl: &mut Ctl) {
+        self.shared.links.lock().retain(|t| *t != ctl.token());
+        ctl.close();
+    }
+
+    /// Try to attach; `true` means the attachment is live. Otherwise the
+    /// link has either armed its retry timer (transient refusal, publisher
+    /// still registered) or left for good.
+    fn attach(&mut self, ctl: &mut Ctl) -> bool {
+        let shared = Arc::clone(&self.shared);
+        let (master, topic) = (&shared.master, &shared.topic);
+        let registered = master.lookup_publisher(topic, self.ep.id).is_some();
+        // The same handshake a fast-path subscriber performs, so the
+        // publisher-side validation and accounting are identical. No local
+        // attach hook means the publisher is gone, or never offered the
+        // fast path (enable_fastpath=false).
+        let attached = master.local_port(self.ep.id).map(|port| {
+            LocalSinkHandle::attach(port, topic, &shared.type_name, shared.machine, ctl.token())
+        });
+        let skipped = match attached {
+            Some(Ok(sink)) => {
+                shared.attached.fetch_add(1, Ordering::Release);
+                self.sink = Some(sink);
+                return true;
+            }
+            // Permanent refusal (capability/type): give up on this
+            // publisher but keep the tap alive for others.
+            Some(Err(RosError::Rejected(_))) => true,
+            // Transient (severed link, teardown in progress): retry while
+            // the publisher stays registered.
+            Some(Err(_)) if registered => {
+                ctl.arm_timer(REATTACH_AFTER);
+                return false;
+            }
+            Some(Err(_)) => false,
+            None => registered,
+        };
+        if skipped {
             shared.skipped.fetch_add(1, Ordering::Release);
         }
+        self.leave(ctl);
+        false
     }
 }
 
-/// Attach to one publisher and pump its frames into the callback until the
-/// tap shuts down or the publisher unregisters, re-attaching across
-/// transient failures.
-fn drain_endpoint(shared: Arc<TapShared>, ep: PublisherEndpoint) {
-    loop {
-        // Relaxed-equivalent polling loop; Acquire pairs with Drop's store.
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let Some(port) = shared.master.local_port(ep.id) else {
-            // No local attach hook: either the publisher is gone, or it
-            // never offered the fast path (enable_fastpath=false).
-            if shared
-                .master
-                .lookup_publisher(&shared.topic, ep.id)
-                .is_none()
-            {
-                return; // unregistered: nothing left to capture
-            }
-            shared.skipped.fetch_add(1, Ordering::Release);
-            return;
+impl Handler for TapLink {
+    fn on_event(&mut self, _event: Event, ctl: &mut Ctl) {
+        // Held for the dispatch: `Drop` waits it out, and finds no callback
+        // running afterwards.
+        let shared = Arc::clone(&self.shared);
+        let cb = shared.cb.lock();
+        let Some(cb) = cb.as_ref() else {
+            return self.leave(ctl);
         };
-        // The same handshake a fast-path subscriber performs, so the
-        // publisher-side validation and accounting are identical.
-        match LocalSinkHandle::attach(port, &shared.topic, &shared.type_name, shared.machine) {
-            Ok(sink) => {
-                shared.attached.fetch_add(1, Ordering::Release);
-                // One attachment's lifetime: every frame to the callback.
-                sink.drain(&shared.shutdown, |frame| {
-                    shared.frames_seen.fetch_add(1, Ordering::Release);
-                    (shared.cb)(&frame);
-                    ControlFlow::Continue(())
-                });
-            }
-            Err(RosError::Rejected(_)) => {
-                // Permanent refusal (capability/type): give up on this
-                // publisher but keep the tap alive for others.
-                shared.skipped.fetch_add(1, Ordering::Release);
-                return;
-            }
-            // Transient (severed link, teardown in progress).
-            Err(_) => {}
-        }
-        // Disconnected or transiently refused: re-attach while the
-        // publisher stays registered (e.g. once a severed link heals),
-        // otherwise stand down.
-        if shared
-            .master
-            .lookup_publisher(&shared.topic, ep.id)
-            .is_none()
-        {
+        if self.sink.is_none() && !self.attach(ctl) {
             return;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        let sink = self.sink.as_ref().expect("attached above");
+        for _ in 0..FRAMES_PER_DISPATCH {
+            match sink.rx.try_recv() {
+                Ok(frame) => {
+                    shared.frames_seen.fetch_add(1, Ordering::Release);
+                    cb(&frame);
+                }
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => {
+                    // The attachment was cut. Re-attach while the publisher
+                    // stays registered (e.g. once a severed link heals),
+                    // otherwise stand down.
+                    self.sink = None;
+                    return ctl.arm_timer(REATTACH_AFTER);
+                }
+            }
+        }
+        // Batch cap hit with frames remaining: yield the shared loop.
+        ctl.notify_self();
     }
 }
 
@@ -249,6 +299,7 @@ mod tests {
     use crate::options::PublisherOptions;
     use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmValidate, SfmVec};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     #[repr(C)]
     struct TapMsg {
@@ -331,9 +382,8 @@ mod tests {
             assert!(std::time::Instant::now() < deadline);
             std::thread::sleep(Duration::from_millis(1));
         }
-        drop(tap); // joins drain threads; publisher prunes the attachment
+        drop(tap); // no callback past this point; publisher prunes the attachment
         publisher.publish(&msg);
-        std::thread::sleep(Duration::from_millis(30));
         assert_eq!(count.load(Ordering::Relaxed), 1, "no frames after detach");
     }
 

@@ -4,13 +4,12 @@
 //! `/proc/self/fd` and thread counts. A drift here means a handler wasn't
 //! deregistered, a supervision chain kept a socket alive, or a
 //! connection-scoped thread outlived its link. The same run pins each
-//! tier's *steady* thread budget: TCP links live on the shared reactor
-//! and cost none, a fast-path or shm link costs its subscriber one
-//! consumer thread, and no tier costs the publisher any.
+//! tier's *steady* thread budget, which is zero: TCP, fast-path and shm
+//! links and capture taps all live on the shared reactor, on both sides.
 
 use rossf_ros::{
-    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
-    TransportConfig,
+    BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, RawFrameTap,
+    SubscriberOptions, TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -110,14 +109,22 @@ fn tasks_named(name: &str) -> usize {
         .count()
 }
 
-/// One transport tier's placement and its steady per-link thread cost.
+/// The per-link threads the transport used to keep, by thread name.
+const LINK_THREADS: [&str; 4] = [
+    "rossf-fast-sub",
+    "rossf-shm-sub",
+    "rossf-bag-tap",
+    "rossf-shm-pub",
+];
+
+/// One transport tier's placement.
 struct TierCase {
     name: &'static str,
     sub_machine: MachineId,
     config: TransportConfig,
-    /// The subscriber-side consumer thread every live link of this tier
-    /// keeps, if any.
-    consumer: Option<&'static str>,
+    /// Whether a capture tap can attach on this tier's publisher (it rides
+    /// the fast path's local port).
+    tappable: bool,
 }
 
 fn tier_cases() -> Vec<TierCase> {
@@ -126,13 +133,13 @@ fn tier_cases() -> Vec<TierCase> {
             name: "tcp",
             sub_machine: MachineId::B,
             config: fast_reconnect(),
-            consumer: None,
+            tappable: true,
         },
         TierCase {
             name: "fastpath",
             sub_machine: MachineId::A,
             config: fast_reconnect(),
-            consumer: Some("rossf-fast-sub"),
+            tappable: true,
         },
         TierCase {
             name: "shm",
@@ -142,14 +149,14 @@ fn tier_cases() -> Vec<TierCase> {
                 shm_same_process: true,
                 ..fast_reconnect()
             },
-            consumer: Some("rossf-shm-sub"),
+            tappable: false,
         },
     ]
 }
 
 /// N connect/sever/reconnect cycles plus subscription churn, then the
 /// process must be back at its post-warmup fd and thread baseline — on
-/// each tier in turn, each within its thread budget.
+/// each tier in turn, and no link or tap may have cost a thread meanwhile.
 #[test]
 fn churn_cycles_return_to_fd_and_thread_baseline() {
     for case in tier_cases() {
@@ -206,13 +213,6 @@ fn churn_one_tier(case: &TierCase) {
     // Let the publisher notice the dropped link and close its side.
     std::thread::sleep(Duration::from_millis(100));
 
-    // The warm-up link's consumer thread, if it had one, winds down on
-    // its own schedule; the baseline is the steady link alone.
-    let per_link = usize::from(case.consumer.is_some());
-    wait_until("one link's worth of consumers", || {
-        case.consumer.is_none_or(|c| tasks_named(c) == 1)
-    });
-
     let fd_base = fd_count();
     let thread_base = thread_count();
 
@@ -229,21 +229,32 @@ fn churn_one_tier(case: &TierCase) {
                 extra_cb.fetch_add(1, Ordering::SeqCst);
             },
         );
+        // ... and a capture tap beside it, where the tier has a local port.
+        let tapped = Arc::new(AtomicU64::new(0));
+        let tap = case.tappable.then(|| {
+            let tapped = Arc::clone(&tapped);
+            RawFrameTap::attach(&nh_pub, "leak/churn", Payload::type_name(), move |_| {
+                tapped.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap()
+        });
+        let seen_before = seen.load(Ordering::SeqCst);
         publish_until(&publisher, &mut seq, "churned sub delivery", || {
             extra_seen.load(Ordering::SeqCst) >= 1
+                && seen.load(Ordering::SeqCst) > seen_before
+                && (tap.is_none() || tapped.load(Ordering::SeqCst) >= 1)
         });
-        // The thread budget, read with two links up and traffic on both:
-        // one consumer per zero-copy link, nothing per TCP link, and no
-        // publisher-side relay on any tier.
-        if let Some(consumer) = case.consumer {
-            assert_eq!(tasks_named(consumer), 2, "{tier}: one consumer per link");
+        // The thread budget, read with two links (and the tap) up and
+        // traffic on all of them: nothing per link, on either side.
+        for name in LINK_THREADS {
+            assert_eq!(tasks_named(name), 0, "{tier}: a `{name}` thread is back");
         }
-        assert_eq!(tasks_named("rossf-shm-pub"), 0, "{tier}: no relay thread");
         assert_eq!(
             thread_count(),
-            thread_base + per_link,
-            "{tier}: a second link costs exactly its consumer"
+            thread_base,
+            "{tier}: a second link and a tap cost no thread"
         );
+        drop(tap);
         drop(extra);
 
         // Link churn: sever the steady link mid-stream, heal, and wait

@@ -1438,3 +1438,106 @@ fn forked_subscriber_receives_byte_identical_loaned_frames() {
     let snap = master.metrics().topic("shm/loan_fork").snapshot();
     assert!(snap.shm_frames >= sizes.len() as u64);
 }
+
+// === The control socket as the link's only liveness signal ===
+
+/// Child half of the killed-publisher test: advertise on the shm tier,
+/// report the listening address, and publish until killed. Exits by itself
+/// after a minute so an aborted parent cannot leave it running.
+#[test]
+fn shm_child_publisher_entry() {
+    let Ok(out_path) = std::env::var("ROSSF_SHM_ORPHAN_OUT") else {
+        return;
+    };
+    let master = Master::new();
+    let config = TransportConfig {
+        enable_fastpath: false,
+        ..TransportConfig::default()
+    };
+    let nh = NodeHandle::with_config(&master, "orphan_pub", MachineId::A, config);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("shm/orphan", PublisherOptions::new().queue_size(64));
+    // Written whole, then renamed: the parent never reads half an address.
+    let partial = format!("{out_path}.partial");
+    std::fs::write(&partial, publisher.addr().to_string()).expect("write child address");
+    std::fs::rename(&partial, &out_path).expect("publish child address");
+    let born = Instant::now();
+    let mut seq = 0u32;
+    while born.elapsed() < Duration::from_secs(60) {
+        publisher.publish(&msg(seq));
+        seq = seq.wrapping_add(1);
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Publisher-crash detection: the *publisher* process is killed outright —
+/// it never closes the ring, never unregisters — while this process's
+/// reader sits idle on an armed ring. There is no poll and no timeout on
+/// the subscriber side any more, so the only thing that can end the link is
+/// the control socket's EOF reaching the reader's handler; it does, and the
+/// supervision starts retrying the (still registered) endpoint.
+#[test]
+fn killed_publisher_concludes_the_link_on_control_socket_eof() {
+    let out_path =
+        std::env::temp_dir().join(format!("rossf-shm-orphan-{}.txt", std::process::id()));
+    let _ = std::fs::remove_file(&out_path);
+    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "shm_child_publisher_entry",
+            "--exact",
+            "--test-threads",
+            "1",
+        ])
+        .env("ROSSF_SHM_ORPHAN_OUT", &out_path)
+        .spawn()
+        .expect("spawn child publisher process");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let addr: std::net::SocketAddr = loop {
+        if let Ok(text) = std::fs::read_to_string(&out_path) {
+            break text.parse().expect("child address parses");
+        }
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            panic!("child publisher never reported its address");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    let _ = std::fs::remove_file(&out_path);
+
+    let master = Master::new();
+    master
+        .register_publisher("shm/orphan", Payload::type_name(), addr, MachineId::A)
+        .expect("register child endpoint");
+    let nh = NodeHandle::with_config(&master, "orphan_sub", MachineId::A, shm_config(true));
+    let mapped = Arc::new(AtomicU64::new(0));
+    let mapped_cb = Arc::clone(&mapped);
+    let sub = nh.subscribe_with(
+        "shm/orphan",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            if rossf_shm::is_shm_mapped(m.base()) {
+                mapped_cb.fetch_add(1, Ordering::SeqCst);
+            }
+        },
+    );
+    // Frames arriving zero-copy from the other process: every wake-up on
+    // this link was a doorbell byte on the control socket.
+    wait_until("frames over the cross-process ring", || {
+        mapped.load(Ordering::SeqCst) >= 5
+    });
+    assert_eq!(sub.reconnect_attempts(), 0, "the link was healthy");
+    let disconnects = master.metrics().topic("shm/orphan").snapshot().disconnects;
+
+    child.kill().expect("kill child publisher");
+    child.wait().expect("reap child publisher");
+    wait_until("the reader to conclude the orphaned link", || {
+        sub.reconnect_attempts() >= 1
+    });
+    let after = master.metrics().topic("shm/orphan").snapshot();
+    assert!(after.disconnects > disconnects, "the link was concluded");
+    assert_eq!(
+        sub.decode_errors(),
+        0,
+        "an orphaned ring is not a corrupt one"
+    );
+}

@@ -28,8 +28,12 @@
 //!
 //! Fd hand-off needs no fd-passing protocol: both processes run as the
 //! same user, so the subscriber opens the publisher's memfd through
-//! `/proc/<pid>/fd/<fd>` ([`rossf_sys::open_peer_fd`]). Wakeups use the
-//! cross-process futex on a word in the control segment — no polling.
+//! `/proc/<pid>/fd/<fd>` ([`rossf_sys::open_peer_fd`]). A reader that
+//! drained the ring either arms it and is woken through its link's
+//! doorbell (the transport's event-loop handlers; no futex call on either
+//! side) or, if it owns a thread, sleeps on a cross-process futex word the
+//! producer wakes only while a sleeper is registered ([`ring`]'s module
+//! docs) — no polling, no spinning.
 //!
 //! The tier is a Linux mechanism; `rossf-sys` refuses any target other
 //! than x86-64 Linux at compile time, so a build that exists has it.

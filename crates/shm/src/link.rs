@@ -226,7 +226,16 @@ impl ShmLink {
         }
     }
 
-    /// Mark the link closed and wake the reader (graceful teardown).
+    /// After a commit (or [`ShmLink::close`]): `true` means the reader
+    /// drained the ring, armed it and went idle, and this caller must ring
+    /// the link's doorbell — the wake-up of a reader that is an event-loop
+    /// handler. A reader blocked in [`ShmReader::take`](crate::ShmReader)
+    /// is woken by the commit itself.
+    pub fn disarm(&self) -> bool {
+        self.ctrl.disarm()
+    }
+
+    /// Mark the link closed (graceful teardown), waking a blocked reader.
     pub fn close(&self) {
         self.ctrl.close();
     }

@@ -230,26 +230,47 @@ impl ShmReader {
         Ok(m)
     }
 
-    /// Take the next frame, waiting up to `timeout` for the producer's
-    /// futex signal. `Ok(None)` means no frame arrived (check
-    /// [`ShmReader::is_closed`] to distinguish idle from torn down).
+    /// Take the next frame, blocking the calling thread up to `timeout`
+    /// on the producer's futex signal. `Ok(None)` means no frame arrived
+    /// (check [`ShmReader::is_closed`] to distinguish idle from torn down).
+    ///
+    /// # Errors
+    ///
+    /// Those of [`ShmReader::try_take`].
+    pub fn take(&self, timeout: Duration) -> Result<Option<MappedFrame>, TakeError> {
+        let popped = self.ctrl.try_pop().or_else(|| {
+            self.ctrl.wait(timeout);
+            self.ctrl.try_pop()
+        });
+        popped.map(|d| self.adopt(d)).transpose()
+    }
+
+    /// Take the next frame if one is ready — the form an event-loop
+    /// handler drains the ring with. `Ok(None)` means the ring is empty:
+    /// [`ShmReader::arm`] before going idle.
     ///
     /// # Errors
     ///
     /// [`TakeError::Stale`] when a popped descriptor's generation no
     /// longer matches its segment (abandoned, counted); otherwise
     /// [`TakeError::Corrupt`].
-    pub fn take(&self, timeout: Duration) -> Result<Option<MappedFrame>, TakeError> {
-        let d = match self.ctrl.try_pop() {
-            Some(d) => d,
-            None => {
-                self.ctrl.wait(timeout);
-                match self.ctrl.try_pop() {
-                    Some(d) => d,
-                    None => return Ok(None),
-                }
-            }
-        };
+    pub fn try_take(&self) -> Result<Option<MappedFrame>, TakeError> {
+        self.ctrl.try_pop().map(|d| self.adopt(d)).transpose()
+    }
+
+    /// Having drained the ring, ask the producer to ring this link's
+    /// doorbell on its next push, then look at the ring once more. `true`
+    /// means the ring is still empty and open and the caller may go idle:
+    /// the doorbell will ring. `false` means a push (or the close) raced
+    /// the arming — it may have rung nothing, so drain again.
+    pub fn arm(&self) -> bool {
+        self.ctrl.arm();
+        self.ctrl.pending() == 0 && !self.ctrl.is_closed()
+    }
+
+    /// Turn a popped descriptor into a frame, taking over its segment
+    /// reference.
+    fn adopt(&self, d: Descriptor) -> Result<MappedFrame, TakeError> {
         // The descriptor's reference is now ours. Account it in the
         // shared hold counter *before* anything can fail, so the
         // publisher can reclaim it if this process dies holding it.
@@ -283,12 +304,12 @@ impl ShmReader {
                 "descriptor length exceeds segment capacity",
             )));
         }
-        Ok(Some(MappedFrame {
+        Ok(MappedFrame {
             ctrl: Arc::clone(&self.ctrl),
             map,
             desc: d,
             armed: true,
-        }))
+        })
     }
 }
 
@@ -502,6 +523,45 @@ mod tests {
         link.close();
         assert!(reader.is_closed());
         assert!(reader.take(Duration::from_millis(1)).unwrap().is_none());
+    }
+
+    /// A link driven the way the transport's handler drives it — drain with
+    /// `try_take`, `arm` when empty, the producer `disarm`s after each
+    /// commit — moves frames without a single futex call on either side.
+    #[test]
+    fn handler_driven_link_makes_no_futex_call() {
+        let _mapped = crate::census::mapping();
+        let (mut link, reader, _pool) = loopback(4);
+        let calls = crate::sync::FUTEX_CALLS.with(|c| c.get());
+        assert!(reader.arm(), "empty and open: the reader may go idle");
+        for i in 0..50u8 {
+            assert_eq!(
+                link.push(&[i; 9], FrameMeta::default()),
+                PushOutcome::Pushed
+            );
+            assert!(
+                link.disarm(),
+                "frame {i}: the idle reader is owed a doorbell"
+            );
+            let frame = reader.try_take().unwrap().expect("the pushed frame");
+            assert_eq!(frame.as_slice(), &[i; 9]);
+            drop(frame);
+            assert!(reader.try_take().unwrap().is_none());
+            assert!(reader.arm());
+        }
+        // A push that lands before the arming is seen by the re-check.
+        link.push(b"raced", FrameMeta::default());
+        assert!(link.disarm(), "the last arming is still owed");
+        assert!(
+            !reader.arm(),
+            "the re-check sees the frame: drain, do not idle"
+        );
+        link.close();
+        assert_eq!(
+            crate::sync::FUTEX_CALLS.with(|c| c.get()),
+            calls,
+            "a handler-driven link made a futex call"
+        );
     }
 
     #[test]

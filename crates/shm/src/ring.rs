@@ -5,7 +5,7 @@
 //! class):
 //!
 //! ```text
-//! [ 64 B header | dir_cap × 48 B directory entries | ring_cap × 64 B slots ]
+//! [ 128 B header | dir_cap × 48 B directory entries | ring_cap × 64 B slots ]
 //! ```
 //!
 //! The ring is a Vyukov-style bounded queue: each slot carries a sequence
@@ -17,11 +17,26 @@
 //! *and* the publisher's own teardown drain, which is why the consumer
 //! side takes the multi-consumer (`head` CAS) form.
 //!
-//! Wakeups go through a futex word in the header (`FUTEX_WAIT`/`WAKE`, the
-//! cross-process variants): the producer bumps the word and wakes after
-//! every push; a consumer that finds the ring empty re-checks, then sleeps
-//! bounded on the word. No spinning — the benchmark host has a single
-//! core, where polling would invert every latency result.
+//! A consumer that finds the ring empty asks to be told about the next
+//! push, in one of two ways, and the producer pays only for what was asked:
+//!
+//! * **Doorbell** (the transport's links): the consumer is an event-loop
+//!   handler. It [arms](ControlSegment::arm) the ring, looks at the ring
+//!   once more — the push that raced the arming is either seen by that
+//!   look or sees the arming — and returns to its loop. The producer
+//!   [disarms](ControlSegment::disarm) after every push and rings the
+//!   link's doorbell (a byte on the control socket, or an in-process
+//!   notify; the transport owns both) only if the ring was armed. Neither
+//!   side makes a futex call.
+//! * **Futex** ([`ControlSegment::wait`], for a consumer that owns a
+//!   thread: the benchmark's ring probe, tests): the sleeper counts itself
+//!   in `waiters`, re-checks, then sleeps bounded on the `signal` word
+//!   (`FUTEX_WAIT`/`WAKE`, the cross-process variants). The producer bumps
+//!   and wakes the word only while `waiters` is non-zero.
+//!
+//! No spinning before either sleep: on the closed-loop benchmark a bounded
+//! spin only measures the generator waiting for itself, and it costs every
+//! other thread the core (DESIGN §9).
 
 use crate::seg::DIR_CAP;
 use crate::sync::{self, AtomicU32, AtomicU64, Ordering};
@@ -30,13 +45,14 @@ use std::io;
 use std::os::fd::AsRawFd;
 use std::time::Duration;
 
-/// Magic value stamped at offset 0 of every control segment ("ROSSFCTL").
-pub const CTL_MAGIC: u64 = 0x524f_5353_4643_544c;
+/// Magic value stamped at offset 0 of every control segment ("ROSSFCT2":
+/// the second header layout, the one with the `waiters` and `armed` words).
+pub const CTL_MAGIC: u64 = 0x524f_5353_4643_5432;
 /// Largest ring capacity accepted when opening a peer's control segment
 /// (sanity bound against corrupt headers).
 pub const MAX_RING_CAP: u64 = 4096;
 
-const HDR: usize = 64;
+const HDR: usize = 128;
 const OFF_MAGIC: usize = 0;
 const OFF_EPOCH: usize = 8;
 const OFF_RING_CAP: usize = 16;
@@ -45,6 +61,10 @@ const OFF_HEAD: usize = 32;
 const OFF_TAIL: usize = 40;
 const OFF_CLOSED: usize = 48;
 const OFF_SIGNAL: usize = 56;
+/// Consumers inside (or committed to) a futex sleep on `signal` (u32).
+const OFF_WAITERS: usize = 60;
+/// 1 while a drained consumer wants its doorbell rung (u32).
+const OFF_ARMED: usize = 64;
 
 const DIR_ENTRY: usize = 48;
 const DENT_FD: usize = 0;
@@ -201,9 +221,13 @@ impl ControlSegment {
         unsafe { &*(self.ptr.add(off) as *const AtomicU64) }
     }
 
+    fn word32(&self, off: usize) -> &AtomicU32 {
+        // SAFETY: as `word`; the u32 header words sit at 4-aligned offsets.
+        unsafe { &*(self.ptr.add(off) as *const AtomicU32) }
+    }
+
     fn signal(&self) -> &AtomicU32 {
-        // SAFETY: as `word`.
-        unsafe { &*(self.ptr.add(OFF_SIGNAL) as *const AtomicU32) }
+        self.word32(OFF_SIGNAL)
     }
 
     fn slot_word(&self, index: u64, off: usize) -> &AtomicU64 {
@@ -375,8 +399,10 @@ impl ControlSegment {
     }
 
     /// Producer: publish a batch of descriptors, amortizing the tail
-    /// publication and waking the consumer exactly once for the whole
-    /// batch instead of once per descriptor. Returns how many fit
+    /// publication and waking a futex sleeper (if there is one) exactly
+    /// once for the whole batch instead of once per descriptor. A doorbell
+    /// consumer is the caller's to wake: see [`ControlSegment::disarm`].
+    /// Returns how many fit
     /// (`< batch.len()` when the ring filled mid-batch; the caller drops
     /// the rest and counts them). Single producer only.
     ///
@@ -399,9 +425,43 @@ impl ControlSegment {
             return 0;
         }
         self.word(OFF_TAIL).store(t, Ordering::Release);
-        self.signal().fetch_add(1, Ordering::Release);
-        sync::futex_wake(self.signal());
+        self.wake_sleepers();
         (t - start) as usize
+    }
+
+    /// Producer, after publishing a change a sleeper waits for (a push,
+    /// the closed flag): wake the futex sleepers — if any registered.
+    fn wake_sleepers(&self) {
+        // ORDER: SeqCst fence pairs with the one in `wait`: the sleeper
+        // counts itself, fences, re-checks; we publish, fence, read the
+        // count. Whichever fence comes second sees the other side's write,
+        // so a sleeper we do not see here sees our change and stays awake.
+        sync::fence(Ordering::SeqCst);
+        if self.word32(OFF_WAITERS).load(Ordering::Relaxed) != 0 {
+            self.signal().fetch_add(1, Ordering::Release);
+            sync::futex_wake(self.signal());
+        }
+    }
+
+    /// Consumer (a doorbell link's handler), having drained the ring: ask
+    /// for the doorbell to be rung by the next push. The caller **must
+    /// look at the ring again** ([`ControlSegment::pending`],
+    /// [`ControlSegment::is_closed`]) before going idle: a push that
+    /// disarmed just before this call rang nothing.
+    pub fn arm(&self) {
+        // ORDER: SeqCst swap pairs with `disarm`'s. Both are read-modify-
+        // writes of one word, so one reads the other's value: either the
+        // producer's swap reads this 1 (and rings), or this swap reads the
+        // producer's 0 — and with it everything the producer published
+        // before disarming, which the caller's second look then sees.
+        self.word32(OFF_ARMED).swap(1, Ordering::SeqCst);
+    }
+
+    /// Producer, after a push (or after closing): `true` means a drained
+    /// consumer armed the ring and this caller must ring its doorbell.
+    pub fn disarm(&self) -> bool {
+        // ORDER: SeqCst swap, see `arm`.
+        self.word32(OFF_ARMED).swap(0, Ordering::SeqCst) == 1
     }
 
     /// Consumer: take the oldest descriptor, if any. Multi-consumer safe
@@ -462,22 +522,27 @@ impl ControlSegment {
         t.saturating_sub(h)
     }
 
-    /// Consumer: sleep until the producer signals (or `timeout`). Callers
-    /// re-check [`ControlSegment::try_pop`] afterwards; spurious returns
-    /// are fine.
+    /// Consumer with a thread to block: sleep until the producer signals
+    /// (or `timeout`). Callers re-check [`ControlSegment::try_pop`]
+    /// afterwards; spurious returns are fine.
     pub fn wait(&self, timeout: Duration) {
+        // Counted first, so a producer that publishes from here on wakes
+        // the word.
+        self.word32(OFF_WAITERS).fetch_add(1, Ordering::Relaxed);
+        // ORDER: SeqCst fence, the sleeper's half of `wake_sleepers`'.
+        sync::fence(Ordering::SeqCst);
         let s = self.signal().load(Ordering::Acquire);
-        if self.pending() > 0 || self.is_closed() {
-            return;
+        if self.pending() == 0 && !self.is_closed() {
+            sync::futex_wait(self.signal(), s, timeout);
         }
-        sync::futex_wait(self.signal(), s, timeout);
+        self.word32(OFF_WAITERS).fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Mark the link closed (graceful teardown) and wake all waiters.
+    /// Mark the link closed (graceful teardown) and wake the futex
+    /// sleepers. A doorbell consumer is the caller's to wake.
     pub fn close(&self) {
         self.word(OFF_CLOSED).store(1, Ordering::Release);
-        self.signal().fetch_add(1, Ordering::Release);
-        sync::futex_wake(self.signal());
+        self.wake_sleepers();
     }
 
     /// Whether [`ControlSegment::close`] has been called by either side.
@@ -624,6 +689,65 @@ mod tests {
         assert_eq!(c.reader_holds(bogus), 0);
         assert_eq!(c.take_abandoned(bogus), 0);
         assert_eq!(c.take_holds(bogus), 0);
+    }
+
+    fn futex_calls() -> usize {
+        sync::FUTEX_CALLS.with(|c| c.get())
+    }
+
+    /// The doorbell protocol from both ends, and what it costs: a consumer
+    /// that arms instead of sleeping is told by `disarm`, and neither the
+    /// pushes nor the close make a futex call for it.
+    #[test]
+    fn a_doorbell_consumer_costs_no_futex_call() {
+        let _mapped = crate::census::mapping();
+        let c = ControlSegment::create(4, 1).unwrap();
+        let calls = futex_calls();
+        assert!(c.try_push(&Descriptor::default()));
+        assert!(!c.disarm(), "nobody armed yet: no doorbell owed");
+        for round in 0..100 {
+            assert!(c.try_pop().is_some());
+            assert!(c.try_pop().is_none());
+            c.arm();
+            assert_eq!(c.pending(), 0, "round {round}: the re-check finds it empty");
+            assert!(c.try_push(&Descriptor::default()));
+            assert!(c.disarm(), "round {round}: an armed ring owes its doorbell");
+            assert!(!c.disarm(), "round {round}: and owes it once");
+        }
+        c.arm();
+        c.close();
+        assert!(
+            c.disarm(),
+            "the close owes an armed consumer its doorbell too"
+        );
+        assert_eq!(futex_calls(), calls, "a doorbell link made a futex call");
+    }
+
+    /// The other half of the gate: a consumer blocked in `wait` registered
+    /// itself, so the push that ends its wait does make the one wake call.
+    #[test]
+    fn a_registered_sleeper_is_woken_by_the_push() {
+        let _mapped = crate::census::mapping();
+        let c = std::sync::Arc::new(ControlSegment::create(4, 1).unwrap());
+        let sleeper = {
+            let c = std::sync::Arc::clone(&c);
+            std::thread::spawn(move || {
+                let t0 = std::time::Instant::now();
+                while c.try_pop().is_none() {
+                    c.wait(Duration::from_secs(30));
+                }
+                t0.elapsed()
+            })
+        };
+        while c.word32(OFF_WAITERS).load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let calls = futex_calls();
+        assert!(c.try_push(&Descriptor::default()));
+        assert_eq!(futex_calls(), calls + 1, "one wake for the one sleeper");
+        let slept = sleeper.join().unwrap();
+        assert!(slept < Duration::from_secs(10), "woken, not timed out");
+        assert_eq!(c.word32(OFF_WAITERS).load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -27,11 +27,20 @@ pub use rossf_model::sync::Mutex;
 
 use std::time::Duration;
 
+#[cfg(test)]
+thread_local! {
+    /// Futex calls (waits and wakes) the current thread made through this
+    /// facade — how a test shows that a code path makes none.
+    pub(crate) static FUTEX_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Sleep until `word` changes away from `expected` or `timeout` elapses
 /// (spurious wakeups allowed; callers re-check their condition). Model
 /// builds treat the timeout as infinite so a lost wakeup surfaces as a
 /// deadlock instead of being papered over by the timer.
 pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
+    #[cfg(test)]
+    FUTEX_CALLS.with(|c| c.set(c.get() + 1));
     #[cfg(not(rossf_model))]
     rossf_sys::futex_wait(word, expected, timeout);
     #[cfg(rossf_model)]
@@ -40,6 +49,8 @@ pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) {
 
 /// Wake every waiter parked on `word`.
 pub fn futex_wake(word: &AtomicU32) {
+    #[cfg(test)]
+    FUTEX_CALLS.with(|c| c.set(c.get() + 1));
     #[cfg(not(rossf_model))]
     rossf_sys::futex_wake(word);
     #[cfg(rossf_model)]
@@ -47,7 +58,6 @@ pub fn futex_wake(word: &AtomicU32) {
 }
 
 /// Memory fence (model builds: a scheduler yield point).
-#[allow(dead_code)]
 pub fn fence(order: Ordering) {
     #[cfg(not(rossf_model))]
     std::sync::atomic::fence(order);

@@ -14,7 +14,8 @@
 //! of held frames, generation stability under the write hold.
 #![cfg(rossf_model)]
 
-use rossf_model::{spawn, Model};
+use rossf_model::sync::{futex_wait, futex_wake, AtomicU32};
+use rossf_model::{spawn, Model, Outcome};
 use rossf_shm::{
     ControlSegment, Descriptor, FrameMeta, PushOutcome, SegmentPool, ShmLink, ShmReader,
 };
@@ -26,11 +27,14 @@ fn model() -> Model {
     Model::new().preemptions(2)
 }
 
-/// Ring push/pop, SPSC shape with the futex wakeup in play: the producer
-/// pushes two descriptors and closes; the consumer pops through the
-/// `try_pop`/`wait` protocol exactly as `ShmReader::take` does. A lost
-/// wakeup would park the consumer forever → reported as a deadlock; a
-/// lost or duplicated descriptor breaks the conservation assert.
+/// Ring push/pop, SPSC shape with the `waiters`-gated futex wakeup in
+/// play: the producer pushes two descriptors and closes, waking the word
+/// only when it reads a registered sleeper; the consumer pops through the
+/// `try_pop`/`wait` protocol exactly as the blocking `ShmReader::take`
+/// does. A push that misses the sleeper's registration while the sleeper
+/// misses the push would park the consumer forever → reported as a
+/// deadlock; a lost or duplicated descriptor breaks the conservation
+/// assert.
 #[test]
 fn ring_spsc_with_futex_wakeups() {
     let out = model().explore(|| {
@@ -75,6 +79,110 @@ fn ring_spsc_with_futex_wakeups() {
         "only {} schedules explored — the scheduler is not branching",
         out.executions
     );
+}
+
+/// A link's doorbell as the kernel delivers it — a byte in the control
+/// socket, or a pending reactor notify: a ring while nobody waits is
+/// remembered, and the wait has no timeout, so a doorbell that was owed
+/// and never rung ends the schedule in a deadlock.
+struct Doorbell(AtomicU32);
+
+impl Doorbell {
+    fn ring(&self) {
+        self.0.store(1, Ordering::SeqCst);
+        futex_wake(&self.0);
+    }
+
+    fn wait(&self) {
+        while self.0.swap(0, Ordering::SeqCst) == 0 {
+            futex_wait(&self.0, 0, 0);
+        }
+    }
+}
+
+/// The arm/ring handshake of a handler-driven link. The producer pushes
+/// two descriptors and closes, ringing the doorbell after each step only
+/// if `disarm` says the consumer armed; the main thread is the handler:
+/// drain, arm, look again, go idle on the doorbell. `recheck` is that
+/// second look — the body of `ShmReader::arm` after the swap.
+fn doorbell_handshake(recheck: bool) -> Outcome {
+    model().explore(move || {
+        let ctrl = Arc::new(ControlSegment::create(4, 7).unwrap());
+        let bell = Arc::new(Doorbell(AtomicU32::new(0)));
+        let (c2, b2) = (Arc::clone(&ctrl), Arc::clone(&bell));
+        let producer = spawn(move || {
+            for g in 1..=2u64 {
+                assert!(c2.try_push(&Descriptor {
+                    gen: g,
+                    ..Descriptor::default()
+                }));
+                if c2.disarm() {
+                    b2.ring();
+                }
+            }
+            c2.close();
+            if c2.disarm() {
+                b2.ring();
+            }
+        });
+        let mut got = Vec::new();
+        loop {
+            // Read before the pops: what was pushed before the close is
+            // visible to a pop that follows seeing the close.
+            let closing = ctrl.is_closed();
+            while let Some(d) = ctrl.try_pop() {
+                got.push(d.gen);
+            }
+            if closing {
+                break;
+            }
+            ctrl.arm();
+            if recheck && (ctrl.pending() > 0 || ctrl.is_closed()) {
+                continue;
+            }
+            bell.wait();
+        }
+        producer.join();
+        assert_eq!(
+            got,
+            vec![1, 2],
+            "descriptors lost, duplicated, or reordered"
+        );
+    })
+}
+
+/// No schedule leaves the handler idle with a descriptor (or the close)
+/// in the ring and no doorbell on its way.
+#[test]
+fn armed_ring_never_loses_its_doorbell() {
+    let out = doorbell_handshake(true);
+    if let Some(f) = out.failure {
+        panic!("{f}");
+    }
+    assert!(!out.capped, "exploration capped before exhaustion");
+    assert!(
+        out.executions > 10,
+        "only {} schedules explored — the scheduler is not branching",
+        out.executions
+    );
+    println!("doorbell handshake: {} schedules", out.executions);
+}
+
+/// The seeded bug: a handler that arms and goes idle without looking at
+/// the ring again. A push whose `disarm` ran just before the arming rang
+/// nothing, and nothing will.
+#[test]
+fn dropping_the_recheck_is_caught() {
+    let out = doorbell_handshake(false);
+    let f = out
+        .failure
+        .expect("a handler that idles without re-checking must lose a doorbell");
+    assert!(
+        f.message.contains("deadlock"),
+        "expected the lost doorbell to surface as a deadlock, got: {}",
+        f.message
+    );
+    println!("seeded bug caught after {} schedules", out.executions);
 }
 
 /// Ring pop under multi-consumer contention (the subscriber racing the

@@ -8,6 +8,12 @@
 //! the `orb_slam` node of Fig. 17 over either message family, subscribing
 //! to the input image topic and publishing pose, point cloud, and debug
 //! image.
+//!
+//! Subscriber callbacks run on the process's event loop and must be short
+//! (the transport's rule: a slow callback delays every other link), and
+//! one frame's analysis is milliseconds. So the node's callback only hands
+//! the frame — a pointer, no copy — to the node's own worker thread over a
+//! bounded queue; the worker analyzes and publishes.
 
 use crate::brief;
 use crate::dataset::Frame;
@@ -21,8 +27,10 @@ use rossf_msg::std_msgs::Header;
 use rossf_ros::time::RosTime;
 use rossf_ros::{NodeHandle, Publisher, PublisherOptions, Subscriber, SubscriberOptions};
 use rossf_sfm::{SfmBox, SfmShared};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Engine configuration.
@@ -141,18 +149,104 @@ impl SlamTopics {
     }
 }
 
-/// A running `orb_slam` node; dropping it unsubscribes.
+/// Frames the node's worker may have waiting — the `queue_size` of the
+/// node's own publishers, so the node buffers as deep as its outputs do.
+const NODE_QUEUE: usize = 16;
+
+/// Counters shared by the node handle, its callback and its worker.
+#[derive(Default)]
+struct NodeCounters {
+    frames: AtomicU64,
+    dropped: AtomicU64,
+    stop: AtomicBool,
+}
+
+/// A running `orb_slam` node; dropping it unsubscribes and stops the
+/// node's worker.
 pub struct OrbSlamNode<S: rossf_ros::Decode> {
-    /// The input subscription (kept alive).
-    _sub: Subscriber<S>,
-    frames: Arc<AtomicU64>,
+    /// The input subscription; `None` only while dropping.
+    sub: Option<Subscriber<S>>,
+    /// The worker's queue; `None` is its wake-up call to exit.
+    queue: SyncSender<Option<S>>,
+    worker: Option<JoinHandle<()>>,
+    counters: Arc<NodeCounters>,
 }
 
 impl<S: rossf_ros::Decode> OrbSlamNode<S> {
+    /// Subscribe to `topic` and run `process` on every frame, in order, on
+    /// the node's worker thread. `process` gets the frame and its sequence
+    /// number.
+    fn spawn(
+        nh: &NodeHandle,
+        topic: &str,
+        mut process: impl FnMut(S, u32) + Send + 'static,
+    ) -> OrbSlamNode<S> {
+        let counters = Arc::new(NodeCounters::default());
+        let (queue, frames) = sync_channel::<Option<S>>(NODE_QUEUE);
+        let worker = {
+            let counters = Arc::clone(&counters);
+            std::thread::Builder::new()
+                .name("rossf-slam-node".to_string())
+                .spawn(move || {
+                    while let Ok(Some(frame)) = frames.recv() {
+                        // Acquire: pairs with the Release store in `drop`.
+                        if counters.stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        // Relaxed: a progress counter readers only poll;
+                        // this thread alone writes it.
+                        let seq = counters.frames.fetch_add(1, Ordering::Relaxed) as u32;
+                        process(frame, seq);
+                    }
+                })
+                .expect("spawn the orb_slam node's worker thread")
+        };
+        let sub = {
+            let (queue, counters) = (queue.clone(), Arc::clone(&counters));
+            nh.subscribe_with(topic, SubscriberOptions::new(), move |msg: S| {
+                // On the event loop: hand the frame over and return. A full
+                // queue means the worker is `NODE_QUEUE` frames behind; the
+                // frame is dropped here, as a full transmission queue would
+                // have dropped it one hop earlier.
+                if queue.try_send(Some(msg)).is_err() {
+                    // Relaxed: statistic.
+                    counters.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+        };
+        OrbSlamNode {
+            sub: Some(sub),
+            queue,
+            worker: Some(worker),
+            counters,
+        }
+    }
+
     /// Frames processed so far.
     pub fn frames_processed(&self) -> u64 {
         // Relaxed: monotonic progress counter; readers only poll it.
-        self.frames.load(Ordering::Relaxed)
+        self.counters.frames.load(Ordering::Relaxed)
+    }
+
+    /// Frames dropped because the worker was a full queue behind.
+    pub fn frames_dropped(&self) -> u64 {
+        // Relaxed: statistic.
+        self.counters.dropped.load(Ordering::Relaxed)
+    }
+}
+
+impl<S: rossf_ros::Decode> Drop for OrbSlamNode<S> {
+    fn drop(&mut self) {
+        self.sub = None;
+        // The worker exits after the frame it is on: the flag covers a
+        // queue too full to take the wake-up, the wake-up an empty one.
+        // Release: pairs with the worker's Acquire load.
+        self.counters.stop.store(true, Ordering::Release);
+        let _ = self.queue.try_send(None);
+        if let Some(worker) = self.worker.take() {
+            // A worker that panicked already reported it; nothing to add.
+            let _ = worker.join();
+        }
     }
 }
 
@@ -173,44 +267,33 @@ pub fn spawn_plain(
     );
     let debug_pub: Publisher<Image> =
         nh.advertise_with(&topics.debug, PublisherOptions::new().queue_size(16));
-    let engine = Mutex::new(SlamEngine::new(width, height, config));
-    let frames = Arc::new(AtomicU64::new(0));
-    let frames_cb = Arc::clone(&frames);
+    let mut engine = SlamEngine::new(width, height, config);
+    OrbSlamNode::spawn(nh, &topics.image, move |msg: Arc<Image>, seq| {
+        let gray: Vec<u8> = msg
+            .data
+            .chunks_exact(3)
+            .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
+            .collect();
+        let analysis = engine.analyze(&gray);
+        let stamp = msg.header.stamp;
 
-    let sub = nh.subscribe_with(
-        &topics.image,
-        SubscriberOptions::new(),
-        move |msg: Arc<Image>| {
-            let gray: Vec<u8> = msg
-                .data
-                .chunks_exact(3)
-                .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
-                .collect();
-            let analysis = engine.lock().expect("engine lock").analyze(&gray);
-            // Relaxed: atomicity alone gives unique, dense sequence numbers;
-            // the engine lock above already serializes the callback bodies.
-            let seq = frames_cb.fetch_add(1, Ordering::Relaxed) as u32;
-            let stamp = msg.header.stamp;
-
-            pose_pub.publish(&pose_msg(seq, stamp, analysis.pose));
-            cloud_pub.publish(&to_point_cloud2(&analysis.points, stamp, seq));
-            let annotated = annotate(&msg.data, msg.width, msg.height, &analysis.corners, 2);
-            debug_pub.publish(&Image {
-                header: Header {
-                    seq,
-                    stamp,
-                    frame_id: "camera".to_string(),
-                },
-                height: msg.height,
-                width: msg.width,
-                encoding: "rgb8".to_string(),
-                is_bigendian: 0,
-                step: msg.width * 3,
-                data: annotated,
-            });
-        },
-    );
-    OrbSlamNode { _sub: sub, frames }
+        pose_pub.publish(&pose_msg(seq, stamp, analysis.pose));
+        cloud_pub.publish(&to_point_cloud2(&analysis.points, stamp, seq));
+        let annotated = annotate(&msg.data, msg.width, msg.height, &analysis.corners, 2);
+        debug_pub.publish(&Image {
+            header: Header {
+                seq,
+                stamp,
+                frame_id: "camera".to_string(),
+            },
+            height: msg.height,
+            width: msg.width,
+            encoding: "rgb8".to_string(),
+            is_bigendian: 0,
+            step: msg.width * 3,
+            data: annotated,
+        });
+    })
 }
 
 /// Spawn the `orb_slam` node over **serialization-free** messages: the
@@ -230,23 +313,16 @@ pub fn spawn_sfm(
         nh.advertise_with(&topics.cloud, PublisherOptions::new().queue_size(16));
     let debug_pub: Publisher<SfmBox<SfmImage>> =
         nh.advertise_with(&topics.debug, PublisherOptions::new().queue_size(16));
-    let engine = Mutex::new(SlamEngine::new(width, height, config));
-    let frames = Arc::new(AtomicU64::new(0));
-    let frames_cb = Arc::clone(&frames);
-
-    let sub = nh.subscribe_with(
-        &topics.image,
-        SubscriberOptions::new(),
-        move |msg: SfmShared<SfmImage>| {
+    let mut engine = SlamEngine::new(width, height, config);
+    OrbSlamNode::spawn(nh, &topics.image, move |msg: SfmShared<SfmImage>, seq| {
+        {
             let gray: Vec<u8> = msg
                 .data
                 .as_slice()
                 .chunks_exact(3)
                 .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
                 .collect();
-            let analysis = engine.lock().expect("engine lock").analyze(&gray);
-            // Relaxed: same reasoning as the ordinary-message node above.
-            let seq = frames_cb.fetch_add(1, Ordering::Relaxed) as u32;
+            let analysis = engine.analyze(&gray);
             let stamp = msg.header.stamp;
 
             // Pose (fixed-size: identical code either way).
@@ -309,9 +385,8 @@ pub fn spawn_sfm(
                 2,
             );
             debug_pub.publish(&debug);
-        },
-    );
-    OrbSlamNode { _sub: sub, frames }
+        }
+    })
 }
 
 fn pose_msg(seq: u32, stamp: RosTime, pose: PoseEstimate) -> PoseStamped {
@@ -520,6 +595,39 @@ mod tests {
             assert_eq!(bytes, 128 * 96 * 3);
         }
         assert_eq!(node.frames_processed(), 2);
+    }
+
+    /// The node's callback never works on the loop thread: a burst the
+    /// engine cannot keep up with is shed at the node's own queue, counted,
+    /// and every frame is accounted for one way or the other.
+    #[test]
+    fn a_slow_engine_sheds_frames_at_the_node_queue() {
+        const BURST: u64 = 3 * NODE_QUEUE as u64;
+        let master = Master::new();
+        let nh = NodeHandle::new(&master, "test");
+        let topics = SlamTopics::with_prefix("sfm_shed");
+        let seq = Sequence::with_resolution(41, 64, 48, 2.0);
+        let image_pub: Publisher<SfmBox<SfmImage>> = nh.advertise_with(
+            &topics.image,
+            PublisherOptions::new().queue_size(BURST as usize),
+        );
+        let slow = SlamConfig {
+            min_frame_compute: Duration::from_millis(10),
+            threshold: 25,
+        };
+        let node = spawn_sfm(&nh, &topics, 64, 48, slow);
+        nh.wait_for_subscribers(&image_pub, 1);
+        let frame = frame_to_sfm(&seq.frame(0), RosTime::now());
+        for _ in 0..BURST {
+            image_pub.publish(&frame);
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while node.frames_processed() + node.frames_dropped() < BURST {
+            assert!(Instant::now() < deadline, "frames unaccounted for");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(node.frames_dropped() > 0, "a 3-queue burst must overflow");
+        assert!(node.frames_processed() >= NODE_QUEUE as u64);
     }
 
     #[test]

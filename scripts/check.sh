@@ -71,6 +71,11 @@ cargo run -q --release -p rossf-bench --bin bag_gate -- --smoke
 echo "==> rossf-lint (unsafe/SeqCst annotations, asm confined to crates/sys, Drop hygiene, thread-spawn allowlist)"
 cargo run -q --release -p rossf-lint --bin rossf-lint -- .
 
+echo "==> no 20 ms poll and no blocking queue read left in crates/ros/src (every link is a reactor handler)"
+if for f in crates/ros/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'from_millis(20)\|recv_timeout' | sed "s|^|$f:|"; done | grep .; then
+    echo "FAIL: a poll interval or blocking receive is back in the transport"; exit 1
+fi
+
 echo "==> rossf-model --self-test (explorer catches the seeded racy ring, deterministically)"
 cargo run -q --release -p rossf-model --bin rossf-model -- --self-test
 

@@ -20,12 +20,36 @@ pub mod channel {
         cap: Option<usize>,
         senders: usize,
         receivers: usize,
+        /// Receivers blocked in (or about to enter) a `not_empty` wait.
+        rx_waiting: usize,
+        /// Senders blocked in (or about to enter) a `not_full` wait.
+        tx_waiting: usize,
     }
 
     struct Shared<T> {
         inner: Mutex<Inner<T>>,
         not_empty: Condvar,
         not_full: Condvar,
+    }
+
+    #[cfg(test)]
+    thread_local! {
+        /// Condvar notifies the current thread issued — each one is a
+        /// `futex(FUTEX_WAKE)` in std, waiter or no waiter.
+        pub(crate) static NOTIFIES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Wake one thread blocked on `cv` — if `waiting`, the count its
+    /// waiters keep under the channel mutex, says there is one. Most
+    /// hand-offs in this workspace go to a consumer that only ever polls
+    /// (`try_recv` from an event loop), and an unconditional notify is a
+    /// syscall to nobody on each of them.
+    fn notify_one(cv: &Condvar, waiting: usize) {
+        if waiting != 0 {
+            #[cfg(test)]
+            NOTIFIES.with(|n| n.set(n.get() + 1));
+            cv.notify_one();
+        }
     }
 
     impl<T> Shared<T> {
@@ -112,6 +136,8 @@ pub mod channel {
                 cap,
                 senders: 1,
                 receivers: 1,
+                rx_waiting: 0,
+                tx_waiting: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -138,18 +164,21 @@ pub mod channel {
                 }
                 match inner.cap {
                     Some(cap) if inner.queue.len() >= cap => {
+                        inner.tx_waiting += 1;
                         inner = self
                             .shared
                             .not_full
                             .wait(inner)
                             .unwrap_or_else(PoisonError::into_inner);
+                        inner.tx_waiting -= 1;
                     }
                     _ => break,
                 }
             }
             inner.queue.push_back(msg);
+            let rx_waiting = inner.rx_waiting;
             drop(inner);
-            self.shared.not_empty.notify_one();
+            notify_one(&self.shared.not_empty, rx_waiting);
             Ok(())
         }
 
@@ -170,8 +199,9 @@ pub mod channel {
                 }
             }
             inner.queue.push_back(msg);
+            let rx_waiting = inner.rx_waiting;
             drop(inner);
-            self.shared.not_empty.notify_one();
+            notify_one(&self.shared.not_empty, rx_waiting);
             Ok(())
         }
 
@@ -183,6 +213,12 @@ pub mod channel {
         /// `true` when no messages are queued.
         pub fn is_empty(&self) -> bool {
             self.len() == 0
+        }
+
+        /// Receivers currently blocked on this channel.
+        #[cfg(test)]
+        pub(crate) fn rx_waiting(&self) -> usize {
+            self.shared.lock().rx_waiting
         }
     }
 
@@ -219,18 +255,21 @@ pub mod channel {
             let mut inner = self.shared.lock();
             loop {
                 if let Some(msg) = inner.queue.pop_front() {
+                    let tx_waiting = inner.tx_waiting;
                     drop(inner);
-                    self.shared.not_full.notify_one();
+                    notify_one(&self.shared.not_full, tx_waiting);
                     return Ok(msg);
                 }
                 if inner.senders == 0 {
                     return Err(RecvError);
                 }
+                inner.rx_waiting += 1;
                 inner = self
                     .shared
                     .not_empty
                     .wait(inner)
                     .unwrap_or_else(PoisonError::into_inner);
+                inner.rx_waiting -= 1;
             }
         }
 
@@ -245,8 +284,9 @@ pub mod channel {
             let mut inner = self.shared.lock();
             loop {
                 if let Some(msg) = inner.queue.pop_front() {
+                    let tx_waiting = inner.tx_waiting;
                     drop(inner);
-                    self.shared.not_full.notify_one();
+                    notify_one(&self.shared.not_full, tx_waiting);
                     return Ok(msg);
                 }
                 if inner.senders == 0 {
@@ -256,12 +296,14 @@ pub mod channel {
                 if now >= deadline {
                     return Err(RecvTimeoutError::Timeout);
                 }
+                inner.rx_waiting += 1;
                 let (guard, _timed_out) = self
                     .shared
                     .not_empty
                     .wait_timeout(inner, deadline - now)
                     .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
+                inner.rx_waiting -= 1;
             }
         }
 
@@ -273,8 +315,9 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut inner = self.shared.lock();
             if let Some(msg) = inner.queue.pop_front() {
+                let tx_waiting = inner.tx_waiting;
                 drop(inner);
-                self.shared.not_full.notify_one();
+                notify_one(&self.shared.not_full, tx_waiting);
                 return Ok(msg);
             }
             if inner.senders == 0 {
@@ -358,6 +401,42 @@ mod tests {
         assert_eq!(tx.len(), 2);
         drop(rx);
         assert!(matches!(tx.try_send(4), Err(TrySendError::Disconnected(4))));
+    }
+
+    fn notifies() -> usize {
+        super::channel::NOTIFIES.with(|n| n.get())
+    }
+
+    /// A hand-off to a consumer that only polls wakes nobody, so it must
+    /// not pay for a wake-up: neither the sends nor the pops notify.
+    #[test]
+    fn a_send_with_no_blocked_receiver_does_not_notify() {
+        let (tx, rx) = bounded::<u32>(4);
+        let before = notifies();
+        for i in 0..4 {
+            tx.try_send(i).unwrap();
+        }
+        for i in 0..4 {
+            assert_eq!(rx.try_recv(), Ok(i));
+        }
+        tx.send(9).unwrap();
+        assert_eq!(rx.recv(), Ok(9));
+        assert_eq!(notifies(), before, "a notify with nobody blocked");
+    }
+
+    /// The gate's other side: a receiver that is blocked is counted, and
+    /// the send that ends its wait issues exactly one notify.
+    #[test]
+    fn a_send_to_a_blocked_receiver_notifies_once() {
+        let (tx, rx) = bounded::<u32>(1);
+        let h = std::thread::spawn(move || rx.recv());
+        while tx.rx_waiting() == 0 {
+            std::thread::yield_now();
+        }
+        let before = notifies();
+        tx.send(7).unwrap();
+        assert_eq!(notifies(), before + 1);
+        assert_eq!(h.join().unwrap(), Ok(7));
     }
 
     #[test]
