@@ -165,12 +165,7 @@ fn main() {
     println!("\n--- stage-latency attribution: traced one-way 1MB frame, all tiers ---");
     let (w, h) = (664, 504); // ~1 MB RGB frame
     let mut tiers: Vec<TraceWaterfall> = Vec::new();
-    for tier in [
-        TraceTier::Tcp,
-        TraceTier::Fastpath,
-        TraceTier::Shm,
-        TraceTier::Local,
-    ] {
+    for tier in [TraceTier::Tcp, TraceTier::Fastpath, TraceTier::Shm] {
         let (stats, snapshot) = oneway_traced(&args, w, h, tier, link);
         tiers.push(TraceWaterfall::print(
             tier.label(),

@@ -86,12 +86,7 @@ fn waterfall(args: &RunArgs) -> ExitCode {
     );
     let link = LinkProfile::ten_gbe();
     let mut ok = true;
-    for tier in [
-        TraceTier::Tcp,
-        TraceTier::Fastpath,
-        TraceTier::Shm,
-        TraceTier::Local,
-    ] {
+    for tier in [TraceTier::Tcp, TraceTier::Fastpath, TraceTier::Shm] {
         let (stats, snapshot) = oneway_traced(args, w, h, tier, link);
         let wf = TraceWaterfall::print(tier.label(), &stats, snapshot, " (target: <10%)");
         let err = wf.sum_error();

@@ -15,8 +15,8 @@ use rossf_msg::std_msgs::Header;
 use rossf_ros::time::{now_nanos, RosTime};
 use rossf_ros::wire::{read_frame_len, write_frame};
 use rossf_ros::{
-    Decode, LinkProfile, LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions,
-    Subscriber, SubscriberOptions, TransportConfig,
+    Decode, LinkProfile, MachineId, Master, NodeHandle, Publisher, PublisherOptions, Subscriber,
+    SubscriberOptions, TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmShared};
 use rossf_slam::dataset::{Frame, Sequence};
@@ -422,8 +422,6 @@ pub enum TraceTier {
     /// same-process mode (`TransportConfig::shm_same_process`) so both
     /// ends share the trace clock and the full waterfall telescopes.
     Shm,
-    /// The synchronous in-process [`LocalBus`].
-    Local,
 }
 
 impl TraceTier {
@@ -433,7 +431,6 @@ impl TraceTier {
             TraceTier::Tcp => "tcp",
             TraceTier::Fastpath => "fastpath",
             TraceTier::Shm => "shm",
-            TraceTier::Local => "local",
         }
     }
 }
@@ -485,8 +482,7 @@ pub fn oneway_untraced(
 ///
 /// # Panics
 ///
-/// Panics on [`TraceTier::Local`] (the in-process bus has no publisher to
-/// loan from) or when a loan is starved for more than ten seconds.
+/// Panics when a loan is starved for more than ten seconds.
 pub fn oneway_loaned(
     args: &RunArgs,
     width: u32,
@@ -538,23 +534,6 @@ fn oneway_run(
         })
     };
 
-    if tier == TraceTier::Local {
-        assert!(
-            !loaned,
-            "the in-process LocalBus has no publisher to loan from"
-        );
-        let bus = LocalBus::new();
-        let topic = unique_topic("trace_local");
-        let _sub = bus
-            .subscribe_with(&topic, SubscriberOptions::new().trace(traced), on_message)
-            .expect("local subscribe");
-        let stats = measure(args, &rx, "oneway local", |seq, t0| {
-            bus.publish(&topic, &sfm_image(&src, "camera", seq, t0))
-                .expect("local publish");
-        });
-        return (stats, snapshot_of(&topic));
-    }
-
     let master = Master::new();
     let mut config = TransportConfig {
         validate_on_receive: true,
@@ -573,7 +552,7 @@ fn oneway_run(
             config.shm_same_process = true;
             "trace_shm"
         }
-        _ => "trace_fastpath",
+        TraceTier::Fastpath => "trace_fastpath",
     };
     let nh_pub = NodeHandle::with_config(&master, "trace_pub", MachineId::A, config.clone());
     let nh_sub = NodeHandle::with_config(&master, "trace_sub", sub_machine, config);
@@ -822,10 +801,6 @@ mod tests {
             Stage::Callback,
         ];
         for (tier, want_stages) in [
-            (
-                TraceTier::Local,
-                vec![Stage::Alloc, Stage::Encode, Stage::Adopt, Stage::Callback],
-            ),
             (
                 TraceTier::Fastpath,
                 vec![

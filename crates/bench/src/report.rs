@@ -313,7 +313,7 @@ pub fn fds_track_links(smallest: (u64, u64), largest: (u64, u64)) -> bool {
 /// plus the end-to-end latency it should telescope to.
 #[derive(Debug, Clone)]
 pub struct TraceWaterfall {
-    /// Series label, e.g. `"tcp"`, `"fastpath"`, `"local"`.
+    /// Series label, e.g. `"tcp"`, `"fastpath"`, `"shm"`.
     pub label: String,
     /// The per-topic stage histograms collected during the run.
     pub snapshot: TopicSnapshot,
@@ -565,19 +565,19 @@ mod tests {
             topic: "t".to_string(),
             cells: vec![rossf_trace::StageCell {
                 stage: Stage::Encode,
-                tier: Tier::Local,
+                tier: Tier::Fastpath,
                 hist: hist.snapshot(),
             }],
         };
         let wf = TraceWaterfall {
-            label: "local".to_string(),
+            label: "fastpath".to_string(),
             snapshot,
             e2e_mean_us: 2.0,
         };
         assert!((wf.stage_sum_us() - 2.0).abs() < 1e-9);
         assert!(wf.sum_error() < 1e-9);
         let json = render_trace_json("figT", &meta(), &[wf]);
-        assert!(json.contains("\"tier\": \"local\""));
+        assert!(json.contains("\"tier\": \"fastpath\""));
         assert!(json.contains("\"stage\": \"encode\""));
         assert!(json.contains("\"count\": 2"));
         assert!(json.contains("\"sum_error\": 0.000000"));

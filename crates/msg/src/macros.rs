@@ -271,19 +271,6 @@ macro_rules! ros_message_impls {
             }
         }
 
-        impl ::rossf_sfm::SfmEndianSwap for $sfm {
-            /// §4.4.1: in-place endianness conversion, field by field.
-            fn swap_in_place(
-                &mut self,
-                base: usize,
-                whole_len: usize,
-                direction: ::rossf_sfm::SwapDirection,
-            ) -> Result<(), ::rossf_sfm::SfmError> {
-                $( self.$field.swap_in_place(base, whole_len, direction)?; )*
-                Ok(())
-            }
-        }
-
         impl $sfm {
             /// Copy every field of a plain message into this skeleton
             /// (variable-size content is appended through the message

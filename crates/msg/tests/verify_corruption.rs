@@ -553,6 +553,159 @@ fn corrupt_projected_frames_are_counted_and_skipped() {
     );
 }
 
+/// A valid spec: one to four of a schema's resolvable `paths`, in arbitrary
+/// order (so not necessarily canonical).
+fn valid_spec(paths: &[rossf_sfm::FieldPath], rng: &mut Rng) -> String {
+    (0..1 + rng.below(4))
+        .map(|_| paths[rng.below(paths.len())].to_string())
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// One seeded mutation of a projection spec, as the `project=` header value
+/// can reach the publisher: the header parser has already required UTF-8
+/// and capped the whole header at 64 KiB, so byte-level damage arrives as
+/// replacement characters.
+fn mutate_spec(spec: &str, rng: &mut Rng) -> String {
+    const PUNCT: &[u8] = b",.[]";
+    const LONG: usize = 64 * 1024;
+    let mut bytes = spec.as_bytes().to_vec();
+    let at = rng.below(bytes.len() + 1);
+    match rng.below(6) {
+        0 => {
+            for _ in 0..1 + rng.below(4) {
+                let i = rng.below(bytes.len());
+                bytes[i] ^= 1 << rng.below(8);
+            }
+        }
+        1 => bytes.truncate(rng.below(bytes.len())),
+        2 => {
+            let storm: Vec<u8> = (0..1 + rng.below(64))
+                .map(|_| PUNCT[rng.below(PUNCT.len())])
+                .collect();
+            bytes.splice(at..at, storm);
+        }
+        3 => {
+            let unit: &[u8] =
+                [&b"a"[..], b"[", b"]", b",", b".", b"9", b"a.", b"a[0]"][rng.below(8)];
+            let run = unit.iter().copied().cycle().take(LONG);
+            bytes.splice(at..at, run);
+        }
+        4 => {
+            // An index too long for any integer type.
+            bytes.push(b'[');
+            bytes.extend(std::iter::repeat_n(b'9', 20 + rng.below(LONG)));
+            bytes.push(b']');
+        }
+        _ => {
+            // A multi-byte character cut inside its encoding.
+            let ch = ["é", "漢", "🙂"][rng.below(3)].as_bytes();
+            bytes.splice(at..at, ch[..1 + rng.below(ch.len() - 1)].iter().copied());
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// The projection-spec parser is the last parser of peer-supplied bytes
+/// (`project=` arrives on the publisher's accept path): whatever a
+/// subscriber sends, `from_spec` / `FieldPath::parse` return — never panic
+/// — and whatever they accept has a canonical form that re-parses to
+/// itself, which is what the grant-by-echo handshake relies on. (Pins
+/// behaviour the parent already had.)
+#[test]
+fn mutated_projection_specs_never_panic_and_accepted_ones_are_canonical() {
+    use rossf_sfm::{FieldPath, SfmMessage};
+    let mut rng = Rng::new(0x5BEC);
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for schema in [SfmImage::schema(), SfmPointCloud2::schema()] {
+        let schema = schema.expect("generated schema");
+        let paths = schema.resolvable_paths();
+        for round in 0..600 {
+            // Every third spec goes through unmutated: valid input must
+            // keep being accepted for the rejections to mean anything.
+            let mut mutated = valid_spec(&paths, &mut rng);
+            if round % 3 != 0 {
+                mutated = mutate_spec(&mutated, &mut rng);
+            }
+            if let Ok(path) = FieldPath::parse(&mutated) {
+                assert_eq!(FieldPath::parse(&path.to_string()).as_ref(), Ok(&path));
+            }
+            match Projection::from_spec(schema, &mutated) {
+                Err(_) => rejected += 1,
+                Ok(p) => {
+                    accepted += 1;
+                    let again = Projection::from_spec(schema, p.spec())
+                        .expect("a canonical spec must resolve");
+                    assert_eq!(again.spec(), p.spec(), "from {mutated:?}");
+                }
+            }
+        }
+    }
+    assert!(accepted > 0, "nothing accepted — sweep too hostile");
+    assert!(rejected > 0, "nothing rejected — sweep too tame");
+}
+
+/// The same garbage through a real publisher's handshake: a `project=` it
+/// cannot resolve (or that is not canonical) is neither an error nor a
+/// grant — the reply carries no echo and the link carries full frames,
+/// frame after frame.
+#[test]
+fn garbage_projection_request_gets_full_frames_on_a_live_link() {
+    use rossf_ros::wire::read_frame_len;
+    use rossf_sfm::SfmMessage;
+    use std::io::Read;
+    let mut rng = Rng::new(0x9A8B);
+    let schema = SfmImage::schema().expect("generated schema");
+    let master = Master::new();
+    let nh = NodeHandle::new(&master, "proj_pub");
+    let topic = "verify/garbage_project";
+    let publisher =
+        nh.advertise_with::<SfmBox<SfmImage>>(topic, PublisherOptions::new().queue_size(8));
+    let img = image_box(&mut rng);
+    let full = img.publish_handle().as_slice().to_vec();
+
+    let paths = schema.resolvable_paths();
+    let mut specs = vec!["width,height".to_string()]; // valid, not canonical
+    while specs.len() < 12 {
+        let s = mutate_spec(&valid_spec(&paths, &mut rng), &mut rng);
+        // Keep what the publisher would decline and the 64 KiB header cap
+        // admits.
+        let declined = Projection::from_spec(schema, &s).map_or(true, |p| p.spec() != s);
+        if declined && s.len() < 60 * 1024 {
+            specs.push(s);
+        }
+    }
+    for (n, spec) in specs.iter().enumerate() {
+        let mut stream = std::net::TcpStream::connect(publisher.addr()).unwrap();
+        ConnectionHeader::new()
+            .with("topic", topic)
+            .with("type", SfmImage::type_name())
+            .with("endian", ConnectionHeader::native_endian())
+            .with(PROJECT_FIELD, spec.as_str())
+            .write_to(&mut stream)
+            .unwrap();
+        let reply = ConnectionHeader::read_from(&mut stream).unwrap();
+        assert_eq!(reply.get("error"), None, "spec {spec:?} refused the link");
+        assert_eq!(reply.get(PROJECT_FIELD), None, "spec {spec:?} was granted");
+        wait_until("raw subscriber spliced in", || {
+            publisher.subscriber_count() == 1
+        });
+        for _ in 0..2 {
+            publisher.publish(&img);
+            let len = read_frame_len(&mut stream).unwrap().expect("link closed");
+            let mut frame = vec![0u8; len];
+            stream.read_exact(&mut frame).unwrap();
+            assert_eq!(frame, full, "link {n}: not the full frame");
+        }
+        drop(stream);
+        // The writer notices the close on its next write.
+        wait_until("raw subscriber pruned", || {
+            publisher.publish(&img);
+            publisher.subscriber_count() == 0
+        });
+    }
+}
+
 #[test]
 fn corrupt_frames_are_counted_and_skipped_without_killing_the_connection() {
     use rossf_sfm::SfmMessage;

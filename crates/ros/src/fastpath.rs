@@ -1,5 +1,4 @@
-//! Zero-copy same-machine fast path (transport tier between the
-//! in-process [`LocalBus`](crate::LocalBus) and remote TCP).
+//! Zero-copy same-machine fast path (the intra-process transport tier).
 //!
 //! When the master resolves a subscription whose publisher endpoint lives
 //! on the same simulated machine *within the same process*, the subscriber

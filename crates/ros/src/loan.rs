@@ -9,9 +9,7 @@
 //! built in the publisher's mapping are exactly the bytes every subscriber
 //! maps — the publish-side payload memcpy disappears entirely.
 //!
-//! When the shm tier is not in play (disabled, unsupported platform, no
-//! shm subscriber yet, or loans switched off via
-//! [`PublisherOptions::shm_loans`](crate::PublisherOptions::shm_loans)),
+//! When the shm tier is not in play (disabled or no shm subscriber yet),
 //! `loan` transparently falls back to an ordinary heap-backed message and
 //! `publish_loaned` behaves exactly like `publish` — the caller's code is
 //! identical either way, preserving the paper's transparency claim.

@@ -81,8 +81,8 @@ impl NodeHandle {
 
     /// Declare a topic and obtain a publisher for it (the paper's Fig. 3
     /// `advertise`). [`PublisherOptions`] carries the
-    /// queue size plus the per-publisher transport override, the tracing
-    /// switch and the loan policy.
+    /// queue size plus the per-publisher transport override and the tracing
+    /// switch.
     ///
     /// # Panics
     ///

@@ -4,10 +4,8 @@
 //! knob — queue size, a per-endpoint transport-config override, and the
 //! tracing switch — into one builder, consumed by
 //! [`NodeHandle::advertise_with`](crate::NodeHandle::advertise_with) and
-//! [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with) (and by
-//! [`LocalBus::subscribe_with`](crate::LocalBus::subscribe_with) for the
-//! in-process bus). The `_with` forms are the only advertise/subscribe
-//! entry points.
+//! [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with). The
+//! `_with` forms are the only advertise/subscribe entry points.
 //!
 //! [`PublisherStats`] / [`SubscriberStats`] are the matching read side: one
 //! coherent snapshot of an endpoint's counters plus its per-topic transport
@@ -20,36 +18,32 @@ use crate::metrics::MetricsSnapshot;
 /// [`NodeHandle::advertise_with`](crate::NodeHandle::advertise_with).
 ///
 /// ```
-/// use rossf_ros::PublisherOptions;
+/// use rossf_ros::{Master, NodeHandle, Publisher, PublisherOptions};
+/// # use rossf_sfm::*;
+/// # #[repr(C)] pub struct Tick { pub seq: u64 }
+/// # unsafe impl SfmPod for Tick {}
+/// # impl SfmValidate for Tick {
+/// #     fn validate_in(&self, _: usize, _: usize) -> Result<(), SfmError> { Ok(()) }
+/// # }
+/// # unsafe impl SfmMessage for Tick {
+/// #     fn type_name() -> &'static str { "doc/Tick" }
+/// #     fn max_size() -> usize { 64 }
+/// # }
+/// let master = Master::new();
+/// let node = NodeHandle::new(&master, "talker");
 /// let opts = PublisherOptions::new().queue_size(8).trace(true);
-/// assert_eq!(opts.queue_size_hint(), 8);
-/// assert!(opts.trace_enabled());
+/// let publisher: Publisher<SfmBox<Tick>> = node.advertise_with("tick", opts);
+/// assert_eq!(publisher.stats().published, 0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PublisherOptions {
     pub(crate) queue_size: usize,
     pub(crate) transport: Option<TransportConfig>,
     pub(crate) trace: bool,
-    pub(crate) shm_loans: bool,
-}
-
-impl Default for PublisherOptions {
-    /// Loaned publication is on by default: it only engages when a loan is
-    /// actually requested *and* the shm tier is active, so there is nothing
-    /// to pay otherwise.
-    fn default() -> Self {
-        PublisherOptions {
-            queue_size: 0,
-            transport: None,
-            trace: false,
-            shm_loans: true,
-        }
-    }
 }
 
 impl PublisherOptions {
-    /// Defaults: node-config queue size, node transport config, no tracing,
-    /// loaned publication allowed.
+    /// Defaults: node-config queue size, node transport config, no tracing.
     pub fn new() -> Self {
         Self::default()
     }
@@ -74,41 +68,10 @@ impl PublisherOptions {
         self.trace = on;
         self
     }
-
-    /// Allow [`Publisher::loan`](crate::Publisher::loan) to hand out
-    /// shared-memory-backed loans (on by default). When disabled — or when
-    /// the shm tier is off or has no subscribers yet — `loan` falls back to
-    /// an ordinary heap allocation and `publish_loaned` behaves exactly
-    /// like `publish`.
-    pub fn shm_loans(mut self, on: bool) -> Self {
-        self.shm_loans = on;
-        self
-    }
-
-    /// The configured queue size (0 = config default).
-    pub fn queue_size_hint(&self) -> usize {
-        self.queue_size
-    }
-
-    /// The per-endpoint transport override, if any.
-    pub fn transport_override(&self) -> Option<&TransportConfig> {
-        self.transport.as_ref()
-    }
-
-    /// Whether tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
-    }
-
-    /// Whether shared-memory loans are allowed.
-    pub fn shm_loans_enabled(&self) -> bool {
-        self.shm_loans
-    }
 }
 
 /// Per-subscriber options consumed by
-/// [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with) and
-/// [`LocalBus::subscribe_with`](crate::LocalBus::subscribe_with).
+/// [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with).
 ///
 /// `queue_size` is accepted for API fidelity with ROS (backpressure on the
 /// socket path comes from TCP itself).
@@ -159,26 +122,6 @@ impl SubscriberOptions {
     pub fn project(mut self, paths: &[&str]) -> Self {
         self.project = Some(paths.iter().map(|s| s.to_string()).collect());
         self
-    }
-
-    /// The configured queue size (0 = config default).
-    pub fn queue_size_hint(&self) -> usize {
-        self.queue_size
-    }
-
-    /// The per-endpoint transport override, if any.
-    pub fn transport_override(&self) -> Option<&TransportConfig> {
-        self.transport.as_ref()
-    }
-
-    /// Whether tracing is enabled.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace
-    }
-
-    /// The requested projection paths, if any.
-    pub fn projection_paths(&self) -> Option<&[String]> {
-        self.project.as_deref()
     }
 }
 
@@ -235,30 +178,28 @@ mod tests {
     #[test]
     fn builders_chain_and_default_off() {
         let p = PublisherOptions::new();
-        assert_eq!(p.queue_size_hint(), 0);
-        assert!(p.transport_override().is_none());
-        assert!(!p.trace_enabled());
-        assert!(p.shm_loans_enabled(), "loans allowed by default");
-        assert!(!PublisherOptions::new().shm_loans(false).shm_loans_enabled());
+        assert_eq!(p.queue_size, 0);
+        assert!(p.transport.is_none());
+        assert!(!p.trace);
 
         let p = PublisherOptions::new()
             .queue_size(16)
             .transport(TransportConfig::default())
             .trace(true);
-        assert_eq!(p.queue_size_hint(), 16);
-        assert!(p.transport_override().is_some());
-        assert!(p.trace_enabled());
+        assert_eq!(p.queue_size, 16);
+        assert!(p.transport.is_some());
+        assert!(p.trace);
 
         let s = SubscriberOptions::new().queue_size(4).trace(true);
-        assert_eq!(s.queue_size_hint(), 4);
-        assert!(s.trace_enabled());
-        assert!(s.transport_override().is_none());
-        assert!(s.projection_paths().is_none());
+        assert_eq!(s.queue_size, 4);
+        assert!(s.trace);
+        assert!(s.transport.is_none());
+        assert!(s.project.is_none());
 
         let s = SubscriberOptions::new().project(&["header.stamp", "pose"]);
         assert_eq!(
-            s.projection_paths().unwrap(),
-            &["header.stamp".to_string(), "pose".to_string()]
+            s.project.unwrap(),
+            ["header.stamp".to_string(), "pose".to_string()]
         );
     }
 }

@@ -763,9 +763,6 @@ struct PubCore {
     /// memfd count stays bounded by [`rossf_shm::DIR_CAP`] no matter how
     /// many subscribers attach. Created lazily on the first grant.
     shm_pool: Mutex<Option<Arc<SegmentPool>>>,
-    /// Whether `Publisher::loan` may hand out shared-memory-backed loans
-    /// ([`PublisherOptions::shm_loans`], on by default).
-    shm_loans: bool,
     /// The message type's layout schema, resolved from `M::schema()` at
     /// advertise time; used to answer subscriber projection requests.
     /// `None` means projection requests are silently declined (the link
@@ -1367,7 +1364,6 @@ impl<M: Encode> Publisher<M> {
             trace,
             tier_hint: AtomicU8::new(Tier::Tcp.index() as u8),
             shm_pool: Mutex::new(None),
-            shm_loans: options.shm_loans,
             schema: M::schema(),
             reactor: runtime().reactor,
             listener_token: OnceLock::new(),
@@ -1474,11 +1470,10 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
     /// wire buffer is the *shared* buffer, so publishing copies nothing).
     ///
     /// The loan is segment-backed when the shm tier is live for this
-    /// publisher (enabled, at least one shm subscriber
-    /// has handshaken, and [`PublisherOptions::shm_loans`] was not turned
-    /// off). Otherwise the loan transparently falls back to an ordinary
-    /// heap allocation and behaves exactly like `SfmBox::new()` — caller
-    /// code is identical either way.
+    /// publisher (enabled and at least one shm subscriber has handshaken).
+    /// Otherwise the loan transparently falls back to an ordinary heap
+    /// allocation and behaves exactly like `SfmBox::new()` — caller code
+    /// is identical either way.
     ///
     /// Returns `None` **only** as backpressure: the shm pool is active but
     /// every loanable segment's write hold is taken (by other outstanding
@@ -1489,7 +1484,7 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
     /// write hold returns to the pool and the allocation record is
     /// released (no sanitizer leak).
     pub fn loan(&self) -> Option<LoanedMessage<T>> {
-        if self.core.config.enable_shm && self.core.shm_loans {
+        if self.core.config.enable_shm {
             let pool = self.core.shm_pool.lock().clone();
             if let Some(pool) = pool {
                 let frame = pool.loan(T::max_size())?;

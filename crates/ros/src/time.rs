@@ -70,18 +70,6 @@ impl rossf_sfm::SfmValidate for RosTime {
     }
 }
 
-impl rossf_sfm::SfmEndianSwap for RosTime {
-    fn swap_in_place(
-        &mut self,
-        base: usize,
-        len: usize,
-        dir: rossf_sfm::SwapDirection,
-    ) -> Result<(), rossf_sfm::SfmError> {
-        self.sec.swap_in_place(base, len, dir)?;
-        self.nsec.swap_in_place(base, len, dir)
-    }
-}
-
 /// The ROS `duration` primitive: a signed seconds + nanoseconds span.
 /// Wire format: two little-endian `i32`s.
 #[repr(C)]
@@ -110,18 +98,6 @@ impl rossf_sfm::SfmValidate for RosDuration {
     #[inline]
     fn validate_in(&self, _base: usize, _len: usize) -> Result<(), rossf_sfm::SfmError> {
         Ok(())
-    }
-}
-
-impl rossf_sfm::SfmEndianSwap for RosDuration {
-    fn swap_in_place(
-        &mut self,
-        base: usize,
-        len: usize,
-        dir: rossf_sfm::SwapDirection,
-    ) -> Result<(), rossf_sfm::SfmError> {
-        self.sec.swap_in_place(base, len, dir)?;
-        self.nsec.swap_in_place(base, len, dir)
     }
 }
 

@@ -35,8 +35,8 @@ pub enum FramePayload {
 /// transmission-queue copy without aliasing. An `id` of 0 means the frame is
 /// untraced and every instrumentation site skips it.
 ///
-/// On the fast path and the local bus the tag reaches the subscriber on the
-/// frame object itself; over TCP the wire format stays untouched and the id
+/// On the fast path the tag reaches the subscriber on the frame object
+/// itself; over TCP the wire format stays untouched and the id
 /// travels through the [`Sidecar`](rossf_trace::Sidecar) instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceTag {
@@ -514,5 +514,23 @@ mod tests {
     #[test]
     fn native_endian_matches_cfg() {
         assert_eq!(ConnectionHeader::native_endian(), "le");
+    }
+
+    /// §4.4.1 as this repo implements it: a cross-endian link is refused at
+    /// the handshake, naming the publisher's order; a peer that predates
+    /// the field is accepted. (Pins behaviour the parent already had.)
+    #[test]
+    fn check_reply_refuses_a_foreign_endian_publisher() {
+        let reply = ConnectionHeader::new().with("type", "sensor_msgs/Image");
+        match reply.clone().with("endian", "be").check_reply() {
+            Err(RosError::Rejected(why)) => assert!(why.contains("publisher is be"), "{why}"),
+            other => panic!("foreign endian must be rejected, got {other:?}"),
+        }
+        reply
+            .clone()
+            .with("endian", ConnectionHeader::native_endian())
+            .check_reply()
+            .expect("native order is accepted");
+        reply.check_reply().expect("old peers send no field");
     }
 }

@@ -8,10 +8,10 @@ use rossf_ros::{
     TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
 
 #[repr(C)]
@@ -34,6 +34,16 @@ unsafe impl SfmMessage for Payload {
     fn max_size() -> usize {
         4096
     }
+}
+
+/// `mm()` is one manager per process and this binary's tests run on
+/// parallel threads (see `tests/stress.rs`): the test that asserts on
+/// `mm().live()` holds the write half, every other test the read half.
+static MM_QUIET: RwLock<()> = RwLock::new(());
+
+/// Held by a test for as long as it may have messages alive.
+fn allocating() -> RwLockReadGuard<'static, ()> {
+    MM_QUIET.read().unwrap_or_else(|e| e.into_inner())
 }
 
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
@@ -66,6 +76,12 @@ impl RawPublisher {
 
     /// Accept one subscriber and complete a valid handshake.
     fn accept(&self, type_name: &str) -> TcpStream {
+        self.accept_as(type_name, ConnectionHeader::native_endian())
+    }
+
+    /// Accept one subscriber and answer as a publisher of byte order
+    /// `endian`.
+    fn accept_as(&self, type_name: &str, endian: &str) -> TcpStream {
         let (mut stream, _) = self.listener.accept().unwrap();
         let _request = {
             let mut r = std::io::BufReader::new(stream.try_clone().unwrap());
@@ -73,7 +89,7 @@ impl RawPublisher {
         };
         ConnectionHeader::new()
             .with("type", type_name)
-            .with("endian", ConnectionHeader::native_endian())
+            .with("endian", endian)
             .write_to(&mut stream)
             .unwrap();
         stream
@@ -89,6 +105,7 @@ fn valid_frame(seq: u32) -> Vec<u8> {
 
 #[test]
 fn corrupt_sfm_frame_is_counted_and_skipped() {
+    let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "victim");
     let raw = RawPublisher::register(&master, "fault/corrupt", Payload::type_name());
@@ -121,6 +138,7 @@ fn corrupt_sfm_frame_is_counted_and_skipped() {
 
 #[test]
 fn oversized_frame_is_skipped_without_desync() {
+    let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "victim2");
     let raw = RawPublisher::register(&master, "fault/oversized", Payload::type_name());
@@ -150,6 +168,7 @@ fn oversized_frame_is_skipped_without_desync() {
 
 #[test]
 fn garbage_handshake_does_not_break_publisher() {
+    let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "pub");
     let publisher: Publisher<SfmBox<Payload>> =
@@ -193,6 +212,7 @@ fn garbage_handshake_does_not_break_publisher() {
 
 #[test]
 fn absurd_length_prefix_is_rejected_without_allocation() {
+    let _allocating = allocating();
     let master = Master::new();
     // One quick retry then stand down, so the dead raw listener does not
     // keep a supervisor looping for the rest of the test.
@@ -246,6 +266,7 @@ fn absurd_length_prefix_is_rejected_without_allocation() {
 
 #[test]
 fn publisher_death_mid_stream_ends_cleanly() {
+    let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "victim3");
     let raw = RawPublisher::register(&master, "fault/truncated", Payload::type_name());
@@ -284,6 +305,7 @@ fn publisher_death_mid_stream_ends_cleanly() {
 /// event, not something the skipped probe would have had to find.
 #[test]
 fn dribbled_frames_and_a_close_after_a_short_write() {
+    let _allocating = allocating();
     let master = Master::new();
     let nh = NodeHandle::new(&master, "victim5");
     let raw = RawPublisher::register(&master, "fault/dribble", Payload::type_name());
@@ -333,4 +355,48 @@ fn dribbled_frames_and_a_close_after_a_short_write() {
     assert!(rx.try_recv().is_err(), "a frame was delivered twice");
     assert_eq!(sub.received(), sent.len() as u64);
     assert_eq!(sub.decode_errors(), 0);
+}
+
+/// §4.4.1 as this repo implements it: a publisher of the other byte order is
+/// refused at the handshake, and the refusal is terminal — with unlimited
+/// retries configured, two full backoff periods pass without one further
+/// connection attempt, and the refused link leaves no message record
+/// behind. (Pins behaviour the parent already had.)
+#[test]
+fn foreign_endian_publisher_is_refused_once_and_for_all() {
+    let _alone = MM_QUIET.write().unwrap_or_else(|e| e.into_inner());
+    let live_before = rossf_sfm::mm().live();
+    let master = Master::new();
+    let max_backoff = Duration::from_millis(20);
+    let config = TransportConfig {
+        backoff: BackoffPolicy {
+            initial: Duration::from_millis(2),
+            max: max_backoff,
+            max_attempts: 0,
+            ..BackoffPolicy::default()
+        },
+        ..TransportConfig::default()
+    };
+    let nh = NodeHandle::with_config(&master, "victim6", rossf_ros::MachineId::A, config);
+    let raw = RawPublisher::register(&master, "fault/endian", Payload::type_name());
+
+    let sub = nh.subscribe_with(
+        "fault/endian",
+        SubscriberOptions::new(),
+        |_m: SfmShared<Payload>| panic!("nothing may be delivered over a refused link"),
+    );
+    let mut stream = raw.accept_as(Payload::type_name(), "be");
+    // The subscriber hangs up on reading the reply: EOF, not a frame read.
+    assert_eq!(stream.read(&mut [0u8; 1]).unwrap(), 0, "link not closed");
+
+    std::thread::sleep(2 * max_backoff);
+    raw.listener.set_nonblocking(true).unwrap();
+    assert!(raw.listener.accept().is_err(), "the refusal was retried");
+    assert_eq!(sub.reconnect_attempts(), 0);
+    assert_eq!(sub.stats().connections, 0, "a refused handshake is no link");
+    assert_eq!(sub.received(), 0);
+    assert!(
+        rossf_sfm::mm().live() <= live_before,
+        "refusal leaked a record"
+    );
 }

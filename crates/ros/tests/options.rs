@@ -3,8 +3,7 @@
 //! agree with the individual accessors on every transport tier.
 
 use rossf_ros::{
-    LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
-    TransportConfig,
+    MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions, TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,7 +51,7 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 /// publisher that opts out of both zero-copy tiers forces its links onto
 /// TCP even though the node config would negotiate them.
 #[test]
-fn per_endpoint_transport_override_forces_the_tier() {
+fn per_endpoint_transport_config_forces_the_tier() {
     let master = Master::new();
     let config = TransportConfig {
         shm_same_process: true,
@@ -140,11 +139,9 @@ fn stats_scenario(config: TransportConfig, n: u64) -> rossf_ros::MetricsSnapshot
     master.metrics().topic("options/stats").snapshot()
 }
 
-/// `stats()` is coherent on all four tiers. The three negotiated tiers run
-/// through the full scenario; the local bus (whose subscriptions have no
-/// transport link) is checked through its synchronous delivery count.
+/// `stats()` is coherent on every tier: each runs the full scenario.
 #[test]
-fn stats_are_consistent_on_all_four_tiers() {
+fn stats_are_consistent_on_every_tier() {
     // TCP: no zero-copy counters move.
     let tcp = stats_scenario(
         TransportConfig {
@@ -173,23 +170,4 @@ fn stats_are_consistent_on_all_four_tiers() {
     assert_eq!(shm.shm_frames, 5);
     assert_eq!(shm.fastpath_frames, 0);
     assert!(shm.shm_handshakes >= 1);
-
-    // Local bus: synchronous dispatch, counted per publish call.
-    let bus = LocalBus::new();
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let _sub = bus
-        .subscribe_with(
-            "options/local",
-            SubscriberOptions::new(),
-            move |_m: SfmShared<Payload>| {
-                seen_cb.fetch_add(1, Ordering::SeqCst);
-            },
-        )
-        .unwrap();
-    for seq in 0..5 {
-        assert_eq!(bus.publish("options/local", &msg(seq)).unwrap(), 1);
-    }
-    assert_eq!(seen.load(Ordering::SeqCst), 5);
-    assert_eq!(bus.subscriber_count("options/local"), 1);
 }

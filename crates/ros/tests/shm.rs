@@ -995,7 +995,8 @@ fn loan_retrying<T: SfmMessage>(publisher: &Publisher<SfmBox<T>>) -> rossf_ros::
 /// Without a live shm tier, `loan` degrades to an ordinary heap message
 /// and `publish_loaned` behaves exactly like `publish` — same callback,
 /// same bytes, no shm frames. Covers: shm disabled entirely, shm enabled
-/// but no subscriber granted yet, and loans explicitly switched off.
+/// but no subscriber granted yet, and a heap-backed loan that outlives
+/// the idle period and is published over a live shm link.
 #[test]
 fn loan_falls_back_to_heap_when_shm_is_idle() {
     // Scenario 1: shm disabled — delivery over TCP.
@@ -1047,33 +1048,40 @@ fn loan_falls_back_to_heap_when_shm_is_idle() {
         assert!(!loaned.is_shm_backed());
         drop(loaned);
     }
-    // Scenario 3: loans switched off by option while the tier is live.
+    // Scenario 3: a loan taken while the tier was idle (heap-backed) is
+    // published after a subscriber attached over shm — it takes the
+    // ordinary copy-into-a-segment path and arrives intact.
     {
-        use rossf_ros::PublisherOptions;
         let master = Master::new();
         let nh = NodeHandle::with_config(&master, "loan_fb3", MachineId::A, shm_config(true));
-        let publisher: Publisher<SfmBox<Payload>> = nh.advertise_with(
-            "shm/loan_fb3",
-            PublisherOptions::new().queue_size(8).shm_loans(false),
-        );
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh.advertise_with("shm/loan_fb3", PublisherOptions::new().queue_size(8));
+        let mut loaned = publisher.loan().expect("no pool yet, heap fallback");
+        assert!(!loaned.is_shm_backed());
         let (tx, rx) = mpsc::channel();
         let _sub = nh.subscribe_with(
             "shm/loan_fb3",
             SubscriberOptions::new(),
             move |m: SfmShared<Payload>| {
-                tx.send(m.seq).unwrap();
+                tx.send((
+                    m.seq,
+                    fnv1a(m.data.as_slice()),
+                    rossf_shm::is_shm_mapped(m.base()),
+                ))
+                .unwrap();
             },
         );
         nh.wait_for_subscribers(&publisher, 1);
-        let mut loaned = publisher.loan().expect("opt-out falls back to heap");
-        assert!(
-            !loaned.is_shm_backed(),
-            "shm_loans(false) must not loan segments"
-        );
         loaned.seq = 12;
-        loaned.data.resize(8);
+        loaned.data.resize(256);
+        for i in 0..256 {
+            loaned.data[i] = (i * 7 + 2) as u8;
+        }
+        let expect_hash = fnv1a(loaned.data.as_slice());
         publisher.publish_loaned(loaned);
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)).unwrap(), 12);
+        let (seq, hash, mapped) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!((seq, hash), (12, expect_hash));
+        assert!(mapped, "the live link is shm: the heap loan was copied in");
     }
 }
 

@@ -8,8 +8,7 @@
 //! assertions filter by topic to stay insensitive to leftover endpoints.
 
 use rossf_ros::{
-    LocalBus, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
-    TransportConfig,
+    MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions, TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
 use rossf_trace::{check_monotone, tracer, Stage, TraceEvent};
@@ -69,39 +68,6 @@ fn stages_seen(events: &[TraceEvent]) -> Vec<Stage> {
     stages.sort_unstable();
     stages.dedup();
     stages
-}
-
-/// The local bus dispatches synchronously on the publisher thread, so the
-/// full timeline of every message is recorded in causal order.
-#[test]
-fn local_bus_timeline_is_monotone() {
-    let _guard = TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    tracer().reset();
-    let bus = LocalBus::new();
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let _sub = bus
-        .subscribe_with(
-            "trace/local",
-            SubscriberOptions::new().trace(true),
-            move |_m: SfmShared<Payload>| {
-                seen_cb.fetch_add(1, Ordering::SeqCst);
-            },
-        )
-        .unwrap();
-    for seq in 0..10 {
-        bus.publish("trace/local", &msg(seq)).unwrap();
-    }
-    assert_eq!(seen.load(Ordering::SeqCst), 10);
-
-    let events = topic_events("trace/local");
-    assert!(!events.is_empty(), "traced run must record events");
-    check_monotone(&events).expect("local timeline must be monotone");
-    assert_eq!(
-        stages_seen(&events),
-        [Stage::Alloc, Stage::Encode, Stage::Adopt, Stage::Callback],
-        "synchronous dispatch folds the hop into adopt"
-    );
 }
 
 /// Fast-path handoff: publisher-side spans are recorded before the frame is
@@ -345,18 +311,6 @@ fn untraced_endpoints_write_no_histograms() {
         baseline,
         "untraced traffic must record zero histogram samples"
     );
-
-    // The local bus honors the same contract.
-    let bus = LocalBus::new();
-    let _sub = bus
-        .subscribe_with(
-            "trace/off_local",
-            SubscriberOptions::new(),
-            |_m: SfmShared<Payload>| {},
-        )
-        .unwrap();
-    bus.publish("trace/off_local", &msg(0)).unwrap();
-    assert_eq!(tracer().hist_writes(), baseline);
 }
 
 /// Log2 histogram bucket boundaries through the public API: samples landing

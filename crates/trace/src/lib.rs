@@ -18,14 +18,14 @@
 //! | `callback`      | `callback_enter` → `callback_exit`                   |
 //!
 //! Spans are aggregated into fixed **log2-bucket histograms** per
-//! topic × stage × tier (TCP / same-machine fast path / in-process local
-//! bus) and appended to a bounded **ring-buffer event recorder** holding the
-//! raw timeline — netsim fault events are tagged into the same stream, so a
+//! topic × stage × tier (TCP / same-machine fast path / shared memory) and
+//! appended to a bounded **ring-buffer event recorder** holding the raw
+//! timeline — netsim fault events are tagged into the same stream, so a
 //! delayed frame and its inflated `wire_write` show up side by side.
 //!
 //! The trace id travels two ways:
 //!
-//! * **fast path / local bus** — directly on the `Arc`'d frame (the frame
+//! * **fast path** — directly on the `Arc`'d frame (the frame
 //!   object reaches the subscriber pointer-identical, tag included);
 //! * **TCP** — the wire format is untouched; instead a [`Sidecar`] map keyed
 //!   by (connection key, frame sequence number) correlates the writer's
@@ -302,7 +302,7 @@ mod tests {
         let t = Tracer::new();
         let id1 = t.next_trace_id();
         let table = t.topic("x");
-        t.span(&table, Stage::Adopt, Tier::Local, id1, 0, 5);
+        t.span(&table, Stage::Adopt, Tier::Fastpath, id1, 0, 5);
         t.fault_event("a->b", Tier::Tcp, 0);
         t.reset();
         assert_eq!(t.hist_writes(), 0);

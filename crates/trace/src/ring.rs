@@ -98,7 +98,7 @@ mod tests {
             trace_id: id,
             topic: Arc::from("t"),
             stage: Stage::Encode,
-            tier: Tier::Local,
+            tier: Tier::Fastpath,
             dur_ns: 1,
         }
     }

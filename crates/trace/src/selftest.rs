@@ -131,7 +131,7 @@ fn check_ring() -> Result<(), String> {
             trace_id: t.next_trace_id(),
             topic: std::sync::Arc::from("ring"),
             stage: Stage::Encode,
-            tier: Tier::Local,
+            tier: Tier::Fastpath,
             dur_ns: 1,
         });
     }

@@ -148,10 +148,10 @@ mod tests {
         let snap = TopicSnapshot {
             topic: "t".into(),
             cells: vec![
-                cell(Stage::Encode, Tier::Local, &[100]),
-                cell(Stage::Adopt, Tier::Local, &[200]),
-                cell(Stage::Callback, Tier::Local, &[300]),
-                cell(Stage::Fault, Tier::Local, &[1_000_000]),
+                cell(Stage::Encode, Tier::Fastpath, &[100]),
+                cell(Stage::Adopt, Tier::Fastpath, &[200]),
+                cell(Stage::Callback, Tier::Fastpath, &[300]),
+                cell(Stage::Fault, Tier::Fastpath, &[1_000_000]),
             ],
         };
         assert_eq!(snap.stage_sum_ns(true), 600.0);

@@ -29,7 +29,7 @@ cargo test -q -p rossf-ros --test fastpath
 echo "==> shared-memory tier suite (forked byte-identity, segment leak check, fault parity)"
 cargo test -q -p rossf-ros --test shm
 
-echo "==> options/stats suite (defaults, overrides, all four tiers)"
+echo "==> options/stats suite (defaults, overrides, stats on tcp / fastpath / shm)"
 cargo test -q -p rossf-ros --test options
 
 echo "==> fast-path smoke (same-machine zero-copy vs forced TCP)"

@@ -29,3 +29,13 @@ printf '%-24s %s\n' 'asm!( outside sys+lint' \
     "$(grep -rlF --include='*.rs' 'asm!(' crates tests examples src | grep -vc '^crates/\(sys\|lint\)/' || true)"
 printf '%-24s %3d\n' 'SYS_MODULES entries' \
     "$(perl -0ne 'print $1 if /const SYS_MODULES[^=]*=\s*\[(.*?)\];/s' crates/lint/src/rules.rs | grep -o '"[^"]*"' | wc -l)"
+
+reexports() { # names a lib.rs re-exports with `pub use`
+    perl -0ne 'while (/^pub use ([^;]+);/mg) { my $u = $1; $n += $u =~ /\{(.*)\}/s ? () = $1 =~ /\w+/g : 1 } END { print $n + 0 }' "$1"
+}
+for lib in crates/ros/src/lib.rs crates/core/src/lib.rs; do
+    printf '%-24s %3d\n' "pub use ${lib#crates/}" "$(reexports "$lib")"
+done
+printf '%-24s %3d\n' 'pub fn ros/options.rs' "$(grep -c '^\s*pub fn ' crates/ros/src/options.rs)"
+printf '%-24s %3d\n' 'Tier variants' \
+    "$(perl -0ne 'print scalar(() = $1 =~ /=>/g) if /Tier, TIER_COUNT \{(.*?)\n    \}/s' crates/trace/src/stage.rs)"

@@ -381,13 +381,11 @@ fn fixed_seed_smoke() {
     r.finish().unwrap();
 }
 
-// === Extension properties (bag, endianness, optional/map) ===
+// === Extension properties (bag, checker) ===
 
 mod extension_properties {
     use super::{Rng, CASES, LOWER};
     use rossf::bag::{BagReader, BagWriter};
-    use rossf::msg::sensor_msgs::SfmImage;
-    use rossf::sfm::{SfmBox, SfmEndianSwap, SwapDirection};
 
     /// One frame as the test sees it: (topic index, stamp, payload).
     type Frame = (usize, u64, Vec<u8>);
@@ -464,31 +462,6 @@ mod extension_properties {
             // May Err, must not panic — in either open mode.
             let _ = BagReader::from_bytes_strict(&bytes);
             let _ = BagReader::from_bytes(&bytes);
-        }
-    }
-
-    #[test]
-    fn endian_double_swap_is_identity_for_any_image() {
-        let mut rng = Rng::new(0x1403);
-        for case in 0..48 {
-            let mut img = SfmBox::<SfmImage>::new();
-            img.height = rng.range(1, 24) as u32;
-            img.width = rng.range(1, 24) as u32;
-            img.encoding.assign(
-                rng.string(b"abcdefghijklmnopqrstuvwxyz0123456789", 8)
-                    .as_str(),
-            );
-            img.data.assign(&rng.bytes(512));
-            img.header.frame_id.assign("prop");
-            let base = img.base();
-            let len = img.whole_len();
-            let before = img.publish_handle().as_slice().to_vec();
-            img.swap_in_place(base, len, SwapDirection::ToForeign)
-                .unwrap();
-            img.swap_in_place(base, len, SwapDirection::FromForeign)
-                .unwrap();
-            let after = img.publish_handle();
-            assert_eq!(after.as_slice(), &before[..], "case {case}");
         }
     }
 
