@@ -9,7 +9,7 @@
 //! The crate is deliberately a *leaf* below the ROS layer — it knows about
 //! SFM allocations and the file format, not about topics' live plumbing:
 //!
-//! * [`format`] — the on-disk layout (records, footer index, checksums) and
+//! * [`mod@format`] — the on-disk layout (records, footer index, checksums) and
 //!   the [`format::schema_hash`] fingerprint that guards replay type safety.
 //! * [`writer`] — the append-only [`writer::BagWriter`] and the
 //!   [`writer::StreamRecorder`] engine (bounded queue + writer thread with

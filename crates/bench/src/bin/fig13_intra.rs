@@ -6,10 +6,11 @@
 //! ```
 
 use rossf_baselines::WorkImage;
-use rossf_bench::experiments::{intra_plain, intra_sfm, oneway_traced, TraceTier};
+use rossf_bench::experiments::{intra_plain, intra_sfm, oneway_traced};
 use rossf_bench::report::{write_report, write_trace_report, ScenarioReport, TraceWaterfall};
 use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
+use rossf_trace::Tier;
 
 fn main() {
     let args = RunArgs::from_env();
@@ -57,9 +58,9 @@ fn main() {
     let mut tiers: Vec<TraceWaterfall> = Vec::new();
     // Intra-machine: the zero-copy fast path and the same frames forced
     // over unshaped loopback TCP.
-    for tier in [TraceTier::Fastpath, TraceTier::Tcp] {
+    for tier in [Tier::Fastpath, Tier::Tcp] {
         let (stats, snapshot) = oneway_traced(&args, w, h, tier, LinkProfile::UNLIMITED);
-        let wf = TraceWaterfall::print(tier.label(), &stats, snapshot, "");
+        let wf = TraceWaterfall::print(tier.name(), &stats, snapshot, "");
         tiers.push(wf);
     }
     write_trace_report(args.out.as_deref(), "fig13", &tiers).expect("write TRACE_fig13.json");

@@ -20,11 +20,12 @@
 use rossf_baselines::WorkImage;
 use rossf_bench::experiments::{
     oneway_loaned, oneway_loaned_traced, oneway_traced, oneway_untraced, pingpong_plain,
-    pingpong_same_machine, pingpong_sfm, pingpong_shm, TraceTier,
+    pingpong_same_machine, pingpong_sfm, pingpong_shm,
 };
 use rossf_bench::report::{write_report, write_trace_report, ScenarioReport, TraceWaterfall};
 use rossf_bench::{RunArgs, Stats};
 use rossf_ros::LinkProfile;
+use rossf_trace::Tier;
 
 fn main() {
     let args = RunArgs::from_env();
@@ -134,9 +135,9 @@ fn main() {
     );
     for (label, w, h) in WorkImage::PAPER_SIZES {
         let payload = u64::from(w) * u64::from(h) * 3;
-        let fast = oneway_untraced(&args, w, h, TraceTier::Fastpath, link);
-        let shm = oneway_untraced(&args, w, h, TraceTier::Shm, link);
-        let loaned = oneway_loaned(&args, w, h, TraceTier::Shm, link);
+        let fast = oneway_untraced(&args, w, h, Tier::Fastpath, link);
+        let shm = oneway_untraced(&args, w, h, Tier::Shm, link);
+        let loaned = oneway_loaned(&args, w, h, Tier::Shm, link);
         println!(
             "{:<8} {:>14.3} {:>14.3} {:>14.3} {:>9.2}x",
             label,
@@ -165,10 +166,10 @@ fn main() {
     println!("\n--- stage-latency attribution: traced one-way 1MB frame, all tiers ---");
     let (w, h) = (664, 504); // ~1 MB RGB frame
     let mut tiers: Vec<TraceWaterfall> = Vec::new();
-    for tier in [TraceTier::Tcp, TraceTier::Fastpath, TraceTier::Shm] {
+    for tier in [Tier::Tcp, Tier::Fastpath, Tier::Shm] {
         let (stats, snapshot) = oneway_traced(&args, w, h, tier, link);
         tiers.push(TraceWaterfall::print(
-            tier.label(),
+            tier.name(),
             &stats,
             snapshot,
             " (target: <10%)",
@@ -176,7 +177,7 @@ fn main() {
     }
     // The loaned shm waterfall: same tier, message built inside the
     // segment — the wire_write (publish-side copy) row is absent.
-    let (stats, snapshot) = oneway_loaned_traced(&args, w, h, TraceTier::Shm, link);
+    let (stats, snapshot) = oneway_loaned_traced(&args, w, h, Tier::Shm, link);
     tiers.push(TraceWaterfall::print(
         "shm+loan",
         &stats,

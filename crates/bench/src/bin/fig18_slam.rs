@@ -6,10 +6,11 @@
 //! cargo run -p rossf-bench --release --bin fig18_slam [--iters N] [--hz F] [--out DIR]
 //! ```
 
-use rossf_bench::experiments::{oneway_traced, slam_case_study, Family, SlamLatencies, TraceTier};
+use rossf_bench::experiments::{oneway_traced, slam_case_study, Family, SlamLatencies};
 use rossf_bench::report::{write_report, write_trace_report, ScenarioReport, TraceWaterfall};
 use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
+use rossf_trace::Tier;
 use std::time::Duration;
 
 fn main() {
@@ -69,9 +70,8 @@ fn main() {
     // Stage-latency attribution for the SLAM input hop: one traced one-way
     // run at the 640x480 frame size on the intra-machine fast path.
     println!("\n--- stage-latency attribution: traced 640x480 input hop (fast path) ---");
-    let (stats, snapshot) =
-        oneway_traced(&args, 640, 480, TraceTier::Fastpath, LinkProfile::UNLIMITED);
-    let wf = TraceWaterfall::print(TraceTier::Fastpath.label(), &stats, snapshot, "");
+    let (stats, snapshot) = oneway_traced(&args, 640, 480, Tier::Fastpath, LinkProfile::UNLIMITED);
+    let wf = TraceWaterfall::print(Tier::Fastpath.name(), &stats, snapshot, "");
     write_trace_report(args.out.as_deref(), "fig18", &[wf]).expect("write TRACE_fig18.json");
 }
 

@@ -15,9 +15,10 @@
 //! ```
 
 use rossf_baselines::WorkImage;
-use rossf_bench::experiments::{oneway_loaned, oneway_untraced, TraceTier};
+use rossf_bench::experiments::{oneway_loaned, oneway_untraced};
 use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
+use rossf_trace::Tier;
 use std::process::ExitCode;
 
 /// Allowed ratio of loaned-shm p50 to fastpath p50.
@@ -37,9 +38,9 @@ fn main() -> ExitCode {
     );
     let mut ok = true;
     for (label, w, h) in WorkImage::PAPER_SIZES {
-        let fast = oneway_untraced(&args, w, h, TraceTier::Fastpath, link);
-        let copy = oneway_untraced(&args, w, h, TraceTier::Shm, link);
-        let loaned = oneway_loaned(&args, w, h, TraceTier::Shm, link);
+        let fast = oneway_untraced(&args, w, h, Tier::Fastpath, link);
+        let copy = oneway_untraced(&args, w, h, Tier::Shm, link);
+        let loaned = oneway_loaned(&args, w, h, Tier::Shm, link);
         let bound = fast.p50_ms * RATIO + SLACK_MS;
         let pass = loaned.p50_ms <= bound;
         ok &= pass;

@@ -16,10 +16,11 @@
 //!   tier; fail (exit 1) when any traced p50 exceeds
 //!   `1.05 x untraced p50 + 50 µs`.
 
-use rossf_bench::experiments::{oneway_traced, oneway_untraced, TraceTier};
+use rossf_bench::experiments::{oneway_traced, oneway_untraced};
 use rossf_bench::report::TraceWaterfall;
 use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
+use rossf_trace::Tier;
 use std::process::ExitCode;
 
 /// Slack multiplier the overhead gate allows on the traced p50.
@@ -86,9 +87,9 @@ fn waterfall(args: &RunArgs) -> ExitCode {
     );
     let link = LinkProfile::ten_gbe();
     let mut ok = true;
-    for tier in [TraceTier::Tcp, TraceTier::Fastpath, TraceTier::Shm] {
+    for tier in [Tier::Tcp, Tier::Fastpath, Tier::Shm] {
         let (stats, snapshot) = oneway_traced(args, w, h, tier, link);
-        let wf = TraceWaterfall::print(tier.label(), &stats, snapshot, " (target: <10%)");
+        let wf = TraceWaterfall::print(tier.name(), &stats, snapshot, " (target: <10%)");
         let err = wf.sum_error();
         // The tcp tier includes scheduler dwell in its enqueue stage, so
         // telescoping still holds; warn rather than fail on the noisier
@@ -96,7 +97,7 @@ fn waterfall(args: &RunArgs) -> ExitCode {
         if err > 0.10 && (wf.stage_sum_us() - wf.e2e_mean_us).abs() > 100.0 {
             eprintln!(
                 "warning: {} stage sum diverges from e2e by {:.1}%",
-                tier.label(),
+                tier.name(),
                 err * 100.0
             );
             ok = false;
@@ -121,7 +122,7 @@ fn overhead_gate(mut args: RunArgs) -> ExitCode {
         args.iters
     );
     let mut ok = true;
-    for tier in [TraceTier::Fastpath, TraceTier::Shm] {
+    for tier in [Tier::Fastpath, Tier::Shm] {
         let best = |traced: bool| -> f64 {
             (0..GATE_RUNS)
                 .map(|_| {
@@ -141,12 +142,12 @@ fn overhead_gate(mut args: RunArgs) -> ExitCode {
         println!(
             "{:<9} untraced p50 {untraced:.3} ms, traced p50 {traced:.3} ms, \
              allowance {allowance:.3} ms ({GATE_RATIO}x + {GATE_EPSILON_MS} ms)",
-            tier.label()
+            tier.name()
         );
         if traced > allowance {
             eprintln!(
                 "overhead gate: FAIL ({} traced p50 exceeds allowance)",
-                tier.label()
+                tier.name()
             );
             ok = false;
         }

@@ -23,6 +23,7 @@ use rossf_slam::dataset::{Frame, Sequence};
 use rossf_slam::pipeline::{
     frame_to_plain, frame_to_sfm, spawn_plain, spawn_sfm, SlamConfig, SlamTopics,
 };
+use rossf_trace::Tier;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -411,30 +412,6 @@ fn pingpong_same_machine_with(
     })
 }
 
-/// The transport tier a traced one-way run exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceTier {
-    /// Shaped inter-machine TCP (publisher on machine A, subscriber on B).
-    Tcp,
-    /// Same-process pointer handoff.
-    Fastpath,
-    /// The cross-process shared-memory segment rings, exercised in
-    /// same-process mode (`TransportConfig::shm_same_process`) so both
-    /// ends share the trace clock and the full waterfall telescopes.
-    Shm,
-}
-
-impl TraceTier {
-    /// Series label used in trace reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceTier::Tcp => "tcp",
-            TraceTier::Fastpath => "fastpath",
-            TraceTier::Shm => "shm",
-        }
-    }
-}
-
 /// A traced one-way pipeline (single publisher, single subscriber, one
 /// topic — the shape `rossf_trace::check_monotone` assumes) with per-stage
 /// tracing enabled on both endpoints. Returns the end-to-end latency
@@ -442,7 +419,10 @@ impl TraceTier {
 /// sum of stage means should land near the e2e mean.
 ///
 /// `validate_on_receive` is on so the `verify` stage appears in the
-/// waterfall.
+/// waterfall. `Tier::Tcp` is the shaped inter-machine link (publisher on
+/// machine A, subscriber on B); `Tier::Shm` runs the segment rings in
+/// same-process mode (`TransportConfig::shm_same_process`) so both ends
+/// share the trace clock and the full waterfall telescopes.
 ///
 /// # Panics
 ///
@@ -451,7 +431,7 @@ pub fn oneway_traced(
     args: &RunArgs,
     width: u32,
     height: u32,
-    tier: TraceTier,
+    tier: Tier,
     link: LinkProfile,
 ) -> (Stats, rossf_trace::TopicSnapshot) {
     let (stats, snapshot) = oneway_run(args, width, height, tier, link, true, false);
@@ -466,7 +446,7 @@ pub fn oneway_untraced(
     args: &RunArgs,
     width: u32,
     height: u32,
-    tier: TraceTier,
+    tier: Tier,
     link: LinkProfile,
 ) -> Stats {
     oneway_run(args, width, height, tier, link, false, false).0
@@ -487,7 +467,7 @@ pub fn oneway_loaned(
     args: &RunArgs,
     width: u32,
     height: u32,
-    tier: TraceTier,
+    tier: Tier,
     link: LinkProfile,
 ) -> Stats {
     oneway_run(args, width, height, tier, link, false, true).0
@@ -504,7 +484,7 @@ pub fn oneway_loaned_traced(
     args: &RunArgs,
     width: u32,
     height: u32,
-    tier: TraceTier,
+    tier: Tier,
     link: LinkProfile,
 ) -> (Stats, rossf_trace::TopicSnapshot) {
     let (stats, snapshot) = oneway_run(args, width, height, tier, link, true, true);
@@ -515,7 +495,7 @@ fn oneway_run(
     args: &RunArgs,
     width: u32,
     height: u32,
-    tier: TraceTier,
+    tier: Tier,
     link: LinkProfile,
     traced: bool,
     loaned: bool,
@@ -541,18 +521,18 @@ fn oneway_run(
     };
     let mut sub_machine = MachineId::A;
     let prefix = match tier {
-        TraceTier::Tcp => {
+        Tier::Tcp => {
             master.links().connect(MachineId::A, MachineId::B, link);
             config.enable_fastpath = false;
             sub_machine = MachineId::B;
             "trace_tcp"
         }
-        TraceTier::Shm => {
+        Tier::Shm => {
             config.enable_fastpath = false;
             config.shm_same_process = true;
             "trace_shm"
         }
-        TraceTier::Fastpath => "trace_fastpath",
+        Tier::Fastpath => "trace_fastpath",
     };
     let nh_pub = NodeHandle::with_config(&master, "trace_pub", MachineId::A, config.clone());
     let nh_sub = NodeHandle::with_config(&master, "trace_sub", sub_machine, config);
@@ -802,7 +782,7 @@ mod tests {
         ];
         for (tier, want_stages) in [
             (
-                TraceTier::Fastpath,
+                Tier::Fastpath,
                 vec![
                     Stage::Alloc,
                     Stage::Encode,
@@ -812,8 +792,8 @@ mod tests {
                     Stage::Callback,
                 ],
             ),
-            (TraceTier::Tcp, all_stages.clone()),
-            (TraceTier::Shm, all_stages),
+            (Tier::Tcp, all_stages.clone()),
+            (Tier::Shm, all_stages),
         ] {
             let (stats, snap) = oneway_traced(&tiny(), 32, 32, tier, link);
             assert_eq!(stats.n, 5, "{tier:?}");
@@ -845,7 +825,7 @@ mod tests {
             latency: Duration::from_micros(100),
         };
         use rossf_trace::Stage;
-        let (stats, snap) = oneway_loaned_traced(&tiny(), 32, 32, TraceTier::Shm, link);
+        let (stats, snap) = oneway_loaned_traced(&tiny(), 32, 32, Tier::Shm, link);
         assert_eq!(stats.n, 5);
         // The message is built inside the segment, so the publish-side
         // payload copy (wire_write) must not appear in the waterfall.
@@ -885,7 +865,7 @@ mod tests {
         };
         // Fastpath delivery grants no shm loans; the heap fallback must
         // keep the run indistinguishable from an ordinary publish.
-        let fast = oneway_loaned(&tiny(), 32, 32, TraceTier::Fastpath, link);
+        let fast = oneway_loaned(&tiny(), 32, 32, Tier::Fastpath, link);
         assert_eq!(fast.n, 5);
         assert!(fast.mean_ms > 0.0 && fast.mean_ms < 1000.0);
     }

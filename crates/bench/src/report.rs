@@ -561,23 +561,31 @@ mod tests {
         let hist = StageHist::new();
         hist.record(1_000);
         hist.record(3_000);
-        let snapshot = rossf_trace::TopicSnapshot {
-            topic: "t".to_string(),
-            cells: vec![rossf_trace::StageCell {
-                stage: Stage::Encode,
-                tier: Tier::Fastpath,
-                hist: hist.snapshot(),
-            }],
-        };
-        let wf = TraceWaterfall {
-            label: "fastpath".to_string(),
-            snapshot,
-            e2e_mean_us: 2.0,
-        };
-        assert!((wf.stage_sum_us() - 2.0).abs() < 1e-9);
-        assert!(wf.sum_error() < 1e-9);
-        let json = render_trace_json("figT", &meta(), &[wf]);
-        assert!(json.contains("\"tier\": \"fastpath\""));
+        // One series per tier, labelled the way every traced bench labels
+        // its runs: `Tier::name()`.
+        let tiers: Vec<TraceWaterfall> = Tier::ALL
+            .iter()
+            .map(|&tier| TraceWaterfall {
+                label: tier.name().to_string(),
+                snapshot: rossf_trace::TopicSnapshot {
+                    topic: "t".to_string(),
+                    cells: vec![rossf_trace::StageCell {
+                        stage: Stage::Encode,
+                        tier,
+                        hist: hist.snapshot(),
+                    }],
+                },
+                e2e_mean_us: 2.0,
+            })
+            .collect();
+        assert!((tiers[0].stage_sum_us() - 2.0).abs() < 1e-9);
+        assert!(tiers[0].sum_error() < 1e-9);
+        let json = render_trace_json("figT", &meta(), &tiers);
+        // The series names `results/TRACE_*.json` has always carried.
+        for name in ["tcp", "fastpath", "shm"] {
+            let series = format!("{{\"tier\": \"{name}\", \"topic\"");
+            assert!(json.contains(&series), "{name}");
+        }
         assert!(json.contains("\"stage\": \"encode\""));
         assert!(json.contains("\"count\": 2"));
         assert!(json.contains("\"sum_error\": 0.000000"));

@@ -251,8 +251,8 @@ impl Master {
 
     /// Register interest in `topic`: returns the current publishers, a
     /// channel yielding future ones, and a watcher id for
-    /// [`Master::unregister_subscriber`]. A convenience wrapper over
-    /// [`Master::register_subscriber_watch`] for callers that want to poll
+    /// [`Master::unregister_subscriber`]. A convenience wrapper over the
+    /// crate's watcher-callback registration for callers that want to poll
     /// a channel; the channel's send doubles as the watcher's liveness.
     ///
     /// # Errors

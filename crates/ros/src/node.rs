@@ -168,8 +168,8 @@ impl NodeHandle {
         )
     }
 
-    /// Advertise a request/response service (`rosservice` style). The
-    /// handler runs on the per-client connection thread.
+    /// Advertise a request/response service (`rosservice` style). Each
+    /// request's handler call runs as a job on the process's job pool.
     ///
     /// # Errors
     ///

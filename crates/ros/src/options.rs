@@ -72,12 +72,8 @@ impl PublisherOptions {
 
 /// Per-subscriber options consumed by
 /// [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with).
-///
-/// `queue_size` is accepted for API fidelity with ROS (backpressure on the
-/// socket path comes from TCP itself).
 #[derive(Debug, Clone, Default)]
 pub struct SubscriberOptions {
-    pub(crate) queue_size: usize,
     pub(crate) transport: Option<TransportConfig>,
     pub(crate) trace: bool,
     pub(crate) project: Option<Vec<String>>,
@@ -87,12 +83,6 @@ impl SubscriberOptions {
     /// Defaults: node transport config, no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Advisory queue size (kept for ROS API fidelity).
-    pub fn queue_size(mut self, n: usize) -> Self {
-        self.queue_size = n;
-        self
     }
 
     /// Override the node's transport config for this subscription only.
@@ -190,8 +180,7 @@ mod tests {
         assert!(p.transport.is_some());
         assert!(p.trace);
 
-        let s = SubscriberOptions::new().queue_size(4).trace(true);
-        assert_eq!(s.queue_size, 4);
+        let s = SubscriberOptions::new().trace(true);
         assert!(s.trace);
         assert!(s.transport.is_none());
         assert!(s.project.is_none());

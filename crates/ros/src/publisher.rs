@@ -13,7 +13,8 @@
 //!   connections are paced by the master's
 //!   [`LinkTable`](rossf_netsim::LinkTable): a frame drains into the
 //!   socket while the modelled link carries it, and only its last
-//!   [`PACE_TAIL`] bytes wait on a reactor timer for the link to finish.
+//!   [`PACE_TAIL`](crate::tcp::PACE_TAIL) bytes wait on a reactor timer
+//!   for the link to finish.
 //! * **fast path** — a bounded channel whose receiving end the
 //!   same-process subscriber's reactor handler drains; `publish` notifies
 //!   its token after each deposit, exactly as it notifies a TCP writer.
@@ -43,10 +44,9 @@ use crate::shm::{
     peer_gone, SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD,
     SHM_TOKEN_FIELD,
 };
+use crate::tcp::{accept_handshake, Acceptor, Flush, Pending, WriteQueue, WRITE_BATCH};
 use crate::traits::Encode;
-use crate::wire::{
-    frame_len_prefix, grow_socket_buffers, ConnectionHeader, OutFrame, PROJECT_FIELD,
-};
+use crate::wire::{grow_socket_buffers, ConnectionHeader, OutFrame, PROJECT_FIELD};
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
 use rossf_netsim::{FaultAction, FaultInjector, MachineId, Shaper};
@@ -55,18 +55,13 @@ use rossf_sfm::{SfmAlloc, SfmBox, SfmMessage};
 use rossf_shm::{FrameMeta, PushOutcome, SegmentPool, SharedFrame, ShmLink};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::VecDeque;
-use std::io::{BufReader, IoSlice, Write};
+use std::io::Write;
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
-
-/// Most frames a writer wakeup admits into one socket flush. Bounds the
-/// latency a freshly queued frame can hide behind a long batch while still
-/// amortizing the per-wakeup syscall cost.
-const WRITE_BATCH: usize = 32;
 
 /// Admission batches one writer dispatch may process before yielding the
 /// shared loop back (leftover frames re-notify the token), so a firehose
@@ -234,195 +229,17 @@ impl Handler for RingCtl {
     }
 }
 
-/// Reactor handler for the publisher's listening socket: accepts ready
-/// connections and hands each handshake to the job pool (header reads and
-/// shm link creation block, so they must not run on the shared loop).
-///
-/// Holds only a `Weak` core reference — the accept path must not keep the
-/// publisher alive. When the core is gone (or shutting down) the handler
-/// closes itself, dropping the listener.
-struct Acceptor {
-    listener: TcpListener,
-    core: Weak<PubCore>,
-}
-
-impl Handler for Acceptor {
-    fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
-        if matches!(event, Event::Closed) {
-            ctl.close();
-            return;
-        }
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let Some(core) = self.core.upgrade() else {
-                        ctl.close();
-                        return;
-                    };
-                    // Relaxed: standalone exit flag.
-                    if core.shutdown.load(Ordering::Relaxed) {
-                        ctl.close();
-                        return;
-                    }
-                    runtime().pool.spawn(move || {
-                        let _ = core.handle_subscriber(stream);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                // Transient accept errors (ECONNABORTED and friends): the
-                // next readable event retries.
-                Err(_) => return,
-            }
-        }
-    }
-}
-
-/// One frame admitted to the wire: its length prefix, payload, and the
-/// trace bookkeeping captured at admission.
-struct Pending {
-    frame: OutFrame,
-    prefix: [u8; 4],
-    /// The projected slice plan when this link negotiated a projection:
-    /// the wire unit is then the plan's patched skeleton plus the selected
-    /// content segments of `frame`, not the whole frame. `None` = full
-    /// frame.
-    plan: Option<rossf_sfm::SlicedFrame>,
-    /// Payload bytes this frame occupies on the wire (the plan's sub-frame
-    /// length, or the full frame length).
-    wire_len: usize,
-    /// When the modelled link has carried the frame's last byte to the
-    /// receiver (`link start + transmit + latency`); `None` on an unshaped
-    /// link, which then never reads a clock to write.
-    due: Option<Instant>,
-    /// Trace id (0 = untraced) and the wire-write span's start time.
-    trace_id: u64,
-    t_start: u64,
-    /// Position of this frame in the socket's wire order — the sidecar key
-    /// the subscriber-side reader settles against.
-    seq: u64,
-}
-
-/// What a paced frame holds back until its `due`: the last quantum, not the
-/// frame. Everything before it goes to the socket at admission — cache-hot
-/// from `publish`, which is when a real sender's `writev` copies a frame
-/// into its socket buffer — so the two kernel copies of the hop overlap the
-/// wire time instead of queuing behind it, while the receiver still cannot
-/// complete the frame before the link model says its last byte arrived.
-/// 64 KiB is one GSO burst, the unit a 10 GbE NIC hands the stack; a frame
-/// no larger than this (every pose) is held whole.
-const PACE_TAIL: usize = 64 * 1024;
-
-impl Pending {
-    /// Bytes on the wire: length prefix plus payload.
-    fn total(&self) -> usize {
-        4 + self.wire_len
-    }
-
-    /// How many of the frame's leading bytes the link lets into the socket
-    /// at `now()` — a clock only a paced frame reads.
-    fn released(&self, now: impl FnOnce() -> Instant) -> usize {
-        match self.due {
-            Some(due) if now() < due => self.total().saturating_sub(PACE_TAIL),
-            _ => self.total(),
-        }
-    }
-}
-
-/// Zero source for projected sub-frame alignment pads (at most 7 bytes
-/// each, so one small constant serves every segment).
-static PAD_ZEROS: [u8; 8] = [0; 8];
-
-/// Slices offered to one vectored write: two per unprojected frame (prefix,
-/// payload) for a full batch. A flush with more to say — projected frames
-/// carry two more per content segment — offers what fits; the byte count
-/// the write returns is all `flush_writeq` accounts by, so the rest simply
-/// goes out with the next call.
-const WRITE_SLICES: usize = 2 * WRITE_BATCH;
-
-/// A fixed, stack-held list of wire slices.
-struct WireSlices<'a> {
-    slices: [IoSlice<'a>; WRITE_SLICES],
-    len: usize,
-}
-
-impl<'a> WireSlices<'a> {
-    fn new() -> Self {
-        WireSlices {
-            slices: [IoSlice::new(&[]); WRITE_SLICES],
-            len: 0,
-        }
-    }
-
-    fn is_full(&self) -> bool {
-        self.len == WRITE_SLICES
-    }
-
-    fn as_slice(&self) -> &[IoSlice<'a>] {
-        &self.slices[..self.len]
-    }
-}
-
-/// Append `p`'s wire slices — length prefix, then payload: the whole frame,
-/// or for a projected link the patched skeleton followed by each selected
-/// content segment behind its alignment pad — skipping the first `skip`
-/// bytes (already on the wire from a previous partial write) and stopping
-/// after `budget` bytes (what the link has released beyond them) or when
-/// `out` is full.
-fn push_wire_slices<'a>(
-    out: &mut WireSlices<'a>,
-    p: &'a Pending,
-    mut skip: usize,
-    mut budget: usize,
-) {
-    let mut emit = |bytes: &'a [u8]| {
-        if skip >= bytes.len() {
-            skip -= bytes.len();
-        } else if budget > 0 && !out.is_full() {
-            let take = (bytes.len() - skip).min(budget);
-            out.slices[out.len] = IoSlice::new(&bytes[skip..skip + take]);
-            out.len += 1;
-            skip = 0;
-            budget -= take;
-        }
-    };
-    emit(&p.prefix);
-    match &p.plan {
-        Some(plan) => {
-            emit(&plan.skeleton);
-            let frame = p.frame.as_slice();
-            for seg in &plan.segments {
-                emit(&PAD_ZEROS[..seg.pad]);
-                emit(&frame[seg.src.clone()]);
-            }
-        }
-        None => emit(p.frame.as_slice()),
-    }
-}
-
-/// Outcome of one attempt to flush the write queue to the socket.
-enum Flush {
-    /// Everything queued is on the wire.
-    Drained,
-    /// The socket would block; wait for writability.
-    Blocked,
-    /// The head frame's tail is held until the link has carried it; nothing
-    /// more may be written before then.
-    Held(Instant),
-    /// The peer is gone (EOF on write or a hard error).
-    Dead,
-}
-
-/// Reactor handler for one TCP subscriber link — the state-machine form of
-/// the old per-connection writer thread. Frames arrive on the bounded
-/// transmission queue (`fan_out` notifies the token after depositing),
-/// pass fault injection, pick up their enqueue/wire-write trace spans and
-/// sidecar notes, and drain to the nonblocking socket in vectored batches.
-/// Link shaping is cut-through: admission books the modelled link for the
-/// frame and stamps when its last byte is `due` at the receiver; the frame
-/// joins the write queue at once and only its [`PACE_TAIL`] waits, on one
-/// reactor timer, for that instant. The link contract is the model's: no
-/// frame completes at the receiver before `link start + transmit +
-/// latency`, and back-to-back frames leave at exactly link rate.
+/// Reactor handler for one TCP subscriber link. Frames arrive on the
+/// bounded transmission queue (`fan_out` notifies the token after
+/// depositing), pass fault injection, pick up their enqueue/wire-write
+/// trace spans and sidecar notes, and drain to the nonblocking socket
+/// through a [`WriteQueue`]. Link shaping is cut-through: admission books
+/// the modelled link for the frame and stamps when its last byte is `due`
+/// at the receiver; the frame joins the write queue at once and only its
+/// [`PACE_TAIL`](crate::tcp::PACE_TAIL) waits, on one reactor timer, for
+/// that instant. The link contract is the model's: no frame completes at
+/// the receiver before `link start + transmit + latency`, and back-to-back
+/// frames leave at exactly link rate.
 struct TcpWriter {
     stream: TcpStream,
     rx: Receiver<OutFrame>,
@@ -440,10 +257,8 @@ struct TcpWriter {
     /// sequence the reader counts.
     wire_seq: u64,
     shaper: Shaper,
-    /// Frames admitted and (possibly partially) written; head first.
-    writeq: VecDeque<Pending>,
-    /// Bytes of the head frame (prefix + payload) already on the wire.
-    head_written: usize,
+    /// Frames admitted and (possibly partially) written.
+    writeq: WriteQueue,
     /// `due` of the held tail the outstanding pacing timer was armed for.
     /// Every publish notifies the writer, and each of those pumps finds the
     /// same tail held: comparing against this keeps it one timer per tail.
@@ -467,7 +282,7 @@ impl Handler for TcpWriter {
             Event::Timer => {
                 // A fault delay and a held tail can each have a timer in
                 // flight and the event does not say whose fired; the
-                // deadlines do (`flush_writeq` consults the tail's).
+                // deadlines do (the write queue consults the tail's).
                 let ended = self.delayed.take_if(|(due, _)| *due <= Instant::now());
                 if let Some((_, frame)) = ended {
                     self.admit(frame);
@@ -500,11 +315,11 @@ impl TcpWriter {
             },
             None => None,
         };
-        let wire_len = plan.as_ref().map_or(frame.len(), |p| p.wire_len);
-        let prefix = match frame_len_prefix(wire_len) {
-            Ok(len) => len.to_le_bytes(),
+        let tag = frame.trace();
+        let mut pending = match Pending::new(frame, plan) {
+            Ok(pending) => pending,
             // Unreachable in practice (`fan_out` bounds frames by
-            // `max_frame_len`); treat like the old writer's write failure.
+            // `max_frame_len`).
             Err(_) => {
                 self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 return;
@@ -513,36 +328,23 @@ impl TcpWriter {
         // `enqueue` span ends (and the sidecar note lands) *before* the
         // frame bytes can hit the socket, so the reader can never observe
         // the frame without its note.
-        let tag = frame.trace();
-        let (trace_id, t_start) = match (self.trace.as_deref(), tag.id) {
-            (Some(table), id) if id != 0 => {
-                let t = now_nanos();
-                tracer().span(table, Stage::Enqueue, Tier::Tcp, id, tag.enqueued_ns, t);
-                tracer()
-                    .sidecar()
-                    .insert(self.conn_key, self.wire_seq, id, t);
-                (id, t)
-            }
-            _ => (0, 0),
-        };
-        let seq = self.wire_seq;
+        if let (Some(table), true) = (self.trace.as_deref(), tag.id != 0) {
+            let t = now_nanos();
+            tracer().span(table, Stage::Enqueue, Tier::Tcp, tag.id, tag.enqueued_ns, t);
+            tracer()
+                .sidecar()
+                .insert(self.conn_key, self.wire_seq, tag.id, t);
+            (pending.trace_id, pending.t_start) = (tag.id, t);
+        }
+        pending.seq = self.wire_seq;
         self.wire_seq += 1;
         // One reservation per frame, made at admission, so a queued burst
         // is booked back to back: the link latency once, plus the transmit
         // time of prefix and payload — the *wire* payload, so a projected
         // link is paced by what it actually transmits.
-        let wait = self.shaper.profile().latency + self.shaper.reserve(4 + wire_len);
-        let due = (!wait.is_zero()).then(|| Instant::now() + wait);
-        self.writeq.push_back(Pending {
-            prefix,
-            plan,
-            wire_len,
-            due,
-            trace_id,
-            t_start,
-            seq,
-            frame,
-        });
+        let wait = self.shaper.profile().latency + self.shaper.reserve(4 + pending.wire_len);
+        pending.due = (!wait.is_zero()).then(|| Instant::now() + wait);
+        self.writeq.push(pending);
     }
 
     /// Drive the machine: flush queued bytes, then admit more frames, up
@@ -631,86 +433,32 @@ impl TcpWriter {
         }
     }
 
-    /// One vectored write over everything the link has released, resuming
-    /// the head frame at its partial-write offset. Frames are offered in
-    /// stream order up to the first held tail.
+    /// Flush the write queue to the socket; each frame whose last byte went
+    /// out has its wire-write span closed, its sidecar note settled, and is
+    /// counted sent.
     fn flush_writeq(&mut self) -> Flush {
-        while !self.writeq.is_empty() {
-            let wrote = {
-                let mut slices = WireSlices::new();
-                let mut skip = self.head_written;
-                let mut held = None;
-                // Read once per write, and only when a paced frame asks.
-                let mut now = None;
-                for p in &self.writeq {
-                    if slices.is_full() {
-                        break;
-                    }
-                    let released = p.released(|| *now.get_or_insert_with(Instant::now));
-                    push_wire_slices(&mut slices, p, skip, released.saturating_sub(skip));
-                    skip = 0;
-                    if released < p.total() {
-                        held = p.due;
-                        break;
-                    }
-                }
-                if let (0, Some(due)) = (slices.len, held) {
-                    return Flush::Held(due);
-                }
-                self.stream.write_vectored(slices.as_slice())
-            };
-            match wrote {
-                Ok(0) => return Flush::Dead,
-                Ok(mut n) => {
-                    while n > 0 {
-                        let head_len = match self.writeq.front() {
-                            Some(p) => p.total(),
-                            None => break,
-                        };
-                        let remaining = head_len - self.head_written;
-                        if n >= remaining {
-                            n -= remaining;
-                            self.head_written = 0;
-                            let done = self.writeq.pop_front().expect("head frame exists");
-                            self.frame_done(done);
-                        } else {
-                            self.head_written += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Flush::Blocked,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Flush::Dead,
+        let (metrics, trace, conn_key) = (&*self.metrics, self.trace.as_deref(), self.conn_key);
+        self.writeq.flush(&mut &self.stream, |p| {
+            if let (Some(table), true) = (trace, p.trace_id != 0) {
+                let t1 = now_nanos();
+                tracer().span(
+                    table,
+                    Stage::WireWrite,
+                    Tier::Tcp,
+                    p.trace_id,
+                    p.t_start,
+                    t1,
+                );
+                tracer().sidecar().update_sent(conn_key, p.seq, t1);
             }
-        }
-        Flush::Drained
-    }
-
-    /// A frame's last byte hit the socket: close its wire-write span,
-    /// settle its sidecar note, and count it sent.
-    fn frame_done(&mut self, p: Pending) {
-        if let (Some(table), true) = (self.trace.as_deref(), p.trace_id != 0) {
-            let t1 = now_nanos();
-            tracer().span(
-                table,
-                Stage::WireWrite,
-                Tier::Tcp,
-                p.trace_id,
-                p.t_start,
-                t1,
-            );
-            tracer().sidecar().update_sent(self.conn_key, p.seq, t1);
-        }
-        self.metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .bytes_sent
-            .fetch_add(p.wire_len as u64, Ordering::Relaxed);
-        if p.plan.is_some() {
-            self.metrics
-                .projection_frames
-                .fetch_add(1, Ordering::Relaxed);
-        }
+            metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
+            metrics
+                .bytes_sent
+                .fetch_add(p.wire_len as u64, Ordering::Relaxed);
+            if p.plan.is_some() {
+                metrics.projection_frames.fetch_add(1, Ordering::Relaxed);
+            }
+        })
     }
 
     fn set_writable(&mut self, want: bool, ctl: &mut Ctl) {
@@ -823,7 +571,7 @@ impl PubCore {
                 why,
             ))
         };
-        // Relaxed: standalone exit flag (see the accept loop).
+        // Relaxed: standalone exit flag (see the accept closure).
         if self.shutdown.load(Ordering::Relaxed) {
             return Err(refuse("publisher shutting down"));
         }
@@ -861,15 +609,7 @@ impl PubCore {
     }
 
     fn handle_subscriber(self: Arc<Self>, mut stream: TcpStream) -> Result<(), RosError> {
-        stream.set_nodelay(true)?;
-        // Bound the handshake: a connector that never sends a header must
-        // not pin this thread.
-        stream.set_read_timeout(Some(self.config.handshake_timeout))?;
-        let header = {
-            let mut reader = BufReader::new(stream.try_clone()?);
-            ConnectionHeader::read_from(&mut reader)?
-        };
-        stream.set_read_timeout(None)?;
+        let header = accept_handshake(&stream, self.config.handshake_timeout)?;
         let sub_machine: MachineId = header
             .get("machine")
             .and_then(|m| m.parse::<u32>().ok())
@@ -1006,8 +746,7 @@ impl PubCore {
             // Link shaping: pace the data path if the subscriber lives on
             // a different simulated machine.
             shaper: Shaper::new(self.master.links().profile(self.machine, sub_machine)),
-            writeq: VecDeque::new(),
-            head_written: 0,
+            writeq: WriteQueue::default(),
             pace_armed: None,
             delayed: None,
             want_writable: false,
@@ -1381,17 +1120,20 @@ impl<M: Encode> Publisher<M> {
         core.registration.store(registration, Ordering::Relaxed);
         // The listener joins the shared event loop: the handler owns the
         // socket and only a `Weak` core reference, so an orphaned acceptor
-        // cannot keep a dropped publisher alive.
-        let fd = listener.as_raw_fd();
-        let token = core.reactor.register(
-            fd,
-            true,
-            false,
-            Box::new(Acceptor {
-                listener,
-                core: Arc::downgrade(&core),
-            }),
-        );
+        // cannot keep a dropped publisher alive. Handshakes go to the job
+        // pool (header reads and shm link creation block).
+        let weak = Arc::downgrade(&core);
+        let token = Acceptor::register(&core.reactor, listener, move |stream| {
+            // Relaxed: standalone exit flag.
+            let live = |c: &Arc<PubCore>| !c.shutdown.load(Ordering::Relaxed);
+            let Some(core) = weak.upgrade().filter(live) else {
+                return false;
+            };
+            runtime().pool.spawn(move || {
+                let _ = core.handle_subscriber(stream);
+            });
+            true
+        });
         let _ = core.listener_token.set(token);
         Ok(Publisher {
             core,
@@ -1574,62 +1316,6 @@ mod tests {
         }
     }
 
-    fn pending(wire_len: usize, due: Option<Instant>) -> Pending {
-        Pending {
-            frame: OutFrame::owned(Arc::new(vec![0xA5; wire_len])),
-            prefix: (wire_len as u32).to_le_bytes(),
-            plan: None,
-            wire_len,
-            due,
-            trace_id: 0,
-            t_start: 0,
-            seq: 0,
-        }
-    }
-
-    /// What the link has released of a frame: all but the last quantum
-    /// before `due`, everything from `due` on; a frame no larger than the
-    /// quantum is held whole, and an unshaped frame never is.
-    #[test]
-    fn a_paced_frame_releases_all_but_its_tail_until_due() {
-        let due = Instant::now() + Duration::from_secs(3600);
-        let (before, after) = (due - Duration::from_nanos(1), due + Duration::from_nanos(1));
-        let big = pending(1 << 20, Some(due));
-        assert_eq!(big.total(), 4 + (1 << 20));
-        assert_eq!(big.released(|| before), big.total() - PACE_TAIL);
-        assert_eq!(big.released(|| due), big.total());
-        assert_eq!(big.released(|| after), big.total());
-
-        for len in [0, 100, PACE_TAIL - 4] {
-            let small = pending(len, Some(due));
-            assert_eq!(small.released(|| before), 0, "len {len}: held whole");
-            assert_eq!(small.released(|| due), small.total());
-        }
-        assert_eq!(pending(PACE_TAIL - 3, Some(due)).released(|| before), 1);
-        let unshaped = pending(1 << 20, None);
-        assert_eq!(
-            unshaped.released(|| unreachable!("an unshaped frame reads no clock")),
-            unshaped.total()
-        );
-    }
-
-    /// The slice builder honours `skip` and `budget` together, across the
-    /// prefix/payload boundary.
-    #[test]
-    fn wire_slices_stop_at_the_budget() {
-        let p = pending(10, None);
-        let offered = |skip, budget| {
-            let mut out = WireSlices::new();
-            push_wire_slices(&mut out, &p, skip, budget);
-            out.as_slice().iter().map(|s| s.len()).collect::<Vec<_>>()
-        };
-        assert_eq!(offered(0, 14), [4, 10]);
-        assert_eq!(offered(0, 6), [4, 2]);
-        assert_eq!(offered(2, 1), [1]);
-        assert_eq!(offered(6, 3), [3]);
-        assert_eq!(offered(6, 0), [0usize; 0]);
-    }
-
     /// Counts the timer events a writer is dispatched.
     struct CountTimers {
         writer: TcpWriter,
@@ -1677,8 +1363,7 @@ mod tests {
                 bandwidth_bps: 100_000_000,
                 latency: Duration::from_millis(1),
             }),
-            writeq: VecDeque::new(),
-            head_written: 0,
+            writeq: WriteQueue::default(),
             pace_armed: None,
             delayed: None,
             want_writable: false,

@@ -29,8 +29,9 @@ use crate::options::{SubscriberOptions, SubscriberStats};
 use crate::shm::{
     SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD, SHM_TOKEN_FIELD,
 };
+use crate::tcp::{dial, FrameReader, Step};
 use crate::traits::{Decode, RecvSlot};
-use crate::wire::{grow_socket_buffers, ConnectionHeader, OutFrame, PROJECT_FIELD};
+use crate::wire::{ConnectionHeader, OutFrame, PROJECT_FIELD};
 use crossbeam::channel::TryRecvError;
 use rossf_netsim::{FaultAction, MachineId};
 use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
@@ -51,12 +52,6 @@ use parking_lot::Mutex;
 /// The writer settles the note within microseconds of the last frame byte;
 /// this bound only matters when the writer thread is preempted in between.
 const SIDECAR_SETTLE_WAIT: Duration = Duration::from_millis(2);
-
-/// Per-link read buffer. Small reads coalesce through it (one syscall
-/// drains many small frames); payload remainders at least this large are
-/// read straight into the receive slot, so big frames never pay a copy
-/// through the buffer.
-const READ_BUF: usize = 64 * 1024;
 
 /// Frames one link dispatch may deliver before yielding the shared loop
 /// (re-notifying itself for the rest), so one firehose link cannot starve
@@ -156,8 +151,7 @@ struct SubCore<D: Decode> {
     projection: Option<Arc<rossf_sfm::Projection>>,
 }
 
-/// Owns one publisher endpoint for the life of its registration — the
-/// state-machine form of the old per-endpoint supervisor thread. The
+/// Owns one publisher endpoint for the life of its registration. The
 /// retry state travels through the connection it establishes (the link's
 /// reactor handler holds the box) and comes back via
 /// [`Supervision::resume`] when the connection ends; backoff waits are
@@ -293,20 +287,15 @@ impl<D: Decode> Supervision<D> {
             conn_key,
             projected,
             wire_seq: 0,
-            state: ReadState::START,
-            rbuf: vec![0u8; READ_BUF].into_boxed_slice(),
-            rpos: 0,
-            rlen: 0,
-            drained: false,
+            reader: FrameReader::new(core.config.max_frame_len),
         };
         reactor.register_as(token, fd, true, false, Link::boxed(self, source));
     }
 
     /// A connection (or attempt) ended: decide between standing down and
-    /// scheduling the next attempt — the tail of the old supervisor loop.
-    /// Runs wherever the connection concluded (reactor thread or pool);
-    /// everything here is brief and nonblocking, and the backoff wait is a
-    /// reactor timer.
+    /// scheduling the next attempt. Runs wherever the connection concluded
+    /// (reactor thread or pool); everything here is brief and nonblocking,
+    /// and the backoff wait is a reactor timer.
     fn resume(
         mut self: Box<Self>,
         result: Result<(), RosError>,
@@ -465,45 +454,20 @@ impl<D: Decode> SubCore<D> {
         self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Connect and handshake with one TCP publisher endpoint — the short,
-    /// blocking prefix of a connection's life (runs on the job pool).
-    /// `offer_shm` is the attempt's token when the shm tier may be offered.
-    /// Returns the socket, nonblocking from here on, and what
-    /// [`SubCore::handshake_tcp`] negotiated.
+    /// Connect and handshake (TCPROS-style) with one TCP publisher endpoint
+    /// — the short, blocking prefix of a connection's life (runs on the job
+    /// pool). `offer_shm` is the attempt's token when the shm tier may be
+    /// offered. Returns the socket, nonblocking from here on, the reply
+    /// header when the publisher granted the shared-memory tier (`None` for
+    /// plain TCP), and whether the publisher granted our field projection
+    /// (meaningful only on the plain-TCP outcome; shm links always carry
+    /// full frames).
     fn connect_tcp(
         &self,
         ep: &PublisherEndpoint,
         is_reconnect: bool,
         offer_shm: Option<Token>,
     ) -> Result<(TcpStream, Option<ConnectionHeader>, bool), RosError> {
-        let stream = TcpStream::connect(ep.addr)?;
-        stream.set_nodelay(true)?;
-        // Grown before the handshake so the very first data frame already
-        // sees full-size kernel buffers (also covers the shm control
-        // stream, where it is merely harmless).
-        grow_socket_buffers(&stream);
-        let (shm_grant, projected) = self.handshake_tcp(&stream, is_reconnect, offer_shm)?;
-        stream.set_nonblocking(true)?;
-        Ok((stream, shm_grant, projected))
-    }
-
-    /// TCPROS-style connection handshake on a blocking socket. Returns the
-    /// reply header when the publisher granted the shared-memory tier
-    /// (`None` for plain TCP) plus whether the publisher granted our field
-    /// projection (meaningful only on the plain-TCP outcome; shm links
-    /// always carry full frames). The reply is read *unbuffered* — header
-    /// parsing does exact reads only — so no frame bytes are swallowed
-    /// into a buffer before the socket is handed to the nonblocking
-    /// reader.
-    fn handshake_tcp(
-        &self,
-        stream: &TcpStream,
-        is_reconnect: bool,
-        offer_shm: Option<Token>,
-    ) -> Result<(Option<ConnectionHeader>, bool), RosError> {
-        // A peer that accepts the connection but never answers the
-        // handshake must not pin a pool worker forever.
-        stream.set_read_timeout(Some(self.config.handshake_timeout))?;
         let mut request = ConnectionHeader::request(&self.topic, D::topic_type(), self.machine);
         // Offer the shared-memory tier: the publisher grants it only when
         // both sides share a machine and (normally) live in different
@@ -525,14 +489,10 @@ impl<D: Decode> SubCore<D> {
         if let Some(projection) = &self.projection {
             request = request.with(PROJECT_FIELD, projection.spec());
         }
-        let mut io = stream;
-        request.write_to(&mut io)?;
-        let reply = ConnectionHeader::read_from(&mut io)?;
-        reply.check_reply()?;
-        // Steady state is nonblocking on every tier; the handshake timeout
-        // must not linger.
-        stream.set_read_timeout(None)?;
+        let (stream, reply) = dial(ep.addr, &request, self.config.handshake_timeout)?;
         self.count_handshake(is_reconnect);
+        // Steady state is nonblocking on every tier.
+        stream.set_nonblocking(true)?;
         // Projection is granted only by an exact spec echo — anything else
         // (no echo, a different spec) means full frames on this link.
         let projected = self
@@ -542,10 +502,8 @@ impl<D: Decode> SubCore<D> {
         // An shm grant means frames arrive as ring descriptors, not socket
         // bytes; the socket stays open as the link's control plane — the
         // doorbell, and the peer-is-gone signal.
-        Ok((
-            (reply.get(SHM_FIELD) == Some("1")).then_some(reply),
-            projected,
-        ))
+        let shm_grant = (reply.get(SHM_FIELD) == Some("1")).then_some(reply);
+        Ok((stream, shm_grant, projected))
     }
 
     /// Attach the shm link a reply grants. An attach denial latched on the
@@ -816,32 +774,8 @@ impl<D: Decode> Source<D> for ShmSource {
     }
 }
 
-/// Frame-reassembly state for one nonblocking TCP link — which part of the
-/// `len ∥ payload` wire unit the next byte belongs to.
-enum ReadState<D: Decode> {
-    /// Accumulating the 4-byte little-endian length prefix.
-    Prefix { prefix: [u8; 4], filled: usize },
-    /// Accumulating a frame body straight into its receive slot.
-    Body {
-        slot: D::Slot,
-        len: usize,
-        filled: usize,
-    },
-    /// Discarding the body of a frame whose slot could not be allocated
-    /// (oversized for the message type), to stay in sync with the stream.
-    Skip { remaining: usize },
-}
-
-impl<D: Decode> ReadState<D> {
-    /// On a frame boundary: the next byte starts a length prefix.
-    const START: Self = ReadState::Prefix {
-        prefix: [0; 4],
-        filled: 0,
-    };
-}
-
-/// The TCP tier's source: reassembles length-prefixed frames from a
-/// nonblocking socket straight into their receive slots.
+/// The TCP tier's source: length-prefixed frames off a nonblocking socket,
+/// reassembled by a [`FrameReader`] straight into their receive slots.
 struct TcpSource<D: Decode> {
     stream: TcpStream,
     /// Sidecar rendezvous key shared with the writer (peer, local).
@@ -853,140 +787,39 @@ struct TcpSource<D: Decode> {
     /// unconditionally so it stays in lockstep with the writer's count of
     /// frames actually written.
     wire_seq: u64,
-    state: ReadState<D>,
-    /// Read coalescing buffer: one syscall drains many small frames.
-    /// Payload remainders of at least the buffer's size bypass it and read
-    /// directly into the slot.
-    rbuf: Box<[u8]>,
-    rpos: usize,
-    rlen: usize,
-    /// The last `read` returned fewer bytes than it was offered, so the
-    /// socket is empty until the next readiness event says otherwise
-    /// (sockets are watched level-triggered: bytes — or EOF — that arrive
-    /// after the short read raise a new event). Cleared by every dispatch.
-    drained: bool,
+    reader: FrameReader<D>,
 }
 
 impl<D: Decode> Source<D> for TcpSource<D> {
     fn wake(&mut self, _event: Event) {
-        self.drained = false;
+        self.reader.wake();
     }
 
-    /// Make progress until a frame completes or the socket runs dry.
     fn advance(&mut self, core: &SubCore<D>, _ctl: &mut Ctl) -> Result<Progress, RosError> {
-        loop {
-            // Resolve completed states before demanding bytes, so
-            // zero-length bodies and finished skips never stall waiting
-            // for input that is not owed.
-            match &mut self.state {
-                ReadState::Body { len, filled, .. } if *filled == *len => {
-                    self.deliver(core);
-                    return Ok(Progress::Frame);
-                }
-                ReadState::Skip { remaining } if *remaining == 0 => {
-                    self.state = ReadState::START;
-                    continue;
-                }
-                _ => {}
+        match self.reader.advance(&mut &self.stream) {
+            Ok(Step::Frame { slot, len }) => {
+                self.deliver(core, slot, len);
+                Ok(Progress::Frame)
             }
-            if self.rpos == self.rlen {
-                if self.drained {
-                    return Ok(Progress::Idle);
+            Ok(Step::Oversized) => {
+                // The frame still occupied a wire slot; consume its sidecar
+                // note so it does not accumulate.
+                core.count_decode_error();
+                if core.trace.is_some() {
+                    let _ = tracer().sidecar().take(self.conn_key, self.wire_seq);
                 }
-                // Large body remainders bypass the coalescing buffer: read
-                // straight into the slot, no intermediate copy.
-                let (dest, direct) = match &mut self.state {
-                    ReadState::Body { slot, len, filled } if *len - *filled >= self.rbuf.len() => {
-                        (&mut slot.as_mut_slice()[*filled..*len], true)
-                    }
-                    _ => (&mut self.rbuf[..], false),
-                };
-                let want = dest.len();
-                let n = match (&self.stream).read(dest) {
-                    // Clean EOF only lands between frames; mid-frame it is
-                    // a truncation.
-                    Ok(0) => {
-                        return match &self.state {
-                            ReadState::Prefix { filled: 0, .. } => Ok(Progress::Eof),
-                            _ => Err(RosError::Io(std::io::Error::from(
-                                std::io::ErrorKind::UnexpectedEof,
-                            ))),
-                        };
-                    }
-                    Ok(n) => n,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        return Ok(Progress::Idle)
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(RosError::Io(e)),
-                };
-                self.drained = n < want;
-                match &mut self.state {
-                    ReadState::Body { filled, .. } if direct => {
-                        *filled += n;
-                        continue;
-                    }
-                    _ => (self.rpos, self.rlen) = (0, n),
-                }
+                self.wire_seq += 1;
+                Ok(Progress::Frame)
             }
-            let avail = &self.rbuf[self.rpos..self.rlen];
-            match &mut self.state {
-                ReadState::Prefix { prefix, filled } => {
-                    let take = avail.len().min(4 - *filled);
-                    prefix[*filled..*filled + take].copy_from_slice(&avail[..take]);
-                    *filled += take;
-                    self.rpos += take;
-                    if *filled < 4 {
-                        continue;
-                    }
-                    let len = u32::from_le_bytes(*prefix) as usize;
-                    if len > core.config.max_frame_len {
-                        // Protocol violation (a corrupt or hostile prefix
-                        // can claim up to 4 GiB): reject before allocating
-                        // anything and tear the connection down — the
-                        // stream cannot be trusted to be in sync anymore.
-                        core.metrics
-                            .frame_len_rejects
-                            .fetch_add(1, Ordering::Relaxed);
-                        return Err(RosError::FrameTooLarge {
-                            len,
-                            max: core.config.max_frame_len,
-                        });
-                    }
-                    match D::new_slot(len) {
-                        Ok(slot) => {
-                            self.state = ReadState::Body {
-                                slot,
-                                len,
-                                filled: 0,
-                            };
-                        }
-                        Err(_) => {
-                            // Oversized for this message type (but within
-                            // the transport cap): skip the body to stay in
-                            // sync. The frame still occupied a wire slot;
-                            // consume its sidecar note so it does not
-                            // accumulate.
-                            core.count_decode_error();
-                            if core.trace.is_some() {
-                                let _ = tracer().sidecar().take(self.conn_key, self.wire_seq);
-                            }
-                            self.wire_seq += 1;
-                            self.state = ReadState::Skip { remaining: len };
-                        }
-                    }
+            Ok(Step::Idle) => Ok(Progress::Idle),
+            Ok(Step::Eof) => Ok(Progress::Eof),
+            Err(e) => {
+                if matches!(e, RosError::FrameTooLarge { .. }) {
+                    core.metrics
+                        .frame_len_rejects
+                        .fetch_add(1, Ordering::Relaxed);
                 }
-                ReadState::Body { slot, len, filled } => {
-                    let take = avail.len().min(*len - *filled);
-                    slot.as_mut_slice()[*filled..*filled + take].copy_from_slice(&avail[..take]);
-                    *filled += take;
-                    self.rpos += take;
-                }
-                ReadState::Skip { remaining } => {
-                    let take = avail.len().min(*remaining);
-                    *remaining -= take;
-                    self.rpos += take;
-                }
+                Err(e)
             }
         }
     }
@@ -995,12 +828,8 @@ impl<D: Decode> Source<D> for TcpSource<D> {
 impl<D: Decode> TcpSource<D> {
     /// A complete body sits in its slot: run the delivery tail of the
     /// paper's Fig. 9 — recover the trace id, verify (optional), finish,
-    /// invoke the callback — and reset for the next prefix.
-    fn deliver(&mut self, core: &SubCore<D>) {
-        let state = std::mem::replace(&mut self.state, ReadState::START);
-        let ReadState::Body { slot, len, .. } = state else {
-            unreachable!("deliver outside Body");
-        };
+    /// invoke the callback.
+    fn deliver(&mut self, core: &SubCore<D>, slot: D::Slot, len: usize) {
         let seq = self.wire_seq;
         self.wire_seq += 1;
         // Recover the frame's trace id from the writer's sidecar note; the

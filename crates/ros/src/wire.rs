@@ -9,7 +9,7 @@
 //! 3. message frames follow, each a little-endian `u32` length + payload.
 //!
 //! The payload of a frame is either serialized bytes (ordinary messages) or
-//! the whole serialization-free message verbatim ([`OutFrame::Sfm`]).
+//! the whole serialization-free message verbatim ([`FramePayload::Sfm`]).
 
 use crate::error::RosError;
 use rossf_netsim::MachineId;
@@ -328,7 +328,7 @@ impl ConnectionHeader {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -404,11 +404,12 @@ mod tests {
     }
 
     /// Deterministic xorshift64* generator (the scheme
-    /// `crates/msg/tests/verify_corruption.rs` uses).
-    struct Rng(u64);
+    /// `crates/msg/tests/verify_corruption.rs` uses), for every seeded
+    /// sweep in this crate's unit tests.
+    pub(crate) struct Rng(pub(crate) u64);
 
     impl Rng {
-        fn next_u64(&mut self) -> u64 {
+        pub(crate) fn next_u64(&mut self) -> u64 {
             let mut x = self.0;
             x ^= x >> 12;
             x ^= x << 25;
@@ -417,7 +418,7 @@ mod tests {
             x.wrapping_mul(0x2545_F491_4F6C_DD1D)
         }
 
-        fn below(&mut self, n: usize) -> usize {
+        pub(crate) fn below(&mut self, n: usize) -> usize {
             (self.next_u64() % n as u64) as usize
         }
     }

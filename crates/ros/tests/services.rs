@@ -1,9 +1,16 @@
 //! Service (request/response) tests over both message families.
 
 use rossf_ros::ser::{ByteReader, DecodeError, RosField, RosMessage};
-use rossf_ros::{Encode, Master, NodeHandle, OutFrame, RosError, TopicType};
+use rossf_ros::service::ServiceEndpoint;
+use rossf_ros::{
+    ConnectionHeader, Encode, MachineId, Master, NodeHandle, OutFrame, RosError, TopicType,
+    TransportConfig,
+};
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 // Plain request/response pair (the `rossf-msg` macro would generate this).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -182,4 +189,149 @@ fn sequential_calls_share_one_connection() {
         assert_eq!(client.call(&AddRequest { a: i, b: 0 }).unwrap().sum, i);
     }
     assert_eq!(server.calls(), 20);
+}
+
+// === Hostile bytes, both directions ===
+//
+// What a peer may cost either end before it has said anything well-formed:
+// every length and every wait below is bounded by the node's
+// `TransportConfig` (`max_frame_len`, `handshake_timeout`).
+
+/// The test's own deadline for anything read off a raw socket.
+const DEADLINE: Duration = Duration::from_secs(5);
+
+#[test]
+fn hostile_request_prefix_hangs_up_without_serving() {
+    let master = Master::new();
+    let nh = NodeHandle::new(&master, "hostile_req");
+    let server = nh
+        .advertise_service("add", |req: Arc<AddRequest>| AddResponse {
+            sum: req.a + req.b,
+        })
+        .unwrap();
+    let addr = master.services().lookup("add").unwrap().addr;
+
+    // A raw client completes the handshake, then claims a 4 GiB request.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(DEADLINE)).unwrap();
+    ConnectionHeader::new()
+        .with("service", "add")
+        .with("req_type", "test/AddRequest")
+        .with("res_type", "test/AddResponse")
+        .write_to(&mut raw)
+        .unwrap();
+    let reply = ConnectionHeader::read_from(&mut raw).unwrap();
+    assert_eq!(reply.get("service"), Some("add"));
+    raw.write_all(&[0xFF; 4]).unwrap();
+    match raw.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the server must hang up on the prefix alone, got {other:?}"),
+    }
+    assert_eq!(server.calls(), 0);
+
+    // The next well-formed client is served.
+    let mut client = nh
+        .service_client::<AddRequest, Arc<AddResponse>>("add")
+        .unwrap();
+    assert_eq!(client.call(&AddRequest { a: 2, b: 3 }).unwrap().sum, 5);
+    assert_eq!(server.calls(), 1);
+}
+
+/// Pose as service `name` of the add types on `master`: accept one client
+/// and hand its socket to `script`.
+fn fake_server(
+    master: &Master,
+    name: &str,
+    script: impl FnOnce(TcpStream) + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let endpoint = ServiceEndpoint {
+        addr: listener.local_addr().unwrap(),
+        req_type: "test/AddRequest".to_string(),
+        res_type: "test/AddResponse".to_string(),
+        id: 1,
+    };
+    master.services().register(name, endpoint).unwrap();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(DEADLINE)).unwrap();
+        script(stream);
+    })
+}
+
+#[test]
+fn hostile_response_prefix_is_refused_before_allocation() {
+    let master = Master::new();
+    let nh = NodeHandle::new(&master, "hostile_res");
+    let server = fake_server(&master, "fake_add", |mut stream| {
+        ConnectionHeader::read_from(&mut stream).unwrap();
+        ConnectionHeader::new()
+            .with("service", "fake_add")
+            .with("endian", ConnectionHeader::native_endian())
+            .write_to(&mut stream)
+            .unwrap();
+        // Whatever the request, the response claims 4 GiB.
+        let mut request = [0u8; 12];
+        stream.read_exact(&mut request).unwrap();
+        stream.write_all(&[0xFF; 4]).unwrap();
+        // Held open until the client has judged the prefix (it hangs up).
+        let _ = stream.read(&mut [0u8; 1]);
+    });
+    let mut client = nh
+        .service_client::<AddRequest, Arc<AddResponse>>("fake_add")
+        .unwrap();
+    match client.call(&AddRequest { a: 1, b: 1 }) {
+        Err(RosError::FrameTooLarge { len, max }) => {
+            assert_eq!(len, u32::MAX as usize);
+            assert_eq!(max, nh.transport_config().max_frame_len);
+        }
+        other => panic!("a 4 GiB response prefix must be refused, got {other:?}"),
+    }
+    server.join().unwrap();
+}
+
+#[test]
+fn cross_endian_service_is_refused_at_connect() {
+    let master = Master::new();
+    let nh = NodeHandle::new(&master, "endian");
+    let server = fake_server(&master, "be_add", |mut stream| {
+        ConnectionHeader::read_from(&mut stream).unwrap();
+        ConnectionHeader::new()
+            .with("service", "be_add")
+            .with("endian", "be")
+            .write_to(&mut stream)
+            .unwrap();
+    });
+    match nh.service_client::<AddRequest, Arc<AddResponse>>("be_add") {
+        Err(RosError::Rejected(why)) => assert!(why.contains("is be"), "{why}"),
+        other => panic!("a big-endian server must be refused, got {other:?}"),
+    }
+    server.join().unwrap();
+}
+
+#[test]
+fn silent_server_cannot_pin_a_connecting_client() {
+    let master = Master::new();
+    let timeout = Duration::from_millis(200);
+    let config = TransportConfig {
+        handshake_timeout: timeout,
+        ..TransportConfig::default()
+    };
+    let nh = NodeHandle::with_config(&master, "impatient", MachineId::A, config);
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let server = fake_server(&master, "mute_add", move |_stream| {
+        // Accepts, never answers; holds the socket until the client gave up.
+        let _ = done_rx.recv_timeout(DEADLINE);
+    });
+    let started = Instant::now();
+    let result = nh.service_client::<AddRequest, Arc<AddResponse>>("mute_add");
+    let waited = started.elapsed();
+    assert!(matches!(result, Err(RosError::Io(_))), "got {result:?}");
+    assert!(
+        waited >= timeout && waited < 2 * timeout,
+        "gave up after {waited:?}"
+    );
+    done_tx.send(()).unwrap();
+    server.join().unwrap();
 }

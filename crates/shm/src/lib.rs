@@ -15,7 +15,7 @@
 //! * **Cross-process reference counts** live in each segment's header:
 //!   the segment recycles only after the publisher's write hold, the
 //!   in-flight descriptor, and every subscriber-held frame have all
-//!   released ([`seg`]).
+//!   released (the `seg` module).
 //! * **Generation stamps** detect stale frames: descriptors carry the
 //!   generation they were published under, and a reader whose pop
 //!   observes a different generation in the segment header abandons the
@@ -32,7 +32,7 @@
 //! drained the ring either arms it and is woken through its link's
 //! doorbell (the transport's event-loop handlers; no futex call on either
 //! side) or, if it owns a thread, sleeps on a cross-process futex word the
-//! producer wakes only while a sleeper is registered ([`ring`]'s module
+//! producer wakes only while a sleeper is registered (the `ring` module's
 //! docs) — no polling, no spinning.
 //!
 //! The tier is a Linux mechanism; `rossf-sys` refuses any target other

@@ -11,35 +11,26 @@ results_before=$(results_state)
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test"
+# Every member's unit, integration and doc tests, once. Among them the suites
+# this gate used to name one by one: the frame-corruption harness and the
+# verifier allocation count (rossf-msg: verify_corruption, verify_alloc), the
+# projection correctness suite (projection), the same-machine fast-path and
+# shared-memory tier suites (rossf-ros: fastpath, shm — forked byte-identity,
+# segment leak check, fault parity), options/stats (options), tracing (monotone
+# timelines, id survival, zero-overhead), the fd/thread-leak churn (leak) and
+# the bag format/recorder/replayer suite (rossf-bag). Below: one line per
+# *binary* gate and per model-checked suite — those are not in this run.
+echo "==> cargo test --workspace"
 cargo test -q --workspace
 
 echo "==> sfm_verify --self-test"
 cargo run -q --release -p rossf-bench --bin sfm_verify -- --self-test
-
-echo "==> frame-corruption harness"
-cargo test -q -p rossf-msg --test verify_corruption
-
-echo "==> verifier allocation count (0 allocations per valid frame, diagnostics unchanged)"
-cargo test -q -p rossf-msg --test verify_alloc
-
-echo "==> same-machine fast-path suite"
-cargo test -q -p rossf-ros --test fastpath
-
-echo "==> shared-memory tier suite (forked byte-identity, segment leak check, fault parity)"
-cargo test -q -p rossf-ros --test shm
-
-echo "==> options/stats suite (defaults, overrides, stats on tcp / fastpath / shm)"
-cargo test -q -p rossf-ros --test options
 
 echo "==> fast-path smoke (same-machine zero-copy vs forced TCP)"
 cargo run -q --release -p rossf-bench --bin link_sweep -- --iters 150 --fastpath-smoke
 
 echo "==> sfm_trace --self-test"
 cargo run -q --release -p rossf-bench --bin sfm_trace -- --self-test
-
-echo "==> tracing suite (monotone timelines, id survival, zero-overhead)"
-cargo test -q -p rossf-ros --test tracing
 
 echo "==> tracing-overhead gate (traced p50 <= 1.05x untraced, fastpath + shm)"
 cargo run -q --release -p rossf-bench --bin sfm_trace -- --overhead-gate
@@ -50,17 +41,8 @@ cargo run -q --release -p rossf-bench --bin loan_gate -- --iters 60
 echo "==> projection gate (>=5x fewer wire bytes for a small-subset subscription, p50 no worse)"
 cargo run -q --release -p rossf-bench --bin projection_gate -- --iters 60
 
-echo "==> projection correctness suite (negotiation, mixed fan-out, FieldAbsent, corruption)"
-cargo test -q -p rossf-msg --test projection
-
-echo "==> fd/thread-leak suite (connect/sever/reconnect churn returns to baseline)"
-cargo test -q -p rossf-ros --test leak
-
 echo "==> churn soak smoke (thread count independent of link count, fds per link flat)"
 cargo run -q --release -p rossf-bench --bin soak -- --smoke
-
-echo "==> bag format/recorder/replayer suite (rossf-bag)"
-cargo test -q -p rossf-bag
 
 echo "==> sfm_bag --self-test (record, verify, zero-copy replay, corruption rejection)"
 cargo run -q --release -p rossf --bin sfm_bag -- --self-test
@@ -87,8 +69,8 @@ echo "==> model-checked reactor wake handshake (two producers + the loop; the dr
 RUSTFLAGS="--cfg rossf_model" CARGO_TARGET_DIR=target/model \
     cargo test -q -p rossf-reactor --test model
 
-echo "==> cargo doc -p rossf-trace -p rossf-model -p rossf-lint (warning-clean)"
-RUSTDOCFLAGS="-D warnings" cargo doc -q -p rossf-trace -p rossf-model -p rossf-lint --no-deps
+echo "==> cargo doc --workspace (warning-clean)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -7,20 +7,24 @@ cd "$(dirname "$0")/.."
 code_lines() { # non-blank, non-comment lines of every .rs file under $1
     find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -vc '^\s*//' || true
 }
+system_lines() { # the same, each file cut at its first #[cfg(test)]: unit tests are not the system
+    find "$1" -name '*.rs' -print0 | xargs -0 -n1 sed '/#\[cfg(test)\]/,$d' |
+        grep -v '^\s*$' | grep -vc '^\s*//' || true
+}
 occurrences() { # fixed-string occurrences (not lines) in the Rust sources under the given dirs
     local pat=$1; shift
     { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
 }
 
-echo "code lines (non-blank, non-comment) per source directory:"
-total=0
+echo "code lines (non-blank, non-comment) per source directory, whole files | without #[cfg(test)] tails:"
+total=0 system=0
 for src in crates/*/src crates/bench/benches shims/*/src; do
     [ -d "$src" ] || continue
-    n=$(code_lines "$src")
-    printf '  %-22s %6d\n' "$src" "$n"
-    total=$((total + n))
+    n=$(code_lines "$src") m=$(system_lines "$src")
+    printf '  %-22s %6d %6d\n' "$src" "$n" "$m"
+    total=$((total + n)) system=$((system + m))
 done
-printf '  %-22s %6d\n' total "$total"
+printf '  %-22s %6d %6d\n' total "$total" "$system"
 
 for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_os'; do
     printf '%-24s %3d\n' "$pat" "$(occurrences "$pat" crates tests examples src)"
