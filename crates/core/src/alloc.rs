@@ -9,6 +9,7 @@
 //! holds one — the memory is freed exactly when the last clone drops
 //! (the `Destructed` state).
 
+use crate::manager::home_partition;
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 use std::sync::Mutex;
@@ -94,6 +95,11 @@ pub struct SfmAlloc {
     /// armed at allocation time. Recycled pool entries are re-stamped: the
     /// `alloc` span measures this message's construction, not the region's.
     born_ns: u64,
+    /// The constructing thread's home partition of the message manager's
+    /// record table: where this allocation's record is inserted, so every
+    /// handle holding the allocation finds the record at its first probe
+    /// from whichever thread it is used on.
+    partition: u8,
     /// `Some` when the region is *externally owned* (e.g. a shared-memory
     /// mapping adopted by [`SfmAlloc::from_extern`]): the guard keeps the
     /// region alive and its drop performs whatever release the owner needs
@@ -133,6 +139,7 @@ impl SfmAlloc {
                     ptr: entry.ptr,
                     capacity: entry.capacity,
                     born_ns,
+                    partition: home_partition(),
                     extern_guard: None,
                 };
             }
@@ -148,6 +155,7 @@ impl SfmAlloc {
             ptr,
             capacity,
             born_ns,
+            partition: home_partition(),
             extern_guard: None,
         }
     }
@@ -182,6 +190,7 @@ impl SfmAlloc {
             ptr,
             capacity,
             born_ns: 0,
+            partition: home_partition(),
             extern_guard: Some(guard),
         }
     }
@@ -234,6 +243,12 @@ impl SfmAlloc {
     #[inline]
     pub fn born_ns(&self) -> u64 {
         self.born_ns
+    }
+
+    /// The record-table partition stamped at construction.
+    #[inline]
+    pub(crate) fn partition(&self) -> u8 {
+        self.partition
     }
 
     /// Raw base pointer.

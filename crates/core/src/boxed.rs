@@ -130,7 +130,7 @@ impl<T: SfmMessage> SfmBox<T> {
 
     /// Current size of the whole message (skeleton + appended content).
     pub fn whole_len(&self) -> usize {
-        mm().used_size(self.base())
+        mm().used_size_from(self.buffer.partition(), self.base())
             .expect("live SfmBox always has a record")
     }
 
@@ -141,8 +141,9 @@ impl<T: SfmMessage> SfmBox<T> {
     /// of this `SfmBox` — dropping the box after publishing is safe and
     /// copy-free (Fig. 8).
     pub fn publish_handle(&self) -> PublishedBuffer {
-        let len = self.whole_len();
-        mm().mark_published(self.base());
+        let len = mm()
+            .publish_from(self.buffer.partition(), self.base())
+            .expect("live SfmBox always has a record");
         PublishedBuffer {
             buffer: Arc::clone(&self.buffer),
             len,
@@ -221,7 +222,7 @@ impl<T: SfmMessage> Drop for SfmBox<T> {
         // The overloaded `delete`: the manager releases the record (and its
         // buffer-pointer clone). The bytes survive while the transmission
         // queue still holds a PublishedBuffer.
-        mm().release(self.base());
+        mm().release_from(self.buffer.partition(), self.base());
     }
 }
 
@@ -247,7 +248,7 @@ impl<T: SfmMessage> Drop for SharedCore<T> {
         // Last object pointer gone → manager releases the record; the
         // buffer is freed when its last Arc clone drops (Fig. 9).
         if self.owns_record {
-            mm().release(self.base);
+            mm().release_from(self.buffer.partition(), self.base);
         }
     }
 }
@@ -377,7 +378,7 @@ impl<T: SfmMessage> SfmShared<T> {
     /// Buffer-pointer copy for re-publishing this message verbatim on
     /// another topic — still zero-copy.
     pub fn publish_handle(&self) -> PublishedBuffer {
-        mm().mark_published(self.core.base);
+        mm().publish_from(self.core.buffer.partition(), self.core.base);
         PublishedBuffer {
             buffer: Arc::clone(&self.core.buffer),
             len: self.core.len,

@@ -12,14 +12,25 @@
 //!   the middle of the message"), because a field only knows its own
 //!   location. The paper implements this as "a binary search from a
 //!   `std::vector` of ordered records"; so do we.
+//!
+//! The table is *partitioned by owning thread*: each thread is given a home
+//! partition on first use, an allocation is stamped with its constructing
+//! thread's home and its record lives there, and every partition is its own
+//! ordered vector under its own lock. A handle reaches its record through
+//! the stamp; an address-keyed call looks in the caller's home partition
+//! first and then in the others, one lock held at a time — so a publishing
+//! thread and the loop thread, each on messages of its own, never meet on a
+//! lock, and a message built on one thread can still be grown on a second
+//! and released on a third.
 
 use crate::alert::{raise, AlertKind};
 use crate::align_up;
 use crate::alloc::SfmAlloc;
 use crate::error::SfmError;
 use parking_lot::Mutex;
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Life-cycle state of a serialization-free message (paper Figs. 8–9).
@@ -43,6 +54,60 @@ struct Record {
     /// When the record was created, on the tracing clock (0 when tracing
     /// was not armed at registration time).
     registered_ns: u64,
+}
+
+impl Record {
+    fn info(&self) -> RecordInfo {
+        RecordInfo {
+            start: self.start,
+            capacity: self.capacity,
+            used: self.used,
+            state: self.state,
+            type_name: self.type_name,
+            buffer_refs: Arc::strong_count(&self.buffer),
+            registered_ns: self.registered_ns,
+        }
+    }
+}
+
+/// Partitions of the record table. A constant, not a knob: it only has to
+/// cover the threads that build or adopt messages at the same time (a
+/// publishing thread and the loop, in every workload here); threads beyond
+/// it share a partition, which costs a lock collision and never correctness.
+const PARTITIONS: usize = 8;
+
+/// One partition of the table, aligned so that two partitions never share
+/// a cache line.
+#[repr(align(128))]
+#[derive(Default)]
+struct Partition(Mutex<Table>);
+
+/// What a partition's lock guards: the records whose allocations were built
+/// by the threads homed here, and its share of [`ManagerStats`] — counted
+/// under the lock the operation holds anyway, so counting is neither an
+/// atomic nor a cache line two threads write.
+#[derive(Default)]
+struct Table {
+    /// Ordered by start address.
+    records: Vec<Record>,
+    registered: u64,
+    released: u64,
+    expands: u64,
+    published: u64,
+}
+
+/// The calling thread's home partition, dealt round-robin on first use and
+/// the same for every manager in the process.
+pub(crate) fn home_partition() -> u8 {
+    thread_local!(static HOME: Cell<u8> = const { Cell::new(u8::MAX) });
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    HOME.with(|home| {
+        if home.get() == u8::MAX {
+            // Relaxed: the counter spreads threads and publishes nothing.
+            home.set((NEXT.fetch_add(1, Ordering::Relaxed) % PARTITIONS) as u8);
+        }
+        home.get()
+    })
 }
 
 /// A snapshot of one record, for introspection and tests.
@@ -83,6 +148,12 @@ pub struct ManagerStats {
     /// is created — the subscriber's handle joins the refcount of the
     /// publisher's allocation.
     pub shared_adoptions: u64,
+    /// Operations that had to lock a partition of the record table other
+    /// than the calling thread's home: a handle used away from the thread
+    /// that built its allocation, an address looked up from a foreign
+    /// thread, or an address no partition knows. Stays 0 while every thread
+    /// works on messages of its own.
+    pub foreign_lookups: u64,
 }
 
 /// One lifecycle operation recorded by the sanitizer's event log.
@@ -211,21 +282,20 @@ impl Sanitizer {
 /// A single process-global instance is available through [`mm()`] (the
 /// paper's `sfm::gmm`); independent instances can be created for tests.
 pub struct MessageManager {
-    records: Mutex<Vec<Record>>,
+    /// The record table. At most one partition is locked at a time; whole
+    /// table readers walk them in index order.
+    partitions: [Partition; PARTITIONS],
     /// Opt-in lifecycle sanitizer (`None` = disabled, the default). Locked
-    /// only after `records` has been released — never nested.
+    /// only after the partition has been released — never nested.
     sanitizer: Mutex<Option<Sanitizer>>,
     /// Mirrors `sanitizer.is_some()`, written under its lock, so the
-    /// default (off) path of every operation takes `records` only.
+    /// default (off) path of every operation takes one partition only.
     sanitizing: AtomicBool,
     /// Live shared-memory segment mappings, base address → mapped bytes.
     /// Maintained unconditionally (cheap), reported through the sanitizer.
     segments: Mutex<std::collections::BTreeMap<usize, usize>>,
-    registered: AtomicU64,
-    released: AtomicU64,
-    expands: AtomicU64,
-    published: AtomicU64,
     shared_adoptions: AtomicU64,
+    foreign_lookups: AtomicU64,
 }
 
 impl Default for MessageManager {
@@ -238,15 +308,12 @@ impl MessageManager {
     /// Create an empty manager using binary-search lookup.
     pub fn new() -> Self {
         MessageManager {
-            records: Mutex::new(Vec::new()),
+            partitions: Default::default(),
             sanitizer: Mutex::new(None),
             sanitizing: AtomicBool::new(false),
             segments: Mutex::new(std::collections::BTreeMap::new()),
-            registered: AtomicU64::new(0),
-            released: AtomicU64::new(0),
-            expands: AtomicU64::new(0),
-            published: AtomicU64::new(0),
             shared_adoptions: AtomicU64::new(0),
+            foreign_lookups: AtomicU64::new(0),
         }
     }
 
@@ -350,7 +417,6 @@ impl MessageManager {
             registered_ns: buffer.born_ns(),
             buffer,
         });
-        self.registered.fetch_add(1, Ordering::Relaxed);
         self.sanitize_insert(op, start, end, type_name);
     }
 
@@ -374,8 +440,6 @@ impl MessageManager {
             registered_ns,
             buffer,
         });
-        self.registered.fetch_add(1, Ordering::Relaxed);
-        self.published.fetch_add(1, Ordering::Relaxed);
         self.sanitize_insert(LifecycleOp::Adopt, start, end, type_name);
     }
 
@@ -388,16 +452,16 @@ impl MessageManager {
     /// is fine — the queue's `Arc` keeps the bytes alive.
     pub fn note_shared_adoption(&self, start: usize) {
         self.shared_adoptions.fetch_add(1, Ordering::Relaxed);
-        let ty = {
-            let records = self.records.lock();
-            records
-                .binary_search_by(|r| r.start.cmp(&start))
-                .ok()
-                .map(|idx| records[idx].type_name)
-        };
-        self.sanitize(|san| {
-            san.log(LifecycleOp::AdoptShared, start, ty);
-        });
+        // The record is read for the log's type name only, and it lives in
+        // the *publisher's* partition: not worth a cross-thread lock on
+        // every fast-path delivery unless someone reads the log.
+        // Relaxed: see `set_sanitizer`.
+        if self.sanitizing.load(Ordering::Relaxed) {
+            let ty = self.probe(home_partition(), |table| {
+                Self::find(&table.records, start).map(|idx| table.records[idx].type_name)
+            });
+            self.sanitize(|san| san.log(LifecycleOp::AdoptShared, start, ty));
+        }
     }
 
     /// Note that a shared-memory segment of `bytes` bytes was mapped at
@@ -450,15 +514,44 @@ impl MessageManager {
             .is_some_and(|(&base, &bytes)| addr < base + bytes)
     }
 
+    /// Insert into the partition the record's allocation is stamped with —
+    /// the registering thread's home, unless the allocation was built on
+    /// another thread.
     fn insert(&self, rec: Record) {
-        let mut records = self.records.lock();
-        let idx = records.partition_point(|r| r.start < rec.start);
+        let part = rec.buffer.partition();
+        if part != home_partition() {
+            self.foreign_lookups.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut table = self.partitions[part as usize].0.lock();
+        table.registered += 1;
+        table.published += u64::from(rec.state == MessageState::Published);
+        let idx = table.records.partition_point(|r| r.start < rec.start);
         debug_assert!(
-            records.get(idx).is_none_or(|r| r.start != rec.start),
+            table.records.get(idx).is_none_or(|r| r.start != rec.start),
             "double registration of base address {:#x}",
             rec.start
         );
-        records.insert(idx, rec);
+        table.records.insert(idx, rec);
+    }
+
+    /// Run `f` on one partition at a time — `first`, then the others in
+    /// index order, never two locks held — until it returns `Some`.
+    fn probe<R>(&self, first: u8, mut f: impl FnMut(&mut Table) -> Option<R>) -> Option<R> {
+        let first = first as usize;
+        let found = f(&mut self.partitions[first].0.lock());
+        if found.is_some() && first == home_partition() as usize {
+            return found;
+        }
+        self.foreign_lookups.fetch_add(1, Ordering::Relaxed);
+        found.or_else(|| {
+            let mut others = (0..PARTITIONS).filter(|&i| i != first);
+            others.find_map(|i| f(&mut self.partitions[i].0.lock()))
+        })
+    }
+
+    /// Index of the record starting exactly at `start`.
+    fn find(records: &[Record], start: usize) -> Option<usize> {
+        records.binary_search_by(|r| r.start.cmp(&start)).ok()
     }
 
     /// Grow the whole message that contains `field_addr` by `len` bytes,
@@ -475,25 +568,21 @@ impl MessageManager {
     /// * [`SfmError::UnmanagedAddress`] if no record contains `field_addr`.
     /// * [`SfmError::CapacityExceeded`] if growth would pass `max_size`.
     pub fn expand(&self, field_addr: usize, len: usize, align: usize) -> Result<usize, SfmError> {
-        self.expands.fetch_add(1, Ordering::Relaxed);
-        let outcome: Result<(usize, &'static str), SfmError> = (|| {
-            let mut records = self.records.lock();
-            let idx = Self::locate(&records, field_addr)
-                .ok_or(SfmError::UnmanagedAddress { addr: field_addr })?;
-            let rec = &mut records[idx];
+        let grow = |table: &mut Table| {
+            let idx = Self::locate(&table.records, field_addr)?;
+            table.expands += 1;
+            let rec = &mut table.records[idx];
             let offset = align_up(rec.used, align);
-            let new_used = offset.checked_add(len).ok_or(SfmError::CapacityExceeded {
-                type_name: rec.type_name,
-                requested: len,
-                available: rec.capacity - rec.used,
-            })?;
-            if new_used > rec.capacity {
-                return Err(SfmError::CapacityExceeded {
-                    type_name: rec.type_name,
-                    requested: len,
-                    available: rec.capacity - rec.used,
-                });
-            }
+            let new_used = match offset.checked_add(len) {
+                Some(new_used) if new_used <= rec.capacity => new_used,
+                _ => {
+                    return Some(Err(SfmError::CapacityExceeded {
+                        type_name: rec.type_name,
+                        requested: len,
+                        available: rec.capacity - rec.used,
+                    }))
+                }
+            };
             if offset > rec.used {
                 // Zero the alignment gap so the whole message never exposes
                 // uninitialized bytes on the wire.
@@ -504,10 +593,17 @@ impl MessageManager {
                 }
             }
             rec.used = new_used;
-            Ok((rec.start + offset, rec.type_name))
-        })();
-        // Sanitizer pass runs with the records lock already dropped so the
-        // alert channel may panic freely.
+            Some(Ok((rec.start + offset, rec.type_name)))
+        };
+        let home = home_partition();
+        let outcome: Result<(usize, &'static str), SfmError> =
+            self.probe(home, grow).unwrap_or_else(|| {
+                // A call no partition could serve is still a call counted.
+                self.partitions[home as usize].0.lock().expands += 1;
+                Err(SfmError::UnmanagedAddress { addr: field_addr })
+            });
+        // Sanitizer pass runs with the partition lock already dropped so
+        // the alert channel may panic freely.
         let mut anomaly = false;
         self.sanitize(|san| match &outcome {
             Ok((_, ty)) => san.log(LifecycleOp::Expand, field_addr, Some(ty)),
@@ -554,20 +650,27 @@ impl MessageManager {
     /// released message is handled by the `Arc` held in the transmission
     /// queue).
     pub fn mark_published(&self, start: usize) {
-        let mut ty = None;
-        {
-            let mut records = self.records.lock();
-            if let Ok(idx) = records.binary_search_by(|r| r.start.cmp(&start)) {
-                ty = Some(records[idx].type_name);
-                if records[idx].state != MessageState::Published {
-                    records[idx].state = MessageState::Published;
-                    self.published.fetch_add(1, Ordering::Relaxed);
-                }
+        self.publish_from(home_partition(), start);
+    }
+
+    /// [`MessageManager::mark_published`] for a handle: probes the
+    /// partition its allocation is stamped with first, and returns the
+    /// whole-message size the record holds — the publish step's one table
+    /// trip (`None` if the record is gone).
+    pub(crate) fn publish_from(&self, first: u8, start: usize) -> Option<usize> {
+        let found = self.probe(first, |table| {
+            let idx = Self::find(&table.records, start)?;
+            let rec = &mut table.records[idx];
+            if rec.state != MessageState::Published {
+                rec.state = MessageState::Published;
+                table.published += 1;
             }
-        }
-        self.sanitize(|san| {
-            san.log(LifecycleOp::MarkPublished, start, ty);
+            Some((rec.used, rec.type_name))
         });
+        self.sanitize(|san| {
+            san.log(LifecycleOp::MarkPublished, start, found.map(|(_, ty)| ty));
+        });
+        found.map(|(used, _)| used)
     }
 
     /// Remove the record for the message starting at `start`, dropping the
@@ -578,17 +681,24 @@ impl MessageManager {
     /// reference count becomes zero will the message memory be actually
     /// freed").
     pub fn release(&self, start: usize) {
-        // (found-record facts, gathered under the records lock)
-        let mut removed: Option<(usize, &'static str, usize)> = None;
-        {
-            let mut records = self.records.lock();
-            if let Ok(idx) = records.binary_search_by(|r| r.start.cmp(&start)) {
-                let refs = Arc::strong_count(&records[idx].buffer);
-                let rec = records.remove(idx);
-                removed = Some((rec.capacity, rec.type_name, refs));
-                self.released.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.release_from(home_partition(), start);
+    }
+
+    /// [`MessageManager::release`] for a handle: probes the partition its
+    /// allocation is stamped with first.
+    pub(crate) fn release_from(&self, first: u8, start: usize) {
+        // (found-record facts, gathered under the partition lock; the
+        // record's buffer clone drops after it, outside the lock)
+        let removed: Option<(usize, &'static str, usize)> = self
+            .probe(first, |table| {
+                let idx = Self::find(&table.records, start)?;
+                table.released += 1;
+                Some(table.records.remove(idx))
+            })
+            .map(|rec| {
+                let refs = Arc::strong_count(&rec.buffer);
+                (rec.capacity, rec.type_name, refs)
+            });
         let mut alert = None;
         self.sanitize(|san| {
             match removed {
@@ -636,22 +746,15 @@ impl MessageManager {
     /// unmapped counts into [`SanitizerReport::leaked_segments`] and raises
     /// the same alert kind.
     pub fn check_leaks(&self) -> Vec<RecordInfo> {
-        let leaked: Vec<RecordInfo> = {
-            let records = self.records.lock();
-            records
-                .iter()
-                .filter(|r| r.state == MessageState::Allocated)
-                .map(|r| RecordInfo {
-                    start: r.start,
-                    capacity: r.capacity,
-                    used: r.used,
-                    state: r.state,
-                    type_name: r.type_name,
-                    buffer_refs: Arc::strong_count(&r.buffer),
-                    registered_ns: r.registered_ns,
-                })
-                .collect()
-        };
+        let mut leaked: Vec<RecordInfo> = Vec::new();
+        for part in &self.partitions {
+            let table = part.0.lock();
+            let records = table.records.iter();
+            let allocated = records.filter(|r| r.state == MessageState::Allocated);
+            leaked.extend(allocated.map(Record::info));
+        }
+        // Address order, as one ordered table would report them.
+        leaked.sort_unstable_by_key(|r| r.start);
         let live_segments = self.segment_mappings();
         let mut alert = None;
         self.sanitize(|san| {
@@ -681,10 +784,16 @@ impl MessageManager {
     ///
     /// [`SfmError::UnmanagedAddress`] if no record contains `addr`.
     pub fn used_size(&self, addr: usize) -> Result<usize, SfmError> {
-        let records = self.records.lock();
-        Self::locate(&records, addr)
-            .map(|i| records[i].used)
-            .ok_or(SfmError::UnmanagedAddress { addr })
+        self.used_size_from(home_partition(), addr)
+    }
+
+    /// [`MessageManager::used_size`] for a handle: probes the partition its
+    /// allocation is stamped with first.
+    pub(crate) fn used_size_from(&self, first: u8, addr: usize) -> Result<usize, SfmError> {
+        self.probe(first, |table| {
+            Self::locate(&table.records, addr).map(|i| table.records[i].used)
+        })
+        .ok_or(SfmError::UnmanagedAddress { addr })
     }
 
     /// Clone the buffer pointer of the message starting at `start` (used by
@@ -694,44 +803,42 @@ impl MessageManager {
     ///
     /// [`SfmError::UnmanagedAddress`] if `start` is not a registered base.
     pub fn buffer_of(&self, start: usize) -> Result<Arc<SfmAlloc>, SfmError> {
-        let records = self.records.lock();
-        records
-            .binary_search_by(|r| r.start.cmp(&start))
-            .map(|idx| Arc::clone(&records[idx].buffer))
-            .map_err(|_| SfmError::UnmanagedAddress { addr: start })
+        self.probe(home_partition(), |table| {
+            Self::find(&table.records, start).map(|idx| Arc::clone(&table.records[idx].buffer))
+        })
+        .ok_or(SfmError::UnmanagedAddress { addr: start })
     }
 
     /// Snapshot of the record containing `addr`, if any.
     pub fn info(&self, addr: usize) -> Option<RecordInfo> {
-        let records = self.records.lock();
-        Self::locate(&records, addr).map(|i| {
-            let r = &records[i];
-            RecordInfo {
-                start: r.start,
-                capacity: r.capacity,
-                used: r.used,
-                state: r.state,
-                type_name: r.type_name,
-                buffer_refs: Arc::strong_count(&r.buffer),
-                registered_ns: r.registered_ns,
-            }
+        self.probe(home_partition(), |table| {
+            Self::locate(&table.records, addr).map(|i| table.records[i].info())
         })
     }
 
     /// Number of live records.
     pub fn live(&self) -> usize {
-        self.records.lock().len()
+        self.partitions
+            .iter()
+            .map(|p| p.0.lock().records.len())
+            .sum()
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> ManagerStats {
-        ManagerStats {
-            registered: self.registered.load(Ordering::Relaxed),
-            released: self.released.load(Ordering::Relaxed),
-            expands: self.expands.load(Ordering::Relaxed),
-            published: self.published.load(Ordering::Relaxed),
+        let mut stats = ManagerStats {
             shared_adoptions: self.shared_adoptions.load(Ordering::Relaxed),
+            foreign_lookups: self.foreign_lookups.load(Ordering::Relaxed),
+            ..ManagerStats::default()
+        };
+        for part in &self.partitions {
+            let table = part.0.lock();
+            stats.registered += table.registered;
+            stats.released += table.released;
+            stats.expands += table.expands;
+            stats.published += table.published;
         }
+        stats
     }
 }
 
@@ -795,6 +902,11 @@ mod tests {
         let m = MessageManager::new();
         let err = m.expand(0x1000, 4, 1).unwrap_err();
         assert!(matches!(err, SfmError::UnmanagedAddress { .. }));
+        assert_eq!(
+            m.stats().expands,
+            1,
+            "counted though no partition served it"
+        );
     }
 
     #[test]
@@ -809,16 +921,47 @@ mod tests {
         assert_eq!(m.used_size(base).unwrap(), 24);
     }
 
-    /// `locate`, checked against the linear-scan oracle on the way out.
+    /// Start of the record containing `addr`, checked against the
+    /// linear-scan oracle on the way out: `locate`'s binary search in every
+    /// partition, and the manager's probe against the *union* of them.
     fn locate_checked(m: &MessageManager, addr: usize) -> Option<usize> {
-        let records = m.records.lock();
-        let found = MessageManager::locate(&records, addr);
+        let mut oracle = None;
+        for part in &m.partitions {
+            let records = &part.0.lock().records;
+            let found = MessageManager::locate(records, addr);
+            assert_eq!(
+                found,
+                MessageManager::locate_linear(records, addr),
+                "binary search and linear oracle disagree at {addr:#x}"
+            );
+            if let Some(i) = found {
+                let twice = oracle.replace(records[i].start);
+                assert_eq!(twice, None, "{addr:#x} is in two partitions");
+            }
+        }
         assert_eq!(
-            found,
-            MessageManager::locate_linear(&records, addr),
-            "binary search and linear oracle disagree at {addr:#x}"
+            m.info(addr).map(|i| i.start),
+            oracle,
+            "probe and union oracle disagree at {addr:#x}"
         );
-        found.map(|i| records[i].start)
+        oracle
+    }
+
+    /// Run `f` on fresh threads, one at a time, until every partition has
+    /// been the home of one of them (homes are dealt process-wide, so the
+    /// harness's other threads may take some in between).
+    fn on_every_partition(mut f: impl FnMut() + Send) {
+        let mut seen = [false; PARTITIONS];
+        while seen.contains(&false) {
+            let home = std::thread::scope(|s| {
+                let worker = s.spawn(|| {
+                    f();
+                    home_partition()
+                });
+                worker.join().expect("worker panicked")
+            });
+            seen[home as usize] = true;
+        }
     }
 
     #[test]
@@ -871,10 +1014,34 @@ mod tests {
         counts.extend((0..12).map(|_| 1 + rng.below(512)));
         for count in counts {
             let m = MessageManager::new();
-            let allocs: Vec<_> = (0..count).map(|_| alloc(8 + rng.below(89))).collect();
-            for a in &allocs {
-                m.register(Arc::clone(a), 8, "t/A");
-            }
+            // Built and registered a share per partition, each by a thread
+            // homed there: the table the sweep walks is spread out.
+            let share = count.div_ceil(PARTITIONS);
+            let mut allocs = Vec::new();
+            on_every_partition(|| {
+                if !m.partitions[home_partition() as usize]
+                    .0
+                    .lock()
+                    .records
+                    .is_empty()
+                {
+                    return;
+                }
+                for _ in 0..share.min(count - allocs.len()) {
+                    let a = alloc(8 + rng.below(89));
+                    m.register(Arc::clone(&a), 8, "t/A");
+                    assert_eq!(locate_checked(&m, a.base()), Some(a.base()));
+                    allocs.push(a);
+                }
+            });
+            assert_eq!((allocs.len(), m.live()), (count, count));
+            assert_eq!(m.stats().foreign_lookups, 0, "each thread at home");
+            let spread = m
+                .partitions
+                .iter()
+                .filter(|p| !p.0.lock().records.is_empty());
+            assert_eq!(spread.count(), count.div_ceil(share), "{count} records");
+            // The sweep itself runs on this thread, foreign to most records.
             for a in &allocs {
                 let (first, last) = (a.base(), a.base() + a.capacity() - 1);
                 for addr in first..=last {
@@ -889,6 +1056,12 @@ mod tests {
                 None,
                 "gap before the first record"
             );
+            assert!(m.stats().foreign_lookups > 0);
+            // Released from here too: every record is found wherever it is.
+            for a in &allocs {
+                m.release(a.base());
+            }
+            assert_eq!(m.live(), 0);
         }
     }
 

@@ -483,6 +483,12 @@ impl TcpWriter {
     }
 }
 
+/// A new fan-out list: the links of `conns` still alive, then `joining`.
+fn live_conns(conns: &[Arc<Conn>], joining: Option<Arc<Conn>>) -> Arc<[Arc<Conn>]> {
+    let live = conns.iter().filter(|c| c.alive.load(Ordering::Acquire));
+    live.cloned().chain(joining).collect()
+}
+
 struct PubCore {
     topic: String,
     type_name: &'static str,
@@ -496,7 +502,9 @@ struct PubCore {
     /// not known when the core is built because the fast-path registration
     /// needs a `Weak` of the finished core.
     registration: AtomicU64,
-    conns: Mutex<Vec<Arc<Conn>>>,
+    /// The fan-out list. Immutable once built — `splice` and the pruning
+    /// pass swap in a new one — so a publish takes it with one `Arc::clone`.
+    conns: Mutex<Arc<[Arc<Conn>]>>,
     shutdown: AtomicBool,
     published: AtomicU64,
     dropped: AtomicU64,
@@ -601,8 +609,7 @@ impl PubCore {
     fn splice(&self, tier: Tier, alive: Arc<AtomicBool>, token: Token, sink: Sink) {
         {
             let mut conns = self.conns.lock();
-            conns.retain(|c| c.alive.load(Ordering::Acquire));
-            conns.push(Arc::new(Conn { alive, token, sink }));
+            *conns = live_conns(&conns, Some(Arc::new(Conn { alive, token, sink })));
         }
         self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
         self.tier_hint.store(tier.index() as u8, Ordering::Relaxed);
@@ -780,13 +787,13 @@ impl PubCore {
         // Snapshot the connection list so the fan-out runs without the
         // lock: a concurrent accept, attach, or `publish` from another
         // clone is never serialized behind this one.
-        let snapshot: Vec<Arc<Conn>> = self.conns.lock().clone();
+        let snapshot = Arc::clone(&self.conns.lock());
         let traced = frame.trace().id != 0;
         // Publish entry: where every shm link's `enqueue` span starts.
         let entered = if traced { now_nanos() } else { 0 };
         let mut shared = loaned.map(Some);
         let mut saw_dead = false;
-        for conn in &snapshot {
+        for conn in snapshot.iter() {
             let deposit = match &conn.sink {
                 Sink::Queue(queue) => {
                     // Each connection's clone carries its own enqueue
@@ -821,9 +828,8 @@ impl PubCore {
             }
         }
         if saw_dead {
-            self.conns
-                .lock()
-                .retain(|c| c.alive.load(Ordering::Acquire));
+            let mut conns = self.conns.lock();
+            *conns = live_conns(&conns, None);
         }
     }
 
@@ -1026,9 +1032,9 @@ impl Drop for PubCore {
         // fast-path subscriber — observes the disconnect, drains its tail,
         // and deregisters itself; a closed ring's control handler hangs
         // up, which is what wakes its subscriber.
-        let conns: Vec<Arc<Conn>> = std::mem::take(&mut *self.conns.lock());
+        let conns = std::mem::replace(&mut *self.conns.lock(), Arc::new([]));
         let tokens: Vec<Token> = conns.iter().map(|c| c.token).collect();
-        for conn in &conns {
+        for conn in conns.iter() {
             if let Sink::Ring(ring) = &conn.sink {
                 ring.teardown();
             }
@@ -1096,7 +1102,7 @@ impl<M: Encode> Publisher<M> {
             metrics: master.metrics().topic(topic),
             master: master.clone(),
             registration: AtomicU64::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(Arc::new([])),
             shutdown: AtomicBool::new(false),
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
