@@ -109,7 +109,7 @@ fn constant_decl(c: &Constant) -> Result<String, String> {
                 other => return Err(format!("bad bool constant `{other}`")),
             },
         ),
-        FieldType::RosString => ("&'static str".to_string(), format!("{:?}", c.value)),
+        FieldType::RosString => ("&str".to_string(), format!("{:?}", c.value)),
         ty => {
             let p = ty
                 .rust_prim()
@@ -121,7 +121,30 @@ fn constant_decl(c: &Constant) -> Result<String, String> {
 }
 
 fn doc_line(out: &mut String, indent: &str, text: &str) {
-    let _ = writeln!(out, "{indent}/// {}", text.replace('\n', " "));
+    let line = format!("{indent}/// {}", text.replace('\n', " "));
+    let _ = writeln!(out, "{}", line.trim_end());
+}
+
+/// Whether `spec` holds no string or dynamic array at any depth, so its
+/// plain struct can be `Copy`. `visiting` stops a cyclic definition.
+fn is_fixed_size<'c>(
+    spec: &'c MessageSpec,
+    catalog: &'c Catalog,
+    visiting: &mut Vec<&'c MessageSpec>,
+) -> bool {
+    if visiting.iter().any(|v| std::ptr::eq(*v, spec)) {
+        return false;
+    }
+    visiting.push(spec);
+    let fixed = spec.fields.iter().all(|f| match (&f.arity, &f.ty) {
+        (Arity::DynamicArray, _) | (_, FieldType::RosString) => false,
+        (_, FieldType::Named(n)) => catalog
+            .find(n)
+            .is_some_and(|nested| is_fixed_size(nested, catalog, visiting)),
+        _ => true,
+    });
+    visiting.pop();
+    fixed
 }
 
 /// Generate the Rust source for one message: the plain struct, the SFM
@@ -156,6 +179,18 @@ pub fn generate(
         .iter()
         .any(|f| matches!(f.arity, Arity::FixedArray(n) if n > 32));
 
+    let name = &spec.rust_name;
+    let copy = if is_fixed_size(spec, catalog, &mut Vec::new()) {
+        ", Copy"
+    } else {
+        ""
+    };
+    let default = if needs_manual_default {
+        ""
+    } else {
+        ", Default"
+    };
+
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -164,13 +199,12 @@ pub fn generate(
     let _ = writeln!(out);
 
     // Plain struct.
-    doc_line(&mut out, "", &format!("`{full}` (generated)."));
-    if needs_manual_default {
-        let _ = writeln!(out, "#[derive(Debug, Clone, PartialEq)]");
-    } else {
-        let _ = writeln!(out, "#[derive(Debug, Clone, PartialEq, Default)]");
+    match &spec.doc {
+        Some(doc) => doc.lines().for_each(|l| doc_line(&mut out, "", l)),
+        None => doc_line(&mut out, "", &format!("`{full}` (generated).")),
     }
-    let _ = writeln!(out, "pub struct {} {{", spec.name);
+    let _ = writeln!(out, "#[derive(Debug, Clone{copy}, PartialEq{default})]");
+    let _ = writeln!(out, "pub struct {} {{", name);
     for (f, (_, plain_ty, _)) in &plans {
         doc_line(
             &mut out,
@@ -185,9 +219,9 @@ pub fn generate(
     let _ = writeln!(out);
 
     if needs_manual_default {
-        let _ = writeln!(out, "impl Default for {} {{", spec.name);
+        let _ = writeln!(out, "impl Default for {} {{", name);
         let _ = writeln!(out, "    fn default() -> Self {{");
-        let _ = writeln!(out, "        {} {{", spec.name);
+        let _ = writeln!(out, "        {} {{", name);
         for (f, _) in &plans {
             match f.arity {
                 Arity::FixedArray(n) => {
@@ -206,7 +240,7 @@ pub fn generate(
 
     // Constants.
     if !spec.constants.is_empty() {
-        let _ = writeln!(out, "impl {} {{", spec.name);
+        let _ = writeln!(out, "impl {} {{", name);
         for c in &spec.constants {
             doc_line(&mut out, "    ", &format!("IDL constant `{}`.", c.name));
             out.push_str(&constant_decl(c)?);
@@ -219,14 +253,11 @@ pub fn generate(
     doc_line(
         &mut out,
         "",
-        &format!(
-            "Serialization-free skeleton of [`{}`] (generated).",
-            spec.name
-        ),
+        &format!("Serialization-free skeleton of [`{}`] (generated).", name),
     );
     let _ = writeln!(out, "#[repr(C)]");
     let _ = writeln!(out, "#[derive(Debug)]");
-    let _ = writeln!(out, "pub struct Sfm{} {{", spec.name);
+    let _ = writeln!(out, "pub struct Sfm{} {{", name);
     for (f, (_, _, sfm_ty)) in &plans {
         doc_line(
             &mut out,
@@ -245,7 +276,7 @@ pub fn generate(
     let _ = writeln!(
         out,
         "    {} / Sfm{} : \"{}\", max_size = {},",
-        spec.name, spec.name, full, max
+        name, name, full, max
     );
     let _ = writeln!(out, "    fields = {{");
     for (f, (kind, _, _)) in &plans {
@@ -334,8 +365,101 @@ mod tests {
         let code = generate(&spec, &catalog, &GenConfig::default()).unwrap();
         assert!(code.contains("pub const INT8: u8 = 1;"));
         assert!(code.contains("pub const FLOAT32: u8 = 7;"));
-        assert!(code.contains("pub const DEFAULT_NAME: &'static str = \"xyz\";"));
+        // `&'static str` trips clippy::redundant_static_lifetimes in the includer.
+        assert!(code.contains("pub const DEFAULT_NAME: &str = \"xyz\";"));
         assert!(code.contains("pub const FLAG: bool = true;"));
+    }
+
+    #[test]
+    fn user_definitions_may_reference_every_shipped_type() {
+        let spec = parse_msg(
+            "demo",
+            "Scene",
+            "geometry_msgs/TransformStamped t\nstd_msgs/ColorRGBA c\n\
+             visualization_msgs/Marker[] m\nstd_msgs/String label\n",
+        )
+        .unwrap();
+        let mut catalog = Catalog::with_standard_messages();
+        catalog.add(spec).unwrap();
+        let code = catalog.generate_all(&GenConfig::default()).unwrap();
+        for needle in [
+            "pub t: ::rossf_msg::geometry_msgs::SfmTransformStamped,",
+            "pub c: ::rossf_msg::std_msgs::ColorRGBA,",
+            "pub m: ::rossf_sfm::SfmVec<::rossf_msg::visualization_msgs::SfmMarker>,",
+            "pub label: ::rossf_msg::std_msgs::SfmStringMsg,",
+        ] {
+            assert!(code.contains(needle), "missing `{needle}` in:\n{code}");
+        }
+    }
+
+    #[test]
+    fn type_doc_is_the_leading_comment_block() {
+        let catalog = Catalog::new();
+        let documented = parse_msg(
+            "demo",
+            "Blip",
+            "# A radar return.\n#\n# Range in m.\nfloat32 r\n",
+        );
+        let code = generate(&documented.unwrap(), &catalog, &GenConfig::default()).unwrap();
+        assert!(code.contains("/// A radar return.\n///\n/// Range in m.\n#[derive("));
+        assert!(!code.contains("(generated).\n#[derive(Debug, Clone"));
+
+        let bare = parse_msg("demo", "Blip", "float32 r\n").unwrap();
+        let code = generate(&bare, &catalog, &GenConfig::default()).unwrap();
+        assert!(code.contains("/// `demo/Blip` (generated).\n#[derive("));
+    }
+
+    #[test]
+    fn copy_is_derived_exactly_for_fixed_size_messages() {
+        let catalog = Catalog::with_standard_messages();
+        let derive_of = |text: &str| {
+            let spec = parse_msg("demo", "M", text).unwrap();
+            let code = generate(&spec, &catalog, &GenConfig::default()).unwrap();
+            let line = code.lines().find(|l| l.starts_with("#[derive(")).unwrap();
+            line.to_string()
+        };
+        let fixed = "#[derive(Debug, Clone, Copy, PartialEq, Default)]";
+        assert_eq!(derive_of("float64 x\ntime t\nfloat64[9] k\n"), fixed);
+        assert_eq!(derive_of("geometry_msgs/Pose p\n"), fixed);
+        assert_eq!(
+            derive_of("float64[36] covariance\n"),
+            "#[derive(Debug, Clone, Copy, PartialEq)]"
+        );
+        let growable = "#[derive(Debug, Clone, PartialEq, Default)]";
+        assert_eq!(derive_of("string s\n"), growable);
+        assert_eq!(derive_of("float64[] v\n"), growable);
+        assert_eq!(derive_of("geometry_msgs/PoseStamped p\n"), growable);
+    }
+
+    #[test]
+    fn rust_name_override_renames_both_structs_and_keeps_the_ros_name() {
+        let catalog = Catalog::with_standard_messages();
+        let spec = catalog.find("std_msgs/String").unwrap();
+        let code = generate(spec, &catalog, &GenConfig::default()).unwrap();
+        assert!(code.contains("pub struct StringMsg {"));
+        assert!(code.contains("pub struct SfmStringMsg {"));
+        assert!(code.contains("StringMsg / SfmStringMsg : \"std_msgs/String\","));
+    }
+
+    #[test]
+    fn output_does_not_depend_on_the_order_specs_were_added_in() {
+        let specs = [
+            parse_msg("b_msgs", "Alpha", "a_msgs/Zed z\n").unwrap(),
+            parse_msg("a_msgs", "Zed", "float64 x\n").unwrap(),
+            parse_msg("a_msgs", "Able", "Zed[] zs\n").unwrap(),
+        ];
+        let generate_in = |order: [usize; 3]| {
+            let mut catalog = Catalog::new();
+            for i in order {
+                catalog.add(specs[i].clone()).unwrap();
+            }
+            catalog.generate_all(&GenConfig::default()).unwrap()
+        };
+        let code = generate_in([0, 1, 2]);
+        assert_eq!(code, generate_in([2, 1, 0]));
+        let at = |needle: &str| code.find(needle).unwrap();
+        assert!(at("pub struct Able") < at("pub struct Zed"));
+        assert!(at("pub struct Zed") < at("pub struct Alpha"));
     }
 
     #[test]

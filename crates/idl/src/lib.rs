@@ -12,10 +12,12 @@
 //!    skeleton struct, and a `ros_message_impls!` invocation that produces
 //!    the full trait stack.
 //!
-//! The generated code is real: `rossf-msg`'s build script runs this
-//! generator over the `nav_msgs` definitions and compiles the output into
-//! the crate (see `crates/msg/build.rs`), so every release exercises the
-//! generator end-to-end.
+//! The generated code is real: every message `rossf-msg` ships is defined
+//! once, as a `.msg` file under this crate's `msg/<pkg>/<Name>.msg` tree.
+//! The tree is embedded here ([`Catalog::with_standard_messages`] is built
+//! from it) and `rossf-msg`'s build script runs this generator over it, one
+//! module per package (see `crates/msg/build.rs`), so a user definition can
+//! reference exactly the types the crate ships.
 //!
 //! ```
 //! use rossf_idl::{parse_msg, Catalog, GenConfig};
@@ -42,5 +44,5 @@ mod schema;
 
 pub use codegen::{generate, GenConfig};
 pub use model::{Arity, Catalog, Constant, Field, FieldType, MessageSpec, ResolvedType};
-pub use parse::{parse_msg, parse_srv, ParseError};
+pub use parse::{parse_msg, ParseError};
 pub use schema::{schema_from_spec, SchemaBuilder, SchemaError};

@@ -1,5 +1,6 @@
 //! The data model of the ROS `.msg` IDL.
 
+use crate::parse::parse_msg;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -146,6 +147,13 @@ pub struct MessageSpec {
     pub package: String,
     /// Message name, e.g. `Image`.
     pub name: String,
+    /// Name of the generated plain struct (the skeleton is `Sfm` + this).
+    /// The message name unless overridden with
+    /// [`MessageSpec::with_rust_name`].
+    pub rust_name: String,
+    /// The leading comment block of the definition, one line per `\n`
+    /// (becomes the struct's doc comment).
+    pub doc: Option<String>,
     /// Fields in declaration order (the order SFM skeletons must keep).
     pub fields: Vec<Field>,
     /// Constants.
@@ -157,7 +165,24 @@ impl MessageSpec {
     pub fn full_name(&self) -> String {
         format!("{}/{}", self.package, self.name)
     }
+
+    /// Generate the Rust structs under `rust_name` while the ROS type name
+    /// stays `package/Name` — for a message whose name would shadow a type
+    /// the generated code spells (`std_msgs/String` → `StringMsg`).
+    pub fn with_rust_name(mut self, rust_name: &str) -> Self {
+        self.rust_name = rust_name.to_string();
+        self
+    }
 }
+
+/// The `.msg` tree shipped as `rossf-msg` (`crates/idl/msg/<pkg>/<Name>.msg`),
+/// embedded by the build script as `(package, name, text)` sorted by
+/// package, then name. The one place a shipped message is defined.
+const STANDARD_TREE: &[(&str, &str, &str)] =
+    include!(concat!(env!("OUT_DIR"), "/standard_tree.rs"));
+
+/// Shipped types whose Rust name differs from their ROS name.
+const STANDARD_RUST_NAMES: &[(&str, &str)] = &[("std_msgs/String", "StringMsg")];
 
 /// How a named message type is spelled in generated Rust code.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,6 +199,7 @@ pub struct ResolvedType {
 #[derive(Debug, Default)]
 pub struct Catalog {
     specs: Vec<MessageSpec>,
+    standard: Vec<MessageSpec>,
     resolutions: BTreeMap<String, ResolvedType>,
 }
 
@@ -183,37 +209,35 @@ impl Catalog {
         Self::default()
     }
 
-    /// Catalog pre-populated with the message types shipped in `rossf-msg`,
-    /// resolvable both bare (`Header`) and package-qualified
-    /// (`std_msgs/Header`).
+    /// Catalog pre-populated with every message type shipped in
+    /// `rossf-msg`, resolvable both bare (`Header`) and package-qualified
+    /// (`std_msgs/Header`) to its `::rossf_msg::<pkg>::<Name>` path. The
+    /// set is the embedded `.msg` tree `rossf-msg` itself is generated
+    /// from, so the two cannot disagree.
     pub fn with_standard_messages() -> Self {
         let mut c = Self::new();
-        let std_types: [(&str, &str, &str); 14] = [
-            ("std_msgs", "Header", "Header"),
-            ("geometry_msgs", "Point", "Point"),
-            ("geometry_msgs", "Point32", "Point32"),
-            ("geometry_msgs", "Vector3", "Vector3"),
-            ("geometry_msgs", "Quaternion", "Quaternion"),
-            ("geometry_msgs", "Pose", "Pose"),
-            ("geometry_msgs", "PoseStamped", "PoseStamped"),
-            ("sensor_msgs", "Image", "Image"),
-            ("sensor_msgs", "CompressedImage", "CompressedImage"),
-            ("sensor_msgs", "ChannelFloat32", "ChannelFloat32"),
-            ("sensor_msgs", "PointCloud", "PointCloud"),
-            ("sensor_msgs", "PointField", "PointField"),
-            ("sensor_msgs", "PointCloud2", "PointCloud2"),
-            ("sensor_msgs", "RegionOfInterest", "RegionOfInterest"),
-        ];
-        for (pkg, name, rust) in std_types {
-            let resolved = ResolvedType {
-                plain: format!("::rossf_msg::{pkg}::{rust}"),
-                sfm: format!("::rossf_msg::{pkg}::Sfm{rust}"),
-            };
-            c.resolutions
-                .insert(format!("{pkg}/{name}"), resolved.clone());
-            c.resolutions.insert(name.to_string(), resolved);
+        for &(pkg, name, text) in STANDARD_TREE {
+            let rust_name = STANDARD_RUST_NAMES
+                .iter()
+                .find(|(full, _)| full.split_once('/') == Some((pkg, name)))
+                .map_or(name, |(_, rust)| rust);
+            let spec = parse_msg(pkg, name, text)
+                .unwrap_or_else(|e| panic!("shipped definition {pkg}/{name}.msg: {e}"))
+                .with_rust_name(rust_name);
+            let path = format!("::rossf_msg::{pkg}::");
+            c.register(&spec, &path);
+            c.standard.push(spec);
         }
         c
+    }
+
+    fn register(&mut self, spec: &MessageSpec, path: &str) {
+        let resolved = ResolvedType {
+            plain: format!("{path}{}", spec.rust_name),
+            sfm: format!("{path}Sfm{}", spec.rust_name),
+        };
+        self.resolutions.insert(spec.full_name(), resolved.clone());
+        self.resolutions.insert(spec.name.clone(), resolved);
     }
 
     /// Register a spec. Its own name becomes resolvable (bare and
@@ -223,16 +247,11 @@ impl Catalog {
     ///
     /// Returns the spec back if a different definition is already
     /// registered under the same full name.
-    pub fn add(&mut self, spec: MessageSpec) -> Result<(), MessageSpec> {
+    pub fn add(&mut self, spec: MessageSpec) -> Result<(), Box<MessageSpec>> {
         if self.specs.iter().any(|s| s.full_name() == spec.full_name()) {
-            return Err(spec);
+            return Err(Box::new(spec));
         }
-        let resolved = ResolvedType {
-            plain: spec.name.clone(),
-            sfm: format!("Sfm{}", spec.name),
-        };
-        self.resolutions.insert(spec.full_name(), resolved.clone());
-        self.resolutions.insert(spec.name.clone(), resolved);
+        self.register(&spec, "");
         self.specs.push(spec);
         Ok(())
     }
@@ -242,20 +261,40 @@ impl Catalog {
         self.resolutions.get(name)
     }
 
+    /// The definition behind a named type, bare or qualified: a registered
+    /// spec first, then the shipped set.
+    pub fn find(&self, name: &str) -> Option<&MessageSpec> {
+        self.specs
+            .iter()
+            .chain(&self.standard)
+            .find(|s| s.full_name() == name || s.name == name)
+    }
+
     /// The registered specs, in insertion order.
     pub fn specs(&self) -> &[MessageSpec] {
         &self.specs
     }
 
-    /// Generate Rust source for every registered spec, in order.
+    /// The shipped definitions (empty unless built by
+    /// [`Catalog::with_standard_messages`]), sorted by package, then name.
+    /// They resolve to `::rossf_msg` paths and are not part of
+    /// [`Catalog::generate_all`]; `rossf-msg`'s build script generates them.
+    pub fn standard_specs(&self) -> &[MessageSpec] {
+        &self.standard
+    }
+
+    /// Generate Rust source for every registered spec, ordered by package,
+    /// then name, whatever order they were added in.
     ///
     /// # Errors
     ///
     /// A human-readable message naming the unresolvable or unsupported
     /// construct, if any.
     pub fn generate_all(&self, config: &crate::GenConfig) -> Result<String, String> {
+        let mut specs: Vec<&MessageSpec> = self.specs.iter().collect();
+        specs.sort_by_key(|s| (&s.package, &s.name));
         let mut out = String::new();
-        for spec in &self.specs {
+        for spec in specs {
             out.push_str(&crate::generate(spec, self, config)?);
             out.push('\n');
         }
@@ -308,14 +347,28 @@ mod tests {
     }
 
     #[test]
+    fn standard_catalog_is_the_whole_tree_in_package_then_name_order() {
+        let c = Catalog::with_standard_messages();
+        let names: Vec<String> = c.standard_specs().iter().map(|s| s.full_name()).collect();
+        assert_eq!(names.len(), STANDARD_TREE.len());
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        for spec in c.standard_specs() {
+            let r = c
+                .resolve(&spec.full_name())
+                .expect("every shipped type resolves");
+            assert_eq!(
+                r.sfm,
+                format!("::rossf_msg::{}::Sfm{}", spec.package, spec.rust_name)
+            );
+            assert_eq!(c.find(&spec.name), Some(spec));
+        }
+        assert!(c.specs().is_empty(), "shipped types are not re-generated");
+    }
+
+    #[test]
     fn add_registers_local_resolution_and_rejects_duplicates() {
         let mut c = Catalog::new();
-        let spec = MessageSpec {
-            package: "p".into(),
-            name: "M".into(),
-            fields: vec![],
-            constants: vec![],
-        };
+        let spec = parse_msg("p", "M", "").unwrap();
         c.add(spec.clone()).unwrap();
         assert_eq!(c.resolve("M").unwrap().sfm, "SfmM");
         assert_eq!(c.resolve("p/M").unwrap().plain, "M");

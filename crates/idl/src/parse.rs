@@ -3,7 +3,7 @@
 //! The grammar is line-oriented:
 //!
 //! ```text
-//! # comment
+//! # comment            above the first declaration: the message's documentation
 //! type name            # field, optional trailing comment
 //! type[] name          # dynamic array
 //! type[N] name         # fixed array
@@ -58,7 +58,8 @@ fn valid_type_token(s: &str) -> bool {
 ///
 /// [`ParseError`] with the offending line on malformed input.
 pub fn parse_msg(package: &str, name: &str, text: &str) -> Result<MessageSpec, ParseError> {
-    let mut fields = Vec::new();
+    let mut doc = Vec::new();
+    let mut fields: Vec<Field> = Vec::new();
     let mut constants = Vec::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
@@ -66,11 +67,15 @@ pub fn parse_msg(package: &str, name: &str, text: &str) -> Result<MessageSpec, P
         // Split a trailing comment; '#' inside a constant's string value is
         // out of scope (ROS itself is ambiguous there).
         let (content, comment) = match raw_line.split_once('#') {
-            Some((c, com)) => (c, Some(com.trim().to_string()).filter(|s| !s.is_empty())),
+            Some((c, com)) => (c, Some(com.trim())),
             None => (raw_line, None),
         };
         let content = content.trim();
         if content.is_empty() {
+            // Comment lines above the first declaration document the message.
+            if fields.is_empty() && constants.is_empty() {
+                doc.extend(comment);
+            }
             continue;
         }
 
@@ -133,53 +138,25 @@ pub fn parse_msg(package: &str, name: &str, text: &str) -> Result<MessageSpec, P
         if !valid_ident(fname) {
             return Err(err(lineno, format!("invalid field name `{fname}`")));
         }
-        if fields.iter().any(|f: &Field| f.name == fname) {
+        if fields.iter().any(|f| f.name == fname) {
             return Err(err(lineno, format!("duplicate field `{fname}`")));
         }
         fields.push(Field {
             name: fname.to_string(),
             ty: FieldType::from_token(base_tok),
             arity,
-            comment,
+            comment: comment.filter(|c| !c.is_empty()).map(str::to_string),
         });
     }
 
     Ok(MessageSpec {
         package: package.to_string(),
         name: name.to_string(),
+        rust_name: name.to_string(),
+        doc: Some(doc.join("\n").trim().to_string()).filter(|d| !d.is_empty()),
         fields,
         constants,
     })
-}
-
-/// Parse a `.srv` service definition: request fields, a `---` separator
-/// line, response fields. Returns `(<Name>Request, <Name>Response)` specs
-/// (the ROS convention for generated service types).
-///
-/// # Errors
-///
-/// [`ParseError`] on malformed field lines or a missing separator.
-pub fn parse_srv(
-    package: &str,
-    name: &str,
-    text: &str,
-) -> Result<(MessageSpec, MessageSpec), ParseError> {
-    let mut parts = text.splitn(2, "\n---");
-    let req_text = parts.next().unwrap_or_default();
-    let Some(res_text) = parts.next() else {
-        // A separator on the very first line means an empty request.
-        if let Some(rest) = text.strip_prefix("---") {
-            let req = parse_msg(package, &format!("{name}Request"), "")?;
-            let res = parse_msg(package, &format!("{name}Response"), rest)?;
-            return Ok((req, res));
-        }
-        return Err(err(1, "missing `---` request/response separator"));
-    };
-    // Drop the remainder of the separator line itself.
-    let res_text = res_text.split_once('\n').map_or("", |(_, rest)| rest);
-    let req = parse_msg(package, &format!("{name}Request"), req_text)?;
-    let res = parse_msg(package, &format!("{name}Response"), res_text)?;
-    Ok((req, res))
 }
 
 #[cfg(test)]
@@ -212,6 +189,10 @@ uint8[] data         # actual matrix data, size is (step * rows)
             .as_deref()
             .unwrap()
             .contains("acquisition time"));
+        assert_eq!(
+            spec.doc.as_deref(),
+            Some("This message contains an uncompressed image")
+        );
     }
 
     #[test]
@@ -248,6 +229,19 @@ uint8[] data         # actual matrix data, size is (step * rows)
         let spec = parse_msg("p", "M", "\n  # nothing here\n\n").unwrap();
         assert!(spec.fields.is_empty());
         assert!(spec.constants.is_empty());
+        assert_eq!(spec.doc.as_deref(), Some("nothing here"));
+    }
+
+    #[test]
+    fn leading_comment_block_keeps_paragraphs_and_stops_at_the_first_declaration() {
+        let spec = parse_msg(
+            "p",
+            "M",
+            "# Summary.\n#\n# Detail.\n\nuint8 A=1\n# not doc\nuint32 x\n",
+        )
+        .unwrap();
+        assert_eq!(spec.doc.as_deref(), Some("Summary.\n\nDetail."));
+        assert_eq!(parse_msg("p", "M", "uint32 x\n").unwrap().doc, None);
     }
 
     #[test]
@@ -272,38 +266,5 @@ uint8[] data         # actual matrix data, size is (step * rows)
     fn line_numbers_are_accurate() {
         let e = parse_msg("p", "M", "uint32 ok\n\nbroken").unwrap_err();
         assert_eq!(e.line, 3);
-    }
-
-    #[test]
-    fn srv_splits_request_and_response() {
-        let (req, res) = parse_srv(
-            "rospy_tutorials",
-            "AddTwoInts",
-            "int64 a\nint64 b\n---\nint64 sum\n",
-        )
-        .unwrap();
-        assert_eq!(req.name, "AddTwoIntsRequest");
-        assert_eq!(req.fields.len(), 2);
-        assert_eq!(res.name, "AddTwoIntsResponse");
-        assert_eq!(res.fields[0].name, "sum");
-        assert_eq!(req.full_name(), "rospy_tutorials/AddTwoIntsRequest");
-    }
-
-    #[test]
-    fn srv_with_empty_request_or_response() {
-        let (req, res) =
-            parse_srv("std_srvs", "Trigger", "---\nbool success\nstring message\n").unwrap();
-        assert!(req.fields.is_empty());
-        assert_eq!(res.fields.len(), 2);
-
-        let (req, res) = parse_srv("std_srvs", "Empty", "---\n").unwrap();
-        assert!(req.fields.is_empty());
-        assert!(res.fields.is_empty());
-    }
-
-    #[test]
-    fn srv_without_separator_is_an_error() {
-        let e = parse_srv("p", "S", "int64 a\n").unwrap_err();
-        assert!(e.message.contains("---"));
     }
 }

@@ -6,9 +6,9 @@
 //! (`offset_of!`, via `ros_message_impls!`); this module produces the same
 //! tree from the *IDL* by replaying the `#[repr(C)]` layout algorithm over
 //! a [`MessageSpec`]. The two derivations are independent, which makes them
-//! a cross-check on each other (see `crates/msg/tests/schema.rs`): a field
-//! reordered in a hand-written struct, a wrong manifest entry, or a layout
-//! regression shows up as a schema mismatch.
+//! a cross-check on each other (`crates/msg/tests/schema.rs` walks every
+//! shipped type): a generator that reorders a field or writes a wrong
+//! manifest entry, or a layout regression, shows up as a schema mismatch.
 //!
 //! It also lets tools verify captured buffers for message types that only
 //! exist as `.msg` text — `sfm_verify` can load a definition and triage a
@@ -53,9 +53,9 @@ impl std::error::Error for SchemaError {}
 /// memoizing nested types.
 ///
 /// Named types are resolved in order against (1) descriptors provided via
-/// [`SchemaBuilder::provide`] — the escape hatch for standard-library types
-/// whose specs are not in the catalog — and (2) specs registered in the
-/// catalog, elaborated recursively.
+/// [`SchemaBuilder::provide`] — the escape hatch for types that exist only
+/// as compiled Rust — and (2) the catalog's definitions ([`Catalog::find`]:
+/// registered specs, then the shipped `.msg` tree), elaborated recursively.
 pub struct SchemaBuilder<'c> {
     catalog: &'c Catalog,
     known: BTreeMap<String, TypeDesc>,
@@ -110,9 +110,7 @@ impl<'c> SchemaBuilder<'c> {
         }
         let spec = self
             .catalog
-            .specs()
-            .iter()
-            .find(|s| s.full_name() == name || s.name == name)
+            .find(name)
             .cloned()
             .ok_or_else(|| SchemaError::Unresolved {
                 name: name.to_string(),

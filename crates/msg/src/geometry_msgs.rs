@@ -2,203 +2,12 @@
 //! side of the ORB-SLAM case study (Fig. 17 publishes
 //! `geometry_msgs/PoseStamped`).
 
-use crate::max_sizes;
-use crate::std_msgs::{Header, SfmHeader};
-use rossf_sfm::SfmString;
-
-/// `geometry_msgs/Point` — a position in 3-D space (double precision).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Point {
-    /// X coordinate (meters).
-    pub x: f64,
-    /// Y coordinate (meters).
-    pub y: f64,
-    /// Z coordinate (meters).
-    pub z: f64,
-}
-
-/// Serialization-free skeleton of [`Point`] (identical layout — the type
-/// has no variable-size fields).
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPoint {
-    /// X coordinate (meters).
-    pub x: f64,
-    /// Y coordinate (meters).
-    pub y: f64,
-    /// Z coordinate (meters).
-    pub z: f64,
-}
-
-ros_message_impls! {
-    Point / SfmPoint : "geometry_msgs/Point", max_size = 64,
-    fields = {
-        prim x,
-        prim y,
-        prim z,
-    }
-}
-
-/// `geometry_msgs/Point32` — a position in 3-D space (single precision),
-/// the element type of `sensor_msgs/PointCloud`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Point32 {
-    /// X coordinate (meters).
-    pub x: f32,
-    /// Y coordinate (meters).
-    pub y: f32,
-    /// Z coordinate (meters).
-    pub z: f32,
-}
-
-/// Serialization-free skeleton of [`Point32`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPoint32 {
-    /// X coordinate (meters).
-    pub x: f32,
-    /// Y coordinate (meters).
-    pub y: f32,
-    /// Z coordinate (meters).
-    pub z: f32,
-}
-
-ros_message_impls! {
-    Point32 / SfmPoint32 : "geometry_msgs/Point32", max_size = 32,
-    fields = {
-        prim x,
-        prim y,
-        prim z,
-    }
-}
-
-/// `geometry_msgs/Vector3` — a free vector in 3-D space.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vector3 {
-    /// X component.
-    pub x: f64,
-    /// Y component.
-    pub y: f64,
-    /// Z component.
-    pub z: f64,
-}
-
-/// Serialization-free skeleton of [`Vector3`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmVector3 {
-    /// X component.
-    pub x: f64,
-    /// Y component.
-    pub y: f64,
-    /// Z component.
-    pub z: f64,
-}
-
-ros_message_impls! {
-    Vector3 / SfmVector3 : "geometry_msgs/Vector3", max_size = 64,
-    fields = {
-        prim x,
-        prim y,
-        prim z,
-    }
-}
-
-/// `geometry_msgs/Quaternion` — an orientation in quaternion form.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Quaternion {
-    /// X component.
-    pub x: f64,
-    /// Y component.
-    pub y: f64,
-    /// Z component.
-    pub z: f64,
-    /// Scalar component.
-    pub w: f64,
-}
-
-/// Serialization-free skeleton of [`Quaternion`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmQuaternion {
-    /// X component.
-    pub x: f64,
-    /// Y component.
-    pub y: f64,
-    /// Z component.
-    pub z: f64,
-    /// Scalar component.
-    pub w: f64,
-}
-
-ros_message_impls! {
-    Quaternion / SfmQuaternion : "geometry_msgs/Quaternion", max_size = 64,
-    fields = {
-        prim x,
-        prim y,
-        prim z,
-        prim w,
-    }
-}
-
-/// `geometry_msgs/Pose` — position plus orientation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Pose {
-    /// Position.
-    pub position: Point,
-    /// Orientation.
-    pub orientation: Quaternion,
-}
-
-/// Serialization-free skeleton of [`Pose`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPose {
-    /// Position.
-    pub position: SfmPoint,
-    /// Orientation.
-    pub orientation: SfmQuaternion,
-}
-
-ros_message_impls! {
-    Pose / SfmPose : "geometry_msgs/Pose", max_size = 128,
-    fields = {
-        nested position,
-        nested orientation,
-    }
-}
-
-/// `geometry_msgs/PoseStamped` — a pose with a header, the SLAM output.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PoseStamped {
-    /// Stamp and frame.
-    pub header: Header,
-    /// The pose.
-    pub pose: Pose,
-}
-
-/// Serialization-free skeleton of [`PoseStamped`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPoseStamped {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// The pose.
-    pub pose: SfmPose,
-}
-
-ros_message_impls! {
-    PoseStamped / SfmPoseStamped : "geometry_msgs/PoseStamped",
-    max_size = max_sizes::POSE_STAMPED,
-    fields = {
-        nested header,
-        nested pose,
-    }
-}
+include!(concat!(env!("OUT_DIR"), "/geometry_msgs.rs"));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::std_msgs::Header;
     use rossf_ros::ser::RosMessage;
     use rossf_ros::time::RosTime;
     use rossf_sfm::SfmBox;
@@ -270,74 +79,6 @@ mod tests {
         };
         assert_eq!(p.to_bytes().len(), 12);
     }
-}
-
-/// `geometry_msgs/Transform` — a rotation + translation.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Transform {
-    /// Translation (meters).
-    pub translation: Vector3,
-    /// Rotation.
-    pub rotation: Quaternion,
-}
-
-/// Serialization-free skeleton of [`Transform`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmTransform {
-    /// Translation (meters).
-    pub translation: SfmVector3,
-    /// Rotation.
-    pub rotation: SfmQuaternion,
-}
-
-ros_message_impls! {
-    Transform / SfmTransform : "geometry_msgs/Transform", max_size = 128,
-    fields = {
-        nested translation,
-        nested rotation,
-    }
-}
-
-/// `geometry_msgs/TransformStamped` — the edge type of the TF tree: the
-/// pose of `child_frame_id` expressed in `header.frame_id`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TransformStamped {
-    /// Stamp and parent frame.
-    pub header: Header,
-    /// The frame this transform positions.
-    pub child_frame_id: String,
-    /// The transform itself.
-    pub transform: Transform,
-}
-
-/// Serialization-free skeleton of [`TransformStamped`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmTransformStamped {
-    /// Stamp and parent frame.
-    pub header: SfmHeader,
-    /// The frame this transform positions.
-    pub child_frame_id: SfmString,
-    /// The transform itself.
-    pub transform: SfmTransform,
-}
-
-ros_message_impls! {
-    TransformStamped / SfmTransformStamped : "geometry_msgs/TransformStamped",
-    max_size = 1 << 10,
-    fields = {
-        nested header,
-        string child_frame_id,
-        nested transform,
-    }
-}
-
-#[cfg(test)]
-mod transform_tests {
-    use super::*;
-    use rossf_ros::ser::RosMessage;
-    use rossf_ros::time::RosTime;
 
     fn sample() -> TransformStamped {
         TransformStamped {

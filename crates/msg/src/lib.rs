@@ -10,10 +10,14 @@
 //! * an **SFM skeleton** struct (`SfmImage`) — the serialization-free
 //!   representation of §4.1, transmitted verbatim.
 //!
-//! The structs are declared by hand (so rustdoc shows real fields) and the
-//! entire trait stack is generated by [`ros_message_impls!`] — the Rust
-//! analog of the paper's SFM Generator. The paper's transparency claim is
-//! visible here: publisher code for the two representations is virtually
+//! Neither is written by hand. Each message is defined once, as ROS `.msg`
+//! text in `crates/idl/msg/<pkg>/<Name>.msg`; the build script runs the SFM
+//! Generator (`rossf-idl`, §4.3.1) over that tree and each module here
+//! includes its package's output — both structs, with the `.msg` comments as
+//! their rustdoc, plus a [`ros_message_impls!`] invocation that emits the
+//! entire trait stack. Adding a message is adding a `.msg` file and its
+//! `max_size` row in `build.rs`. The paper's transparency claim is visible
+//! here: publisher code for the two representations is virtually
 //! identical:
 //!
 //! ```
@@ -39,53 +43,19 @@
 
 #![deny(missing_docs)]
 
-// Lets generator output (which spells paths as `::rossf_msg::...`) compile
-// when included inside this very crate (the `nav_msgs` module below).
+// Generator output spells paths as `::rossf_msg::...`; this lets it compile
+// when included inside this very crate.
 extern crate self as rossf_msg;
 
 #[macro_use]
 mod macros;
 
 pub mod geometry_msgs;
+pub mod nav_msgs;
 pub mod sensor_msgs;
 pub mod std_msgs;
 pub mod stereo_msgs;
 pub mod tf2_msgs;
 pub mod visualization_msgs;
 
-/// `nav_msgs` (plus the `geometry_msgs` velocity types) — **generated at
-/// build time** by the SFM Generator (`rossf-idl`) from the `.msg`
-/// definitions in `build.rs`. Compiling this module is the continuous
-/// end-to-end test of the generator pipeline (paper Fig. 10b).
-pub mod nav_msgs {
-    include!(concat!(env!("OUT_DIR"), "/nav_msgs.rs"));
-}
-
 pub use rossf_ros::time::RosTime;
-
-/// Declared `max_size` bounds for the variable-size message types — the
-/// IDL-level constants the paper requires developers to provide (§4.2).
-/// Sized for the largest workload in the evaluation (1920×1080×24-bit
-/// images, ~6 MB) plus headroom.
-pub mod max_sizes {
-    /// `sensor_msgs/Image` — fits a 1920×1080 RGB frame.
-    pub const IMAGE: usize = 8 << 20;
-    /// `sensor_msgs/CompressedImage`.
-    pub const COMPRESSED_IMAGE: usize = 4 << 20;
-    /// `sensor_msgs/PointCloud` — ~100k points with two float channels.
-    pub const POINT_CLOUD: usize = 4 << 20;
-    /// `sensor_msgs/PointCloud2`.
-    pub const POINT_CLOUD2: usize = 8 << 20;
-    /// `sensor_msgs/LaserScan` — a dense 2D scan.
-    pub const LASER_SCAN: usize = 64 << 10;
-    /// `sensor_msgs/ChannelFloat32`.
-    pub const CHANNEL_FLOAT32: usize = 1 << 20;
-    /// `sensor_msgs/CameraInfo`.
-    pub const CAMERA_INFO: usize = 16 << 10;
-    /// `std_msgs/Header` (standalone topic use).
-    pub const HEADER: usize = 1 << 10;
-    /// `geometry_msgs/PoseStamped`.
-    pub const POSE_STAMPED: usize = 1 << 10;
-    /// `stereo_msgs/DisparityImage` — contains a full Image.
-    pub const DISPARITY_IMAGE: usize = 9 << 20;
-}

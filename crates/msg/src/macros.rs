@@ -3,8 +3,8 @@
 //! The paper's SFM Generator extends ROS `genmsg`: from one IDL definition
 //! it emits the ordinary message class *and* the SFM message class, plus
 //! overloaded (de)serialization routines. Here [`ros_message_impls!`] plays
-//! that role: given the two struct declarations (hand-written or emitted by
-//! `rossf-idl`) and a field manifest, it generates
+//! that role: given the two struct declarations and the field manifest that
+//! `rossf-idl` emits from a `.msg` file, it generates
 //!
 //! * the ROS1 serializer/de-serializer for the plain struct
 //!   ([`RosField`](rossf_ros::ser::RosField) /
@@ -142,8 +142,8 @@ macro_rules! __sfm_to_plain_field {
 /// Generate the full trait stack for a (plain, SFM) message pair.
 ///
 /// See this module's documentation for the field-kind table. The two
-/// struct declarations themselves are written separately (so that rustdoc
-/// shows real fields); this macro supplies every impl.
+/// struct declarations are emitted next to the invocation by `rossf-idl`
+/// (so that rustdoc shows real fields); this macro supplies every impl.
 ///
 /// ```ignore
 /// ros_message_impls! {

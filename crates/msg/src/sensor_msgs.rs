@@ -1,453 +1,13 @@
 //! `sensor_msgs`: the sensor payloads of the paper's evaluation — images
 //! (Figs. 12–16), point clouds and laser scans (Table 1).
 
-use crate::geometry_msgs::{Point32, SfmPoint32};
-use crate::max_sizes;
-use crate::std_msgs::{Header, SfmHeader};
-use rossf_sfm::{SfmString, SfmVec};
-
-/// `sensor_msgs/Image` — an uncompressed image (the paper's running
-/// example, Fig. 1/2).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Image {
-    /// Stamp and frame.
-    pub header: Header,
-    /// Image height (rows).
-    pub height: u32,
-    /// Image width (columns).
-    pub width: u32,
-    /// Pixel encoding, e.g. `rgb8`, `mono8`, `8UC3`.
-    pub encoding: String,
-    /// 1 if the pixel data is big-endian.
-    pub is_bigendian: u8,
-    /// Full row length in bytes.
-    pub step: u32,
-    /// Pixel data, `step * height` bytes.
-    pub data: Vec<u8>,
-}
-
-/// Serialization-free skeleton of [`Image`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmImage {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// Image height (rows).
-    pub height: u32,
-    /// Image width (columns).
-    pub width: u32,
-    /// Pixel encoding, e.g. `rgb8`, `mono8`, `8UC3`.
-    pub encoding: SfmString,
-    /// 1 if the pixel data is big-endian.
-    pub is_bigendian: u8,
-    /// Full row length in bytes.
-    pub step: u32,
-    /// Pixel data, `step * height` bytes.
-    pub data: SfmVec<u8>,
-}
-
-ros_message_impls! {
-    Image / SfmImage : "sensor_msgs/Image", max_size = max_sizes::IMAGE,
-    fields = {
-        nested header,
-        prim height,
-        prim width,
-        string encoding,
-        prim is_bigendian,
-        prim step,
-        bytes data,
-    }
-}
-
-/// `sensor_msgs/CompressedImage` — a compressed image blob.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CompressedImage {
-    /// Stamp and frame.
-    pub header: Header,
-    /// Compression format, e.g. `jpeg`, `png`.
-    pub format: String,
-    /// Compressed bytes.
-    pub data: Vec<u8>,
-}
-
-/// Serialization-free skeleton of [`CompressedImage`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmCompressedImage {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// Compression format, e.g. `jpeg`, `png`.
-    pub format: SfmString,
-    /// Compressed bytes.
-    pub data: SfmVec<u8>,
-}
-
-ros_message_impls! {
-    CompressedImage / SfmCompressedImage : "sensor_msgs/CompressedImage",
-    max_size = max_sizes::COMPRESSED_IMAGE,
-    fields = {
-        nested header,
-        string format,
-        bytes data,
-    }
-}
-
-/// `sensor_msgs/ChannelFloat32` — a named per-point float channel of a
-/// [`PointCloud`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ChannelFloat32 {
-    /// Channel name, e.g. `intensity`, `rgb`.
-    pub name: String,
-    /// One value per point.
-    pub values: Vec<f32>,
-}
-
-/// Serialization-free skeleton of [`ChannelFloat32`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmChannelFloat32 {
-    /// Channel name, e.g. `intensity`, `rgb`.
-    pub name: SfmString,
-    /// One value per point.
-    pub values: SfmVec<f32>,
-}
-
-ros_message_impls! {
-    ChannelFloat32 / SfmChannelFloat32 : "sensor_msgs/ChannelFloat32",
-    max_size = max_sizes::CHANNEL_FLOAT32,
-    fields = {
-        string name,
-        vec values,
-    }
-}
-
-/// `sensor_msgs/PointCloud` — the legacy point-cloud type: explicit points
-/// plus named channels. Table 1 finds 0 of 14 files applicable for it.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PointCloud {
-    /// Stamp and frame.
-    pub header: Header,
-    /// The points.
-    pub points: Vec<Point32>,
-    /// Per-point channels (intensity, color, …).
-    pub channels: Vec<ChannelFloat32>,
-}
-
-/// Serialization-free skeleton of [`PointCloud`]. The `points` vector
-/// stores [`SfmPoint32`] skeletons contiguously; the `channels` vector
-/// stores nested message skeletons whose own strings/values grow the same
-/// whole message (§4.1, nested messages).
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPointCloud {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// The points.
-    pub points: SfmVec<SfmPoint32>,
-    /// Per-point channels (intensity, color, …).
-    pub channels: SfmVec<SfmChannelFloat32>,
-}
-
-ros_message_impls! {
-    PointCloud / SfmPointCloud : "sensor_msgs/PointCloud",
-    max_size = max_sizes::POINT_CLOUD,
-    fields = {
-        nested header,
-        vecmsg points,
-        vecmsg channels,
-    }
-}
-
-/// `sensor_msgs/PointField` — describes one field of a [`PointCloud2`]
-/// point record.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PointField {
-    /// Field name, e.g. `x`, `y`, `z`, `rgb`.
-    pub name: String,
-    /// Byte offset within the point record.
-    pub offset: u32,
-    /// Datatype enum (1=INT8 … 8=FLOAT64).
-    pub datatype: u8,
-    /// Number of elements in the field.
-    pub count: u32,
-}
-
-/// Serialization-free skeleton of [`PointField`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPointField {
-    /// Field name, e.g. `x`, `y`, `z`, `rgb`.
-    pub name: SfmString,
-    /// Byte offset within the point record.
-    pub offset: u32,
-    /// Datatype enum (1=INT8 … 8=FLOAT64).
-    pub datatype: u8,
-    /// Number of elements in the field.
-    pub count: u32,
-}
-
-ros_message_impls! {
-    PointField / SfmPointField : "sensor_msgs/PointField", max_size = 512,
-    fields = {
-        string name,
-        prim offset,
-        prim datatype,
-        prim count,
-    }
-}
-
-/// `sensor_msgs/PointCloud2` — the modern binary point-cloud type used by
-/// ORB-SLAM's map output (Fig. 17).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PointCloud2 {
-    /// Stamp and frame.
-    pub header: Header,
-    /// 1 for unordered clouds, else the image-like height.
-    pub height: u32,
-    /// Number of points per row.
-    pub width: u32,
-    /// Description of the per-point record.
-    pub fields: Vec<PointField>,
-    /// 1 if point data is big-endian.
-    pub is_bigendian: u8,
-    /// Bytes per point record.
-    pub point_step: u32,
-    /// Bytes per row.
-    pub row_step: u32,
-    /// Packed point records, `row_step * height` bytes.
-    pub data: Vec<u8>,
-    /// 1 if there are no invalid points.
-    pub is_dense: u8,
-}
-
-/// Serialization-free skeleton of [`PointCloud2`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmPointCloud2 {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// 1 for unordered clouds, else the image-like height.
-    pub height: u32,
-    /// Number of points per row.
-    pub width: u32,
-    /// Description of the per-point record.
-    pub fields: SfmVec<SfmPointField>,
-    /// 1 if point data is big-endian.
-    pub is_bigendian: u8,
-    /// Bytes per point record.
-    pub point_step: u32,
-    /// Bytes per row.
-    pub row_step: u32,
-    /// Packed point records, `row_step * height` bytes.
-    pub data: SfmVec<u8>,
-    /// 1 if there are no invalid points.
-    pub is_dense: u8,
-}
-
-ros_message_impls! {
-    PointCloud2 / SfmPointCloud2 : "sensor_msgs/PointCloud2",
-    max_size = max_sizes::POINT_CLOUD2,
-    fields = {
-        nested header,
-        prim height,
-        prim width,
-        vecmsg fields,
-        prim is_bigendian,
-        prim point_step,
-        prim row_step,
-        bytes data,
-        prim is_dense,
-    }
-}
-
-/// `sensor_msgs/LaserScan` — a single planar laser range scan.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LaserScan {
-    /// Stamp and frame.
-    pub header: Header,
-    /// Start angle of the scan (rad).
-    pub angle_min: f32,
-    /// End angle of the scan (rad).
-    pub angle_max: f32,
-    /// Angular distance between measurements (rad).
-    pub angle_increment: f32,
-    /// Time between measurements (s).
-    pub time_increment: f32,
-    /// Time to complete one scan (s).
-    pub scan_time: f32,
-    /// Minimum valid range (m).
-    pub range_min: f32,
-    /// Maximum valid range (m).
-    pub range_max: f32,
-    /// Range readings (m).
-    pub ranges: Vec<f32>,
-    /// Intensity readings (device-specific units).
-    pub intensities: Vec<f32>,
-}
-
-/// Serialization-free skeleton of [`LaserScan`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmLaserScan {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// Start angle of the scan (rad).
-    pub angle_min: f32,
-    /// End angle of the scan (rad).
-    pub angle_max: f32,
-    /// Angular distance between measurements (rad).
-    pub angle_increment: f32,
-    /// Time between measurements (s).
-    pub time_increment: f32,
-    /// Time to complete one scan (s).
-    pub scan_time: f32,
-    /// Minimum valid range (m).
-    pub range_min: f32,
-    /// Maximum valid range (m).
-    pub range_max: f32,
-    /// Range readings (m).
-    pub ranges: SfmVec<f32>,
-    /// Intensity readings (device-specific units).
-    pub intensities: SfmVec<f32>,
-}
-
-ros_message_impls! {
-    LaserScan / SfmLaserScan : "sensor_msgs/LaserScan",
-    max_size = max_sizes::LASER_SCAN,
-    fields = {
-        nested header,
-        prim angle_min,
-        prim angle_max,
-        prim angle_increment,
-        prim time_increment,
-        prim scan_time,
-        prim range_min,
-        prim range_max,
-        vec ranges,
-        vec intensities,
-    }
-}
-
-/// `sensor_msgs/RegionOfInterest` — a sub-window of an image.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RegionOfInterest {
-    /// Leftmost pixel of the region.
-    pub x_offset: u32,
-    /// Topmost pixel of the region.
-    pub y_offset: u32,
-    /// Height of the region.
-    pub height: u32,
-    /// Width of the region.
-    pub width: u32,
-    /// 1 if a distinct rectified image should be produced.
-    pub do_rectify: u8,
-}
-
-/// Serialization-free skeleton of [`RegionOfInterest`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmRegionOfInterest {
-    /// Leftmost pixel of the region.
-    pub x_offset: u32,
-    /// Topmost pixel of the region.
-    pub y_offset: u32,
-    /// Height of the region.
-    pub height: u32,
-    /// Width of the region.
-    pub width: u32,
-    /// 1 if a distinct rectified image should be produced.
-    pub do_rectify: u8,
-}
-
-ros_message_impls! {
-    RegionOfInterest / SfmRegionOfInterest : "sensor_msgs/RegionOfInterest",
-    max_size = 64,
-    fields = {
-        prim x_offset,
-        prim y_offset,
-        prim height,
-        prim width,
-        prim do_rectify,
-    }
-}
-
-/// `sensor_msgs/CameraInfo` — camera calibration, exercising fixed-size
-/// array fields (`float64[9] K`, …).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CameraInfo {
-    /// Stamp and frame.
-    pub header: Header,
-    /// Image height used for calibration.
-    pub height: u32,
-    /// Image width used for calibration.
-    pub width: u32,
-    /// Distortion model, typically `plumb_bob`.
-    pub distortion_model: String,
-    /// Distortion coefficients (model-dependent length).
-    pub d: Vec<f64>,
-    /// Intrinsic camera matrix, row-major 3×3.
-    pub k: [f64; 9],
-    /// Rectification matrix, row-major 3×3.
-    pub r: [f64; 9],
-    /// Projection matrix, row-major 3×4.
-    pub p: [f64; 12],
-    /// Horizontal binning factor.
-    pub binning_x: u32,
-    /// Vertical binning factor.
-    pub binning_y: u32,
-    /// Region of interest the camera was configured for.
-    pub roi: RegionOfInterest,
-}
-
-/// Serialization-free skeleton of [`CameraInfo`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmCameraInfo {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// Image height used for calibration.
-    pub height: u32,
-    /// Image width used for calibration.
-    pub width: u32,
-    /// Distortion model, typically `plumb_bob`.
-    pub distortion_model: SfmString,
-    /// Distortion coefficients (model-dependent length).
-    pub d: SfmVec<f64>,
-    /// Intrinsic camera matrix, row-major 3×3.
-    pub k: [f64; 9],
-    /// Rectification matrix, row-major 3×3.
-    pub r: [f64; 9],
-    /// Projection matrix, row-major 3×4.
-    pub p: [f64; 12],
-    /// Horizontal binning factor.
-    pub binning_x: u32,
-    /// Vertical binning factor.
-    pub binning_y: u32,
-    /// Region of interest the camera was configured for.
-    pub roi: SfmRegionOfInterest,
-}
-
-ros_message_impls! {
-    CameraInfo / SfmCameraInfo : "sensor_msgs/CameraInfo",
-    max_size = max_sizes::CAMERA_INFO,
-    fields = {
-        nested header,
-        prim height,
-        prim width,
-        string distortion_model,
-        vec d,
-        arr k,
-        arr r,
-        arr p,
-        prim binning_x,
-        prim binning_y,
-        nested roi,
-    }
-}
+include!(concat!(env!("OUT_DIR"), "/sensor_msgs.rs"));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry_msgs::Point32;
+    use crate::std_msgs::Header;
     use rossf_ros::ser::RosMessage;
     use rossf_ros::time::RosTime;
     use rossf_sfm::{SfmBox, SfmMessage};

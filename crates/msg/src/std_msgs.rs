@@ -1,49 +1,12 @@
 //! `std_msgs`: the standard header carried by every stamped message.
 
-use crate::max_sizes;
-use rossf_ros::time::RosTime;
-use rossf_sfm::{SfmString, SfmVec};
-
-/// `std_msgs/Header` — sequence number, timestamp, and coordinate frame.
-///
-/// The `frame_id` string names the coordinate system of the data; the
-/// paper's first failure case (Fig. 19) is precisely a second assignment to
-/// this field.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Header {
-    /// Consecutively increasing sequence id.
-    pub seq: u32,
-    /// Acquisition time of the data.
-    pub stamp: RosTime,
-    /// Coordinate frame this data is associated with.
-    pub frame_id: String,
-}
-
-/// Serialization-free skeleton of [`Header`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmHeader {
-    /// Consecutively increasing sequence id.
-    pub seq: u32,
-    /// Acquisition time of the data.
-    pub stamp: RosTime,
-    /// Coordinate frame this data is associated with.
-    pub frame_id: SfmString,
-}
-
-ros_message_impls! {
-    Header / SfmHeader : "std_msgs/Header", max_size = max_sizes::HEADER,
-    fields = {
-        prim seq,
-        time stamp,
-        string frame_id,
-    }
-}
+include!(concat!(env!("OUT_DIR"), "/std_msgs.rs"));
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rossf_ros::ser::RosMessage;
+    use rossf_ros::time::RosTime;
     use rossf_sfm::SfmBox;
 
     #[test]
@@ -91,206 +54,6 @@ mod tests {
         let b = SfmBox::<SfmHeader>::new();
         assert_eq!(b.whole_len(), core::mem::size_of::<SfmHeader>());
     }
-}
-
-/// `std_msgs/String` — a bare string payload (named `StringMsg` to avoid
-/// shadowing `std::string::String`).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct StringMsg {
-    /// The text.
-    pub data: String,
-}
-
-/// Serialization-free skeleton of [`StringMsg`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmStringMsg {
-    /// The text.
-    pub data: SfmString,
-}
-
-ros_message_impls! {
-    StringMsg / SfmStringMsg : "std_msgs/String", max_size = 64 << 10,
-    fields = {
-        string data,
-    }
-}
-
-/// `std_msgs/Int32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Int32 {
-    /// The value.
-    pub data: i32,
-}
-
-/// Serialization-free skeleton of [`Int32`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmInt32 {
-    /// The value.
-    pub data: i32,
-}
-
-ros_message_impls! {
-    Int32 / SfmInt32 : "std_msgs/Int32", max_size = 16,
-    fields = {
-        prim data,
-    }
-}
-
-/// `std_msgs/Float64`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Float64 {
-    /// The value.
-    pub data: f64,
-}
-
-/// Serialization-free skeleton of [`Float64`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmFloat64 {
-    /// The value.
-    pub data: f64,
-}
-
-ros_message_impls! {
-    Float64 / SfmFloat64 : "std_msgs/Float64", max_size = 16,
-    fields = {
-        prim data,
-    }
-}
-
-/// `std_msgs/ColorRGBA`.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ColorRGBA {
-    /// Red (0..1).
-    pub r: f32,
-    /// Green (0..1).
-    pub g: f32,
-    /// Blue (0..1).
-    pub b: f32,
-    /// Alpha (0..1).
-    pub a: f32,
-}
-
-/// Serialization-free skeleton of [`ColorRGBA`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmColorRGBA {
-    /// Red (0..1).
-    pub r: f32,
-    /// Green (0..1).
-    pub g: f32,
-    /// Blue (0..1).
-    pub b: f32,
-    /// Alpha (0..1).
-    pub a: f32,
-}
-
-ros_message_impls! {
-    ColorRGBA / SfmColorRGBA : "std_msgs/ColorRGBA", max_size = 32,
-    fields = {
-        prim r,
-        prim g,
-        prim b,
-        prim a,
-    }
-}
-
-/// `std_msgs/MultiArrayDimension` — one dimension of a multi-array.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MultiArrayDimension {
-    /// Dimension label, e.g. `rows`.
-    pub label: String,
-    /// Extent of this dimension.
-    pub size: u32,
-    /// Stride in elements.
-    pub stride: u32,
-}
-
-/// Serialization-free skeleton of [`MultiArrayDimension`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmMultiArrayDimension {
-    /// Dimension label, e.g. `rows`.
-    pub label: SfmString,
-    /// Extent of this dimension.
-    pub size: u32,
-    /// Stride in elements.
-    pub stride: u32,
-}
-
-ros_message_impls! {
-    MultiArrayDimension / SfmMultiArrayDimension : "std_msgs/MultiArrayDimension",
-    max_size = 256,
-    fields = {
-        string label,
-        prim size,
-        prim stride,
-    }
-}
-
-/// `std_msgs/MultiArrayLayout`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MultiArrayLayout {
-    /// Dimension descriptions, outermost first.
-    pub dim: Vec<MultiArrayDimension>,
-    /// Padding elements before the data.
-    pub data_offset: u32,
-}
-
-/// Serialization-free skeleton of [`MultiArrayLayout`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmMultiArrayLayout {
-    /// Dimension descriptions, outermost first.
-    pub dim: SfmVec<SfmMultiArrayDimension>,
-    /// Padding elements before the data.
-    pub data_offset: u32,
-}
-
-ros_message_impls! {
-    MultiArrayLayout / SfmMultiArrayLayout : "std_msgs/MultiArrayLayout",
-    max_size = 4 << 10,
-    fields = {
-        vecmsg dim,
-        prim data_offset,
-    }
-}
-
-/// `std_msgs/Float64MultiArray` — an n-dimensional numeric block.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Float64MultiArray {
-    /// Dimension layout.
-    pub layout: MultiArrayLayout,
-    /// Row-major element data.
-    pub data: Vec<f64>,
-}
-
-/// Serialization-free skeleton of [`Float64MultiArray`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmFloat64MultiArray {
-    /// Dimension layout.
-    pub layout: SfmMultiArrayLayout,
-    /// Row-major element data.
-    pub data: SfmVec<f64>,
-}
-
-ros_message_impls! {
-    Float64MultiArray / SfmFloat64MultiArray : "std_msgs/Float64MultiArray",
-    max_size = 1 << 20,
-    fields = {
-        nested layout,
-        vec data,
-    }
-}
-
-#[cfg(test)]
-mod primitive_tests {
-    use super::*;
-    use rossf_ros::ser::RosMessage;
-    use rossf_sfm::SfmBox;
 
     #[test]
     fn string_msg_roundtrips() {

@@ -1,74 +1,13 @@
 //! `stereo_msgs`: the disparity-image type from the paper's second failure
 //! case (Fig. 20 — `StereoProcessor::processDisparity`).
 
-use crate::max_sizes;
-use crate::sensor_msgs::{Image, RegionOfInterest, SfmImage, SfmRegionOfInterest};
-use crate::std_msgs::{Header, SfmHeader};
-
-/// `stereo_msgs/DisparityImage` — a floating-point disparity map plus the
-/// stereo geometry needed to convert it to depth.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DisparityImage {
-    /// Stamp and frame.
-    pub header: Header,
-    /// The disparity values as a `32FC1` image (the `dimage` of Fig. 20).
-    pub image: Image,
-    /// Focal length (pixels).
-    pub f: f32,
-    /// Baseline (meters).
-    pub t: f32,
-    /// Window of valid disparities.
-    pub valid_window: RegionOfInterest,
-    /// Minimum computed disparity.
-    pub min_disparity: f32,
-    /// Maximum computed disparity.
-    pub max_disparity: f32,
-    /// Smallest allowed disparity increment.
-    pub delta_d: f32,
-}
-
-/// Serialization-free skeleton of [`DisparityImage`]. The nested
-/// [`SfmImage`]'s `data` vector grows this outer whole message — the exact
-/// structure behind the paper's Fig. 20 failure case.
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmDisparityImage {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// The disparity values as a `32FC1` image.
-    pub image: SfmImage,
-    /// Focal length (pixels).
-    pub f: f32,
-    /// Baseline (meters).
-    pub t: f32,
-    /// Window of valid disparities.
-    pub valid_window: SfmRegionOfInterest,
-    /// Minimum computed disparity.
-    pub min_disparity: f32,
-    /// Maximum computed disparity.
-    pub max_disparity: f32,
-    /// Smallest allowed disparity increment.
-    pub delta_d: f32,
-}
-
-ros_message_impls! {
-    DisparityImage / SfmDisparityImage : "stereo_msgs/DisparityImage",
-    max_size = max_sizes::DISPARITY_IMAGE,
-    fields = {
-        nested header,
-        nested image,
-        prim f,
-        prim t,
-        nested valid_window,
-        prim min_disparity,
-        prim max_disparity,
-        prim delta_d,
-    }
-}
+include!(concat!(env!("OUT_DIR"), "/stereo_msgs.rs"));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sensor_msgs::{Image, RegionOfInterest};
+    use crate::std_msgs::Header;
     use rossf_ros::ser::RosMessage;
     use rossf_sfm::SfmBox;
 

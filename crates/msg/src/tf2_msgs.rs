@@ -1,36 +1,11 @@
 //! `tf2_msgs`: the transform-tree broadcast message.
 
-use crate::geometry_msgs::{SfmTransformStamped, TransformStamped};
-use rossf_sfm::SfmVec;
-
-/// `tf2_msgs/TFMessage` — a batch of transform-tree edges, broadcast on
-/// `/tf` by every node that owns a coordinate frame. The paper's first
-/// failure case (Fig. 19) revolves around exactly these frame ids.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TFMessage {
-    /// The transforms.
-    pub transforms: Vec<TransformStamped>,
-}
-
-/// Serialization-free skeleton of [`TFMessage`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmTFMessage {
-    /// The transforms.
-    pub transforms: SfmVec<SfmTransformStamped>,
-}
-
-ros_message_impls! {
-    TFMessage / SfmTFMessage : "tf2_msgs/TFMessage", max_size = 64 << 10,
-    fields = {
-        vecmsg transforms,
-    }
-}
+include!(concat!(env!("OUT_DIR"), "/tf2_msgs.rs"));
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry_msgs::{Quaternion, Transform, Vector3};
+    use crate::geometry_msgs::{Quaternion, Transform, TransformStamped, Vector3};
     use crate::std_msgs::Header;
     use rossf_ros::ser::RosMessage;
     use rossf_sfm::SfmBox;

@@ -3,147 +3,15 @@
 //! and a lifetime duration), and therefore a thorough exercise of the SFM
 //! generator's field kinds.
 
-use crate::geometry_msgs::{Point, Pose, SfmPoint, SfmPose, SfmVector3, Vector3};
-use crate::std_msgs::{ColorRGBA, Header, SfmColorRGBA, SfmHeader};
-use rossf_ros::time::RosDuration;
-use rossf_sfm::{SfmString, SfmVec};
-
-/// `visualization_msgs/Marker` — a displayable primitive for RViz.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Marker {
-    /// Stamp and frame.
-    pub header: Header,
-    /// Namespace used with `id` to identify the marker.
-    pub ns: String,
-    /// Unique id within `ns`.
-    pub id: i32,
-    /// Marker shape (ARROW=0, CUBE=1, SPHERE=2, …).
-    pub marker_type: i32,
-    /// ADD=0, MODIFY=0, DELETE=2, DELETEALL=3.
-    pub action: i32,
-    /// Pose of the marker.
-    pub pose: Pose,
-    /// Scale (meters).
-    pub scale: Vector3,
-    /// Base color.
-    pub color: ColorRGBA,
-    /// How long before auto-delete (zero = forever).
-    pub lifetime: RosDuration,
-    /// Locked to its frame across time.
-    pub frame_locked: u8,
-    /// Per-vertex points (LINE_*/POINTS/TRIANGLE_LIST types).
-    pub points: Vec<Point>,
-    /// Optional per-vertex colors (matching `points`).
-    pub colors: Vec<ColorRGBA>,
-    /// Text for TEXT_VIEW_FACING markers.
-    pub text: String,
-    /// Resource locator for MESH_RESOURCE markers.
-    pub mesh_resource: String,
-    /// Use materials embedded in the mesh.
-    pub mesh_use_embedded_materials: u8,
-}
-
-impl Marker {
-    /// IDL constant `ARROW`.
-    pub const ARROW: i32 = 0;
-    /// IDL constant `CUBE`.
-    pub const CUBE: i32 = 1;
-    /// IDL constant `SPHERE`.
-    pub const SPHERE: i32 = 2;
-    /// IDL constant `LINE_STRIP`.
-    pub const LINE_STRIP: i32 = 4;
-    /// IDL constant `TEXT_VIEW_FACING`.
-    pub const TEXT_VIEW_FACING: i32 = 9;
-    /// IDL constant `ADD`.
-    pub const ADD: i32 = 0;
-    /// IDL constant `DELETE`.
-    pub const DELETE: i32 = 2;
-}
-
-/// Serialization-free skeleton of [`Marker`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmMarker {
-    /// Stamp and frame.
-    pub header: SfmHeader,
-    /// Namespace used with `id` to identify the marker.
-    pub ns: SfmString,
-    /// Unique id within `ns`.
-    pub id: i32,
-    /// Marker shape (ARROW=0, CUBE=1, SPHERE=2, …).
-    pub marker_type: i32,
-    /// ADD=0, MODIFY=0, DELETE=2, DELETEALL=3.
-    pub action: i32,
-    /// Pose of the marker.
-    pub pose: SfmPose,
-    /// Scale (meters).
-    pub scale: SfmVector3,
-    /// Base color.
-    pub color: SfmColorRGBA,
-    /// How long before auto-delete (zero = forever).
-    pub lifetime: RosDuration,
-    /// Locked to its frame across time.
-    pub frame_locked: u8,
-    /// Per-vertex points (LINE_*/POINTS/TRIANGLE_LIST types).
-    pub points: SfmVec<SfmPoint>,
-    /// Optional per-vertex colors (matching `points`).
-    pub colors: SfmVec<SfmColorRGBA>,
-    /// Text for TEXT_VIEW_FACING markers.
-    pub text: SfmString,
-    /// Resource locator for MESH_RESOURCE markers.
-    pub mesh_resource: SfmString,
-    /// Use materials embedded in the mesh.
-    pub mesh_use_embedded_materials: u8,
-}
-
-ros_message_impls! {
-    Marker / SfmMarker : "visualization_msgs/Marker", max_size = 1 << 20,
-    fields = {
-        nested header,
-        string ns,
-        prim id,
-        prim marker_type,
-        prim action,
-        nested pose,
-        nested scale,
-        nested color,
-        time lifetime,
-        prim frame_locked,
-        vecmsg points,
-        vecmsg colors,
-        string text,
-        string mesh_resource,
-        prim mesh_use_embedded_materials,
-    }
-}
-
-/// `visualization_msgs/MarkerArray`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct MarkerArray {
-    /// The markers.
-    pub markers: Vec<Marker>,
-}
-
-/// Serialization-free skeleton of [`MarkerArray`].
-#[repr(C)]
-#[derive(Debug)]
-pub struct SfmMarkerArray {
-    /// The markers.
-    pub markers: SfmVec<SfmMarker>,
-}
-
-ros_message_impls! {
-    MarkerArray / SfmMarkerArray : "visualization_msgs/MarkerArray",
-    max_size = 4 << 20,
-    fields = {
-        vecmsg markers,
-    }
-}
+include!(concat!(env!("OUT_DIR"), "/visualization_msgs.rs"));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry_msgs::{Point, Vector3};
+    use crate::std_msgs::{ColorRGBA, Header};
     use rossf_ros::ser::RosMessage;
+    use rossf_ros::time::RosDuration;
     use rossf_sfm::SfmBox;
 
     fn line_marker() -> Marker {

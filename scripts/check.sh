@@ -58,6 +58,11 @@ if for f in crates/ros/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'fr
     echo "FAIL: a poll interval or blocking receive is back in the transport"; exit 1
 fi
 
+echo "==> one definition per message (every struct under crates/msg/src is generated from crates/idl/msg)"
+if ! grep -q '^hand-declared Sfm structs  *0$' <<<"$(scripts/loc.sh)"; then
+    echo "FAIL: a hand-declared Sfm struct is back in crates/msg/src; define the message as a .msg file"; exit 1
+fi
+
 echo "==> rossf-model --self-test (explorer catches the seeded racy ring, deterministically)"
 cargo run -q --release -p rossf-model --bin rossf-model -- --self-test
 

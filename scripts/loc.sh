@@ -1,14 +1,24 @@
 #!/usr/bin/env bash
 # Prints the numbers the CHANGES.md shrink table is built from, so the table
 # is reproduced rather than hand-counted. Run at the parent and at the change.
+#
+# The second column is the system without its unit tests: every top-level
+# `#[cfg(test)] mod … { … }` block is cut out wherever it sits (rustfmt puts
+# its closing brace in column 0); a `#[cfg(test)]` item or an early test
+# module does not hide the code after it. Each message module under
+# crates/msg/src has exactly one test module, at its end.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 code_lines() { # non-blank, non-comment lines of every .rs file under $1
     find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -vc '^\s*//' || true
 }
-system_lines() { # the same, each file cut at its first #[cfg(test)]: unit tests are not the system
-    find "$1" -name '*.rs' -print0 | xargs -0 -n1 sed '/#\[cfg(test)\]/,$d' |
+system_lines() { # the same without the #[cfg(test)] modules: unit tests are not the system
+    find "$1" -name '*.rs' -print0 | xargs -0 -n1 awk '
+        skip { if ($0 == "}") skip = 0; next }
+        held != "" { if ($0 ~ /^(pub(\([a-z]+\))? )?mod [a-z_0-9]+ \{$/) { held = ""; skip = 1; next } print held; held = "" }
+        $0 == "#[cfg(test)]" { held = $0; next }
+        { print }' |
         grep -v '^\s*$' | grep -vc '^\s*//' || true
 }
 occurrences() { # fixed-string occurrences (not lines) in the Rust sources under the given dirs
@@ -16,7 +26,7 @@ occurrences() { # fixed-string occurrences (not lines) in the Rust sources under
     { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
 }
 
-echo "code lines (non-blank, non-comment) per source directory, whole files | without #[cfg(test)] tails:"
+echo "code lines (non-blank, non-comment) per source directory, whole files | without #[cfg(test)] modules:"
 total=0 system=0
 for src in crates/*/src crates/bench/benches shims/*/src; do
     [ -d "$src" ] || continue
@@ -25,6 +35,15 @@ for src in crates/*/src crates/bench/benches shims/*/src; do
     total=$((total + n)) system=$((system + m))
 done
 printf '  %-22s %6d %6d\n' total "$total" "$system"
+
+# The message set is defined once, as .msg text that rossf-idl turns into
+# crates/msg/src's modules at build time: report the IDL beside the Rust it
+# replaced, and guard against a hand-declared message coming back.
+printf '%-24s %3d files, %d non-blank lines\n' '.msg definitions' \
+    "$(find crates/idl/msg -name '*.msg' | wc -l)" \
+    "$(find crates/idl/msg -name '*.msg' -print0 | xargs -0 cat | grep -vc '^\s*$')"
+printf '%-24s %3d\n' 'hand-declared Sfm structs' \
+    "$({ grep -rh '^pub struct Sfm' crates/msg/src || true; } | wc -l)"
 
 for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_os'; do
     printf '%-24s %3d\n' "$pat" "$(occurrences "$pat" crates tests examples src)"
