@@ -36,8 +36,9 @@ pub enum FaultAction {
 
 /// Per-link fault schedule plus the severed-link latch.
 ///
-/// Shared between the link table and the transport writer threads via
-/// `Arc`; all operations are lock-free except rule lookup.
+/// Shared via `Arc` between the link table and the fault gate of every
+/// transport link between its two machines, which consults it once per
+/// frame; all operations are lock-free except rule lookup.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     /// Frame index → scheduled action. Consulted once per frame.
@@ -85,7 +86,6 @@ impl FaultInjector {
         // guarantees the sever is counted exactly once.
         if !self.severed.swap(true, Ordering::Relaxed) {
             self.severs.fetch_add(1, Ordering::Relaxed);
-            self.trace_fault("sever", 0);
         }
     }
 
@@ -122,8 +122,8 @@ impl FaultInjector {
     /// Consume the next frame index and return the action for it.
     ///
     /// While the link is severed this returns [`FaultAction::Sever`]
-    /// without consuming an index, so every writer on the link observes the
-    /// cut regardless of frame ordering.
+    /// without consuming an index, so every transport link between the two
+    /// machines observes the cut regardless of frame ordering.
     pub fn next_frame_action(&self) -> FaultAction {
         if self.is_severed() {
             return FaultAction::Sever;
@@ -141,35 +141,15 @@ impl FaultInjector {
             FaultAction::Pass => {
                 self.frames_passed.fetch_add(1, Ordering::Relaxed);
             }
-            FaultAction::Delay(d) => {
+            FaultAction::Delay(_) => {
                 self.frames_delayed.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault("delay", d.as_nanos() as u64);
             }
             FaultAction::Drop => {
                 self.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                self.trace_fault("drop", 0);
             }
-            FaultAction::Sever => {
-                // `sever_now` tags the fault into the trace stream itself
-                // (first sever only, matching the latch).
-                self.sever_now();
-            }
+            FaultAction::Sever => self.sever_now(),
         }
         action
-    }
-
-    /// Tag an injected fault into the tracing event stream (trace id 0) so
-    /// a waterfall can show a delayed frame next to its inflated wire span.
-    /// A no-op unless the tracer is armed.
-    fn trace_fault(&self, kind: &str, dur_ns: u64) {
-        let tracer = rossf_trace::tracer();
-        if tracer.armed() {
-            tracer.fault_event(
-                &format!("netsim/{kind}@frame{}", self.frames_seen()),
-                rossf_trace::Tier::Tcp,
-                dur_ns,
-            );
-        }
     }
 
     /// Frames discarded by `Drop` rules so far.
@@ -182,10 +162,10 @@ impl FaultInjector {
         self.frames_delayed.load(Ordering::Relaxed)
     }
 
-    /// Frames that crossed the link untouched (`Pass`). Transports that
-    /// bypass the socket — e.g. a same-machine pointer handoff — still
-    /// consult the injector per frame, so this counts deliveries on *any*
-    /// path over the link.
+    /// Frames that crossed the link untouched (`Pass`). Every transport
+    /// tier consults the injector once per frame, where the frame enters
+    /// the link — a pointer or descriptor hand-off exactly as a socket
+    /// write — so this counts the frames let through on *any* tier.
     pub fn frames_passed(&self) -> u64 {
         self.frames_passed.load(Ordering::Relaxed)
     }

@@ -16,15 +16,16 @@
 //! field) and guarded by the `enable_fastpath` flag on
 //! [`TransportConfig`](crate::TransportConfig): either side opting out
 //! falls back to TCP transparently, producing byte-identical frames. The fast
-//! path keeps the TCP path's invariants — it consults the loopback
-//! [`FaultInjector`](rossf_netsim::FaultInjector) per frame, honors
-//! `queue_size` backpressure with `frames_dropped` accounting, and runs
-//! `validate_on_receive` when enabled.
+//! path keeps the TCP path's invariants — the loopback
+//! [`FaultInjector`](rossf_netsim::FaultInjector) applies where the frame
+//! enters the link, through the publisher's one fault gate, exactly as on
+//! TCP; `queue_size` backpressure is honored with `frames_dropped`
+//! accounting, and `validate_on_receive` runs when enabled.
 
 use crate::error::RosError;
 use crate::wire::{ConnectionHeader, OutFrame};
 use crossbeam::channel::Receiver;
-use rossf_netsim::{FaultAction, FaultInjector, MachineId};
+use rossf_netsim::MachineId;
 use rossf_reactor::Token;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,15 +34,9 @@ use std::sync::Arc;
 /// reply as fast-path capable.
 pub(crate) const FASTPATH_FIELD: &str = "fastpath";
 
-/// What a link's fault injector, if one is attached, says to do with the
-/// next frame about to cross it. Every tier asks exactly once per frame —
-/// drop/delay/sever apply to a pointer or descriptor hand-off exactly as
-/// to a socket write.
-pub(crate) fn next_fault(injector: &Option<Arc<FaultInjector>>) -> FaultAction {
-    injector
-        .as_ref()
-        .map_or(FaultAction::Pass, |f| f.next_frame_action())
-}
+/// Header value marking a capture tap's request: its link bypasses the
+/// publisher's fault gate, so the tap sees what the publisher emitted.
+pub(crate) const TAP_FIELD: &str = "tap";
 
 /// A publisher that can accept same-process subscribers without a socket.
 ///
@@ -80,16 +75,16 @@ pub(crate) struct LocalSinkHandle {
     /// Receiving end of the bounded per-connection transmission queue.
     pub(crate) rx: Receiver<OutFrame>,
     /// Cleared on drop so the publisher's `subscriber_count` and pruning
-    /// see the detach the moment the draining handler goes.
+    /// see the detach the moment the draining handler goes — and by the
+    /// publisher's fault gate to cut the link.
     pub(crate) alive: Arc<AtomicBool>,
-    /// The loopback link's fault injector ([`next_fault`]).
-    pub(crate) injector: Option<Arc<FaultInjector>>,
 }
 
 impl LocalSinkHandle {
     /// Attach to a same-process publisher's local port and validate the
     /// reply exactly like a TCP reply — the whole fast-path handshake,
-    /// shared by subscribers and capture taps.
+    /// shared by subscribers and capture taps (`tap`: the link bypasses
+    /// the publisher's fault gate).
     ///
     /// The strong `port` reference ends here: holding it for the link's
     /// life would keep the publisher core (and its master registration)
@@ -106,9 +101,13 @@ impl LocalSinkHandle {
         type_name: &str,
         machine: MachineId,
         wake: Token,
+        tap: bool,
     ) -> Result<LocalSinkHandle, RosError> {
-        let request =
+        let mut request =
             ConnectionHeader::request(topic, type_name, machine).with(FASTPATH_FIELD, "1");
+        if tap {
+            request = request.with(TAP_FIELD, "1");
+        }
         let sink = port.attach_local(&request, wake)?;
         sink.reply.check_reply()?;
         Ok(sink)

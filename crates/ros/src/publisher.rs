@@ -28,14 +28,16 @@
 //!
 //! No tier costs either side a thread. Any
 //! [`FaultInjector`](rossf_netsim::FaultInjector) attached to the link is
-//! applied frame by frame wherever the frame leaves the queue: delayed
-//! frames wait out a reactor timer without reordering, dropped frames are
-//! skipped and counted, and a severed link shuts the socket down and
-//! refuses new connections until healed.
+//! applied where the frame enters the link, by the link's one [`Gate`],
+//! which `fan_out` consults once per frame in publish order on every tier:
+//! delayed frames are parked behind a reactor timer without reordering,
+//! dropped frames are skipped and counted, and a sever cuts the link at
+//! once — the frames parked on it are lost and counted too — and refuses
+//! new connections until healed.
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{next_fault, LocalAttach, LocalSinkHandle, FASTPATH_FIELD};
+use crate::fastpath::{LocalAttach, LocalSinkHandle, FASTPATH_FIELD, TAP_FIELD};
 use crate::loan::LoanedMessage;
 use crate::master::Master;
 use crate::metrics::TransportMetrics;
@@ -73,19 +75,34 @@ struct Conn {
     alive: Arc<AtomicBool>,
     /// Reactor registration of the handler this link's events go to — the
     /// TCP writer or the fast-path subscriber draining `sink`, or a shm
-    /// link's control socket. `fan_out` notifies a queue's drainer after
-    /// depositing frames, and `Drop` notifies every token after closing
+    /// link's control socket. A deposit notifies a queue's drainer, a cut
+    /// notifies any handler, and `Drop` notifies every token after closing
     /// the queues and rings so each handler observes the disconnect.
     token: Token,
     sink: Sink,
+    /// `None` — no lock, no atomic on the publish path — when the link's
+    /// machine pair has no fault injector, and for a capture tap, which
+    /// records what the publisher emitted.
+    gate: Option<Gate>,
 }
 
 /// Where a link's frames wait for the subscriber.
 enum Sink {
-    /// A bounded channel (TCP and fast path).
+    /// A bounded channel (TCP and fast path); dropping it closes the queue.
     Queue(Sender<OutFrame>),
-    /// A shm link's descriptor ring.
+    /// A shm link's descriptor ring; dropping it tears the link down.
     Ring(Arc<Ring>),
+}
+
+/// One publish's frame in the form a sink takes it.
+enum Parcel {
+    /// The link's own clone of the frame, stamped with its enqueue time
+    /// (`TraceTag` is `Copy`, so clones do not alias).
+    Frame(OutFrame),
+    /// The publish's one shared segment and the descriptor to commit for
+    /// it: a parked shm frame keeps the segment every other link of its
+    /// publish commits against.
+    Shared(SharedFrame, FrameMeta),
 }
 
 /// What became of one frame offered to one link.
@@ -93,18 +110,269 @@ enum Deposit {
     /// Queued, committed, parked behind a delay — or consumed by an
     /// injected drop fault, which is accounted where it fires.
     Taken,
-    /// Backpressure: the queue or ring was full, or no pool segment was
-    /// free. The frame is dropped for this subscriber only.
-    Full,
+    /// Backpressure: the queue or ring was full (the sink hands the parcel
+    /// back), or no pool segment was free. The frame is dropped for this
+    /// subscriber only — unless it was parked, see [`Gate::resume`].
+    Full(Option<Parcel>),
     /// The link is gone; prune it.
     Dead,
 }
 
+impl Conn {
+    /// The first half of a deposit: put one publish's frame in the form
+    /// this link's sink takes — a stamped clone for a queue; for a ring, a
+    /// descriptor against the publish's shared segment, which the first
+    /// ring to need it fills (see [`PubCore::fan_out`]). On a ring,
+    /// `enqueue` spans publish entry to here and `wire_write` the copy, so
+    /// the stages telescope as on every tier. `None`: no segment was free.
+    // Inlined, as are `deposit` and `Ring::commit`: every publish runs
+    // them once per link (`pose_shm` lost 5–15 % of its throughput with
+    // them out of line).
+    #[inline]
+    fn wrap(
+        &self,
+        core: &PubCore,
+        frame: &OutFrame,
+        entered: u64,
+        shared: &mut Option<Option<SharedFrame>>,
+    ) -> Option<Parcel> {
+        let tag = frame.trace();
+        let ring = match &self.sink {
+            Sink::Queue(_) => {
+                let mut own = frame.clone();
+                if tag.id != 0 {
+                    own.trace_mut().enqueued_ns = now_nanos();
+                }
+                return Some(Parcel::Frame(own));
+            }
+            Sink::Ring(ring) => ring,
+        };
+        let table = core.trace.as_deref().filter(|_| tag.id != 0);
+        let mut pushed_ns = 0;
+        if let Some(table) = table {
+            pushed_ns = now_nanos();
+            tracer().span(table, Stage::Enqueue, Tier::Shm, tag.id, entered, pushed_ns);
+        }
+        let resolved = shared.get_or_insert_with(|| {
+            let copy = ring.pool.prepare_shared(frame.as_slice());
+            // Only the link that copied has a copy stage to attribute; a
+            // descriptor-only commit (every loaned publish) has none.
+            if let (Some(table), Some(_)) = (table, &copy) {
+                let t = now_nanos();
+                tracer().span(table, Stage::WireWrite, Tier::Shm, tag.id, pushed_ns, t);
+                pushed_ns = t;
+            }
+            copy
+        });
+        let Some(sf) = resolved.clone() else {
+            // Pool exhausted: some slots may only look pinned because the
+            // reader abandoned their references — settle those before the
+            // next frame retries.
+            if let Some(link) = &*ring.link.lock() {
+                link.reconcile_abandoned();
+            }
+            return None;
+        };
+        let meta = FrameMeta {
+            trace_id: tag.id,
+            born_ns: tag.born_ns,
+            enqueued_ns: entered,
+            pushed_ns,
+        };
+        Some(Parcel::Shared(sf, meta))
+    }
+
+    /// The second half of a deposit: hand the parcel to the link. A
+    /// queue's drainer is notified — coalesced, so a burst of publishes
+    /// costs one dispatch, and free while the loop is awake; a ring
+    /// commits the descriptor.
+    #[inline]
+    fn deposit(&self, core: &PubCore, parcel: Parcel) -> Deposit {
+        match (&self.sink, parcel) {
+            (Sink::Queue(queue), Parcel::Frame(frame)) => match queue.try_send(frame) {
+                Ok(()) => {
+                    core.metrics.observe_queue_depth(queue.len() as u64);
+                    core.reactor.notify(self.token);
+                    Deposit::Taken
+                }
+                Err(TrySendError::Full(frame)) => Deposit::Full(Some(Parcel::Frame(frame))),
+                Err(TrySendError::Disconnected(_)) => Deposit::Dead,
+            },
+            (Sink::Ring(ring), Parcel::Shared(sf, meta)) => ring.commit(core, sf, meta),
+            _ => unreachable!("a parcel is deposited in the sink that wrapped it"),
+        }
+    }
+
+    /// Cut the link at once, like a yanked cable: whatever it still holds
+    /// is lost. A queue's drainer finds the link dead at its next event —
+    /// the TCP writer shuts its socket, the fast-path source concludes; a
+    /// ring is torn down and its control handler hangs up.
+    fn cut(&self, core: &PubCore) {
+        match &self.sink {
+            // Release: pairs with the pruners' Acquire loads.
+            Sink::Queue(_) => self.alive.store(false, Ordering::Release),
+            Sink::Ring(ring) => ring.teardown(),
+        }
+        core.reactor.notify(self.token);
+    }
+}
+
+/// How long a parked frame that found its link's queue or ring full waits
+/// to be offered again: the gate accepted it, so it waits for room
+/// instead of being dropped.
+const FULL_RETRY: Duration = Duration::from_millis(1);
+
+/// Frames a gate holds back, oldest first, each with the delay it still
+/// owes once it reaches the head (zero for frames merely queued behind a
+/// delayed one).
+type Parked = VecDeque<(Parcel, Duration)>;
+
+/// A link's fault gate: the one place an injected fault is applied — where
+/// `fan_out` hands the frame to the link, once per frame, in publish
+/// order, on every tier alike.
+struct Gate {
+    injector: Arc<FaultInjector>,
+    /// The link's tier, which the fault events it traces name.
+    tier: Tier,
+    /// Non-empty means one reactor timer is pending for the head. Holds
+    /// the frame serving its delay plus at most `queue_size` behind it, as
+    /// a queue behind the frame on the wire would.
+    parked: Mutex<Parked>,
+}
+
+impl Gate {
+    /// Apply the injector's verdict to one frame about to enter `conn`'s
+    /// link: pass it on, drop it, park it behind a delay (or behind the
+    /// frames already parked), or cut the link.
+    fn pass(
+        &self,
+        core: &Arc<PubCore>,
+        conn: &Arc<Conn>,
+        wrap: impl FnOnce() -> Option<Parcel>,
+    ) -> Deposit {
+        let mut parked = self.parked.lock();
+        if !conn.alive.load(Ordering::Acquire) {
+            return Deposit::Dead;
+        }
+        let action = self.injector.next_frame_action();
+        self.trace(action);
+        let delay = match action {
+            FaultAction::Pass => Duration::ZERO,
+            FaultAction::Delay(d) => d,
+            FaultAction::Drop => {
+                core.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
+                return Deposit::Taken;
+            }
+            FaultAction::Sever => return self.sever(core, conn, &mut parked, 1),
+        };
+        if parked.is_empty() && delay.is_zero() {
+            return wrap().map_or(Deposit::Full(None), |parcel| conn.deposit(core, parcel));
+        }
+        let room = parked.len() <= core.queue_size.max(1);
+        let Some(parcel) = room.then(wrap).flatten() else {
+            return Deposit::Full(None);
+        };
+        if parked.is_empty() {
+            self.arm(core, conn, delay);
+        }
+        // The queue's depth: the frames behind the one serving its delay.
+        core.metrics.observe_queue_depth(parked.len() as u64);
+        parked.push_back((parcel, delay));
+        Deposit::Taken
+    }
+
+    /// The head parked frame's delay elapsed, or a full sink has had a
+    /// moment to drain: deposit the head and everything queued behind it,
+    /// in order, up to the next frame that owes a delay of its own. A link
+    /// severed meanwhile takes them all with it. Runs on the reactor
+    /// thread — deposits only, the copies were paid by `publish`.
+    fn resume(&self, core: &Arc<PubCore>, conn: &Arc<Conn>) {
+        let mut parked = self.parked.lock();
+        if !conn.alive.load(Ordering::Acquire) {
+            return parked.clear(); // the subscriber left; its frames go with it
+        }
+        if self.injector.is_severed() {
+            self.trace(FaultAction::Sever);
+            self.sever(core, conn, &mut parked, 0);
+            return;
+        }
+        if let Some(head) = parked.front_mut() {
+            head.1 = Duration::ZERO;
+        }
+        while let Some((parcel, _)) = parked.pop_front_if(|p| p.1.is_zero()) {
+            match conn.deposit(core, parcel) {
+                Deposit::Taken => {}
+                Deposit::Full(parcel) => {
+                    if let Some(parcel) = parcel {
+                        parked.push_front((parcel, FULL_RETRY));
+                    }
+                    break;
+                }
+                Deposit::Dead => return parked.clear(),
+            }
+        }
+        if let Some(next) = parked.front() {
+            self.arm(core, conn, next.1);
+        }
+    }
+
+    /// Cut `conn`'s link: the frames parked on it are lost with it and
+    /// counted as faulted, with the `lost` ones that met the sever.
+    fn sever(&self, core: &PubCore, conn: &Conn, parked: &mut Parked, lost: usize) -> Deposit {
+        let faulted = (lost + parked.len()) as u64;
+        core.metrics
+            .frames_faulted
+            .fetch_add(faulted, Ordering::Relaxed);
+        parked.clear();
+        conn.cut(core);
+        Deposit::Dead
+    }
+
+    /// Arm the timer that resumes the gate after `after`. It holds the
+    /// publisher and the link weakly — a publisher dropped or a link
+    /// pruned mid-delay takes its parked frames with it — and upgrades the
+    /// publisher first, so the publisher's `Drop` cannot run under
+    /// `resume`.
+    fn arm(&self, core: &Arc<PubCore>, conn: &Arc<Conn>, after: Duration) {
+        let (weak_core, weak_conn) = (Arc::downgrade(core), Arc::downgrade(conn));
+        core.reactor.timer(after, move |_| {
+            let Some(core) = weak_core.upgrade() else {
+                return;
+            };
+            if let Some(conn) = weak_conn.upgrade() {
+                if let Some(gate) = &conn.gate {
+                    gate.resume(&core, &conn);
+                }
+            }
+        });
+    }
+
+    /// Tag an injected fault into the tracing event stream (trace id 0: a
+    /// fault hits a link, not one message) under this link's tier, so a
+    /// waterfall can show a delayed frame next to its inflated span. A
+    /// no-op unless the tracer is armed.
+    fn trace(&self, action: FaultAction) {
+        let tracer = tracer();
+        if action != FaultAction::Pass && tracer.armed() {
+            let delay = if let FaultAction::Delay(d) = action {
+                d
+            } else {
+                Duration::ZERO
+            };
+            let label = format!("netsim/{action:?}@frame{}", self.injector.frames_seen());
+            tracer.fault_event(&label, self.tier, delay.as_nanos() as u64);
+        }
+    }
+}
+
 /// Publisher half of one shared-memory link. The ring is single-producer,
 /// so everything that touches it — `publish` on any clone of the
-/// publisher, the delay timer, teardown — goes through `tx`.
+/// publisher, a gate's timer, teardown — goes through `link`.
 struct Ring {
-    tx: Mutex<RingTx>,
+    /// `None` once the link is torn down.
+    link: Mutex<Option<ShmLink>>,
+    /// The publisher's segment pool, which `link` commits against.
+    pool: Arc<SegmentPool>,
     doorbell: Doorbell,
     alive: Arc<AtomicBool>,
     metrics: Arc<TransportMetrics>,
@@ -139,18 +407,6 @@ impl Doorbell {
     }
 }
 
-struct RingTx {
-    /// `None` once the link is torn down.
-    link: Option<ShmLink>,
-    injector: Option<Arc<FaultInjector>>,
-    /// Frames held back by an injected [`FaultAction::Delay`], oldest
-    /// first, each with the delay it still owes once it reaches the head
-    /// (zero for frames merely queued behind a delayed one). Non-empty
-    /// means a reactor timer is pending for the head — the shm analogue
-    /// of the TCP writer's `delayed` frame. Bounded by `queue_size`.
-    parked: VecDeque<(SharedFrame, FrameMeta, Duration)>,
-}
-
 /// How long after a link's teardown the publisher keeps checking whether
 /// the subscriber *process* died: waits of `10 ms << attempt`, about
 /// 0.6 s in all. The EOF that triggers teardown usually arrives while the
@@ -177,21 +433,47 @@ fn reclaim_when_gone(link: ShmLink, sub_pid: u32, attempt: u32) {
 }
 
 impl Ring {
-    /// Tear the link down, from whichever side notices first (`publish`
-    /// on a sever, the control socket's handler on EOF, the publisher's
-    /// `Drop`): close the ring (the control socket's handler, notified by
-    /// the caller, then hangs up, which is the subscriber's wake-up),
-    /// recycle the
-    /// descriptors it never consumed, settle reader-abandoned references,
-    /// and mark the connection dead. Idempotent — whoever takes the link
-    /// out does the work and counts the disconnect.
-    fn teardown(&self) {
-        let link = {
-            let mut tx = self.tx.lock();
-            tx.parked.clear();
-            tx.link.take()
+    /// Publish one descriptor; the ring's verdict is the deposit's. A
+    /// subscriber that went idle on an armed ring gets its doorbell.
+    #[inline]
+    fn commit(&self, core: &PubCore, sf: SharedFrame, meta: FrameMeta) -> Deposit {
+        let mut link = self.link.lock();
+        let Some(link) = link.as_mut() else {
+            return Deposit::Dead;
         };
-        let Some(link) = link else { return };
+        match link.commit_shared(&sf, meta) {
+            PushOutcome::Pushed => {
+                if link.disarm() {
+                    self.doorbell.ring(&core.reactor);
+                }
+                let metrics = &self.metrics;
+                metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
+                metrics
+                    .bytes_sent
+                    .fetch_add(sf.len() as u64, Ordering::Relaxed);
+                metrics.shm_frames.fetch_add(1, Ordering::Relaxed);
+                // The push just loaded both ring indices; reading them
+                // back is two cache-hot loads.
+                metrics.observe_queue_depth(link.pending());
+                Deposit::Taken
+            }
+            PushOutcome::RingFull | PushOutcome::NoSegment => {
+                Deposit::Full(Some(Parcel::Shared(sf, meta)))
+            }
+        }
+    }
+
+    /// Tear the link down, from whichever side notices first (a sever, the
+    /// control socket's handler on EOF, the last link entry dropping):
+    /// close the ring (the control socket's handler, notified by the
+    /// caller, then hangs up, which is the subscriber's wake-up), recycle
+    /// the descriptors it never consumed, settle reader-abandoned
+    /// references, and mark the connection dead. Idempotent — whoever
+    /// takes the link out does the work and counts the disconnect.
+    fn teardown(&self) {
+        let Some(link) = self.link.lock().take() else {
+            return;
+        };
         link.close();
         link.drain();
         link.reconcile_abandoned();
@@ -207,6 +489,12 @@ impl Ring {
     }
 }
 
+impl Drop for Ring {
+    fn drop(&mut self) {
+        self.teardown();
+    }
+}
+
 /// Reactor handler for a shm link's handshake socket, kept open as the
 /// control plane: the link ends when the subscriber's end is gone. A
 /// notify arrives when the ring was torn down from the publisher's side
@@ -215,14 +503,18 @@ struct RingCtl {
     /// Shared with the ring's [`Doorbell::Socket`], so the descriptor can
     /// outlive this handler by a pruning pass: the hang-up is explicit.
     stream: Arc<TcpStream>,
-    ring: Arc<Ring>,
+    /// Weak: the ring lives as long as its link entry in the publisher.
+    ring: Weak<Ring>,
 }
 
 impl Handler for RingCtl {
     fn on_event(&mut self, _event: Event, ctl: &mut Ctl) {
-        let torn_down = self.ring.tx.lock().link.is_none();
+        let ring = self.ring.upgrade();
+        let torn_down = ring.as_ref().is_none_or(|r| r.link.lock().is_none());
         if torn_down || peer_gone(&self.stream) {
-            self.ring.teardown();
+            if let Some(ring) = ring {
+                ring.teardown();
+            }
             let _ = self.stream.shutdown(Shutdown::Both);
             ctl.close();
         }
@@ -231,8 +523,8 @@ impl Handler for RingCtl {
 
 /// Reactor handler for one TCP subscriber link. Frames arrive on the
 /// bounded transmission queue (`fan_out` notifies the token after
-/// depositing), pass fault injection, pick up their enqueue/wire-write
-/// trace spans and sidecar notes, and drain to the nonblocking socket
+/// depositing), pick up their enqueue/wire-write trace spans and sidecar
+/// notes, and drain to the nonblocking socket
 /// through a [`WriteQueue`]. Link shaping is cut-through: admission books
 /// the modelled link for the frame and stamps when its last byte is `due`
 /// at the receiver; the frame joins the write queue at once and only its
@@ -243,8 +535,8 @@ impl Handler for RingCtl {
 struct TcpWriter {
     stream: TcpStream,
     rx: Receiver<OutFrame>,
+    /// Cleared by the link's gate to cut it (an injected sever).
     alive: Arc<AtomicBool>,
-    injector: Option<Arc<FaultInjector>>,
     metrics: Arc<TransportMetrics>,
     trace: Option<Arc<TopicTrace>>,
     conn_key: u64,
@@ -252,8 +544,8 @@ struct TcpWriter {
     /// this link is sliced to the selected ranges before it hits the wire.
     /// `None` = full frames.
     projection: Option<Arc<rossf_sfm::Projection>>,
-    /// Frames actually written on this socket, in wire order. Dropped and
-    /// severed frames never reach the stream, so they must not advance the
+    /// Frames actually written on this socket, in wire order. Dropped
+    /// frames never reach the stream, so they must not advance the
     /// sequence the reader counts.
     wire_seq: u64,
     shaper: Shaper,
@@ -263,11 +555,6 @@ struct TcpWriter {
     /// Every publish notifies the writer, and each of those pumps finds the
     /// same tail held: comparing against this keeps it one timer per tail.
     pace_armed: Option<Instant>,
-    /// A frame waiting out an injected [`FaultAction::Delay`] *before*
-    /// admission (faults precede sequencing, so a frame that is
-    /// subsequently dropped never consumes a wire seq), and when the delay
-    /// ends. Nothing behind it is admitted until then.
-    delayed: Option<(Instant, OutFrame)>,
     /// Current writability interest, tracked to skip no-op updates.
     want_writable: bool,
     /// The transmission queue's senders are gone (publisher dropped): die
@@ -277,27 +564,24 @@ struct TcpWriter {
 
 impl Handler for TcpWriter {
     fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
+        // Relaxed: standalone flag; the cut's notify orders it. A cut link
+        // goes down like a yanked cable, with whatever it still holds.
+        if !self.alive.load(Ordering::Relaxed) {
+            let _ = self.stream.shutdown(Shutdown::Both);
+            return self.die(ctl);
+        }
         match event {
             Event::Closed => self.die(ctl),
-            Event::Timer => {
-                // A fault delay and a held tail can each have a timer in
-                // flight and the event does not say whose fired; the
-                // deadlines do (the write queue consults the tail's).
-                let ended = self.delayed.take_if(|(due, _)| *due <= Instant::now());
-                if let Some((_, frame)) = ended {
-                    self.admit(frame);
-                }
-                self.pump(ctl);
-            }
             // Notify (frames deposited / queue closed), Writable (socket
-            // unblocked), or a spurious Readable: drive the machine.
+            // unblocked), Timer (the held pace tail is due), or a spurious
+            // Readable: drive the machine.
             _ => self.pump(ctl),
         }
     }
 }
 
 impl TcpWriter {
-    /// Admit one fault-passed frame: stamp trace spans and the sidecar
+    /// Admit one frame: stamp trace spans and the sidecar
     /// note, assign its wire sequence, book the link for it, and queue it
     /// for writing.
     fn admit(&mut self, frame: OutFrame) {
@@ -368,39 +652,12 @@ impl TcpWriter {
                 self.pace_armed = held;
                 ctl.arm_timer(due.saturating_duration_since(Instant::now()));
             }
-            if self.delayed.is_some() {
-                // Its timer owns the next admission.
-                return;
-            }
             // Admission goes on while a tail is held: the frames queued
             // behind it are booked on the link now, back to back, not when
             // the socket gets round to them.
-            let mut admitted = false;
             while self.writeq.len() < WRITE_BATCH {
                 match self.rx.try_recv() {
-                    Ok(frame) => {
-                        admitted = true;
-                        match next_fault(&self.injector) {
-                            FaultAction::Pass => self.admit(frame),
-                            FaultAction::Delay(d) => {
-                                self.delayed = Some((Instant::now() + d, frame));
-                                ctl.arm_timer(d);
-                                break;
-                            }
-                            FaultAction::Drop => {
-                                self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                            }
-                            FaultAction::Sever => {
-                                // The frame is lost and the connection cut
-                                // at the transport level, exactly like a
-                                // yanked cable.
-                                self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                                let _ = self.stream.shutdown(Shutdown::Both);
-                                self.die(ctl);
-                                return;
-                            }
-                        }
-                    }
+                    Ok(frame) => self.admit(frame),
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
                         self.disconnected = true;
@@ -413,17 +670,12 @@ impl TcpWriter {
                 return;
             }
             if self.writeq.is_empty() {
-                if self.delayed.is_some() {
-                    return;
-                }
+                // The queue is drained too: idle until the next notify, or
+                // done once the publisher is gone.
                 if self.disconnected {
                     self.die(ctl);
-                    return;
                 }
-                if !admitted {
-                    return; // idle: wait for the next notify
-                }
-                // Admitted but everything was fault-dropped: poll again.
+                return;
             }
         }
         // Batch cap hit with work remaining: hand the loop back to other
@@ -471,14 +723,13 @@ impl TcpWriter {
     }
 
     /// Tear the link down: mark the connection dead for the pruners, count
-    /// the disconnect once, and drop out of the loop (closing the socket).
+    /// the disconnect, and drop out of the loop (closing the socket). Runs
+    /// once: the close ends the handler.
     fn die(&mut self, ctl: &mut Ctl) {
-        // Swap so a Closed event racing a sever counts one disconnect.
         // Relaxed: standalone liveness flag; the pruner that reads it takes
         // the sink lock, which orders the removal.
-        if self.alive.swap(false, Ordering::Relaxed) {
-            self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
-        }
+        self.alive.store(false, Ordering::Relaxed);
+        self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
         ctl.close();
     }
 }
@@ -560,7 +811,8 @@ impl PubCore {
     /// The checks every subscriber link passes, whichever door it came
     /// through (the TCP handshake or a same-process attach), and the base
     /// reply header. `sub_machine` picks the link whose fault injector
-    /// governs the connection; the injector is returned for per-frame use.
+    /// governs the connection; the injector is returned for the link's
+    /// [`Gate`].
     ///
     /// # Errors
     ///
@@ -603,13 +855,32 @@ impl PubCore {
 
     /// Splice an admitted link into the fan-out list — pruning dead
     /// entries while the lock is held anyway (the accept/attach-side half
-    /// of the pruning that `subscriber_count` no longer does) — count its
-    /// handshake, and attribute publish-side spans to its tier (a
-    /// heuristic: the most recent arrival wins).
-    fn splice(&self, tier: Tier, alive: Arc<AtomicBool>, token: Token, sink: Sink) {
+    /// of the pruning that `subscriber_count` no longer does) behind the
+    /// fault gate `injector` calls for, count its handshake, and attribute
+    /// publish-side spans to its tier (a heuristic: the most recent arrival
+    /// wins).
+    fn splice(
+        &self,
+        tier: Tier,
+        alive: Arc<AtomicBool>,
+        token: Token,
+        sink: Sink,
+        injector: Option<Arc<FaultInjector>>,
+    ) {
+        let gate = injector.map(|injector| Gate {
+            injector,
+            tier,
+            parked: Mutex::new(VecDeque::new()),
+        });
+        let conn = Conn {
+            alive,
+            token,
+            sink,
+            gate,
+        };
         {
             let mut conns = self.conns.lock();
-            *conns = live_conns(&conns, Some(Arc::new(Conn { alive, token, sink })));
+            *conns = live_conns(&conns, Some(Arc::new(conn)));
         }
         self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
         self.tier_hint.store(tier.index() as u8, Ordering::Relaxed);
@@ -705,11 +976,8 @@ impl PubCore {
                     |raw| Doorbell::Notify(Token::from_raw(raw)),
                 );
             let ring = Arc::new(Ring {
-                tx: Mutex::new(RingTx {
-                    link: Some(link),
-                    injector,
-                    parked: VecDeque::new(),
-                }),
+                pool: Arc::clone(link.pool()),
+                link: Mutex::new(Some(link)),
                 doorbell,
                 alive: Arc::clone(&alive),
                 metrics: Arc::clone(&self.metrics),
@@ -718,10 +986,10 @@ impl PubCore {
             });
             let ctl = RingCtl {
                 stream,
-                ring: Arc::clone(&ring),
+                ring: Arc::downgrade(&ring),
             };
             let token = self.reactor.register(fd, true, false, Box::new(ctl));
-            self.splice(Tier::Shm, alive, token, Sink::Ring(ring));
+            self.splice(Tier::Shm, alive, token, Sink::Ring(ring), injector);
             return Ok(());
         }
 
@@ -744,7 +1012,6 @@ impl PubCore {
             stream,
             rx,
             alive: Arc::clone(&alive),
-            injector,
             metrics: Arc::clone(&self.metrics),
             trace: self.trace.clone(),
             conn_key,
@@ -755,23 +1022,23 @@ impl PubCore {
             shaper: Shaper::new(self.master.links().profile(self.machine, sub_machine)),
             writeq: WriteQueue::default(),
             pace_armed: None,
-            delayed: None,
             want_writable: false,
             disconnected: false,
         };
         let token = self.reactor.register(fd, false, false, Box::new(writer));
-        self.splice(Tier::Tcp, alive, token, Sink::Queue(tx));
+        self.splice(Tier::Tcp, alive, token, Sink::Queue(tx), injector);
         Ok(())
     }
 
     /// Fan one encoded frame out to every subscriber link — the shared
     /// tail of `publish` and `publish_loaned`. Never blocks; a full queue
-    /// or ring drops the frame for that subscriber only.
+    /// or ring drops the frame for that subscriber only. A link with a
+    /// fault [`Gate`] hands the frame to its gate instead of its sink.
     ///
     /// This is also the one place that decides who performs the single
     /// shared-memory copy of a publish. `shared` starts as the loan's own
     /// segment (the message was built there, nothing to copy) or empty;
-    /// the first live shm link to admit the frame fills it with one
+    /// the first shm link to take the frame fills it with one
     /// `prepare_shared` copy on this thread — the thread that already paid
     /// `encode` — and every later link commits a descriptor against the
     /// same segment. `Some(None)` is an exhausted pool, a verdict the
@@ -788,39 +1055,23 @@ impl PubCore {
         // lock: a concurrent accept, attach, or `publish` from another
         // clone is never serialized behind this one.
         let snapshot = Arc::clone(&self.conns.lock());
-        let traced = frame.trace().id != 0;
         // Publish entry: where every shm link's `enqueue` span starts.
-        let entered = if traced { now_nanos() } else { 0 };
+        let entered = if frame.trace().id != 0 {
+            now_nanos()
+        } else {
+            0
+        };
         let mut shared = loaned.map(Some);
         let mut saw_dead = false;
         for conn in snapshot.iter() {
-            let deposit = match &conn.sink {
-                Sink::Queue(queue) => {
-                    // Each connection's clone carries its own enqueue
-                    // timestamp (`TraceTag` is `Copy`, so clones do not
-                    // alias).
-                    let mut per_conn = frame.clone();
-                    if traced {
-                        per_conn.trace_mut().enqueued_ns = now_nanos();
-                    }
-                    match queue.try_send(per_conn) {
-                        Ok(()) => {
-                            self.metrics.observe_queue_depth(queue.len() as u64);
-                            // Wake the queue's reactor-side drainer;
-                            // coalesced, so a burst of publishes costs one
-                            // dispatch, and free while the loop is awake.
-                            self.reactor.notify(conn.token);
-                            Deposit::Taken
-                        }
-                        Err(TrySendError::Full(_)) => Deposit::Full,
-                        Err(TrySendError::Disconnected(_)) => Deposit::Dead,
-                    }
-                }
-                Sink::Ring(ring) => self.offer_ring(conn, ring, &frame, entered, &mut shared),
+            let mut wrap = || conn.wrap(self, &frame, entered, &mut shared);
+            let deposit = match &conn.gate {
+                None => wrap().map_or(Deposit::Full(None), |parcel| conn.deposit(self, parcel)),
+                Some(gate) => gate.pass(self, conn, wrap),
             };
             match deposit {
                 Deposit::Taken => {}
-                Deposit::Full => self.count_drop(),
+                Deposit::Full(_) => self.count_drop(),
                 Deposit::Dead => {
                     conn.alive.store(false, Ordering::Release);
                     saw_dead = true;
@@ -836,153 +1087,6 @@ impl PubCore {
     fn count_drop(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Offer one frame to one shm link: consult the link's fault injector
-    /// (faults precede admission, as on the socket), resolve the publish's
-    /// shared segment if this is the first link to need it, then commit
-    /// the descriptor — or park it, in order, while an injected delay
-    /// stalls the link. `enqueue` spans publish entry to here and
-    /// `wire_write` the copy, so the stages telescope as on every tier.
-    fn offer_ring(
-        self: &Arc<Self>,
-        conn: &Conn,
-        ring: &Arc<Ring>,
-        frame: &OutFrame,
-        entered: u64,
-        shared: &mut Option<Option<SharedFrame>>,
-    ) -> Deposit {
-        let mut guard = ring.tx.lock();
-        let tx = &mut *guard;
-        let Some(link) = tx.link.as_mut() else {
-            return Deposit::Dead;
-        };
-        let delay = match next_fault(&tx.injector) {
-            FaultAction::Pass => Duration::ZERO,
-            FaultAction::Delay(d) => d,
-            FaultAction::Drop => {
-                self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                return Deposit::Taken;
-            }
-            FaultAction::Sever => {
-                // The frame is lost and the link cut, like a yanked cable:
-                // the ring closes here, and the notify has the control
-                // socket's handler shut the socket down.
-                self.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                drop(guard);
-                ring.teardown();
-                self.reactor.notify(conn.token);
-                return Deposit::Dead;
-            }
-        };
-        let tag = frame.trace();
-        let table = self.trace.as_deref().filter(|_| tag.id != 0);
-        let mut pushed_ns = 0;
-        if let Some(table) = table {
-            pushed_ns = now_nanos();
-            tracer().span(table, Stage::Enqueue, Tier::Shm, tag.id, entered, pushed_ns);
-        }
-        let resolved = shared.get_or_insert_with(|| {
-            let copy = link.pool().prepare_shared(frame.as_slice());
-            // Only the link that copied has a copy stage to attribute; a
-            // descriptor-only commit (every loaned publish) has none.
-            if let (Some(table), Some(_)) = (table, &copy) {
-                let t = now_nanos();
-                tracer().span(table, Stage::WireWrite, Tier::Shm, tag.id, pushed_ns, t);
-                pushed_ns = t;
-            }
-            copy
-        });
-        let Some(sf) = resolved.clone() else {
-            // Pool exhausted: some slots may only look pinned because the
-            // reader abandoned their references — settle those before the
-            // next frame retries.
-            link.reconcile_abandoned();
-            return Deposit::Full;
-        };
-        let meta = FrameMeta {
-            trace_id: tag.id,
-            born_ns: tag.born_ns,
-            enqueued_ns: entered,
-            pushed_ns,
-        };
-        if tx.parked.is_empty() && delay.is_zero() {
-            return self.commit_ring(ring, link, &sf, meta);
-        }
-        if tx.parked.len() >= self.queue_size.max(1) {
-            return Deposit::Full;
-        }
-        if tx.parked.is_empty() {
-            self.arm_ring_timer(ring, delay);
-        }
-        tx.parked.push_back((sf, meta, delay));
-        self.metrics.observe_queue_depth(tx.parked.len() as u64);
-        Deposit::Taken
-    }
-
-    /// Publish one descriptor; the ring's verdict is the deposit's. A
-    /// subscriber that went idle on an armed ring gets its doorbell.
-    fn commit_ring(
-        &self,
-        ring: &Ring,
-        link: &mut ShmLink,
-        sf: &SharedFrame,
-        meta: FrameMeta,
-    ) -> Deposit {
-        match link.commit_shared(sf, meta) {
-            PushOutcome::Pushed => {
-                if link.disarm() {
-                    ring.doorbell.ring(&self.reactor);
-                }
-                let metrics = &self.metrics;
-                metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .bytes_sent
-                    .fetch_add(sf.len() as u64, Ordering::Relaxed);
-                metrics.shm_frames.fetch_add(1, Ordering::Relaxed);
-                // The push just loaded both ring indices; reading them
-                // back is two cache-hot loads.
-                metrics.observe_queue_depth(link.pending());
-                Deposit::Taken
-            }
-            PushOutcome::RingFull | PushOutcome::NoSegment => Deposit::Full,
-        }
-    }
-
-    /// Arm the reactor timer that ends the head parked frame's delay. It
-    /// holds the core weakly: a publisher dropped mid-delay tears its
-    /// rings down without waiting for the timer.
-    fn arm_ring_timer(self: &Arc<Self>, ring: &Arc<Ring>, delay: Duration) {
-        let (core, ring) = (Arc::downgrade(self), Arc::clone(ring));
-        self.reactor.timer(delay, move |_| {
-            if let Some(core) = core.upgrade() {
-                core.resume_ring(&ring);
-            }
-        });
-    }
-
-    /// The head parked frame's delay elapsed: commit it and everything
-    /// queued behind it, in order, up to the next frame that owes a delay
-    /// of its own. Runs on the reactor thread — descriptor commits only,
-    /// the copies were paid by `publish`.
-    fn resume_ring(self: &Arc<Self>, ring: &Arc<Ring>) {
-        let mut guard = ring.tx.lock();
-        let tx = &mut *guard;
-        let Some(link) = tx.link.as_mut() else {
-            return; // torn down mid-delay; the parked frames went with it
-        };
-        if let Some(head) = tx.parked.front_mut() {
-            head.2 = Duration::ZERO;
-        }
-        while tx.parked.front().is_some_and(|p| p.2.is_zero()) {
-            let (sf, meta, _) = tx.parked.pop_front().expect("front was just inspected");
-            if let Deposit::Full = self.commit_ring(ring, link, &sf, meta) {
-                self.count_drop();
-            }
-        }
-        if let Some(next) = tx.parked.front() {
-            self.arm_ring_timer(ring, next.2);
-        }
     }
 }
 
@@ -1007,12 +1111,15 @@ impl LocalAttach for PubCore {
         self.metrics
             .fastpath_handshakes
             .fetch_add(1, Ordering::Relaxed);
-        self.splice(Tier::Fastpath, Arc::clone(&alive), wake, Sink::Queue(tx));
+        // A capture tap records what the publisher emitted, not what a
+        // lossy link let through: its link has no gate.
+        let injector = injector.filter(|_| header.get(TAP_FIELD) != Some("1"));
+        let sink = Sink::Queue(tx);
+        self.splice(Tier::Fastpath, Arc::clone(&alive), wake, sink, injector);
         Ok(LocalSinkHandle {
             reply: reply.with(FASTPATH_FIELD, "1"),
             rx,
             alive,
-            injector,
         })
     }
 }
@@ -1027,18 +1134,14 @@ impl Drop for PubCore {
         // orders construction before Drop.
         self.master
             .unregister_publisher(&self.topic, self.registration.load(Ordering::Relaxed));
-        // Close every queue and ring *before* notifying the handlers: the
-        // senders must be gone first so each woken drainer — TCP writer or
-        // fast-path subscriber — observes the disconnect, drains its tail,
-        // and deregisters itself; a closed ring's control handler hangs
-        // up, which is what wakes its subscriber.
+        // Close every queue and ring — dropping the links does both, and
+        // the parked frames go with them — *before* notifying the handlers:
+        // the senders must be gone first so each woken drainer — TCP
+        // writer or fast-path subscriber — observes the disconnect, drains
+        // its tail, and deregisters itself; a closed ring's control handler
+        // hangs up, which is what wakes its subscriber.
         let conns = std::mem::replace(&mut *self.conns.lock(), Arc::new([]));
         let tokens: Vec<Token> = conns.iter().map(|c| c.token).collect();
-        for conn in conns.iter() {
-            if let Sink::Ring(ring) = &conn.sink {
-                ring.teardown();
-            }
-        }
         drop(conns);
         for token in tokens {
             self.reactor.notify(token);
@@ -1359,7 +1462,6 @@ mod tests {
             stream,
             rx,
             alive: Arc::new(AtomicBool::new(true)),
-            injector: None,
             metrics: Arc::clone(&metrics),
             trace: None,
             conn_key: 0,
@@ -1371,7 +1473,6 @@ mod tests {
             }),
             writeq: WriteQueue::default(),
             pace_armed: None,
-            delayed: None,
             want_writable: false,
             disconnected: false,
         };

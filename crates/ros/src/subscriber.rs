@@ -10,9 +10,12 @@
 //! tier-specific half is a [`Source`]: bytes off a socket ([`TcpSource`]),
 //! pointers off the publisher's queue ([`FastSource`]), descriptors off a
 //! shared-memory ring ([`ShmSource`]) — and
-//! reconnect backoff is a reactor timer instead of a sleeping thread. When
-//! a connection dies while the publisher is still registered, the
-//! supervision re-resolves the endpoint via the master and reconnects
+//! reconnect backoff is a reactor timer instead of a sleeping thread.
+//! Injected link faults never reach this side: the publisher applies them
+//! where the frame enters the link, so a source only ever sees the frames
+//! the link carried, and a severed link simply ends. When a connection
+//! dies while the publisher is still registered, the supervision
+//! re-resolves the endpoint via the master and reconnects
 //! under the node's [`BackoffPolicy`](crate::config::BackoffPolicy). A
 //! publisher that unregisters ends its supervision; a replacement
 //! publisher arrives through the master's watcher callback with a fresh
@@ -22,7 +25,7 @@
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{next_fault, LocalSinkHandle, FASTPATH_FIELD};
+use crate::fastpath::{LocalSinkHandle, FASTPATH_FIELD};
 use crate::master::{Master, PublisherEndpoint};
 use crate::metrics::TransportMetrics;
 use crate::options::{SubscriberOptions, SubscriberStats};
@@ -31,9 +34,9 @@ use crate::shm::{
 };
 use crate::tcp::{dial, FrameReader, Step};
 use crate::traits::{Decode, RecvSlot};
-use crate::wire::{ConnectionHeader, OutFrame, PROJECT_FIELD};
+use crate::wire::{ConnectionHeader, PROJECT_FIELD};
 use crossbeam::channel::TryRecvError;
-use rossf_netsim::{FaultAction, MachineId};
+use rossf_netsim::MachineId;
 use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use rossf_shm::{ShmReader, TakeError};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
@@ -43,7 +46,7 @@ use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -213,14 +216,11 @@ impl<D: Decode> Supervision<D> {
         let local = core.config.enable_fastpath && self.ep.machine == core.machine;
         if let Some(port) = local.then(|| core.master.local_port(self.ep.id)).flatten() {
             let (topic, token) = (&core.topic, self.token);
-            match LocalSinkHandle::attach(port, topic, D::topic_type(), core.machine, token) {
+            match LocalSinkHandle::attach(port, topic, D::topic_type(), core.machine, token, false)
+            {
                 Ok(sink) => {
                     core.count_handshake(self.was_connected);
-                    let source = FastSource {
-                        sink,
-                        delayed: None,
-                    };
-                    reactor.attach(token, Link::boxed(self, source));
+                    reactor.attach(token, Link::boxed(self, FastSource(sink)));
                     return;
                 }
                 // The publisher refused the *capability*, not the
@@ -540,7 +540,8 @@ enum Progress {
     /// notify, doorbell, timer) resumes the link.
     Idle,
     /// The link ended cleanly: EOF on a frame boundary, the publisher's
-    /// queue or ring closed and drained, an injected sever.
+    /// queue or ring closed and drained, a cut by the publisher's fault
+    /// gate.
     Eof,
 }
 
@@ -553,7 +554,7 @@ trait Source<D: Decode>: Send + 'static {
     fn wake(&mut self, _event: Event) {}
 
     /// Deliver at most one frame through [`SubCore::deliver`].
-    fn advance(&mut self, core: &SubCore<D>, ctl: &mut Ctl) -> Result<Progress, RosError>;
+    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError>;
 }
 
 /// The steady-state half of a subscription to one publisher, on any tier:
@@ -604,7 +605,7 @@ impl<D: Decode, S: Source<D>> Handler for Link<D, S> {
             if core.shutdown.load(Ordering::Relaxed) {
                 return self.conclude(Ok(()), ctl);
             }
-            match self.source.advance(&core, ctl) {
+            match self.source.advance(&core) {
                 Ok(Progress::Frame) => {}
                 Ok(Progress::Idle) => return,
                 Ok(Progress::Eof) => return self.conclude(Ok(()), ctl),
@@ -619,57 +620,27 @@ impl<D: Decode, S: Source<D>> Handler for Link<D, S> {
 }
 
 /// The fast path's source: the receiving end of a transmission queue the
-/// publisher deposits already-encoded [`OutFrame`]s into, notifying this
-/// link's token after each. Frames are adopted via
+/// publisher deposits already-encoded [`OutFrame`](crate::wire::OutFrame)s
+/// into, notifying this link's token after each. Frames are adopted via
 /// [`Decode::from_local_frame`] — for serialization-free messages the
-/// subscriber object points at the publisher's allocation. Fault
-/// injection, `validate_on_receive` and all metrics accounting mirror the
-/// socket path.
-struct FastSource {
-    sink: LocalSinkHandle,
-    /// A frame waiting out an injected [`FaultAction::Delay`], and when the
-    /// delay ends; a reactor timer is pending for it. Nothing behind it is
-    /// taken until then, so order holds — and the loop is never slept.
-    delayed: Option<(Instant, OutFrame)>,
-}
+/// subscriber object points at the publisher's allocation.
+/// `validate_on_receive` and all metrics accounting mirror the socket
+/// path; injected faults were applied before the frame entered the queue.
+struct FastSource(LocalSinkHandle);
 
 impl<D: Decode> Source<D> for FastSource {
-    fn advance(&mut self, core: &SubCore<D>, ctl: &mut Ctl) -> Result<Progress, RosError> {
-        let frame = match self.delayed.take() {
-            Some((due, frame)) if Instant::now() < due => {
-                self.delayed = Some((due, frame));
-                return Ok(Progress::Idle); // its timer resumes us
-            }
-            Some((_, frame)) => frame, // delay served
-            None => {
-                let frame = match self.sink.rx.try_recv() {
-                    Ok(frame) => frame,
-                    Err(TryRecvError::Empty) => return Ok(Progress::Idle),
-                    // Publisher gone.
-                    Err(TryRecvError::Disconnected) => return Ok(Progress::Eof),
-                };
-                // The loopback link's fault injector applies to pointer
-                // handoff exactly as it does to socket writes.
-                match next_fault(&self.sink.injector) {
-                    FaultAction::Pass => frame,
-                    FaultAction::Delay(d) => {
-                        self.delayed = Some((Instant::now() + d, frame));
-                        ctl.arm_timer(d);
-                        return Ok(Progress::Idle);
-                    }
-                    FaultAction::Drop => {
-                        core.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Progress::Frame);
-                    }
-                    FaultAction::Sever => {
-                        // The frame is lost and the attachment is cut;
-                        // re-attach is refused until the link heals, so
-                        // report retryable.
-                        core.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
-                        return Ok(Progress::Eof);
-                    }
-                }
-            }
+    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
+        // Relaxed: standalone flag; the cut's notify orders it. A link the
+        // publisher's fault gate cut ends at once, with whatever it still
+        // queues; re-attach is refused until the link heals.
+        if !self.0.alive.load(Ordering::Relaxed) {
+            return Ok(Progress::Eof);
+        }
+        let frame = match self.0.rx.try_recv() {
+            Ok(frame) => frame,
+            Err(TryRecvError::Empty) => return Ok(Progress::Idle),
+            // Publisher gone.
+            Err(TryRecvError::Disconnected) => return Ok(Progress::Eof),
         };
         // Pointer handoff needs no sidecar: the trace id rides on the
         // frame's own tag, and the queue dwell (plus any injected delay)
@@ -730,7 +701,7 @@ impl<D: Decode> Source<D> for ShmSource {
         }
     }
 
-    fn advance(&mut self, core: &SubCore<D>, _ctl: &mut Ctl) -> Result<Progress, RosError> {
+    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
         // Read before the pop: whatever was committed before the ring
         // closed (or the publisher died) is visible to a pop that follows
         // seeing it, so an empty ring then is the end, not a race.
@@ -795,7 +766,7 @@ impl<D: Decode> Source<D> for TcpSource<D> {
         self.reader.wake();
     }
 
-    fn advance(&mut self, core: &SubCore<D>, _ctl: &mut Ctl) -> Result<Progress, RosError> {
+    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
         match self.reader.advance(&mut &self.stream) {
             Ok(Step::Frame { slot, len }) => {
                 self.deliver(core, slot, len);

@@ -9,11 +9,11 @@
 //! on the capture side.
 //!
 //! A tap is an *observer*, not a subscriber: it does not decode, does not
-//! count toward delivery metrics, and ignores loopback fault injection
-//! (capture wants ground truth of what the publisher emitted, not what a
-//! lossy link let through). Publishers still see it as one more fast-path
-//! attachment, which is exactly the cost model recording advertises:
-//! one extra bounded queue per publisher, no extra encode.
+//! count toward delivery metrics, and its link bypasses the publisher's
+//! fault gate (capture wants ground truth of what the publisher emitted,
+//! not what a lossy link let through). Publishers still see it as one more
+//! fast-path attachment, which is exactly the cost model recording
+//! advertises: one extra bounded queue per publisher, no extra encode.
 
 use crate::error::RosError;
 use crate::fastpath::LocalSinkHandle;
@@ -227,12 +227,14 @@ impl TapLink {
         let (master, topic) = (&shared.master, &shared.topic);
         let registered = master.lookup_publisher(topic, self.ep.id).is_some();
         // The same handshake a fast-path subscriber performs, so the
-        // publisher-side validation and accounting are identical. No local
-        // attach hook means the publisher is gone, or never offered the
-        // fast path (enable_fastpath=false).
-        let attached = master.local_port(self.ep.id).map(|port| {
-            LocalSinkHandle::attach(port, topic, &shared.type_name, shared.machine, ctl.token())
-        });
+        // publisher-side validation and accounting are identical — but for
+        // a link without a fault gate. No local attach hook means the
+        // publisher is gone, or never offered the fast path
+        // (enable_fastpath=false).
+        let (type_name, machine, token) = (&shared.type_name, shared.machine, ctl.token());
+        let attached = master
+            .local_port(self.ep.id)
+            .map(|port| LocalSinkHandle::attach(port, topic, type_name, machine, token, true));
         let skipped = match attached {
             Some(Ok(sink)) => {
                 shared.attached.fetch_add(1, Ordering::Release);
@@ -296,10 +298,11 @@ impl Handler for TapLink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::PublisherOptions;
-    use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmValidate, SfmVec};
+    use crate::options::{PublisherOptions, SubscriberOptions};
+    use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
+    use std::time::Instant;
 
     #[repr(C)]
     struct TapMsg {
@@ -385,6 +388,75 @@ mod tests {
         drop(tap); // no callback past this point; publisher prunes the attachment
         publisher.publish(&msg);
         assert_eq!(count.load(Ordering::Relaxed), 1, "no frames after detach");
+    }
+
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timeout waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The capture is ground truth (module docs): on a link whose frame 1
+    /// is dropped and frame 2 delayed, a tap beside the subscriber captures
+    /// every frame the publisher emitted, in order and at once, while the
+    /// subscriber loses frame 1 and waits out frame 2's delay.
+    #[test]
+    fn tap_captures_what_a_faulty_link_drops_or_delays() {
+        const DELAY: Duration = Duration::from_millis(200);
+        let master = Master::new();
+        let fault = master.links().inject(MachineId::A, MachineId::A);
+        fault.drop_frame(1);
+        fault.delay_frame(2, DELAY);
+        let nh = NodeHandle::new(&master, "tap_faults");
+        let publisher = nh
+            .advertise_with::<SfmBox<TapMsg>>("tap/faulty", PublisherOptions::new().queue_size(8));
+        let tapped = Arc::new(Mutex::new(Vec::<usize>::new()));
+        let tapped_cb = Arc::clone(&tapped);
+        let tap = RawFrameTap::attach(&nh, "tap/faulty", "test/TapMsg", move |frame| {
+            let base = frame.as_slice().as_ptr() as usize;
+            tapped_cb.lock().unwrap().push(base);
+        })
+        .unwrap();
+        let received = Arc::new(Mutex::new(Vec::<usize>::new()));
+        let received_cb = Arc::clone(&received);
+        let _sub = nh.subscribe_with(
+            "tap/faulty",
+            SubscriberOptions::new(),
+            move |m: SfmShared<TapMsg>| received_cb.lock().unwrap().push(m.base()),
+        );
+        assert!(tap.wait_attached(1, Duration::from_secs(5)));
+        nh.wait_for_subscribers(&publisher, 2);
+
+        let msgs: Vec<SfmBox<TapMsg>> = (0..5)
+            .map(|_| {
+                let mut m = SfmBox::<TapMsg>::new();
+                m.data.resize(4);
+                m
+            })
+            .collect();
+        let bases: Vec<usize> = msgs.iter().map(|m| m.base()).collect();
+        let start = Instant::now();
+        for m in &msgs {
+            publisher.publish(m);
+        }
+        wait_until("the tap captured every frame", || {
+            tapped.lock().unwrap().len() == bases.len()
+        });
+        let meanwhile = received.lock().unwrap().clone();
+        if start.elapsed() < DELAY {
+            assert!(
+                meanwhile.iter().all(|b| *b == bases[0]),
+                "the subscriber waits out the delay: {meanwhile:?}"
+            );
+        }
+        assert_eq!(*tapped.lock().unwrap(), bases, "every frame, in order");
+        wait_until("the subscriber's surviving frames", || {
+            received.lock().unwrap().len() == 4
+        });
+        let survivors = [bases[0], bases[2], bases[3], bases[4]];
+        assert_eq!(*received.lock().unwrap(), survivors);
     }
 
     #[test]

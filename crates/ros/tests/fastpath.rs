@@ -1,6 +1,7 @@
-//! The zero-copy same-machine fast path: pointer-identical delivery, fault
-//! and backpressure parity with the TCP path, transparent fallback, and a
-//! clean message life cycle under fan-out.
+//! The zero-copy same-machine fast path: pointer-identical delivery,
+//! backpressure parity with the TCP path, transparent fallback, and a
+//! clean message life cycle under fan-out. Fault parity is `reconnect.rs`'s
+//! per-tier matrix.
 
 use rossf_ros::{
     BackoffPolicy, MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions,
@@ -162,107 +163,6 @@ fn fanout_with_early_unsubscribes_keeps_lifecycle_clean() {
 
     mm().set_sanitizer(false);
     rossf_sfm::set_alert_policy(prev_policy);
-}
-
-/// Runs one drop-fault scenario and returns
-/// `(delivered, frames_faulted, injector_drops)`.
-fn drop_scenario(enable_fastpath: bool) -> (u64, u64, u64) {
-    let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::A);
-    fault.drop_frame(2);
-    let config = fast_reconnect(enable_fastpath);
-    let nh = NodeHandle::with_config(&master, "dropper", MachineId::A, config);
-    let publisher: Publisher<SfmBox<Payload>> =
-        nh.advertise_with("fastpath/dropfault", PublisherOptions::new().queue_size(64));
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe_with(
-        "fastpath/dropfault",
-        SubscriberOptions::new(),
-        move |m: SfmShared<Payload>| {
-            seen_cb.lock().unwrap().push(m.seq);
-        },
-    );
-    nh.wait_for_subscribers(&publisher, 1);
-
-    for seq in 0..5 {
-        publisher.publish(&msg(seq));
-        // Pace so link-order equals publish-order.
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    wait_until("4 surviving frames", || seen.lock().unwrap().len() == 4);
-    assert_eq!(&*seen.lock().unwrap(), &[0, 1, 3, 4]);
-    assert_eq!(sub.decode_errors(), 0);
-    let snap = master.metrics().topic("fastpath/dropfault").snapshot();
-    if enable_fastpath {
-        assert!(snap.fastpath_frames > 0, "scenario must use the fast path");
-    } else {
-        assert_eq!(snap.fastpath_frames, 0, "scenario must use TCP");
-    }
-    (sub.received(), snap.frames_faulted, fault.frames_dropped())
-}
-
-/// A drop fault on the loopback link discards exactly the same frame with
-/// exactly the same accounting whether frames travel by pointer handoff or
-/// through a socket.
-#[test]
-fn drop_fault_accounting_matches_tcp_path() {
-    let fast = drop_scenario(true);
-    let tcp = drop_scenario(false);
-    assert_eq!(fast, tcp, "(delivered, faulted, dropped) must match");
-    assert_eq!(fast, (4, 1, 1));
-}
-
-/// Severing the loopback link cuts a fast-path attachment mid-stream and
-/// refuses re-attachment until healed — the subscriber retries under
-/// backoff and resumes delivery afterwards, exactly like the TCP sever
-/// scenario in `reconnect.rs`.
-#[test]
-fn sever_and_heal_reconnects_on_the_pointer_path() {
-    let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::A);
-    let nh = NodeHandle::with_config(&master, "sever", MachineId::A, fast_reconnect(true));
-    let publisher: Publisher<SfmBox<Payload>> =
-        nh.advertise_with("fastpath/sever", PublisherOptions::new().queue_size(64));
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let sub = nh.subscribe_with(
-        "fastpath/sever",
-        SubscriberOptions::new(),
-        move |m: SfmShared<Payload>| {
-            assert_eq!(m.data.len(), 64);
-            seen_cb.fetch_add(1, Ordering::SeqCst);
-        },
-    );
-    nh.wait_for_subscribers(&publisher, 1);
-
-    let mut seq = 0u32;
-    let mut publish_until = |what: &str, cond: &dyn Fn() -> bool| {
-        let deadline = Instant::now() + Duration::from_secs(20);
-        while !cond() {
-            assert!(Instant::now() < deadline, "timeout publishing until {what}");
-            publisher.publish(&msg(seq));
-            seq += 1;
-            std::thread::sleep(Duration::from_millis(3));
-        }
-    };
-    publish_until("first frames", &|| seen.load(Ordering::SeqCst) >= 3);
-    assert_eq!(sub.reconnects(), 0);
-
-    fault.sever_now();
-    publish_until("reconnect attempts under sever", &|| {
-        sub.reconnect_attempts() >= 2
-    });
-    assert_eq!(sub.reconnects(), 0, "cannot re-attach while severed");
-
-    fault.heal();
-    let resumed_from = seen.load(Ordering::SeqCst);
-    publish_until("delivery after heal", &|| {
-        seen.load(Ordering::SeqCst) > resumed_from
-    });
-    assert!(sub.reconnects() >= 1, "re-attach must be recorded");
-    assert_eq!(sub.decode_errors(), 0);
-    assert_eq!(fault.severs(), 1);
 }
 
 /// Runs one single-message round trip and returns the received bytes plus

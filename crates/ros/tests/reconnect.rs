@@ -80,70 +80,148 @@ fn publish_until(
     }
 }
 
-/// The flagship scenario of the acceptance criteria: a link is severed
-/// mid-stream (the transport-level equivalent of killing the publisher's
-/// connection), the subscriber's supervisor retries under backoff while
-/// the link is down, and once the link heals it reconnects automatically
-/// and delivery resumes — with zero decode errors throughout.
-#[test]
-fn severed_link_reconnects_after_heal_and_resumes_delivery() {
-    let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::B);
-    let nh_pub = NodeHandle::new(&master, "pub");
-    let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, fast_reconnect());
+/// The transport tier a parameterized scenario runs on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Link {
+    /// Machine A to machine B over the reactor.
+    Tcp,
+    /// Same machine, same process: the pointer hand-off.
+    Fastpath,
+    /// Same machine, the ring, with publisher and subscriber in one
+    /// process.
+    Shm,
+}
 
-    let publisher: Publisher<SfmBox<Payload>> =
-        nh_pub.advertise_with("reconnect/sever", PublisherOptions::new().queue_size(64));
-    let seen = Arc::new(AtomicU64::new(0));
+impl Link {
+    /// The subscriber's machine (the publisher is always on A) and the
+    /// config both nodes run.
+    fn placement(self) -> (MachineId, TransportConfig) {
+        let config = fast_reconnect();
+        match self {
+            Link::Tcp => (MachineId::B, config),
+            Link::Fastpath => (MachineId::A, config),
+            Link::Shm => (
+                MachineId::A,
+                TransportConfig {
+                    enable_fastpath: false,
+                    shm_same_process: true,
+                    ..config
+                },
+            ),
+        }
+    }
+}
+
+/// One publisher on A and one subscriber placed for `link` on `topic`,
+/// behind the link's fault injector; the callback records every `seq`.
+struct Rig {
+    fault: Arc<rossf_ros::FaultInjector>,
+    publisher: Publisher<SfmBox<Payload>>,
+    sub: rossf_ros::Subscriber<SfmShared<Payload>>,
+    seen: Arc<Mutex<Vec<u32>>>,
+    _nodes: (NodeHandle, NodeHandle),
+}
+
+fn rig(link: Link, topic: &str, faults: impl FnOnce(&rossf_ros::FaultInjector)) -> Rig {
+    let (sub_machine, config) = link.placement();
+    let master = Master::new();
+    let fault = master.links().inject(MachineId::A, sub_machine);
+    faults(&fault);
+    let nh_pub = NodeHandle::with_config(&master, "pub", MachineId::A, config.clone());
+    let nh_sub = NodeHandle::with_config(&master, "sub", sub_machine, config);
+    let publisher = nh_pub.advertise_with(topic, PublisherOptions::new().queue_size(64));
+    let seen = Arc::new(Mutex::new(Vec::new()));
     let seen_cb = Arc::clone(&seen);
     let sub = nh_sub.subscribe_with(
-        "reconnect/sever",
+        topic,
         SubscriberOptions::new(),
         move |m: SfmShared<Payload>| {
             assert_eq!(m.data.len(), 32);
-            seen_cb.fetch_add(1, Ordering::SeqCst);
+            seen_cb.lock().unwrap().push(m.seq);
         },
     );
     nh_pub.wait_for_subscribers(&publisher, 1);
+    Rig {
+        fault,
+        publisher,
+        sub,
+        seen,
+        _nodes: (nh_pub, nh_sub),
+    }
+}
 
-    // Healthy traffic first.
-    let mut seq = 0u32;
-    publish_until(&publisher, &mut seq, "first frames", || {
-        seen.load(Ordering::SeqCst) >= 3
-    });
-    assert_eq!(sub.reconnects(), 0);
+/// The flagship scenario of the acceptance criteria, on every tier: a link
+/// is severed mid-stream (the transport-level equivalent of killing the
+/// publisher's connection), the subscriber's supervisor retries under
+/// backoff while the link is down, and once the link heals it reconnects
+/// automatically and delivery resumes — with zero decode errors
+/// throughout.
+#[test]
+fn severed_link_reconnects_after_heal_and_resumes_delivery() {
+    for link in [Link::Tcp, Link::Fastpath, Link::Shm] {
+        let Rig {
+            fault,
+            publisher,
+            sub,
+            seen,
+            ..
+        } = rig(link, "reconnect/sever", |_| {});
+        let delivered = || seen.lock().unwrap().len() as u64;
 
-    // Cut the cable mid-stream. The writer severs the socket on the next
-    // frame; while the latch is set the publisher refuses new handshakes,
-    // so the supervisor's reconnect attempts fail and back off.
-    fault.sever_now();
-    publish_until(
-        &publisher,
-        &mut seq,
-        "reconnect attempts under sever",
-        || sub.reconnect_attempts() >= 2,
-    );
-    assert_eq!(sub.reconnects(), 0, "cannot reconnect while severed");
+        // Healthy traffic first.
+        let mut seq = 0u32;
+        publish_until(&publisher, &mut seq, "first frames", || delivered() >= 3);
+        assert_eq!(sub.reconnects(), 0, "{link:?}");
 
-    // Splice the cable. The next attempt (or the one after, if one was
-    // mid-flight during heal) completes the handshake and the publisher
-    // builds a fresh connection with a fresh transmission queue.
-    fault.heal();
-    let resumed_from = seen.load(Ordering::SeqCst);
-    publish_until(&publisher, &mut seq, "delivery after heal", || {
-        seen.load(Ordering::SeqCst) > resumed_from
-    });
+        // Cut the cable mid-stream. The next frame's gate cuts the link;
+        // while the latch is set the publisher refuses new handshakes and
+        // attachments, so the supervisor's reconnect attempts fail and back
+        // off.
+        fault.sever_now();
+        publish_until(
+            &publisher,
+            &mut seq,
+            "reconnect attempts under sever",
+            || sub.reconnect_attempts() >= 2,
+        );
+        assert_eq!(
+            sub.reconnects(),
+            0,
+            "{link:?}: cannot reconnect while severed"
+        );
 
-    assert!(sub.reconnects() >= 1, "reconnect must be recorded");
-    assert_eq!(sub.decode_errors(), 0, "no decode errors across the fault");
-    assert_eq!(fault.severs(), 1);
+        // Splice the cable. The next attempt (or the one after, if one was
+        // mid-flight during heal) completes the handshake and the publisher
+        // builds a fresh link.
+        fault.heal();
+        let resumed_from = delivered();
+        publish_until(&publisher, &mut seq, "delivery after heal", || {
+            delivered() > resumed_from
+        });
 
-    // The shared per-topic metrics saw the whole story.
-    let snap = sub.metrics().snapshot();
-    assert!(snap.reconnects >= 1);
-    assert!(snap.reconnect_attempts >= 2);
-    assert!(snap.frames_received >= resumed_from);
-    assert_eq!(snap.decode_errors, 0);
+        assert!(
+            sub.reconnects() >= 1,
+            "{link:?}: reconnect must be recorded"
+        );
+        assert_eq!(
+            sub.decode_errors(),
+            0,
+            "{link:?}: no decode errors across the fault"
+        );
+        assert_eq!(fault.severs(), 1, "{link:?}");
+
+        // The shared per-topic metrics saw the whole story.
+        let snap = sub.metrics().snapshot();
+        assert!(snap.reconnects >= 1, "{link:?}");
+        assert!(snap.reconnect_attempts >= 2, "{link:?}");
+        assert!(snap.frames_received >= resumed_from, "{link:?}");
+        assert_eq!(snap.decode_errors, 0, "{link:?}");
+        assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
+        assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
+        if link == Link::Shm {
+            assert!(snap.shm_handshakes >= 2, "both attachments negotiated shm");
+        }
+    }
 }
 
 /// A publisher process dying and restarting: the old registration vanishes
@@ -192,73 +270,30 @@ fn publisher_restart_resumes_delivery_via_watcher() {
     assert_eq!(sub.received(), seen.load(Ordering::SeqCst));
 }
 
-/// Drop faults discard exactly the scheduled frames; the connection
-/// survives and later frames are delivered in order.
+/// A drop fault discards exactly the scheduled frame with exactly the same
+/// accounting on every tier; the link survives and later frames are
+/// delivered in order. No pacing: the gate consults faults in publish
+/// order.
 #[test]
 fn drop_fault_skips_frames_without_killing_connection() {
-    let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::B);
-    // Link-order frames 1 and 3 vanish on the wire.
-    fault.drop_frame(1);
-    fault.drop_frame(3);
-    let nh_pub = NodeHandle::new(&master, "pub");
-    let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, fast_reconnect());
-
-    let publisher: Publisher<SfmBox<Payload>> =
-        nh_pub.advertise_with("reconnect/drop", PublisherOptions::new().queue_size(64));
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe_with(
-        "reconnect/drop",
-        SubscriberOptions::new(),
-        move |m: SfmShared<Payload>| {
-            seen_cb.lock().unwrap().push(m.seq);
-        },
-    );
-    nh_pub.wait_for_subscribers(&publisher, 1);
-
-    for seq in 0..6 {
-        publisher.publish(&msg(seq));
-        // Pace so link-order equals publish-order.
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    wait_until("4 surviving frames", || seen.lock().unwrap().len() == 4);
-    assert_eq!(&*seen.lock().unwrap(), &[0, 2, 4, 5]);
-    assert_eq!(fault.frames_dropped(), 2);
-    assert_eq!(sub.reconnects(), 0, "drops must not sever");
-    assert_eq!(sub.decode_errors(), 0);
-    assert_eq!(sub.metrics().snapshot().frames_faulted, 2);
-}
-
-/// The transport tier a parameterized scenario runs on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Link {
-    /// Machine A to machine B over the reactor.
-    Tcp,
-    /// Same machine, same process: the pointer hand-off.
-    Fastpath,
-    /// Same machine, the ring, with publisher and subscriber in one
-    /// process.
-    Shm,
-}
-
-impl Link {
-    /// The subscriber's machine (the publisher is always on A) and the
-    /// config both nodes run.
-    fn placement(self) -> (MachineId, TransportConfig) {
-        let config = fast_reconnect();
-        match self {
-            Link::Tcp => (MachineId::B, config),
-            Link::Fastpath => (MachineId::A, config),
-            Link::Shm => (
-                MachineId::A,
-                TransportConfig {
-                    enable_fastpath: false,
-                    shm_same_process: true,
-                    ..config
-                },
-            ),
+    for link in [Link::Tcp, Link::Fastpath, Link::Shm] {
+        let rig = rig(link, "reconnect/drop", |fault| fault.drop_frame(2));
+        for seq in 0..5 {
+            rig.publisher.publish(&msg(seq));
         }
+        wait_until("4 surviving frames", || rig.seen.lock().unwrap().len() == 4);
+        assert_eq!(*rig.seen.lock().unwrap(), [0, 1, 3, 4], "{link:?}");
+        let snap = rig.publisher.metrics().snapshot();
+        let faulted = snap.frames_faulted;
+        assert_eq!(
+            (rig.sub.received(), faulted, rig.fault.frames_dropped()),
+            (4, 1, 1),
+            "{link:?}: (delivered, faulted, dropped)"
+        );
+        assert_eq!(rig.sub.reconnects(), 0, "{link:?}: drops must not sever");
+        assert_eq!(rig.sub.decode_errors(), 0, "{link:?}");
+        assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
+        assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
     }
 }
 
@@ -360,4 +395,35 @@ fn backoff_gives_up_after_max_attempts() {
     fault.heal();
     std::thread::sleep(Duration::from_millis(100));
     assert_eq!(sub.reconnects(), 0);
+}
+
+/// A sever that lands while frames wait out a delay loses them with the
+/// link, on every tier alike: none reaches the callback — not even once
+/// the delay has passed — and each is counted, so every published frame
+/// is accounted for as faulted or dropped.
+#[test]
+fn a_sever_under_a_delay_loses_and_counts_the_parked_frames() {
+    const DELAY: Duration = Duration::from_millis(200);
+    for link in [Link::Tcp, Link::Fastpath, Link::Shm] {
+        let rig = rig(link, "reconnect/parked", |fault| {
+            fault.delay_frame(0, DELAY)
+        });
+        for seq in 0..4 {
+            rig.publisher.publish(&msg(seq));
+        }
+        rig.fault.sever_now();
+        rig.publisher.publish(&msg(4));
+        std::thread::sleep(DELAY + Duration::from_millis(100));
+        assert_eq!(
+            *rig.seen.lock().unwrap(),
+            [],
+            "{link:?}: a frame crossed a severed link"
+        );
+        let snap = rig.publisher.metrics().snapshot();
+        assert_eq!(
+            snap.frames_faulted + rig.publisher.dropped(),
+            rig.publisher.published(),
+            "{link:?}: every frame is faulted or dropped"
+        );
+    }
 }

@@ -275,6 +275,48 @@ fn trace_ids_survive_reconnect() {
     );
 }
 
+/// A fault event names the tier of the link it hit: a drop on a fast-path
+/// link is tagged `Fastpath`, as the gate of that link applied it.
+#[test]
+fn a_fault_event_names_the_tier_of_its_link() {
+    let _guard = TRACER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    tracer().reset();
+    let master = Master::new();
+    master
+        .links()
+        .inject(MachineId::A, MachineId::A)
+        .drop_frame(1);
+    let nh = NodeHandle::new(&master, "faulty");
+    let publisher: Publisher<SfmBox<Payload>> = nh.advertise_with(
+        "trace/fault_tier",
+        PublisherOptions::new().queue_size(8).trace(true),
+    );
+    let seen = Arc::new(AtomicU64::new(0));
+    let seen_cb = Arc::clone(&seen);
+    let _sub = nh.subscribe_with(
+        "trace/fault_tier",
+        SubscriberOptions::new(),
+        move |_m: SfmShared<Payload>| {
+            seen_cb.fetch_add(1, Ordering::SeqCst);
+        },
+    );
+    nh.wait_for_subscribers(&publisher, 1);
+    for seq in 0..3 {
+        publisher.publish(&msg(seq));
+    }
+    wait_until("the two surviving frames", || {
+        seen.load(Ordering::SeqCst) == 2
+    });
+    assert!(publisher.metrics().snapshot().fastpath_frames > 0);
+    let fault_tiers: Vec<_> = tracer()
+        .events()
+        .iter()
+        .filter(|e| e.stage == Stage::Fault)
+        .map(|e| e.tier)
+        .collect();
+    assert_eq!(fault_tiers, [rossf_trace::Tier::Fastpath]);
+}
+
 /// The zero-overhead guarantee: endpoints without tracing enabled perform
 /// no histogram writes at all — not "cheap writes", none.
 #[test]

@@ -63,6 +63,17 @@ if ! grep -q '^hand-declared Sfm structs  *0$' <<<"$(scripts/loc.sh)"; then
     echo "FAIL: a hand-declared Sfm struct is back in crates/msg/src; define the message as a .msg file"; exit 1
 fi
 
+echo "==> one fault gate per link (the injector is consulted once, by publisher.rs's Gate, on every tier)"
+sites=$(scripts/loc.sh | sed -n 's/^next_frame_action call sites *//p')
+if [ "$sites" -gt 1 ]; then
+    echo "FAIL: FaultInjector::next_frame_action has $sites non-test call sites; only the Gate may ask"; exit 1
+fi
+if for f in crates/ros/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f" |
+    awk -v f="$f" '/^impl Gate \{/ { gate = 1 } gate && /^}/ { gate = 0 } !gate && /FaultAction::/ { print f ": " $0 }'
+done | grep .; then
+    echo "FAIL: a fault verdict is acted on outside the Gate"; exit 1
+fi
+
 echo "==> rossf-model --self-test (explorer catches the seeded racy ring, deterministically)"
 cargo run -q --release -p rossf-model --bin rossf-model -- --self-test
 

@@ -13,13 +13,15 @@ cd "$(dirname "$0")/.."
 code_lines() { # non-blank, non-comment lines of every .rs file under $1
     find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -vc '^\s*//' || true
 }
-system_lines() { # the same without the #[cfg(test)] modules: unit tests are not the system
-    find "$1" -name '*.rs' -print0 | xargs -0 -n1 awk '
+without_tests() { # the Rust under the given dirs without its #[cfg(test)] modules: unit tests are not the system
+    find "$@" -name '*.rs' -print0 | xargs -0 -n1 awk '
         skip { if ($0 == "}") skip = 0; next }
         held != "" { if ($0 ~ /^(pub(\([a-z]+\))? )?mod [a-z_0-9]+ \{$/) { held = ""; skip = 1; next } print held; held = "" }
         $0 == "#[cfg(test)]" { held = $0; next }
-        { print }' |
-        grep -v '^\s*$' | grep -vc '^\s*//' || true
+        { print }'
+}
+system_lines() { # code lines of $1 without the #[cfg(test)] modules
+    without_tests "$1" | grep -v '^\s*$' | grep -vc '^\s*//' || true
 }
 occurrences() { # fixed-string occurrences (not lines) in the Rust sources under the given dirs
     local pat=$1; shift
@@ -44,6 +46,10 @@ printf '%-24s %3d files, %d non-blank lines\n' '.msg definitions' \
     "$(find crates/idl/msg -name '*.msg' -print0 | xargs -0 cat | grep -vc '^\s*$')"
 printf '%-24s %3d\n' 'hand-declared Sfm structs' \
     "$({ grep -rh '^pub struct Sfm' crates/msg/src || true; } | wc -l)"
+
+# One fault gate per link: the injector's verdict is asked for in one place.
+printf '%-24s %3d\n' 'next_frame_action call sites' \
+    "$({ without_tests crates/*/src | grep -o '\.next_frame_action(' || true; } | wc -l)"
 
 for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_os'; do
     printf '%-24s %3d\n' "$pat" "$(occurrences "$pat" crates tests examples src)"
