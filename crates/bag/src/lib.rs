@@ -6,8 +6,8 @@
 //! no per-record copy beyond the file write), and replay adopts frames in
 //! place out of a memory-mapped bag (no decode, no payload memcpy).
 //!
-//! The crate is deliberately a *leaf* below the ROS layer — it knows about
-//! SFM allocations and the file format, not about topics' live plumbing:
+//! The format layers know about SFM allocations and the file, not about
+//! topics' live plumbing; [`ros`] is the one module that does:
 //!
 //! * [`mod@format`] — the on-disk layout (records, footer index, checksums) and
 //!   the [`format::schema_hash`] fingerprint that guards replay type safety.
@@ -18,10 +18,11 @@
 //!   crash recovery by complete-record scan, strict structural
 //!   verification, and in-place frame adoption.
 //! * [`replay`] — the deterministic pacing schedule (stamp-merged, rate
-//!   scaled) consumed by the ROS-layer replayer.
-//!
-//! The live capture tap and the paced publisher live in `rossf-ros`
-//! (`rossf_ros::bag::{Recorder, Replayer}`); the `sfm_bag` CLI fronts both.
+//!   scaled).
+//! * [`ros`] — the ROS glue: the [`Recorder`] that captures live topics
+//!   through `rossf_ros`'s [`RawFrameTap`](rossf_ros::RawFrameTap) and the
+//!   paced [`Replayer`] that publishes a bag back onto them. The `sfm_bag`
+//!   CLI fronts both.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -29,12 +30,14 @@
 pub mod format;
 pub mod reader;
 pub mod replay;
+pub mod ros;
 pub mod sys;
 pub mod writer;
 
 pub use format::{fnv1a64, schema_hash, BagError, Connection, Fnv64, IndexEntry};
 pub use reader::{BagReader, OpenMode};
 pub use replay::{build_schedule, Schedule, ScheduleItem};
+pub use ros::{Recorder, RecorderBuilder, ReplayOptions, ReplayStats, Replayer};
 pub use writer::{
     BagSummary, BagWriter, FrameBytes, RecorderChannel, RecorderStats, StreamRecorder, TopicSpec,
 };

@@ -24,16 +24,13 @@
 //! With `--out DIR`, writes `DIR/BENCH_bag.json` with the latency rows plus
 //! the bag counters. Exit status 0 only when every gate passes.
 
-use rossf_bag::{fnv1a64, BagReader};
+use rossf_bag::{fnv1a64, BagReader, Recorder, ReplayOptions, Replayer};
 use rossf_bench::report::{write_report, ScenarioReport};
 use rossf_bench::stats::Stats;
 use rossf_msg::geometry_msgs::SfmPoseStamped;
 use rossf_msg::sensor_msgs::{SfmImage, SfmPointCloud2};
 use rossf_ros::time::{now_nanos, RosTime};
-use rossf_ros::{
-    Master, NodeHandle, Publisher, PublisherOptions, Recorder, ReplayOptions, Replayer,
-    SubscriberOptions,
-};
+use rossf_ros::{Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions};
 use rossf_sfm::{SfmBox, SfmShared};
 use rossf_slam::dataset::Sequence;
 use rossf_slam::pipeline::{frame_to_sfm, spawn_sfm, SlamConfig, SlamTopics};

@@ -8,8 +8,8 @@
 //! cross-machine connections.
 
 use crate::error::RosError;
-use crate::fastpath::LocalAttach;
 use crate::metrics::MetricsRegistry;
+use crate::publisher::PubCore;
 use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use rossf_netsim::{LinkTable, MachineId};
@@ -63,11 +63,11 @@ struct MasterInner {
     /// Topic registry, hash-sharded by topic name: all state for one topic
     /// lives in exactly one shard's map.
     topics: [Mutex<HashMap<String, TopicEntry>>; SHARDS],
-    /// Registration id → same-process attach hook for the zero-copy fast
-    /// path, sharded by id. `Weak` so a dropped publisher vanishes without
-    /// a round-trip; each shard is locked independently of (and never
-    /// nested with) any `topics` shard.
-    local_ports: [Mutex<HashMap<u64, Weak<dyn LocalAttach>>>; SHARDS],
+    /// Registration id → the publisher core a same-process subscriber
+    /// attaches to on the zero-copy fast path, sharded by id. `Weak` so a
+    /// dropped publisher vanishes without a round-trip; each shard is
+    /// locked independently of (and never nested with) any `topics` shard.
+    local_ports: [Mutex<HashMap<u64, Weak<PubCore>>>; SHARDS],
     links: LinkTable,
     services: crate::service::ServiceRegistry,
     metrics: MetricsRegistry,
@@ -142,8 +142,8 @@ impl Master {
         Ok(id)
     }
 
-    /// Register a publisher that *additionally* exposes a same-process
-    /// attach hook for the zero-copy fast path. The hook is visible through
+    /// Register a publisher that *additionally* exposes its core as a
+    /// same-process port for the zero-copy fast path. The port is visible through
     /// [`Master::local_port`] before any watcher learns the endpoint, so a
     /// notified subscriber can never observe the registration without it.
     ///
@@ -156,7 +156,7 @@ impl Master {
         type_name: &str,
         addr: SocketAddr,
         machine: MachineId,
-        port: Weak<dyn LocalAttach>,
+        port: Weak<PubCore>,
     ) -> Result<u64, RosError> {
         let id = self.fresh_id();
         {
@@ -228,11 +228,10 @@ impl Master {
         Ok(())
     }
 
-    /// The same-process attach hook of publisher registration `id`, if the
-    /// publisher registered one and is still alive. `None` means the
-    /// subscriber must use TCP (remote endpoint, fast path disabled, or a
-    /// peer predating the capability).
-    pub(crate) fn local_port(&self, id: u64) -> Option<Arc<dyn LocalAttach>> {
+    /// The core of publisher registration `id`, if the publisher registered
+    /// a same-process port and is still alive. `None` means the subscriber
+    /// must use TCP (remote endpoint or fast path disabled).
+    pub(crate) fn local_port(&self, id: u64) -> Option<Arc<PubCore>> {
         let mut ports = self.inner.local_ports[id_shard(id)].lock();
         // Same pruning as registration: lookups are the other hot moment
         // a shard is locked, so dead `Weak`s never outlive the shard's
@@ -419,6 +418,11 @@ impl std::fmt::Debug for Master {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TransportConfig;
+    use crate::options::PublisherOptions;
+    use crate::publisher::Publisher;
+    use crate::traits::{Encode, TopicType};
+    use crate::wire::OutFrame;
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()
@@ -546,15 +550,29 @@ mod tests {
         assert_eq!(m2.publisher_count("t"), 1);
     }
 
-    struct DummyPort;
-    impl LocalAttach for DummyPort {
-        fn attach_local(
-            &self,
-            _header: &crate::wire::ConnectionHeader,
-            _wake: rossf_reactor::Token,
-        ) -> Result<crate::fastpath::LocalSinkHandle, RosError> {
-            Err(RosError::Rejected("dummy port".to_string()))
+    /// A publisher core held by nothing but the returned `Arc`: its
+    /// `Publisher` handle is gone, and it registered with a scratch master.
+    fn lone_core() -> Arc<PubCore> {
+        struct T;
+        impl TopicType for T {
+            fn topic_type() -> &'static str {
+                "T"
+            }
         }
+        impl Encode for T {
+            fn encode(&self) -> OutFrame {
+                unreachable!("nothing is published")
+            }
+        }
+        let scratch = Master::new();
+        let options = PublisherOptions::new();
+        let config = TransportConfig::default();
+        let publisher = Publisher::<T>::create_with(&scratch, "t", options, MachineId::A, config)
+            .expect("advertise on a scratch master");
+        let (eps, _, _) = scratch.register_subscriber("t", "T").unwrap();
+        let core = scratch.local_port(eps[0].id);
+        drop(publisher);
+        core.expect("the fast path registers a local port")
     }
 
     /// Total entries across every local-port shard.
@@ -573,25 +591,13 @@ mod tests {
     #[test]
     fn dead_local_port_entries_are_pruned() {
         let m = Master::new();
-        let live = Arc::new(DummyPort);
-        let dead = Arc::new(DummyPort);
+        let live = lone_core();
+        let dead = lone_core();
         let live_id = m
-            .register_publisher_local(
-                "t",
-                "T",
-                addr(1),
-                MachineId::A,
-                Arc::downgrade(&live) as Weak<dyn LocalAttach>,
-            )
+            .register_publisher_local("t", "T", addr(1), MachineId::A, Arc::downgrade(&live))
             .unwrap();
         let dead_id = m
-            .register_publisher_local(
-                "t",
-                "T",
-                addr(2),
-                MachineId::A,
-                Arc::downgrade(&dead) as Weak<dyn LocalAttach>,
-            )
+            .register_publisher_local("t", "T", addr(2), MachineId::A, Arc::downgrade(&dead))
             .unwrap();
         assert_eq!(local_port_count(&m), 2);
 
@@ -607,17 +613,11 @@ mod tests {
         // register fresh ones until one lands in the dead entry's shard —
         // at that point the stale `Weak` is gone without any lookup.
         drop(live);
-        let fresh = Arc::new(DummyPort);
+        let fresh = lone_core();
         let mut fresh_count = 0;
         loop {
             let id = m
-                .register_publisher_local(
-                    "t",
-                    "T",
-                    addr(3),
-                    MachineId::A,
-                    Arc::downgrade(&fresh) as Weak<dyn LocalAttach>,
-                )
+                .register_publisher_local("t", "T", addr(3), MachineId::A, Arc::downgrade(&fresh))
                 .unwrap();
             fresh_count += 1;
             if id_shard(id) == id_shard(live_id) {

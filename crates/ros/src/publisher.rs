@@ -1,34 +1,27 @@
-//! The publisher side of a topic.
+//! The publisher side of a topic: the tier-agnostic core every link hangs
+//! off.
 //!
-//! `advertise` binds a TCP listener and registers it with the master. Each
-//! subscriber that connects gets its own bounded *transmission queue* (the
-//! queue of paper Fig. 8: `publish` deposits a cheap clone of the encoded
-//! frame — for serialization-free messages, a clone of the buffer pointer —
-//! and returns). Every link passes one admission (`PubCore::admit`) and
-//! differs only in what its queue is:
+//! `advertise` binds a TCP listener and registers it with the master —
+//! and, with the fast path enabled, the core itself as the publisher's
+//! local port. Each subscriber gets its own bounded *transmission queue*
+//! (the queue of paper Fig. 8: `publish` deposits a cheap clone of the
+//! encoded frame — for serialization-free messages, a clone of the buffer
+//! pointer — and returns). Every link passes one admission
+//! (`PubCore::admit`), whichever door it came through (the TCP handshake or
+//! a same-process attach), and is spliced into the fan-out list with a sink
+//! of one of two kinds:
 //!
-//! * **TCP** — a bounded channel drained on the process-wide
-//!   [reactor](rossf_reactor): the listener and every writer are
-//!   nonblocking state machines on one shared event loop. Cross-machine
-//!   connections are paced by the master's
-//!   [`LinkTable`](rossf_netsim::LinkTable): a frame drains into the
-//!   socket while the modelled link carries it, and only its last
-//!   [`PACE_TAIL`](crate::tcp::PACE_TAIL) bytes wait on a reactor timer
-//!   for the link to finish.
-//! * **fast path** — a bounded channel whose receiving end the
-//!   same-process subscriber's reactor handler drains; `publish` notifies
-//!   its token after each deposit, exactly as it notifies a TCP writer.
-//! * **shared memory** — the link's descriptor ring *is* the queue:
-//!   `publish` copies a heap-built message once into a pooled segment (a
-//!   loaned message is already there) and commits one descriptor per shm
-//!   link inline, under a per-link mutex. The handshake socket stays on
-//!   the reactor as the control plane: the "subscriber gone" signal one
-//!   way, the [`Doorbell`] the other — rung only when the subscriber has
-//!   drained the ring and armed it, so a busy link pays for no wake-up.
+//! * a **queue** — a bounded channel, drained on the process-wide
+//!   [reactor](rossf_reactor) by the TCP tier's writer or by a
+//!   same-process subscriber's fast-path handler; `publish` notifies the
+//!   drainer's token after each deposit;
+//! * a **ring** — the shm tier's descriptor ring, which *is* the queue.
 //!
-//! No tier costs either side a thread. Any
-//! [`FaultInjector`](rossf_netsim::FaultInjector) attached to the link is
-//! applied where the frame enters the link, by the link's one [`Gate`],
+//! Both halves of each tier's link live in one module under `crate::tier`;
+//! this one knows a tier only through the three sink operations
+//! `Conn::{wrap, deposit, cut}`, and no tier costs either side a thread.
+//! Any [`FaultInjector`](rossf_netsim::FaultInjector) attached to the link
+//! is applied where the frame enters the link, by the link's one [`Gate`],
 //! which `fan_out` consults once per frame in publish order on every tier:
 //! delayed frames are parked behind a reactor timer without reordering,
 //! dropped frames are skipped and counted, and a sever cuts the link at
@@ -37,38 +30,29 @@
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{LocalAttach, LocalSinkHandle, FASTPATH_FIELD, TAP_FIELD};
 use crate::loan::LoanedMessage;
 use crate::master::Master;
 use crate::metrics::TransportMetrics;
 use crate::options::{PublisherOptions, PublisherStats};
-use crate::shm::{
-    peer_gone, SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD,
-    SHM_TOKEN_FIELD,
-};
-use crate::tcp::{accept_handshake, Acceptor, Flush, Pending, WriteQueue, WRITE_BATCH};
+use crate::tier::fastpath::LocalSinkHandle;
+use crate::tier::shm::{self, Ring};
+use crate::tier::tcp::{self, accept_handshake, Acceptor};
 use crate::traits::Encode;
-use crate::wire::{grow_socket_buffers, ConnectionHeader, OutFrame, PROJECT_FIELD};
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
+use crate::wire::{ConnectionHeader, OutFrame, PROJECT_FIELD};
+use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
-use rossf_netsim::{FaultAction, FaultInjector, MachineId, Shaper};
-use rossf_reactor::{runtime, Ctl, Event, Handler, Reactor, Token};
+use rossf_netsim::{FaultAction, FaultInjector, MachineId};
+use rossf_reactor::{runtime, Reactor, Token};
 use rossf_sfm::{SfmAlloc, SfmBox, SfmMessage};
-use rossf_shm::{FrameMeta, PushOutcome, SegmentPool, SharedFrame, ShmLink};
+use rossf_shm::{FrameMeta, SegmentPool, SharedFrame};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::VecDeque;
-use std::io::Write;
 use std::marker::PhantomData;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
-use std::time::{Duration, Instant};
-
-/// Admission batches one writer dispatch may process before yielding the
-/// shared loop back (leftover frames re-notify the token), so a firehose
-/// topic cannot starve other links.
-const BATCHES_PER_DISPATCH: usize = 4;
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// One subscriber link as `fan_out` sees it.
 struct Conn {
@@ -95,7 +79,7 @@ enum Sink {
 }
 
 /// One publish's frame in the form a sink takes it.
-enum Parcel {
+pub(crate) enum Parcel {
     /// The link's own clone of the frame, stamped with its enqueue time
     /// (`TraceTag` is `Copy`, so clones do not alias).
     Frame(OutFrame),
@@ -106,7 +90,7 @@ enum Parcel {
 }
 
 /// What became of one frame offered to one link.
-enum Deposit {
+pub(crate) enum Deposit {
     /// Queued, committed, parked behind a delay — or consumed by an
     /// injected drop fault, which is accounted where it fires.
     Taken,
@@ -120,14 +104,12 @@ enum Deposit {
 
 impl Conn {
     /// The first half of a deposit: put one publish's frame in the form
-    /// this link's sink takes — a stamped clone for a queue; for a ring, a
-    /// descriptor against the publish's shared segment, which the first
-    /// ring to need it fills (see [`PubCore::fan_out`]). On a ring,
-    /// `enqueue` spans publish entry to here and `wire_write` the copy, so
-    /// the stages telescope as on every tier. `None`: no segment was free.
-    // Inlined, as are `deposit` and `Ring::commit`: every publish runs
-    // them once per link (`pose_shm` lost 5–15 % of its throughput with
-    // them out of line).
+    /// this link's sink takes — a clone stamped with its enqueue time for a
+    /// queue, a descriptor against the publish's one shared segment for a
+    /// ring ([`Ring::wrap`]). `None`: no segment was free.
+    // Inlined, as are `deposit`, `Ring::wrap` and `Ring::commit`: every
+    // publish runs them once per link (`pose_shm` lost 5–15 % of its
+    // throughput with them out of line).
     #[inline]
     fn wrap(
         &self,
@@ -136,50 +118,16 @@ impl Conn {
         entered: u64,
         shared: &mut Option<Option<SharedFrame>>,
     ) -> Option<Parcel> {
-        let tag = frame.trace();
-        let ring = match &self.sink {
+        match &self.sink {
             Sink::Queue(_) => {
                 let mut own = frame.clone();
-                if tag.id != 0 {
+                if own.trace().id != 0 {
                     own.trace_mut().enqueued_ns = now_nanos();
                 }
-                return Some(Parcel::Frame(own));
+                Some(Parcel::Frame(own))
             }
-            Sink::Ring(ring) => ring,
-        };
-        let table = core.trace.as_deref().filter(|_| tag.id != 0);
-        let mut pushed_ns = 0;
-        if let Some(table) = table {
-            pushed_ns = now_nanos();
-            tracer().span(table, Stage::Enqueue, Tier::Shm, tag.id, entered, pushed_ns);
+            Sink::Ring(ring) => ring.wrap(core.trace.as_deref(), frame, entered, shared),
         }
-        let resolved = shared.get_or_insert_with(|| {
-            let copy = ring.pool.prepare_shared(frame.as_slice());
-            // Only the link that copied has a copy stage to attribute; a
-            // descriptor-only commit (every loaned publish) has none.
-            if let (Some(table), Some(_)) = (table, &copy) {
-                let t = now_nanos();
-                tracer().span(table, Stage::WireWrite, Tier::Shm, tag.id, pushed_ns, t);
-                pushed_ns = t;
-            }
-            copy
-        });
-        let Some(sf) = resolved.clone() else {
-            // Pool exhausted: some slots may only look pinned because the
-            // reader abandoned their references — settle those before the
-            // next frame retries.
-            if let Some(link) = &*ring.link.lock() {
-                link.reconcile_abandoned();
-            }
-            return None;
-        };
-        let meta = FrameMeta {
-            trace_id: tag.id,
-            born_ns: tag.born_ns,
-            enqueued_ns: entered,
-            pushed_ns,
-        };
-        Some(Parcel::Shared(sf, meta))
     }
 
     /// The second half of a deposit: hand the parcel to the link. A
@@ -198,7 +146,7 @@ impl Conn {
                 Err(TrySendError::Full(frame)) => Deposit::Full(Some(Parcel::Frame(frame))),
                 Err(TrySendError::Disconnected(_)) => Deposit::Dead,
             },
-            (Sink::Ring(ring), Parcel::Shared(sf, meta)) => ring.commit(core, sf, meta),
+            (Sink::Ring(ring), Parcel::Shared(sf, meta)) => ring.commit(&core.reactor, sf, meta),
             _ => unreachable!("a parcel is deposited in the sink that wrapped it"),
         }
     }
@@ -365,382 +313,15 @@ impl Gate {
     }
 }
 
-/// Publisher half of one shared-memory link. The ring is single-producer,
-/// so everything that touches it — `publish` on any clone of the
-/// publisher, a gate's timer, teardown — goes through `link`.
-struct Ring {
-    /// `None` once the link is torn down.
-    link: Mutex<Option<ShmLink>>,
-    /// The publisher's segment pool, which `link` commits against.
-    pool: Arc<SegmentPool>,
-    doorbell: Doorbell,
-    alive: Arc<AtomicBool>,
-    metrics: Arc<TransportMetrics>,
-    /// The subscriber's process id: a peer that *crashed* leaves holds on
-    /// popped frames that only the publisher can reclaim.
-    sub_pid: u32,
-}
-
-/// How a shm link's publisher tells a subscriber that drained the ring,
-/// armed it and returned to its event loop that there is a frame again —
-/// the only difference between a cross-process link and a same-process
-/// one. Rung after a commit only when [`ShmLink::disarm`] says the ring was
-/// armed, so a subscriber still busy draining costs nothing.
-enum Doorbell {
-    /// One byte on the link's control socket, which the subscriber's loop
-    /// watches. A full socket buffer already holds unread doorbells, so a
-    /// write that would block is simply dropped.
-    Socket(Arc<TcpStream>),
-    /// The subscriber's handler lives on this process's reactor: notify it
-    /// (a write to the loop's eventfd only if the loop sleeps).
-    Notify(Token),
-}
-
-impl Doorbell {
-    fn ring(&self, reactor: &Reactor) {
-        match self {
-            Doorbell::Socket(stream) => {
-                let _ = (&**stream).write(&[1]);
-            }
-            Doorbell::Notify(token) => reactor.notify(*token),
-        }
-    }
-}
-
-/// How long after a link's teardown the publisher keeps checking whether
-/// the subscriber *process* died: waits of `10 ms << attempt`, about
-/// 0.6 s in all. The EOF that triggers teardown usually arrives while the
-/// peer is mid-exit.
-const RECLAIM_ATTEMPTS: u32 = 6;
-
-/// Reclaim the holds a dead subscriber process left on popped frames so no
-/// pool slot stays pinned by a crashed reader. A peer that is still alive
-/// keeps them — stashed message buffers may legally outlive the
-/// subscription, and the reader releases them itself. Runs on the job pool
-/// (the liveness check reads `/proc`); the waits are reactor timers.
-fn reclaim_when_gone(link: ShmLink, sub_pid: u32, attempt: u32) {
-    if !rossf_sys::process_alive(sub_pid) {
-        link.reclaim_reader_holds();
-    } else if attempt < RECLAIM_ATTEMPTS {
-        runtime()
-            .reactor
-            .timer(Duration::from_millis(10 << attempt), move |_| {
-                runtime()
-                    .pool
-                    .spawn(move || reclaim_when_gone(link, sub_pid, attempt + 1));
-            });
-    }
-}
-
-impl Ring {
-    /// Publish one descriptor; the ring's verdict is the deposit's. A
-    /// subscriber that went idle on an armed ring gets its doorbell.
-    #[inline]
-    fn commit(&self, core: &PubCore, sf: SharedFrame, meta: FrameMeta) -> Deposit {
-        let mut link = self.link.lock();
-        let Some(link) = link.as_mut() else {
-            return Deposit::Dead;
-        };
-        match link.commit_shared(&sf, meta) {
-            PushOutcome::Pushed => {
-                if link.disarm() {
-                    self.doorbell.ring(&core.reactor);
-                }
-                let metrics = &self.metrics;
-                metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-                metrics
-                    .bytes_sent
-                    .fetch_add(sf.len() as u64, Ordering::Relaxed);
-                metrics.shm_frames.fetch_add(1, Ordering::Relaxed);
-                // The push just loaded both ring indices; reading them
-                // back is two cache-hot loads.
-                metrics.observe_queue_depth(link.pending());
-                Deposit::Taken
-            }
-            PushOutcome::RingFull | PushOutcome::NoSegment => {
-                Deposit::Full(Some(Parcel::Shared(sf, meta)))
-            }
-        }
-    }
-
-    /// Tear the link down, from whichever side notices first (a sever, the
-    /// control socket's handler on EOF, the last link entry dropping):
-    /// close the ring (the control socket's handler, notified by the
-    /// caller, then hangs up, which is the subscriber's wake-up), recycle
-    /// the descriptors it never consumed, settle reader-abandoned
-    /// references, and mark the connection dead. Idempotent — whoever
-    /// takes the link out does the work and counts the disconnect.
-    fn teardown(&self) {
-        let Some(link) = self.link.lock().take() else {
-            return;
-        };
-        link.close();
-        link.drain();
-        link.reconcile_abandoned();
-        // Release: pairs with the pruners' Acquire loads.
-        self.alive.store(false, Ordering::Release);
-        self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
-        if self.sub_pid != std::process::id() {
-            let sub_pid = self.sub_pid;
-            runtime()
-                .pool
-                .spawn(move || reclaim_when_gone(link, sub_pid, 0));
-        }
-    }
-}
-
-impl Drop for Ring {
-    fn drop(&mut self) {
-        self.teardown();
-    }
-}
-
-/// Reactor handler for a shm link's handshake socket, kept open as the
-/// control plane: the link ends when the subscriber's end is gone. A
-/// notify arrives when the ring was torn down from the publisher's side
-/// (sever, publisher drop); hanging up then tells the subscriber.
-struct RingCtl {
-    /// Shared with the ring's [`Doorbell::Socket`], so the descriptor can
-    /// outlive this handler by a pruning pass: the hang-up is explicit.
-    stream: Arc<TcpStream>,
-    /// Weak: the ring lives as long as its link entry in the publisher.
-    ring: Weak<Ring>,
-}
-
-impl Handler for RingCtl {
-    fn on_event(&mut self, _event: Event, ctl: &mut Ctl) {
-        let ring = self.ring.upgrade();
-        let torn_down = ring.as_ref().is_none_or(|r| r.link.lock().is_none());
-        if torn_down || peer_gone(&self.stream) {
-            if let Some(ring) = ring {
-                ring.teardown();
-            }
-            let _ = self.stream.shutdown(Shutdown::Both);
-            ctl.close();
-        }
-    }
-}
-
-/// Reactor handler for one TCP subscriber link. Frames arrive on the
-/// bounded transmission queue (`fan_out` notifies the token after
-/// depositing), pick up their enqueue/wire-write trace spans and sidecar
-/// notes, and drain to the nonblocking socket
-/// through a [`WriteQueue`]. Link shaping is cut-through: admission books
-/// the modelled link for the frame and stamps when its last byte is `due`
-/// at the receiver; the frame joins the write queue at once and only its
-/// [`PACE_TAIL`](crate::tcp::PACE_TAIL) waits, on one reactor timer, for
-/// that instant. The link contract is the model's: no frame completes at
-/// the receiver before `link start + transmit + latency`, and back-to-back
-/// frames leave at exactly link rate.
-struct TcpWriter {
-    stream: TcpStream,
-    rx: Receiver<OutFrame>,
-    /// Cleared by the link's gate to cut it (an injected sever).
-    alive: Arc<AtomicBool>,
-    metrics: Arc<TransportMetrics>,
-    trace: Option<Arc<TopicTrace>>,
-    conn_key: u64,
-    /// The field projection negotiated at handshake time: every frame on
-    /// this link is sliced to the selected ranges before it hits the wire.
-    /// `None` = full frames.
-    projection: Option<Arc<rossf_sfm::Projection>>,
-    /// Frames actually written on this socket, in wire order. Dropped
-    /// frames never reach the stream, so they must not advance the
-    /// sequence the reader counts.
-    wire_seq: u64,
-    shaper: Shaper,
-    /// Frames admitted and (possibly partially) written.
-    writeq: WriteQueue,
-    /// `due` of the held tail the outstanding pacing timer was armed for.
-    /// Every publish notifies the writer, and each of those pumps finds the
-    /// same tail held: comparing against this keeps it one timer per tail.
-    pace_armed: Option<Instant>,
-    /// Current writability interest, tracked to skip no-op updates.
-    want_writable: bool,
-    /// The transmission queue's senders are gone (publisher dropped): die
-    /// once the tail drains.
-    disconnected: bool,
-}
-
-impl Handler for TcpWriter {
-    fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
-        // Relaxed: standalone flag; the cut's notify orders it. A cut link
-        // goes down like a yanked cable, with whatever it still holds.
-        if !self.alive.load(Ordering::Relaxed) {
-            let _ = self.stream.shutdown(Shutdown::Both);
-            return self.die(ctl);
-        }
-        match event {
-            Event::Closed => self.die(ctl),
-            // Notify (frames deposited / queue closed), Writable (socket
-            // unblocked), Timer (the held pace tail is due), or a spurious
-            // Readable: drive the machine.
-            _ => self.pump(ctl),
-        }
-    }
-}
-
-impl TcpWriter {
-    /// Admit one frame: stamp trace spans and the sidecar
-    /// note, assign its wire sequence, book the link for it, and queue it
-    /// for writing.
-    fn admit(&mut self, frame: OutFrame) {
-        // Slice the frame down to the negotiated projection. Slicing fails
-        // only when the frame violates its own schema (unreachable for
-        // locally built messages): drop it rather than leak a full frame
-        // onto a link whose reader verifies against the projected schema.
-        let plan = match self.projection.as_deref() {
-            Some(projection) => match projection.slice(frame.as_slice()) {
-                Ok(plan) => Some(plan),
-                Err(_) => {
-                    self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-            },
-            None => None,
-        };
-        let tag = frame.trace();
-        let mut pending = match Pending::new(frame, plan) {
-            Ok(pending) => pending,
-            // Unreachable in practice (`fan_out` bounds frames by
-            // `max_frame_len`).
-            Err(_) => {
-                self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        // `enqueue` span ends (and the sidecar note lands) *before* the
-        // frame bytes can hit the socket, so the reader can never observe
-        // the frame without its note.
-        if let (Some(table), true) = (self.trace.as_deref(), tag.id != 0) {
-            let t = now_nanos();
-            tracer().span(table, Stage::Enqueue, Tier::Tcp, tag.id, tag.enqueued_ns, t);
-            tracer()
-                .sidecar()
-                .insert(self.conn_key, self.wire_seq, tag.id, t);
-            (pending.trace_id, pending.t_start) = (tag.id, t);
-        }
-        pending.seq = self.wire_seq;
-        self.wire_seq += 1;
-        // One reservation per frame, made at admission, so a queued burst
-        // is booked back to back: the link latency once, plus the transmit
-        // time of prefix and payload — the *wire* payload, so a projected
-        // link is paced by what it actually transmits.
-        let wait = self.shaper.profile().latency + self.shaper.reserve(4 + pending.wire_len);
-        pending.due = (!wait.is_zero()).then(|| Instant::now() + wait);
-        self.writeq.push(pending);
-    }
-
-    /// Drive the machine: flush queued bytes, then admit more frames, up
-    /// to [`BATCHES_PER_DISPATCH`] rounds before yielding the shared loop.
-    fn pump(&mut self, ctl: &mut Ctl) {
-        for _ in 0..BATCHES_PER_DISPATCH {
-            let held = match self.flush_writeq() {
-                Flush::Blocked => {
-                    self.set_writable(true, ctl);
-                    return;
-                }
-                Flush::Dead => {
-                    self.die(ctl);
-                    return;
-                }
-                Flush::Drained => None,
-                Flush::Held(due) => Some(due),
-            };
-            self.set_writable(false, ctl);
-            if let Some(due) = held.filter(|_| self.pace_armed != held) {
-                self.pace_armed = held;
-                ctl.arm_timer(due.saturating_duration_since(Instant::now()));
-            }
-            // Admission goes on while a tail is held: the frames queued
-            // behind it are booked on the link now, back to back, not when
-            // the socket gets round to them.
-            while self.writeq.len() < WRITE_BATCH {
-                match self.rx.try_recv() {
-                    Ok(frame) => self.admit(frame),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        self.disconnected = true;
-                        break;
-                    }
-                }
-            }
-            if held.is_some() {
-                // Nothing may pass the held tail; its timer resumes us.
-                return;
-            }
-            if self.writeq.is_empty() {
-                // The queue is drained too: idle until the next notify, or
-                // done once the publisher is gone.
-                if self.disconnected {
-                    self.die(ctl);
-                }
-                return;
-            }
-        }
-        // Batch cap hit with work remaining: hand the loop back to other
-        // links and reschedule ourselves.
-        if !self.writeq.is_empty() || !self.rx.is_empty() {
-            ctl.notify_self();
-        }
-    }
-
-    /// Flush the write queue to the socket; each frame whose last byte went
-    /// out has its wire-write span closed, its sidecar note settled, and is
-    /// counted sent.
-    fn flush_writeq(&mut self) -> Flush {
-        let (metrics, trace, conn_key) = (&*self.metrics, self.trace.as_deref(), self.conn_key);
-        self.writeq.flush(&mut &self.stream, |p| {
-            if let (Some(table), true) = (trace, p.trace_id != 0) {
-                let t1 = now_nanos();
-                tracer().span(
-                    table,
-                    Stage::WireWrite,
-                    Tier::Tcp,
-                    p.trace_id,
-                    p.t_start,
-                    t1,
-                );
-                tracer().sidecar().update_sent(conn_key, p.seq, t1);
-            }
-            metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-            metrics
-                .bytes_sent
-                .fetch_add(p.wire_len as u64, Ordering::Relaxed);
-            if p.plan.is_some() {
-                metrics.projection_frames.fetch_add(1, Ordering::Relaxed);
-            }
-        })
-    }
-
-    fn set_writable(&mut self, want: bool, ctl: &mut Ctl) {
-        if self.want_writable != want {
-            self.want_writable = want;
-            // Readability is never wanted: hangup delivery does not
-            // require it.
-            ctl.set_interest(false, want);
-        }
-    }
-
-    /// Tear the link down: mark the connection dead for the pruners, count
-    /// the disconnect, and drop out of the loop (closing the socket). Runs
-    /// once: the close ends the handler.
-    fn die(&mut self, ctl: &mut Ctl) {
-        // Relaxed: standalone liveness flag; the pruner that reads it takes
-        // the sink lock, which orders the removal.
-        self.alive.store(false, Ordering::Relaxed);
-        self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
-        ctl.close();
-    }
-}
-
 /// A new fan-out list: the links of `conns` still alive, then `joining`.
 fn live_conns(conns: &[Arc<Conn>], joining: Option<Arc<Conn>>) -> Arc<[Arc<Conn>]> {
     let live = conns.iter().filter(|c| c.alive.load(Ordering::Acquire));
     live.cloned().chain(joining).collect()
 }
 
-struct PubCore {
+/// The state every clone of a [`Publisher`] shares, and the master's
+/// local port for same-process subscribers.
+pub(crate) struct PubCore {
     topic: String,
     type_name: &'static str,
     addr: SocketAddr,
@@ -809,10 +390,12 @@ impl PubCore {
     }
 
     /// The checks every subscriber link passes, whichever door it came
-    /// through (the TCP handshake or a same-process attach), and the base
-    /// reply header. `sub_machine` picks the link whose fault injector
-    /// governs the connection; the injector is returned for the link's
-    /// [`Gate`].
+    /// through (the TCP handshake or a same-process attach), for a
+    /// subscriber of `sub_type`. `sub_machine` picks the link whose fault
+    /// injector governs the connection — the injector is returned for the
+    /// link's [`Gate`] — and is `None` for a capture tap, whose link has no
+    /// gate: it records what the publisher emitted, not what a lossy link
+    /// let through, and a severed link does not refuse it.
     ///
     /// # Errors
     ///
@@ -822,9 +405,9 @@ impl PubCore {
     /// under its backoff schedule until the link heals.
     fn admit(
         &self,
-        header: &ConnectionHeader,
-        sub_machine: MachineId,
-    ) -> Result<(ConnectionHeader, Option<Arc<FaultInjector>>), RosError> {
+        sub_type: &str,
+        sub_machine: Option<MachineId>,
+    ) -> Result<Option<Arc<FaultInjector>>, RosError> {
         let refuse = |why: &str| {
             RosError::Io(std::io::Error::new(
                 std::io::ErrorKind::ConnectionRefused,
@@ -835,22 +418,17 @@ impl PubCore {
         if self.shutdown.load(Ordering::Relaxed) {
             return Err(refuse("publisher shutting down"));
         }
-        let sub_type = header.get("type").unwrap_or_default();
         if sub_type != self.type_name {
             return Err(RosError::Rejected(format!(
                 "topic carries {} not {}",
                 self.type_name, sub_type
             )));
         }
-        let injector = self.master.links().fault(self.machine, sub_machine);
+        let injector = sub_machine.and_then(|m| self.master.links().fault(self.machine, m));
         if injector.as_ref().is_some_and(|f| f.is_severed()) {
             return Err(refuse("link severed"));
         }
-        let reply = ConnectionHeader::new()
-            .with("type", self.type_name)
-            .with("topic", &self.topic)
-            .with("endian", ConnectionHeader::native_endian());
-        Ok((reply, injector))
+        Ok(injector)
     }
 
     /// Splice an admitted link into the fan-out list — pruning dead
@@ -886,15 +464,21 @@ impl PubCore {
         self.tier_hint.store(tier.index() as u8, Ordering::Relaxed);
     }
 
+    /// Serve one subscriber connecting over TCP: answer its handshake and
+    /// put the link — on the shm tier when [`shm::grant`] grants it, plain
+    /// TCP otherwise — on the shared event loop. The link's handler owns the
+    /// socket and holds no strong core reference, or dropping the last
+    /// `Publisher` could never close the queue it serves.
     fn handle_subscriber(self: Arc<Self>, mut stream: TcpStream) -> Result<(), RosError> {
-        let header = accept_handshake(&stream, self.config.handshake_timeout)?;
-        let sub_machine: MachineId = header
+        let request = accept_handshake(&stream, self.config.handshake_timeout)?;
+        let sub_machine: MachineId = request
             .get("machine")
             .and_then(|m| m.parse::<u32>().ok())
             .unwrap_or_default()
             .into();
-        let (mut reply, injector) = match self.admit(&header, sub_machine) {
-            Ok(admitted) => admitted,
+        let sub_type = request.get("type").unwrap_or_default();
+        let injector = match self.admit(sub_type, Some(sub_machine)) {
+            Ok(injector) => injector,
             Err(e) => {
                 // A permanent refusal is spelled out in an `error=` reply;
                 // a transient one closes without a reply, so the
@@ -907,127 +491,71 @@ impl PubCore {
                 return Err(e);
             }
         };
-
-        // Shared-memory eligibility: both sides opted in, same simulated
-        // machine, and a *different* process (same-process traffic prefers
-        // the fast path unless `shm_same_process` overrides). Link creation
-        // failure withholds the grant silently — the connection proceeds
-        // over TCP with byte-identical frames.
-        let sub_pid = header
-            .get(SHM_PID_FIELD)
-            .and_then(|p| p.parse::<u32>().ok());
-        let shm_link = if self.config.enable_shm
-            && header.get(SHM_FIELD) == Some("1")
-            && sub_machine == self.machine
-            && sub_pid.is_some_and(|p| p != std::process::id() || self.config.shm_same_process)
-        {
-            let pool = {
-                let mut pool = self.shm_pool.lock();
-                Arc::clone(pool.get_or_insert_with(|| Arc::new(SegmentPool::new())))
-            };
-            ShmLink::create(pool, self.queue_size.max(1), rossf_shm::fresh_epoch()).ok()
-        } else {
-            None
-        };
-
-        // Field-projection negotiation (TCP only — the zero-copy tiers
-        // always carry the full frame). The grant is echoed back only when
-        // the spec resolves against this publisher's schema *and* is already
-        // canonical, so both sides agree byte-for-byte on what was granted;
-        // anything else falls back to full frames, which old subscribers
-        // (that never sent the field) handle unchanged.
-        let projection = match (&shm_link, header.get(PROJECT_FIELD), self.schema) {
-            (None, Some(spec), Some(schema)) => rossf_sfm::Projection::from_spec(schema, spec)
-                .ok()
-                .filter(|p| p.spec() == spec)
-                .map(Arc::new),
-            _ => None,
-        };
-
-        if let Some(link) = &shm_link {
-            reply = reply
-                .with(SHM_FIELD, "1")
-                .with(SHM_PUB_PID_FIELD, std::process::id().to_string())
-                .with(SHM_FD_FIELD, link.ctrl_fd().to_string())
-                .with(SHM_EPOCH_FIELD, link.epoch().to_string());
-        }
-        if let Some(p) = &projection {
-            reply = reply.with(PROJECT_FIELD, p.spec());
-        }
-        reply.write_to(&mut stream)?;
-
-        // Hand the socket to the shared event loop. Either handler owns
-        // the stream and must not hold a strong core reference, or dropping
-        // the last Publisher could never close the queue it serves.
+        let reply = ConnectionHeader::new()
+            .with("type", self.type_name)
+            .with("topic", &self.topic)
+            .with("endian", ConnectionHeader::native_endian());
         let alive = Arc::new(AtomicBool::new(true));
-        let fd = stream.as_raw_fd();
-        if let Some(link) = shm_link {
-            stream.set_nonblocking(true)?;
-            self.metrics.shm_handshakes.fetch_add(1, Ordering::Relaxed);
-            let stream = Arc::new(stream);
-            // A subscriber in this very process named the reactor token of
-            // the handler draining the ring; any other hears the socket.
-            let doorbell = header
-                .get(SHM_TOKEN_FIELD)
-                .and_then(|t| t.parse().ok())
-                .filter(|_| sub_pid == Some(std::process::id()))
-                .map_or_else(
-                    || Doorbell::Socket(Arc::clone(&stream)),
-                    |raw| Doorbell::Notify(Token::from_raw(raw)),
-                );
-            let ring = Arc::new(Ring {
-                pool: Arc::clone(link.pool()),
-                link: Mutex::new(Some(link)),
-                doorbell,
-                alive: Arc::clone(&alive),
-                metrics: Arc::clone(&self.metrics),
-                // The grant condition above guarantees `sub_pid`.
-                sub_pid: sub_pid.unwrap_or_default(),
-            });
-            let ctl = RingCtl {
-                stream,
-                ring: Arc::downgrade(&ring),
-            };
-            let token = self.reactor.register(fd, true, false, Box::new(ctl));
+        let same_machine = sub_machine == self.machine;
+        let (pool, depth) = (&self.shm_pool, self.queue_size);
+        if let Some(grant) = shm::grant(&request, &self.config, same_machine, pool, depth) {
+            let (token, ring) = grant.open(stream, reply, &alive, &self.metrics, &self.reactor)?;
             self.splice(Tier::Shm, alive, token, Sink::Ring(ring), injector);
             return Ok(());
         }
-
-        // The writer is a nonblocking state machine driven by
-        // notify/timer/writable events. Its connection key mirrors the
-        // reader's `conn_key(peer, local)` — same address pair, same order.
-        let conn_key = match (stream.local_addr(), stream.peer_addr()) {
-            (Ok(local), Ok(peer)) => rossf_trace::conn_key(&local.to_string(), &peer.to_string()),
-            _ => 0,
+        let projection = tcp::grant_projection(&request, self.schema);
+        let reply = match &projection {
+            Some(p) => reply.with(PROJECT_FIELD, p.spec()),
+            None => reply,
         };
-        grow_socket_buffers(&stream);
-        stream.set_nonblocking(true)?;
+        reply.write_to(&mut stream)?;
         if projection.is_some() {
             self.metrics
                 .projection_handshakes
                 .fetch_add(1, Ordering::Relaxed);
         }
         let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
-        let writer = TcpWriter {
+        let fd = stream.as_raw_fd();
+        let writer = tcp::writer(
             stream,
             rx,
-            alive: Arc::clone(&alive),
-            metrics: Arc::clone(&self.metrics),
-            trace: self.trace.clone(),
-            conn_key,
+            &alive,
+            &self.metrics,
+            self.trace.clone(),
             projection,
-            wire_seq: 0,
-            // Link shaping: pace the data path if the subscriber lives on
-            // a different simulated machine.
-            shaper: Shaper::new(self.master.links().profile(self.machine, sub_machine)),
-            writeq: WriteQueue::default(),
-            pace_armed: None,
-            want_writable: false,
-            disconnected: false,
-        };
+            self.master.links().profile(self.machine, sub_machine),
+        )?;
         let token = self.reactor.register(fd, false, false, Box::new(writer));
         self.splice(Tier::Tcp, alive, token, Sink::Queue(tx), injector);
         Ok(())
+    }
+
+    /// Attach a subscriber of `sub_type` in this very process: splice a
+    /// new bounded transmission queue into the fan-out list and return its
+    /// receiving end. `wake` is the reactor registration that drains it:
+    /// `fan_out` notifies it after every deposit, and `Drop` when the
+    /// publisher goes. A local attach is same-machine by construction, so
+    /// the loopback link's fault injector governs it — unless it is a
+    /// capture `tap`, whose link has no gate.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`PubCore::admit`], exactly as the TCP handshake refuses.
+    pub(crate) fn attach_local(
+        &self,
+        sub_type: &str,
+        wake: Token,
+        tap: bool,
+    ) -> Result<LocalSinkHandle, RosError> {
+        let injector = self.admit(sub_type, (!tap).then_some(self.machine))?;
+        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
+        let alive = Arc::new(AtomicBool::new(true));
+        self.metrics
+            .fastpath_handshakes
+            .fetch_add(1, Ordering::Relaxed);
+        let sink = Sink::Queue(tx);
+        self.splice(Tier::Fastpath, Arc::clone(&alive), wake, sink, injector);
+        Ok(LocalSinkHandle { rx, alive })
     }
 
     /// Fan one encoded frame out to every subscriber link — the shared
@@ -1087,40 +615,6 @@ impl PubCore {
     fn count_drop(&self) {
         self.dropped.fetch_add(1, Ordering::Relaxed);
         self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-impl LocalAttach for PubCore {
-    fn attach_local(
-        &self,
-        header: &ConnectionHeader,
-        wake: Token,
-    ) -> Result<LocalSinkHandle, RosError> {
-        // A local attach is same-machine by construction, so the loopback
-        // link's fault injector governs it.
-        let (reply, injector) = self.admit(header, self.machine)?;
-        if header.get(FASTPATH_FIELD) != Some("1") {
-            // Peer predates the capability: permanent refusal, the
-            // subscriber falls back to TCP for this endpoint.
-            return Err(RosError::Rejected(
-                "fastpath capability missing from header".to_string(),
-            ));
-        }
-        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
-        let alive = Arc::new(AtomicBool::new(true));
-        self.metrics
-            .fastpath_handshakes
-            .fetch_add(1, Ordering::Relaxed);
-        // A capture tap records what the publisher emitted, not what a
-        // lossy link let through: its link has no gate.
-        let injector = injector.filter(|_| header.get(TAP_FIELD) != Some("1"));
-        let sink = Sink::Queue(tx);
-        self.splice(Tier::Fastpath, Arc::clone(&alive), wake, sink, injector);
-        Ok(LocalSinkHandle {
-            reply: reply.with(FASTPATH_FIELD, "1"),
-            rx,
-            alive,
-        })
     }
 }
 
@@ -1216,11 +710,10 @@ impl<M: Encode> Publisher<M> {
             reactor: runtime().reactor,
             listener_token: OnceLock::new(),
         });
-        // Fast-path-capable publishers register a local attach port so
-        // same-machine subscribers in this process can skip the socket.
+        // Fast-path-capable publishers register their core as a local port
+        // so same-machine subscribers in this process can skip the socket.
         let registration = if core.config.enable_fastpath {
-            let weak = Arc::downgrade(&core);
-            let port: Weak<dyn LocalAttach> = weak;
+            let port = Arc::downgrade(&core);
             master.register_publisher_local(topic, M::topic_type(), addr, machine, port)?
         } else {
             master.register_publisher(topic, M::topic_type(), addr, machine)?
@@ -1425,106 +918,12 @@ mod tests {
         }
     }
 
-    /// Counts the timer events a writer is dispatched.
-    struct CountTimers {
-        writer: TcpWriter,
-        timers: Arc<AtomicU64>,
-    }
-
-    impl Handler for CountTimers {
-        fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
-            if event == Event::Timer {
-                self.timers.fetch_add(1, Ordering::Relaxed);
-            }
-            self.writer.on_event(event, ctl);
-        }
-    }
-
-    /// One pacing timer per held tail, however often the writer is pumped
-    /// meanwhile: every `publish` notifies it, and a timer armed per pump is
-    /// a loop wake-up per pump (measured: +220 µs of background CPU per
-    /// 1 MB message). Four frames go out, the token is notified throughout,
-    /// and the writer sees at most four timer events.
+    /// A same-process attach is admitted exactly like the TCP handshake:
+    /// mismatched types get the same diagnostic as the TCP `error=` reply,
+    /// and a severed loopback link refuses only *transiently* (an `Io`
+    /// error the supervisor retries) until it heals.
     #[test]
-    fn a_held_tail_arms_one_timer_however_often_it_is_pumped() {
-        use std::io::Read;
-        const FRAMES: usize = 4;
-        const LEN: usize = 200_000; // 16 ms each at 100 Mb/s
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_nonblocking(true).unwrap();
-        let fd = stream.as_raw_fd();
-        let (tx, rx) = bounded::<OutFrame>(FRAMES);
-        let metrics = Arc::new(TransportMetrics::default());
-        let timers = Arc::new(AtomicU64::new(0));
-        let writer = TcpWriter {
-            stream,
-            rx,
-            alive: Arc::new(AtomicBool::new(true)),
-            metrics: Arc::clone(&metrics),
-            trace: None,
-            conn_key: 0,
-            projection: None,
-            wire_seq: 0,
-            shaper: Shaper::new(rossf_netsim::LinkProfile {
-                bandwidth_bps: 100_000_000,
-                latency: Duration::from_millis(1),
-            }),
-            writeq: WriteQueue::default(),
-            pace_armed: None,
-            want_writable: false,
-            disconnected: false,
-        };
-        let reactor = Reactor::new("test-pace-timer");
-        let counted = CountTimers {
-            writer,
-            timers: Arc::clone(&timers),
-        };
-        let token = reactor.register(fd, false, false, Box::new(counted));
-        for _ in 0..FRAMES {
-            tx.try_send(OutFrame::owned(Arc::new(vec![0x5A; LEN])))
-                .unwrap();
-        }
-        let reader = std::thread::spawn(move || {
-            let mut wire = vec![0u8; FRAMES * (4 + LEN)];
-            client.read_exact(&mut wire).unwrap();
-            wire
-        });
-        while !reader.is_finished() {
-            reactor.notify(token);
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        let wire = reader.join().unwrap();
-        for frame in wire.chunks(4 + LEN) {
-            assert_eq!(frame[..4], (LEN as u32).to_le_bytes());
-            assert!(frame[4..].iter().all(|&b| b == 0x5A));
-        }
-        assert_eq!(metrics.snapshot().frames_sent, FRAMES as u64);
-        let fired = timers.load(Ordering::Relaxed);
-        assert!(
-            (1..=FRAMES as u64).contains(&fired),
-            "{fired} timer events for {FRAMES} paced frames"
-        );
-        reactor.shutdown();
-    }
-
-    fn request(ty: &str, fastpath: Option<&str>) -> ConnectionHeader {
-        let h = ConnectionHeader::request("attach/neg", ty, MachineId(0));
-        match fastpath {
-            Some(v) => h.with(FASTPATH_FIELD, v),
-            None => h,
-        }
-    }
-
-    /// The connection-header capability negotiation: a peer that predates
-    /// the fast path (no `fastpath` field) is refused *permanently* with a
-    /// message naming the capability, so the subscriber knows to fall back
-    /// to TCP rather than retry. Mismatched types get the same diagnostic
-    /// as the TCP `error=` reply, and a severed loopback link refuses only
-    /// *transiently* (an `Io` error the supervisor retries).
-    #[test]
-    fn attach_local_negotiates_capability_and_faults() {
+    fn attach_local_is_admitted_like_a_handshake() {
         let master = Master::new();
         let machine = MachineId(77);
         let publisher: Publisher<SfmBox<P>> = Publisher::create_with(
@@ -1539,12 +938,7 @@ mod tests {
         // Nothing listens on the token: these attachments are never drained.
         let wake = core.reactor.reserve();
 
-        match core.attach_local(&request(P::type_name(), None), wake) {
-            Err(RosError::Rejected(msg)) => assert!(msg.contains(FASTPATH_FIELD)),
-            Err(e) => panic!("expected capability rejection, got {e:?}"),
-            Ok(_) => panic!("attach without capability must fail"),
-        }
-        match core.attach_local(&request("wrong/Type", Some("1")), wake) {
+        match core.attach_local("wrong/Type", wake, false) {
             Err(RosError::Rejected(msg)) => {
                 assert_eq!(msg, "topic carries test/AttachP not wrong/Type");
             }
@@ -1554,7 +948,7 @@ mod tests {
 
         let fault = master.links().inject(machine, machine);
         fault.sever_now();
-        match core.attach_local(&request(P::type_name(), Some("1")), wake) {
+        match core.attach_local(P::type_name(), wake, false) {
             Err(RosError::Io(e)) => {
                 assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused);
             }
@@ -1564,11 +958,9 @@ mod tests {
         fault.heal();
 
         let sink = core
-            .attach_local(&request(P::type_name(), Some("1")), wake)
+            .attach_local(P::type_name(), wake, false)
             .map_err(|e| format!("healed attach must succeed: {e:?}"))
             .unwrap();
-        assert_eq!(sink.reply.get(FASTPATH_FIELD), Some("1"));
-        assert_eq!(sink.reply.get("type"), Some(P::type_name()));
         assert_eq!(publisher.subscriber_count(), 1);
         drop(sink);
         assert_eq!(

@@ -21,12 +21,12 @@
 use crate::error::RosError;
 use crate::master::Master;
 use crate::node::NodeHandle;
-use crate::tcp::{
-    accept_handshake, check_frame_len, dial, Acceptor, Flush, FrameReader, Pending, Step,
-    WriteQueue,
+use crate::tier::tcp::{
+    accept_handshake, check_frame_len, dial, grow_socket_buffers, Acceptor, Flush, FrameReader,
+    Pending, Step, WriteQueue,
 };
 use crate::traits::{Decode, Encode, RecvSlot};
-use crate::wire::{grow_socket_buffers, read_frame_len, write_frame, ConnectionHeader, OutFrame};
+use crate::wire::{read_frame_len, write_frame, ConnectionHeader, OutFrame};
 use parking_lot::Mutex;
 use rossf_reactor::{runtime, Ctl, Event, Handler};
 use std::collections::HashMap;

@@ -7,9 +7,9 @@
 //! steady-state link runs as a nonblocking [`Link`] state machine on the
 //! shared [reactor](rossf_reactor) — the reader loop of the paper's Fig. 9
 //! (obtain the next frame, verify, adopt, invoke the callback), whose
-//! tier-specific half is a [`Source`]: bytes off a socket ([`TcpSource`]),
-//! pointers off the publisher's queue ([`FastSource`]), descriptors off a
-//! shared-memory ring ([`ShmSource`]) — and
+//! tier-specific half is a [`Source`], found with the rest of its tier under
+//! `crate::tier`: bytes off a socket (TCP), pointers off the publisher's
+//! queue (fast path), descriptors off a shared-memory ring (shm) — and
 //! reconnect backoff is a reactor timer instead of a sleeping thread.
 //! Injected link faults never reach this side: the publisher applies them
 //! where the frame enters the link, so a source only ever sees the frames
@@ -25,36 +25,21 @@
 
 use crate::config::TransportConfig;
 use crate::error::RosError;
-use crate::fastpath::{LocalSinkHandle, FASTPATH_FIELD};
 use crate::master::{Master, PublisherEndpoint};
 use crate::metrics::TransportMetrics;
 use crate::options::{SubscriberOptions, SubscriberStats};
-use crate::shm::{
-    SHM_EPOCH_FIELD, SHM_FD_FIELD, SHM_FIELD, SHM_PID_FIELD, SHM_PUB_PID_FIELD, SHM_TOKEN_FIELD,
-};
-use crate::tcp::{dial, FrameReader, Step};
-use crate::traits::{Decode, RecvSlot};
+use crate::tier::{shm, tcp};
+use crate::traits::Decode;
 use crate::wire::{ConnectionHeader, PROJECT_FIELD};
-use crossbeam::channel::TryRecvError;
 use rossf_netsim::MachineId;
 use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
-use rossf_shm::{ShmReader, TakeError};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::{HashSet, VecDeque};
-use std::io::Read;
-use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
 
 use parking_lot::Mutex;
-
-/// How long a traced reader waits for the writer's sidecar note to carry
-/// the write-*completion* stamp before giving up on the `wire_read` span.
-/// The writer settles the note within microseconds of the last frame byte;
-/// this bound only matters when the writer thread is preempted in between.
-const SIDECAR_SETTLE_WAIT: Duration = Duration::from_millis(2);
 
 /// Frames one link dispatch may deliver before yielding the shared loop
 /// (re-notifying itself for the rest), so one firehose link cannot starve
@@ -123,13 +108,15 @@ fn release_connect_slot() {
     }
 }
 
-struct SubCore<D: Decode> {
+/// The state a subscription's links share: what every tier's source
+/// delivers into.
+pub(crate) struct SubCore<D: Decode> {
     topic: String,
     machine: MachineId,
     master: Master,
     registration: u64,
     config: TransportConfig,
-    metrics: Arc<TransportMetrics>,
+    pub(crate) metrics: Arc<TransportMetrics>,
     callback: Box<dyn Fn(D) + Send + Sync>,
     shutdown: AtomicBool,
     /// Reactor tokens of the live links and of attempts still connecting
@@ -145,13 +132,13 @@ struct SubCore<D: Decode> {
     /// The topic's tracing table when this subscription was created with
     /// `SubscriberOptions::trace(true)`; `None` keeps the receive path free
     /// of clock reads and histogram writes.
-    trace: Option<Arc<TopicTrace>>,
+    pub(crate) trace: Option<Arc<TopicTrace>>,
     /// The resolved field projection when this subscription was created
     /// with `SubscriberOptions::project(..)`. Offered to every TCP
     /// publisher at handshake time; links whose publisher echoed the spec
     /// carry sliced sub-frames verified against the projected schema.
     /// Zero-copy tiers (fast path, shm) ignore it and deliver full frames.
-    projection: Option<Arc<rossf_sfm::Projection>>,
+    pub(crate) projection: Option<Arc<rossf_sfm::Projection>>,
 }
 
 /// Owns one publisher endpoint for the life of its registration. The
@@ -212,26 +199,22 @@ impl<D: Decode> Supervision<D> {
         core.links.lock().insert(self.token);
         // The zero-copy fast path applies when both sides opted in, share a
         // simulated machine, and the publisher lives in this process (its
-        // attach port is registered with our master).
+        // core is registered with our master as a local port). The strong
+        // `port` reference ends with the attach: holding it for the link's
+        // life would keep the publisher core (and its master registration)
+        // alive after the last `Publisher` handle drops. The queue
+        // disconnects when the publisher tears down.
         let local = core.config.enable_fastpath && self.ep.machine == core.machine;
         if let Some(port) = local.then(|| core.master.local_port(self.ep.id)).flatten() {
-            let (topic, token) = (&core.topic, self.token);
-            match LocalSinkHandle::attach(port, topic, D::topic_type(), core.machine, token, false)
-            {
+            let token = self.token;
+            match port.attach_local(D::topic_type(), token, false) {
                 Ok(sink) => {
                     core.count_handshake(self.was_connected);
-                    reactor.attach(token, Link::boxed(self, FastSource(sink)));
-                    return;
+                    reactor.attach(token, Link::boxed(self, sink));
                 }
-                // The publisher refused the *capability*, not the
-                // subscription (peer predates the fast path): fall back to
-                // plain TCP in this same attempt.
-                Err(RosError::Rejected(ref msg)) if msg.contains(FASTPATH_FIELD) => {}
-                Err(e) => {
-                    self.resume(Err(e), false, false);
-                    return;
-                }
+                Err(e) => self.resume(Err(e), false, false),
             }
+            return;
         }
         // The blocking connect+handshake goes through the connect gate;
         // everything after the handshake is nonblocking.
@@ -239,56 +222,52 @@ impl<D: Decode> Supervision<D> {
     }
 
     /// The gated blocking span of an attempt — TCP connect plus handshake
-    /// — then the hand-off of the established connection to the reactor.
-    /// Holds a connect slot for exactly the blocking part.
+    /// (TCPROS-style) — then the hand-off of the established connection to
+    /// the reactor. Holds a connect slot for exactly the blocking part.
     fn connect_step(self: Box<Self>) {
         let core = Arc::clone(&self.core);
-        let offer_shm = (!self.shm_blocked).then_some(self.token);
-        let established = core.connect_tcp(&self.ep, self.was_connected, offer_shm);
+        let mut request = ConnectionHeader::request(&core.topic, D::topic_type(), core.machine);
+        // The shm offer is withheld after a grant failed to attach, so the
+        // publisher serves this connection over plain TCP.
+        if core.config.enable_shm && !self.shm_blocked {
+            request = shm::offer(request, self.token);
+        }
+        // Request the field projection by its canonical spec. The grant is
+        // an exact echo; a publisher that predates projection (or cannot
+        // resolve the spec) simply omits the field and serves full frames.
+        if let Some(projection) = &core.projection {
+            request = request.with(PROJECT_FIELD, projection.spec());
+        }
+        let dialed = tcp::dial(self.ep.addr, &request, core.config.handshake_timeout);
         release_connect_slot();
-        let (stream, shm_grant, projected) = match established {
-            Ok(established) => established,
-            // `connect_tcp` can only fail before the handshake completes.
+        let (stream, reply) = match dialed {
+            Ok(dialed) => dialed,
             Err(e) => return self.resume(Err(e), false, false),
         };
+        core.count_handshake(self.was_connected);
+        // Steady state is nonblocking on every tier.
+        if let Err(e) = stream.set_nonblocking(true) {
+            return self.resume(Err(e.into()), false, false);
+        }
         let (reactor, token) = (runtime().reactor, self.token);
         let fd = stream.as_raw_fd();
-        if let Some(reply) = shm_grant {
-            // Any failure between the grant and a working reader —
-            // malformed grant fields, a `/proc` fd hand-off denied by the
-            // kernel's ptrace-scope policy, an epoch mismatch from a
-            // recycled publisher incarnation — is reported as an attach
-            // failure: the supervisor then redoes the handshake with the
-            // shm offer withheld and the publisher serves plain TCP,
-            // instead of re-granting a link this process can never attach.
-            match core.attach_shm(&reply) {
-                Ok(shm) => {
-                    let source = ShmSource {
-                        stream,
-                        shm,
-                        eof: false,
-                    };
-                    reactor.register_as(token, fd, true, false, Link::boxed(self, source));
+        if shm::granted(&reply) {
+            // Any failure between the grant and a working reader is
+            // reported as an attach failure: the supervisor then redoes the
+            // handshake with the shm offer withheld and the publisher serves
+            // plain TCP, instead of re-granting a link this process can
+            // never attach.
+            let loopback = core.master.links().fault(core.machine, core.machine);
+            match shm::attach::<D>(&reply, stream, loopback) {
+                Ok(source) => {
+                    reactor.register_as(token, fd, true, false, Link::boxed(self, source))
                 }
                 Err(e) => self.resume(Err(e), true, true),
             }
             return;
         }
-        // The connection key mirrors the writer's `conn_key(local, peer)`:
-        // our peer is its local address, so the pair (and hence the key)
-        // agrees. A reconnect gets a fresh ephemeral port and therefore a
-        // fresh key — sequence numbers restart cleanly.
-        let conn_key = match (stream.peer_addr(), stream.local_addr()) {
-            (Ok(peer), Ok(local)) => rossf_trace::conn_key(&peer.to_string(), &local.to_string()),
-            _ => 0,
-        };
-        let source: TcpSource<D> = TcpSource {
-            stream,
-            conn_key,
-            projected,
-            wire_seq: 0,
-            reader: FrameReader::new(core.config.max_frame_len),
-        };
+        let projection = core.projection.as_deref();
+        let source = tcp::source::<D>(stream, &reply, projection, core.config.max_frame_len);
         reactor.register_as(token, fd, true, false, Link::boxed(self, source));
     }
 
@@ -381,31 +360,37 @@ impl<D: Decode> SubCore<D> {
         }
     }
 
-    /// The one receive tail, shared by every tier: verify (optional),
-    /// adopt, account, invoke the callback — the end of the paper's
-    /// Fig. 9 reader loop — with one telescoping span per step. What
-    /// differs per tier is only how a frame is verified and adopted (the
-    /// two closures) and how its trace id was recovered: `span_start` is
-    /// that id (0 = untraced) plus the timestamp the `verify` span starts
-    /// from.
-    fn deliver<F>(
+    /// The one receive tail, shared by every tier: the span of the hop the
+    /// frame just crossed, verify (optional), adopt, account, invoke the
+    /// callback — the end of the paper's Fig. 9 reader loop — with one
+    /// telescoping span per step. What differs per tier is only how a frame
+    /// is verified and adopted (the two closures) and how its trace id was
+    /// recovered: `hop` is the hop's stage, the id (0 = untraced) and, when
+    /// the sender's stamp is usable on this clock, when the hop began.
+    // Inlined: every frame runs it, called from a source in another module
+    // (`pose_tcp_fanout2` lost 2–4 % of its throughput with it out of line).
+    #[inline]
+    pub(crate) fn deliver<F>(
         &self,
         tier: Tier,
+        hop: (Stage, u64, Option<u64>),
         len: usize,
-        span_start: (u64, u64),
         mut frame: F,
         verify: impl FnOnce(&mut F) -> bool,
         adopt: impl FnOnce(F) -> Result<D, RosError>,
     ) {
-        let (id, mut t_prev) = span_start;
+        let (hop, id, mut t_prev) = hop;
         let table = self.trace.as_deref().filter(|_| id != 0);
         let mut span = |stage: Stage| {
             if let Some(table) = table {
                 let t = now_nanos();
-                tracer().span(table, stage, tier, id, t_prev, t);
-                t_prev = t;
+                if let Some(t_prev) = t_prev {
+                    tracer().span(table, stage, tier, id, t_prev, t);
+                }
+                t_prev = Some(t);
             }
         };
+        span(hop);
         if self.config.validate_on_receive {
             if !verify(&mut frame) {
                 // Structurally corrupt: drop the frame without adopting
@@ -432,108 +417,14 @@ impl<D: Decode> SubCore<D> {
         }
     }
 
-    /// The receive-side spans of one frame begin: when this subscription
-    /// traces and the frame carries trace id `id`, record the hop's `stage`
-    /// from `since` (if the sender's stamp is usable) to now, and return
-    /// the `span_start` [`SubCore::deliver`] continues from.
-    fn hop_span(&self, tier: Tier, stage: Stage, id: u64, since: Option<u64>) -> (u64, u64) {
-        match self.trace.as_deref() {
-            Some(table) if id != 0 => {
-                let t = now_nanos();
-                if let Some(since) = since {
-                    tracer().span(table, stage, tier, id, since, t);
-                }
-                (id, t)
-            }
-            _ => (0, 0),
-        }
-    }
-
-    fn count_decode_error(&self) {
+    pub(crate) fn count_decode_error(&self) {
         self.decode_errors.fetch_add(1, Ordering::Relaxed);
         self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connect and handshake (TCPROS-style) with one TCP publisher endpoint
-    /// — the short, blocking prefix of a connection's life (runs on the job
-    /// pool). `offer_shm` is the attempt's token when the shm tier may be
-    /// offered. Returns the socket, nonblocking from here on, the reply
-    /// header when the publisher granted the shared-memory tier (`None` for
-    /// plain TCP), and whether the publisher granted our field projection
-    /// (meaningful only on the plain-TCP outcome; shm links always carry
-    /// full frames).
-    fn connect_tcp(
-        &self,
-        ep: &PublisherEndpoint,
-        is_reconnect: bool,
-        offer_shm: Option<Token>,
-    ) -> Result<(TcpStream, Option<ConnectionHeader>, bool), RosError> {
-        let mut request = ConnectionHeader::request(&self.topic, D::topic_type(), self.machine);
-        // Offer the shared-memory tier: the publisher grants it only when
-        // both sides share a machine and (normally) live in different
-        // processes, so the offer also carries our pid — and the reactor
-        // token of the handler that will drain the ring, which a publisher
-        // in this same process notifies directly as the link's doorbell.
-        // The offer is withheld after a grant failed to attach
-        // (`offer_shm == None`) so the publisher serves this connection
-        // over plain TCP.
-        if let Some(token) = offer_shm.filter(|_| self.config.enable_shm) {
-            request = request
-                .with(SHM_FIELD, "1")
-                .with(SHM_PID_FIELD, std::process::id().to_string())
-                .with(SHM_TOKEN_FIELD, token.raw().to_string());
-        }
-        // Request the field projection by its canonical spec. The grant is
-        // an exact echo; a publisher that predates projection (or cannot
-        // resolve the spec) simply omits the field and serves full frames.
-        if let Some(projection) = &self.projection {
-            request = request.with(PROJECT_FIELD, projection.spec());
-        }
-        let (stream, reply) = dial(ep.addr, &request, self.config.handshake_timeout)?;
-        self.count_handshake(is_reconnect);
-        // Steady state is nonblocking on every tier.
-        stream.set_nonblocking(true)?;
-        // Projection is granted only by an exact spec echo — anything else
-        // (no echo, a different spec) means full frames on this link.
-        let projected = self
-            .projection
-            .as_ref()
-            .is_some_and(|p| reply.get(PROJECT_FIELD) == Some(p.spec()));
-        // An shm grant means frames arrive as ring descriptors, not socket
-        // bytes; the socket stays open as the link's control plane — the
-        // doorbell, and the peer-is-gone signal.
-        let shm_grant = (reply.get(SHM_FIELD) == Some("1")).then_some(reply);
-        Ok((stream, shm_grant, projected))
-    }
-
-    /// Attach the shm link a reply grants. An attach denial latched on the
-    /// loopback link's
-    /// fault injector stands in for the real-world `/proc/<pid>/fd`
-    /// denials that cannot be provoked deterministically in a test.
-    fn attach_shm(&self, reply: &ConnectionHeader) -> Result<ShmReader, RosError> {
-        let field = |name: &str| -> Result<u64, RosError> {
-            reply
-                .get(name)
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| {
-                    RosError::Rejected(format!("malformed shm grant: bad `{name}` field"))
-                })
-        };
-        let pub_pid = field(SHM_PUB_PID_FIELD)? as u32;
-        let (ctrl_fd, epoch) = (field(SHM_FD_FIELD)? as i32, field(SHM_EPOCH_FIELD)?);
-        let injector = self.master.links().fault(self.machine, self.machine);
-        if injector.is_some_and(|f| f.attach_denied()) {
-            return Err(RosError::Io(std::io::Error::new(
-                std::io::ErrorKind::PermissionDenied,
-                "injected shm attach fault",
-            )));
-        }
-        ShmReader::connect(pub_pid, ctrl_fd, epoch).map_err(RosError::Io)
     }
 }
 
 /// What one [`Source::advance`] call produced.
-enum Progress {
+pub(crate) enum Progress {
     /// A complete frame was delivered (or deliberately discarded).
     Frame,
     /// Nothing more to take right now; the next event (readable socket,
@@ -548,7 +439,7 @@ enum Progress {
 /// The tier-specific half of a [`Link`]: where the next frame comes from
 /// and how it is verified and adopted. Everything runs on the reactor
 /// thread and must not block.
-trait Source<D: Decode>: Send + 'static {
+pub(crate) trait Source<D: Decode>: Send + 'static {
     /// A dispatch begins: take note of what `event` says before frames
     /// are pulled.
     fn wake(&mut self, _event: Event) {}
@@ -616,227 +507,6 @@ impl<D: Decode, S: Source<D>> Handler for Link<D, S> {
         // rest; the notify re-runs this handler after the other ready
         // links get their turn.
         ctl.notify_self();
-    }
-}
-
-/// The fast path's source: the receiving end of a transmission queue the
-/// publisher deposits already-encoded [`OutFrame`](crate::wire::OutFrame)s
-/// into, notifying this link's token after each. Frames are adopted via
-/// [`Decode::from_local_frame`] — for serialization-free messages the
-/// subscriber object points at the publisher's allocation.
-/// `validate_on_receive` and all metrics accounting mirror the socket
-/// path; injected faults were applied before the frame entered the queue.
-struct FastSource(LocalSinkHandle);
-
-impl<D: Decode> Source<D> for FastSource {
-    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
-        // Relaxed: standalone flag; the cut's notify orders it. A link the
-        // publisher's fault gate cut ends at once, with whatever it still
-        // queues; re-attach is refused until the link heals.
-        if !self.0.alive.load(Ordering::Relaxed) {
-            return Ok(Progress::Eof);
-        }
-        let frame = match self.0.rx.try_recv() {
-            Ok(frame) => frame,
-            Err(TryRecvError::Empty) => return Ok(Progress::Idle),
-            // Publisher gone.
-            Err(TryRecvError::Disconnected) => return Ok(Progress::Eof),
-        };
-        // Pointer handoff needs no sidecar: the trace id rides on the
-        // frame's own tag, and the queue dwell (plus any injected delay)
-        // is the `enqueue` span.
-        let tag = frame.trace();
-        let since = (tag.enqueued_ns != 0).then_some(tag.enqueued_ns);
-        let span_start = core.hop_span(Tier::Fastpath, Stage::Enqueue, tag.id, since);
-        let len = frame.len();
-        // There is no writer on this path: account the "send" at the
-        // moment of delivery so both paths report the same totals.
-        core.metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-        core.metrics
-            .bytes_sent
-            .fetch_add(len as u64, Ordering::Relaxed);
-        core.metrics.fastpath_frames.fetch_add(1, Ordering::Relaxed);
-        core.deliver(
-            Tier::Fastpath,
-            len,
-            span_start,
-            frame,
-            |frame| D::verify_frame(frame.as_slice()).is_ok(),
-            |frame| D::from_local_frame(&frame),
-        );
-        Ok(Progress::Frame)
-    }
-}
-
-/// The shared-memory tier's source: descriptors off the publisher's ring,
-/// frames mapped read-only straight out of the publisher's segments —
-/// zero subscriber-side payload copies for SFM messages. The handshake
-/// socket is the link's control plane and the fd this link is registered
-/// under: the publisher writes one byte on it when it pushes into a ring
-/// this side armed (a publisher in this same process notifies the token
-/// instead), and EOF on it means the publisher is gone even if it never
-/// managed to mark the ring closed (crash recovery).
-struct ShmSource {
-    stream: TcpStream,
-    shm: ShmReader,
-    /// The control socket reported EOF (or failed): no push will follow.
-    eof: bool,
-}
-
-impl<D: Decode> Source<D> for ShmSource {
-    fn wake(&mut self, event: Event) {
-        if !matches!(event, Event::Readable | Event::Closed) {
-            return;
-        }
-        // Doorbell bytes carry no information beyond the wake-up that
-        // brought us here; take them in bulk so the socket buffer never
-        // fills. The socket is level-triggered: whatever one read leaves
-        // behind (more bytes, the EOF after them) raises the next event.
-        use std::io::ErrorKind::{Interrupted, WouldBlock};
-        match (&self.stream).read(&mut [0u8; 256]) {
-            Ok(0) => self.eof = true,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), WouldBlock | Interrupted) => {}
-            Err(_) => self.eof = true,
-        }
-    }
-
-    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
-        // Read before the pop: whatever was committed before the ring
-        // closed (or the publisher died) is visible to a pop that follows
-        // seeing it, so an empty ring then is the end, not a race.
-        let ending = self.eof || self.shm.is_closed();
-        let frame = match self.shm.try_take() {
-            Ok(Some(frame)) => frame,
-            Ok(None) if ending => return Ok(Progress::Eof),
-            // Drained: arm the doorbell and look once more — the push that
-            // raced the arming rang nothing.
-            Ok(None) if self.shm.arm() => return Ok(Progress::Idle),
-            Ok(None) => return Ok(Progress::Frame),
-            Err(TakeError::Stale) => {
-                // Abandoned frame from a recycled publisher incarnation —
-                // counted like a decode failure.
-                core.count_decode_error();
-                return Ok(Progress::Frame);
-            }
-            // The ring can no longer be trusted to be in sync: tear the
-            // link down (retryable under backoff).
-            Err(TakeError::Corrupt(e)) => return Err(RosError::Io(e)),
-        };
-        let desc = *frame.descriptor();
-        // The descriptor's timestamps are on the *publisher's* trace clock,
-        // meaningful here only when the publisher is this same process (the
-        // `shm_same_process` bench mode); a cross-process link skips the
-        // span rather than mixing clocks.
-        let same_clock = self.shm.publisher_pid() == std::process::id() && desc.pushed_ns != 0;
-        let since = same_clock.then_some(desc.pushed_ns);
-        let span_start = core.hop_span(Tier::Shm, Stage::WireRead, desc.trace_id, since);
-        // A frame rejected by the verifier is dropped unadopted, which
-        // releases its segment reference; the ring stays in sync.
-        core.deliver(
-            Tier::Shm,
-            frame.len(),
-            span_start,
-            frame,
-            |frame| D::verify_frame(frame.as_slice()).is_ok(),
-            D::from_mapped_frame,
-        );
-        Ok(Progress::Frame)
-    }
-}
-
-/// The TCP tier's source: length-prefixed frames off a nonblocking socket,
-/// reassembled by a [`FrameReader`] straight into their receive slots.
-struct TcpSource<D: Decode> {
-    stream: TcpStream,
-    /// Sidecar rendezvous key shared with the writer (peer, local).
-    conn_key: u64,
-    /// The publisher granted `SubCore::projection` for this link: frames
-    /// are sliced sub-frames, verified with the projected verifier.
-    projected: bool,
-    /// Frames consumed off the stream, in wire order; counted
-    /// unconditionally so it stays in lockstep with the writer's count of
-    /// frames actually written.
-    wire_seq: u64,
-    reader: FrameReader<D>,
-}
-
-impl<D: Decode> Source<D> for TcpSource<D> {
-    fn wake(&mut self, _event: Event) {
-        self.reader.wake();
-    }
-
-    fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
-        match self.reader.advance(&mut &self.stream) {
-            Ok(Step::Frame { slot, len }) => {
-                self.deliver(core, slot, len);
-                Ok(Progress::Frame)
-            }
-            Ok(Step::Oversized) => {
-                // The frame still occupied a wire slot; consume its sidecar
-                // note so it does not accumulate.
-                core.count_decode_error();
-                if core.trace.is_some() {
-                    let _ = tracer().sidecar().take(self.conn_key, self.wire_seq);
-                }
-                self.wire_seq += 1;
-                Ok(Progress::Frame)
-            }
-            Ok(Step::Idle) => Ok(Progress::Idle),
-            Ok(Step::Eof) => Ok(Progress::Eof),
-            Err(e) => {
-                if matches!(e, RosError::FrameTooLarge { .. }) {
-                    core.metrics
-                        .frame_len_rejects
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
-    }
-}
-
-impl<D: Decode> TcpSource<D> {
-    /// A complete body sits in its slot: run the delivery tail of the
-    /// paper's Fig. 9 — recover the trace id, verify (optional), finish,
-    /// invoke the callback.
-    fn deliver(&mut self, core: &SubCore<D>, slot: D::Slot, len: usize) {
-        let seq = self.wire_seq;
-        self.wire_seq += 1;
-        // Recover the frame's trace id from the writer's sidecar note; the
-        // `wire_read` span starts at the writer's send timestamp. The last
-        // frame byte wakes this loop at the same moment the writer moves
-        // to stamp its completion time, so wait a bounded moment for the
-        // note to settle; if it still hasn't (writer preempted), only the
-        // id is recovered — measuring from the provisional write-start
-        // stamp would double-count `wire_write`. (A same-process writer
-        // shares this reactor thread, so its note is always settled by the
-        // time this dispatch runs — the wait only triggers cross-process.)
-        let note = core.trace.as_ref().and_then(|_| {
-            tracer()
-                .sidecar()
-                .take_settled(self.conn_key, seq, SIDECAR_SETTLE_WAIT)
-        });
-        let span_start = note.map_or((0, 0), |note| {
-            let since = note.settled.then_some(note.sent_ns);
-            core.hop_span(Tier::Tcp, Stage::WireRead, note.trace_id, since)
-        });
-        // A projected link carries sub-frames: unselected fields are
-        // deliberately zeroed, which the full verifier would accept but
-        // the projected verifier additionally *requires* — so corrupt
-        // leftovers in unselected pairs are caught, not adopted.
-        let projection = core.projection.as_deref().filter(|_| self.projected);
-        core.deliver(
-            Tier::Tcp,
-            len,
-            span_start,
-            slot,
-            |slot| match projection {
-                Some(projection) => projection.verify_projected(slot.as_mut_slice()).is_ok(),
-                None => D::verify_frame(slot.as_mut_slice()).is_ok(),
-            },
-            D::finish_slot,
-        );
     }
 }
 

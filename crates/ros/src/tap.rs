@@ -1,25 +1,27 @@
 //! Raw frame taps: observe a topic's already-encoded [`OutFrame`]s with
 //! zero encode and zero copy.
 //!
-//! A [`RawFrameTap`] is the capture primitive under the bag recorder. It
-//! attaches to every same-machine publisher of a topic through the same
-//! local-attach tier the fast path uses, so the frames it observes are the
-//! publisher's own `Arc`'d transmission-queue entries — pointer-identical
-//! to what live subscribers adopt, with no serialization or payload copy
-//! on the capture side.
+//! A [`RawFrameTap`] is the capture primitive under the bag recorder
+//! (`rossf_bag::Recorder`). It attaches to every same-machine publisher of
+//! a topic through the same local attach the fast path uses, so the frames
+//! it observes are the publisher's own `Arc`'d transmission-queue entries —
+//! pointer-identical to what live subscribers adopt, with no serialization
+//! or payload copy on the capture side.
 //!
 //! A tap is an *observer*, not a subscriber: it does not decode, does not
-//! count toward delivery metrics, and its link bypasses the publisher's
-//! fault gate (capture wants ground truth of what the publisher emitted,
-//! not what a lossy link let through). Publishers still see it as one more
-//! fast-path attachment, which is exactly the cost model recording
-//! advertises: one extra bounded queue per publisher, no extra encode.
+//! count toward delivery metrics, and its link has no fault gate — capture
+//! wants ground truth of what the publisher emitted, not what a lossy link
+//! let through, so a severed link neither refuses nor cuts a tap: only
+//! the publisher's departure, or the tap's, ends an attachment. Publishers
+//! still see it as one more fast-path attachment, which is exactly the
+//! cost model recording advertises: one extra bounded queue per publisher,
+//! no extra encode.
 
 use crate::error::RosError;
-use crate::fastpath::LocalSinkHandle;
 use crate::master::{Master, PublisherEndpoint};
 use crate::node::NodeHandle;
 use crate::subscriber::FRAMES_PER_DISPATCH;
+use crate::tier::fastpath::LocalSinkHandle;
 use crate::wire::OutFrame;
 use crossbeam::channel::TryRecvError;
 use parking_lot::Mutex;
@@ -28,11 +30,6 @@ use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How long a link waits before trying a publisher again after a transient
-/// refusal or a cut attachment (a severed loopback link refuses attaches
-/// until it heals).
-const REATTACH_AFTER: Duration = Duration::from_millis(5);
 
 type Callback = Box<dyn Fn(&OutFrame) + Send + Sync>;
 
@@ -128,15 +125,15 @@ impl RawFrameTap {
         Ok(RawFrameTap { shared, watch_id })
     }
 
-    /// Number of successful publisher attachments so far (re-attachments
-    /// included). Callers that know the publisher count can poll this to
-    /// ensure capture is live before publishing.
+    /// Number of successful publisher attachments so far. Callers that know
+    /// the publisher count can poll this to ensure capture is live before
+    /// publishing.
     pub fn attached(&self) -> u64 {
         self.shared.attached.load(Ordering::Acquire)
     }
 
     /// Publishers that could not be tapped (remote machine, fast path
-    /// disabled, or capability refused). Their frames are not captured.
+    /// disabled, or type refused). Their frames are not captured.
     pub fn skipped(&self) -> u64 {
         self.shared.skipped.load(Ordering::Acquire)
     }
@@ -177,10 +174,9 @@ impl Drop for RawFrameTap {
     }
 }
 
-/// Put one publisher endpoint's link on the reactor. Called from the
-/// master's watcher (the registering publisher's thread) and from the
-/// attach-time snapshot; the attach itself happens on the loop thread, at
-/// the link's first event.
+/// Attach to one publisher endpoint and put the link on the reactor.
+/// Called from the master's watcher (the registering publisher's thread)
+/// and from the attach-time snapshot.
 fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
     if ep.machine != shared.machine {
         // Remote publishers have no local port to tap. Recording them
@@ -189,27 +185,44 @@ fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
         shared.skipped.fetch_add(1, Ordering::Release);
         return;
     }
+    let (master, topic) = (&shared.master, &shared.topic);
     let reactor = runtime().reactor;
     let token = reactor.reserve();
-    shared.links.lock().push(token);
-    let link = TapLink {
-        shared: Arc::clone(shared),
-        ep,
-        sink: None,
+    // The attach a fast-path subscriber makes, so the publisher-side
+    // validation and accounting are identical — but for a link without a
+    // fault gate. No local port means the publisher is gone, or never
+    // offered the fast path (enable_fastpath=false).
+    let attached = master
+        .local_port(ep.id)
+        .map(|port| port.attach_local(&shared.type_name, token, true));
+    let skipped = match attached {
+        Some(Ok(sink)) => {
+            shared.links.lock().push(token);
+            shared.attached.fetch_add(1, Ordering::Release);
+            let link = TapLink {
+                shared: Arc::clone(shared),
+                sink,
+            };
+            return reactor.attach(token, Box::new(link));
+        }
+        // Permanent refusal (type): give up on this publisher but keep the
+        // tap alive for others.
+        Some(Err(RosError::Rejected(_))) => true,
+        // The publisher is shutting down.
+        Some(Err(_)) => false,
+        None => master.lookup_publisher(topic, ep.id).is_some(),
     };
-    reactor.attach(token, Box::new(link));
+    if skipped {
+        shared.skipped.fetch_add(1, Ordering::Release);
+    }
 }
 
-/// One publisher's attachment as a reactor handler: attach (and re-attach
-/// across transient failures while the publisher stays registered), then
-/// pump every frame the publisher deposits into the callback. The
-/// publisher notifies this handler's token after each deposit.
+/// One publisher's attachment as a reactor handler: pump every frame the
+/// publisher deposits into the callback. The publisher notifies this
+/// handler's token after each deposit, and once more when it goes.
 struct TapLink {
     shared: Arc<TapShared>,
-    ep: PublisherEndpoint,
-    /// The live attachment; `None` before the first attach and between a
-    /// cut attachment and its re-attach timer.
-    sink: Option<LocalSinkHandle>,
+    sink: LocalSinkHandle,
 }
 
 impl TapLink {
@@ -217,47 +230,6 @@ impl TapLink {
     fn leave(&mut self, ctl: &mut Ctl) {
         self.shared.links.lock().retain(|t| *t != ctl.token());
         ctl.close();
-    }
-
-    /// Try to attach; `true` means the attachment is live. Otherwise the
-    /// link has either armed its retry timer (transient refusal, publisher
-    /// still registered) or left for good.
-    fn attach(&mut self, ctl: &mut Ctl) -> bool {
-        let shared = Arc::clone(&self.shared);
-        let (master, topic) = (&shared.master, &shared.topic);
-        let registered = master.lookup_publisher(topic, self.ep.id).is_some();
-        // The same handshake a fast-path subscriber performs, so the
-        // publisher-side validation and accounting are identical — but for
-        // a link without a fault gate. No local attach hook means the
-        // publisher is gone, or never offered the fast path
-        // (enable_fastpath=false).
-        let (type_name, machine, token) = (&shared.type_name, shared.machine, ctl.token());
-        let attached = master
-            .local_port(self.ep.id)
-            .map(|port| LocalSinkHandle::attach(port, topic, type_name, machine, token, true));
-        let skipped = match attached {
-            Some(Ok(sink)) => {
-                shared.attached.fetch_add(1, Ordering::Release);
-                self.sink = Some(sink);
-                return true;
-            }
-            // Permanent refusal (capability/type): give up on this
-            // publisher but keep the tap alive for others.
-            Some(Err(RosError::Rejected(_))) => true,
-            // Transient (severed link, teardown in progress): retry while
-            // the publisher stays registered.
-            Some(Err(_)) if registered => {
-                ctl.arm_timer(REATTACH_AFTER);
-                return false;
-            }
-            Some(Err(_)) => false,
-            None => registered,
-        };
-        if skipped {
-            shared.skipped.fetch_add(1, Ordering::Release);
-        }
-        self.leave(ctl);
-        false
     }
 }
 
@@ -270,24 +242,15 @@ impl Handler for TapLink {
         let Some(cb) = cb.as_ref() else {
             return self.leave(ctl);
         };
-        if self.sink.is_none() && !self.attach(ctl) {
-            return;
-        }
-        let sink = self.sink.as_ref().expect("attached above");
         for _ in 0..FRAMES_PER_DISPATCH {
-            match sink.rx.try_recv() {
+            match self.sink.rx.try_recv() {
                 Ok(frame) => {
                     shared.frames_seen.fetch_add(1, Ordering::Release);
                     cb(&frame);
                 }
                 Err(TryRecvError::Empty) => return,
-                Err(TryRecvError::Disconnected) => {
-                    // The attachment was cut. Re-attach while the publisher
-                    // stays registered (e.g. once a severed link heals),
-                    // otherwise stand down.
-                    self.sink = None;
-                    return ctl.arm_timer(REATTACH_AFTER);
-                }
+                // Nothing cuts a tap's link: the publisher is gone.
+                Err(TryRecvError::Disconnected) => return self.leave(ctl),
             }
         }
         // Batch cap hit with frames remaining: yield the shared loop.
@@ -457,6 +420,39 @@ mod tests {
         });
         let survivors = [bases[0], bases[2], bases[3], bases[4]];
         assert_eq!(*received.lock().unwrap(), survivors);
+    }
+
+    /// A tap's link has no gate from its first moment: a tap attached
+    /// while the loopback link is severed is neither refused nor cut, and
+    /// captures what the publisher emits during the sever.
+    #[test]
+    fn a_severed_link_neither_refuses_nor_starves_a_tap() {
+        let master = Master::new();
+        let fault = master.links().inject(MachineId::A, MachineId::A);
+        fault.sever_now();
+        let nh = NodeHandle::new(&master, "tap_severed");
+        let publisher = nh
+            .advertise_with::<SfmBox<TapMsg>>("tap/severed", PublisherOptions::new().queue_size(8));
+        let count = Arc::new(AtomicUsize::new(0));
+        let count_cb = Arc::clone(&count);
+        let tap = RawFrameTap::attach(&nh, "tap/severed", "test/TapMsg", move |_| {
+            count_cb.fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        assert!(
+            tap.wait_attached(1, Duration::from_secs(1)),
+            "the severed link refused the tap"
+        );
+        let mut msg = SfmBox::<TapMsg>::new();
+        msg.data.resize(4);
+        for _ in 0..3 {
+            publisher.publish(&msg);
+        }
+        wait_until(
+            "the tap captured the frames published during the sever",
+            || count.load(Ordering::Relaxed) == 3,
+        );
+        assert!(fault.is_severed());
     }
 
     #[test]

@@ -123,25 +123,6 @@ impl OutFrame {
     }
 }
 
-/// Kernel socket buffer size requested for every data-path TCP link.
-///
-/// Nonblocking sockets move at most one kernel buffer per reactor round
-/// trip (write → EAGAIN → EPOLLOUT → write), and TCP's *initial* buffers
-/// are tens of kilobytes — a 6 MB frame would take hundreds of loop
-/// iterations before auto-tuning catches up. Pre-sizing both directions
-/// lets a paper-scale frame cross in a handful of syscalls. The kernel
-/// clamps the request to `net.core.{w,r}mem_max`, and buffer memory is
-/// only consumed by bytes actually queued, so idle links cost nothing.
-const SOCK_BUF_BYTES: usize = 4 << 20;
-
-/// Best-effort growth of `stream`'s kernel buffers to [`SOCK_BUF_BYTES`].
-///
-/// Failure is ignored: an untuned socket is slower, never incorrect.
-pub(crate) fn grow_socket_buffers(stream: &std::net::TcpStream) {
-    use std::os::fd::AsRawFd;
-    let _ = rossf_sys::set_socket_buffers(stream.as_raw_fd(), SOCK_BUF_BYTES);
-}
-
 /// Validate that a payload length fits the 4-byte frame prefix.
 ///
 /// # Errors

@@ -9,9 +9,9 @@
 //! cargo run --example bag_tools
 //! ```
 
+use rossf::bag::{Recorder, ReplayOptions, Replayer};
 use rossf::prelude::*;
 use rossf_ros::time::RosTime;
-use rossf_ros::{Recorder, ReplayOptions, Replayer};
 use rossf_sfm::SfmBox;
 use std::sync::mpsc;
 use std::time::Duration;

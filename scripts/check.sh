@@ -2,6 +2,8 @@
 # Full local gate: build, tests, lints, formatting. Run before every push.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# without_tests: the Rust of the given files without their #[cfg(test)] modules.
+source scripts/loc.sh
 
 # results/ has one writer, scripts/figures.sh; the last step checks that no
 # gate below touched it.
@@ -53,9 +55,22 @@ cargo run -q --release -p rossf-bench --bin bag_gate -- --smoke
 echo "==> rossf-lint (unsafe/SeqCst annotations, asm confined to crates/sys, Drop hygiene, thread-spawn allowlist)"
 cargo run -q --release -p rossf-lint --bin rossf-lint -- .
 
+ros_sources=$(find crates/ros/src -name '*.rs' | sort)
+
 echo "==> no 20 ms poll and no blocking queue read left in crates/ros/src (every link is a reactor handler)"
-if for f in crates/ros/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'from_millis(20)\|recv_timeout' | sed "s|^|$f:|"; done | grep .; then
+if for f in $ros_sources; do without_tests "$f" | grep 'from_millis(20)\|recv_timeout' | sed "s|^|$f: |"; done | grep .; then
     echo "FAIL: a poll interval or blocking receive is back in the transport"; exit 1
+fi
+
+echo "==> one module per tier (a tier's writer, source and shm vocabulary are named only in crates/ros/src/tier/<tier>.rs)"
+tier_names='tcp:TcpWriter tcp:TcpSource fastpath:FastSource shm:SHM_ shm:peer_gone shm:Doorbell shm:RingCtl shm:ShmSource shm:ShmLink shm:ShmReader'
+if for f in $ros_sources; do
+    for pair in $tier_names; do
+        [ "$f" = "crates/ros/src/tier/${pair%%:*}.rs" ] ||
+            without_tests "$f" | grep -F -- "${pair#*:}" | sed "s|^|$f: |"
+    done
+done | grep .; then
+    echo "FAIL: a tier's type or vocabulary is named outside its module under crates/ros/src/tier/"; exit 1
 fi
 
 echo "==> one definition per message (every struct under crates/msg/src is generated from crates/idl/msg)"
@@ -68,7 +83,7 @@ sites=$(scripts/loc.sh | sed -n 's/^next_frame_action call sites *//p')
 if [ "$sites" -gt 1 ]; then
     echo "FAIL: FaultInjector::next_frame_action has $sites non-test call sites; only the Gate may ask"; exit 1
 fi
-if for f in crates/ros/src/*.rs; do sed '/#\[cfg(test)\]/,$d' "$f" |
+if for f in $ros_sources; do without_tests "$f" |
     awk -v f="$f" '/^impl Gate \{/ { gate = 1 } gate && /^}/ { gate = 0 } !gate && /FaultAction::/ { print f ": " $0 }'
 done | grep .; then
     echo "FAIL: a fault verdict is acted on outside the Gate"; exit 1

@@ -8,7 +8,7 @@
 # module does not hide the code after it. Each message module under
 # crates/msg/src has exactly one test module, at its end.
 set -euo pipefail
-cd "$(dirname "$0")/.."
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 code_lines() { # non-blank, non-comment lines of every .rs file under $1
     find "$1" -name '*.rs' -print0 | xargs -0 cat | grep -v '^\s*$' | grep -vc '^\s*//' || true
@@ -27,6 +27,8 @@ occurrences() { # fixed-string occurrences (not lines) in the Rust sources under
     local pat=$1; shift
     { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
 }
+# Sourced (scripts/check.sh does), the helpers above are all this file does.
+[[ ${BASH_SOURCE[0]} == "$0" ]] || return 0
 
 echo "code lines (non-blank, non-comment) per source directory, whole files | without #[cfg(test)] modules:"
 total=0 system=0
@@ -50,6 +52,12 @@ printf '%-24s %3d\n' 'hand-declared Sfm structs' \
 # One fault gate per link: the injector's verdict is asked for in one place.
 printf '%-24s %3d\n' 'next_frame_action call sites' \
     "$({ without_tests crates/*/src | grep -o '\.next_frame_action(' || true; } | wc -l)"
+
+# One module per tier: both halves of a link live in crates/ros/src/tier/<tier>.rs.
+for f in crates/ros/src/tier/*.rs; do
+    printf '%-24s %3d\n' "tier ${f##*/} non-test" "$(system_lines "$f")"
+done
+printf '%-24s %3d\n' 'pub(crate) ros/src' "$({ grep -r 'pub(crate)' crates/ros/src || true; } | wc -l)"
 
 for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_os'; do
     printf '%-24s %3d\n' "$pat" "$(occurrences "$pat" crates tests examples src)"

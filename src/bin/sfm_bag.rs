@@ -15,12 +15,13 @@
 //!
 //! Exit status: 0 on success, 1 on any rejection or usage error.
 
-use rossf::bag::{fnv1a64, schema_hash, BagReader, BagWriter, OpenMode};
+use rossf::bag::{
+    fnv1a64, schema_hash, BagReader, BagWriter, OpenMode, Recorder, ReplayOptions, Replayer,
+};
 use rossf::prelude::*;
 use rossf_msg::nav_msgs::SfmOdometry;
 use rossf_msg::sensor_msgs::{SfmLaserScan, SfmPointCloud2};
 use rossf_ros::time::RosTime;
-use rossf_ros::{Recorder, ReplayOptions, Replayer};
 use rossf_sfm::SfmMessage;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};

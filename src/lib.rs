@@ -18,9 +18,8 @@
 //! * [`checker`] — the ROS-SF Converter-style applicability checker
 //!   (Table 1).
 //! * [`slam`] — the ORB-SLAM-like case-study pipeline (Figs. 17–18).
-//! * [`bag`] — zero-copy indexed record/replay of SFM frames (the
-//!   `sfm_bag` CLI drives it; `rossf_ros::Recorder`/`Replayer` wire it
-//!   into live topics).
+//! * [`bag`] — zero-copy indexed record/replay of SFM frames, and its
+//!   `Recorder`/`Replayer` for live topics (the `sfm_bag` CLI drives it).
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the system
 //! inventory and experiment index.
