@@ -4,12 +4,12 @@
 //!
 //! The pool is deliberately tiny (a handful of threads, independent of
 //! link count) — it bounds the process's thread count while the reactor
-//! carries all steady-state I/O. Jobs are short-lived by contract;
-//! long-lived loops (a subscriber's shm and fast-path consumers, which
-//! block on a ring or a channel rather than an fd) own their threads
-//! instead.
+//! carries all steady-state I/O, every link's consumer included. Jobs are
+//! short-lived by contract.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use parking_lot::Mutex;
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -17,33 +17,29 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 ///
 /// Cloning shares the queue; the workers exit when every handle is gone
 /// and the queue drains.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct JobPool {
     tx: Sender<Job>,
     workers: usize,
-}
-
-impl std::fmt::Debug for JobPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobPool")
-            .field("workers", &self.workers)
-            .field("queued", &self.tx.len())
-            .finish()
-    }
 }
 
 impl JobPool {
     /// Spawn `workers` threads (at least one) named `<name>-<i>`.
     pub fn new(workers: usize, name: &str) -> JobPool {
         let workers = workers.max(1);
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = channel::<Job>();
+        // The workers share the one receiver: whoever holds the lock waits
+        // for the next job, and runs it after letting go.
+        let rx = Arc::new(Mutex::new(rx));
         for i in 0..workers {
-            let rx: Receiver<Job> = rx.clone();
+            let rx = Arc::clone(&rx);
             std::thread::Builder::new()
                 .name(format!("{name}-{i}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        job();
+                .spawn(move || loop {
+                    let next = rx.lock().recv();
+                    match next {
+                        Ok(job) => job(),
+                        Err(_) => return,
                     }
                 })
                 .expect("spawn pool worker");
@@ -62,11 +58,6 @@ impl JobPool {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Jobs queued but not yet picked up.
-    pub fn backlog(&self) -> usize {
-        self.tx.len()
     }
 }
 
@@ -99,7 +90,7 @@ mod tests {
     fn zero_workers_is_clamped_to_one() {
         let pool = JobPool::new(0, "clamped");
         assert_eq!(pool.workers(), 1);
-        let (tx, rx) = crossbeam::channel::bounded(1);
+        let (tx, rx) = std::sync::mpsc::channel();
         pool.spawn(move || {
             tx.send(42u32).unwrap();
         });

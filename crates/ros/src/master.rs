@@ -10,7 +10,6 @@
 use crate::error::RosError;
 use crate::metrics::MetricsRegistry;
 use crate::publisher::PubCore;
-use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 use rossf_netsim::{LinkTable, MachineId};
 use std::collections::HashMap;
@@ -248,30 +247,6 @@ impl Master {
         self.inner.local_ports[id_shard(id)].lock().remove(&id);
     }
 
-    /// Register interest in `topic`: returns the current publishers, a
-    /// channel yielding future ones, and a watcher id for
-    /// [`Master::unregister_subscriber`]. A convenience wrapper over the
-    /// crate's watcher-callback registration for callers that want to poll
-    /// a channel; the channel's send doubles as the watcher's liveness.
-    ///
-    /// # Errors
-    ///
-    /// [`RosError::TypeMismatch`] if the topic already carries a different
-    /// type.
-    pub fn register_subscriber(
-        &self,
-        topic: &str,
-        type_name: &str,
-    ) -> Result<(Vec<PublisherEndpoint>, Receiver<PublisherEndpoint>, u64), RosError> {
-        let (tx, rx) = unbounded();
-        let (eps, id) = self.register_subscriber_watch(
-            topic,
-            type_name,
-            Arc::new(move |ep| tx.send(ep).is_ok()),
-        )?;
-        Ok((eps, rx, id))
-    }
-
     /// Register interest in `topic`: returns the current publishers plus a
     /// watcher id, and invokes `watch` for every publisher that registers
     /// later. The callback runs on the registering publisher's thread,
@@ -324,8 +299,8 @@ impl Master {
     /// still registered. Subscriber supervisors poll this after a
     /// connection dies: `Some` means the publisher should be reachable
     /// again (reconnect with backoff); `None` means it unregistered and the
-    /// supervisor can stand down (a replacement arrives via the watcher
-    /// channel with a fresh id).
+    /// supervisor can stand down (a replacement arrives through the
+    /// watcher callback with a fresh id).
     pub fn lookup_publisher(&self, topic: &str, id: u64) -> Option<PublisherEndpoint> {
         self.inner.topics[topic_shard(topic)]
             .lock()
@@ -423,6 +398,12 @@ mod tests {
     use crate::publisher::Publisher;
     use crate::traits::{Encode, TopicType};
     use crate::wire::OutFrame;
+    use std::sync::mpsc;
+
+    /// A watcher that ignores every later publisher.
+    fn ignore() -> WatchFn {
+        Arc::new(|_| true)
+    }
 
     fn addr(port: u16) -> SocketAddr {
         format!("127.0.0.1:{port}").parse().unwrap()
@@ -434,7 +415,9 @@ mod tests {
         let id = m
             .register_publisher("t", "sensor_msgs/Image", addr(1000), MachineId::A)
             .unwrap();
-        let (eps, _rx, _sid) = m.register_subscriber("t", "sensor_msgs/Image").unwrap();
+        let (eps, _sid) = m
+            .register_subscriber_watch("t", "sensor_msgs/Image", ignore())
+            .unwrap();
         assert_eq!(eps.len(), 1);
         assert_eq!(eps[0].id, id);
         assert_eq!(m.publisher_count("t"), 1);
@@ -443,7 +426,9 @@ mod tests {
     #[test]
     fn subscriber_then_publisher_notified_via_channel() {
         let m = Master::new();
-        let (eps, rx, _sid) = m.register_subscriber("t", "T").unwrap();
+        let (tx, rx) = mpsc::channel();
+        let watch = Arc::new(move |ep| tx.send(ep).is_ok());
+        let (eps, _sid) = m.register_subscriber_watch("t", "T", watch).unwrap();
         assert!(eps.is_empty());
         let id = m
             .register_publisher("t", "T", addr(1234), MachineId::B)
@@ -463,7 +448,7 @@ mod tests {
             Err(RosError::TypeMismatch { .. })
         ));
         assert!(matches!(
-            m.register_subscriber("t", "B"),
+            m.register_subscriber_watch("t", "B", ignore()),
             Err(RosError::TypeMismatch { .. })
         ));
         assert_eq!(m.topic_type("t").unwrap(), "A");
@@ -496,9 +481,11 @@ mod tests {
     #[test]
     fn unregister_subscriber_closes_watcher_channel() {
         let m = Master::new();
-        let (_, rx, sid) = m.register_subscriber("t", "T").unwrap();
+        let (tx, rx) = mpsc::channel::<PublisherEndpoint>();
+        let watch = Arc::new(move |ep| tx.send(ep).is_ok());
+        let (_, sid) = m.register_subscriber_watch("t", "T", watch).unwrap();
         m.unregister_subscriber("t", sid);
-        // Channel sender dropped → receiver sees disconnect.
+        // Watcher dropped with its sender → receiver sees disconnect.
         assert!(rx.recv().is_err());
     }
 
@@ -569,7 +556,9 @@ mod tests {
         let config = TransportConfig::default();
         let publisher = Publisher::<T>::create_with(&scratch, "t", options, MachineId::A, config)
             .expect("advertise on a scratch master");
-        let (eps, _, _) = scratch.register_subscriber("t", "T").unwrap();
+        let (eps, _) = scratch
+            .register_subscriber_watch("t", "T", ignore())
+            .unwrap();
         let core = scratch.local_port(eps[0].id);
         drop(publisher);
         core.expect("the fast path registers a local port")

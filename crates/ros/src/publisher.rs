@@ -11,15 +11,18 @@
 //! a same-process attach), and is spliced into the fan-out list with a sink
 //! of one of two kinds:
 //!
-//! * a **queue** — a bounded channel, drained on the process-wide
-//!   [reactor](rossf_reactor) by the TCP tier's writer or by a
-//!   same-process subscriber's fast-path handler; `publish` notifies the
-//!   drainer's token after each deposit;
+//! * a **queue** — a [`QueueTx`]/[`QueueRx`] pair over one bounded
+//!   `VecDeque`, drained on the process-wide [reactor](rossf_reactor) by
+//!   the TCP tier's writer, a same-process subscriber's fast-path handler
+//!   or a capture tap; `publish` notifies the drainer's token after each
+//!   deposit;
 //! * a **ring** — the shm tier's descriptor ring, which *is* the queue.
 //!
+//! Either sink also says whether its link lives: nothing beside it does.
 //! Both halves of each tier's link live in one module under `crate::tier`;
 //! this one knows a tier only through the three sink operations
-//! `Conn::{wrap, deposit, cut}`, and no tier costs either side a thread.
+//! `Conn::{wrap, deposit, cut}` and the liveness query `Conn::is_live`, and
+//! no tier costs either side a thread.
 //! Any [`FaultInjector`](rossf_netsim::FaultInjector) attached to the link
 //! is applied where the frame enters the link, by the link's one [`Gate`],
 //! which `fan_out` consults once per frame in publish order on every tier:
@@ -34,12 +37,10 @@ use crate::loan::LoanedMessage;
 use crate::master::Master;
 use crate::metrics::TransportMetrics;
 use crate::options::{PublisherOptions, PublisherStats};
-use crate::tier::fastpath::LocalSinkHandle;
 use crate::tier::shm::{self, Ring};
 use crate::tier::tcp::{self, accept_handshake, Acceptor};
 use crate::traits::Encode;
 use crate::wire::{ConnectionHeader, OutFrame, PROJECT_FIELD};
-use crossbeam::channel::{bounded, Sender, TrySendError};
 use parking_lot::Mutex;
 use rossf_netsim::{FaultAction, FaultInjector, MachineId};
 use rossf_reactor::{runtime, Reactor, Token};
@@ -56,9 +57,8 @@ use std::time::Duration;
 
 /// One subscriber link as `fan_out` sees it.
 struct Conn {
-    alive: Arc<AtomicBool>,
     /// Reactor registration of the handler this link's events go to — the
-    /// TCP writer or the fast-path subscriber draining `sink`, or a shm
+    /// TCP writer, fast-path subscriber or tap draining `sink`, or a shm
     /// link's control socket. A deposit notifies a queue's drainer, a cut
     /// notifies any handler, and `Drop` notifies every token after closing
     /// the queues and rings so each handler observes the disconnect.
@@ -70,12 +70,135 @@ struct Conn {
     gate: Option<Gate>,
 }
 
-/// Where a link's frames wait for the subscriber.
+/// Where a link's frames wait for the subscriber, and what says whether the
+/// link lives.
 enum Sink {
-    /// A bounded channel (TCP and fast path); dropping it closes the queue.
-    Queue(Sender<OutFrame>),
+    /// A bounded queue (TCP, fast path, tap); dropping it closes the queue.
+    Queue(QueueTx),
     /// A shm link's descriptor ring; dropping it tears the link down.
     Ring(Arc<Ring>),
+}
+
+/// A queue link's transmission queue (paper Fig. 8), shared by its two
+/// halves: `fan_out` pushes the link's clone of each frame through the
+/// [`QueueTx`], and the link's drainer on the reactor pops it through the
+/// [`QueueRx`]. Neither side ever waits on it, so it has no condition
+/// variable; its one state is the link's liveness.
+struct LinkQueue {
+    frames: Mutex<VecDeque<OutFrame>>,
+    capacity: usize,
+    /// [`OPEN`], [`CLOSED`] or [`DEAD`]; it only ever rises.
+    state: AtomicU8,
+}
+
+/// Both halves are in place.
+const OPEN: u8 = 0;
+/// The publisher's half is gone: the drainer delivers the tail, then ends.
+const CLOSED: u8 = 1;
+/// The link was cut, or the drainer left: it ends now, tail and all.
+const DEAD: u8 = 2;
+
+/// The two halves of a new queue link holding at most `capacity` frames.
+pub(crate) fn link_queue(capacity: usize) -> (QueueTx, QueueRx) {
+    let queue = Arc::new(LinkQueue {
+        frames: Mutex::new(VecDeque::new()),
+        capacity,
+        state: AtomicU8::new(OPEN),
+    });
+    (QueueTx(Arc::clone(&queue)), QueueRx(queue))
+}
+
+impl LinkQueue {
+    fn state(&self) -> u8 {
+        // Acquire: pairs with the Release of the close (`QueueTx`'s drop)
+        // and of `kill`, so a drainer that sees the queue closed sees every
+        // frame pushed before it.
+        self.state.load(Ordering::Acquire)
+    }
+
+    fn kill(&self) {
+        self.state.fetch_max(DEAD, Ordering::Release);
+    }
+}
+
+/// The publisher's half of a queue link; dropping it closes the queue.
+pub(crate) struct QueueTx(Arc<LinkQueue>);
+
+/// What became of one frame pushed into a queue.
+pub(crate) enum Push {
+    /// Queued; the depth the push left, this frame included.
+    Depth(usize),
+    /// The queue is at capacity: the frame is handed back.
+    Full(OutFrame),
+    /// The link is dead.
+    Dead,
+}
+
+impl QueueTx {
+    /// Queue `frame` under one acquisition of the queue's lock.
+    #[inline]
+    pub(crate) fn push(&self, frame: OutFrame) -> Push {
+        if self.0.state() == DEAD {
+            return Push::Dead;
+        }
+        let mut frames = self.0.frames.lock();
+        if frames.len() >= self.0.capacity {
+            return Push::Full(frame);
+        }
+        frames.push_back(frame);
+        Push::Depth(frames.len())
+    }
+}
+
+impl Drop for QueueTx {
+    fn drop(&mut self) {
+        // Release: pairs with the drainer's Acquire in `LinkQueue::state`.
+        self.0.state.fetch_max(CLOSED, Ordering::Release);
+    }
+}
+
+/// The drainer's half of a queue link, held by the TCP tier's writer, the
+/// fast path's source or a capture tap; dropping it ends the link.
+pub(crate) struct QueueRx(Arc<LinkQueue>);
+
+/// What one [`QueueRx::pop`] found.
+pub(crate) enum Pop {
+    /// The oldest queued frame.
+    Frame(OutFrame),
+    /// Nothing queued; the next deposit notifies the drainer.
+    Empty,
+    /// The link is over: the publisher left and the tail is drained, or
+    /// the link was cut.
+    Ended,
+}
+
+impl QueueRx {
+    /// Take the oldest queued frame.
+    pub(crate) fn pop(&self) -> Pop {
+        // Read before the pop: an empty queue seen after the close is the
+        // end, not a race with a last push.
+        let state = self.0.state();
+        if state == DEAD {
+            return Pop::Ended;
+        }
+        match self.0.frames.lock().pop_front() {
+            Some(frame) => Pop::Frame(frame),
+            None if state == CLOSED => Pop::Ended,
+            None => Pop::Empty,
+        }
+    }
+
+    /// Whether the publisher cut the link: it ends at once, with whatever
+    /// the drainer still holds.
+    pub(crate) fn is_cut(&self) -> bool {
+        self.0.state() == DEAD
+    }
+}
+
+impl Drop for QueueRx {
+    fn drop(&mut self) {
+        self.0.kill();
+    }
 }
 
 /// One publish's frame in the form a sink takes it.
@@ -137,14 +260,14 @@ impl Conn {
     #[inline]
     fn deposit(&self, core: &PubCore, parcel: Parcel) -> Deposit {
         match (&self.sink, parcel) {
-            (Sink::Queue(queue), Parcel::Frame(frame)) => match queue.try_send(frame) {
-                Ok(()) => {
-                    core.metrics.observe_queue_depth(queue.len() as u64);
+            (Sink::Queue(queue), Parcel::Frame(frame)) => match queue.push(frame) {
+                Push::Depth(depth) => {
+                    core.metrics.observe_queue_depth(depth as u64);
                     core.reactor.notify(self.token);
                     Deposit::Taken
                 }
-                Err(TrySendError::Full(frame)) => Deposit::Full(Some(Parcel::Frame(frame))),
-                Err(TrySendError::Disconnected(_)) => Deposit::Dead,
+                Push::Full(frame) => Deposit::Full(Some(Parcel::Frame(frame))),
+                Push::Dead => Deposit::Dead,
             },
             (Sink::Ring(ring), Parcel::Shared(sf, meta)) => ring.commit(&core.reactor, sf, meta),
             _ => unreachable!("a parcel is deposited in the sink that wrapped it"),
@@ -152,16 +275,24 @@ impl Conn {
     }
 
     /// Cut the link at once, like a yanked cable: whatever it still holds
-    /// is lost. A queue's drainer finds the link dead at its next event —
+    /// is lost. A queue's drainer finds the link ended at its next event —
     /// the TCP writer shuts its socket, the fast-path source concludes; a
     /// ring is torn down and its control handler hangs up.
     fn cut(&self, core: &PubCore) {
         match &self.sink {
-            // Release: pairs with the pruners' Acquire loads.
-            Sink::Queue(_) => self.alive.store(false, Ordering::Release),
+            Sink::Queue(queue) => queue.0.kill(),
             Sink::Ring(ring) => ring.teardown(),
         }
         core.reactor.notify(self.token);
+    }
+
+    /// Whether the link still lives: neither cut nor left by its other
+    /// half.
+    fn is_live(&self) -> bool {
+        match &self.sink {
+            Sink::Queue(queue) => queue.0.state() != DEAD,
+            Sink::Ring(ring) => ring.is_live(),
+        }
     }
 }
 
@@ -199,7 +330,7 @@ impl Gate {
         wrap: impl FnOnce() -> Option<Parcel>,
     ) -> Deposit {
         let mut parked = self.parked.lock();
-        if !conn.alive.load(Ordering::Acquire) {
+        if !conn.is_live() {
             return Deposit::Dead;
         }
         let action = self.injector.next_frame_action();
@@ -236,7 +367,7 @@ impl Gate {
     /// thread — deposits only, the copies were paid by `publish`.
     fn resume(&self, core: &Arc<PubCore>, conn: &Arc<Conn>) {
         let mut parked = self.parked.lock();
-        if !conn.alive.load(Ordering::Acquire) {
+        if !conn.is_live() {
             return parked.clear(); // the subscriber left; its frames go with it
         }
         if self.injector.is_severed() {
@@ -315,7 +446,7 @@ impl Gate {
 
 /// A new fan-out list: the links of `conns` still alive, then `joining`.
 fn live_conns(conns: &[Arc<Conn>], joining: Option<Arc<Conn>>) -> Arc<[Arc<Conn>]> {
-    let live = conns.iter().filter(|c| c.alive.load(Ordering::Acquire));
+    let live = conns.iter().filter(|c| c.is_live());
     live.cloned().chain(joining).collect()
 }
 
@@ -437,25 +568,13 @@ impl PubCore {
     /// fault gate `injector` calls for, count its handshake, and attribute
     /// publish-side spans to its tier (a heuristic: the most recent arrival
     /// wins).
-    fn splice(
-        &self,
-        tier: Tier,
-        alive: Arc<AtomicBool>,
-        token: Token,
-        sink: Sink,
-        injector: Option<Arc<FaultInjector>>,
-    ) {
+    fn splice(&self, tier: Tier, token: Token, sink: Sink, injector: Option<Arc<FaultInjector>>) {
         let gate = injector.map(|injector| Gate {
             injector,
             tier,
             parked: Mutex::new(VecDeque::new()),
         });
-        let conn = Conn {
-            alive,
-            token,
-            sink,
-            gate,
-        };
+        let conn = Conn { token, sink, gate };
         {
             let mut conns = self.conns.lock();
             *conns = live_conns(&conns, Some(Arc::new(conn)));
@@ -495,12 +614,11 @@ impl PubCore {
             .with("type", self.type_name)
             .with("topic", &self.topic)
             .with("endian", ConnectionHeader::native_endian());
-        let alive = Arc::new(AtomicBool::new(true));
         let same_machine = sub_machine == self.machine;
         let (pool, depth) = (&self.shm_pool, self.queue_size);
         if let Some(grant) = shm::grant(&request, &self.config, same_machine, pool, depth) {
-            let (token, ring) = grant.open(stream, reply, &alive, &self.metrics, &self.reactor)?;
-            self.splice(Tier::Shm, alive, token, Sink::Ring(ring), injector);
+            let (token, ring) = grant.open(stream, reply, &self.metrics, &self.reactor)?;
+            self.splice(Tier::Shm, token, Sink::Ring(ring), injector);
             return Ok(());
         }
         let projection = tcp::grant_projection(&request, self.schema);
@@ -514,25 +632,24 @@ impl PubCore {
                 .projection_handshakes
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
+        let (tx, rx) = link_queue(self.queue_size.max(1));
         let fd = stream.as_raw_fd();
         let writer = tcp::writer(
             stream,
             rx,
-            &alive,
             &self.metrics,
             self.trace.clone(),
             projection,
             self.master.links().profile(self.machine, sub_machine),
         )?;
         let token = self.reactor.register(fd, false, false, Box::new(writer));
-        self.splice(Tier::Tcp, alive, token, Sink::Queue(tx), injector);
+        self.splice(Tier::Tcp, token, Sink::Queue(tx), injector);
         Ok(())
     }
 
     /// Attach a subscriber of `sub_type` in this very process: splice a
     /// new bounded transmission queue into the fan-out list and return its
-    /// receiving end. `wake` is the reactor registration that drains it:
+    /// drainer's half. `wake` is the reactor registration that drains it:
     /// `fan_out` notifies it after every deposit, and `Drop` when the
     /// publisher goes. A local attach is same-machine by construction, so
     /// the loopback link's fault injector governs it — unless it is a
@@ -546,16 +663,14 @@ impl PubCore {
         sub_type: &str,
         wake: Token,
         tap: bool,
-    ) -> Result<LocalSinkHandle, RosError> {
+    ) -> Result<QueueRx, RosError> {
         let injector = self.admit(sub_type, (!tap).then_some(self.machine))?;
-        let (tx, rx) = bounded::<OutFrame>(self.queue_size.max(1));
-        let alive = Arc::new(AtomicBool::new(true));
+        let (tx, rx) = link_queue(self.queue_size.max(1));
         self.metrics
             .fastpath_handshakes
             .fetch_add(1, Ordering::Relaxed);
-        let sink = Sink::Queue(tx);
-        self.splice(Tier::Fastpath, Arc::clone(&alive), wake, sink, injector);
-        Ok(LocalSinkHandle { rx, alive })
+        self.splice(Tier::Fastpath, wake, Sink::Queue(tx), injector);
+        Ok(rx)
     }
 
     /// Fan one encoded frame out to every subscriber link — the shared
@@ -600,10 +715,8 @@ impl PubCore {
             match deposit {
                 Deposit::Taken => {}
                 Deposit::Full(_) => self.count_drop(),
-                Deposit::Dead => {
-                    conn.alive.store(false, Ordering::Release);
-                    saw_dead = true;
-                }
+                // The sink that said so is dead already: prune it.
+                Deposit::Dead => saw_dead = true,
             }
         }
         if saw_dead {
@@ -630,8 +743,8 @@ impl Drop for PubCore {
             .unregister_publisher(&self.topic, self.registration.load(Ordering::Relaxed));
         // Close every queue and ring — dropping the links does both, and
         // the parked frames go with them — *before* notifying the handlers:
-        // the senders must be gone first so each woken drainer — TCP
-        // writer or fast-path subscriber — observes the disconnect, drains
+        // the queues must be closed first so each woken drainer — TCP
+        // writer, fast-path subscriber or tap — observes the close, drains
         // its tail, and deregisters itself; a closed ring's control handler
         // hangs up, which is what wakes its subscriber.
         let conns = std::mem::replace(&mut *self.conns.lock(), Arc::new([]));
@@ -774,7 +887,7 @@ impl<M: Encode> Publisher<M> {
             .conns
             .lock()
             .iter()
-            .filter(|c| c.alive.load(Ordering::Acquire))
+            .filter(|c| c.is_live())
             .count()
     }
 
@@ -968,5 +1081,102 @@ mod tests {
             0,
             "dropping the sink releases the connection without a publish"
         );
+    }
+
+    /// A one-byte frame carrying `n`.
+    fn frame(n: u8) -> OutFrame {
+        OutFrame::owned(Arc::new(vec![n]))
+    }
+
+    /// A push, comparably: the depth it left, or the byte of the frame a
+    /// full queue handed back, or `None` for a dead link.
+    fn push(tx: &QueueTx, n: u8) -> Result<usize, Option<u8>> {
+        match tx.push(frame(n)) {
+            Push::Depth(depth) => Ok(depth),
+            Push::Full(frame) => Err(Some(frame.as_slice()[0])),
+            Push::Dead => Err(None),
+        }
+    }
+
+    /// A pop, comparably: the frame's byte, or what the queue said instead.
+    fn pop(rx: &QueueRx) -> Result<u8, &'static str> {
+        match rx.pop() {
+            Pop::Frame(frame) => Ok(frame.as_slice()[0]),
+            Pop::Empty => Err("empty"),
+            Pop::Ended => Err("ended"),
+        }
+    }
+
+    /// The publisher's half goes: the drainer still gets the tail, in
+    /// order, and only then is the link over.
+    #[test]
+    fn a_closed_queue_drains_its_tail_then_ends() {
+        let (tx, rx) = link_queue(4);
+        assert_eq!(pop(&rx), Err("empty"));
+        for n in 1..=3 {
+            push(&tx, n).unwrap();
+        }
+        drop(tx);
+        assert!(!rx.is_cut());
+        let drained: Vec<_> = (0..4).map(|_| pop(&rx)).collect();
+        assert_eq!(drained, [Ok(1), Ok(2), Ok(3), Err("ended")]);
+        assert_eq!(pop(&rx), Err("ended"));
+    }
+
+    /// A cut ends the link at once: the frames still queued are never
+    /// delivered, and nothing more is taken.
+    #[test]
+    fn a_cut_ends_the_queue_at_once_with_frames_in_it() {
+        let (tx, rx) = link_queue(4);
+        push(&tx, 1).unwrap();
+        push(&tx, 2).unwrap();
+        tx.0.kill();
+        assert!(rx.is_cut());
+        assert_eq!(pop(&rx), Err("ended"));
+        assert_eq!(push(&tx, 3), Err(None));
+    }
+
+    /// The drainer goes: the next push finds the link dead, and a publisher
+    /// counts the link out at once, with no publish, then prunes it at the
+    /// next publish without counting a drop.
+    #[test]
+    fn a_departed_drainer_ends_the_link_for_the_publisher() {
+        let (tx, rx) = link_queue(2);
+        push(&tx, 1).unwrap();
+        drop(rx);
+        assert_eq!(push(&tx, 2), Err(None));
+
+        let publisher: Publisher<SfmBox<P>> = Publisher::create_with(
+            &Master::new(),
+            "queue/departed",
+            PublisherOptions::new().queue_size(4),
+            MachineId::A,
+            TransportConfig::default(),
+        )
+        .unwrap();
+        let core = &*publisher.core;
+        let rx = core
+            .attach_local(P::type_name(), core.reactor.reserve(), false)
+            .unwrap();
+        assert_eq!(publisher.subscriber_count(), 1);
+        drop(rx);
+        assert_eq!(publisher.subscriber_count(), 0);
+        assert_eq!(core.conns.lock().len(), 1, "counted out, not yet pruned");
+        publisher.publish(&SfmBox::new());
+        assert_eq!(core.conns.lock().len(), 0);
+        assert_eq!(publisher.dropped(), 0);
+    }
+
+    /// A push reports the depth it left, its own frame included, and a
+    /// full queue hands the frame back.
+    #[test]
+    fn a_push_returns_the_depth_it_left() {
+        let (tx, rx) = link_queue(3);
+        assert_eq!([push(&tx, 1), push(&tx, 2)], [Ok(1), Ok(2)]);
+        assert_eq!(pop(&rx), Ok(1));
+        assert_eq!([push(&tx, 3), push(&tx, 4)], [Ok(2), Ok(3)]);
+        assert_eq!(push(&tx, 5), Err(Some(5)));
+        assert_eq!(pop(&rx), Ok(2));
+        assert_eq!(push(&tx, 6), Ok(3));
     }
 }

@@ -28,7 +28,7 @@ use crate::error::RosError;
 use crate::master::{Master, PublisherEndpoint};
 use crate::metrics::TransportMetrics;
 use crate::options::{SubscriberOptions, SubscriberStats};
-use crate::tier::{shm, tcp};
+use crate::tier::{fastpath, shm, tcp};
 use crate::traits::Decode;
 use crate::wire::{ConnectionHeader, PROJECT_FIELD};
 use rossf_netsim::MachineId;
@@ -203,14 +203,14 @@ impl<D: Decode> Supervision<D> {
         // `port` reference ends with the attach: holding it for the link's
         // life would keep the publisher core (and its master registration)
         // alive after the last `Publisher` handle drops. The queue
-        // disconnects when the publisher tears down.
+        // closes when the publisher tears down.
         let local = core.config.enable_fastpath && self.ep.machine == core.machine;
         if let Some(port) = local.then(|| core.master.local_port(self.ep.id)).flatten() {
             let token = self.token;
             match port.attach_local(D::topic_type(), token, false) {
-                Ok(sink) => {
+                Ok(queue) => {
                     core.count_handshake(self.was_connected);
-                    reactor.attach(token, Link::boxed(self, sink));
+                    reactor.attach(token, Link::boxed(self, fastpath::source(queue)));
                 }
                 Err(e) => self.resume(Err(e), false, false),
             }

@@ -20,10 +20,9 @@
 use crate::error::RosError;
 use crate::master::{Master, PublisherEndpoint};
 use crate::node::NodeHandle;
+use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::FRAMES_PER_DISPATCH;
-use crate::tier::fastpath::LocalSinkHandle;
 use crate::wire::OutFrame;
-use crossbeam::channel::TryRecvError;
 use parking_lot::Mutex;
 use rossf_netsim::MachineId;
 use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
@@ -138,7 +137,8 @@ impl RawFrameTap {
         self.shared.skipped.load(Ordering::Acquire)
     }
 
-    /// Frames delivered to the callback so far.
+    /// Frames the callback has returned from so far: a caller that reads
+    /// `n` sees what the first `n` calls did.
     pub fn frames_seen(&self) -> u64 {
         self.shared.frames_seen.load(Ordering::Acquire)
     }
@@ -196,12 +196,12 @@ fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
         .local_port(ep.id)
         .map(|port| port.attach_local(&shared.type_name, token, true));
     let skipped = match attached {
-        Some(Ok(sink)) => {
+        Some(Ok(queue)) => {
             shared.links.lock().push(token);
             shared.attached.fetch_add(1, Ordering::Release);
             let link = TapLink {
                 shared: Arc::clone(shared),
-                sink,
+                queue,
             };
             return reactor.attach(token, Box::new(link));
         }
@@ -222,7 +222,9 @@ fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
 /// handler's token after each deposit, and once more when it goes.
 struct TapLink {
     shared: Arc<TapShared>,
-    sink: LocalSinkHandle,
+    /// The drainer's half of the publisher's queue for this tap; it ends
+    /// the link when this handler goes.
+    queue: QueueRx,
 }
 
 impl TapLink {
@@ -243,14 +245,16 @@ impl Handler for TapLink {
             return self.leave(ctl);
         };
         for _ in 0..FRAMES_PER_DISPATCH {
-            match self.sink.rx.try_recv() {
-                Ok(frame) => {
-                    shared.frames_seen.fetch_add(1, Ordering::Release);
+            match self.queue.pop() {
+                Pop::Frame(frame) => {
                     cb(&frame);
+                    // Release, after the callback: pairs with the Acquire in
+                    // `frames_seen`, whose reader then finds its work done.
+                    shared.frames_seen.fetch_add(1, Ordering::Release);
                 }
-                Err(TryRecvError::Empty) => return,
+                Pop::Empty => return,
                 // Nothing cuts a tap's link: the publisher is gone.
-                Err(TryRecvError::Disconnected) => return self.leave(ctl),
+                Pop::Ended => return self.leave(ctl),
             }
         }
         // Batch cap hit with frames remaining: yield the shared loop.

@@ -5,7 +5,7 @@
 //! attaches to the publisher's transmission queue directly — a call on the
 //! publisher core it finds in the master's local-port registry, with its
 //! type name and the reactor token of the handler that will drain the
-//! queue. `publish` deposits the encoded [`OutFrame`] — for
+//! queue. `publish` deposits the encoded [`OutFrame`](crate::OutFrame) — for
 //! serialization-free messages, a refcount-managed buffer pointer
 //! ([`rossf_sfm::PublishedBuffer`]) — and notifies that handler, which
 //! drains the queue on the loop thread and adopts that very allocation via
@@ -27,51 +27,37 @@
 //! attaches the same way, to a link with no gate.
 
 use crate::error::RosError;
+use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::Decode;
-use crate::wire::OutFrame;
-use crossbeam::channel::{Receiver, TryRecvError};
 use rossf_trace::{Stage, Tier};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 
-/// The subscriber's end of a fast-path attachment: the receiving half of
-/// the transmission queue and the liveness flag shared with the
-/// publisher's connection entry. As a [`Source`] it is the fast path's
-/// subscriber half; a capture tap drains `rx` itself.
-pub(crate) struct LocalSinkHandle {
-    /// Receiving end of the bounded per-connection transmission queue.
-    pub(crate) rx: Receiver<OutFrame>,
-    /// Cleared on drop so the publisher's `subscriber_count` and pruning
-    /// see the detach the moment the draining handler goes — and by the
-    /// publisher's fault gate to cut the link.
-    pub(crate) alive: Arc<AtomicBool>,
+/// The subscriber half of a fast-path link: a source draining `queue`, the
+/// drainer's half of the transmission queue a same-process attach made.
+pub(crate) fn source<D: Decode>(queue: QueueRx) -> impl Source<D> {
+    FastSource(queue)
 }
 
-impl Drop for LocalSinkHandle {
-    fn drop(&mut self) {
-        self.alive.store(false, Ordering::Release);
-    }
-}
+/// The fast path's source. Dropping it ends the link, so the publisher's
+/// `subscriber_count` and pruning see the detach the moment the draining
+/// handler goes.
+struct FastSource(QueueRx);
 
 /// Frames are adopted via [`Decode::from_local_frame`] — for
 /// serialization-free messages the subscriber object points at the
 /// publisher's allocation. `validate_on_receive` and all metrics accounting
 /// mirror the socket path; injected faults were applied before the frame
 /// entered the queue.
-impl<D: Decode> Source<D> for LocalSinkHandle {
+impl<D: Decode> Source<D> for FastSource {
     fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
-        // Relaxed: standalone flag; the cut's notify orders it. A link the
-        // publisher's fault gate cut ends at once, with whatever it still
-        // queues; re-attach is refused until the link heals.
-        if !self.alive.load(Ordering::Relaxed) {
-            return Ok(Progress::Eof);
-        }
-        let frame = match self.rx.try_recv() {
-            Ok(frame) => frame,
-            Err(TryRecvError::Empty) => return Ok(Progress::Idle),
-            // Publisher gone.
-            Err(TryRecvError::Disconnected) => return Ok(Progress::Eof),
+        // The publisher gone and its tail delivered, or the link cut by its
+        // fault gate — at once, with whatever it still queues; re-attach is
+        // refused until the link heals.
+        let frame = match self.0.pop() {
+            Pop::Frame(frame) => frame,
+            Pop::Empty => return Ok(Progress::Idle),
+            Pop::Ended => return Ok(Progress::Eof),
         };
         // Pointer handoff needs no sidecar: the trace id rides on the
         // frame's own tag, and the queue dwell (plus any injected delay)

@@ -137,12 +137,11 @@ impl Grant {
     /// publisher's pid, the ring's control fd and the epoch, all a
     /// subscriber needs to attach — and put the socket on `reactor` as the
     /// link's control plane. Returns the control handler's token and the
-    /// ring `fan_out` commits into; `alive` is the link's liveness flag.
+    /// ring `fan_out` commits into.
     pub(crate) fn open(
         self,
         mut stream: TcpStream,
         reply: ConnectionHeader,
-        alive: &Arc<AtomicBool>,
         metrics: &Arc<TransportMetrics>,
         reactor: &Reactor,
     ) -> Result<(Token, Arc<Ring>), RosError> {
@@ -164,7 +163,7 @@ impl Grant {
             pool: Arc::clone(self.link.pool()),
             link: Mutex::new(Some(self.link)),
             doorbell,
-            alive: Arc::clone(alive),
+            alive: AtomicBool::new(true),
             metrics: Arc::clone(metrics),
             sub_pid: self.sub_pid,
         });
@@ -247,7 +246,8 @@ pub(crate) struct Ring {
     /// The publisher's segment pool, which `link` commits against.
     pool: Arc<SegmentPool>,
     doorbell: Doorbell,
-    alive: Arc<AtomicBool>,
+    /// Cleared by `teardown`: the link's liveness, as its publisher sees it.
+    alive: AtomicBool,
     metrics: Arc<TransportMetrics>,
     /// The subscriber's process id: a peer that *crashed* leaves holds on
     /// popped frames that only the publisher can reclaim.
@@ -391,17 +391,17 @@ impl Ring {
     /// close the ring (the control socket's handler, notified by the
     /// caller, then hangs up, which is the subscriber's wake-up), recycle
     /// the descriptors it never consumed, settle reader-abandoned
-    /// references, and mark the connection dead. Idempotent — whoever
-    /// takes the link out does the work and counts the disconnect.
+    /// references, and mark the link dead. Idempotent — whoever takes the
+    /// link out does the work and counts the disconnect.
     pub(crate) fn teardown(&self) {
         let Some(link) = self.link.lock().take() else {
             return;
         };
+        // Release: pairs with the Acquire in `is_live`.
+        self.alive.store(false, Ordering::Release);
         link.close();
         link.drain();
         link.reconcile_abandoned();
-        // Release: pairs with the pruners' Acquire loads.
-        self.alive.store(false, Ordering::Release);
         self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
         if self.sub_pid != std::process::id() {
             let sub_pid = self.sub_pid;
@@ -409,6 +409,11 @@ impl Ring {
                 .pool
                 .spawn(move || reclaim_when_gone(link, sub_pid, 0));
         }
+    }
+
+    /// Whether the link still lives: not torn down from either side.
+    pub(crate) fn is_live(&self) -> bool {
+        self.alive.load(Ordering::Acquire)
     }
 }
 

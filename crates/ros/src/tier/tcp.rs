@@ -18,10 +18,10 @@
 
 use crate::error::RosError;
 use crate::metrics::TransportMetrics;
+use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::{Decode, RecvSlot};
 use crate::wire::{frame_len_prefix, ConnectionHeader, OutFrame, PROJECT_FIELD};
-use crossbeam::channel::{Receiver, TryRecvError};
 use rossf_netsim::{LinkProfile, Shaper};
 use rossf_reactor::{Ctl, Event, Handler, Reactor, Token};
 use rossf_sfm::{MessageSchema, Projection};
@@ -30,7 +30,7 @@ use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -617,8 +617,7 @@ const BATCHES_PER_DISPATCH: usize = 4;
 /// [`grant_projection`] granted.
 pub(crate) fn writer(
     stream: TcpStream,
-    rx: Receiver<OutFrame>,
-    alive: &Arc<AtomicBool>,
+    rx: QueueRx,
     metrics: &Arc<TransportMetrics>,
     trace: Option<Arc<TopicTrace>>,
     projection: Option<Arc<Projection>>,
@@ -630,7 +629,6 @@ pub(crate) fn writer(
         conn_key: conn_key(stream.local_addr(), stream.peer_addr()),
         stream,
         rx,
-        alive: Arc::clone(alive),
         metrics: Arc::clone(metrics),
         trace,
         projection,
@@ -656,9 +654,9 @@ pub(crate) fn writer(
 /// frames leave at exactly link rate.
 struct TcpWriter {
     stream: TcpStream,
-    rx: Receiver<OutFrame>,
-    /// Cleared by the link's gate to cut it (an injected sever).
-    alive: Arc<AtomicBool>,
+    /// The link's transmission queue, and its liveness: the link's gate cuts
+    /// it (an injected sever), and this writer's departure ends it.
+    rx: QueueRx,
     metrics: Arc<TransportMetrics>,
     trace: Option<Arc<TopicTrace>>,
     conn_key: u64,
@@ -679,16 +677,16 @@ struct TcpWriter {
     pace_armed: Option<Instant>,
     /// Current writability interest, tracked to skip no-op updates.
     want_writable: bool,
-    /// The transmission queue's senders are gone (publisher dropped): die
-    /// once the tail drains.
+    /// The transmission queue ended (publisher dropped): die once the tail
+    /// drains.
     disconnected: bool,
 }
 
 impl Handler for TcpWriter {
     fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
-        // Relaxed: standalone flag; the cut's notify orders it. A cut link
-        // goes down like a yanked cable, with whatever it still holds.
-        if !self.alive.load(Ordering::Relaxed) {
+        // A cut link goes down like a yanked cable, with whatever it still
+        // holds.
+        if self.rx.is_cut() {
             let _ = self.stream.shutdown(Shutdown::Both);
             return self.die(ctl);
         }
@@ -778,10 +776,10 @@ impl TcpWriter {
             // behind it are booked on the link now, back to back, not when
             // the socket gets round to them.
             while self.writeq.len() < WRITE_BATCH {
-                match self.rx.try_recv() {
-                    Ok(frame) => self.admit(frame),
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
+                match self.rx.pop() {
+                    Pop::Frame(frame) => self.admit(frame),
+                    Pop::Empty => break,
+                    Pop::Ended => {
                         self.disconnected = true;
                         break;
                     }
@@ -800,11 +798,10 @@ impl TcpWriter {
                 return;
             }
         }
-        // Batch cap hit with work remaining: hand the loop back to other
-        // links and reschedule ourselves.
-        if !self.writeq.is_empty() || !self.rx.is_empty() {
-            ctl.notify_self();
-        }
+        // Batch cap hit with frames still queued for the socket (every
+        // round above that empties `writeq` returns): hand the loop back to
+        // other links and reschedule ourselves.
+        ctl.notify_self();
     }
 
     /// Flush the write queue to the socket; each frame whose last byte went
@@ -844,13 +841,10 @@ impl TcpWriter {
         }
     }
 
-    /// Tear the link down: mark the connection dead for the pruners, count
-    /// the disconnect, and drop out of the loop (closing the socket). Runs
-    /// once: the close ends the handler.
+    /// Tear the link down: count the disconnect and drop out of the loop.
+    /// Runs once: the close drops the handler, closing the socket and
+    /// ending the queue for the publisher's pruners.
     fn die(&mut self, ctl: &mut Ctl) {
-        // Relaxed: standalone liveness flag; the pruner that reads it takes
-        // the sink lock, which orders the removal.
-        self.alive.store(false, Ordering::Relaxed);
         self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
         ctl.close();
     }
@@ -977,9 +971,9 @@ impl<D: Decode> TcpSource<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::publisher::link_queue;
     use crate::traits::{TopicType, VecSlot};
     use crate::wire::tests::Rng;
-    use crossbeam::channel::bounded;
     use std::sync::atomic::AtomicU64;
 
     /// Counts the timer events a writer is dispatched.
@@ -1012,13 +1006,12 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         stream.set_nonblocking(true).unwrap();
         let fd = stream.as_raw_fd();
-        let (tx, rx) = bounded::<OutFrame>(FRAMES);
+        let (tx, rx) = link_queue(FRAMES);
         let metrics = Arc::new(TransportMetrics::default());
         let timers = Arc::new(AtomicU64::new(0));
         let writer = TcpWriter {
             stream,
             rx,
-            alive: Arc::new(AtomicBool::new(true)),
             metrics: Arc::clone(&metrics),
             trace: None,
             conn_key: 0,
@@ -1040,8 +1033,7 @@ mod tests {
         };
         let token = reactor.register(fd, false, false, Box::new(counted));
         for _ in 0..FRAMES {
-            tx.try_send(OutFrame::owned(Arc::new(vec![0x5A; LEN])))
-                .unwrap();
+            tx.push(OutFrame::owned(Arc::new(vec![0x5A; LEN])));
         }
         let reader = std::thread::spawn(move || {
             let mut wire = vec![0u8; FRAMES * (4 + LEN)];

@@ -129,6 +129,61 @@ fn a_dropped_tap_is_an_event_for_the_publisher() {
     assert_eq!(seen.load(Ordering::SeqCst), 1, "no capture after the drop");
 }
 
+/// The publisher goes right after publishing: every queue link — a TCP
+/// subscriber, a fast-path subscriber, a capture tap — still delivers what
+/// was queued, all of it and in order, and then ends, leaving nothing on
+/// the loop.
+#[test]
+fn the_queued_tail_survives_a_publisher_drop_on_every_queue_link() {
+    const QUEUE: usize = 8;
+    const K: u32 = QUEUE as u32;
+    let reactor = rossf_reactor::runtime().reactor;
+    for end in ["tcp", "fastpath", "tap"] {
+        let baseline = reactor.live_links();
+        let (sub_machine, config) = tier(if end == "tap" { "fastpath" } else { end });
+        let master = Master::new();
+        let nh_pub = NodeHandle::with_config(&master, "pub", MachineId::A, config.clone());
+        let nh_sub = NodeHandle::with_config(&master, "sub", sub_machine, config);
+        let publisher: Publisher<SfmBox<Payload>> =
+            nh_pub.advertise_with("handlers/tail", PublisherOptions::new().queue_size(QUEUE));
+        let (tx, seqs) = mpsc::channel();
+        let _end: Box<dyn std::any::Any> = if end == "tap" {
+            // A frame is the message's own bytes, `seq` first.
+            let tap =
+                RawFrameTap::attach(&nh_pub, "handlers/tail", Payload::type_name(), move |f| {
+                    let seq = f.as_slice()[..4].try_into().unwrap();
+                    let _ = tx.send(u32::from_ne_bytes(seq));
+                });
+            Box::new(tap.unwrap())
+        } else {
+            Box::new(nh_sub.subscribe_with(
+                "handlers/tail",
+                SubscriberOptions::new(),
+                move |m: SfmShared<Payload>| {
+                    let _ = tx.send(m.seq);
+                },
+            ))
+        };
+        yield_until("the link", || publisher.subscriber_count() == 1);
+
+        for seq in 0..K {
+            publisher.publish(&msg(seq));
+        }
+        drop(publisher);
+        let got: Vec<u32> = (0..K)
+            .map(|_| seqs.recv_timeout(LONG).expect(end))
+            .collect();
+        assert_eq!(
+            got,
+            (0..K).collect::<Vec<_>>(),
+            "{end}: all of it, in order"
+        );
+        yield_until(&format!("{end}: every link of the graph to end"), || {
+            reactor.live_links() <= baseline
+        });
+    }
+}
+
 /// One fast-path link in its own graph; the callback reports each arrival.
 struct FastLink {
     publisher: Publisher<SfmBox<Payload>>,

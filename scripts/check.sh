@@ -56,21 +56,35 @@ echo "==> rossf-lint (unsafe/SeqCst annotations, asm confined to crates/sys, Dro
 cargo run -q --release -p rossf-lint --bin rossf-lint -- .
 
 ros_sources=$(find crates/ros/src -name '*.rs' | sort)
+# The non-test lines of file $1 that `grep "${@:2}"` matches, each behind the
+# file's name. Succeeds on no match, so under pipefail a loop of these fails
+# only on its consumer's verdict, never on a clean last file.
+matches() { without_tests "$1" | { grep "${@:2}" || true; } | sed "s|^|$1: |"; }
 
 echo "==> no 20 ms poll and no blocking queue read left in crates/ros/src (every link is a reactor handler)"
-if for f in $ros_sources; do without_tests "$f" | grep 'from_millis(20)\|recv_timeout' | sed "s|^|$f: |"; done | grep .; then
+if for f in $ros_sources; do matches "$f" 'from_millis(20)\|recv_timeout'; done | grep .; then
     echo "FAIL: a poll interval or blocking receive is back in the transport"; exit 1
 fi
 
 echo "==> one module per tier (a tier's writer, source and shm vocabulary are named only in crates/ros/src/tier/<tier>.rs)"
-tier_names='tcp:TcpWriter tcp:TcpSource fastpath:FastSource shm:SHM_ shm:peer_gone shm:Doorbell shm:RingCtl shm:ShmSource shm:ShmLink shm:ShmReader'
+tier_names='tcp:TcpWriter tcp:TcpSource fastpath:FastSource shm:SHM_ shm:hung_up shm:Doorbell shm:RingCtl shm:ShmSource shm:ShmLink shm:ShmReader'
+# A renamed type must not disarm the guard: each name has to exist in its own tier file.
+for pair in $tier_names; do
+    if ! matches "crates/ros/src/tier/${pair%%:*}.rs" -F -- "${pair#*:}" | grep . >/dev/null; then
+        echo "FAIL: the tier guard's name ${pair#*:} is not in crates/ros/src/tier/${pair%%:*}.rs; update tier_names"; exit 1
+    fi
+done
 if for f in $ros_sources; do
     for pair in $tier_names; do
-        [ "$f" = "crates/ros/src/tier/${pair%%:*}.rs" ] ||
-            without_tests "$f" | grep -F -- "${pair#*:}" | sed "s|^|$f: |"
+        [ "$f" = "crates/ros/src/tier/${pair%%:*}.rs" ] || matches "$f" -F -- "${pair#*:}"
     done
 done | grep .; then
     echo "FAIL: a tier's type or vocabulary is named outside its module under crates/ros/src/tier/"; exit 1
+fi
+
+echo "==> no crossbeam (a link's queue is publisher.rs's own; the job pool runs on std::sync::mpsc)"
+if grep -rn --include=Cargo.toml --include='*.rs' --exclude-dir={.git,target,.bench_build} crossbeam .; then
+    echo "FAIL: crossbeam is named in a manifest or a Rust source"; exit 1
 fi
 
 echo "==> one definition per message (every struct under crates/msg/src is generated from crates/idl/msg)"
