@@ -94,7 +94,6 @@ fn run_mode(args: &RunArgs, project: bool, point_bytes: usize) -> ModeOutcome {
     let config = TransportConfig {
         validate_on_receive: true,
         enable_fastpath: false,
-        enable_shm: false,
         ..TransportConfig::default()
     };
     let nh_a = NodeHandle::with_config(&master, "cloud_pub", MachineId::A, config.clone());
@@ -124,12 +123,11 @@ fn run_mode(args: &RunArgs, project: bool, point_bytes: usize) -> ModeOutcome {
         std::thread::sleep(args.gap());
     }
 
-    let ps = publisher.stats();
     let ss = sub.stats();
     let snap = master.metrics().topic(topic).snapshot();
     ModeOutcome {
-        stats: Stats::from_nanos(lat).with_wire_bytes(ps.bytes_sent, ss.bytes_received),
-        bytes_sent: ps.bytes_sent,
+        stats: Stats::from_nanos(lat).with_wire_bytes(snap.bytes_sent, snap.bytes_received),
+        bytes_sent: snap.bytes_sent,
         received: ss.received,
         verify_rejects: ss.verify_rejects,
         decode_errors: ss.decode_errors,

@@ -324,14 +324,25 @@ fn run_scale(scale: &Scale) -> Outcome {
     let threads = proc_status_field("Threads:");
     let (fds, pool_fds) = fd_counts();
     let rss_kb = proc_status_field("VmRSS:");
-    let reconnects = steady.iter().map(|s| s.reconnects()).sum::<u64>();
+    let reconnects = steady.iter().map(|s| s.stats().reconnects).sum::<u64>();
     assert!(
         tapped.load(Ordering::Relaxed) > 0 && tap.attached() >= 1,
         "the tap captured nothing at {}",
         scale.label
     );
-    let bytes_sent = publishers.iter().map(|p| p.stats().bytes_sent).sum::<u64>();
-    let bytes_received = steady.iter().map(|s| s.stats().bytes_received).sum::<u64>();
+    // Wire bytes are topic counters, each read once per topic.
+    let (bytes_sent, bytes_received) = master
+        .metrics()
+        .snapshot()
+        .iter()
+        .fold((0, 0), |(sent, received), (_, m)| {
+            (sent + m.bytes_sent, received + m.bytes_received)
+        });
+    assert!(
+        bytes_received <= bytes_sent,
+        "{bytes_received} bytes received but {bytes_sent} sent at {}",
+        scale.label
+    );
 
     let msgs_per_s = got as f64 / elapsed.as_secs_f64();
     let report = ScenarioReport {

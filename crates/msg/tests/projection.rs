@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 fn tcp_config() -> TransportConfig {
     TransportConfig {
         enable_fastpath: false,
-        enable_shm: false,
         validate_on_receive: true,
         ..TransportConfig::default()
     }
@@ -99,8 +98,7 @@ fn projected_tcp_subscription_delivers_selected_fields() {
         full * n
     );
     assert_eq!(
-        sub.stats().bytes_received,
-        snap.bytes_sent,
+        snap.bytes_received, snap.bytes_sent,
         "both ends account the same sliced byte count"
     );
 }

@@ -544,10 +544,12 @@ fn corrupt_projected_frames_are_counted_and_skipped() {
     wait_until("2 good projected frames", || {
         seen.load(Ordering::SeqCst) == 2
     });
-    wait_until("2 projected verify rejects", || sub.verify_rejects() == 2);
-    assert_eq!(sub.received(), 2);
+    wait_until("2 projected verify rejects", || {
+        sub.stats().verify_rejects == 2
+    });
+    assert_eq!(sub.stats().received, 2);
     assert_eq!(
-        sub.decode_errors(),
+        sub.stats().decode_errors,
         0,
         "rejects must be attributed to the projected verifier, not adoption"
     );
@@ -748,11 +750,64 @@ fn corrupt_frames_are_counted_and_skipped_without_killing_the_connection() {
     write_frame(&mut stream, &image_frame(&mut rng)).unwrap();
 
     wait_until("2 good frames", || seen.load(Ordering::SeqCst) == 2);
-    wait_until("2 verify rejects", || sub.verify_rejects() == 2);
-    assert_eq!(sub.received(), 2);
+    wait_until("2 verify rejects", || sub.stats().verify_rejects == 2);
+    assert_eq!(sub.stats().received, 2);
     assert_eq!(
-        sub.decode_errors(),
+        sub.stats().decode_errors,
         0,
         "rejects must be attributed to the verifier, not adoption"
     );
+}
+
+/// A subscription's verify rejects are its own: two validating
+/// subscriptions on one topic each reject one corrupt frame, and each
+/// counts one while the topic counts both.
+#[test]
+fn each_subscription_counts_only_its_own_verify_rejects() {
+    use rossf_sfm::SfmMessage;
+    let mut rng = Rng::new(0x0DD5);
+    let master = Master::new();
+    let nh = validating_node(&master, "two_victims");
+    let topic = "verify/own_rejects";
+    let raw = RawPublisher::register(&master, topic, SfmImage::type_name());
+
+    let subs: Vec<_> = (0..2)
+        .map(|_| {
+            let seen = Arc::new(AtomicU64::new(0));
+            let seen_cb = Arc::clone(&seen);
+            let sub = nh.subscribe_with(
+                topic,
+                SubscriberOptions::new(),
+                move |_m: SfmShared<SfmImage>| {
+                    seen_cb.fetch_add(1, Ordering::SeqCst);
+                },
+            );
+            (sub, seen)
+        })
+        .collect();
+    // Each link carries one corrupt frame, then a good one: once the good
+    // one is delivered, the corrupt one before it has been judged.
+    let _streams: Vec<_> = subs
+        .iter()
+        .map(|_| {
+            let mut stream = raw.accept(SfmImage::type_name());
+            let mut bad = image_frame(&mut rng);
+            write_u32(
+                &mut bad,
+                core::mem::offset_of!(SfmImage, data) + 4,
+                u32::MAX,
+            );
+            write_frame(&mut stream, &bad).unwrap();
+            write_frame(&mut stream, &image_frame(&mut rng)).unwrap();
+            stream
+        })
+        .collect();
+    for (sub, seen) in &subs {
+        wait_until("the good frame", || seen.load(Ordering::SeqCst) == 1);
+        let stats = sub.stats();
+        assert_eq!(stats.verify_rejects, 1, "only this link's reject");
+        assert_eq!(stats.received, 1);
+    }
+    let topic_rejects = master.metrics().topic(topic).snapshot().verify_rejects;
+    assert_eq!(topic_rejects, 2, "the topic counts both");
 }

@@ -1,9 +1,13 @@
-//! Transport tunables, previously hardcoded across the stack.
+//! Per-node transport tunables.
 //!
 //! A [`TransportConfig`] lives on the [`NodeHandle`](crate::NodeHandle) and
-//! is handed to every publisher and subscriber it creates, so one node can
-//! run a hardened profile (small frames, fast reconnect) while another runs
-//! the defaults.
+//! is handed to every publisher and subscriber it creates — the one layer
+//! these knobs are set in — so one node can run a hardened profile (fast
+//! reconnect, verified frames) while another runs the defaults. A
+//! publisher's queue size is the one per-endpoint knob
+//! ([`PublisherOptions::queue_size`](crate::PublisherOptions::queue_size));
+//! the largest frame is a constant,
+//! [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -73,14 +77,6 @@ impl BackoffPolicy {
 /// Per-node transport tunables.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportConfig {
-    /// Largest frame the read path will accept. A length prefix above this
-    /// is a protocol violation: the connection is torn down *before* any
-    /// allocation (a corrupted or hostile 4-byte prefix can claim up to
-    /// 4 GiB).
-    pub max_frame_len: usize,
-    /// Default per-connection transmission queue depth, used when
-    /// `advertise` is called with `queue_size == 0`.
-    pub queue_size: usize,
     /// How long either side of the connection handshake may block reading
     /// the peer's header before the connection is abandoned.
     pub handshake_timeout: Duration,
@@ -97,36 +93,25 @@ pub struct TransportConfig {
     /// subscriber share a `MachineId` within one process: the encoded
     /// [`OutFrame`](crate::OutFrame) — a refcounted SFM buffer pointer — is
     /// handed directly into the subscriber's delivery queue, skipping the
-    /// loopback socket entirely. Both ends must opt in (negotiated via a
-    /// `fastpath` connection-header field); either side disabling it falls
-    /// back to TCP transparently. On by default.
+    /// loopback socket entirely. Both ends must opt in; either side
+    /// disabling it falls back to TCP transparently. On by default.
     pub enable_fastpath: bool,
-    /// Use the shared-memory tier when publisher and subscriber share a
-    /// `MachineId` but live in *different* processes: the publisher copies
-    /// each frame once into a memfd-backed segment and hands the
-    /// subscriber a descriptor through a lock-free ring; the subscriber
-    /// maps the segment read-only and adopts the bytes without copying.
-    /// Negotiated via a `shm` connection-header field; either side
-    /// disabling it (or an unsupported platform) falls back to TCP with
-    /// byte-identical frames. On by default.
-    pub enable_shm: bool,
-    /// Allow the shm tier even when publisher and subscriber share one
-    /// process (where the fast path would normally win). Off by default;
-    /// benchmarks and tests turn it on to exercise the full shm data path
-    /// — ring, segments, and read-only mapping — inside a single process.
+    /// Allow the shared-memory tier even when publisher and subscriber
+    /// share one process (where the fast path would normally win). Across
+    /// processes on one machine the shm tier is always offered and granted;
+    /// within one process it is off by default, and benchmarks and tests
+    /// turn it on to exercise the full shm data path — ring, segments, and
+    /// read-only mapping — inside a single process.
     pub shm_same_process: bool,
 }
 
 impl Default for TransportConfig {
     fn default() -> Self {
         TransportConfig {
-            max_frame_len: 64 * 1024 * 1024,
-            queue_size: 8,
             handshake_timeout: Duration::from_secs(5),
             backoff: BackoffPolicy::default(),
             validate_on_receive: false,
             enable_fastpath: true,
-            enable_shm: true,
             shm_same_process: false,
         }
     }
@@ -139,11 +124,8 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = TransportConfig::default();
-        assert_eq!(c.max_frame_len, 64 * 1024 * 1024);
-        assert!(c.queue_size > 0);
         assert!(!c.backoff.exhausted(1_000_000));
         assert!(c.enable_fastpath, "zero-copy fast path on by default");
-        assert!(c.enable_shm, "shared-memory tier on by default");
         assert!(
             !c.shm_same_process,
             "same-process traffic prefers the fast path by default"

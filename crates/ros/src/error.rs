@@ -25,9 +25,10 @@ pub enum RosError {
         /// Type this end attempted to use.
         attempted: String,
     },
-    /// A frame length violated the transport's configured bound: an
-    /// incoming length prefix above `max_frame_len` (rejected before any
-    /// allocation) or an outgoing payload too large for the 4-byte prefix.
+    /// A frame length violated the transport's bound: an incoming length
+    /// prefix above [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN) (rejected
+    /// before any allocation) or an outgoing payload too large for the
+    /// 4-byte prefix.
     FrameTooLarge {
         /// Claimed or actual payload length.
         len: usize,

@@ -51,7 +51,8 @@ transport_counters! {
     bytes_sent,
     /// Frames dropped because a connection's transmission queue was full.
     frames_dropped,
-    /// Publishes refused because the encoded frame exceeded `max_frame_len`.
+    /// Publishes refused because the encoded frame exceeded
+    /// [`MAX_FRAME_LEN`](crate::wire::MAX_FRAME_LEN).
     frames_dropped_oversized,
     /// Frames discarded or lost to injected link faults.
     frames_faulted,
@@ -64,7 +65,7 @@ transport_counters! {
     /// Frames rejected by the structural verifier
     /// (`validate_on_receive`): dropped without adoption, connection kept.
     verify_rejects,
-    /// Length prefixes rejected for exceeding `max_frame_len` (connection
+    /// Length prefixes rejected for exceeding `MAX_FRAME_LEN` (connection
     /// torn down without allocating).
     frame_len_rejects,
     /// Subscriber connection attempts after the initial one.

@@ -43,7 +43,9 @@ impl NodeHandle {
     }
 
     /// Create a node with explicit transport tunables. Every publisher and
-    /// subscriber created through this handle inherits `config`.
+    /// subscriber created through this handle, and every service, uses
+    /// `config`: it is the one layer those knobs are set in, so endpoints
+    /// that need different ones are made through different nodes.
     pub fn with_config(
         master: &Master,
         name: &str,
@@ -80,9 +82,8 @@ impl NodeHandle {
     }
 
     /// Declare a topic and obtain a publisher for it (the paper's Fig. 3
-    /// `advertise`). [`PublisherOptions`] carries the
-    /// queue size plus the per-publisher transport override and the tracing
-    /// switch.
+    /// `advertise`). [`PublisherOptions`] carries the queue size and the
+    /// tracing switch; the transport tunables are this node's.
     ///
     /// # Panics
     ///
@@ -118,12 +119,12 @@ impl NodeHandle {
     }
 
     /// Register `callback` for messages on `topic` (the paper's Fig. 3
-    /// `subscribe`). The callback runs on the connection reader
+    /// `subscribe`). The callback runs on the process's event-loop
     /// thread, receiving the decoded message — an `Arc<M>` for plain
     /// messages or an [`SfmShared`](rossf_sfm::SfmShared) for
-    /// serialization-free ones. [`SubscriberOptions`] carries the
-    /// per-subscription transport override, the tracing switch and the
-    /// field projection ([`SubscriberOptions::project`]).
+    /// serialization-free ones. [`SubscriberOptions`] carries the tracing
+    /// switch and the field projection ([`SubscriberOptions::project`]);
+    /// the transport tunables are this node's.
     ///
     /// # Panics
     ///

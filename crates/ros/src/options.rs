@@ -1,17 +1,18 @@
-//! Consolidated endpoint options and statistics.
+//! Endpoint options and statistics.
 //!
-//! [`PublisherOptions`] / [`SubscriberOptions`] gather every per-endpoint
-//! knob — queue size, a per-endpoint transport-config override, and the
-//! tracing switch — into one builder, consumed by
+//! [`PublisherOptions`] / [`SubscriberOptions`] gather the per-endpoint
+//! knobs — a publisher's queue size, the tracing switch, a subscriber's
+//! field projection — consumed by
 //! [`NodeHandle::advertise_with`](crate::NodeHandle::advertise_with) and
 //! [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with). The
-//! `_with` forms are the only advertise/subscribe entry points.
+//! transport config is the node's
+//! ([`NodeHandle::with_config`](crate::NodeHandle::with_config)): no knob is
+//! set in both layers.
 //!
-//! [`PublisherStats`] / [`SubscriberStats`] are the matching read side: one
-//! coherent snapshot of an endpoint's counters plus its per-topic transport
-//! metrics, replacing a fistful of individual getter calls.
+//! [`PublisherStats`] / [`SubscriberStats`] are the one read side: the
+//! endpoint's own counters, and under `transport` the counters its topic
+//! shares with every other endpoint on it.
 
-use crate::config::TransportConfig;
 use crate::metrics::MetricsSnapshot;
 
 /// Per-publisher options consumed by
@@ -35,29 +36,31 @@ use crate::metrics::MetricsSnapshot;
 /// let publisher: Publisher<SfmBox<Tick>> = node.advertise_with("tick", opts);
 /// assert_eq!(publisher.stats().published, 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PublisherOptions {
     pub(crate) queue_size: usize,
-    pub(crate) transport: Option<TransportConfig>,
     pub(crate) trace: bool,
 }
 
+impl Default for PublisherOptions {
+    fn default() -> Self {
+        PublisherOptions {
+            queue_size: 8,
+            trace: false,
+        }
+    }
+}
+
 impl PublisherOptions {
-    /// Defaults: node-config queue size, node transport config, no tracing.
+    /// Defaults: a queue of 8 frames per subscriber link, no tracing.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Bound each subscriber connection's transmission queue (`0` = use the
-    /// effective [`TransportConfig::queue_size`]).
+    /// Bound each subscriber link's transmission queue to `n` frames (at
+    /// least 1).
     pub fn queue_size(mut self, n: usize) -> Self {
         self.queue_size = n;
-        self
-    }
-
-    /// Override the node's transport config for this publisher only.
-    pub fn transport(mut self, config: TransportConfig) -> Self {
-        self.transport = Some(config);
         self
     }
 
@@ -74,21 +77,14 @@ impl PublisherOptions {
 /// [`NodeHandle::subscribe_with`](crate::NodeHandle::subscribe_with).
 #[derive(Debug, Clone, Default)]
 pub struct SubscriberOptions {
-    pub(crate) transport: Option<TransportConfig>,
     pub(crate) trace: bool,
     pub(crate) project: Option<Vec<String>>,
 }
 
 impl SubscriberOptions {
-    /// Defaults: node transport config, no tracing.
+    /// Defaults: full frames, no tracing.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Override the node's transport config for this subscription only.
-    pub fn transport(mut self, config: TransportConfig) -> Self {
-        self.transport = Some(config);
-        self
     }
 
     /// Record per-stage tracing spans for every message this subscription
@@ -121,16 +117,12 @@ impl SubscriberOptions {
 pub struct PublisherStats {
     /// Frames published (per `publish` call, not per connection).
     pub published: u64,
-    /// Frames dropped because a subscriber's transmission queue was full.
+    /// Frames this publisher dropped because a subscriber's transmission
+    /// queue was full.
     pub dropped: u64,
     /// Currently connected subscribers.
     pub subscribers: usize,
-    /// Payload bytes written to the wire on this topic (projected frames
-    /// count their sliced length, not the full message).
-    pub bytes_sent: u64,
-    /// Payload bytes read from the wire on this topic.
-    pub bytes_received: u64,
-    /// The shared per-topic transport counters.
+    /// The counters of the whole topic, shared by every endpoint on it.
     pub transport: MetricsSnapshot,
 }
 
@@ -138,13 +130,15 @@ pub struct PublisherStats {
 /// ([`Subscriber::stats`](crate::Subscriber::stats)).
 #[derive(Debug, Clone)]
 pub struct SubscriberStats {
-    /// Messages delivered to the callback.
+    /// Messages delivered to this subscription's callback.
     pub received: u64,
-    /// Total payload bytes delivered.
+    /// Payload bytes delivered to this subscription's callback (projected
+    /// frames count their sliced length, not the full message).
     pub received_bytes: u64,
-    /// Frames that failed decoding/adoption.
+    /// Frames of this subscription that failed decoding/adoption.
     pub decode_errors: u64,
-    /// Frames rejected by the structural verifier and dropped unadopted.
+    /// Frames of this subscription rejected by the structural verifier and
+    /// dropped unadopted.
     pub verify_rejects: u64,
     /// Publisher connections that completed the handshake.
     pub connections: u64,
@@ -152,12 +146,7 @@ pub struct SubscriberStats {
     pub reconnect_attempts: u64,
     /// Reconnections that completed a handshake.
     pub reconnects: u64,
-    /// Payload bytes written to the wire on this topic.
-    pub bytes_sent: u64,
-    /// Payload bytes read from the wire on this topic (projected frames
-    /// count their sliced length, not the full message).
-    pub bytes_received: u64,
-    /// The shared per-topic transport counters.
+    /// The counters of the whole topic, shared by every endpoint on it.
     pub transport: MetricsSnapshot,
 }
 
@@ -168,21 +157,15 @@ mod tests {
     #[test]
     fn builders_chain_and_default_off() {
         let p = PublisherOptions::new();
-        assert_eq!(p.queue_size, 0);
-        assert!(p.transport.is_none());
+        assert_eq!(p.queue_size, 8);
         assert!(!p.trace);
 
-        let p = PublisherOptions::new()
-            .queue_size(16)
-            .transport(TransportConfig::default())
-            .trace(true);
+        let p = PublisherOptions::new().queue_size(16).trace(true);
         assert_eq!(p.queue_size, 16);
-        assert!(p.transport.is_some());
         assert!(p.trace);
 
         let s = SubscriberOptions::new().trace(true);
         assert!(s.trace);
-        assert!(s.transport.is_none());
         assert!(s.project.is_none());
 
         let s = SubscriberOptions::new().project(&["header.stamp", "pose"]);

@@ -40,7 +40,7 @@ use crate::options::{PublisherOptions, PublisherStats};
 use crate::tier::shm::{self, Ring};
 use crate::tier::tcp::{self, accept_handshake, Acceptor};
 use crate::traits::Encode;
-use crate::wire::{ConnectionHeader, OutFrame, PROJECT_FIELD};
+use crate::wire::{ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD};
 use parking_lot::Mutex;
 use rossf_netsim::{FaultAction, FaultInjector, MachineId};
 use rossf_reactor::{runtime, Reactor, Token};
@@ -347,7 +347,7 @@ impl Gate {
         if parked.is_empty() && delay.is_zero() {
             return wrap().map_or(Deposit::Full(None), |parcel| conn.deposit(core, parcel));
         }
-        let room = parked.len() <= core.queue_size.max(1);
+        let room = parked.len() <= core.queue_size;
         let Some(parcel) = room.then(wrap).flatten() else {
             return Deposit::Full(None);
         };
@@ -457,6 +457,7 @@ pub(crate) struct PubCore {
     type_name: &'static str,
     addr: SocketAddr,
     machine: MachineId,
+    /// Frames each link's transmission queue (or ring) holds, at least 1.
     queue_size: usize,
     config: TransportConfig,
     metrics: Arc<TransportMetrics>,
@@ -616,7 +617,8 @@ impl PubCore {
             .with("endian", ConnectionHeader::native_endian());
         let same_machine = sub_machine == self.machine;
         let (pool, depth) = (&self.shm_pool, self.queue_size);
-        if let Some(grant) = shm::grant(&request, &self.config, same_machine, pool, depth) {
+        let same_process = self.config.shm_same_process;
+        if let Some(grant) = shm::grant(&request, same_process, same_machine, pool, depth) {
             let (token, ring) = grant.open(stream, reply, &self.metrics, &self.reactor)?;
             self.splice(Tier::Shm, token, Sink::Ring(ring), injector);
             return Ok(());
@@ -632,7 +634,7 @@ impl PubCore {
                 .projection_handshakes
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let (tx, rx) = link_queue(self.queue_size.max(1));
+        let (tx, rx) = link_queue(self.queue_size);
         let fd = stream.as_raw_fd();
         let writer = tcp::writer(
             stream,
@@ -665,7 +667,7 @@ impl PubCore {
         tap: bool,
     ) -> Result<QueueRx, RosError> {
         let injector = self.admit(sub_type, (!tap).then_some(self.machine))?;
-        let (tx, rx) = link_queue(self.queue_size.max(1));
+        let (tx, rx) = link_queue(self.queue_size);
         self.metrics
             .fastpath_handshakes
             .fetch_add(1, Ordering::Relaxed);
@@ -687,7 +689,7 @@ impl PubCore {
     /// same segment. `Some(None)` is an exhausted pool, a verdict the
     /// remaining links of the publish share.
     fn fan_out(self: &Arc<Self>, frame: OutFrame, loaned: Option<SharedFrame>) {
-        if frame.len() > self.config.max_frame_len {
+        if frame.len() > MAX_FRAME_LEN {
             self.metrics
                 .frames_dropped_oversized
                 .fetch_add(1, Ordering::Relaxed);
@@ -785,17 +787,11 @@ impl<M: Encode> Publisher<M> {
         topic: &str,
         options: PublisherOptions,
         machine: MachineId,
-        default_config: TransportConfig,
+        config: TransportConfig,
     ) -> Result<Self, RosError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let config = options.transport.unwrap_or(default_config);
-        let queue_size = if options.queue_size == 0 {
-            config.queue_size
-        } else {
-            options.queue_size
-        };
         let trace = if options.trace {
             tracer().arm();
             Some(tracer().topic(topic))
@@ -807,7 +803,7 @@ impl<M: Encode> Publisher<M> {
             type_name: M::topic_type(),
             addr,
             machine,
-            queue_size,
+            queue_size: options.queue_size.max(1),
             config,
             metrics: master.metrics().topic(topic),
             master: master.clone(),
@@ -860,9 +856,9 @@ impl<M: Encode> Publisher<M> {
     /// only clones the buffer pointer) and enqueue on every subscriber
     /// connection. Never blocks; if a connection's transmission queue is
     /// full the frame is dropped for that subscriber (counted in
-    /// [`Publisher::dropped`]). A frame larger than the configured
-    /// `max_frame_len` is refused outright — every subscriber would reject
-    /// it anyway.
+    /// [`PublisherStats::dropped`]). A frame larger than
+    /// [`MAX_FRAME_LEN`] is refused outright and counted in the topic's
+    /// `frames_dropped_oversized` — every subscriber would reject it anyway.
     pub fn publish(&self, msg: &M) {
         self.core.fan_out(self.core.encode(msg), None);
     }
@@ -891,31 +887,15 @@ impl<M: Encode> Publisher<M> {
             .count()
     }
 
-    /// Frames published so far (per `publish` call, not per connection).
-    pub fn published(&self) -> u64 {
-        self.core.published.load(Ordering::Relaxed)
-    }
-
-    /// Frames dropped because a subscriber's queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.core.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The shared per-topic transport metrics this publisher reports into.
-    pub fn metrics(&self) -> Arc<TransportMetrics> {
-        Arc::clone(&self.core.metrics)
-    }
-
-    /// One coherent snapshot of this publisher's counters.
+    /// One coherent snapshot of this publisher's counters and its topic's.
     pub fn stats(&self) -> PublisherStats {
-        let transport = self.core.metrics.snapshot();
+        // Relaxed: each counter is consistent on its own, and none
+        // publishes other memory.
         PublisherStats {
-            published: self.published(),
-            dropped: self.dropped(),
+            published: self.core.published.load(Ordering::Relaxed),
+            dropped: self.core.dropped.load(Ordering::Relaxed),
             subscribers: self.subscriber_count(),
-            bytes_sent: transport.bytes_sent,
-            bytes_received: transport.bytes_received,
-            transport,
+            transport: self.core.metrics.snapshot(),
         }
     }
 }
@@ -927,7 +907,7 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
     /// wire buffer is the *shared* buffer, so publishing copies nothing).
     ///
     /// The loan is segment-backed when the shm tier is live for this
-    /// publisher (enabled and at least one shm subscriber has handshaken).
+    /// publisher (at least one shm subscriber has handshaken).
     /// Otherwise the loan transparently falls back to an ordinary heap
     /// allocation and behaves exactly like `SfmBox::new()` — caller code
     /// is identical either way.
@@ -941,36 +921,33 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
     /// write hold returns to the pool and the allocation record is
     /// released (no sanitizer leak).
     pub fn loan(&self) -> Option<LoanedMessage<T>> {
-        if self.core.config.enable_shm {
-            let pool = self.core.shm_pool.lock().clone();
-            if let Some(pool) = pool {
-                let frame = pool.loan(T::max_size())?;
-                // The SharedFrame clone in the guard keeps the segment's
-                // write hold (and therefore its generation stamp) alive
-                // for as long as any clone of the allocation lives —
-                // including fast-path subscribers sharing the buffer.
-                let guard: Box<dyn std::any::Any + Send + Sync> = Box::new(frame.clone());
-                // SAFETY: the payload region is 64-byte offset into a
-                // page-aligned mapping (so 8-aligned), valid for
-                // `capacity() >= max_size` bytes while the guard lives,
-                // and the write hold guarantees no other writer aliases
-                // it until descriptors are committed.
-                let mut alloc =
-                    unsafe { SfmAlloc::from_extern(frame.payload_ptr(), T::max_size(), guard) };
-                if tracer().armed() {
-                    // A loan is a genuine allocation event: stamp its
-                    // birth so the `alloc` span anchors here rather than
-                    // vanishing with the reader-side `from_extern` zero.
-                    alloc.set_born_ns(now_nanos());
-                }
-                // SAFETY: region writable for the full capacity (publisher
-                // maps its own pool segments read-write) and un-aliased
-                // while building (write hold held above).
-                let msg = unsafe { SfmBox::from_alloc(Arc::new(alloc)) };
-                return Some(LoanedMessage::new(msg, Some(frame)));
-            }
+        // A pool exists only once a shm link was granted.
+        let Some(pool) = self.core.shm_pool.lock().clone() else {
+            return Some(LoanedMessage::new(SfmBox::new(), None));
+        };
+        let frame = pool.loan(T::max_size())?;
+        // The SharedFrame clone in the guard keeps the segment's
+        // write hold (and therefore its generation stamp) alive
+        // for as long as any clone of the allocation lives —
+        // including fast-path subscribers sharing the buffer.
+        let guard: Box<dyn std::any::Any + Send + Sync> = Box::new(frame.clone());
+        // SAFETY: the payload region is 64-byte offset into a
+        // page-aligned mapping (so 8-aligned), valid for
+        // `capacity() >= max_size` bytes while the guard lives,
+        // and the write hold guarantees no other writer aliases
+        // it until descriptors are committed.
+        let mut alloc = unsafe { SfmAlloc::from_extern(frame.payload_ptr(), T::max_size(), guard) };
+        if tracer().armed() {
+            // A loan is a genuine allocation event: stamp its
+            // birth so the `alloc` span anchors here rather than
+            // vanishing with the reader-side `from_extern` zero.
+            alloc.set_born_ns(now_nanos());
         }
-        Some(LoanedMessage::new(SfmBox::new(), None))
+        // SAFETY: region writable for the full capacity (publisher
+        // maps its own pool segments read-write) and un-aliased
+        // while building (write hold held above).
+        let msg = unsafe { SfmBox::from_alloc(Arc::new(alloc)) };
+        Some(LoanedMessage::new(msg, Some(frame)))
     }
 
     /// Publish a loaned message. For a segment-backed loan the payload is
@@ -1164,7 +1141,7 @@ mod tests {
         assert_eq!(core.conns.lock().len(), 1, "counted out, not yet pruned");
         publisher.publish(&SfmBox::new());
         assert_eq!(core.conns.lock().len(), 0);
-        assert_eq!(publisher.dropped(), 0);
+        assert_eq!(publisher.stats().dropped, 0);
     }
 
     /// A push reports the depth it left, its own frame included, and a

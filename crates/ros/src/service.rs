@@ -26,7 +26,7 @@ use crate::tier::tcp::{
     Pending, Step, WriteQueue,
 };
 use crate::traits::{Decode, Encode, RecvSlot};
-use crate::wire::{read_frame_len, write_frame, ConnectionHeader, OutFrame};
+use crate::wire::{read_frame_len, write_frame, ConnectionHeader, OutFrame, MAX_FRAME_LEN};
 use parking_lot::Mutex;
 use rossf_reactor::{runtime, Ctl, Event, Handler};
 use std::collections::HashMap;
@@ -101,11 +101,9 @@ struct ServerCore {
     registration: u64,
     shutdown: AtomicBool,
     calls: AtomicU64,
-    /// The advertising node's `TransportConfig::handshake_timeout` and
-    /// `max_frame_len`: what a connecting client may cost before it has
-    /// sent a well-formed request.
+    /// The advertising node's `TransportConfig::handshake_timeout`: how
+    /// long a connecting client may take to send its header.
     handshake_timeout: Duration,
-    max_frame_len: usize,
     /// The acceptor's reactor registration, deregistered on drop (which
     /// drops the listener and closes it).
     listener_token: OnceLock<rossf_reactor::Token>,
@@ -164,15 +162,13 @@ impl ServiceServer {
                 id: registration,
             },
         )?;
-        let config = nh.transport_config();
         let core = Arc::new(ServerCore {
             name: name.to_string(),
             master: nh.master().clone(),
             registration,
             shutdown: AtomicBool::new(false),
             calls: AtomicU64::new(0),
-            handshake_timeout: config.handshake_timeout,
-            max_frame_len: config.max_frame_len,
+            handshake_timeout: nh.transport_config().handshake_timeout,
             listener_token: OnceLock::new(),
         });
         // Clients are accepted off the shared event loop and each handed
@@ -369,7 +365,7 @@ where
             stream,
             core: Arc::downgrade(core),
             handler,
-            reader: FrameReader::new(core.max_frame_len),
+            reader: FrameReader::new(MAX_FRAME_LEN),
             out: WriteQueue::default(),
             pending: None,
             interest: (true, false),
@@ -407,8 +403,6 @@ pub struct ServiceClient<Req: Encode, Res: Decode> {
     stream: TcpStream,
     reader: BufReader<TcpStream>,
     service: String,
-    /// The connecting node's `TransportConfig::max_frame_len`.
-    max_frame_len: usize,
     _marker: PhantomData<fn(&Req) -> Res>,
 }
 
@@ -438,13 +432,12 @@ impl<Req: Encode, Res: Decode> ServiceClient<Req, Res> {
             .with("service", name)
             .with("req_type", Req::topic_type())
             .with("res_type", Res::topic_type());
-        let config = nh.transport_config();
-        let (stream, _reply) = dial(ep.addr, &request, config.handshake_timeout)?;
+        let timeout = nh.transport_config().handshake_timeout;
+        let (stream, _reply) = dial(ep.addr, &request, timeout)?;
         Ok(ServiceClient {
             reader: BufReader::with_capacity(64 * 1024, stream.try_clone()?),
             stream,
             service: name.to_string(),
-            max_frame_len: config.max_frame_len,
             _marker: PhantomData,
         })
     }
@@ -455,7 +448,7 @@ impl<Req: Encode, Res: Decode> ServiceClient<Req, Res> {
     ///
     /// I/O errors if the server goes away mid-call; decode errors on a
     /// malformed response; [`RosError::FrameTooLarge`] for a response
-    /// prefix above the node's `max_frame_len` — rejected before anything
+    /// prefix above [`MAX_FRAME_LEN`] — rejected before anything
     /// is allocated, and the connection is shut down (the stream cannot be
     /// trusted to be in sync anymore).
     pub fn call(&mut self, request: &Req) -> Result<Res, RosError> {
@@ -467,7 +460,7 @@ impl<Req: Encode, Res: Decode> ServiceClient<Req, Res> {
                 "service closed before responding",
             ))
         })?;
-        let len = check_frame_len(len, self.max_frame_len).inspect_err(|_| {
+        let len = check_frame_len(len, MAX_FRAME_LEN).inspect_err(|_| {
             let _ = self.stream.shutdown(Shutdown::Both);
         })?;
         let mut slot = Res::new_slot(len)?;
@@ -553,7 +546,6 @@ mod tests {
             shutdown: AtomicBool::new(false),
             calls: AtomicU64::new(0),
             handshake_timeout: Duration::from_secs(5),
-            max_frame_len: 1 << 20,
             listener_token: OnceLock::new(),
         })
     }

@@ -123,9 +123,12 @@ pub(crate) struct SubCore<D: Decode> {
     /// ([`Supervision::token`]), for `Drop` to deregister. `resume` removes
     /// an attempt's entry however it ends — dead entries never accumulate.
     links: Mutex<HashSet<Token>>,
+    /// This subscription's own counters, each beside its topic-wide twin in
+    /// `metrics`.
     received: AtomicU64,
     received_bytes: AtomicU64,
     decode_errors: AtomicU64,
+    verify_rejects: AtomicU64,
     connected: AtomicU64,
     reconnect_attempts: AtomicU64,
     reconnects: AtomicU64,
@@ -200,14 +203,16 @@ impl<D: Decode> Supervision<D> {
         // The zero-copy fast path applies when both sides opted in, share a
         // simulated machine, and the publisher lives in this process (its
         // core is registered with our master as a local port). The strong
-        // `port` reference ends with the attach: holding it for the link's
-        // life would keep the publisher core (and its master registration)
-        // alive after the last `Publisher` handle drops. The queue
-        // closes when the publisher tears down.
+        // `port` reference ends with the attach call: holding it any longer
+        // would keep the publisher core (and its master registration)
+        // alive after the last `Publisher` handle drops — for the link's
+        // life, or for as long as this worker takes to finish the step.
+        // The queue closes when the publisher tears down.
         let local = core.config.enable_fastpath && self.ep.machine == core.machine;
-        if let Some(port) = local.then(|| core.master.local_port(self.ep.id)).flatten() {
-            let token = self.token;
-            match port.attach_local(D::topic_type(), token, false) {
+        let port = local.then(|| core.master.local_port(self.ep.id)).flatten();
+        let token = self.token;
+        if let Some(attached) = port.map(|port| port.attach_local(D::topic_type(), token, false)) {
+            match attached {
                 Ok(queue) => {
                     core.count_handshake(self.was_connected);
                     reactor.attach(token, Link::boxed(self, fastpath::source(queue)));
@@ -229,7 +234,7 @@ impl<D: Decode> Supervision<D> {
         let mut request = ConnectionHeader::request(&core.topic, D::topic_type(), core.machine);
         // The shm offer is withheld after a grant failed to attach, so the
         // publisher serves this connection over plain TCP.
-        if core.config.enable_shm && !self.shm_blocked {
+        if !self.shm_blocked {
             request = shm::offer(request, self.token);
         }
         // Request the field projection by its canonical spec. The grant is
@@ -267,7 +272,7 @@ impl<D: Decode> Supervision<D> {
             return;
         }
         let projection = core.projection.as_deref();
-        let source = tcp::source::<D>(stream, &reply, projection, core.config.max_frame_len);
+        let source = tcp::source::<D>(stream, &reply, projection);
         reactor.register_as(token, fd, true, false, Link::boxed(self, source));
     }
 
@@ -396,6 +401,7 @@ impl<D: Decode> SubCore<D> {
                 // Structurally corrupt: drop the frame without adopting
                 // it. Framing (length prefix, descriptor) is intact, so
                 // the link stays in sync and lives on.
+                self.verify_rejects.fetch_add(1, Ordering::Relaxed);
                 self.metrics.verify_rejects.fetch_add(1, Ordering::Relaxed);
                 return;
             }
@@ -533,13 +539,12 @@ impl<D: Decode> Subscriber<D> {
         topic: &str,
         options: SubscriberOptions,
         machine: MachineId,
-        default_config: TransportConfig,
+        config: TransportConfig,
         callback: F,
     ) -> Result<Self, RosError>
     where
         F: Fn(D) + Send + Sync + 'static,
     {
-        let config = options.transport.unwrap_or(default_config);
         let trace = if options.trace {
             tracer().arm();
             Some(tracer().topic(topic))
@@ -607,6 +612,7 @@ impl<D: Decode> Subscriber<D> {
             received: AtomicU64::new(0),
             received_bytes: AtomicU64::new(0),
             decode_errors: AtomicU64::new(0),
+            verify_rejects: AtomicU64::new(0),
             connected: AtomicU64::new(0),
             reconnect_attempts: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
@@ -635,52 +641,9 @@ impl<D: Decode> Subscriber<D> {
         &self.core.topic
     }
 
-    /// Messages delivered to the callback so far.
-    ///
-    /// Counter getters use `Relaxed` loads: each counter is internally
-    /// consistent on its own and none is used to publish other memory.
-    pub fn received(&self) -> u64 {
-        self.core.received.load(Ordering::Relaxed)
-    }
-
-    /// Total payload bytes delivered (the numerator of a `rostopic bw`
-    /// style bandwidth estimate).
-    pub fn received_bytes(&self) -> u64 {
-        self.core.received_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Frames that failed decoding/adoption.
-    pub fn decode_errors(&self) -> u64 {
-        self.core.decode_errors.load(Ordering::Relaxed)
-    }
-
-    /// Frames rejected by the structural verifier
-    /// (`TransportConfig::validate_on_receive`) and dropped unadopted.
-    pub fn verify_rejects(&self) -> u64 {
-        self.core.metrics.verify_rejects.load(Ordering::Relaxed)
-    }
-
     /// Publisher connections that completed the handshake.
     pub fn connection_count(&self) -> u64 {
         self.core.connected.load(Ordering::Relaxed)
-    }
-
-    /// Connection attempts made after a connection died (successful or
-    /// not).
-    pub fn reconnect_attempts(&self) -> u64 {
-        self.core.reconnect_attempts.load(Ordering::Relaxed)
-    }
-
-    /// Reconnections that completed a handshake after a previous
-    /// connection to the same publisher registration died.
-    pub fn reconnects(&self) -> u64 {
-        self.core.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// The shared per-topic transport metrics this subscription reports
-    /// into.
-    pub fn metrics(&self) -> Arc<TransportMetrics> {
-        Arc::clone(&self.core.metrics)
     }
 
     /// The resolved field projection this subscription negotiates with
@@ -691,20 +654,22 @@ impl<D: Decode> Subscriber<D> {
         self.core.projection.as_deref()
     }
 
-    /// One coherent snapshot of this subscription's counters.
+    /// One coherent snapshot of this subscription's counters and its
+    /// topic's.
     pub fn stats(&self) -> SubscriberStats {
-        let transport = self.core.metrics.snapshot();
+        // Relaxed: each counter is consistent on its own, and none
+        // publishes other memory.
+        let core = &*self.core;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         SubscriberStats {
-            received: self.received(),
-            received_bytes: self.received_bytes(),
-            decode_errors: self.decode_errors(),
-            verify_rejects: self.verify_rejects(),
-            connections: self.connection_count(),
-            reconnect_attempts: self.reconnect_attempts(),
-            reconnects: self.reconnects(),
-            bytes_sent: transport.bytes_sent,
-            bytes_received: transport.bytes_received,
-            transport,
+            received: read(&core.received),
+            received_bytes: read(&core.received_bytes),
+            decode_errors: read(&core.decode_errors),
+            verify_rejects: read(&core.verify_rejects),
+            connections: read(&core.connected),
+            reconnect_attempts: read(&core.reconnect_attempts),
+            reconnects: read(&core.reconnects),
+            transport: core.metrics.snapshot(),
         }
     }
 }
@@ -734,8 +699,8 @@ impl<D: Decode> std::fmt::Debug for Subscriber<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Subscriber")
             .field("topic", &self.core.topic)
-            .field("received", &self.received())
-            .field("reconnects", &self.reconnects())
+            .field("received", &self.core.received.load(Ordering::Relaxed))
+            .field("reconnects", &self.core.reconnects.load(Ordering::Relaxed))
             .finish()
     }
 }

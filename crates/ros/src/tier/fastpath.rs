@@ -14,17 +14,16 @@
 //! `Published → Destructed` governed purely by the buffer refcount (paper
 //! §4.2).
 //!
-//! The `enable_fastpath` flag on
-//! [`TransportConfig`](crate::TransportConfig) guards the tier: either side
-//! opting out falls back to TCP transparently, producing byte-identical
-//! frames. The attach is admitted exactly like a TCP handshake (type check,
-//! a severed loopback link refuses it transiently), and the fast path keeps
-//! the TCP path's invariants — the loopback
-//! [`FaultInjector`](rossf_netsim::FaultInjector) applies where the frame
-//! enters the link, through the publisher's one fault gate, exactly as on
-//! TCP; `queue_size` backpressure is honored with `frames_dropped`
-//! accounting, and `validate_on_receive` runs when enabled. A capture tap
-//! attaches the same way, to a link with no gate.
+//! The node's [`TransportConfig::enable_fastpath`](crate::TransportConfig)
+//! guards the tier: either side opting out falls back to TCP transparently,
+//! producing byte-identical frames. The attach is admitted exactly like a
+//! TCP handshake (type check, a severed loopback link refuses it
+//! transiently), and the fast path keeps the TCP path's invariants — the
+//! loopback [`FaultInjector`](rossf_netsim::FaultInjector) applies where the
+//! frame enters the link, through the publisher's one fault gate, exactly as
+//! on TCP; the publisher's queue size bounds the link with `frames_dropped`
+//! accounting, and the node's `validate_on_receive` runs when enabled. A
+//! capture tap attaches the same way, to a link with no gate.
 
 use crate::error::RosError;
 use crate::publisher::{Pop, QueueRx};

@@ -24,7 +24,6 @@
 //! tells the other its peer is gone, even a publisher that crashed before
 //! it could close the ring.
 
-use crate::config::TransportConfig;
 use crate::error::RosError;
 use crate::metrics::TransportMetrics;
 use crate::publisher::{Deposit, Parcel};
@@ -82,18 +81,18 @@ pub(crate) fn offer(request: ConnectionHeader, token: Token) -> ConnectionHeader
         .with(SHM_TOKEN_FIELD, token.raw().to_string())
 }
 
-/// The publisher's answer to an offer. The tier is granted when both sides
-/// opted in (`config.enable_shm` here, the offer in `request`), they share
-/// a simulated machine, and the subscriber is a *different* process —
-/// same-process traffic prefers the fast path unless `shm_same_process`
-/// overrides. The link gets room for `depth` frames in the publisher's
-/// segment pool, created in `pool` on the first grant so the memfd count
-/// stays bounded by [`rossf_shm::DIR_CAP`] however many subscribers
-/// attach. `None` leaves the connection to TCP — silently when the link
-/// cannot be created: frames are byte-identical either way.
+/// The publisher's answer to an offer. The tier is granted when the
+/// subscriber offered it in `request`, the two share a simulated machine,
+/// and the subscriber is a *different* process — same-process traffic
+/// prefers the fast path unless the publisher's node sets
+/// `shm_same_process`. The link gets room for `depth` frames in the
+/// publisher's segment pool, created in `pool` on the first grant so the
+/// memfd count stays bounded by [`rossf_shm::DIR_CAP`] however many
+/// subscribers attach. `None` leaves the connection to TCP — silently when
+/// the link cannot be created: frames are byte-identical either way.
 pub(crate) fn grant(
     request: &ConnectionHeader,
-    config: &TransportConfig,
+    shm_same_process: bool,
     same_machine: bool,
     pool: &Mutex<Option<Arc<SegmentPool>>>,
     depth: usize,
@@ -101,15 +100,15 @@ pub(crate) fn grant(
     let me = std::process::id();
     let offered = request.get(SHM_FIELD) == Some("1");
     let sub_pid = request.get(SHM_PID_FIELD)?.parse::<u32>().ok()?;
-    let process_eligible = sub_pid != me || config.shm_same_process;
-    if !(config.enable_shm && offered && same_machine && process_eligible) {
+    let process_eligible = sub_pid != me || shm_same_process;
+    if !(offered && same_machine && process_eligible) {
         return None;
     }
     let pool = Arc::clone(
         pool.lock()
             .get_or_insert_with(|| Arc::new(SegmentPool::new())),
     );
-    let link = ShmLink::create(pool, depth.max(1), rossf_shm::fresh_epoch()).ok()?;
+    let link = ShmLink::create(pool, depth, rossf_shm::fresh_epoch()).ok()?;
     // A subscriber in this very process named the reactor token of the
     // handler draining the ring; any other hears the socket.
     let notify = request

@@ -13,15 +13,15 @@
 //! the socket while the modelled link carries it, and only its last
 //! [`PACE_TAIL`] bytes wait on a reactor timer for the link to finish. With
 //! tracing on, the TCP wire format stays untouched: the writer files a
-//! sidecar note per frame under the link's [`conn_key`], and the source
-//! recovers the trace id from it.
+//! sidecar note per frame under the link's [`conn_key`] once the frame's last
+//! byte is written, and the source recovers the trace id from it.
 
 use crate::error::RosError;
 use crate::metrics::TransportMetrics;
 use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::{Decode, RecvSlot};
-use crate::wire::{frame_len_prefix, ConnectionHeader, OutFrame, PROJECT_FIELD};
+use crate::wire::{frame_len_prefix, ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD};
 use rossf_netsim::{LinkProfile, Shaper};
 use rossf_reactor::{Ctl, Event, Handler, Reactor, Token};
 use rossf_sfm::{MessageSchema, Projection};
@@ -219,7 +219,8 @@ pub(crate) enum Step<D: Decode> {
 /// straight into their receive slots.
 pub(crate) struct FrameReader<D: Decode> {
     state: ReadState<D>,
-    /// Largest prefix accepted (`TransportConfig::max_frame_len`).
+    /// Largest prefix accepted: [`MAX_FRAME_LEN`] on every socket, smaller
+    /// in unit tests.
     max_frame_len: usize,
     /// Read coalescing buffer: one syscall drains many small frames.
     /// Payload remainders of at least the buffer's size bypass it and read
@@ -383,9 +384,6 @@ pub(crate) struct Pending {
     /// Trace id (0 = untraced) and the wire-write span's start time.
     trace_id: u64,
     t_start: u64,
-    /// Position of this frame in the socket's wire order — the sidecar key
-    /// the subscriber-side reader settles against.
-    seq: u64,
 }
 
 /// What a paced frame holds back until its `due`: the last quantum, not the
@@ -419,7 +417,6 @@ impl Pending {
             due: None,
             trace_id: 0,
             t_start: 0,
-            seq: 0,
         })
     }
 
@@ -664,9 +661,9 @@ struct TcpWriter {
     /// this link is sliced to the selected ranges before it hits the wire.
     /// `None` = full frames.
     projection: Option<Arc<Projection>>,
-    /// Frames actually written on this socket, in wire order. Dropped
-    /// frames never reach the stream, so they must not advance the
-    /// sequence the reader counts.
+    /// Frames whose last byte is on this socket, in wire order — the
+    /// sidecar key of the next one. Dropped frames never reach the stream,
+    /// so they must not advance the sequence the reader counts.
     wire_seq: u64,
     shaper: Shaper,
     /// Frames admitted and (possibly partially) written.
@@ -701,9 +698,8 @@ impl Handler for TcpWriter {
 }
 
 impl TcpWriter {
-    /// Admit one frame: stamp trace spans and the sidecar
-    /// note, assign its wire sequence, book the link for it, and queue it
-    /// for writing.
+    /// Admit one frame: close its `enqueue` span, book the link for it,
+    /// and queue it for writing.
     fn admit(&mut self, frame: OutFrame) {
         // Slice the frame down to the negotiated projection. Slicing fails
         // only when the frame violates its own schema (unreachable for
@@ -723,25 +719,17 @@ impl TcpWriter {
         let mut pending = match Pending::new(frame, plan) {
             Ok(pending) => pending,
             // Unreachable in practice (`fan_out` bounds frames by
-            // `max_frame_len`).
+            // `MAX_FRAME_LEN`).
             Err(_) => {
                 self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         };
-        // `enqueue` span ends (and the sidecar note lands) *before* the
-        // frame bytes can hit the socket, so the reader can never observe
-        // the frame without its note.
         if let (Some(table), true) = (self.trace.as_deref(), tag.id != 0) {
             let t = now_nanos();
             tracer().span(table, Stage::Enqueue, Tier::Tcp, tag.id, tag.enqueued_ns, t);
-            tracer()
-                .sidecar()
-                .insert(self.conn_key, self.wire_seq, tag.id, t);
             (pending.trace_id, pending.t_start) = (tag.id, t);
         }
-        pending.seq = self.wire_seq;
-        self.wire_seq += 1;
         // One reservation per frame, made at admission, so a queued burst
         // is booked back to back: the link latency once, plus the transmit
         // time of prefix and payload — the *wire* payload, so a projected
@@ -805,11 +793,18 @@ impl TcpWriter {
     }
 
     /// Flush the write queue to the socket; each frame whose last byte went
-    /// out has its wire-write span closed, its sidecar note settled, and is
-    /// counted sent.
+    /// out has its wire-write span closed, its sidecar note filed, and is
+    /// counted sent. The note is filed with the write-completion time, and
+    /// before a reader can see the frame whole: a reader in this process
+    /// runs on this loop thread, so it is dispatched only after this flush
+    /// returns (one in another process reads another sidecar and finds no
+    /// note at all).
     fn flush_writeq(&mut self) -> Flush {
         let (metrics, trace, conn_key) = (&*self.metrics, self.trace.as_deref(), self.conn_key);
+        let wire_seq = &mut self.wire_seq;
         self.writeq.flush(&mut &self.stream, |p| {
+            let seq = *wire_seq;
+            *wire_seq += 1;
             if let (Some(table), true) = (trace, p.trace_id != 0) {
                 let t1 = now_nanos();
                 tracer().span(
@@ -820,7 +815,7 @@ impl TcpWriter {
                     p.t_start,
                     t1,
                 );
-                tracer().sidecar().update_sent(conn_key, p.seq, t1);
+                tracer().sidecar().insert(conn_key, seq, p.trace_id, t1);
             }
             metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
             metrics
@@ -850,29 +845,22 @@ impl TcpWriter {
     }
 }
 
-/// How long a traced reader waits for the writer's sidecar note to carry
-/// the write-*completion* stamp before giving up on the `wire_read` span.
-/// The writer settles the note within microseconds of the last frame byte;
-/// this bound only matters when the writer thread is preempted in between.
-const SIDECAR_SETTLE_WAIT: Duration = Duration::from_millis(2);
-
 /// The subscriber half of a TCP link, on the (nonblocking) socket that
 /// `reply` answered the handshake on: a source reading frames of at most
-/// `max_frame_len` bytes, projected when the reply echoed the
+/// [`MAX_FRAME_LEN`] bytes, projected when the reply echoed the
 /// subscription's `projection` — an exact echo is the grant, anything else
 /// means full frames.
 pub(crate) fn source<D: Decode>(
     stream: TcpStream,
     reply: &ConnectionHeader,
     projection: Option<&Projection>,
-    max_frame_len: usize,
 ) -> impl Source<D> {
     TcpSource {
         conn_key: conn_key(stream.peer_addr(), stream.local_addr()),
         stream,
         projected: projection.is_some_and(|p| reply.get(PROJECT_FIELD) == Some(p.spec())),
         wire_seq: 0,
-        reader: FrameReader::new(max_frame_len),
+        reader: FrameReader::new(MAX_FRAME_LEN),
     }
 }
 
@@ -935,20 +923,12 @@ impl<D: Decode> TcpSource<D> {
         let seq = self.wire_seq;
         self.wire_seq += 1;
         // Recover the frame's trace id from the writer's sidecar note; the
-        // `wire_read` span starts at the writer's send timestamp. The last
-        // frame byte wakes this loop at the same moment the writer moves
-        // to stamp its completion time, so wait a bounded moment for the
-        // note to settle; if it still hasn't (writer preempted), only the
-        // id is recovered — measuring from the provisional write-start
-        // stamp would double-count `wire_write`. (A same-process writer
-        // shares this reactor thread, so its note is always settled by the
-        // time this dispatch runs — the wait only triggers cross-process.)
-        let note = core.trace.as_ref().and_then(|_| {
-            tracer()
-                .sidecar()
-                .take_settled(self.conn_key, seq, SIDECAR_SETTLE_WAIT)
-        });
-        let (id, since) = note.map_or((0, None), |n| (n.trace_id, n.settled.then_some(n.sent_ns)));
+        // `wire_read` span starts at the writer's write-completion stamp.
+        let note = core
+            .trace
+            .as_ref()
+            .and_then(|_| tracer().sidecar().take(self.conn_key, seq));
+        let (id, since) = note.map_or((0, None), |n| (n.trace_id, Some(n.sent_ns)));
         // A projected link carries sub-frames: unselected fields are
         // deliberately zeroed, which the full verifier would accept but
         // the projected verifier additionally *requires* — so corrupt

@@ -123,6 +123,13 @@ impl OutFrame {
     }
 }
 
+/// Largest frame the transport carries, 64 MiB. A publisher refuses to send
+/// a bigger one (`frames_dropped_oversized`), and a length prefix above it is
+/// a protocol violation on every read path — topic links and both ends of a
+/// service — rejected *before* any allocation (a corrupted or hostile
+/// 4-byte prefix can claim up to 4 GiB).
+pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
+
 /// Validate that a payload length fits the 4-byte frame prefix.
 ///
 /// # Errors

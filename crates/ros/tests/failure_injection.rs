@@ -131,9 +131,9 @@ fn corrupt_sfm_frame_is_counted_and_skipped() {
     write_frame(&mut stream, &valid_frame(2)).unwrap();
 
     wait_until("2 good frames", || seen.load(Ordering::SeqCst) == 2);
-    wait_until("1 decode error", || sub.decode_errors() == 1);
-    assert_eq!(sub.received(), 2);
-    assert_eq!(sub.received_bytes(), 2 * valid_frame(0).len() as u64);
+    wait_until("1 decode error", || sub.stats().decode_errors == 1);
+    assert_eq!(sub.stats().received, 2);
+    assert_eq!(sub.stats().received_bytes, 2 * valid_frame(0).len() as u64);
 }
 
 #[test]
@@ -163,7 +163,7 @@ fn oversized_frame_is_skipped_without_desync() {
     wait_until("good frame after oversized", || {
         seen.load(Ordering::SeqCst) == 1
     });
-    assert_eq!(sub.decode_errors(), 1);
+    assert_eq!(sub.stats().decode_errors, 1);
 }
 
 #[test]
@@ -242,7 +242,7 @@ fn absurd_length_prefix_is_rejected_without_allocation() {
 
     write_frame(&mut stream, &valid_frame(0)).unwrap();
     // A corrupted length prefix claiming a ~4 GiB frame. The subscriber
-    // must reject it against `max_frame_len` *before* allocating or
+    // must reject it against `MAX_FRAME_LEN` *before* allocating or
     // reading, and treat the connection as poisoned.
     stream.write_all(&0xFFFF_FFF0u32.to_le_bytes()).unwrap();
     stream.flush().unwrap();
@@ -260,8 +260,8 @@ fn absurd_length_prefix_is_rejected_without_allocation() {
     // and the bogus length is not misread as a decode error.
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(seen.load(Ordering::SeqCst), 1);
-    assert_eq!(sub.decode_errors(), 0);
-    assert_eq!(sub.received(), 1);
+    assert_eq!(sub.stats().decode_errors, 0);
+    assert_eq!(sub.stats().received, 1);
 }
 
 #[test]
@@ -351,10 +351,10 @@ fn dribbled_frames_and_a_close_after_a_short_write() {
     // EOF observed: the link concluded and its supervision came back for
     // a new connection (the listener is still registered).
     let _again = raw.accept(Payload::type_name());
-    wait_until("reconnect after EOF", || sub.reconnects() == 1);
+    wait_until("reconnect after EOF", || sub.stats().reconnects == 1);
     assert!(rx.try_recv().is_err(), "a frame was delivered twice");
-    assert_eq!(sub.received(), sent.len() as u64);
-    assert_eq!(sub.decode_errors(), 0);
+    assert_eq!(sub.stats().received, sent.len() as u64);
+    assert_eq!(sub.stats().decode_errors, 0);
 }
 
 /// §4.4.1 as this repo implements it: a publisher of the other byte order is
@@ -392,9 +392,9 @@ fn foreign_endian_publisher_is_refused_once_and_for_all() {
     std::thread::sleep(2 * max_backoff);
     raw.listener.set_nonblocking(true).unwrap();
     assert!(raw.listener.accept().is_err(), "the refusal was retried");
-    assert_eq!(sub.reconnect_attempts(), 0);
+    assert_eq!(sub.stats().reconnect_attempts, 0);
     assert_eq!(sub.stats().connections, 0, "a refused handshake is no link");
-    assert_eq!(sub.received(), 0);
+    assert_eq!(sub.stats().received, 0);
     assert!(
         rossf_sfm::mm().live() <= live_before,
         "refusal leaked a record"

@@ -240,7 +240,7 @@ fn queue_backpressure_drops_and_counts_when_full() {
     // beyond that must be dropped without blocking `publish`.
     wait_until("queue saturated", || {
         publisher.publish(&msg(0));
-        publisher.dropped() > 0
+        publisher.stats().dropped > 0
     });
     drop(blocked);
 
@@ -283,7 +283,7 @@ fn validate_on_receive_still_zero_copy() {
         pub_base,
         "verification must not force a copy"
     );
-    assert_eq!(sub.verify_rejects(), 0);
+    assert_eq!(sub.stats().verify_rejects, 0);
     assert!(
         master
             .metrics()

@@ -100,7 +100,11 @@ fn a_dropped_subscriber_is_an_event_for_the_publisher_on_every_tier() {
         yield_until(&format!("{name}: the publisher to see the drop"), || {
             publisher.subscriber_count() == 0
         });
-        assert_eq!(publisher.published(), 1, "{name}: no publish prompted it");
+        assert_eq!(
+            publisher.stats().published,
+            1,
+            "{name}: no publish prompted it"
+        );
     }
 }
 
@@ -293,5 +297,5 @@ fn a_slow_callback_delays_the_other_links_and_loses_nothing() {
         assert_eq!(a.arrivals.recv_timeout(LONG).expect("A's frame").0, seq);
         assert_eq!(b.arrivals.recv_timeout(LONG).expect("B's frame").0, seq);
     }
-    assert_eq!(a.publisher.dropped() + b.publisher.dropped(), 0);
+    assert_eq!(a.publisher.stats().dropped + b.publisher.stats().dropped, 0);
 }

@@ -216,7 +216,7 @@ fn churn_one_tier(case: &TierCase) {
     let fd_base = fd_count();
     let thread_base = thread_count();
 
-    let reconnects_before = sub.reconnects();
+    let reconnects_before = sub.stats().reconnects;
     for _cycle in 0..CYCLES {
         // Subscription churn: connect a fresh link, see traffic on it,
         // drop it.
@@ -259,15 +259,15 @@ fn churn_one_tier(case: &TierCase) {
 
         // Link churn: sever the steady link mid-stream, heal, and wait
         // for the supervisor to bring it back.
-        let reconnects = sub.reconnects();
-        let attempts = sub.reconnect_attempts();
+        let reconnects = sub.stats().reconnects;
+        let attempts = sub.stats().reconnect_attempts;
         fault.sever_now();
         publish_until(&publisher, &mut seq, "sever to land", || {
-            sub.reconnect_attempts() > attempts
+            sub.stats().reconnect_attempts > attempts
         });
         fault.heal();
         publish_until(&publisher, &mut seq, "reconnect after heal", || {
-            sub.reconnects() > reconnects
+            sub.stats().reconnects > reconnects
         });
         let resumed_from = seen.load(Ordering::SeqCst);
         publish_until(&publisher, &mut seq, "delivery after reconnect", || {
@@ -277,8 +277,8 @@ fn churn_one_tier(case: &TierCase) {
             publisher.subscriber_count() == 1
         });
     }
-    assert!(sub.reconnects() >= reconnects_before + CYCLES as u64);
-    assert_eq!(sub.decode_errors(), 0, "{tier}");
+    assert!(sub.stats().reconnects >= reconnects_before + CYCLES as u64);
+    assert_eq!(sub.stats().decode_errors, 0, "{tier}");
 
     // Teardown of the last cycle is asynchronous (the publisher's writer
     // notices the dead peer on its next flush); poll back to baseline.

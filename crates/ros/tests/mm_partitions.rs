@@ -80,7 +80,7 @@ fn push_poses(topic: &str, config: TransportConfig) -> u64 {
         assert!(Instant::now() < deadline, "last poses never arrived");
         std::thread::yield_now();
     }
-    assert_eq!(publisher.dropped(), 0);
+    assert_eq!(publisher.stats().dropped, 0);
     master.metrics().topic(topic).snapshot().shm_frames
 }
 
@@ -98,7 +98,7 @@ fn same_thread_pubsub_never_leaves_its_home_partition() {
     let on_ring = push_poses(
         "guard/tcp",
         TransportConfig {
-            enable_shm: false,
+            shm_same_process: false,
             ..shm
         },
     );

@@ -1,6 +1,6 @@
-//! The consolidated options/stats API: per-endpoint transport overrides
-//! round-trip into real negotiation decisions, and `stats()` snapshots
-//! agree with the individual accessors on every transport tier.
+//! The options/stats API: a node's transport config round-trips into real
+//! negotiation decisions, and `stats()` snapshots agree with the traffic on
+//! every transport tier.
 
 use rossf_ros::{
     MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions, TransportConfig,
@@ -47,9 +47,9 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
     }
 }
 
-/// A per-endpoint transport override is honored over the node default: a
-/// publisher that opts out of both zero-copy tiers forces its links onto
-/// TCP even though the node config would negotiate them.
+/// An endpoint's transport config is its node's: a publisher on a node
+/// that opts out of both zero-copy tiers forces its links onto TCP even
+/// though the subscriber's node would negotiate them.
 #[test]
 fn per_endpoint_transport_config_forces_the_tier() {
     let master = Master::new();
@@ -60,13 +60,12 @@ fn per_endpoint_transport_config_forces_the_tier() {
     let nh = NodeHandle::with_config(&master, "override", MachineId::A, config);
     let tcp_only = TransportConfig {
         enable_fastpath: false,
-        enable_shm: false,
+        shm_same_process: false,
         ..nh.transport_config().clone()
     };
-    let publisher: Publisher<SfmBox<Payload>> = nh.advertise_with(
-        "options/override",
-        PublisherOptions::new().queue_size(8).transport(tcp_only),
-    );
+    let nh_pub = NodeHandle::with_config(&master, "override_pub", MachineId::A, tcp_only);
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh_pub.advertise_with("options/override", PublisherOptions::new().queue_size(8));
     let seen = Arc::new(AtomicU64::new(0));
     let seen_cb = Arc::clone(&seen);
     let _sub = nh.subscribe_with(
@@ -89,9 +88,9 @@ fn per_endpoint_transport_config_forces_the_tier() {
     assert_eq!(snap.frames_sent, 3, "frames still flow, over the socket");
 }
 
-/// Runs `n` frames under `config` and asserts that the consolidated
-/// `stats()` snapshots agree with every individual accessor, then returns
-/// the per-topic metrics snapshot for tier bookkeeping.
+/// Runs `n` frames under `config` and asserts that the `stats()` snapshots
+/// agree with the traffic, then returns the per-topic metrics snapshot for
+/// tier bookkeeping.
 fn stats_scenario(config: TransportConfig, n: u64) -> rossf_ros::MetricsSnapshot {
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "stats", MachineId::A, config);
@@ -118,18 +117,11 @@ fn stats_scenario(config: TransportConfig, n: u64) -> rossf_ros::MetricsSnapshot
     });
 
     let ps = publisher.stats();
-    assert_eq!(ps.published, publisher.published());
-    assert_eq!(ps.dropped, publisher.dropped());
     assert_eq!(ps.subscribers, publisher.subscriber_count());
     assert_eq!(ps.published, n);
     assert_eq!(ps.dropped, 0);
 
     let ss = sub.stats();
-    assert_eq!(ss.received, sub.received());
-    assert_eq!(ss.received_bytes, sub.received_bytes());
-    assert_eq!(ss.decode_errors, sub.decode_errors());
-    assert_eq!(ss.verify_rejects, sub.verify_rejects());
-    assert_eq!(ss.reconnects, sub.reconnects());
     assert_eq!(ss.received, n);
     assert_eq!(ss.decode_errors, 0);
     assert_eq!(ss.connections, 1);
@@ -146,7 +138,6 @@ fn stats_are_consistent_on_every_tier() {
     let tcp = stats_scenario(
         TransportConfig {
             enable_fastpath: false,
-            enable_shm: false,
             ..TransportConfig::default()
         },
         5,

@@ -125,13 +125,13 @@ fn rig(topic: &str, profile: LinkProfile, config: TransportConfig) -> Rig {
     master.links().connect(MachineId::A, MachineId::B, profile);
     let fault = master.links().inject(MachineId::A, MachineId::B);
     let nh_a = NodeHandle::new(&master, "paced_pub");
-    let nh_b = NodeHandle::with_machine(&master, "paced_sub", MachineId::B);
+    let nh_b = NodeHandle::with_config(&master, "paced_sub", MachineId::B, config);
     let publisher =
         nh_a.advertise_with::<SfmBox<Blob>>(topic, PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
     let sub = nh_b.subscribe_with(
         topic,
-        SubscriberOptions::new().transport(config),
+        SubscriberOptions::new(),
         move |m: SfmShared<Blob>| {
             let _ = tx.send((Instant::now(), m.as_bytes().to_vec()));
         },
@@ -200,7 +200,7 @@ fn a_queued_burst_is_carried_at_link_rate_in_order() {
         );
         assert_eq!(bytes, m.publish_handle().as_slice(), "frame {k}");
     }
-    assert_eq!(rig.publisher.dropped(), 0);
+    assert_eq!(rig.publisher.stats().dropped, 0);
 }
 
 /// (c) A frame no larger than the held quantum is held whole: nothing of
@@ -268,10 +268,10 @@ fn a_projected_link_is_byte_identical_shaped_and_unshaped() {
         );
         assert_eq!(over_shaped, over_unshaped, "seq {seq}");
     }
-    let snap = publisher.metrics().snapshot();
+    let snap = publisher.stats().transport;
     assert_eq!(snap.projection_handshakes, 2);
     assert_eq!(snap.projection_frames, 6);
-    assert_eq!(sub_b.decode_errors(), 0);
+    assert_eq!(sub_b.stats().decode_errors, 0);
     assert_eq!(snap.verify_rejects, 0);
 }
 
@@ -312,8 +312,8 @@ fn a_sever_under_a_held_tail_delivers_nothing_partial() {
     let (_, bytes) = rig.rx.recv_timeout(SLACK).expect("frame after heal lost");
     assert_eq!(bytes, m.publish_handle().as_slice());
     assert!(rig.rx.try_recv().is_err(), "only frame 3 may ever arrive");
-    assert_eq!(rig.sub.received(), 1);
-    assert!(rig.sub.reconnects() >= 1);
+    assert_eq!(rig.sub.stats().received, 1);
+    assert!(rig.sub.stats().reconnects >= 1);
 }
 
 /// (f) The publisher is dropped while a tail is held: the writer outlives
@@ -336,7 +336,7 @@ fn a_publisher_dropped_under_a_held_tail_still_delivers() {
     assert_eq!(bytes, expected);
     // The writer closed the socket once the tail drained: the reader saw a
     // clean EOF between frames, not a truncation.
-    wait_until("link closed", || sub.metrics().snapshot().disconnects >= 1);
-    assert_eq!(sub.decode_errors(), 0);
-    assert_eq!(sub.received(), 1);
+    wait_until("link closed", || sub.stats().transport.disconnects >= 1);
+    assert_eq!(sub.stats().decode_errors, 0);
+    assert_eq!(sub.stats().received, 1);
 }

@@ -3,9 +3,10 @@
 //! cross-machine link shaping.
 
 use rossf_ros::ser::{ByteReader, DecodeError, RosField, RosMessage};
+use rossf_ros::wire::MAX_FRAME_LEN;
 use rossf_ros::{
-    Encode, LinkProfile, MachineId, Master, NodeHandle, OutFrame, PublisherOptions, RosError,
-    SubscriberOptions, TopicType,
+    Decode, Encode, LinkProfile, MachineId, Master, NodeHandle, OutFrame, PublisherOptions,
+    RosError, SubscriberOptions, TopicType, VecSlot,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmString, SfmValidate, SfmVec};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,6 +86,36 @@ unsafe impl SfmMessage for SfmPing {
     }
 }
 
+// === A message of any length ===
+
+/// `n` zero bytes on the wire; the callback sees `n`.
+struct Zeros(usize);
+
+impl TopicType for Zeros {
+    fn topic_type() -> &'static str {
+        "test/Zeros"
+    }
+}
+
+impl Encode for Zeros {
+    fn encode(&self) -> OutFrame {
+        // Zeroed, so a frame refused by its length never touches its pages.
+        OutFrame::owned(Arc::new(vec![0; self.0]))
+    }
+}
+
+impl Decode for Zeros {
+    type Slot = VecSlot;
+
+    fn new_slot(len: usize) -> Result<VecSlot, RosError> {
+        Ok(VecSlot::new(len))
+    }
+
+    fn finish_slot(slot: VecSlot) -> Result<Self, RosError> {
+        Ok(Zeros(slot.as_slice().len()))
+    }
+}
+
 fn recv_n<T>(rx: &mpsc::Receiver<T>, n: usize) -> Vec<T> {
     (0..n)
         .map(|i| {
@@ -122,9 +153,9 @@ fn plain_messages_roundtrip_over_tcp() {
         assert_eq!(msg.seq, i as u32, "in-order delivery");
         assert_eq!(msg.payload, vec![i as u8; 100]);
     }
-    assert_eq!(publisher.published(), 20);
+    assert_eq!(publisher.stats().published, 20);
     assert_eq!(
-        publisher.dropped(),
+        publisher.stats().dropped,
         0,
         "queue depth 64 must absorb the burst"
     );
@@ -381,4 +412,40 @@ fn ping_pong_relay_preserves_stamp() {
         payload: vec![0; 10],
     });
     assert_eq!(recv_n(&rx, 1), vec![(5, 42)]);
+}
+
+/// A frame above `MAX_FRAME_LEN` is refused by the publisher before any
+/// link sees it, on TCP and on the fast path alike: it is counted as
+/// oversized and not as published, and the link it never entered stays up
+/// and carries the next frame.
+#[test]
+fn an_oversized_frame_is_refused_at_the_publisher_and_the_link_stays_up() {
+    for (sub_machine, fastpath_frames) in [(MachineId::B, 0), (MachineId::A, 1)] {
+        let master = Master::new();
+        let nh_pub = NodeHandle::new(&master, "big_pub");
+        let nh_sub = NodeHandle::with_machine(&master, "big_sub", sub_machine);
+        let publisher = nh_pub.advertise_with::<Zeros>("oversize", PublisherOptions::new());
+        let (tx, rx) = mpsc::channel();
+        let sub = nh_sub.subscribe_with("oversize", SubscriberOptions::new(), move |m: Zeros| {
+            tx.send(m.0).unwrap();
+        });
+        nh_pub.wait_for_subscribers(&publisher, 1);
+
+        publisher.publish(&Zeros(MAX_FRAME_LEN + 1));
+        publisher.publish(&Zeros(16));
+        assert_eq!(recv_n(&rx, 1), [16], "{sub_machine:?}: the normal frame");
+        let stats = publisher.stats();
+        assert_eq!(
+            stats.transport.frames_dropped_oversized, 1,
+            "{sub_machine:?}"
+        );
+        assert_eq!(stats.published, 1, "{sub_machine:?}");
+        assert_eq!(stats.transport.fastpath_frames, fastpath_frames);
+        assert_eq!(stats.subscribers, 1, "{sub_machine:?}: the link stayed up");
+        assert_eq!(sub.stats().reconnect_attempts, 0, "{sub_machine:?}");
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "{sub_machine:?}: only the normal frame is delivered"
+        );
+    }
 }

@@ -171,7 +171,7 @@ fn severed_link_reconnects_after_heal_and_resumes_delivery() {
         // Healthy traffic first.
         let mut seq = 0u32;
         publish_until(&publisher, &mut seq, "first frames", || delivered() >= 3);
-        assert_eq!(sub.reconnects(), 0, "{link:?}");
+        assert_eq!(sub.stats().reconnects, 0, "{link:?}");
 
         // Cut the cable mid-stream. The next frame's gate cuts the link;
         // while the latch is set the publisher refuses new handshakes and
@@ -182,10 +182,10 @@ fn severed_link_reconnects_after_heal_and_resumes_delivery() {
             &publisher,
             &mut seq,
             "reconnect attempts under sever",
-            || sub.reconnect_attempts() >= 2,
+            || sub.stats().reconnect_attempts >= 2,
         );
         assert_eq!(
-            sub.reconnects(),
+            sub.stats().reconnects,
             0,
             "{link:?}: cannot reconnect while severed"
         );
@@ -200,18 +200,18 @@ fn severed_link_reconnects_after_heal_and_resumes_delivery() {
         });
 
         assert!(
-            sub.reconnects() >= 1,
+            sub.stats().reconnects >= 1,
             "{link:?}: reconnect must be recorded"
         );
         assert_eq!(
-            sub.decode_errors(),
+            sub.stats().decode_errors,
             0,
             "{link:?}: no decode errors across the fault"
         );
         assert_eq!(fault.severs(), 1, "{link:?}");
 
         // The shared per-topic metrics saw the whole story.
-        let snap = sub.metrics().snapshot();
+        let snap = sub.stats().transport;
         assert!(snap.reconnects >= 1, "{link:?}");
         assert!(snap.reconnect_attempts >= 2, "{link:?}");
         assert!(snap.frames_received >= resumed_from, "{link:?}");
@@ -266,8 +266,8 @@ fn publisher_restart_resumes_delivery_via_watcher() {
     publish_until(&publisher, &mut seq, "delivery after restart", || {
         seen.load(Ordering::SeqCst) > resumed_from
     });
-    assert_eq!(sub.decode_errors(), 0);
-    assert_eq!(sub.received(), seen.load(Ordering::SeqCst));
+    assert_eq!(sub.stats().decode_errors, 0);
+    assert_eq!(sub.stats().received, seen.load(Ordering::SeqCst));
 }
 
 /// A drop fault discards exactly the scheduled frame with exactly the same
@@ -283,15 +283,23 @@ fn drop_fault_skips_frames_without_killing_connection() {
         }
         wait_until("4 surviving frames", || rig.seen.lock().unwrap().len() == 4);
         assert_eq!(*rig.seen.lock().unwrap(), [0, 1, 3, 4], "{link:?}");
-        let snap = rig.publisher.metrics().snapshot();
+        let snap = rig.publisher.stats().transport;
         let faulted = snap.frames_faulted;
         assert_eq!(
-            (rig.sub.received(), faulted, rig.fault.frames_dropped()),
+            (
+                rig.sub.stats().received,
+                faulted,
+                rig.fault.frames_dropped()
+            ),
             (4, 1, 1),
             "{link:?}: (delivered, faulted, dropped)"
         );
-        assert_eq!(rig.sub.reconnects(), 0, "{link:?}: drops must not sever");
-        assert_eq!(rig.sub.decode_errors(), 0, "{link:?}");
+        assert_eq!(
+            rig.sub.stats().reconnects,
+            0,
+            "{link:?}: drops must not sever"
+        );
+        assert_eq!(rig.sub.stats().decode_errors, 0, "{link:?}");
         assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
         assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
     }
@@ -346,8 +354,8 @@ fn delay_fault_postpones_delivery_without_loss() {
             "{link:?}: frames behind the delayed one wait for it, in order"
         );
         assert_eq!(fault.frames_delayed(), 1);
-        assert_eq!(publisher.dropped(), 0, "{link:?}");
-        let snap = publisher.metrics().snapshot();
+        assert_eq!(publisher.stats().dropped, 0, "{link:?}");
+        let snap = publisher.stats().transport;
         assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
         assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
     }
@@ -384,17 +392,21 @@ fn backoff_gives_up_after_max_attempts() {
     // retries, then stands down.
     fault.sever_now();
     publish_until(&publisher, &mut seq, "retries to exhaust", || {
-        sub.reconnect_attempts() >= 2
+        sub.stats().reconnect_attempts >= 2
     });
     std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(sub.reconnect_attempts(), 2, "no retries past max_attempts");
-    assert_eq!(sub.reconnects(), 0);
+    assert_eq!(
+        sub.stats().reconnect_attempts,
+        2,
+        "no retries past max_attempts"
+    );
+    assert_eq!(sub.stats().reconnects, 0);
 
     // Even after healing, the supervisor is gone — this subscription is
     // over (matching the policy the config asked for).
     fault.heal();
     std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(sub.reconnects(), 0);
+    assert_eq!(sub.stats().reconnects, 0);
 }
 
 /// A sever that lands while frames wait out a delay loses them with the
@@ -419,10 +431,10 @@ fn a_sever_under_a_delay_loses_and_counts_the_parked_frames() {
             [],
             "{link:?}: a frame crossed a severed link"
         );
-        let snap = rig.publisher.metrics().snapshot();
+        let snap = rig.publisher.stats().transport;
         assert_eq!(
-            snap.frames_faulted + rig.publisher.dropped(),
-            rig.publisher.published(),
+            snap.frames_faulted + rig.publisher.stats().dropped,
+            rig.publisher.stats().published,
             "{link:?}: every frame is faulted or dropped"
         );
     }

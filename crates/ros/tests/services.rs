@@ -194,8 +194,8 @@ fn sequential_calls_share_one_connection() {
 // === Hostile bytes, both directions ===
 //
 // What a peer may cost either end before it has said anything well-formed:
-// every length and every wait below is bounded by the node's
-// `TransportConfig` (`max_frame_len`, `handshake_timeout`).
+// every length below is bounded by `MAX_FRAME_LEN`, and every wait by the
+// node's `TransportConfig::handshake_timeout`.
 
 /// The test's own deadline for anything read off a raw socket.
 const DEADLINE: Duration = Duration::from_secs(5);
@@ -284,7 +284,7 @@ fn hostile_response_prefix_is_refused_before_allocation() {
     match client.call(&AddRequest { a: 1, b: 1 }) {
         Err(RosError::FrameTooLarge { len, max }) => {
             assert_eq!(len, u32::MAX as usize);
-            assert_eq!(max, nh.transport_config().max_frame_len);
+            assert_eq!(max, rossf_ros::wire::MAX_FRAME_LEN);
         }
         other => panic!("a 4 GiB response prefix must be refused, got {other:?}"),
     }

@@ -54,12 +54,12 @@ fn msg(seq: u32) -> SfmBox<Payload> {
 /// Same-process shm configuration: the fast path is disabled so the
 /// loopback negotiation lands on the shared-memory tier, and
 /// `shm_same_process` overrides the distinct-process requirement so the
-/// whole ring protocol runs inside one test process.
-fn shm_config(enable_shm: bool) -> TransportConfig {
+/// whole ring protocol runs inside one test process. Without it (`shm`
+/// false) the same pair rides TCP.
+fn shm_config(shm: bool) -> TransportConfig {
     TransportConfig {
         enable_fastpath: false,
-        enable_shm,
-        shm_same_process: true,
+        shm_same_process: shm,
         backoff: BackoffPolicy {
             initial: Duration::from_millis(2),
             max: Duration::from_millis(40),
@@ -135,9 +135,9 @@ fn delivery_is_zero_copy_out_of_a_mapped_segment() {
 
 /// Runs one single-message round trip and returns the received bytes plus
 /// the topic's shm frame count.
-fn roundtrip_bytes(enable_shm: bool) -> (Vec<u8>, u64) {
+fn roundtrip_bytes(shm: bool) -> (Vec<u8>, u64) {
     let master = Master::new();
-    let nh = NodeHandle::with_config(&master, "rt", MachineId::A, shm_config(enable_shm));
+    let nh = NodeHandle::with_config(&master, "rt", MachineId::A, shm_config(shm));
     let publisher: Publisher<SfmBox<Payload>> =
         nh.advertise_with("shm/fallback", PublisherOptions::new().queue_size(8));
     let (tx, rx) = mpsc::channel();
@@ -161,7 +161,7 @@ fn roundtrip_bytes(enable_shm: bool) -> (Vec<u8>, u64) {
     let metrics = master.metrics().topic("shm/fallback");
     wait_until("sent frame is accounted", || {
         let s = metrics.snapshot();
-        s.frames_sent >= 1 && (!enable_shm || s.shm_frames >= 1)
+        s.frames_sent >= 1 && (!shm || s.shm_frames >= 1)
     });
     (got, metrics.snapshot().shm_frames)
 }
@@ -332,7 +332,7 @@ fn queue_backpressure_drops_and_counts_when_full() {
     let blocked = gate.lock().unwrap();
     wait_until("queue saturated", || {
         publisher.publish(&msg(0));
-        publisher.dropped() > 0
+        publisher.stats().dropped > 0
             || master
                 .metrics()
                 .topic("shm/backpressure")
@@ -344,7 +344,7 @@ fn queue_backpressure_drops_and_counts_when_full() {
 
     let snap = master.metrics().topic("shm/backpressure").snapshot();
     assert!(
-        publisher.dropped() > 0 || snap.frames_dropped > 0,
+        publisher.stats().dropped > 0 || snap.frames_dropped > 0,
         "saturation must be visible as drops"
     );
     assert!(snap.shm_handshakes >= 1);
@@ -412,7 +412,7 @@ fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
         producer.join().expect("producer thread");
     }
     wait_until("every frame delivered", || {
-        sub.received() == u64::from(PRODUCERS * PER_PRODUCER)
+        sub.stats().received == u64::from(PRODUCERS * PER_PRODUCER)
     });
     assert_eq!(out_of_order.load(Ordering::SeqCst), 0, "per-producer order");
     for n in next.iter() {
@@ -420,7 +420,7 @@ fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
     }
     let snap = master.metrics().topic("shm/mpsc").snapshot();
     assert_eq!(snap.frames_dropped, 0);
-    assert_eq!(publisher.dropped(), 0);
+    assert_eq!(publisher.stats().dropped, 0);
     assert_eq!(snap.shm_frames, u64::from(PRODUCERS * PER_PRODUCER));
 }
 
@@ -452,7 +452,7 @@ fn validate_on_receive_still_zero_copy() {
         rossf_shm::is_shm_mapped(sub_base),
         "verification must not force a copy out of the segment"
     );
-    assert_eq!(sub.verify_rejects(), 0);
+    assert_eq!(sub.stats().verify_rejects, 0);
     let metrics = master.metrics().topic("shm/validate");
     wait_until("ring frame is accounted", || {
         metrics.snapshot().shm_frames > 0
@@ -586,8 +586,11 @@ fn unattachable_grant_falls_back_to_tcp() {
     assert!(snap.shm_attach_failures >= 1, "attach failure counted");
     assert!(snap.shm_handshakes >= 1, "a grant was negotiated first");
     assert_eq!(snap.shm_frames, 0, "no frame crossed a ring");
-    assert!(sub.reconnect_attempts() >= 1, "fallback is a renegotiation");
-    assert!(sub.received() >= 1);
+    assert!(
+        sub.stats().reconnect_attempts >= 1,
+        "fallback is a renegotiation"
+    );
+    assert!(sub.stats().received >= 1);
 }
 
 /// Child half of the crashed-subscriber test: stash (never release) every
@@ -782,7 +785,6 @@ fn forked_subscriber_receives_byte_identical_shm_frames() {
         MachineId::A,
         TransportConfig {
             enable_fastpath: false,
-            enable_shm: false,
             ..TransportConfig::default()
         },
     );
@@ -1269,7 +1271,6 @@ fn forked_subscriber_receives_byte_identical_loaned_frames() {
         MachineId::A,
         TransportConfig {
             enable_fastpath: false,
-            enable_shm: false,
             ..TransportConfig::default()
         },
     );
@@ -1433,18 +1434,18 @@ fn killed_publisher_concludes_the_link_on_control_socket_eof() {
     wait_until("frames over the cross-process ring", || {
         mapped.load(Ordering::SeqCst) >= 5
     });
-    assert_eq!(sub.reconnect_attempts(), 0, "the link was healthy");
+    assert_eq!(sub.stats().reconnect_attempts, 0, "the link was healthy");
     let disconnects = master.metrics().topic("shm/orphan").snapshot().disconnects;
 
     child.kill().expect("kill child publisher");
     child.wait().expect("reap child publisher");
     wait_until("the reader to conclude the orphaned link", || {
-        sub.reconnect_attempts() >= 1
+        sub.stats().reconnect_attempts >= 1
     });
     let after = master.metrics().topic("shm/orphan").snapshot();
     assert!(after.disconnects > disconnects, "the link was concluded");
     assert_eq!(
-        sub.decode_errors(),
+        sub.stats().decode_errors,
         0,
         "an orphaned ring is not a corrupt one"
     );

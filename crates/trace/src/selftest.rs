@@ -61,45 +61,13 @@ fn check_sidecar() -> Result<(), String> {
             "key derivation is not deterministic".into(),
         ));
     }
-    s.insert(key, 0, 41, 100);
-    s.update_sent(key, 0, 180);
+    s.insert(key, 0, 41, 180);
     match s.take(key, 0) {
-        Some(e) if e.trace_id == 41 && e.sent_ns == 180 && e.settled => {}
+        Some(e) if e.trace_id == 41 && e.sent_ns == 180 => {}
         other => return Err(fail("sidecar", format!("roundtrip returned {other:?}"))),
     }
-    s.insert(key, 1, 43, 100);
-    match s.take(key, 1) {
-        Some(e) if e.trace_id == 43 && !e.settled => {}
-        other => {
-            return Err(fail(
-                "sidecar",
-                format!("pre-update take must be unsettled, got {other:?}"),
-            ))
-        }
-    }
-    s.insert(key, 2, 44, 100);
-    s.update_sent(key, 2, 150);
-    match s.take_settled(key, 2, std::time::Duration::ZERO) {
-        Some(e) if e.settled && e.sent_ns == 150 => {}
-        other => {
-            return Err(fail(
-                "sidecar",
-                format!("settled take_settled returned {other:?}"),
-            ))
-        }
-    }
-    s.insert(key, 3, 45, 100);
-    match s.take_settled(key, 3, std::time::Duration::ZERO) {
-        Some(e) if e.trace_id == 45 && !e.settled => {}
-        other => {
-            return Err(fail(
-                "sidecar",
-                format!("timed-out take_settled returned {other:?}"),
-            ))
-        }
-    }
-    if s.take_settled(key, 99, std::time::Duration::ZERO).is_some() {
-        return Err(fail("sidecar", "take_settled invented an entry".into()));
+    if s.take(key, 99).is_some() {
+        return Err(fail("sidecar", "take invented an entry".into()));
     }
     if s.take(key, 0).is_some() {
         return Err(fail("sidecar", "take did not consume the entry".into()));

@@ -41,15 +41,9 @@ pub fn conn_key(publisher_addr: &str, subscriber_addr: &str) -> u64 {
 pub struct SidecarEntry {
     /// The frame's trace id.
     pub trace_id: u64,
-    /// When the socket write completed (provisionally: when it started,
-    /// until [`Sidecar::update_sent`] lands), nanoseconds.
+    /// When the socket write of the frame's last byte completed,
+    /// nanoseconds.
     pub sent_ns: u64,
-    /// `true` once `sent_ns` holds the write-*completion* time. A reader
-    /// that consumes the note earlier (shaped links pace the writer while
-    /// loopback delivers instantly) must not measure `wire_read` from the
-    /// provisional write-start stamp — that span would double-count the
-    /// whole `wire_write`.
-    pub settled: bool,
 }
 
 #[derive(Default)]
@@ -73,10 +67,9 @@ impl Sidecar {
         }
     }
 
-    /// Insert the note for `(key, seq)` *before* the frame bytes are
-    /// written, so the reader can never observe the frame without it.
-    /// `sent_ns` is provisional (write start) until
-    /// [`Sidecar::update_sent`] lands.
+    /// File the note for `(key, seq)` once the frame's last byte is
+    /// written. The writer and a reader in its process share one event
+    /// loop, so the reader cannot complete the frame before the note lands.
     pub fn insert(&self, key: u64, seq: u64, trace_id: u64, sent_ns: u64) {
         let mut inner = self.inner.lock();
         if inner.map.len() >= self.capacity {
@@ -88,60 +81,15 @@ impl Sidecar {
                 }
             }
         }
-        inner.map.insert(
-            (key, seq),
-            SidecarEntry {
-                trace_id,
-                sent_ns,
-                settled: false,
-            },
-        );
+        inner
+            .map
+            .insert((key, seq), SidecarEntry { trace_id, sent_ns });
         inner.fifo.push_back((key, seq));
-    }
-
-    /// Refine `sent_ns` to the write-completion time and mark the entry
-    /// settled. A no-op if the reader already consumed the entry (it then
-    /// recovered the trace id but skipped the `wire_read` span).
-    pub fn update_sent(&self, key: u64, seq: u64, sent_ns: u64) {
-        if let Some(entry) = self.inner.lock().map.get_mut(&(key, seq)) {
-            entry.sent_ns = sent_ns;
-            entry.settled = true;
-        }
     }
 
     /// Consume the note for `(key, seq)`, if the writer left one.
     pub fn take(&self, key: u64, seq: u64) -> Option<SidecarEntry> {
         self.inner.lock().map.remove(&(key, seq))
-    }
-
-    /// Consume the note for `(key, seq)`, waiting up to `wait` for the
-    /// writer to settle it first.
-    ///
-    /// The writer stamps the write-completion time within microseconds of
-    /// the last frame byte entering the socket, but the reader — woken by
-    /// that same byte — can reach the map first. Yielding for a bounded
-    /// moment resolves the race in the common case; on timeout the entry is
-    /// returned unsettled (the caller then skips the `wire_read` span, as
-    /// with [`Sidecar::take`]).
-    pub fn take_settled(
-        &self,
-        key: u64,
-        seq: u64,
-        wait: std::time::Duration,
-    ) -> Option<SidecarEntry> {
-        let deadline = std::time::Instant::now() + wait;
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                match inner.map.get(&(key, seq)) {
-                    Some(e) if e.settled => return inner.map.remove(&(key, seq)),
-                    Some(_) if std::time::Instant::now() < deadline => {}
-                    Some(_) => return inner.map.remove(&(key, seq)),
-                    None => return None,
-                }
-            }
-            std::thread::yield_now();
-        }
     }
 
     /// Entries currently pending.
@@ -186,21 +134,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_update_take_roundtrip() {
+    fn insert_take_roundtrip() {
         let s = Sidecar::new(16);
-        s.insert(1, 0, 42, 1000);
-        s.update_sent(1, 0, 1500);
+        s.insert(1, 0, 42, 1500);
         assert_eq!(
             s.take(1, 0),
             Some(SidecarEntry {
                 trace_id: 42,
                 sent_ns: 1500,
-                settled: true
             })
         );
         assert_eq!(s.take(1, 0), None, "take consumes");
-        // update_sent after take is a harmless no-op.
-        s.update_sent(1, 0, 9999);
         assert!(s.is_empty());
     }
 

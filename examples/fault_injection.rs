@@ -77,11 +77,11 @@ fn main() {
     println!("[demo] severing the A<->B link mid-stream...");
     fault.sever_now();
     publish_until(&mut seq, "reconnect attempts", &|| {
-        sub.reconnect_attempts() >= 3
+        sub.stats().reconnect_attempts >= 3
     });
     println!(
         "[demo] link down: {} reconnect attempts under backoff, 0 reconnects",
-        sub.reconnect_attempts()
+        sub.stats().reconnect_attempts
     );
 
     println!("[demo] healing the link...");
@@ -90,14 +90,15 @@ fn main() {
     publish_until(&mut seq, "delivery to resume", &|| {
         seen.load(Ordering::SeqCst) > before
     });
+    let stats = sub.stats();
     println!(
         "[demo] recovered: reconnects={}, delivery resumed ({} frames total), decode errors={}",
-        sub.reconnects(),
+        stats.reconnects,
         seen.load(Ordering::SeqCst),
-        sub.decode_errors()
+        stats.decode_errors
     );
-    assert!(sub.reconnects() >= 1);
-    assert_eq!(sub.decode_errors(), 0);
+    assert!(stats.reconnects >= 1);
+    assert_eq!(stats.decode_errors, 0);
 
     print!("{}", master.metrics().render());
 }

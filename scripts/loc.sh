@@ -73,6 +73,12 @@ reexports() { # names a lib.rs re-exports with `pub use`
 for lib in crates/ros/src/lib.rs crates/core/src/lib.rs; do
     printf '%-24s %3d\n' "pub use ${lib#crates/}" "$(reexports "$lib")"
 done
+# One options/stats API: the knobs a node sets, the endpoint options and the
+# endpoint methods (every counter is a `stats()` field, not a getter).
+printf '%-24s %3d\n' 'TransportConfig fields' \
+    "$(perl -0ne 'print scalar(() = $1 =~ /^\s*pub \w+:/mg) if /pub struct TransportConfig \{(.*?)\n\}/s' crates/ros/src/config.rs)"
 printf '%-24s %3d\n' 'pub fn ros/options.rs' "$(grep -c '^\s*pub fn ' crates/ros/src/options.rs)"
+printf '%-24s %3d\n' 'pub fn Publisher+Subscriber' \
+    "$(cat crates/ros/src/publisher.rs crates/ros/src/subscriber.rs | grep -c '^\s*pub fn ')"
 printf '%-24s %3d\n' 'Tier variants' \
     "$(perl -0ne 'print scalar(() = $1 =~ /=>/g) if /Tier, TIER_COUNT \{(.*?)\n    \}/s' crates/trace/src/stage.rs)"

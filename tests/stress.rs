@@ -147,12 +147,19 @@ fn publish_subscribe_storm() {
                 .iter()
                 .map(|c| c.load(Ordering::SeqCst))
                 .collect::<Vec<_>>(),
-            publishers.iter().map(|p| p.dropped()).collect::<Vec<_>>()
+            publishers
+                .iter()
+                .map(|p| p.stats().dropped)
+                .collect::<Vec<_>>()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
     for p in &publishers {
-        assert_eq!(p.dropped(), 0, "no frame may be dropped at this pacing");
+        assert_eq!(
+            p.stats().dropped,
+            0,
+            "no frame may be dropped at this pacing"
+        );
     }
 }
 
@@ -195,7 +202,11 @@ fn dropped_accounting_is_exact_under_full_queue() {
     for _ in 0..queue as u64 + extra {
         publisher.publish(&img);
     }
-    assert_eq!(publisher.dropped(), extra, "drops must equal the excess");
+    assert_eq!(
+        publisher.stats().dropped,
+        extra,
+        "drops must equal the excess"
+    );
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let expected = 1 + queue as u64;
@@ -206,7 +217,7 @@ fn dropped_accounting_is_exact_under_full_queue() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(seen.load(Ordering::SeqCst), expected);
 
-    let snap = publisher.metrics().snapshot();
+    let snap = publisher.stats().transport;
     assert_eq!(snap.frames_dropped, extra);
     assert_eq!(
         snap.queue_depth_hwm, queue as u64,
@@ -303,17 +314,17 @@ fn malformed_frame_storm_counts_errors_without_desync() {
     stream.flush().unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
-    while seen.load(Ordering::SeqCst) < valid_sent || sub.decode_errors() < corrupt_sent {
+    while seen.load(Ordering::SeqCst) < valid_sent || sub.stats().decode_errors < corrupt_sent {
         assert!(
             Instant::now() < deadline,
             "storm incomplete: seen {} of {valid_sent}, errors {} of {corrupt_sent}",
             seen.load(Ordering::SeqCst),
-            sub.decode_errors()
+            sub.stats().decode_errors
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(sub.received(), valid_sent);
-    assert_eq!(sub.decode_errors(), corrupt_sent);
+    assert_eq!(sub.stats().received, valid_sent);
+    assert_eq!(sub.stats().decode_errors, corrupt_sent);
 
     // The connection is still alive: one more valid frame gets through.
     write_frame(&mut stream, &frame).unwrap();
@@ -322,7 +333,7 @@ fn malformed_frame_storm_counts_errors_without_desync() {
         assert!(Instant::now() < deadline, "connection died during storm");
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(sub.decode_errors(), corrupt_sent);
+    assert_eq!(sub.stats().decode_errors, corrupt_sent);
 }
 
 #[test]
