@@ -160,26 +160,6 @@ impl Recorder {
             .stats()
     }
 
-    /// `true` if the writer thread died (disk full, I/O error); captures
-    /// after that are dropped.
-    pub fn failed(&self) -> bool {
-        self.stream
-            .as_ref()
-            .expect("stream lives until finish()")
-            .failed()
-    }
-
-    /// Total frames the capture taps have observed (accepted + shed).
-    pub fn frames_seen(&self) -> u64 {
-        self.taps.iter().map(|t| t.frames_seen()).sum()
-    }
-
-    /// Publishers that could not be tapped (remote machine or fast path
-    /// unavailable); their frames are not captured.
-    pub fn skipped_publishers(&self) -> u64 {
-        self.taps.iter().map(|t| t.skipped()).sum()
-    }
-
     /// Wait until every topic has at least `publishers_per_topic` live
     /// capture attachments, so no frame published after this returns is
     /// missed. Returns `false` on timeout.

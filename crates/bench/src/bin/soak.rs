@@ -169,9 +169,6 @@ fn fast_reconnect() -> TransportConfig {
         backoff: BackoffPolicy {
             initial: Duration::from_millis(2),
             max: Duration::from_millis(50),
-            multiplier: 2.0,
-            jitter: 0.25,
-            max_attempts: 0,
         },
         ..TransportConfig::default()
     }

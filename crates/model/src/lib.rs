@@ -6,18 +6,19 @@
 //! The shared-memory tier (`rossf-shm`) rests on a handful of lock-free
 //! protocols: a bounded SPMC descriptor ring, cross-process segment
 //! refcounts, the hold/abandon/reclaim accounting that survives reader
-//! crashes, and futex-backed wakeups. Ordinary unit tests only ever see a
-//! few interleavings of these; this crate re-executes small 2–3 thread
-//! scenarios under a cooperative scheduler that *enumerates* interleavings
-//! (CHESS-style stateless model checking with a bounded number of
-//! preemptions and state-hash pruning), deterministically reproducing any
-//! failing schedule as a decision list plus a full operation trace.
+//! crashes, and the arm/doorbell handshake that wakes a drained reader.
+//! Ordinary unit tests only ever see a few interleavings of these; this
+//! crate re-executes small 2–3 thread scenarios under a cooperative
+//! scheduler that *enumerates* interleavings (CHESS-style stateless model
+//! checking with a bounded number of preemptions and state-hash pruning),
+//! deterministically reproducing any failing schedule as a decision list
+//! plus a full operation trace.
 //!
 //! # How it plugs in
 //!
-//! `crates/shm` routes all of its atomics, futex calls and segment-pool
-//! locks through a `sync` facade. A normal build compiles the facade to
-//! the real `std`/`parking_lot` primitives with zero overhead; building
+//! `crates/shm` routes all of its atomics and segment-pool locks through a
+//! `sync` facade. A normal build compiles the facade to the real
+//! `std`/`parking_lot` primitives with zero overhead; building
 //! with `RUSTFLAGS="--cfg rossf_model"` swaps in the shadow types from
 //! [`sync`] here, and the scenarios in `crates/shm/tests/model.rs` drive
 //! them through [`Model::explore`]. `scripts/check.sh` runs both modes.

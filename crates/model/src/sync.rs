@@ -158,20 +158,6 @@ shadow_atomic!(AtomicU32, atomic::AtomicU32, u32);
 shadow_atomic!(AtomicU64, atomic::AtomicU64, u64);
 shadow_atomic!(AtomicUsize, atomic::AtomicUsize, usize);
 
-/// Shadow memory fence: a scheduler yield point in model runs, a real
-/// `std::sync::atomic::fence` otherwise.
-pub fn fence(order: Ordering) {
-    if crate::sched::in_model() {
-        hooks::before_op();
-        // ORDER: SC-only exploration; the strongest fence subsumes the
-        // requested one.
-        atomic::fence(Ordering::SeqCst);
-        hooks::note(0, None, || "fence".to_string());
-    } else {
-        atomic::fence(order);
-    }
-}
-
 /// Model futex wait on a shadow `AtomicU32`: parks the calling thread
 /// until a [`futex_wake`] on the same word, unless the word no longer
 /// holds `expected`. Timeouts are modeled as infinite, so a schedule in

@@ -13,36 +13,32 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
-/// Capped exponential backoff governing subscriber reconnection.
+/// Capped exponential backoff governing subscriber reconnection, which
+/// retries for as long as the publisher stays registered.
 ///
-/// The delay before attempt `n` (0-based) is
-/// `initial * multiplier^n`, capped at `max`, then scaled by a
-/// deterministic jitter factor in `[1 - jitter, 1 + jitter]` derived from
-/// the (seed, attempt) pair — different subscribers desynchronize without
-/// any global randomness, and a given subscriber retries on the same
-/// schedule every run.
+/// The delay before attempt `n` (0-based) is `initial * 2^n`, capped at
+/// `max`, then scaled by a deterministic jitter factor in `[0.75, 1.25]`
+/// derived from the (seed, attempt) pair — different subscribers
+/// desynchronize without any global randomness, and a given subscriber
+/// retries on the same schedule every run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackoffPolicy {
     /// Delay before the first retry.
     pub initial: Duration,
-    /// Upper bound on any single delay.
+    /// Upper bound on any single delay, before jitter.
     pub max: Duration,
-    /// Growth factor between consecutive delays.
-    pub multiplier: f64,
-    /// Jitter fraction in `[0, 1)`; `0.25` spreads delays ±25 %.
-    pub jitter: f64,
-    /// Give up after this many failed attempts; `0` retries forever.
-    pub max_attempts: u32,
 }
+
+/// Growth factor between consecutive delays.
+const MULTIPLIER: f64 = 2.0;
+/// Jitter fraction: delays spread ±25 %.
+const JITTER: f64 = 0.25;
 
 impl Default for BackoffPolicy {
     fn default() -> Self {
         BackoffPolicy {
             initial: Duration::from_millis(10),
             max: Duration::from_secs(2),
-            multiplier: 2.0,
-            jitter: 0.25,
-            max_attempts: 0,
         }
     }
 }
@@ -51,26 +47,13 @@ impl BackoffPolicy {
     /// The delay to sleep before retry number `attempt` (0-based), jittered
     /// deterministically by `seed`.
     pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
-        let base = self.initial.as_secs_f64() * self.multiplier.powi(attempt.min(63) as i32);
+        let base = self.initial.as_secs_f64() * MULTIPLIER.powi(attempt.min(63) as i32);
         let capped = base.min(self.max.as_secs_f64());
-        let jittered = capped * self.jitter_factor(attempt, seed);
-        Duration::from_secs_f64(jittered.max(0.0))
-    }
-
-    /// `true` once `attempt` retries have failed and the policy says stop.
-    pub fn exhausted(&self, attempt: u32) -> bool {
-        self.max_attempts != 0 && attempt >= self.max_attempts
-    }
-
-    fn jitter_factor(&self, attempt: u32, seed: u64) -> f64 {
-        if self.jitter <= 0.0 {
-            return 1.0;
-        }
         let mut h = DefaultHasher::new();
         (seed, attempt).hash(&mut h);
-        // Map the hash to [-1, 1], then to [1 - jitter, 1 + jitter].
+        // Map the hash to [-1, 1], then to [1 - JITTER, 1 + JITTER].
         let unit = (h.finish() >> 11) as f64 / (1u64 << 53) as f64;
-        1.0 + self.jitter * (2.0 * unit - 1.0)
+        Duration::from_secs_f64(capped * (1.0 + JITTER * (2.0 * unit - 1.0)))
     }
 }
 
@@ -124,7 +107,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = TransportConfig::default();
-        assert!(!c.backoff.exhausted(1_000_000));
         assert!(c.enable_fastpath, "zero-copy fast path on by default");
         assert!(
             !c.shm_same_process,
@@ -132,19 +114,22 @@ mod tests {
         );
     }
 
+    /// Whether `d` is `base` scaled by a jitter factor inside its bounds.
+    fn jittered(d: Duration, base: f64) -> bool {
+        let secs = d.as_secs_f64();
+        secs >= base * (1.0 - JITTER) - 1e-9 && secs <= base * (1.0 + JITTER) + 1e-9
+    }
+
     #[test]
     fn backoff_grows_and_caps() {
-        let b = BackoffPolicy {
-            jitter: 0.0,
-            ..BackoffPolicy::default()
-        };
-        assert_eq!(b.delay(0, 7), Duration::from_millis(10));
-        assert_eq!(b.delay(1, 7), Duration::from_millis(20));
-        assert_eq!(b.delay(3, 7), Duration::from_millis(80));
+        let b = BackoffPolicy::default();
+        assert!(jittered(b.delay(0, 7), 0.010));
+        assert!(jittered(b.delay(1, 7), 0.020));
+        assert!(jittered(b.delay(3, 7), 0.080));
         // Far past the cap.
-        assert_eq!(b.delay(30, 7), b.max);
+        assert!(jittered(b.delay(30, 7), b.max.as_secs_f64()));
         // Overflowing exponents still cap instead of going non-finite.
-        assert_eq!(b.delay(u32::MAX, 7), b.max);
+        assert!(jittered(b.delay(u32::MAX, 7), b.max.as_secs_f64()));
     }
 
     #[test]
@@ -154,29 +139,12 @@ mod tests {
             for seed in [1u64, 99, 12345] {
                 let d = b.delay(attempt, seed);
                 assert_eq!(d, b.delay(attempt, seed), "same inputs, same delay");
-                let base = b.initial.as_secs_f64() * b.multiplier.powi(attempt as i32);
+                let base = b.initial.as_secs_f64() * MULTIPLIER.powi(attempt as i32);
                 let base = base.min(b.max.as_secs_f64());
-                let lo = base * (1.0 - b.jitter) - 1e-9;
-                let hi = base * (1.0 + b.jitter) + 1e-9;
-                let secs = d.as_secs_f64();
-                assert!(
-                    secs >= lo && secs <= hi,
-                    "delay {secs} outside [{lo}, {hi}]"
-                );
+                assert!(jittered(d, base), "delay {d:?} outside ±{JITTER} of {base}");
             }
         }
         // Different seeds should (almost surely) jitter differently.
         assert_ne!(b.delay(4, 1), b.delay(4, 2));
-    }
-
-    #[test]
-    fn max_attempts_exhaustion() {
-        let b = BackoffPolicy {
-            max_attempts: 3,
-            ..BackoffPolicy::default()
-        };
-        assert!(!b.exhausted(2));
-        assert!(b.exhausted(3));
-        assert!(b.exhausted(4));
     }
 }

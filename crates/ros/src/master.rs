@@ -17,11 +17,10 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-/// Lock shards for the topic and local-port tables. Registration,
-/// lookup, and unregistration during connection churn each touch one
-/// shard, so a soak with hundreds of topics joining and leaving
-/// concurrently contends on 1/16th of the registry instead of one global
-/// lock.
+/// Lock shards for the topic table. Registration, lookup, and
+/// unregistration during connection churn each touch one shard, so a soak
+/// with hundreds of topics joining and leaving concurrently contends on
+/// 1/16th of the registry instead of one global lock.
 const SHARDS: usize = 16;
 
 /// Shard index for a topic name.
@@ -32,17 +31,13 @@ fn topic_shard(topic: &str) -> usize {
     (h.finish() as usize) % SHARDS
 }
 
-/// Shard index for a registration id.
-fn id_shard(id: u64) -> usize {
-    id as usize % SHARDS
-}
-
 /// Callback notified of each future publisher on a watched topic.
 /// Returning `false` declares the watcher dead; the master prunes it.
 pub(crate) type WatchFn = Arc<dyn Fn(PublisherEndpoint) -> bool + Send + Sync>;
 
 /// Where a publisher for a topic accepts subscriber connections.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Endpoints are equal when their address, machine and id are.
+#[derive(Debug, Clone)]
 pub struct PublisherEndpoint {
     /// TCP address of the publisher's listener.
     pub addr: SocketAddr,
@@ -50,7 +45,20 @@ pub struct PublisherEndpoint {
     pub machine: MachineId,
     /// Unique id of the publisher registration.
     pub id: u64,
+    /// The publisher's core, which a same-process subscriber attaches to
+    /// on the zero-copy fast path; it does not upgrade for a publisher in
+    /// another process, one without the fast path, or one already gone.
+    /// `Weak`, so no endpoint keeps a dropped publisher alive.
+    pub(crate) port: Weak<PubCore>,
 }
+
+impl PartialEq for PublisherEndpoint {
+    fn eq(&self, other: &Self) -> bool {
+        (self.addr, self.machine, self.id) == (other.addr, other.machine, other.id)
+    }
+}
+
+impl Eq for PublisherEndpoint {}
 
 struct TopicEntry {
     type_name: String,
@@ -62,11 +70,6 @@ struct MasterInner {
     /// Topic registry, hash-sharded by topic name: all state for one topic
     /// lives in exactly one shard's map.
     topics: [Mutex<HashMap<String, TopicEntry>>; SHARDS],
-    /// Registration id → the publisher core a same-process subscriber
-    /// attaches to on the zero-copy fast path, sharded by id. `Weak` so a
-    /// dropped publisher vanishes without a round-trip; each shard is
-    /// locked independently of (and never nested with) any `topics` shard.
-    local_ports: [Mutex<HashMap<u64, Weak<PubCore>>>; SHARDS],
     links: LinkTable,
     services: crate::service::ServiceRegistry,
     metrics: MetricsRegistry,
@@ -92,7 +95,6 @@ impl Master {
         Master {
             inner: Arc::new(MasterInner {
                 topics: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-                local_ports: std::array::from_fn(|_| Mutex::new(HashMap::new())),
                 links: LinkTable::new(),
                 services: crate::service::ServiceRegistry::default(),
                 metrics: MetricsRegistry::new(),
@@ -136,15 +138,12 @@ impl Master {
         addr: SocketAddr,
         machine: MachineId,
     ) -> Result<u64, RosError> {
-        let id = self.fresh_id();
-        self.register_with_id(topic, type_name, addr, machine, id)?;
-        Ok(id)
+        self.register_publisher_local(topic, type_name, addr, machine, Weak::new())
     }
 
-    /// Register a publisher that *additionally* exposes its core as a
-    /// same-process port for the zero-copy fast path. The port is visible through
-    /// [`Master::local_port`] before any watcher learns the endpoint, so a
-    /// notified subscriber can never observe the registration without it.
+    /// Register a publisher that *additionally* offers its core as a
+    /// same-process port for the zero-copy fast path: the endpoint every
+    /// subscriber learns, through the snapshot or a watcher, carries it.
     ///
     /// # Errors
     ///
@@ -157,40 +156,18 @@ impl Master {
         machine: MachineId,
         port: Weak<PubCore>,
     ) -> Result<u64, RosError> {
-        let id = self.fresh_id();
-        {
-            let mut ports = self.inner.local_ports[id_shard(id)].lock();
-            // Prune entries whose publisher core is already gone while the
-            // shard lock is held anyway — a publisher that died without a
-            // clean unregister (panicked teardown) must not pin map entries
-            // forever. Per-shard: siblings in other shards are pruned when
-            // *their* shard is next touched.
-            ports.retain(|_, p| p.strong_count() != 0);
-            ports.insert(id, port);
-        }
-        match self.register_with_id(topic, type_name, addr, machine, id) {
-            Ok(()) => Ok(id),
-            Err(e) => {
-                self.inner.local_ports[id_shard(id)].lock().remove(&id);
-                Err(e)
-            }
-        }
-    }
-
-    fn register_with_id(
-        &self,
-        topic: &str,
-        type_name: &str,
-        addr: SocketAddr,
-        machine: MachineId,
-        id: u64,
-    ) -> Result<(), RosError> {
         let shard = &self.inner.topics[topic_shard(topic)];
-        let ep = PublisherEndpoint { addr, machine, id };
+        let id = self.fresh_id();
+        let ep = PublisherEndpoint {
+            addr,
+            machine,
+            id,
+            port,
+        };
         // Snapshot the watcher callbacks under the shard lock but *invoke*
-        // them outside it: a callback may call back into the master (e.g.
-        // to look up a fast-path port) or do real work, neither of which
-        // may hold up other registrations on this shard.
+        // them outside it: a callback may call back into the master or do
+        // real work, neither of which may hold up other registrations on
+        // this shard.
         let watchers: Vec<(u64, WatchFn)> = {
             let mut topics = shard.lock();
             let entry = topics
@@ -224,19 +201,7 @@ impl Master {
                 entry.watchers.retain(|(wid, _)| !dead.contains(wid));
             }
         }
-        Ok(())
-    }
-
-    /// The core of publisher registration `id`, if the publisher registered
-    /// a same-process port and is still alive. `None` means the subscriber
-    /// must use TCP (remote endpoint or fast path disabled).
-    pub(crate) fn local_port(&self, id: u64) -> Option<Arc<PubCore>> {
-        let mut ports = self.inner.local_ports[id_shard(id)].lock();
-        // Same pruning as registration: lookups are the other hot moment
-        // a shard is locked, so dead `Weak`s never outlive the shard's
-        // next touch.
-        ports.retain(|_, p| p.strong_count() != 0);
-        ports.get(&id).and_then(Weak::upgrade)
+        Ok(id)
     }
 
     /// Remove a publisher registration (called when the publisher drops).
@@ -244,7 +209,6 @@ impl Master {
         if let Some(entry) = self.inner.topics[topic_shard(topic)].lock().get_mut(topic) {
             entry.publishers.retain(|p| p.id != id);
         }
-        self.inner.local_ports[id_shard(id)].lock().remove(&id);
     }
 
     /// Register interest in `topic`: returns the current publishers plus a
@@ -393,11 +357,6 @@ impl std::fmt::Debug for Master {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TransportConfig;
-    use crate::options::PublisherOptions;
-    use crate::publisher::Publisher;
-    use crate::traits::{Encode, TopicType};
-    use crate::wire::OutFrame;
     use std::sync::mpsc;
 
     /// A watcher that ignores every later publisher.
@@ -535,84 +494,5 @@ mod tests {
         m.register_publisher("t", "T", addr(1), MachineId::A)
             .unwrap();
         assert_eq!(m2.publisher_count("t"), 1);
-    }
-
-    /// A publisher core held by nothing but the returned `Arc`: its
-    /// `Publisher` handle is gone, and it registered with a scratch master.
-    fn lone_core() -> Arc<PubCore> {
-        struct T;
-        impl TopicType for T {
-            fn topic_type() -> &'static str {
-                "T"
-            }
-        }
-        impl Encode for T {
-            fn encode(&self) -> OutFrame {
-                unreachable!("nothing is published")
-            }
-        }
-        let scratch = Master::new();
-        let options = PublisherOptions::new();
-        let config = TransportConfig::default();
-        let publisher = Publisher::<T>::create_with(&scratch, "t", options, MachineId::A, config)
-            .expect("advertise on a scratch master");
-        let (eps, _) = scratch
-            .register_subscriber_watch("t", "T", ignore())
-            .unwrap();
-        let core = scratch.local_port(eps[0].id);
-        drop(publisher);
-        core.expect("the fast path registers a local port")
-    }
-
-    /// Total entries across every local-port shard.
-    fn local_port_count(m: &Master) -> usize {
-        m.inner.local_ports.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Regression: a publisher core that dies without a clean
-    /// `unregister_publisher` (panicked teardown, leaked id) leaves a dead
-    /// `Weak` in the local-port map; both lookup and registration prune
-    /// such entries so no shard's map grows without bound. Pruning is
-    /// per-shard — a dead entry vanishes the next time *its* shard is
-    /// touched, so the test drives lookups/registrations landing in the
-    /// dead entries' own shards (ids are sequential; `SHARDS` apart means
-    /// same shard).
-    #[test]
-    fn dead_local_port_entries_are_pruned() {
-        let m = Master::new();
-        let live = lone_core();
-        let dead = lone_core();
-        let live_id = m
-            .register_publisher_local("t", "T", addr(1), MachineId::A, Arc::downgrade(&live))
-            .unwrap();
-        let dead_id = m
-            .register_publisher_local("t", "T", addr(2), MachineId::A, Arc::downgrade(&dead))
-            .unwrap();
-        assert_eq!(local_port_count(&m), 2);
-
-        // Kill one core without unregistering, then look it up: the dead
-        // entry is pruned from its shard as a side effect (the lookup
-        // itself misses because the `Weak` no longer upgrades).
-        drop(dead);
-        assert!(m.local_port(live_id).is_some());
-        assert!(m.local_port(dead_id).is_none());
-        assert_eq!(local_port_count(&m), 1);
-
-        // Registration prunes its shard too: kill the remaining core and
-        // register fresh ones until one lands in the dead entry's shard —
-        // at that point the stale `Weak` is gone without any lookup.
-        drop(live);
-        let fresh = lone_core();
-        let mut fresh_count = 0;
-        loop {
-            let id = m
-                .register_publisher_local("t", "T", addr(3), MachineId::A, Arc::downgrade(&fresh))
-                .unwrap();
-            fresh_count += 1;
-            if id_shard(id) == id_shard(live_id) {
-                break;
-            }
-        }
-        assert_eq!(local_port_count(&m), fresh_count);
     }
 }

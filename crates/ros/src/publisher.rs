@@ -52,7 +52,7 @@ use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 /// One subscriber link as `fan_out` sees it.
@@ -819,14 +819,16 @@ impl<M: Encode> Publisher<M> {
             reactor: runtime().reactor,
             listener_token: OnceLock::new(),
         });
-        // Fast-path-capable publishers register their core as a local port
-        // so same-machine subscribers in this process can skip the socket.
-        let registration = if core.config.enable_fastpath {
-            let port = Arc::downgrade(&core);
-            master.register_publisher_local(topic, M::topic_type(), addr, machine, port)?
+        // A fast-path-capable publisher's endpoint carries its core as a
+        // local port, so same-machine subscribers in this process can skip
+        // the socket.
+        let port = if core.config.enable_fastpath {
+            Arc::downgrade(&core)
         } else {
-            master.register_publisher(topic, M::topic_type(), addr, machine)?
+            Weak::new()
         };
+        let registration =
+            master.register_publisher_local(topic, M::topic_type(), addr, machine, port)?;
         // Relaxed: see the Drop-side load — Arc orders this store.
         core.registration.store(registration, Ordering::Relaxed);
         // The listener joins the shared event loop: the handler owns the

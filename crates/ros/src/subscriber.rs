@@ -202,14 +202,14 @@ impl<D: Decode> Supervision<D> {
         core.links.lock().insert(self.token);
         // The zero-copy fast path applies when both sides opted in, share a
         // simulated machine, and the publisher lives in this process (its
-        // core is registered with our master as a local port). The strong
+        // endpoint carries its core as a local port). The strong
         // `port` reference ends with the attach call: holding it any longer
         // would keep the publisher core (and its master registration)
         // alive after the last `Publisher` handle drops — for the link's
         // life, or for as long as this worker takes to finish the step.
         // The queue closes when the publisher tears down.
         let local = core.config.enable_fastpath && self.ep.machine == core.machine;
-        let port = local.then(|| core.master.local_port(self.ep.id)).flatten();
+        let port = local.then(|| self.ep.port.upgrade()).flatten();
         let token = self.token;
         if let Some(attached) = port.map(|port| port.attach_local(D::topic_type(), token, false)) {
             match attached {
@@ -330,9 +330,6 @@ impl<D: Decode> Supervision<D> {
             .lookup_publisher(&core.topic, self.ep.id)
             .is_none()
         {
-            return;
-        }
-        if core.config.backoff.exhausted(self.attempt) {
             return;
         }
         let delay = core

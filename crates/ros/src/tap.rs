@@ -45,7 +45,6 @@ struct TapShared {
     /// tap's shutdown flag.
     cb: Mutex<Option<Callback>>,
     attached: AtomicU64,
-    skipped: AtomicU64,
     frames_seen: AtomicU64,
     /// Reactor registrations of the live per-publisher links.
     links: Mutex<Vec<Token>>,
@@ -67,7 +66,6 @@ impl std::fmt::Debug for RawFrameTap {
             .field("topic", &self.shared.topic)
             .field("type_name", &self.shared.type_name)
             .field("attached", &self.attached())
-            .field("skipped", &self.skipped())
             .field("frames_seen", &self.frames_seen())
             .finish()
     }
@@ -100,7 +98,6 @@ impl RawFrameTap {
             machine: nh.machine(),
             cb: Mutex::new(Some(Box::new(cb))),
             attached: AtomicU64::new(0),
-            skipped: AtomicU64::new(0),
             frames_seen: AtomicU64::new(0),
             links: Mutex::new(Vec::new()),
         });
@@ -129,12 +126,6 @@ impl RawFrameTap {
     /// publishing.
     pub fn attached(&self) -> u64 {
         self.shared.attached.load(Ordering::Acquire)
-    }
-
-    /// Publishers that could not be tapped (remote machine, fast path
-    /// disabled, or type refused). Their frames are not captured.
-    pub fn skipped(&self) -> u64 {
-        self.shared.skipped.load(Ordering::Acquire)
     }
 
     /// Frames the callback has returned from so far: a caller that reads
@@ -178,43 +169,34 @@ impl Drop for RawFrameTap {
 /// Called from the master's watcher (the registering publisher's thread)
 /// and from the attach-time snapshot.
 fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
+    // Remote publishers have no local port to tap. Recording them would
+    // mean a TCP subscription (a copy), which the zero-copy recorder
+    // refuses by design.
     if ep.machine != shared.machine {
-        // Remote publishers have no local port to tap. Recording them
-        // would mean a TCP subscription (a copy), which the zero-copy
-        // recorder refuses by design; the caller sees it in `skipped`.
-        shared.skipped.fetch_add(1, Ordering::Release);
         return;
     }
-    let (master, topic) = (&shared.master, &shared.topic);
     let reactor = runtime().reactor;
     let token = reactor.reserve();
     // The attach a fast-path subscriber makes, so the publisher-side
     // validation and accounting are identical — but for a link without a
-    // fault gate. No local port means the publisher is gone, or never
-    // offered the fast path (enable_fastpath=false).
-    let attached = master
-        .local_port(ep.id)
+    // fault gate. A port that does not upgrade means the publisher is gone,
+    // or never offered the fast path (enable_fastpath=false); a refusal
+    // (type, or a publisher shutting down) gives up on this publisher but
+    // keeps the tap alive for others.
+    let attached = ep
+        .port
+        .upgrade()
         .map(|port| port.attach_local(&shared.type_name, token, true));
-    let skipped = match attached {
-        Some(Ok(queue)) => {
-            shared.links.lock().push(token);
-            shared.attached.fetch_add(1, Ordering::Release);
-            let link = TapLink {
-                shared: Arc::clone(shared),
-                queue,
-            };
-            return reactor.attach(token, Box::new(link));
-        }
-        // Permanent refusal (type): give up on this publisher but keep the
-        // tap alive for others.
-        Some(Err(RosError::Rejected(_))) => true,
-        // The publisher is shutting down.
-        Some(Err(_)) => false,
-        None => master.lookup_publisher(topic, ep.id).is_some(),
+    let Some(Ok(queue)) = attached else {
+        return;
     };
-    if skipped {
-        shared.skipped.fetch_add(1, Ordering::Release);
-    }
+    shared.links.lock().push(token);
+    shared.attached.fetch_add(1, Ordering::Release);
+    let link = TapLink {
+        shared: Arc::clone(shared),
+        queue,
+    };
+    reactor.attach(token, Box::new(link));
 }
 
 /// One publisher's attachment as a reactor handler: pump every frame the

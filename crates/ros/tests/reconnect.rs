@@ -48,9 +48,6 @@ fn fast_reconnect() -> TransportConfig {
         backoff: BackoffPolicy {
             initial: Duration::from_millis(2),
             max: Duration::from_millis(40),
-            multiplier: 2.0,
-            jitter: 0.25,
-            max_attempts: 0,
         },
         ..TransportConfig::default()
     }
@@ -359,54 +356,6 @@ fn delay_fault_postpones_delivery_without_loss() {
         assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
         assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
     }
-}
-
-/// An exhausted backoff policy stands down instead of retrying forever.
-#[test]
-fn backoff_gives_up_after_max_attempts() {
-    let master = Master::new();
-    let fault = master.links().inject(MachineId::A, MachineId::B);
-    let mut config = fast_reconnect();
-    config.backoff.max_attempts = 2;
-    let nh_pub = NodeHandle::new(&master, "pub");
-    let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, config);
-
-    let publisher: Publisher<SfmBox<Payload>> =
-        nh_pub.advertise_with("reconnect/giveup", PublisherOptions::new().queue_size(64));
-    let seen = Arc::new(AtomicU64::new(0));
-    let seen_cb = Arc::clone(&seen);
-    let sub = nh_sub.subscribe_with(
-        "reconnect/giveup",
-        SubscriberOptions::new(),
-        move |_m: SfmShared<Payload>| {
-            seen_cb.fetch_add(1, Ordering::SeqCst);
-        },
-    );
-    nh_pub.wait_for_subscribers(&publisher, 1);
-    let mut seq = 0u32;
-    publish_until(&publisher, &mut seq, "first frame", || {
-        seen.load(Ordering::SeqCst) >= 1
-    });
-
-    // Sever and never heal: the supervisor makes exactly max_attempts
-    // retries, then stands down.
-    fault.sever_now();
-    publish_until(&publisher, &mut seq, "retries to exhaust", || {
-        sub.stats().reconnect_attempts >= 2
-    });
-    std::thread::sleep(Duration::from_millis(150));
-    assert_eq!(
-        sub.stats().reconnect_attempts,
-        2,
-        "no retries past max_attempts"
-    );
-    assert_eq!(sub.stats().reconnects, 0);
-
-    // Even after healing, the supervisor is gone — this subscription is
-    // over (matching the policy the config asked for).
-    fault.heal();
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(sub.stats().reconnects, 0);
 }
 
 /// A sever that lands while frames wait out a delay loses them with the

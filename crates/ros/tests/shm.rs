@@ -63,9 +63,6 @@ fn shm_config(shm: bool) -> TransportConfig {
         backoff: BackoffPolicy {
             initial: Duration::from_millis(2),
             max: Duration::from_millis(40),
-            multiplier: 2.0,
-            jitter: 0.25,
-            max_attempts: 0,
         },
         ..TransportConfig::default()
     }

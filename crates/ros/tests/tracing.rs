@@ -203,9 +203,6 @@ fn trace_ids_survive_reconnect() {
         backoff: rossf_ros::BackoffPolicy {
             initial: Duration::from_millis(2),
             max: Duration::from_millis(40),
-            multiplier: 2.0,
-            jitter: 0.25,
-            max_attempts: 0,
         },
         ..TransportConfig::default()
     };

@@ -2,13 +2,15 @@
 //!
 //! ROS-SF's serialization-free format makes a message's wire bytes *be*
 //! its memory layout; this crate carries that payoff across process
-//! boundaries. A publisher copies each frame **at most once** into a
-//! memfd-backed shared segment — a [`SharedFrame`] fans descriptors out to
-//! every subscriber link against that single copy, and a *loaned* frame
-//! ([`SegmentPool::loan`]) is built in place so no copy happens at all —
-//! and publishes a 64-byte descriptor into a lock-free SPMC ring; the
-//! subscriber maps the segment read-only and hands the bytes straight to
-//! `sfm::mm` — zero copies on the subscriber side.
+//! boundaries. A frame enters a ring one way: as a [`SharedFrame`], one
+//! memfd-backed shared segment per publish, into which a heap-built frame
+//! is copied **at most once** ([`SegmentPool::prepare_shared`]) and a
+//! *loaned* one is built in place with no copy at all
+//! ([`SegmentPool::loan`]). Each subscriber link then gets a 64-byte
+//! descriptor against that one segment
+//! ([`ShmLink::commit_shared`]) in a lock-free SPMC ring; the subscriber
+//! maps the segment read-only and hands the bytes straight to `sfm::mm` —
+//! zero copies on the subscriber side.
 //!
 //! Three mechanisms make that safe:
 //!
@@ -28,12 +30,11 @@
 //!
 //! Fd hand-off needs no fd-passing protocol: both processes run as the
 //! same user, so the subscriber opens the publisher's memfd through
-//! `/proc/<pid>/fd/<fd>` ([`rossf_sys::open_peer_fd`]). A reader that
-//! drained the ring either arms it and is woken through its link's
-//! doorbell (the transport's event-loop handlers; no futex call on either
-//! side) or, if it owns a thread, sleeps on a cross-process futex word the
-//! producer wakes only while a sleeper is registered (the `ring` module's
-//! docs) — no polling, no spinning.
+//! `/proc/<pid>/fd/<fd>` ([`rossf_sys::open_peer_fd`]). A reader is an
+//! event-loop handler, and one that drained the ring is woken one way: it
+//! arms the ring, looks once more, and goes idle until the producer rings
+//! its link's doorbell (the `ring` module's docs) — no polling, no
+//! spinning.
 //!
 //! The tier is a Linux mechanism; `rossf-sys` refuses any target other
 //! than x86-64 Linux at compile time, so a build that exists has it.
@@ -47,10 +48,10 @@ mod seg;
 mod shared;
 pub mod sync;
 
-pub use link::{FrameMeta, PreparedFrame, PushOutcome, ShmLink};
+pub use link::{FrameMeta, PushOutcome, ShmLink};
 pub use reader::{is_shm_mapped, MappedFrame, SegmentMap, ShmReader, TakeError};
-pub use ring::{ControlSegment, Descriptor, CTL_MAGIC, MAX_RING_CAP};
-pub use seg::{Segment, SegmentPool, DIR_CAP, MIN_SEGMENT_PAYLOAD, SEG_HEADER, SEG_MAGIC};
+pub use ring::{ControlSegment, Descriptor};
+pub use seg::{Segment, SegmentPool, DIR_CAP, MIN_SEGMENT_PAYLOAD};
 pub use shared::SharedFrame;
 
 /// Always `true`: `rossf-sys` refuses to compile for any target without

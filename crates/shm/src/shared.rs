@@ -1,20 +1,17 @@
 //! A pooled segment holding one frame, shared by every shm link of one
-//! publisher.
+//! publisher — the only thing a ring's descriptor ever points at.
 //!
-//! The original push protocol was strictly per-link: each link's thread
-//! called [`ShmLink::prepare`](crate::ShmLink::prepare), so a publish
-//! fanning out to N shm subscribers copied the same frame into N distinct
-//! segments. [`SharedFrame`] fixes that accounting: the frame occupies
-//! **one** segment whose write hold is owned here (released when the last
-//! clone drops), and each link contributes only a descriptor reference via
+//! A publish fanning out to N shm subscribers occupies **one** segment
+//! whose write hold is owned here (released when the last clone drops);
+//! each link contributes only a descriptor reference via
 //! [`ShmLink::commit_shared`](crate::ShmLink::commit_shared). After the
 //! fan-out completes and every clone has dropped, `refs` equals exactly the
-//! number of in-flight descriptors — the reader-side protocol is unchanged.
+//! number of in-flight descriptors.
 //!
 //! Two acquisition modes exist:
 //!
-//! * [`SegmentPool::prepare_shared`] — copy a finished frame in once
-//!   (the single-copy fan-out for legacy `publish()`).
+//! * [`SegmentPool::prepare_shared`] — copy a finished frame in once (a
+//!   heap-built message's `publish`).
 //! * [`SegmentPool::loan`] — take the write hold with **no copy at all**;
 //!   the caller builds the message in place through
 //!   [`SharedFrame::payload_ptr`] and stamps [`SharedFrame::set_len`] when

@@ -1,12 +1,12 @@
 //! Model-checked interleaving scenarios for the shm tier's lock-free
 //! protocols. Built only under `RUSTFLAGS="--cfg rossf_model"`, which
-//! routes every atomic / futex / pool-lock in this crate through the
-//! shadow primitives of `rossf-model`; each `#[test]` then exhaustively
-//! explores the 2–3 thread schedules of one protocol family within a
-//! bounded number of preemptions, failing (with a deterministic replayable
-//! schedule + trace) on lost descriptors, double release, refcount
-//! underflow, stale/torn generation reads, or lost wakeups (reported as
-//! deadlocks, since model futex timeouts are infinite).
+//! routes every atomic and pool lock in this crate through the shadow
+//! primitives of `rossf-model`; each `#[test]` then exhaustively explores
+//! the 2–3 thread schedules of one protocol family within a bounded number
+//! of preemptions, failing (with a deterministic replayable schedule +
+//! trace) on lost descriptors, double release, refcount underflow,
+//! stale/torn generation reads, or lost doorbells (reported as deadlocks:
+//! the scenarios' doorbell wait has no timeout).
 //!
 //! Scenarios are kept intentionally tiny — the state space is exponential
 //! in operations — and assert *protocol accounting* rather than timing:
@@ -21,64 +21,9 @@ use rossf_shm::{
 };
 use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn model() -> Model {
     Model::new().preemptions(2)
-}
-
-/// Ring push/pop, SPSC shape with the `waiters`-gated futex wakeup in
-/// play: the producer pushes two descriptors and closes, waking the word
-/// only when it reads a registered sleeper; the consumer pops through the
-/// `try_pop`/`wait` protocol exactly as the blocking `ShmReader::take`
-/// does. A push that misses the sleeper's registration while the sleeper
-/// misses the push would park the consumer forever → reported as a
-/// deadlock; a lost or duplicated descriptor breaks the conservation
-/// assert.
-#[test]
-fn ring_spsc_with_futex_wakeups() {
-    let out = model().explore(|| {
-        let ctrl = Arc::new(ControlSegment::create(4, 7).unwrap());
-        let c2 = Arc::clone(&ctrl);
-        let producer = spawn(move || {
-            for g in 1..=2u64 {
-                let ok = c2.try_push(&Descriptor {
-                    seg: 0,
-                    gen: g,
-                    len: g as usize,
-                    ..Descriptor::default()
-                });
-                assert!(ok, "cap-4 ring cannot fill with 2 pushes");
-            }
-            c2.close();
-        });
-        let mut got = Vec::new();
-        loop {
-            if let Some(d) = ctrl.try_pop() {
-                got.push(d.gen);
-                continue;
-            }
-            if ctrl.is_closed() && ctrl.pending() == 0 {
-                break;
-            }
-            ctrl.wait(Duration::from_millis(50));
-        }
-        producer.join();
-        assert_eq!(
-            got,
-            vec![1, 2],
-            "descriptors lost, duplicated, or reordered"
-        );
-    });
-    if let Some(f) = out.failure {
-        panic!("{f}");
-    }
-    assert!(!out.capped, "exploration capped before exhaustion");
-    assert!(
-        out.executions > 10,
-        "only {} schedules explored — the scheduler is not branching",
-        out.executions
-    );
 }
 
 /// A link's doorbell as the kernel delivers it — a byte in the control
@@ -292,7 +237,7 @@ fn abandon_reclaim_race_settles_exactly_once() {
         let l2 = Arc::clone(&link);
         let r2 = Arc::clone(&reader);
         let t = spawn(move || {
-            match r2.take(Duration::from_millis(50)) {
+            match r2.try_take() {
                 Err(_) => {}
                 Ok(f) => panic!(
                     "sabotaged mapping unexpectedly yielded {:?}",
@@ -330,17 +275,11 @@ fn dead_reader_holds_reclaimed_without_underflow() {
         let t = spawn(move || {
             // First frame: clean take + release (drop runs the
             // dec-hold-then-release-ref protocol).
-            let f = reader
-                .take(Duration::from_millis(50))
-                .unwrap()
-                .expect("frame a queued");
+            let f = reader.try_take().unwrap().expect("frame a queued");
             assert_eq!(f.len(), 1);
             drop(f);
             // Second frame: take then crash while holding it.
-            let f = reader
-                .take(Duration::from_millis(50))
-                .unwrap()
-                .expect("frame b queued");
+            let f = reader.try_take().unwrap().expect("frame b queued");
             std::mem::forget(f); // reader "dies" here; its maps leak with it
         });
         t.join(); // process-death analog: all reader activity has ceased
@@ -377,10 +316,7 @@ fn held_frame_pins_generation_and_bytes() {
         let reader = ShmReader::connect(std::process::id(), link.ctrl_fd(), 5).unwrap();
         let gen0 = pool.get(0).unwrap().generation();
         let t = spawn(move || {
-            let f = reader
-                .take(Duration::from_millis(50))
-                .unwrap()
-                .expect("one frame queued");
+            let f = reader.try_take().unwrap().expect("one frame queued");
             // The hold spans several scheduler yields; any concurrent
             // recycle of the segment would overwrite these bytes.
             assert!(

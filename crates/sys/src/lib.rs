@@ -5,9 +5,8 @@
 //! assembly, and this crate is the only place that does so (`rossf-lint`'s
 //! `syscall-outside-sys` rule confines `asm!` to `crates/sys/src/`):
 //!
-//! * [`memfd_create`], [`mmap_shared`], [`munmap`], [`futex_wait`],
-//!   [`futex_wake`] — shared-memory segments and their cross-process
-//!   wait word (the shm tier, and the bag's read-only file mapping);
+//! * [`memfd_create`], [`mmap_shared`], [`munmap`] — shared-memory
+//!   segments (the shm tier, and the bag's read-only file mapping);
 //! * [`Poller`] (`epoll`), [`WakeFd`] (`eventfd`), [`set_socket_buffers`]
 //!   (`setsockopt`), [`set_timer_slack_ns`] (`prctl`) — the reactor's
 //!   readiness loop;
@@ -21,7 +20,7 @@
 //! and the eventfd counter is bumped with an ordinary `Write` call.
 //!
 //! **Supported target: x86-64 Linux.** The zero-copy tiers are a Linux
-//! mechanism (memfd, futex, epoll), the syscall numbers and the register
+//! mechanism (memfd, epoll, eventfd), the syscall numbers and the register
 //! convention below are x86-64's, and nothing in the workspace has ever
 //! run anywhere else — so any other target is refused here, once, at
 //! compile time, instead of being served by stubs no test executes.
@@ -29,22 +28,19 @@
 #[cfg(any(not(target_os = "linux"), not(target_arch = "x86_64")))]
 compile_error!(
     "rossf supports x86-64 Linux only: rossf-sys issues raw x86-64 Linux syscalls \
-     (memfd/mmap/futex/epoll/eventfd); port crates/sys to add a target"
+     (memfd/mmap/epoll/eventfd); port crates/sys to add a target"
 );
 
 mod mem;
 mod poll;
 
-pub use mem::{
-    futex_wait, futex_wake, memfd_create, mmap_shared, munmap, open_peer_fd, page_round,
-    process_alive,
-};
+pub use mem::{memfd_create, mmap_shared, munmap, open_peer_fd, page_round, process_alive};
 pub use poll::{set_socket_buffers, set_timer_slack_ns, timer_slack_ns, PollEvent, Poller, WakeFd};
 
 use std::io;
 use std::time::Duration;
 
-/// The kernel's `struct timespec` (futex and `epoll_pwait2` timeouts).
+/// The kernel's `struct timespec` (the `epoll_pwait2` timeout).
 #[repr(C)]
 struct Timespec {
     tv_sec: i64,

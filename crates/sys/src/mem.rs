@@ -1,26 +1,19 @@
-//! Shared memory: `memfd_create`, `mmap`, `munmap`, `futex`, and the procfs
-//! facts cross-process hand-off needs.
+//! Shared memory: `memfd_create`, `mmap`, `munmap`, and the procfs facts
+//! cross-process hand-off needs.
 
-use crate::{check, syscall6, Timespec};
+use crate::{check, syscall6};
 use std::fs::File;
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd};
-use std::sync::atomic::AtomicU32;
-use std::time::Duration;
 
 const SYS_MMAP: i64 = 9;
 const SYS_MUNMAP: i64 = 11;
-const SYS_FUTEX: i64 = 202;
 const SYS_MEMFD_CREATE: i64 = 319;
 
 const PROT_READ: i64 = 1;
 const PROT_WRITE: i64 = 2;
 const MAP_SHARED: i64 = 1;
 const MFD_CLOEXEC: i64 = 1;
-// Cross-process (non-PRIVATE) futex ops: the wait word lives in a
-// MAP_SHARED segment visible to both sides.
-const FUTEX_WAIT: i64 = 0;
-const FUTEX_WAKE: i64 = 1;
 
 /// Create an anonymous memfd named `name` (close-on-exec) wrapped in a
 /// [`File`]. Size it with [`File::set_len`] before mapping.
@@ -96,46 +89,6 @@ pub unsafe fn munmap(ptr: *mut u8, len: usize) {
     let _ = check(unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) });
 }
 
-/// Block until `*addr != expected` or `timeout` elapses (`FUTEX_WAIT`, the
-/// cross-process variant). Spurious wakeups are allowed; callers re-check
-/// their condition in a loop.
-pub fn futex_wait(addr: &AtomicU32, expected: u32, timeout: Duration) {
-    let ts = Timespec::from(timeout);
-    // EAGAIN (word changed first), EINTR, and ETIMEDOUT are all normal;
-    // the caller re-checks its condition either way.
-    // SAFETY: `addr` borrows a live atomic (4-aligned as the kernel
-    // requires) and `ts` lives across the call.
-    let _ = unsafe {
-        syscall6(
-            SYS_FUTEX,
-            addr as *const AtomicU32 as i64,
-            FUTEX_WAIT,
-            i64::from(expected),
-            &ts as *const Timespec as i64,
-            0,
-            0,
-        )
-    };
-}
-
-/// Wake every process waiting on `addr` (`FUTEX_WAKE`, the cross-process
-/// variant).
-pub fn futex_wake(addr: &AtomicU32) {
-    // SAFETY: `addr` borrows a live atomic; FUTEX_WAKE dereferences
-    // nothing else.
-    let _ = unsafe {
-        syscall6(
-            SYS_FUTEX,
-            addr as *const AtomicU32 as i64,
-            FUTEX_WAKE,
-            i64::from(i32::MAX),
-            0,
-            0,
-            0,
-        )
-    };
-}
-
 /// Open another process's open file descriptor through procfs
 /// (`/proc/<pid>/fd/<fd>`), read-write. This is how a subscriber process
 /// adopts a publisher's memfd without fd-passing over a Unix socket: both
@@ -183,7 +136,6 @@ pub fn page_round(len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::Ordering;
 
     #[test]
     fn page_round_is_page_granular() {
@@ -231,18 +183,5 @@ mod tests {
         // Pid 0 has no /proc entry; u32::MAX is far beyond pid_max.
         assert!(!process_alive(0));
         assert!(!process_alive(u32::MAX));
-    }
-
-    #[test]
-    fn futex_wait_times_out_and_wake_is_safe() {
-        let w = AtomicU32::new(0);
-        let t0 = std::time::Instant::now();
-        futex_wait(&w, 0, Duration::from_millis(10));
-        assert!(t0.elapsed() < Duration::from_secs(2));
-        // Value mismatch returns immediately.
-        futex_wait(&w, 1, Duration::from_secs(5));
-        assert!(t0.elapsed() < Duration::from_secs(2));
-        futex_wake(&w);
-        w.store(9, Ordering::Relaxed);
     }
 }

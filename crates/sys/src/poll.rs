@@ -288,7 +288,7 @@ pub fn set_socket_buffers(fd: RawFd, bytes: usize) -> io::Result<()> {
 }
 
 /// Set the calling thread's timer slack — how far past its deadline the
-/// kernel may let a timed wait ([`Poller::wait`], a futex timeout) run so
+/// kernel may let a timed wait (a [`Poller::wait`] timeout) run so
 /// it can batch wake-ups. Threads start at 50 µs, which every
 /// sub-millisecond timer would pay on top of its deadline; the kernel
 /// reads 0 as "back to the default", so 1 is the tightest setting.

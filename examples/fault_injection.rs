@@ -25,7 +25,6 @@ fn main() {
         backoff: BackoffPolicy {
             initial: Duration::from_millis(5),
             max: Duration::from_millis(80),
-            ..BackoffPolicy::default()
         },
         ..TransportConfig::default()
     };

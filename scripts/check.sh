@@ -103,6 +103,11 @@ done | grep .; then
     echo "FAIL: a fault verdict is acted on outside the Gate"; exit 1
 fi
 
+echo "==> no futex outside crates/model (a drained ring's reader has one wake-up, its doorbell)"
+if futex_lines | grep .; then
+    echo "FAIL: futex is named in a non-test source outside crates/model"; exit 1
+fi
+
 echo "==> rossf-model --self-test (explorer catches the seeded racy ring, deterministically)"
 cargo run -q --release -p rossf-model --bin rossf-model -- --self-test
 

@@ -27,6 +27,12 @@ occurrences() { # fixed-string occurrences (not lines) in the Rust sources under
     local pat=$1; shift
     { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
 }
+futex_lines() { # non-test lines naming the futex outside crates/model, each behind its file: a ring's reader has one wake-up, its doorbell
+    local f
+    for f in $(find crates/*/src src examples shims -name '*.rs' | grep -v '^crates/model/' | sort); do
+        without_tests "$f" | { grep -i futex || true; } | sed "s|^|$f: |"
+    done
+}
 # Sourced (scripts/check.sh does), the helpers above are all this file does.
 [[ ${BASH_SOURCE[0]} == "$0" ]] || return 0
 
@@ -64,13 +70,14 @@ for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_
 done
 printf '%-24s %s\n' 'asm!( outside sys+lint' \
     "$(grep -rlF --include='*.rs' 'asm!(' crates tests examples src | grep -vc '^crates/\(sys\|lint\)/' || true)"
+printf '%-24s %3d\n' 'futex sites' "$(futex_lines | wc -l)"
 printf '%-24s %3d\n' 'SYS_MODULES entries' \
     "$(perl -0ne 'print $1 if /const SYS_MODULES[^=]*=\s*\[(.*?)\];/s' crates/lint/src/rules.rs | grep -o '"[^"]*"' | wc -l)"
 
 reexports() { # names a lib.rs re-exports with `pub use`
     perl -0ne 'while (/^pub use ([^;]+);/mg) { my $u = $1; $n += $u =~ /\{(.*)\}/s ? () = $1 =~ /\w+/g : 1 } END { print $n + 0 }' "$1"
 }
-for lib in crates/ros/src/lib.rs crates/core/src/lib.rs; do
+for lib in crates/ros/src/lib.rs crates/core/src/lib.rs crates/shm/src/lib.rs crates/sys/src/lib.rs; do
     printf '%-24s %3d\n' "pub use ${lib#crates/}" "$(reexports "$lib")"
 done
 # One options/stats API: the knobs a node sets, the endpoint options and the
