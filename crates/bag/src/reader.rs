@@ -366,7 +366,7 @@ impl BagReader {
 
     /// Adopt an entry's payload as an SFM allocation aliasing the map — the
     /// zero-copy replay path. The allocation keeps the whole map alive.
-    pub fn adopt_frame(&self, entry: &IndexEntry) -> Result<(Arc<SfmAlloc>, usize), BagError> {
+    pub fn adopt_frame(&self, entry: &IndexEntry) -> Result<(SfmAlloc, usize), BagError> {
         let (payload_offset, payload_len) = self.frame_payload_span(entry)?;
         Ok((
             self.map.adopt(payload_offset as u64, payload_len),

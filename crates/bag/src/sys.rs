@@ -132,7 +132,7 @@ impl BagMap {
     /// # Panics
     /// Panics if the range is out of bounds, misaligned, or empty — callers
     /// (the bag reader) validate offsets against the parsed format first.
-    pub fn adopt(self: &Arc<Self>, offset: u64, len: usize) -> Arc<SfmAlloc> {
+    pub fn adopt(self: &Arc<Self>, offset: u64, len: usize) -> SfmAlloc {
         let offset = offset as usize;
         assert!(len > 0 && offset.checked_add(len).is_some_and(|end| end <= self.len));
         assert_eq!(offset % SFM_ALLOC_ALIGN, 0, "payload offset misaligned");
@@ -141,13 +141,7 @@ impl BagMap {
         // for `len` bytes for as long as the guard (an Arc of this map)
         // lives. The view is immutable, so no other alias writes to it;
         // adopted frames are read-only payloads.
-        unsafe {
-            Arc::new(SfmAlloc::from_extern(
-                self.ptr.add(offset),
-                len,
-                Box::new(Arc::clone(self)),
-            ))
-        }
+        unsafe { SfmAlloc::from_extern(self.ptr.add(offset), len, Arc::clone(self)) }
     }
 }
 

@@ -16,8 +16,8 @@ use crate::alloc::SfmAlloc;
 use crate::manager::mm;
 use crate::message::SfmMessage;
 use core::marker::PhantomData;
+use core::mem::ManuallyDrop;
 use core::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 /// Owned, manager-registered serialization-free message (publisher side).
 ///
@@ -43,7 +43,7 @@ use std::sync::Arc;
 /// assert_eq!(msg.v[0], 42);
 /// ```
 pub struct SfmBox<T: SfmMessage> {
-    buffer: Arc<SfmAlloc>,
+    buffer: SfmAlloc,
     _marker: PhantomData<T>,
 }
 
@@ -68,12 +68,12 @@ impl<T: SfmMessage> SfmBox<T> {
             T::type_name(),
             T::SKELETON_SIZE
         );
-        let buffer = Arc::new(SfmAlloc::new(max));
+        let buffer = SfmAlloc::new(max);
         // The overloaded `new` zero-initializes only the skeleton — the
         // all-zero skeleton is the valid empty message; content regions
         // are written in full when fields are assigned.
         buffer.zero_prefix(T::SKELETON_SIZE);
-        mm().register(Arc::clone(&buffer), T::SKELETON_SIZE, T::type_name());
+        mm().register(buffer.clone(), T::SKELETON_SIZE, T::type_name());
         SfmBox {
             buffer,
             _marker: PhantomData,
@@ -100,7 +100,7 @@ impl<T: SfmMessage> SfmBox<T> {
     /// Panics if the allocation's capacity is smaller than
     /// `T::max_size()` — fields grow toward `max_size` and must never
     /// overrun the region.
-    pub unsafe fn from_alloc(buffer: Arc<SfmAlloc>) -> Self {
+    pub unsafe fn from_alloc(buffer: SfmAlloc) -> Self {
         let max = T::max_size();
         assert!(
             max >= T::SKELETON_SIZE,
@@ -115,7 +115,7 @@ impl<T: SfmMessage> SfmBox<T> {
             buffer.capacity()
         );
         buffer.zero_prefix(T::SKELETON_SIZE);
-        mm().register_loaned(Arc::clone(&buffer), T::SKELETON_SIZE, T::type_name());
+        mm().register_loaned(buffer.clone(), T::SKELETON_SIZE, T::type_name());
         SfmBox {
             buffer,
             _marker: PhantomData,
@@ -145,7 +145,7 @@ impl<T: SfmMessage> SfmBox<T> {
             .publish_from(self.buffer.partition(), self.base())
             .expect("live SfmBox always has a record");
         PublishedBuffer {
-            buffer: Arc::clone(&self.buffer),
+            buffer: self.buffer.clone(),
             len,
         }
     }
@@ -154,19 +154,13 @@ impl<T: SfmMessage> SfmBox<T> {
     /// copying. Useful when publisher code wants to retain the message
     /// after publishing, or to feed intra-process subscribers.
     pub fn into_shared(self) -> SfmShared<T> {
-        let core = SharedCore {
-            buffer: Arc::clone(&self.buffer),
-            base: self.base(),
-            len: self.whole_len(),
-            owns_record: true,
-            _marker: PhantomData,
-        };
-        // The record now belongs to the SharedCore; forget self so Drop
-        // does not release it.
-        core::mem::forget(self);
-        SfmShared {
-            core: Arc::new(core),
-        }
+        let len = self.whole_len();
+        // The record and the box's buffer pointer now belong to the shared
+        // handle group; the box's Drop must not release them.
+        let this = ManuallyDrop::new(self);
+        // SAFETY: read once out of a box that is never used or dropped again.
+        let buffer = unsafe { core::ptr::read(&this.buffer) };
+        SfmShared::from_parts(buffer, len)
     }
 }
 
@@ -232,35 +226,22 @@ impl<T: SfmMessage + core::fmt::Debug> core::fmt::Debug for SfmBox<T> {
     }
 }
 
-struct SharedCore<T: SfmMessage> {
-    buffer: Arc<SfmAlloc>,
-    base: usize,
-    len: usize,
-    /// Whether this handle owns a manager record. Network-adopted messages
-    /// do; intra-process views created from a `PublishedBuffer` share the
-    /// publisher's record instead of registering a duplicate.
-    owns_record: bool,
-    _marker: PhantomData<T>,
-}
-
-impl<T: SfmMessage> Drop for SharedCore<T> {
-    fn drop(&mut self) {
-        // Last object pointer gone → manager releases the record; the
-        // buffer is freed when its last Arc clone drops (Fig. 9).
-        if self.owns_record {
-            mm().release_from(self.buffer.partition(), self.base);
-        }
-    }
-}
-
 /// Shared, read-only handle to a serialization-free message — the *object
 /// pointer* delivered to subscriber callbacks.
 ///
 /// `Clone` is a cheap reference-count bump, matching the paper: "the
 /// developer's code can add references of the message object by creating
-/// copies of the object pointer".
+/// copies of the object pointer". The clones of one handle are a group
+/// counted in their block's header; between them they hold one buffer
+/// pointer, and the last to drop releases the message's record (when the
+/// group owns it) and then that buffer pointer.
 pub struct SfmShared<T: SfmMessage> {
-    core: Arc<SharedCore<T>>,
+    /// The group's buffer pointer: to the message's own block when the
+    /// group owns its record, else to a view of a publisher's block.
+    /// Dropped by the group's last member only.
+    buffer: ManuallyDrop<SfmAlloc>,
+    len: usize,
+    _marker: PhantomData<T>,
 }
 
 // SAFETY: read-only view of Send+Sync storage.
@@ -268,16 +249,15 @@ unsafe impl<T: SfmMessage> Send for SfmShared<T> {}
 unsafe impl<T: SfmMessage> Sync for SfmShared<T> {}
 
 impl<T: SfmMessage> SfmShared<T> {
-    pub(crate) fn from_parts(buffer: Arc<SfmAlloc>, len: usize) -> Self {
-        let base = buffer.base();
+    /// Found a handle group on `buffer`, whose pointer becomes the
+    /// group's. The group owns the record unless `buffer` is a view.
+    pub(crate) fn from_parts(buffer: SfmAlloc, len: usize) -> Self {
+        debug_assert_eq!(buffer.objects(), 0, "one handle group per block");
+        buffer.enter_object();
         SfmShared {
-            core: Arc::new(SharedCore {
-                buffer,
-                base,
-                len,
-                owns_record: true,
-                _marker: PhantomData,
-            }),
+            buffer: ManuallyDrop::new(buffer),
+            len,
+            _marker: PhantomData,
         }
     }
 
@@ -305,17 +285,9 @@ impl<T: SfmMessage> SfmShared<T> {
         view.validate_in(base, frame.len)?;
         // Life-cycle notation: the subscriber now shares the publisher's
         // allocation (the Published state gains a reference; Destructed is
-        // reached when the last Arc drops).
+        // reached when the last buffer pointer drops).
         mm().note_shared_adoption(base);
-        Ok(SfmShared {
-            core: Arc::new(SharedCore {
-                buffer: Arc::clone(&frame.buffer),
-                base,
-                len: frame.len,
-                owns_record: false,
-                _marker: PhantomData,
-            }),
-        })
+        Ok(SfmShared::from_parts(frame.buffer.view(), frame.len))
     }
 
     /// Adopt an externally owned buffer (typically a shared-memory mapped
@@ -336,7 +308,7 @@ impl<T: SfmMessage> SfmShared<T> {
     /// * [`SfmError::FrameTooLarge`](crate::SfmError::FrameTooLarge) if
     ///   `len` exceeds the type's `max_size`.
     /// * Validation errors from `validate_in` (malformed offsets).
-    pub fn adopt_extern(buffer: Arc<SfmAlloc>, len: usize) -> Result<Self, crate::SfmError> {
+    pub fn adopt_extern(buffer: SfmAlloc, len: usize) -> Result<Self, crate::SfmError> {
         if len < T::SKELETON_SIZE {
             return Err(crate::SfmError::FrameTooSmall {
                 expected: T::SKELETON_SIZE,
@@ -353,49 +325,73 @@ impl<T: SfmMessage> SfmShared<T> {
         // SAFETY: aligned pod view over the initialized received frame.
         let view = unsafe { &*(buffer.as_ptr() as *const T) };
         view.validate_in(base, len)?;
-        mm().adopt(Arc::clone(&buffer), len, T::type_name());
+        mm().adopt(buffer.clone(), len, T::type_name());
         Ok(SfmShared::from_parts(buffer, len))
     }
 
     /// Size of the whole message.
     #[inline]
     pub fn whole_len(&self) -> usize {
-        self.core.len
+        self.len
     }
 
     /// Base address of the whole message.
     #[inline]
     pub fn base(&self) -> usize {
-        self.core.base
+        self.buffer.base()
     }
 
     /// The raw whole-message bytes (e.g. for relaying without access to the
     /// typed fields).
     pub fn as_bytes(&self) -> &[u8] {
-        self.core.buffer.slice(self.core.len)
+        self.buffer.slice(self.len)
     }
 
     /// Buffer-pointer copy for re-publishing this message verbatim on
     /// another topic — still zero-copy.
     pub fn publish_handle(&self) -> PublishedBuffer {
-        mm().publish_from(self.core.buffer.partition(), self.core.base);
+        // A view hands out the publisher's block itself, as it was given.
+        let buffer = self.buffer.viewed();
+        mm().publish_from(buffer.partition(), buffer.base());
         PublishedBuffer {
-            buffer: Arc::clone(&self.core.buffer),
-            len: self.core.len,
+            buffer: buffer.clone(),
+            len: self.len,
         }
     }
 
     /// Number of object-pointer clones currently alive.
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.core)
+        self.buffer.objects()
     }
 }
 
 impl<T: SfmMessage> Clone for SfmShared<T> {
     fn clone(&self) -> Self {
+        self.buffer.enter_object();
         SfmShared {
-            core: Arc::clone(&self.core),
+            // SAFETY: a bitwise copy of the group's buffer pointer, which
+            // the group's last member drops once (see Drop).
+            buffer: unsafe { core::ptr::read(&self.buffer) },
+            len: self.len,
+            _marker: PhantomData,
         }
+    }
+}
+
+impl<T: SfmMessage> Drop for SfmShared<T> {
+    fn drop(&mut self) {
+        if !self.buffer.leave_object() {
+            return;
+        }
+        // Last object pointer gone → the manager releases the record (a
+        // view has none); the bytes go when their last buffer pointer
+        // drops (Fig. 9).
+        if !self.buffer.is_view() {
+            mm().release_from(self.buffer.partition(), self.buffer.base());
+        }
+        // SAFETY: the group's buffer pointer, dropped once, by its last
+        // member.
+        unsafe { ManuallyDrop::drop(&mut self.buffer) };
     }
 }
 
@@ -406,7 +402,7 @@ impl<T: SfmMessage> Deref for SfmShared<T> {
     fn deref(&self) -> &T {
         // SAFETY: as SfmBox::deref; adopted frames were validated by
         // SfmRecvBuffer::finish before construction.
-        unsafe { &*(self.core.buffer.as_ptr() as *const T) }
+        unsafe { &*(self.buffer.as_ptr() as *const T) }
     }
 }
 
@@ -420,7 +416,7 @@ impl<T: SfmMessage + core::fmt::Debug> core::fmt::Debug for SfmShared<T> {
 /// message as raw wire bytes plus a reference count keeping them alive.
 #[derive(Clone)]
 pub struct PublishedBuffer {
-    buffer: Arc<SfmAlloc>,
+    buffer: SfmAlloc,
     len: usize,
 }
 
@@ -457,7 +453,7 @@ impl core::fmt::Debug for PublishedBuffer {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PublishedBuffer")
             .field("len", &self.len)
-            .field("refs", &Arc::strong_count(&self.buffer))
+            .field("refs", &self.buffer.refs())
             .finish()
     }
 }
@@ -601,9 +597,8 @@ mod tests {
         // externally owned, 8-aligned, writable.
         let mut words = vec![0u64; Img::max_size() / 8];
         let ptr = words.as_mut_ptr() as *mut u8;
-        let buffer =
-            Arc::new(unsafe { SfmAlloc::from_extern(ptr, Img::max_size(), Box::new(words)) });
-        let mut img = unsafe { SfmBox::<Img>::from_alloc(Arc::clone(&buffer)) };
+        let buffer = unsafe { SfmAlloc::from_extern(ptr, Img::max_size(), words) };
+        let mut img = unsafe { SfmBox::<Img>::from_alloc(buffer.clone()) };
         assert_eq!(img.base(), buffer.base(), "message lives in the region");
         img.encoding.assign("rgb8");
         img.height = 2;
@@ -624,7 +619,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "loaned region")]
     fn from_alloc_rejects_undersized_region() {
-        let buffer = Arc::new(SfmAlloc::new(Img::max_size() / 2));
+        let buffer = SfmAlloc::new(Img::max_size() / 2);
         let _ = unsafe { SfmBox::<Img>::from_alloc(buffer) };
     }
 

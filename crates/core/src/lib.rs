@@ -95,6 +95,7 @@ pub mod path;
 pub mod project;
 mod recv;
 mod string;
+mod sync;
 mod vec;
 pub mod verify;
 
@@ -102,7 +103,10 @@ pub use alert::{
     alert_counts, lifecycle_alert_count, reset_alert_counts, set_alert_policy, AlertKind,
     AlertPolicy,
 };
-pub use alloc::{drain_alloc_pool, SfmAlloc, SFM_ALLOC_ALIGN};
+#[cfg(rossf_model)]
+#[doc(hidden)]
+pub use alloc::model;
+pub use alloc::{drain_alloc_pool, DrainedPool, SfmAlloc, SFM_ALLOC_ALIGN};
 pub use boxed::{PublishedBuffer, SfmBox, SfmShared};
 pub use error::SfmError;
 pub use manager::{

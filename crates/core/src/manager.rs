@@ -2,7 +2,7 @@
 //!
 //! Every live serialization-free message has a *record* in the global
 //! manager holding its base address, capacity, current *whole message* size,
-//! a clone of the buffer pointer (`Arc<SfmAlloc>`), and its life-cycle state.
+//! a clone of the buffer pointer ([`SfmAlloc`]), and its life-cycle state.
 //!
 //! Two operations dominate:
 //!
@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Life-cycle state of a serialization-free message (paper Figs. 8–9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,7 +50,7 @@ struct Record {
     used: usize,
     state: MessageState,
     type_name: &'static str,
-    buffer: Arc<SfmAlloc>,
+    buffer: SfmAlloc,
     /// When the record was created, on the tracing clock (0 when tracing
     /// was not armed at registration time).
     registered_ns: u64,
@@ -64,7 +64,7 @@ impl Record {
             used: self.used,
             state: self.state,
             type_name: self.type_name,
-            buffer_refs: Arc::strong_count(&self.buffer),
+            buffer_refs: self.buffer.refs(),
             registered_ns: self.registered_ns,
         }
     }
@@ -74,7 +74,7 @@ impl Record {
 /// cover the threads that build or adopt messages at the same time (a
 /// publishing thread and the loop, in every workload here); threads beyond
 /// it share a partition, which costs a lock collision and never correctness.
-const PARTITIONS: usize = 8;
+pub(crate) const PARTITIONS: usize = 8;
 
 /// One partition of the table, aligned so that two partitions never share
 /// a cache line.
@@ -375,7 +375,7 @@ impl MessageManager {
     /// This is what the overloaded global `new` operator does in the paper:
     /// "the allocated memory segment is then registered into the message
     /// manager, and the message enters the *Allocated* state".
-    pub fn register(&self, buffer: Arc<SfmAlloc>, skeleton_size: usize, type_name: &'static str) {
+    pub fn register(&self, buffer: SfmAlloc, skeleton_size: usize, type_name: &'static str) {
         self.register_as(LifecycleOp::Register, buffer, skeleton_size, type_name);
     }
 
@@ -385,12 +385,7 @@ impl MessageManager {
     /// [`SfmAlloc::from_extern`]) rather than on the process heap, and the
     /// sanitizer logs the distinct [`LifecycleOp::RegisterLoaned`] op so
     /// tests can confirm a message was built in-segment.
-    pub fn register_loaned(
-        &self,
-        buffer: Arc<SfmAlloc>,
-        skeleton_size: usize,
-        type_name: &'static str,
-    ) {
+    pub fn register_loaned(&self, buffer: SfmAlloc, skeleton_size: usize, type_name: &'static str) {
         self.register_as(
             LifecycleOp::RegisterLoaned,
             buffer,
@@ -402,7 +397,7 @@ impl MessageManager {
     fn register_as(
         &self,
         op: LifecycleOp,
-        buffer: Arc<SfmAlloc>,
+        buffer: SfmAlloc,
         skeleton_size: usize,
         type_name: &'static str,
     ) {
@@ -423,7 +418,7 @@ impl MessageManager {
     /// Register a message adopted from a received frame of `used` bytes
     /// (the paper's "dummy de-serialization routine", Fig. 9): the record is
     /// created directly in the `Published` state.
-    pub fn adopt(&self, buffer: Arc<SfmAlloc>, used: usize, type_name: &'static str) {
+    pub fn adopt(&self, buffer: SfmAlloc, used: usize, type_name: &'static str) {
         debug_assert!(used <= buffer.capacity());
         let (start, end) = (buffer.base(), buffer.base() + buffer.capacity());
         let registered_ns = if rossf_trace::tracer().armed() {
@@ -449,7 +444,7 @@ impl MessageManager {
     /// re-materializing it (Published → Destructed governed purely by the
     /// buffer refcount, §4.2). No record is created or mutated; the record
     /// may already be gone if the publisher released after publishing, which
-    /// is fine — the queue's `Arc` keeps the bytes alive.
+    /// is fine — the queue's buffer pointer keeps the bytes alive.
     pub fn note_shared_adoption(&self, start: usize) {
         self.shared_adoptions.fetch_add(1, Ordering::Relaxed);
         // The record is read for the log's type name only, and it lives in
@@ -647,7 +642,7 @@ impl MessageManager {
     /// Mark the message starting at `start` as published.
     ///
     /// Idempotent; unknown addresses are ignored (publishing an already
-    /// released message is handled by the `Arc` held in the transmission
+    /// released message is handled by the buffer pointer held in the transmission
     /// queue).
     pub fn mark_published(&self, start: usize) {
         self.publish_from(home_partition(), start);
@@ -676,7 +671,7 @@ impl MessageManager {
     /// Remove the record for the message starting at `start`, dropping the
     /// manager's buffer-pointer clone (the overloaded `delete` operator).
     ///
-    /// If a transmission queue or another `Arc` still references the buffer
+    /// If a transmission queue or another buffer pointer still references it
     /// the bytes stay alive; otherwise they are freed now ("only when the
     /// reference count becomes zero will the message memory be actually
     /// freed").
@@ -696,7 +691,7 @@ impl MessageManager {
                 Some(table.records.remove(idx))
             })
             .map(|rec| {
-                let refs = Arc::strong_count(&rec.buffer);
+                let refs = rec.buffer.refs();
                 (rec.capacity, rec.type_name, refs)
             });
         let mut alert = None;
@@ -802,9 +797,9 @@ impl MessageManager {
     /// # Errors
     ///
     /// [`SfmError::UnmanagedAddress`] if `start` is not a registered base.
-    pub fn buffer_of(&self, start: usize) -> Result<Arc<SfmAlloc>, SfmError> {
+    pub fn buffer_of(&self, start: usize) -> Result<SfmAlloc, SfmError> {
         self.probe(home_partition(), |table| {
-            Self::find(&table.records, start).map(|idx| Arc::clone(&table.records[idx].buffer))
+            Self::find(&table.records, start).map(|idx| table.records[idx].buffer.clone())
         })
         .ok_or(SfmError::UnmanagedAddress { addr: start })
     }
@@ -861,8 +856,8 @@ pub fn mm() -> &'static MessageManager {
 mod tests {
     use super::*;
 
-    fn alloc(cap: usize) -> Arc<SfmAlloc> {
-        Arc::new(SfmAlloc::new(cap))
+    fn alloc(cap: usize) -> SfmAlloc {
+        SfmAlloc::new(cap)
     }
 
     #[test]
@@ -969,7 +964,7 @@ mod tests {
         let m = MessageManager::new();
         let allocs: Vec<_> = (0..32).map(|_| alloc(128)).collect();
         for a in &allocs {
-            m.register(Arc::clone(a), 16, "t/A");
+            m.register(a.clone(), 16, "t/A");
         }
         for a in &allocs {
             assert_eq!(locate_checked(&m, a.base() + 120), Some(a.base()));
@@ -982,7 +977,7 @@ mod tests {
     fn linear_and_binary_agree_on_miss() {
         let m = MessageManager::new();
         let a = alloc(64);
-        m.register(Arc::clone(&a), 8, "t/A");
+        m.register(a.clone(), 8, "t/A");
         let miss = a.base().wrapping_add(64); // one past the end
         assert_eq!(locate_checked(&m, miss), None);
         assert!(m.expand(miss, 1, 1).is_err());
@@ -1029,7 +1024,7 @@ mod tests {
                 }
                 for _ in 0..share.min(count - allocs.len()) {
                     let a = alloc(8 + rng.below(89));
-                    m.register(Arc::clone(&a), 8, "t/A");
+                    m.register(a.clone(), 8, "t/A");
                     assert_eq!(locate_checked(&m, a.base()), Some(a.base()));
                     allocs.push(a);
                 }
@@ -1093,7 +1088,7 @@ mod tests {
         let m = MessageManager::new();
         let a = alloc(64);
         let base = a.base();
-        m.register(Arc::clone(&a), 8, "t/A");
+        m.register(a.clone(), 8, "t/A");
         let before = m.info(base).unwrap().buffer_refs;
         let extra = m.buffer_of(base).unwrap();
         let after = m.info(base).unwrap().buffer_refs;
@@ -1107,7 +1102,7 @@ mod tests {
         let m = MessageManager::new();
         let a = alloc(64);
         let base = a.base();
-        m.register(Arc::clone(&a), 8, "t/A");
+        m.register(a.clone(), 8, "t/A");
         let queue_copy = m.buffer_of(base).unwrap();
         m.release(base);
         assert_eq!(m.live(), 0);
@@ -1140,7 +1135,7 @@ mod tests {
         m.set_sanitizer(true);
         let a = alloc(64);
         let base = a.base();
-        m.register(Arc::clone(&a), 8, "t/A");
+        m.register(a.clone(), 8, "t/A");
         m.mark_published(base);
         m.note_shared_adoption(base);
         assert_eq!(m.stats().shared_adoptions, 1);
@@ -1193,7 +1188,7 @@ mod tests {
         m.set_sanitizer(true);
         let a = alloc(256);
         let base = a.base();
-        m.register(Arc::clone(&a), 24, "t/A");
+        m.register(a.clone(), 24, "t/A");
         m.expand(base + 8, 10, 1).unwrap();
         m.mark_published(base);
         m.release(base);
@@ -1221,7 +1216,7 @@ mod tests {
             m.set_sanitizer(true);
             let a = alloc(128);
             let base = a.base();
-            m.register(Arc::clone(&a), 16, "t/A");
+            m.register(a.clone(), 16, "t/A");
             m.release(base);
             let before = crate::lifecycle_alert_count();
             m.release(base); // stale handle strikes again
@@ -1242,7 +1237,7 @@ mod tests {
             m.set_sanitizer(true);
             let a = alloc(128);
             let base = a.base();
-            m.register(Arc::clone(&a), 16, "t/A");
+            m.register(a.clone(), 16, "t/A");
             m.release(base);
             assert!(m.expand(base + 8, 4, 1).is_err());
             let rep = m.sanitizer_report().unwrap();
@@ -1257,7 +1252,7 @@ mod tests {
             m.set_sanitizer(true);
             let a = alloc(128);
             let base = a.base();
-            m.register(a, 16, "t/A"); // record holds the ONLY Arc
+            m.register(a, 16, "t/A"); // record holds the ONLY buffer pointer
             m.release(base);
             let rep = m.sanitizer_report().unwrap();
             assert_eq!(rep.refcount_anomaly, 1);
@@ -1271,11 +1266,11 @@ mod tests {
             m.set_sanitizer(true);
             let a = alloc(128);
             let base = a.base();
-            m.register(Arc::clone(&a), 16, "t/A");
+            m.register(a.clone(), 16, "t/A");
             m.release(base);
             // The "allocator" hands the same base back: re-registering must
             // purge the released-history so the next release is clean.
-            m.register(Arc::clone(&a), 16, "t/B");
+            m.register(a.clone(), 16, "t/B");
             m.release(base);
             let rep = m.sanitizer_report().unwrap();
             assert_eq!(rep.double_release, 0);
@@ -1289,8 +1284,8 @@ mod tests {
             m.set_sanitizer(true);
             let a = alloc(128);
             let b = alloc(128);
-            m.register(Arc::clone(&a), 16, "t/Leaky");
-            m.register(Arc::clone(&b), 16, "t/B");
+            m.register(a.clone(), 16, "t/Leaky");
+            m.register(b.clone(), 16, "t/B");
             m.mark_published(b.base());
             let before = crate::lifecycle_alert_count();
             let leaked = m.check_leaks();
@@ -1309,7 +1304,7 @@ mod tests {
         let m = MessageManager::new();
         m.set_sanitizer(true);
         let a = alloc(64);
-        m.register(Arc::clone(&a), 8, "t/A");
+        m.register(a.clone(), 8, "t/A");
         let base = a.base();
         for _ in 0..(super::SANITIZER_EVENTS_CAP + 100) {
             m.mark_published(base);
@@ -1354,7 +1349,7 @@ mod tests {
         m.set_sanitizer(true);
         let a = alloc(128);
         let base = a.base();
-        m.register_loaned(Arc::clone(&a), 16, "t/Loaned");
+        m.register_loaned(a.clone(), 16, "t/Loaned");
         assert_eq!(m.info(base).unwrap().state, MessageState::Allocated);
         let ops: Vec<LifecycleOp> = m.lifecycle_events().iter().map(|e| e.op).collect();
         assert_eq!(ops, vec![LifecycleOp::RegisterLoaned]);

@@ -13,7 +13,6 @@ use crate::error::SfmError;
 use crate::manager::mm;
 use crate::message::SfmMessage;
 use core::marker::PhantomData;
-use std::sync::Arc;
 
 /// In-flight receive buffer for one frame of message type `T`.
 pub struct SfmRecvBuffer<T: SfmMessage> {
@@ -89,9 +88,8 @@ impl<T: SfmMessage> SfmRecvBuffer<T> {
         // *before* any typed field access by user code.
         let view = unsafe { &*(self.buffer.as_ptr() as *const T) };
         view.validate_in(base, self.len)?;
-        let buffer = Arc::new(self.buffer);
-        mm().adopt(Arc::clone(&buffer), self.len, T::type_name());
-        Ok(SfmShared::from_parts(buffer, self.len))
+        mm().adopt(self.buffer.clone(), self.len, T::type_name());
+        Ok(SfmShared::from_parts(self.buffer, self.len))
     }
 }
 

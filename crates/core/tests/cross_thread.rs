@@ -6,13 +6,35 @@
 //! thread to thread over channels, with the lifecycle sanitizer on and the
 //! default alert policy, so any anomaly panics the thread that caused it.
 //!
-//! Alone in its binary: it asserts on the process-global manager.
+//! The rest of the binary follows one block across the same hand-off: built
+//! on one thread, freed on another, back home to its builder through its
+//! partition's return list, and within the allocator's retention bounds
+//! after a burst.
+//!
+//! Alone in their binary, one test at a time: they assert on the
+//! process-global manager and on what the process-wide return lists hold.
 
 use rossf_sfm::{
-    mm, MessageState, PublishedBuffer, SfmBox, SfmError, SfmMessage, SfmPod, SfmRecvBuffer,
-    SfmShared, SfmString, SfmValidate, SfmVec,
+    drain_alloc_pool, mm, DrainedPool, MessageState, PublishedBuffer, SfmAlloc, SfmBox, SfmError,
+    SfmMessage, SfmPod, SfmRecvBuffer, SfmShared, SfmString, SfmValidate, SfmVec,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// One test at a time (see the module docs).
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Run `f` on a fresh thread and wait for it to exit: by the time this
+/// returns, whatever the thread's own lists kept has gone home.
+fn on_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+    std::thread::scope(|s| s.spawn(f).join().expect("worker panicked"))
+}
 
 #[repr(C)]
 struct Scan {
@@ -138,33 +160,41 @@ fn finish(rx: Receiver<(Exit, PublishedBuffer, Filled)>) {
 
 #[test]
 fn life_cycle_spread_over_more_threads_than_partitions() {
+    let _serial = serial();
     mm().set_sanitizer(true);
     let (live, before) = (mm().live(), mm().stats());
     std::thread::scope(|s| {
+        let mut workers = Vec::new();
         for lane in 0..LANES {
             let (to_b, from_a) = channel::<SfmBox<Scan>>();
             let (to_c, from_b) = channel();
             let (to_d, from_c) = channel();
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 for seq in 0..PER_LANE {
                     to_b.send(build(seq)).expect("B is listening");
                 }
-            });
-            s.spawn(move || {
+            }));
+            workers.push(s.spawn(move || {
                 let mut rng = Rng(0x5F3_2022 + lane);
                 for mut msg in from_a {
                     let filled = fill(&mut rng, &mut msg);
                     to_c.send((msg, filled)).expect("C is listening");
                 }
-            });
-            s.spawn(move || {
+            }));
+            workers.push(s.spawn(move || {
                 let mut rng = Rng(0xC0FFEE + lane);
                 for (msg, filled) in from_b {
                     let (exit, frame) = publish(&mut rng, msg);
                     to_d.send((exit, frame, filled)).expect("D is listening");
                 }
-            });
-            s.spawn(move || finish(from_c));
+            }));
+            workers.push(s.spawn(move || finish(from_c)));
+        }
+        // Joined one by one, not just at the scope's end: a join also
+        // waits for the thread's lists to go home, which the next test
+        // counts on.
+        for worker in workers {
+            worker.join().expect("worker panicked");
         }
     });
 
@@ -191,4 +221,122 @@ fn life_cycle_spread_over_more_threads_than_partitions() {
     );
     assert!(mm().check_leaks().is_empty());
     mm().set_sanitizer(false);
+}
+
+#[test]
+fn a_block_built_on_a_and_dropped_on_b_is_a_s_next_allocation() {
+    let _serial = serial();
+    on_thread(|| {
+        drain_alloc_pool();
+        let msg = SfmBox::<Scan>::new();
+        let base = msg.base();
+        let frame = msg.publish_handle();
+        // B holds the last buffer pointer: the box and the queue's frame.
+        on_thread(move || {
+            drop(msg);
+            drop(frame);
+        });
+        let next = SfmBox::<Scan>::new();
+        assert_eq!(next.base(), base, "the block came home to its builder");
+        assert_eq!(next.whole_len(), Scan::SKELETON_SIZE, "born empty again");
+    });
+}
+
+#[test]
+fn drain_alloc_pool_empties_the_return_lists_and_the_callers_lists() {
+    let _serial = serial();
+    on_thread(|| {
+        drain_alloc_pool();
+        const CAP: usize = 3000;
+        let (mine, theirs) = (SfmAlloc::new(CAP), SfmAlloc::new(CAP));
+        drop(mine); // onto this thread's list
+        on_thread(move || drop(theirs)); // onto this partition's return list
+        let drained = drain_alloc_pool();
+        assert_eq!(drained.blocks, 2, "both went back to the global allocator");
+        assert!(drained.bytes >= 2 * CAP, "{drained:?}");
+        assert_eq!(drain_alloc_pool(), DrainedPool::default(), "nothing left");
+    });
+}
+
+/// The bounds `rossf_sfm::SfmAlloc` documents: a thread keeps at most
+/// 256 KiB of one small class, and the process keeps at most four blocks of
+/// one large class (64 KiB and up) and 128 MiB of large blocks (the bytes
+/// each was asked for), cached or on their way home.
+const LARGE_PER_CLASS: usize = 4;
+const SMALL_CLASS_BYTES: usize = 256 << 10;
+const LARGE_BYTE_CAP: usize = 128 << 20;
+
+#[test]
+fn retention_stays_under_the_caps_after_a_burst() {
+    let _serial = serial();
+    let burst = |n: usize, cap: usize| (0..n).map(|_| SfmAlloc::new(cap)).collect::<Vec<_>>();
+    on_thread(|| {
+        drain_alloc_pool();
+        // Large blocks freed where they were built.
+        drop(burst(10, 1 << 20));
+        let drained = drain_alloc_pool();
+        assert_eq!(drained.blocks, LARGE_PER_CLASS, "{drained:?}");
+
+        // Large blocks freed on another thread: all come home, and the
+        // next allocation sorts them in under the same bound.
+        let blocks = burst(10, 1 << 20);
+        on_thread(move || drop(blocks));
+        let one = SfmAlloc::new(1 << 20);
+        let drained = drain_alloc_pool();
+        assert_eq!(drained.blocks, LARGE_PER_CLASS - 1, "{drained:?}");
+        drop(one);
+        drain_alloc_pool();
+
+        // More large bytes than the process keeps, freed far from home.
+        let blocks = burst(40, 4 << 20);
+        on_thread(move || drop(blocks));
+        let drained = drain_alloc_pool();
+        assert!(drained.blocks * (4 << 20) <= LARGE_BYTE_CAP, "{drained:?}");
+        assert!(drained.blocks < 40, "{drained:?}");
+
+        // Small blocks freed where they were built.
+        drop(burst(5000, 200));
+        let drained = drain_alloc_pool();
+        assert!(drained.bytes <= SMALL_CLASS_BYTES, "{drained:?}");
+        assert!(drained.blocks > 100, "a small class is kept: {drained:?}");
+    });
+}
+
+#[test]
+fn extern_regions_never_enter_a_cache() {
+    let _serial = serial();
+    /// Counts its drops; holds the region it guards.
+    struct Guard(Arc<AtomicUsize>, #[allow(dead_code)] Vec<u64>);
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    const CAP: usize = 1 << 20;
+    on_thread(|| {
+        drain_alloc_pool();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut words = vec![0u64; CAP / 8];
+        let region = words.as_mut_ptr() as usize;
+        let guard = Guard(Arc::clone(&drops), words);
+        // SAFETY: the vector is 8-aligned, CAP bytes, kept alive by the
+        // guard and written by no one else.
+        let alloc = unsafe { SfmAlloc::from_extern(region as *mut u8, CAP, guard) };
+        assert_eq!(alloc.base(), region);
+        // Shared with and dropped last by another thread.
+        let other = alloc.clone();
+        drop(alloc);
+        on_thread(move || drop(other));
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "guard dropped once");
+        let heap: Vec<SfmAlloc> = (0..8).map(|_| SfmAlloc::new(CAP)).collect();
+        assert!(heap.iter().all(|a| a.base() != region && !a.is_extern()));
+        drop(heap);
+        // What went home is the control block; the region never did.
+        let drained = drain_alloc_pool();
+        assert_eq!(drained.blocks, LARGE_PER_CLASS + 1, "{drained:?}");
+        assert!(
+            drained.bytes < (LARGE_PER_CLASS + 1) * CAP + CAP,
+            "{drained:?}"
+        );
+    });
 }

@@ -932,7 +932,7 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
         // write hold (and therefore its generation stamp) alive
         // for as long as any clone of the allocation lives —
         // including fast-path subscribers sharing the buffer.
-        let guard: Box<dyn std::any::Any + Send + Sync> = Box::new(frame.clone());
+        let guard = frame.clone();
         // SAFETY: the payload region is 64-byte offset into a
         // page-aligned mapping (so 8-aligned), valid for
         // `capacity() >= max_size` bytes while the guard lives,
@@ -948,7 +948,7 @@ impl<T: SfmMessage> Publisher<SfmBox<T>> {
         // SAFETY: region writable for the full capacity (publisher
         // maps its own pool segments read-write) and un-aliased
         // while building (write hold held above).
-        let msg = unsafe { SfmBox::from_alloc(Arc::new(alloc)) };
+        let msg = unsafe { SfmBox::from_alloc(alloc) };
         Some(LoanedMessage::new(msg, Some(frame)))
     }
 

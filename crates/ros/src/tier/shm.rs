@@ -217,6 +217,7 @@ pub(crate) fn attach<D: Decode>(
         stream,
         shm,
         eof: false,
+        same_process: pub_pid == std::process::id(),
     })
 }
 
@@ -458,6 +459,10 @@ struct ShmSource {
     shm: ShmReader,
     /// The control socket reported EOF (or failed): no push will follow.
     eof: bool,
+    /// The publisher is this process, so the descriptors' timestamps are on
+    /// this process's trace clock. Decided once at attach: asking per frame
+    /// is a `getpid` syscall on the receive path.
+    same_process: bool,
 }
 
 impl<D: Decode> Source<D> for ShmSource {
@@ -494,7 +499,7 @@ impl<D: Decode> Source<D> for ShmSource {
         // meaningful here only when the publisher is this same process (the
         // `shm_same_process` bench mode); a cross-process link skips the
         // span rather than mixing clocks.
-        let same_clock = self.shm.publisher_pid() == std::process::id() && desc.pushed_ns != 0;
+        let same_clock = self.same_process && desc.pushed_ns != 0;
         let since = same_clock.then_some(desc.pushed_ns);
         // A frame rejected by the verifier is dropped unadopted, which
         // releases its segment reference; the ring stays in sync.

@@ -368,7 +368,7 @@ impl MappedFrame {
     /// copying**: the allocation's drop guard releases the cross-process
     /// reference, so the segment recycles exactly when the subscriber's
     /// last handle drops.
-    pub fn into_sfm_alloc(mut self) -> Arc<SfmAlloc> {
+    pub fn into_sfm_alloc(mut self) -> SfmAlloc {
         self.armed = false;
         let guard = FrameGuard {
             ctrl: Arc::clone(&self.ctrl),
@@ -382,7 +382,7 @@ impl MappedFrame {
         // SAFETY: payload_ptr is page+64 aligned (so 8-aligned) and valid
         // for cap bytes while guard holds the mapping; the PROT_READ
         // mapping is never written.
-        Arc::new(unsafe { SfmAlloc::from_extern(self.map.payload_ptr(), cap, Box::new(guard)) })
+        unsafe { SfmAlloc::from_extern(self.map.payload_ptr(), cap, guard) }
     }
 }
 

@@ -119,6 +119,11 @@ impl Segment {
     /// the generation is bumped, invalidating any stale descriptor still
     /// naming this segment.
     pub fn try_acquire(&self) -> bool {
+        // Relaxed: a look that spares a held segment's cache line — which
+        // its readers are using — the CAS's write; the CAS decides.
+        if self.refs().load(Ordering::Relaxed) != 0 {
+            return false;
+        }
         if self
             .refs()
             .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Relaxed)
@@ -232,7 +237,17 @@ impl Drop for Segment {
 /// bounded; contention is a single short mutex around the index scan.
 #[derive(Default)]
 pub struct SegmentPool {
-    slots: Mutex<Vec<Arc<Segment>>>,
+    slots: Mutex<Slots>,
+}
+
+#[derive(Default)]
+struct Slots {
+    segments: Vec<Arc<Segment>>,
+    /// Where the next scan starts: the slot acquired last. Free again, it
+    /// is the segment still warm in cache (and already mapped by the
+    /// readers); held, the scan moves on to the slots after it, which hold
+    /// the oldest frames, instead of passing over every held slot from 0.
+    cursor: usize,
 }
 
 impl SegmentPool {
@@ -252,36 +267,41 @@ impl SegmentPool {
     /// caller drops the frame and counts it.
     pub fn acquire(&self, need: usize) -> Option<(u32, Arc<Segment>)> {
         let mut slots = self.slots.lock();
-        for (i, seg) in slots.iter().enumerate() {
-            if seg.payload_cap() >= need && seg.try_acquire() {
-                return Some((i as u32, Arc::clone(seg)));
+        let len = slots.segments.len();
+        let start = slots.cursor;
+        let free = (0..len).map(|k| (start + k) % len).find(|&i| {
+            let seg = &slots.segments[i];
+            seg.payload_cap() >= need && seg.try_acquire()
+        });
+        let idx = match free {
+            Some(i) => i,
+            None if len >= DIR_CAP => return None,
+            None => {
+                let cap = need.next_power_of_two().max(MIN_SEGMENT_PAYLOAD);
+                let seg = Arc::new(Segment::create(cap).ok()?);
+                let acquired = seg.try_acquire();
+                debug_assert!(acquired, "fresh segment must be free");
+                slots.segments.push(seg);
+                len
             }
-        }
-        if slots.len() >= DIR_CAP {
-            return None;
-        }
-        let cap = need.next_power_of_two().max(MIN_SEGMENT_PAYLOAD);
-        let seg = Arc::new(Segment::create(cap).ok()?);
-        let acquired = seg.try_acquire();
-        debug_assert!(acquired, "fresh segment must be free");
-        let idx = slots.len() as u32;
-        slots.push(Arc::clone(&seg));
-        Some((idx, seg))
+        };
+        slots.cursor = idx;
+        Some((idx as u32, Arc::clone(&slots.segments[idx])))
     }
 
     /// The segment at directory index `idx`, if one exists.
     pub fn get(&self, idx: u32) -> Option<Arc<Segment>> {
-        self.slots.lock().get(idx as usize).cloned()
+        self.slots.lock().segments.get(idx as usize).cloned()
     }
 
     /// Number of segments created so far.
     pub fn len(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.lock().segments.len()
     }
 
     /// Whether no segment has been created yet.
     pub fn is_empty(&self) -> bool {
-        self.slots.lock().is_empty()
+        self.slots.lock().segments.is_empty()
     }
 }
 
@@ -322,6 +342,33 @@ mod tests {
         assert!(big.payload_cap() >= need);
         assert_eq!(pool.len(), 2);
         big.release_ref();
+    }
+
+    #[test]
+    fn acquire_passes_over_held_segments_to_the_first_free_one() {
+        let _mapped = crate::census::mapping();
+        let pool = SegmentPool::new();
+        let held: Vec<_> = (0..5).map(|_| pool.acquire(100).unwrap()).collect();
+        // Free one in the middle; every other segment is in flight.
+        held[2].1.release_ref();
+        let (idx, seg) = pool.acquire(100).unwrap();
+        assert_eq!(idx, 2, "the held segments were passed over");
+        assert_eq!(seg.generation(), 2, "the free one was recycled");
+        assert_eq!(pool.len(), 5, "no segment was created");
+        for (i, (_, s)) in held.iter().enumerate() {
+            let refs = s.refs().load(Ordering::Relaxed);
+            assert_eq!((i, refs, s.generation()), (i, 1, 1 + u64::from(i == 2)));
+        }
+        // The next scan starts at the slot just taken (held again), wraps,
+        // and takes the first free one from there.
+        held[0].1.release_ref();
+        held[4].1.release_ref();
+        assert_eq!(pool.acquire(100).unwrap().0, 4);
+        assert_eq!(pool.acquire(100).unwrap().0, 0);
+        for (i, (_, s)) in held.iter().enumerate() {
+            s.release_ref();
+            assert_eq!(s.refs().load(Ordering::Relaxed), 0, "slot {i} settled");
+        }
     }
 
     #[test]

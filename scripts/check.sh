@@ -119,6 +119,10 @@ echo "==> model-checked reactor wake handshake (two producers + the loop; the dr
 RUSTFLAGS="--cfg rossf_model" CARGO_TARGET_DIR=target/model \
     cargo test -q -p rossf-reactor --test model
 
+echo "==> model-checked allocator return list (two foreign pushers + the owner; the split swap is caught)"
+RUSTFLAGS="--cfg rossf_model" CARGO_TARGET_DIR=target/model \
+    cargo test -q -p rossf-sfm --test model
+
 echo "==> cargo doc --workspace (warning-clean)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
