@@ -12,10 +12,11 @@
 //! as plain records (no live topics), use [`BagWriter`](crate::BagWriter)
 //! and [`BagReader`] directly.
 //!
-//! Both sides account their traffic against the per-topic
-//! [`TransportMetrics`](rossf_ros::metrics::TransportMetrics) counters
-//! (`bag_frames_recorded`, `bag_frames_dropped`, `bag_bytes_written`,
-//! `bag_frames_replayed`).
+//! Each side counts its own traffic, once: the recorder in
+//! [`Recorder::stats`] (frames recorded and shed, bytes queued), the
+//! replayer in the [`ReplayStats`] a run returns. The topics' transport
+//! counters see a replayer as the publisher it publishes through, and a
+//! recorder's taps not at all.
 
 use crate::{
     build_schedule, schema_hash, BagError, BagReader, BagSummary, FrameBytes, IndexEntry,
@@ -26,7 +27,6 @@ use rossf_ros::{Decode, Encode, NodeHandle, OutFrame, Publisher, RawFrameTap, Re
 use rossf_sfm::{SfmMessage, SfmShared};
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -108,15 +108,8 @@ impl RecorderBuilder {
             let channel = stream
                 .channel(i as u32)
                 .expect("connection ids are dense topic indices");
-            let metrics = nh.master().metrics().topic(&spec.topic);
             let tap = RawFrameTap::attach(nh, &spec.topic, &spec.type_name, move |frame| {
-                let len = frame.as_slice().len() as u64;
-                if channel.record(now_nanos(), Box::new(FrameView(frame.clone()))) {
-                    metrics.bag_frames_recorded.fetch_add(1, Ordering::Relaxed);
-                    metrics.bag_bytes_written.fetch_add(len, Ordering::Relaxed);
-                } else {
-                    metrics.bag_frames_dropped.fetch_add(1, Ordering::Relaxed);
-                }
+                channel.record(now_nanos(), Box::new(FrameView(frame.clone())));
             })?;
             taps.push(tap);
         }
@@ -319,7 +312,9 @@ impl Replayer {
 
     /// Route `recorded_topic` to `publisher`, adopting each frame *in
     /// place* out of the bag mapping — no decode, no payload copy; the
-    /// published message points straight at the mapped file.
+    /// published message points straight at the mapped file. `_nh` is
+    /// unused: the run counts its frames itself ([`ReplayStats`]); it stays
+    /// for source compatibility.
     ///
     /// # Errors
     ///
@@ -329,12 +324,11 @@ impl Replayer {
     pub fn route_adopted<T: SfmMessage>(
         &mut self,
         recorded_topic: &str,
-        nh: &NodeHandle,
+        _nh: &NodeHandle,
         publisher: Publisher<SfmShared<T>>,
     ) -> Result<(), RosError> {
         let conn_id = self.check_route::<SfmShared<T>>(recorded_topic)?;
         let reader = Arc::clone(&self.reader);
-        let metrics = nh.master().metrics().topic(publisher.topic());
         self.routes.insert(
             conn_id,
             Box::new(move |entry, verify| {
@@ -345,7 +339,6 @@ impl Replayer {
                 let (alloc, len) = reader.adopt_frame(entry).map_err(bag_err)?;
                 let msg = SfmShared::<T>::adopt_extern(alloc, len)?;
                 publisher.publish(&msg);
-                metrics.bag_frames_replayed.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }),
         );
@@ -362,12 +355,11 @@ impl Replayer {
     pub fn route_decoded<D: Decode + Encode>(
         &mut self,
         recorded_topic: &str,
-        nh: &NodeHandle,
+        _nh: &NodeHandle,
         publisher: Publisher<D>,
     ) -> Result<(), RosError> {
         let conn_id = self.check_route::<D>(recorded_topic)?;
         let reader = Arc::clone(&self.reader);
-        let metrics = nh.master().metrics().topic(publisher.topic());
         self.routes.insert(
             conn_id,
             Box::new(move |entry, verify| {
@@ -379,7 +371,6 @@ impl Replayer {
                 slot.as_mut_slice().copy_from_slice(bytes);
                 let msg = D::finish_slot(slot)?;
                 publisher.publish(&msg);
-                metrics.bag_frames_replayed.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }),
         );
@@ -525,12 +516,10 @@ mod tests {
         assert_eq!(stats.frames_dropped, 0);
         let summary = recorder.finish().unwrap();
         assert_eq!(summary.frames, 8);
-        // The bag counters ride the topic's TransportMetrics, so they are
-        // visible through the publisher's own stats() snapshot.
-        let pub_stats = publisher.stats();
-        assert_eq!(pub_stats.transport.bag_frames_recorded, 8);
-        assert_eq!(pub_stats.transport.bag_frames_dropped, 0);
-        assert!(pub_stats.transport.bag_bytes_written > 0);
+        // The recorder is the one count of what it captured (its
+        // `frames_dropped` is checked above).
+        assert_eq!(stats.frames_recorded, 8);
+        assert!(stats.bytes_written > 0);
 
         // Replay into a fresh topic; the subscriber proves zero-copy by
         // checking the delivered message aliases the bag mapping.
@@ -560,15 +549,8 @@ mod tests {
         let stats = replayer
             .run(ReplayOptions::default().rate(1000.0).verify(true))
             .unwrap();
+        // The replayer is the one count of what it re-published.
         assert_eq!(stats.frames_replayed, 8);
-        assert_eq!(
-            master
-                .metrics()
-                .topic("bag/cam_rp")
-                .snapshot()
-                .bag_frames_replayed,
-            8
-        );
 
         let deadline = Instant::now() + Duration::from_secs(5);
         while seen.lock().len() < 8 {

@@ -124,11 +124,11 @@ fn run_mode(args: &RunArgs, project: bool, point_bytes: usize) -> ModeOutcome {
     }
 
     let ss = sub.stats();
-    let snap = master.metrics().topic(topic).snapshot();
+    let snap = master.metrics().topic(topic);
     ModeOutcome {
         stats: Stats::from_nanos(lat).with_wire_bytes(snap.bytes_sent, snap.bytes_received),
         bytes_sent: snap.bytes_sent,
-        received: ss.received,
+        received: ss.frames_received,
         verify_rejects: ss.verify_rejects,
         decode_errors: ss.decode_errors,
         projection_frames: snap.projection_frames,

@@ -41,7 +41,7 @@
 //! loaned segment — never enters a cache: only its header, a *control
 //! block* of the smallest class, does.
 
-use crate::manager::{home_partition, PARTITIONS};
+use crate::manager::{home_partition, leave_home, PARTITIONS};
 use crate::sync::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -500,11 +500,19 @@ impl Cache {
     }
 }
 
+/// Arrange for the calling thread's cache to be dropped when the thread
+/// exits, and say whether it will be: `false` once the thread's cache has
+/// been torn down. The drop is what gives the thread's partition back.
+pub(crate) fn drop_cache_at_exit() -> bool {
+    CACHE.try_with(|_| ()).is_ok()
+}
+
 impl Drop for Cache {
     /// The thread is exiting: its small blocks go home to its partition's
-    /// return list, for the partition's next thread. Its large blocks go
-    /// back to the global allocator: parked where no thread may ask for
-    /// them again, they would hold the process-wide cap.
+    /// return list, for the partition's next thread, and then the partition
+    /// itself is given up. Its large blocks go back to the global allocator:
+    /// parked where no thread may ask for them again, they would hold the
+    /// process-wide cap.
     fn drop(&mut self) {
         let mut chain = Chain::default();
         for block in self.take_all() {
@@ -517,6 +525,7 @@ impl Drop for Cache {
             }
         }
         chain.hand_to(&RETURNS[home_partition() as usize]);
+        leave_home();
     }
 }
 

@@ -96,18 +96,83 @@ struct Table {
     published: u64,
 }
 
-/// The calling thread's home partition, dealt round-robin on first use and
-/// the same for every manager in the process.
-pub(crate) fn home_partition() -> u8 {
-    thread_local!(static HOME: Cell<u8> = const { Cell::new(u8::MAX) });
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    HOME.with(|home| {
-        if home.get() == u8::MAX {
-            // Relaxed: the counter spreads threads and publishes nothing.
-            home.set((NEXT.fetch_add(1, Ordering::Relaxed) % PARTITIONS) as u8);
+/// Partitions a live thread holds, one bit each.
+static HELD: AtomicUsize = AtomicUsize::new(0);
+
+/// Every partition's bit.
+const ALL_HELD: usize = (1 << PARTITIONS) - 1;
+
+/// A thread's home partition, and whether it holds it alone. It has no
+/// destructor, so it stays readable while the thread's other thread-locals
+/// are torn down.
+struct Home {
+    /// `u8::MAX` until the thread first asks.
+    partition: Cell<u8>,
+    /// The partition's bit in [`HELD`] is this thread's to clear.
+    held: Cell<bool>,
+}
+
+thread_local! {
+    static HOME: Home = const {
+        Home {
+            partition: Cell::new(u8::MAX),
+            held: Cell::new(false),
         }
-        home.get()
+    };
+}
+
+/// The calling thread's home partition, the same for every manager in the
+/// process: on first use, the lowest partition no live thread holds, held
+/// until the thread exits ([`leave_home`]). Threads share a partition only
+/// once every partition is held; the rest are then dealt round-robin.
+pub(crate) fn home_partition() -> u8 {
+    HOME.with(|home| {
+        if home.partition.get() == u8::MAX {
+            let (partition, held) = claim();
+            home.partition.set(partition);
+            home.held.set(held);
+        }
+        home.partition.get()
     })
+}
+
+/// A partition for a thread that has none yet, and whether it holds it.
+fn claim() -> (u8, bool) {
+    // Relaxed: a bit spreads threads over partitions and guards no memory;
+    // two threads on one partition cost lock collisions, never correctness.
+    let mut held = HELD.load(Ordering::Relaxed);
+    // Only a thread whose allocator cache will still be dropped holds a
+    // partition: that drop gives it back.
+    while held != ALL_HELD && crate::alloc::drop_cache_at_exit() {
+        let lowest = (!held).trailing_zeros();
+        match HELD.compare_exchange_weak(
+            held,
+            held | 1 << lowest,
+            Ordering::Relaxed,
+            Ordering::Relaxed,
+        ) {
+            Ok(_) => return (lowest as u8, true),
+            Err(now) => held = now,
+        }
+    }
+    static SHARED: AtomicUsize = AtomicUsize::new(0);
+    (
+        (SHARED.fetch_add(1, Ordering::Relaxed) % PARTITIONS) as u8,
+        false,
+    )
+}
+
+/// The calling thread is exiting and its allocator cache has handed its
+/// blocks home: give its partition to the next thread that needs one. The
+/// thread keeps the partition as its home, shared, for whatever its
+/// remaining thread-locals drop.
+pub(crate) fn leave_home() {
+    HOME.with(|home| {
+        if home.held.replace(false) {
+            // Relaxed: as in `claim`.
+            HELD.fetch_and(!(1 << home.partition.get()), Ordering::Relaxed);
+        }
+    });
 }
 
 /// A snapshot of one record, for introspection and tests.
@@ -942,20 +1007,31 @@ mod tests {
         oracle
     }
 
-    /// Run `f` on fresh threads, one at a time, until every partition has
-    /// been the home of one of them (homes are dealt process-wide, so the
-    /// harness's other threads may take some in between).
-    fn on_every_partition(mut f: impl FnMut() + Send) {
+    /// Run `f` on fresh threads, one call at a time, until every partition
+    /// has been the home of one of them. A partition is held by one live
+    /// thread, so each round keeps [`PARTITIONS`] workers alive together;
+    /// the harness's other threads may hold some partitions meanwhile, and
+    /// a later round finds them free.
+    fn on_every_partition(f: impl FnMut() + Send) {
+        let f = std::sync::Mutex::new(f);
         let mut seen = [false; PARTITIONS];
         while seen.contains(&false) {
-            let home = std::thread::scope(|s| {
-                let worker = s.spawn(|| {
-                    f();
-                    home_partition()
-                });
-                worker.join().expect("worker panicked")
+            let all_homed = std::sync::Barrier::new(PARTITIONS);
+            std::thread::scope(|s| {
+                let workers: Vec<_> = (0..PARTITIONS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let home = home_partition();
+                            all_homed.wait();
+                            (f.lock().expect("f panicked"))();
+                            home
+                        })
+                    })
+                    .collect();
+                for worker in workers {
+                    seen[worker.join().expect("worker panicked") as usize] = true;
+                }
             });
-            seen[home as usize] = true;
         }
     }
 

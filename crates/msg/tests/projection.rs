@@ -85,7 +85,7 @@ fn projected_tcp_subscription_delivers_selected_fields() {
         seen.load(Ordering::SeqCst) == n
     });
 
-    let snap = master.metrics().topic("proj/image").snapshot();
+    let snap = master.metrics().topic("proj/image");
     assert_eq!(snap.projection_handshakes, 1, "capability negotiated once");
     assert_eq!(snap.projection_frames, n, "every frame was sliced");
     assert_eq!(snap.verify_rejects, 0, "sub-frames pass projected verify");
@@ -179,7 +179,7 @@ fn mixed_fanout_serves_projected_full_and_fastpath_links() {
             && fast_seen.load(Ordering::SeqCst) == n
     });
 
-    let snap = master.metrics().topic("mix/image").snapshot();
+    let snap = master.metrics().topic("mix/image");
     assert_eq!(snap.projection_handshakes, 1, "only the projected TCP link");
     assert_eq!(snap.projection_frames, n);
     assert_eq!(snap.fastpath_frames, n);
@@ -280,7 +280,7 @@ fn full_frame_links_are_untouched_by_the_capability() {
     nh.wait_for_subscribers(&publisher, 1);
     publisher.publish(&image(16, 16));
     wait_until("full frame delivered", || seen.load(Ordering::SeqCst) == 1);
-    let snap = master.metrics().topic("plainfull/image").snapshot();
+    let snap = master.metrics().topic("plainfull/image");
     assert_eq!(snap.projection_handshakes, 0);
     assert_eq!(snap.projection_frames, 0);
 }

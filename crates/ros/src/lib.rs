@@ -68,9 +68,9 @@ pub use config::{BackoffPolicy, TransportConfig};
 pub use error::RosError;
 pub use loan::LoanedMessage;
 pub use master::{Master, PublisherEndpoint};
-pub use metrics::{MetricsRegistry, MetricsSnapshot, TransportMetrics};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use node::NodeHandle;
-pub use options::{PublisherOptions, PublisherStats, SubscriberOptions, SubscriberStats};
+pub use options::{PublisherOptions, SubscriberOptions};
 pub use publisher::Publisher;
 pub use service::{ServiceClient, ServiceServer};
 pub use subscriber::Subscriber;

@@ -114,8 +114,9 @@ impl Master {
         &self.inner.services
     }
 
-    /// Per-topic transport metrics for everything registered with this
-    /// master. Dump with [`MetricsRegistry::render`] after an experiment.
+    /// Every topic's transport counters: the sum of what each of its
+    /// endpoints counted (`stats()`), those gone included. Dump with
+    /// [`MetricsRegistry::render`] after an experiment.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
     }
@@ -430,11 +431,11 @@ mod tests {
     fn metrics_registry_is_shared_across_clones() {
         let m = Master::new();
         let m2 = m.clone();
-        m.metrics()
-            .topic("t")
+        let endpoint = m.metrics().register("t");
+        endpoint
             .frames_sent
-            .store(4, std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(m2.metrics().topic("t").snapshot().frames_sent, 4);
+            .fetch_add(4, std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(m2.metrics().topic("t").frames_sent, 4);
     }
 
     #[test]

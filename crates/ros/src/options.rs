@@ -1,4 +1,4 @@
-//! Endpoint options and statistics.
+//! Endpoint options.
 //!
 //! [`PublisherOptions`] / [`SubscriberOptions`] gather the per-endpoint
 //! knobs — a publisher's queue size, the tracing switch, a subscriber's
@@ -8,12 +8,6 @@
 //! transport config is the node's
 //! ([`NodeHandle::with_config`](crate::NodeHandle::with_config)): no knob is
 //! set in both layers.
-//!
-//! [`PublisherStats`] / [`SubscriberStats`] are the one read side: the
-//! endpoint's own counters, and under `transport` the counters its topic
-//! shares with every other endpoint on it.
-
-use crate::metrics::MetricsSnapshot;
 
 /// Per-publisher options consumed by
 /// [`NodeHandle::advertise_with`](crate::NodeHandle::advertise_with).
@@ -109,45 +103,6 @@ impl SubscriberOptions {
         self.project = Some(paths.iter().map(|s| s.to_string()).collect());
         self
     }
-}
-
-/// One coherent snapshot of a publisher's counters
-/// ([`Publisher::stats`](crate::Publisher::stats)).
-#[derive(Debug, Clone)]
-pub struct PublisherStats {
-    /// Frames published (per `publish` call, not per connection).
-    pub published: u64,
-    /// Frames this publisher dropped because a subscriber's transmission
-    /// queue was full.
-    pub dropped: u64,
-    /// Currently connected subscribers.
-    pub subscribers: usize,
-    /// The counters of the whole topic, shared by every endpoint on it.
-    pub transport: MetricsSnapshot,
-}
-
-/// One coherent snapshot of a subscriber's counters
-/// ([`Subscriber::stats`](crate::Subscriber::stats)).
-#[derive(Debug, Clone)]
-pub struct SubscriberStats {
-    /// Messages delivered to this subscription's callback.
-    pub received: u64,
-    /// Payload bytes delivered to this subscription's callback (projected
-    /// frames count their sliced length, not the full message).
-    pub received_bytes: u64,
-    /// Frames of this subscription that failed decoding/adoption.
-    pub decode_errors: u64,
-    /// Frames of this subscription rejected by the structural verifier and
-    /// dropped unadopted.
-    pub verify_rejects: u64,
-    /// Publisher connections that completed the handshake.
-    pub connections: u64,
-    /// Connection attempts made after a connection died.
-    pub reconnect_attempts: u64,
-    /// Reconnections that completed a handshake.
-    pub reconnects: u64,
-    /// The counters of the whole topic, shared by every endpoint on it.
-    pub transport: MetricsSnapshot,
 }
 
 #[cfg(test)]

@@ -35,8 +35,8 @@ use crate::config::TransportConfig;
 use crate::error::RosError;
 use crate::loan::LoanedMessage;
 use crate::master::Master;
-use crate::metrics::TransportMetrics;
-use crate::options::{PublisherOptions, PublisherStats};
+use crate::metrics::{Counters, MetricsSnapshot};
+use crate::options::PublisherOptions;
 use crate::tier::shm::{self, Ring};
 use crate::tier::tcp::{self, accept_handshake, Acceptor};
 use crate::traits::Encode;
@@ -262,7 +262,7 @@ impl Conn {
         match (&self.sink, parcel) {
             (Sink::Queue(queue), Parcel::Frame(frame)) => match queue.push(frame) {
                 Push::Depth(depth) => {
-                    core.metrics.observe_queue_depth(depth as u64);
+                    core.counters.observe_queue_depth(depth as u64);
                     core.reactor.notify(self.token);
                     Deposit::Taken
                 }
@@ -339,7 +339,7 @@ impl Gate {
             FaultAction::Pass => Duration::ZERO,
             FaultAction::Delay(d) => d,
             FaultAction::Drop => {
-                core.metrics.frames_faulted.fetch_add(1, Ordering::Relaxed);
+                core.counters.frames_faulted.fetch_add(1, Ordering::Relaxed);
                 return Deposit::Taken;
             }
             FaultAction::Sever => return self.sever(core, conn, &mut parked, 1),
@@ -355,7 +355,7 @@ impl Gate {
             self.arm(core, conn, delay);
         }
         // The queue's depth: the frames behind the one serving its delay.
-        core.metrics.observe_queue_depth(parked.len() as u64);
+        core.counters.observe_queue_depth(parked.len() as u64);
         parked.push_back((parcel, delay));
         Deposit::Taken
     }
@@ -399,7 +399,7 @@ impl Gate {
     /// counted as faulted, with the `lost` ones that met the sever.
     fn sever(&self, core: &PubCore, conn: &Conn, parked: &mut Parked, lost: usize) -> Deposit {
         let faulted = (lost + parked.len()) as u64;
-        core.metrics
+        core.counters
             .frames_faulted
             .fetch_add(faulted, Ordering::Relaxed);
         parked.clear();
@@ -460,7 +460,9 @@ pub(crate) struct PubCore {
     /// Frames each link's transmission queue (or ring) holds, at least 1.
     queue_size: usize,
     config: TransportConfig,
-    metrics: Arc<TransportMetrics>,
+    /// This publisher's counters, held by its links too: each counts the
+    /// events of its half here.
+    counters: Arc<Counters>,
     master: Master,
     /// Set once right after master registration (0 until then); the id is
     /// not known when the core is built because the fast-path registration
@@ -470,8 +472,6 @@ pub(crate) struct PubCore {
     /// pass swap in a new one — so a publish takes it with one `Arc::clone`.
     conns: Mutex<Arc<[Arc<Conn>]>>,
     shutdown: AtomicBool,
-    published: AtomicU64,
-    dropped: AtomicU64,
     /// The topic's tracing table when this publisher was created with
     /// `PublisherOptions::trace(true)`; `None` keeps the publish path free
     /// of clock reads and histogram writes.
@@ -580,7 +580,7 @@ impl PubCore {
             let mut conns = self.conns.lock();
             *conns = live_conns(&conns, Some(Arc::new(conn)));
         }
-        self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
+        self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
         self.tier_hint.store(tier.index() as u8, Ordering::Relaxed);
     }
 
@@ -619,7 +619,7 @@ impl PubCore {
         let (pool, depth) = (&self.shm_pool, self.queue_size);
         let same_process = self.config.shm_same_process;
         if let Some(grant) = shm::grant(&request, same_process, same_machine, pool, depth) {
-            let (token, ring) = grant.open(stream, reply, &self.metrics, &self.reactor)?;
+            let (token, ring) = grant.open(stream, reply, &self.counters, &self.reactor)?;
             self.splice(Tier::Shm, token, Sink::Ring(ring), injector);
             return Ok(());
         }
@@ -630,7 +630,7 @@ impl PubCore {
         };
         reply.write_to(&mut stream)?;
         if projection.is_some() {
-            self.metrics
+            self.counters
                 .projection_handshakes
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -639,7 +639,7 @@ impl PubCore {
         let writer = tcp::writer(
             stream,
             rx,
-            &self.metrics,
+            &self.counters,
             self.trace.clone(),
             projection,
             self.master.links().profile(self.machine, sub_machine),
@@ -651,9 +651,10 @@ impl PubCore {
 
     /// Attach a subscriber of `sub_type` in this very process: splice a
     /// new bounded transmission queue into the fan-out list and return its
-    /// drainer's half. `wake` is the reactor registration that drains it:
-    /// `fan_out` notifies it after every deposit, and `Drop` when the
-    /// publisher goes. A local attach is same-machine by construction, so
+    /// drainer's half, with this publisher's counters — a fast-path link
+    /// has no writer, so its drainer counts the send. `wake` is the reactor
+    /// registration that drains it: `fan_out` notifies it after every
+    /// deposit, and `Drop` when the publisher goes. A local attach is same-machine by construction, so
     /// the loopback link's fault injector governs it — unless it is a
     /// capture `tap`, whose link has no gate.
     ///
@@ -665,14 +666,14 @@ impl PubCore {
         sub_type: &str,
         wake: Token,
         tap: bool,
-    ) -> Result<QueueRx, RosError> {
+    ) -> Result<(QueueRx, Arc<Counters>), RosError> {
         let injector = self.admit(sub_type, (!tap).then_some(self.machine))?;
         let (tx, rx) = link_queue(self.queue_size);
-        self.metrics
+        self.counters
             .fastpath_handshakes
             .fetch_add(1, Ordering::Relaxed);
         self.splice(Tier::Fastpath, wake, Sink::Queue(tx), injector);
-        Ok(rx)
+        Ok((rx, Arc::clone(&self.counters)))
     }
 
     /// Fan one encoded frame out to every subscriber link — the shared
@@ -690,12 +691,12 @@ impl PubCore {
     /// remaining links of the publish share.
     fn fan_out(self: &Arc<Self>, frame: OutFrame, loaned: Option<SharedFrame>) {
         if frame.len() > MAX_FRAME_LEN {
-            self.metrics
+            self.counters
                 .frames_dropped_oversized
                 .fetch_add(1, Ordering::Relaxed);
             return;
         }
-        self.published.fetch_add(1, Ordering::Relaxed);
+        self.counters.published.fetch_add(1, Ordering::Relaxed);
         // Snapshot the connection list so the fan-out runs without the
         // lock: a concurrent accept, attach, or `publish` from another
         // clone is never serialized behind this one.
@@ -716,7 +717,9 @@ impl PubCore {
             };
             match deposit {
                 Deposit::Taken => {}
-                Deposit::Full(_) => self.count_drop(),
+                Deposit::Full(_) => {
+                    self.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                }
                 // The sink that said so is dead already: prune it.
                 Deposit::Dead => saw_dead = true,
             }
@@ -725,11 +728,6 @@ impl PubCore {
             let mut conns = self.conns.lock();
             *conns = live_conns(&conns, None);
         }
-    }
-
-    fn count_drop(&self) {
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -805,13 +803,11 @@ impl<M: Encode> Publisher<M> {
             machine,
             queue_size: options.queue_size.max(1),
             config,
-            metrics: master.metrics().topic(topic),
+            counters: master.metrics().register(topic),
             master: master.clone(),
             registration: AtomicU64::new(0),
             conns: Mutex::new(Arc::new([])),
             shutdown: AtomicBool::new(false),
-            published: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
             trace,
             tier_hint: AtomicU8::new(Tier::Tcp.index() as u8),
             shm_pool: Mutex::new(None),
@@ -858,8 +854,8 @@ impl<M: Encode> Publisher<M> {
     /// only clones the buffer pointer) and enqueue on every subscriber
     /// connection. Never blocks; if a connection's transmission queue is
     /// full the frame is dropped for that subscriber (counted in
-    /// [`PublisherStats::dropped`]). A frame larger than
-    /// [`MAX_FRAME_LEN`] is refused outright and counted in the topic's
+    /// [`MetricsSnapshot::frames_dropped`]). A frame larger than
+    /// [`MAX_FRAME_LEN`] is refused outright and counted in
     /// `frames_dropped_oversized` — every subscriber would reject it anyway.
     pub fn publish(&self, msg: &M) {
         self.core.fan_out(self.core.encode(msg), None);
@@ -889,16 +885,11 @@ impl<M: Encode> Publisher<M> {
             .count()
     }
 
-    /// One coherent snapshot of this publisher's counters and its topic's.
-    pub fn stats(&self) -> PublisherStats {
-        // Relaxed: each counter is consistent on its own, and none
-        // publishes other memory.
-        PublisherStats {
-            published: self.core.published.load(Ordering::Relaxed),
-            dropped: self.core.dropped.load(Ordering::Relaxed),
-            subscribers: self.subscriber_count(),
-            transport: self.core.metrics.snapshot(),
-        }
+    /// This publisher's own counters: what it and its links counted. The
+    /// topic's, summed over every endpoint on it, are
+    /// [`MetricsRegistry::topic`](crate::MetricsRegistry::topic).
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.core.counters.snapshot()
     }
 }
 
@@ -1143,7 +1134,7 @@ mod tests {
         assert_eq!(core.conns.lock().len(), 1, "counted out, not yet pruned");
         publisher.publish(&SfmBox::new());
         assert_eq!(core.conns.lock().len(), 0);
-        assert_eq!(publisher.stats().dropped, 0);
+        assert_eq!(publisher.stats().frames_dropped, 0);
     }
 
     /// A push reports the depth it left, its own frame included, and a

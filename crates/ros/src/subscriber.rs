@@ -26,8 +26,8 @@
 use crate::config::TransportConfig;
 use crate::error::RosError;
 use crate::master::{Master, PublisherEndpoint};
-use crate::metrics::TransportMetrics;
-use crate::options::{SubscriberOptions, SubscriberStats};
+use crate::metrics::{Counters, MetricsSnapshot};
+use crate::options::SubscriberOptions;
 use crate::tier::{fastpath, shm, tcp};
 use crate::traits::Decode;
 use crate::wire::{ConnectionHeader, PROJECT_FIELD};
@@ -36,7 +36,7 @@ use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::{HashSet, VecDeque};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
@@ -116,22 +116,15 @@ pub(crate) struct SubCore<D: Decode> {
     master: Master,
     registration: u64,
     config: TransportConfig,
-    pub(crate) metrics: Arc<TransportMetrics>,
+    /// This subscription's counters: its links count the events of their
+    /// half here.
+    pub(crate) counters: Arc<Counters>,
     callback: Box<dyn Fn(D) + Send + Sync>,
     shutdown: AtomicBool,
     /// Reactor tokens of the live links and of attempts still connecting
     /// ([`Supervision::token`]), for `Drop` to deregister. `resume` removes
     /// an attempt's entry however it ends — dead entries never accumulate.
     links: Mutex<HashSet<Token>>,
-    /// This subscription's own counters, each beside its topic-wide twin in
-    /// `metrics`.
-    received: AtomicU64,
-    received_bytes: AtomicU64,
-    decode_errors: AtomicU64,
-    verify_rejects: AtomicU64,
-    connected: AtomicU64,
-    reconnect_attempts: AtomicU64,
-    reconnects: AtomicU64,
     /// The topic's tracing table when this subscription was created with
     /// `SubscriberOptions::trace(true)`; `None` keeps the receive path free
     /// of clock reads and histogram writes.
@@ -213,9 +206,9 @@ impl<D: Decode> Supervision<D> {
         let token = self.token;
         if let Some(attached) = port.map(|port| port.attach_local(D::topic_type(), token, false)) {
             match attached {
-                Ok(queue) => {
+                Ok((queue, sent)) => {
                     core.count_handshake(self.was_connected);
-                    reactor.attach(token, Link::boxed(self, fastpath::source(queue)));
+                    reactor.attach(token, Link::boxed(self, fastpath::source(queue, sent)));
                 }
                 Err(e) => self.resume(Err(e), false, false),
             }
@@ -290,7 +283,7 @@ impl<D: Decode> Supervision<D> {
         core.links.lock().remove(&self.token);
         if shm_attach_failed {
             self.shm_blocked = true;
-            core.metrics
+            core.counters
                 .shm_attach_failures
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -302,7 +295,7 @@ impl<D: Decode> Supervision<D> {
             if !shm_attach_failed {
                 self.attempt = 0; // healthy link existed; restart the schedule
             }
-            core.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+            core.counters.disconnects.fetch_add(1, Ordering::Relaxed);
         }
         // Relaxed: standalone exit flag.
         if core.shutdown.load(Ordering::Relaxed) {
@@ -338,8 +331,7 @@ impl<D: Decode> Supervision<D> {
             .delay(self.attempt, self.ep.id ^ core.registration);
         self.attempt = self.attempt.saturating_add(1);
         self.token = runtime().reactor.reserve();
-        core.reconnect_attempts.fetch_add(1, Ordering::Relaxed);
-        core.metrics
+        core.counters
             .reconnect_attempts
             .fetch_add(1, Ordering::Relaxed);
         // The wait costs no thread; the timer re-enters `step` on the
@@ -354,11 +346,9 @@ impl<D: Decode> Supervision<D> {
 impl<D: Decode> SubCore<D> {
     /// A handshake completed, on whichever tier.
     fn count_handshake(&self, is_reconnect: bool) {
-        self.connected.fetch_add(1, Ordering::Relaxed);
-        self.metrics.handshakes.fetch_add(1, Ordering::Relaxed);
+        self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
         if is_reconnect {
-            self.reconnects.fetch_add(1, Ordering::Relaxed);
-            self.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -398,8 +388,7 @@ impl<D: Decode> SubCore<D> {
                 // Structurally corrupt: drop the frame without adopting
                 // it. Framing (length prefix, descriptor) is intact, so
                 // the link stays in sync and lives on.
-                self.verify_rejects.fetch_add(1, Ordering::Relaxed);
-                self.metrics.verify_rejects.fetch_add(1, Ordering::Relaxed);
+                self.counters.verify_rejects.fetch_add(1, Ordering::Relaxed);
                 return;
             }
             span(Stage::Verify);
@@ -407,10 +396,9 @@ impl<D: Decode> SubCore<D> {
         match adopt(frame) {
             Ok(msg) => {
                 span(Stage::Adopt);
-                self.received.fetch_add(1, Ordering::Relaxed);
-                self.received_bytes.fetch_add(len as u64, Ordering::Relaxed);
-                self.metrics.frames_received.fetch_add(1, Ordering::Relaxed);
-                self.metrics
+                let counters = &self.counters;
+                counters.frames_received.fetch_add(1, Ordering::Relaxed);
+                counters
                     .bytes_received
                     .fetch_add(len as u64, Ordering::Relaxed);
                 (self.callback)(msg);
@@ -421,8 +409,7 @@ impl<D: Decode> SubCore<D> {
     }
 
     pub(crate) fn count_decode_error(&self) {
-        self.decode_errors.fetch_add(1, Ordering::Relaxed);
-        self.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -602,17 +589,10 @@ impl<D: Decode> Subscriber<D> {
             master: master.clone(),
             registration,
             config,
-            metrics: master.metrics().topic(topic),
+            counters: master.metrics().register(topic),
             callback: Box::new(callback),
             shutdown: AtomicBool::new(false),
             links: Mutex::new(HashSet::new()),
-            received: AtomicU64::new(0),
-            received_bytes: AtomicU64::new(0),
-            decode_errors: AtomicU64::new(0),
-            verify_rejects: AtomicU64::new(0),
-            connected: AtomicU64::new(0),
-            reconnect_attempts: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
             trace,
             projection,
         });
@@ -640,7 +620,8 @@ impl<D: Decode> Subscriber<D> {
 
     /// Publisher connections that completed the handshake.
     pub fn connection_count(&self) -> u64 {
-        self.core.connected.load(Ordering::Relaxed)
+        // Relaxed: a count, publishing no other memory.
+        self.core.counters.handshakes.load(Ordering::Relaxed)
     }
 
     /// The resolved field projection this subscription negotiates with
@@ -651,23 +632,11 @@ impl<D: Decode> Subscriber<D> {
         self.core.projection.as_deref()
     }
 
-    /// One coherent snapshot of this subscription's counters and its
-    /// topic's.
-    pub fn stats(&self) -> SubscriberStats {
-        // Relaxed: each counter is consistent on its own, and none
-        // publishes other memory.
-        let core = &*self.core;
-        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
-        SubscriberStats {
-            received: read(&core.received),
-            received_bytes: read(&core.received_bytes),
-            decode_errors: read(&core.decode_errors),
-            verify_rejects: read(&core.verify_rejects),
-            connections: read(&core.connected),
-            reconnect_attempts: read(&core.reconnect_attempts),
-            reconnects: read(&core.reconnects),
-            transport: core.metrics.snapshot(),
-        }
+    /// This subscription's own counters: what it and its links counted.
+    /// The topic's, summed over every endpoint on it, are
+    /// [`MetricsRegistry::topic`](crate::MetricsRegistry::topic).
+    pub fn stats(&self) -> MetricsSnapshot {
+        self.core.counters.snapshot()
     }
 }
 
@@ -694,10 +663,11 @@ impl<D: Decode> Drop for Subscriber<D> {
 
 impl<D: Decode> std::fmt::Debug for Subscriber<D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let counters = self.core.counters.snapshot();
         f.debug_struct("Subscriber")
             .field("topic", &self.core.topic)
-            .field("received", &self.core.received.load(Ordering::Relaxed))
-            .field("reconnects", &self.core.reconnects.load(Ordering::Relaxed))
+            .field("frames_received", &counters.frames_received)
+            .field("reconnects", &counters.reconnects)
             .finish()
     }
 }

@@ -187,7 +187,7 @@ fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
         .port
         .upgrade()
         .map(|port| port.attach_local(&shared.type_name, token, true));
-    let Some(Ok(queue)) = attached else {
+    let Some(Ok((queue, _))) = attached else {
         return;
     };
     shared.links.lock().push(token);

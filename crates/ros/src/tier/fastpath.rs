@@ -3,9 +3,8 @@
 //! When the master resolves a subscription whose publisher endpoint lives
 //! on the same simulated machine *within the same process*, the subscriber
 //! attaches to the publisher's transmission queue directly — a call on the
-//! publisher core it finds in the master's local-port registry, with its
-//! type name and the reactor token of the handler that will drain the
-//! queue. `publish` deposits the encoded [`OutFrame`](crate::OutFrame) — for
+//! publisher core its endpoint carries as a local port, with its type name
+//! and the reactor token of the handler that will drain the queue. `publish` deposits the encoded [`OutFrame`](crate::OutFrame) — for
 //! serialization-free messages, a refcount-managed buffer pointer
 //! ([`rossf_sfm::PublishedBuffer`]) — and notifies that handler, which
 //! drains the queue on the loop thread and adopts that very allocation via
@@ -26,34 +25,42 @@
 //! capture tap attaches the same way, to a link with no gate.
 
 use crate::error::RosError;
+use crate::metrics::Counters;
 use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::Decode;
 use rossf_trace::{Stage, Tier};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// The subscriber half of a fast-path link: a source draining `queue`, the
-/// drainer's half of the transmission queue a same-process attach made.
-pub(crate) fn source<D: Decode>(queue: QueueRx) -> impl Source<D> {
-    FastSource(queue)
+/// drainer's half of the transmission queue a same-process attach made,
+/// counting each frame's send into its publisher's `counters`.
+pub(crate) fn source<D: Decode>(queue: QueueRx, counters: Arc<Counters>) -> impl Source<D> {
+    FastSource { queue, counters }
 }
 
 /// The fast path's source. Dropping it ends the link, so the publisher's
 /// `subscriber_count` and pruning see the detach the moment the draining
 /// handler goes.
-struct FastSource(QueueRx);
+struct FastSource {
+    queue: QueueRx,
+    /// The publisher's counters: the link has no writer, so the send is
+    /// counted here, at delivery.
+    counters: Arc<Counters>,
+}
 
 /// Frames are adopted via [`Decode::from_local_frame`] — for
 /// serialization-free messages the subscriber object points at the
-/// publisher's allocation. `validate_on_receive` and all metrics accounting
-/// mirror the socket path; injected faults were applied before the frame
+/// publisher's allocation. `validate_on_receive` and all counting mirror
+/// the socket path; injected faults were applied before the frame
 /// entered the queue.
 impl<D: Decode> Source<D> for FastSource {
     fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
         // The publisher gone and its tail delivered, or the link cut by its
         // fault gate — at once, with whatever it still queues; re-attach is
         // refused until the link heals.
-        let frame = match self.0.pop() {
+        let frame = match self.queue.pop() {
             Pop::Frame(frame) => frame,
             Pop::Empty => return Ok(Progress::Idle),
             Pop::Ended => return Ok(Progress::Eof),
@@ -64,13 +71,13 @@ impl<D: Decode> Source<D> for FastSource {
         let tag = frame.trace();
         let since = (tag.enqueued_ns != 0).then_some(tag.enqueued_ns);
         let len = frame.len();
-        // There is no writer on this path: account the "send" at the
-        // moment of delivery so both paths report the same totals.
-        core.metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-        core.metrics
-            .bytes_sent
-            .fetch_add(len as u64, Ordering::Relaxed);
-        core.metrics.fastpath_frames.fetch_add(1, Ordering::Relaxed);
+        // There is no writer on this path: count the send, into the
+        // publisher's counters, at the moment of delivery so every tier
+        // reports the same totals.
+        let sent = &self.counters;
+        sent.frames_sent.fetch_add(1, Ordering::Relaxed);
+        sent.bytes_sent.fetch_add(len as u64, Ordering::Relaxed);
+        sent.fastpath_frames.fetch_add(1, Ordering::Relaxed);
         core.deliver(
             Tier::Fastpath,
             (Stage::Enqueue, tag.id, since),

@@ -25,7 +25,7 @@
 //! it could close the ring.
 
 use crate::error::RosError;
-use crate::metrics::TransportMetrics;
+use crate::metrics::Counters;
 use crate::publisher::{Deposit, Parcel};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::Decode;
@@ -141,7 +141,7 @@ impl Grant {
         self,
         mut stream: TcpStream,
         reply: ConnectionHeader,
-        metrics: &Arc<TransportMetrics>,
+        counters: &Arc<Counters>,
         reactor: &Reactor,
     ) -> Result<(Token, Arc<Ring>), RosError> {
         reply
@@ -151,7 +151,7 @@ impl Grant {
             .with(SHM_EPOCH_FIELD, self.link.epoch().to_string())
             .write_to(&mut stream)?;
         stream.set_nonblocking(true)?;
-        metrics.shm_handshakes.fetch_add(1, Ordering::Relaxed);
+        counters.shm_handshakes.fetch_add(1, Ordering::Relaxed);
         let fd = stream.as_raw_fd();
         let stream = Arc::new(stream);
         let doorbell = match self.notify {
@@ -163,7 +163,7 @@ impl Grant {
             link: Mutex::new(Some(self.link)),
             doorbell,
             alive: AtomicBool::new(true),
-            metrics: Arc::clone(metrics),
+            counters: Arc::clone(counters),
             sub_pid: self.sub_pid,
         });
         let ctl = RingCtl {
@@ -248,7 +248,8 @@ pub(crate) struct Ring {
     doorbell: Doorbell,
     /// Cleared by `teardown`: the link's liveness, as its publisher sees it.
     alive: AtomicBool,
-    metrics: Arc<TransportMetrics>,
+    /// The publisher's counters.
+    counters: Arc<Counters>,
     /// The subscriber's process id: a peer that *crashed* leaves holds on
     /// popped frames that only the publisher can reclaim.
     sub_pid: u32,
@@ -369,15 +370,15 @@ impl Ring {
                 if link.disarm() {
                     self.doorbell.ring(reactor);
                 }
-                let metrics = &self.metrics;
-                metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-                metrics
+                let counters = &self.counters;
+                counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+                counters
                     .bytes_sent
                     .fetch_add(sf.len() as u64, Ordering::Relaxed);
-                metrics.shm_frames.fetch_add(1, Ordering::Relaxed);
+                counters.shm_frames.fetch_add(1, Ordering::Relaxed);
                 // The push just loaded both ring indices; reading them
                 // back is two cache-hot loads.
-                metrics.observe_queue_depth(link.pending());
+                counters.observe_queue_depth(link.pending());
                 Deposit::Taken
             }
             PushOutcome::RingFull | PushOutcome::NoSegment => {
@@ -402,7 +403,7 @@ impl Ring {
         link.close();
         link.drain();
         link.reconcile_abandoned();
-        self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+        self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
         if self.sub_pid != std::process::id() {
             let sub_pid = self.sub_pid;
             runtime()

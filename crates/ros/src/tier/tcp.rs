@@ -17,7 +17,7 @@
 //! byte is written, and the source recovers the trace id from it.
 
 use crate::error::RosError;
-use crate::metrics::TransportMetrics;
+use crate::metrics::Counters;
 use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::{Decode, RecvSlot};
@@ -615,7 +615,7 @@ const BATCHES_PER_DISPATCH: usize = 4;
 pub(crate) fn writer(
     stream: TcpStream,
     rx: QueueRx,
-    metrics: &Arc<TransportMetrics>,
+    counters: &Arc<Counters>,
     trace: Option<Arc<TopicTrace>>,
     projection: Option<Arc<Projection>>,
     profile: LinkProfile,
@@ -626,7 +626,7 @@ pub(crate) fn writer(
         conn_key: conn_key(stream.local_addr(), stream.peer_addr()),
         stream,
         rx,
-        metrics: Arc::clone(metrics),
+        counters: Arc::clone(counters),
         trace,
         projection,
         wire_seq: 0,
@@ -654,7 +654,8 @@ struct TcpWriter {
     /// The link's transmission queue, and its liveness: the link's gate cuts
     /// it (an injected sever), and this writer's departure ends it.
     rx: QueueRx,
-    metrics: Arc<TransportMetrics>,
+    /// The publisher's counters.
+    counters: Arc<Counters>,
     trace: Option<Arc<TopicTrace>>,
     conn_key: u64,
     /// The field projection negotiated at handshake time: every frame on
@@ -709,7 +710,7 @@ impl TcpWriter {
             Some(projection) => match projection.slice(frame.as_slice()) {
                 Ok(plan) => Some(plan),
                 Err(_) => {
-                    self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                    self.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
             },
@@ -721,7 +722,7 @@ impl TcpWriter {
             // Unreachable in practice (`fan_out` bounds frames by
             // `MAX_FRAME_LEN`).
             Err(_) => {
-                self.metrics.frames_dropped.fetch_add(1, Ordering::Relaxed);
+                self.counters.frames_dropped.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         };
@@ -800,7 +801,7 @@ impl TcpWriter {
     /// returns (one in another process reads another sidecar and finds no
     /// note at all).
     fn flush_writeq(&mut self) -> Flush {
-        let (metrics, trace, conn_key) = (&*self.metrics, self.trace.as_deref(), self.conn_key);
+        let (counters, trace, conn_key) = (&*self.counters, self.trace.as_deref(), self.conn_key);
         let wire_seq = &mut self.wire_seq;
         self.writeq.flush(&mut &self.stream, |p| {
             let seq = *wire_seq;
@@ -817,12 +818,12 @@ impl TcpWriter {
                 );
                 tracer().sidecar().insert(conn_key, seq, p.trace_id, t1);
             }
-            metrics.frames_sent.fetch_add(1, Ordering::Relaxed);
-            metrics
+            counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+            counters
                 .bytes_sent
                 .fetch_add(p.wire_len as u64, Ordering::Relaxed);
             if p.plan.is_some() {
-                metrics.projection_frames.fetch_add(1, Ordering::Relaxed);
+                counters.projection_frames.fetch_add(1, Ordering::Relaxed);
             }
         })
     }
@@ -840,7 +841,7 @@ impl TcpWriter {
     /// Runs once: the close drops the handler, closing the socket and
     /// ending the queue for the publisher's pruners.
     fn die(&mut self, ctl: &mut Ctl) {
-        self.metrics.disconnects.fetch_add(1, Ordering::Relaxed);
+        self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
         ctl.close();
     }
 }
@@ -905,7 +906,7 @@ impl<D: Decode> Source<D> for TcpSource<D> {
             Ok(Step::Eof) => Ok(Progress::Eof),
             Err(e) => {
                 if matches!(e, RosError::FrameTooLarge { .. }) {
-                    core.metrics
+                    core.counters
                         .frame_len_rejects
                         .fetch_add(1, Ordering::Relaxed);
                 }
@@ -987,12 +988,12 @@ mod tests {
         stream.set_nonblocking(true).unwrap();
         let fd = stream.as_raw_fd();
         let (tx, rx) = link_queue(FRAMES);
-        let metrics = Arc::new(TransportMetrics::default());
+        let counters = Arc::new(Counters::default());
         let timers = Arc::new(AtomicU64::new(0));
         let writer = TcpWriter {
             stream,
             rx,
-            metrics: Arc::clone(&metrics),
+            counters: Arc::clone(&counters),
             trace: None,
             conn_key: 0,
             projection: None,
@@ -1029,7 +1030,7 @@ mod tests {
             assert_eq!(frame[..4], (LEN as u32).to_le_bytes());
             assert!(frame[4..].iter().all(|&b| b == 0x5A));
         }
-        assert_eq!(metrics.snapshot().frames_sent, FRAMES as u64);
+        assert_eq!(counters.snapshot().frames_sent, FRAMES as u64);
         let fired = timers.load(Ordering::Relaxed);
         assert!(
             (1..=FRAMES as u64).contains(&fired),

@@ -154,7 +154,7 @@ fn calls_for_poses(
     COUNTING.store(true, Ordering::Relaxed);
     send(WARM_UP..WARM_UP + POSES);
     COUNTING.store(false, Ordering::Relaxed);
-    assert_eq!(publisher.stats().dropped, 0);
+    assert_eq!(publisher.stats().frames_dropped, 0);
     CALLS.load(Ordering::Relaxed)
 }
 

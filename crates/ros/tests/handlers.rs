@@ -297,5 +297,8 @@ fn a_slow_callback_delays_the_other_links_and_loses_nothing() {
         assert_eq!(a.arrivals.recv_timeout(LONG).expect("A's frame").0, seq);
         assert_eq!(b.arrivals.recv_timeout(LONG).expect("B's frame").0, seq);
     }
-    assert_eq!(a.publisher.stats().dropped + b.publisher.stats().dropped, 0);
+    assert_eq!(
+        a.publisher.stats().frames_dropped + b.publisher.stats().frames_dropped,
+        0
+    );
 }

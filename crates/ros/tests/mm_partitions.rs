@@ -80,8 +80,8 @@ fn push_poses(topic: &str, config: TransportConfig) -> u64 {
         assert!(Instant::now() < deadline, "last poses never arrived");
         std::thread::yield_now();
     }
-    assert_eq!(publisher.stats().dropped, 0);
-    master.metrics().topic(topic).snapshot().shm_frames
+    assert_eq!(publisher.stats().frames_dropped, 0);
+    master.metrics().topic(topic).shm_frames
 }
 
 #[test]

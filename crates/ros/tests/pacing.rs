@@ -200,7 +200,7 @@ fn a_queued_burst_is_carried_at_link_rate_in_order() {
         );
         assert_eq!(bytes, m.publish_handle().as_slice(), "frame {k}");
     }
-    assert_eq!(rig.publisher.stats().dropped, 0);
+    assert_eq!(rig.publisher.stats().frames_dropped, 0);
 }
 
 /// (c) A frame no larger than the held quantum is held whole: nothing of
@@ -268,7 +268,7 @@ fn a_projected_link_is_byte_identical_shaped_and_unshaped() {
         );
         assert_eq!(over_shaped, over_unshaped, "seq {seq}");
     }
-    let snap = publisher.stats().transport;
+    let snap = master.metrics().topic("pacing/proj");
     assert_eq!(snap.projection_handshakes, 2);
     assert_eq!(snap.projection_frames, 6);
     assert_eq!(sub_b.stats().decode_errors, 0);
@@ -309,7 +309,7 @@ fn a_sever_under_a_held_tail_delivers_nothing_partial() {
     let (_, bytes) = rig.rx.recv_timeout(SLACK).expect("frame after heal lost");
     assert_eq!(bytes, m.publish_handle().as_slice());
     assert!(rig.rx.try_recv().is_err(), "only frame 3 may ever arrive");
-    assert_eq!(rig.sub.stats().received, 1);
+    assert_eq!(rig.sub.stats().frames_received, 1);
     assert!(rig.sub.stats().reconnects >= 1);
 }
 
@@ -319,7 +319,11 @@ fn a_sever_under_a_held_tail_delivers_nothing_partial() {
 fn a_publisher_dropped_under_a_held_tail_still_delivers() {
     let profile = slow();
     let Rig {
-        publisher, sub, rx, ..
+        publisher,
+        sub,
+        rx,
+        _nodes: (nh_a, _),
+        ..
     } = rig("pacing/drop", profile, TransportConfig::default());
     let m = blob(9, 1 << 20);
     let expected = m.publish_handle().as_slice().to_vec();
@@ -333,7 +337,9 @@ fn a_publisher_dropped_under_a_held_tail_still_delivers() {
     assert_eq!(bytes, expected);
     // The writer closed the socket once the tail drained: the reader saw a
     // clean EOF between frames, not a truncation.
-    wait_until("link closed", || sub.stats().transport.disconnects >= 1);
+    wait_until("link closed", || {
+        nh_a.master().metrics().topic("pacing/drop").disconnects >= 1
+    });
     assert_eq!(sub.stats().decode_errors, 0);
-    assert_eq!(sub.stats().received, 1);
+    assert_eq!(sub.stats().frames_received, 1);
 }

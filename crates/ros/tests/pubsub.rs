@@ -155,7 +155,7 @@ fn plain_messages_roundtrip_over_tcp() {
     }
     assert_eq!(publisher.stats().published, 20);
     assert_eq!(
-        publisher.stats().dropped,
+        publisher.stats().frames_dropped,
         0,
         "queue depth 64 must absorb the burst"
     );
@@ -435,13 +435,15 @@ fn an_oversized_frame_is_refused_at_the_publisher_and_the_link_stays_up() {
         publisher.publish(&Zeros(16));
         assert_eq!(recv_n(&rx, 1), [16], "{sub_machine:?}: the normal frame");
         let stats = publisher.stats();
-        assert_eq!(
-            stats.transport.frames_dropped_oversized, 1,
-            "{sub_machine:?}"
-        );
+        let topic = master.metrics().topic("oversize");
+        assert_eq!(topic.frames_dropped_oversized, 1, "{sub_machine:?}");
         assert_eq!(stats.published, 1, "{sub_machine:?}");
-        assert_eq!(stats.transport.fastpath_frames, fastpath_frames);
-        assert_eq!(stats.subscribers, 1, "{sub_machine:?}: the link stayed up");
+        assert_eq!(topic.fastpath_frames, fastpath_frames);
+        assert_eq!(
+            publisher.subscriber_count(),
+            1,
+            "{sub_machine:?}: the link stayed up"
+        );
         assert_eq!(sub.stats().reconnect_attempts, 0, "{sub_machine:?}");
         assert!(
             rx.recv_timeout(Duration::from_millis(50)).is_err(),

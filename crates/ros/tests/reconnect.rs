@@ -147,6 +147,14 @@ fn rig(link: Link, topic: &str, faults: impl FnOnce(&rossf_ros::FaultInjector)) 
     }
 }
 
+impl Rig {
+    /// The topic's counters: the sum over its endpoints.
+    fn topic(&self) -> rossf_ros::MetricsSnapshot {
+        let master = self._nodes.0.master();
+        master.metrics().topic(self.publisher.topic())
+    }
+}
+
 /// The flagship scenario of the acceptance criteria, on every tier: a link
 /// is severed mid-stream (the transport-level equivalent of killing the
 /// publisher's connection), the subscriber's supervisor retries under
@@ -161,7 +169,7 @@ fn severed_link_reconnects_after_heal_and_resumes_delivery() {
             publisher,
             sub,
             seen,
-            ..
+            _nodes: (nh_pub, _),
         } = rig(link, "reconnect/sever", |_| {});
         let delivered = || seen.lock().unwrap().len() as u64;
 
@@ -207,8 +215,8 @@ fn severed_link_reconnects_after_heal_and_resumes_delivery() {
         );
         assert_eq!(fault.severs(), 1, "{link:?}");
 
-        // The shared per-topic metrics saw the whole story.
-        let snap = sub.stats().transport;
+        // The per-topic metrics saw the whole story.
+        let snap = nh_pub.master().metrics().topic("reconnect/sever");
         assert!(snap.reconnects >= 1, "{link:?}");
         assert!(snap.reconnect_attempts >= 2, "{link:?}");
         assert!(snap.frames_received >= resumed_from, "{link:?}");
@@ -264,7 +272,7 @@ fn publisher_restart_resumes_delivery_via_watcher() {
         seen.load(Ordering::SeqCst) > resumed_from
     });
     assert_eq!(sub.stats().decode_errors, 0);
-    assert_eq!(sub.stats().received, seen.load(Ordering::SeqCst));
+    assert_eq!(sub.stats().frames_received, seen.load(Ordering::SeqCst));
 }
 
 /// A drop fault discards exactly the scheduled frame with exactly the same
@@ -280,11 +288,11 @@ fn drop_fault_skips_frames_without_killing_connection() {
         }
         wait_until("4 surviving frames", || rig.seen.lock().unwrap().len() == 4);
         assert_eq!(*rig.seen.lock().unwrap(), [0, 1, 3, 4], "{link:?}");
-        let snap = rig.publisher.stats().transport;
+        let snap = rig.topic();
         let faulted = snap.frames_faulted;
         assert_eq!(
             (
-                rig.sub.stats().received,
+                rig.sub.stats().frames_received,
                 faulted,
                 rig.fault.frames_dropped()
             ),
@@ -351,8 +359,8 @@ fn delay_fault_postpones_delivery_without_loss() {
             "{link:?}: frames behind the delayed one wait for it, in order"
         );
         assert_eq!(fault.frames_delayed(), 1);
-        assert_eq!(publisher.stats().dropped, 0, "{link:?}");
-        let snap = publisher.stats().transport;
+        assert_eq!(publisher.stats().frames_dropped, 0, "{link:?}");
+        let snap = master.metrics().topic("reconnect/delay");
         assert_eq!(snap.fastpath_frames > 0, link == Link::Fastpath, "{link:?}");
         assert_eq!(snap.shm_frames > 0, link == Link::Shm, "{link:?}");
     }
@@ -380,9 +388,9 @@ fn a_sever_under_a_delay_loses_and_counts_the_parked_frames() {
             [],
             "{link:?}: a frame crossed a severed link"
         );
-        let snap = rig.publisher.stats().transport;
+        let snap = rig.topic();
         assert_eq!(
-            snap.frames_faulted + rig.publisher.stats().dropped,
+            snap.frames_faulted + rig.publisher.stats().frames_dropped,
             rig.publisher.stats().published,
             "{link:?}: every frame is faulted or dropped"
         );

@@ -120,12 +120,12 @@ fn delivery_is_zero_copy_out_of_a_mapped_segment() {
 
     // The callback can fire before the link thread bumps its counters;
     // wait for the send-side accounting to land before asserting on it.
-    let metrics = master.metrics().topic("shm/zero_copy");
+    let metrics = || master.metrics().topic("shm/zero_copy");
     wait_until("ring frame is accounted", || {
-        let s = metrics.snapshot();
+        let s = metrics();
         s.shm_frames >= 1 && s.shm_frames == s.frames_sent
     });
-    let snap = metrics.snapshot();
+    let snap = metrics();
     assert!(snap.shm_handshakes >= 1, "handshake counted as shm");
     assert_eq!(snap.fastpath_frames, 0);
 }
@@ -155,12 +155,12 @@ fn roundtrip_bytes(shm: bool) -> (Vec<u8>, u64) {
     let got = rx.recv_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(got, m.publish_handle().as_slice().to_vec());
     // Delivery can outrun the send-side counter bump; wait for it.
-    let metrics = master.metrics().topic("shm/fallback");
+    let metrics = || master.metrics().topic("shm/fallback");
     wait_until("sent frame is accounted", || {
-        let s = metrics.snapshot();
+        let s = metrics();
         s.frames_sent >= 1 && (!shm || s.shm_frames >= 1)
     });
-    (got, metrics.snapshot().shm_frames)
+    (got, metrics().shm_frames)
 }
 
 /// Disabling the shm tier falls back to TCP transparently, and the frames
@@ -329,19 +329,14 @@ fn queue_backpressure_drops_and_counts_when_full() {
     let blocked = gate.lock().unwrap();
     wait_until("queue saturated", || {
         publisher.publish(&msg(0));
-        publisher.stats().dropped > 0
-            || master
-                .metrics()
-                .topic("shm/backpressure")
-                .snapshot()
-                .frames_dropped
-                > 0
+        publisher.stats().frames_dropped > 0
+            || master.metrics().topic("shm/backpressure").frames_dropped > 0
     });
     drop(blocked);
 
-    let snap = master.metrics().topic("shm/backpressure").snapshot();
+    let snap = master.metrics().topic("shm/backpressure");
     assert!(
-        publisher.stats().dropped > 0 || snap.frames_dropped > 0,
+        publisher.stats().frames_dropped > 0 || snap.frames_dropped > 0,
         "saturation must be visible as drops"
     );
     assert!(snap.shm_handshakes >= 1);
@@ -409,15 +404,15 @@ fn concurrent_publishers_share_one_ring_without_loss_or_reorder() {
         producer.join().expect("producer thread");
     }
     wait_until("every frame delivered", || {
-        sub.stats().received == u64::from(PRODUCERS * PER_PRODUCER)
+        sub.stats().frames_received == u64::from(PRODUCERS * PER_PRODUCER)
     });
     assert_eq!(out_of_order.load(Ordering::SeqCst), 0, "per-producer order");
     for n in next.iter() {
         assert_eq!(n.load(Ordering::SeqCst), u64::from(PER_PRODUCER));
     }
-    let snap = master.metrics().topic("shm/mpsc").snapshot();
+    let snap = master.metrics().topic("shm/mpsc");
     assert_eq!(snap.frames_dropped, 0);
-    assert_eq!(publisher.stats().dropped, 0);
+    assert_eq!(publisher.stats().frames_dropped, 0);
     assert_eq!(snap.shm_frames, u64::from(PRODUCERS * PER_PRODUCER));
 }
 
@@ -450,10 +445,8 @@ fn validate_on_receive_still_zero_copy() {
         "verification must not force a copy out of the segment"
     );
     assert_eq!(sub.stats().verify_rejects, 0);
-    let metrics = master.metrics().topic("shm/validate");
-    wait_until("ring frame is accounted", || {
-        metrics.snapshot().shm_frames > 0
-    });
+    let metrics = || master.metrics().topic("shm/validate");
+    wait_until("ring frame is accounted", || metrics().shm_frames > 0);
 }
 
 /// Same-process shm traffic records the full eight-stage pipeline at
@@ -579,7 +572,7 @@ fn unattachable_grant_falls_back_to_tcp() {
     };
     assert_eq!(seq, 5);
     assert!(!mapped, "fallback frames arrive over TCP, not a mapping");
-    let snap = master.metrics().topic("shm/attach_fault").snapshot();
+    let snap = master.metrics().topic("shm/attach_fault");
     assert!(snap.shm_attach_failures >= 1, "attach failure counted");
     assert!(snap.shm_handshakes >= 1, "a grant was negotiated first");
     assert_eq!(snap.shm_frames, 0, "no frame crossed a ring");
@@ -587,7 +580,7 @@ fn unattachable_grant_falls_back_to_tcp() {
         sub.stats().reconnect_attempts >= 1,
         "fallback is a renegotiation"
     );
-    assert!(sub.stats().received >= 1);
+    assert!(sub.stats().frames_received >= 1);
 }
 
 /// Child half of the crashed-subscriber test: stash (never release) every
@@ -705,7 +698,7 @@ fn crashed_subscriber_frames_are_reclaimed() {
         }
     };
     assert!(mapped, "post-crash delivery must still ride the shm tier");
-    let snap = master.metrics().topic("shm/crash").snapshot();
+    let snap = master.metrics().topic("shm/crash");
     assert!(snap.shm_handshakes >= 2, "both links negotiated shm");
 }
 
@@ -845,7 +838,7 @@ fn forked_subscriber_receives_byte_identical_shm_frames() {
         "shm frames must be byte-identical to the TCP witness"
     );
 
-    let snap = master.metrics().topic("shm/fork").snapshot();
+    let snap = master.metrics().topic("shm/fork");
     assert!(
         snap.shm_handshakes >= 1,
         "child must negotiate the shm tier"
@@ -931,10 +924,7 @@ fn loan_falls_back_to_heap_when_shm_is_idle() {
         let (seq, data, mapped) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!((seq, data), (11, expect));
         assert!(!mapped, "fallback frames arrive over TCP");
-        assert_eq!(
-            master.metrics().topic("shm/loan_fb").snapshot().shm_frames,
-            0
-        );
+        assert_eq!(master.metrics().topic("shm/loan_fb").shm_frames, 0);
     }
     // Scenario 2: shm enabled but no subscriber has negotiated yet — the
     // pool does not exist, so the loan is heap-backed.
@@ -1032,9 +1022,9 @@ fn loaned_message_is_built_inside_the_segment() {
     assert_eq!((seq, len), (21, 1024));
     assert_eq!(hash, expect_hash, "loaned bytes arrive unchanged");
     assert!(mapped, "delivery still rides the mapped segment");
-    let metrics = master.metrics().topic("shm/loan_zc");
+    let metrics = || master.metrics().topic("shm/loan_zc");
     wait_until("loaned frame accounted as shm", || {
-        metrics.snapshot().shm_frames >= 1
+        metrics().shm_frames >= 1
     });
 }
 
@@ -1341,7 +1331,7 @@ fn forked_subscriber_receives_byte_identical_loaned_frames() {
         *tcp_hashes.lock().unwrap(),
         "loaned shm frames must be byte-identical to the TCP witness"
     );
-    let snap = master.metrics().topic("shm/loan_fork").snapshot();
+    let snap = master.metrics().topic("shm/loan_fork");
     assert!(snap.shm_frames >= sizes.len() as u64);
 }
 
@@ -1432,14 +1422,14 @@ fn killed_publisher_concludes_the_link_on_control_socket_eof() {
         mapped.load(Ordering::SeqCst) >= 5
     });
     assert_eq!(sub.stats().reconnect_attempts, 0, "the link was healthy");
-    let disconnects = master.metrics().topic("shm/orphan").snapshot().disconnects;
+    let disconnects = master.metrics().topic("shm/orphan").disconnects;
 
     child.kill().expect("kill child publisher");
     child.wait().expect("reap child publisher");
     wait_until("the reader to conclude the orphaned link", || {
         sub.stats().reconnect_attempts >= 1
     });
-    let after = master.metrics().topic("shm/orphan").snapshot();
+    let after = master.metrics().topic("shm/orphan");
     assert!(after.disconnects > disconnects, "the link was concluded");
     assert_eq!(
         sub.stats().decode_errors,

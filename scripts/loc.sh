@@ -80,6 +80,29 @@ reexports() { # names a lib.rs re-exports with `pub use`
 for lib in crates/ros/src/lib.rs crates/core/src/lib.rs crates/shm/src/lib.rs crates/sys/src/lib.rs; do
     printf '%-24s %3d\n' "pub use ${lib#crates/}" "$(reexports "$lib")"
 done
+# One count per event: the public names of the counters and their views — the
+# pub types, pub fields and pub fns of crates/ros/src/metrics.rs (a struct the
+# counter macro declares `pub` has one field per counter it is given) plus
+# every `*Stats` struct under crates/ros/src and its fields.
+counter_names() {
+    perl -0ne '
+        my ($macro) = /macro_rules! \w+ \{(.*?)\n\}\n/s;
+        my ($list) = /^\w+! \{\n(.*?)\n\}/ms;
+        my $counters = () = ($list // "") =~ /^\s*\w+,$/mg;
+        my $generated = () = ($macro // "") =~ /^\s*pub struct /mg;
+        (my $rest = $_) =~ s/macro_rules! \w+ \{.*?\n\}\n//s;
+        $rest =~ s/^#\[cfg\(test\)\]\nmod tests \{.*//ms;
+        my $types = () = $_ =~ /^\s*pub (?:struct|enum|type|trait) /mg;
+        my $fields = () = $rest =~ /^\s*pub \w+:/mg;
+        my $fns = () = $_ =~ /^\s*pub fn /mg;
+        print $types + $generated * $counters + $fields + $fns;
+    ' crates/ros/src/metrics.rs
+}
+stats_names() {
+    find crates/ros/src -name '*.rs' -print0 | xargs -0 cat |
+        perl -0ne '$n += 1 + (() = $1 =~ /^\s*pub \w+:/mg) while /^pub struct \w*Stats \{(.*?)\n\}/msg; END { print $n + 0 }'
+}
+printf '%-24s %3d\n' 'pub counter/stats names' "$(($(counter_names) + $(stats_names)))"
 # One options/stats API: the knobs a node sets, the endpoint options and the
 # endpoint methods (every counter is a `stats()` field, not a getter).
 printf '%-24s %3d\n' 'TransportConfig fields' \

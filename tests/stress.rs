@@ -149,14 +149,14 @@ fn publish_subscribe_storm() {
                 .collect::<Vec<_>>(),
             publishers
                 .iter()
-                .map(|p| p.stats().dropped)
+                .map(|p| p.stats().frames_dropped)
                 .collect::<Vec<_>>()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
     for p in &publishers {
         assert_eq!(
-            p.stats().dropped,
+            p.stats().frames_dropped,
             0,
             "no frame may be dropped at this pacing"
         );
@@ -203,7 +203,7 @@ fn dropped_accounting_is_exact_under_full_queue() {
         publisher.publish(&img);
     }
     assert_eq!(
-        publisher.stats().dropped,
+        publisher.stats().frames_dropped,
         extra,
         "drops must equal the excess"
     );
@@ -217,7 +217,7 @@ fn dropped_accounting_is_exact_under_full_queue() {
     std::thread::sleep(Duration::from_millis(50));
     assert_eq!(seen.load(Ordering::SeqCst), expected);
 
-    let snap = publisher.stats().transport;
+    let snap = master.metrics().topic("drop/exact");
     assert_eq!(snap.frames_dropped, extra);
     assert_eq!(
         snap.queue_depth_hwm, queue as u64,
@@ -323,7 +323,7 @@ fn malformed_frame_storm_counts_errors_without_desync() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(sub.stats().received, valid_sent);
+    assert_eq!(sub.stats().frames_received, valid_sent);
     assert_eq!(sub.stats().decode_errors, corrupt_sent);
 
     // The connection is still alive: one more valid frame gets through.
