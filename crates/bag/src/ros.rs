@@ -312,9 +312,8 @@ impl Replayer {
 
     /// Route `recorded_topic` to `publisher`, adopting each frame *in
     /// place* out of the bag mapping — no decode, no payload copy; the
-    /// published message points straight at the mapped file. `_nh` is
-    /// unused: the run counts its frames itself ([`ReplayStats`]); it stays
-    /// for source compatibility.
+    /// published message points straight at the mapped file. The run
+    /// counts its frames itself ([`ReplayStats`]).
     ///
     /// # Errors
     ///
@@ -324,7 +323,6 @@ impl Replayer {
     pub fn route_adopted<T: SfmMessage>(
         &mut self,
         recorded_topic: &str,
-        _nh: &NodeHandle,
         publisher: Publisher<SfmShared<T>>,
     ) -> Result<(), RosError> {
         let conn_id = self.check_route::<SfmShared<T>>(recorded_topic)?;
@@ -355,7 +353,6 @@ impl Replayer {
     pub fn route_decoded<D: Decode + Encode>(
         &mut self,
         recorded_topic: &str,
-        _nh: &NodeHandle,
         publisher: Publisher<D>,
     ) -> Result<(), RosError> {
         let conn_id = self.check_route::<D>(recorded_topic)?;
@@ -544,7 +541,7 @@ mod tests {
         );
         std::thread::sleep(Duration::from_millis(50)); // let the sub attach
         replayer
-            .route_adopted::<BagMsg>("bag/cam", &nh, replay_pub)
+            .route_adopted::<BagMsg>("bag/cam", replay_pub)
             .unwrap();
         let stats = replayer
             .run(ReplayOptions::default().rate(1000.0).verify(true))
@@ -618,7 +615,7 @@ mod tests {
             PublisherOptions::new().queue_size(4),
         );
         let err = replayer
-            .route_adopted::<OtherMsg>("bag/typed", &nh, wrong)
+            .route_adopted::<OtherMsg>("bag/typed", wrong)
             .unwrap_err();
         assert!(matches!(err, RosError::TypeMismatch { .. }));
         let missing = nh.advertise_with::<SfmShared<OtherMsg>>(
@@ -626,7 +623,7 @@ mod tests {
             PublisherOptions::new().queue_size(4),
         );
         let err = replayer
-            .route_adopted::<OtherMsg>("no/such_topic", &nh, missing)
+            .route_adopted::<OtherMsg>("no/such_topic", missing)
             .unwrap_err();
         assert!(matches!(err, RosError::BadHeader(_)));
         std::fs::remove_file(&path).ok();

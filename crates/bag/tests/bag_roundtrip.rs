@@ -132,7 +132,7 @@ fn sfm_record_then_replay() {
     );
     nh.wait_for_subscribers(&replay_pub, 1);
     replayer
-        .route_adopted::<Sample>("bag/live", &nh, replay_pub)
+        .route_adopted::<Sample>("bag/live", replay_pub)
         .unwrap();
     let stats = replayer
         .run(ReplayOptions::default().rate(1000.0).verify(true))
@@ -183,7 +183,7 @@ fn plain_record_then_replay() {
     );
     nh.wait_for_subscribers(&replay_pub, 1);
     replayer
-        .route_decoded::<Arc<PlainSample>>("bag/plain", &nh, replay_pub)
+        .route_decoded::<Arc<PlainSample>>("bag/plain", replay_pub)
         .unwrap();
     let stats = replayer.run(ReplayOptions::default().rate(1000.0)).unwrap();
     assert_eq!(stats.frames_replayed, 3);
@@ -213,7 +213,7 @@ fn replay_type_mismatch_rejected() {
     let publisher = nh
         .advertise_with::<SfmShared<Sample>>("bag/mismatch", PublisherOptions::new().queue_size(4));
     assert!(matches!(
-        replayer.route_decoded::<SfmShared<Sample>>("t", &nh, publisher),
+        replayer.route_decoded::<SfmShared<Sample>>("t", publisher),
         Err(RosError::TypeMismatch { .. })
     ));
 }

@@ -241,7 +241,7 @@ fn replay_run(cfg: &GateConfig, topics: &SlamTopics, path: &Path) -> ReplayRun {
             );
             nh.wait_for_subscribers(&publisher, 1);
             replayer
-                .route_adopted::<$ty>($topic, &nh, publisher)
+                .route_adopted::<$ty>($topic, publisher)
                 .expect("route recorded topic");
             sub
         }};

@@ -10,7 +10,8 @@
 //!   transport tiers and print the per-stage waterfall plus the
 //!   telescoping-consistency summary (stage sum vs measured e2e mean).
 //! * `--self-test` — run `rossf_trace::self_test()` (bucket boundaries,
-//!   sidecar correlation, ring recorder, synthetic pipeline) and exit 0/1.
+//!   the 16-byte frame-tag codec, ring recorder, synthetic pipeline) and
+//!   exit 0/1.
 //! * `--overhead-gate` — measure the tracing overhead on the fast path
 //!   and the shared-memory tier: best-of-3 traced vs untraced p50 per
 //!   tier; fail (exit 1) when any traced p50 exceeds

@@ -40,7 +40,7 @@ use crate::options::PublisherOptions;
 use crate::tier::shm::{self, Ring};
 use crate::tier::tcp::{self, accept_handshake, Acceptor};
 use crate::traits::Encode;
-use crate::wire::{ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD};
+use crate::wire::{ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD, TRACE_FIELD};
 use parking_lot::Mutex;
 use rossf_netsim::{FaultAction, FaultInjector, MachineId};
 use rossf_reactor::{runtime, Reactor, Token};
@@ -628,6 +628,12 @@ impl PubCore {
             Some(p) => reply.with(PROJECT_FIELD, p.spec()),
             None => reply,
         };
+        let trailer = tcp::grant_trace(&request, self.trace.is_some());
+        let reply = if trailer {
+            reply.with(TRACE_FIELD, "1")
+        } else {
+            reply
+        };
         reply.write_to(&mut stream)?;
         if projection.is_some() {
             self.counters
@@ -642,6 +648,7 @@ impl PubCore {
             &self.counters,
             self.trace.clone(),
             projection,
+            trailer,
             self.master.links().profile(self.machine, sub_machine),
         )?;
         let token = self.reactor.register(fd, false, false, Box::new(writer));

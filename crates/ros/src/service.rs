@@ -365,7 +365,7 @@ where
             stream,
             core: Arc::downgrade(core),
             handler,
-            reader: FrameReader::new(MAX_FRAME_LEN),
+            reader: FrameReader::new(MAX_FRAME_LEN, 0),
             out: WriteQueue::default(),
             pending: None,
             interest: (true, false),

@@ -30,7 +30,7 @@ use crate::metrics::{Counters, MetricsSnapshot};
 use crate::options::SubscriberOptions;
 use crate::tier::{fastpath, shm, tcp};
 use crate::traits::Decode;
-use crate::wire::{ConnectionHeader, PROJECT_FIELD};
+use crate::wire::{ConnectionHeader, PROJECT_FIELD, TRACE_FIELD};
 use rossf_netsim::MachineId;
 use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
@@ -236,6 +236,11 @@ impl<D: Decode> Supervision<D> {
         if let Some(projection) = &core.projection {
             request = request.with(PROJECT_FIELD, projection.spec());
         }
+        // A traced subscription asks for the trace trailer; a traced
+        // publisher echoes the field exactly, and only that echo grants it.
+        if core.trace.is_some() {
+            request = request.with(TRACE_FIELD, "1");
+        }
         let dialed = tcp::dial(self.ep.addr, &request, core.config.handshake_timeout);
         release_connect_slot();
         let (stream, reply) = match dialed {
@@ -265,7 +270,7 @@ impl<D: Decode> Supervision<D> {
             return;
         }
         let projection = core.projection.as_deref();
-        let source = tcp::source::<D>(stream, &reply, projection);
+        let source = tcp::source::<D>(stream, &reply, projection, core.trace.is_some());
         reactor.register_as(token, fd, true, false, Link::boxed(self, source));
     }
 

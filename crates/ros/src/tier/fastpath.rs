@@ -65,8 +65,8 @@ impl<D: Decode> Source<D> for FastSource {
             Pop::Empty => return Ok(Progress::Idle),
             Pop::Ended => return Ok(Progress::Eof),
         };
-        // Pointer handoff needs no sidecar: the trace id rides on the
-        // frame's own tag, and the queue dwell (plus any injected delay)
+        // Pointer handoff: the trace id rides on the frame's own tag, and
+        // the queue dwell (plus any injected delay)
         // is the `enqueue` span.
         let tag = frame.trace();
         let since = (tag.enqueued_ns != 0).then_some(tag.enqueued_ns);

@@ -217,7 +217,6 @@ pub(crate) fn attach<D: Decode>(
         stream,
         shm,
         eof: false,
-        same_process: pub_pid == std::process::id(),
     })
 }
 
@@ -323,10 +322,10 @@ impl Ring {
     ) -> Option<Parcel> {
         let tag = frame.trace();
         let table = trace.filter(|_| tag.id != 0);
-        let mut pushed_ns = 0;
+        let mut sent_ns = 0;
         if let Some(table) = table {
-            pushed_ns = now_nanos();
-            tracer().span(table, Stage::Enqueue, Tier::Shm, tag.id, entered, pushed_ns);
+            sent_ns = now_nanos();
+            tracer().span(table, Stage::Enqueue, Tier::Shm, tag.id, entered, sent_ns);
         }
         let resolved = shared.get_or_insert_with(|| {
             let copy = self.pool.prepare_shared(frame.as_slice());
@@ -334,8 +333,8 @@ impl Ring {
             // descriptor-only commit (every loaned publish) has none.
             if let (Some(table), Some(_)) = (table, &copy) {
                 let t = now_nanos();
-                tracer().span(table, Stage::WireWrite, Tier::Shm, tag.id, pushed_ns, t);
-                pushed_ns = t;
+                tracer().span(table, Stage::WireWrite, Tier::Shm, tag.id, sent_ns, t);
+                sent_ns = t;
             }
             copy
         });
@@ -350,9 +349,7 @@ impl Ring {
         };
         let meta = FrameMeta {
             trace_id: tag.id,
-            born_ns: tag.born_ns,
-            enqueued_ns: entered,
-            pushed_ns,
+            sent_ns,
         };
         Some(Parcel::Shared(sf, meta))
     }
@@ -460,10 +457,6 @@ struct ShmSource {
     shm: ShmReader,
     /// The control socket reported EOF (or failed): no push will follow.
     eof: bool,
-    /// The publisher is this process, so the descriptors' timestamps are on
-    /// this process's trace clock. Decided once at attach: asking per frame
-    /// is a `getpid` syscall on the receive path.
-    same_process: bool,
 }
 
 impl<D: Decode> Source<D> for ShmSource {
@@ -496,17 +489,13 @@ impl<D: Decode> Source<D> for ShmSource {
             Err(TakeError::Corrupt(e)) => return Err(RosError::Io(e)),
         };
         let desc = *frame.descriptor();
-        // The descriptor's timestamps are on the *publisher's* trace clock,
-        // meaningful here only when the publisher is this same process (the
-        // `shm_same_process` bench mode); a cross-process link skips the
-        // span rather than mixing clocks.
-        let same_clock = self.same_process && desc.pushed_ns != 0;
-        let since = same_clock.then_some(desc.pushed_ns);
         // A frame rejected by the verifier is dropped unadopted, which
-        // releases its segment reference; the ring stays in sync.
+        // releases its segment reference; the ring stays in sync. `sent_ns`
+        // is on the host clock, so `wire_read` starts there whichever
+        // process published.
         core.deliver(
             Tier::Shm,
-            (Stage::WireRead, desc.trace_id, since),
+            (Stage::WireRead, desc.trace_id, Some(desc.sent_ns)),
             frame.len(),
             frame,
             |frame| D::verify_frame(frame.as_slice()).is_ok(),

@@ -11,21 +11,25 @@
 //! A link is paced by the master's [`LinkTable`](rossf_netsim::LinkTable)
 //! when its ends sit on different simulated machines: a frame drains into
 //! the socket while the modelled link carries it, and only its last
-//! [`PACE_TAIL`] bytes wait on a reactor timer for the link to finish. With
-//! tracing on, the TCP wire format stays untouched: the writer files a
-//! sidecar note per frame under the link's [`conn_key`] once the frame's last
-//! byte is written, and the source recovers the trace id from it.
+//! [`PACE_TAIL`] bytes wait on a reactor timer for the link to finish. A
+//! link whose two ends are both traced is granted a trace trailer in the
+//! handshake ([`grant_trace`]): each frame is followed by its 16-byte
+//! [`FrameMeta`], stamped when the trailer is first offered to a write, and
+//! the source's `wire_read` span starts at that stamp — in this process or
+//! another. Every other link's wire is `len ∥ payload`.
 
 use crate::error::RosError;
 use crate::metrics::Counters;
 use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::{Decode, RecvSlot};
-use crate::wire::{frame_len_prefix, ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD};
+use crate::wire::{
+    frame_len_prefix, ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD, TRACE_FIELD,
+};
 use rossf_netsim::{LinkProfile, Shaper};
 use rossf_reactor::{Ctl, Event, Handler, Reactor, Token};
 use rossf_sfm::{MessageSchema, Projection};
-use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
+use rossf_trace::{now_nanos, tracer, FrameMeta, Stage, Tier, TopicTrace};
 use std::collections::VecDeque;
 use std::io::{IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -135,17 +139,6 @@ pub(crate) fn grow_socket_buffers(stream: &TcpStream) {
     let _ = rossf_sys::set_socket_buffers(stream.as_raw_fd(), SOCK_BUF_BYTES);
 }
 
-/// The key both ends of a link file the tracer's sidecar notes under: the
-/// writer's address, then the reader's — each end passes its own pair in
-/// that order. A reconnect gets a fresh ephemeral port and therefore a
-/// fresh key, so sequence numbers restart cleanly.
-fn conn_key(writer: std::io::Result<SocketAddr>, reader: std::io::Result<SocketAddr>) -> u64 {
-    match (writer, reader) {
-        (Ok(writer), Ok(reader)) => rossf_trace::conn_key(&writer.to_string(), &reader.to_string()),
-        _ => 0,
-    }
-}
-
 /// The publisher's answer to a subscriber's field-projection `request`:
 /// granted — and echoed back in the reply — only when the spec resolves
 /// against the publisher's `schema` *and* is already canonical, so both
@@ -160,6 +153,15 @@ pub(crate) fn grant_projection(
     let spec = request.get(PROJECT_FIELD)?;
     let projection = Projection::from_spec(schema?, spec).ok()?;
     (projection.spec() == spec).then(|| Arc::new(projection))
+}
+
+/// The publisher's answer to a subscriber's trace request: a trailer on
+/// every frame only when the subscriber asked (`trace=1`) and this
+/// publisher is `traced` too. The reply echoes the field exactly when this
+/// says yes, and the subscriber reads only that exact echo as the grant, so
+/// a peer that predates the field, or is untraced, gets untagged frames.
+pub(crate) fn grant_trace(request: &ConnectionHeader, traced: bool) -> bool {
+    traced && request.get(TRACE_FIELD) == Some("1")
 }
 
 /// Bound a length prefix taken off a socket, before anything is sized from
@@ -178,18 +180,21 @@ pub(crate) fn check_frame_len(len: usize, max: usize) -> Result<usize, RosError>
 const READ_BUF: usize = 64 * 1024;
 
 /// Frame-reassembly state for one nonblocking TCP link — which part of the
-/// `len ∥ payload` wire unit the next byte belongs to.
+/// `len ∥ payload ∥ trailer` wire unit the next byte belongs to.
 enum ReadState<D: Decode> {
     /// Accumulating the 4-byte little-endian length prefix.
     Prefix { prefix: [u8; 4], filled: usize },
-    /// Accumulating a frame body straight into its receive slot.
+    /// Accumulating a frame body straight into its receive slot, then its
+    /// trailer (if the link has one) into the reader's `tail`: `filled`
+    /// counts both.
     Body {
         slot: D::Slot,
         len: usize,
         filled: usize,
     },
-    /// Discarding the body of a frame whose slot could not be allocated
-    /// (oversized for the message type), to stay in sync with the stream.
+    /// Discarding the body and trailer of a frame whose slot could not be
+    /// allocated (oversized for the message type), to stay in sync with
+    /// the stream.
     Skip { remaining: usize },
 }
 
@@ -203,11 +208,16 @@ impl<D: Decode> ReadState<D> {
 
 /// What one [`FrameReader::advance`] call produced.
 pub(crate) enum Step<D: Decode> {
-    /// A complete `len`-byte body sits in its slot.
-    Frame { slot: D::Slot, len: usize },
+    /// A complete `len`-byte body sits in its slot; `meta` is its trailer
+    /// (all zeros on a link without one).
+    Frame {
+        slot: D::Slot,
+        len: usize,
+        meta: FrameMeta,
+    },
     /// A frame within the transport cap but oversized for `D` arrived: no
-    /// slot could be allocated, and its body is being skipped so the stream
-    /// stays in sync. The frame still occupied a wire slot.
+    /// slot could be allocated, and its body and trailer are being skipped
+    /// so the stream stays in sync. The frame still occupied a wire slot.
     Oversized,
     /// The stream ran dry mid-unit; the next readiness event resumes it.
     Idle,
@@ -222,6 +232,11 @@ pub(crate) struct FrameReader<D: Decode> {
     /// Largest prefix accepted: [`MAX_FRAME_LEN`] on every socket, smaller
     /// in unit tests.
     max_frame_len: usize,
+    /// Bytes of trailer after every body: [`FrameMeta::LEN`] on a link
+    /// granted one, else 0.
+    trailer: usize,
+    /// The current frame's trailer bytes.
+    tail: [u8; FrameMeta::LEN],
     /// Read coalescing buffer: one syscall drains many small frames.
     /// Payload remainders of at least the buffer's size bypass it and read
     /// directly into the slot.
@@ -236,10 +251,16 @@ pub(crate) struct FrameReader<D: Decode> {
 }
 
 impl<D: Decode> FrameReader<D> {
-    pub(crate) fn new(max_frame_len: usize) -> Self {
+    /// A reader of frames up to `max_frame_len` bytes, each followed by a
+    /// `trailer` of 0 bytes (untraced links, services) or
+    /// [`FrameMeta::LEN`].
+    pub(crate) fn new(max_frame_len: usize, trailer: usize) -> Self {
+        debug_assert!(trailer == 0 || trailer == FrameMeta::LEN);
         FrameReader {
             state: ReadState::START,
             max_frame_len,
+            trailer,
+            tail: [0; FrameMeta::LEN],
             rbuf: vec![0u8; READ_BUF].into_boxed_slice(),
             rpos: 0,
             rlen: 0,
@@ -261,17 +282,22 @@ impl<D: Decode> FrameReader<D> {
     /// be trusted to be in sync anymore. [`RosError::Io`] for a read
     /// failure or an EOF that truncates a frame.
     pub(crate) fn advance(&mut self, io: &mut impl Read) -> Result<Step<D>, RosError> {
+        let trailer = self.trailer;
         loop {
             // Resolve completed states before demanding bytes, so
             // zero-length bodies and finished skips never stall waiting
             // for input that is not owed.
             match &mut self.state {
-                ReadState::Body { len, filled, .. } if *filled == *len => {
+                ReadState::Body { len, filled, .. } if *filled == *len + trailer => {
                     let state = std::mem::replace(&mut self.state, ReadState::START);
                     let ReadState::Body { slot, len, .. } = state else {
                         unreachable!("checked Body above");
                     };
-                    return Ok(Step::Frame { slot, len });
+                    let meta = match trailer {
+                        0 => FrameMeta::default(),
+                        _ => FrameMeta::from_le_bytes(self.tail),
+                    };
+                    return Ok(Step::Frame { slot, len, meta });
                 }
                 ReadState::Skip { remaining } if *remaining == 0 => {
                     self.state = ReadState::START;
@@ -286,7 +312,9 @@ impl<D: Decode> FrameReader<D> {
                 // Large body remainders bypass the coalescing buffer: read
                 // straight into the slot, no intermediate copy.
                 let (dest, direct) = match &mut self.state {
-                    ReadState::Body { slot, len, filled } if *len - *filled >= self.rbuf.len() => {
+                    ReadState::Body { slot, len, filled }
+                        if len.saturating_sub(*filled) >= self.rbuf.len() =>
+                    {
                         (&mut slot.as_mut_slice()[*filled..*len], true)
                     }
                     _ => (&mut self.rbuf[..], false),
@@ -338,14 +366,25 @@ impl<D: Decode> FrameReader<D> {
                             };
                         }
                         Err(_) => {
-                            self.state = ReadState::Skip { remaining: len };
+                            self.state = ReadState::Skip {
+                                remaining: len + trailer,
+                            };
                             return Ok(Step::Oversized);
                         }
                     }
                 }
                 ReadState::Body { slot, len, filled } => {
-                    let take = avail.len().min(*len - *filled);
-                    slot.as_mut_slice()[*filled..*filled + take].copy_from_slice(&avail[..take]);
+                    let take = if *filled < *len {
+                        let take = avail.len().min(*len - *filled);
+                        slot.as_mut_slice()[*filled..*filled + take]
+                            .copy_from_slice(&avail[..take]);
+                        take
+                    } else {
+                        let at = *filled - *len;
+                        let take = avail.len().min(trailer - at);
+                        self.tail[at..at + take].copy_from_slice(&avail[..take]);
+                        take
+                    };
                     *filled += take;
                     self.rpos += take;
                 }
@@ -364,8 +403,9 @@ impl<D: Decode> FrameReader<D> {
 /// amortizing the per-wakeup syscall cost.
 const WRITE_BATCH: usize = 32;
 
-/// One frame admitted to the wire: its length prefix, payload, and the
-/// trace bookkeeping captured at admission.
+/// One frame admitted to the wire: its length prefix, payload, trace
+/// trailer (on a granted link), and the trace bookkeeping captured at
+/// admission.
 pub(crate) struct Pending {
     frame: OutFrame,
     prefix: [u8; 4],
@@ -384,6 +424,13 @@ pub(crate) struct Pending {
     /// Trace id (0 = untraced) and the wire-write span's start time.
     trace_id: u64,
     t_start: u64,
+    /// On a link granted a trace trailer: the encoded [`FrameMeta`] that
+    /// follows the payload. Written once, with `sent_ns`, the first time a
+    /// write is offered any of it, so a partial write resends stable bytes.
+    trailer: Option<[u8; FrameMeta::LEN]>,
+    /// When the trailer was stamped (0 = not yet, or no trailer): the end
+    /// of the `wire_write` span and the start of the reader's `wire_read`.
+    sent_ns: u64,
 }
 
 /// What a paced frame holds back until its `due`: the last quantum, not the
@@ -417,12 +464,14 @@ impl Pending {
             due: None,
             trace_id: 0,
             t_start: 0,
+            trailer: None,
+            sent_ns: 0,
         })
     }
 
-    /// Bytes on the wire: length prefix plus payload.
+    /// Bytes on the wire: length prefix, payload and trailer.
     fn total(&self) -> usize {
-        4 + self.wire_len
+        4 + self.wire_len + self.trailer.map_or(0, |t| t.len())
     }
 
     /// How many of the frame's leading bytes the link lets into the socket
@@ -441,9 +490,9 @@ static PAD_ZEROS: [u8; 8] = [0; 8];
 
 /// Slices offered to one vectored write: two per unprojected frame (prefix,
 /// payload) for a full batch. A flush with more to say — projected frames
-/// carry two more per content segment — offers what fits; the byte count
-/// the write returns is all `flush` accounts by, so the rest simply goes
-/// out with the next call.
+/// carry two more per content segment, a traced link's frames one more for
+/// the trailer — offers what fits; the byte count the write returns is all
+/// `flush` accounts by, so the rest simply goes out with the next call.
 const WRITE_SLICES: usize = 2 * WRITE_BATCH;
 
 /// A fixed, stack-held list of wire slices.
@@ -469,40 +518,75 @@ impl<'a> WireSlices<'a> {
     }
 }
 
+/// One frame's offer to a vectored write: its wire bytes in order, less the
+/// first `skip` (already on the wire from a previous partial write), up to
+/// `budget` bytes (what the link has released beyond them) or a full `out`.
+struct Offer<'o, 'a> {
+    out: &'o mut WireSlices<'a>,
+    skip: usize,
+    budget: usize,
+}
+
+impl<'a> Offer<'_, 'a> {
+    /// Whether any of the next `len` bytes would be offered.
+    fn reaches(&self, len: usize) -> bool {
+        self.skip < len && self.budget > 0 && !self.out.is_full()
+    }
+
+    fn emit(&mut self, bytes: &'a [u8]) {
+        if !self.reaches(bytes.len()) {
+            // Already written — or nothing more goes into this write.
+            self.skip = self.skip.saturating_sub(bytes.len());
+            return;
+        }
+        let take = (bytes.len() - self.skip).min(self.budget);
+        let out = &mut *self.out;
+        out.slices[out.len] = IoSlice::new(&bytes[self.skip..self.skip + take]);
+        out.len += 1;
+        self.skip = 0;
+        self.budget -= take;
+    }
+}
+
 /// Append `p`'s wire slices — length prefix, then payload: the whole frame,
 /// or for a projected link the patched skeleton followed by each selected
-/// content segment behind its alignment pad — skipping the first `skip`
-/// bytes (already on the wire from a previous partial write) and stopping
-/// after `budget` bytes (what the link has released beyond them) or when
-/// `out` is full.
-fn push_wire_slices<'a>(
-    out: &mut WireSlices<'a>,
-    p: &'a Pending,
-    mut skip: usize,
-    mut budget: usize,
-) {
-    let mut emit = |bytes: &'a [u8]| {
-        if skip >= bytes.len() {
-            skip -= bytes.len();
-        } else if budget > 0 && !out.is_full() {
-            let take = (bytes.len() - skip).min(budget);
-            out.slices[out.len] = IoSlice::new(&bytes[skip..skip + take]);
-            out.len += 1;
-            skip = 0;
-            budget -= take;
-        }
-    };
-    emit(&p.prefix);
-    match &p.plan {
+/// content segment behind its alignment pad; then the trace trailer, if the
+/// link has one — skipping the first `skip` bytes and stopping after
+/// `budget` more or when `out` is full ([`Offer`]). The trailer is stamped
+/// the first time any of it is offered.
+fn push_wire_slices<'a>(out: &mut WireSlices<'a>, p: &'a mut Pending, skip: usize, budget: usize) {
+    let Pending {
+        frame,
+        prefix,
+        plan,
+        trace_id,
+        trailer,
+        sent_ns,
+        ..
+    } = p;
+    let mut offer = Offer { out, skip, budget };
+    offer.emit(prefix);
+    match plan {
         Some(plan) => {
-            emit(&plan.skeleton);
-            let frame = p.frame.as_slice();
+            offer.emit(&plan.skeleton);
+            let frame = frame.as_slice();
             for seg in &plan.segments {
-                emit(&PAD_ZEROS[..seg.pad]);
-                emit(&frame[seg.src.clone()]);
+                offer.emit(&PAD_ZEROS[..seg.pad]);
+                offer.emit(&frame[seg.src.clone()]);
             }
         }
-        None => emit(p.frame.as_slice()),
+        None => offer.emit(frame.as_slice()),
+    }
+    if let Some(trailer) = trailer {
+        if *sent_ns == 0 && offer.reaches(trailer.len()) {
+            *sent_ns = now_nanos();
+            let meta = FrameMeta {
+                trace_id: *trace_id,
+                sent_ns: *sent_ns,
+            };
+            *trailer = meta.to_le_bytes();
+        }
+        offer.emit(trailer);
     }
 }
 
@@ -557,15 +641,16 @@ impl WriteQueue {
                 let mut held = None;
                 // Read once per write, and only when a paced frame asks.
                 let mut now = None;
-                for p in &self.frames {
+                for p in self.frames.iter_mut() {
                     if slices.is_full() {
                         break;
                     }
                     let released = p.released(|| *now.get_or_insert_with(Instant::now));
+                    let (total, due) = (p.total(), p.due);
                     push_wire_slices(&mut slices, p, skip, released.saturating_sub(skip));
                     skip = 0;
-                    if released < p.total() {
-                        held = p.due;
+                    if released < total {
+                        held = due;
                         break;
                     }
                 }
@@ -610,26 +695,26 @@ const BATCHES_PER_DISPATCH: usize = 4;
 /// The publisher half of a TCP link, on a socket that has answered the
 /// handshake: a writer draining `rx` — the link's transmission queue — to
 /// the socket, ready to register on the reactor. `profile` is the modelled
-/// link between the two machines (unshaped within one) and `projection` what
-/// [`grant_projection`] granted.
+/// link between the two machines (unshaped within one), `projection` what
+/// [`grant_projection`] granted and `trailer` what [`grant_trace`] did.
 pub(crate) fn writer(
     stream: TcpStream,
     rx: QueueRx,
     counters: &Arc<Counters>,
     trace: Option<Arc<TopicTrace>>,
     projection: Option<Arc<Projection>>,
+    trailer: bool,
     profile: LinkProfile,
 ) -> std::io::Result<impl Handler> {
     grow_socket_buffers(&stream);
     stream.set_nonblocking(true)?;
     Ok(TcpWriter {
-        conn_key: conn_key(stream.local_addr(), stream.peer_addr()),
         stream,
         rx,
         counters: Arc::clone(counters),
         trace,
         projection,
-        wire_seq: 0,
+        trailer,
         shaper: Shaper::new(profile),
         writeq: WriteQueue::default(),
         pace_armed: None,
@@ -640,8 +725,8 @@ pub(crate) fn writer(
 
 /// Reactor handler for one TCP subscriber link. Frames arrive on the
 /// bounded transmission queue (`fan_out` notifies the token after
-/// depositing), pick up their enqueue/wire-write trace spans and sidecar
-/// notes, and drain to the nonblocking socket
+/// depositing), pick up their enqueue/wire-write trace spans and, on a
+/// link granted one, their trace trailer, and drain to the nonblocking socket
 /// through a [`WriteQueue`]. Link shaping is cut-through: admission books
 /// the modelled link for the frame and stamps when its last byte is `due`
 /// at the receiver; the frame joins the write queue at once and only its
@@ -657,15 +742,12 @@ struct TcpWriter {
     /// The publisher's counters.
     counters: Arc<Counters>,
     trace: Option<Arc<TopicTrace>>,
-    conn_key: u64,
     /// The field projection negotiated at handshake time: every frame on
     /// this link is sliced to the selected ranges before it hits the wire.
     /// `None` = full frames.
     projection: Option<Arc<Projection>>,
-    /// Frames whose last byte is on this socket, in wire order — the
-    /// sidecar key of the next one. Dropped frames never reach the stream,
-    /// so they must not advance the sequence the reader counts.
-    wire_seq: u64,
+    /// The handshake granted a trace trailer: every frame carries one.
+    trailer: bool,
     shaper: Shaper,
     /// Frames admitted and (possibly partially) written.
     writeq: WriteQueue,
@@ -731,11 +813,14 @@ impl TcpWriter {
             tracer().span(table, Stage::Enqueue, Tier::Tcp, tag.id, tag.enqueued_ns, t);
             (pending.trace_id, pending.t_start) = (tag.id, t);
         }
+        if self.trailer {
+            pending.trailer = Some([0; FrameMeta::LEN]);
+        }
         // One reservation per frame, made at admission, so a queued burst
         // is booked back to back: the link latency once, plus the transmit
-        // time of prefix and payload — the *wire* payload, so a projected
-        // link is paced by what it actually transmits.
-        let wait = self.shaper.profile().latency + self.shaper.reserve(4 + pending.wire_len);
+        // time of prefix, payload and trailer — the *wire* payload, so a
+        // projected link is paced by what it actually transmits.
+        let wait = self.shaper.profile().latency + self.shaper.reserve(pending.total());
         pending.due = (!wait.is_zero()).then(|| Instant::now() + wait);
         self.writeq.push(pending);
     }
@@ -794,20 +879,19 @@ impl TcpWriter {
     }
 
     /// Flush the write queue to the socket; each frame whose last byte went
-    /// out has its wire-write span closed, its sidecar note filed, and is
-    /// counted sent. The note is filed with the write-completion time, and
-    /// before a reader can see the frame whole: a reader in this process
-    /// runs on this loop thread, so it is dispatched only after this flush
-    /// returns (one in another process reads another sidecar and finds no
-    /// note at all).
+    /// out has its wire-write span closed and is counted sent. On a link
+    /// with a trailer the span ends at the trailer's stamp, where the
+    /// reader's `wire_read` begins: the last write's copy counts in the
+    /// reader's span. Without one it ends now. `bytes_sent` counts payload
+    /// bytes only.
     fn flush_writeq(&mut self) -> Flush {
-        let (counters, trace, conn_key) = (&*self.counters, self.trace.as_deref(), self.conn_key);
-        let wire_seq = &mut self.wire_seq;
+        let (counters, trace) = (&*self.counters, self.trace.as_deref());
         self.writeq.flush(&mut &self.stream, |p| {
-            let seq = *wire_seq;
-            *wire_seq += 1;
             if let (Some(table), true) = (trace, p.trace_id != 0) {
-                let t1 = now_nanos();
+                let t1 = match p.sent_ns {
+                    0 => now_nanos(),
+                    sent_ns => sent_ns,
+                };
                 tracer().span(
                     table,
                     Stage::WireWrite,
@@ -816,7 +900,6 @@ impl TcpWriter {
                     p.t_start,
                     t1,
                 );
-                tracer().sidecar().insert(conn_key, seq, p.trace_id, t1);
             }
             counters.frames_sent.fetch_add(1, Ordering::Relaxed);
             counters
@@ -849,19 +932,20 @@ impl TcpWriter {
 /// The subscriber half of a TCP link, on the (nonblocking) socket that
 /// `reply` answered the handshake on: a source reading frames of at most
 /// [`MAX_FRAME_LEN`] bytes, projected when the reply echoed the
-/// subscription's `projection` — an exact echo is the grant, anything else
-/// means full frames.
+/// subscription's `projection`, and each followed by a trace trailer when
+/// a `traced` subscription's `trace=1` was echoed — an exact echo is the
+/// grant, anything else means full, untagged frames.
 pub(crate) fn source<D: Decode>(
     stream: TcpStream,
     reply: &ConnectionHeader,
     projection: Option<&Projection>,
+    traced: bool,
 ) -> impl Source<D> {
+    let trailer = traced && reply.get(TRACE_FIELD) == Some("1");
     TcpSource {
-        conn_key: conn_key(stream.peer_addr(), stream.local_addr()),
         stream,
         projected: projection.is_some_and(|p| reply.get(PROJECT_FIELD) == Some(p.spec())),
-        wire_seq: 0,
-        reader: FrameReader::new(MAX_FRAME_LEN),
+        reader: FrameReader::new(MAX_FRAME_LEN, if trailer { FrameMeta::LEN } else { 0 }),
     }
 }
 
@@ -869,15 +953,9 @@ pub(crate) fn source<D: Decode>(
 /// reassembled by a [`FrameReader`] straight into their receive slots.
 struct TcpSource<D: Decode> {
     stream: TcpStream,
-    /// Sidecar rendezvous key shared with the writer.
-    conn_key: u64,
     /// The publisher granted `SubCore::projection` for this link: frames
     /// are sliced sub-frames, verified with the projected verifier.
     projected: bool,
-    /// Frames consumed off the stream, in wire order; counted
-    /// unconditionally so it stays in lockstep with the writer's count of
-    /// frames actually written.
-    wire_seq: u64,
     reader: FrameReader<D>,
 }
 
@@ -888,18 +966,12 @@ impl<D: Decode> Source<D> for TcpSource<D> {
 
     fn advance(&mut self, core: &SubCore<D>) -> Result<Progress, RosError> {
         match self.reader.advance(&mut &self.stream) {
-            Ok(Step::Frame { slot, len }) => {
-                self.deliver(core, slot, len);
+            Ok(Step::Frame { slot, len, meta }) => {
+                self.deliver(core, slot, len, meta);
                 Ok(Progress::Frame)
             }
             Ok(Step::Oversized) => {
-                // The frame still occupied a wire slot; consume its sidecar
-                // note so it does not accumulate.
                 core.count_decode_error();
-                if core.trace.is_some() {
-                    let _ = tracer().sidecar().take(self.conn_key, self.wire_seq);
-                }
-                self.wire_seq += 1;
                 Ok(Progress::Frame)
             }
             Ok(Step::Idle) => Ok(Progress::Idle),
@@ -918,18 +990,10 @@ impl<D: Decode> Source<D> for TcpSource<D> {
 
 impl<D: Decode> TcpSource<D> {
     /// A complete body sits in its slot: run the delivery tail of the
-    /// paper's Fig. 9 — recover the trace id, verify (optional), finish,
-    /// invoke the callback.
-    fn deliver(&mut self, core: &SubCore<D>, slot: D::Slot, len: usize) {
-        let seq = self.wire_seq;
-        self.wire_seq += 1;
-        // Recover the frame's trace id from the writer's sidecar note; the
-        // `wire_read` span starts at the writer's write-completion stamp.
-        let note = core
-            .trace
-            .as_ref()
-            .and_then(|_| tracer().sidecar().take(self.conn_key, seq));
-        let (id, since) = note.map_or((0, None), |n| (n.trace_id, Some(n.sent_ns)));
+    /// paper's Fig. 9 — verify (optional), finish, invoke the callback —
+    /// under the trace id its trailer carried; the `wire_read` span starts
+    /// at the writer's stamp.
+    fn deliver(&mut self, core: &SubCore<D>, slot: D::Slot, len: usize, meta: FrameMeta) {
         // A projected link carries sub-frames: unselected fields are
         // deliberately zeroed, which the full verifier would accept but
         // the projected verifier additionally *requires* — so corrupt
@@ -937,7 +1001,7 @@ impl<D: Decode> TcpSource<D> {
         let projection = core.projection.as_deref().filter(|_| self.projected);
         core.deliver(
             Tier::Tcp,
-            (Stage::WireRead, id, since),
+            (Stage::WireRead, meta.trace_id, Some(meta.sent_ns)),
             len,
             slot,
             |slot| match projection {
@@ -955,6 +1019,11 @@ mod tests {
     use crate::publisher::link_queue;
     use crate::traits::{TopicType, VecSlot};
     use crate::wire::tests::Rng;
+    use crate::{
+        Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions, TransportConfig,
+    };
+    use rossf_netsim::MachineId;
+    use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
     use std::sync::atomic::AtomicU64;
 
     /// Counts the timer events a writer is dispatched.
@@ -995,9 +1064,8 @@ mod tests {
             rx,
             counters: Arc::clone(&counters),
             trace: None,
-            conn_key: 0,
             projection: None,
-            wire_seq: 0,
+            trailer: false,
             shaper: Shaper::new(rossf_netsim::LinkProfile {
                 bandwidth_bps: 100_000_000,
                 latency: Duration::from_millis(1),
@@ -1076,10 +1144,10 @@ mod tests {
     /// prefix/payload boundary.
     #[test]
     fn wire_slices_stop_at_the_budget() {
-        let p = pending(10, None);
-        let offered = |skip, budget| {
+        let mut p = pending(10, None);
+        let mut offered = |skip, budget| {
             let mut out = WireSlices::new();
-            push_wire_slices(&mut out, &p, skip, budget);
+            push_wire_slices(&mut out, &mut p, skip, budget);
             out.as_slice().iter().map(|s| s.len()).collect::<Vec<_>>()
         };
         assert_eq!(offered(0, 14), [4, 10]);
@@ -1147,7 +1215,8 @@ mod tests {
             // it: no read is ever issued for less.
             assert!(buf.len() >= READ_BUF, "a {}-byte read", buf.len());
             self.widest_offer = self.widest_offer.max(buf.len());
-            let stop = self.cuts.iter().copied().find(|&c| c > self.pos);
+            let next = self.cuts.partition_point(|&c| c <= self.pos);
+            let stop = self.cuts.get(next).copied();
             let n = (stop.unwrap_or(self.data.len()) - self.pos).min(buf.len());
             buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
             self.pos += n;
@@ -1163,15 +1232,20 @@ mod tests {
         wire
     }
 
+    /// What a reader produced, in order: a frame with its trailer, or
+    /// `None` for an oversized one it skipped.
+    type Tagged = Vec<Option<(Vec<u8>, FrameMeta)>>;
+
     /// Run a reader over `data` arriving in the pieces `cuts` dictates, one
-    /// dispatch per piece, to its end; the frames it produced and the
-    /// largest read it issued.
-    fn reassemble<D: Decode<Slot = VecSlot>>(
+    /// dispatch per piece, to its end; what it produced and the largest
+    /// read it issued. Every frame carries a `trailer`-byte tag.
+    fn reassemble_tagged<D: Decode<Slot = VecSlot>>(
         data: &[u8],
         cuts: &[usize],
         max_frame_len: usize,
-    ) -> Result<(Vec<Vec<u8>>, usize), RosError> {
-        let mut reader = FrameReader::<D>::new(max_frame_len);
+        trailer: usize,
+    ) -> Result<(Tagged, usize), RosError> {
+        let mut reader = FrameReader::<D>::new(max_frame_len, trailer);
         let mut io = Chunked {
             data,
             pos: 0,
@@ -1182,15 +1256,31 @@ mod tests {
         loop {
             reader.wake();
             match reader.advance(&mut io)? {
-                Step::Frame { slot, len } => {
+                Step::Frame { slot, len, meta } => {
                     assert_eq!(slot.as_slice().len(), len);
-                    frames.push(slot.into_bytes());
+                    frames.push(Some((slot.into_bytes(), meta)));
                 }
                 Step::Idle => {}
-                Step::Oversized => panic!("no frame here is oversized for its type"),
+                Step::Oversized => frames.push(None),
                 Step::Eof => return Ok((frames, io.widest_offer)),
             }
         }
+    }
+
+    /// [`reassemble_tagged`] on an untraced link, where no frame is
+    /// oversized for its type: the bodies.
+    fn reassemble<D: Decode<Slot = VecSlot>>(
+        data: &[u8],
+        cuts: &[usize],
+        max_frame_len: usize,
+    ) -> Result<(Vec<Vec<u8>>, usize), RosError> {
+        let (tagged, widest) = reassemble_tagged::<D>(data, cuts, max_frame_len, 0)?;
+        let frames = tagged.into_iter().map(|frame| {
+            let (body, meta) = frame.expect("no frame here is oversized for its type");
+            assert_eq!(meta, FrameMeta::default(), "an untraced link has no tags");
+            body
+        });
+        Ok((frames.collect(), widest))
     }
 
     /// Pins existing behaviour: however a valid stream is split — at every
@@ -1262,6 +1352,376 @@ mod tests {
                     other => panic!("eof at {end}: {:?}", other.map(|(f, _)| f.len())),
                 },
             }
+        }
+    }
+
+    /// `frames` as a traced link carries them: `len ∥ payload ∥ tag`.
+    fn tagged_stream_of(frames: &[(&[u8], FrameMeta)]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for (frame, meta) in frames {
+            crate::wire::write_frame(&mut wire, frame).unwrap();
+            wire.extend_from_slice(&meta.to_le_bytes());
+        }
+        wire
+    }
+
+    fn tag(trace_id: u64) -> FrameMeta {
+        FrameMeta {
+            trace_id,
+            sent_ns: trace_id.wrapping_add(1_000_000),
+        }
+    }
+
+    /// A traced stream fed one byte per read, and in random chunkings,
+    /// yields the same frames with the same tags — a zero-length body and
+    /// one that straddles the direct-read boundary included.
+    #[test]
+    fn a_traced_stream_reassembles_to_the_same_frames_and_tags_however_split() {
+        let mut rng = Rng(0x7A11_E125_2022);
+        let big: Vec<u8> = (0..READ_BUF + 5).map(|_| rng.next_u64() as u8).collect();
+        let frames: [(&[u8], FrameMeta); 4] = [
+            (&[1, 2, 3], tag(1)),
+            (&big, tag(2)),
+            (&[], tag(3)),
+            (&[9; 40], tag(u64::MAX)),
+        ];
+        let want: Tagged = frames.iter().map(|(f, m)| Some((f.to_vec(), *m))).collect();
+        let wire = tagged_stream_of(&frames);
+        let every_byte: Vec<usize> = (1..wire.len()).collect();
+        let (got, _) =
+            reassemble_tagged::<Raw>(&wire, &every_byte, 1 << 20, FrameMeta::LEN).unwrap();
+        assert_eq!(got, want, "one byte per read");
+        for round in 0..300 {
+            let mut cuts: Vec<usize> = (0..1 + rng.below(6))
+                .map(|_| 1 + rng.below(wire.len() - 1))
+                .collect();
+            cuts.sort_unstable();
+            let (got, _) = reassemble_tagged::<Raw>(&wire, &cuts, 1 << 20, FrameMeta::LEN).unwrap();
+            assert_eq!(got, want, "round {round}, cuts {cuts:?}");
+        }
+    }
+
+    /// Bytes, but nothing longer than [`Tiny::MAX`].
+    struct Tiny;
+
+    impl Tiny {
+        const MAX: usize = 8;
+    }
+
+    impl TopicType for Tiny {
+        fn topic_type() -> &'static str {
+            "test/Tiny"
+        }
+    }
+
+    impl Decode for Tiny {
+        type Slot = VecSlot;
+
+        fn new_slot(len: usize) -> Result<VecSlot, RosError> {
+            if len > Tiny::MAX {
+                return Err(RosError::FrameTooLarge {
+                    len,
+                    max: Tiny::MAX,
+                });
+            }
+            Ok(VecSlot::new(len))
+        }
+
+        fn finish_slot(_: VecSlot) -> Result<Self, RosError> {
+            Ok(Tiny)
+        }
+    }
+
+    /// A frame within the transport cap but too big for the type is skipped
+    /// together with its trailer, wherever the stream is cut, and the frame
+    /// after it arrives whole with its own tag.
+    #[test]
+    fn an_oversized_frame_is_skipped_with_its_trailer() {
+        let frames: [(&[u8], FrameMeta); 3] = [
+            (&[1, 2, 3, 4], tag(1)),
+            (&[0xEE; 100], tag(2)),
+            (&[5, 6, 7], tag(3)),
+        ];
+        let wire = tagged_stream_of(&frames);
+        let want: Tagged = vec![
+            Some((vec![1, 2, 3, 4], tag(1))),
+            None,
+            Some((vec![5, 6, 7], tag(3))),
+        ];
+        for at in 0..wire.len() {
+            let (got, _) =
+                reassemble_tagged::<Tiny>(&wire, &[at], 1 << 20, FrameMeta::LEN).unwrap();
+            assert_eq!(got, want, "cut at {at}");
+        }
+    }
+
+    /// A socket stand-in that takes at most `chunk` bytes per write.
+    struct Trickle {
+        wire: Vec<u8>,
+        chunk: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.chunk);
+            self.wire.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Frames with trailers, a zero-length payload among them, written a few
+    /// bytes per call: each trailer is stamped once, when first offered, so
+    /// the bytes resent after a partial write agree with the stamp the
+    /// writer's span ends at — and the reader gets every frame and tag back.
+    #[test]
+    fn a_zero_length_payload_with_a_trailer_round_trips_through_partial_writes() {
+        let payloads: [&[u8]; 3] = [&[], &[7; 33], &[]];
+        for chunk in [1, 3, 16, 1000] {
+            let mut queue = WriteQueue::default();
+            for (i, payload) in payloads.iter().enumerate() {
+                let mut p =
+                    Pending::new(OutFrame::owned(Arc::new(payload.to_vec())), None).unwrap();
+                p.trace_id = 10 + i as u64;
+                p.trailer = Some([0; FrameMeta::LEN]);
+                assert_eq!(p.total(), 4 + payload.len() + FrameMeta::LEN);
+                queue.push(p);
+            }
+            let mut io = Trickle {
+                wire: Vec::new(),
+                chunk,
+            };
+            let mut stamps = Vec::new();
+            let before = now_nanos();
+            assert!(matches!(
+                queue.flush(&mut io, |p| stamps.push((p.trace_id, p.sent_ns))),
+                Flush::Drained
+            ));
+            let (got, _) =
+                reassemble_tagged::<Raw>(&io.wire, &[], 1 << 20, FrameMeta::LEN).unwrap();
+            assert_eq!(got.len(), payloads.len(), "chunk {chunk}");
+            for ((frame, payload), (trace_id, sent_ns)) in got.iter().zip(payloads).zip(stamps) {
+                let (body, meta) = frame.as_ref().expect("fits");
+                assert_eq!(body.as_slice(), payload);
+                assert_eq!(*meta, FrameMeta { trace_id, sent_ns }, "chunk {chunk}");
+                assert!(sent_ns >= before, "chunk {chunk}: stamped during the flush");
+            }
+        }
+    }
+
+    /// An SFM message type for the links below.
+    #[repr(C)]
+    struct Tagged64 {
+        data: SfmVec<u8>,
+    }
+    // SAFETY: one `SfmVec`, `repr(C)`, all-zero valid.
+    unsafe impl SfmPod for Tagged64 {}
+    impl SfmValidate for Tagged64 {
+        fn validate_in(&self, base: usize, len: usize) -> Result<(), SfmError> {
+            self.data.validate_in(base, len)
+        }
+    }
+    // SAFETY: `Tagged64` is an `SfmPod` whose offsets stay in its buffer.
+    unsafe impl SfmMessage for Tagged64 {
+        fn type_name() -> &'static str {
+            "test/Tagged64"
+        }
+        fn max_size() -> usize {
+            256
+        }
+    }
+
+    fn tagged64(seq: u8) -> SfmBox<Tagged64> {
+        let mut m = SfmBox::<Tagged64>::new();
+        m.data.resize(64);
+        for (i, b) in m.data.iter_mut().enumerate() {
+            *b = seq.wrapping_add(i as u8);
+        }
+        m
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timeout waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn tcp_only() -> TransportConfig {
+        TransportConfig {
+            enable_fastpath: false,
+            ..TransportConfig::default()
+        }
+    }
+
+    /// A publisher of `topic` that this process does not know as one — the
+    /// subscriber dials `addr` like a remote peer's.
+    fn remote_master(topic: &str, addr: SocketAddr) -> Master {
+        let master = Master::new();
+        master
+            .register_publisher(topic, Tagged64::type_name(), addr, MachineId::A)
+            .unwrap();
+        master
+    }
+
+    /// Relay one connection between a subscriber and `upstream`, recording
+    /// every byte the publisher sends. Joins to the recording once both
+    /// ends have closed.
+    fn recording_proxy(upstream: SocketAddr) -> (SocketAddr, std::thread::JoinHandle<Vec<u8>>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let relay = std::thread::spawn(move || {
+            let (down, _) = listener.accept().unwrap();
+            let up = TcpStream::connect(upstream).unwrap();
+            let (mut up_rx, mut down_tx) = (up.try_clone().unwrap(), down.try_clone().unwrap());
+            let recorder = std::thread::spawn(move || {
+                let (mut seen, mut buf) = (Vec::new(), [0u8; 4096]);
+                while let Ok(n @ 1..) = up_rx.read(&mut buf) {
+                    seen.extend_from_slice(&buf[..n]);
+                    if down_tx.write_all(&buf[..n]).is_err() {
+                        break;
+                    }
+                }
+                let _ = down_tx.shutdown(Shutdown::Both);
+                seen
+            });
+            let _ = std::io::copy(&mut &down, &mut &up);
+            let _ = up.shutdown(Shutdown::Both);
+            recorder.join().unwrap()
+        });
+        (addr, relay)
+    }
+
+    /// The trailer is granted only when both ends are traced, over forced
+    /// TCP: only that link's frames carry one, an untraced link's bytes
+    /// are exactly `len ∥ payload`, and `bytes_sent` counts payload only —
+    /// equal in all four cases.
+    #[test]
+    fn only_a_traced_pair_is_granted_the_trailer() {
+        const FRAMES: u8 = 5;
+        let mut bytes_sent = Vec::new();
+        for (pub_traced, sub_traced) in [(false, false), (true, false), (false, true), (true, true)]
+        {
+            let topic = format!("trailer/grant/{pub_traced}/{sub_traced}");
+            let pub_master = Master::new();
+            let nh_pub = NodeHandle::with_config(&pub_master, "pub", MachineId::A, tcp_only());
+            let publisher: Publisher<SfmBox<Tagged64>> = nh_pub.advertise_with(
+                &topic,
+                PublisherOptions::new().queue_size(16).trace(pub_traced),
+            );
+            let (proxy, recording) = recording_proxy(publisher.addr());
+            let sub_master = remote_master(&topic, proxy);
+            let nh_sub = NodeHandle::with_config(&sub_master, "sub", MachineId::A, tcp_only());
+            let received = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let sink = Arc::clone(&received);
+            let sub = nh_sub.subscribe_with(
+                &topic,
+                SubscriberOptions::new().trace(sub_traced),
+                move |m: SfmShared<Tagged64>| sink.lock().push(m.as_bytes().to_vec()),
+            );
+            nh_pub.wait_for_subscribers(&publisher, 1);
+            for seq in 0..FRAMES {
+                publisher.publish(&tagged64(seq));
+            }
+            wait_for(&topic, || received.lock().len() == FRAMES as usize);
+            bytes_sent.push(publisher.stats().bytes_sent);
+            drop(sub);
+            let wire = recording.join().unwrap();
+
+            let granted = pub_traced && sub_traced;
+            let mut rest = &wire[..];
+            let reply = ConnectionHeader::read_from(&mut rest).unwrap();
+            assert_eq!(reply.get(TRACE_FIELD), granted.then_some("1"), "{topic}");
+            let mut want = Vec::new();
+            for payload in received.lock().iter() {
+                crate::wire::write_frame(&mut want, payload).unwrap();
+                if granted {
+                    let at = want.len();
+                    want.extend_from_slice(&rest[at..at + FrameMeta::LEN]);
+                    let meta = FrameMeta::from_le_bytes(want[at..].try_into().unwrap());
+                    assert_ne!(meta.trace_id, 0, "{topic}: a traced frame's tag");
+                    assert_ne!(meta.sent_ns, 0, "{topic}: a stamped tag");
+                }
+            }
+            assert_eq!(rest, want, "{topic}: the recorded wire");
+            if granted {
+                let read = tracer()
+                    .events()
+                    .into_iter()
+                    .filter(|e| &*e.topic == topic.as_str() && e.stage == Stage::WireRead);
+                assert_eq!(
+                    read.count(),
+                    FRAMES as usize,
+                    "{topic}: every frame attributed"
+                );
+            }
+        }
+        assert!(
+            bytes_sent.iter().all(|&b| b == bytes_sent[0]),
+            "{bytes_sent:?}"
+        );
+    }
+
+    /// A peer's `sent_ns` is trusted for nothing but a saturating
+    /// subtraction: a stamp of 0 or `u64::MAX` records a `wire_read` span
+    /// clamped at the reader's clock, and delivery goes on.
+    #[test]
+    fn a_hostile_sent_ns_records_a_saturated_span() {
+        const TOPIC: &str = "trailer/hostile";
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let master = remote_master(TOPIC, listener.local_addr().unwrap());
+        let stamps = [0, u64::MAX];
+        let payload = crate::traits::Encode::encode(&tagged64(0))
+            .as_slice()
+            .to_vec();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let request = ConnectionHeader::read_from(&mut stream).unwrap();
+            assert_eq!(
+                request.get(TRACE_FIELD),
+                Some("1"),
+                "a traced subscriber asks"
+            );
+            ConnectionHeader::new()
+                .with("type", Tagged64::type_name())
+                .with(TRACE_FIELD, "1")
+                .write_to(&mut stream)
+                .unwrap();
+            for (i, sent_ns) in stamps.into_iter().enumerate() {
+                crate::wire::write_frame(&mut stream, &payload).unwrap();
+                let meta = FrameMeta {
+                    trace_id: 0xBAD0 + i as u64,
+                    sent_ns,
+                };
+                stream.write_all(&meta.to_le_bytes()).unwrap();
+            }
+            let _ = stream.read(&mut [0u8; 1]); // until the subscriber hangs up
+        });
+        let nh = NodeHandle::with_config(&master, "sub", MachineId::A, tcp_only());
+        let seen = Arc::new(AtomicU64::new(0));
+        let seen_cb = Arc::clone(&seen);
+        let sub = nh.subscribe_with(
+            TOPIC,
+            SubscriberOptions::new().trace(true),
+            move |_: SfmShared<Tagged64>| {
+                seen_cb.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        wait_for("both hostile frames", || seen.load(Ordering::SeqCst) == 2);
+        drop(sub);
+        peer.join().unwrap();
+        let read: Vec<_> = tracer()
+            .events()
+            .into_iter()
+            .filter(|e| &*e.topic == TOPIC && e.stage == Stage::WireRead)
+            .collect();
+        assert_eq!(read.len(), 2);
+        for (e, sent_ns) in read.iter().zip(stamps) {
+            assert_eq!(e.ts_ns - e.dur_ns, sent_ns.min(e.ts_ns), "{e:?}");
         }
     }
 }

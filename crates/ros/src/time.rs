@@ -1,11 +1,13 @@
-//! ROS time: the `time` primitive of the ROS IDL plus a process-wide
-//! monotonic clock used for latency measurement.
+//! ROS time: the `time` primitive of the ROS IDL plus the host's monotonic
+//! clock used for latency measurement.
 //!
 //! The experiments stamp a message with its creation time at the publisher
-//! and subtract at the subscriber (Fig. 12). All simulated machines live in
-//! one OS process, so a single monotonic epoch gives the paper's machine-A
-//! clock for free (the reason the paper uses ping-pong for inter-machine
-//! tests is *avoided*, but we still reproduce the ping-pong topology).
+//! and subtract at the subscriber (Fig. 12). The clock counts
+//! `CLOCK_MONOTONIC` since boot, which every process on the host reads
+//! alike, so a stamp subtracts cleanly in the same process or another one
+//! on the host — the simulated machines share it too (the reason the paper
+//! uses ping-pong for inter-machine tests is *avoided*, but we still
+//! reproduce the ping-pong topology).
 
 /// The ROS `time` primitive: seconds + nanoseconds since an epoch. Wire
 /// format: two little-endian `u32`s.
@@ -25,7 +27,7 @@ impl RosTime {
     /// Zero time.
     pub const ZERO: RosTime = RosTime { sec: 0, nsec: 0 };
 
-    /// Current time on the process-wide monotonic clock.
+    /// Current time on the host's monotonic clock (since boot).
     pub fn now() -> RosTime {
         RosTime::from_nanos(now_nanos())
     }
@@ -101,7 +103,7 @@ impl rossf_sfm::SfmValidate for RosDuration {
     }
 }
 
-/// Nanoseconds since the process-wide monotonic epoch (first call).
+/// Nanoseconds since boot on the host's `CLOCK_MONOTONIC`.
 ///
 /// Shares the tracing clock (`rossf_trace::now_nanos`): message stamps and
 /// stage spans live on one timeline, so a trace waterfall can be correlated

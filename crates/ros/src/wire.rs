@@ -6,7 +6,8 @@
 //!    endianness);
 //! 2. the publisher validates and replies with its own header (or an
 //!    `error=` header);
-//! 3. message frames follow, each a little-endian `u32` length + payload.
+//! 3. message frames follow, each a little-endian `u32` length + payload
+//!    (+ a 16-byte trace trailer on a link both of whose ends are traced).
 //!
 //! The payload of a frame is either serialized bytes (ordinary messages) or
 //! the whole serialization-free message verbatim ([`FramePayload::Sfm`]).
@@ -36,8 +37,10 @@ pub enum FramePayload {
 /// untraced and every instrumentation site skips it.
 ///
 /// On the fast path the tag reaches the subscriber on the frame object
-/// itself; over TCP the wire format stays untouched and the id
-/// travels through the [`Sidecar`](rossf_trace::Sidecar) instead.
+/// itself. A frame that leaves the process carries its id beside the
+/// payload as a [`FrameMeta`](rossf_trace::FrameMeta): in the shm
+/// descriptor, or as a trailer after the payload on a TCP link granted
+/// one in the handshake.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceTag {
     /// Process-unique trace id (0 = untraced).
@@ -189,6 +192,14 @@ pub fn read_frame_len<R: Read>(r: &mut R) -> Result<Option<usize>, RosError> {
 /// frames. Old peers ignore the field entirely, so projection degrades to
 /// full-frame delivery across version skew.
 pub const PROJECT_FIELD: &str = "project";
+
+/// Connection-header field a traced subscriber adds to its request
+/// (`trace=1`); a traced publisher echoes it exactly, and that echo is the
+/// grant: every frame on the link is then followed by a 16-byte
+/// [`FrameMeta`](rossf_trace::FrameMeta) trailer. Any other reply — no
+/// echo, from an untraced publisher or one that predates the field — means
+/// the link carries untagged frames, byte-identical to an untraced link.
+pub(crate) const TRACE_FIELD: &str = "trace";
 
 /// The key/value connection header exchanged at connect time, mirroring
 /// TCPROS (`topic=`, `type=`, plus this reproduction's `machine=` used for

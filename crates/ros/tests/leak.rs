@@ -56,10 +56,36 @@ fn fast_reconnect() -> TransportConfig {
     }
 }
 
-/// Open descriptors of this process. `read_dir` briefly opens one fd of
-/// its own; that bias is identical on every call, so comparisons hold.
+/// Open descriptors of this process, as (shm segments, every other fd),
+/// told apart by their `/proc/self/fd` link names. A publisher's segment
+/// pool keeps the `memfd:rossf-seg` segments it grows while links churn,
+/// and a reader keeps its mapping of each one it has read from, so their
+/// number after the churn depends on how frames spread over the pool:
+/// they are counted apart, against the pool's bound. Every other fd must
+/// go with its link. `read_dir` briefly opens one fd of its own; that bias
+/// is identical on every call, so comparisons hold.
+fn fd_counts() -> (usize, usize) {
+    let mut counts = (0, 0);
+    for entry in std::fs::read_dir("/proc/self/fd").unwrap() {
+        let target = std::fs::read_link(entry.unwrap().path()).unwrap_or_default();
+        if target.to_string_lossy().starts_with("/memfd:rossf-seg") {
+            counts.0 += 1;
+        } else {
+            counts.1 += 1;
+        }
+    }
+    counts
+}
+
+/// [`fd_counts`]'s per-link part, checking on the way that the segment
+/// fds stay within a pool's bound.
 fn fd_count() -> usize {
-    std::fs::read_dir("/proc/self/fd").unwrap().count()
+    let (segments, other) = fd_counts();
+    assert!(
+        segments <= rossf_shm::DIR_CAP,
+        "{segments} shm segment fds open, more than a pool holds"
+    );
+    other
 }
 
 /// Live threads of this process, from `/proc/self/status`.
@@ -190,7 +216,7 @@ fn churn_one_tier(case: &TierCase) {
     });
 
     // One full warm-up cycle before taking the baseline, so lazy one-time
-    // state (reactor thread, pool workers, tracer, sidecar) is counted in.
+    // state (reactor thread, pool workers, tracer) is counted in.
     {
         let extra_seen = Arc::new(AtomicU64::new(0));
         let extra_cb = Arc::clone(&extra_seen);

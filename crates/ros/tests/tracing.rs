@@ -184,12 +184,12 @@ fn tcp_timeline_is_monotone_per_side() {
         "forced TCP crosses every pipeline stage"
     );
     // Every message that reached the callback kept its identity across the
-    // sidecar correlation: subscriber-side spans never carry id 0.
+    // wire, in its trace trailer: subscriber-side spans never carry id 0.
     assert!(sub_side.iter().all(|e| e.trace_id != 0));
 }
 
 /// Trace ids survive a severed link and the subsequent reconnect: the new
-/// connection derives a fresh correlation key and frame sequence, so
+/// connection is granted its own trace trailer in its handshake, so
 /// post-heal frames are still attributed end to end. The injected sever is
 /// tagged into the same event stream.
 #[test]

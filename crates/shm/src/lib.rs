@@ -48,9 +48,11 @@ mod seg;
 mod shared;
 pub mod sync;
 
-pub use link::{FrameMeta, PushOutcome, ShmLink};
+pub use link::{PushOutcome, ShmLink};
 pub use reader::{is_shm_mapped, MappedFrame, SegmentMap, ShmReader, TakeError};
 pub use ring::{ControlSegment, Descriptor};
+/// The trace tag a descriptor carries: `rossf-trace`'s one tag shape.
+pub use rossf_trace::FrameMeta;
 pub use seg::{Segment, SegmentPool, DIR_CAP, MIN_SEGMENT_PAYLOAD};
 pub use shared::SharedFrame;
 

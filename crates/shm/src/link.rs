@@ -4,22 +4,9 @@
 use crate::ring::{ControlSegment, Descriptor};
 use crate::seg::{SegmentPool, DIR_CAP};
 use crate::shared::SharedFrame;
+use rossf_trace::FrameMeta;
 use std::io;
 use std::sync::Arc;
-
-/// Timestamps and trace identity riding along with a pushed frame (all on
-/// the publisher's tracing clock; zeros when untraced).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrameMeta {
-    /// Trace id (0 = untraced).
-    pub trace_id: u64,
-    /// Buffer birth timestamp.
-    pub born_ns: u64,
-    /// When the frame entered the link's queue.
-    pub enqueued_ns: u64,
-    /// When the descriptor is being published.
-    pub pushed_ns: u64,
-}
 
 /// Outcome of [`ShmLink::commit_shared`] and [`ShmLink::push`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,9 +103,7 @@ impl ShmLink {
             gen: seg.generation(),
             len: frame.len(),
             trace_id: meta.trace_id,
-            born_ns: meta.born_ns,
-            enqueued_ns: meta.enqueued_ns,
-            pushed_ns: meta.pushed_ns,
+            sent_ns: meta.sent_ns,
         };
         seg.add_ref(); // the descriptor's reference
         if self.ctrl.try_push(&d) {

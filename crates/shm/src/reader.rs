@@ -192,11 +192,6 @@ impl ShmReader {
         })
     }
 
-    /// Pid of the publisher process (for same-process detection).
-    pub fn publisher_pid(&self) -> u32 {
-        self.pub_pid
-    }
-
     /// Whether the publisher marked the link closed.
     pub fn is_closed(&self) -> bool {
         self.ctrl.is_closed()
@@ -412,8 +407,9 @@ impl Drop for FrameGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::{FrameMeta, PushOutcome, ShmLink};
+    use crate::link::{PushOutcome, ShmLink};
     use crate::seg::SegmentPool;
+    use crate::FrameMeta;
 
     fn loopback(ring: usize) -> (ShmLink, ShmReader, Arc<SegmentPool>) {
         let pool = Arc::new(SegmentPool::new());
@@ -429,14 +425,13 @@ mod tests {
         let payload: Vec<u8> = (0..100_000u32).map(|i| i as u8).collect();
         let meta = FrameMeta {
             trace_id: 5,
-            born_ns: 1,
-            enqueued_ns: 2,
-            pushed_ns: 3,
+            sent_ns: 3,
         };
         assert_eq!(link.push(&payload, meta), PushOutcome::Pushed);
         let frame = reader.take(Duration::from_secs(1)).unwrap().unwrap();
         assert_eq!(frame.as_slice(), &payload[..]);
         assert_eq!(frame.descriptor().trace_id, 5);
+        assert_eq!(frame.descriptor().sent_ns, 3);
         assert!(is_shm_mapped(frame.as_slice().as_ptr() as usize));
         // Convert to an SfmAlloc: still the mapped bytes, no copy.
         let alloc = frame.into_sfm_alloc();

@@ -36,9 +36,9 @@ use std::fs::File;
 use std::io;
 use std::os::fd::AsRawFd;
 
-/// Magic value stamped at offset 0 of every control segment ("ROSSFCT3":
-/// the third header layout, whose only wake-up word is `armed`).
-const CTL_MAGIC: u64 = 0x524f_5353_4643_5433;
+/// Magic value stamped at offset 0 of every control segment ("ROSSFCT4":
+/// the fourth layout, whose slots carry the trace tag as two words).
+const CTL_MAGIC: u64 = 0x524f_5353_4643_5434;
 /// Largest ring capacity accepted when opening a peer's control segment
 /// (sanity bound against corrupt headers).
 const MAX_RING_CAP: u64 = 4096;
@@ -73,9 +73,8 @@ const SLOT_SEG: usize = 8;
 const SLOT_GEN: usize = 16;
 const SLOT_LEN: usize = 24;
 const SLOT_TRACE: usize = 32;
-const SLOT_BORN: usize = 40;
-const SLOT_ENQ: usize = 48;
-const SLOT_PUSHED: usize = 56;
+const SLOT_SENT: usize = 40;
+// Bytes 48..64 of a slot are unused: the stride stays one cache line.
 
 /// One frame descriptor as it travels through the ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,15 +86,11 @@ pub struct Descriptor {
     pub gen: u64,
     /// Payload length in bytes.
     pub len: usize,
-    /// Trace id (0 = untraced).
+    /// Trace id (0 = untraced): [`FrameMeta::trace_id`](crate::FrameMeta).
     pub trace_id: u64,
-    /// Buffer birth timestamp on the publisher's tracing clock (0 =
-    /// unknown).
-    pub born_ns: u64,
-    /// When the frame entered the link's queue, publisher clock.
-    pub enqueued_ns: u64,
-    /// When the descriptor was published to the ring, publisher clock.
-    pub pushed_ns: u64,
+    /// When the publisher finished writing the frame, on the host clock
+    /// (0 = untraced): [`FrameMeta::sent_ns`](crate::FrameMeta).
+    pub sent_ns: u64,
 }
 
 /// A mapped control segment; created by the publisher, opened read-write
@@ -357,12 +352,8 @@ impl ControlSegment {
             .store(d.len as u64, Ordering::Relaxed);
         self.slot_word(idx, SLOT_TRACE)
             .store(d.trace_id, Ordering::Relaxed);
-        self.slot_word(idx, SLOT_BORN)
-            .store(d.born_ns, Ordering::Relaxed);
-        self.slot_word(idx, SLOT_ENQ)
-            .store(d.enqueued_ns, Ordering::Relaxed);
-        self.slot_word(idx, SLOT_PUSHED)
-            .store(d.pushed_ns, Ordering::Relaxed);
+        self.slot_word(idx, SLOT_SENT)
+            .store(d.sent_ns, Ordering::Relaxed);
         // Readers are gated by the slot's own sequence word; the tail only
         // feeds `pending`.
         self.slot_word(idx, SLOT_SEQ)
@@ -416,9 +407,7 @@ impl ControlSegment {
                 gen: self.slot_word(idx, SLOT_GEN).load(Ordering::Relaxed),
                 len: self.slot_word(idx, SLOT_LEN).load(Ordering::Relaxed) as usize,
                 trace_id: self.slot_word(idx, SLOT_TRACE).load(Ordering::Relaxed),
-                born_ns: self.slot_word(idx, SLOT_BORN).load(Ordering::Relaxed),
-                enqueued_ns: self.slot_word(idx, SLOT_ENQ).load(Ordering::Relaxed),
-                pushed_ns: self.slot_word(idx, SLOT_PUSHED).load(Ordering::Relaxed),
+                sent_ns: self.slot_word(idx, SLOT_SENT).load(Ordering::Relaxed),
             };
             // Recycle the slot for ticket h + ring_cap.
             self.slot_word(idx, SLOT_SEQ)
@@ -473,9 +462,7 @@ mod tests {
             gen: i,
             len: 100 + i as usize,
             trace_id: i,
-            born_ns: i,
-            enqueued_ns: i,
-            pushed_ns: i,
+            sent_ns: i,
         };
         for i in 0..4 {
             assert!(c.try_push(&d(i)));

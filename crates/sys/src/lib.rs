@@ -11,7 +11,9 @@
 //!   (`setsockopt`), [`set_timer_slack_ns`] (`prctl`) — the reactor's
 //!   readiness loop;
 //! * [`open_peer_fd`], [`process_alive`], [`page_round`] — the procfs and
-//!   page-size facts the callers of the above share.
+//!   page-size facts the callers of the above share;
+//! * [`monotonic_now`] (`clock_gettime`) — the host's `CLOCK_MONOTONIC`,
+//!   which every process on the machine reads alike.
 //!
 //! Everything that *can* go through `std` does: every descriptor is
 //! immediately wrapped in a [`std::fs::File`] so sizing (`set_len`) and
@@ -40,8 +42,10 @@ pub use poll::{set_socket_buffers, set_timer_slack_ns, timer_slack_ns, PollEvent
 use std::io;
 use std::time::Duration;
 
-/// The kernel's `struct timespec` (the `epoll_pwait2` timeout).
+/// The kernel's `struct timespec` (the `epoll_pwait2` timeout, the
+/// `clock_gettime` result).
 #[repr(C)]
+#[derive(Default)]
 struct Timespec {
     tv_sec: i64,
     tv_nsec: i64,
@@ -54,6 +58,32 @@ impl From<Duration> for Timespec {
             tv_nsec: i64::from(d.subsec_nanos()),
         }
     }
+}
+
+const SYS_CLOCK_GETTIME: i64 = 228;
+const CLOCK_MONOTONIC: i64 = 1;
+
+/// The host's `CLOCK_MONOTONIC`: time since boot, not counting suspend.
+/// Every process on the machine reads the same clock, so two processes'
+/// readings can be subtracted. A raw syscall, not the vDSO: callers read it
+/// once and advance it with [`std::time::Instant`].
+pub fn monotonic_now() -> Duration {
+    let mut ts = Timespec::default();
+    // SAFETY: `ts` is a live, writable `struct timespec` for the duration
+    // of the call; CLOCK_MONOTONIC always exists, so the call cannot fail.
+    let ret = unsafe {
+        syscall6(
+            SYS_CLOCK_GETTIME,
+            CLOCK_MONOTONIC,
+            &mut ts as *mut Timespec as i64,
+            0,
+            0,
+            0,
+            0,
+        )
+    };
+    debug_assert_eq!(ret, 0, "clock_gettime(CLOCK_MONOTONIC) failed");
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
 }
 
 /// Raw 6-argument syscall. Return value is the kernel's `rax`:
@@ -86,5 +116,25 @@ fn check(ret: i64) -> io::Result<i64> {
         Err(io::Error::from_raw_os_error((-ret) as i32))
     } else {
         Ok(ret)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    #[test]
+    fn monotonic_now_advances_with_instant() {
+        let a = super::monotonic_now();
+        let started = std::time::Instant::now();
+        std::thread::sleep(Duration::from_millis(2));
+        let elapsed = started.elapsed();
+        let b = super::monotonic_now();
+        assert!(a > Duration::ZERO, "time since boot");
+        assert!(
+            b - a >= elapsed,
+            "{:?} between reads, {elapsed:?} inside",
+            b - a
+        );
     }
 }

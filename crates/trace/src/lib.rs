@@ -11,8 +11,8 @@
 //! | `alloc`         | buffer allocation + field construction, up to publish|
 //! | `encode`        | `publish` entry → encoded frame ready                |
 //! | `enqueue`       | deposited in a transmission queue → taken out        |
-//! | `wire_write`    | socket write duration (incl. link shaping)           |
-//! | `wire_read`     | write complete → payload fully read at the peer      |
+//! | `wire_write`    | admission → frame stamped sent (incl. link shaping)  |
+//! | `wire_read`     | stamped sent → payload fully read at the peer        |
 //! | `verify`        | structural verification (`validate_on_receive`)      |
 //! | `adopt`         | frame → callback argument (adoption / decode)        |
 //! | `callback`      | `callback_enter` → `callback_exit`                   |
@@ -23,15 +23,20 @@
 //! timeline — netsim fault events are tagged into the same stream, so a
 //! delayed frame and its inflated `wire_write` show up side by side.
 //!
-//! The trace id travels two ways:
+//! The trace id travels with its frame, never in a side table:
 //!
 //! * **fast path** — directly on the `Arc`'d frame (the frame
 //!   object reaches the subscriber pointer-identical, tag included);
-//! * **TCP** — the wire format is untouched; instead a [`Sidecar`] map keyed
-//!   by (connection key, frame sequence number) correlates the writer's
-//!   frames with the reader's. Both ends derive the same connection key from
-//!   the socket address pair, and TCP's ordered reliable delivery makes the
-//!   per-connection frame sequence numbers agree.
+//! * **shared memory** — as the two [`FrameMeta`] words of the ring
+//!   descriptor that names the frame's segment;
+//! * **TCP** — as a 16-byte [`FrameMeta`] trailer after each frame's
+//!   payload, on a link whose two ends are both traced (granted in the
+//!   connection handshake). The payload bytes stay verbatim, and an
+//!   untraced link is byte-identical to one that predates tracing.
+//!
+//! [`FrameMeta::sent_ns`] is on [`now_nanos`]'s clock, `CLOCK_MONOTONIC`
+//! since boot, so a reader in another process on the same host starts its
+//! `wire_read` span exactly where the writer's `wire_write` ended.
 //!
 //! The whole layer is disabled by default: endpoints opt in via
 //! `PublisherOptions`/`SubscriberOptions` (crate `rossf-ros`), and every
@@ -42,17 +47,17 @@
 
 mod clock;
 mod hist;
+mod meta;
 mod ring;
 mod selftest;
-mod sidecar;
 mod stage;
 mod waterfall;
 
 pub use clock::now_nanos;
 pub use hist::{bucket_floor, bucket_index, HistSnapshot, StageHist, BUCKETS};
+pub use meta::FrameMeta;
 pub use ring::{EventRing, TraceEvent, DEFAULT_RING_CAPACITY};
 pub use selftest::self_test;
-pub use sidecar::{conn_key, Sidecar, SidecarEntry, SIDECAR_CAPACITY};
 pub use stage::{Stage, Tier, STAGE_COUNT, TIER_COUNT};
 pub use waterfall::{check_monotone, render_waterfall, StageCell, TopicSnapshot};
 
@@ -120,15 +125,14 @@ impl std::fmt::Debug for TopicTrace {
     }
 }
 
-/// The process-wide trace collector: topic tables, the raw event ring, the
-/// TCP correlation sidecar, and the trace-id allocator.
+/// The process-wide trace collector: topic tables, the raw event ring, and
+/// the trace-id allocator.
 pub struct Tracer {
     /// Armed when any endpoint enables tracing; sites that cannot see an
     /// endpoint flag (e.g. buffer allocation in `rossf-sfm`) consult this.
     armed: AtomicBool,
     topics: Mutex<HashMap<String, Arc<TopicTrace>>>,
     ring: EventRing,
-    sidecar: Sidecar,
     next_id: AtomicU64,
     /// Total histogram samples recorded since process start (or the last
     /// [`Tracer::reset`]); the disabled-overhead smoke test asserts this
@@ -142,7 +146,6 @@ impl Tracer {
             armed: AtomicBool::new(false),
             topics: Mutex::new(HashMap::new()),
             ring: EventRing::new(DEFAULT_RING_CAPACITY),
-            sidecar: Sidecar::new(SIDECAR_CAPACITY),
             next_id: AtomicU64::new(1),
             hist_writes: AtomicU64::new(0),
         }
@@ -166,14 +169,13 @@ impl Tracer {
         self.armed.load(Ordering::Acquire)
     }
 
-    /// Drop all recorded data (topic tables, ring, sidecar). The armed flag
+    /// Drop all recorded data (topic tables, ring). The armed flag
     /// and the trace-id allocator are left alone, so endpoints created
     /// before the reset keep working — they just start writing into fresh
     /// tables. Benchmark cells call this between traced runs.
     pub fn reset(&self) {
         self.topics.lock().clear();
         self.ring.clear();
-        self.sidecar.clear();
         self.hist_writes.store(0, Ordering::Relaxed);
     }
 
@@ -252,11 +254,6 @@ impl Tracer {
     /// Total histogram samples recorded since start / last reset.
     pub fn hist_writes(&self) -> u64 {
         self.hist_writes.load(Ordering::Relaxed)
-    }
-
-    /// The TCP frame-correlation sidecar.
-    pub fn sidecar(&self) -> &Sidecar {
-        &self.sidecar
     }
 }
 

@@ -16,7 +16,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 16_384;
 
 /// One recorded timeline event: a completed stage span (or a fault tag).
 ///
-/// `ts_ns` is the span's *end* on the process-wide monotonic clock;
+/// `ts_ns` is the span's *end* on the host's monotonic clock;
 /// `ts_ns - dur_ns` is its start.
 #[derive(Debug, Clone)]
 pub struct TraceEvent {

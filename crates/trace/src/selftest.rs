@@ -5,10 +5,9 @@
 
 use crate::hist::{bucket_floor, bucket_index, StageHist, BUCKETS};
 use crate::ring::EventRing;
-use crate::sidecar::{conn_key, Sidecar};
 use crate::stage::{Stage, Tier};
 use crate::waterfall::{check_monotone, render_waterfall};
-use crate::Tracer;
+use crate::{FrameMeta, Tracer};
 
 fn fail(check: &str, detail: String) -> String {
     format!("self-test `{check}` failed: {detail}")
@@ -52,40 +51,34 @@ fn check_buckets() -> Result<(), String> {
     Ok(())
 }
 
-fn check_sidecar() -> Result<(), String> {
-    let s = Sidecar::new(4);
-    let key = conn_key("10.0.0.1:4000", "10.0.0.2:51000");
-    if key != conn_key("10.0.0.1:4000", "10.0.0.2:51000") {
+fn check_frame_meta() -> Result<(), String> {
+    let meta = FrameMeta {
+        trace_id: 0x0807_0605_0403_0201,
+        sent_ns: 0x100f_0e0d_0c0b_0a09,
+    };
+    let bytes = meta.to_le_bytes();
+    let want: Vec<u8> = (1..=16).collect();
+    if bytes[..] != want[..] || FrameMeta::LEN != 16 {
         return Err(fail(
-            "sidecar",
-            "key derivation is not deterministic".into(),
+            "frame_meta",
+            format!("layout is not 16 little-endian bytes, id first: {bytes:?}"),
         ));
     }
-    s.insert(key, 0, 41, 180);
-    match s.take(key, 0) {
-        Some(e) if e.trace_id == 41 && e.sent_ns == 180 => {}
-        other => return Err(fail("sidecar", format!("roundtrip returned {other:?}"))),
-    }
-    if s.take(key, 99).is_some() {
-        return Err(fail("sidecar", "take invented an entry".into()));
-    }
-    if s.take(key, 0).is_some() {
-        return Err(fail("sidecar", "take did not consume the entry".into()));
-    }
-    for seq in 0..8u64 {
-        s.insert(key, seq, seq, 0);
-    }
-    if s.len() != 4 {
-        return Err(fail(
-            "sidecar",
-            format!("capacity not enforced: len = {}", s.len()),
-        ));
-    }
-    if s.take(key, 0).is_some() || s.take(key, 7).is_none() {
-        return Err(fail(
-            "sidecar",
-            "FIFO eviction kept the wrong entries".into(),
-        ));
+    for meta in [
+        meta,
+        FrameMeta::default(),
+        FrameMeta {
+            trace_id: u64::MAX,
+            sent_ns: 1,
+        },
+    ] {
+        let back = FrameMeta::from_le_bytes(meta.to_le_bytes());
+        if back != meta {
+            return Err(fail(
+                "frame_meta",
+                format!("{meta:?} came back as {back:?}"),
+            ));
+        }
     }
     Ok(())
 }
@@ -182,7 +175,7 @@ fn check_pipeline() -> Result<(), String> {
 /// A description of the first failing check.
 pub fn self_test() -> Result<(), String> {
     check_buckets()?;
-    check_sidecar()?;
+    check_frame_meta()?;
     check_ring()?;
     check_pipeline()?;
     Ok(())

@@ -83,7 +83,7 @@ fn main() {
     );
     nh.wait_for_subscribers(&replay_pub, 1);
     replayer
-        .route_adopted::<SfmImage>("camera/live", &nh, replay_pub)
+        .route_adopted::<SfmImage>("camera/live", replay_pub)
         .expect("route recorded topic");
     // `rate(0 < r)` scales the recorded timing; 100x compresses the demo's
     // cadence while keeping the ordering and inter-frame ratios.

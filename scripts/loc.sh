@@ -77,7 +77,7 @@ printf '%-24s %3d\n' 'SYS_MODULES entries' \
 reexports() { # names a lib.rs re-exports with `pub use`
     perl -0ne 'while (/^pub use ([^;]+);/mg) { my $u = $1; $n += $u =~ /\{(.*)\}/s ? () = $1 =~ /\w+/g : 1 } END { print $n + 0 }' "$1"
 }
-for lib in crates/ros/src/lib.rs crates/core/src/lib.rs crates/shm/src/lib.rs crates/sys/src/lib.rs; do
+for lib in crates/ros/src/lib.rs crates/core/src/lib.rs crates/shm/src/lib.rs crates/sys/src/lib.rs crates/trace/src/lib.rs; do
     printf '%-24s %3d\n' "pub use ${lib#crates/}" "$(reexports "$lib")"
 done
 # One count per event: the public names of the counters and their views — the

@@ -265,7 +265,7 @@ fn cmd_replay(path: &str, args: &[String]) -> bool {
                     &conn.topic,
                     PublisherOptions::new().queue_size(64),
                 );
-                match replayer.route_adopted::<$ty>(&conn.topic, &nh, publisher) {
+                match replayer.route_adopted::<$ty>(&conn.topic, publisher) {
                     Ok(()) => {
                         routed += 1;
                         true
@@ -400,7 +400,7 @@ fn self_test() -> bool {
     );
     nh.wait_for_subscribers(&replay_pub, 1);
     replayer
-        .route_adopted::<SfmImage>("cam/image", &nh, replay_pub)
+        .route_adopted::<SfmImage>("cam/image", replay_pub)
         .expect("route");
     let rstats = replayer
         .run(ReplayOptions::default().rate(1000.0).verify(true))
@@ -485,7 +485,7 @@ fn self_test() -> bool {
     let mut fake_replayer = Replayer::open(&fake).expect("open fake");
     let fake_pub =
         nh.advertise_with::<SfmShared<SfmImage>>("cam/fake", PublisherOptions::new().queue_size(4));
-    ok &= match fake_replayer.route_adopted::<SfmImage>("cam/image", &nh, fake_pub) {
+    ok &= match fake_replayer.route_adopted::<SfmImage>("cam/image", fake_pub) {
         Err(e) => {
             println!("self-test: schema mismatch rejected — {e}");
             true
