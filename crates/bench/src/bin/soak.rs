@@ -12,8 +12,8 @@
 //!
 //! The point is the resource row, not the latency row: at steady state
 //! the process must hold its thread count *independent of link count* —
-//! one reactor thread plus the fixed job pool, never a thread per link on
-//! any tier — and its fd count must track links, not churn history.
+//! the one reactor thread, never a thread per link on any tier — and its
+//! fd count must track links, not churn history.
 //! Both are gated here, every run, between the smallest and the largest
 //! scale of the same process: threads may differ by at most
 //! [`THREAD_SLACK`], fds *per link* by at most 10 %

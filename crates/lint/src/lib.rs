@@ -13,9 +13,10 @@
 //!   safe wrappers;
 //! - no `.unwrap()` / `.expect(` inside `impl Drop` bodies (a panic in a
 //!   drop during unwinding aborts the process);
-//! - threads are spawned only by the listed owners (reactor loop and
-//!   pool, subscriber consumers, tap, bag writer, model scheduler) — a
-//!   per-link thread cannot quietly return to the transport.
+//! - threads are spawned only by the listed owners (the reactor loop, the
+//!   SLAM node's worker, the bag writer, the model scheduler, the Fig. 14
+//!   raw-TCP harness) — neither a per-link thread nor a worker pool can
+//!   quietly return to the transport.
 //!
 //! The pass is line-oriented, built on [`rossf_checker::scan`]'s
 //! comment/string-aware splitter — not a parser. That keeps it dependency

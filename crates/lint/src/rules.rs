@@ -83,9 +83,8 @@ fn is_sys_module(path: &str) -> bool {
 }
 
 /// The production sources allowed to spawn threads, and what each spawns.
-const SPAWN_ALLOWLIST: [&str; 6] = [
+const SPAWN_ALLOWLIST: [&str; 5] = [
     "crates/reactor/src/lib.rs",       // the event loop
-    "crates/reactor/src/pool.rs",      // the fixed job pool
     "crates/slam/src/pipeline.rs",     // the orb_slam node's worker (callbacks must be short)
     "crates/bag/src/writer.rs",        // the bag writer
     "crates/model/src/sched.rs",       // the model checker's scheduler
@@ -267,7 +266,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
                 path: path.to_string(),
                 line: lineno,
                 message: "thread spawn outside the allowlist (rules.rs SPAWN_ALLOWLIST): \
-                          drive the link from the reactor or the job pool"
+                          drive the work from the reactor"
                     .to_string(),
             });
         }

@@ -12,9 +12,11 @@
 //!   [`Handler`] state machines — including links that have no socket at
 //!   all ([`Reactor::attach`]: the in-process fast path, driven purely by
 //!   [`Reactor::notify`] and timers);
-//! * **a fixed job pool** ([`JobPool`]) absorbs the blocking edges —
-//!   connects, connection-header handshakes, supervision steps — so the
-//!   reactor thread itself never blocks on anything but the poll;
+//! * **link setup is a handler too**: a nonblocking connect and a
+//!   connection-header exchange are state machines like the links they set
+//!   up, and the registration that ran one carries the established link on
+//!   ([`Ctl::handover`]) — so the loop is the only thread the transport
+//!   has, and it never blocks on anything but the poll;
 //! * **cross-thread wakeups** go through a single eventfd, watched
 //!   edge-triggered: enqueuing work for a link from any thread is
 //!   [`Reactor::notify`] — a push onto the pending list, plus one counter
@@ -108,6 +110,7 @@ pub struct Ctl<'a> {
     close: bool,
     interest: Option<(bool, bool)>,
     timers: Vec<Duration>,
+    handover: Option<Box<dyn Handler>>,
 }
 
 impl Ctl<'_> {
@@ -144,6 +147,17 @@ impl Ctl<'_> {
     /// Deliver [`Event::Timer`] to this handler after `after`.
     pub fn arm_timer(&mut self, after: Duration) {
         self.timers.push(after);
+    }
+
+    /// Replace this handler with `handler` once the dispatch returns, as
+    /// if it had been registered afresh under this token and descriptor
+    /// with the interest given: it is dispatched one [`Event::Notify`] at
+    /// once, and the timers armed for the registration so far are dropped
+    /// with the handler that armed them. How a link that set itself up
+    /// becomes the link it set up.
+    pub fn handover(&mut self, readable: bool, writable: bool, handler: Box<dyn Handler>) {
+        self.interest = Some((readable, writable));
+        self.handover = Some(handler);
     }
 }
 
@@ -335,9 +349,8 @@ impl Reactor {
         self.wake();
     }
 
-    /// Run `cb` on the loop thread after `after`. `cb` must be brief — it
-    /// shares the loop with every link; typically it just schedules a
-    /// [`JobPool`] job.
+    /// Run `cb` on the loop thread after `after`. `cb` must be brief and
+    /// must not block — it shares the loop with every link.
     pub fn timer(&self, after: Duration, cb: impl FnOnce(&Reactor) + Send + 'static) {
         self.push_cmd(Cmd::Timer {
             after,
@@ -406,12 +419,14 @@ impl LoopState {
             close: false,
             interest: None,
             timers: Vec::new(),
+            handover: None,
         };
         slot.handler.on_event(event, &mut ctl);
         let Ctl {
             close,
             interest,
             timers,
+            handover,
             ..
         } = ctl;
         if !timers.is_empty() {
@@ -435,6 +450,15 @@ impl LoopState {
         }
         if let (Some((r, w)), Some(fd)) = (interest, slot.fd) {
             let _ = poller.modify(fd, token, r, w);
+        }
+        if let Some(handler) = handover {
+            slot.handler = handler;
+            // A pending timer keeps the loop reading the clock and waking
+            // on a deadline: gone with the handler that wanted it.
+            let armed =
+                |t: &TimerSlot| matches!(t.target, TimerTarget::Token(Token(t)) if t == token);
+            self.timers.retain(|t| !armed(t));
+            self.dispatch(reactor, poller, token, Event::Notify);
         }
     }
 }
@@ -491,6 +515,7 @@ fn run_loop(reactor: Reactor, poller: Poller) {
                                 close: true,
                                 interest: None,
                                 timers: Vec::new(),
+                                handover: None,
                             };
                             slot.handler.on_event(Event::Closed, &mut ctl);
                         }
@@ -580,24 +605,21 @@ fn run_loop(reactor: Reactor, poller: Poller) {
     }
 }
 
-/// The process-wide reactor + pool pair.
+/// The process-wide reactor: one thread, the loop.
 #[derive(Debug, Clone)]
 pub struct Runtime {
     /// The shared event loop every link registers with.
     pub reactor: Reactor,
-    /// The fixed pool absorbing blocking connects/handshakes.
+    /// Runs jobs on that same loop; kept for the benchmark's dispatch
+    /// probe alone (see [`JobPool`]).
     pub pool: JobPool,
 }
-
-/// Pool width: enough to overlap a few blocking handshakes without
-/// contributing meaningfully to the process thread count.
-const POOL_WORKERS: usize = 4;
 
 /// The process-wide [`Runtime`], created on first use.
 ///
 /// Fork-aware: a child process (the shm tier's forked tests) observes a
-/// different pid and lazily gets a fresh reactor and pool — the parent's
-/// loop thread does not exist on the child's side of the fork.
+/// different pid and lazily gets a fresh reactor — the parent's loop
+/// thread does not exist on the child's side of the fork.
 pub fn runtime() -> Runtime {
     static GLOBAL: OnceLock<Mutex<Option<(u32, Runtime)>>> = OnceLock::new();
     let slot = GLOBAL.get_or_init(|| Mutex::new(None));
@@ -608,9 +630,10 @@ pub fn runtime() -> Runtime {
             return rt.clone();
         }
     }
+    let reactor = Reactor::new("rossf-reactor");
     let rt = Runtime {
-        reactor: Reactor::new("rossf-reactor"),
-        pool: JobPool::new(POOL_WORKERS, "rossf-pool"),
+        pool: JobPool(reactor.clone()),
+        reactor,
     };
     *guard = Some((pid, rt.clone()));
     rt
@@ -898,11 +921,66 @@ mod tests {
         reactor.shutdown();
     }
 
+    /// A handler that hands its registration over: the successor keeps the
+    /// token and the socket, is primed with a Notify, hears the socket
+    /// under the interest it was given — and never the timer its
+    /// predecessor armed.
     #[test]
-    fn runtime_is_process_wide_and_stable() {
+    fn handover_keeps_the_registration_and_drops_its_timers() {
+        struct Successor(mpsc::Sender<Event>, TcpStream);
+        impl Handler for Successor {
+            fn on_event(&mut self, event: Event, _ctl: &mut Ctl<'_>) {
+                let _ = (&self.1).read(&mut [0u8; 8]);
+                let _ = self.0.send(event);
+            }
+        }
+        struct Predecessor(Option<Successor>);
+        impl Handler for Predecessor {
+            fn on_event(&mut self, _event: Event, ctl: &mut Ctl<'_>) {
+                ctl.arm_timer(Duration::from_millis(10));
+                if let Some(next) = self.0.take() {
+                    ctl.handover(true, false, Box::new(next));
+                }
+            }
+        }
+        let reactor = Reactor::new("test-reactor-handover");
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        let (tx, rx) = mpsc::channel();
+        use std::os::fd::AsRawFd;
+        let fd = server.as_raw_fd();
+        let first = Predecessor(Some(Successor(tx, server)));
+        let token = reactor.register(fd, false, false, Box::new(first));
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(Event::Notify));
+        client.write_all(b"x").unwrap();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(10)),
+            Ok(Event::Readable)
+        );
+        reactor.notify(token);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(Event::Notify));
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "the predecessor's timer reached its successor"
+        );
+        assert_eq!(reactor.live_links(), 1);
+        reactor.shutdown();
+    }
+
+    /// The runtime is one thread, the loop: of this process's threads,
+    /// the only one it named is `rossf-reactor`.
+    #[test]
+    fn runtime_is_process_wide_and_one_thread() {
         let a = runtime();
         let b = runtime();
         assert!(Arc::ptr_eq(&a.reactor.shared, &b.reactor.shared));
-        assert_eq!(a.pool.workers(), POOL_WORKERS);
+        let mut ours: Vec<String> = std::fs::read_dir("/proc/self/task")
+            .unwrap()
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .map(|comm| comm.trim_end().to_string())
+            .filter(|comm| comm.starts_with("rossf-"))
+            .collect();
+        ours.sort();
+        assert_eq!(ours, ["rossf-reactor"]);
     }
 }

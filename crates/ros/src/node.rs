@@ -169,8 +169,11 @@ impl NodeHandle {
         )
     }
 
-    /// Advertise a request/response service (`rosservice` style). Each
-    /// request's handler call runs as a job on the process's job pool.
+    /// Advertise a request/response service (`rosservice` style). The
+    /// handler runs on the process's one event-loop thread, as a
+    /// subscription callback does (DESIGN §9): it must be short, and must
+    /// not wait for anything the loop delivers — a slow handler delays
+    /// every link in the process.
     ///
     /// # Errors
     ///

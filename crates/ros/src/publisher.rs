@@ -38,20 +38,19 @@ use crate::master::Master;
 use crate::metrics::{Counters, MetricsSnapshot};
 use crate::options::PublisherOptions;
 use crate::tier::shm::{self, Ring};
-use crate::tier::tcp::{self, accept_handshake, Acceptor};
+use crate::tier::tcp::{self, Acceptor};
 use crate::traits::Encode;
 use crate::wire::{ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD, TRACE_FIELD};
 use parking_lot::Mutex;
-use rossf_netsim::{FaultAction, FaultInjector, MachineId};
-use rossf_reactor::{runtime, Reactor, Token};
+use rossf_netsim::{FaultAction, FaultInjector, LinkProfile, MachineId};
+use rossf_reactor::{runtime, Ctl, Reactor, Token};
 use rossf_sfm::{SfmAlloc, SfmBox, SfmMessage};
 use rossf_shm::{FrameMeta, SegmentPool, SharedFrame};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -471,7 +470,6 @@ pub(crate) struct PubCore {
     /// The fan-out list. Immutable once built — `splice` and the pruning
     /// pass swap in a new one — so a publish takes it with one `Arc::clone`.
     conns: Mutex<Arc<[Arc<Conn>]>>,
-    shutdown: AtomicBool,
     /// The topic's tracing table when this publisher was created with
     /// `PublisherOptions::trace(true)`; `None` keeps the publish path free
     /// of clock reads and histogram writes.
@@ -533,23 +531,13 @@ impl PubCore {
     ///
     /// [`RosError::Rejected`] for a permanent refusal (type mismatch) — the
     /// text of the TCP `error=` reply; [`RosError::Io`] for a transient one
-    /// (publisher shutting down, link severed) that the subscriber retries
-    /// under its backoff schedule until the link heals.
+    /// (a severed link) that the subscriber retries under its backoff
+    /// schedule until the link heals.
     fn admit(
         &self,
         sub_type: &str,
         sub_machine: Option<MachineId>,
     ) -> Result<Option<Arc<FaultInjector>>, RosError> {
-        let refuse = |why: &str| {
-            RosError::Io(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                why,
-            ))
-        };
-        // Relaxed: standalone exit flag (see the accept closure).
-        if self.shutdown.load(Ordering::Relaxed) {
-            return Err(refuse("publisher shutting down"));
-        }
         if sub_type != self.type_name {
             return Err(RosError::Rejected(format!(
                 "topic carries {} not {}",
@@ -558,7 +546,9 @@ impl PubCore {
         }
         let injector = sub_machine.and_then(|m| self.master.links().fault(self.machine, m));
         if injector.as_ref().is_some_and(|f| f.is_severed()) {
-            return Err(refuse("link severed"));
+            let severed =
+                std::io::Error::new(std::io::ErrorKind::ConnectionRefused, "link severed");
+            return Err(RosError::Io(severed));
         }
         Ok(injector)
     }
@@ -582,78 +572,6 @@ impl PubCore {
         }
         self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
         self.tier_hint.store(tier.index() as u8, Ordering::Relaxed);
-    }
-
-    /// Serve one subscriber connecting over TCP: answer its handshake and
-    /// put the link — on the shm tier when [`shm::grant`] grants it, plain
-    /// TCP otherwise — on the shared event loop. The link's handler owns the
-    /// socket and holds no strong core reference, or dropping the last
-    /// `Publisher` could never close the queue it serves.
-    fn handle_subscriber(self: Arc<Self>, mut stream: TcpStream) -> Result<(), RosError> {
-        let request = accept_handshake(&stream, self.config.handshake_timeout)?;
-        let sub_machine: MachineId = request
-            .get("machine")
-            .and_then(|m| m.parse::<u32>().ok())
-            .unwrap_or_default()
-            .into();
-        let sub_type = request.get("type").unwrap_or_default();
-        let injector = match self.admit(sub_type, Some(sub_machine)) {
-            Ok(injector) => injector,
-            Err(e) => {
-                // A permanent refusal is spelled out in an `error=` reply;
-                // a transient one closes without a reply, so the
-                // subscriber sees a transport failure and keeps retrying.
-                if let RosError::Rejected(why) = &e {
-                    ConnectionHeader::new()
-                        .with("error", why.as_str())
-                        .write_to(&mut stream)?;
-                }
-                return Err(e);
-            }
-        };
-        let reply = ConnectionHeader::new()
-            .with("type", self.type_name)
-            .with("topic", &self.topic)
-            .with("endian", ConnectionHeader::native_endian());
-        let same_machine = sub_machine == self.machine;
-        let (pool, depth) = (&self.shm_pool, self.queue_size);
-        let same_process = self.config.shm_same_process;
-        if let Some(grant) = shm::grant(&request, same_process, same_machine, pool, depth) {
-            let (token, ring) = grant.open(stream, reply, &self.counters, &self.reactor)?;
-            self.splice(Tier::Shm, token, Sink::Ring(ring), injector);
-            return Ok(());
-        }
-        let projection = tcp::grant_projection(&request, self.schema);
-        let reply = match &projection {
-            Some(p) => reply.with(PROJECT_FIELD, p.spec()),
-            None => reply,
-        };
-        let trailer = tcp::grant_trace(&request, self.trace.is_some());
-        let reply = if trailer {
-            reply.with(TRACE_FIELD, "1")
-        } else {
-            reply
-        };
-        reply.write_to(&mut stream)?;
-        if projection.is_some() {
-            self.counters
-                .projection_handshakes
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        let (tx, rx) = link_queue(self.queue_size);
-        let fd = stream.as_raw_fd();
-        let writer = tcp::writer(
-            stream,
-            rx,
-            &self.counters,
-            self.trace.clone(),
-            projection,
-            trailer,
-            self.master.links().profile(self.machine, sub_machine),
-        )?;
-        let token = self.reactor.register(fd, false, false, Box::new(writer));
-        self.splice(Tier::Tcp, token, Sink::Queue(tx), injector);
-        Ok(())
     }
 
     /// Attach a subscriber of `sub_type` in this very process: splice a
@@ -738,11 +656,103 @@ impl PubCore {
     }
 }
 
+/// The publisher's side of a subscriber's TCP connection setup, on the
+/// loop: the request passes [`PubCore::admit`], and the reply grants the
+/// link's tier — shm when [`shm::grant`] grants it, plain TCP otherwise —
+/// and what the link carries. The link's handler then owns the socket and
+/// holds no strong core reference, or dropping the last `Publisher` could
+/// never close the queue it serves; neither does this.
+struct Accept {
+    core: Weak<PubCore>,
+    /// The link the reply granted, for `establish` to build, with the fault
+    /// injector of the subscriber's machine pair.
+    link: Option<(Planned, Option<Arc<FaultInjector>>)>,
+}
+
+/// A link a publisher's reply granted: a shm ring, or a TCP writer with its
+/// projection, trace trailer and modelled link.
+enum Planned {
+    Shm(shm::Grant),
+    Tcp(Option<Arc<rossf_sfm::Projection>>, bool, LinkProfile),
+}
+
+impl tcp::Setup for Accept {
+    fn answer(&mut self, request: &ConnectionHeader) -> Result<Option<ConnectionHeader>, RosError> {
+        // A publisher gone meanwhile hangs up without a word.
+        let gone = || RosError::Io(std::io::ErrorKind::ConnectionAborted.into());
+        let core = self.core.upgrade().ok_or_else(gone)?;
+        let sub_machine: MachineId = request
+            .get("machine")
+            .and_then(|m| m.parse::<u32>().ok())
+            .unwrap_or_default()
+            .into();
+        let sub_type = request.get("type").unwrap_or_default();
+        // A permanent refusal is spelled out in an `error=` reply; a
+        // transient one closes without a reply, so the subscriber sees a
+        // transport failure and keeps retrying.
+        let injector = match core.admit(sub_type, Some(sub_machine)) {
+            Ok(injector) => injector,
+            Err(RosError::Rejected(why)) => {
+                return Ok(Some(ConnectionHeader::new().with("error", why)))
+            }
+            Err(e) => return Err(e),
+        };
+        let mut reply = ConnectionHeader::new()
+            .with("type", core.type_name)
+            .with("topic", &core.topic)
+            .with("endian", ConnectionHeader::native_endian());
+        let same_machine = sub_machine == core.machine;
+        let (pool, depth) = (&core.shm_pool, core.queue_size);
+        let same_process = core.config.shm_same_process;
+        if let Some(grant) = shm::grant(request, same_process, same_machine, pool, depth) {
+            let reply = grant.reply(reply);
+            self.link = Some((Planned::Shm(grant), injector));
+            return Ok(Some(reply));
+        }
+        // Each grant is echoed exactly; anything else means its absence.
+        let projection = tcp::grant_projection(request, core.schema);
+        if let Some(p) = &projection {
+            reply = reply.with(PROJECT_FIELD, p.spec());
+        }
+        let trailer = tcp::grant_trace(request, core.trace.is_some());
+        if trailer {
+            reply = reply.with(TRACE_FIELD, "1");
+        }
+        let profile = core.master.links().profile(core.machine, sub_machine);
+        self.link = Some((Planned::Tcp(projection, trailer, profile), injector));
+        Ok(Some(reply))
+    }
+
+    fn establish(self, stream: TcpStream, _request: ConnectionHeader, ctl: &mut Ctl) {
+        let (Some(core), Some((link, injector))) = (self.core.upgrade(), self.link) else {
+            return ctl.close();
+        };
+        let (tier, sink) = match link {
+            Planned::Shm(grant) => {
+                let (control, ring) = grant.open(stream, &core.counters);
+                ctl.handover(true, false, control);
+                (Tier::Shm, Sink::Ring(ring))
+            }
+            Planned::Tcp(projection, trailer, profile) => {
+                if projection.is_some() {
+                    core.counters
+                        .projection_handshakes
+                        .fetch_add(1, Ordering::Relaxed);
+                }
+                let (tx, rx) = link_queue(core.queue_size);
+                let (counters, trace) = (&core.counters, core.trace.clone());
+                let writer = tcp::writer(stream, rx, counters, trace, projection, trailer, profile);
+                // The writer wants no readiness until a write blocks.
+                ctl.handover(false, false, Box::new(writer));
+                (Tier::Tcp, Sink::Queue(tx))
+            }
+        };
+        core.splice(tier, ctl.token(), sink, injector);
+    }
+}
+
 impl Drop for PubCore {
     fn drop(&mut self) {
-        // Relaxed: standalone exit flag; worker threads only ever exit
-        // on observing it, so no write ordering is required.
-        self.shutdown.store(true, Ordering::Relaxed);
         // Relaxed: `registration` was stored before this core was shared
         // (`Arc::downgrade` in `advertise`), and Arc's refcount already
         // orders construction before Drop.
@@ -814,7 +824,6 @@ impl<M: Encode> Publisher<M> {
             master: master.clone(),
             registration: AtomicU64::new(0),
             conns: Mutex::new(Arc::new([])),
-            shutdown: AtomicBool::new(false),
             trace,
             tier_hint: AtomicU8::new(Tier::Tcp.index() as u8),
             shm_pool: Mutex::new(None),
@@ -834,21 +843,18 @@ impl<M: Encode> Publisher<M> {
             master.register_publisher_local(topic, M::topic_type(), addr, machine, port)?;
         // Relaxed: see the Drop-side load — Arc orders this store.
         core.registration.store(registration, Ordering::Relaxed);
-        // The listener joins the shared event loop: the handler owns the
-        // socket and only a `Weak` core reference, so an orphaned acceptor
-        // cannot keep a dropped publisher alive. Handshakes go to the job
-        // pool (header reads and shm link creation block).
+        // The listener joins the shared event loop, and so does every
+        // connection it accepts, handshake and all: the handlers own their
+        // sockets and only a `Weak` core reference, so an orphaned acceptor
+        // cannot keep a dropped publisher alive.
         let weak = Arc::downgrade(&core);
-        let token = Acceptor::register(&core.reactor, listener, move |stream| {
-            // Relaxed: standalone exit flag.
-            let live = |c: &Arc<PubCore>| !c.shutdown.load(Ordering::Relaxed);
-            let Some(core) = weak.upgrade().filter(live) else {
-                return false;
-            };
-            runtime().pool.spawn(move || {
-                let _ = core.handle_subscriber(stream);
-            });
-            true
+        let timeout = core.config.handshake_timeout;
+        let token = Acceptor::register(listener, timeout, move || {
+            // The last `Publisher` handle gone takes the listener along.
+            (weak.strong_count() > 0).then(|| Accept {
+                core: weak.clone(),
+                link: None,
+            })
         });
         let _ = core.listener_token.set(token);
         Ok(Publisher {

@@ -10,20 +10,21 @@
 //! length-prefixed request/response frames.
 //!
 //! The server side is event-driven like the pub/sub tiers: the listener
-//! and every client connection are nonblocking state machines on the
-//! process-wide [reactor](rossf_reactor) — the acceptor, frame reader and
-//! write queue a TCP topic link uses — handshakes run as short jobs on
-//! the job pool, and each handler invocation runs as its own pool job (so
-//! a slow handler stalls one worker, never the shared event loop). The
-//! synchronous [`ServiceClient`] blocks in the *caller's* thread — it owns
-//! no thread of its own.
+//! and every client connection, handshake included, are nonblocking state
+//! machines on the process-wide [reactor](rossf_reactor) — the acceptor,
+//! handshake, frame reader and write queue a TCP topic link uses — and the
+//! handler runs on the loop thread too, inline, under the rule a
+//! subscription callback follows (DESIGN §9): it must be short, and must
+//! not wait for anything the loop has to deliver. The synchronous
+//! [`ServiceClient`] blocks in the *caller's* thread — it owns no thread of
+//! its own.
 
 use crate::error::RosError;
 use crate::master::Master;
 use crate::node::NodeHandle;
 use crate::tier::tcp::{
-    accept_handshake, check_frame_len, dial, grow_socket_buffers, Acceptor, Flush, FrameReader,
-    Pending, Step, WriteQueue,
+    check_frame_len, dial, grow_socket_buffers, Acceptor, Flush, FrameReader, Pending, Setup, Step,
+    WriteQueue,
 };
 use crate::traits::{Decode, Encode, RecvSlot};
 use crate::wire::{read_frame_len, write_frame, ConnectionHeader, OutFrame, MAX_FRAME_LEN};
@@ -33,10 +34,8 @@ use std::collections::HashMap;
 use std::io::{BufReader, Read};
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
-use std::time::Duration;
 
 /// Where a service server accepts client connections.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,11 +98,7 @@ struct ServerCore {
     name: String,
     master: Master,
     registration: u64,
-    shutdown: AtomicBool,
     calls: AtomicU64,
-    /// The advertising node's `TransportConfig::handshake_timeout`: how
-    /// long a connecting client may take to send its header.
-    handshake_timeout: Duration,
     /// The acceptor's reactor registration, deregistered on drop (which
     /// drops the listener and closes it).
     listener_token: OnceLock<rossf_reactor::Token>,
@@ -111,9 +106,6 @@ struct ServerCore {
 
 impl Drop for ServerCore {
     fn drop(&mut self) {
-        // Relaxed: standalone exit flag for the acceptor and serve
-        // handlers, re-checked by each before acting.
-        self.shutdown.store(true, Ordering::Relaxed);
         self.master
             .services()
             .unregister(&self.name, self.registration);
@@ -166,27 +158,22 @@ impl ServiceServer {
             name: name.to_string(),
             master: nh.master().clone(),
             registration,
-            shutdown: AtomicBool::new(false),
             calls: AtomicU64::new(0),
-            handshake_timeout: nh.transport_config().handshake_timeout,
             listener_token: OnceLock::new(),
         });
-        // Clients are accepted off the shared event loop and each handed
-        // to a short handshake job on the pool. Only a weak core reference
-        // rides along, so an orphaned acceptor cannot keep a dropped server
-        // alive.
+        // Clients are accepted, handshaken and served on the shared event
+        // loop, each connection bounded at first by the node's handshake
+        // timeout. Only a weak core reference rides along, so an orphaned
+        // acceptor cannot keep a dropped server alive.
         let (weak, handler) = (Arc::downgrade(&core), Arc::new(handler));
-        let token = Acceptor::register(&runtime().reactor, listener, move |stream| {
-            // Relaxed: standalone exit flag (see ServerCore::drop).
-            let live = |c: &Arc<ServerCore>| !c.shutdown.load(Ordering::Relaxed);
-            let Some(core) = weak.upgrade().filter(live) else {
-                return false;
-            };
-            let handler = Arc::clone(&handler);
-            runtime().pool.spawn(move || {
-                let _ = handshake_service::<Req, Res, F>(&core, handler, stream);
-            });
-            true
+        let timeout = nh.transport_config().handshake_timeout;
+        let token = Acceptor::register(listener, timeout, move || {
+            // The `ServiceServer` gone takes the listener along.
+            (weak.strong_count() > 0).then(|| SvcAccept::<Req, Res, F> {
+                core: weak.clone(),
+                handler: Arc::clone(&handler),
+                _marker: PhantomData,
+            })
         });
         let _ = core.listener_token.set(token);
         Ok(ServiceServer { core })
@@ -194,7 +181,7 @@ impl ServiceServer {
 
     /// Requests served so far.
     pub fn calls(&self) -> u64 {
-        // ORDER: pairs with the SeqCst fetch_add in `reply_outcome` — a
+        // ORDER: pairs with the SeqCst fetch_add in `reply_frame` — a
         // caller that has received a response must observe its count.
         self.core.calls.load(Ordering::SeqCst)
     }
@@ -205,86 +192,69 @@ impl ServiceServer {
     }
 }
 
-/// Blocking connection-header exchange — short, bounded by the node's
-/// handshake timeout, run on the job pool — then the socket joins the
-/// reactor as a [`SvcConn`].
-fn handshake_service<Req, Res, F>(
-    core: &Arc<ServerCore>,
+/// The server's side of a client's connection setup, on the loop: the
+/// client's header must name this service's types, and the connection
+/// then carries on as a [`SvcConn`].
+struct SvcAccept<Req, Res, F> {
+    core: Weak<ServerCore>,
     handler: Arc<F>,
-    stream: TcpStream,
-) -> Result<(), RosError>
+    _marker: PhantomData<fn(Req) -> Res>,
+}
+
+impl<Req, Res, F> Setup for SvcAccept<Req, Res, F>
 where
     Req: Decode,
     Res: Encode + 'static,
     F: Fn(Req) -> Res + Send + Sync + 'static,
 {
-    let header = accept_handshake(&stream, core.handshake_timeout)?;
-    let mut io = &stream;
-    let want_req = header.get("req_type").unwrap_or_default();
-    let want_res = header.get("res_type").unwrap_or_default();
-    if want_req != Req::topic_type() || want_res != Res::topic_type() {
-        ConnectionHeader::new()
-            .with(
-                "error",
-                format!(
-                    "service types are {}/{}",
-                    Req::topic_type(),
-                    Res::topic_type()
-                ),
-            )
-            .write_to(&mut io)?;
-        return Err(RosError::TypeMismatch {
-            topic: core.name.clone(),
-            registered: format!("{}/{}", Req::topic_type(), Res::topic_type()),
-            attempted: format!("{want_req}/{want_res}"),
-        });
+    fn answer(&mut self, header: &ConnectionHeader) -> Result<Option<ConnectionHeader>, RosError> {
+        // A server gone meanwhile hangs up without a word.
+        let gone = || RosError::Io(std::io::ErrorKind::ConnectionAborted.into());
+        let core = self.core.upgrade().ok_or_else(gone)?;
+        let want_req = header.get("req_type").unwrap_or_default();
+        let want_res = header.get("res_type").unwrap_or_default();
+        if want_req != Req::topic_type() || want_res != Res::topic_type() {
+            let types = format!(
+                "service types are {}/{}",
+                Req::topic_type(),
+                Res::topic_type()
+            );
+            return Ok(Some(ConnectionHeader::new().with("error", types)));
+        }
+        let reply = ConnectionHeader::new()
+            .with("service", &core.name)
+            .with("endian", ConnectionHeader::native_endian());
+        Ok(Some(reply))
     }
-    ConnectionHeader::new()
-        .with("service", &core.name)
-        .with("endian", ConnectionHeader::native_endian())
-        .write_to(&mut io)?;
-    grow_socket_buffers(&stream);
-    stream.set_nonblocking(true)?;
-    let fd = stream.as_raw_fd();
-    let conn: SvcConn<Req, Res, F> = SvcConn::new(stream, core, handler);
-    runtime().reactor.register(fd, true, false, Box::new(conn));
-    Ok(())
+
+    fn establish(self, stream: TcpStream, _header: ConnectionHeader, ctl: &mut Ctl) {
+        let Some(core) = self.core.upgrade() else {
+            return ctl.close();
+        };
+        grow_socket_buffers(&stream);
+        let conn: SvcConn<Req, Res, F> = SvcConn::new(stream, &core, self.handler);
+        ctl.handover(true, false, Box::new(conn));
+    }
 }
 
-/// What a finished handler job posted back for the connection to act on.
-enum JobOutcome {
-    /// The encoded response, ready to queue — for a serialization-free
-    /// message, the handler's own buffer.
-    Reply(OutFrame),
-    /// The server shut down: hang up.
-    Close,
-}
-
-/// The reply half of a handler job: count the call, then encode the
-/// response (for a serialization-free message this only clones the buffer
-/// pointer).
-fn reply_outcome(core: &Weak<ServerCore>, response: &impl Encode) -> JobOutcome {
-    let Some(core) = core.upgrade() else {
-        return JobOutcome::Close;
-    };
+/// The reply to a served request: count the call, then encode the response
+/// (for a serialization-free message this only clones the buffer pointer).
+/// `None` once the server is gone: hang up.
+fn reply_frame(core: &Weak<ServerCore>, response: &impl Encode) -> Option<OutFrame> {
+    let core = core.upgrade()?;
     // ORDER: the count must be globally visible before the reply bytes hit
     // the wire so `calls()` read after a response is never behind it.
     core.calls.fetch_add(1, Ordering::SeqCst);
-    // Relaxed: standalone exit flag (see ServerCore::drop).
-    if core.shutdown.load(Ordering::Relaxed) {
-        return JobOutcome::Close;
-    }
-    JobOutcome::Reply(response.encode())
+    Some(response.encode())
 }
 
 /// One client connection as a reactor state machine — a [`FrameReader`]
 /// and a [`WriteQueue`], like a topic link. The protocol is strictly
 /// alternating, so the machine is too: read one request, run the handler
-/// as a pool job, write the response, repeat. Read interest is off from
-/// the moment a request lands until its response is on the wire: sockets
-/// are watched level-triggered, and a client that pipelines its next
-/// request would otherwise re-raise `Readable` on every turn of the shared
-/// loop for as long as the handler runs.
+/// inline, queue the response, and read the next only once it is on the
+/// wire — read interest is off while a response waits for a writable
+/// socket. One request is served per dispatch, so a client that pipelines
+/// its requests cannot hold the loop from every other link.
 struct SvcConn<Req: Decode, Res, F> {
     stream: TcpStream,
     /// Only a weak core reference, so idle clients never block server drop.
@@ -294,10 +264,6 @@ struct SvcConn<Req: Decode, Res, F> {
     /// The response being written (at most one: requests are not read
     /// while it drains).
     out: WriteQueue,
-    /// In-flight handler job's result slot; `Some` while a request is
-    /// being served. The job notifies this connection's token when it
-    /// posts the outcome.
-    pending: Option<Arc<Mutex<Option<JobOutcome>>>>,
     /// The (readable, writable) interest currently registered, tracked to
     /// skip no-op updates.
     interest: (bool, bool),
@@ -315,20 +281,6 @@ where
         // attempted (the failure, if any, arrives as a write error), and
         // reads drain to a definite EOF.
         self.reader.wake();
-        if let Some(cell) = &self.pending {
-            let outcome = cell.lock().take();
-            let reply = match outcome {
-                Some(JobOutcome::Reply(frame)) => Pending::new(frame, None).ok(),
-                Some(JobOutcome::Close) => None,
-                None => return, // handler still running
-            };
-            // Server gone, or a response the prefix cannot describe.
-            let Some(reply) = reply else {
-                return ctl.close();
-            };
-            self.pending = None;
-            self.out.push(reply);
-        }
         match self.out.flush(&mut &self.stream, drop) {
             Flush::Blocked => return self.set_interest(false, true, ctl),
             Flush::Dead => return ctl.close(),
@@ -336,13 +288,20 @@ where
             Flush::Drained | Flush::Held(_) => {}
         }
         match self.reader.advance(&mut &self.stream) {
-            Ok(Step::Frame { slot, .. }) => match Req::finish_slot(slot) {
-                Ok(request) => {
-                    self.set_interest(false, false, ctl);
-                    self.dispatch(request, ctl);
-                }
-                Err(_) => ctl.close(),
-            },
+            Ok(Step::Frame { slot, .. }) => {
+                let reply = Req::finish_slot(slot).ok().and_then(|request| {
+                    let frame = reply_frame(&self.core, &(self.handler)(request))?;
+                    // `None` for a response the prefix cannot describe.
+                    Pending::new(frame, None).ok()
+                });
+                let Some(reply) = reply else {
+                    return ctl.close();
+                };
+                self.out.push(reply);
+                // The response goes out, and the next request is read, on
+                // the next turn of the loop.
+                ctl.notify_self();
+            }
             Ok(Step::Idle) => self.set_interest(true, false, ctl),
             // The client hung up — or sent a request the transport or the
             // type cannot hold: a strictly alternating stream cannot be
@@ -367,7 +326,6 @@ where
             handler,
             reader: FrameReader::new(MAX_FRAME_LEN, 0),
             out: WriteQueue::default(),
-            pending: None,
             interest: (true, false),
             _marker: PhantomData,
         }
@@ -378,23 +336,6 @@ where
             self.interest = (readable, writable);
             ctl.set_interest(readable, writable);
         }
-    }
-
-    /// Run the handler on the job pool; the connection pauses until the
-    /// job posts its outcome and notifies this token. A slow handler
-    /// occupies one pool worker, never the event loop.
-    fn dispatch(&mut self, request: Req, ctl: &mut Ctl) {
-        let cell = Arc::new(Mutex::new(None));
-        self.pending = Some(Arc::clone(&cell));
-        let handler = Arc::clone(&self.handler);
-        let weak = self.core.clone();
-        let reactor = ctl.reactor().clone();
-        let token = ctl.token();
-        runtime().pool.spawn(move || {
-            let outcome = reply_outcome(&weak, &handler(request));
-            *cell.lock() = Some(outcome);
-            reactor.notify(token);
-        });
     }
 }
 
@@ -433,7 +374,7 @@ impl<Req: Encode, Res: Decode> ServiceClient<Req, Res> {
             .with("req_type", Req::topic_type())
             .with("res_type", Res::topic_type());
         let timeout = nh.transport_config().handshake_timeout;
-        let (stream, _reply) = dial(ep.addr, &request, timeout)?;
+        let stream = dial(ep.addr, &request, timeout)?;
         Ok(ServiceClient {
             reader: BufReader::with_capacity(64 * 1024, stream.try_clone()?),
             stream,
@@ -489,6 +430,8 @@ mod tests {
     use rossf_reactor::Reactor;
     use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmValidate, SfmVec};
     use std::io::{IoSlice, Write};
+    use std::os::fd::AsRawFd;
+    use std::time::Duration;
 
     /// One little-endian `u32` as a message, either direction.
     struct Word(u32);
@@ -543,9 +486,7 @@ mod tests {
             name: "test".to_string(),
             master: Master::new(),
             registration: 0,
-            shutdown: AtomicBool::new(false),
             calls: AtomicU64::new(0),
-            handshake_timeout: Duration::from_secs(5),
             listener_token: OnceLock::new(),
         })
     }
@@ -563,11 +504,9 @@ mod tests {
         }
     }
 
-    /// A client that sends request 2 before reply 1 must not cost the loop
-    /// a dispatch per `epoll_wait` while the handler runs (sockets are
-    /// level-triggered): both replies arrive, in order, and the connection
-    /// is dispatched a handful of times in all — with read interest left on
-    /// during the 50 ms handlers the count is in the thousands.
+    /// A client that sends request 2 before reply 1 is served in order, one
+    /// request per dispatch: both replies arrive, and the connection is
+    /// dispatched a handful of times in all.
     #[test]
     fn a_pipelining_client_does_not_spin_the_loop() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -626,18 +565,16 @@ mod tests {
         }
     }
 
-    /// The reply half of a handler job, then the queueing the connection
-    /// does with its outcome: a 1 MB serialization-free response reaches
-    /// the socket as two slices — the prefix, and the handler's own buffer
-    /// (pointer identity, as on the fast path). No user-space copy.
+    /// The reply to a served request, then the queueing the connection
+    /// does with it: a 1 MB serialization-free response reaches the socket
+    /// as two slices — the prefix, and the handler's own buffer (pointer
+    /// identity, as on the fast path). No user-space copy.
     #[test]
     fn a_serialization_free_response_is_not_copied() {
         let core = test_core();
         let mut response = SfmBox::<Blob>::new();
         response.data.resize(1 << 20);
-        let JobOutcome::Reply(frame) = reply_outcome(&Arc::downgrade(&core), &response) else {
-            panic!("a live server replies");
-        };
+        let frame = reply_frame(&Arc::downgrade(&core), &response).expect("a live server replies");
         let mut out = WriteQueue::default();
         out.push(Pending::new(frame, None).unwrap());
         let mut wire = SliceLog::default();

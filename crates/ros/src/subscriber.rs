@@ -2,10 +2,11 @@
 //!
 //! `subscribe` registers a callback with the master and connects to every
 //! current and future publisher of the topic. Each publisher endpoint is
-//! owned by a [`Supervision`] state machine: connect attempts and
-//! handshakes run as short jobs on the process-wide job pool, the
-//! steady-state link runs as a nonblocking [`Link`] state machine on the
-//! shared [reactor](rossf_reactor) — the reader loop of the paper's Fig. 9
+//! owned by a [`Supervision`] state machine, and all of it runs on the
+//! shared [reactor](rossf_reactor): a connect attempt is a nonblocking
+//! dial and header exchange (the TCP tier's `Handshake`), and the same
+//! registration then carries the steady-state link, a [`Link`] state
+//! machine — the reader loop of the paper's Fig. 9
 //! (obtain the next frame, verify, adopt, invoke the callback), whose
 //! tier-specific half is a [`Source`], found with the rest of its tier under
 //! `crate::tier`: bytes off a socket (TCP), pointers off the publisher's
@@ -34,10 +35,12 @@ use crate::wire::{ConnectionHeader, PROJECT_FIELD, TRACE_FIELD};
 use rossf_netsim::MachineId;
 use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -45,68 +48,6 @@ use parking_lot::Mutex;
 /// (re-notifying itself for the rest), so one firehose link cannot starve
 /// the others.
 pub(crate) const FRAMES_PER_DISPATCH: usize = 64;
-
-/// At most this many blocking connect+handshake attempts may occupy job
-/// pool workers at once. The publisher's accept-side handshakes run on
-/// the same pool: capping the subscriber side below the pool size
-/// guarantees a worker is always free to answer, so a fan-in of
-/// thousands of simultaneous subscribes cannot deadlock the pool against
-/// itself.
-const MAX_INFLIGHT_CONNECTS: usize = 2;
-
-/// Connect-slot gate: held permits plus the attempts parked waiting for
-/// one. A release hands its permit straight to the next parked attempt,
-/// so waiters resume in FIFO order with no polling.
-struct ConnectGate {
-    inflight: usize,
-    parked: VecDeque<Box<dyn FnOnce() + Send>>,
-}
-
-fn connect_gate() -> &'static Mutex<ConnectGate> {
-    static GATE: OnceLock<Mutex<ConnectGate>> = OnceLock::new();
-    GATE.get_or_init(|| {
-        Mutex::new(ConnectGate {
-            inflight: 0,
-            parked: VecDeque::new(),
-        })
-    })
-}
-
-/// Run `attempt` now if a connect slot is free, otherwise park it until
-/// one frees up. Callers run on a pool worker; parked attempts are
-/// respawned onto the pool by the releasing slot holder.
-fn with_connect_slot(attempt: Box<dyn FnOnce() + Send>) {
-    let attempt = {
-        let mut gate = connect_gate().lock();
-        if gate.inflight < MAX_INFLIGHT_CONNECTS {
-            gate.inflight += 1;
-            attempt
-        } else {
-            gate.parked.push_back(attempt);
-            return;
-        }
-    };
-    attempt();
-}
-
-/// Release a connect slot, transferring it to the next parked attempt
-/// when one is waiting.
-fn release_connect_slot() {
-    let next = {
-        let mut gate = connect_gate().lock();
-        match gate.parked.pop_front() {
-            // The permit moves to the parked attempt unreleased.
-            Some(job) => Some(job),
-            None => {
-                gate.inflight -= 1;
-                None
-            }
-        }
-    };
-    if let Some(job) = next {
-        runtime().pool.spawn(job);
-    }
-}
 
 /// The state a subscription's links share: what every tier's source
 /// delivers into.
@@ -155,32 +96,36 @@ struct Supervision<D: Decode> {
     /// capability to this endpoint: the next handshake omits the offer and
     /// the publisher serves plain TCP instead.
     shm_blocked: bool,
-    /// The reactor token reserved for the current attempt's link handler
-    /// (a fresh one per attempt), before the peer is contacted: a fast-path publisher notifies it
-    /// after each deposit, and a shm handshake names it as the doorbell of
-    /// a same-process grant.
+    /// The reactor token of the current attempt (a fresh one per attempt),
+    /// reserved before the peer is contacted: the handshake registers under
+    /// it and the established link keeps it — a fast-path publisher
+    /// notifies it after each deposit, and a shm handshake names it as the
+    /// doorbell of a same-process grant.
     token: Token,
 }
 
 impl<D: Decode> Supervision<D> {
     /// Start supervising `ep`: the first connection attempt goes straight
-    /// to the pool, no initial backoff.
+    /// to the loop, no initial backoff.
     fn launch(core: Arc<SubCore<D>>, ep: PublisherEndpoint) {
+        let reactor = runtime().reactor;
         let sup = Box::new(Supervision {
             core,
             ep,
             attempt: 0,
             was_connected: false,
             shm_blocked: false,
-            token: runtime().reactor.reserve(),
+            token: reactor.reserve(),
         });
-        runtime().pool.spawn(move || sup.step());
+        reactor.timer(Duration::ZERO, move |_| sup.step());
     }
 
-    /// One connection attempt. Runs on the job pool — bounded by the
-    /// connect and handshake timeouts, never connection-lifetime. Exactly
-    /// one continuation follows: `resume` directly on failure, or through
-    /// the link handler the attempt handed the box to.
+    /// One connection attempt, on the loop thread: an attach to a
+    /// same-process publisher's queue, or a nonblocking dial whose
+    /// handshake — a reactor handler under the attempt's token, bounded by
+    /// the handshake timeout — becomes the link. Exactly one continuation
+    /// follows: `resume` directly on failure, or through the handler the
+    /// attempt handed the box to.
     fn step(self: Box<Self>) {
         let core = Arc::clone(&self.core);
         // Relaxed: standalone exit flag, polled — a stale read only costs
@@ -198,9 +143,8 @@ impl<D: Decode> Supervision<D> {
         // endpoint carries its core as a local port). The strong
         // `port` reference ends with the attach call: holding it any longer
         // would keep the publisher core (and its master registration)
-        // alive after the last `Publisher` handle drops — for the link's
-        // life, or for as long as this worker takes to finish the step.
-        // The queue closes when the publisher tears down.
+        // alive after the last `Publisher` handle drops, for the link's
+        // life. The queue closes when the publisher tears down.
         let local = core.config.enable_fastpath && self.ep.machine == core.machine;
         let port = local.then(|| self.ep.port.upgrade()).flatten();
         let token = self.token;
@@ -214,21 +158,11 @@ impl<D: Decode> Supervision<D> {
             }
             return;
         }
-        // The blocking connect+handshake goes through the connect gate;
-        // everything after the handshake is nonblocking.
-        with_connect_slot(Box::new(move || self.connect_step()));
-    }
-
-    /// The gated blocking span of an attempt — TCP connect plus handshake
-    /// (TCPROS-style) — then the hand-off of the established connection to
-    /// the reactor. Holds a connect slot for exactly the blocking part.
-    fn connect_step(self: Box<Self>) {
-        let core = Arc::clone(&self.core);
         let mut request = ConnectionHeader::request(&core.topic, D::topic_type(), core.machine);
         // The shm offer is withheld after a grant failed to attach, so the
         // publisher serves this connection over plain TCP.
         if !self.shm_blocked {
-            request = shm::offer(request, self.token);
+            request = shm::offer(request, token);
         }
         // Request the field projection by its canonical spec. The grant is
         // an exact echo; a publisher that predates projection (or cannot
@@ -241,43 +175,21 @@ impl<D: Decode> Supervision<D> {
         if core.trace.is_some() {
             request = request.with(TRACE_FIELD, "1");
         }
-        let dialed = tcp::dial(self.ep.addr, &request, core.config.handshake_timeout);
-        release_connect_slot();
-        let (stream, reply) = match dialed {
-            Ok(dialed) => dialed,
-            Err(e) => return self.resume(Err(e), false, false),
-        };
-        core.count_handshake(self.was_connected);
-        // Steady state is nonblocking on every tier.
-        if let Err(e) = stream.set_nonblocking(true) {
-            return self.resume(Err(e.into()), false, false);
-        }
-        let (reactor, token) = (runtime().reactor, self.token);
-        let fd = stream.as_raw_fd();
-        if shm::granted(&reply) {
-            // Any failure between the grant and a working reader is
-            // reported as an attach failure: the supervisor then redoes the
-            // handshake with the shm offer withheld and the publisher serves
-            // plain TCP, instead of re-granting a link this process can
-            // never attach.
-            let loopback = core.master.links().fault(core.machine, core.machine);
-            match shm::attach::<D>(&reply, stream, loopback) {
-                Ok(source) => {
-                    reactor.register_as(token, fd, true, false, Link::boxed(self, source))
-                }
-                Err(e) => self.resume(Err(e), true, true),
+        match tcp::connect(self.ep.addr) {
+            Ok(stream) => {
+                let fd = stream.as_raw_fd();
+                let timeout = core.config.handshake_timeout;
+                let handshake = tcp::Handshake::new(stream, timeout, self, Some(&request));
+                reactor.register_as(token, fd, false, true, Box::new(handshake));
             }
-            return;
+            Err(e) => self.resume(Err(e), false, false),
         }
-        let projection = core.projection.as_deref();
-        let source = tcp::source::<D>(stream, &reply, projection, core.trace.is_some());
-        reactor.register_as(token, fd, true, false, Link::boxed(self, source));
     }
 
     /// A connection (or attempt) ended: decide between standing down and
-    /// scheduling the next attempt. Runs wherever the connection concluded
-    /// (reactor thread or pool); everything here is brief and nonblocking,
-    /// and the backoff wait is a reactor timer.
+    /// scheduling the next attempt. Runs on the loop thread, where the
+    /// connection concluded; everything here is brief and nonblocking, and
+    /// the backoff wait is a reactor timer.
     fn resume(
         mut self: Box<Self>,
         result: Result<(), RosError>,
@@ -340,11 +252,47 @@ impl<D: Decode> Supervision<D> {
             .reconnect_attempts
             .fetch_add(1, Ordering::Relaxed);
         // The wait costs no thread; the timer re-enters `step` on the
-        // pool. Teardown during the wait is caught by step's shutdown
+        // loop. Teardown during the wait is caught by step's shutdown
         // check (the timer itself holds no core reference that matters).
-        runtime().reactor.timer(delay, move |_| {
-            runtime().pool.spawn(move || self.step());
-        });
+        runtime().reactor.timer(delay, move |_| self.step());
+    }
+}
+
+/// The subscriber's side of a TCP connection's setup: the publisher's
+/// reply is judged, then decides the link's tier — a shm ring to attach
+/// when it granted one, frames on the socket otherwise — and the link
+/// carries on under the attempt's registration.
+impl<D: Decode> tcp::Setup for Box<Supervision<D>> {
+    fn answer(&mut self, reply: &ConnectionHeader) -> Result<Option<ConnectionHeader>, RosError> {
+        reply.check_reply().map(|()| None)
+    }
+
+    fn establish(self, stream: TcpStream, reply: ConnectionHeader, ctl: &mut Ctl) {
+        let core = Arc::clone(&self.core);
+        core.count_handshake(self.was_connected);
+        if shm::granted(&reply) {
+            // Any failure between the grant and a working reader is
+            // reported as an attach failure: the supervisor then redoes the
+            // handshake with the shm offer withheld and the publisher serves
+            // plain TCP, instead of re-granting a link this process can
+            // never attach.
+            let loopback = core.master.links().fault(core.machine, core.machine);
+            match shm::attach::<D>(&reply, stream, loopback) {
+                Ok(source) => ctl.handover(true, false, Link::boxed(self, source)),
+                Err(e) => {
+                    self.resume(Err(e), true, true);
+                    ctl.close();
+                }
+            }
+            return;
+        }
+        let projection = core.projection.as_deref();
+        let source = tcp::source::<D>(stream, &reply, projection, core.trace.is_some());
+        ctl.handover(true, false, Link::boxed(self, source));
+    }
+
+    fn fail(self, error: RosError) {
+        self.resume(Err(error), false, false);
     }
 }
 
@@ -656,9 +604,10 @@ impl<D: Decode> Drop for Subscriber<D> {
             .unregister_subscriber(&self.core.topic, self.core.registration);
         // End every live link with an event: deregistering drops the
         // handler and the socket, queue end or ring mapping it owns, which
-        // is what the publisher's side of the link sees. (A connection
-        // still handshaking on a pool worker has no handler yet; the one
-        // it registers concludes at its first event, on the flag above.)
+        // is what the publisher's side of the link sees — a connection
+        // still handshaking is a handler under its token too. (An attempt
+        // that registers after this sweep concludes at its first event as
+        // a link, or at its timeout as a handshake, on the flag above.)
         let reactor = runtime().reactor;
         for token in self.core.links.lock().drain() {
             reactor.deregister(token);

@@ -181,8 +181,8 @@ fn start_link(shared: &Arc<TapShared>, ep: PublisherEndpoint) {
     // validation and accounting are identical — but for a link without a
     // fault gate. A port that does not upgrade means the publisher is gone,
     // or never offered the fast path (enable_fastpath=false); a refusal
-    // (type, or a publisher shutting down) gives up on this publisher but
-    // keeps the tap alive for others.
+    // (the type) gives up on this publisher but keeps the tap alive for
+    // others.
     let attached = ep
         .port
         .upgrade()

@@ -37,7 +37,6 @@ use rossf_shm::{FrameMeta, PushOutcome, SegmentPool, SharedFrame, ShmLink, ShmRe
 use rossf_trace::{now_nanos, tracer, Stage, Tier, TopicTrace};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -132,27 +131,26 @@ pub(crate) struct Grant {
 }
 
 impl Grant {
-    /// Answer the handshake on `stream` with `reply` plus the grant — the
-    /// publisher's pid, the ring's control fd and the epoch, all a
-    /// subscriber needs to attach — and put the socket on `reactor` as the
-    /// link's control plane. Returns the control handler's token and the
-    /// ring `fan_out` commits into.
-    pub(crate) fn open(
-        self,
-        mut stream: TcpStream,
-        reply: ConnectionHeader,
-        counters: &Arc<Counters>,
-        reactor: &Reactor,
-    ) -> Result<(Token, Arc<Ring>), RosError> {
+    /// `reply` plus the grant: the publisher's pid, the ring's control fd
+    /// and the epoch, all a subscriber needs to attach.
+    pub(crate) fn reply(&self, reply: ConnectionHeader) -> ConnectionHeader {
         reply
             .with(SHM_FIELD, "1")
             .with(SHM_PUB_PID_FIELD, std::process::id().to_string())
             .with(SHM_FD_FIELD, self.link.ctrl_fd().to_string())
             .with(SHM_EPOCH_FIELD, self.link.epoch().to_string())
-            .write_to(&mut stream)?;
-        stream.set_nonblocking(true)?;
+    }
+
+    /// The link, once its [`reply`](Grant::reply) is on the (nonblocking)
+    /// handshake socket `stream`: the ring `fan_out` commits into, and the
+    /// handler that keeps the socket as the link's control plane — the
+    /// handshake's registration carries it on, with read interest.
+    pub(crate) fn open(
+        self,
+        stream: TcpStream,
+        counters: &Arc<Counters>,
+    ) -> (Box<dyn Handler>, Arc<Ring>) {
         counters.shm_handshakes.fetch_add(1, Ordering::Relaxed);
-        let fd = stream.as_raw_fd();
         let stream = Arc::new(stream);
         let doorbell = match self.notify {
             Some(token) => Doorbell::Notify(token),
@@ -170,8 +168,7 @@ impl Grant {
             stream,
             ring: Arc::downgrade(&ring),
         };
-        let token = reactor.register(fd, true, false, Box::new(ctl));
-        Ok((token, ring))
+        (Box::new(ctl), ring)
     }
 }
 
@@ -289,20 +286,21 @@ const RECLAIM_ATTEMPTS: u32 = 6;
 /// Reclaim the holds a dead subscriber process left on popped frames so no
 /// pool slot stays pinned by a crashed reader. A peer that is still alive
 /// keeps them — stashed message buffers may legally outlive the
-/// subscription, and the reader releases them itself. Runs on the job pool
-/// (the liveness check reads `/proc`); the waits are reactor timers.
+/// subscription, and the reader releases them itself. Each check is one
+/// `/proc` read in a reactor timer's callback: the first at once, check
+/// `n` `10 ms << (n - 1)` after the one before.
 fn reclaim_when_gone(link: ShmLink, sub_pid: u32, attempt: u32) {
-    if !rossf_sys::process_alive(sub_pid) {
-        link.reclaim_reader_holds();
-    } else if attempt < RECLAIM_ATTEMPTS {
-        runtime()
-            .reactor
-            .timer(Duration::from_millis(10 << attempt), move |_| {
-                runtime()
-                    .pool
-                    .spawn(move || reclaim_when_gone(link, sub_pid, attempt + 1));
-            });
-    }
+    let after = match attempt {
+        0 => Duration::ZERO,
+        n => Duration::from_millis(10 << (n - 1)),
+    };
+    runtime().reactor.timer(after, move |_| {
+        if !rossf_sys::process_alive(sub_pid) {
+            link.reclaim_reader_holds();
+        } else if attempt < RECLAIM_ATTEMPTS {
+            reclaim_when_gone(link, sub_pid, attempt + 1);
+        }
+    });
 }
 
 impl Ring {
@@ -402,10 +400,7 @@ impl Ring {
         link.reconcile_abandoned();
         self.counters.disconnects.fetch_add(1, Ordering::Relaxed);
         if self.sub_pid != std::process::id() {
-            let sub_pid = self.sub_pid;
-            runtime()
-                .pool
-                .spawn(move || reclaim_when_gone(link, sub_pid, 0));
+            reclaim_when_gone(link, self.sub_pid, 0);
         }
     }
 

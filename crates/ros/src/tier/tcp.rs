@@ -1,8 +1,9 @@
 //! The TCP tier, both halves of a link: the publisher's [`TcpWriter`] and
 //! the subscriber's [`TcpSource`], the field-projection grant between them,
 //! and the wire machinery they share with services, one of each — the
-//! [`Acceptor`] a listener runs behind, the two handshake halves
-//! ([`accept_handshake`], [`dial`]), the nonblocking [`FrameReader`] that
+//! [`Acceptor`] a listener runs behind, the [`Handshake`] that sets every
+//! connection up on the loop (and [`dial`], its blocking twin for a caller
+//! that waits on its own thread), the nonblocking [`FrameReader`] that
 //! reassembles `len ∥ payload` units, and the [`WriteQueue`] that drains
 //! them to a socket. Reader and writer work over any `impl Read` /
 //! `impl Write`, so tests (and in-memory byte pipes) can drive them without
@@ -24,14 +25,15 @@ use crate::publisher::{Pop, QueueRx};
 use crate::subscriber::{Progress, Source, SubCore};
 use crate::traits::{Decode, RecvSlot};
 use crate::wire::{
-    frame_len_prefix, ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD, TRACE_FIELD,
+    check_header_len, frame_len_prefix, ConnectionHeader, OutFrame, MAX_FRAME_LEN, PROJECT_FIELD,
+    TRACE_FIELD,
 };
 use rossf_netsim::{LinkProfile, Shaper};
-use rossf_reactor::{Ctl, Event, Handler, Reactor, Token};
+use rossf_reactor::{runtime, Ctl, Event, Handler, Token};
 use rossf_sfm::{MessageSchema, Projection};
 use rossf_trace::{now_nanos, tracer, FrameMeta, Stage, Tier, TopicTrace};
 use std::collections::VecDeque;
-use std::io::{IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
@@ -39,86 +41,256 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Reactor handler for a listening socket: accepts ready connections and
-/// hands each to `on_conn`, which must not block the shared loop (header
-/// reads and shm link creation do, so owners spawn the handshake onto the
-/// job pool). `on_conn` answering `false` means the owner is gone or
-/// shutting down: the handler closes itself, dropping the listener — so it
-/// should hold its owner weakly, or an orphaned acceptor keeps it alive.
+/// puts each on the loop as the accepting side of a [`Handshake`], bounded
+/// by `timeout`, for the [`Setup`] that `setup` makes. `setup` answering
+/// `None` means the owner is gone: the handler closes itself, dropping the
+/// listener — so it should hold its owner weakly, or an orphaned acceptor
+/// keeps it alive.
 pub(crate) struct Acceptor<F> {
     listener: TcpListener,
-    on_conn: F,
+    timeout: Duration,
+    setup: F,
 }
 
-impl<F: FnMut(TcpStream) -> bool + Send + 'static> Acceptor<F> {
-    /// Put `listener` (already nonblocking) on `reactor`.
-    pub(crate) fn register(reactor: &Reactor, listener: TcpListener, on_conn: F) -> Token {
+impl<S: Setup, F: FnMut() -> Option<S> + Send + 'static> Acceptor<F> {
+    /// Put `listener` (already nonblocking) on the process's loop.
+    pub(crate) fn register(listener: TcpListener, timeout: Duration, setup: F) -> Token {
         let fd = listener.as_raw_fd();
-        reactor.register(fd, true, false, Box::new(Acceptor { listener, on_conn }))
+        let acceptor = Acceptor {
+            listener,
+            timeout,
+            setup,
+        };
+        runtime()
+            .reactor
+            .register(fd, true, false, Box::new(acceptor))
     }
 }
 
-impl<F: FnMut(TcpStream) -> bool + Send + 'static> Handler for Acceptor<F> {
+impl<S: Setup, F: FnMut() -> Option<S> + Send + 'static> Handler for Acceptor<F> {
     fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
         if matches!(event, Event::Closed) {
-            ctl.close();
-            return;
+            return ctl.close();
         }
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if !(self.on_conn)(stream) {
-                        ctl.close();
-                        return;
-                    }
-                }
-                // Drained — or a transient accept error (ECONNABORTED and
-                // friends): the next readable event retries.
-                Err(_) => return,
+        // Drained — or a transient accept error (ECONNABORTED and friends):
+        // the next readable event retries.
+        while let Ok((stream, _)) = self.listener.accept() {
+            let Some(setup) = (self.setup)() else {
+                return ctl.close();
+            };
+            // A socket that cannot be configured is dropped: its peer sees
+            // the hang-up.
+            let configured = stream.set_nonblocking(true).and(stream.set_nodelay(true));
+            if configured.is_ok() {
+                let fd = stream.as_raw_fd();
+                let handshake = Handshake::new(stream, self.timeout, setup, None);
+                ctl.reactor().register(fd, true, false, Box::new(handshake));
             }
         }
     }
 }
 
-/// Accepting side of the connection handshake, on a blocking socket: read
-/// the peer's request header. A connector that never sends one must not pin
-/// a pool worker, so the read is bounded by `timeout`; the header is read
-/// *unbuffered* — header parsing does exact reads only — so no byte that
-/// follows it is swallowed before the socket goes nonblocking.
-pub(crate) fn accept_handshake(
-    stream: &TcpStream,
-    timeout: Duration,
-) -> Result<ConnectionHeader, RosError> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut io = stream;
-    let header = ConnectionHeader::read_from(&mut io)?;
-    stream.set_read_timeout(None)?;
-    Ok(header)
+/// One side's part in setting a connection up: the subscriber's dial, a
+/// publisher's or a service server's accept. A [`Handshake`] does the I/O;
+/// this decides what is said and what the connection becomes.
+pub(crate) trait Setup: Sized + Send + 'static {
+    /// The peer's header arrived. Answer with the reply this side sends
+    /// before the link is up (the accepting side), or `None` (the dialing
+    /// side: its request went first). A reply that carries `error` is the
+    /// last thing sent — the connection closes once it is out.
+    ///
+    /// # Errors
+    ///
+    /// Refuses the peer without a reply: the handshake fails.
+    fn answer(&mut self, peer: &ConnectionHeader) -> Result<Option<ConnectionHeader>, RosError>;
+
+    /// Both headers are across: hand the registration over to the link
+    /// ([`Ctl::handover`]), or close it.
+    fn establish(self, stream: TcpStream, peer: ConnectionHeader, ctl: &mut Ctl);
+
+    /// The handshake failed: refused or timed-out connect, hang-up,
+    /// malformed header, the peer's refusal, or no header within the
+    /// timeout. The registration closes after this.
+    fn fail(self, _error: RosError) {}
 }
 
-/// Connecting side of the handshake: connect to `addr`, send `request`,
-/// and judge the reply ([`ConnectionHeader::check_reply`]). A peer that
-/// accepts the connection but never answers must not pin the caller, so
-/// the reply read is bounded by `timeout` — and unbuffered, as in
-/// [`accept_handshake`]. The socket comes back blocking, with no timeout
-/// left on it.
-pub(crate) fn dial(
-    addr: SocketAddr,
-    request: &ConnectionHeader,
-    timeout: Duration,
-) -> Result<(TcpStream, ConnectionHeader), RosError> {
-    let stream = TcpStream::connect(addr)?;
+/// Connection setup as a reactor handler, one type for every side: a
+/// nonblocking connect (the dialing side), the headers both ways — this
+/// side's sent from an owned buffer through partial writes and `EAGAIN`,
+/// the peer's read with exact reads, never a byte past it, since a data
+/// frame or a doorbell byte may follow it at once — and then, on the same
+/// registration, the link its [`Setup`] builds. One reactor timer bounds
+/// the whole of it.
+pub(crate) struct Handshake<S> {
+    /// The socket and the side's setup; `None` once concluded.
+    conn: Option<(TcpStream, S)>,
+    /// The handshake's time limit, armed at the first dispatch.
+    timeout: Option<Duration>,
+    /// This side's header (the dialer's request, the acceptor's reply) and
+    /// how much of it is on the wire.
+    out: Vec<u8>,
+    written: usize,
+    /// The peer's header as it arrives — its length prefix, then the blob
+    /// the prefix announces — and how much of it is in; then parsed.
+    inbound: Vec<u8>,
+    got: usize,
+    peer: Option<ConnectionHeader>,
+    /// The reply sent carried `error`: close once it is out.
+    refused: bool,
+}
+
+impl<S: Setup> Handshake<S> {
+    /// A handshake on `stream` for `setup`, bounded by `timeout`. The
+    /// dialing side passes its `request` and a socket from [`connect`], and
+    /// registers with write interest: the request goes out once the connect
+    /// completes, then the reply is read. The accepting side passes `None`
+    /// and registers with read interest: the request is read, then
+    /// [`Setup::answer`]'s reply sent.
+    pub(crate) fn new(
+        stream: TcpStream,
+        timeout: Duration,
+        setup: S,
+        request: Option<&ConnectionHeader>,
+    ) -> Self {
+        Handshake {
+            conn: Some((stream, setup)),
+            timeout: Some(timeout),
+            out: request.map_or_else(Vec::new, ConnectionHeader::to_wire),
+            written: 0,
+            inbound: vec![0; 4],
+            got: 0,
+            peer: None,
+            refused: false,
+        }
+    }
+
+    /// Make what progress `event` allows: `true` once both headers are
+    /// across.
+    fn step(&mut self, event: Event) -> Result<bool, RosError> {
+        let Some((stream, setup)) = &mut self.conn else {
+            return Ok(false);
+        };
+        if event == Event::Timer {
+            return Err(std::io::Error::from(ErrorKind::TimedOut).into());
+        }
+        if self.written == 0 && !self.out.is_empty() {
+            // Nothing of this side's header is out: a dial may still be
+            // connecting. The connect is over when the socket first reports
+            // writable — or dead; its pending error says which way it went.
+            // (An accepting side's reply whose first write would block
+            // waits for writable just the same.)
+            if !matches!(event, Event::Writable | Event::Closed) {
+                return Ok(false);
+            }
+            if let Some(e) = stream.take_error()? {
+                return Err(e.into());
+            }
+        }
+        let mut io: &TcpStream = stream;
+        loop {
+            while self.written < self.out.len() {
+                let Some(n) = moved(io.write(&self.out[self.written..]))? else {
+                    return Ok(false);
+                };
+                self.written += n;
+            }
+            if self.peer.is_some() {
+                return Ok(true);
+            }
+            // Exact reads: the prefix, then the blob, never a byte beyond.
+            if self.got < self.inbound.len() {
+                let Some(n) = moved(io.read(&mut self.inbound[self.got..]))? else {
+                    return Ok(false);
+                };
+                self.got += n;
+                if self.got == 4 {
+                    let prefix = self.inbound[..4].try_into().expect("a 4-byte prefix");
+                    let len = check_header_len(u32::from_le_bytes(prefix) as usize)?;
+                    self.inbound.resize(4 + len, 0);
+                }
+                continue;
+            }
+            let peer = ConnectionHeader::parse(&self.inbound[4..])?;
+            if let Some(reply) = setup.answer(&peer)? {
+                self.refused = reply.get("error").is_some();
+                (self.out, self.written) = (reply.to_wire(), 0);
+            }
+            self.peer = Some(peer);
+        }
+    }
+}
+
+impl<S: Setup> Handler for Handshake<S> {
+    fn on_event(&mut self, event: Event, ctl: &mut Ctl) {
+        if let Some(after) = self.timeout.take() {
+            ctl.arm_timer(after);
+        }
+        let step = self.step(event);
+        let Some((stream, setup)) = self.conn.take_if(|_| !matches!(step, Ok(false))) else {
+            // Read while the peer's header is owed and this side has
+            // nothing to send; write while it has.
+            let writing = self.written < self.out.len();
+            return ctl.set_interest(self.peer.is_none() && !writing, writing);
+        };
+        match (step, self.peer.take()) {
+            (Ok(_), Some(peer)) if !self.refused => return setup.establish(stream, peer, ctl),
+            (Err(e), _) => setup.fail(e),
+            _ => {}
+        }
+        ctl.close();
+    }
+}
+
+/// What one nonblocking read or write of a handshake moved: its byte count
+/// (0 after an interrupt), or `None` when the socket would block. A peer
+/// that hung up — a read or write of 0 — is an error.
+fn moved(io: std::io::Result<usize>) -> Result<Option<usize>, RosError> {
+    match io {
+        Ok(0) => Err(std::io::Error::from(ErrorKind::UnexpectedEof).into()),
+        Ok(n) => Ok(Some(n)),
+        Err(e) if e.kind() == ErrorKind::WouldBlock => Ok(None),
+        Err(e) if e.kind() == ErrorKind::Interrupted => Ok(Some(0)),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Start a nonblocking connect to `addr`, for the dialing side of a
+/// [`Handshake`]. The socket is tuned for a data link before the first byte
+/// crosses it.
+///
+/// # Errors
+///
+/// The connect's refusal, when the kernel refuses it outright.
+pub(crate) fn connect(addr: SocketAddr) -> Result<TcpStream, RosError> {
+    let stream = rossf_sys::connect_nonblocking(addr)?;
     stream.set_nodelay(true)?;
     // Grown before the handshake so the very first data frame already sees
     // full-size kernel buffers.
     grow_socket_buffers(&stream);
+    Ok(stream)
+}
+
+/// The handshake for a caller that waits on its own thread (a service
+/// client): connect to `addr`, send `request`, and judge the reply
+/// ([`ConnectionHeader::check_reply`]), which is all it says. A peer that
+/// accepts the connection but never answers must not pin the caller, so
+/// the reply read is bounded by `timeout` — and unbuffered, so nothing
+/// after the reply is swallowed. The socket comes back blocking, with no
+/// timeout left on it.
+pub(crate) fn dial(
+    addr: SocketAddr,
+    request: &ConnectionHeader,
+    timeout: Duration,
+) -> Result<TcpStream, RosError> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    grow_socket_buffers(&stream);
     stream.set_read_timeout(Some(timeout))?;
     let mut io = &stream;
     request.write_to(&mut io)?;
-    let reply = ConnectionHeader::read_from(&mut io)?;
-    reply.check_reply()?;
+    ConnectionHeader::read_from(&mut io)?.check_reply()?;
     stream.set_read_timeout(None)?;
-    Ok((stream, reply))
+    Ok(stream)
 }
 
 /// Kernel socket buffer size requested for every data-path TCP link.
@@ -692,9 +864,9 @@ impl WriteQueue {
 /// topic cannot starve other links.
 const BATCHES_PER_DISPATCH: usize = 4;
 
-/// The publisher half of a TCP link, on a socket that has answered the
-/// handshake: a writer draining `rx` — the link's transmission queue — to
-/// the socket, ready to register on the reactor. `profile` is the modelled
+/// The publisher half of a TCP link, on the (nonblocking) socket that has
+/// answered the handshake: a writer draining `rx` — the link's
+/// transmission queue — to the socket, ready to register on the reactor. `profile` is the modelled
 /// link between the two machines (unshaped within one), `projection` what
 /// [`grant_projection`] granted and `trailer` what [`grant_trace`] did.
 pub(crate) fn writer(
@@ -705,10 +877,9 @@ pub(crate) fn writer(
     projection: Option<Arc<Projection>>,
     trailer: bool,
     profile: LinkProfile,
-) -> std::io::Result<impl Handler> {
+) -> impl Handler {
     grow_socket_buffers(&stream);
-    stream.set_nonblocking(true)?;
-    Ok(TcpWriter {
+    TcpWriter {
         stream,
         rx,
         counters: Arc::clone(counters),
@@ -720,7 +891,7 @@ pub(crate) fn writer(
         pace_armed: None,
         want_writable: false,
         disconnected: false,
-    })
+    }
 }
 
 /// Reactor handler for one TCP subscriber link. Frames arrive on the
@@ -1023,6 +1194,7 @@ mod tests {
         Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions, TransportConfig,
     };
     use rossf_netsim::MachineId;
+    use rossf_reactor::Reactor;
     use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
     use std::sync::atomic::AtomicU64;
 

@@ -201,6 +201,22 @@ pub const PROJECT_FIELD: &str = "project";
 /// the link carries untagged frames, byte-identical to an untraced link.
 pub(crate) const TRACE_FIELD: &str = "trace";
 
+/// Largest connection header accepted, 64 KiB: a peer's length prefix above
+/// it is refused before a buffer is sized from it.
+const MAX_HEADER_LEN: usize = 64 * 1024;
+
+/// Bound a connection header's length prefix by [`MAX_HEADER_LEN`].
+///
+/// # Errors
+///
+/// [`RosError::BadHeader`] for a prefix above it.
+pub(crate) fn check_header_len(len: usize) -> Result<usize, RosError> {
+    if len > MAX_HEADER_LEN {
+        return Err(RosError::BadHeader(format!("header too large: {len}")));
+    }
+    Ok(len)
+}
+
 /// The key/value connection header exchanged at connect time, mirroring
 /// TCPROS (`topic=`, `type=`, plus this reproduction's `machine=` used for
 /// link shaping and `endian=` per the paper's §4.4.1 discussion).
@@ -267,25 +283,33 @@ impl ConnectionHeader {
         }
     }
 
+    /// The header as it travels: a length-prefixed blob of length-prefixed
+    /// `key=value` fields.
+    pub(crate) fn to_wire(&self) -> Vec<u8> {
+        let mut wire = vec![0; 4];
+        for (k, v) in &self.fields {
+            let field = format!("{k}={v}");
+            wire.extend_from_slice(&(field.len() as u32).to_le_bytes());
+            wire.extend_from_slice(field.as_bytes());
+        }
+        let blob = (wire.len() - 4) as u32;
+        wire[..4].copy_from_slice(&blob.to_le_bytes());
+        wire
+    }
+
     /// Serialize and write as a length-prefixed blob.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), RosError> {
-        let mut blob = Vec::new();
-        for (k, v) in &self.fields {
-            let field = format!("{k}={v}");
-            (field.len() as u32)
-                .to_le_bytes()
-                .iter()
-                .for_each(|b| blob.push(*b));
-            blob.extend_from_slice(field.as_bytes());
-        }
-        write_frame(w, &blob)
+        w.write_all(&self.to_wire())?;
+        w.flush()?;
+        Ok(())
     }
 
-    /// Read a header previously written by [`ConnectionHeader::write_to`].
+    /// Read a header previously written by [`ConnectionHeader::write_to`],
+    /// with exact reads: not a byte past it is taken from `r`.
     ///
     /// # Errors
     ///
@@ -298,11 +322,17 @@ impl ConnectionHeader {
                 "eof before connection header",
             ))
         })?;
-        if len > 64 * 1024 {
-            return Err(RosError::BadHeader(format!("header too large: {len}")));
-        }
-        let mut blob = vec![0u8; len];
+        let mut blob = vec![0u8; check_header_len(len)?];
         r.read_exact(&mut blob)?;
+        ConnectionHeader::parse(&blob)
+    }
+
+    /// The fields of a header's blob, the bytes after its length prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`RosError::BadHeader`] on a truncated, non-UTF-8 or `=`-less field.
+    pub(crate) fn parse(blob: &[u8]) -> Result<Self, RosError> {
         let mut fields = BTreeMap::new();
         let mut pos = 0;
         while pos < blob.len() {

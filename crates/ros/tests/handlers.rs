@@ -1,6 +1,7 @@
-//! Every link is a handler on the one event loop. What that buys — teardown
-//! is an event whichever side goes first, an injected delay parks a frame
-//! instead of sleeping a thread — and what it costs: callbacks run on the
+//! Every link is a handler on the one event loop, its setup included. What
+//! that buys — teardown is an event whichever side goes first, an injected
+//! delay parks a frame instead of sleeping a thread, a peer that connects
+//! and never speaks pins nothing — and what it costs: callbacks run on the
 //! loop thread, so a slow one delays every other link (DESIGN §9).
 
 use rossf_ros::{
@@ -8,6 +9,8 @@ use rossf_ros::{
     TransportConfig,
 };
 use rossf_sfm::{SfmBox, SfmError, SfmMessage, SfmPod, SfmShared, SfmValidate, SfmVec};
+use std::io::Read;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -301,4 +304,90 @@ fn a_slow_callback_delays_the_other_links_and_loses_nothing() {
         a.publisher.stats().frames_dropped + b.publisher.stats().frames_dropped,
         0
     );
+}
+
+/// A handshake is a handler on the loop, not a blocking read on a worker,
+/// so peers that connect and never speak pin nothing. Six silent
+/// connections sit on a publisher's listener and six on a service's; a TCP
+/// subscriber still gets its first frame, and a service client its reply,
+/// within a second — and each silent connection is hung up on once the
+/// node's 3 s handshake timeout has passed, not before.
+#[test]
+fn silent_peers_pin_nothing() {
+    const TIMEOUT: Duration = Duration::from_secs(3);
+    const PROMPT: Duration = Duration::from_secs(1);
+    let master = Master::new();
+    let config = TransportConfig {
+        handshake_timeout: TIMEOUT,
+        ..TransportConfig::default()
+    };
+    let nh = NodeHandle::with_config(&master, "silent", MachineId::A, config.clone());
+    let publisher: Publisher<SfmBox<Payload>> =
+        nh.advertise_with("handlers/silent", PublisherOptions::new().queue_size(16));
+    let _server = nh
+        .advertise_service("handlers/silent_svc", |req: SfmShared<Payload>| {
+            msg(req.seq + 1)
+        })
+        .unwrap();
+    let service_addr = master
+        .services()
+        .lookup("handlers/silent_svc")
+        .unwrap()
+        .addr;
+
+    let connected = Instant::now();
+    let silent: Vec<TcpStream> = [publisher.addr(), service_addr]
+        .into_iter()
+        .flat_map(|addr| (0..6).map(move |_| TcpStream::connect(addr).unwrap()))
+        .collect();
+
+    let started = Instant::now();
+    let nh_sub = NodeHandle::with_config(&master, "sub", MachineId::B, config);
+    let (tx, first) = mpsc::channel();
+    let _sub = nh_sub.subscribe_with(
+        "handlers/silent",
+        SubscriberOptions::new(),
+        move |m: SfmShared<Payload>| {
+            let _ = tx.send(m.seq);
+        },
+    );
+    let mut seq = 0;
+    while first.recv_timeout(Duration::from_millis(5)).is_err() {
+        assert!(
+            started.elapsed() < PROMPT,
+            "no frame on the TCP link after {:?}",
+            started.elapsed()
+        );
+        publisher.publish(&msg(seq));
+        seq += 1;
+    }
+
+    let started = Instant::now();
+    let mut client = nh
+        .service_client::<SfmBox<Payload>, SfmShared<Payload>>("handlers/silent_svc")
+        .unwrap();
+    assert_eq!(client.call(&msg(41)).unwrap().seq, 42);
+    assert!(
+        started.elapsed() < PROMPT,
+        "the service replied after {:?}",
+        started.elapsed()
+    );
+
+    for mut stream in silent {
+        let deadline = connected + TIMEOUT + PROMPT;
+        let left = deadline.saturating_duration_since(Instant::now());
+        stream
+            .set_read_timeout(Some(left.max(Duration::from_millis(1))))
+            .unwrap();
+        match stream.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("a silent connection is still open: {other:?}"),
+        }
+        let hung_up = connected.elapsed();
+        assert!(
+            (TIMEOUT..=TIMEOUT + PROMPT).contains(&hung_up),
+            "hung up after {hung_up:?}"
+        );
+    }
 }

@@ -123,21 +123,25 @@ fn publish_until(
     }
 }
 
-/// Threads of this process whose name (`/proc/self/task/*/comm`) is `name`.
-fn tasks_named(name: &str) -> usize {
+/// Threads of this process whose name (`/proc/self/task/*/comm`) starts
+/// with `prefix`.
+fn tasks_named(prefix: &str) -> usize {
     std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .filter(|comm| comm.trim_end() == name)
+        .filter(|comm| comm.starts_with(prefix))
         .count()
 }
 
-/// The per-link threads the transport used to keep, by thread name.
-const LINK_THREADS: [&str; 4] = [
+/// The threads the transport used to keep, by thread name: the per-link
+/// ones, and the job pool's workers (`rossf-pool-0` …), which ran every
+/// link's setup.
+const LINK_THREADS: [&str; 5] = [
     "rossf-fast-sub",
     "rossf-shm-sub",
     "rossf-bag-tap",
     "rossf-shm-pub",
+    "rossf-pool-",
 ];
 
 /// One transport tier's placement.
@@ -216,7 +220,7 @@ fn churn_one_tier(case: &TierCase) {
     });
 
     // One full warm-up cycle before taking the baseline, so lazy one-time
-    // state (reactor thread, pool workers, tracer) is counted in.
+    // state (reactor thread, tracer) is counted in.
     {
         let extra_seen = Arc::new(AtomicU64::new(0));
         let extra_cb = Arc::clone(&extra_seen);

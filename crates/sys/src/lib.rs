@@ -8,8 +8,9 @@
 //! * [`memfd_create`], [`mmap_shared`], [`munmap`] — shared-memory
 //!   segments (the shm tier, and the bag's read-only file mapping);
 //! * [`Poller`] (`epoll`), [`WakeFd`] (`eventfd`), [`set_socket_buffers`]
-//!   (`setsockopt`), [`set_timer_slack_ns`] (`prctl`) — the reactor's
-//!   readiness loop;
+//!   (`setsockopt`), [`connect_nonblocking`] (`socket` + `connect`),
+//!   [`set_timer_slack_ns`] (`prctl`) — the reactor's readiness loop and
+//!   the links it drives, their setup included;
 //! * [`open_peer_fd`], [`process_alive`], [`page_round`] — the procfs and
 //!   page-size facts the callers of the above share;
 //! * [`monotonic_now`] (`clock_gettime`) — the host's `CLOCK_MONOTONIC`,
@@ -37,6 +38,7 @@ mod mem;
 mod poll;
 
 pub use mem::{memfd_create, mmap_shared, munmap, open_peer_fd, page_round, process_alive};
+pub use poll::connect_nonblocking;
 pub use poll::{set_socket_buffers, set_timer_slack_ns, timer_slack_ns, PollEvent, Poller, WakeFd};
 
 use std::io;

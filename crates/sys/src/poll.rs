@@ -1,5 +1,7 @@
 //! Readiness: `epoll_create1`, `epoll_ctl`, `epoll_pwait`/`epoll_pwait2`,
-//! `eventfd2`, plus `setsockopt` for sizing data-socket buffers.
+//! `eventfd2`, plus the socket calls the loop's links need: `setsockopt`
+//! for sizing data-socket buffers, and `socket` + `connect` for a dial
+//! that does not block.
 //!
 //! Nothing ever reads the eventfd: the counter is watched edge-triggered
 //! ([`Poller::add_wake`]), so the kernel reports each bump once and there
@@ -13,6 +15,7 @@
 use crate::{check, syscall6, Timespec};
 use std::fs::File;
 use std::io;
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -24,6 +27,8 @@ const SYS_EPOLL_CREATE1: i64 = 291;
 const SYS_EVENTFD2: i64 = 290;
 const SYS_SETSOCKOPT: i64 = 54;
 const SYS_PRCTL: i64 = 157;
+const SYS_SOCKET: i64 = 41;
+const SYS_CONNECT: i64 = 42;
 
 const SOL_SOCKET: i64 = 1;
 const SO_SNDBUF: i64 = 7;
@@ -31,8 +36,13 @@ const SO_RCVBUF: i64 = 8;
 const PR_SET_TIMERSLACK: i64 = 29;
 const PR_GET_TIMERSLACK: i64 = 30;
 
-const CLOEXEC: i64 = 0x8_0000; // EPOLL_CLOEXEC == EFD_CLOEXEC
-const EFD_NONBLOCK: i64 = 0x800;
+const CLOEXEC: i64 = 0x8_0000; // EPOLL_CLOEXEC == EFD_CLOEXEC == SOCK_CLOEXEC
+const EFD_NONBLOCK: i64 = 0x800; // == SOCK_NONBLOCK
+
+const AF_INET: i64 = 2;
+const AF_INET6: i64 = 10;
+const NONBLOCKING_STREAM: i64 = 1 | EFD_NONBLOCK | CLOEXEC; // SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC
+const EINPROGRESS: i32 = 115;
 
 const OP_ADD: i64 = 1;
 const OP_DEL: i64 = 2;
@@ -287,6 +297,43 @@ pub fn set_socket_buffers(fd: RawFd, bytes: usize) -> io::Result<()> {
     Ok(())
 }
 
+/// Start a TCP connection to `addr` on a fresh nonblocking, close-on-exec
+/// socket, without waiting for it: the socket comes back at once, and the
+/// connect has finished when it first reports writable — then
+/// [`TcpStream::take_error`] says whether it succeeded.
+///
+/// # Errors
+///
+/// The raw `errno` from the kernel, for a connect refused before it
+/// started (`EINPROGRESS` is the normal answer, not an error).
+pub fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    // The kernel's `struct sockaddr_in` / `sockaddr_in6`, laid out by hand.
+    let mut sa = [0u8; 28];
+    let (family, len) = match addr {
+        SocketAddr::V4(a) => {
+            sa[4..8].copy_from_slice(&a.ip().octets());
+            (AF_INET, 16)
+        }
+        SocketAddr::V6(a) => {
+            sa[4..8].copy_from_slice(&a.flowinfo().to_ne_bytes());
+            sa[8..24].copy_from_slice(&a.ip().octets());
+            sa[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+            (AF_INET6, 28)
+        }
+    };
+    sa[..2].copy_from_slice(&(family as u16).to_ne_bytes());
+    sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    // SAFETY: socket takes three integers and dereferences nothing.
+    let fd = check(unsafe { syscall6(SYS_SOCKET, family, NONBLOCKING_STREAM, 0, 0, 0, 0) })?;
+    // SAFETY: fd is a fresh, owned descriptor returned by the kernel.
+    let stream = unsafe { TcpStream::from_raw_fd(fd as i32) };
+    // SAFETY: `sa` holds a sockaddr of `len` bytes for the whole call.
+    match check(unsafe { syscall6(SYS_CONNECT, fd, sa.as_ptr() as i64, len, 0, 0, 0) }) {
+        Err(e) if e.raw_os_error() != Some(EINPROGRESS) => Err(e),
+        _ => Ok(stream),
+    }
+}
+
 /// Set the calling thread's timer slack — how far past its deadline the
 /// kernel may let a timed wait (a [`Poller::wait`] timeout) run so
 /// it can batch wake-ups. Threads start at 50 µs, which every
@@ -413,6 +460,46 @@ mod tests {
         p.wait(&mut events, Some(Duration::from_millis(20)))
             .unwrap();
         assert!(events.is_empty(), "no interest -> no events: {events:?}");
+    }
+
+    /// The dial the loop issues: the socket is nonblocking from the
+    /// start, reports writable once connected, and a refused connect
+    /// surfaces as the socket's pending error.
+    #[test]
+    fn a_nonblocking_connect_completes_on_writable() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = connect_nonblocking(addr).unwrap();
+        let p = Poller::new().unwrap();
+        p.add(client.as_raw_fd(), 3, false, true).unwrap();
+        let mut events = Vec::new();
+        p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(events.iter().any(|e| e.token == 3 && e.writable));
+        assert!(client.take_error().unwrap().is_none());
+        let (mut server, _) = listener.accept().unwrap();
+        server.write_all(b"x").unwrap();
+        let mut buf = [0u8; 2];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match (&client).read(&mut buf) {
+                Ok(n) => break assert_eq!(n, 1),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "the byte never arrived");
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
+
+        drop(listener); // nothing listens on `addr` any more
+        let refused = match connect_nonblocking(addr) {
+            Err(e) => e,
+            Ok(stream) => {
+                p.add(stream.as_raw_fd(), 4, false, true).unwrap();
+                p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+                stream.take_error().unwrap().expect("a pending error")
+            }
+        };
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
     }
 
     #[test]

@@ -82,7 +82,7 @@ done | grep .; then
     echo "FAIL: a tier's type or vocabulary is named outside its module under crates/ros/src/tier/"; exit 1
 fi
 
-echo "==> no crossbeam (a link's queue is publisher.rs's own; the job pool runs on std::sync::mpsc)"
+echo "==> no crossbeam (a link's queue is publisher.rs's own)"
 if grep -rn --include=Cargo.toml --include='*.rs' --exclude-dir={.git,target,.bench_build} crossbeam .; then
     echo "FAIL: crossbeam is named in a manifest or a Rust source"; exit 1
 fi

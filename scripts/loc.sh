@@ -71,13 +71,17 @@ done
 printf '%-24s %s\n' 'asm!( outside sys+lint' \
     "$(grep -rlF --include='*.rs' 'asm!(' crates tests examples src | grep -vc '^crates/\(sys\|lint\)/' || true)"
 printf '%-24s %3d\n' 'futex sites' "$(futex_lines | wc -l)"
+# One I/O thread: a read bounded by a socket timeout is a thread waiting on
+# a peer, which only a caller's own thread may do (a service client's dial).
+printf '%-24s %3d\n' 'set_read_timeout sites' \
+    "$({ without_tests crates/*/src | grep -o 'set_read_timeout(' || true; } | wc -l)"
 printf '%-24s %3d\n' 'SYS_MODULES entries' \
     "$(perl -0ne 'print $1 if /const SYS_MODULES[^=]*=\s*\[(.*?)\];/s' crates/lint/src/rules.rs | grep -o '"[^"]*"' | wc -l)"
 
 reexports() { # names a lib.rs re-exports with `pub use`
     perl -0ne 'while (/^pub use ([^;]+);/mg) { my $u = $1; $n += $u =~ /\{(.*)\}/s ? () = $1 =~ /\w+/g : 1 } END { print $n + 0 }' "$1"
 }
-for lib in crates/ros/src/lib.rs crates/core/src/lib.rs crates/shm/src/lib.rs crates/sys/src/lib.rs crates/trace/src/lib.rs; do
+for lib in crates/ros/src/lib.rs crates/core/src/lib.rs crates/shm/src/lib.rs crates/sys/src/lib.rs crates/trace/src/lib.rs crates/reactor/src/lib.rs; do
     printf '%-24s %3d\n' "pub use ${lib#crates/}" "$(reexports "$lib")"
 done
 # One count per event: the public names of the counters and their views — the
