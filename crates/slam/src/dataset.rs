@@ -127,11 +127,16 @@ pub struct Frame {
 impl Frame {
     /// Grayscale copy (mean of channels), used by the tracker front end.
     pub fn to_gray(&self) -> Vec<u8> {
-        self.rgb
-            .chunks_exact(3)
-            .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
-            .collect()
+        rgb_to_gray(&self.rgb)
     }
+}
+
+/// Grayscale of RGB8 pixels: the mean of each pixel's three channels,
+/// rounded down — the one conversion a frame and an image message share.
+pub(crate) fn rgb_to_gray(rgb: &[u8]) -> Vec<u8> {
+    rgb.chunks_exact(3)
+        .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
+        .collect()
 }
 
 /// The sequence generator: camera gliding along a smooth curve.

@@ -16,7 +16,7 @@
 //! bounded queue; the worker analyzes and publishes.
 
 use crate::brief;
-use crate::dataset::Frame;
+use crate::dataset::{rgb_to_gray, Frame};
 use crate::debug_image::{annotate, annotate_in_place};
 use crate::fast;
 use crate::mapping::{map_points, to_point_cloud2, Intrinsics, MapPoint};
@@ -269,12 +269,7 @@ pub fn spawn_plain(
         nh.advertise_with(&topics.debug, PublisherOptions::new().queue_size(16));
     let mut engine = SlamEngine::new(width, height, config);
     OrbSlamNode::spawn(nh, &topics.image, move |msg: Arc<Image>, seq| {
-        let gray: Vec<u8> = msg
-            .data
-            .chunks_exact(3)
-            .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
-            .collect();
-        let analysis = engine.analyze(&gray);
+        let analysis = engine.analyze(&rgb_to_gray(&msg.data));
         let stamp = msg.header.stamp;
 
         pose_pub.publish(&pose_msg(seq, stamp, analysis.pose));
@@ -316,13 +311,7 @@ pub fn spawn_sfm(
     let mut engine = SlamEngine::new(width, height, config);
     OrbSlamNode::spawn(nh, &topics.image, move |msg: SfmShared<SfmImage>, seq| {
         {
-            let gray: Vec<u8> = msg
-                .data
-                .as_slice()
-                .chunks_exact(3)
-                .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
-                .collect();
-            let analysis = engine.analyze(&gray);
+            let analysis = engine.analyze(&rgb_to_gray(msg.data.as_slice()));
             let stamp = msg.header.stamp;
 
             // Pose (fixed-size: identical code either way).

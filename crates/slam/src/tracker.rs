@@ -15,6 +15,12 @@ const PATCH_R: i32 = 3;
 const SEARCH_R: i32 = 8;
 /// Corners tracked per frame.
 const TRACK_CORNERS: usize = 48;
+/// Side of the patch.
+const PATCH: usize = 2 * PATCH_R as usize + 1;
+/// Offsets searched along each axis.
+const OFFSETS: usize = 2 * SEARCH_R as usize + 1;
+/// Side of the search window: every pixel a searched patch covers.
+const WINDOW: usize = OFFSETS + PATCH - 1;
 
 /// Accumulated camera pose estimate (plane translation; the dataset camera
 /// does not rotate).
@@ -51,16 +57,42 @@ pub struct Tracker {
     pose: PoseEstimate,
 }
 
-fn sad(a: &[u8], b: &[u8], width: i32, ax: i32, ay: i32, bx: i32, by: i32) -> u32 {
-    let mut total = 0u32;
-    for dy in -PATCH_R..=PATCH_R {
-        for dx in -PATCH_R..=PATCH_R {
-            let pa = a[((ay + dy) * width + ax + dx) as usize] as i32;
-            let pb = b[((by + dy) * width + bx + dx) as usize] as i32;
-            total += pa.abs_diff(pb);
+/// The square of side `N` of `img` whose top-left pixel is `(x, y)`.
+fn square<const N: usize>(img: &[u8], width: usize, x: usize, y: usize) -> [[u8; N]; N] {
+    std::array::from_fn(|dy| {
+        let at = (y + dy) * width + x;
+        img[at..at + N].try_into().expect("a row of N pixels")
+    })
+}
+
+/// Search `gray` for the 7×7 patch of `prev` centred at `c`, over every
+/// offset within `SEARCH_R` of `s`: the least sum of absolute differences
+/// and the offset `(ox, oy)` it is at, the first in `oy`-then-`ox` order
+/// on a tie. Patch and window are copied to the stack once; each row of
+/// offsets is then summed 17 lanes at a time.
+fn best_match(prev: &[u8], gray: &[u8], width: usize, c: [i32; 2], s: [i32; 2]) -> (u32, [i32; 2]) {
+    let [cx, cy] = c.map(|v| (v - PATCH_R) as usize);
+    let [sx, sy] = s.map(|v| (v - PATCH_R - SEARCH_R) as usize);
+    let patch: [[u8; PATCH]; PATCH] = square(prev, width, cx, cy);
+    let window: [[u8; WINDOW]; WINDOW] = square(gray, width, sx, sy);
+    let mut best = (u32::MAX, [0, 0]);
+    for oy in 0..OFFSETS {
+        // At most 49 × 255 = 12 495: a lane is a u16.
+        let mut costs = [0u16; OFFSETS];
+        for (patch_row, window_row) in patch.iter().zip(&window[oy..]) {
+            for (dx, &p) in patch_row.iter().enumerate() {
+                for (cost, &q) in costs.iter_mut().zip(&window_row[dx..]) {
+                    *cost += u16::from(p.abs_diff(q));
+                }
+            }
+        }
+        for (ox, &cost) in costs.iter().enumerate() {
+            if u32::from(cost) < best.0 {
+                best = (cost.into(), [ox as i32 - SEARCH_R, oy as i32 - SEARCH_R]);
+            }
         }
     }
-    total
+    best
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -109,8 +141,8 @@ impl Tracker {
                 self.velocity.0.round() as i32,
                 self.velocity.1.round() as i32,
             );
-            let mut dxs = Vec::new();
-            let mut dys = Vec::new();
+            let mut dxs = Vec::with_capacity(self.prev_corners.len());
+            let mut dys = Vec::with_capacity(self.prev_corners.len());
             for c in &self.prev_corners {
                 let (cx, cy) = (c.x as i32, c.y as i32);
                 // Predicted position in the new frame: the camera moved by
@@ -128,23 +160,13 @@ impl Tracker {
                 {
                     continue;
                 }
-                let mut best = u32::MAX;
-                let mut best_at = (sx, sy);
-                for oy in -SEARCH_R..=SEARCH_R {
-                    for ox in -SEARCH_R..=SEARCH_R {
-                        let cost = sad(prev, gray, wi, cx, cy, sx + ox, sy + oy);
-                        if cost < best {
-                            best = cost;
-                            best_at = (sx + ox, sy + oy);
-                        }
-                    }
-                }
+                let (best, [ox, oy]) = best_match(prev, gray, w as usize, [cx, cy], [sx, sy]);
                 // A good match is nearly identical texture.
                 if best < 49 * 12 {
                     // Content displacement → camera displacement is its
                     // negation.
-                    dxs.push(-(best_at.0 - cx) as f64);
-                    dys.push(-(best_at.1 - cy) as f64);
+                    dxs.push(-(sx + ox - cx) as f64);
+                    dys.push(-(sy + oy - cy) as f64);
                 }
             }
             inliers = dxs.len();
@@ -159,8 +181,10 @@ impl Tracker {
             self.pose.y += delta.1;
         }
 
-        self.prev_gray = Some(gray.to_vec());
-        self.prev_corners = corners.clone();
+        let prev = self.prev_gray.get_or_insert_with(Vec::new);
+        prev.clear();
+        prev.extend_from_slice(gray);
+        self.prev_corners.clone_from(&corners);
         TrackResult {
             pose: self.pose,
             delta,
@@ -173,7 +197,86 @@ impl Tracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::Sequence;
+    use crate::dataset::{Sequence, XorShift64};
+
+    /// The patch cost [`best_match`] is checked against: SAD of the 7×7
+    /// patches of `a` at `(ax, ay)` and `b` at `(bx, by)`, indexed in the
+    /// full images.
+    fn sad(a: &[u8], b: &[u8], width: i32, ax: i32, ay: i32, bx: i32, by: i32) -> u32 {
+        let mut total = 0u32;
+        for dy in -PATCH_R..=PATCH_R {
+            for dx in -PATCH_R..=PATCH_R {
+                let pa = a[((ay + dy) * width + ax + dx) as usize] as i32;
+                let pb = b[((by + dy) * width + bx + dx) as usize] as i32;
+                total += pa.abs_diff(pb);
+            }
+        }
+        total
+    }
+
+    /// [`best_match`] by brute force: [`sad`] at every offset, `oy` then
+    /// `ox`, keeping the first strict minimum.
+    fn reference_match(
+        prev: &[u8],
+        gray: &[u8],
+        w: i32,
+        c: [i32; 2],
+        s: [i32; 2],
+    ) -> (u32, [i32; 2]) {
+        let mut best = (u32::MAX, [0, 0]);
+        for oy in -SEARCH_R..=SEARCH_R {
+            for ox in -SEARCH_R..=SEARCH_R {
+                let cost = sad(prev, gray, w, c[0], c[1], s[0] + ox, s[1] + oy);
+                if cost < best.0 {
+                    best = (cost, [ox, oy]);
+                }
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn window_search_agrees_with_brute_force_sad() {
+        let (w, h) = (48usize, 40usize);
+        let mut rng = XorShift64::new(0x5AD);
+        let noise = |rng: &mut XorShift64| (0..w * h).map(|_| rng.next_u8()).collect::<Vec<u8>>();
+        // Extremes (every cost a multiple of 255, many equal), a flat image
+        // (every offset ties) and a period-4 texture (ties four apart) put
+        // the first-minimum rule to work.
+        let extremes: Vec<u8> = noise(&mut rng)
+            .iter()
+            .map(|&v| if v < 128 { 0 } else { 255 })
+            .collect();
+        let flat = vec![77u8; w * h];
+        let periodic: Vec<u8> = (0..w * h)
+            .map(|i| ((i % w) % 4 * 60 + (i / w) % 4 * 3) as u8)
+            .collect();
+        let pairs = [
+            (noise(&mut rng), noise(&mut rng)),
+            (extremes.clone(), extremes),
+            (flat.clone(), flat),
+            (periodic.clone(), periodic),
+        ];
+        let margin = PATCH_R + SEARCH_R + 1;
+        for (prev, gray) in &pairs {
+            for _ in 0..64 {
+                let mut at =
+                    |lo: i32, hi: usize| lo + (rng.next_u64() % (hi as u64 - 2 * lo as u64)) as i32;
+                let c = [at(PATCH_R + 1, w), at(PATCH_R + 1, h)];
+                let s = [at(margin, w), at(margin, h)];
+                assert_eq!(
+                    best_match(prev, gray, w, c, s),
+                    reference_match(prev, gray, w as i32, c, s),
+                    "patch at {c:?}, window around {s:?}"
+                );
+            }
+        }
+        let flat = &pairs[2].0;
+        assert_eq!(
+            best_match(flat, flat, w, [20, 20], [20, 20]),
+            (0, [-SEARCH_R, -SEARCH_R])
+        );
+    }
 
     #[test]
     fn first_frame_initializes_without_motion() {
