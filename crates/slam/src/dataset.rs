@@ -134,9 +134,19 @@ impl Frame {
 /// Grayscale of RGB8 pixels: the mean of each pixel's three channels,
 /// rounded down — the one conversion a frame and an image message share.
 pub(crate) fn rgb_to_gray(rgb: &[u8]) -> Vec<u8> {
-    rgb.chunks_exact(3)
-        .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8)
-        .collect()
+    let mut gray = Vec::new();
+    rgb_to_gray_into(rgb, &mut gray);
+    gray
+}
+
+/// [`rgb_to_gray`] into `gray`, replacing its contents: a caller that
+/// converts every frame keeps one buffer.
+pub(crate) fn rgb_to_gray_into(rgb: &[u8], gray: &mut Vec<u8>) {
+    gray.clear();
+    gray.extend(
+        rgb.chunks_exact(3)
+            .map(|p| ((p[0] as u16 + p[1] as u16 + p[2] as u16) / 3) as u8),
+    );
 }
 
 /// The sequence generator: camera gliding along a smooth curve.

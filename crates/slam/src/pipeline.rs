@@ -16,7 +16,7 @@
 //! bounded queue; the worker analyzes and publishes.
 
 use crate::brief;
-use crate::dataset::{rgb_to_gray, Frame};
+use crate::dataset::{rgb_to_gray_into, Frame};
 use crate::debug_image::{annotate, annotate_in_place};
 use crate::fast;
 use crate::mapping::{map_points, to_point_cloud2, Intrinsics, MapPoint};
@@ -268,8 +268,10 @@ pub fn spawn_plain(
     let debug_pub: Publisher<Image> =
         nh.advertise_with(&topics.debug, PublisherOptions::new().queue_size(16));
     let mut engine = SlamEngine::new(width, height, config);
+    let mut gray = Vec::new();
     OrbSlamNode::spawn(nh, &topics.image, move |msg: Arc<Image>, seq| {
-        let analysis = engine.analyze(&rgb_to_gray(&msg.data));
+        rgb_to_gray_into(&msg.data, &mut gray);
+        let analysis = engine.analyze(&gray);
         let stamp = msg.header.stamp;
 
         pose_pub.publish(&pose_msg(seq, stamp, analysis.pose));
@@ -309,9 +311,11 @@ pub fn spawn_sfm(
     let debug_pub: Publisher<SfmBox<SfmImage>> =
         nh.advertise_with(&topics.debug, PublisherOptions::new().queue_size(16));
     let mut engine = SlamEngine::new(width, height, config);
+    let mut gray = Vec::new();
     OrbSlamNode::spawn(nh, &topics.image, move |msg: SfmShared<SfmImage>, seq| {
         {
-            let analysis = engine.analyze(&rgb_to_gray(msg.data.as_slice()));
+            rgb_to_gray_into(msg.data.as_slice(), &mut gray);
+            let analysis = engine.analyze(&gray);
             let stamp = msg.header.stamp;
 
             // Pose (fixed-size: identical code either way).

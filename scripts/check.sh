@@ -25,6 +25,12 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# The SLAM kernels are written in 16-lane SSE2 and narrow integer lanes, and
+# only optimized code is what the benchmark runs: their golden, oracle and
+# allocation suites run again on a release build.
+echo "==> cargo test --release -p rossf-slam (golden, oracle and alloc suites on optimized code)"
+cargo test -q --release -p rossf-slam
+
 echo "==> sfm_verify --self-test"
 cargo run -q --release -p rossf-bench --bin sfm_verify -- --self-test
 
