@@ -32,10 +32,15 @@
 //! one small class, and the process keeps at most [`LARGE_PER_CLASS`]
 //! blocks of one large class (at least [`LARGE_BLOCK`] bytes) and
 //! [`LARGE_BYTE_CAP`] bytes of large blocks — counting the bytes each was
-//! asked for — on any thread's lists or on their way home: the bounds of
-//! the process-wide pool this replaces, which served large blocks only.
-//! Whatever would pass a bound goes back to the global allocator, and so do
-//! an exiting thread's large blocks.
+//! asked for — on any thread's lists or on their way home: the byte cap of
+//! the process-wide pool this replaces, which served large blocks only, and
+//! twice its count. Whatever would pass a bound goes back to the global
+//! allocator, and so do an exiting thread's large blocks. The count covers
+//! the image blocks a pipeline keeps live at once: the Fig. 17 SLAM graph
+//! holds more than 4 of one class between its input, its node's queue and
+//! its debug output, so at 4 one in a few dozen frames sent a block back
+//! to the allocator and faulted a fresh mapping in for the next; at 8 it
+//! keeps them all.
 //!
 //! A region that is not the heap's — a shared-memory mapping, a bag mmap, a
 //! loaned segment — never enters a cache: only its header, a *control
@@ -78,7 +83,7 @@ const MAX_COUNT: u32 = u32::MAX / 2;
 /// run over pools.
 const LARGE_BLOCK: usize = 64 << 10;
 /// Large blocks the process keeps per class.
-const LARGE_PER_CLASS: u32 = 4;
+const LARGE_PER_CLASS: u32 = 8;
 /// Bytes of large blocks the process keeps, cached or on their way home;
 /// also the largest block that is cached at all.
 const LARGE_BYTE_CAP: usize = 128 << 20;
