@@ -45,13 +45,33 @@
 //! A region that is not the heap's — a shared-memory mapping, a bag mmap, a
 //! loaned segment — never enters a cache: only its header, a *control
 //! block* of the smallest class, does.
+//!
+//! # Small blocks live in one arena, and their headers are records
+//!
+//! Every block's header can hold its message's record for the message
+//! manager — owner, state, size and type name ([`HeaderRecord`]). A small
+//! block (below [`LARGE_BLOCK`]) is carved from an arena reserved once, on
+//! first use: [`REGION`] bytes per small class, each region cut into blocks
+//! of its class from its start. An address inside the arena names its
+//! block with a subtraction, a shift and a divide — mimalloc's segment →
+//! page → block arithmetic — so the manager finds a small message's record
+//! from any field's address without a table. The arena's memory is never
+//! given back, so a header stays readable whatever becomes of its block;
+//! the arena is zeroed address space, and only the blocks carved from it
+//! are ever touched. A small block no thread keeps — past a thread's
+//! bound, or drained — waits on its class's spare list for the next thread
+//! whose lists run dry. A class whose region is full takes its blocks from
+//! the global allocator, and the manager finds their records through its
+//! table, as it finds an extern region's or a large block's.
 
-use crate::manager::{home_partition, leave_home, PARTITIONS};
+use crate::manager::{home_partition, leave_home, MessageState, PARTITIONS};
 use crate::sync::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
+use parking_lot::Mutex;
+use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
-use std::mem;
-use std::ptr::NonNull;
+use std::mem::{self, ManuallyDrop};
+use std::ptr::{addr_of_mut, NonNull};
+use std::sync::OnceLock;
 
 /// Alignment of every SFM allocation. 8 bytes covers the strictest field
 /// type ROS supports (`float64`/`int64`) so nested skeletons and vector
@@ -94,11 +114,16 @@ const CLASSES: usize =
     1 + 4 * (LARGE_BYTE_CAP.trailing_zeros() - MIN_BLOCK.trailing_zeros()) as usize;
 /// The class of a block too large to cache.
 const UNCACHED: u8 = u8::MAX;
+/// Classes below [`LARGE_BLOCK`], each with a region of the arena.
+const SMALL_CLASSES: usize = class_of(LARGE_BLOCK) as usize;
+/// Arena bytes per small class: 131 072 blocks of the smallest class, 292
+/// of the largest small one, 576 MiB of address space in all.
+const REGION: usize = 16 << 20;
 
 const _: () = assert!(HEADER == BLOCK_ALIGN && HEADER < MIN_BLOCK && CLASSES < UNCACHED as usize);
 
 /// The class of a block of `bytes` bytes, or [`UNCACHED`].
-fn class_of(bytes: usize) -> u8 {
+const fn class_of(bytes: usize) -> u8 {
     if bytes <= MIN_BLOCK {
         return 0;
     }
@@ -112,7 +137,7 @@ fn class_of(bytes: usize) -> u8 {
 }
 
 /// Bytes of a block of class `class` (not [`UNCACHED`]).
-fn class_bytes(class: u8) -> usize {
+const fn class_bytes(class: u8) -> usize {
     match class as usize {
         0 => MIN_BLOCK,
         c => {
@@ -120,6 +145,64 @@ fn class_bytes(class: u8) -> usize {
             (5 + (c - 1) % 4) << (p - 2)
         }
     }
+}
+
+/// The small blocks' address space: one region per small class.
+struct Arena {
+    base: usize,
+    /// Blocks carved from each class's region so far; past the region's
+    /// room once it is full.
+    carved: [AtomicUsize; SMALL_CLASSES],
+}
+
+/// `None` once reserving the arena has failed.
+static ARENA: OnceLock<Option<Arena>> = OnceLock::new();
+
+impl Arena {
+    fn reserve() -> Option<Arena> {
+        // Aligned by hand: an over-aligned zeroed request is zeroed by a
+        // write to every byte.
+        let layout = Layout::from_size_align(SMALL_CLASSES * REGION + BLOCK_ALIGN, 16).ok()?;
+        // SAFETY: nonzero size. A request this large is a fresh mapping,
+        // which the system allocator zeroes without touching a page.
+        let raw = unsafe { alloc_zeroed(layout) };
+        (!raw.is_null()).then(|| Arena {
+            base: crate::align_up(raw as usize, BLOCK_ALIGN),
+            carved: [const { AtomicUsize::new(0) }; SMALL_CLASSES],
+        })
+    }
+
+    fn get() -> Option<&'static Arena> {
+        ARENA.get()?.as_ref()
+    }
+
+    /// The block of `class`'s region at `slot`.
+    fn block(&self, class: usize, slot: usize) -> NonNull<Block> {
+        let addr = self.base + class * REGION + slot * class_bytes(class as u8);
+        // SAFETY: inside the arena, whose base is not null.
+        unsafe { NonNull::new_unchecked(addr as *mut Block) }
+    }
+
+    fn holds(&self, block: NonNull<Block>) -> bool {
+        (block.as_ptr() as usize).wrapping_sub(self.base) < SMALL_CLASSES * REGION
+    }
+}
+
+/// Small blocks no thread keeps, one list per class: an arena block never
+/// goes back to the global allocator. Taken only when a thread's own lists
+/// and its partition's return list are dry.
+static SPARE: Mutex<[FreeList; SMALL_CLASSES]> = Mutex::new([FreeList::EMPTY; SMALL_CLASSES]);
+
+/// A free small block no thread keeps, else a fresh one from the arena.
+fn arena_block(class: u8) -> Option<NonNull<Block>> {
+    let class = class as usize;
+    if let Some(block) = SPARE.lock().get_mut(class)?.pop() {
+        return Some(block);
+    }
+    let arena = ARENA.get_or_init(Arena::reserve).as_ref()?;
+    // Relaxed: a slot is claimed once; the block travels with its claimer.
+    let slot = arena.carved[class].fetch_add(1, Ordering::Relaxed);
+    (slot < REGION / class_bytes(class as u8)).then(|| arena.block(class, slot))
 }
 
 fn is_large(class: u8) -> bool {
@@ -186,18 +269,24 @@ fn uncharge(class: u8, bytes: usize) {
 }
 
 /// What a block holds besides its own header.
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 enum Backing {
     /// The bytes follow the header. A free block's backing is always this.
     Heap,
-    /// The bytes belong to someone else. The guard that releases them
-    /// lives in the control block's tail; this drops it there.
-    // SAFETY: called only by the last buffer pointer's drop, once, on the
-    // block whose tail `SfmAlloc::guarded` put the guard in.
-    Extern(unsafe fn(NonNull<Block>)),
-    /// A subscriber's view of another block's bytes, holding one buffer
-    /// pointer to it.
-    View(SfmAlloc),
+    /// The bytes belong to someone else. The control block's tail holds
+    /// the function that drops the guard releasing them ([`DropGuard`]),
+    /// then the guard.
+    Extern,
+    /// A subscriber's view of another block's bytes: the control block's
+    /// tail holds one buffer pointer to it.
+    View,
 }
+
+/// Drops the guard in an extern block's tail.
+// SAFETY: called only by the last buffer pointer's drop, once, on the
+// block whose tail `SfmAlloc::guarded` put the guard in.
+type DropGuard = unsafe fn(NonNull<Block>);
 
 /// The header at the start of every block: one cache line, and aligned to
 /// one in a small block.
@@ -218,6 +307,13 @@ struct Block {
     /// When the block was handed out, on the tracing clock (0 when the
     /// tracer was not armed).
     born_ns: AtomicU64,
+    /// The record words ([`HeaderRecord`]): the owner and state, the type
+    /// name and the whole-message size. Written only atomically; `init`
+    /// leaves an arena block's as they are and zeroes the owner word of a
+    /// block from the global allocator.
+    record: AtomicUsize,
+    name: AtomicU64,
+    used: AtomicU32,
     /// The building thread's home partition of the record table.
     partition: u8,
     class: u8,
@@ -238,9 +334,20 @@ impl Block {
     }
 }
 
-/// Where a control block keeps a guard of type `G`: its tail.
-fn guard_slot<G>(block: NonNull<Block>) -> *mut G {
+/// A control block's tail, where its backing keeps a [`DropGuard`] or a
+/// view's buffer pointer.
+fn tail<T>(block: NonNull<Block>) -> *mut T {
     block.as_ptr().cast::<u8>().wrapping_add(HEADER).cast()
+}
+
+/// Where an extern control block keeps a guard of type `G`: after its
+/// [`DropGuard`].
+fn guard_offset<G>() -> usize {
+    crate::align_up(mem::size_of::<DropGuard>(), mem::align_of::<G>())
+}
+
+fn guard_slot<G>(block: NonNull<Block>) -> *mut G {
+    tail::<u8>(block).wrapping_add(guard_offset::<G>()).cast()
 }
 
 /// Drop the guard of type `G` in `block`'s tail.
@@ -269,26 +376,31 @@ unsafe fn init(
     born_ns: u64,
     backing: Backing,
 ) -> SfmAlloc {
-    // SAFETY: (the caller's) the block is this thread's alone; a free
-    // block's old header owns nothing (its backing is `Heap`), so it is
-    // overwritten without a drop.
+    // SAFETY: (the caller's) the block is this thread's alone, and a free
+    // block's old header owns nothing. An arena block's record words are
+    // not written: a lookup may read them at any time, and they are zero
+    // (the arena starts zeroed, and a released record is cleared).
     unsafe {
-        block.as_ptr().write(Block {
-            refs: AtomicU32::new(1),
-            objs: AtomicU32::new(0),
-            next: AtomicUsize::new(0),
-            data,
-            capacity,
-            born_ns: AtomicU64::new(born_ns),
-            partition: home_partition(),
-            class,
-            backing,
-        })
+        let b = block.as_ptr();
+        addr_of_mut!((*b).refs).write(AtomicU32::new(1));
+        addr_of_mut!((*b).objs).write(AtomicU32::new(0));
+        addr_of_mut!((*b).next).write(AtomicUsize::new(0));
+        addr_of_mut!((*b).data).write(data);
+        addr_of_mut!((*b).capacity).write(capacity);
+        addr_of_mut!((*b).born_ns).write(AtomicU64::new(born_ns));
+        addr_of_mut!((*b).partition).write(home_partition());
+        addr_of_mut!((*b).class).write(class);
+        addr_of_mut!((*b).backing).write(backing);
+        if Arena::get().is_none_or(|arena| !arena.holds(block)) {
+            // Nothing zeroed a block from the global allocator.
+            addr_of_mut!((*b).record).write(AtomicUsize::new(0));
+        }
     };
     SfmAlloc { block }
 }
 
-/// Give a free block back to the global allocator; returns its size.
+/// Give a free block back to the global allocator, or an arena block to
+/// its class's spare list; returns its size.
 ///
 /// # Safety
 ///
@@ -297,6 +409,10 @@ unsafe fn init(
 unsafe fn free_block(block: NonNull<Block>) -> usize {
     // SAFETY: (the caller's) a free block is owned by this thread.
     let (class, capacity) = unsafe { (block.as_ref().class, block.as_ref().capacity) };
+    if Arena::get().is_some_and(|arena| arena.holds(block)) {
+        SPARE.lock()[class as usize].push(block);
+        return class_bytes(class);
+    }
     // `None` is unreachable (the layout was built at allocation); leaking
     // then beats a panic on a drop path.
     let Some(layout) = block_layout(class, HEADER + capacity) else {
@@ -429,11 +545,34 @@ impl ReturnList {
 /// One return list per partition of the record table.
 static RETURNS: [ReturnList; PARTITIONS] = [const { ReturnList::new() }; PARTITIONS];
 
-/// One class's free list on one thread.
+/// One class's free list.
 #[derive(Clone, Copy)]
 struct FreeList {
     head: Option<NonNull<Block>>,
     len: usize,
+}
+
+// SAFETY: the blocks on a list are free, owned by the list's owner.
+unsafe impl Send for FreeList {}
+
+impl FreeList {
+    const EMPTY: FreeList = FreeList { head: None, len: 0 };
+
+    /// Put a free block owned by the caller on the list.
+    fn push(&mut self, block: NonNull<Block>) {
+        // SAFETY: the block is free and the caller's.
+        unsafe { block.as_ref() }.link_to(self.head);
+        self.head = Some(block);
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<NonNull<Block>> {
+        let block = self.head?;
+        // SAFETY: a block on the list is free and the list owner's.
+        self.head = unsafe { block.as_ref() }.next_block();
+        self.len -= 1;
+        Some(block)
+    }
 }
 
 /// A thread's free lists, one per class. Every block on them is of the
@@ -445,7 +584,7 @@ struct Cache {
 thread_local! {
     static CACHE: RefCell<Cache> = const {
         RefCell::new(Cache {
-            lists: [FreeList { head: None, len: 0 }; CLASSES],
+            lists: [FreeList::EMPTY; CLASSES],
         })
     };
 }
@@ -459,13 +598,9 @@ impl Cache {
                 self.put(block, true);
             }
         }
-        let list = &mut self.lists[class as usize];
-        let block = list.head?;
-        // SAFETY: the block is on this thread's list, so free and its own.
-        list.head = unsafe { block.as_ref() }.next_block();
-        list.len -= 1;
+        let block = self.lists[class as usize].pop()?;
         if is_large(class) {
-            // SAFETY: as above.
+            // SAFETY: off this thread's list, so free and its own.
             uncharge(class, unsafe { charged_bytes(block) });
         }
         Some(block)
@@ -490,10 +625,7 @@ impl Cache {
             unsafe { free_block(block) };
             return;
         }
-        // SAFETY: as above.
-        unsafe { block.as_ref() }.link_to(list.head);
-        list.head = Some(block);
-        list.len += 1;
+        list.push(block);
     }
 
     /// Every block on the lists, which are left empty.
@@ -535,12 +667,13 @@ impl Drop for Cache {
 }
 
 /// A free block of at least `bytes` bytes and its class: from this
-/// thread's list for the class, else from the global allocator.
+/// thread's list for the class, else from the arena for a small class,
+/// else from the global allocator.
 fn take_block(bytes: usize) -> (NonNull<Block>, u8) {
     let class = class_of(bytes);
     if class != UNCACHED {
         let cached = CACHE.try_with(|cache| cache.try_borrow_mut().ok()?.pop(class));
-        if let Ok(Some(block)) = cached {
+        if let Some(block) = cached.ok().flatten().or_else(|| arena_block(class)) {
             return (block, class);
         }
     }
@@ -586,7 +719,8 @@ fn recycle(block: NonNull<Block>) {
     RETURNS[partition as usize].push(block, block);
 }
 
-/// What [`drain_alloc_pool`] gave back to the global allocator.
+/// What [`drain_alloc_pool`] gave back: large blocks to the global
+/// allocator, small ones to the spare lists of the arena they came from.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DrainedPool {
     /// Blocks freed.
@@ -596,8 +730,10 @@ pub struct DrainedPool {
 }
 
 /// Free every block waiting on a return list, and every block on the
-/// calling thread's own lists, back to the global allocator. Other
-/// threads' lists are theirs: each goes home when its thread exits.
+/// calling thread's own lists: a large block back to the global
+/// allocator, a small one to its class's spare list, where any thread's
+/// next allocation of the class may take it. Other threads' lists are
+/// theirs: each goes home when its thread exits.
 ///
 /// Benchmark harnesses call this between experiment cells so one message
 /// family's cached blocks cannot perturb the allocator behaviour another
@@ -701,7 +837,7 @@ impl SfmAlloc {
         assert!(capacity > 0, "SFM allocation must be nonempty");
         let data = NonNull::new(ptr).expect("extern region must be non-null");
         debug_assert_eq!(data.as_ptr() as usize % SFM_ALLOC_ALIGN, 0);
-        if mem::size_of::<G>() > GUARD_ROOM || mem::align_of::<G>() > BLOCK_ALIGN {
+        if guard_offset::<G>() + mem::size_of::<G>() > GUARD_ROOM {
             return Self::guarded(data, capacity, Box::new(guard));
         }
         Self::guarded(data, capacity, guard)
@@ -709,11 +845,15 @@ impl SfmAlloc {
 
     /// A control block over `data` with `guard`, which fits, in its tail.
     fn guarded<G: Send + 'static>(data: NonNull<u8>, capacity: usize, guard: G) -> Self {
-        let alloc = Self::control(data, capacity, 0, Backing::Extern(drop_guard::<G>));
-        // SAFETY: a control block's tail is free, and a `G` fits there,
-        // aligned (HEADER is a multiple of BLOCK_ALIGN, checked by the
-        // caller); no one else holds the handle yet.
-        unsafe { guard_slot::<G>(alloc.block).write(guard) };
+        let alloc = Self::control(data, capacity, 0, Backing::Extern);
+        // SAFETY: a control block's tail is free, and the drop function and
+        // a `G` after it fit there, aligned (HEADER is a multiple of
+        // BLOCK_ALIGN, and the caller checked the room); no one else holds
+        // the handle yet.
+        unsafe {
+            tail::<DropGuard>(alloc.block).write(drop_guard::<G>);
+            guard_slot::<G>(alloc.block).write(guard);
+        }
         alloc
     }
 
@@ -730,26 +870,31 @@ impl SfmAlloc {
     /// record: a control block holding one buffer pointer to this block.
     pub(crate) fn view(&self) -> SfmAlloc {
         let header = self.header();
-        Self::control(
-            header.data,
-            header.capacity,
-            self.born_ns(),
-            Backing::View(self.clone()),
-        )
+        let view = Self::control(header.data, header.capacity, self.born_ns(), Backing::View);
+        // SAFETY: a control block's tail is free and holds a pointer; no
+        // one else holds the view yet.
+        unsafe { tail::<SfmAlloc>(view.block).write(self.clone()) };
+        view
     }
 
     /// The block whose bytes these are: the viewed one for a view (views
     /// are made of published buffers only, which are never views).
     pub(crate) fn viewed(&self) -> &SfmAlloc {
-        match &self.header().backing {
-            Backing::View(of) => of,
+        match self.header().backing {
+            // SAFETY: a view's tail holds its buffer pointer while it lives.
+            Backing::View => unsafe { &*tail::<SfmAlloc>(self.block) },
             _ => self,
         }
     }
 
     /// Whether this allocation is a view that owns no record.
     pub(crate) fn is_view(&self) -> bool {
-        matches!(self.header().backing, Backing::View(_))
+        self.header().backing == Backing::View
+    }
+
+    /// This block's header as the slot of its message's record.
+    pub(crate) fn header_record(&self) -> HeaderRecord {
+        HeaderRecord(self.block)
     }
 
     #[inline]
@@ -762,7 +907,7 @@ impl SfmAlloc {
     /// through [`SfmAlloc::from_extern`]) rather than heap memory.
     #[inline]
     pub fn is_extern(&self) -> bool {
-        matches!(self.viewed().header().backing, Backing::Extern(_))
+        self.viewed().header().backing == Backing::Extern
     }
 
     /// Re-stamp the birth timestamp. [`SfmAlloc::from_extern`] always sets
@@ -820,6 +965,14 @@ impl SfmAlloc {
     pub(crate) fn refs(&self) -> usize {
         // Acquire: as `Arc::strong_count`.
         self.header().refs.load(Ordering::Acquire) as usize
+    }
+
+    /// Found the block's one handle group with its first object pointer:
+    /// no other handle of the group exists yet, so a store does.
+    pub(crate) fn found_group(&self) {
+        debug_assert_eq!(self.objects(), 0, "one handle group per block");
+        // Relaxed: published with the handle, by whatever shares it.
+        self.header().objs.store(1, Ordering::Relaxed);
     }
 
     /// Add an object pointer to the block's handle group.
@@ -900,16 +1053,16 @@ impl Drop for SfmAlloc {
         }
         // Acquire: every other handle's use happens before what follows.
         fence(Ordering::Acquire);
-        // SAFETY: the last buffer pointer is gone, so the block is this
-        // thread's alone; its backing is taken out, leaving `Heap` (which
-        // owns nothing), before the block goes home.
-        let backing = unsafe { mem::replace(&mut (*self.block.as_ptr()).backing, Backing::Heap) };
-        match backing {
-            // SAFETY: an extern block's tail holds its live guard, dropped
-            // here once — which releases the external region.
-            Backing::Extern(drop_guard) => unsafe { drop_guard(self.block) },
-            // A view drops its buffer pointer to the viewed block.
-            other => drop(other),
+        // The last buffer pointer is gone, so the block is this thread's
+        // alone; what its tail holds is dropped here, once.
+        match self.header().backing {
+            // SAFETY: an extern block's tail holds its drop function and its
+            // live guard, which releases the external region.
+            Backing::Extern => unsafe { tail::<DropGuard>(self.block).read()(self.block) },
+            // SAFETY: a view's tail holds its buffer pointer to the viewed
+            // block.
+            Backing::View => unsafe { tail::<SfmAlloc>(self.block).drop_in_place() },
+            Backing::Heap => {}
         }
         recycle(self.block);
     }
@@ -924,11 +1077,182 @@ impl std::fmt::Debug for SfmAlloc {
     }
 }
 
-/// The return list and its blocks, opened for the model-checked scenarios
-/// in `tests/model.rs` (built only under `--cfg rossf_model`).
+/// Bits of a type name's pointer in the packed name word; its length takes
+/// the other 16. User-space addresses on the 64-bit targets this runs on
+/// are below 2^48.
+const NAME_PTR_BITS: u32 = 48;
+/// The owner word's state bit: the record is `Published`.
+const PUBLISHED: usize = 1;
+
+/// A block's header seen as the one message record it holds for one
+/// manager (DESIGN §4): the manager's identity and the message's state in
+/// one word, the type name packed in another, and the whole message's
+/// size; the record's buffer pointer is one of the block's counts. The
+/// owner word is written last, with `Release`, so whoever sees it sees the
+/// rest. A record is written, published and cleared by whoever holds its
+/// message. In the arena, the words are written only atomically and the
+/// memory is never freed, so a lookup may read any slot's words at any
+/// time.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HeaderRecord(NonNull<Block>);
+
+// SAFETY: a pointer to a header whose record words are atomics; the block
+// is read only while the record holds it.
+unsafe impl Send for HeaderRecord {}
+
+impl HeaderRecord {
+    /// The slot of the arena block whose bytes may hold `addr`: a
+    /// subtraction, a shift and a divide. The caller checks the owner and
+    /// that `addr` lies in the message.
+    #[inline]
+    pub(crate) fn at(addr: usize) -> Option<HeaderRecord> {
+        let arena = Arena::get()?;
+        let offset = addr.wrapping_sub(arena.base);
+        let class = offset / REGION;
+        (class < SMALL_CLASSES).then_some(())?;
+        // 32-bit: a region's offsets and block sizes fit, and the divide is
+        // several times cheaper than a 64-bit one.
+        let bytes = class_bytes(class as u8) as u32;
+        let slot = (offset % REGION) as u32 / bytes;
+        ((slot + 1) * bytes <= REGION as u32)
+            .then(|| HeaderRecord(arena.block(class, slot as usize)))
+    }
+
+    /// Every slot carved so far, for whole-manager scans.
+    pub(crate) fn all() -> impl Iterator<Item = HeaderRecord> {
+        Arena::get().into_iter().flat_map(|arena| {
+            (0..SMALL_CLASSES).flat_map(move |class| {
+                // Relaxed: a slot not yet written holds zero words.
+                let carved = arena.carved[class].load(Ordering::Relaxed);
+                let slots = carved.min(REGION / class_bytes(class as u8));
+                (0..slots).map(move |slot| HeaderRecord(arena.block(class, slot)))
+            })
+        })
+    }
+
+    /// Whether the arena's arithmetic finds this record from `start`, its
+    /// message's first byte: a heap block carved from the arena. Reads no
+    /// memory, so it may be asked of a block a racing release freed.
+    pub(crate) fn by_arena(&self, start: usize) -> bool {
+        start == self.0.as_ptr() as usize + HEADER && Arena::get().is_some_and(|a| a.holds(self.0))
+    }
+
+    /// The record's state when `owner` holds it.
+    #[inline]
+    pub(crate) fn held_by(&self, owner: usize) -> Option<MessageState> {
+        // SAFETY: the arena's words are never freed. Acquire: pairs with
+        // `write`, so the size and name read after are the record's.
+        let word = unsafe { &(*self.0.as_ptr()).record }.load(Ordering::Acquire);
+        let states = [MessageState::Allocated, MessageState::Published];
+        (word & !PUBLISHED == owner).then_some(states[word & PUBLISHED])
+    }
+
+    /// Make this slot `owner`'s record of a message of `used` bytes.
+    /// `owner` is nonzero with its state bit clear. A name that does not
+    /// pack into a word — 64 KiB long, or above the user address range — is
+    /// kept as "?".
+    pub(crate) fn write(&self, owner: usize, state: MessageState, used: usize, ty: &'static str) {
+        let fits = (ty.as_ptr() as u64) >> NAME_PTR_BITS == 0 && u16::try_from(ty.len()).is_ok();
+        let ty = if fits { ty } else { "?" };
+        // SAFETY: as in `held_by`.
+        let b = unsafe { &*self.0.as_ptr() };
+        // Relaxed: published by the Release store of the owner word.
+        // An SFM message's offsets are 32-bit, so no message outgrows this.
+        let used = u32::try_from(used).expect("an SFM message is under 4 GiB");
+        b.used.store(used, Ordering::Relaxed);
+        let name = ty.as_ptr() as u64 | (ty.len() as u64) << NAME_PTR_BITS;
+        b.name.store(name, Ordering::Relaxed);
+        // Release: see `held_by`.
+        let state = usize::from(state == MessageState::Published);
+        b.record.store(owner | state, Ordering::Release);
+    }
+
+    /// Mark the record published; `true` for the one call that did.
+    pub(crate) fn publish(&self) -> bool {
+        // SAFETY: as in `held_by`.
+        let record = unsafe { &(*self.0.as_ptr()).record };
+        // Relaxed: a state bit, ordering nothing; the RMW makes exactly
+        // one of two racing publishers the first.
+        record.load(Ordering::Relaxed) & PUBLISHED == 0
+            && record.fetch_or(PUBLISHED, Ordering::Relaxed) & PUBLISHED == 0
+    }
+
+    /// Clear `owner`'s record — the slot holds none until the next
+    /// `write` — and take back its buffer pointer, the count the header
+    /// kept: for one caller only, however many race to release it.
+    pub(crate) fn take(&self, owner: usize) -> Option<SfmAlloc> {
+        // SAFETY: as in `held_by`.
+        let record = unsafe { &(*self.0.as_ptr()).record };
+        // Relaxed: the guess for the exchange. Release: the record's last
+        // reads happen before a later owner's writes.
+        let word = record.load(Ordering::Relaxed);
+        if word & !PUBLISHED != owner {
+            return None;
+        }
+        let cleared = record.compare_exchange(word, 0, Ordering::Release, Ordering::Relaxed);
+        cleared
+            .ok()
+            .map(|_| ManuallyDrop::into_inner(self.buffer()))
+    }
+
+    /// One more buffer pointer to the record's block, unless its last one
+    /// is gone — a release raced the caller — which is `Arc::upgrade`'s rule.
+    pub(crate) fn clone_live(&self) -> Option<SfmAlloc> {
+        // SAFETY: as in `held_by`.
+        let refs = unsafe { &(*self.0.as_ptr()).refs };
+        // Relaxed: as `SfmAlloc::clone`; the count being nonzero keeps the
+        // block alive.
+        let mut n = refs.load(Ordering::Relaxed);
+        while n != 0 {
+            match refs.compare_exchange_weak(n, n + 1, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Some(SfmAlloc { block: self.0 }),
+                Err(now) => n = now,
+            }
+        }
+        None
+    }
+
+    /// The whole message's size.
+    pub(crate) fn used(&self) -> usize {
+        // SAFETY: as in `held_by`. Relaxed: the size is read and written by
+        // whoever holds the message (and published by `write`).
+        unsafe { &(*self.0.as_ptr()).used }.load(Ordering::Relaxed) as usize
+    }
+
+    pub(crate) fn set_used(&self, used: usize) {
+        let used = u32::try_from(used).expect("an SFM message is under 4 GiB");
+        // SAFETY: as in `held_by`. Relaxed: see `used`.
+        unsafe { &(*self.0.as_ptr()).used }.store(used, Ordering::Relaxed);
+    }
+
+    pub(crate) fn type_name(&self) -> &'static str {
+        // SAFETY: as in `held_by`. Relaxed: see `write`.
+        let word = unsafe { &(*self.0.as_ptr()).name }.load(Ordering::Relaxed);
+        let (ptr, len) = (word & ((1 << NAME_PTR_BITS) - 1), word >> NAME_PTR_BITS);
+        if ptr == 0 {
+            return "";
+        }
+        // SAFETY: one atomic word, so never torn, packed by `write` from a
+        // `&'static str`.
+        let bytes = unsafe { std::slice::from_raw_parts(ptr as *const u8, len as usize) };
+        // SAFETY: as above.
+        unsafe { std::str::from_utf8_unchecked(bytes) }
+    }
+
+    /// The record's buffer pointer, borrowed: read while a record is held,
+    /// its block is live.
+    pub(crate) fn buffer(&self) -> ManuallyDrop<SfmAlloc> {
+        ManuallyDrop::new(SfmAlloc { block: self.0 })
+    }
+}
+
+/// The return list and its blocks, and a block's header record, opened
+/// for the model-checked scenarios in `tests/model.rs` (built only under
+/// `--cfg rossf_model`).
 #[cfg(rossf_model)]
 pub mod model {
-    use super::{block_layout, free_block, init, Backing, Block, Chain, Taken, MIN_BLOCK};
+    use super::{block_layout, free_block, init, Backing, Block, Chain, HeaderRecord, Taken};
+    use super::{AtomicUsize, MessageState, MIN_BLOCK};
     use std::ptr::NonNull;
 
     /// A free block, owned by whoever holds it. Drawn from the global
@@ -944,8 +1268,9 @@ pub mod model {
         #[allow(clippy::new_without_default)]
         pub fn new() -> FreeBlock {
             let layout = block_layout(0, MIN_BLOCK).expect("the smallest class has a layout");
-            // SAFETY: nonzero size.
-            let block = NonNull::new(unsafe { std::alloc::alloc(layout) }.cast::<Block>())
+            // SAFETY: nonzero size. Zeroed: a record's words read 0 until
+            // written.
+            let block = NonNull::new(unsafe { std::alloc::alloc_zeroed(layout) }.cast::<Block>())
                 .unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
             // SAFETY: fresh and ours; a control-block header (no bytes of
             // its own) is all a free block needs.
@@ -1021,6 +1346,36 @@ pub mod model {
                 self.list.take()
             };
             taken.map(FreeBlock).collect()
+        }
+    }
+
+    // SAFETY: a shared free block is used only through its record's
+    // atomic words.
+    unsafe impl Sync for FreeBlock {}
+
+    /// The block's header record, written, published and read as the
+    /// manager does it.
+    impl FreeBlock {
+        /// Make it `owner`'s record of a message of `used` bytes.
+        pub fn write_record(&self, owner: usize, used: usize, ty: &'static str) {
+            HeaderRecord(self.0).write(owner, MessageState::Allocated, used, ty);
+        }
+
+        /// Mark it published; `true` for the one call that did.
+        pub fn publish_record(&self) -> bool {
+            HeaderRecord(self.0).publish()
+        }
+
+        /// What a lookup reads: the size and name, if `owner` holds it.
+        pub fn read_record(&self, owner: usize) -> Option<(usize, &'static str)> {
+            let rec = HeaderRecord(self.0);
+            rec.held_by(owner).map(|_| (rec.used(), rec.type_name()))
+        }
+
+        /// The record's owner word, for the scenarios' seeded mutants.
+        pub fn record_word(&self) -> &AtomicUsize {
+            // SAFETY: the block lives while its handle does.
+            unsafe { &self.0.as_ref().record }
         }
     }
 }

@@ -130,7 +130,7 @@ impl<T: SfmMessage> SfmBox<T> {
 
     /// Current size of the whole message (skeleton + appended content).
     pub fn whole_len(&self) -> usize {
-        mm().used_size_from(self.buffer.partition(), self.base())
+        mm().used_size_from(&self.buffer)
             .expect("live SfmBox always has a record")
     }
 
@@ -142,7 +142,7 @@ impl<T: SfmMessage> SfmBox<T> {
     /// copy-free (Fig. 8).
     pub fn publish_handle(&self) -> PublishedBuffer {
         let len = mm()
-            .publish_from(self.buffer.partition(), self.base())
+            .publish_from(&self.buffer)
             .expect("live SfmBox always has a record");
         PublishedBuffer {
             buffer: self.buffer.clone(),
@@ -216,7 +216,7 @@ impl<T: SfmMessage> Drop for SfmBox<T> {
         // The overloaded `delete`: the manager releases the record (and its
         // buffer-pointer clone). The bytes survive while the transmission
         // queue still holds a PublishedBuffer.
-        mm().release_from(self.buffer.partition(), self.base());
+        mm().release_from(&self.buffer);
     }
 }
 
@@ -252,8 +252,7 @@ impl<T: SfmMessage> SfmShared<T> {
     /// Found a handle group on `buffer`, whose pointer becomes the
     /// group's. The group owns the record unless `buffer` is a view.
     pub(crate) fn from_parts(buffer: SfmAlloc, len: usize) -> Self {
-        debug_assert_eq!(buffer.objects(), 0, "one handle group per block");
-        buffer.enter_object();
+        buffer.found_group();
         SfmShared {
             buffer: ManuallyDrop::new(buffer),
             len,
@@ -352,7 +351,7 @@ impl<T: SfmMessage> SfmShared<T> {
     pub fn publish_handle(&self) -> PublishedBuffer {
         // A view hands out the publisher's block itself, as it was given.
         let buffer = self.buffer.viewed();
-        mm().publish_from(buffer.partition(), buffer.base());
+        mm().publish_from(buffer);
         PublishedBuffer {
             buffer: buffer.clone(),
             len: self.len,
@@ -387,7 +386,7 @@ impl<T: SfmMessage> Drop for SfmShared<T> {
         // view has none); the bytes go when their last buffer pointer
         // drops (Fig. 9).
         if !self.buffer.is_view() {
-            mm().release_from(self.buffer.partition(), self.buffer.base());
+            mm().release_from(&self.buffer);
         }
         // SAFETY: the group's buffer pointer, dropped once, by its last
         // member.

@@ -1,37 +1,45 @@
 //! The message manager — the paper's `sfm::mm` / `sfm::gmm` (§4.2, §4.3.3).
 //!
-//! Every live serialization-free message has a *record* in the global
-//! manager holding its base address, capacity, current *whole message* size,
-//! a clone of the buffer pointer ([`SfmAlloc`]), and its life-cycle state.
-//!
-//! Two operations dominate:
+//! Every live serialization-free message has a *record* holding its base
+//! address, capacity, current *whole message* size, a buffer pointer
+//! ([`SfmAlloc`]), its life-cycle state and type name. Two operations
+//! dominate:
 //!
 //! * **register / release** — keyed by the message's *start* address
 //!   (the paper: "can be easily implemented by maintaining a `std::map`").
 //! * **expand** — keyed by *any address inside* the message ("an address in
 //!   the middle of the message"), because a field only knows its own
-//!   location. The paper implements this as "a binary search from a
-//!   `std::vector` of ordered records"; so do we.
+//!   location.
+//!
+//! A message keeps its record in its block's own header ([`HeaderRecord`]),
+//! and the record's buffer pointer is a count there. A handle reaches the
+//! record directly; an address inside a small heap block finds the header
+//! by arithmetic on the allocator's arena (`alloc.rs`), so a small
+//! message's whole life cycle takes no lock and searches nothing. The
+//! records the arithmetic cannot find — an extern region (a shared-memory
+//! frame, a bag frame, a loaned segment), a large block — have an entry in
+//! an ordered table, searched as the paper does, by "a binary search from a
+//! `std::vector` of ordered records". Every lookup asks the arithmetic
+//! first and the table second.
 //!
 //! The table is *partitioned by owning thread*: each thread is given a home
 //! partition on first use, an allocation is stamped with its constructing
 //! thread's home and its record lives there, and every partition is its own
 //! ordered vector under its own lock. A handle reaches its record through
 //! the stamp; an address-keyed call looks in the caller's home partition
-//! first and then in the others, one lock held at a time — so a publishing
-//! thread and the loop thread, each on messages of its own, never meet on a
-//! lock, and a message built on one thread can still be grown on a second
-//! and released on a third.
+//! first and then in the others, one lock held at a time.
 
 use crate::alert::{raise, AlertKind};
 use crate::align_up;
-use crate::alloc::SfmAlloc;
+use crate::alloc::{HeaderRecord, SfmAlloc};
 use crate::error::SfmError;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use MessageState::{Allocated, Published};
 
 /// Life-cycle state of a serialization-free message (paper Figs. 8–9).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,31 +52,10 @@ pub enum MessageState {
     Published,
 }
 
-struct Record {
-    start: usize,
-    capacity: usize,
-    used: usize,
-    state: MessageState,
-    type_name: &'static str,
-    buffer: SfmAlloc,
-    /// When the record was created, on the tracing clock (0 when tracing
-    /// was not armed at registration time).
-    registered_ns: u64,
-}
-
-impl Record {
-    fn info(&self) -> RecordInfo {
-        RecordInfo {
-            start: self.start,
-            capacity: self.capacity,
-            used: self.used,
-            state: self.state,
-            type_name: self.type_name,
-            buffer_refs: self.buffer.refs(),
-            registered_ns: self.registered_ns,
-        }
-    }
-}
+/// An entry of the table: the start of a message whose block the arena's
+/// arithmetic cannot name from the message's bytes, and that block's header,
+/// which holds the record.
+type Entry = (usize, HeaderRecord);
 
 /// Partitions of the record table. A constant, not a knob: it only has to
 /// cover the threads that build or adopt messages at the same time (a
@@ -77,24 +64,28 @@ impl Record {
 pub(crate) const PARTITIONS: usize = 8;
 
 /// One partition of the table, aligned so that two partitions never share
-/// a cache line.
+/// a cache line: the entries of the allocations built by the threads homed
+/// here, ordered by start address.
 #[repr(align(128))]
 #[derive(Default)]
-struct Partition(Mutex<Table>);
+struct Partition(Mutex<Vec<Entry>>);
 
-/// What a partition's lock guards: the records whose allocations were built
-/// by the threads homed here, and its share of [`ManagerStats`] — counted
-/// under the lock the operation holds anyway, so counting is neither an
-/// atomic nor a cache line two threads write.
+/// A share of [`ManagerStats`], on a cache line of its own: a partition's,
+/// counted by the one thread that holds it, or the shared one, counted by
+/// every other thread.
+#[repr(align(128))]
 #[derive(Default)]
-struct Table {
-    /// Ordered by start address.
-    records: Vec<Record>,
-    registered: u64,
-    released: u64,
-    expands: u64,
-    published: u64,
+struct Counts {
+    registered: AtomicU64,
+    released: AtomicU64,
+    expands: AtomicU64,
+    published: AtomicU64,
+    table_locks: AtomicU64,
 }
+
+/// Source of manager identities, each shifted clear of the owner word's
+/// state bit and never reused.
+static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
 
 /// Partitions a live thread holds, one bit each.
 static HELD: AtomicUsize = AtomicUsize::new(0);
@@ -126,13 +117,18 @@ thread_local! {
 /// until the thread exits ([`leave_home`]). Threads share a partition only
 /// once every partition is held; the rest are then dealt round-robin.
 pub(crate) fn home_partition() -> u8 {
+    home().0
+}
+
+/// The calling thread's home partition, and whether it holds it alone.
+fn home() -> (u8, bool) {
     HOME.with(|home| {
         if home.partition.get() == u8::MAX {
             let (partition, held) = claim();
             home.partition.set(partition);
             home.held.set(held);
         }
-        home.partition.get()
+        (home.partition.get(), home.held.get())
     })
 }
 
@@ -145,10 +141,12 @@ fn claim() -> (u8, bool) {
     // partition: that drop gives it back.
     while held != ALL_HELD && crate::alloc::drop_cache_at_exit() {
         let lowest = (!held).trailing_zeros();
+        // Acquire: the partition's counts, as the thread that gave it up
+        // left them (see `leave_home`), are this thread's to write now.
         match HELD.compare_exchange_weak(
             held,
             held | 1 << lowest,
-            Ordering::Relaxed,
+            Ordering::Acquire,
             Ordering::Relaxed,
         ) {
             Ok(_) => return (lowest as u8, true),
@@ -169,8 +167,9 @@ fn claim() -> (u8, bool) {
 pub(crate) fn leave_home() {
     HOME.with(|home| {
         if home.held.replace(false) {
-            // Relaxed: as in `claim`.
-            HELD.fetch_and(!(1 << home.partition.get()), Ordering::Relaxed);
+            // Release: pairs with `claim`'s Acquire; the thread counts in
+            // the shared slot from here on.
+            HELD.fetch_and(!(1 << home.partition.get()), Ordering::Release);
         }
     });
 }
@@ -189,11 +188,13 @@ pub struct RecordInfo {
     /// ROS type name, e.g. `sensor_msgs/Image`.
     pub type_name: &'static str,
     /// Strong count of the underlying buffer (includes the record's own
-    /// clone).
+    /// buffer pointer).
     pub buffer_refs: usize,
-    /// When the record was created, on the [`rossf_trace::now_nanos`]
-    /// clock — 0 unless tracing was armed at registration time. Lets the
-    /// tracer attribute manager-resident lifetime per message.
+    /// When the record's block was handed out, on the
+    /// [`rossf_trace::now_nanos`] clock — for a registered message, its
+    /// registration; 0 unless tracing was armed then, and 0 for a region
+    /// adopted from elsewhere. Lets the tracer attribute manager-resident
+    /// lifetime per message.
     pub registered_ns: u64,
 }
 
@@ -213,12 +214,11 @@ pub struct ManagerStats {
     /// is created — the subscriber's handle joins the refcount of the
     /// publisher's allocation.
     pub shared_adoptions: u64,
-    /// Operations that had to lock a partition of the record table other
-    /// than the calling thread's home: a handle used away from the thread
-    /// that built its allocation, an address looked up from a foreign
-    /// thread, or an address no partition knows. Stays 0 while every thread
-    /// works on messages of its own.
-    pub foreign_lookups: u64,
+    /// Locks taken on a partition of the record table: for a record the
+    /// arena's arithmetic cannot find (an extern region, a large block), a
+    /// lookup of an address no small block's record holds, or a
+    /// whole-table scan. Stays 0 while every message is a small heap block.
+    pub table_locks: u64,
 }
 
 /// One lifecycle operation recorded by the sanitizer's event log.
@@ -350,6 +350,12 @@ pub struct MessageManager {
     /// The record table. At most one partition is locked at a time; whole
     /// table readers walk them in index order.
     partitions: [Partition; PARTITIONS],
+    /// This manager's identity in the owner word of the header records it
+    /// holds.
+    id: usize,
+    /// The counts: one per partition, and last the shared one, of the
+    /// threads that hold no partition alone.
+    counts: [Counts; PARTITIONS + 1],
     /// Opt-in lifecycle sanitizer (`None` = disabled, the default). Locked
     /// only after the partition has been released — never nested.
     sanitizer: Mutex<Option<Sanitizer>>,
@@ -360,7 +366,6 @@ pub struct MessageManager {
     /// Maintained unconditionally (cheap), reported through the sanitizer.
     segments: Mutex<std::collections::BTreeMap<usize, usize>>,
     shared_adoptions: AtomicU64,
-    foreign_lookups: AtomicU64,
 }
 
 impl Default for MessageManager {
@@ -370,16 +375,76 @@ impl Default for MessageManager {
 }
 
 impl MessageManager {
-    /// Create an empty manager using binary-search lookup.
+    /// Create an empty manager.
     pub fn new() -> Self {
         MessageManager {
             partitions: Default::default(),
+            // Relaxed: a unique number, ordering nothing.
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed) << 1,
+            counts: Default::default(),
             sanitizer: Mutex::new(None),
             sanitizing: AtomicBool::new(false),
             segments: Mutex::new(std::collections::BTreeMap::new()),
             shared_adoptions: AtomicU64::new(0),
-            foreign_lookups: AtomicU64::new(0),
         }
+    }
+
+    /// Count one event in `field`: in the calling thread's partition when
+    /// it holds that alone — its one writer, so a load and a store, not a
+    /// locked read-modify-write — else in the shared counts.
+    fn count(&self, field: fn(&Counts) -> &AtomicU64) {
+        // Relaxed: statistics; a partition passes between holders with
+        // Release and Acquire (`leave_home`, `claim`).
+        match home() {
+            (i, true) => {
+                let count = field(&self.counts[i as usize]);
+                count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+            }
+            _ => drop(field(&self.counts[PARTITIONS]).fetch_add(1, Ordering::Relaxed)),
+        }
+    }
+
+    /// Lock partition `i` of the table, counted.
+    fn lock(&self, i: usize) -> MutexGuard<'_, Vec<Entry>> {
+        self.count(|c| &c.table_locks);
+        self.partitions[i].0.lock()
+    }
+
+    /// Run `f` on the record this manager holds for the message whose
+    /// bytes hold `addr` (that starts at `addr`, if `exact`): found by the
+    /// arena's arithmetic — the mask half of every address-keyed lookup —
+    /// else in the table, under the partition's lock.
+    fn find<R>(&self, addr: usize, exact: bool, f: impl FnOnce(HeaderRecord) -> R) -> Option<R> {
+        let mine = |rec: &HeaderRecord| rec.held_by(self.id).is_some() && holds(*rec, addr, exact);
+        if let Some(rec) = HeaderRecord::at(addr).filter(mine) {
+            return Some(f(rec));
+        }
+        let mut f = Some(f);
+        self.probe(home_partition(), |index| {
+            let idx = Self::locate(index, addr, exact)?;
+            Some(f.take()?(index[idx].1))
+        })
+    }
+
+    /// Take the entry of the message starting at `start` out of the table.
+    fn unindex(&self, first: u8, start: usize) -> Option<HeaderRecord> {
+        self.probe(first, |index| {
+            Some(index.remove(Self::locate(index, start, true)?).1)
+        })
+    }
+
+    /// A snapshot of `rec`, if this manager holds it.
+    fn header_info(&self, rec: HeaderRecord) -> Option<RecordInfo> {
+        let (state, buffer) = (rec.held_by(self.id)?, rec.buffer());
+        Some(RecordInfo {
+            start: buffer.base(),
+            capacity: buffer.capacity(),
+            used: rec.used(),
+            state,
+            type_name: rec.type_name(),
+            buffer_refs: buffer.refs(),
+            registered_ns: buffer.born_ns(),
+        })
     }
 
     /// Enable or disable the lifecycle sanitizer. Returns whether it was
@@ -441,7 +506,8 @@ impl MessageManager {
     /// "the allocated memory segment is then registered into the message
     /// manager, and the message enters the *Allocated* state".
     pub fn register(&self, buffer: SfmAlloc, skeleton_size: usize, type_name: &'static str) {
-        self.register_as(LifecycleOp::Register, buffer, skeleton_size, type_name);
+        let op = LifecycleOp::Register;
+        self.insert(op, buffer, skeleton_size, Allocated, type_name);
     }
 
     /// Register a *loaned* message: identical to
@@ -451,56 +517,46 @@ impl MessageManager {
     /// sanitizer logs the distinct [`LifecycleOp::RegisterLoaned`] op so
     /// tests can confirm a message was built in-segment.
     pub fn register_loaned(&self, buffer: SfmAlloc, skeleton_size: usize, type_name: &'static str) {
-        self.register_as(
-            LifecycleOp::RegisterLoaned,
-            buffer,
-            skeleton_size,
-            type_name,
-        );
-    }
-
-    fn register_as(
-        &self,
-        op: LifecycleOp,
-        buffer: SfmAlloc,
-        skeleton_size: usize,
-        type_name: &'static str,
-    ) {
-        debug_assert!(skeleton_size <= buffer.capacity());
-        let (start, end) = (buffer.base(), buffer.base() + buffer.capacity());
-        self.insert(Record {
-            start,
-            capacity: buffer.capacity(),
-            used: skeleton_size,
-            state: MessageState::Allocated,
-            type_name,
-            registered_ns: buffer.born_ns(),
-            buffer,
-        });
-        self.sanitize_insert(op, start, end, type_name);
+        let op = LifecycleOp::RegisterLoaned;
+        self.insert(op, buffer, skeleton_size, Allocated, type_name);
     }
 
     /// Register a message adopted from a received frame of `used` bytes
     /// (the paper's "dummy de-serialization routine", Fig. 9): the record is
     /// created directly in the `Published` state.
     pub fn adopt(&self, buffer: SfmAlloc, used: usize, type_name: &'static str) {
+        self.insert(LifecycleOp::Adopt, buffer, used, Published, type_name);
+    }
+
+    /// Write the record of the message in `buffer` into its block's header,
+    /// and enter it in the table partition the allocation is stamped with
+    /// when the arena's arithmetic cannot find it.
+    fn insert(
+        &self,
+        op: LifecycleOp,
+        buffer: SfmAlloc,
+        used: usize,
+        state: MessageState,
+        type_name: &'static str,
+    ) {
         debug_assert!(used <= buffer.capacity());
         let (start, end) = (buffer.base(), buffer.base() + buffer.capacity());
-        let registered_ns = if rossf_trace::tracer().armed() {
-            rossf_trace::now_nanos()
-        } else {
-            0
-        };
-        self.insert(Record {
-            start,
-            capacity: buffer.capacity(),
-            used,
-            state: MessageState::Published,
-            type_name,
-            registered_ns,
-            buffer,
-        });
-        self.sanitize_insert(LifecycleOp::Adopt, start, end, type_name);
+        let rec = buffer.header_record();
+        // An owner of 0 is no manager: the header holds no record.
+        debug_assert!(rec.held_by(0).is_some(), "{start:#x} registered twice");
+        self.count(|c| &c.registered);
+        if state == Published {
+            self.count(|c| &c.published);
+        }
+        rec.write(self.id, state, used, type_name);
+        if !rec.by_arena(start) {
+            let mut index = self.lock(buffer.partition() as usize);
+            let idx = index.partition_point(|e| e.0 < start);
+            index.insert(idx, (start, rec));
+        }
+        // The record's buffer pointer is a count in the header.
+        mem::forget(buffer);
+        self.sanitize_insert(op, start, end, type_name);
     }
 
     /// Note that a subscriber adopted the published message starting at
@@ -517,9 +573,7 @@ impl MessageManager {
         // every fast-path delivery unless someone reads the log.
         // Relaxed: see `set_sanitizer`.
         if self.sanitizing.load(Ordering::Relaxed) {
-            let ty = self.probe(home_partition(), |table| {
-                Self::find(&table.records, start).map(|idx| table.records[idx].type_name)
-            });
+            let ty = self.find(start, true, |rec| rec.type_name());
             self.sanitize(|san| san.log(LifecycleOp::AdoptShared, start, ty));
         }
     }
@@ -574,44 +628,17 @@ impl MessageManager {
             .is_some_and(|(&base, &bytes)| addr < base + bytes)
     }
 
-    /// Insert into the partition the record's allocation is stamped with —
-    /// the registering thread's home, unless the allocation was built on
-    /// another thread.
-    fn insert(&self, rec: Record) {
-        let part = rec.buffer.partition();
-        if part != home_partition() {
-            self.foreign_lookups.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut table = self.partitions[part as usize].0.lock();
-        table.registered += 1;
-        table.published += u64::from(rec.state == MessageState::Published);
-        let idx = table.records.partition_point(|r| r.start < rec.start);
-        debug_assert!(
-            table.records.get(idx).is_none_or(|r| r.start != rec.start),
-            "double registration of base address {:#x}",
-            rec.start
-        );
-        table.records.insert(idx, rec);
-    }
-
     /// Run `f` on one partition at a time — `first`, then the others in
     /// index order, never two locks held — until it returns `Some`.
-    fn probe<R>(&self, first: u8, mut f: impl FnMut(&mut Table) -> Option<R>) -> Option<R> {
+    fn probe<R>(&self, first: u8, mut f: impl FnMut(&mut Vec<Entry>) -> Option<R>) -> Option<R> {
         let first = first as usize;
-        let found = f(&mut self.partitions[first].0.lock());
-        if found.is_some() && first == home_partition() as usize {
-            return found;
-        }
-        self.foreign_lookups.fetch_add(1, Ordering::Relaxed);
+        // A statement of its own: the first partition's guard drops before
+        // the others are locked.
+        let found = f(&mut self.lock(first));
         found.or_else(|| {
             let mut others = (0..PARTITIONS).filter(|&i| i != first);
-            others.find_map(|i| f(&mut self.partitions[i].0.lock()))
+            others.find_map(|i| f(&mut self.lock(i)))
         })
-    }
-
-    /// Index of the record starting exactly at `start`.
-    fn find(records: &[Record], start: usize) -> Option<usize> {
-        records.binary_search_by(|r| r.start.cmp(&start)).ok()
     }
 
     /// Grow the whole message that contains `field_addr` by `len` bytes,
@@ -628,40 +655,33 @@ impl MessageManager {
     /// * [`SfmError::UnmanagedAddress`] if no record contains `field_addr`.
     /// * [`SfmError::CapacityExceeded`] if growth would pass `max_size`.
     pub fn expand(&self, field_addr: usize, len: usize, align: usize) -> Result<usize, SfmError> {
-        let grow = |table: &mut Table| {
-            let idx = Self::locate(&table.records, field_addr)?;
-            table.expands += 1;
-            let rec = &mut table.records[idx];
-            let offset = align_up(rec.used, align);
-            let new_used = match offset.checked_add(len) {
-                Some(new_used) if new_used <= rec.capacity => new_used,
-                _ => {
-                    return Some(Err(SfmError::CapacityExceeded {
-                        type_name: rec.type_name,
-                        requested: len,
-                        available: rec.capacity - rec.used,
-                    }))
-                }
-            };
-            if offset > rec.used {
+        self.count(|c| &c.expands);
+        let outcome = self
+            .find(field_addr, false, |rec| {
+                let (used, start, type_name) = (rec.used(), rec.buffer().base(), rec.type_name());
+                let (offset, capacity) = (align_up(used, align), rec.buffer().capacity());
+                let new_used = match offset.checked_add(len) {
+                    Some(new_used) if new_used <= capacity => new_used,
+                    _ => {
+                        let (requested, available) = (len, capacity - used);
+                        return Err(SfmError::CapacityExceeded {
+                            type_name,
+                            requested,
+                            available,
+                        });
+                    }
+                };
                 // Zero the alignment gap so the whole message never exposes
                 // uninitialized bytes on the wire.
-                // SAFETY: [used, offset) is in-bounds (offset <= new_used <=
-                // capacity) and not yet part of any field's region.
-                unsafe {
-                    std::ptr::write_bytes((rec.start + rec.used) as *mut u8, 0, offset - rec.used);
+                if offset > used {
+                    // SAFETY: [used, offset) is in-bounds (offset <= new_used
+                    // <= capacity) and not yet part of any field's region.
+                    unsafe { std::ptr::write_bytes((start + used) as *mut u8, 0, offset - used) };
                 }
-            }
-            rec.used = new_used;
-            Some(Ok((rec.start + offset, rec.type_name)))
-        };
-        let home = home_partition();
-        let outcome: Result<(usize, &'static str), SfmError> =
-            self.probe(home, grow).unwrap_or_else(|| {
-                // A call no partition could serve is still a call counted.
-                self.partitions[home as usize].0.lock().expands += 1;
-                Err(SfmError::UnmanagedAddress { addr: field_addr })
-            });
+                rec.set_used(new_used);
+                Ok((start + offset, type_name))
+            })
+            .unwrap_or(Err(SfmError::UnmanagedAddress { addr: field_addr }));
         // Sanitizer pass runs with the partition lock already dropped so
         // the alert channel may panic freely.
         let mut anomaly = false;
@@ -684,24 +704,19 @@ impl MessageManager {
         outcome.map(|(addr, _)| addr)
     }
 
-    /// Index of the record containing `addr`: binary search over records
-    /// ordered by start address (paper §4.3.3).
-    fn locate(records: &[Record], addr: usize) -> Option<usize> {
+    /// Index of the entry whose message holds `addr` (starts at `addr`, if
+    /// `exact`): binary search over entries ordered by start address
+    /// (paper §4.3.3).
+    fn locate(index: &[Entry], addr: usize, exact: bool) -> Option<usize> {
         // Greatest start <= addr, then containment check.
-        let idx = records.partition_point(|r| r.start <= addr);
-        if idx == 0 {
-            return None;
-        }
-        let rec = &records[idx - 1];
-        (addr < rec.start + rec.capacity).then_some(idx - 1)
+        let idx = index.partition_point(|e| e.0 <= addr).checked_sub(1)?;
+        holds(index[idx].1, addr, exact).then_some(idx)
     }
 
     /// Reference implementation `locate` is tested against: a linear scan.
     #[cfg(test)]
-    fn locate_linear(records: &[Record], addr: usize) -> Option<usize> {
-        records
-            .iter()
-            .position(|r| addr >= r.start && addr < r.start + r.capacity)
+    fn locate_linear(index: &[Entry], addr: usize) -> Option<usize> {
+        index.iter().position(|e| holds(e.1, addr, false))
     }
 
     /// Mark the message starting at `start` as published.
@@ -710,23 +725,27 @@ impl MessageManager {
     /// released message is handled by the buffer pointer held in the transmission
     /// queue).
     pub fn mark_published(&self, start: usize) {
-        self.publish_from(home_partition(), start);
+        let found = self.find(start, true, |rec| self.publish(rec));
+        self.log_published(start, found);
     }
 
-    /// [`MessageManager::mark_published`] for a handle: probes the
-    /// partition its allocation is stamped with first, and returns the
-    /// whole-message size the record holds — the publish step's one table
-    /// trip (`None` if the record is gone).
-    pub(crate) fn publish_from(&self, first: u8, start: usize) -> Option<usize> {
-        let found = self.probe(first, |table| {
-            let idx = Self::find(&table.records, start)?;
-            let rec = &mut table.records[idx];
-            if rec.state != MessageState::Published {
-                rec.state = MessageState::Published;
-                table.published += 1;
-            }
-            Some((rec.used, rec.type_name))
-        });
+    /// [`MessageManager::mark_published`] for a handle, through its block's
+    /// header: returns the whole-message size the record holds (`None` if
+    /// the record is gone).
+    pub(crate) fn publish_from(&self, buffer: &SfmAlloc) -> Option<usize> {
+        let rec = buffer.header_record();
+        let found = rec.held_by(self.id).map(|_| self.publish(rec));
+        self.log_published(buffer.base(), found)
+    }
+
+    fn publish(&self, rec: HeaderRecord) -> (usize, &'static str) {
+        if rec.publish() {
+            self.count(|c| &c.published);
+        }
+        (rec.used(), rec.type_name())
+    }
+
+    fn log_published(&self, start: usize, found: Option<(usize, &'static str)>) -> Option<usize> {
         self.sanitize(|san| {
             san.log(LifecycleOp::MarkPublished, start, found.map(|(_, ty)| ty));
         });
@@ -741,24 +760,34 @@ impl MessageManager {
     /// reference count becomes zero will the message memory be actually
     /// freed").
     pub fn release(&self, start: usize) {
-        self.release_from(home_partition(), start);
+        let rec = self.find(start, true, |rec| rec);
+        self.release_record(start, rec, home_partition());
     }
 
-    /// [`MessageManager::release`] for a handle: probes the partition its
-    /// allocation is stamped with first.
-    pub(crate) fn release_from(&self, first: u8, start: usize) {
-        // (found-record facts, gathered under the partition lock; the
-        // record's buffer clone drops after it, outside the lock)
-        let removed: Option<(usize, &'static str, usize)> = self
-            .probe(first, |table| {
-                let idx = Self::find(&table.records, start)?;
-                table.released += 1;
-                Some(table.records.remove(idx))
-            })
-            .map(|rec| {
-                let refs = rec.buffer.refs();
-                (rec.capacity, rec.type_name, refs)
-            });
+    /// [`MessageManager::release`] for a handle, through its block's header
+    /// (and the table, for a record the arena's arithmetic cannot find).
+    pub(crate) fn release_from(&self, buffer: &SfmAlloc) {
+        let rec = buffer.header_record();
+        let rec = rec.held_by(self.id).map(|_| rec);
+        self.release_record(buffer.base(), rec, buffer.partition());
+    }
+
+    /// Clear `rec`, the record of the message at `start` — out of the table
+    /// first (probing `first` first), if the arena's arithmetic cannot find
+    /// it — and drop its buffer pointer.
+    fn release_record(&self, start: usize, rec: Option<HeaderRecord>, first: u8) {
+        // A racing release may have freed a block the table held: it is read
+        // only once out of the table.
+        let rec = rec.filter(|rec| rec.by_arena(start) || self.unindex(first, start).is_some());
+        // Found-record facts, read before the buffer pointer drops.
+        let removed = rec.and_then(|rec| {
+            let ty = rec.type_name();
+            let buffer = rec.take(self.id)?;
+            Some((buffer.capacity(), ty, buffer.refs()))
+        });
+        if removed.is_some() {
+            self.count(|c| &c.released);
+        }
         let mut alert = None;
         self.sanitize(|san| {
             match removed {
@@ -806,15 +835,17 @@ impl MessageManager {
     /// unmapped counts into [`SanitizerReport::leaked_segments`] and raises
     /// the same alert kind.
     pub fn check_leaks(&self) -> Vec<RecordInfo> {
-        let mut leaked: Vec<RecordInfo> = Vec::new();
-        for part in &self.partitions {
-            let table = part.0.lock();
-            let records = table.records.iter();
-            let allocated = records.filter(|r| r.state == MessageState::Allocated);
-            leaked.extend(allocated.map(Record::info));
+        // Every record in the arena's headers, and every one in the table (an
+        // extern region's control block may be in both).
+        let info = |rec| self.header_info(rec);
+        let mut leaked: Vec<RecordInfo> = HeaderRecord::all().filter_map(info).collect();
+        for i in 0..PARTITIONS {
+            leaked.extend(self.lock(i).iter().filter_map(|&(_, rec)| info(rec)));
         }
+        leaked.retain(|r| r.state == Allocated);
         // Address order, as one ordered table would report them.
         leaked.sort_unstable_by_key(|r| r.start);
+        leaked.dedup_by_key(|r| r.start);
         let live_segments = self.segment_mappings();
         let mut alert = None;
         self.sanitize(|san| {
@@ -844,16 +875,15 @@ impl MessageManager {
     ///
     /// [`SfmError::UnmanagedAddress`] if no record contains `addr`.
     pub fn used_size(&self, addr: usize) -> Result<usize, SfmError> {
-        self.used_size_from(home_partition(), addr)
+        self.find(addr, false, |rec| rec.used())
+            .ok_or(SfmError::UnmanagedAddress { addr })
     }
 
-    /// [`MessageManager::used_size`] for a handle: probes the partition its
-    /// allocation is stamped with first.
-    pub(crate) fn used_size_from(&self, first: u8, addr: usize) -> Result<usize, SfmError> {
-        self.probe(first, |table| {
-            Self::locate(&table.records, addr).map(|i| table.records[i].used)
-        })
-        .ok_or(SfmError::UnmanagedAddress { addr })
+    /// [`MessageManager::used_size`] for a handle, through its block's
+    /// header.
+    pub(crate) fn used_size_from(&self, buffer: &SfmAlloc) -> Option<usize> {
+        let rec = buffer.header_record();
+        rec.held_by(self.id).map(|_| rec.used())
     }
 
     /// Clone the buffer pointer of the message starting at `start` (used by
@@ -863,42 +893,60 @@ impl MessageManager {
     ///
     /// [`SfmError::UnmanagedAddress`] if `start` is not a registered base.
     pub fn buffer_of(&self, start: usize) -> Result<SfmAlloc, SfmError> {
-        self.probe(home_partition(), |table| {
-            Self::find(&table.records, start).map(|idx| table.records[idx].buffer.clone())
-        })
-        .ok_or(SfmError::UnmanagedAddress { addr: start })
+        // A block freed by a racing release is not brought back; one reused
+        // since is this manager's message at `start` only if it says so.
+        let live = self.find(start, true, |rec| rec.clone_live()).flatten();
+        let mine = |b: &SfmAlloc| b.base() == start && b.header_record().held_by(self.id).is_some();
+        live.filter(mine)
+            .ok_or(SfmError::UnmanagedAddress { addr: start })
     }
 
     /// Snapshot of the record containing `addr`, if any.
     pub fn info(&self, addr: usize) -> Option<RecordInfo> {
-        self.probe(home_partition(), |table| {
-            Self::locate(&table.records, addr).map(|i| table.records[i].info())
-        })
+        self.find(addr, false, |rec| self.header_info(rec))
+            .flatten()
     }
 
-    /// Number of live records.
+    /// Number of live records: those registered and not yet released.
     pub fn live(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.0.lock().records.len())
-            .sum()
+        let stats = self.stats();
+        stats.registered.wrapping_sub(stats.released) as usize
     }
 
     /// Cumulative counters.
     pub fn stats(&self) -> ManagerStats {
-        let mut stats = ManagerStats {
-            shared_adoptions: self.shared_adoptions.load(Ordering::Relaxed),
-            foreign_lookups: self.foreign_lookups.load(Ordering::Relaxed),
-            ..ManagerStats::default()
+        // Relaxed: statistics, summed as they stand.
+        let sum = |count: fn(&Counts) -> &AtomicU64| {
+            let each = self.counts.iter().map(|c| count(c).load(Ordering::Relaxed));
+            each.fold(0, u64::wrapping_add)
         };
-        for part in &self.partitions {
-            let table = part.0.lock();
-            stats.registered += table.registered;
-            stats.released += table.released;
-            stats.expands += table.expands;
-            stats.published += table.published;
+        ManagerStats {
+            registered: sum(|c| &c.registered),
+            released: sum(|c| &c.released),
+            expands: sum(|c| &c.expands),
+            published: sum(|c| &c.published),
+            // Relaxed: as above.
+            shared_adoptions: self.shared_adoptions.load(Ordering::Relaxed),
+            table_locks: sum(|c| &c.table_locks),
         }
-        stats
+    }
+}
+
+/// Whether `addr` is in `rec`'s message — is its start, if `exact`.
+fn holds(rec: HeaderRecord, addr: usize, exact: bool) -> bool {
+    let buffer = rec.buffer();
+    let offset = addr.wrapping_sub(buffer.base());
+    offset == 0 || !exact && offset < buffer.capacity()
+}
+
+impl Drop for MessageManager {
+    /// The records go with the manager: each drops its buffer pointer.
+    fn drop(&mut self) {
+        let parts = &mut self.partitions;
+        let indexed = parts.iter_mut().flat_map(|p| mem::take(p.0.get_mut()));
+        for rec in indexed.map(|e| e.1).chain(HeaderRecord::all()) {
+            drop(rec.take(self.id));
+        }
     }
 }
 
@@ -981,28 +1029,52 @@ mod tests {
         assert_eq!(m.used_size(base).unwrap(), 24);
     }
 
+    /// `(start, capacity)` of every record `m` holds that the arena's
+    /// arithmetic finds, by a scan of every slot: the linear oracle of the
+    /// mask.
+    fn header_records(m: &MessageManager) -> Vec<(usize, usize)> {
+        let by_arena = |rec: &HeaderRecord| HeaderRecord::at(rec.buffer().base()) == Some(*rec);
+        let infos = HeaderRecord::all().filter_map(|rec| Some((m.header_info(rec)?, rec)));
+        let infos = infos.filter(|(_, rec)| by_arena(rec));
+        infos.map(|(info, _)| (info.start, info.capacity)).collect()
+    }
+
     /// Start of the record containing `addr`, checked against the
     /// linear-scan oracle on the way out: `locate`'s binary search in every
-    /// partition, and the manager's probe against the *union* of them.
-    fn locate_checked(m: &MessageManager, addr: usize) -> Option<usize> {
+    /// partition, and the manager's lookup — mask first, table second —
+    /// against the union of the partitions and `headers` (from
+    /// [`header_records`]).
+    fn locate_checked(
+        m: &MessageManager,
+        headers: &[(usize, usize)],
+        addr: usize,
+    ) -> Option<usize> {
         let mut oracle = None;
+        let mut found = |start| {
+            let twice = oracle.replace(start);
+            assert_eq!(twice, None, "{addr:#x} is in two records");
+        };
         for part in &m.partitions {
-            let records = &part.0.lock().records;
-            let found = MessageManager::locate(records, addr);
+            let index = &part.0.lock();
+            let idx = MessageManager::locate(index, addr, false);
             assert_eq!(
-                found,
-                MessageManager::locate_linear(records, addr),
+                idx,
+                MessageManager::locate_linear(index, addr),
                 "binary search and linear oracle disagree at {addr:#x}"
             );
-            if let Some(i) = found {
-                let twice = oracle.replace(records[i].start);
-                assert_eq!(twice, None, "{addr:#x} is in two partitions");
+            if let Some(i) = idx {
+                found(index[i].0);
             }
         }
+        let holds = |&&(start, capacity): &&(usize, usize)| addr.wrapping_sub(start) < capacity;
+        headers
+            .iter()
+            .filter(holds)
+            .for_each(|&(start, _)| found(start));
         assert_eq!(
             m.info(addr).map(|i| i.start),
             oracle,
-            "probe and union oracle disagree at {addr:#x}"
+            "lookup and union oracle disagree at {addr:#x}"
         );
         oracle
     }
@@ -1042,8 +1114,10 @@ mod tests {
         for a in &allocs {
             m.register(a.clone(), 16, "t/A");
         }
+        let headers = header_records(&m);
+        assert_eq!(headers.len(), 32, "small heap blocks hold their records");
         for a in &allocs {
-            assert_eq!(locate_checked(&m, a.base() + 120), Some(a.base()));
+            assert_eq!(locate_checked(&m, &headers, a.base() + 120), Some(a.base()));
             let got = m.expand(a.base() + 120, 0, 1).unwrap();
             assert!(got >= a.base() && got <= a.base() + 128);
         }
@@ -1055,7 +1129,7 @@ mod tests {
         let a = alloc(64);
         m.register(a.clone(), 8, "t/A");
         let miss = a.base().wrapping_add(64); // one past the end
-        assert_eq!(locate_checked(&m, miss), None);
+        assert_eq!(locate_checked(&m, &header_records(&m), miss), None);
         assert!(m.expand(miss, 1, 1).is_err());
     }
 
@@ -1078,6 +1152,24 @@ mod tests {
         }
     }
 
+    /// One message of the sweep: a small heap block of one of several
+    /// classes (its record in the header), a large block or an extern
+    /// region (theirs in the table). The `Vec` keeps an extern region alive.
+    fn sweep_message(rng: &mut Rng) -> SfmAlloc {
+        match rng.below(16) {
+            0 => alloc(70_000 + 8 * rng.below(4_000)),
+            1 | 2 => {
+                let cap = 8 * (1 + rng.below(300));
+                let mut words = vec![0u64; cap / 8];
+                let ptr = words.as_mut_ptr().cast();
+                // SAFETY: the vector is 8-aligned, `cap` bytes, kept alive
+                // by the guard and written by no one else.
+                unsafe { SfmAlloc::from_extern(ptr, cap, words) }
+            }
+            n => alloc([8, 200, 3_000, 40_000][n % 4] + rng.below(900)),
+        }
+    }
+
     #[test]
     fn binary_search_agrees_with_linear_oracle_on_seeded_sweep() {
         let mut rng = Rng(0x5F3_2022);
@@ -1088,51 +1180,74 @@ mod tests {
             // Built and registered a share per partition, each by a thread
             // homed there: the table the sweep walks is spread out.
             let share = count.div_ceil(PARTITIONS);
-            let mut allocs = Vec::new();
+            let (mut allocs, mut tabled) = (Vec::new(), 0);
+            let mut homes = [false; PARTITIONS];
             on_every_partition(|| {
-                if !m.partitions[home_partition() as usize]
-                    .0
-                    .lock()
-                    .records
-                    .is_empty()
-                {
+                if std::mem::replace(&mut homes[home_partition() as usize], true) {
                     return;
                 }
                 for _ in 0..share.min(count - allocs.len()) {
-                    let a = alloc(8 + rng.below(89));
+                    let a = sweep_message(&mut rng);
+                    let locks = m.stats().table_locks;
                     m.register(a.clone(), 8, "t/A");
-                    assert_eq!(locate_checked(&m, a.base()), Some(a.base()));
+                    // A record the arena's arithmetic finds is written
+                    // without a lock; the rest take one, for the table.
+                    let in_table = m.stats().table_locks - locks;
+                    let by_arena = HeaderRecord::at(a.base()) == Some(a.header_record());
+                    assert_eq!(in_table, u64::from(!by_arena));
+                    tabled += in_table;
                     allocs.push(a);
                 }
             });
             assert_eq!((allocs.len(), m.live()), (count, count));
-            assert_eq!(m.stats().foreign_lookups, 0, "each thread at home");
-            let spread = m
-                .partitions
-                .iter()
-                .filter(|p| !p.0.lock().records.is_empty());
-            assert_eq!(spread.count(), count.div_ceil(share), "{count} records");
-            // The sweep itself runs on this thread, foreign to most records.
+            let headers = header_records(&m);
+            let in_tables: usize = m.partitions.iter().map(|p| p.0.lock().len()).sum();
+            assert_eq!(in_tables as u64, tabled, "{count} records");
+            assert_eq!(headers.len() + in_tables, count, "{count} records");
+            assert!(count < 32 || headers.len() > count / 2, "most are small");
+            // The sweep itself runs on this thread, foreign to most records:
+            // the first, second, middle and last byte of each, one past
+            // the end and one before the start.
             for a in &allocs {
                 let (first, last) = (a.base(), a.base() + a.capacity() - 1);
-                for addr in first..=last {
-                    assert_eq!(locate_checked(&m, addr), Some(first), "{count} records");
+                for addr in [first, first + 1, first + a.capacity() / 2, last] {
+                    assert_eq!(
+                        locate_checked(&m, &headers, addr),
+                        Some(first),
+                        "{count} records"
+                    );
                 }
-                // One past the end is either a miss or a neighbour, never `a`.
-                assert_ne!(locate_checked(&m, last + 1), Some(first));
+                // Beside the message is a miss or a neighbour, never `a`.
+                assert_ne!(locate_checked(&m, &headers, last + 1), Some(first));
+                assert_ne!(locate_checked(&m, &headers, first - 1), Some(first));
+                // A header hit takes no lock.
+                let locks = m.stats().table_locks;
+                m.info(first);
+                if headers.contains(&(first, a.capacity())) {
+                    assert_eq!(m.stats().table_locks, locks);
+                }
             }
-            let lowest = allocs.iter().map(|a| a.base()).min().unwrap();
-            assert_eq!(
-                locate_checked(&m, lowest - 1),
-                None,
-                "gap before the first record"
-            );
-            assert!(m.stats().foreign_lookups > 0);
-            // Released from here too: every record is found wherever it is.
-            for a in &allocs {
+            // Released — every other one also freed — from here too: every
+            // record is found wherever it is, and then no more.
+            let freed: Vec<(usize, usize)> =
+                allocs.iter().map(|a| (a.base(), a.capacity())).collect();
+            for (i, a) in std::mem::take(&mut allocs).into_iter().enumerate() {
                 m.release(a.base());
+                if i % 2 == 0 {
+                    allocs.push(a);
+                }
             }
             assert_eq!(m.live(), 0);
+            assert!(header_records(&m).is_empty());
+            for (first, capacity) in freed {
+                for addr in [first, first + capacity - 1] {
+                    assert_eq!(
+                        locate_checked(&m, &[], addr),
+                        None,
+                        "{count} records, released"
+                    );
+                }
+            }
         }
     }
 

@@ -1,19 +1,23 @@
-//! Model-checked interleavings of the allocator's return list. Built only
-//! under `RUSTFLAGS="--cfg rossf_model"`, which routes the list's head and
-//! the blocks' links through the shadow atomics of `rossf-model`; each test
-//! then explores every schedule of two foreign threads and the owning
-//! drainer within the default preemption bound.
+//! Model-checked interleavings of the allocator's return list and of a
+//! block's header record. Built only under `RUSTFLAGS="--cfg rossf_model"`,
+//! which routes the list's head, the blocks' links and the record's words
+//! through the shadow atomics of `rossf-model`; each test then explores
+//! every schedule of its threads within the default preemption bound.
 //!
 //! What is real and what is modelled: the list, its CAS push, its one-swap
-//! take and the thread-exit chain are the allocator's own code, reached
-//! through `rossf_sfm::model`. The blocks are fresh header-only blocks from
-//! the global allocator rather than a thread's lists, so that one
-//! execution leaves nothing behind for the next. Each scenario asserts the
-//! accounting: every block pushed comes back, exactly once.
+//! take and the thread-exit chain, and the record's write, publish and
+//! lookup, are the allocator's own code, reached through
+//! `rossf_sfm::model`. The blocks are fresh header-only blocks from the
+//! global allocator rather than a thread's lists, so that one execution
+//! leaves nothing behind for the next. The list's scenarios assert the
+//! accounting — every block pushed comes back, exactly once; the record's,
+//! that a publication is counted once and that a lookup sees a whole
+//! record or none.
 #![cfg(rossf_model)]
 
 use rossf_model::{spawn, Model, Outcome};
 use rossf_sfm::model::{FreeBlock, ReturnList};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Drain `list` into `got` on the owning side.
@@ -126,4 +130,117 @@ fn a_thread_exit_hand_back_racing_a_push_conserves_the_count() {
     assert!(!out.capped, "exploration capped before exhaustion");
     assert!(out.executions > 10, "only {} schedules", out.executions);
     println!("hand-back racing a push: {} schedules", out.executions);
+}
+
+/// The owner word of the record scenarios' manager (nonzero, state bit
+/// clear).
+const OWNER: usize = 2;
+
+/// Two threads publish one record — as two clones of one subscriber's
+/// handle republishing it may — and the publication is counted once.
+/// `split` selects the seeded mutant publish.
+fn racing_publishers(split: bool) -> Outcome {
+    Model::new().explore(move || {
+        let rec = Arc::new(FreeBlock::new());
+        rec.write_record(OWNER, 8, "t/A");
+        let counted = Arc::new(AtomicUsize::new(0));
+        let (r, c) = (Arc::clone(&rec), Arc::clone(&counted));
+        // Relaxed: a tally, read after the join.
+        let count = move |rec: &FreeBlock, c: &AtomicUsize| {
+            let first = if split {
+                // The mutant: a load and then a store of the state bit (1).
+                // Relaxed: as the real publish; the bug is the gap.
+                let word = rec.record_word().load(Ordering::Relaxed);
+                rec.record_word().store(word | 1, Ordering::Relaxed);
+                word & 1 == 0
+            } else {
+                rec.publish_record()
+            };
+            c.fetch_add(first.into(), Ordering::Relaxed)
+        };
+        let other = spawn(move || {
+            count(&r, &c);
+        });
+        count(&rec, &counted);
+        other.join();
+        // Relaxed: as above.
+        let counted = counted.load(Ordering::Relaxed);
+        assert_eq!(counted, 1, "a publication counted {counted} times");
+    })
+}
+
+#[test]
+fn two_publishers_count_a_publication_once() {
+    let out = racing_publishers(false);
+    if let Some(f) = out.failure {
+        panic!("{f}");
+    }
+    assert!(!out.capped, "exploration capped before exhaustion");
+    assert!(out.executions > 2, "only {} schedules", out.executions);
+    println!("racing publishers: {} schedules", out.executions);
+}
+
+/// The seeded bug: publish as a load and a store. Both publishers can read
+/// the record unpublished before either stores.
+#[test]
+fn a_publish_split_into_load_and_store_is_caught() {
+    let out = racing_publishers(true);
+    let f = out.failure.expect("a split publish must count twice");
+    assert!(f.message.contains("counted 2 times"), "got: {}", f.message);
+    println!(
+        "seeded split publish: caught after {} schedules",
+        out.executions
+    );
+}
+
+/// A lookup races the record's registration: it sees the whole record
+/// (its size and name) or none of it. `owner_first` selects the seeded
+/// mutant write.
+fn lookup_racing_a_write(owner_first: bool) -> Outcome {
+    Model::new().explore(move || {
+        let rec = Arc::new(FreeBlock::new());
+        let r = Arc::clone(&rec);
+        let writer = spawn(move || {
+            if owner_first {
+                // The mutant: the owner word stored before the size and name.
+                // Release: as the real write's; the bug is the order.
+                r.record_word().store(OWNER, Ordering::Release);
+            }
+            r.write_record(OWNER, 40, "geometry_msgs/Pose");
+        });
+        let seen = rec.read_record(OWNER);
+        writer.join();
+        let whole = Some((40, "geometry_msgs/Pose"));
+        assert!(
+            seen.is_none() || seen == whole,
+            "a partial record: {seen:?}"
+        );
+        assert_eq!(rec.read_record(OWNER), whole);
+    })
+}
+
+#[test]
+fn a_lookup_sees_a_whole_record_or_none() {
+    let out = lookup_racing_a_write(false);
+    if let Some(f) = out.failure {
+        panic!("{f}");
+    }
+    assert!(!out.capped, "exploration capped before exhaustion");
+    assert!(out.executions > 2, "only {} schedules", out.executions);
+    println!("lookup racing a write: {} schedules", out.executions);
+}
+
+/// The seeded bug: the owner word stored first. A lookup between it and
+/// the size finds the record with an empty name and no size.
+#[test]
+fn an_owner_written_before_its_record_is_caught() {
+    let out = lookup_racing_a_write(true);
+    let f = out
+        .failure
+        .expect("an owner stored first must expose a partial record");
+    assert!(f.message.contains("a partial record"), "got: {}", f.message);
+    println!(
+        "seeded owner-first write: caught after {} schedules",
+        out.executions
+    );
 }

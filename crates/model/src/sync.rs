@@ -110,6 +110,21 @@ macro_rules! shadow_atomic {
                 }
             }
 
+            /// Atomic bitwise or, returning the previous value.
+            pub fn fetch_or(&self, v: $prim, order: Ordering) -> $prim {
+                if crate::sched::in_model() {
+                    hooks::before_op();
+                    // ORDER: SC-only exploration (see load above).
+                    let old = self.0.fetch_or(v, Ordering::SeqCst);
+                    hooks::note(self.addr(), Some((old | v) as u64), || {
+                        format!("{}::fetch_or({v}) -> {old}", stringify!($name))
+                    });
+                    old
+                } else {
+                    self.0.fetch_or(v, order)
+                }
+            }
+
             /// Atomic compare-exchange.
             pub fn compare_exchange(
                 &self,

@@ -1,13 +1,15 @@
-//! The regression guard for the message manager's partitioned record
-//! table: on the ordinary pub/sub path every thread works on messages of
-//! its own — the publishing thread builds, publishes and drops its box, the
-//! loop adopts each frame and releases it when the callback returns — so no
-//! manager operation leaves its caller's home partition, and
-//! `ManagerStats::foreign_lookups` does not move. A change that makes the
-//! two threads meet on one partition's lock again (a handle that forgot its
-//! stamp, a lookup that starts somewhere else) moves it by one per message.
+//! The regression guard for the message manager's header records: on the
+//! ordinary pub/sub path a pose's whole life cycle — the publishing
+//! thread builds, grows, publishes and drops its box, the loop adopts each
+//! frame and releases it when the callback returns — reads and writes the
+//! record in the block's own header, so `ManagerStats::table_locks` does
+//! not move over TCP or over the fast path. Over shared memory the
+//! subscriber's frame is an extern region, whose record lives in the
+//! table: exactly its adopt and its release lock a partition, once each. A
+//! change that puts a small message's record back in the table (or a lookup
+//! that skips the header) moves the count by one or more per message.
 //!
-//! Alone in its binary: the counter is process-global.
+//! Alone in its binary: the counters are process-global.
 
 use rossf_ros::{
     MachineId, Master, NodeHandle, Publisher, PublisherOptions, SubscriberOptions, TransportConfig,
@@ -47,8 +49,8 @@ const WINDOW: u32 = 32;
 
 /// Push [`POSES`] poses from this thread to a same-process subscriber under
 /// `config` and return how many frames the topic's metrics put on the shm
-/// ring.
-fn push_poses(topic: &str, config: TransportConfig) -> u64 {
+/// ring, and the table locks the poses took once the link was up.
+fn push_poses(topic: &str, config: TransportConfig) -> (u64, u64) {
     let master = Master::new();
     let nh = NodeHandle::with_config(&master, "poses", MachineId::A, config);
     let publisher: Publisher<SfmBox<Pose>> =
@@ -64,6 +66,7 @@ fn push_poses(topic: &str, config: TransportConfig) -> u64 {
         },
     );
     nh.wait_for_subscribers(&publisher, 1);
+    let locks = mm().stats().table_locks;
     let deadline = Instant::now() + Duration::from_secs(60);
     for seq in 0..POSES {
         while seq - received.load(Ordering::Relaxed) >= WINDOW {
@@ -80,12 +83,13 @@ fn push_poses(topic: &str, config: TransportConfig) -> u64 {
         assert!(Instant::now() < deadline, "last poses never arrived");
         std::thread::yield_now();
     }
+    let locks = mm().stats().table_locks - locks;
     assert_eq!(publisher.stats().frames_dropped, 0);
-    master.metrics().topic(topic).shm_frames
+    (master.metrics().topic(topic).shm_frames, locks)
 }
 
 #[test]
-fn same_thread_pubsub_never_leaves_its_home_partition() {
+fn a_pose_takes_no_table_lock_but_an_shm_frames_adopt_and_release() {
     let before = mm().stats();
     // No pointer hand-off: every pose is copied out and adopted back.
     let shm = TransportConfig {
@@ -93,9 +97,10 @@ fn same_thread_pubsub_never_leaves_its_home_partition() {
         shm_same_process: true,
         ..TransportConfig::default()
     };
-    let on_ring = push_poses("guard/shm", shm.clone());
+    let (on_ring, locks) = push_poses("guard/shm", shm.clone());
     assert_eq!(on_ring, u64::from(POSES), "first pass rode the shm tier");
-    let on_ring = push_poses(
+    assert_eq!(locks, 2 * u64::from(POSES), "the frame's adopt and release");
+    let (on_ring, locks) = push_poses(
         "guard/tcp",
         TransportConfig {
             shm_same_process: false,
@@ -103,6 +108,7 @@ fn same_thread_pubsub_never_leaves_its_home_partition() {
         },
     );
     assert_eq!(on_ring, 0, "second pass rode TCP");
+    assert_eq!(locks, 0, "over TCP");
     let after = mm().stats();
     // Each pose is registered twice: the publisher's box, the adopted frame.
     assert_eq!(
@@ -110,5 +116,13 @@ fn same_thread_pubsub_never_leaves_its_home_partition() {
         4 * u64::from(POSES),
         "both passes went through the manager on both sides"
     );
-    assert_eq!(after.foreign_lookups - before.foreign_lookups, 0);
+    // The default: the subscriber shares the publisher's block.
+    let (on_ring, locks) = push_poses("guard/fastpath", TransportConfig::default());
+    assert_eq!(on_ring, 0, "third pass rode the fast path");
+    assert_eq!(locks, 0, "over the fast path");
+    assert_eq!(
+        mm().stats().shared_adoptions - after.shared_adoptions,
+        u64::from(POSES),
+        "every pose was shared in place"
+    );
 }

@@ -31,6 +31,12 @@ cargo test -q --workspace
 echo "==> cargo test --release -p rossf-slam (golden, oracle and alloc suites on optimized code)"
 cargo test -q --release -p rossf-slam
 
+# The allocator's arena arithmetic, the header records and the mask-then-table
+# lookup oracle, and the cross-thread hand-off, as the benchmark runs them:
+# optimized, with debug assertions off.
+echo "==> cargo test --release -p rossf-sfm (core unit tests, lookup oracle, cross_thread on optimized code)"
+cargo test -q --release -p rossf-sfm
+
 echo "==> sfm_verify --self-test"
 cargo run -q --release -p rossf-bench --bin sfm_verify -- --self-test
 
