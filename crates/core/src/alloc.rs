@@ -34,8 +34,9 @@
 //! [`LARGE_BYTE_CAP`] bytes of large blocks — counting the bytes each was
 //! asked for — on any thread's lists or on their way home: the byte cap of
 //! the process-wide pool this replaces, which served large blocks only, and
-//! twice its count. Whatever would pass a bound goes back to the global
-//! allocator, and so do an exiting thread's large blocks. The count covers
+//! twice its count. A large block that would pass a bound goes back to the
+//! global allocator, and so do an exiting thread's large blocks; a small
+//! one goes to its arena's spare list (below). The count covers
 //! the image blocks a pipeline keeps live at once: the Fig. 17 SLAM graph
 //! holds more than 4 of one class between its input, its node's queue and
 //! its debug output, so at 4 one in a few dozen frames sent a block back
@@ -60,12 +61,14 @@
 //! the arena is zeroed address space, and only the blocks carved from it
 //! are ever touched. A small block no thread keeps — past a thread's
 //! bound, or drained — waits on its class's spare list for the next thread
-//! whose lists run dry. A class whose region is full takes its blocks from
+//! whose lists run dry, and its memory is not returned to the OS: a small
+//! class keeps resident the most blocks it ever had in use at once, at
+//! most its region. A class whose region is full takes its blocks from
 //! the global allocator, and the manager finds their records through its
 //! table, as it finds an extern region's or a large block's.
 
 use crate::manager::{home_partition, leave_home, MessageState, PARTITIONS};
-use crate::sync::{fence, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{fence, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use std::alloc::{alloc, alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::cell::RefCell;
@@ -238,8 +241,7 @@ static LARGE_RETAINED: AtomicUsize = AtomicUsize::new(0);
 ///
 /// `block` is free and the caller's.
 unsafe fn charged_bytes(block: NonNull<Block>) -> usize {
-    // SAFETY: (the caller's) a free block is owned by this thread.
-    HEADER + unsafe { block.as_ref() }.capacity
+    HEADER + HeaderRecord(block).capacity()
 }
 
 /// Count a free large block of `class` and `bytes` as kept, if its class
@@ -301,9 +303,9 @@ struct Block {
     /// The next block while this one is on a free or return list.
     next: AtomicUsize,
     /// The first message byte.
-    data: NonNull<u8>,
+    data: AtomicPtr<u8>,
     /// Bytes the message may use; fixed until the block is freed.
-    capacity: usize,
+    capacity: AtomicUsize,
     /// When the block was handed out, on the tracing clock (0 when the
     /// tracer was not armed).
     born_ns: AtomicU64,
@@ -311,6 +313,11 @@ struct Block {
     /// name and the whole-message size. Written only atomically; `init`
     /// leaves an arena block's as they are and zeroes the owner word of a
     /// block from the global allocator.
+    ///
+    /// In an arena block, these, the count, the data pointer, the capacity
+    /// and the birth stamp are what a lookup reads: every write to them is
+    /// atomic, as a lookup may read them while the block is freed and
+    /// handed out again.
     record: AtomicUsize,
     name: AtomicU64,
     used: AtomicU32,
@@ -377,24 +384,31 @@ unsafe fn init(
     backing: Backing,
 ) -> SfmAlloc {
     // SAFETY: (the caller's) the block is this thread's alone, and a free
-    // block's old header owns nothing. An arena block's record words are
-    // not written: a lookup may read them at any time, and they are zero
-    // (the arena starts zeroed, and a released record is cleared).
+    // block's old header owns nothing. A lookup reads none of the fields
+    // written by pointer.
     unsafe {
         let b = block.as_ptr();
-        addr_of_mut!((*b).refs).write(AtomicU32::new(1));
+        if Arena::get().is_none_or(|arena| !arena.holds(block)) {
+            // Nothing initialised a block from the global allocator, and no
+            // lookup reads it before its record is in the table. Zeroed,
+            // it holds no record.
+            b.write_bytes(0, 1);
+        }
         addr_of_mut!((*b).objs).write(AtomicU32::new(0));
         addr_of_mut!((*b).next).write(AtomicUsize::new(0));
-        addr_of_mut!((*b).data).write(data);
-        addr_of_mut!((*b).capacity).write(capacity);
-        addr_of_mut!((*b).born_ns).write(AtomicU64::new(born_ns));
         addr_of_mut!((*b).partition).write(home_partition());
         addr_of_mut!((*b).class).write(class);
         addr_of_mut!((*b).backing).write(backing);
-        if Arena::get().is_none_or(|arena| !arena.holds(block)) {
-            // Nothing zeroed a block from the global allocator.
-            addr_of_mut!((*b).record).write(AtomicUsize::new(0));
-        }
+        // A lookup may read these words of an arena block at any time
+        // (`HeaderRecord`), and its record words, left as they are: zero,
+        // as the arena starts and as a released record is cleared.
+        // Relaxed: published by the Release store of the count.
+        (*b).data.store(data.as_ptr(), Ordering::Relaxed);
+        (*b).capacity.store(capacity, Ordering::Relaxed);
+        (*b).born_ns.store(born_ns, Ordering::Relaxed);
+        // Release: a lookup that takes a count by `clone_live` (Acquire)
+        // sees this header whole.
+        (*b).refs.store(1, Ordering::Release);
     };
     SfmAlloc { block }
 }
@@ -408,14 +422,14 @@ unsafe fn init(
 /// allocated by [`take_block`].
 unsafe fn free_block(block: NonNull<Block>) -> usize {
     // SAFETY: (the caller's) a free block is owned by this thread.
-    let (class, capacity) = unsafe { (block.as_ref().class, block.as_ref().capacity) };
+    let class = unsafe { block.as_ref() }.class;
     if Arena::get().is_some_and(|arena| arena.holds(block)) {
         SPARE.lock()[class as usize].push(block);
         return class_bytes(class);
     }
     // `None` is unreachable (the layout was built at allocation); leaking
     // then beats a panic on a drop path.
-    let Some(layout) = block_layout(class, HEADER + capacity) else {
+    let Some(layout) = block_layout(class, HEADER + HeaderRecord(block).capacity()) else {
         return 0;
     };
     // SAFETY: allocated with exactly this layout, freed once.
@@ -526,9 +540,8 @@ impl ReturnList {
             return Taken(None);
         }
         // Acquire: pairs with the Release CAS of every push taken.
-        Taken(NonNull::new(
-            self.head.swap(0, Ordering::Acquire) as *mut Block
-        ))
+        let head = self.head.swap(0, Ordering::Acquire);
+        Taken(NonNull::new(head as *mut Block))
     }
 
     /// The seeded mutant of the model suite: `take` with the swap split
@@ -869,8 +882,9 @@ impl SfmAlloc {
     /// A view of these bytes for a handle group that does not own their
     /// record: a control block holding one buffer pointer to this block.
     pub(crate) fn view(&self) -> SfmAlloc {
-        let header = self.header();
-        let view = Self::control(header.data, header.capacity, self.born_ns(), Backing::View);
+        // SAFETY: a live block's data pointer is not null.
+        let data = unsafe { NonNull::new_unchecked(self.as_ptr()) };
+        let view = Self::control(data, self.capacity(), self.born_ns(), Backing::View);
         // SAFETY: a control block's tail is free and holds a pointer; no
         // one else holds the view yet.
         unsafe { tail::<SfmAlloc>(view.block).write(self.clone()) };
@@ -943,7 +957,7 @@ impl SfmAlloc {
     /// Capacity in bytes (fixed for the lifetime of the allocation).
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.header().capacity
+        self.header_record().capacity()
     }
 
     /// When this allocation was handed out, on the
@@ -965,14 +979,6 @@ impl SfmAlloc {
     pub(crate) fn refs(&self) -> usize {
         // Acquire: as `Arc::strong_count`.
         self.header().refs.load(Ordering::Acquire) as usize
-    }
-
-    /// Found the block's one handle group with its first object pointer:
-    /// no other handle of the group exists yet, so a store does.
-    pub(crate) fn found_group(&self) {
-        debug_assert_eq!(self.objects(), 0, "one handle group per block");
-        // Relaxed: published with the handle, by whatever shares it.
-        self.header().objs.store(1, Ordering::Relaxed);
     }
 
     /// Add an object pointer to the block's handle group.
@@ -1011,7 +1017,8 @@ impl SfmAlloc {
     /// and only read afterwards.
     #[inline]
     pub fn as_ptr(&self) -> *mut u8 {
-        self.header().data.as_ptr()
+        // Relaxed: see `HeaderRecord::start`.
+        self.header().data.load(Ordering::Relaxed)
     }
 
     /// View the first `len` bytes as a slice.
@@ -1090,9 +1097,13 @@ const PUBLISHED: usize = 1;
 /// size; the record's buffer pointer is one of the block's counts. The
 /// owner word is written last, with `Release`, so whoever sees it sees the
 /// rest. A record is written, published and cleared by whoever holds its
-/// message. In the arena, the words are written only atomically and the
-/// memory is never freed, so a lookup may read any slot's words at any
-/// time.
+/// message. In the arena, the memory is never freed and the words a lookup
+/// reads — the record's, the count, the data pointer, the capacity, the
+/// birth stamp — are written only atomically, so a lookup may read them in
+/// any slot at any time. Read without a count of its own, they may already
+/// be the next message's, if the block was released, freed and handed out
+/// again meanwhile: a lookup that acts on the block takes a count first
+/// ([`HeaderRecord::clone_live`]) and then checks the record again.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct HeaderRecord(NonNull<Block>);
 
@@ -1184,12 +1195,13 @@ impl HeaderRecord {
         // SAFETY: as in `held_by`.
         let record = unsafe { &(*self.0.as_ptr()).record };
         // Relaxed: the guess for the exchange. Release: the record's last
-        // reads happen before a later owner's writes.
+        // reads happen before a later owner's writes. Acquire: pairs with
+        // `write`, so the header the taken pointer drops is the record's.
         let word = record.load(Ordering::Relaxed);
         if word & !PUBLISHED != owner {
             return None;
         }
-        let cleared = record.compare_exchange(word, 0, Ordering::Release, Ordering::Relaxed);
+        let cleared = record.compare_exchange(word, 0, Ordering::AcqRel, Ordering::Relaxed);
         cleared
             .ok()
             .map(|_| ManuallyDrop::into_inner(self.buffer()))
@@ -1197,14 +1209,17 @@ impl HeaderRecord {
 
     /// One more buffer pointer to the record's block, unless its last one
     /// is gone — a release raced the caller — which is `Arc::upgrade`'s rule.
+    /// While it lives the block is not handed out again, but the caller
+    /// checks that the record is still the one it looked up.
     pub(crate) fn clone_live(&self) -> Option<SfmAlloc> {
         // SAFETY: as in `held_by`.
         let refs = unsafe { &(*self.0.as_ptr()).refs };
-        // Relaxed: as `SfmAlloc::clone`; the count being nonzero keeps the
-        // block alive.
+        // Relaxed: the guess, and a count being nonzero keeps the block
+        // alive. Acquire: pairs with `init`'s store of the first count, so
+        // the header the pointer reads is the one its block was given.
         let mut n = refs.load(Ordering::Relaxed);
         while n != 0 {
-            match refs.compare_exchange_weak(n, n + 1, Ordering::Relaxed, Ordering::Relaxed) {
+            match refs.compare_exchange_weak(n, n + 1, Ordering::Acquire, Ordering::Relaxed) {
                 Ok(_) => return Some(SfmAlloc { block: self.0 }),
                 Err(now) => n = now,
             }
@@ -1219,10 +1234,53 @@ impl HeaderRecord {
         unsafe { &(*self.0.as_ptr()).used }.load(Ordering::Relaxed) as usize
     }
 
-    pub(crate) fn set_used(&self, used: usize) {
-        let used = u32::try_from(used).expect("an SFM message is under 4 GiB");
-        // SAFETY: as in `held_by`. Relaxed: see `used`.
-        unsafe { &(*self.0.as_ptr()).used }.store(used, Ordering::Relaxed);
+    /// Grow the whole message by `len` bytes aligned to `align`: returns
+    /// the size before and the new region's offset, for one caller only
+    /// however many grow the message at once (two threads may each hold one
+    /// field of it). `Err` holds the bytes left, when the region would pass
+    /// the capacity.
+    pub(crate) fn reserve(&self, len: usize, align: usize) -> Result<(usize, usize), usize> {
+        // SAFETY: as in `held_by`.
+        let (used, capacity) = (unsafe { &(*self.0.as_ptr()).used }, self.capacity());
+        // Relaxed: the guess, re-read by a failed exchange. The exchange
+        // makes the region this caller's alone; the bytes written into it
+        // reach a reader through whatever hands the message over.
+        let mut now = used.load(Ordering::Relaxed);
+        loop {
+            let offset = crate::align_up(now as usize, align);
+            let end = offset.checked_add(len).filter(|&end| end <= capacity);
+            let end = end.ok_or(capacity - now as usize)?;
+            let end = u32::try_from(end).expect("an SFM message is under 4 GiB");
+            match used.compare_exchange_weak(now, end, Ordering::Relaxed, Ordering::Relaxed) {
+                Ok(_) => return Ok((now as usize, offset)),
+                Err(seen) => now = seen,
+            }
+        }
+    }
+
+    /// The message's first byte.
+    pub(crate) fn start(&self) -> usize {
+        // SAFETY: as in `held_by`. Relaxed: written before the block's first
+        // handle is shared, which publishes it (see `init`).
+        unsafe { &(*self.0.as_ptr()).data }.load(Ordering::Relaxed) as usize
+    }
+
+    /// The bytes the message may use.
+    pub(crate) fn capacity(&self) -> usize {
+        // SAFETY: as in `held_by`. Relaxed: as `start`.
+        unsafe { &(*self.0.as_ptr()).capacity }.load(Ordering::Relaxed)
+    }
+
+    /// Buffer pointers alive to the block.
+    pub(crate) fn refs(&self) -> usize {
+        // SAFETY: as in `held_by`. Acquire: as `SfmAlloc::refs`.
+        unsafe { &(*self.0.as_ptr()).refs }.load(Ordering::Acquire) as usize
+    }
+
+    /// The block's birth stamp.
+    pub(crate) fn born_ns(&self) -> u64 {
+        // SAFETY: as in `held_by`. Relaxed: as `SfmAlloc::born_ns`.
+        unsafe { &(*self.0.as_ptr()).born_ns }.load(Ordering::Relaxed)
     }
 
     pub(crate) fn type_name(&self) -> &'static str {
@@ -1252,7 +1310,7 @@ impl HeaderRecord {
 #[cfg(rossf_model)]
 pub mod model {
     use super::{block_layout, free_block, init, Backing, Block, Chain, HeaderRecord, Taken};
-    use super::{AtomicUsize, MessageState, MIN_BLOCK};
+    use super::{AtomicU32, AtomicUsize, MessageState, MIN_BLOCK};
     use std::ptr::NonNull;
 
     /// A free block, owned by whoever holds it. Drawn from the global
@@ -1274,7 +1332,7 @@ pub mod model {
                 .unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
             // SAFETY: fresh and ours; a control-block header (no bytes of
             // its own) is all a free block needs.
-            let handle = unsafe { init(block, 0, NonNull::dangling(), 1, 0, Backing::Heap) };
+            let handle = unsafe { init(block, 0, NonNull::dangling(), 64, 0, Backing::Heap) };
             std::mem::forget(handle);
             FreeBlock(block)
         }
@@ -1372,10 +1430,22 @@ pub mod model {
             rec.held_by(owner).map(|_| (rec.used(), rec.type_name()))
         }
 
+        /// Grow its message (of 64 bytes at most) by `len` bytes aligned
+        /// to `align`, as `expand` does: the new region's offset.
+        pub fn reserve_record(&self, len: usize, align: usize) -> Option<usize> {
+            HeaderRecord(self.0).reserve(len, align).ok().map(|at| at.1)
+        }
+
         /// The record's owner word, for the scenarios' seeded mutants.
         pub fn record_word(&self) -> &AtomicUsize {
             // SAFETY: the block lives while its handle does.
             unsafe { &self.0.as_ref().record }
+        }
+
+        /// The record's size word, for the scenarios' seeded mutants.
+        pub fn used_word(&self) -> &AtomicU32 {
+            // SAFETY: as above.
+            unsafe { &self.0.as_ref().used }
         }
     }
 }

@@ -203,8 +203,9 @@ impl<T: SfmMessage> Clone for SfmBox<T> {
             core::ptr::copy_nonoverlapping(self.buffer.as_ptr(), new.buffer.as_ptr(), used);
         }
         // Record the copied content length with the manager.
+        // Unpinned: `new` keeps its block alive.
         if used > T::SKELETON_SIZE {
-            mm().expand(new.base(), used - T::SKELETON_SIZE, 1)
+            mm().grow(new.base(), used - T::SKELETON_SIZE, 1, false)
                 .expect("copy target has identical capacity");
         }
         new
@@ -252,7 +253,8 @@ impl<T: SfmMessage> SfmShared<T> {
     /// Found a handle group on `buffer`, whose pointer becomes the
     /// group's. The group owns the record unless `buffer` is a view.
     pub(crate) fn from_parts(buffer: SfmAlloc, len: usize) -> Self {
-        buffer.found_group();
+        debug_assert_eq!(buffer.objects(), 0, "one handle group per block");
+        buffer.enter_object();
         SfmShared {
             buffer: ManuallyDrop::new(buffer),
             len,

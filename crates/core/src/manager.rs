@@ -30,7 +30,6 @@
 //! first and then in the others, one lock held at a time.
 
 use crate::alert::{raise, AlertKind};
-use crate::align_up;
 use crate::alloc::{HeaderRecord, SfmAlloc};
 use crate::error::SfmError;
 use parking_lot::{Mutex, MutexGuard};
@@ -39,6 +38,7 @@ use std::collections::VecDeque;
 use std::mem;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use LifecycleOp::Anomaly;
 use MessageState::{Allocated, Published};
 
 /// Life-cycle state of a serialization-free message (paper Figs. 8–9).
@@ -143,21 +143,15 @@ fn claim() -> (u8, bool) {
         let lowest = (!held).trailing_zeros();
         // Acquire: the partition's counts, as the thread that gave it up
         // left them (see `leave_home`), are this thread's to write now.
-        match HELD.compare_exchange_weak(
-            held,
-            held | 1 << lowest,
-            Ordering::Acquire,
-            Ordering::Relaxed,
-        ) {
+        let claimed = held | 1 << lowest;
+        match HELD.compare_exchange_weak(held, claimed, Ordering::Acquire, Ordering::Relaxed) {
             Ok(_) => return (lowest as u8, true),
             Err(now) => held = now,
         }
     }
     static SHARED: AtomicUsize = AtomicUsize::new(0);
-    (
-        (SHARED.fetch_add(1, Ordering::Relaxed) % PARTITIONS) as u8,
-        false,
-    )
+    let next = SHARED.fetch_add(1, Ordering::Relaxed);
+    ((next % PARTITIONS) as u8, false)
 }
 
 /// The calling thread is exiting and its allocator cache has handed its
@@ -433,17 +427,17 @@ impl MessageManager {
         })
     }
 
-    /// A snapshot of `rec`, if this manager holds it.
+    /// A snapshot of `rec`, if this manager holds it: of the next message
+    /// in part, if a racing release frees its block and hands it out again.
     fn header_info(&self, rec: HeaderRecord) -> Option<RecordInfo> {
-        let (state, buffer) = (rec.held_by(self.id)?, rec.buffer());
         Some(RecordInfo {
-            start: buffer.base(),
-            capacity: buffer.capacity(),
+            state: rec.held_by(self.id)?,
+            start: rec.start(),
+            capacity: rec.capacity(),
             used: rec.used(),
-            state,
             type_name: rec.type_name(),
-            buffer_refs: buffer.refs(),
-            registered_ns: buffer.born_ns(),
+            buffer_refs: rec.refs(),
+            registered_ns: rec.born_ns(),
         })
     }
 
@@ -585,25 +579,19 @@ impl MessageManager {
     /// [`MessageManager::check_leaks`] runs is an orphaned segment.
     pub fn note_segment_map(&self, base: usize, bytes: usize) {
         self.segments.lock().insert(base, bytes);
-        self.sanitize(|san| {
-            san.log(LifecycleOp::SegmentMap, base, None);
-        });
+        self.sanitize(|san| san.log(LifecycleOp::SegmentMap, base, None));
     }
 
     /// Note that the shared-memory segment mapping at `base` was torn down.
     pub fn note_segment_unmap(&self, base: usize) {
         self.segments.lock().remove(&base);
-        self.sanitize(|san| {
-            san.log(LifecycleOp::SegmentUnmap, base, None);
-        });
+        self.sanitize(|san| san.log(LifecycleOp::SegmentUnmap, base, None));
     }
 
     /// Note that the segment mapped at `base` was recycled for a new frame
     /// (cross-process refcount returned to zero; generation bumped).
     pub fn note_segment_recycle(&self, base: usize) {
-        self.sanitize(|san| {
-            san.log(LifecycleOp::SegmentRecycle, base, None);
-        });
+        self.sanitize(|san| san.log(LifecycleOp::SegmentRecycle, base, None));
     }
 
     /// Number of shared-memory segment mappings currently live in this
@@ -650,53 +638,69 @@ impl MessageManager {
     /// manager is informed to find the corresponding record of the message
     /// based on the address of the requesting field" (§4.2).
     ///
+    /// Growths of one message may run at once, on the threads that hold
+    /// its fields: each gets a region of its own.
+    ///
     /// # Errors
     ///
     /// * [`SfmError::UnmanagedAddress`] if no record contains `field_addr`.
     /// * [`SfmError::CapacityExceeded`] if growth would pass `max_size`.
     pub fn expand(&self, field_addr: usize, len: usize, align: usize) -> Result<usize, SfmError> {
+        self.grow(field_addr, len, align, true)
+    }
+
+    /// [`MessageManager::expand`], taking a count on the block first if
+    /// `pin`: an address alone does not keep a block from being released,
+    /// freed and handed out again while its gap is zeroed. A field type
+    /// growing through `&mut self` passes `false`: its borrow keeps the
+    /// block alive.
+    pub(crate) fn grow(
+        &self,
+        addr: usize,
+        len: usize,
+        align: usize,
+        pin: bool,
+    ) -> Result<usize, SfmError> {
         self.count(|c| &c.expands);
+        let unmanaged = SfmError::UnmanagedAddress { addr };
         let outcome = self
-            .find(field_addr, false, |rec| {
-                let (used, start, type_name) = (rec.used(), rec.buffer().base(), rec.type_name());
-                let (offset, capacity) = (align_up(used, align), rec.buffer().capacity());
-                let new_used = match offset.checked_add(len) {
-                    Some(new_used) if new_used <= capacity => new_used,
-                    _ => {
-                        let (requested, available) = (len, capacity - used);
-                        return Err(SfmError::CapacityExceeded {
-                            type_name,
-                            requested,
-                            available,
-                        });
-                    }
-                };
+            .find(addr, false, |rec| {
+                // Looked up again once pinned: the record may have gone.
+                let pinned = pin.then(|| rec.clone_live()).flatten();
+                let mine = || rec.held_by(self.id).is_some() && holds(rec, addr, false);
+                if pin && (pinned.is_none() || !mine()) {
+                    return Err(unmanaged.clone());
+                }
+                let (start, type_name) = (rec.start(), rec.type_name());
+                let reserved = rec.reserve(len, align);
+                let (used, offset) = reserved.map_err(|available| SfmError::CapacityExceeded {
+                    type_name,
+                    requested: len,
+                    available,
+                })?;
                 // Zero the alignment gap so the whole message never exposes
                 // uninitialized bytes on the wire.
                 if offset > used {
-                    // SAFETY: [used, offset) is in-bounds (offset <= new_used
-                    // <= capacity) and not yet part of any field's region.
+                    // SAFETY: [used, offset) is in-bounds (offset <= capacity),
+                    // reserved for this call alone, and part of no field's
+                    // region; the block lives while the caller's field (or
+                    // the pin) does.
                     unsafe { std::ptr::write_bytes((start + used) as *mut u8, 0, offset - used) };
                 }
-                rec.set_used(new_used);
                 Ok((start + offset, type_name))
             })
-            .unwrap_or(Err(SfmError::UnmanagedAddress { addr: field_addr }));
+            .unwrap_or(Err(unmanaged));
         // Sanitizer pass runs with the partition lock already dropped so
         // the alert channel may panic freely.
         let mut anomaly = false;
         self.sanitize(|san| match &outcome {
-            Ok((_, ty)) => san.log(LifecycleOp::Expand, field_addr, Some(ty)),
-            Err(_) if san.in_released(field_addr) => {
+            Ok((_, ty)) => san.log(LifecycleOp::Expand, addr, Some(ty)),
+            Err(_) if san.in_released(addr) => {
                 san.report.expand_after_release += 1;
-                san.log(
-                    LifecycleOp::Anomaly(AlertKind::LifecycleExpandAfterRelease),
-                    field_addr,
-                    None,
-                );
+                san.log(Anomaly(AlertKind::LifecycleExpandAfterRelease), addr, None);
                 anomaly = true;
             }
-            Err(_) => san.log(LifecycleOp::Expand, field_addr, None),
+            Err(_) => san.log(LifecycleOp::Expand, addr, None),
         });
         if anomaly {
             raise(AlertKind::LifecycleExpandAfterRelease, "<released message>");
@@ -746,9 +750,8 @@ impl MessageManager {
     }
 
     fn log_published(&self, start: usize, found: Option<(usize, &'static str)>) -> Option<usize> {
-        self.sanitize(|san| {
-            san.log(LifecycleOp::MarkPublished, start, found.map(|(_, ty)| ty));
-        });
+        let ty = found.map(|(_, ty)| ty);
+        self.sanitize(|san| san.log(LifecycleOp::MarkPublished, start, ty));
         found.map(|(used, _)| used)
     }
 
@@ -789,36 +792,27 @@ impl MessageManager {
             self.count(|c| &c.released);
         }
         let mut alert = None;
-        self.sanitize(|san| {
-            match removed {
-                Some((capacity, ty, refs)) => {
-                    san.log(LifecycleOp::Release, start, Some(ty));
-                    san.remember_released(start, start + capacity);
-                    // A live developer handle plus the record's own clone
-                    // means >= 2 strong references at release entry; a count
-                    // of 1 means the caller released through a dangling
-                    // handle (the record was the last owner).
-                    if refs < 2 {
-                        san.report.refcount_anomaly += 1;
-                        san.log(
-                            LifecycleOp::Anomaly(AlertKind::LifecycleRefcountAnomaly),
-                            start,
-                            Some(ty),
-                        );
-                        alert = Some((AlertKind::LifecycleRefcountAnomaly, ty));
-                    }
+        self.sanitize(|san| match removed {
+            Some((capacity, ty, refs)) => {
+                san.log(LifecycleOp::Release, start, Some(ty));
+                san.remember_released(start, start + capacity);
+                // A live developer handle plus the record's own clone
+                // means >= 2 strong references at release entry; a count
+                // of 1 means the caller released through a dangling
+                // handle (the record was the last owner).
+                if refs < 2 {
+                    let kind = AlertKind::LifecycleRefcountAnomaly;
+                    san.report.refcount_anomaly += 1;
+                    san.log(Anomaly(kind), start, Some(ty));
+                    alert = Some((kind, ty));
                 }
-                None if san.in_released(start) => {
-                    san.report.double_release += 1;
-                    san.log(
-                        LifecycleOp::Anomaly(AlertKind::LifecycleDoubleRelease),
-                        start,
-                        None,
-                    );
-                    alert = Some((AlertKind::LifecycleDoubleRelease, "<released message>"));
-                }
-                None => san.log(LifecycleOp::Release, start, None),
             }
+            None if san.in_released(start) => {
+                san.report.double_release += 1;
+                san.log(Anomaly(AlertKind::LifecycleDoubleRelease), start, None);
+                alert = Some((AlertKind::LifecycleDoubleRelease, "<released message>"));
+            }
+            None => san.log(LifecycleOp::Release, start, None),
         });
         if let Some((kind, ty)) = alert {
             raise(kind, ty);
@@ -847,20 +841,16 @@ impl MessageManager {
         leaked.sort_unstable_by_key(|r| r.start);
         leaked.dedup_by_key(|r| r.start);
         let live_segments = self.segment_mappings();
+        // The first leaked record, else the first orphaned segment.
+        let first = leaked.first().map(|r| (r.start, Some(r.type_name)));
+        let first = first.or(live_segments.first().map(|&(base, _)| (base, None)));
         let mut alert = None;
         self.sanitize(|san| {
             san.report.leaked_allocated = leaked.len() as u64;
             san.report.leaked_segments = live_segments.len() as u64;
-            if let Some(first) = leaked.first() {
-                san.log(
-                    LifecycleOp::Anomaly(AlertKind::LifecycleLeak),
-                    first.start,
-                    Some(first.type_name),
-                );
-                alert = Some(first.type_name);
-            } else if let Some(&(base, _)) = live_segments.first() {
-                san.log(LifecycleOp::Anomaly(AlertKind::LifecycleLeak), base, None);
-                alert = Some("<shm segment>");
+            if let Some((addr, ty)) = first {
+                san.log(Anomaly(AlertKind::LifecycleLeak), addr, ty);
+                alert = Some(ty.unwrap_or("<shm segment>"));
             }
         });
         if let Some(ty) = alert {
@@ -934,9 +924,8 @@ impl MessageManager {
 
 /// Whether `addr` is in `rec`'s message — is its start, if `exact`.
 fn holds(rec: HeaderRecord, addr: usize, exact: bool) -> bool {
-    let buffer = rec.buffer();
-    let offset = addr.wrapping_sub(buffer.base());
-    offset == 0 || !exact && offset < buffer.capacity()
+    let offset = addr.wrapping_sub(rec.start());
+    offset == 0 || !exact && offset < rec.capacity()
 }
 
 impl Drop for MessageManager {
@@ -1206,20 +1195,30 @@ mod tests {
             assert_eq!(headers.len() + in_tables, count, "{count} records");
             assert!(count < 32 || headers.len() > count / 2, "most are small");
             // The sweep itself runs on this thread, foreign to most records:
-            // the first, second, middle and last byte of each, one past
-            // the end and one before the start.
+            // every byte of a message of up to 1 KiB (a pose's `max_size`) — where a slot's divide
+            // could be off by one inside its block — and the first, second,
+            // middle and last byte of a larger one; one past the end and
+            // one before the start.
             for a in &allocs {
                 let (first, last) = (a.base(), a.base() + a.capacity() - 1);
-                for addr in [first, first + 1, first + a.capacity() / 2, last] {
+                let sampled = [first, first + 1, first + a.capacity() / 2, last];
+                let every = (a.capacity() <= 1024).then_some(first..=last);
+                for addr in every.into_iter().flatten().chain(sampled) {
                     assert_eq!(
                         locate_checked(&m, &headers, addr),
                         Some(first),
                         "{count} records"
                     );
                 }
-                // Beside the message is a miss or a neighbour, never `a`.
+                // Beside the message is a miss or a neighbour, never `a`; a
+                // heap block's header is before its message.
                 assert_ne!(locate_checked(&m, &headers, last + 1), Some(first));
-                assert_ne!(locate_checked(&m, &headers, first - 1), Some(first));
+                let before = locate_checked(&m, &headers, first - 1);
+                if a.is_extern() {
+                    assert_ne!(before, Some(first));
+                } else {
+                    assert_eq!(before, None, "{first:#x} has a header before it");
+                }
                 // A header hit takes no lock.
                 let locks = m.stats().table_locks;
                 m.info(first);
@@ -1227,6 +1226,9 @@ mod tests {
                     assert_eq!(m.stats().table_locks, locks);
                 }
             }
+            let lowest = allocs.iter().map(|a| a.base()).min().unwrap();
+            let before = locate_checked(&m, &headers, lowest - 1);
+            assert_eq!(before, None, "gap before the first record");
             // Released — every other one also freed — from here too: every
             // record is found wherever it is, and then no more.
             let freed: Vec<(usize, usize)> =

@@ -133,7 +133,8 @@ impl SfmString {
             alert::raise(AlertKind::OneShotStringAssignment, type_name);
         }
         let stored = align_up(s.len() + 1, 4);
-        let addr = mm().expand(self_addr, stored, 1)?;
+        // Unpinned: `&mut self` keeps the message's block alive.
+        let addr = mm().grow(self_addr, stored, 1, false)?;
         // SAFETY: [addr, addr+stored) was just reserved for us inside the
         // allocation; regions are append-only and start zeroed, and we hold
         // `&mut self` on the owning message.

@@ -16,4 +16,6 @@ pub(crate) use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize};
 #[cfg(rossf_model)]
 pub(crate) use rossf_model::sync::{AtomicU32, AtomicU64, AtomicUsize};
 
-pub(crate) use std::sync::atomic::{fence, Ordering};
+// No model scenario reaches a block's data pointer: the real atomic in
+// both builds.
+pub(crate) use std::sync::atomic::{fence, AtomicPtr, Ordering};

@@ -143,7 +143,8 @@ impl<T: SfmPod> SfmVec<T> {
         let bytes = n
             .checked_mul(core::mem::size_of::<T>())
             .expect("element count overflow");
-        let addr = mm().expand(self_addr, bytes, core::mem::align_of::<T>().max(1))?;
+        // Unpinned: `&mut self` keeps the message's block alive.
+        let addr = mm().grow(self_addr, bytes, core::mem::align_of::<T>().max(1), false)?;
         if zero {
             // SAFETY: freshly reserved region inside the allocation;
             // zeroing is a valid initialization for T: SfmPod (and clears

@@ -5,6 +5,7 @@
 //! last clone of its shared handle — dropped on D. Seeded, handed from
 //! thread to thread over channels, with the lifecycle sanitizer on and the
 //! default alert policy, so any anomaly panics the thread that caused it.
+//! Then three threads grow three fields of one message at once.
 //!
 //! The rest of the binary follows one block across the same hand-off: built
 //! on one thread, freed on another, back home to its builder through its
@@ -225,6 +226,86 @@ fn life_cycle_spread_over_more_threads_than_partitions() {
     );
     assert!(mm().check_leaks().is_empty());
     mm().set_sanitizer(false);
+}
+
+/// Three threads each hold one field of the same message and grow it at
+/// once, a barrier apart, message after message: each field gets a region
+/// of its own, in the order the growths landed, each at the next offset
+/// its alignment allows, the gaps between them zero, and the whole message
+/// ends where the last region does.
+#[test]
+fn three_fields_of_one_message_grown_at_once_get_regions_of_their_own() {
+    let _serial = serial();
+    const MESSAGES: usize = 2_000;
+    let mut rng = Rng(0x5F3_2024);
+    let lens: Vec<[usize; 3]> = (0..MESSAGES)
+        .map(|_| [1 + rng.below(12), rng.below(41), 1 + rng.below(41)])
+        .collect();
+    let mut msgs: Vec<SfmBox<Scan>> = (0..MESSAGES as u32).map(build).collect();
+    let (mut ids, mut ranges, mut intensities) = (Vec::new(), Vec::new(), Vec::new());
+    for msg in &mut msgs {
+        let Scan {
+            frame_id,
+            ranges: r,
+            intensities: i,
+            ..
+        } = &mut **msg;
+        ids.push(frame_id);
+        ranges.push(r);
+        intensities.push(i);
+    }
+    let (barrier, lens) = (&std::sync::Barrier::new(3), &lens);
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for (k, field) in ids.into_iter().enumerate() {
+                barrier.wait();
+                field.assign("f".repeat(lens[k][0]));
+            }
+        });
+        s.spawn(move || {
+            for (k, field) in ranges.into_iter().enumerate() {
+                barrier.wait();
+                let values: Vec<u32> = (0..lens[k][1] as u32).map(|v| v ^ k as u32).collect();
+                field.assign(&values);
+            }
+        });
+        s.spawn(move || {
+            for (k, field) in intensities.into_iter().enumerate() {
+                barrier.wait();
+                field.assign(&vec![0xA5 ^ k as u8; lens[k][2]]);
+            }
+        });
+    });
+    for (k, msg) in msgs.iter().enumerate() {
+        assert_eq!(msg.frame_id.as_str(), "f".repeat(lens[k][0]));
+        assert!((0..lens[k][1]).all(|i| msg.ranges[i] == i as u32 ^ k as u32));
+        assert!(msg.intensities.iter().all(|&b| b == 0xA5 ^ k as u8));
+        // (start, bytes, alignment) of each region, in address order.
+        let addr = |p: *const u8| (p as usize).wrapping_sub(msg.base());
+        let mut regions = vec![
+            (
+                addr(msg.frame_id.as_str().as_ptr()),
+                (lens[k][0] + 4) & !3,
+                1,
+            ),
+            (
+                addr(msg.ranges.as_slice().as_ptr().cast()),
+                4 * lens[k][1],
+                4,
+            ),
+            (addr(msg.intensities.as_slice().as_ptr()), lens[k][2], 1),
+        ];
+        regions.retain(|r| r.1 > 0);
+        regions.sort_unstable();
+        let bytes = msg.publish_handle();
+        let mut end = Scan::SKELETON_SIZE;
+        for (start, len, align) in regions {
+            assert_eq!(start, end.next_multiple_of(align), "message {k}: {end}");
+            assert!(bytes.as_slice()[end..start].iter().all(|&b| b == 0));
+            end = start + len;
+        }
+        assert_eq!(msg.whole_len(), end, "message {k}");
+    }
 }
 
 #[test]

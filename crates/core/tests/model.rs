@@ -11,8 +11,8 @@
 //! global allocator rather than a thread's lists, so that one execution
 //! leaves nothing behind for the next. The list's scenarios assert the
 //! accounting — every block pushed comes back, exactly once; the record's,
-//! that a publication is counted once and that a lookup sees a whole
-//! record or none.
+//! that a publication is counted once, that a lookup sees a whole record
+//! or none, and that two growths of one message get regions of their own.
 #![cfg(rossf_model)]
 
 use rossf_model::{spawn, Model, Outcome};
@@ -241,6 +241,65 @@ fn an_owner_written_before_its_record_is_caught() {
     assert!(f.message.contains("a partial record"), "got: {}", f.message);
     println!(
         "seeded owner-first write: caught after {} schedules",
+        out.executions
+    );
+}
+
+/// Two threads grow one message at once — each holds one of its fields, as
+/// `expand` lets them — by 8 bytes aligned to 8 from a size of 4: each gets
+/// a region of its own, and the size ends past both. `split` selects the
+/// seeded mutant growth.
+fn racing_growths(split: bool) -> Outcome {
+    Model::new().explore(move || {
+        let rec = Arc::new(FreeBlock::new());
+        rec.write_record(OWNER, 4, "t/A");
+        let grow = move |rec: &FreeBlock| {
+            if split {
+                // The mutant: the size loaded, then the grown size stored.
+                // Relaxed: as the real growth; the bug is the gap.
+                let at = (rec.used_word().load(Ordering::Relaxed) as usize).next_multiple_of(8);
+                rec.used_word().store(at as u32 + 8, Ordering::Relaxed);
+                at
+            } else {
+                rec.reserve_record(8, 8).expect("room for both")
+            }
+        };
+        let (r, theirs) = (Arc::clone(&rec), Arc::new(AtomicUsize::new(0)));
+        let t = Arc::clone(&theirs);
+        // Relaxed: read after the join.
+        let other = spawn(move || t.store(grow(&r), Ordering::Relaxed));
+        let mine = grow(&rec);
+        other.join();
+        // Relaxed: as above.
+        let theirs = theirs.load(Ordering::Relaxed);
+        assert_ne!(mine, theirs, "two growths were given one region");
+        assert_eq!(rec.read_record(OWNER), Some((24, "t/A")));
+    })
+}
+
+#[test]
+fn two_growths_of_one_message_get_regions_of_their_own() {
+    let out = racing_growths(false);
+    if let Some(f) = out.failure {
+        panic!("{f}");
+    }
+    assert!(!out.capped, "exploration capped before exhaustion");
+    assert!(out.executions > 2, "only {} schedules", out.executions);
+    println!("racing growths: {} schedules", out.executions);
+}
+
+/// The seeded bug: a growth as a load and a store of the size. Both
+/// threads can load the size before either stores, and are given one
+/// region.
+#[test]
+fn a_growth_split_into_load_and_store_is_caught() {
+    let out = racing_growths(true);
+    let f = out
+        .failure
+        .expect("a split growth must hand out one region twice");
+    assert!(f.message.contains("one region"), "got: {}", f.message);
+    println!(
+        "seeded split growth: caught after {} schedules",
         out.executions
     );
 }
