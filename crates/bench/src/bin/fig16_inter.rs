@@ -160,7 +160,7 @@ fn main() {
     }
     println!(
         "loaned publication builds the message inside the pool segment: the shm \
-         publish-side memcpy is gone (gate: loan/fp <= 1.2x, see loan_gate)"
+         publish-side memcpy is gone (gate: loan/fp <= 1.2x, see gates)"
     );
 
     println!("\n--- stage-latency attribution: traced one-way 1MB frame, all tiers ---");

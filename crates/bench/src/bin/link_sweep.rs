@@ -10,61 +10,23 @@
 //! as the wire gets faster. With `--out DIR`, writes
 //! `DIR/BENCH_link_sweep.json`.
 //!
-//! `--fastpath-smoke` instead runs a short same-machine comparison —
-//! zero-copy fast path vs the same frames forced over TCP loopback — and
-//! exits non-zero unless the fast path is measurably faster (TCP p50 at
-//! least 1.5x the fast-path p50, both measured in this process).
-//! `scripts/check.sh` uses this as the regression gate for the
-//! same-machine tier; it prints and exits, writing nothing.
-//!
 //! ```text
-//! cargo run -p rossf-bench --release --bin link_sweep [--iters N] [--out DIR] [--fastpath-smoke]
+//! cargo run -p rossf-bench --release --bin link_sweep [--iters N] [--out DIR]
 //! ```
 
-use rossf_bench::experiments::{pingpong_plain, pingpong_same_machine, pingpong_sfm};
+use rossf_bench::experiments::{pingpong_plain, pingpong_sfm};
 use rossf_bench::report::{write_report, ScenarioReport};
 use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
 use std::time::Duration;
 
-/// The ~1 MB image configuration the sweep (and the smoke gate) uses.
+/// The ~1 MB image configuration the sweep uses.
 const SIZE: (u32, u32) = (800, 600);
 
-fn fastpath_smoke(args: &RunArgs) -> ! {
-    let (w, h) = SIZE;
-    println!("=== fast-path smoke: same-machine zero-copy vs forced TCP ===");
-    println!(
-        "workload: 1MB images, ping-pong, {} messages per tier\n",
-        args.iters
-    );
-    let tcp = pingpong_same_machine(args, w, h, false);
-    let fast = pingpong_same_machine(args, w, h, true);
-    let speedup = if fast.p50_ms > 0.0 {
-        tcp.p50_ms / fast.p50_ms
-    } else {
-        f64::INFINITY
-    };
-    println!("forced TCP p50: {:.3} ms", tcp.p50_ms);
-    println!("fast path  p50: {:.3} ms", fast.p50_ms);
-    println!("speedup: {speedup:.2}x (gate: >=1.5x)");
-    if tcp.p50_ms >= 1.5 * fast.p50_ms {
-        std::process::exit(0);
-    }
-    eprintln!("FAIL: same-machine fast path is not measurably faster than TCP");
-    std::process::exit(1);
-}
-
 fn main() {
-    // `--fastpath-smoke` is ours, not RunArgs's (whose parser rejects
-    // unknown flags) — strip it before parsing.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = raw.iter().any(|a| a == "--fastpath-smoke");
-    let mut args = RunArgs::parse(raw.into_iter().filter(|a| a != "--fastpath-smoke"));
+    let mut args = RunArgs::from_env();
     if args.iters == RunArgs::default().iters {
         args.iters = 60; // slow links make each iteration expensive
-    }
-    if smoke {
-        fastpath_smoke(&args);
     }
     let (w, h) = SIZE;
     let payload = u64::from(w) * u64::from(h) * 3;

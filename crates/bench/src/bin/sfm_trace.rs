@@ -12,58 +12,38 @@
 //! * `--self-test` — run `rossf_trace::self_test()` (bucket boundaries,
 //!   the 16-byte frame-tag codec, ring recorder, synthetic pipeline) and
 //!   exit 0/1.
-//! * `--overhead-gate` — measure the tracing overhead on the fast path
-//!   and the shared-memory tier: best-of-3 traced vs untraced p50 per
-//!   tier; fail (exit 1) when any traced p50 exceeds
-//!   `1.05 x untraced p50 + 50 µs`.
+//!
+//! Tracing's overhead is gated by the `gates` binary.
 
-use rossf_bench::experiments::{oneway_traced, oneway_untraced};
+use rossf_bench::experiments::oneway_traced;
 use rossf_bench::report::TraceWaterfall;
 use rossf_bench::RunArgs;
 use rossf_ros::LinkProfile;
 use rossf_trace::Tier;
 use std::process::ExitCode;
 
-/// Slack multiplier the overhead gate allows on the traced p50.
-const GATE_RATIO: f64 = 1.05;
-/// Absolute floor added to the allowance so sub-millisecond runs aren't
-/// judged by scheduler noise alone.
-const GATE_EPSILON_MS: f64 = 0.05;
-/// Best-of-N runs per arm: the minimum p50 filters out one-off stalls.
-const GATE_RUNS: usize = 3;
-
-enum Mode {
-    Waterfall,
-    SelfTest,
-    OverheadGate,
-}
-
 fn main() -> ExitCode {
-    let mut mode = Mode::Waterfall;
+    let mut self_test_only = false;
     let mut run_args = RunArgs::default();
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
-            "--self-test" => mode = Mode::SelfTest,
-            "--overhead-gate" => mode = Mode::OverheadGate,
+            "--self-test" => self_test_only = true,
             "--iters" => {
                 let v = argv.next().expect("--iters needs a value");
                 run_args.iters = v.parse().expect("--iters must be an integer");
             }
             "--quick" => run_args.iters = 30,
             other => {
-                eprintln!(
-                    "unknown argument `{other}`; expected --self-test, \
-                     --overhead-gate, --iters N, --quick"
-                );
+                eprintln!("unknown argument `{other}`; expected --self-test, --iters N, --quick");
                 return ExitCode::FAILURE;
             }
         }
     }
-    match mode {
-        Mode::SelfTest => self_test(),
-        Mode::OverheadGate => overhead_gate(run_args),
-        Mode::Waterfall => waterfall(&run_args),
+    if self_test_only {
+        self_test()
+    } else {
+        waterfall(&run_args)
     }
 }
 
@@ -105,56 +85,6 @@ fn waterfall(args: &RunArgs) -> ExitCode {
         }
     }
     if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-fn overhead_gate(mut args: RunArgs) -> ExitCode {
-    // The gate cares about the fast path (no simulated wire latency to
-    // hide behind) and doesn't need long runs.
-    if args.iters == RunArgs::default().iters {
-        args.iters = 100;
-    }
-    let (w, h) = (664, 504);
-    println!(
-        "=== sfm_trace: tracing-overhead gate (1MB, best of {GATE_RUNS} x {} msgs per tier) ===",
-        args.iters
-    );
-    let mut ok = true;
-    for tier in [Tier::Fastpath, Tier::Shm] {
-        let best = |traced: bool| -> f64 {
-            (0..GATE_RUNS)
-                .map(|_| {
-                    if traced {
-                        oneway_traced(&args, w, h, tier, LinkProfile::UNLIMITED)
-                            .0
-                            .p50_ms
-                    } else {
-                        oneway_untraced(&args, w, h, tier, LinkProfile::UNLIMITED).p50_ms
-                    }
-                })
-                .fold(f64::INFINITY, f64::min)
-        };
-        let untraced = best(false);
-        let traced = best(true);
-        let allowance = untraced * GATE_RATIO + GATE_EPSILON_MS;
-        println!(
-            "{:<9} untraced p50 {untraced:.3} ms, traced p50 {traced:.3} ms, \
-             allowance {allowance:.3} ms ({GATE_RATIO}x + {GATE_EPSILON_MS} ms)",
-            tier.name()
-        );
-        if traced > allowance {
-            eprintln!(
-                "overhead gate: FAIL ({} traced p50 exceeds allowance)",
-                tier.name()
-            );
-            ok = false;
-        }
-    }
-    if ok {
-        println!("overhead gate: PASS");
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

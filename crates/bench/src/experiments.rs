@@ -439,8 +439,8 @@ pub fn oneway_traced(
 }
 
 /// The same one-way pipeline as [`oneway_traced`] with tracing left off —
-/// the control arm of the tracing-overhead gate (`sfm_trace
-/// --overhead-gate`). No clock reads or histogram writes happen on this
+/// the control arm of the tracing-overhead rows of the `gates` binary. No
+/// clock reads or histogram writes happen on this
 /// path.
 pub fn oneway_untraced(
     args: &RunArgs,

@@ -842,6 +842,9 @@ impl SfmAlloc {
     /// * The region must not be written through other aliases while any
     ///   clone of the returned allocation is alive (read-only mappings
     ///   satisfy this trivially).
+    /// * The region is not SFM heap memory (no part of an [`SfmAlloc`]'s
+    ///   own block): the manager finds a record in the small-block arena
+    ///   by arithmetic alone, and never looks for one there in its table.
     ///
     /// # Panics
     ///

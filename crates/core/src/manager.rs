@@ -406,12 +406,12 @@ impl MessageManager {
 
     /// Run `f` on the record this manager holds for the message whose
     /// bytes hold `addr` (that starts at `addr`, if `exact`): found by the
-    /// arena's arithmetic — the mask half of every address-keyed lookup —
-    /// else in the table, under the partition's lock.
+    /// arena's arithmetic — the mask half of every address-keyed lookup,
+    /// whose answer is final, as no table entry starts in the arena — else
+    /// in the table, under the partition's lock.
     fn find<R>(&self, addr: usize, exact: bool, f: impl FnOnce(HeaderRecord) -> R) -> Option<R> {
-        let mine = |rec: &HeaderRecord| rec.held_by(self.id).is_some() && holds(*rec, addr, exact);
-        if let Some(rec) = HeaderRecord::at(addr).filter(mine) {
-            return Some(f(rec));
+        if let Some(rec) = HeaderRecord::at(addr) {
+            return (rec.held_by(self.id).is_some() && holds(rec, addr, exact)).then(|| f(rec));
         }
         let mut f = Some(f);
         self.probe(home_partition(), |index| {
@@ -544,6 +544,7 @@ impl MessageManager {
         }
         rec.write(self.id, state, used, type_name);
         if !rec.by_arena(start) {
+            debug_assert!(HeaderRecord::at(start).is_none(), "{start:#x} in arena");
             let mut index = self.lock(buffer.partition() as usize);
             let idx = index.partition_point(|e| e.0 < start);
             index.insert(idx, (start, rec));

@@ -207,13 +207,13 @@ fn life_cycle_spread_over_more_threads_than_partitions() {
     assert_eq!(after.registered - before.registered, 2 * messages);
     assert_eq!(after.released - before.released, 2 * messages);
     assert_eq!(after.published - before.published, 2 * messages);
-    // Every record lived in its block's header, wherever the message went:
-    // the table was asked only by `finish`'s lookups of released messages,
-    // once per partition (eight) each.
-    assert!(
-        after.table_locks - before.table_locks <= 8 * messages,
-        "{} table locks for {messages} messages",
-        after.table_locks - before.table_locks
+    // Every record lived in its block's header, wherever the message went,
+    // and `finish`'s lookups of released messages were answered there too:
+    // the table was never asked.
+    assert_eq!(
+        after.table_locks - before.table_locks,
+        0,
+        "table locks for {messages} messages"
     );
     let report = mm().sanitizer_report().expect("sanitizer is on");
     assert_eq!(

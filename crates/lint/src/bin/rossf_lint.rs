@@ -1,9 +1,12 @@
 //! Workspace lint driver: `rossf-lint [workspace-root]`.
 //!
-//! Lints `crates/*/src/**/*.rs` under the given root (default: the
-//! current directory, walking up to the first ancestor containing a
-//! `crates/` directory). Prints one `file:line: [rule] message` per
-//! finding and exits 1 if any fired, 2 on I/O errors.
+//! Lints the workspace under the given root (default: the current
+//! directory, walking up to the first ancestor containing a `crates/`
+//! directory): the annotation rules over `crates/*/src/**/*.rs`, the
+//! confinement table over every `.rs` file and `Cargo.toml` outside
+//! `target/`, `.bench_build/` and `.git`. Prints one
+//! `file:line: [rule] message` per finding and exits 1 if any fired, 2 on
+//! I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

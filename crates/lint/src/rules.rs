@@ -1,11 +1,13 @@
-//! The five workspace lint rules, implemented over the split-line stream
+//! The four workspace lint rules, implemented over the split-line stream
 //! from [`rossf_checker::scan`].
 //!
-//! Scope: the lints scan `crates/*/src/**/*.rs` — production sources
-//! only. `tests/`, `benches/`, `examples/`, the vendored `shims/`, and
-//! `#[cfg(test)]` modules inside source files are exempt (test code may
-//! unwrap and doesn't need per-site safety prose).
+//! Scope: the annotation rules (`unsafe`, `SeqCst`, `Drop`) scan
+//! `crates/*/src/**/*.rs` — production sources only; `tests/`, `benches/`,
+//! `examples/`, the vendored `shims/`, and `#[cfg(test)]` modules inside
+//! source files are exempt (test code may unwrap and doesn't need per-site
+//! safety prose). Each confinement row names its own roots (`confine.rs`).
 
+use crate::confine::{Confiner, Seen};
 use rossf_checker::scan::LineScanner;
 use std::fmt;
 
@@ -21,20 +23,16 @@ pub enum Rule {
     /// An `Ordering::SeqCst` use without a `// ORDER:` justification in
     /// the same places the SAFETY rule accepts.
     SeqCstNeedsOrder,
-    /// A raw syscall surface (`asm!`, `std::arch::asm`) outside the
-    /// audited syscall crate (`crates/sys/src/`). The workspace has no
-    /// libc binding, so inline assembly is the only way its code can issue
-    /// a syscall `std` does not wrap: confining it confines them all.
-    SyscallOutsideSys,
     /// `.unwrap()` / `.expect(` inside an `impl Drop` — a panic in drop
     /// during unwinding aborts the whole process.
     PanickyDrop,
-    /// A thread spawn (`thread::Builder`, `thread::spawn`,
-    /// `thread::scope`) in a production source outside
-    /// `SPAWN_ALLOWLIST`. Links are driven by the reactor; the few
-    /// places that own a thread are listed, so a per-link thread cannot
-    /// quietly return.
-    SpawnOutsideAllowlist,
+    /// A pattern of the confinement table outside its homes, or a home
+    /// that no longer holds its pattern (`confine.rs`): inline asm outside
+    /// `crates/sys`, a thread spawn outside its listed owners, a tier's
+    /// vocabulary outside its module, the fault injector outside the Gate,
+    /// and the banned names (a 20 ms poll, a blocking receive, crossbeam,
+    /// a hand-declared message, the futex).
+    Confined,
 }
 
 impl fmt::Display for Rule {
@@ -42,9 +40,8 @@ impl fmt::Display for Rule {
         let s = match self {
             Rule::UnsafeNeedsSafety => "unsafe-needs-safety",
             Rule::SeqCstNeedsOrder => "seqcst-needs-order",
-            Rule::SyscallOutsideSys => "syscall-outside-sys",
             Rule::PanickyDrop => "panicky-drop",
-            Rule::SpawnOutsideAllowlist => "spawn-outside-allowlist",
+            Rule::Confined => "confined",
         };
         f.write_str(s)
     }
@@ -73,73 +70,50 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The sources allowed to touch raw syscalls directly. Everything else
-/// goes through their safe wrappers.
-const SYS_MODULES: [&str; 1] = ["crates/sys/src/"];
-
-/// Whether `path` labels a source of the audited sys crate.
-fn is_sys_module(path: &str) -> bool {
-    SYS_MODULES.iter().any(|m| path.contains(m))
-}
-
-/// The production sources allowed to spawn threads, and what each spawns.
-const SPAWN_ALLOWLIST: [&str; 5] = [
-    "crates/reactor/src/lib.rs",       // the event loop
-    "crates/slam/src/pipeline.rs",     // the orb_slam node's worker (callbacks must be short)
-    "crates/bag/src/writer.rs",        // the bag writer
-    "crates/model/src/sched.rs",       // the model checker's scheduler
-    "crates/bench/src/experiments.rs", // the Fig. 14 raw-TCP harness
-];
-
-/// Whether a code line spawns a thread.
-fn spawns_thread(code: &str) -> bool {
-    ["thread::Builder", "thread::spawn", "thread::scope"]
-        .iter()
-        .any(|s| code.contains(s))
+impl Finding {
+    pub(crate) fn new(rule: Rule, path: &str, line: usize, message: impl Into<String>) -> Finding {
+        let (path, message) = (path.to_string(), message.into());
+        Finding {
+            rule,
+            path,
+            line,
+            message,
+        }
+    }
 }
 
 /// Whether `code` contains `word` delimited by non-identifier characters.
 fn contains_word(code: &str, word: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(word) {
-        let start = from + rel;
-        let end = start + word.len();
-        let ok_before = start == 0 || {
-            let b = bytes[start - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        let ok_after = end == bytes.len() || {
-            let b = bytes[end];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
-        if ok_before && ok_after {
-            return true;
-        }
-        from = end;
-    }
-    false
+    let ident = |c: Option<char>| c.is_some_and(|c| c.is_ascii_alphanumeric() || c == '_');
+    let end = |i: usize| code[i + word.len()..].chars().next();
+    (code.match_indices(word)).any(|(i, _)| !ident(code[..i].chars().next_back()) && !ident(end(i)))
 }
 
 /// Net brace depth change of one code line.
 fn brace_delta(code: &str) -> i64 {
-    let mut d = 0i64;
-    for c in code.chars() {
-        match c {
-            '{' => d += 1,
-            '}' => d -= 1,
-            _ => {}
-        }
-    }
-    d
+    code.chars()
+        .map(|c| i64::from(c == '{') - i64::from(c == '}'))
+        .sum()
 }
 
-/// Whether a line is an attribute (transparent for comment-association:
-/// `#[inline]` between a doc comment and its `unsafe fn` doesn't break
-/// the association).
-fn is_attribute_line(code: &str) -> bool {
-    let t = code.trim();
-    t.starts_with("#[") || t.starts_with("#![")
+/// Brace tracking of one item's body, from the line that opens it to the
+/// line that balances its braces: how `#[cfg(test)]` modules, `impl Drop`
+/// bodies and a confinement row's `impl` home are found.
+#[derive(Default)]
+pub(crate) struct Body(Option<i64>);
+
+impl Body {
+    /// Feed the next code line; `opens` tells whether it is the item's
+    /// header. Returns whether the line is part of the item.
+    pub(crate) fn step(&mut self, code: &str, opens: impl FnOnce() -> bool) -> bool {
+        let depth = match self.0 {
+            Some(depth) => depth + brace_delta(code),
+            None if opens() => brace_delta(code),
+            None => return false,
+        };
+        self.0 = (depth > 0).then_some(depth);
+        true
+    }
 }
 
 /// Comment text that justifies an `unsafe` site.
@@ -152,27 +126,34 @@ fn has_order(comment: &str) -> bool {
     comment.contains("ORDER:")
 }
 
-/// Lint one file's source text under the label `path`. Pure function —
+/// Lint one file's source text under the label `path`: every rule, the
+/// confinement table's rows those whose roots hold `path`. Pure function —
 /// the fixture tests drive it directly.
 pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    let in_sys_crate = is_sys_module(path);
-    let mut scanner = LineScanner::new();
+    scan(path, source, true, &mut Seen::new())
+}
+
+/// Lint one file: the annotation rules (`unsafe`, `SeqCst`, `Drop`) when
+/// `annotated`, and the confinement rows that reach `path`, noting in
+/// `seen` each home found holding its pattern. A file that is not Rust (a
+/// manifest) is matched line by line as written, against the rows only.
+pub(crate) fn scan(path: &str, source: &str, annotated: bool, seen: &mut Seen) -> Vec<Finding> {
+    let mut confiner = Confiner::new(path, seen);
+    if !path.ends_with(".rs") {
+        for (idx, line) in source.lines().enumerate() {
+            confiner.line(idx + 1, line, false);
+        }
+        return confiner.found;
+    }
     let mut findings = Vec::new();
-
-    // Comment-run association state.
-    let mut run_safety = false; // preceding comment block contains SAFETY
-    let mut run_order = false; // … contains ORDER
-    let mut prev_code_unsafe_ok = false; // directly preceding code line: justified unsafe
-    let mut prev_code_seqcst_ok = false;
-
-    // #[cfg(test)] module skipping.
+    let mut scanner = LineScanner::new();
+    // Comment-run association: whether the comment block directly above
+    // holds SAFETY / ORDER, and whether the directly preceding code line
+    // was a justified unsafe / SeqCst.
+    let (mut run_safety, mut run_order) = (false, false);
+    let (mut prev_unsafe_ok, mut prev_seqcst_ok) = (false, false);
     let mut pending_cfg_test = false;
-    let mut test_mod_depth: i64 = 0; // > 0 → inside a test module
-    let mut in_test_mod = false;
-
-    // impl Drop tracking.
-    let mut drop_depth: i64 = 0;
-    let mut in_drop = false;
+    let (mut test_mod, mut drop_body) = (Body::default(), Body::default());
 
     for (idx, raw) in source.lines().enumerate() {
         let lineno = idx + 1;
@@ -182,10 +163,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
 
         if split.is_blank() {
             // A blank line ends a comment-association run.
-            run_safety = false;
-            run_order = false;
-            prev_code_unsafe_ok = false;
-            prev_code_seqcst_ok = false;
+            (run_safety, run_order, prev_unsafe_ok, prev_seqcst_ok) = (false, false, false, false);
             continue;
         }
         if split.is_comment_only() {
@@ -193,112 +171,47 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             run_order |= has_order(&split.comment);
             continue;
         }
-        if is_attribute_line(code) {
-            // Transparent: keeps doc-comment association alive across
-            // attributes, and carries cfg(test) detection.
-            if trimmed.contains("cfg(test)") || trimmed.contains("cfg(all(test") {
-                pending_cfg_test = true;
-            }
+        // Attributes are transparent: they keep doc-comment association
+        // alive (`#[inline]` between a doc comment and its `unsafe fn`) and
+        // carry cfg(test) to the item after them. A `mod` with cfg(test) is
+        // a test module, skipped wholesale (brace-tracked); cfg(test) on
+        // another item is linted like any code.
+        let attribute = trimmed.starts_with("#[") || trimmed.starts_with("#![");
+        let opens_test = pending_cfg_test && !attribute && contains_word(trimmed, "mod");
+        let in_test = test_mod.step(code, || opens_test);
+        confiner.line(lineno, code, in_test);
+        if attribute {
+            pending_cfg_test |= trimmed.contains("cfg(test)") || trimmed.contains("cfg(all(test");
+            continue;
+        }
+        pending_cfg_test = false;
+        if in_test || !annotated {
             continue;
         }
 
-        // Test-module handling: a `mod` following #[cfg(test)] is skipped
-        // wholesale (brace-tracked).
-        if in_test_mod {
-            test_mod_depth += brace_delta(code);
-            if test_mod_depth <= 0 {
-                in_test_mod = false;
-            }
-            continue;
-        }
-        if pending_cfg_test {
-            pending_cfg_test = false;
-            if contains_word(trimmed, "mod") {
-                test_mod_depth = brace_delta(code);
-                // `mod name;` (out-of-line) has no body here; only track
-                // an inline body.
-                if test_mod_depth > 0 {
-                    in_test_mod = true;
-                }
-                continue;
-            }
-            // cfg(test) on a non-module item: fall through and lint it —
-            // it still compiles into test binaries only, but keeping the
-            // invariant uniform is cheaper than tracking item extents.
-        }
-
-        // impl Drop tracking.
-        if in_drop {
-            drop_depth += brace_delta(code);
-            if code.contains(".unwrap()") || code.contains(".expect(") {
-                findings.push(Finding {
-                    rule: Rule::PanickyDrop,
-                    path: path.to_string(),
-                    line: lineno,
-                    message: "unwrap/expect inside an impl Drop (panic during unwind aborts)"
-                        .to_string(),
-                });
-            }
-            if drop_depth <= 0 {
-                in_drop = false;
-            }
-        } else if trimmed.starts_with("impl") && code.contains(" Drop for ") {
-            drop_depth = brace_delta(code);
-            in_drop = drop_depth > 0;
-        }
-
-        // Rule: syscall confinement.
-        if !in_sys_crate && (code.contains("asm!(") || code.contains("arch::asm")) {
-            findings.push(Finding {
-                rule: Rule::SyscallOutsideSys,
-                path: path.to_string(),
-                line: lineno,
-                message: "raw syscalls/inline asm are confined to crates/sys/src/; \
-                          use a rossf_sys wrapper"
-                    .to_string(),
-            });
-        }
-
-        // Rule: thread spawns only where listed.
-        if spawns_thread(code) && !SPAWN_ALLOWLIST.iter().any(|f| path.ends_with(f)) {
-            findings.push(Finding {
-                rule: Rule::SpawnOutsideAllowlist,
-                path: path.to_string(),
-                line: lineno,
-                message: "thread spawn outside the allowlist (rules.rs SPAWN_ALLOWLIST): \
-                          drive the work from the reactor"
-                    .to_string(),
-            });
+        // Rule: no unwrap/expect inside an impl Drop.
+        let opens_drop = || trimmed.starts_with("impl") && code.contains(" Drop for ");
+        if drop_body.step(code, opens_drop)
+            && (code.contains(".unwrap()") || code.contains(".expect("))
+        {
+            let message = "unwrap/expect inside an impl Drop (panic during unwind aborts)";
+            findings.push(Finding::new(Rule::PanickyDrop, path, lineno, message));
         }
 
         // Rule: unsafe needs SAFETY.
         let line_unsafe = contains_word(code, "unsafe");
-        let mut unsafe_ok = false;
-        if line_unsafe {
-            unsafe_ok = has_safety(&split.comment) || run_safety || prev_code_unsafe_ok;
-            if !unsafe_ok {
-                findings.push(Finding {
-                    rule: Rule::UnsafeNeedsSafety,
-                    path: path.to_string(),
-                    line: lineno,
-                    message: "unsafe without a `// SAFETY:` comment".to_string(),
-                });
-            }
+        let unsafe_ok = line_unsafe && (has_safety(&split.comment) || run_safety || prev_unsafe_ok);
+        if line_unsafe && !unsafe_ok {
+            let message = "unsafe without a `// SAFETY:` comment";
+            findings.push(Finding::new(Rule::UnsafeNeedsSafety, path, lineno, message));
         }
 
         // Rule: SeqCst needs ORDER.
-        let line_seqcst = code.contains("Ordering::SeqCst") || contains_word(code, "SeqCst");
-        let mut seqcst_ok = false;
-        if line_seqcst {
-            seqcst_ok = has_order(&split.comment) || run_order || prev_code_seqcst_ok;
-            if !seqcst_ok {
-                findings.push(Finding {
-                    rule: Rule::SeqCstNeedsOrder,
-                    path: path.to_string(),
-                    line: lineno,
-                    message: "SeqCst without a `// ORDER:` justification".to_string(),
-                });
-            }
+        let line_seqcst = contains_word(code, "SeqCst");
+        let seqcst_ok = line_seqcst && (has_order(&split.comment) || run_order || prev_seqcst_ok);
+        if line_seqcst && !seqcst_ok {
+            let message = "SeqCst without a `// ORDER:` justification";
+            findings.push(Finding::new(Rule::SeqCstNeedsOrder, path, lineno, message));
         }
 
         // A code line consumes the comment run once it terminates a
@@ -306,17 +219,14 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
         // expression on the next line) keeps the run alive for the rest
         // of the statement. Consecutive justified unsafe/SeqCst lines
         // inherit their predecessor's justification.
-        let terminates = trimmed
-            .chars()
-            .next_back()
-            .is_none_or(|c| matches!(c, ';' | '{' | '}' | ','));
+        let terminates =
+            (trimmed.chars().next_back()).is_none_or(|c| matches!(c, ';' | '{' | '}' | ','));
         if line_unsafe || line_seqcst || terminates {
-            run_safety = false;
-            run_order = false;
+            (run_safety, run_order) = (false, false);
         }
-        prev_code_unsafe_ok = line_unsafe && unsafe_ok;
-        prev_code_seqcst_ok = line_seqcst && seqcst_ok;
+        (prev_unsafe_ok, prev_seqcst_ok) = (unsafe_ok, seqcst_ok);
     }
+    findings.append(&mut confiner.found);
     findings
 }
 

@@ -158,14 +158,12 @@ fn raw() -> i64 {
         "crates/bag/src/sys.rs",
     ] {
         let findings = lint_source(path, src);
-        assert_eq!(lines_of(&findings, Rule::SyscallOutsideSys), vec![5]);
-        let asm = findings
-            .iter()
-            .find(|f| f.rule == Rule::SyscallOutsideSys)
-            .unwrap();
+        assert_eq!(lines_of(&findings, Rule::Confined), vec![5]);
+        let asm = findings.iter().find(|f| f.rule == Rule::Confined).unwrap();
         assert!(
-            asm.to_string()
-                .starts_with(&format!("{path}:5: [syscall-outside-sys] ")),
+            asm.to_string().starts_with(&format!(
+                "{path}:5: [confined] `asm!(` / `arch::asm` outside"
+            )),
             "{asm}"
         );
     }
@@ -174,7 +172,7 @@ fn raw() -> i64 {
     for sys_path in ["crates/sys/src/lib.rs", "crates/sys/src/poll.rs"] {
         let findings = lint_source(sys_path, src);
         assert!(
-            lines_of(&findings, Rule::SyscallOutsideSys).is_empty(),
+            lines_of(&findings, Rule::Confined).is_empty(),
             "{sys_path} must be exempt: {findings:?}"
         );
         assert_eq!(lines_of(&findings, Rule::UnsafeNeedsSafety), vec![4]);
@@ -234,7 +232,7 @@ fn relay(rx: Receiver<Frame>) {
 "#;
     let findings = lint_source("crates/ros/src/publisher.rs", src);
     assert_eq!(
-        lines_of(&findings, Rule::SpawnOutsideAllowlist),
+        lines_of(&findings, Rule::Confined),
         vec![3, 6, 7],
         "every spawn form reported, nothing else: {findings:?}"
     );
@@ -264,7 +262,7 @@ mod tests {
     // No link owns a thread any more: the subscriber is as bound as anyone.
     for path in ["crates/ros/src/subscriber.rs", "crates/ros/src/tap.rs"] {
         let other = lint_source(path, src);
-        assert_eq!(lines_of(&other, Rule::SpawnOutsideAllowlist), vec![4]);
+        assert_eq!(lines_of(&other, Rule::Confined), vec![4]);
         assert_eq!(other.len(), 1);
     }
 }
@@ -304,14 +302,19 @@ fn findings_render_as_file_line_rule() {
     );
 }
 
+/// A miniature workspace on disk at a fresh temp path.
+fn mini_workspace(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("rossf-lint-{name}-{}", std::process::id()));
+    std::fs::create_dir_all(dir.join("crates/demo/src")).unwrap();
+    dir
+}
+
 #[test]
 fn workspace_walk_lints_real_tree() {
-    // Build a miniature workspace on disk and check the walker finds the
-    // seeded violation with a root-relative path.
-    let dir = std::env::temp_dir().join(format!("rossf-lint-walk-{}", std::process::id()));
-    let src = dir.join("crates/demo/src");
-    std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "unsafe fn f() {}\n").unwrap();
+    // The walker finds the seeded violation with a root-relative path;
+    // an integration test is out of the annotation rules' scope.
+    let dir = mini_workspace("walk");
+    std::fs::write(dir.join("crates/demo/src/lib.rs"), "unsafe fn f() {}\n").unwrap();
     std::fs::create_dir_all(dir.join("crates/demo/tests")).unwrap();
     std::fs::write(
         dir.join("crates/demo/tests/it.rs"),
@@ -320,11 +323,57 @@ fn workspace_walk_lints_real_tree() {
     .unwrap();
     let findings = rossf_lint::lint_workspace(&dir).unwrap();
     std::fs::remove_dir_all(&dir).ok();
+    // The miniature has none of the confinement homes: those are stale.
+    let annotated: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule != Rule::Confined)
+        .collect();
     assert_eq!(
-        findings.len(),
+        annotated.len(),
         1,
         "tests/ must be out of scope: {findings:?}"
     );
-    assert_eq!(findings[0].path, "crates/demo/src/lib.rs");
-    assert_eq!(findings[0].line, 1);
+    assert_eq!(annotated[0].path, "crates/demo/src/lib.rs");
+    assert_eq!(annotated[0].line, 1);
+}
+
+#[test]
+fn a_home_that_lost_its_pattern_is_a_finding() {
+    let dir = mini_workspace("homes");
+    let tier = dir.join("crates/ros/src/tier");
+    std::fs::create_dir_all(&tier).unwrap();
+    let stale = |findings: &[rossf_lint::Finding]| -> Vec<String> {
+        let tcp = findings
+            .iter()
+            .filter(|f| f.path == "crates/ros/src/tier/tcp.rs");
+        tcp.map(|f| f.message.clone()).collect()
+    };
+    // Both of tcp.rs's names in code: its home is current.
+    let both = "pub struct TcpWriter;\npub struct TcpSource;\n";
+    std::fs::write(tier.join("tcp.rs"), both).unwrap();
+    let current = rossf_lint::lint_workspace(&dir).unwrap();
+    // A rename leaves `TcpWriter` only in a comment: the row's home is stale.
+    let renamed = "// was TcpWriter\npub struct TcpSink;\npub struct TcpSource;\n";
+    std::fs::write(tier.join("tcp.rs"), renamed).unwrap();
+    let after = rossf_lint::lint_workspace(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(stale(&current), Vec::<String>::new());
+    assert_eq!(stale(&after).len(), 1, "{after:?}");
+    assert!(stale(&after)[0].starts_with("home of `TcpWriter` no longer holds it"));
+    assert_eq!(after.len(), current.len() + 1);
+}
+
+#[test]
+fn a_manifest_naming_a_banned_crate_is_a_finding() {
+    let dir = mini_workspace("manifest");
+    let manifest = "[dependencies]\ncrossbeam-channel = \"0.5\"\n";
+    std::fs::write(dir.join("crates/demo/Cargo.toml"), manifest).unwrap();
+    let findings = rossf_lint::lint_workspace(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let hits: Vec<_> = findings
+        .iter()
+        .filter(|f| f.path == "crates/demo/Cargo.toml")
+        .collect();
+    assert_eq!(hits.len(), 1, "{findings:?}");
+    assert_eq!((hits[0].rule, hits[0].line), (Rule::Confined, 2));
 }

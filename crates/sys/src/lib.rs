@@ -2,8 +2,8 @@
 //!
 //! The workspace has no access to crates.io (so no `libc`/`nix`/`mio`);
 //! the syscalls the transport needs are issued directly with inline
-//! assembly, and this crate is the only place that does so (`rossf-lint`'s
-//! `syscall-outside-sys` rule confines `asm!` to `crates/sys/src/`):
+//! assembly, and this crate is the only place that does so (a row of
+//! `rossf-lint`'s confinement table keeps `asm!` in `crates/sys/src/`):
 //!
 //! * [`memfd_create`], [`mmap_shared`], [`munmap`] — shared-memory
 //!   segments (the shm tier, and the bag's read-only file mapping);

@@ -27,14 +27,6 @@ occurrences() { # fixed-string occurrences (not lines) in the Rust sources under
     local pat=$1; shift
     { grep -rFo --include='*.rs' -- "$pat" "$@" || true; } | wc -l
 }
-futex_lines() { # non-test lines naming the futex outside crates/model, each behind its file: a ring's reader has one wake-up, its doorbell
-    local f
-    for f in $(find crates/*/src src examples shims -name '*.rs' | grep -v '^crates/model/' | sort); do
-        without_tests "$f" | { grep -i futex || true; } | sed "s|^|$f: |"
-    done
-}
-# Sourced (scripts/check.sh does), the helpers above are all this file does.
-[[ ${BASH_SOURCE[0]} == "$0" ]] || return 0
 
 echo "code lines (non-blank, non-comment) per source directory, whole files | without #[cfg(test)] modules:"
 total=0 system=0
@@ -48,16 +40,10 @@ printf '  %-22s %6d %6d\n' total "$total" "$system"
 
 # The message set is defined once, as .msg text that rossf-idl turns into
 # crates/msg/src's modules at build time: report the IDL beside the Rust it
-# replaced, and guard against a hand-declared message coming back.
+# replaced.
 printf '%-24s %3d files, %d non-blank lines\n' '.msg definitions' \
     "$(find crates/idl/msg -name '*.msg' | wc -l)" \
     "$(find crates/idl/msg -name '*.msg' -print0 | xargs -0 cat | grep -vc '^\s*$')"
-printf '%-24s %3d\n' 'hand-declared Sfm structs' \
-    "$({ grep -rh '^pub struct Sfm' crates/msg/src || true; } | wc -l)"
-
-# One fault gate per link: the injector's verdict is asked for in one place.
-printf '%-24s %3d\n' 'next_frame_action call sites' \
-    "$({ without_tests crates/*/src | grep -o '\.next_frame_action(' || true; } | wc -l)"
 
 # One module per tier: both halves of a link live in crates/ros/src/tier/<tier>.rs.
 for f in crates/ros/src/tier/*.rs; do
@@ -68,15 +54,10 @@ printf '%-24s %3d\n' 'pub(crate) ros/src' "$({ grep -r 'pub(crate)' crates/ros/s
 for pat in '#[deprecated' 'allow(deprecated)' 'fn syscall6' 'cfg(not(all(target_os'; do
     printf '%-24s %3d\n' "$pat" "$(occurrences "$pat" crates tests examples src)"
 done
-printf '%-24s %s\n' 'asm!( outside sys+lint' \
-    "$(grep -rlF --include='*.rs' 'asm!(' crates tests examples src | grep -vc '^crates/\(sys\|lint\)/' || true)"
-printf '%-24s %3d\n' 'futex sites' "$(futex_lines | wc -l)"
 # One I/O thread: a read bounded by a socket timeout is a thread waiting on
 # a peer, which only a caller's own thread may do (a service client's dial).
 printf '%-24s %3d\n' 'set_read_timeout sites' \
     "$({ without_tests crates/*/src | grep -o 'set_read_timeout(' || true; } | wc -l)"
-printf '%-24s %3d\n' 'SYS_MODULES entries' \
-    "$(perl -0ne 'print $1 if /const SYS_MODULES[^=]*=\s*\[(.*?)\];/s' crates/lint/src/rules.rs | grep -o '"[^"]*"' | wc -l)"
 
 reexports() { # names a lib.rs re-exports with `pub use`
     perl -0ne 'while (/^pub use ([^;]+);/mg) { my $u = $1; $n += $u =~ /\{(.*)\}/s ? () = $1 =~ /\w+/g : 1 } END { print $n + 0 }' "$1"
