@@ -38,12 +38,14 @@ fn unique_topic(prefix: &str) -> String {
     format!("{prefix}_{}", COUNTER.fetch_add(1, Ordering::Relaxed))
 }
 
-/// Start-of-cell hygiene: return pooled SFM buffers to the system so one
-/// cell's allocator state cannot perturb the next (the pool is process-
-/// global; without this, a serialization-free cell's retained buffers
-/// measurably slow a following plain cell's large allocations).
+/// Start-of-cell hygiene: return pooled SFM buffers and idle shm segments
+/// to the system so one cell's allocator state cannot perturb the next
+/// (both are process-global; without this, a serialization-free cell's
+/// retained buffers measurably slow a following plain cell's large
+/// allocations).
 fn fresh_cell() {
     rossf_sfm::drain_alloc_pool();
+    rossf_shm::drain_idle_segments();
 }
 
 /// End-of-run transport dump: drops, reconnects, decode errors, and queue

@@ -105,11 +105,13 @@ const MAX_COUNT: u32 = u32::MAX / 2;
 /// is why production zero-copy middlewares (RTI FlatData, iceoryx, eCAL)
 /// run over pools.
 const LARGE_BLOCK: usize = 64 << 10;
-/// Large blocks the process keeps per class.
-const LARGE_PER_CLASS: u32 = 8;
+/// Large blocks the process keeps per class. The one retention rule for
+/// message memory: `rossf_shm` keeps as many idle segments per capacity.
+pub const LARGE_PER_CLASS: u32 = 8;
 /// Bytes of large blocks the process keeps, cached or on their way home;
-/// also the largest block that is cached at all.
-const LARGE_BYTE_CAP: usize = 128 << 20;
+/// also the largest block that is cached at all. `rossf_shm`'s idle
+/// segments are bounded by the same number of bytes, their own.
+pub const LARGE_BYTE_CAP: usize = 128 << 20;
 /// Bytes one thread keeps of one small class.
 const SMALL_CLASS_BYTES: usize = 256 << 10;
 /// [`MIN_BLOCK`], then four classes per doubling up to [`LARGE_BYTE_CAP`].

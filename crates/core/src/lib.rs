@@ -107,6 +107,7 @@ pub use alert::{
 #[doc(hidden)]
 pub use alloc::model;
 pub use alloc::{drain_alloc_pool, DrainedPool, SfmAlloc, SFM_ALLOC_ALIGN};
+pub use alloc::{LARGE_BYTE_CAP, LARGE_PER_CLASS};
 pub use boxed::{PublishedBuffer, SfmBox, SfmShared};
 pub use error::SfmError;
 pub use manager::{

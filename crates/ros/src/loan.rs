@@ -1,4 +1,5 @@
-//! Loaned write-in-place publication (ROADMAP item 2).
+//! Loaned write-in-place publication (the ROADMAP item "Transparent zero
+//! copy: a heap-built message is already shared, and the loan API goes").
 //!
 //! [`Publisher::loan`](crate::Publisher::loan) hands out a message whose
 //! backing store *is* a shared-memory pool segment: the caller fills the

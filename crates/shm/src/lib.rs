@@ -53,7 +53,7 @@ pub use reader::{is_shm_mapped, MappedFrame, SegmentMap, ShmReader, TakeError};
 pub use ring::{ControlSegment, Descriptor};
 /// The trace tag a descriptor carries: `rossf-trace`'s one tag shape.
 pub use rossf_trace::FrameMeta;
-pub use seg::{Segment, SegmentPool, DIR_CAP, MIN_SEGMENT_PAYLOAD};
+pub use seg::{drain_idle_segments, Segment, SegmentPool, DIR_CAP, MIN_SEGMENT_PAYLOAD};
 pub use shared::SharedFrame;
 
 /// Always `true`: `rossf-sys` refuses to compile for any target without
@@ -121,8 +121,9 @@ fn proc_start_ticks() -> u64 {
 /// `mm()` is one manager per process and the harness runs this crate's
 /// unit tests on parallel threads: a sibling mapping or unmapping a segment
 /// moves `mm().live_segments()` under a test that compares two readings of
-/// it. Tests that map segments share this lock; the one that counts takes
-/// it exclusively. (Seen 1 run in 7 before the lock; isolation, not a leak.)
+/// it. Tests that map segments share this lock; one that counts takes it
+/// exclusively — the segments, or the idle list every pool's drop feeds.
+/// (Seen 1 run in 7 before the lock; isolation, not a leak.)
 #[cfg(test)]
 pub(crate) mod census {
     use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -135,7 +136,8 @@ pub(crate) mod census {
         QUIET.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Held by a test that asserts on the process-wide segment count.
+    /// Held by a test that asserts on the process-wide segment count or
+    /// on the idle segment list.
     pub fn counting() -> RwLockWriteGuard<'static, ()> {
         QUIET.write().unwrap_or_else(|e| e.into_inner())
     }

@@ -224,10 +224,11 @@ impl ShmReader {
     /// passed (check [`ShmReader::is_closed`] to tell them apart).
     ///
     /// A shim for a caller that owns a thread and knows a frame is queued
-    /// (the benchmark's ring probe). It stays only until ROADMAP 6(ii)
-    /// moves that probe to `try_take`; a reader that has to wait belongs on
-    /// an event loop, draining with `try_take` and going idle with
-    /// [`ShmReader::arm`].
+    /// (the benchmark's ring probe). It stays only until the ROADMAP item
+    /// "Open the benchmark once and pay its debts together" ("Two shims
+    /// go") moves that probe to `try_take`; a reader that has to wait
+    /// belongs on an event loop, draining with `try_take` and going idle
+    /// with [`ShmReader::arm`].
     ///
     /// # Errors
     ///

@@ -19,13 +19,32 @@
 //! The pool hands segments to links by directory index; an index is bound
 //! to one segment for the pool's whole life (readers cache one mapping per
 //! index), so capacity is sized up-front per segment and the pool grows by
-//! appending new indices.
+//! appending new indices — each one a segment taken from the idle list or
+//! else created.
+//!
+//! A segment's life spans pools. When a pool drops, each segment no frame
+//! still references (`refs == 0`, and the pool held the last `Arc`) goes
+//! onto one process-wide idle list instead of being unmapped, under the
+//! heap's large-block bounds ([`LARGE_PER_CLASS`] per capacity,
+//! [`LARGE_BYTE_CAP`] in all); a segment past them is unmapped. A pool that
+//! would create a segment takes an idle one of exactly that capacity
+//! first, so a new publisher's first frames land in pages already
+//! resident. The new pool scrubs it on its own thread: the pages the old
+//! pool's stamped frames covered are zeroed in place, and the rest, where
+//! only an abandoned loan could have written, is punched out of the memfd
+//! ([`rossf_sys::punch_hole`]), so every payload byte reads zero, as in a
+//! new segment. The list belongs to the process that filled it: a forked
+//! child, which inherits its parent's mappings, drops the list unused
+//! instead of writing its parent's memory. An idle segment is out of the
+//! manager's segment registry, which counts the segments that can hold a
+//! frame. [`drain_idle_segments`] unmaps them all.
 
 use crate::sync::{AtomicU64, Mutex, Ordering};
-use rossf_sfm::mm;
+use rossf_sfm::{mm, LARGE_BYTE_CAP, LARGE_PER_CLASS};
 use std::fs::File;
 use std::io;
 use std::os::fd::AsRawFd;
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 
 /// Magic value stamped at offset 0 of every data segment ("ROSSFSEG").
@@ -50,6 +69,12 @@ pub struct Segment {
     ptr: *mut u8,
     total: usize,
     payload_cap: usize,
+    /// The highest length [`Segment::stamp_len`] was given: the payload
+    /// a hand-over to another pool zeroes in place (it punches the rest).
+    stamped_max: AtomicUsize,
+    /// Whether the manager's segment registry holds the mapping: from
+    /// creation on, except while the segment waits on the idle list.
+    registered: bool,
 }
 
 // SAFETY: the mapping is plain shared memory; all mutable header state is
@@ -75,6 +100,8 @@ impl Segment {
             ptr,
             total,
             payload_cap: total - SEG_HEADER,
+            stamped_max: AtomicUsize::new(0),
+            registered: true,
         };
         // The mapping starts zeroed; publish capacity + magic last so a
         // reader that validates magic sees a complete header.
@@ -217,18 +244,114 @@ impl Segment {
     /// If `len` exceeds [`Segment::payload_cap`].
     pub fn stamp_len(&self, len: usize) {
         assert!(len <= self.payload_cap);
+        // Relaxed: process-local, and only a hint of which pages to keep
+        // warm at a hand-over: `scrub` zeroes or punches every payload
+        // byte whatever it reads.
+        if len > self.stamped_max.load(Ordering::Relaxed) {
+            // Relaxed: as above.
+            self.stamped_max.store(len, Ordering::Relaxed);
+        }
         self.word(OFF_LEN).store(len as u64, Ordering::Release);
+    }
+
+    /// Offer a segment no pool, frame or reader holds to the idle list,
+    /// which keeps it mapped if its capacity and the list's bytes are
+    /// within the heap's large-block bounds; past them it is unmapped.
+    fn park(mut self) {
+        mm().note_segment_unmap(self.ptr as usize);
+        self.registered = false;
+        let mut idle = IDLE.lock();
+        idle.claim();
+        let same = idle.segments.iter().filter(|s| s.total == self.total);
+        let bytes = idle.segments.iter().map(|s| s.total).sum::<usize>() + self.total;
+        if same.count() < LARGE_PER_CLASS as usize && bytes <= LARGE_BYTE_CAP {
+            idle.segments.push(self);
+        }
+    }
+
+    /// An idle segment of exactly the size [`Segment::create`]`(cap)`
+    /// makes, scrubbed and registered again.
+    fn take_idle(cap: usize) -> Option<Segment> {
+        let total = rossf_sys::page_round(SEG_HEADER + cap);
+        let mut seg = {
+            let mut idle = IDLE.lock();
+            idle.claim();
+            let i = idle.segments.iter().rposition(|s| s.total == total)?;
+            idle.segments.swap_remove(i)
+        };
+        // A segment that cannot be scrubbed is unmapped, never handed out.
+        seg.scrub().ok()?;
+        mm().note_segment_map(seg.ptr as usize, seg.total);
+        seg.registered = true;
+        Some(seg)
+    }
+
+    /// Make every payload byte read zero, as in a new segment: the pages
+    /// the last pool's stamped frames covered are zeroed in place and stay
+    /// resident; the rest, where only a loan it never stamped could have
+    /// written, is punched out of the memfd.
+    fn scrub(&mut self) -> io::Result<()> {
+        // Relaxed: the segment is ours alone (off every list, no `Arc`).
+        let stamped = self.stamped_max.load(Ordering::Relaxed);
+        let warm = rossf_sys::page_round(SEG_HEADER + stamped);
+        // SAFETY: SEG_HEADER <= warm <= total bound the zeroed range to the
+        // payload; nothing else holds the segment, so no reader or writer
+        // can see the bytes change.
+        unsafe { self.payload_ptr().write_bytes(0, warm - SEG_HEADER) };
+        if warm < self.total {
+            rossf_sys::punch_hole(&self.file, warm, self.total - warm)?;
+        }
+        // Relaxed: as above.
+        self.stamped_max.store(0, Ordering::Relaxed);
+        Ok(())
     }
 }
 
 impl Drop for Segment {
     fn drop(&mut self) {
-        mm().note_segment_unmap(self.ptr as usize);
+        if self.registered {
+            mm().note_segment_unmap(self.ptr as usize);
+        }
         // SAFETY: ptr/total denote the single live mapping created in
         // `create`; the memfd's memory stays valid for readers that still
         // map it.
         unsafe { rossf_sys::munmap(self.ptr, self.total) };
     }
+}
+
+/// The segments no pool holds, kept mapped for the next pool (module docs).
+struct Idle {
+    /// The process the segments belong to.
+    pid: u32,
+    segments: Vec<Segment>,
+}
+
+static IDLE: parking_lot::Mutex<Idle> = parking_lot::Mutex::new(Idle {
+    pid: 0,
+    segments: Vec::new(),
+});
+
+impl Idle {
+    /// Make the list this process's: a forked child finds its parent's
+    /// segments on it, mapped into the child too, and unmaps its copies
+    /// unused — writing them would write the parent's memory.
+    fn claim(&mut self) {
+        let pid = std::process::id();
+        if self.pid != pid {
+            self.pid = pid;
+            self.segments.clear();
+        }
+    }
+}
+
+/// Unmap every idle segment (module docs) and return how many there were.
+///
+/// Benchmark harnesses call this between experiment cells, beside
+/// `rossf_sfm::drain_alloc_pool`, so one cell's kept segments cannot spare
+/// the next cell's publishers their first faults.
+pub fn drain_idle_segments() -> usize {
+    let drained = std::mem::take(&mut IDLE.lock().segments);
+    drained.len()
 }
 
 /// Per-publisher pool of shared segments, indexed by directory slot.
@@ -256,11 +379,12 @@ impl SegmentPool {
         SegmentPool::default()
     }
 
-    /// Acquire a free segment able to hold `need` payload bytes, creating
+    /// Acquire a free segment able to hold `need` payload bytes, adding
     /// one (capacity `need` rounded to a power of two, at least
     /// [`MIN_SEGMENT_PAYLOAD`]) if no existing slot is both large enough
-    /// and unreferenced. Returns the directory index and the segment with
-    /// the write hold (`refs == 1`) taken.
+    /// and unreferenced: an idle segment of that capacity if the process
+    /// keeps one (module docs), else a new one. Returns the directory index
+    /// and the segment with the write hold (`refs == 1`) taken.
     ///
     /// `None` means backpressure: all [`DIR_CAP`] slots are still
     /// referenced by in-flight frames (or segment creation failed); the
@@ -278,9 +402,13 @@ impl SegmentPool {
             None if len >= DIR_CAP => return None,
             None => {
                 let cap = need.next_power_of_two().max(MIN_SEGMENT_PAYLOAD);
-                let seg = Arc::new(Segment::create(cap).ok()?);
+                let seg = match Segment::take_idle(cap) {
+                    Some(seg) => seg,
+                    None => Segment::create(cap).ok()?,
+                };
+                let seg = Arc::new(seg);
                 let acquired = seg.try_acquire();
-                debug_assert!(acquired, "fresh segment must be free");
+                debug_assert!(acquired, "an added segment must be free");
                 slots.segments.push(seg);
                 len
             }
@@ -294,14 +422,31 @@ impl SegmentPool {
         self.slots.lock().segments.get(idx as usize).cloned()
     }
 
-    /// Number of segments created so far.
+    /// Number of segments the pool holds.
     pub fn len(&self) -> usize {
         self.slots.lock().segments.len()
     }
 
-    /// Whether no segment has been created yet.
+    /// Whether the pool holds no segment yet.
     pub fn is_empty(&self) -> bool {
         self.slots.lock().segments.is_empty()
+    }
+}
+
+impl Drop for SegmentPool {
+    fn drop(&mut self) {
+        let segments = std::mem::take(&mut self.slots.lock().segments);
+        for seg in segments {
+            // The last `Arc` and no reference left: no frame, descriptor or
+            // reader can reach the segment again. Acquire: a reader's last
+            // release (AcqRel) and its reads come before the next pool's
+            // scrub writes.
+            if let Ok(seg) = Arc::try_unwrap(seg) {
+                if seg.refs().load(Ordering::Acquire) == 0 {
+                    seg.park();
+                }
+            }
+        }
     }
 }
 
@@ -316,15 +461,17 @@ mod tests {
         let (i0, s0) = pool.acquire(100).unwrap();
         assert_eq!(i0, 0);
         assert_eq!(s0.refs().load(Ordering::Relaxed), 1);
-        assert_eq!(s0.generation(), 1);
-        // Still held → second acquire creates a new slot.
+        assert!(s0.generation() >= 1, "the acquire bumped it");
+        // Still held → second acquire adds a new slot. (A segment another
+        // pool left idle carries its generation on.)
         let (i1, s1) = pool.acquire(100).unwrap();
         assert_eq!(i1, 1);
+        let g1 = s1.generation();
         s1.release_ref();
         // Released slot 1 is reused, generation bumps.
         let (i2, s2) = pool.acquire(100).unwrap();
         assert_eq!(i2, 1);
-        assert_eq!(s2.generation(), 2);
+        assert_eq!(s2.generation(), g1 + 1);
         s0.release_ref();
         s2.release_ref();
     }
@@ -349,15 +496,17 @@ mod tests {
         let _mapped = crate::census::mapping();
         let pool = SegmentPool::new();
         let held: Vec<_> = (0..5).map(|_| pool.acquire(100).unwrap()).collect();
+        let gens: Vec<u64> = held.iter().map(|(_, s)| s.generation()).collect();
         // Free one in the middle; every other segment is in flight.
         held[2].1.release_ref();
         let (idx, seg) = pool.acquire(100).unwrap();
         assert_eq!(idx, 2, "the held segments were passed over");
-        assert_eq!(seg.generation(), 2, "the free one was recycled");
+        assert_eq!(seg.generation(), gens[2] + 1, "the free one was recycled");
         assert_eq!(pool.len(), 5, "no segment was created");
         for (i, (_, s)) in held.iter().enumerate() {
             let refs = s.refs().load(Ordering::Relaxed);
-            assert_eq!((i, refs, s.generation()), (i, 1, 1 + u64::from(i == 2)));
+            let gen = gens[i] + u64::from(i == 2);
+            assert_eq!((i, refs, s.generation()), (i, 1, gen));
         }
         // The next scan starts at the slot just taken (held again), wraps,
         // and takes the first free one from there.
@@ -395,6 +544,168 @@ mod tests {
         assert_eq!(seg.refs().load(Ordering::Relaxed), 0);
         seg.reclaim_refs(1);
         assert_eq!(seg.refs().load(Ordering::Relaxed), 0);
+    }
+
+    /// The idle list's length, for the tests that count it.
+    fn idle_len() -> usize {
+        IDLE.lock().segments.len()
+    }
+
+    /// What a forked child finds: the idle list recorded under another
+    /// process (the forked tests re-exec, so none inherits a list).
+    fn record_idle_list_under(pid: u32) {
+        IDLE.lock().pid = pid;
+    }
+
+    /// The payload of a frame the caller holds, as bytes.
+    fn payload(frame: &crate::SharedFrame) -> &[u8] {
+        // SAFETY: the payload is `capacity()` bytes, and the frame's write
+        // hold keeps every other writer out.
+        unsafe { std::slice::from_raw_parts(frame.payload_ptr(), frame.capacity()) }
+    }
+
+    /// Write `byte` over `range` of the payload of a frame the caller holds.
+    fn fill(frame: &crate::SharedFrame, range: std::ops::Range<usize>, byte: u8) {
+        assert!(range.start <= range.end && range.end <= frame.capacity());
+        // SAFETY: the range is inside the payload's `capacity()` bytes,
+        // which the frame's write hold makes the caller's.
+        unsafe {
+            frame
+                .payload_ptr()
+                .add(range.start)
+                .write_bytes(byte, range.len())
+        };
+    }
+
+    /// A dropped pool's free segment is the next pool's first, scrubbed:
+    /// the same mapping, registered again, and zero in every payload byte
+    /// — where a published frame wrote past its stamp, and where a loan
+    /// that was never published wrote further still.
+    #[test]
+    fn a_dropped_pools_segment_is_the_next_pools_and_reads_zero() {
+        use crate::{PushOutcome, ShmLink, ShmReader};
+        let _alone = crate::census::counting();
+        drain_idle_segments();
+        // The 2 MiB class: a frame of a 1.44 MB image.
+        const STAMPED: usize = (1 << 20) + 4096;
+        let a = Arc::new(SegmentPool::new());
+        let mut link = ShmLink::create(Arc::clone(&a), 4, 7).unwrap();
+        let reader = ShmReader::connect(std::process::id(), link.ctrl_fd(), 7).unwrap();
+        let frame = a.loan(STAMPED).unwrap();
+        fill(&frame, 0..STAMPED + 5000, 0xA1);
+        frame.set_len(STAMPED);
+        let meta = crate::FrameMeta::default();
+        assert_eq!(link.commit_shared(&frame, meta), PushOutcome::Pushed);
+        drop(frame);
+        let got = reader.try_take().unwrap().expect("the frame is queued");
+        assert!(got.as_slice().iter().all(|&b| b == 0xA1));
+        drop(got);
+        let abandoned = a.loan(STAMPED).unwrap();
+        assert_eq!(a.len(), 1, "the loan took the published frame's segment");
+        fill(&abandoned, STAMPED + 5000..abandoned.capacity(), 0xA2);
+        drop(abandoned);
+        drop((reader, link));
+        let with_a = mm().live_segments();
+        let (addr, gen) = {
+            let seg = a.get(0).unwrap();
+            (seg.payload_ptr(), seg.generation())
+        };
+        drop(a);
+        assert_eq!(idle_len(), 1, "the free segment was parked");
+        assert_eq!(mm().live_segments(), with_a - 1, "out of the registry");
+
+        let b = Arc::new(SegmentPool::new());
+        let first = b.loan(STAMPED).unwrap();
+        assert_eq!(first.payload_ptr(), addr, "A's segment");
+        assert_eq!(first.segment().generation(), gen + 1, "A's segment");
+        assert_eq!(mm().live_segments(), with_a, "registered again");
+        assert_eq!(idle_len(), 0);
+        let dirty = payload(&first).iter().position(|&b| b != 0);
+        assert_eq!(
+            dirty,
+            None,
+            "first nonzero payload byte of {}",
+            first.capacity()
+        );
+        drop((first, b));
+        assert_eq!(drain_idle_segments(), 1);
+    }
+
+    /// A segment a subscriber still holds a frame in is not parked when its
+    /// publisher goes: the next publisher's first loan gets a new segment,
+    /// and the held bytes stay the old frame's.
+    #[test]
+    fn a_held_frames_segment_is_not_parked() {
+        use crate::{PushOutcome, ShmLink, ShmReader};
+        let _alone = crate::census::counting();
+        drain_idle_segments();
+        let a = Arc::new(SegmentPool::new());
+        let mut link = ShmLink::create(Arc::clone(&a), 4, 8).unwrap();
+        let reader = ShmReader::connect(std::process::id(), link.ctrl_fd(), 8).unwrap();
+        let meta = crate::FrameMeta::default();
+        assert_eq!(link.push(&[0x5A; 3000], meta), PushOutcome::Pushed);
+        let stashed = reader.try_take().unwrap().expect("the frame is queued");
+        drop((link, a));
+        assert_eq!(idle_len(), 0, "refs > 0: not parked");
+
+        let b = Arc::new(SegmentPool::new());
+        let first = b.loan(3000).unwrap();
+        assert_eq!(first.segment().generation(), 1, "a new segment");
+        fill(&first, 0..first.capacity(), 0xB0);
+        assert!(stashed.as_slice().iter().all(|&b| b == 0x5A));
+        drop((first, b, stashed, reader));
+        drain_idle_segments();
+    }
+
+    /// The idle list keeps the heap's large-block bounds: at most
+    /// `LARGE_PER_CLASS` segments of one capacity and `LARGE_BYTE_CAP`
+    /// bytes in all; a segment past either is unmapped.
+    #[test]
+    fn segments_past_the_class_or_byte_bound_are_unmapped() {
+        let _alone = crate::census::counting();
+        drain_idle_segments();
+        let before = mm().live_segments();
+        let park = |n: usize, need: usize| {
+            let pool = SegmentPool::new();
+            let held: Vec<_> = (0..n).map(|_| pool.acquire(need).unwrap().1).collect();
+            held.iter().for_each(|s| s.release_ref());
+            let total = held[0].payload_cap() + SEG_HEADER;
+            drop((held, pool));
+            total
+        };
+        let per_class = LARGE_PER_CLASS as usize;
+        park(per_class + 1, 200 << 10);
+        assert_eq!(idle_len(), per_class, "one past the class bound");
+        park(1, 100);
+        assert_eq!(idle_len(), per_class + 1, "another class has room");
+        assert_eq!(drain_idle_segments(), per_class + 1);
+
+        let total = park(5, 20 << 20);
+        assert!(5 * total > LARGE_BYTE_CAP, "the bytes bind first");
+        assert_eq!(idle_len(), LARGE_BYTE_CAP / total, "past the byte bound");
+        drain_idle_segments();
+        assert_eq!(mm().live_segments(), before, "every segment unmapped");
+    }
+
+    /// An idle list recorded under another process — its parent's, to a
+    /// forked child — is never handed out: the next pool creates.
+    #[test]
+    fn another_processs_idle_segment_is_never_handed_out() {
+        let _alone = crate::census::counting();
+        drain_idle_segments();
+        let pool = SegmentPool::new();
+        let (_, seg) = pool.acquire(100).unwrap();
+        seg.release_ref();
+        drop((seg, pool));
+        assert_eq!(idle_len(), 1);
+        record_idle_list_under(std::process::id() + 1);
+        let pool = SegmentPool::new();
+        let (_, seg) = pool.acquire(100).unwrap();
+        assert_eq!(seg.generation(), 1, "a new segment");
+        assert_eq!(idle_len(), 0, "the other process's list was dropped");
+        seg.release_ref();
+        drop((seg, pool));
+        assert_eq!(drain_idle_segments(), 1, "this process's list again");
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! working — but yield to a deterministic scheduler around every
 //! operation, letting `crates/shm/tests/model.rs` enumerate interleavings
 //! of the ring/refcount/hold protocols.
+//!
+//! Two pieces of process-local bookkeeping outside every modeled protocol
+//! use the real primitives in both builds: the idle segment list's lock
+//! and a segment's highest stamped length (`seg.rs`). So the model sees
+//! the same operations whether a pool creates a segment or takes an idle
+//! one, and explorations running side by side never share a shadow lock.
 
 #[cfg(not(rossf_model))]
 pub use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize};

@@ -182,6 +182,7 @@ fn commit_shared_fanout_settles_refcounts() {
         let mut l1 = ShmLink::create(Arc::clone(&pool), 4, 1).unwrap();
         let mut l2 = ShmLink::create(Arc::clone(&pool), 4, 2).unwrap();
         let frame = pool.prepare_shared(b"one copy").unwrap();
+        let gen = frame.segment().generation();
         let f2 = frame.clone();
         let p2 = Arc::clone(&pool);
         let t = spawn(move || {
@@ -202,7 +203,11 @@ fn commit_shared_fanout_settles_refcounts() {
         let seg = Arc::clone(frame.segment());
         // While any clone lives the write hold pins the segment: its
         // generation cannot move.
-        assert_eq!(seg.generation(), 1, "generation moved under the write hold");
+        assert_eq!(
+            seg.generation(),
+            gen,
+            "generation moved under the write hold"
+        );
         drop(frame);
         let d = l1.ctrl().try_pop().expect("own ring holds one descriptor");
         pool.get(d.seg).unwrap().release_ref();

@@ -5,8 +5,9 @@
 //! assembly, and this crate is the only place that does so (a row of
 //! `rossf-lint`'s confinement table keeps `asm!` in `crates/sys/src/`):
 //!
-//! * [`memfd_create`], [`mmap_shared`], [`munmap`] — shared-memory
-//!   segments (the shm tier, and the bag's read-only file mapping);
+//! * [`memfd_create`], [`mmap_shared`], [`munmap`], [`punch_hole`]
+//!   (`fallocate`) — shared-memory segments (the shm tier, and the bag's
+//!   read-only file mapping);
 //! * [`Poller`] (`epoll`), [`WakeFd`] (`eventfd`), [`set_socket_buffers`]
 //!   (`setsockopt`), [`connect_nonblocking`] (`socket` + `connect`),
 //!   [`set_timer_slack_ns`] (`prctl`) — the reactor's readiness loop and
@@ -37,7 +38,9 @@ compile_error!(
 mod mem;
 mod poll;
 
-pub use mem::{memfd_create, mmap_shared, munmap, open_peer_fd, page_round, process_alive};
+pub use mem::{
+    memfd_create, mmap_shared, munmap, open_peer_fd, page_round, process_alive, punch_hole,
+};
 pub use poll::connect_nonblocking;
 pub use poll::{set_socket_buffers, set_timer_slack_ns, timer_slack_ns, PollEvent, Poller, WakeFd};
 

@@ -1,5 +1,5 @@
-//! Shared memory: `memfd_create`, `mmap`, `munmap`, and the procfs facts
-//! cross-process hand-off needs.
+//! Shared memory: `memfd_create`, `mmap`, `munmap`, `fallocate`'s hole
+//! punch, and the procfs facts cross-process hand-off needs.
 
 use crate::{check, syscall6};
 use std::fs::File;
@@ -8,12 +8,15 @@ use std::os::fd::{AsRawFd, FromRawFd};
 
 const SYS_MMAP: i64 = 9;
 const SYS_MUNMAP: i64 = 11;
+const SYS_FALLOCATE: i64 = 285;
 const SYS_MEMFD_CREATE: i64 = 319;
 
 const PROT_READ: i64 = 1;
 const PROT_WRITE: i64 = 2;
 const MAP_SHARED: i64 = 1;
 const MFD_CLOEXEC: i64 = 1;
+const FALLOC_FL_KEEP_SIZE: i64 = 1;
+const FALLOC_FL_PUNCH_HOLE: i64 = 2;
 
 /// Create an anonymous memfd named `name` (close-on-exec) wrapped in a
 /// [`File`]. Size it with [`File::set_len`] before mapping.
@@ -89,6 +92,33 @@ pub unsafe fn munmap(ptr: *mut u8, len: usize) {
     let _ = check(unsafe { syscall6(SYS_MUNMAP, ptr as i64, len as i64, 0, 0, 0, 0) });
 }
 
+/// Free the pages backing bytes `offset..offset + len` of `file`
+/// (`fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)`): the range
+/// reads back as zeros, in every mapping of the file, and the file keeps
+/// its size. A memfd supports it; partial pages at either end are zeroed
+/// in place.
+///
+/// # Errors
+///
+/// The raw `errno` from the kernel (`EOPNOTSUPP` on a file system without
+/// hole punching).
+pub fn punch_hole(file: &File, offset: usize, len: usize) -> io::Result<()> {
+    // SAFETY: `file` is a live descriptor for the duration of the call;
+    // the remaining arguments are plain integers.
+    check(unsafe {
+        syscall6(
+            SYS_FALLOCATE,
+            file.as_raw_fd() as i64,
+            FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+            offset as i64,
+            len as i64,
+            0,
+            0,
+        )
+    })?;
+    Ok(())
+}
+
 /// Open another process's open file descriptor through procfs
 /// (`/proc/<pid>/fd/<fd>`), read-write. This is how a subscriber process
 /// adopts a publisher's memfd without fd-passing over a Unix socket: both
@@ -159,6 +189,26 @@ mod tests {
             assert_eq!(ro.add(4095).read(), 0xCD);
             munmap(rw, 4096);
             munmap(ro, 4096);
+        }
+    }
+
+    #[test]
+    fn punch_hole_zeroes_the_range_in_every_mapping_and_keeps_the_size() {
+        let f = memfd_create("rossf-punch-test").unwrap();
+        f.set_len(3 * 4096).unwrap();
+        let rw = mmap_shared(&f, 3 * 4096, true).unwrap();
+        let ro = mmap_shared(&f, 3 * 4096, false).unwrap();
+        unsafe { rw.write_bytes(0xEE, 3 * 4096) };
+        punch_hole(&f, 4096 - 8, 4096 + 16).unwrap();
+        let seen = unsafe { std::slice::from_raw_parts(ro, 3 * 4096) };
+        for (i, &b) in seen.iter().enumerate() {
+            let punched = (4096 - 8..2 * 4096 + 8).contains(&i);
+            assert_eq!(b, if punched { 0 } else { 0xEE }, "byte {i}");
+        }
+        assert_eq!(f.metadata().unwrap().len(), 3 * 4096, "size kept");
+        unsafe {
+            munmap(rw, 3 * 4096);
+            munmap(ro, 3 * 4096);
         }
     }
 

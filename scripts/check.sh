@@ -23,6 +23,17 @@ cargo build --release --workspace
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+# The message-path benchmark is its own package, and it builds the shm tier's
+# SegmentPool, ShmLink and ShmReader directly: its unit tests are the one
+# step that compiles it. Cargo rewrites benchmark/Cargo.lock on every build
+# (the lock predates rossf-sys), and nothing under benchmark/ may change, so
+# the lock is put back however the step ends.
+echo "==> cargo test benchmark/ (the message-path benchmark's unit tests)"
+bench_lock=$(mktemp)
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock && rm -f "$bench_lock"' EXIT
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 # The SLAM kernels are written in 16-lane SSE2 and narrow integer lanes, and
 # only optimized code is what the benchmark runs: their golden, oracle and
 # allocation suites run again on a release build.
